@@ -9,10 +9,8 @@
 #   make race         race detector over the packages with real goroutines
 #                     (kernel, parallel shard engine, cluster model)
 #   make bench-smoke  one-iteration pass over the kernel + headline benches,
-#                     then the benchgate regression + absolute-floor gates
-#                     vs BENCH_PR10.json (relative factor, events/s floor,
-#                     and the multi-shard cluster + fabric-incast
-#                     trajectory points)
+#                     then the tests of cmd/ccperf, the repository benchmark
+#                     (its own module, so `go test ./...` never builds it)
 #   make fabric       quick fabric matrix: fairness/invariance tests and the
 #                     fabric experiment family with invariants attached
 #   make chaos        quick chaos matrix: in-fabric fault classes against the
@@ -23,7 +21,6 @@
 #   make protocols    quick protocol matrix: differential + transition tests,
 #                     the protocol property sweep, and a checked CXL ccbench
 #                     pass (the full UPI x CXL x seed grid runs in CI)
-#   make bench-json   regenerate the host-perf trajectory file (minutes)
 #   make golden-check full suite with online invariant checks, diffed against
 #                     the committed golden transcript (minutes)
 #   make golden-shards golden-check again on 4 concurrent workers (-shards 4):
@@ -34,7 +31,7 @@
 
 GO ?= go
 
-.PHONY: check verify lint lint-json vet race bench-smoke faults protocols fabric chaos bench-json golden-check golden-shards golden
+.PHONY: check verify lint lint-json vet race bench-smoke faults protocols fabric chaos golden-check golden-shards golden
 
 check: verify lint vet race bench-smoke faults protocols fabric chaos golden-check
 
@@ -63,7 +60,7 @@ race:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Kernel|LoopbackCCNIC' -benchtime 1x .
-	$(GO) run ./cmd/benchgate
+	cd cmd/ccperf && $(GO) test ./...
 
 # Quick local fault matrix: every armed class against the invariant engine,
 # the directed recovery-path tests, and the faults experiment family. The
@@ -100,9 +97,6 @@ chaos:
 	$(GO) test -count=1 -run 'Fault|Outage|Brownout' ./internal/fabric/
 	$(GO) test -count=1 -run 'Reliable|Failover|Bounded|Degraded|Breaker' ./internal/cluster/
 	$(GO) run ./cmd/ccbench -quick -check fabric-portflap failover-recovery > /dev/null
-
-bench-json:
-	$(GO) run ./cmd/ccbench -all -cluster -fabric -json BENCH_PR10.json
 
 # Every experiment at full scale with the invariant engine attached; output
 # must be bit-identical to the committed transcript. ccbench exits 1 on any

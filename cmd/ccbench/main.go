@@ -7,20 +7,16 @@
 //	ccbench fig11 fig17       run specific experiments
 //	ccbench -all              run everything (minutes)
 //	ccbench -quick fig12      run with reduced core counts and sweep points
-//	ccbench -json out.json -all
-//	                          also write per-experiment host-perf records
-//	                          (wall-clock, simulated events/sec, allocs)
-//	ccbench -cluster -fabric -json out.json
-//	                          record the multi_shard and fabric_incast
-//	                          trajectory points (cmd/benchgate floors them)
 //	ccbench -ports 16 fabric-incast
 //	                          sweep the fabric experiments' switch fan-in
-//	ccbench -fabric -reliable -faults "seed=7,portflap=0.01"
-//	                          chaos-run the fabric scenario: injected port
-//	                          flaps on the redundant pair, recovered by the
-//	                          reliable transport (no-silent-loss checked)
+//	ccbench -faults "seed=7,portflap=0.02" fabric-portflap failover-recovery
+//	                          chaos-run the reliable-transport experiments
+//	                          under injected in-fabric faults
 //	ccbench -cpuprofile cpu.pprof -memprofile mem.pprof fig13
 //	                          capture pprof profiles of the host hot path
+//
+// Host cost (CPU, setup time, memory, per-layer attribution) is measured by
+// cmd/ccperf; the per-experiment trailer here reports wall time only.
 package main
 
 import (
@@ -37,59 +33,8 @@ import (
 
 	"ccnic"
 	"ccnic/internal/check"
-	"ccnic/internal/cluster"
 	"ccnic/internal/experiments"
-	"ccnic/internal/sim"
 )
-
-// benchFile is the schema of the -json output: one record per experiment
-// plus a suite total, forming one point of the repo's perf trajectory
-// (BENCH_PR1.json, BENCH_PR2.json, ...).
-type benchFile struct {
-	Schema      string               `json:"schema"`
-	GoVersion   string               `json:"go_version"`
-	NumCPU      int                  `json:"num_cpu"`
-	Quick       bool                 `json:"quick"`
-	Experiments []benchRecord        `json:"experiments"`
-	Total       experiments.HostCost `json:"total"`
-	// MultiShard is the parallel shard-engine trajectory point: the
-	// multi-host cluster scenario's aggregate simulation rate (written
-	// by -cluster; BENCH_PR6.json onward).
-	MultiShard *multiShardRecord `json:"multi_shard,omitempty"`
-	// FabricIncast is the switched-fabric trajectory point: an incast
-	// fan-in with aggregated tenant flows through the DRR switch (written
-	// by -fabric; BENCH_PR9.json onward).
-	FabricIncast *fabricRecord `json:"fabric_incast,omitempty"`
-}
-
-type fabricRecord struct {
-	Ports        int     `json:"ports"` // switch fan-in (hosts attached)
-	Shards       int     `json:"shards"`
-	Workers      int     `json:"workers"`
-	SimEvents    uint64  `json:"sim_events"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	RPCs         int64   `json:"rpcs"`
-	FlowPackets  int64   `json:"flow_packets"`
-	Forwarded    int64   `json:"forwarded"`
-	Dropped      int64   `json:"dropped"`
-}
-
-type multiShardRecord struct {
-	Shards       int     `json:"shards"` // model partition (one per host)
-	Workers      int     `json:"workers"`
-	Hosts        int     `json:"hosts"`
-	SimEvents    uint64  `json:"sim_events"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	RPCs         int64   `json:"rpcs"`
-}
-
-type benchRecord struct {
-	ID    string `json:"id"`
-	Title string `json:"title"`
-	experiments.HostCost
-}
 
 func main() {
 	// The simulations retain little memory between GC cycles relative to
@@ -102,7 +47,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	all := flag.Bool("all", false, "run every experiment")
 	quick := flag.Bool("quick", false, "reduced scale: fewer cores, points, and shorter windows")
-	jsonPath := flag.String("json", "", "write per-experiment host-perf records to `file`")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to `file`")
 	checkFlag := flag.Bool("check", false, "validate model invariants online in every simulation (internal/check)")
@@ -110,15 +54,10 @@ func main() {
 	hashesPath := flag.String("hashes", "", "write a JSON map of experiment id -> sha256 of normalized output to `file`")
 	faultsSpec := flag.String("faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
 	protoSpec := flag.String("protocol", "", "coherence `protocol` backend for testbed experiments: upi (default) or cxl; micro-benchmarks that pin their own system are unaffected")
-	shardsFlag := flag.Int("shards", 1, "worker budget: `N` > 1 runs experiments on N concurrent workers (output and checks are order-preserving and bit-identical to serial runs) and parallelizes -cluster")
-	clusterFlag := flag.Bool("cluster", false, "run the multi-host cluster scenario on the parallel shard engine and record its aggregate rate (the multi_shard trajectory point)")
-	hostsFlag := flag.Int("hosts", 0, "cluster member nodes for -cluster (default max(shards, 8))")
+	shardsFlag := flag.Int("shards", 1, "worker budget: `N` > 1 runs experiments on N concurrent workers (output and checks are order-preserving and bit-identical to serial runs)")
 	portsFlag := flag.Int("ports", 0, "cap the fabric experiments' switch fan-in at `N` ports (0 = experiment defaults; refused with -golden/-hashes)")
-	fabricFlag := flag.Bool("fabric", false, "run the switched-fabric incast scenario and record its aggregate rate (the fabric_incast trajectory point)")
-	reliableFlag := flag.Bool("reliable", false, "arm the end-to-end reliable transport in the -cluster/-fabric scenarios (timeouts, retransmission, failover; pairs with -faults fabric classes like portflap)")
-	switchesFlag := flag.Int("switches", 0, "fabric switches for the -cluster/-fabric scenarios: 1 or 2 (redundant, with health-probe failover; default 1, or 2 with -reliable)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ccbench [-quick] [-json file] [-all | -list | <id>...]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: ccbench [-quick] [-check] [-shards N] [-all | -list | <id>...]\n\n")
 		fmt.Fprintf(os.Stderr, "Regenerates the CC-NIC paper's evaluation tables and figures.\n\n")
 		flag.PrintDefaults()
 	}
@@ -139,7 +78,7 @@ func main() {
 	} else {
 		ids = flag.Args()
 	}
-	if len(ids) == 0 && !*clusterFlag && !*fabricFlag {
+	if len(ids) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -147,8 +86,8 @@ func main() {
 		*shardsFlag = 1
 	}
 
-	// Resolve every ID and open every output file before running anything:
-	// -all takes minutes, and a typo'd ID or unwritable path should not cost
+	// Resolve every ID and read every input file before running anything:
+	// -all takes minutes, and a typo'd ID or missing golden should not cost
 	// the whole run.
 	exps := make([]*experiments.Experiment, 0, len(ids))
 	for _, id := range ids {
@@ -157,14 +96,6 @@ func main() {
 			fatalf("ccbench: unknown experiment %q (try -list)", id)
 		}
 		exps = append(exps, e)
-	}
-	var jsonFile *os.File
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fatalf("ccbench: %v", err)
-		}
-		jsonFile = f
 	}
 	var golden map[string]string
 	if *goldenPath != "" {
@@ -181,10 +112,8 @@ func main() {
 	if *hashesPath != "" {
 		hashes = make(map[string]string)
 	}
-	var plan *ccnic.FaultPlan
 	if *faultsSpec != "" {
-		var err error
-		plan, err = ccnic.ParseFaultPlan(*faultsSpec)
+		plan, err := ccnic.ParseFaultPlan(*faultsSpec)
 		if err != nil {
 			fatalf("ccbench: %v", err)
 		}
@@ -217,18 +146,6 @@ func main() {
 			fatalf("ccbench: -ports changes the fabric sweep geometry; golden and hash runs pin the defaults")
 		}
 	}
-	if *switchesFlag < 0 || *switchesFlag > 2 {
-		fatalf("ccbench: -switches models 1 or 2 fabric switches")
-	}
-	if *switchesFlag == 0 {
-		*switchesFlag = 1
-		if *reliableFlag {
-			*switchesFlag = 2 // the transport's failover needs somewhere to go
-		}
-	}
-	if *switchesFlag == 2 && !*reliableFlag {
-		fatalf("ccbench: -switches 2 needs -reliable (routing across the redundant pair is the transport's job)")
-	}
 	if *checkFlag {
 		check.EnableAuto()
 	}
@@ -245,12 +162,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	out := benchFile{
-		Schema:    "ccnic-bench/v1",
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Quick:     *quick,
-	}
 	opt := experiments.Options{Quick: *quick, FabricPorts: *portsFlag}
 	goldenBad := 0
 
@@ -258,24 +169,12 @@ func main() {
 	// are consumed strictly in registration order, so output, golden
 	// diffs, and hashes are bit-identical to a serial run (every
 	// experiment owns its kernels; the per-experiment timing trailer is
-	// normalized away). Per-experiment host-cost records overlap in wall
-	// time under concurrency, so serial runs remain the reference for the
-	// per-experiment perf trajectory.
-	type expResult struct {
-		section string
-		cost    experiments.HostCost
-	}
+	// normalized away).
 	results := make([]chan expResult, len(exps))
 	for i := range results {
 		results[i] = make(chan expResult, 1)
 	}
-	workers := *shardsFlag
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	if workers > 1 && *jsonPath != "" {
-		fmt.Fprintf(os.Stderr, "ccbench: note: per-experiment rates overlap under -shards %d; use a serial run for trajectory records\n", *shardsFlag)
-	}
+	workers := min(*shardsFlag, len(exps))
 	if workers > 1 {
 		next := make(chan int, len(exps))
 		for i := range exps {
@@ -285,8 +184,7 @@ func main() {
 		for w := 0; w < workers; w++ {
 			go func() {
 				for i := range next {
-					report, cost := experiments.Measure(exps[i], opt)
-					results[i] <- expResult{experiments.Section(exps[i], report), cost}
+					results[i] <- run(exps[i], opt)
 				}
 			}()
 		}
@@ -296,15 +194,11 @@ func main() {
 		if workers > 1 {
 			r = <-results[i]
 		} else {
-			report, cost := experiments.Measure(e, opt)
-			r = expResult{experiments.Section(e, report), cost}
+			r = run(e, opt)
 		}
-		section, cost := r.section, r.cost
-		fmt.Print(section)
-		fmt.Printf("[%s completed in %s | %.2fM sim events, %.2fM events/s, %.2f allocs/event]\n\n",
-			e.ID, time.Duration(cost.WallSeconds*float64(time.Second)).Round(time.Millisecond),
-			float64(cost.SimEvents)/1e6, cost.EventsPerSec/1e6, cost.AllocsPerEvt)
-		norm := experiments.Normalize(section)
+		fmt.Print(r.section)
+		fmt.Printf("[%s completed in %s]\n\n", e.ID, r.wall.Round(time.Millisecond))
+		norm := experiments.Normalize(r.section)
 		if golden != nil {
 			if want, ok := golden[e.ID]; !ok {
 				fmt.Fprintf(os.Stderr, "ccbench: golden: no section for %s in %s\n", e.ID, *goldenPath)
@@ -317,8 +211,6 @@ func main() {
 		if hashes != nil {
 			hashes[e.ID] = fmt.Sprintf("%x", sha256.Sum256([]byte(norm)))
 		}
-		out.Experiments = append(out.Experiments, benchRecord{ID: e.ID, Title: e.Title, HostCost: cost})
-		out.Total.Add(cost)
 	}
 	if *checkFlag {
 		fmt.Fprintf(os.Stderr, "ccbench: invariants held: %d checks across %d simulations\n",
@@ -340,136 +232,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccbench: golden: %d experiments bit-identical to %s\n", len(exps), *goldenPath)
 	}
 
-	if *clusterFlag {
-		hosts := *hostsFlag
-		if hosts == 0 {
-			hosts = *shardsFlag
-			if hosts < 8 {
-				hosts = 8
-			}
-		}
-		until := 40 * sim.Millisecond
-		if *quick {
-			until = 4 * sim.Millisecond
-		}
-		// Worker count never affects results (the engine guarantees it), so
-		// cap it at the machine's parallelism: extra workers beyond
-		// GOMAXPROCS only add scheduling overhead to the measurement.
-		clusterWorkers := *shardsFlag
-		if mp := runtime.GOMAXPROCS(0); clusterWorkers > mp {
-			clusterWorkers = mp
-		}
-		c := cluster.New(cluster.Config{Hosts: hosts, Workers: clusterWorkers, Faults: plan,
-			Reliable: *reliableFlag, Switches: *switchesFlag})
-		start := time.Now()
-		if err := c.Run(until); err != nil {
-			fatalf("ccbench: cluster: %v", err)
-		}
-		wall := time.Since(start)
-		if *reliableFlag {
-			if err := c.CheckDelivery(); err != nil {
-				fatalf("ccbench: cluster: %v", err)
-			}
-		}
-		rep := c.Report()
-		events := c.Events()
-		rate := float64(events) / wall.Seconds()
-		fmt.Printf("== cluster: %d-host fabric on the parallel shard engine (%d shards, %d workers)\n",
-			hosts, rep.Shards, clusterWorkers)
-		fmt.Print(rep)
-		fmt.Printf("[cluster completed in %s | %.2fM sim events, %.2fM events/s aggregate]\n\n",
-			wall.Round(time.Millisecond), float64(events)/1e6, rate/1e6)
-		out.MultiShard = &multiShardRecord{
-			Shards:       rep.Shards,
-			Workers:      clusterWorkers,
-			Hosts:        hosts,
-			SimEvents:    events,
-			WallSeconds:  wall.Seconds(),
-			EventsPerSec: rate,
-			RPCs:         rep.Done,
-		}
-	}
-
-	if *fabricFlag {
-		ports := *portsFlag
-		if ports == 0 {
-			ports = 8
-		}
-		until := 20 * sim.Millisecond
-		if *quick {
-			until = 2 * sim.Millisecond
-		}
-		fabricWorkers := runtime.GOMAXPROCS(0)
-		if *shardsFlag > 1 && *shardsFlag < fabricWorkers {
-			fabricWorkers = *shardsFlag
-		}
-		srcs := make([]int, ports-1)
-		for i := range srcs {
-			srcs[i] = i + 1
-		}
-		c := cluster.New(cluster.Config{
-			Hosts:    ports,
-			Workers:  fabricWorkers,
-			Window:   8,
-			ReqSize:  512,
-			Pattern:  cluster.PatternIncast,
-			Faults:   plan,
-			Reliable: *reliableFlag,
-			Switches: *switchesFlag,
-			Flows: []cluster.FlowSpec{{
-				Name: "ads", Srcs: srcs, Dst: 0, Dist: "ads",
-				MeanGap: 800 * sim.Nanosecond, Tenants: 128,
-				ZipfS: 0.75, TrackEvery: 8, Seed: 17,
-			}},
-		})
-		start := time.Now()
-		if err := c.Run(until); err != nil {
-			fatalf("ccbench: fabric: %v", err)
-		}
-		wall := time.Since(start)
-		if *reliableFlag {
-			if err := c.CheckDelivery(); err != nil {
-				fatalf("ccbench: fabric: %v", err)
-			}
-		}
-		rep := c.Report()
-		events := c.Events()
-		rate := float64(events) / wall.Seconds()
-		fmt.Printf("== fabric: %d-port incast with aggregated tenant flows (%d shards, %d workers)\n",
-			ports, rep.Shards, fabricWorkers)
-		fmt.Print(rep)
-		fmt.Printf("[fabric completed in %s | %.2fM sim events, %.2fM events/s aggregate]\n\n",
-			wall.Round(time.Millisecond), float64(events)/1e6, rate/1e6)
-		out.FabricIncast = &fabricRecord{
-			Ports:        ports,
-			Shards:       rep.Shards,
-			Workers:      fabricWorkers,
-			SimEvents:    events,
-			WallSeconds:  wall.Seconds(),
-			EventsPerSec: rate,
-			RPCs:         rep.Done,
-			FlowPackets:  rep.FlowDelivered,
-			Forwarded:    rep.Forwarded,
-			Dropped:      rep.Dropped,
-		}
-	}
-
-	if jsonFile != nil {
-		buf, err := json.MarshalIndent(&out, "", "  ")
-		if err != nil {
-			fatalf("ccbench: marshal: %v", err)
-		}
-		buf = append(buf, '\n')
-		if _, err := jsonFile.Write(buf); err != nil {
-			fatalf("ccbench: %v", err)
-		}
-		if err := jsonFile.Close(); err != nil {
-			fatalf("ccbench: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "ccbench: wrote %s (%d experiments, %.2fM events/s overall)\n",
-			*jsonPath, len(out.Experiments), out.Total.EventsPerSec/1e6)
-	}
-
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
@@ -481,6 +243,18 @@ func main() {
 			fatalf("ccbench: write heap profile: %v", err)
 		}
 	}
+}
+
+// expResult is one experiment's rendered section and its wall-clock time.
+type expResult struct {
+	section string
+	wall    time.Duration
+}
+
+func run(e *experiments.Experiment, opt experiments.Options) expResult {
+	start := time.Now()
+	section := experiments.Section(e, e.Run(opt))
+	return expResult{section, time.Since(start)}
 }
 
 func fatalf(format string, args ...any) {

@@ -23,6 +23,7 @@ import (
 	"ccnic"
 	"ccnic/internal/cluster"
 	"ccnic/internal/fabric"
+	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func main() {
 		window   = flag.Int("window", 128, "closed-loop in-flight window per queue")
 		txBatch  = flag.Int("txbatch", 32, "TX burst size")
 		rxBatch  = flag.Int("rxbatch", 32, "RX burst size")
-		workload = flag.String("workload", "loopback", "workload: loopback, forward, kv, rpc")
+		workload = flag.String("workload", "loopback", "workload: loopback, forward, kv, rpc, or cluster")
 		dist     = flag.String("dist", "ads", "kv object distribution: ads or geo")
 		measure  = flag.Float64("measure", 150, "measurement window in microseconds")
 		prefetch = flag.Bool("prefetch", true, "host hardware prefetching")
@@ -57,22 +58,15 @@ func main() {
 
 	plan, err := ccnic.ParseFaultPlan(*faults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccnicsim: %v\n", err)
-		os.Exit(1)
+		fatalf("ccnicsim: %v", err)
 	}
 
-	// The cluster workload is a multi-host topology on the parallel shard
-	// engine, not a single testbed: handle it before testbed assembly.
-	if *workload == "cluster" {
-		runCluster(clusterOpts{
-			hosts: *hosts, shards: *shards, window: *window, reqSize: *pkt,
-			measureUS: *measure, plan: plan,
-			incast: *incast, fifo: *fifo, bulk: *bulk, signal: *signal,
-			reliable: *reliable, switches: *switches,
-		})
-		return
+	// Every selector is checked before dispatch, so a typo fails loudly
+	// whichever workload would have run.
+	plat := platform.ByName(*platName)
+	if plat == nil {
+		fatalf("ccnicsim: unknown platform %q (ICX, SPR, or CXL)", *platName)
 	}
-
 	iface, ok := map[string]ccnic.Interface{
 		"ccnic":         ccnic.CCNIC,
 		"unopt":         ccnic.UnoptUPI,
@@ -82,17 +76,33 @@ func main() {
 		"overlay-unopt": ccnic.OverlayUnopt,
 	}[strings.ToLower(*ifaceStr)]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "ccnicsim: unknown interface %q\n", *ifaceStr)
-		os.Exit(1)
+		fatalf("ccnicsim: unknown interface %q", *ifaceStr)
 	}
-
-	if _, err := ccnic.ParseProtocol(*protoStr); err != nil {
-		fmt.Fprintf(os.Stderr, "ccnicsim: %v\n", err)
-		os.Exit(1)
+	proto, err := ccnic.ParseProtocol(*protoStr)
+	if err != nil {
+		fatalf("ccnicsim: %v", err)
+	}
+	switch *workload {
+	case "loopback", "forward", "kv", "rpc":
+	case "cluster":
+		// A multi-host topology on the parallel shard engine, not a single
+		// testbed: it has no coherence protocol backend to select.
+		if proto != ccnic.ProtoUPI {
+			fatalf("ccnicsim: -workload cluster does not model the coherence protocol (-protocol %v)", proto)
+		}
+		runCluster(clusterOpts{
+			plat: plat, hosts: *hosts, shards: *shards, window: *window, reqSize: *pkt,
+			measureUS: *measure, plan: plan,
+			incast: *incast, fifo: *fifo, bulk: *bulk, signal: *signal,
+			reliable: *reliable, switches: *switches,
+		})
+		return
+	default:
+		fatalf("ccnicsim: unknown workload %q (loopback, forward, kv, rpc, or cluster)", *workload)
 	}
 
 	tb := ccnic.NewTestbed(ccnic.Config{
-		Platform:       *platName,
+		Plat:           plat,
 		Interface:      iface,
 		Protocol:       *protoStr,
 		Queues:         *queues,
@@ -159,9 +169,6 @@ func main() {
 			Warmup: warm, Measure: meas,
 		})
 		fmt.Printf("echo rpc:  %8.2f Mops\n", res.Mops())
-	default:
-		fmt.Fprintf(os.Stderr, "ccnicsim: unknown workload %q\n", *workload)
-		os.Exit(1)
 	}
 
 	st := tb.Sys.Link().Stats()
@@ -183,6 +190,7 @@ func main() {
 
 // clusterOpts collects the cluster workload's flag surface.
 type clusterOpts struct {
+	plat                           *platform.Platform
 	hosts, shards, window, reqSize int
 	measureUS                      float64
 	plan                           *ccnic.FaultPlan
@@ -196,18 +204,11 @@ type clusterOpts struct {
 // runCluster drives the multi-host cluster workload on the parallel shard
 // engine and prints its report.
 func runCluster(o clusterOpts) {
-	if o.switches < 0 || o.switches > 2 {
-		fmt.Fprintln(os.Stderr, "ccnicsim: -switches models 1 or 2 fabric switches")
-		os.Exit(1)
-	}
 	if o.switches == 0 && o.reliable {
 		o.switches = 2 // give the transport's failover somewhere to go
 	}
-	if o.switches == 2 && !o.reliable {
-		fmt.Fprintln(os.Stderr, "ccnicsim: -switches 2 needs -reliable (the transport owns routing across the pair)")
-		os.Exit(1)
-	}
 	cfg := ccnic.ClusterConfig{
+		Plat:       o.plat,
 		Hosts:      o.hosts,
 		Shards:     o.shards,
 		Window:     o.window,
@@ -216,6 +217,9 @@ func runCluster(o clusterOpts) {
 		FabricFIFO: o.fifo,
 		Reliable:   o.reliable,
 		Switches:   o.switches,
+	}
+	if err := cfg.Validate(); err != nil {
+		fatalf("ccnicsim: %v", err)
 	}
 	if o.incast || o.bulk > 0 {
 		cfg.Pattern = cluster.PatternIncast
@@ -226,8 +230,7 @@ func runCluster(o clusterOpts) {
 	case "pcie":
 		cfg.Signaling = cluster.SignalPCIe
 	default:
-		fmt.Fprintf(os.Stderr, "ccnicsim: unknown signaling model %q (ccnic or pcie)\n", o.signal)
-		os.Exit(1)
+		fatalf("ccnicsim: unknown signaling model %q (ccnic or pcie)", o.signal)
 	}
 	effHosts := cfg.Hosts
 	if effHosts == 0 {
@@ -249,8 +252,7 @@ func runCluster(o clusterOpts) {
 	}
 	fmt.Println()
 	if err := c.Run(sim.Time(o.measureUS * float64(sim.Microsecond))); err != nil {
-		fmt.Fprintf(os.Stderr, "ccnicsim: cluster: %v\n", err)
-		os.Exit(1)
+		fatalf("ccnicsim: cluster: %v", err)
 	}
 	// Report.String surfaces the recovery counters (retransmits, degraded
 	// entries, failovers, probes) whenever the armed transport exercised
@@ -258,8 +260,7 @@ func runCluster(o clusterOpts) {
 	fmt.Print(c.Report())
 	if o.reliable {
 		if err := c.CheckDelivery(); err != nil {
-			fmt.Fprintf(os.Stderr, "ccnicsim: cluster: %v\n", err)
-			os.Exit(1)
+			fatalf("ccnicsim: cluster: %v", err)
 		}
 		fmt.Println("delivery ledger: no silent loss (sent = done + exhausted + pending on every node)")
 	}
@@ -267,4 +268,9 @@ func runCluster(o clusterOpts) {
 	if st.Total() > 0 {
 		fmt.Printf("\n%s", st.Format())
 	}
+}
+
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }

@@ -120,7 +120,8 @@ type Config struct {
 	// the pre-transport model.
 	Reliable bool
 	// Switches selects the fabric topology: 1 (default) or 2 redundant
-	// switches, every host attached to both at the same port number.
+	// switches, every host attached to both at the same port number. The
+	// redundant pair needs Reliable: routing across it is the transport's.
 	Switches int
 	// RTO is the base per-RPC retransmission timeout (default 20us); it
 	// doubles with each retransmission of the same RPC.
@@ -245,11 +246,31 @@ type Node struct {
 	// round-trip tail measured back at this node.
 	FlowSent int64
 	FlowLat  stats.Histogram
-	// Recovery counters (all zero when the transport is off).
+	Recovery
+}
+
+// Recovery holds the reliable transport's counters (reliable.go), all zero
+// when the transport is off. Nodes count them; Report sums them.
+type Recovery struct {
 	Retransmits, Timeouts, Exhausted, DupResps int64
 	Degraded, Shed, BreakerTrips, FlowTimeouts int64
 	Failovers, Failbacks                       int64
 	ProbesSent, ProbesMissed                   int64
+}
+
+func (r *Recovery) add(o *Recovery) {
+	r.Retransmits += o.Retransmits
+	r.Timeouts += o.Timeouts
+	r.Exhausted += o.Exhausted
+	r.DupResps += o.DupResps
+	r.Degraded += o.Degraded
+	r.Shed += o.Shed
+	r.BreakerTrips += o.BreakerTrips
+	r.FlowTimeouts += o.FlowTimeouts
+	r.Failovers += o.Failovers
+	r.Failbacks += o.Failbacks
+	r.ProbesSent += o.ProbesSent
+	r.ProbesMissed += o.ProbesMissed
 }
 
 // Cluster is an assembled multi-host simulation.
@@ -268,14 +289,34 @@ type Cluster struct {
 	flows     []flowAgg
 }
 
-// New assembles a cluster. It panics on invalid configurations, matching
-// the repo's construction-time validation style.
+// Validate reports the first topology error in the configuration, or nil.
+// Zero values stand for the defaults New fills in.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Hosts < 0 || cfg.Hosts == 1:
+		return fmt.Errorf("cluster: need at least 2 hosts, not %d", cfg.Hosts)
+	case cfg.Switches < 0 || cfg.Switches > 2:
+		return fmt.Errorf("cluster: %d switches: only 1 or 2 (a redundant pair) are modeled", cfg.Switches)
+	case cfg.Switches == 2 && !cfg.Reliable:
+		return fmt.Errorf("cluster: 2 switches need Reliable (routing across the redundant pair is the transport's job)")
+	}
+	switches := max(cfg.Switches, 1)
+	for _, o := range cfg.Outages {
+		if o.Switch < 0 || o.Switch >= switches {
+			return fmt.Errorf("cluster: scripted outage on unknown switch %d", o.Switch)
+		}
+	}
+	return nil
+}
+
+// New assembles a cluster. It panics on a configuration Validate rejects,
+// matching the repo's construction-time validation style.
 func New(cfg Config) *Cluster {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.Hosts == 0 {
 		cfg.Hosts = 4
-	}
-	if cfg.Hosts < 2 {
-		panic("cluster: need at least 2 hosts")
 	}
 	if cfg.Shards <= 0 || cfg.Shards > cfg.Hosts {
 		cfg.Shards = cfg.Hosts
@@ -289,11 +330,8 @@ func New(cfg Config) *Cluster {
 	if cfg.ReqSize <= 0 {
 		cfg.ReqSize = 4096
 	}
-	if cfg.Switches <= 0 {
+	if cfg.Switches == 0 {
 		cfg.Switches = 1
-	}
-	if cfg.Switches > 2 {
-		panic("cluster: at most 2 redundant switches are modeled")
 	}
 	if cfg.RTO <= 0 {
 		cfg.RTO = 20 * sim.Microsecond
@@ -318,11 +356,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.BreakerHold <= 0 {
 		cfg.BreakerHold = 30 * sim.Microsecond
-	}
-	for _, o := range cfg.Outages {
-		if o.Switch < 0 || o.Switch >= cfg.Switches {
-			panic(fmt.Sprintf("cluster: scripted outage on unknown switch %d", o.Switch))
-		}
 	}
 	plat := cfg.Plat
 	if plat == nil {
@@ -645,15 +678,12 @@ type Report struct {
 	Forwarded, Dropped int64
 	FabricSummary      string
 
-	// Recovery counters (reliable.go; all zero when the transport is off,
-	// so the rendered report stays byte-identical to the pre-transport
-	// model on unarmed runs).
-	Retransmits, Timeouts, Exhausted, DupResps int64
-	Degraded, Shed, BreakerTrips, FlowTimeouts int64
-	Failovers, Failbacks                       int64
-	ProbesSent, ProbesMissed                   int64
-	Pending                                    int64
-	FaultDrops                                 int64
+	// Recovery counters summed over nodes, plus the RPCs still awaiting a
+	// response (all zero when the transport is off, so the rendered report
+	// stays byte-identical to the pre-transport model on unarmed runs).
+	Recovery
+	Pending    int64
+	FaultDrops int64
 }
 
 // Report aggregates the cluster's counters.
@@ -701,18 +731,7 @@ func (c *Cluster) Report() Report {
 	r.FabricSummary = st.String()
 
 	for _, n := range c.Nodes {
-		r.Retransmits += n.Retransmits
-		r.Timeouts += n.Timeouts
-		r.Exhausted += n.Exhausted
-		r.DupResps += n.DupResps
-		r.Degraded += n.Degraded
-		r.Shed += n.Shed
-		r.BreakerTrips += n.BreakerTrips
-		r.FlowTimeouts += n.FlowTimeouts
-		r.Failovers += n.Failovers
-		r.Failbacks += n.Failbacks
-		r.ProbesSent += n.ProbesSent
-		r.ProbesMissed += n.ProbesMissed
+		r.Recovery.add(&n.Recovery)
 		r.Pending += int64(len(n.pend))
 	}
 	for _, sw := range c.Switches {
@@ -725,9 +744,7 @@ func (c *Cluster) Report() Report {
 // report's recovery lines (absent counters keep unarmed fingerprints
 // byte-identical to the pre-transport model).
 func (r Report) recovering() bool {
-	return r.Retransmits|r.Timeouts|r.Exhausted|r.DupResps|
-		r.Degraded|r.Shed|r.BreakerTrips|r.FlowTimeouts|
-		r.Failovers|r.Failbacks|r.ProbesSent|r.ProbesMissed|r.Pending != 0
+	return r.Recovery != Recovery{} || r.Pending != 0
 }
 
 // String renders the report (and doubles as the determinism fingerprint:

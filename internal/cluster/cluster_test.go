@@ -140,3 +140,45 @@ func TestClosedLoopWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestValidate: every topology New refuses is rejected by Validate with an
+// error (not a panic), New panics with the same message, and the defaults
+// and the redundant reliable pair pass.
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // "" = valid
+	}{
+		{"defaults", Config{}, ""},
+		{"reliable pair", Config{Hosts: 4, Reliable: true, Switches: 2,
+			Outages: []ScriptedOutage{{Switch: 1, Port: 2}}}, ""},
+		{"one host", Config{Hosts: 1}, "need at least 2 hosts"},
+		{"negative hosts", Config{Hosts: -3}, "need at least 2 hosts"},
+		{"three switches", Config{Reliable: true, Switches: 3}, "switches"},
+		{"negative switches", Config{Switches: -1}, "switches"},
+		{"pair without transport", Config{Switches: 2}, "need Reliable"},
+		{"outage past default switch", Config{Outages: []ScriptedOutage{{Switch: 1}}}, "unknown switch 1"},
+		{"negative outage switch", Config{Reliable: true, Switches: 2,
+			Outages: []ScriptedOutage{{Switch: -1}}}, "unknown switch -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+			}
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Fatalf("New panicked with %v, want %q", r, err)
+				}
+			}()
+			New(tc.cfg)
+		})
+	}
+}

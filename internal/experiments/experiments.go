@@ -112,8 +112,8 @@ func Section(e *Experiment, r *Report) string {
 }
 
 // timingLine matches ccbench's per-experiment trailer, which carries
-// wall-clock numbers and must not participate in golden comparisons. The
-// golden file may predate the event-rate suffix, so only the prefix matches.
+// wall-clock numbers and must not participate in golden comparisons. Only
+// the prefix matches: older transcripts append an event-rate suffix.
 var timingLine = regexp.MustCompile(`^\[\S+ completed in `)
 
 // Normalize strips run-varying lines (timing trailers, driver EXIT markers)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"strings"
-	"sync/atomic"
 )
 
 // ErrDeadlock is returned by Run when processes remain blocked on events but
@@ -29,17 +28,6 @@ const (
 // abortSignal is panicked into a process coroutine to unwind it when the
 // kernel shuts down mid-simulation.
 type abortSignal struct{}
-
-// totalEvents accumulates scheduled events across every kernel in the
-// process, flushed once per Run/RunUntil call. It feeds host-side
-// simulation-rate reporting (ccbench -json) and costs nothing on the
-// per-event hot path.
-var totalEvents atomic.Uint64
-
-// TotalEvents returns the number of simulation events executed by all
-// kernels in this process since it started. Deltas around a workload divided
-// by wall-clock time give the host simulation rate in events per second.
-func TotalEvents() uint64 { return totalEvents.Load() }
 
 // Probe observes kernel scheduling for online model validation
 // (internal/check). Event fires on slow-path event execution only: the
@@ -401,11 +389,9 @@ func (k *Kernel) run(deadline Time) error {
 	}
 	k.running = true
 	k.deadline = deadline
-	start := k.events
 	defer func() {
 		k.running = false
 		k.deadline = -1
-		totalEvents.Add(k.events - start)
 	}()
 	// The run loop: resume the next process; when it parks it has already
 	// selected its successor (k.hand), and when its function returns the
