@@ -11,16 +11,9 @@
 #   make bench-smoke  one-iteration pass over the kernel + headline benches,
 #                     then the tests of cmd/ccperf, the repository benchmark
 #                     (its own module, so `go test ./...` never builds it)
-#   make fabric       quick fabric matrix: fairness/invariance tests and the
-#                     fabric experiment family with invariants attached
-#   make chaos        quick chaos matrix: in-fabric fault classes against the
-#                     reliable transport (failover, degraded mode, the
-#                     no-silent-loss ledger) and the chaos experiments
-#   make faults       quick fault matrix: property harness, recovery-path
-#                     tests, and fault experiments with invariants attached
-#   make protocols    quick protocol matrix: differential + transition tests,
-#                     the protocol property sweep, and a checked CXL ccbench
-#                     pass (the full UPI x CXL x seed grid runs in CI)
+#   make matrix       seed 1 of one armed row per family (faults, protocols,
+#                     fabric, chaos) of the checked quick-run matrix in
+#                     cmd/ccbench/matrix.sh; CI runs every row over seeds 1-3
 #   make golden-check full suite with online invariant checks, diffed against
 #                     the committed golden transcript (minutes)
 #   make golden-shards golden-check again on 4 concurrent workers (-shards 4):
@@ -31,9 +24,9 @@
 
 GO ?= go
 
-.PHONY: check verify lint lint-json vet race bench-smoke faults protocols fabric chaos golden-check golden-shards golden
+.PHONY: check verify lint lint-json vet race bench-smoke matrix golden-check golden-shards golden
 
-check: verify lint vet race bench-smoke faults protocols fabric chaos golden-check
+check: verify lint vet race bench-smoke matrix golden-check
 
 verify:
 	$(GO) build ./...
@@ -62,41 +55,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Kernel|LoopbackCCNIC' -benchtime 1x .
 	cd cmd/ccperf && $(GO) test ./...
 
-# Quick local fault matrix: every armed class against the invariant engine,
-# the directed recovery-path tests, and the faults experiment family. The
-# full seed x class grid runs in CI (fault-matrix job).
-faults:
-	$(GO) test -count=1 ./internal/fault/
-	$(GO) test -count=1 -run 'Fault' ./internal/check/prop/
-	$(GO) test -count=1 -run 'Retransmit|Stall' ./internal/rpcstack/ ./internal/kvstore/
-	$(GO) run ./cmd/ccbench -quick -check -faults all=0.01 faults-rate faults-recovery > /dev/null
-
-# Quick local protocol matrix: the CXL transition table, the UPI/CXL
-# differential tests, the CXL engine self-tests, the protocol property
-# sweep, and a checked quick ccbench pass under the CXL backend. The full
-# UPI x CXL x seed grid runs in CI (protocol-matrix job).
-protocols:
-	$(GO) test -count=1 -run 'CXL|Protocol' ./internal/coherence/ ./internal/check/ ./internal/check/prop/
-	$(GO) run ./cmd/ccbench -quick -check -protocol cxl fig13 fig17 proto-sweep > /dev/null
-
-# Quick local fabric matrix: the switch model's own tests, the fairness and
-# partition-invariance properties at the cluster layer, and the fabric
-# experiment family with the invariant engine attached. The full
-# ports x shards x seed grid runs in CI (fabric-matrix job).
-fabric:
-	$(GO) test -count=1 ./internal/fabric/
-	$(GO) test -count=1 -run 'Fairness|Flow|Tenant|Signaling' ./internal/cluster/
-	$(GO) run ./cmd/ccbench -quick -check fabric-incast fabric-isolation fabric-crossover > /dev/null
-
-# Quick local chaos matrix: the in-fabric fault classes (portflap, corrupt,
-# blackhole, brownout) against the reliable transport — failover/fail-back,
-# degraded mode, circuit breakers, and the no-silent-loss ledger — plus the
-# chaos experiment family with the invariant engine attached. The full
-# class x seed x shard grid runs in CI (chaos-matrix job).
-chaos:
-	$(GO) test -count=1 -run 'Fault|Outage|Brownout' ./internal/fabric/
-	$(GO) test -count=1 -run 'Reliable|Failover|Bounded|Degraded|Breaker' ./internal/cluster/
-	$(GO) run ./cmd/ccbench -quick -check fabric-portflap failover-recovery > /dev/null
+# The make-check slice of the checked quick-run matrix, whose rows live in
+# cmd/ccbench/matrix.sh.
+matrix:
+	bash cmd/ccbench/matrix.sh slice > /dev/null
 
 # Every experiment at full scale with the invariant engine attached; output
 # must be bit-identical to the committed transcript. ccbench exits 1 on any

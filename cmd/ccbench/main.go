@@ -83,7 +83,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *shardsFlag < 1 {
-		*shardsFlag = 1
+		fatalf("ccbench: -shards needs at least 1 worker")
 	}
 
 	// Resolve every ID and read every input file before running anything:

@@ -46,7 +46,7 @@ func main() {
 		protoStr = flag.String("protocol", "upi", "coherence protocol backend: upi or cxl")
 		faults   = flag.String("faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
 		shards   = flag.Int("shards", 0, "cluster workload: partition the hosts into `N` shards on the parallel engine (0 = one per host; results are identical for every value)")
-		hosts    = flag.Int("hosts", 0, "cluster workload: member node count (default 4)")
+		hosts    = flag.Int("hosts", 0, fmt.Sprintf("cluster workload: member node count (default %d)", cluster.DefaultHosts))
 		incast   = flag.Bool("incast", false, "cluster workload: converge all RPC clients on host 0 (default spread)")
 		fifo     = flag.Bool("fifo", false, "cluster workload: FIFO fabric scheduling instead of DRR fair queuing")
 		bulk     = flag.Int("bulk", 0, "cluster workload: saturating 8KiB bulk tenants aimed at host 0 (`N` generators)")
@@ -218,9 +218,6 @@ func runCluster(o clusterOpts) {
 		Reliable:   o.reliable,
 		Switches:   o.switches,
 	}
-	if err := cfg.Validate(); err != nil {
-		fatalf("ccnicsim: %v", err)
-	}
 	if o.incast || o.bulk > 0 {
 		cfg.Pattern = cluster.PatternIncast
 	}
@@ -234,16 +231,20 @@ func runCluster(o clusterOpts) {
 	}
 	effHosts := cfg.Hosts
 	if effHosts == 0 {
-		effHosts = 4 // cluster.New's default
+		effHosts = cluster.DefaultHosts
 	}
 	for i := 0; i < o.bulk; i++ {
-		src := 1 + i%(effHosts-1)
+		// max keeps -hosts 1 from dividing by zero; Validate below rejects it.
+		src := 1 + i%max(effHosts-1, 1)
 		cfg.Flows = append(cfg.Flows, cluster.FlowSpec{
 			Name: fmt.Sprintf("bulk%d", i), Srcs: []int{src}, Dst: 0,
 			Class: fabric.ClassBulk, Bytes: 8192,
 			MeanGap: 300 * sim.Nanosecond, Tenants: 8,
 			TrackEvery: 32, Seed: int64(23 + i),
 		})
+	}
+	if err := cfg.Validate(); err != nil {
+		fatalf("ccnicsim: %v", err)
 	}
 	c := ccnic.NewCluster(cfg)
 	fmt.Printf("cluster workload on the parallel shard engine (lookahead %v)\n", c.Lookahead())

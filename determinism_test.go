@@ -34,11 +34,15 @@ func TestEndToEndDeterminism(t *testing.T) {
 }
 
 // TestExperimentOutputDeterminism runs every registered experiment twice in
-// quick mode and hashes the normalized printed output (exactly what ccbench
-// -hashes computes). Both runs must match each other — bit-identical text,
-// not just headline numbers — and match the hashes committed in
-// experiments_quick_hashes.json. After an intentional model change,
-// regenerate the committed hashes with `make golden`.
+// quick mode — the quick suite's only full pass in tier-1. The first run's
+// report must be well-formed (the <id>/report subtest): its own ID, some
+// output, and every series and table non-empty with no negative point. Then
+// it hashes the normalized
+// printed output of both runs (exactly what ccbench -hashes computes). The
+// two must match each other — bit-identical text, not just headline
+// numbers — and match the hashes committed in experiments_quick_hashes.json.
+// After an intentional model change, regenerate the committed hashes with
+// `make golden`.
 func TestExperimentOutputDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
@@ -60,12 +64,39 @@ func TestExperimentOutputDeterminism(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			hash := func() string {
-				r := e.Run(experiments.Options{Quick: true})
+			hash := func(r *experiments.Report) string {
 				norm := experiments.Normalize(experiments.Section(e, r))
 				return fmt.Sprintf("%x", sha256.Sum256([]byte(norm)))
 			}
-			h1, h2 := hash(), hash()
+			r := e.Run(experiments.Options{Quick: true})
+			// The report's own pass/fail line tells a malformed report
+			// apart from output drift.
+			t.Run("report", func(t *testing.T) {
+				if r.ID != e.ID {
+					t.Errorf("report ID %q != experiment ID %q", r.ID, e.ID)
+				}
+				if len(r.Groups) == 0 && len(r.Tables) == 0 {
+					t.Errorf("experiment produced no output")
+				}
+				for _, g := range r.Groups {
+					for _, s := range g.Series {
+						if len(s.Points) == 0 {
+							t.Errorf("series %q has no points", s.Name)
+						}
+						for _, pt := range s.Points {
+							if pt.Y < 0 {
+								t.Errorf("series %q has negative value %v", s.Name, pt.Y)
+							}
+						}
+					}
+				}
+				for _, tb := range r.Tables {
+					if len(tb.Rows) == 0 {
+						t.Errorf("table %q has no rows", tb.Name)
+					}
+				}
+			})
+			h1, h2 := hash(r), hash(e.Run(experiments.Options{Quick: true}))
 			if h1 != h2 {
 				t.Fatalf("two quick runs produced different output: %s vs %s", h1, h2)
 			}

@@ -71,9 +71,12 @@ const (
 	SignalPCIe
 )
 
+// DefaultHosts is the member count a zero Config.Hosts stands for.
+const DefaultHosts = 4
+
 // Config describes a cluster.
 type Config struct {
-	// Hosts is the number of member nodes (>= 2; default 4).
+	// Hosts is the number of member nodes (>= 2; 0 = DefaultHosts).
 	Hosts int
 	// Shards is the number of shards the node set is partitioned into:
 	// nodes are grouped contiguously, ceil(Hosts/Shards) per shard. The
@@ -101,9 +104,6 @@ type Config struct {
 	// FabricFIFO disables the switch's DRR fair queuing (ablation: egress
 	// serves strictly in arrival order).
 	FabricFIFO bool
-	// FlowCap overrides the switch's per-(source, class) egress queue
-	// bound, in packets (0 = fabric default).
-	FlowCap int
 	// Flows arms aggregated open-loop tenant flow generators (flows.go).
 	Flows []FlowSpec
 	// Faults optionally arms fault injection; each node derives its own
@@ -129,23 +129,9 @@ type Config struct {
 	// RetryBudget bounds retransmissions per RPC (default 3). Past the
 	// budget the RPC is retired as Exhausted — accounted, never silent.
 	RetryBudget int
-	// ProbeEvery is the per-(node, switch) health-probe cadence (default
-	// 5us). A probe is a self-addressed packet through the switch; it must
-	// return before the next tick or it counts as a miss.
-	ProbeEvery sim.Time
-	// ProbeWindow and ProbeMisses tune K-of-N miss detection: a switch is
-	// declared unhealthy at >= ProbeMisses misses in the last ProbeWindow
-	// probes (defaults 8 and 3) and healthy again only after a clean
-	// window (zero misses — the fail-back hysteresis).
-	ProbeWindow, ProbeMisses int
 	// DegradedWindow is how long a node sheds bulk-class flow traffic
 	// after transport distress (default 15us).
 	DegradedWindow sim.Time
-	// BreakerTrip is the consecutive tracked-flow timeouts that trip a
-	// tenant's circuit breaker (default 2); BreakerHold is how long the
-	// breaker stays open (default 30us).
-	BreakerTrip int
-	BreakerHold sim.Time
 	// Outages scripts deterministic port outages on the switches, for
 	// recovery-timeline experiments and tests.
 	Outages []ScriptedOutage
@@ -222,17 +208,17 @@ type Node struct {
 	// Reliable-transport state (reliable.go; nil/empty when !Reliable).
 	// All of it is node-local: read and written only on this node's
 	// shard, so every counter is partition-invariant.
-	pend       map[int64]*pendRPC // outstanding RPCs by Seq
-	flowPend   map[int64]*flowTrack
-	retxHeap   []retxEntry // deadline min-heap (at, seq)
-	retxWake   *sim.Event
-	routeVia   []uint8 // per destination: current switch
-	dstStrikes []int   // per destination: consecutive timeouts
-	swHealthy  []bool  // per switch: probe-derived health
-	probeRing  []uint64
-	probeAwait []int64
-	probeGot   []bool
-	probeSeq   int64
+	pend          map[int64]*pendRPC // outstanding RPCs by Seq
+	flowPend      map[int64]*flowTrack
+	retxHeap      []retxEntry // deadline min-heap (at, seq)
+	retxWake      *sim.Event
+	routeVia      []uint8 // per destination: current switch
+	dstStrikes    []int   // per destination: consecutive timeouts
+	swHealthy     []bool  // per switch: probe-derived health
+	probeRing     []uint64
+	probeAwait    []int64
+	probeGot      []bool
+	probeSeq      int64
 	distress      int
 	degradedUntil sim.Time
 	phaseIdx      int
@@ -289,8 +275,8 @@ type Cluster struct {
 	flows     []flowAgg
 }
 
-// Validate reports the first topology error in the configuration, or nil.
-// Zero values stand for the defaults New fills in.
+// Validate reports the first topology or flow-spec error in the
+// configuration, or nil. Zero values stand for the defaults New fills in.
 func (cfg Config) Validate() error {
 	switch {
 	case cfg.Hosts < 0 || cfg.Hosts == 1:
@@ -306,6 +292,23 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("cluster: scripted outage on unknown switch %d", o.Switch)
 		}
 	}
+	hosts := cfg.Hosts
+	if hosts == 0 {
+		hosts = DefaultHosts
+	}
+	for _, f := range cfg.Flows {
+		if f.Dst < 0 || f.Dst >= hosts {
+			return fmt.Errorf("cluster: flow %q dst %d out of range", f.Name, f.Dst)
+		}
+		for _, src := range f.Srcs {
+			if src < 0 || src >= hosts || src == f.Dst {
+				return fmt.Errorf("cluster: flow %q has invalid source %d", f.Name, src)
+			}
+		}
+		if f.Dist != "" && f.Dist != "ads" && f.Dist != "geo" {
+			return fmt.Errorf("cluster: flow %q has unknown size distribution %q", f.Name, f.Dist)
+		}
+	}
 	return nil
 }
 
@@ -316,7 +319,7 @@ func New(cfg Config) *Cluster {
 		panic(err.Error())
 	}
 	if cfg.Hosts == 0 {
-		cfg.Hosts = 4
+		cfg.Hosts = DefaultHosts
 	}
 	if cfg.Shards <= 0 || cfg.Shards > cfg.Hosts {
 		cfg.Shards = cfg.Hosts
@@ -339,23 +342,8 @@ func New(cfg Config) *Cluster {
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = 3
 	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 5 * sim.Microsecond
-	}
-	if cfg.ProbeWindow <= 0 || cfg.ProbeWindow > 64 {
-		cfg.ProbeWindow = 8
-	}
-	if cfg.ProbeMisses <= 0 {
-		cfg.ProbeMisses = 3
-	}
 	if cfg.DegradedWindow <= 0 {
 		cfg.DegradedWindow = 15 * sim.Microsecond
-	}
-	if cfg.BreakerTrip <= 0 {
-		cfg.BreakerTrip = 2
-	}
-	if cfg.BreakerHold <= 0 {
-		cfg.BreakerHold = 30 * sim.Microsecond
 	}
 	plat := cfg.Plat
 	if plat == nil {
@@ -426,7 +414,6 @@ func New(cfg Config) *Cluster {
 			HopLat:   c.fabric.HopLat + c.Nodes[0].ep.MinLatency(),
 			RouteLat: c.fabric.RouteLat,
 			SchedLat: c.fabric.SchedLat,
-			FlowCap:  cfg.FlowCap,
 			FIFO:     cfg.FabricFIFO,
 			Quantum:  quantum,
 			Faults:   fault.NewInjector(cfg.Faults.ForFabric(v)),
@@ -563,9 +550,9 @@ func (n *Node) start() {
 			if spike, _ := n.flt.LinkFault(); spike > 0 {
 				m.respSpike = spike
 			}
-			p.Sleep(plat.L2Hit)  // buffer alloc from the node pool
-			p.Sleep(plat.L2Hit)  // header fill
-			p.Sleep(doorbell)    // host→NIC signal (CC-NIC or PCIe model)
+			p.Sleep(plat.L2Hit) // buffer alloc from the node pool
+			p.Sleep(plat.L2Hit) // header fill
+			p.Sleep(doorbell)   // host→NIC signal (CC-NIC or PCIe model)
 			m.Sent = p.Now()
 			if n.c.cfg.Reliable {
 				m.Via = n.routeVia[dst]

@@ -141,9 +141,9 @@ func TestClosedLoopWindow(t *testing.T) {
 	}
 }
 
-// TestValidate: every topology New refuses is rejected by Validate with an
-// error (not a panic), New panics with the same message, and the defaults
-// and the redundant reliable pair pass.
+// TestValidate: every topology or flow spec New refuses is rejected by
+// Validate with an error (not a panic), New panics with the same message,
+// and the defaults, the redundant reliable pair and well-formed flows pass.
 func TestValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -161,6 +161,15 @@ func TestValidate(t *testing.T) {
 		{"outage past default switch", Config{Outages: []ScriptedOutage{{Switch: 1}}}, "unknown switch 1"},
 		{"negative outage switch", Config{Reliable: true, Switches: 2,
 			Outages: []ScriptedOutage{{Switch: -1}}}, "unknown switch -1"},
+		{"flows", Config{Flows: []FlowSpec{{Srcs: []int{1, 2, 3}, Dst: 0, Dist: "ads"}}}, ""},
+		{"flow dst past default hosts", Config{Flows: []FlowSpec{{Name: "f", Srcs: []int{1}, Dst: 4}}},
+			`flow "f" dst 4 out of range`},
+		{"flow to itself", Config{Hosts: 2, Flows: []FlowSpec{{Name: "f", Srcs: []int{0}, Dst: 0}}},
+			`flow "f" has invalid source 0`},
+		{"flow source out of range", Config{Flows: []FlowSpec{{Name: "f", Srcs: []int{1, -1}}}},
+			`flow "f" has invalid source -1`},
+		{"flow size distribution", Config{Flows: []FlowSpec{{Name: "f", Srcs: []int{1}, Dist: "zipf"}}},
+			`flow "f" has unknown size distribution "zipf"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cfg.Validate()

@@ -67,15 +67,12 @@ type flowGen struct {
 	openUntil []sim.Time // breaker-open deadline per tenant
 }
 
-// startFlows validates and defaults the flow specs and spawns their
-// generators.
+// startFlows defaults the flow specs (New has validated them) and spawns
+// their generators.
 func (c *Cluster) startFlows() {
 	c.flows = make([]flowAgg, len(c.cfg.Flows))
 	for si := range c.cfg.Flows {
 		spec := c.cfg.Flows[si] // defaulted copy; the config stays as given
-		if spec.Dst < 0 || spec.Dst >= c.cfg.Hosts {
-			panic(fmt.Sprintf("cluster: flow %q dst %d out of range", spec.Name, spec.Dst))
-		}
 		if spec.MeanGap <= 0 {
 			spec.MeanGap = sim.Microsecond
 		}
@@ -90,9 +87,6 @@ func (c *Cluster) startFlows() {
 		}
 		c.flows[si].tenants = make([]int64, spec.Tenants)
 		for _, src := range spec.Srcs {
-			if src < 0 || src >= c.cfg.Hosts || src == spec.Dst {
-				panic(fmt.Sprintf("cluster: flow %q has invalid source %d", spec.Name, src))
-			}
 			c.startGenerator(si, spec, src)
 		}
 	}
@@ -112,10 +106,6 @@ func (c *Cluster) startGenerator(si int, spec FlowSpec, src int) {
 		dist = traffic.Ads(seed + 1)
 	case "geo":
 		dist = traffic.Geo(seed + 1)
-	case "":
-		// fixed size
-	default:
-		panic(fmt.Sprintf("cluster: flow %q has unknown size distribution %q", spec.Name, spec.Dist))
 	}
 	var zipf *traffic.Zipf
 	if spec.Tenants > 1 {

@@ -22,6 +22,23 @@ import (
 // (Config.Reliable == false) leaves the event stream byte-identical to the
 // pre-transport model: no processes are spawned, no branches taken.
 
+// The transport's fixed tuning.
+const (
+	// probeEvery is the per-(node, switch) health-probe cadence. A probe is
+	// a self-addressed packet through the switch; it must return before the
+	// next tick or it counts as a miss.
+	probeEvery = 5 * sim.Microsecond
+	// probeWindow and probeMisses set K-of-N miss detection: a switch is
+	// declared unhealthy at >= probeMisses misses in the last probeWindow
+	// probes, and healthy again only after a clean window (zero misses —
+	// the fail-back hysteresis).
+	probeWindow, probeMisses = 8, 3
+	// breakerTrip is the consecutive tracked-flow timeouts that trip a
+	// tenant's circuit breaker; breakerHold is how long it stays open.
+	breakerTrip = 2
+	breakerHold = 30 * sim.Microsecond
+)
+
 // pendRPC is one outstanding reliable RPC on its issuing node.
 type pendRPC struct {
 	m       Message // the original request, reused verbatim on retransmit
@@ -247,16 +264,15 @@ func (n *Node) strike(dst int) {
 	}
 }
 
-// probeLoop is the node's health prober: every ProbeEvery it scores the
+// probeLoop is the node's health prober: every probeEvery it scores the
 // previous round's probe on each switch (returned in time, or a miss),
 // updates the K-of-N rings, applies health transitions, and launches the
 // next round of self-addressed probes.
 func (n *Node) probeLoop(p *sim.Proc) {
 	c := n.c
-	window := uint(c.cfg.ProbeWindow)
-	mask := uint64(1)<<window - 1
+	const mask = uint64(1)<<probeWindow - 1
 	for {
-		p.Sleep(c.cfg.ProbeEvery)
+		p.Sleep(probeEvery)
 		for v := range c.Switches {
 			if n.probeAwait[v] >= 0 {
 				miss := uint64(0)
@@ -266,7 +282,7 @@ func (n *Node) probeLoop(p *sim.Proc) {
 				}
 				n.probeRing[v] = n.probeRing[v]<<1 | miss
 				misses := bits.OnesCount64(n.probeRing[v] & mask)
-				if n.swHealthy[v] && misses >= c.cfg.ProbeMisses {
+				if n.swHealthy[v] && misses >= probeMisses {
 					n.swHealthy[v] = false
 					n.failover(v)
 				} else if !n.swHealthy[v] && misses == 0 {
@@ -354,7 +370,7 @@ func (n *Node) flowResponded(flow int, seq int64) {
 
 // flowTimeout fires when a tracked flow packet's response never came:
 // consecutive timeouts trip the tenant's circuit breaker, shedding that
-// tenant's traffic at the generator for BreakerHold.
+// tenant's traffic at the generator for breakerHold.
 func (n *Node) flowTimeout(e retxEntry) {
 	ft, ok := n.flowPend[e.seq]
 	if !ok {
@@ -364,8 +380,8 @@ func (n *Node) flowTimeout(e retxEntry) {
 	n.FlowTimeouts++
 	g, tenant := ft.gen, ft.tenant
 	g.strikes[tenant]++
-	if g.strikes[tenant] >= n.c.cfg.BreakerTrip {
-		g.openUntil[tenant] = e.at + n.c.cfg.BreakerHold
+	if g.strikes[tenant] >= breakerTrip {
+		g.openUntil[tenant] = e.at + breakerHold
 		g.strikes[tenant] = 0
 		n.BreakerTrips++
 	}

@@ -14,9 +14,10 @@ import (
 // the requester, a same-socket peer, a remote peer, or shared combinations,
 // each swept over both home sockets — and every requester event (demand
 // read, partial store, full-line store), it asserts the requester's final
-// cache state, the directory composition, and exactly which interconnect
-// crossings were charged.
+// cache state, the directory composition, exactly which interconnect
+// crossings were charged, and the latency class the requester paid.
 func TestTransitionTable(t *testing.T) {
+	plat := platform.ICX()
 	type expect struct {
 		state   State // requester's final L2 state
 		owner   rune  // directory owner after the event: R, P, N, or 0
@@ -30,15 +31,18 @@ func TestTransitionTable(t *testing.T) {
 		data         bool // a full line crossed the link
 		dataIfRemote bool
 		peerInvalid  bool // the peer that held the line lost it
+		// Requester latency; a nonzero latIfRemote replaces it when
+		// home == 1.
+		lat, latIfRemote sim.Time
 	}
 	type event struct {
 		name string
-		run  func(p *sim.Proc, r *Agent, line mem.Addr)
+		run  func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time
 	}
 	events := []event{
-		{"read", func(p *sim.Proc, r *Agent, line mem.Addr) { r.Read(p, line, 8) }},
-		{"write", func(p *sim.Proc, r *Agent, line mem.Addr) { r.Write(p, line, 8) }},
-		{"fullwrite", func(p *sim.Proc, r *Agent, line mem.Addr) { r.Write(p, line, mem.LineSize) }},
+		{"read", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { return r.Read(p, line, 8) }},
+		{"write", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { return r.Write(p, line, 8) }},
+		{"fullwrite", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { return r.Write(p, line, mem.LineSize) }},
 	}
 	type placement struct {
 		name  string
@@ -50,29 +54,33 @@ func TestTransitionTable(t *testing.T) {
 			name:  "invalid",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) {},
 			want: [3]expect{
-				{state: Shared, sharers: 1, readIfRemote: 1, dataIfRemote: true},
-				{state: Modified, owner: 'R', rfoIfRemote: 1, dataIfRemote: true},
+				{state: Shared, sharers: 1, readIfRemote: 1, dataIfRemote: true,
+					lat: plat.LocalDRAM, latIfRemote: plat.RemoteDRAM},
+				// A partial store's RFO fetches the line.
+				{state: Modified, owner: 'R', rfoIfRemote: 1, dataIfRemote: true,
+					lat: plat.LocalDRAM, latIfRemote: plat.RemoteDRAM},
 				// ItoM from memory: ownership grant without a data fetch.
-				{state: Modified, owner: 'R', rfoIfRemote: 1},
+				{state: Modified, owner: 'R', rfoIfRemote: 1,
+					lat: plat.LLCHit, latIfRemote: plat.RemoteInval},
 			},
 		},
 		{
 			name:  "self-shared",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { r.Read(p, line, 8) },
 			want: [3]expect{
-				{state: Shared, sharers: 1},
+				{state: Shared, sharers: 1, lat: plat.L2Hit},
 				// Sole sharer: silent upgrade, no crossing.
-				{state: Modified, owner: 'R'},
-				{state: Modified, owner: 'R'},
+				{state: Modified, owner: 'R', lat: plat.L2Hit},
+				{state: Modified, owner: 'R', lat: plat.L2Hit},
 			},
 		},
 		{
 			name:  "self-modified",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { r.Write(p, line, 8) },
 			want: [3]expect{
-				{state: Modified, owner: 'R'},
-				{state: Modified, owner: 'R'},
-				{state: Modified, owner: 'R'},
+				{state: Modified, owner: 'R', lat: plat.L2Hit},
+				{state: Modified, owner: 'R', lat: plat.L2Hit},
+				{state: Modified, owner: 'R', lat: plat.L2Hit},
 			},
 		},
 		{
@@ -80,18 +88,18 @@ func TestTransitionTable(t *testing.T) {
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { lp.Write(p, line, 8) },
 			want: [3]expect{
 				// Migratory dirty forwarding, local: no link traffic.
-				{state: Modified, owner: 'R', peerInvalid: true},
-				{state: Modified, owner: 'R', peerInvalid: true},
-				{state: Modified, owner: 'R', peerInvalid: true},
+				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LocalFwd},
+				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LocalFwd},
+				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LLCHit},
 			},
 		},
 		{
 			name:  "local-peer-shared",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { lp.Read(p, line, 8) },
 			want: [3]expect{
-				{state: Shared, sharers: 2},
-				{state: Modified, owner: 'R', peerInvalid: true},
-				{state: Modified, owner: 'R', peerInvalid: true},
+				{state: Shared, sharers: 2, lat: plat.LocalFwd},
+				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LocalFwd},
+				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LLCHit},
 			},
 		},
 		{
@@ -99,20 +107,26 @@ func TestTransitionTable(t *testing.T) {
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { n.Write(p, line, 8) },
 			want: [3]expect{
 				// Migratory dirty forwarding across the link: one data
-				// crossing, counted as a remote read.
-				{state: Modified, owner: 'R', read: 1, data: true, peerInvalid: true},
-				{state: Modified, owner: 'R', rfo: 1, data: true, peerInvalid: true},
+				// crossing, counted as a remote read. The reader-homed
+				// (home 0) and writer-homed (home 1) paths differ.
+				{state: Modified, owner: 'R', read: 1, data: true, peerInvalid: true,
+					lat: plat.RemoteLH, latIfRemote: plat.RemoteRH},
+				// A partial store's RFO migrates the data.
+				{state: Modified, owner: 'R', rfo: 1, data: true, peerInvalid: true,
+					lat: plat.RemoteLH, latIfRemote: plat.RemoteRH},
 				// ItoM: invalidate without moving the stale data.
-				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true},
+				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true, lat: plat.RemoteInval},
 			},
 		},
 		{
 			name:  "remote-shared",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { n.Read(p, line, 8) },
 			want: [3]expect{
-				{state: Shared, sharers: 2, read: 1, data: true},
-				{state: Modified, owner: 'R', rfo: 1, data: true, peerInvalid: true},
-				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true},
+				{state: Shared, sharers: 2, read: 1, data: true,
+					lat: plat.RemoteLH, latIfRemote: plat.RemoteRH},
+				{state: Modified, owner: 'R', rfo: 1, data: true, peerInvalid: true,
+					lat: plat.RemoteLH, latIfRemote: plat.RemoteRH},
+				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true, lat: plat.RemoteInval},
 			},
 		},
 		{
@@ -122,9 +136,10 @@ func TestTransitionTable(t *testing.T) {
 				n.Read(p, line, 8)
 			},
 			want: [3]expect{
-				{state: Shared, sharers: 2}, // L2 hit
-				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true},
-				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true},
+				{state: Shared, sharers: 2, lat: plat.L2Hit},
+				// Upgrade with a remote sharer pays the invalidation.
+				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true, lat: plat.RemoteInval},
+				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true, lat: plat.RemoteInval},
 			},
 		},
 	}
@@ -135,7 +150,7 @@ func TestTransitionTable(t *testing.T) {
 				name := fmt.Sprintf("home%d/%s/%s", home, pl.name, ev.name)
 				t.Run(name, func(t *testing.T) {
 					want := pl.want[ei]
-					harness(t, platform.ICX(), func(p *sim.Proc, s *System) {
+					harness(t, plat, func(p *sim.Proc, s *System) {
 						r := s.NewAgent(0, "R")
 						lp := s.NewAgent(0, "P")
 						n := s.NewAgent(1, "N")
@@ -147,7 +162,7 @@ func TestTransitionTable(t *testing.T) {
 						lk := s.Link().Stats()
 						data0 := lk.DataBytes[0] + lk.DataBytes[1]
 
-						ev.run(p, r, line)
+						lat := ev.run(p, r, line)
 
 						// Requester state.
 						st := Invalid
@@ -187,14 +202,21 @@ func TestTransitionTable(t *testing.T) {
 								}
 							}
 						}
-						// Crossing accounting.
+						// Crossing accounting and latency.
 						wantRead := want.read
 						wantRFO := want.rfo
 						wantData := want.data
+						wantLat := want.lat
 						if home == 1 {
 							wantRead += want.readIfRemote
 							wantRFO += want.rfoIfRemote
 							wantData = wantData || want.dataIfRemote
+							if want.latIfRemote != 0 {
+								wantLat = want.latIfRemote
+							}
+						}
+						if lat != wantLat {
+							t.Errorf("latency %v, want %v", lat, wantLat)
 						}
 						if got := s.Counters(0).RemoteRead - read0; got != int64(wantRead) {
 							t.Errorf("RemoteRead delta %d, want %d", got, wantRead)

@@ -3,154 +3,9 @@ package coherence
 import (
 	"testing"
 
-	"ccnic/internal/mem"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
-
-// TestTransitionMatrix drives every (initial line placement, operation)
-// pair through the model and checks the resulting latency class and state.
-// It is the systematic counterpart of the scenario tests.
-func TestTransitionMatrix(t *testing.T) {
-	plat := platform.ICX()
-
-	// Each case prepares a line, performs one access from `host`
-	// (socket 0), and asserts the charged latency.
-	cases := []struct {
-		name  string
-		home  int
-		setup func(p *sim.Proc, s *System, host, peer, nic *Agent, line mem.Addr)
-		op    func(p *sim.Proc, host *Agent, line mem.Addr) sim.Time
-		want  sim.Time
-	}{
-		{
-			name: "read uncached local-homed",
-			home: 0,
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Read(p, l, 64) },
-			want: plat.LocalDRAM,
-		},
-		{
-			name: "read uncached remote-homed",
-			home: 1,
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Read(p, l, 64) },
-			want: plat.RemoteDRAM,
-		},
-		{
-			name: "read own dirty line",
-			home: 0,
-			setup: func(p *sim.Proc, s *System, h, peer, nic *Agent, l mem.Addr) {
-				h.Write(p, l, 64)
-			},
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Read(p, l, 64) },
-			want: plat.L2Hit,
-		},
-		{
-			name: "read same-socket dirty line",
-			home: 0,
-			setup: func(p *sim.Proc, s *System, h, peer, nic *Agent, l mem.Addr) {
-				peer.Write(p, l, 64)
-			},
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Read(p, l, 64) },
-			want: plat.LocalFwd,
-		},
-		{
-			name: "read same-socket clean copy",
-			home: 0,
-			setup: func(p *sim.Proc, s *System, h, peer, nic *Agent, l mem.Addr) {
-				peer.Read(p, l, 64)
-			},
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Read(p, l, 64) },
-			want: plat.LocalFwd,
-		},
-		{
-			name: "read remote dirty writer-homed",
-			home: 1,
-			setup: func(p *sim.Proc, s *System, h, peer, nic *Agent, l mem.Addr) {
-				nic.Write(p, l, 64)
-			},
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Read(p, l, 64) },
-			want: plat.RemoteRH,
-		},
-		{
-			name: "read remote dirty reader-homed",
-			home: 0,
-			setup: func(p *sim.Proc, s *System, h, peer, nic *Agent, l mem.Addr) {
-				nic.Write(p, l, 64)
-			},
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Read(p, l, 64) },
-			want: plat.RemoteLH,
-		},
-		{
-			name: "partial write to uncached local line (RFO fetches)",
-			home: 0,
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Write(p, l, 8) },
-			want: plat.LocalDRAM,
-		},
-		{
-			name: "full-line write to uncached local line (ItoM, no fetch)",
-			home: 0,
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Write(p, l, 64) },
-			want: plat.LLCHit,
-		},
-		{
-			name: "full-line write over remote dirty copy (ItoM inval)",
-			home: 0,
-			setup: func(p *sim.Proc, s *System, h, peer, nic *Agent, l mem.Addr) {
-				nic.Write(p, l, 64)
-			},
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Write(p, l, 64) },
-			want: plat.RemoteInval,
-		},
-		{
-			name: "partial write over remote dirty copy (RFO migrates data)",
-			home: 0,
-			setup: func(p *sim.Proc, s *System, h, peer, nic *Agent, l mem.Addr) {
-				nic.Write(p, l, 64)
-			},
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Write(p, l, 8) },
-			want: plat.RemoteLH,
-		},
-		{
-			name: "upgrade with sole copy is silent",
-			home: 0,
-			setup: func(p *sim.Proc, s *System, h, peer, nic *Agent, l mem.Addr) {
-				h.Read(p, l, 64)
-			},
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Write(p, l, 8) },
-			want: plat.L2Hit,
-		},
-		{
-			name: "upgrade with remote sharer pays invalidation",
-			home: 0,
-			setup: func(p *sim.Proc, s *System, h, peer, nic *Agent, l mem.Addr) {
-				h.Read(p, l, 64)
-				nic.Read(p, l, 64)
-			},
-			op:   func(p *sim.Proc, h *Agent, l mem.Addr) sim.Time { return h.Write(p, l, 8) },
-			want: plat.RemoteInval,
-		},
-	}
-
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			harness(t, plat, func(p *sim.Proc, s *System) {
-				host := s.NewAgent(0, "host")
-				peer := s.NewAgent(0, "peer")
-				nic := s.NewAgent(1, "nic")
-				line := s.Space().AllocLines(c.home, 1)
-				if c.setup != nil {
-					c.setup(p, s, host, peer, nic, line)
-					p.Sleep(sim.Microsecond) // let pending stores commit
-				}
-				got := c.op(p, host, line)
-				if got != c.want {
-					t.Errorf("latency = %v, want %v", got, c.want)
-				}
-			})
-		})
-	}
-}
 
 func TestItoMDiscardsRemoteDirtyData(t *testing.T) {
 	// A full-line overwrite of a remote-M line must not move the stale

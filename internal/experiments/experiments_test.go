@@ -229,45 +229,3 @@ func TestExperimentDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestAllExperimentsQuick runs every registered experiment in quick mode
-// and sanity-checks its report — the regression net over the full
-// regeneration pipeline. Skipped under -short (it takes ~1 minute).
-func TestAllExperimentsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick experiment sweep skipped in -short mode")
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			r := e.Run(Options{Quick: true})
-			if r.ID != e.ID {
-				t.Errorf("report ID %q != experiment ID %q", r.ID, e.ID)
-			}
-			if len(r.Groups) == 0 && len(r.Tables) == 0 {
-				t.Fatal("experiment produced no output")
-			}
-			out := r.Format()
-			if len(out) < 40 {
-				t.Errorf("implausibly short report:\n%s", out)
-			}
-			for _, g := range r.Groups {
-				for _, s := range g.Series {
-					if len(s.Points) == 0 {
-						t.Errorf("series %q has no points", s.Name)
-					}
-					for _, pt := range s.Points {
-						if pt.Y < 0 {
-							t.Errorf("series %q has negative value %v", s.Name, pt.Y)
-						}
-					}
-				}
-			}
-			for _, tb := range r.Tables {
-				if len(tb.Rows) == 0 {
-					t.Errorf("table %q has no rows", tb.Name)
-				}
-			}
-		})
-	}
-}

@@ -91,8 +91,9 @@ func curvePoints(mk func() *ccnic.Testbed, pkt int, fractions []float64, opt Opt
 	if opt.Quick {
 		probe.Warmup, probe.Measure = 20*sim.Microsecond, 60*sim.Microsecond
 	}
-	peak := mk().RunLoopback(probe)
-	perQueue := peak.PPS / float64(mk().Dev.NumQueues())
+	tb := mk()
+	peak := tb.RunLoopback(probe)
+	perQueue := peak.PPS / float64(tb.Dev.NumQueues())
 
 	s := &stats.Series{XLabel: "throughput [Mpps]"}
 	type pt struct{ x, y float64 }
