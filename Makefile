@@ -6,6 +6,7 @@
 #                     probelint, alloclint, shardlint, ownlint, timelint,
 #                     exhaustlint) over every module package
 #   make lint-json    same run, findings as cclint.json (the CI artifact)
+#   make vet          go vet, and fail on any file gofmt -l lists
 #   make race         race detector over the packages with real goroutines
 #                     (kernel, parallel shard engine, cluster model)
 #   make bench-smoke  one-iteration pass over the kernel + headline benches,
@@ -44,8 +45,11 @@ lint:
 lint-json:
 	$(GO) run ./cmd/cclint -json ./... > cclint.json
 
+# go vet, then gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/sim/shard/ ./internal/fabric/ ./internal/cluster/

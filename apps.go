@@ -38,8 +38,6 @@ type KVOptions struct {
 	Dist      string
 	FixedSize int
 
-	GetFraction  float64 // default 0.95
-	ZipfS        float64 // default 0.75
 	RatePerQueue float64 // offered requests/s per server thread
 	Seed         int64
 
@@ -71,8 +69,6 @@ func (tb *Testbed) RunKVStore(opt KVOptions) KVResult {
 		Dev:          tb.Dev,
 		Hosts:        tb.Hosts,
 		Store:        kvstore.NewStore(tb.Sys, 0, opt.Keys, dist),
-		GetFraction:  opt.GetFraction,
-		ZipfS:        opt.ZipfS,
 		Seed:         opt.Seed,
 		RatePerQueue: opt.RatePerQueue,
 		Warmup:       opt.Warmup,

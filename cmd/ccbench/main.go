@@ -53,7 +53,7 @@ func main() {
 	goldenPath := flag.String("golden", "", "diff each experiment's output against golden `file`; exit 1 on any mismatch")
 	hashesPath := flag.String("hashes", "", "write a JSON map of experiment id -> sha256 of normalized output to `file`")
 	faultsSpec := flag.String("faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
-	protoSpec := flag.String("protocol", "", "coherence `protocol` backend for testbed experiments: upi (default) or cxl; micro-benchmarks that pin their own system are unaffected")
+	protoSpec := flag.String("protocol", "", "coherence `protocol` backend for testbed experiments: upi (default) or cxl; the micro-benchmarks (fig2 fig3 fig7 fig8 fig9 table1) and ext-dsa have no NIC testbed and ignore it")
 	shardsFlag := flag.Int("shards", 1, "worker budget: `N` > 1 runs experiments on N concurrent workers (output and checks are order-preserving and bit-identical to serial runs)")
 	portsFlag := flag.Int("ports", 0, "cap the fabric experiments' switch fan-in at `N` ports (0 = experiment defaults; refused with -golden/-hashes)")
 	flag.Usage = func() {

@@ -47,14 +47,7 @@ func TestExperimentOutputDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
 	}
-	buf, err := os.ReadFile("experiments_quick_hashes.json")
-	if err != nil {
-		t.Fatalf("read committed hashes: %v", err)
-	}
-	golden := make(map[string]string)
-	if err := json.Unmarshal(buf, &golden); err != nil {
-		t.Fatalf("parse committed hashes: %v", err)
-	}
+	golden := committedHashes(t)
 	exps := experiments.All()
 	if len(golden) != len(exps) {
 		t.Errorf("committed hash file has %d entries, registry has %d experiments; run make golden",
@@ -64,10 +57,6 @@ func TestExperimentOutputDeterminism(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			hash := func(r *experiments.Report) string {
-				norm := experiments.Normalize(experiments.Section(e, r))
-				return fmt.Sprintf("%x", sha256.Sum256([]byte(norm)))
-			}
 			r := e.Run(experiments.Options{Quick: true})
 			// The report's own pass/fail line tells a malformed report
 			// apart from output drift.
@@ -96,7 +85,7 @@ func TestExperimentOutputDeterminism(t *testing.T) {
 					}
 				}
 			})
-			h1, h2 := hash(r), hash(e.Run(experiments.Options{Quick: true}))
+			h1, h2 := sectionHash(e, r), sectionHash(e, e.Run(experiments.Options{Quick: true}))
 			if h1 != h2 {
 				t.Fatalf("two quick runs produced different output: %s vs %s", h1, h2)
 			}
@@ -108,6 +97,65 @@ func TestExperimentOutputDeterminism(t *testing.T) {
 				t.Errorf("output hash %s differs from committed %s; if the model change is intentional, run make golden", h1, want)
 			}
 		})
+	}
+}
+
+// committedHashes reads the quick-suite hashes committed in
+// experiments_quick_hashes.json: UPI, fault-free runs.
+func committedHashes(t *testing.T) map[string]string {
+	buf, err := os.ReadFile("experiments_quick_hashes.json")
+	if err != nil {
+		t.Fatalf("read committed hashes: %v", err)
+	}
+	golden := make(map[string]string)
+	if err := json.Unmarshal(buf, &golden); err != nil {
+		t.Fatalf("parse committed hashes: %v", err)
+	}
+	return golden
+}
+
+// sectionHash hashes an experiment's normalized printed output, exactly as
+// ccbench -hashes computes it.
+func sectionHash(e *experiments.Experiment, r *experiments.Report) string {
+	norm := experiments.Normalize(experiments.Section(e, r))
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(norm)))
+}
+
+// TestDefaultsReachTestbedExperiments runs quick table2, ext-event and
+// ext-netfn under the CXL backend and then under an armed fault plan, set
+// the way ccbench's -protocol and -faults flags set them. Each output must
+// differ from its committed UPI, fault-free hash: an experiment that builds
+// its testbed without ccnic.NewTestbed silently ignores both settings.
+func TestDefaultsReachTestbedExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three quick experiments twice")
+	}
+	golden := committedHashes(t)
+	const spec = "seed=1,all=0.02"
+	plan, err := ccnic.ParseFaultPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ccnic.SetDefaultProtocol(ccnic.ProtoUPI)
+		ccnic.SetDefaultFaults(nil)
+	})
+	for _, c := range []struct {
+		name  string
+		proto ccnic.Protocol
+		plan  *ccnic.FaultPlan
+	}{
+		{"-protocol cxl", ccnic.ProtoCXL, nil},
+		{"-faults " + spec, ccnic.ProtoUPI, plan},
+	} {
+		ccnic.SetDefaultProtocol(c.proto)
+		ccnic.SetDefaultFaults(c.plan)
+		for _, id := range []string{"table2", "ext-event", "ext-netfn"} {
+			e := experiments.ByID(id)
+			if sectionHash(e, e.Run(experiments.Options{Quick: true})) == golden[id] {
+				t.Errorf("%s under %s printed its committed UPI, fault-free output", id, c.name)
+			}
+		}
 	}
 }
 

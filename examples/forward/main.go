@@ -9,53 +9,33 @@ package main
 import (
 	"fmt"
 
-	"ccnic/internal/coherence"
+	"ccnic"
 	"ccnic/internal/device"
-	"ccnic/internal/loopback"
-	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
 
-func forwardUPI(pktSize int) (mpps, bytesPerPkt float64) {
-	k := sim.New()
-	sys := coherence.NewSystem(k, platform.ICX())
-	sys.SetPrefetch(0, true)
-	host := sys.NewAgent(0, "fwd")
-	nic := sys.NewAgent(1, "nic")
-	dev := device.NewUPI("ccnic", sys, device.CCNICConfig(),
-		[]*coherence.Agent{host}, []*coherence.Agent{nic})
-	res := loopback.RunForward(loopback.Config{
-		Sys: sys, Dev: dev, Hosts: []*coherence.Agent{host},
+// forward runs the middlebox on a fresh Ice Lake testbed and returns the
+// testbed with the number of packets forwarded over the whole run.
+func forward(iface ccnic.Interface, pktSize int) (*ccnic.Testbed, float64) {
+	tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Interface: iface, HostPrefetch: true})
+	res := tb.RunForward(ccnic.LoopbackOptions{
 		PktSize: pktSize,
 		Warmup:  30 * sim.Microsecond, Measure: 100 * sim.Microsecond,
 	}, 3e6)
-	st := sys.Link().Stats()
-	pkts := res.PPS * (130 * sim.Microsecond).Seconds()
-	return res.Mpps(), float64(st.WireBytes[0]+st.WireBytes[1]) / pkts
-}
-
-func forwardPCIe(pktSize int) (mpps, bytesPerPkt float64) {
-	k := sim.New()
-	sys := coherence.NewSystem(k, platform.ICX())
-	sys.SetPrefetch(0, true)
-	host := sys.NewAgent(0, "fwd")
-	dev := device.NewPCIeNIC(sys, platform.E810(), []*coherence.Agent{host})
-	res := loopback.RunForward(loopback.Config{
-		Sys: sys, Dev: dev, Hosts: []*coherence.Agent{host},
-		PktSize: pktSize,
-		Warmup:  30 * sim.Microsecond, Measure: 100 * sim.Microsecond,
-	}, 3e6)
-	st := dev.Endpoint().Stats()
-	pkts := res.PPS * (130 * sim.Microsecond).Seconds()
-	return res.Mpps(), float64(st.DMABytes[0]+st.DMABytes[1]) / pkts
+	return tb, res.PPS * (130 * sim.Microsecond).Seconds()
 }
 
 func main() {
 	fmt.Println("Header-only forwarding: interconnect bytes per packet")
 	fmt.Printf("%-10s %-22s %-22s\n", "pkt size", "CC-NIC (UPI wire B)", "E810 (PCIe DMA B)")
 	for _, size := range []int{256, 1536, 4096} {
-		_, cc := forwardUPI(size)
-		_, pe := forwardPCIe(size)
+		tb, pkts := forward(ccnic.CCNIC, size)
+		st := tb.Sys.Link().Stats()
+		cc := float64(st.WireBytes[0]+st.WireBytes[1]) / pkts
+
+		tb, pkts = forward(ccnic.E810, size)
+		pst := tb.Dev.(*device.PCIeNIC).Endpoint().Stats()
+		pe := float64(pst.DMABytes[0]+pst.DMABytes[1]) / pkts
 		fmt.Printf("%-10d %-22.0f %-22.0f\n", size, cc, pe)
 	}
 	fmt.Println("\nOn the coherent path, per-packet interconnect traffic stays nearly")

@@ -6,39 +6,20 @@ package main
 import (
 	"fmt"
 
-	"ccnic/internal/coherence"
-	"ccnic/internal/device"
-	"ccnic/internal/kvstore"
-	"ccnic/internal/platform"
+	"ccnic"
 	"ccnic/internal/sim"
-	"ccnic/internal/traffic"
 )
 
-func run(useOverlay bool, threads int, dist *traffic.SizeDist) float64 {
-	k := sim.New()
-	sys := coherence.NewSystem(k, platform.ICX())
-	sys.SetPrefetch(0, true)
-
-	hosts := make([]*coherence.Agent, threads)
-	for i := range hosts {
-		hosts[i] = sys.NewAgent(0, fmt.Sprintf("app%d", i))
-	}
-	var dev device.Device
-	if useOverlay {
-		ovs := make([]*coherence.Agent, 2*threads)
-		for i := range ovs {
-			ovs[i] = sys.NewAgent(1, "overlay")
-		}
-		dev = device.NewOverlay(sys, device.CCNICConfig(), platform.CX6(), hosts, ovs)
-	} else {
-		dev = device.NewPCIeNIC(sys, platform.CX6(), hosts)
-	}
-
-	res := kvstore.Run(kvstore.Config{
-		Sys:          sys,
-		Dev:          dev,
-		Hosts:        hosts,
-		Store:        kvstore.NewStore(sys, 0, 100_000, dist),
+func run(iface ccnic.Interface, threads int) float64 {
+	tb := ccnic.NewTestbed(ccnic.Config{
+		Platform:       "ICX",
+		Interface:      iface,
+		Queues:         threads,
+		OverlayThreads: 2 * threads, // ignored by the direct PCIe interface
+		HostPrefetch:   true,
+	})
+	res := tb.RunKVStore(ccnic.KVOptions{
+		Dist:         "ads",
 		Seed:         42,
 		RatePerQueue: 10e6, // overload: measure the saturated rate
 		Warmup:       30 * sim.Microsecond,
@@ -48,12 +29,11 @@ func run(useOverlay bool, threads int, dist *traffic.SizeDist) float64 {
 }
 
 func main() {
-	dist := traffic.Ads(7)
-	fmt.Printf("Key-value store, Ads distribution (mean object %.0fB), 95%% gets, Zipf 0.75\n\n", dist.Mean())
+	fmt.Printf("Key-value store, Ads object sizes, 95%% gets, Zipf 0.75\n\n")
 	fmt.Printf("%-8s %-14s %-14s\n", "threads", "CX6 direct", "CC-NIC overlay")
 	for _, n := range []int{1, 2, 4, 8} {
-		direct := run(false, n, traffic.Ads(7))
-		overlay := run(true, n, traffic.Ads(7))
+		direct := run(ccnic.CX6, n)
+		overlay := run(ccnic.OverlayCCNIC, n)
 		fmt.Printf("%-8d %-14s %-14s\n", n,
 			fmt.Sprintf("%.1f Mops", direct),
 			fmt.Sprintf("%.1f Mops", overlay))

@@ -94,7 +94,7 @@ func TestMutationCXLSnoopDropCorrupts(t *testing.T) {
 	n := sys.NewAgent(1, "n")
 	line := sys.Space().AllocLines(0, 1)
 	k.Spawn("mut", func(p *sim.Proc) {
-		n.Read(p, line, 64) // unrecorded device copy
+		n.Read(p, line, 64)  // unrecorded device copy
 		h.Write(p, line, 64) // filter says absent: the device is never snooped
 	})
 	if err := k.Run(); err != nil {

@@ -16,13 +16,12 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ccnic"
 	"ccnic/internal/check"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
 	"ccnic/internal/fault"
 	"ccnic/internal/kvstore"
-	"ccnic/internal/loopback"
-	"ccnic/internal/platform"
 	"ccnic/internal/ring"
 	"ccnic/internal/sim"
 	"ccnic/internal/traffic"
@@ -128,68 +127,58 @@ type Outcome struct {
 // collect mode. mut arms a deliberate protocol defect (coherence.MutateNone
 // for a clean run); fullEvery throttles the engine's whole-model scans.
 func (sc Scenario) Run(mut coherence.Mutation, fullEvery uint64) Outcome {
-	k := sim.New()
-	plat := platform.ICX()
-	if sc.Platform == "SPR" {
-		plat = platform.SPR()
+	cfg := ccnic.Config{
+		Platform:     sc.Platform,
+		Interface:    ccnic.CCNIC,
+		Queues:       sc.Queues,
+		HostPrefetch: true,
+		// An explicit protocol and plan keep the process-wide defaults
+		// out of the scenario: the empty spec means UPI and fault-free.
+		Protocol: "UPI",
+		Faults:   &fault.Plan{},
 	}
-	proto, err := coherence.ParseProtocol(sc.Protocol)
-	if err != nil {
-		panic("prop: " + err.Error())
+	if sc.Protocol != "" {
+		cfg.Protocol = sc.Protocol
 	}
-	sys := coherence.NewSystemProto(k, plat, proto)
-	sys.SetPrefetch(0, true)
-	e := check.Attach(sys)
-	e.SetCollect(true)
-	e.SetFullEvery(fullEvery)
-	sys.SetMutation(mut)
 	if sc.Faults != "" {
 		plan, err := fault.ParsePlan(sc.Faults)
 		if err != nil {
 			panic("prop: bad fault plan: " + err.Error())
 		}
-		// Armed before device construction so every layer observes the
-		// injector from its first event.
-		sys.SetFaults(fault.NewInjector(plan))
+		cfg.Faults = plan
 	}
-
-	hosts := make([]*coherence.Agent, sc.Queues)
-	for i := range hosts {
-		hosts[i] = sys.NewAgent(0, "h")
-	}
-	var dev device.Device
 	switch sc.Iface {
-	case IfaceCCNIC, IfaceUnopt:
-		cfg := sc.Cfg
-		if sc.Iface == IfaceUnopt {
-			cfg = device.UnoptConfig()
-		}
-		if sc.Workload == "kv" {
-			overlays := make([]*coherence.Agent, sc.Queues)
-			for i := range overlays {
-				overlays[i] = sys.NewAgent(1, "ov")
-			}
-			dev = device.NewOverlay(sys, cfg, platform.CX6(), hosts, overlays)
-		} else {
-			nics := make([]*coherence.Agent, sc.Queues)
-			for i := range nics {
-				nics[i] = sys.NewAgent(1, "n")
-			}
-			dev = device.NewUPI("prop", sys, cfg, hosts, nics)
-		}
+	case IfaceCCNIC:
+		cfg.UPI = &sc.Cfg
+	case IfaceUnopt:
+		cfg.Interface = ccnic.UnoptUPI
 	case IfaceE810:
-		dev = device.NewPCIeNIC(sys, platform.E810(), hosts)
+		cfg.Interface = ccnic.E810
 	case IfaceCX6:
-		dev = device.NewPCIeNIC(sys, platform.CX6(), hosts)
+		cfg.Interface = ccnic.CX6
 	default:
 		panic("prop: unknown interface " + sc.Iface)
 	}
+	if sc.Workload == "kv" {
+		// KV rides the overlay device: the scenario's front-end design
+		// point bridged to a CX6, one forwarding thread per queue.
+		cfg.Interface = ccnic.OverlayCCNIC
+		if sc.Iface == IfaceUnopt {
+			cfg.Interface = ccnic.OverlayUnopt
+		}
+	}
+	tb := ccnic.NewTestbed(cfg)
+	// Construction runs no events, so the engine and the mutation are in
+	// place before the first probe fires.
+	e := check.Attach(tb.Sys)
+	e.SetCollect(true)
+	e.SetFullEvery(fullEvery)
+	tb.Sys.SetMutation(mut)
 
 	var fp string
 	switch sc.Workload {
 	case "loopback":
-		res := loopback.Run(loopback.Config{
-			Sys: sys, Dev: dev, Hosts: hosts,
+		res := tb.RunLoopback(ccnic.LoopbackOptions{
 			PktSize: sc.PktSize, Rate: sc.Rate,
 			Warmup: 10 * sim.Microsecond, Measure: 30 * sim.Microsecond,
 		})
@@ -197,8 +186,8 @@ func (sc Scenario) Run(mut coherence.Mutation, fullEvery uint64) Outcome {
 			res.PPS, res.Gbps, res.Latency.Count(), res.Latency.Median(), res.Latency.Max(), res.Dropped)
 	case "kv":
 		res := kvstore.Run(kvstore.Config{
-			Sys: sys, Dev: dev, Hosts: hosts,
-			Store:        kvstore.NewStore(sys, 0, 10_000, traffic.Ads(3)),
+			Sys: tb.Sys, Dev: tb.Dev, Hosts: tb.Hosts,
+			Store:        kvstore.NewStore(tb.Sys, 0, 10_000, traffic.Ads(3)),
 			Seed:         sc.Seed,
 			RatePerQueue: 10e6,
 			Warmup:       10 * sim.Microsecond, Measure: 30 * sim.Microsecond,
@@ -208,8 +197,8 @@ func (sc Scenario) Run(mut coherence.Mutation, fullEvery uint64) Outcome {
 		panic("prop: unknown workload " + sc.Workload)
 	}
 	return Outcome{
-		Fingerprint: fp + fmt.Sprintf(" events=%d", k.Events()),
-		SimEvents:   k.Events(),
+		Fingerprint: fp + fmt.Sprintf(" events=%d", tb.Kernel.Events()),
+		SimEvents:   tb.Kernel.Events(),
 		Checks:      e.Checks(),
 		Violations:  e.Violations(),
 	}

@@ -622,6 +622,7 @@ func (a *Agent) Flush(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 }
 
 // Exec charges plain CPU execution time (instructions that do not miss).
+//
 //ccnic:noalloc
 func (a *Agent) Exec(p *sim.Proc, d sim.Time) { p.Sleep(d) }
 

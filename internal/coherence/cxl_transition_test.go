@@ -43,11 +43,11 @@ func TestCXLTransitionTable(t *testing.T) {
 		state    State // requester's final L2 state
 		owner    rune  // directory owner after the event: R or 0
 		sharers  int
-		read     int  // RemoteRead delta on the requester's socket
-		rfo      int  // RemoteRFO delta on the requester's socket
-		data     bool // a full line crossed the link during the event
-		peerGone bool // the peer that held the line lost it
-		wb0, wb1 int  // Writebacks deltas by socket
+		read     int         // RemoteRead delta on the requester's socket
+		rfo      int         // RemoteRFO delta on the requester's socket
+		data     bool        // a full line crossed the link during the event
+		peerGone bool        // the peer that held the line lost it
+		wb0, wb1 int         // Writebacks deltas by socket
 		filter   FilterState // home-0 lines: snoop filter after the event
 		bias     BiasState   // home-1 lines: bias after the event
 	}

@@ -217,6 +217,7 @@ func (s *System) lookup(line mem.Addr) *dirEntry {
 // ent returns (creating if needed) the directory entry for a line. Slots are
 // reused in place, so line churn (ring buffers cycling through the address
 // space) allocates nothing in steady state.
+//
 //ccnic:noalloc
 func (s *System) ent(line mem.Addr) *dirEntry {
 	d := s.dirAt(line)
@@ -264,6 +265,7 @@ func (d *dirEntry) hasRemote(sock int) bool {
 // evicted handles a victim leaving cache c. L2 victims (clean or dirty)
 // move into the socket's LLC; LLC dirty victims write back to the home
 // memory, crossing the link if homed remotely.
+//
 //ccnic:noalloc
 func (s *System) evicted(c *Cache, line mem.Addr, st State) {
 	d := s.ent(line)

@@ -53,6 +53,8 @@ type Device interface {
 	Queue(i int) Queue
 	// Start spawns the device-side processes on the kernel.
 	Start()
+	// Stop makes the device-side processes exit at their next iteration.
+	Stop()
 	// Kernel returns the simulation kernel the device's processes run on.
 	// It is the device's shard affinity: in a partitioned simulation
 	// (internal/sim/shard), a device and everything it touches — memory

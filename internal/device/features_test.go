@@ -122,13 +122,17 @@ func TestSharedNICCoresDeliver(t *testing.T) {
 		cfg.EventDriven = ev
 		k := sim.New()
 		sys := coherence.NewSystem(k, platform.ICX())
-		nicAgents := []*coherence.Agent{sys.NewAgent(1, "c0"), sys.NewAgent(1, "c1")}
 		var hosts, nics []*coherence.Agent
 		for i := 0; i < 6; i++ {
 			hosts = append(hosts, sys.NewAgent(0, "h"))
-			nics = append(nics, nicAgents[i%2])
+			nics = append(nics, sys.NewAgent(1, "n"))
 		}
 		dev := NewUPI("upi", sys, cfg, hosts, nics)
+		for i, q := range dev.qs {
+			if q.nic != nics[i%2] {
+				t.Fatalf("queue %d does not run on NIC agent %d", i, i%2)
+			}
+		}
 		dev.Start()
 		done := 0
 		for i := 0; i < 6; i++ {
@@ -175,10 +179,8 @@ func TestEventDrivenRejectsIngress(t *testing.T) {
 	cfg.EventDriven = true
 	k := sim.New()
 	sys := coherence.NewSystem(k, platform.ICX())
-	hostA := sys.NewAgent(0, "h")
-	nicA := sys.NewAgent(1, "n")
-	dev := NewUPI("upi", sys, cfg, []*coherence.Agent{hostA, sys.NewAgent(0, "h2")},
-		[]*coherence.Agent{nicA, nicA})
+	dev := NewUPI("upi", sys, cfg, []*coherence.Agent{sys.NewAgent(0, "h"), sys.NewAgent(0, "h2")},
+		[]*coherence.Agent{sys.NewAgent(1, "n"), sys.NewAgent(1, "n2")})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic configuring ingress on an event-driven device")

@@ -195,7 +195,7 @@ func (q *upiQueue) Release(p *sim.Proc, bufs []*bufpool.Buf) {
 func (q *upiQueue) refillBlanks(p *sim.Proc, n int) {
 	blanks := make([]*bufpool.Buf, 0, n)
 	for i := 0; i < n; i++ {
-		b := q.hostPort.Alloc(p, q.dev.cfg.BigSize)
+		b := q.hostPort.Alloc(p, bigSize)
 		if b == nil {
 			break
 		}

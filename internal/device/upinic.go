@@ -340,7 +340,7 @@ func (q *upiQueue) primeRx(p *sim.Proc) {
 	}
 	blanks := make([]*bufpool.Buf, 0, n)
 	for i := 0; i < n; i++ {
-		b := q.hostPort.Alloc(p, q.dev.cfg.BigSize)
+		b := q.hostPort.Alloc(p, bigSize)
 		if b == nil {
 			break
 		}

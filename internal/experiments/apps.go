@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"ccnic/internal/coherence"
-	"ccnic/internal/device"
+	"ccnic"
 	"ccnic/internal/kvstore"
-	"ccnic/internal/platform"
 	"ccnic/internal/rpcstack"
 	"ccnic/internal/sim"
 	"ccnic/internal/stats"
@@ -28,74 +26,51 @@ func init() {
 	})
 }
 
-// kvIface selects the Fig 19 interface variants.
-type kvIface int
-
-const (
-	kvPCIe kvIface = iota
-	kvCCNIC
-	kvUPI11
-	kvUnopt
-)
-
-func (i kvIface) String() string {
-	switch i {
-	case kvPCIe:
-		return "PCIe"
-	case kvCCNIC:
-		return "CC-NIC"
-	case kvUPI11:
-		return "UPI 1-1"
-	case kvUnopt:
-		return "UPI unopt"
-	}
-	return "?"
+// appIface is one Fig 19 / Table 2 interface variant.
+type appIface struct {
+	name  string
+	iface ccnic.Interface
+	// ample gives an overlay two forwarding threads per application
+	// thread, bounded by the NIC socket's 16 cores and not counted against
+	// application threads; otherwise it gets one per application thread.
+	ample bool
 }
 
-// buildKV assembles the device stack for one Fig 19 series point.
-func buildKV(iface kvIface, threads int) (*coherence.System, device.Device, []*coherence.Agent) {
-	k := sim.New()
-	sys := coherence.NewSystem(k, platform.ICX())
-	sys.SetPrefetch(0, true)
-	hosts := make([]*coherence.Agent, threads)
-	for i := range hosts {
-		hosts[i] = sys.NewAgent(0, "app")
+var (
+	appPCIe  = appIface{"PCIe", ccnic.CX6, false}
+	appCCNIC = appIface{"CC-NIC", ccnic.OverlayCCNIC, true}
+	appUPI11 = appIface{"UPI 1-1", ccnic.OverlayCCNIC, false}
+	appUnopt = appIface{"UPI unopt", ccnic.OverlayUnopt, true}
+)
+
+// appTestbed builds the testbed for one application point with n host
+// threads.
+func appTestbed(a appIface, n int) *ccnic.Testbed {
+	cfg := ccnic.Config{Platform: "ICX", Interface: a.iface, Queues: n, HostPrefetch: true}
+	if a.ample {
+		cfg.OverlayThreads = min(2*n, 16)
 	}
-	mkOverlays := func(n int) []*coherence.Agent {
-		out := make([]*coherence.Agent, n)
-		for i := range out {
-			out[i] = sys.NewAgent(1, "ov")
-		}
-		return out
+	return ccnic.NewTestbed(cfg)
+}
+
+// appWindows returns the warmup and measurement windows of an application
+// point.
+func appWindows(opt Options) (warm, meas sim.Time) {
+	if opt.Quick {
+		return 25 * sim.Microsecond, 60 * sim.Microsecond
 	}
-	switch iface {
-	case kvPCIe:
-		return sys, device.NewPCIeNIC(sys, platform.CX6(), hosts), hosts
-	case kvCCNIC:
-		// Ample forwarding capacity on the NIC socket (not counted
-		// against application threads), bounded by its core count.
-		return sys, device.NewOverlay(sys, device.CCNICConfig(), platform.CX6(), hosts, mkOverlays(min(2*threads, 16))), hosts
-	case kvUPI11:
-		// One overlay thread per application thread.
-		return sys, device.NewOverlay(sys, device.CCNICConfig(), platform.CX6(), hosts, mkOverlays(threads)), hosts
-	case kvUnopt:
-		return sys, device.NewOverlay(sys, device.UnoptConfig(), platform.CX6(), hosts, mkOverlays(min(2*threads, 16))), hosts
-	}
-	panic("unreachable")
+	return 40 * sim.Microsecond, 120 * sim.Microsecond
 }
 
 // kvPoint measures saturated KV throughput for a series point.
-func kvPoint(iface kvIface, threads int, dist *traffic.SizeDist, opt Options) float64 {
-	sys, dev, hosts := buildKV(iface, threads)
-	warm, meas := 40*sim.Microsecond, 120*sim.Microsecond
-	if opt.Quick {
-		warm, meas = 25*sim.Microsecond, 60*sim.Microsecond
-	}
+func kvPoint(iface appIface, threads int, dist *traffic.SizeDist, opt Options) float64 {
+	tb := appTestbed(iface, threads)
+	warm, meas := appWindows(opt)
 	res := kvstore.Run(kvstore.Config{
-		Sys:          sys,
-		Dev:          dev,
-		Hosts:        hosts,
-		Store:        kvstore.NewStore(sys, 0, 100_000, dist),
+		Sys:          tb.Sys,
+		Dev:          tb.Dev,
+		Hosts:        tb.Hosts,
+		Store:        kvstore.NewStore(tb.Sys, 0, 100_000, dist),
 		Seed:         7,
 		RatePerQueue: 10e6, // beyond saturation
 		Warmup:       warm,
@@ -106,17 +81,17 @@ func kvPoint(iface kvIface, threads int, dist *traffic.SizeDist, opt Options) fl
 
 func runFig19(opt Options) *Report {
 	threadCounts := []int{1, 2, 4, 8, 12, 16}
-	ifaces := []kvIface{kvCCNIC, kvUPI11, kvUnopt, kvPCIe}
+	ifaces := []appIface{appCCNIC, appUPI11, appUnopt, appPCIe}
 	if opt.Quick {
 		threadCounts = []int{1, 4}
-		ifaces = []kvIface{kvCCNIC, kvPCIe}
+		ifaces = []appIface{appCCNIC, appPCIe}
 	}
 	var groups []SeriesGroup
 	for _, d := range []*traffic.SizeDist{traffic.Ads(3), traffic.Geo(3)} {
 		var series []*stats.Series
 		for _, iface := range ifaces {
 			iface := iface
-			s := &stats.Series{Name: iface.String() + " [Mops]", XLabel: "threads"}
+			s := &stats.Series{Name: iface.name + " [Mops]", XLabel: "threads"}
 			ys := make([]float64, len(threadCounts))
 			parallel(len(threadCounts), func(i int) {
 				ys[i] = kvPoint(iface, threadCounts[i], d, opt) / 1e6
@@ -135,34 +110,14 @@ func runFig19(opt Options) *Report {
 }
 
 // rpcPoint measures saturated echo-RPC throughput with fp fast-path threads.
-func rpcPoint(overlay bool, fp int, opt Options) float64 {
-	k := sim.New()
-	sys := coherence.NewSystem(k, platform.ICX())
-	sys.SetPrefetch(0, true)
-	fps := make([]*coherence.Agent, fp)
-	for i := range fps {
-		fps[i] = sys.NewAgent(0, "fp")
-	}
-	app := sys.NewAgent(0, "app")
-	var dev device.Device
-	if overlay {
-		ovs := make([]*coherence.Agent, 2*fp)
-		for i := range ovs {
-			ovs[i] = sys.NewAgent(1, "ov")
-		}
-		dev = device.NewOverlay(sys, device.CCNICConfig(), platform.CX6(), fps, ovs)
-	} else {
-		dev = device.NewPCIeNIC(sys, platform.CX6(), fps)
-	}
-	warm, meas := 40*sim.Microsecond, 120*sim.Microsecond
-	if opt.Quick {
-		warm, meas = 25*sim.Microsecond, 60*sim.Microsecond
-	}
+func rpcPoint(iface appIface, fp int, opt Options) float64 {
+	tb := appTestbed(iface, fp)
+	warm, meas := appWindows(opt)
 	res := rpcstack.Run(rpcstack.Config{
-		Sys:          sys,
-		Dev:          dev,
-		FastPath:     fps,
-		App:          app,
+		Sys:          tb.Sys,
+		Dev:          tb.Dev,
+		FastPath:     tb.Hosts,
+		App:          tb.Sys.NewAgent(0, "app"),
 		RatePerQueue: 60e6, // beyond saturation
 		Warmup:       warm,
 		Measure:      meas,
@@ -206,14 +161,14 @@ func runTable2(opt Options) *Report {
 		dist *traffic.SizeDist
 	}{{"KV store (ads)", traffic.Ads(3)}, {"KV store (geo)", traffic.Geo(3)}} {
 		w := w
-		pPeak, pN := threadsFor95(kvCounts, func(n int) float64 { return kvPoint(kvPCIe, n, w.dist, opt) })
-		cPeak, cN := threadsFor95(kvCounts, func(n int) float64 { return kvPoint(kvCCNIC, n, w.dist, opt) })
+		pPeak, pN := threadsFor95(kvCounts, func(n int) float64 { return kvPoint(appPCIe, n, w.dist, opt) })
+		cPeak, cN := threadsFor95(kvCounts, func(n int) float64 { return kvPoint(appCCNIC, n, w.dist, opt) })
 		t.AddRow(w.name,
 			fmt.Sprintf("%.1f", pPeak/1e6), fmt.Sprintf("%.1f", cPeak/1e6),
 			fmt.Sprintf("%d -> %d", pN, cN))
 	}
-	pPeak, pN := threadsFor95(rpcCounts, func(n int) float64 { return rpcPoint(false, n, opt) })
-	cPeak, cN := threadsFor95(rpcCounts, func(n int) float64 { return rpcPoint(true, n, opt) })
+	pPeak, pN := threadsFor95(rpcCounts, func(n int) float64 { return rpcPoint(appPCIe, n, opt) })
+	cPeak, cN := threadsFor95(rpcCounts, func(n int) float64 { return rpcPoint(appCCNIC, n, opt) })
 	t.AddRow("TCP echo RPC",
 		fmt.Sprintf("%.1f", pPeak/1e6), fmt.Sprintf("%.1f", cPeak/1e6),
 		fmt.Sprintf("%d -> %d", pN, cN))

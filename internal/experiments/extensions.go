@@ -7,7 +7,6 @@ import (
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
 	"ccnic/internal/dsa"
-	"ccnic/internal/loopback"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 	"ccnic/internal/stats"
@@ -117,25 +116,15 @@ func runExtEvent(opt Options) *Report {
 		var lats [2]float64
 		for i, ev := range []bool{false, true} {
 			cfg := device.CCNICConfig()
-			cfg.NICCores = 1
+			cfg.NICCores = 1 // one core, one cache
 			cfg.EventDriven = ev
-			k := sim.New()
-			sys := coherence.NewSystem(k, platform.ICX())
-			sys.SetPrefetch(0, true)
-			nicAgent := sys.NewAgent(1, "niccore") // one core, one cache
-			var hosts, nics []*coherence.Agent
-			for j := 0; j < n; j++ {
-				hosts = append(hosts, sys.NewAgent(0, "h"))
-				nics = append(nics, nicAgent)
-			}
-			dev := device.NewUPI("upi", sys, cfg, hosts, nics)
-			res := loopback.Run(loopback.Config{
-				Sys: sys, Dev: dev, Hosts: hosts,
+			tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Queues: n, UPI: &cfg, HostPrefetch: true})
+			res := tb.RunLoopback(ccnic.LoopbackOptions{
 				PktSize: 64, Rate: 40_000,
 				Warmup: 20 * sim.Microsecond, Measure: 100 * sim.Microsecond,
 			})
 			pkts := res.PPS * (120 * sim.Microsecond).Seconds()
-			scans[i] = float64(dev.NICSteps()) / pkts
+			scans[i] = float64(tb.Dev.(*device.UPI).NICSteps()) / pkts
 			lats[i] = res.Latency.Median().Nanoseconds()
 		}
 		row = append(row,
@@ -164,35 +153,24 @@ func runExtNetfn(opt Options) *Report {
 		Name:    "header-only forwarding: interconnect bytes per packet (ICX)",
 		Columns: []string{"pkt size", "CC-NIC wire B/pkt", "E810 DMA B/pkt", "reduction"},
 	}
+	span := 130 * sim.Microsecond
+	// forward runs the workload on a fresh testbed and returns it with the
+	// number of packets forwarded over the whole span.
+	forward := func(iface ccnic.Interface, size int) (*ccnic.Testbed, float64) {
+		tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Interface: iface, HostPrefetch: true})
+		res := tb.RunForward(ccnic.LoopbackOptions{
+			PktSize: size, Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond,
+		}, 3e6)
+		return tb, res.PPS * span.Seconds()
+	}
 	for _, size := range sizes {
-		// Coherent path.
-		k := sim.New()
-		sys := coherence.NewSystem(k, platform.ICX())
-		sys.SetPrefetch(0, true)
-		host := sys.NewAgent(0, "fwd")
-		nic := sys.NewAgent(1, "nic")
-		dev := device.NewUPI("ccnic", sys, device.CCNICConfig(),
-			[]*coherence.Agent{host}, []*coherence.Agent{nic})
-		span := 130 * sim.Microsecond
-		res := loopback.RunForward(loopback.Config{
-			Sys: sys, Dev: dev, Hosts: []*coherence.Agent{host},
-			PktSize: size, Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond,
-		}, 3e6)
-		st := sys.Link().Stats()
-		cc := float64(st.WireBytes[0]+st.WireBytes[1]) / (res.PPS * span.Seconds())
+		tb, pkts := forward(ccnic.CCNIC, size)
+		st := tb.Sys.Link().Stats()
+		cc := float64(st.WireBytes[0]+st.WireBytes[1]) / pkts
 
-		// PCIe path.
-		k2 := sim.New()
-		sys2 := coherence.NewSystem(k2, platform.ICX())
-		sys2.SetPrefetch(0, true)
-		host2 := sys2.NewAgent(0, "fwd")
-		pdev := device.NewPCIeNIC(sys2, platform.E810(), []*coherence.Agent{host2})
-		res2 := loopback.RunForward(loopback.Config{
-			Sys: sys2, Dev: pdev, Hosts: []*coherence.Agent{host2},
-			PktSize: size, Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond,
-		}, 3e6)
-		pst := pdev.Endpoint().Stats()
-		pe := float64(pst.DMABytes[0]+pst.DMABytes[1]) / (res2.PPS * span.Seconds())
+		tb, pkts = forward(ccnic.E810, size)
+		pst := tb.Dev.(*device.PCIeNIC).Endpoint().Stats()
+		pe := float64(pst.DMABytes[0]+pst.DMABytes[1]) / pkts
 
 		t.AddRow(fmt.Sprintf("%d", size), fmt.Sprintf("%.0f", cc),
 			fmt.Sprintf("%.0f", pe), fmt.Sprintf("%.1fx", pe/cc))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ccnic"
-	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
 	"ccnic/internal/fault"
@@ -128,112 +127,28 @@ func faultLoopStats(class fault.Class, opt Options) (*fault.Stats, string) {
 // recovery path (a 1024-deep TX ring drains long before the
 // retransmission budget matters against real device models).
 func faultRPCStats(opt Options) *fault.Stats {
-	k := sim.New()
-	sys := coherence.NewSystem(k, platform.ICX())
-	sys.SetPrefetch(0, true)
 	plan := &fault.Plan{Seed: 33}
 	plan.Rate[fault.DoorbellDrop] = 0.3
 	plan.Rate[fault.PipelineStall] = 0.05
-	sys.SetFaults(fault.NewInjector(plan))
-	fps := []*coherence.Agent{sys.NewAgent(0, "fp"), sys.NewAgent(0, "fp")}
-	app := sys.NewAgent(0, "app")
-	dev := device.NewPCIeNIC(sys, platform.CX6(), fps)
+	tb := ccnic.NewTestbed(ccnic.Config{
+		Platform: "ICX", Interface: ccnic.CX6, Queues: 2, HostPrefetch: true, Faults: plan,
+	})
 	warm, meas := 25*sim.Microsecond, 80*sim.Microsecond
 	if opt.Quick {
 		meas = 50 * sim.Microsecond
 	}
 	rpcstack.Run(rpcstack.Config{
-		Sys: sys, Dev: dev, FastPath: fps, App: app,
+		Sys: tb.Sys, Dev: tb.Dev, FastPath: tb.Hosts, App: tb.Sys.NewAgent(0, "app"),
 		RatePerQueue: 20e6, Warmup: warm, Measure: meas,
 	})
-	return sys.Faults().Stats()
+	return tb.Sys.Faults().Stats()
 }
 
-// wedgeDev is a minimal software NIC whose TX side refuses work for a
-// multi-microsecond window drawn from the armed plan's pipeline-stall
-// class — a wedge deep enough to exhaust the software layers' backoff
-// budgets, which the real device models (1024-deep rings, 3us doorbell
-// watchdog) recover from too quickly to exercise. RX synthesizes
-// requests at the configured ingress rate.
-type wedgeDev struct {
-	qs []*wedgeQueue
-}
-
-type wedgeQueue struct {
-	sys        *coherence.System
-	port       *bufpool.Port
-	gen        func() int
-	rate       float64
-	next       sim.Time
-	stallUntil sim.Time
-	txCount    int64
-}
-
-func newWedgeDev(sys *coherence.System, hosts []*coherence.Agent) *wedgeDev {
-	pool := bufpool.New(bufpool.Config{
-		Sys: sys, Home: 0, BigCount: 1024 * len(hosts), BigSize: 4096, Recycle: true,
-	})
-	d := &wedgeDev{}
-	for _, h := range hosts {
-		d.qs = append(d.qs, &wedgeQueue{sys: sys, port: pool.Attach(h)})
-	}
-	return d
-}
-
-func (d *wedgeDev) Name() string             { return "wedge" }
-func (d *wedgeDev) NumQueues() int           { return len(d.qs) }
-func (d *wedgeDev) Queue(i int) device.Queue { return d.qs[i] }
-func (d *wedgeDev) Start()                   {}
-func (d *wedgeDev) Kernel() *sim.Kernel      { return d.qs[0].sys.Kernel() }
-func (d *wedgeDev) SetIngress(i int, rate float64, gen func() int) {
-	d.qs[i].rate, d.qs[i].gen = rate, gen
-}
-func (d *wedgeDev) TxCount(i int) int64 { return d.qs[i].txCount }
-
-func (q *wedgeQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {
-	now := p.Now()
-	if now < q.stallUntil {
-		return 0
-	}
-	if st := q.sys.Faults().PipelineStall(); st > 0 {
-		// Stretch the drawn stall into a wedge past the backoff budgets.
-		q.stallUntil = now + 10*st
-		return 0
-	}
-	q.txCount += int64(len(bufs))
-	q.port.FreeBurst(p, bufs)
-	return len(bufs)
-}
-
-func (q *wedgeQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
-	if q.rate <= 0 || q.gen == nil {
-		return 0
-	}
-	interval := sim.Time(1e12 / q.rate)
-	if q.next == 0 {
-		q.next = p.Now()
-	}
-	n := 0
-	for n < len(out) && q.next <= p.Now() {
-		size := q.gen()
-		b := q.port.Alloc(p, size)
-		if b == nil {
-			break
-		}
-		b.Len = size
-		out[n] = b
-		n++
-		q.next += interval
-	}
-	return n
-}
-
-func (q *wedgeQueue) Release(p *sim.Proc, bufs []*bufpool.Buf) { q.port.FreeBurst(p, bufs) }
-func (q *wedgeQueue) Port() *bufpool.Port                      { return q.port }
-
-// wedgeSys builds a system with the pipeline-stall class armed for the
-// wedged-TX rows.
-func wedgeSys(agents int) (*coherence.System, []*coherence.Agent) {
+// wedgeSys builds a system with the pipeline-stall class armed and a stub
+// NIC whose TX side refuses work for a multi-microsecond window drawn from
+// that class: a wedge deep enough to exhaust the software layers' backoff
+// budgets.
+func wedgeSys(agents int) (*coherence.System, *device.Stub, []*coherence.Agent) {
 	k := sim.New()
 	sys := coherence.NewSystem(k, platform.ICX())
 	sys.SetPrefetch(0, true)
@@ -244,20 +159,33 @@ func wedgeSys(agents int) (*coherence.System, []*coherence.Agent) {
 	for i := range hosts {
 		hosts[i] = sys.NewAgent(0, "srv")
 	}
-	return sys, hosts
+	stallUntil := make([]sim.Time, agents)
+	dev := device.NewStub(sys, hosts, func(p *sim.Proc, q int) bool {
+		now := p.Now()
+		if now < stallUntil[q] {
+			return false
+		}
+		if st := sys.Faults().PipelineStall(); st > 0 {
+			// Stretch the drawn stall into a wedge past the backoff budgets.
+			stallUntil[q] = now + 10*st
+			return false
+		}
+		return true
+	})
+	return sys, dev, hosts
 }
 
 // wedgeRPCStats drives the echo RPC fast path into a wedged TX queue,
 // exercising the retransmission timer and its degraded-mode drop.
 func wedgeRPCStats(opt Options) *fault.Stats {
-	sys, fps := wedgeSys(2)
+	sys, dev, fps := wedgeSys(2)
 	app := sys.NewAgent(0, "app")
 	meas := 80 * sim.Microsecond
 	if opt.Quick {
 		meas = 50 * sim.Microsecond
 	}
 	rpcstack.Run(rpcstack.Config{
-		Sys: sys, Dev: newWedgeDev(sys, fps), FastPath: fps, App: app,
+		Sys: sys, Dev: dev, FastPath: fps, App: app,
 		RatePerQueue: 20e6, Warmup: 25 * sim.Microsecond, Measure: meas,
 	})
 	return sys.Faults().Stats()
@@ -266,13 +194,13 @@ func wedgeRPCStats(opt Options) *fault.Stats {
 // wedgeKVStats drives the key-value store into a wedged TX queue,
 // exercising the response timeout / bounded-retry budget.
 func wedgeKVStats(opt Options) *fault.Stats {
-	sys, hosts := wedgeSys(2)
+	sys, dev, hosts := wedgeSys(2)
 	meas := 80 * sim.Microsecond
 	if opt.Quick {
 		meas = 50 * sim.Microsecond
 	}
 	kvstore.Run(kvstore.Config{
-		Sys: sys, Dev: newWedgeDev(sys, hosts), Hosts: hosts,
+		Sys: sys, Dev: dev, Hosts: hosts,
 		Store:        kvstore.NewStore(sys, 0, 10_000, traffic.FixedSize(256)),
 		Seed:         7,
 		RatePerQueue: 10e6,

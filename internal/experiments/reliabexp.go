@@ -133,7 +133,7 @@ func degradedContrast(opt Options, withOutage bool) (cluster.Report, [2]int64) {
 	}
 	cfg := ccnic.ClusterConfig{
 		Hosts: 3, Workers: 2, Window: 8, ReqSize: 512,
-		Pattern: cluster.PatternIncast,
+		Pattern:  cluster.PatternIncast,
 		Reliable: true, RTO: 8 * sim.Microsecond, RetryBudget: 2,
 		DegradedWindow: 30 * sim.Microsecond,
 		Flows: []cluster.FlowSpec{

@@ -124,9 +124,6 @@ type Config struct {
 	// SchedLat is the egress arbitration granularity (> 0; see the
 	// package comment on partition invariance).
 	SchedLat sim.Time
-	// IngressCap bounds each ingress port's routing pipeline occupancy,
-	// in packets; arrivals beyond it are dropped (default 256).
-	IngressCap int
 	// FlowCap bounds each egress (source, class) virtual queue, in
 	// packets; arrivals beyond it are tail-dropped (default 128).
 	FlowCap int
@@ -136,10 +133,6 @@ type Config struct {
 	// FIFO disables fair queuing: egress serves strictly in arrival
 	// order (ties broken by source then class then send order).
 	FIFO bool
-	// LinkCap is the shard-link FIFO capacity for each attach direction
-	// (default 1 << 16 messages; the real bounded buffers are the
-	// switch's own queues, so attach links are sized to never bind).
-	LinkCap int
 	// Faults optionally arms the switch-side fault classes (portflap,
 	// corrupt, blackhole, brownout). Draws are stateless hashes of the
 	// packet's (source, per-source sequence) identity, so an armed switch
@@ -150,10 +143,21 @@ type Config struct {
 	// (or instead of) drawn flaps — the chaos experiments use them to place
 	// a fault at an exact instant on a known port.
 	Outages []Outage
-	// BrownoutFactor is the serialization derate applied while an egress
-	// port is browned out (default 4: the port runs at quarter rate).
-	BrownoutFactor int
 }
+
+// Fixed switch parameters.
+const (
+	// ingressCap bounds each ingress port's routing pipeline occupancy,
+	// in packets; arrivals beyond it are dropped.
+	ingressCap = 256
+	// linkCap is the shard-link FIFO capacity for each attach direction,
+	// in messages: the real bounded buffers are the switch's own queues,
+	// so attach links are sized to never bind.
+	linkCap = 1 << 16
+	// brownoutFactor is the serialization derate applied while an egress
+	// port is browned out: the port runs at quarter rate.
+	brownoutFactor = 4
+)
 
 // Outage is one scripted administrative outage: port admits nothing (in
 // either direction) for From <= now < To.
@@ -244,7 +248,7 @@ type egress struct {
 	wake   *sim.Event
 
 	// brown is the port's brownout window: while active, serialization
-	// runs at cfg.BrownoutFactor times the normal time.
+	// runs at brownoutFactor times the normal time.
 	brown window
 
 	// counters (PortStats)
@@ -314,20 +318,11 @@ func New(e *shard.Engine, name string, cfg Config) *Switch {
 	if cfg.SchedLat <= 0 {
 		cfg.SchedLat = 25 * sim.Nanosecond
 	}
-	if cfg.IngressCap <= 0 {
-		cfg.IngressCap = 256
-	}
 	if cfg.FlowCap <= 0 {
 		cfg.FlowCap = 128
 	}
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 4096
-	}
-	if cfg.LinkCap <= 0 {
-		cfg.LinkCap = 1 << 16
-	}
-	if cfg.BrownoutFactor <= 1 {
-		cfg.BrownoutFactor = 4
 	}
 	for _, o := range cfg.Outages {
 		if o.Port < 0 || o.Port >= cfg.Ports || o.From < 0 || o.To <= o.From {
@@ -388,9 +383,9 @@ func (sw *Switch) Attach(e *shard.Engine, host int, hs *shard.Shard, deliver Del
 	sw.hostShard[host] = hs.ID()
 
 	if _, ok := sw.up[hs.ID()]; !ok {
-		sw.up[hs.ID()] = e.Connect(hs, sw.shd, sw.cfg.HopLat, sw.cfg.LinkCap,
+		sw.up[hs.ID()] = e.Connect(hs, sw.shd, sw.cfg.HopLat, linkCap,
 			func(p *sim.Proc, payload any) { sw.arrive(p, payload.(Packet)) })
-		sw.down[hs.ID()] = e.Connect(sw.shd, hs, sw.cfg.HopLat, sw.cfg.LinkCap,
+		sw.down[hs.ID()] = e.Connect(sw.shd, hs, sw.cfg.HopLat, linkCap,
 			func(p *sim.Proc, payload any) {
 				pkt := payload.(Packet)
 				sw.deliver[pkt.Dst](p, pkt)
@@ -462,7 +457,7 @@ func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
 		}
 		return
 	}
-	if in.inFlight >= sw.cfg.IngressCap {
+	if in.inFlight >= ingressCap {
 		in.drops++
 		if sw.probe != nil {
 			sw.probe.Dropped(sw, inPort, pkt, true)
@@ -622,7 +617,7 @@ func (sw *Switch) egressLoop(p *sim.Proc, eg *egress) {
 			// Browned-out transceiver: the wire runs derated. The window
 			// test uses the service-start instant, itself strictly later
 			// than the draw that opened the window.
-			ser *= sim.Time(sw.cfg.BrownoutFactor)
+			ser *= brownoutFactor
 		}
 		p.Sleep(ser)
 		eg.serQ--

@@ -185,6 +185,7 @@ func (d Direction) Opposite() Direction { return 1 - d }
 
 // DirFromTo returns the link direction for a transfer from socket src to
 // socket dst. The sockets must differ.
+//
 //ccnic:noalloc
 func DirFromTo(src, dst int) Direction {
 	if src == dst {

@@ -28,6 +28,13 @@ const (
 	respHeader = 32 // response header preceding the object payload
 )
 
+// The paper's operation mix and server burst.
+const (
+	getFraction = 0.95 // 95% gets, 5% sets
+	zipfS       = 0.75 // key popularity skew
+	burst       = 32   // server RX/TX burst
+)
+
 // object is one stored value.
 type object struct {
 	addr mem.Addr
@@ -102,15 +109,12 @@ type Config struct {
 	Hosts []*coherence.Agent
 	Store *Store
 
-	GetFraction float64 // default 0.95
-	ZipfS       float64 // default 0.75
-	Seed        int64
+	Seed int64
 
 	// RatePerQueue is the offered request rate per server thread
 	// (requests/second). Use a rate beyond saturation to measure peak.
 	RatePerQueue float64
 
-	Burst   int      // server RX/TX burst (default 32)
 	Warmup  sim.Time // default 50us
 	Measure sim.Time // default 200us
 
@@ -151,8 +155,6 @@ type Result struct {
 // Mops returns millions of operations per second.
 func (r *Result) Mops() float64 { return r.OpsPerSec / 1e6 }
 
-type stopper interface{ Stop() }
-
 // opGen draws the deterministic (op, key, size) sequence for one queue.
 // The ingress generator and the server replay the same sequence, so the
 // server knows each arriving request's operation without modeling packet
@@ -160,15 +162,13 @@ type stopper interface{ Stop() }
 type opGen struct {
 	rng  *rand.Rand
 	zipf *traffic.Zipf
-	getP float64
 	st   *Store
 }
 
-func newOpGen(seed int64, st *Store, getP, zipfS float64) *opGen {
+func newOpGen(seed int64, st *Store) *opGen {
 	return &opGen{
 		rng:  rand.New(rand.NewSource(seed)),
 		zipf: traffic.NewZipf(seed+1, st.NumKeys(), zipfS),
-		getP: getP,
 		st:   st,
 	}
 }
@@ -176,7 +176,7 @@ func newOpGen(seed int64, st *Store, getP, zipfS float64) *opGen {
 // next returns whether the op is a get, its key, and the request size on
 // the wire (sets carry the object payload).
 func (g *opGen) next() (get bool, key, reqSize int) {
-	get = g.rng.Float64() < g.getP
+	get = g.rng.Float64() < getFraction
 	key = g.zipf.Next()
 	reqSize = reqHeader
 	if !get {
@@ -190,15 +190,6 @@ func Run(cfg Config) Result {
 	inj, ok := cfg.Dev.(device.Injector)
 	if !ok {
 		panic("kvstore: device must support ingress injection")
-	}
-	if cfg.GetFraction == 0 {
-		cfg.GetFraction = 0.95
-	}
-	if cfg.ZipfS == 0 {
-		cfg.ZipfS = 0.75
-	}
-	if cfg.Burst == 0 {
-		cfg.Burst = 32
 	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 50 * sim.Microsecond
@@ -220,8 +211,8 @@ func Run(cfg Config) Result {
 	serverGens := make([]*opGen, nq)
 	for i := 0; i < nq; i++ {
 		seed := cfg.Seed + int64(i)*7919
-		devGen := newOpGen(seed, cfg.Store, cfg.GetFraction, cfg.ZipfS)
-		serverGens[i] = newOpGen(seed, cfg.Store, cfg.GetFraction, cfg.ZipfS)
+		devGen := newOpGen(seed, cfg.Store)
+		serverGens[i] = newOpGen(seed, cfg.Store)
 		inj.SetIngress(i, cfg.RatePerQueue, func() int {
 			_, _, size := devGen.next()
 			return size
@@ -260,7 +251,7 @@ func Run(cfg Config) Result {
 		gen := serverGens[i]
 		c := &cs[i]
 		k.Spawn(fmt.Sprintf("kvserver%d", i), func(p *sim.Proc) {
-			rx := make([]*bufpool.Buf, cfg.Burst)
+			rx := make([]*bufpool.Buf, burst)
 			for p.Now() < end {
 				got := q.RxBurst(p, rx)
 				if got == 0 {
@@ -324,9 +315,7 @@ func Run(cfg Config) Result {
 	if err := k.RunUntil(deadline); err != nil {
 		panic(fmt.Sprintf("kvstore: %v", err))
 	}
-	if s, ok := cfg.Dev.(stopper); ok {
-		s.Stop()
-	}
+	cfg.Dev.Stop()
 	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
 		panic(fmt.Sprintf("kvstore: %v", err))
 	}

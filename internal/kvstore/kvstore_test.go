@@ -121,8 +121,8 @@ func TestOpGenDeterministicAndMixed(t *testing.T) {
 	sys := coherence.NewSystem(k, platform.ICX())
 	sys.SetPrefetch(0, true) // the paper's default operating point
 	store := NewStore(sys, 0, 1000, traffic.FixedSize(256))
-	a := newOpGen(9, store, 0.95, 0.75)
-	b := newOpGen(9, store, 0.95, 0.75)
+	a := newOpGen(9, store)
+	b := newOpGen(9, store)
 	gets := 0
 	for i := 0; i < 2000; i++ {
 		g1, k1, s1 := a.next()

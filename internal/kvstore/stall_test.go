@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
 	"ccnic/internal/fault"
@@ -13,58 +12,13 @@ import (
 	"ccnic/internal/traffic"
 )
 
-// wedgeDev is a device whose RX side delivers requests normally but whose
-// TX side never accepts a packet — the pathological stall the in-flight
-// window watchdog exists to diagnose. Implements device.Device and
-// device.Injector.
-type wedgeDev struct {
-	k *sim.Kernel
-	q *wedgeQueue
-}
-
-type wedgeQueue struct {
-	port *bufpool.Port
-}
-
-func newWedgeDev(sys *coherence.System, h *coherence.Agent) *wedgeDev {
-	pool := bufpool.New(bufpool.Config{
-		Sys: sys, Home: 0, BigCount: 512, BigSize: 4096, Recycle: true,
-	})
-	return &wedgeDev{k: sys.Kernel(), q: &wedgeQueue{port: pool.Attach(h)}}
-}
-
-func (d *wedgeDev) Name() string                              { return "wedge" }
-func (d *wedgeDev) Kernel() *sim.Kernel                       { return d.k }
-func (d *wedgeDev) NumQueues() int                            { return 1 }
-func (d *wedgeDev) Queue(i int) device.Queue                  { return d.q }
-func (d *wedgeDev) Start()                                    {}
-func (d *wedgeDev) SetIngress(i int, r float64, g func() int) {}
-func (d *wedgeDev) TxCount(i int) int64                       { return 0 }
-
-func (q *wedgeQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int { return 0 }
-
-// RxBurst hands the server a small burst of fresh "requests" every call.
-func (q *wedgeQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
-	n := 0
-	for n < len(out) && n < 4 {
-		b := q.port.Alloc(p, reqHeader)
-		if b == nil {
-			break
-		}
-		b.Len = reqHeader
-		out[n] = b
-		n++
-	}
-	return n
-}
-
-func (q *wedgeQueue) Release(p *sim.Proc, bufs []*bufpool.Buf) { q.port.FreeBurst(p, bufs) }
-func (q *wedgeQueue) Port() *bufpool.Port                      { return q.port }
-
-func wedgeConfig(sys *coherence.System, dev device.Device, h *coherence.Agent) Config {
+// wedgeConfig runs one server on a stub NIC whose RX side delivers
+// requests normally but whose TX side never accepts a packet: the
+// pathological stall the in-flight window watchdog exists to diagnose.
+func wedgeConfig(sys *coherence.System, h *coherence.Agent) Config {
 	return Config{
 		Sys:          sys,
-		Dev:          dev,
+		Dev:          device.NewStub(sys, []*coherence.Agent{h}, func(*sim.Proc, int) bool { return false }),
 		Hosts:        []*coherence.Agent{h},
 		Store:        NewStore(sys, 0, 1000, traffic.FixedSize(256)),
 		Seed:         1,
@@ -81,7 +35,7 @@ func TestStallWatchdogNamesWedgedQueue(t *testing.T) {
 	k := sim.New()
 	sys := coherence.NewSystem(k, platform.ICX())
 	h := sys.NewAgent(0, "srv")
-	cfg := wedgeConfig(sys, newWedgeDev(sys, h), h)
+	cfg := wedgeConfig(sys, h)
 	cfg.StallTimeout = 2 * sim.Microsecond
 
 	defer func() {
@@ -116,7 +70,7 @@ func TestStallDegradedModeUnderFaults(t *testing.T) {
 	}
 	inj := fault.NewInjector(plan)
 	sys.SetFaults(inj)
-	cfg := wedgeConfig(sys, newWedgeDev(sys, h), h)
+	cfg := wedgeConfig(sys, h)
 
 	res := Run(cfg) // must not panic: degraded mode drops, run survives
 	if res.OpsPerSec != 0 {

@@ -12,9 +12,9 @@ import (
 // delegates to Proc.Sleep, so the root set does not silently shrink if its
 // body changes shape.
 var yieldRoots = map[string]bool{
-	"(*ccnic/internal/sim.Proc).Sleep": true,
-	"(*ccnic/internal/sim.Proc).Wait":  true,
-	"(*ccnic/internal/sim.Proc).Yield": true,
+	"(*ccnic/internal/sim.Proc).Sleep":       true,
+	"(*ccnic/internal/sim.Proc).Wait":        true,
+	"(*ccnic/internal/sim.Proc).Yield":       true,
 	"(*ccnic/internal/coherence.Agent).Exec": true,
 	// The shard engine's Run executes arbitrary processes across every
 	// member kernel: from a caller's perspective it yields by definition.

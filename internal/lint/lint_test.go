@@ -100,10 +100,10 @@ func TestMutationSelfChecks(t *testing.T) {
 		wantMsg  string
 	}{
 		{
-			name:    "yieldlint refinds reverted PR2 fix",
-			fixture: "testdata/yield_clean",
-			old:     "//ccnic:atomic-end the charge below may yield; the pool is consistent\n\t\texec(1)",
-			new:     "exec(1)\n\t\t//ccnic:atomic-end fix reverted: the charge yields mid-region",
+			name:     "yieldlint refinds reverted PR2 fix",
+			fixture:  "testdata/yield_clean",
+			old:      "//ccnic:atomic-end the charge below may yield; the pool is consistent\n\t\texec(1)",
+			new:      "exec(1)\n\t\t//ccnic:atomic-end fix reverted: the charge yields mid-region",
 			analyzer: lint.Yieldlint,
 			wantMsg:  "yielding function exec",
 		},

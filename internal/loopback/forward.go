@@ -101,9 +101,7 @@ func RunForward(cfg Config, ratePerQueue float64) ForwardResult {
 	if err := k.RunUntil(deadline); err != nil {
 		panic(fmt.Sprintf("loopback: %v", err))
 	}
-	if s, ok := cfg.Dev.(stopper); ok {
-		s.Stop()
-	}
+	cfg.Dev.Stop()
 	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
 		panic(fmt.Sprintf("loopback: %v", err))
 	}

@@ -68,8 +68,6 @@ type Result struct {
 // Mpps returns throughput in millions of packets per second.
 func (r *Result) Mpps() float64 { return r.PPS / 1e6 }
 
-type stopper interface{ Stop() }
-
 // Run executes the loopback workload and returns its measurements.
 func Run(cfg Config) Result {
 	if len(cfg.Hosts) != cfg.Dev.NumQueues() {
@@ -219,9 +217,7 @@ func Run(cfg Config) Result {
 	if err := k.RunUntil(deadline); err != nil {
 		panic(fmt.Sprintf("loopback: %v", err))
 	}
-	if s, ok := cfg.Dev.(stopper); ok {
-		s.Stop()
-	}
+	cfg.Dev.Stop()
 	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
 		panic(fmt.Sprintf("loopback: %v", err))
 	}

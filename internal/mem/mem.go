@@ -24,6 +24,7 @@ const homeBit = 40
 const base Addr = 1 << 20
 
 // Home returns the socket (0 or 1) whose memory controller owns the address.
+//
 //ccnic:noalloc
 func Home(a Addr) int { return int(a>>homeBit) & 1 }
 

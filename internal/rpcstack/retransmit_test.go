@@ -3,90 +3,12 @@ package rpcstack
 import (
 	"testing"
 
-	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
 	"ccnic/internal/fault"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
-
-// flakyDev accepts a TX burst only on every acceptEvery-th attempt
-// (0 = never), wedging the queue harder than the real device models —
-// with their 1024-deep rings and 3us doorbell watchdog — ever do, so
-// the fast path's retransmission timer and degraded-mode drop are
-// reachable. RX synthesizes requests at the configured ingress rate.
-type flakyDev struct {
-	k  *sim.Kernel
-	qs []*flakyQueue
-}
-
-type flakyQueue struct {
-	port        *bufpool.Port
-	gen         func() int
-	rate        float64
-	next        sim.Time
-	acceptEvery int
-	calls       int
-	txCount     int64
-}
-
-func newFlakyDev(sys *coherence.System, hosts []*coherence.Agent, acceptEvery int) *flakyDev {
-	pool := bufpool.New(bufpool.Config{
-		Sys: sys, Home: 0, BigCount: 1024 * len(hosts), BigSize: 4096, Recycle: true,
-	})
-	d := &flakyDev{k: sys.Kernel()}
-	for _, h := range hosts {
-		d.qs = append(d.qs, &flakyQueue{port: pool.Attach(h), acceptEvery: acceptEvery})
-	}
-	return d
-}
-
-func (d *flakyDev) Name() string             { return "flaky" }
-func (d *flakyDev) Kernel() *sim.Kernel      { return d.k }
-func (d *flakyDev) NumQueues() int           { return len(d.qs) }
-func (d *flakyDev) Queue(i int) device.Queue { return d.qs[i] }
-func (d *flakyDev) Start()                   {}
-func (d *flakyDev) SetIngress(i int, rate float64, gen func() int) {
-	d.qs[i].rate, d.qs[i].gen = rate, gen
-}
-func (d *flakyDev) TxCount(i int) int64 { return d.qs[i].txCount }
-
-func (q *flakyQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {
-	q.calls++
-	if q.acceptEvery == 0 || q.calls%q.acceptEvery != 0 {
-		return 0
-	}
-	q.txCount += int64(len(bufs))
-	q.port.FreeBurst(p, bufs)
-	return len(bufs)
-}
-
-func (q *flakyQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
-	if q.rate <= 0 || q.gen == nil {
-		return 0
-	}
-	interval := sim.Time(1e12 / q.rate)
-	if q.next == 0 {
-		q.next = p.Now()
-	}
-	n := 0
-	for n < len(out) && q.next <= p.Now() {
-		size := q.gen()
-		b := q.port.Alloc(p, size)
-		if b == nil {
-			break
-		}
-		b.Len = size
-		out[n] = b
-		n++
-		q.next += interval
-	}
-	return n
-}
-
-func (q *flakyQueue) Release(p *sim.Proc, bufs []*bufpool.Buf) { q.port.FreeBurst(p, bufs) }
-func (q *flakyQueue) Port() *bufpool.Port                      { return q.port }
 
 func flakyRun(t *testing.T, acceptEvery int) (Result, *fault.Stats) {
 	t.Helper()
@@ -100,8 +22,15 @@ func flakyRun(t *testing.T, acceptEvery int) (Result, *fault.Stats) {
 	sys.SetFaults(inj)
 	fps := []*coherence.Agent{sys.NewAgent(0, "fp")}
 	app := sys.NewAgent(0, "app")
+	// The queue accepts a TX burst only on every acceptEvery-th attempt
+	// (0 = never), wedging it harder than the real device models ever do.
+	calls := 0
+	dev := device.NewStub(sys, fps, func(*sim.Proc, int) bool {
+		calls++
+		return acceptEvery != 0 && calls%acceptEvery == 0
+	})
 	res := Run(Config{
-		Sys: sys, Dev: newFlakyDev(sys, fps, acceptEvery), FastPath: fps, App: app,
+		Sys: sys, Dev: dev, FastPath: fps, App: app,
 		RatePerQueue: 10e6,
 		Warmup:       5 * sim.Microsecond,
 		Measure:      60 * sim.Microsecond,

@@ -27,6 +27,9 @@ const (
 	appCost   = 4 * sim.Nanosecond // echo application work per RPC
 )
 
+// burst is the fast-path RX and message-ring burst.
+const burst = 32
+
 // msgRing is a shared-memory SPSC message queue between a fast-path thread
 // and an application thread (both on the host socket). Messages are
 // 16B slots packed 4 per line with a line-granularity ready protocol, like
@@ -109,7 +112,6 @@ type Config struct {
 	// RatePerQueue is the offered RPC rate per fast-path thread.
 	RatePerQueue float64
 
-	Burst   int      // default 32
 	Warmup  sim.Time // default 50us
 	Measure sim.Time // default 200us
 }
@@ -122,8 +124,6 @@ type Result struct {
 // Mops returns millions of echo RPCs per second.
 func (r *Result) Mops() float64 { return r.OpsPerSec / 1e6 }
 
-type stopper interface{ Stop() }
-
 // Run executes the echo RPC workload.
 func Run(cfg Config) Result {
 	inj, ok := cfg.Dev.(device.Injector)
@@ -132,9 +132,6 @@ func Run(cfg Config) Result {
 	}
 	if cfg.RPCSize == 0 {
 		cfg.RPCSize = 64
-	}
-	if cfg.Burst == 0 {
-		cfg.Burst = 32
 	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 50 * sim.Microsecond
@@ -192,7 +189,7 @@ func Run(cfg Config) Result {
 		a := cfg.FastPath[i]
 		flowOff := 0
 		k.Spawn(fmt.Sprintf("fastpath%d", i), func(p *sim.Proc) {
-			rx := make([]*bufpool.Buf, cfg.Burst)
+			rx := make([]*bufpool.Buf, burst)
 			pendingToApp := 0
 			for p.Now() < end {
 				busy := false
@@ -215,7 +212,7 @@ func Run(cfg Config) Result {
 					pendingToApp -= toApp[i].push(p, a, pendingToApp)
 				}
 				// Responses back from the app: TCP transmit.
-				n := toFP[i].pop(p, a, cfg.Burst)
+				n := toFP[i].pop(p, a, burst)
 				if n > 0 {
 					busy = true
 					resp := make([]*bufpool.Buf, 0, n)
@@ -258,7 +255,7 @@ func Run(cfg Config) Result {
 		for p.Now() < end {
 			busy := false
 			for i := 0; i < nq; i++ {
-				n := toApp[i].pop(p, cfg.App, cfg.Burst)
+				n := toApp[i].pop(p, cfg.App, burst)
 				if n == 0 {
 					continue
 				}
@@ -283,9 +280,7 @@ func Run(cfg Config) Result {
 	if err := k.RunUntil(deadline); err != nil {
 		panic(fmt.Sprintf("rpcstack: %v", err))
 	}
-	if s, ok := cfg.Dev.(stopper); ok {
-		s.Stop()
-	}
+	cfg.Dev.Stop()
 	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
 		panic(fmt.Sprintf("rpcstack: %v", err))
 	}

@@ -231,6 +231,7 @@ func New() *Kernel {
 }
 
 // Now returns the current virtual time.
+//
 //ccnic:noalloc
 func (k *Kernel) Now() Time { return k.now }
 
