@@ -41,13 +41,12 @@ const (
 	stateAllocated
 )
 
-// Buf is a packet buffer. Addr/Cap describe the simulated memory; the
+// Buf is a packet buffer. Addr and Cap() describe the simulated memory; the
 // remaining fields carry packet metadata out-of-band (the simulation does
-// not store bytes behind addresses).
+// not store bytes behind addresses). Pools build one per buffer, so the
+// layout is kept to 64 bytes.
 type Buf struct {
-	Addr  mem.Addr
-	Cap   int
-	Small bool
+	Addr mem.Addr
 
 	// Len is the current payload length.
 	Len int
@@ -60,8 +59,18 @@ type Buf struct {
 	ExtAddr mem.Addr
 	ExtLen  int
 
+	pool *Pool
+	// Small marks a subdivided SmallSize buffer.
+	Small bool
 	state bufState
-	pool  *Pool
+}
+
+// Cap returns the buffer's capacity in bytes.
+func (b *Buf) Cap() int {
+	if b.Small {
+		return SmallSize
+	}
+	return b.pool.cfg.BigSize
 }
 
 // TotalLen returns the full packet length across segments.
@@ -142,42 +151,36 @@ func New(cfg Config) *Pool {
 	pl := &Pool{cfg: cfg, sys: cfg.Sys}
 	sp := cfg.Sys.Space()
 	base := sp.Alloc(cfg.Home, cfg.BigCount*cfg.BigSize, mem.Addr(cfg.BigSize))
-	order := fillOrder(cfg.BigCount, cfg.Sequential)
+	n := cfg.BigCount
+	step := fillStep(n, cfg.Sequential)
 	// One backing array for the whole seed population: pool construction
 	// happens per simulation, and per-Buf allocations dominated the
 	// allocator profile.
-	bufs := make([]Buf, len(order))
-	pl.seedBig = make([]*Buf, 0, len(order))
-	for k, i := range order {
+	bufs := make([]Buf, n)
+	pl.seedBig = make([]*Buf, n)
+	for k := range bufs {
 		b := &bufs[k]
-		b.Addr = base + mem.Addr(i*cfg.BigSize)
-		b.Cap = cfg.BigSize
+		b.Addr = base + mem.Addr(k*step%n*cfg.BigSize)
 		b.pool = pl
-		pl.seedBig = append(pl.seedBig, b)
+		pl.seedBig[k] = b
 	}
-	pl.totalBufs = cfg.BigCount
+	pl.totalBufs = n
 	return pl
 }
 
-// fillOrder returns buffer indexes in allocation order: ascending when
-// sequential, otherwise strided so consecutive allocations are far apart.
-func fillOrder(n int, sequential bool) []int {
-	order := make([]int, 0, n)
+// fillStep returns the stride of the fill order over n buffers: the k-th
+// buffer handed out is buffer k*step mod n. The step is 1 when sequential,
+// otherwise a co-prime step that scatters neighbors, so consecutive
+// allocations are far apart.
+func fillStep(n int, sequential bool) int {
 	if sequential {
-		for i := 0; i < n; i++ {
-			order = append(order, i)
-		}
-		return order
+		return 1
 	}
-	// Stride by a co-prime step that scatters neighbors.
 	step := n/7 + 1
 	for gcd(step, n) != 1 {
 		step++
 	}
-	for i, j := 0, 0; i < n; i, j = i+1, (j+step)%n {
-		order = append(order, j)
-	}
-	return order
+	return step
 }
 
 func gcd(a, b int) int {
@@ -243,12 +246,11 @@ func (pt *Port) carveSmall() bool {
 	}
 	big := pt.shardBig[len(pt.shardBig)-1]
 	pt.shardBig = pt.shardBig[:len(pt.shardBig)-1]
-	n := big.Cap / SmallSize
-	order := fillOrder(n, pl.cfg.Sequential)
-	for _, i := range order {
+	n := big.Cap() / SmallSize
+	step := fillStep(n, pl.cfg.Sequential)
+	for k := 0; k < n; k++ {
 		pt.shardSmall = append(pt.shardSmall, &Buf{
-			Addr:  big.Addr + mem.Addr(i*SmallSize),
-			Cap:   SmallSize,
+			Addr:  big.Addr + mem.Addr(k*step%n*SmallSize),
 			Small: true,
 			pool:  pl,
 		})

@@ -3,6 +3,7 @@ package bufpool
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"ccnic/internal/coherence"
 	"ccnic/internal/mem"
@@ -50,8 +51,8 @@ func TestAllocFreeRoundtrip(t *testing.T) {
 		if b == nil {
 			t.Fatal("alloc failed")
 		}
-		if b.Small || b.Cap != 4096 {
-			t.Errorf("1500B request got Small=%v Cap=%d", b.Small, b.Cap)
+		if b.Small || b.Cap() != 4096 {
+			t.Errorf("1500B request got Small=%v Cap=%d", b.Small, b.Cap())
 		}
 		if pl.Outstanding() != 1 {
 			t.Errorf("outstanding = %d", pl.Outstanding())
@@ -66,7 +67,7 @@ func TestAllocFreeRoundtrip(t *testing.T) {
 func TestSmallBufferSubdivision(t *testing.T) {
 	fixture(t, nil, func(p *sim.Proc, pl *Pool, host, nic *Port) {
 		b := host.Alloc(p, 64)
-		if b == nil || !b.Small || b.Cap != SmallSize {
+		if b == nil || !b.Small || b.Cap() != SmallSize {
 			t.Fatalf("64B request got %+v, want small %dB buffer", b, SmallSize)
 		}
 		host.Free(p, b)
@@ -220,6 +221,14 @@ func TestDoubleFreePanics(t *testing.T) {
 	})
 }
 
+// TestBufSize pins Buf at 64 bytes: every pool builds one per buffer, and
+// this array is most of a testbed's set-up allocation.
+func TestBufSize(t *testing.T) {
+	if got := unsafe.Sizeof(Buf{}); got != 64 {
+		t.Errorf("Buf is %d bytes, want 64", got)
+	}
+}
+
 func TestBufMetadata(t *testing.T) {
 	b := &Buf{Len: 100, ExtLen: 400}
 	if b.TotalLen() != 500 {
@@ -235,16 +244,17 @@ func TestBufMetadata(t *testing.T) {
 func TestFillOrderProperties(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 32, 100} {
 		for _, seq := range []bool{true, false} {
-			order := fillOrder(n, seq)
-			if len(order) != n {
-				t.Fatalf("fillOrder(%d,%v) len = %d", n, seq, len(order))
-			}
+			step := fillStep(n, seq)
 			seen := make([]bool, n)
-			for _, i := range order {
-				if i < 0 || i >= n || seen[i] {
-					t.Fatalf("fillOrder(%d,%v) not a permutation: %v", n, seq, order)
+			for k := 0; k < n; k++ {
+				if i := k * step % n; seen[i] {
+					t.Fatalf("fillStep(%d,%v) = %d: order is not a permutation", n, seq, step)
+				} else {
+					seen[i] = true
 				}
-				seen[i] = true
+			}
+			if !seq && n > 7 && step == 1 {
+				t.Errorf("fillStep(%d,false) = 1: non-sequential fill must scatter", n)
 			}
 		}
 	}

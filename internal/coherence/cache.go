@@ -60,14 +60,6 @@ type entry struct {
 	prev, next *entry
 }
 
-// cachePageLines is the number of line slots per cache page: each page
-// covers 256KB of simulated address space (32KB of host pointers) and is
-// materialized on first touch, mirroring the directory's paged layout.
-const cachePageLines = 1 << 12
-
-// cachePage holds residency slots for one contiguous 256KB address span.
-type cachePage [cachePageLines]*entry
-
 // Cache is a capacity-limited, fully-associative LRU cache of 64B lines.
 // It models either a core's private L2 or a socket's shared LLC.
 type Cache struct {
@@ -76,9 +68,9 @@ type Cache struct {
 	isLLC  bool
 	capAct int // capacity in lines
 	n      int // resident lines
-	// pages is the per-socket paged residency index: two array indexings
-	// per lookup where a map probe used to be.
-	pages [2][]*cachePage
+	// slots is the residency index: the resident entry of each touched
+	// line, or nil.
+	slots lineTable[*entry]
 	// LRU list: head.next is most-recent, head.prev is least-recent.
 	head entry
 	// free recycles evicted entries (singly linked via next), so a cache
@@ -100,28 +92,6 @@ func newCache(sys *System, name string, socket int, capBytes int64, isLLC bool) 
 	return c
 }
 
-// slot returns the residency slot for a line, materializing its page on
-// first touch.
-//
-//ccnic:noalloc
-func (c *Cache) slot(line mem.Addr) **entry {
-	home, idx := mem.LineIndex(line)
-	pi, si := idx/cachePageLines, idx%cachePageLines
-	pages := c.pages[home]
-	if pi >= len(pages) {
-		grown := make([]*cachePage, pi+1) //ccnic:alloc-ok page-table growth, one-time per span
-		copy(grown, pages)
-		pages = grown
-		c.pages[home] = pages
-	}
-	pg := pages[pi]
-	if pg == nil {
-		pg = new(cachePage) //ccnic:alloc-ok one-time per touched 256KB span
-		pages[pi] = pg
-	}
-	return &pg[si]
-}
-
 // Name returns the cache's debug name.
 func (c *Cache) Name() string { return c.name }
 
@@ -135,7 +105,7 @@ func (c *Cache) Len() int { return c.n }
 //
 //ccnic:noalloc
 func (c *Cache) get(line mem.Addr) *entry {
-	e := *c.slot(line)
+	e := c.peek(line)
 	if e != nil {
 		c.unlink(e)
 		c.pushFront(e)
@@ -143,10 +113,16 @@ func (c *Cache) get(line mem.Addr) *entry {
 	return e
 }
 
-// peek returns the entry without touching recency.
+// peek returns the entry without touching recency, or nil. It never
+// materializes index memory for a line the cache has not held.
 //
 //ccnic:noalloc
-func (c *Cache) peek(line mem.Addr) *entry { return *c.slot(line) }
+func (c *Cache) peek(line mem.Addr) *entry {
+	if s := c.slots.peek(line); s != nil {
+		return *s
+	}
+	return nil
+}
 
 // insertMiss adds a line in the given state, evicting the LRU line if full.
 // The caller must have just observed the line to be absent (via get or peek
@@ -161,7 +137,7 @@ func (c *Cache) insertMiss(line mem.Addr, st State) {
 	}
 	e := c.alloc()
 	e.line, e.state = line, st
-	*c.slot(line) = e
+	*c.slots.at(line) = e
 	c.n++
 	c.pushFront(e)
 }
@@ -206,7 +182,10 @@ func (c *Cache) recycle(e *entry) {
 //
 //ccnic:noalloc
 func (c *Cache) drop(line mem.Addr) {
-	s := c.slot(line)
+	s := c.slots.peek(line)
+	if s == nil {
+		return
+	}
 	if e := *s; e != nil {
 		c.unlink(e)
 		*s = nil
@@ -225,7 +204,7 @@ func (c *Cache) evictLRU() {
 		panic("coherence: evict on empty cache")
 	}
 	c.unlink(e)
-	*c.slot(e.line) = nil
+	*c.slots.at(e.line) = nil
 	c.n--
 	line, st := e.line, e.state
 	c.recycle(e)

@@ -81,63 +81,27 @@ func (b BiasState) String() string {
 	return "host"
 }
 
-// cxlPage holds protocol-private per-line state for one contiguous 256KB
-// address span, paged exactly like the directory.
-type cxlPage [dirPageLines]uint8
-
 // cxlBackend is the CXL protocol engine.
 type cxlBackend struct {
 	s *System
-	// filter is the host-managed snoop filter over host-homed lines,
-	// indexed like the home-0 directory pages.
-	filter []*cxlPage
-	// bias is the per-line bias state over device-homed (HDM) lines,
-	// indexed like the home-1 directory pages.
-	bias []*cxlPage
+	// state is the protocol-private byte of each touched line: the
+	// host-managed snoop filter (a FilterState) for host-homed lines, the
+	// bias (a BiasState) for device-homed (HDM) lines.
+	state lineTable[uint8]
 }
 
 func newCXLBackend(s *System) *cxlBackend { return &cxlBackend{s: s} }
 
 func (b *cxlBackend) protocol() Protocol { return ProtoCXL }
 
-// stateAt returns a pointer to the paged protocol-state byte for a line,
-// materializing its page on first touch (same policy as the directory).
-//
-//ccnic:noalloc
-func (b *cxlBackend) stateAt(line mem.Addr) *uint8 {
-	home, idx := mem.LineIndex(line)
-	pi, slot := idx/dirPageLines, idx%dirPageLines
-	pages := &b.filter
-	if home == deviceSocket {
-		pages = &b.bias
-	}
-	if pi >= len(*pages) {
-		grown := make([]*cxlPage, pi+1) //ccnic:alloc-ok page-table growth, one-time per span
-		copy(grown, *pages)
-		*pages = grown
-	}
-	pg := (*pages)[pi]
-	if pg == nil {
-		pg = new(cxlPage) //ccnic:alloc-ok one-time per touched 256KB span
-		(*pages)[pi] = pg
-	}
-	return &pg[slot]
-}
-
-// peekState reads the protocol-state byte without materializing pages.
+// peekState reads the protocol-state byte without materializing it.
 //
 //ccnic:noalloc
 func (b *cxlBackend) peekState(line mem.Addr) uint8 {
-	home, idx := mem.LineIndex(line)
-	pi, slot := idx/dirPageLines, idx%dirPageLines
-	pages := b.filter
-	if home == deviceSocket {
-		pages = b.bias
+	if v := b.state.peek(line); v != nil {
+		return *v
 	}
-	if pi >= len(pages) || pages[pi] == nil {
-		return 0
-	}
-	return pages[pi][slot]
+	return 0
 }
 
 // filterAt reads the snoop filter for a host-homed line.
@@ -196,7 +160,7 @@ func (b *cxlBackend) hostHolder(line mem.Addr) *Cache {
 //
 //ccnic:noalloc
 func (b *cxlBackend) syncFilter(line mem.Addr) {
-	*b.stateAt(line) = uint8(b.deviceResidency(line))
+	*b.state.at(line) = uint8(b.deviceResidency(line))
 }
 
 // track updates protocol-private state after a transition by requester a.
@@ -213,7 +177,7 @@ func (b *cxlBackend) track(a *Agent, line mem.Addr) {
 		return
 	}
 	if a.socket == hostSocket {
-		*b.stateAt(line) = uint8(HostBias)
+		*b.state.at(line) = uint8(HostBias)
 	}
 }
 
@@ -229,7 +193,7 @@ func (b *cxlBackend) residencyChanged(line mem.Addr) {
 	// A host-side fill of an HDM line (e.g. PCIe DDIO allocating into the
 	// host LLC) makes the line host-visible; bias follows.
 	if b.biasAt(line) == DeviceBias && b.hostHolder(line) != nil {
-		*b.stateAt(line) = uint8(HostBias)
+		*b.state.at(line) = uint8(HostBias)
 	}
 }
 
@@ -312,7 +276,7 @@ func (b *cxlBackend) invalidateLat(d *dirEntry, keeper *Cache, line mem.Addr, no
 // can access its memory without further host interaction.
 func (b *cxlBackend) reclaimBias(line mem.Addr) {
 	s := b.s
-	*b.stateAt(line) = uint8(DeviceBias)
+	*b.state.at(line) = uint8(DeviceBias)
 	d := s.lookup(line)
 	if d == nil {
 		return
@@ -659,21 +623,12 @@ func (b *cxlBackend) checkSystem() error {
 	if err != nil {
 		return err
 	}
-	for pi, pg := range b.filter {
-		if pg == nil {
-			continue
+	b.state.forEach(func(line mem.Addr, v *uint8) {
+		if err == nil && mem.Home(line) == hostSocket && *v != uint8(FilterAbsent) {
+			err = b.checkLine(line)
 		}
-		for slot, v := range pg {
-			if v == uint8(FilterAbsent) {
-				continue
-			}
-			line := mem.LineAt(hostSocket, pi*dirPageLines+slot)
-			if err := b.checkLine(line); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // SnoopFilter reports the host snoop filter's view of a host-homed line.

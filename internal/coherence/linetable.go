@@ -1,0 +1,97 @@
+package coherence
+
+import "ccnic/internal/mem"
+
+// Line-table geometry. A leaf holds the slots of leafLines consecutive lines
+// (one 4KB span of simulated memory); a mid node holds midLeaves leaf
+// pointers (a 2MB span); each home's top level is a slice of mid nodes.
+// Leaves are carved slabLeaves at a time from a slab, so first touches cost
+// one allocation per slab, not per leaf.
+const (
+	leafShift  = 6
+	leafLines  = 1 << leafShift
+	midShift   = 9
+	midLeaves  = 1 << midShift
+	slabLeaves = 8
+)
+
+type (
+	lineLeaf[T any] [leafLines]T
+	lineMid[T any]  [midLeaves]*lineLeaf[T]
+)
+
+// lineTable is sparse per-line state indexed by mem.LineIndex: a two-level
+// radix (mid nodes, then leaves) per home socket. Memory grows with the lines
+// actually touched rather than with the span of address space they lie in,
+// and a slot's address never changes once materialized. The zero T is the
+// state of a line nothing has touched; the zero lineTable is empty and ready.
+type lineTable[T any] struct {
+	top  [2][]*lineMid[T]
+	slab []lineLeaf[T] // carved but not yet handed out
+}
+
+// at returns the slot for a line, materializing its leaf (and mid node) on
+// first touch.
+//
+//ccnic:noalloc
+func (t *lineTable[T]) at(line mem.Addr) *T {
+	home, idx := mem.LineIndex(line)
+	mids := t.top[home]
+	mi := idx >> (leafShift + midShift)
+	if mi >= len(mids) {
+		mids = append(mids, make([]*lineMid[T], mi+1-len(mids))...) //ccnic:alloc-ok top-level growth, once per 2MB span
+		t.top[home] = mids
+	}
+	m := mids[mi]
+	if m == nil {
+		m = new(lineMid[T]) //ccnic:alloc-ok first touch of a 2MB span
+		mids[mi] = m
+	}
+	li := (idx >> leafShift) & (midLeaves - 1)
+	lf := m[li]
+	if lf == nil {
+		if len(t.slab) == 0 {
+			t.slab = make([]lineLeaf[T], slabLeaves) //ccnic:alloc-ok first touch of a 4KB span, once per slabLeaves of them
+		}
+		lf = &t.slab[0]
+		t.slab = t.slab[1:]
+		m[li] = lf
+	}
+	return &lf[idx&(leafLines-1)]
+}
+
+// peek returns the slot for a line, or nil if its leaf was never
+// materialized (every line in it is in the zero state). It never allocates.
+//
+//ccnic:noalloc
+func (t *lineTable[T]) peek(line mem.Addr) *T {
+	home, idx := mem.LineIndex(line)
+	mids := t.top[home]
+	if mi := idx >> (leafShift + midShift); mi < len(mids) && mids[mi] != nil {
+		if lf := mids[mi][(idx>>leafShift)&(midLeaves-1)]; lf != nil {
+			return &lf[idx&(leafLines-1)]
+		}
+	}
+	return nil
+}
+
+// forEach visits every materialized slot in address order, home 0 first
+// (validation paths only; the hot path never iterates a table).
+func (t *lineTable[T]) forEach(fn func(line mem.Addr, v *T)) {
+	for home, mids := range t.top {
+		for mi, m := range mids {
+			if m == nil {
+				continue
+			}
+			for li, lf := range m {
+				if lf == nil {
+					continue
+				}
+				base := (mi<<midShift + li) << leafShift
+				for i := range lf {
+					fn(mem.LineAt(home, base+i), &lf[i])
+				}
+			}
+		}
+	}
+}

@@ -1,0 +1,183 @@
+package coherence
+
+import (
+	"runtime"
+	"testing"
+
+	"ccnic/internal/mem"
+	"ccnic/internal/platform"
+	"ccnic/internal/sim"
+)
+
+// tableNodes counts a table's materialized mid nodes and leaves.
+func tableNodes[T any](t *lineTable[T]) (mids, leaves int) {
+	for _, top := range t.top {
+		for _, m := range top {
+			if m == nil {
+				continue
+			}
+			mids++
+			for _, lf := range m {
+				if lf != nil {
+					leaves++
+				}
+			}
+		}
+	}
+	return mids, leaves
+}
+
+// TestLineTableForEachAddressOrder touches lines out of order across both
+// homes, several mid nodes and several leaves, and requires forEach to visit
+// every materialized slot in strictly ascending address order — the order
+// CheckInvariants' first error and the CXL filter scan report in.
+func TestLineTableForEachAddressOrder(t *testing.T) {
+	const mid = midLeaves * leafLines
+	touched := []mem.Addr{
+		mem.LineAt(1, 5),
+		mem.LineAt(0, 3*mid+leafLines+2),
+		mem.LineAt(0, 70),
+		mem.LineAt(1, mid+9),
+		mem.LineAt(0, 1),
+		mem.LineAt(0, 3*mid),
+	}
+	var tab lineTable[int]
+	for i, line := range touched {
+		*tab.at(line) = i + 1
+	}
+	var marks []int
+	var prev mem.Addr
+	visited := 0
+	tab.forEach(func(line mem.Addr, v *int) {
+		if visited > 0 && line <= prev {
+			t.Fatalf("forEach visited %#x after %#x", line, prev)
+		}
+		prev = line
+		visited++
+		if *v != 0 {
+			if got := tab.peek(line); got != v {
+				t.Fatalf("forEach slot for %#x is not the table's slot", line)
+			}
+			marks = append(marks, *v)
+		}
+	})
+	want := []int{5, 3, 6, 2, 1, 4} // touched, sorted by (home, index)
+	if len(marks) != len(want) {
+		t.Fatalf("forEach saw marks %v, want %v", marks, want)
+	}
+	for i := range want {
+		if marks[i] != want[i] {
+			t.Fatalf("forEach saw marks %v, want %v", marks, want)
+		}
+	}
+	if _, leaves := tableNodes(&tab); visited != leaves*leafLines {
+		t.Errorf("forEach visited %d slots, want %d (every slot of %d leaves)", visited, leaves*leafLines, leaves)
+	}
+}
+
+// TestLineTableSlotsStable requires a slot's address to survive growth of
+// every level: the top-level slice, new mid nodes and fresh slabs.
+func TestLineTableSlotsStable(t *testing.T) {
+	var tab lineTable[dirEntry]
+	first := mem.LineAt(0, 0)
+	p := tab.at(first)
+	p.present = true
+	for i := 1; i <= 4*slabLeaves; i++ {
+		tab.at(mem.LineAt(0, i*leafLines))                   // new leaves, new slabs
+		tab.at(mem.LineAt(0, i*16*midLeaves*leafLines+i))    // top-level growth
+		tab.at(mem.LineAt(1, i*3*midLeaves*leafLines+i*100)) // the other home
+	}
+	if q := tab.at(first); q != p {
+		t.Fatalf("slot moved: %p then %p", p, q)
+	}
+	if q := tab.peek(first); q != p || !q.present {
+		t.Fatalf("peek returned %p (present=%v), want %p", q, q != nil && q.present, p)
+	}
+}
+
+// TestReadOnlyLookupsDoNotMaterialize checks that the read-only paths —
+// directory lookups, CheckLine, DeviceReadLine and cache peeks — leave an
+// untouched, far-away line's span unmaterialized and allocate nothing, on
+// both protocol backends.
+func TestReadOnlyLookupsDoNotMaterialize(t *testing.T) {
+	for _, pr := range []Protocol{ProtoUPI, ProtoCXL} {
+		t.Run(pr.String(), func(t *testing.T) {
+			k := sim.New()
+			s := NewSystemProto(k, platform.ICX(), pr)
+			host := s.NewAgent(0, "host")
+			nic := s.NewAgent(1, "nic")
+			near := s.Space().AllocLines(0, 4)
+			k.Spawn("warm", func(p *sim.Proc) {
+				host.Write(p, near, 8)
+				nic.Read(p, near, 8)
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			nodes := func() (n int) {
+				m, l := tableNodes(&s.dir)
+				n += m + l
+				for _, c := range []*Cache{s.llc[0], s.llc[1], host.l2, nic.l2} {
+					m, l := tableNodes(&c.slots)
+					n += m + l
+				}
+				if b, ok := s.proto.(*cxlBackend); ok {
+					m, l := tableNodes(&b.state)
+					n += m + l
+				}
+				return n
+			}
+			before := nodes()
+			for _, far := range []mem.Addr{mem.LineAt(0, 1<<30), mem.LineAt(1, 1<<28), near + 64*mem.LineSize} {
+				allocs := testing.AllocsPerRun(10, func() {
+					if s.lookup(far) != nil || host.l2.peek(far) != nil || s.llc[1].peek(far) != nil {
+						t.Fatalf("untouched line %#x has state", far)
+					}
+					if err := s.CheckLine(far); err != nil {
+						t.Fatal(err)
+					}
+					s.DeviceReadLine(far)
+				})
+				if allocs != 0 {
+					t.Errorf("read-only lookups of %#x allocate %v times", far, allocs)
+				}
+			}
+			if after := nodes(); after != before {
+				t.Errorf("read-only lookups materialized %d table nodes", after-before)
+			}
+		})
+	}
+}
+
+// TestLineTableMemoryPerTouchedLine guards the point of the sparse layout:
+// touching lines 64KB apart on a fresh system must cost memory per line
+// touched, not per span of address space. Flat 256KB pages cost about 57KB
+// per line here.
+func TestLineTableMemoryPerTouchedLine(t *testing.T) {
+	const n, stride = 256, 64 << 10
+	k := sim.New()
+	s := NewSystem(k, platform.ICX())
+	host := s.NewAgent(0, "host")
+	nic := s.NewAgent(1, "nic")
+	base := s.Space().Alloc(0, n*stride, stride)
+	var bytes uint64
+	k.Spawn("touch", func(p *sim.Proc) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			line := base + mem.Addr(i*stride)
+			host.Write(p, line, 8)
+			nic.Read(p, line, 8)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = after.TotalAlloc - before.TotalAlloc
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	per := bytes / n
+	t.Logf("%d B allocated per touched line", per)
+	if per > 8<<10 {
+		t.Errorf("touching a line allocates %d B, want at most 8 KB", per)
+	}
+}

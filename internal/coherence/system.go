@@ -38,20 +38,12 @@ type dirEntry struct {
 	// (Fig 8's separate-line penalty), while a writer that already owns
 	// the line (co-located layouts) commits locally.
 	pendingUntil sim.Time
-	// present marks the slot live. Entries live in paged dense arrays
-	// indexed by line (see System.dirAt); a gc'd entry stays in place with
+	// present marks the slot live. Entries live in the System's line table,
+	// materialized on first touch; a gc'd entry stays in place with
 	// present=false, preserving its sharers capacity for the next use of
 	// the same line — line churn allocates nothing in steady state.
 	present bool
 }
-
-// dirPageLines is the number of lines per directory page: each page covers
-// 256KB of simulated address space and is materialized on first touch, so
-// directory memory tracks the allocator's bump frontier, not cache capacity.
-const dirPageLines = 1 << 12
-
-// dirPage holds directory slots for one contiguous 256KB address span.
-type dirPage [dirPageLines]dirEntry
 
 // System is the two-socket coherent memory system.
 type System struct {
@@ -66,7 +58,7 @@ type System struct {
 
 	llc      [2]*Cache
 	agents   [2][]*Agent
-	dir      [2][]*dirPage // per-socket paged directory, indexed by line
+	dir      lineTable[dirEntry] // the directory, one slot per touched line
 	counters [2]Counters
 	prefetch [2]bool
 
@@ -179,36 +171,13 @@ func (s *System) NewAgent(socket int, name string) *Agent {
 	return a
 }
 
-// dirAt returns the directory slot for a line, materializing its page on
-// first touch. Two array indexings replace the map probe that used to
-// dominate the directory's cost.
-//
-//ccnic:noalloc
-func (s *System) dirAt(line mem.Addr) *dirEntry {
-	home, idx := mem.LineIndex(line)
-	pi, slot := idx/dirPageLines, idx%dirPageLines
-	pages := s.dir[home]
-	if pi >= len(pages) {
-		grown := make([]*dirPage, pi+1) //ccnic:alloc-ok page-table growth, one-time per span
-		copy(grown, pages)
-		pages = grown
-		s.dir[home] = pages
-	}
-	pg := pages[pi]
-	if pg == nil {
-		pg = new(dirPage) //ccnic:alloc-ok one-time per touched 256KB span
-		pages[pi] = pg
-	}
-	return &pg[slot]
-}
-
-// lookup returns the live directory entry for a line, or nil — the read-only
-// counterpart of ent.
+// lookup returns the live directory entry for a line, or nil. It is the
+// read-only counterpart of ent and never materializes table memory.
 //
 //ccnic:noalloc
 func (s *System) lookup(line mem.Addr) *dirEntry {
-	d := s.dirAt(line)
-	if !d.present {
+	d := s.dir.peek(line)
+	if d == nil || !d.present {
 		return nil
 	}
 	return d
@@ -220,7 +189,7 @@ func (s *System) lookup(line mem.Addr) *dirEntry {
 //
 //ccnic:noalloc
 func (s *System) ent(line mem.Addr) *dirEntry {
-	d := s.dirAt(line)
+	d := s.dir.at(line)
 	if !d.present {
 		d.present = true
 		d.pendingUntil = 0 // owner/sharers already cleared by gc
@@ -370,18 +339,11 @@ func (s *System) DeviceReadLine(line mem.Addr) {
 // forEachDir visits every live directory entry in address order (validation
 // paths only; the hot path never iterates the directory).
 func (s *System) forEachDir(fn func(line mem.Addr, d *dirEntry)) {
-	for home := range s.dir {
-		for pi, pg := range s.dir[home] {
-			if pg == nil {
-				continue
-			}
-			for slot := range pg {
-				if d := &pg[slot]; d.present {
-					fn(mem.LineAt(home, pi*dirPageLines+slot), d)
-				}
-			}
+	s.dir.forEach(func(line mem.Addr, d *dirEntry) {
+		if d.present {
+			fn(line, d)
 		}
-	}
+	})
 }
 
 // CheckInvariants validates global coherence invariants; tests call it after

@@ -86,7 +86,8 @@ var progCache = struct {
 // build cache; the loader therefore needs no network access.
 //
 // Loads are cached at two levels, both keyed by the sha256 of go.mod,
-// go.sum, and every non-test Go file under dir: an in-process Program cache
+// go.sum, and every non-test Go file under dir and the directories its
+// go.mod replaces modules with (see cacheKey): an in-process Program cache
 // (so a test binary that lints the module twice type-checks it once), and
 // an on-disk cache of the `go list` output under <dir>/.lintcache (so a
 // warm `make lint` skips the go-list subprocess, the slowest single step).
@@ -219,14 +220,28 @@ func exportsValid(exports map[string]string) bool {
 
 // cacheKey hashes everything that determines a load's result: the patterns,
 // go.mod and go.sum, and the path and content of every non-test Go file
-// under dir. Hidden directories, testdata (go list never reads it), and the
-// cache directory itself are skipped. An empty key disables caching.
+// under dir and under each directory dir's go.mod replaces a module with
+// (cmd/ccperf's `replace ccnic => ../..`). Hidden directories, testdata (go
+// list never reads it), and the cache directory itself are skipped. An empty
+// key disables caching.
 func cacheKey(dir string, patterns []string) (string, error) {
 	h := sha256.New()
 	for _, p := range patterns {
 		fmt.Fprintf(h, "pat\x00%s\x00", p)
 	}
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+	for i, root := range append([]string{dir}, localReplaces(dir)...) {
+		fmt.Fprintf(h, "root\x00%d\x00", i)
+		if err := hashTree(h, root); err != nil {
+			return "", err
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// hashTree writes the path and content of every file under dir that
+// cacheKey covers to h.
+func hashTree(h io.Writer, dir string) error {
+	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -253,10 +268,31 @@ func cacheKey(dir string, patterns []string) (string, error) {
 		h.Write(data)
 		return nil
 	})
+}
+
+// localReplaces returns the directories dir's go.mod replaces modules with
+// (`replace m => ../..`, in line or block form): their sources are loaded
+// too, so a cached go list of dir goes stale when they change.
+func localReplaces(dir string) []string {
+	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if err != nil {
-		return "", err
+		return nil
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	var dirs []string
+	for _, line := range strings.Split(string(data), "\n") {
+		_, target, _ := strings.Cut(line, "=>")
+		f := strings.Fields(target)
+		if len(f) != 1 { // absent, or a module path and version
+			continue
+		}
+		switch p := f[0]; {
+		case filepath.IsAbs(p):
+			dirs = append(dirs, p)
+		case strings.HasPrefix(p, "."):
+			dirs = append(dirs, filepath.Join(dir, p))
+		}
+	}
+	return dirs
 }
 
 // lintCacheDir is the on-disk cache directory, relative to the load root.

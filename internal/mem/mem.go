@@ -56,8 +56,8 @@ func Lines(a Addr, size int, fn func(line Addr)) {
 
 // LineIndex returns the home socket of a line address and the line's dense
 // index within that socket's allocation arena (0 for the first allocatable
-// line). Because Space is a bump allocator, indices are small and contiguous,
-// which lets per-line metadata live in paged dense arrays instead of maps.
+// line). Because Space is a bump allocator, indices are small and clustered,
+// which lets per-line metadata live in radix tables instead of maps.
 //
 //ccnic:noalloc
 func LineIndex(a Addr) (home, idx int) {
