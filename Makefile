@@ -5,7 +5,6 @@
 #   make lint         cclint static-analysis suite (detlint, yieldlint,
 #                     probelint, alloclint, shardlint, ownlint, timelint,
 #                     exhaustlint) over every module package
-#   make lint-json    same run, findings as cclint.json (the CI artifact)
 #   make vet          go vet, and fail on any file gofmt -l lists
 #   make race         race detector over the packages with real goroutines
 #                     (kernel, parallel shard engine, cluster model)
@@ -25,7 +24,7 @@
 
 GO ?= go
 
-.PHONY: check verify lint lint-json vet race bench-smoke matrix golden-check golden-shards golden
+.PHONY: check verify lint vet race bench-smoke matrix golden-check golden-shards golden
 
 check: verify lint vet race bench-smoke matrix golden-check
 
@@ -36,14 +35,8 @@ verify:
 # Static enforcement of the simulator invariants (DESIGN.md §5): exits
 # nonzero on any determinism, yield-safety, probe-guard, noalloc,
 # shard-boundary, buffer-ownership, sim-time, or enum-coverage finding.
-# Warm runs reuse the loader's on-disk go-list cache (.lintcache/).
 lint:
 	$(GO) run ./cmd/cclint ./...
-
-# The same findings as a machine-readable artifact. The exit status still
-# reflects the findings, so CI can upload the file and fail the job.
-lint-json:
-	$(GO) run ./cmd/cclint -json ./... > cclint.json
 
 # go vet, then gofmt: any file gofmt would rewrite fails the target.
 vet:

@@ -135,14 +135,6 @@ type Config struct {
 	// SetDefaultFaults; an unarmed plan injects nothing and leaves every
 	// transcript byte-identical to a fault-free run.
 	Faults *fault.Plan
-
-	// Shards selects the parallel shard-engine partition. A Testbed is one
-	// coherence domain — descriptor rings, doorbells, and payload lines
-	// interleave at cacheline granularity with no latency seam to cut — so
-	// it is exactly one shard by construction: NewTestbed accepts 0 or 1
-	// and rejects anything larger, pointing at NewCluster, which partitions
-	// a multi-host deployment at its fabric boundaries.
-	Shards int
 }
 
 // defaultFaults is applied to testbeds whose Config.Faults is nil; set
@@ -185,7 +177,11 @@ var defaultProtocol Protocol
 func SetDefaultProtocol(p Protocol) { defaultProtocol = p }
 
 // Testbed is an assembled simulation: kernel, memory system, device, and
-// one host agent per queue.
+// one host agent per queue. A testbed is one coherence domain, run on one
+// kernel: descriptor rings, doorbells, and payload lines interleave at
+// cacheline granularity with no latency seam to cut, so it is never
+// partitioned across shards. NewCluster builds multi-host topologies on the
+// parallel shard engine, partitioned at their fabric boundaries.
 type Testbed struct {
 	Kernel *sim.Kernel
 	Sys    *coherence.System
@@ -199,9 +195,6 @@ type Testbed struct {
 // configurations (programmer error), matching the package's
 // construction-time validation style.
 func NewTestbed(cfg Config) *Testbed {
-	if cfg.Shards > 1 {
-		panic(fmt.Sprintf("ccnic: a testbed is a single coherence domain (one shard); use NewCluster for a %d-shard topology", cfg.Shards))
-	}
 	plat := cfg.Plat
 	if plat == nil {
 		name := cfg.Platform

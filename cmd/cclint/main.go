@@ -8,16 +8,15 @@
 //
 // Usage:
 //
-//	cclint [-only name[,name]] [-json] [packages]
+//	cclint [-only name[,name]] [packages]
 //
 // Packages default to ./... resolved from the current directory. -only
-// restricts the run to a comma-separated subset of analyzers. -json prints
-// the findings as a JSON array (CI uploads it as the lint artifact) instead
-// of the line-per-finding text form; the exit status is the same either way.
+// restricts the run to a comma-separated subset of analyzers. Findings print
+// one per line as file:line:col: analyzer: message; exit status 1 means
+// findings, 2 a usage or load error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,8 +27,6 @@ import (
 
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer subset (default: all)")
-	asJSON := flag.Bool("json", false, "print findings as a JSON array")
-	verbose := flag.Bool("v", false, "list analyzers and package count")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: cclint [flags] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
@@ -59,60 +56,21 @@ func main() {
 		analyzers = sel
 	}
 
-	dir, err := os.Getwd()
+	prog, err := lint.Load(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cclint:", err)
 		os.Exit(2)
-	}
-	prog, err := lint.Load(dir, flag.Args()...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cclint:", err)
-		os.Exit(2)
-	}
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "cclint: %d packages, %d analyzers\n", len(prog.Pkgs), len(analyzers))
 	}
 	diags, err := lint.Run(prog, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cclint:", err)
 		os.Exit(2)
 	}
-	if *asJSON {
-		// Always an array (never null), so consumers can index the artifact
-		// without a presence check.
-		jd := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			jd = append(jd, jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jd); err != nil {
-			fmt.Fprintln(os.Stderr, "cclint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "cclint: %d findings\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// jsonDiag is the -json wire form of one finding: stable lowercase field
-// names, position split out so consumers need no string parsing.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
 }

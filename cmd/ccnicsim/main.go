@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -80,6 +81,13 @@ func main() {
 	}
 	proto, err := ccnic.ParseProtocol(*protoStr)
 	if err != nil {
+		fatalf("ccnicsim: %v", err)
+	}
+	if err := checkFlags(flagValues{
+		queues: *queues, pkt: *pkt, window: *window, txBatch: *txBatch, rxBatch: *rxBatch,
+		overlayThreads: *overlayN, bulk: *bulk, shards: *shards,
+		rate: *rate, measure: *measure, dist: *dist,
+	}, plat); err != nil {
 		fatalf("ccnicsim: %v", err)
 	}
 	switch *workload {
@@ -186,6 +194,47 @@ func main() {
 	if flt := tb.Sys.Faults(); flt != nil {
 		fmt.Printf("\n%s", flt.Stats().Format())
 	}
+}
+
+// flagValues are the numeric and selector flags checkFlags bounds.
+type flagValues struct {
+	queues, pkt, window, txBatch, rxBatch, overlayThreads, bulk, shards int
+	rate, measure                                                       float64
+	dist                                                                string
+}
+
+// checkFlags rejects flag values outside their valid ranges with a message
+// that names the flag and the range, so bad input exits before any
+// simulation is built instead of panicking, hanging, or printing nonsense.
+// -queues is bounded by the platform's cores per socket.
+func checkFlags(v flagValues, plat *platform.Platform) error {
+	if v.queues < 1 || v.queues > plat.CoresPerSocket {
+		return fmt.Errorf("-queues %d: want 1 to %d (%s cores per socket)", v.queues, plat.CoresPerSocket, plat.Name)
+	}
+	if v.pkt < 1 {
+		return fmt.Errorf("-pkt %d: want at least 1", v.pkt)
+	}
+	if !(v.measure > 0) || math.IsInf(v.measure, 1) {
+		return fmt.Errorf("-measure %v: want a finite number greater than 0", v.measure)
+	}
+	if !(v.rate >= 0) || math.IsInf(v.rate, 1) {
+		return fmt.Errorf("-rate %v: want a finite number of at least 0", v.rate)
+	}
+	for _, f := range []struct {
+		name string
+		val  int
+	}{
+		{"window", v.window}, {"txbatch", v.txBatch}, {"rxbatch", v.rxBatch},
+		{"overlay-threads", v.overlayThreads}, {"bulk", v.bulk}, {"shards", v.shards},
+	} {
+		if f.val < 0 {
+			return fmt.Errorf("-%s %d: want at least 0", f.name, f.val)
+		}
+	}
+	if v.dist != "ads" && v.dist != "geo" {
+		return fmt.Errorf("-dist %q: want ads or geo", v.dist)
+	}
+	return nil
 }
 
 // clusterOpts collects the cluster workload's flag surface.

@@ -32,6 +32,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mlc: %v\n", err)
 		os.Exit(1)
 	}
+	if err := checkFlags(*cores, plat); err != nil {
+		fmt.Fprintf(os.Stderr, "mlc: %v\n", err)
+		os.Exit(1)
+	}
 	if *cores == 0 {
 		*cores = plat.CoresPerSocket
 	}
@@ -40,6 +44,15 @@ func main() {
 	latencies(plat, proto)
 	fmt.Println()
 	bandwidth(plat, proto, *cores)
+}
+
+// checkFlags rejects a -cores value outside 0 (every core) to the
+// platform's cores per socket, before any simulation is built.
+func checkFlags(cores int, plat *platform.Platform) error {
+	if cores < 0 || cores > plat.CoresPerSocket {
+		return fmt.Errorf("-cores %d: want 0 to %d (0 = all of %s's cores per socket)", cores, plat.CoresPerSocket, plat.Name)
+	}
+	return nil
 }
 
 // latencies prints the idle access-latency matrix.

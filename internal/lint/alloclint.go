@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"ccnic/internal/lint/flow"
 )
 
 // Alloclint checks functions annotated //ccnic:noalloc — the hot paths whose
@@ -16,10 +14,8 @@ import (
 //   - append that can grow a different slice than it reads (the amortized
 //     self-append idiom `x = append(x, ...)` is allowed: it reuses warmed
 //     capacity in steady state),
-//   - function literals that capture variables and escape (closure
-//     allocation); a capturing literal that provably stays inside the
-//     function — invoked in place, or bound to a local used only in direct
-//     call position — is allocation-free and allowed (flow.EscapingFuncLits),
+//   - function literals that capture variables (closure allocation; the
+//     analyzer does not model escape, so every capturing literal counts),
 //   - string concatenation and string<->[]byte/[]rune conversions,
 //   - interface boxing of non-pointer-shaped values (call arguments and
 //     assignments),
@@ -53,7 +49,6 @@ func runAlloclint(pass *Pass) error {
 				pass:        pass,
 				fd:          fd,
 				selfAppends: map[*ast.CallExpr]bool{},
-				escapes:     flow.EscapingFuncLits(fd, pass.TypesInfo),
 			}
 			c.walk(fd.Body)
 		}
@@ -65,7 +60,6 @@ type allocChecker struct {
 	pass        *Pass
 	fd          *ast.FuncDecl
 	selfAppends map[*ast.CallExpr]bool
-	escapes     map[*ast.FuncLit]bool
 }
 
 func (c *allocChecker) report(pos token.Pos, format string, args ...any) {
@@ -268,13 +262,10 @@ func (c *allocChecker) checkStringConcat(b *ast.BinaryExpr) {
 }
 
 // checkCapture flags function literals that capture variables from the
-// enclosing function AND escape it. A non-escaping literal keeps its
-// captures on the stack — the compiler proves the same via escape analysis —
-// so only the escaping-and-capturing combination allocates a closure.
+// enclosing function, even one the compiler would keep on the stack: the
+// analyzer does not model escape, so a noalloc path writes such code as a
+// method or a plain loop instead.
 func (c *allocChecker) checkCapture(lit *ast.FuncLit) {
-	if !c.escapes[lit] {
-		return
-	}
 	info := c.pass.TypesInfo
 	done := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {

@@ -32,32 +32,20 @@ const (
 	// yields the call-graph walk cannot see (function-pointer indirection)
 	// and for self-contained analyzer fixtures.
 	AnnotYields = "yields"
-	// AnnotShardBoundary suppresses shardlint on its line (or the line
-	// below): the package legitimately declares or drives a cross-shard
-	// link boundary (see internal/sim/shard).
-	AnnotShardBoundary = "shard-boundary"
 	// AnnotOwns marks a function that returns an owned bufpool buffer:
 	// ownlint requires every caller to release or transfer the result
-	// exactly once on every path. With the argument "raw"
-	// (`//ccnic:owns raw`) the returned buffer is additionally
-	// *unaccounted* — popped off a free structure but not yet transitioned
-	// to allocated — and must be transferred (typically into take) before
-	// any yielding call.
+	// exactly once on every path.
 	AnnotOwns = "owns"
 	// AnnotTransfer marks a function that takes ownership of its
 	// buffer-typed parameters (*Buf and []*Buf): passing a tracked buffer
 	// to it counts as the buffer's single release/transfer. Free and the
-	// ring handoff points carry it; ownlint also infers the same fact for
-	// unannotated functions that provably release a parameter on every
-	// path (see ownFacts).
+	// ring handoff points carry it; it is the only way a function consumes
+	// a buffer.
 	AnnotTransfer = "transfer"
 	// AnnotOwnOK suppresses ownlint on its line (or the line below): an
 	// audited exception to the linear-ownership discipline, with a
 	// rationale.
 	AnnotOwnOK = "own-ok"
-	// AnnotTimeOK suppresses timelint on its line (or the line below): an
-	// audited exception to the sim-time discipline, with a rationale.
-	AnnotTimeOK = "time-ok"
 	// AnnotDefaultOK marks the default clause of a switch over a protocol
 	// or model enum as intentionally non-exhaustive, with a reason
 	// exhaustlint requires to be non-empty (`//ccnic:default-ok <why>`).
@@ -67,8 +55,8 @@ const (
 const annotPrefix = "//ccnic:"
 
 // annot is one parsed //ccnic: marker: its key and the free-text argument
-// after it (a rationale for the suppression keys, a mode like "raw" for
-// AnnotOwns, a required reason for AnnotDefaultOK).
+// after it (a rationale for the suppression keys, a required reason for
+// AnnotDefaultOK).
 type annot struct {
 	key  string
 	arg  string
@@ -156,21 +144,15 @@ func (pr *Program) AnnotArg(pkg *Package, pos token.Pos, key string) (string, bo
 // FuncAnnotated reports whether fd carries //ccnic:<key> in its doc comment
 // or on the line directly above its declaration.
 func (pr *Program) FuncAnnotated(pkg *Package, fd *ast.FuncDecl, key string) bool {
-	_, ok := pr.FuncAnnotArg(pkg, fd, key)
-	return ok
-}
-
-// FuncAnnotArg returns the argument of fd's //ccnic:<key> annotation (doc
-// comment or the line above the declaration), and whether one exists.
-func (pr *Program) FuncAnnotArg(pkg *Package, fd *ast.FuncDecl, key string) (string, bool) {
 	if fd.Doc != nil {
 		for _, c := range fd.Doc.List {
-			if k, arg, ok := parseAnnot(c.Text); ok && k == key {
-				return arg, true
+			if k, _, ok := parseAnnot(c.Text); ok && k == key {
+				return true
 			}
 		}
 	}
-	return pr.AnnotArg(pkg, fd.Pos(), key)
+	_, ok := pr.AnnotArg(pkg, fd.Pos(), key)
+	return ok
 }
 
 // posRange is a half-open source region [start, end).

@@ -27,8 +27,7 @@ var yieldRoots = map[string]bool{
 // (the classic limitation the //ccnic:yields annotation papers over);
 // function literals are attributed to their enclosing declaration, which
 // over-approximates closures that are defined but not called in place.
-// YieldSet's transitive closure and ownlint's interprocedural summaries
-// both walk this graph.
+// YieldSet's transitive closure walks this graph.
 type CallGraph struct {
 	Callees map[*types.Func][]*types.Func
 	Callers map[*types.Func][]*types.Func

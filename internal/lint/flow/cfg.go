@@ -1,13 +1,11 @@
 // Package flow is the lint suite's dataflow engine: per-function control
-// flow graphs built from the already-type-checked ASTs, a generic
-// forward/backward worklist solver over join semilattices (solve.go), and
-// syntactic escape facts for function literals (escape.go).
+// flow graphs built from the already-type-checked ASTs and a generic
+// forward worklist solver over join semilattices (solve.go).
 //
 // The engine exists so analyzers can be *flow-sensitive* — "released on
-// every path", "held across this yielding call" — instead of
+// every path", "captured before this yielding call" — instead of
 // pattern-matching shapes the way the first-generation syntactic lints did.
-// ownlint, timelint, and the rewritten alloclint capture check are its
-// clients (DESIGN.md §5).
+// ownlint and timelint are its clients (DESIGN.md §5).
 //
 // The CFG is statement-granular: a Block holds statements in execution
 // order, and an analyzer's transfer function walks each statement's

@@ -180,7 +180,7 @@ func TestCFGShapes(t *testing.T) {
 	}
 }
 
-// TestSolveReachingConstant runs a tiny forward constant-reachability
+// TestSolveForward runs a tiny forward constant-reachability
 // problem over the diamond: a fact set at entry must survive to exit, and
 // the solver must converge on the loop graph.
 func TestSolveForward(t *testing.T) {
@@ -193,7 +193,6 @@ func TestSolveForward(t *testing.T) {
 		// input.
 		type S = int
 		ins := Solve[S](g, Problem[S]{
-			Dir:      Forward,
 			Bottom:   func() S { return 0 },
 			Entry:    func() S { return 1 },
 			Join:     func(a, b S) S { return max(a, b) },
@@ -202,90 +201,6 @@ func TestSolveForward(t *testing.T) {
 		})
 		if ins[g.Exit] != 1 {
 			t.Errorf("%s: exit input = %d, want 1 (entry fact must reach exit)", name, ins[g.Exit])
-		}
-	}
-}
-
-// TestSolveBackwardLiveness checks a liveness-style backward problem: a
-// fact seeded at Exit reaches Entry.
-func TestSolveBackward(t *testing.T) {
-	_, decls, info := load(t, cfgSrc)
-	g := Build(decls["loops"], info)
-	type S = int
-	ins := Solve[S](g, Problem[S]{
-		Dir:      Backward,
-		Bottom:   func() S { return 0 },
-		Entry:    func() S { return 1 },
-		Join:     func(a, b S) S { return max(a, b) },
-		Equal:    func(a, b S) bool { return a == b },
-		Transfer: func(b *Block, in S) S { return in },
-	})
-	if ins[g.Entry] != 1 {
-		t.Errorf("backward: entry input = %d, want 1", ins[g.Entry])
-	}
-}
-
-const escSrc = `package flowtest
-
-func immediate(x int) int {
-	y := 0
-	func() { y = x }()
-	return y
-}
-
-func bound(x int) int {
-	y := 0
-	f := func() { y += x }
-	f()
-	f()
-	return y
-}
-
-func escapesArg(x int) {
-	run(func() { _ = x })
-}
-
-func escapesStore(x int) {
-	var hooks []func()
-	hooks = append(hooks, func() { _ = x })
-	_ = hooks
-}
-
-func escapesReturn(x int) func() int {
-	return func() int { return x }
-}
-
-func boundThenPassed(x int) {
-	f := func() { _ = x }
-	f()
-	run(f)
-}
-
-func run(f func()) { f() }
-`
-
-func TestEscapingFuncLits(t *testing.T) {
-	_, decls, info := load(t, escSrc)
-	want := map[string]bool{
-		"immediate":       false,
-		"bound":           false,
-		"escapesArg":      true,
-		"escapesStore":    true,
-		"escapesReturn":   true,
-		"boundThenPassed": true,
-	}
-	for name, fd := range decls {
-		if _, ok := want[name]; !ok {
-			continue
-		}
-		esc := EscapingFuncLits(fd, info)
-		if len(esc) != 1 {
-			t.Fatalf("%s: found %d literals, want 1", name, len(esc))
-		}
-		for _, got := range esc {
-			if got != want[name] {
-				t.Errorf("%s: escapes=%v, want %v", name, got, want[name])
-			}
 		}
 	}
 }

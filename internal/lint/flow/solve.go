@@ -1,32 +1,20 @@
 package flow
 
-// Direction selects which way facts propagate through the graph.
-type Direction uint8
-
-const (
-	// Forward propagates facts from Entry toward Exit.
-	Forward Direction = iota
-	// Backward propagates facts from Exit toward Entry (liveness-style).
-	Backward
-)
-
-// Problem describes one dataflow analysis over a Graph: a join semilattice
-// of abstract states S plus the transfer function. States must be treated
-// as immutable by Join/Transfer/Refine (return fresh values; the solver
-// caches and compares them).
+// Problem describes one forward dataflow analysis over a Graph: a join
+// semilattice of abstract states S plus the transfer function. Facts flow
+// from Entry toward Exit. States must be treated as immutable by
+// Join/Transfer/Refine (return fresh values; the solver caches and compares
+// them).
 type Problem[S any] struct {
-	Dir Direction
-
 	// Bottom is the identity for Join: the state of an unreached block.
 	Bottom func() S
-	// Entry is the boundary state (at Entry for Forward, Exit for Backward).
+	// Entry is the state at the graph's Entry block.
 	Entry func() S
 	// Join combines states flowing in from multiple edges.
 	Join func(a, b S) S
 	// Equal decides convergence.
 	Equal func(a, b S) bool
-	// Transfer applies one block's effect to its input state. For Backward
-	// problems the block's nodes should be processed in reverse order.
+	// Transfer applies one block's effect to its input state.
 	Transfer func(b *Block, in S) S
 	// Refine, if non-nil, adjusts the state flowing across an edge
 	// (branch-condition refinement: EdgeTrue/EdgeFalse out of a block
@@ -35,9 +23,7 @@ type Problem[S any] struct {
 }
 
 // Solve runs the worklist algorithm to fixpoint and returns each block's
-// input state (its in-facts for Forward problems, its out-facts — the state
-// after the block in execution order — for Backward ones). Re-apply
-// Transfer to a block's input to recover the other side.
+// input state. Re-apply Transfer to a block's input to recover its output.
 func Solve[S any](g *Graph, p Problem[S]) map[*Block]S {
 	in := make(map[*Block]S, len(g.Blocks))
 	out := make(map[*Block]S, len(g.Blocks))
@@ -45,11 +31,7 @@ func Solve[S any](g *Graph, p Problem[S]) map[*Block]S {
 		in[blk] = p.Bottom()
 		out[blk] = p.Bottom()
 	}
-	boundary := g.Entry
-	if p.Dir == Backward {
-		boundary = g.Exit
-	}
-	in[boundary] = p.Entry()
+	in[g.Entry] = p.Entry()
 
 	// Seed every block so unreachable-but-present code still gets a
 	// (bottom) state, then iterate in a stable order until convergence.
@@ -61,7 +43,7 @@ func Solve[S any](g *Graph, p Problem[S]) map[*Block]S {
 			work = append(work, blk)
 		}
 	}
-	for _, blk := range order(g, p.Dir) {
+	for _, blk := range order(g) {
 		push(blk)
 	}
 	for len(work) > 0 {
@@ -69,13 +51,13 @@ func Solve[S any](g *Graph, p Problem[S]) map[*Block]S {
 		work = work[1:]
 		inWork[blk] = false
 
-		// Meet over incoming edges (respecting direction).
+		// Meet over incoming edges.
 		acc := p.Bottom()
-		if blk == boundary {
+		if blk == g.Entry {
 			acc = p.Entry()
 		}
-		for _, e := range inEdges(blk, p.Dir) {
-			s := out[from(e, p.Dir)]
+		for _, e := range blk.Preds {
+			s := out[e.From]
 			if p.Refine != nil {
 				s = p.Refine(e, s)
 			}
@@ -87,20 +69,16 @@ func Solve[S any](g *Graph, p Problem[S]) map[*Block]S {
 			continue
 		}
 		out[blk] = next
-		for _, e := range outEdges(blk, p.Dir) {
-			push(to(e, p.Dir))
+		for _, e := range blk.Succs {
+			push(e.To)
 		}
 	}
 	return in
 }
 
-// order returns blocks in (reverse) postorder along the solve direction so
-// the first sweep visits predecessors before successors where possible.
-func order(g *Graph, dir Direction) []*Block {
-	start := g.Entry
-	if dir == Backward {
-		start = g.Exit
-	}
+// order returns blocks in reverse postorder so the first sweep visits
+// predecessors before successors where possible.
+func order(g *Graph) []*Block {
 	seen := make(map[*Block]bool, len(g.Blocks))
 	var post []*Block
 	var visit func(b *Block)
@@ -109,12 +87,12 @@ func order(g *Graph, dir Direction) []*Block {
 			return
 		}
 		seen[b] = true
-		for _, e := range outEdges(b, dir) {
-			visit(to(e, dir))
+		for _, e := range b.Succs {
+			visit(e.To)
 		}
 		post = append(post, b)
 	}
-	visit(start)
+	visit(g.Entry)
 	// Unreachable blocks last, in index order, so they still get seeded.
 	for _, b := range g.Blocks {
 		visit(b)
@@ -124,32 +102,4 @@ func order(g *Graph, dir Direction) []*Block {
 		rpo[len(post)-1-i] = b
 	}
 	return rpo
-}
-
-func inEdges(b *Block, dir Direction) []*Edge {
-	if dir == Forward {
-		return b.Preds
-	}
-	return b.Succs
-}
-
-func outEdges(b *Block, dir Direction) []*Edge {
-	if dir == Forward {
-		return b.Succs
-	}
-	return b.Preds
-}
-
-func from(e *Edge, dir Direction) *Block {
-	if dir == Forward {
-		return e.From
-	}
-	return e.To
-}
-
-func to(e *Edge, dir Direction) *Block {
-	if dir == Forward {
-		return e.To
-	}
-	return e.From
 }

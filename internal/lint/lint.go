@@ -11,31 +11,33 @@
 //     annotated //ccnic:atomic — the statically-detectable shape of the
 //     bufpool conservation bug the runtime engine caught in PR 2.
 //   - probelint: requires every call through a Probe-typed validation hook
-//     to be nil-guarded, keeping the checks-disabled path a single branch.
+//     to be nil-guarded inside its own function or literal, keeping the
+//     checks-disabled path a single branch.
 //   - alloclint: checks functions annotated //ccnic:noalloc (the paths the
-//     AllocsPerRun tests guard) for heap-allocating constructs.
+//     AllocsPerRun tests guard) for heap-allocating constructs, counting
+//     every capturing function literal as a closure allocation.
 //   - shardlint: confines cross-shard sends (shard.Link.Send) and link
 //     declarations (shard.Engine.Connect) to the shard runtime and the
-//     topology-composition packages, keeping the parallel engine's
+//     fabric that composes shard topologies, keeping the parallel engine's
 //     lookahead contract auditable at compile time.
 //   - ownlint: a flow-sensitive linear-ownership check for bufpool buffers —
-//     acquired buffers released or transferred exactly once on every path,
-//     no use after release, no raw (unaccounted) buffer held across a yield.
+//     buffers from //ccnic:owns functions released or transferred (to a
+//     //ccnic:transfer function) exactly once on every path, no use after
+//     release.
 //   - timelint: the sim.Time discipline — no wall-clock mixing outside
 //     internal/platform, no bare-literal durations, no stale-timestamp
 //     equality across yields.
 //   - exhaustlint: switches over model enum types must cover every constant
 //     or justify their default clause.
 //
-// ownlint, timelint, and alloclint's capture check are built on the
-// dataflow engine in internal/lint/flow: per-function CFGs, a generic
-// forward/backward worklist solver, and escape facts for function literals.
+// ownlint and timelint are built on the dataflow engine in
+// internal/lint/flow: per-function CFGs and a generic worklist solver.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API surface
 // (Analyzer, Pass, Diagnostic) but is self-contained: the environment this
 // repository builds in has no module proxy access, so the suite runs on the
-// standard library alone, loading packages via `go list` and type-checking
-// them from source (see load.go).
+// standard library alone, loading packages via one `go list` run and
+// type-checking them from source on every invocation (see load.go).
 package lint
 
 import (

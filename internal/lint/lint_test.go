@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccnic/internal/lint"
@@ -32,35 +33,38 @@ func TestAlloclintClean(t *testing.T) { linttest.Run(t, "testdata/alloc_clean", 
 func TestOwnlintBad(t *testing.T)   { linttest.Run(t, "testdata/own_bad", lint.Ownlint) }
 func TestOwnlintClean(t *testing.T) { linttest.Run(t, "testdata/own_clean", lint.Ownlint) }
 
-// TestOwnlintPR2Bug checks that ownlint re-finds the PR 2 bufpool
-// conservation bug purely from the ownership facts — pop hands out a raw
-// buffer, and a raw buffer may not cross a yield — in a fixture with the fix
-// reverted (the charge back inside the pop-to-take span). yieldlint finds
-// the same defect from the //ccnic:atomic annotation; this is the
-// annotation-independent proof.
-func TestOwnlintPR2Bug(t *testing.T) { linttest.Run(t, "testdata/own_pr2bug", lint.Ownlint) }
-
 func TestTimelintBad(t *testing.T)   { linttest.Run(t, "testdata/time_bad", lint.Timelint) }
 func TestTimelintClean(t *testing.T) { linttest.Run(t, "testdata/time_clean", lint.Timelint) }
 
 func TestExhaustlintBad(t *testing.T)   { linttest.Run(t, "testdata/exhaust_bad", lint.Exhaustlint) }
 func TestExhaustlintClean(t *testing.T) { linttest.Run(t, "testdata/exhaust_clean", lint.Exhaustlint) }
 
-// TestShardlintSelfCheck proves the analyzer fires: with the topology
-// layers (cluster, fabric) removed from the boundary allowlist, every
-// Link.Send and Engine.Connect they issue — since the fabric refactor,
-// the switch owns all of the cluster's link traffic — must be flagged;
-// with the real allowlist, the module must be clean. (Shardlint cannot use
-// self-contained fixtures — it matches the real shard package's method
-// identities.)
-func TestShardlintSelfCheck(t *testing.T) {
+// loadModule is the real module, loaded and type-checked once per test
+// binary and shared by the tests that lint it. They run sequentially, so
+// sharing the Program's lazy indexes is safe.
+var loadModule = sync.OnceValues(func() (*lint.Program, error) { return lint.Load("../..", "./...") })
+
+// moduleProgram returns the shared module Program, skipping in -short mode.
+func moduleProgram(t *testing.T) *lint.Program {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	prog, err := lint.Load("../..", "./...")
+	prog, err := loadModule()
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
+	return prog
+}
+
+// TestShardlintSelfCheck proves the analyzer fires: with the topology layer
+// (fabric) removed from the boundary allowlist, every Link.Send and
+// Engine.Connect it issues — the switch owns all of the cluster's link
+// traffic — must be flagged; with the real allowlist, the module must be
+// clean. (Shardlint cannot use self-contained fixtures — it matches the
+// real shard package's method identities.)
+func TestShardlintSelfCheck(t *testing.T) {
+	prog := moduleProgram(t)
 	diags, err := lint.Run(prog, []*lint.Analyzer{lint.Shardlint})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +87,7 @@ func TestShardlintSelfCheck(t *testing.T) {
 		}
 	}
 	if sends == 0 || connects == 0 {
-		t.Fatalf("shrunken allowlist should flag cluster's sends and connects, got %v", diags)
+		t.Fatalf("shrunken allowlist should flag the fabric's sends and connects, got %v", diags)
 	}
 }
 
@@ -212,14 +216,7 @@ func mutate(t *testing.T, srcDir, old, new string) string {
 // TestModuleClean runs the full suite over the real module and requires
 // zero findings — the same bar `make lint` and CI hold the tree to.
 func TestModuleClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	prog, err := lint.Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	diags, err := lint.Run(prog, lint.Analyzers())
+	diags, err := lint.Run(moduleProgram(t), lint.Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,20 +14,19 @@ import (
 // (DESIGN.md §5): a buffer returned by a function annotated //ccnic:owns
 // (Port.Alloc, ring.Reg.Take, ...) must be released or transferred exactly
 // once on every path. The analyzer runs a forward dataflow problem over each
-// function's CFG (internal/lint/flow) with a five-point lattice per tracked
-// variable — untracked, raw, owned, released, maybe-released — and reports:
+// function's CFG (internal/lint/flow) with a four-point lattice per tracked
+// variable — untracked, owned, released, maybe-released — and reports:
 //
 //   - a leak: an owned buffer still live on some path reaching return;
-//   - a double release: a buffer passed to a consuming function
-//     (//ccnic:transfer, or inferred; see ownFacts) twice on one path;
+//   - a double release: a buffer passed to a //ccnic:transfer function
+//     twice on one path;
 //   - a use after release;
-//   - a raw buffer — popped off a free structure but not yet accounted
-//     (//ccnic:owns raw) — held across a yielding call, the exact shape of
-//     the PR 2 conservation bug;
 //   - an owned return from a function not annotated //ccnic:owns, which
 //     would silently break the interprocedural contract.
 //
-// Transfers are: a call argument in a consuming position, a store into a
+// Transfers are: a call argument to a //ccnic:transfer function (the only
+// way a callee takes ownership; an unannotated helper that frees its
+// parameter still only borrows it), a store into a
 // field/slice/map/channel/global, append, and return. Assigning a tracked
 // variable to another local moves ownership (the source becomes untracked),
 // so aliases are not double-counted; `if b == nil` branches refine the nil
@@ -42,7 +41,6 @@ var Ownlint = &Analyzer{
 
 func runOwnlint(pass *Pass) error {
 	facts := pass.Prog.ownFactsOf()
-	yields := pass.Prog.YieldSet()
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -53,16 +51,8 @@ func runOwnlint(pass *Pass) error {
 			if !ok {
 				continue
 			}
-			oc := &ownChecker{
-				pr:     pass.Prog,
-				pass:   pass,
-				pkg:    pass.Pkg,
-				info:   pass.TypesInfo,
-				facts:  facts,
-				fn:     fn,
-				yields: yields,
-			}
-			oc.check(fd, nil)
+			oc := &ownChecker{pass: pass, info: pass.TypesInfo, facts: facts, fn: fn}
+			oc.check(fd)
 		}
 	}
 	return nil
@@ -74,9 +64,6 @@ type ownState uint8
 const (
 	// ownUntracked: not an owned acquisition on this path (bottom).
 	ownUntracked ownState = iota
-	// ownRaw: popped off a free structure but not yet accounted; must be
-	// transferred before any yield and before return.
-	ownRaw
 	// ownOwned: an accounted owned buffer; release or transfer exactly once.
 	ownOwned
 	// ownReleased: released or transferred; further uses are errors.
@@ -102,9 +89,9 @@ func joinState(a, b ownState) ownState {
 	case a == ownUntracked && b == ownReleased:
 		return ownUntracked
 	case a == ownUntracked:
-		return b // raw or owned: the obligation survives the join
+		return b // owned: the obligation survives the join
 	default:
-		return ownMaybe // raw⊔owned, raw⊔released, owned⊔released
+		return ownMaybe // owned⊔released
 	}
 }
 
@@ -181,14 +168,12 @@ func ownEq(a, b ownSt) bool {
 	return true
 }
 
-// ownFacts are the interprocedural summaries ownlint checks against:
-// acquires maps a function to the state of its returned buffer
-// (//ccnic:owns, //ccnic:owns raw); consumes maps a function to the
-// parameter indices whose buffer it takes ownership of (//ccnic:transfer,
-// plus a call-graph fixpoint that infers the same fact for unannotated
-// functions which provably release a pointer parameter on every path).
+// ownFacts are the interprocedural summaries ownlint checks against, read
+// straight off the annotations: acquires holds the functions whose returned
+// buffer the caller owns (//ccnic:owns); consumes maps a function to the
+// parameter indices whose buffer it takes ownership of (//ccnic:transfer).
 type ownFacts struct {
-	acquires map[*types.Func]ownState
+	acquires map[*types.Func]bool
 	consumes map[*types.Func]map[int]bool
 }
 
@@ -198,18 +183,9 @@ func (pr *Program) ownFactsOf() *ownFacts {
 		return pr.owns
 	}
 	facts := &ownFacts{
-		acquires: map[*types.Func]ownState{},
+		acquires: map[*types.Func]bool{},
 		consumes: map[*types.Func]map[int]bool{},
 	}
-	pr.owns = facts
-
-	// Pass 1: the annotated ground truth.
-	type candidate struct {
-		pkg *Package
-		fd  *ast.FuncDecl
-		fn  *types.Func
-	}
-	var candidates []candidate
 	for _, pkg := range pr.Pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -221,76 +197,24 @@ func (pr *Program) ownFactsOf() *ownFacts {
 				if !ok {
 					continue
 				}
-				if arg, ok := pr.FuncAnnotArg(pkg, fd, AnnotOwns); ok {
-					if arg == "raw" {
-						facts.acquires[fn] = ownRaw
-					} else {
-						facts.acquires[fn] = ownOwned
-					}
+				if pr.FuncAnnotated(pkg, fd, AnnotOwns) {
+					facts.acquires[fn] = true
 				}
-				sig, _ := fn.Type().(*types.Signature)
-				if sig == nil {
+				if !pr.FuncAnnotated(pkg, fd, AnnotTransfer) {
 					continue
 				}
-				if pr.FuncAnnotated(pkg, fd, AnnotTransfer) {
-					idx := map[int]bool{}
-					for i := 0; i < sig.Params().Len(); i++ {
-						t := sig.Params().At(i).Type()
-						if isBufPtr(t) || isBufSlice(t) {
-							idx[i] = true
-						}
-					}
-					facts.consumes[fn] = idx
-					continue
-				}
-				if fd.Body == nil {
-					continue
-				}
-				for i := 0; i < sig.Params().Len(); i++ {
-					if isBufPtr(sig.Params().At(i).Type()) {
-						candidates = append(candidates, candidate{pkg, fd, fn})
-						break
+				params := fn.Type().(*types.Signature).Params()
+				idx := map[int]bool{}
+				for i := 0; i < params.Len(); i++ {
+					if t := params.At(i).Type(); isBufPtr(t) || isBufSlice(t) {
+						idx[i] = true
 					}
 				}
+				facts.consumes[fn] = idx
 			}
 		}
 	}
-
-	// Pass 2: infer consume-parameter summaries to a fixpoint. Seeding a
-	// parameter as owned and re-running the same transfer function means a
-	// parameter is "consumed" exactly when the body discharges the
-	// obligation on every path; the loop is monotone (facts only grow), so
-	// it terminates.
-	yields := pr.YieldSet()
-	for changed := true; changed; {
-		changed = false
-		for _, c := range candidates {
-			sig := c.fn.Type().(*types.Signature)
-			known := facts.consumes[c.fn]
-			for i := 0; i < sig.Params().Len(); i++ {
-				p := sig.Params().At(i)
-				if known[i] || !isBufPtr(p.Type()) {
-					continue
-				}
-				oc := &ownChecker{
-					pr: pr, pkg: c.pkg, info: c.pkg.Info,
-					facts: facts, fn: c.fn, yields: yields,
-				}
-				exit := oc.check(c.fd, ownMap{p: {st: ownOwned, pos: p.Pos()}})
-				switch exit[p].st {
-				case ownOwned, ownRaw, ownMaybe:
-					// Obligation survives on some path: not consumed.
-				case ownUntracked, ownReleased:
-					if known == nil {
-						known = map[int]bool{}
-						facts.consumes[c.fn] = known
-					}
-					known[i] = true
-					changed = true
-				}
-			}
-		}
-	}
+	pr.owns = facts
 	return facts
 }
 
@@ -318,57 +242,45 @@ func isBufSlice(t types.Type) bool {
 	return ok && isBufPtr(s.Elem())
 }
 
-// ownChecker runs the ownership problem over one function. With pass set it
-// reports; the inference fixpoint runs it silently (pass == nil keeps
-// reporting off even when the same transfer code executes).
+// ownChecker runs the ownership problem over one function.
 type ownChecker struct {
-	pr     *Program
-	pass   *Pass // nil during inference
-	pkg    *Package
-	info   *types.Info
-	facts  *ownFacts
-	fn     *types.Func
-	yields map[*types.Func]bool
+	pass  *Pass
+	info  *types.Info
+	facts *ownFacts
+	fn    *types.Func
 
+	// reporting is off while the solver iterates and on for the single
+	// replay of the solution, so each finding is reported once.
 	reporting bool
 }
 
-// check solves the ownership problem for fd (with entry as the initial
-// state; nil for the normal empty entry) and, when a pass is attached,
-// replays the solution for reporting. It returns the state at exit, after
-// deferred calls.
-func (oc *ownChecker) check(fd *ast.FuncDecl, entry ownMap) ownMap {
+// check solves the ownership problem for fd, replays the solution to report
+// findings, and reports the obligations still live at exit, after deferred
+// calls.
+func (oc *ownChecker) check(fd *ast.FuncDecl) {
 	g := flow.Build(fd, oc.info)
 	ins := flow.Solve(g, flow.Problem[ownSt]{
-		Dir:      flow.Forward,
 		Bottom:   func() ownSt { return ownSt{} },
-		Entry:    func() ownSt { return ownSt{reached: true, m: copyOwn(entry)} },
+		Entry:    func() ownSt { return ownSt{reached: true, m: ownMap{}} },
 		Join:     ownJoin,
 		Equal:    ownEq,
 		Transfer: oc.transfer,
 		Refine:   oc.refine,
 	})
+	oc.reporting = true
 	exit := ownMap{}
-	oc.reporting = oc.pass != nil
 	for _, blk := range g.Blocks {
 		out := oc.transfer(blk, ins[blk])
 		if blk == g.Exit && out.reached {
 			exit = out.m
 		}
 	}
-	oc.reporting = false
 	oc.leakCheck(fd, exit)
-	return exit
 }
 
 // leakCheck reports every obligation still live at exit, at its acquisition
 // site.
 func (oc *ownChecker) leakCheck(fd *ast.FuncDecl, exit ownMap) {
-	if oc.pass == nil {
-		return
-	}
-	oc.reporting = true
-	defer func() { oc.reporting = false }()
 	type leak struct {
 		v   *types.Var
 		val ownVal
@@ -376,7 +288,7 @@ func (oc *ownChecker) leakCheck(fd *ast.FuncDecl, exit ownMap) {
 	var leaks []leak
 	//ccnic:nondet-ok sorted-collect: totally ordered below by (pos, name)
 	for v, val := range exit {
-		if val.st == ownOwned || val.st == ownRaw || val.st == ownMaybe {
+		if val.st == ownOwned || val.st == ownMaybe {
 			leaks = append(leaks, leak{v, val})
 		}
 	}
@@ -392,8 +304,6 @@ func (oc *ownChecker) leakCheck(fd *ast.FuncDecl, exit ownMap) {
 			pos = fd.Pos()
 		}
 		switch l.val.st {
-		case ownRaw:
-			oc.reportf(pos, "raw buffer %s is not transferred on every path to return; the pool count stays wrong", l.v.Name())
 		case ownMaybe:
 			oc.reportf(pos, "buffer %s is released or transferred on some paths to return but not all", l.v.Name())
 		case ownOwned:
@@ -405,10 +315,7 @@ func (oc *ownChecker) leakCheck(fd *ast.FuncDecl, exit ownMap) {
 }
 
 func (oc *ownChecker) reportf(pos token.Pos, format string, args ...any) {
-	if !oc.reporting || oc.pass == nil {
-		return
-	}
-	if oc.pr.Suppressed(oc.pkg, pos, AnnotOwnOK) {
+	if !oc.reporting || oc.pass.Prog.Suppressed(oc.pass.Pkg, pos, AnnotOwnOK) {
 		return
 	}
 	oc.pass.Report(pos, format, args...)
@@ -607,14 +514,14 @@ func (oc *ownChecker) assignTo(l ast.Expr, val ownVal, st ownMap, h map[*ast.Ide
 	l = ast.Unparen(l)
 	if id, ok := l.(*ast.Ident); ok {
 		if id.Name == "_" {
-			if val.st == ownOwned || val.st == ownRaw {
+			if val.st == ownOwned {
 				oc.reportf(id.Pos(), "owned buffer discarded by assignment to _; it is never released")
 			}
 			return
 		}
 		if v := oc.trackedVar(id); v != nil {
 			h[id] = true
-			if old := st[v]; old.st == ownOwned || old.st == ownRaw || old.st == ownMaybe {
+			if old := st[v]; old.st == ownOwned || old.st == ownMaybe {
 				oc.reportf(id.Pos(), "buffer %s overwritten while still owned; the previous buffer leaks", id.Name)
 			}
 			if val.st == ownUntracked {
@@ -666,7 +573,7 @@ func (oc *ownChecker) declStmt(ds *ast.DeclStmt, st ownMap, h map[*ast.Ident]boo
 // to the caller, legal only when the function advertises it via //ccnic:owns
 // (callers would otherwise leak silently).
 func (oc *ownChecker) ret(r *ast.ReturnStmt, st ownMap, h map[*ast.Ident]bool) {
-	acq, annotated := oc.facts.acquires[oc.fn]
+	annotated := oc.facts.acquires[oc.fn]
 	for _, res := range r.Results {
 		res = ast.Unparen(res)
 		if id, ok := res.(*ast.Ident); ok {
@@ -676,10 +583,6 @@ func (oc *ownChecker) ret(r *ast.ReturnStmt, st ownMap, h map[*ast.Ident]bool) {
 				case ownOwned:
 					if !annotated {
 						oc.reportf(id.Pos(), "returning owned buffer %s from a function not annotated //ccnic:owns; callers will leak it", id.Name)
-					}
-				case ownRaw:
-					if !annotated || acq != ownRaw {
-						oc.reportf(id.Pos(), "returning raw buffer %s requires the function be annotated //ccnic:owns raw", id.Name)
 					}
 				case ownReleased, ownMaybe:
 					oc.useAfter(id, st[v].st)
@@ -692,8 +595,7 @@ func (oc *ownChecker) ret(r *ast.ReturnStmt, st ownMap, h map[*ast.Ident]bool) {
 		}
 		if call, ok := res.(*ast.CallExpr); ok {
 			val := oc.call(call, st, h, true)
-			if (val.st == ownOwned && !annotated) ||
-				(val.st == ownRaw && (!annotated || acq != ownRaw)) {
+			if val.st == ownOwned && !annotated {
 				oc.reportf(res.Pos(), "returning an owned buffer from a function not annotated //ccnic:owns; callers will leak it")
 			}
 			continue
@@ -722,8 +624,7 @@ func (oc *ownChecker) expr(e ast.Expr, st ownMap, h map[*ast.Ident]bool) {
 }
 
 // call applies one call's ownership effects: consumed arguments transfer,
-// yielding callees must not see raw buffers, and an acquiring callee's
-// result must be captured.
+// and an acquiring callee's result must be captured.
 func (oc *ownChecker) call(call *ast.CallExpr, st ownMap, h map[*ast.Ident]bool, captured bool) ownVal {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
 		if _, isBuiltin := oc.info.Uses[id].(*types.Builtin); isBuiltin {
@@ -759,41 +660,14 @@ func (oc *ownChecker) call(call *ast.CallExpr, st ownMap, h map[*ast.Ident]bool,
 		}
 	}
 
-	if callee != nil && oc.yields[callee] {
-		oc.rawAcrossYield(call, callee, st)
-	}
-
-	if callee != nil {
-		if acq, ok := oc.facts.acquires[callee]; ok {
-			if !captured {
-				oc.reportf(call.Pos(), "owned buffer returned by %s is discarded; it is never released", callee.Name())
-				return ownVal{}
-			}
-			return ownVal{st: acq, pos: call.Pos()}
+	if callee != nil && oc.facts.acquires[callee] {
+		if !captured {
+			oc.reportf(call.Pos(), "owned buffer returned by %s is discarded; it is never released", callee.Name())
+			return ownVal{}
 		}
+		return ownVal{st: ownOwned, pos: call.Pos()}
 	}
 	return ownVal{}
-}
-
-// rawAcrossYield reports every raw buffer live across a yielding call: the
-// pool's accounting is inconsistent while another process can run — the
-// PR 2 conservation bug, proven statically.
-func (oc *ownChecker) rawAcrossYield(call *ast.CallExpr, callee *types.Func, st ownMap) {
-	if !oc.reporting {
-		return
-	}
-	var raws []*types.Var
-	//ccnic:nondet-ok sorted-collect: ordered below by position
-	for v, val := range st {
-		if val.st == ownRaw {
-			raws = append(raws, v)
-		}
-	}
-	sort.Slice(raws, func(i, j int) bool { return raws[i].Pos() < raws[j].Pos() })
-	for _, v := range raws {
-		oc.reportf(call.Pos(), "raw buffer %s is held across yielding call %s (%s); another process can observe the inconsistent pool count",
-			v.Name(), callee.Name(), oc.pr.YieldChain(callee))
-	}
 }
 
 // consume transfers ownership of one argument into the callee.
@@ -807,7 +681,7 @@ func (oc *ownChecker) consume(a ast.Expr, st ownMap, h map[*ast.Ident]bool) {
 				oc.reportf(id.Pos(), "buffer %s is released or transferred a second time on this path", id.Name)
 			case ownMaybe:
 				oc.reportf(id.Pos(), "buffer %s may already be released or transferred on a path reaching here", id.Name)
-			case ownUntracked, ownRaw, ownOwned:
+			case ownUntracked, ownOwned:
 				// A single live release: exactly the contract.
 			}
 			st[v] = ownVal{st: ownReleased, pos: st[v].pos}

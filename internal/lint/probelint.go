@@ -89,7 +89,8 @@ func isProbeType(t types.Type) bool {
 // probeGuarded reports whether the hook use at `use` (a call or a method
 // value) is dominated by a nil check: an enclosing `if recv != nil`
 // (possibly as an && conjunct, with the use in the then-branch), or an
-// earlier `if recv == nil { return/panic }` sibling in an enclosing block.
+// earlier `if recv == nil { return/panic }` sibling in an enclosing block,
+// inside the innermost function literal or declaration around the use.
 func probeGuarded(pass *Pass, recv ast.Expr, use ast.Node, stack []ast.Node) bool {
 	recvStr := types.ExprString(recv)
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -114,46 +115,13 @@ func probeGuarded(pass *Pass, recv ast.Expr, use ast.Node, stack []ast.Node) boo
 				}
 			}
 		case *ast.FuncLit:
-			// A guard outside a closure does not dominate uses inside it in
-			// general — the closure may run later, after the hook changed.
-			// A literal invoked in place (`func() { ... }()`, not deferred
-			// or go'd) runs synchronously under the guard, so domination
-			// continues through it.
-			if !immediatelyInvoked(n, stack, i) {
-				return false
-			}
-		}
-	}
-	return false
-}
-
-// immediatelyInvoked reports whether the literal at stack index idx is the
-// function operand of a plain call at its definition site. Defer and go
-// calls run later, after guards may have been invalidated, so they do not
-// count.
-func immediatelyInvoked(lit *ast.FuncLit, stack []ast.Node, idx int) bool {
-	j := idx - 1
-	for j >= 0 {
-		if _, ok := stack[j].(*ast.ParenExpr); ok {
-			j--
-			continue
-		}
-		break
-	}
-	if j < 0 {
-		return false
-	}
-	call, ok := stack[j].(*ast.CallExpr)
-	if !ok || ast.Unparen(call.Fun) != lit {
-		return false
-	}
-	if j > 0 {
-		switch stack[j-1].(type) {
-		case *ast.DeferStmt, *ast.GoStmt:
+			// A guard outside a closure does not dominate uses inside it: the
+			// closure may run later, after the hook changed. Invoked in place
+			// or not, the literal needs its own guard.
 			return false
 		}
 	}
-	return true
+	return false
 }
 
 // condHasNotNil reports whether cond contains `expr != nil` as a top-level

@@ -13,9 +13,9 @@ import (
 // composition layer can violate the lookahead contract in ways the runtime
 // only catches at simulation time (and only on exercised paths). Shardlint
 // moves that to compile time: Link.Send and Engine.Connect may appear only
-// in the shard runtime itself and in packages that assemble shard
-// topologies (internal/cluster, internal/fabric). Audited exceptions carry
-// //ccnic:shard-boundary with a rationale.
+// in the shard runtime itself and in the package that assembles shard
+// topologies (internal/fabric). There is no suppression key: a new boundary
+// package is added to the list below.
 var Shardlint = &Analyzer{
 	Name: "shardlint",
 	Doc:  "confine shard.Link.Send and shard.Engine.Connect to declared link-boundary packages",
@@ -23,12 +23,11 @@ var Shardlint = &Analyzer{
 }
 
 // shardBoundaryPkgs are the packages allowed to send across shards and to
-// declare new links: the runtime itself and the topology-composition layers.
+// declare new links: the runtime itself and the topology-composition layer.
 // (A var, not a const map, so the suite's self-test can shrink it and prove
 // the analyzer fires.)
 var shardBoundaryPkgs = map[string]bool{
 	"ccnic/internal/sim/shard": true,
-	"ccnic/internal/cluster":   true,
 	"ccnic/internal/fabric":    true,
 }
 
@@ -70,13 +69,9 @@ func runShardlint(pass *Pass) error {
 			}
 			switch fn.FullName() {
 			case shardLinkSend:
-				if !pass.Prog.Suppressed(pass.Pkg, call.Pos(), AnnotShardBoundary) {
-					pass.Report(call.Pos(), "shard.Link.Send outside a declared link boundary: cross-shard traffic belongs to the topology layer (internal/cluster); annotate //ccnic:shard-boundary if this package declares its own links")
-				}
+				pass.Report(call.Pos(), "shard.Link.Send outside a declared link boundary: cross-shard traffic belongs to the topology layer (internal/fabric)")
 			case shardEngineConnect:
-				if !pass.Prog.Suppressed(pass.Pkg, call.Pos(), AnnotShardBoundary) {
-					pass.Report(call.Pos(), "shard.Engine.Connect outside a topology-composition package: declare link boundaries where shards are assembled, or annotate //ccnic:shard-boundary")
-				}
+				pass.Report(call.Pos(), "shard.Engine.Connect outside a topology-composition package: declare link boundaries where shards are assembled (internal/fabric)")
 			}
 			return true
 		})

@@ -48,17 +48,3 @@ func (p *pool) recycleIfCold(it *item) {
 
 // warm is unannotated; the call above is covered by //ccnic:alloc-ok.
 func warm(it *item) *item { return it }
-
-// drain exercises the escape-aware closure rule: both literals capture
-// variables, but neither value leaves the function — one is invoked in
-// place, the other is bound to a local used only in call position — so no
-// closure is heap-allocated.
-//
-//ccnic:noalloc
-func (p *pool) drain(n int) {
-	trim := func(k int) { p.free = p.free[:k] }
-	for i := n; i > 0; i-- {
-		trim(i - 1)
-	}
-	func() { p.head = nil }()
-}

@@ -1,7 +1,7 @@
 // Package ownbad violates the linear-ownership contract in every way the
 // analyzer distinguishes: leaks on all or some paths, double releases, uses
-// after release, discarded and unannotated owned returns, and a raw buffer
-// held across a yield.
+// after release, discarded and unannotated owned returns, and a buffer
+// handed to a helper that frees it without being annotated to consume it.
 package ownbad
 
 // Buf is a pool buffer; the analyzer recognizes the type by name.
@@ -37,31 +37,6 @@ func (p *Port) Free(b *Buf) {
 	p.outstanding--
 	p.free = append(p.free, b)
 }
-
-// pop removes the free-list top without accounting for it.
-//
-//ccnic:owns raw
-func (p *Port) pop() *Buf {
-	n := len(p.free)
-	if n == 0 {
-		return nil
-	}
-	b := p.free[n-1]
-	p.free = p.free[:n-1]
-	return b
-}
-
-// take accounts a popped buffer, consuming the raw obligation.
-//
-//ccnic:transfer
-func (p *Port) take(b *Buf) {
-	p.outstanding++
-}
-
-// charge models a blocking simulated-time charge.
-//
-//ccnic:yields
-func charge() {}
 
 // leak never releases the buffer on any path.
 func (p *Port) leak() {
@@ -117,14 +92,6 @@ func (p *Port) escape() *Buf {
 	return b // want "from a function not annotated"
 }
 
-// rawEscape returns a raw buffer from a function annotated for owned ones.
-//
-//ccnic:owns
-func (p *Port) rawEscape() *Buf {
-	b := p.pop()
-	return b // want "requires the function be annotated"
-}
-
 // overwrite drops the first buffer by reassigning the variable.
 func (p *Port) overwrite() {
 	b := p.Alloc()
@@ -132,16 +99,15 @@ func (p *Port) overwrite() {
 	p.Free(b)
 }
 
-// rawLeak pops and forgets: the pool count stays wrong forever.
-func (p *Port) rawLeak() {
-	b := p.pop() // want "raw buffer b is not transferred on every path"
-	b.refs++
+// forget frees its parameter on every path, but only a //ccnic:transfer
+// annotation makes a function consume a buffer: callers still own what they
+// pass it.
+func (p *Port) forget(b *Buf) {
+	p.Free(b)
 }
 
-// popAcrossYield holds the raw buffer across the charge — the exact shape
-// of the PR 2 conservation bug.
-func (p *Port) popAcrossYield() {
-	b := p.pop()
-	charge() // want "raw buffer b is held across yielding call charge"
-	p.take(b)
+// viaUnannotated hands its buffer to forget, which only borrows it.
+func (p *Port) viaUnannotated() {
+	b := p.Alloc() // want "owned buffer b is not released or transferred on every path"
+	p.forget(b)
 }

@@ -1,8 +1,7 @@
 // Package ownclean exercises every idiom the ownership analyzer must accept:
 // nil-guarded early returns, conditional releases, moves, transfers through
-// append / channel send / ring store, deferred releases, the raw pop-take
-// fast path with the charge outside the span, and a consuming helper whose
-// summary is inferred rather than annotated.
+// append / channel send / ring store, deferred releases, a function that
+// consumes a buffer and hands it back owned, and a consuming helper.
 package ownclean
 
 // Buf is a pool buffer; the analyzer recognizes the type by name.
@@ -39,21 +38,8 @@ func (p *Port) Free(b *Buf) {
 	p.free = append(p.free, b)
 }
 
-// pop removes the free-list top without accounting for it.
-//
-//ccnic:owns raw
-func (p *Port) pop() *Buf {
-	n := len(p.free)
-	if n == 0 {
-		return nil
-	}
-	b := p.free[n-1]
-	p.free = p.free[:n-1]
-	return b
-}
-
-// take accounts a popped buffer: it consumes the raw obligation and hands
-// the same buffer back as an owned allocation.
+// take consumes a buffer and hands the same buffer back as a new owned
+// allocation, as bufpool's take does.
 //
 //ccnic:transfer
 //ccnic:owns
@@ -61,11 +47,6 @@ func (p *Port) take(b *Buf) *Buf {
 	p.outstanding++
 	return b
 }
-
-// charge models a blocking simulated-time charge.
-//
-//ccnic:yields
-func charge() {}
 
 // roundTrip is the straight-line acquire-use-release shape.
 func (p *Port) roundTrip() {
@@ -136,20 +117,21 @@ func (p *Port) move() {
 	}
 }
 
-// popTake is the fixed PR 2 fast path: the raw span closes at take, and
-// only then does the charge yield.
-func (p *Port) popTake() {
-	b := p.pop()
+// retake reassigns the variable to take's result: the consumed buffer and
+// the reacquired one are one obligation, released once.
+func (p *Port) retake() {
+	b := p.Alloc()
 	if b == nil {
 		return
 	}
 	b = p.take(b)
-	charge()
 	p.Free(b)
 }
 
-// drop is deliberately unannotated: the interprocedural fixpoint must infer
-// that it consumes b, because every path through it releases.
+// drop consumes b on every path, and says so with //ccnic:transfer: that
+// annotation is the only way a helper takes ownership.
+//
+//ccnic:transfer
 func (p *Port) drop(b *Buf) {
 	if b == nil {
 		return
@@ -157,7 +139,7 @@ func (p *Port) drop(b *Buf) {
 	p.Free(b)
 }
 
-// viaHelper relies on drop's inferred summary.
+// viaHelper hands its buffer to the consuming helper.
 func (p *Port) viaHelper() {
 	b := p.Alloc()
 	p.drop(b)

@@ -29,16 +29,6 @@ func (s *sys) earlyExit() {
 	s.probe.Event(4)
 }
 
-// immediate exercises guard-then-immediate-closure: the literal runs in
-// place, synchronously under the guard, so domination continues through it.
-func (s *sys) immediate() {
-	if s.probe != nil {
-		func() {
-			s.probe.Event(5)
-		}()
-	}
-}
-
 // methodValue exercises the guarded method-value pattern: the take happens
 // under the guard, and the bound value is then safe to call anywhere.
 func (s *sys) methodValue() func(int) {

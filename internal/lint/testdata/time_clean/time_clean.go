@@ -1,7 +1,6 @@
 // Package timeclean shows the accepted simulated-time idioms: unit-constant
-// scaling, zero comparisons, fresh and re-captured snapshots, ordered
-// deadline comparisons across yields, and a justified //ccnic:time-ok
-// equality.
+// scaling, zero comparisons, fresh and re-captured snapshots, and ordered
+// deadline comparisons across yields.
 package timeclean
 
 // Time is simulated time in picoseconds.
@@ -58,11 +57,4 @@ func deadline(c *Clock) bool {
 	end := c.Now() + 5*Microsecond
 	c.wait()
 	return c.Now() < end
-}
-
-// replay justifies a deliberate stale equality with a rationale.
-func replay(c *Clock) bool {
-	start := c.Now()
-	c.wait()
-	return start == c.Now() //ccnic:time-ok replay detection: equality means the charge was zero
 }

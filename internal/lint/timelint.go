@@ -27,7 +27,8 @@ import (
 //     dataflow problem over the function's CFG: Now-snapshots go stale at
 //     the first yielding call).
 //
-// //ccnic:time-ok suppresses a finding with a rationale.
+// There is no suppression key: code that must bridge the two clocks or
+// scale raw time values belongs in an exempt package.
 var Timelint = &Analyzer{
 	Name: "timelint",
 	Doc:  "enforce sim.Time discipline: no wall-clock mixing, no literal durations, no stale-timestamp equality",
@@ -87,11 +88,6 @@ func isWallClock(t types.Type) bool {
 // checkTimeSyntax applies the two flow-insensitive rules to fd's body.
 func checkTimeSyntax(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
-	report := func(pos token.Pos, format string, args ...any) {
-		if !pass.Prog.Suppressed(pass.Pkg, pos, AnnotTimeOK) {
-			pass.Report(pos, format, args...)
-		}
-	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -103,9 +99,9 @@ func checkTimeSyntax(pass *Pass, fd *ast.FuncDecl) {
 			dst := tv.Type
 			src := info.Types[n.Args[0]].Type
 			if isSimTime(dst) && mentionsWallClock(info, n.Args[0]) {
-				report(n.Pos(), "conversion from wall-clock time to sim.Time outside internal/platform; simulated time advances only through the kernel")
+				pass.Report(n.Pos(), "conversion from wall-clock time to sim.Time outside internal/platform; simulated time advances only through the kernel")
 			} else if isWallClock(dst) && (isSimTime(src) || mentionsSimTime(info, n.Args[0])) {
-				report(n.Pos(), "conversion from sim.Time to a wall-clock type outside internal/platform")
+				pass.Report(n.Pos(), "conversion from sim.Time to a wall-clock type outside internal/platform")
 			}
 		case *ast.BinaryExpr:
 			switch n.Op {
@@ -115,9 +111,9 @@ func checkTimeSyntax(pass *Pass, fd *ast.FuncDecl) {
 			}
 			x, y := info.Types[n.X], info.Types[n.Y]
 			if isSimTime(x.Type) && isNonZeroIntLit(n.Y, y) {
-				report(n.Y.Pos(), "sim.Time %s bare literal: spell durations from the sim unit constants", n.Op)
+				pass.Report(n.Y.Pos(), "sim.Time %s bare literal: spell durations from the sim unit constants", n.Op)
 			} else if isSimTime(y.Type) && isNonZeroIntLit(n.X, x) {
-				report(n.X.Pos(), "sim.Time %s bare literal: spell durations from the sim unit constants", n.Op)
+				pass.Report(n.X.Pos(), "sim.Time %s bare literal: spell durations from the sim unit constants", n.Op)
 			}
 		}
 		return true
@@ -234,9 +230,7 @@ func checkStaleNow(pass *Pass, fd *ast.FuncDecl) {
 					if !ok || !st[v].stale || !nowDerived(info, st, pair[1]) {
 						continue
 					}
-					if !pass.Prog.Suppressed(pass.Pkg, bin.Pos(), AnnotTimeOK) {
-						pass.Report(bin.Pos(), "timestamp %s was captured before a yielding call; an equality comparison against the current time is stale", id.Name)
-					}
+					pass.Report(bin.Pos(), "timestamp %s was captured before a yielding call; an equality comparison against the current time is stale", id.Name)
 					break
 				}
 				return true
@@ -268,7 +262,6 @@ func checkStaleNow(pass *Pass, fd *ast.FuncDecl) {
 	}
 
 	ins := flow.Solve(g, flow.Problem[nowSt]{
-		Dir:    flow.Forward,
 		Bottom: func() nowSt { return nowSt{} },
 		Entry:  func() nowSt { return nowSt{reached: true, m: nowMap{}} },
 		Join: func(a, b nowSt) nowSt {
