@@ -44,16 +44,18 @@ type result struct {
 	stall   sim.Time // wait for a prior in-flight store to commit
 }
 
-// accessLine performs the UPI/MESIF coherence protocol for a single line —
-// the access method of the UPI backend (callers go through the protocol
-// interface; the CXL equivalent lives in cxl.go).
+// access performs the coherence protocol for a single line at issue time:
+// an L2 hit or upgrade, else the data comes from the owner, a sharer, or
+// memory. Both protocols run this walk and enter it only at the decision
+// points in protocol.go.
+//
 // write selects RFO semantics; fullLine marks stores that overwrite the
 // entire line, which acquire ownership without fetching the stale data
 // (the ItoM / full-line-store optimization — data then crosses the
 // interconnect once per producer-consumer cycle, not twice); quiet marks
 // hardware prefetches, which follow different migration rules and charge no
 // demand latency.
-func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool) result {
+func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) result {
 	now := s.k.Now()
 	p := s.plat
 	ctr := &s.counters[a.socket]
@@ -69,54 +71,43 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 		lat := p.L2Hit
 		crossed := false
 		if len(d.sharers) > 1 || d.owner != nil || !d.holds(a.l2) {
-			lat, crossed = s.invalidateOthers(d, a.l2, now)
+			lat, crossed = s.invalidateLat(d, a.l2, line, now)
 			if crossed {
 				ctr.RemoteRFO++
 			}
 		}
 		d.removeSharer(a.l2)
-		for _, c := range d.sharers {
-			c.drop(line)
-		}
-		d.sharers = d.sharers[:0]
+		s.dropCopies(d, a.l2, line)
 		d.owner = a.l2
 		e.state = Modified
 		if commit := now + lat; commit > d.pendingUntil {
 			d.pendingUntil = commit
 		}
+		s.track(a, line)
 		s.lineEvent(line)
 		return result{lat: lat, crossed: crossed}
 	}
 
 	// L2 miss: find the data.
 	d := s.ent(line)
-	var lat sim.Time
-	var queue sim.Time
-	crossed := false
+	var lat, queue sim.Time
+	crossed, dataMoved := false, false
 	home := mem.Home(line)
 
 	// An in-flight store by the current owner blocks forwarding: the
 	// requester stalls until the store commits, then pays its own access.
-	var stall sim.Time
-	if d.pendingUntil > now {
-		stall = d.pendingUntil - now
+	stall := d.pendingStall(now)
+
+	biasLat, reclaimed := s.reclaimBias(a, line)
+	if reclaimed {
+		crossed = true
+		d = s.ent(line) // the flush may have emptied (gc'd) the entry
 	}
 
-	dataMoved := false
-	transfer := func(srcSocket int) {
-		dir := interconn.DirFromTo(srcSocket, a.socket)
-		queue = s.link.Data(now, dir, mem.LineSize)
-		crossed = true
-		dataMoved = true
-		if home == a.socket {
-			// Reader-homed: the home controller issues a useless
-			// speculative memory read alongside the snoop.
-			lat = p.RemoteLH
-			ctr.SpecMemRead++
-		} else {
-			lat = p.RemoteRH
-		}
-		lat += queue
+	transfer := func(srcSocket int, fromCache bool) {
+		queue = s.link.Data(now, interconn.DirFromTo(srcSocket, a.socket), mem.LineSize)
+		lat = s.fetchLat(a, home, fromCache) + queue
+		crossed, dataMoved = true, true
 	}
 
 	// Demand reads mutate coherence state at *completion*, not at issue:
@@ -128,80 +119,60 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 	switch {
 	case d.owner != nil:
 		owner := d.owner
-		if fullLine && write {
-			// ItoM: invalidate the stale copy without moving data.
-			if owner.socket != a.socket {
-				dir := interconn.DirFromTo(a.socket, owner.socket)
-				s.link.Ctrl(now, dir)
-				s.link.Ctrl(now, dir.Opposite())
-				lat = p.RemoteInval
+		switch {
+		case fullLine && write:
+			// ItoM: invalidate the stale copy without moving data (a
+			// trusted-absent snoop filter issues no crossing).
+			if owner.socket == a.socket || s.skipsDeviceSnoop(a.l2, line) {
+				lat = p.LLCHit
+			} else {
+				s.ctrlPair(now, interconn.DirFromTo(a.socket, owner.socket))
+				lat = s.invalCost()
 				crossed = true
-			} else {
-				lat = p.LLCHit
 			}
-		} else if owner.socket == a.socket {
-			if owner.isLLC {
-				lat = p.LLCHit
-			} else {
-				lat = p.LocalFwd
-			}
-		} else {
-			transfer(owner.socket)
+		case owner.socket == a.socket:
+			lat = s.localLat(owner)
+		case s.skipsDeviceSnoop(a.l2, line):
+			// The filter claims the device holds nothing (reachable only
+			// when it is stale): the host reads its own memory directly.
+			lat = p.LocalDRAM
+		default:
+			transfer(owner.socket, true)
 		}
 		switch {
 		case write:
 			// RFO with migratory dirty forwarding (or ItoM above).
-			owner.drop(line)
-			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			s.dropCopies(d, a.l2, line)
+			s.fill(d, a, line, Modified)
 		case quiet:
-			// Prefetch read: demote the owner to Shared (writing
-			// the dirty data back to home) and fill Shared.
-			d.owner = nil
-			if owner.isLLC {
-				owner.drop(line)
-			} else {
-				owner.touch(line, Shared)
-				d.sharers = append(d.sharers, owner)
-			}
-			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
-			if home != owner.socket {
-				s.counters[owner.socket].Writebacks++
-			}
+			// Prefetch read: demote the owner and fill Shared.
+			s.demoteOwner(d, line)
+			s.fill(d, a, line, Shared)
 		}
 	case len(d.sharers) > 0:
 		src := s.nearestSharer(d, a.socket)
-		if fullLine && write {
+		switch {
+		case fullLine && write:
 			lat = 0 // invalidation cost charged below
-		} else if src.socket == a.socket {
-			if src.isLLC {
-				lat = p.LLCHit
-			} else {
-				lat = p.LocalFwd
-			}
-		} else {
-			transfer(src.socket)
+		case src.socket == a.socket:
+			lat = s.localLat(src)
+		case s.skipsDeviceSnoop(a.l2, line):
+			lat = p.LocalDRAM // stale-filter path: read memory, skip the snoop
+		default:
+			transfer(src.socket, true)
 		}
 		if write {
-			ilat, icrossed := s.invalidateOthers(d, a.l2, now)
-			if ilat > lat {
-				lat = ilat
-			}
+			ilat, icrossed := s.invalidateLat(d, a.l2, line, now)
+			lat = max(lat, ilat)
 			crossed = crossed || icrossed
-			for _, c := range d.sharers {
-				c.drop(line)
-			}
-			d.sharers = d.sharers[:0]
-			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			s.dropCopies(d, a.l2, line)
+			s.fill(d, a, line, Modified)
 		} else if quiet {
 			if src == s.llc[a.socket] {
 				src.drop(line)
 				d.removeSharer(src)
 			}
-			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
+			s.fill(d, a, line, Shared)
 		}
 	default: // memory
 		switch {
@@ -211,31 +182,23 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 			if home == a.socket {
 				lat = p.LLCHit
 			} else {
-				dir := interconn.DirFromTo(home, a.socket)
-				s.link.Ctrl(now, dir)
-				s.link.Ctrl(now, dir.Opposite())
-				lat = p.RemoteInval
+				s.ctrlPair(now, interconn.DirFromTo(home, a.socket))
+				lat = s.invalCost()
 				crossed = true
 			}
 		case home == a.socket:
 			lat = p.LocalDRAM
 		default:
-			dir := interconn.DirFromTo(home, a.socket)
-			queue = s.link.Data(now, dir, mem.LineSize)
-			lat = p.RemoteDRAM + queue
-			crossed = true
-			dataMoved = true
+			transfer(home, false)
 		}
 		if write {
-			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			s.fill(d, a, line, Modified)
 		} else if quiet {
-			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
+			s.fill(d, a, line, Shared)
 		}
 	}
 
-	lat += stall
+	lat += biasLat + stall
 	ctr.StallTime += stall
 	if write {
 		if commit := now + lat; commit > d.pendingUntil {
@@ -252,14 +215,16 @@ func (s *System) accessLine(a *Agent, line mem.Addr, write, quiet, fullLine bool
 	if quiet {
 		ctr.Prefetches++
 	}
+	if write || quiet {
+		s.track(a, line)
+	}
 	s.lineEvent(line)
 	return result{lat: lat, crossed: crossed, data: dataMoved, queue: queue, stall: stall}
 }
 
 // commitRead applies a demand read's state transition at completion time,
 // based on the directory's state at that moment (the line may have moved
-// while the fetch was in flight; the resolution is defensive). It is the
-// UPI backend's commitRead method.
+// while the fetch was in flight; the resolution is defensive).
 func (s *System) commitRead(a *Agent, line mem.Addr) {
 	if a.l2.peek(line) != nil {
 		return // already resident (raced with another fill)
@@ -267,75 +232,98 @@ func (s *System) commitRead(a *Agent, line mem.Addr) {
 	d := s.ent(line)
 	switch {
 	case d.owner != nil:
-		owner := d.owner
 		switch {
-		case s.mutation == MutateStaleMigration:
+		case s.cxl == nil && s.mutation == MutateStaleMigration:
 			// Deliberate defect (engine self-tests): migrate ownership
 			// without invalidating the previous owner's copy.
-			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
-		case s.noMigrate:
-			// Ablation: demote the owner to Shared (writing the dirty
-			// data back to home) and fill the reader Shared. The
-			// owner's next store then pays an upgrade/invalidate
-			// crossing — the extra roundtrip traffic Fig 8/17 measure.
-			d.owner = nil
-			if owner.isLLC {
-				owner.drop(line)
-			} else {
-				owner.touch(line, Shared)
-				d.sharers = append(d.sharers, owner)
-			}
-			d.sharers = append(d.sharers, a.l2)
-			a.l2.insertMiss(line, Shared)
-			if mem.Home(line) != owner.socket {
-				s.counters[owner.socket].Writebacks++
-			}
-		default:
+			s.fill(d, a, line, Modified)
+		case s.migrates():
 			// Migratory dirty forwarding: ownership moves to the reader.
-			owner.drop(line)
-			d.owner = a.l2
-			a.l2.insertMiss(line, Modified)
+			d.owner.drop(line)
+			s.fill(d, a, line, Modified)
+		default:
+			// No migration (CXL, or the UPI ablation): the reader fills
+			// Shared and the owner's next store pays an
+			// upgrade/invalidate crossing — the extra roundtrip traffic
+			// Fig 8/17 measure.
+			s.demoteOwner(d, line)
+			s.fill(d, a, line, Shared)
 		}
-	case len(d.sharers) > 0:
+	default:
 		if llc := s.llc[a.socket]; d.holds(llc) {
 			// Victim-cache semantics: the line moves up.
 			llc.drop(line)
 			d.removeSharer(llc)
 		}
-		d.sharers = append(d.sharers, a.l2)
-		a.l2.insertMiss(line, Shared)
-	default:
-		d.sharers = append(d.sharers, a.l2)
-		a.l2.insertMiss(line, Shared)
+		s.fill(d, a, line, Shared)
 	}
+	s.track(a, line)
 	s.lineEvent(line)
 }
 
-// invalidateOthers snoops out every copy except keeper's, returning the
-// snoop latency and whether the snoop crossed the interconnect. It does not
-// mutate the directory; callers drop copies themselves.
-func (s *System) invalidateOthers(d *dirEntry, keeper *Cache, now sim.Time) (sim.Time, bool) {
+// fill inserts line into a's L2 in state st (Modified or Shared) and
+// records a as its owner or as a sharer.
+func (s *System) fill(d *dirEntry, a *Agent, line mem.Addr, st State) {
+	if st == Modified {
+		d.owner = a.l2
+	} else {
+		d.sharers = append(d.sharers, a.l2)
+	}
+	a.l2.insertMiss(line, st)
+}
+
+// demoteOwner demotes the line's Modified owner to Shared, writing the dirty
+// data back to home (counted when home is across the link); an LLC owner
+// gives the line up instead.
+func (s *System) demoteOwner(d *dirEntry, line mem.Addr) {
+	owner := d.owner
+	d.owner = nil
+	if owner.isLLC {
+		owner.drop(line)
+	} else {
+		owner.touch(line, Shared)
+		d.sharers = append(d.sharers, owner)
+	}
+	if mem.Home(line) != owner.socket {
+		s.counters[owner.socket].Writebacks++
+	}
+}
+
+// localLat is the latency of a same-socket source: the LLC, or a forward
+// from a peer L2.
+func (s *System) localLat(src *Cache) sim.Time {
+	if src.isLLC {
+		return s.plat.LLCHit
+	}
+	return s.plat.LocalFwd
+}
+
+// ctrlPair charges a control-message roundtrip: dir, then the reply.
+func (s *System) ctrlPair(now sim.Time, dir interconn.Direction) {
+	s.link.Ctrl(now, dir)
+	s.link.Ctrl(now, dir.Opposite())
+}
+
+// invalidateLat returns the snoop latency of invalidating every copy except
+// keeper's and whether the snoop crossed the interconnect, charging its
+// control messages. It does not mutate the directory; dropCopies does.
+func (s *System) invalidateLat(d *dirEntry, keeper *Cache, line mem.Addr, now sim.Time) (sim.Time, bool) {
+	skip := s.skipsDeviceSnoop(keeper, line)
 	lat := sim.Time(0)
 	crossed := false
-	seenRemote := [2]bool{}
 	consider := func(c *Cache) {
-		if c == keeper {
-			return
-		}
-		if c.socket != keeper.socket {
-			if !seenRemote[c.socket] {
-				seenRemote[c.socket] = true
-				dir := interconn.DirFromTo(keeper.socket, c.socket)
-				s.link.Ctrl(now, dir)
-				s.link.Ctrl(now, dir.Opposite())
+		switch {
+		case c == keeper:
+		case c.socket == keeper.socket:
+			lat = max(lat, s.plat.LLCHit) // local snoop via the caching agent
+		case skip && c.socket == deviceSocket:
+			// Trusted-absent per the snoop filter: no crossing.
+		default:
+			if !crossed {
+				s.ctrlPair(now, interconn.DirFromTo(keeper.socket, c.socket))
 				crossed = true
 			}
-			if s.plat.RemoteInval > lat {
-				lat = s.plat.RemoteInval
-			}
-		} else if s.plat.LLCHit > lat {
-			lat = s.plat.LLCHit // local snoop via the caching agent
+			lat = max(lat, s.invalCost())
 		}
 	}
 	if d.owner != nil {
@@ -345,6 +333,26 @@ func (s *System) invalidateOthers(d *dirEntry, keeper *Cache, now sim.Time) (sim
 		consider(c)
 	}
 	return lat, crossed
+}
+
+// dropCopies invalidates every copy except keeper's and clears the
+// directory's owner and sharers. A device copy the snoop filter trusts to be
+// absent is not dropped (see skipsDeviceSnoop): under a stale filter it
+// survives.
+func (s *System) dropCopies(d *dirEntry, keeper *Cache, line mem.Addr) {
+	skip := s.skipsDeviceSnoop(keeper, line)
+	if d.owner != nil {
+		if d.owner != keeper && !(skip && d.owner.socket == deviceSocket) {
+			d.owner.drop(line)
+		}
+		d.owner = nil
+	}
+	for _, c := range d.sharers {
+		if c != keeper && !(skip && c.socket == deviceSocket) {
+			c.drop(line)
+		}
+	}
+	d.sharers = d.sharers[:0]
 }
 
 // nearestSharer picks the lowest-cost source among clean sharers: an L2 on
@@ -396,7 +404,7 @@ func (a *Agent) WriteAsync(p *sim.Proc, addr mem.Addr, size int) (visibleAt sim.
 	visibleAt = p.Now()
 	mem.Lines(addr, size, func(line mem.Addr) {
 		full := line >= addr && line+mem.LineSize <= addr+mem.Addr(size)
-		r := a.sys.proto.access(a, line, true, false, full)
+		r := a.sys.access(a, line, true, false, full)
 		// The store buffer hides the transfer latency but not the wait
 		// behind earlier in-flight stores to the same line: a backed-up
 		// line fills the buffer and throttles the core.
@@ -426,7 +434,7 @@ func (a *Agent) SoftPrefetch(addr mem.Addr) {
 	if a.l2.peek(line) != nil {
 		return
 	}
-	a.sys.proto.access(a, line, false, true, false)
+	a.sys.access(a, line, false, true, false)
 }
 
 // Poll performs a load that does not train the hardware prefetcher —
@@ -456,11 +464,11 @@ func (a *Agent) serialAccess(p *sim.Proc, addr mem.Addr, size int, write, train 
 	total := sim.Time(0)
 	mem.Lines(addr, size, func(line mem.Addr) {
 		full := write && line >= addr && line+mem.LineSize <= addr+mem.Addr(size)
-		r := a.sys.proto.access(a, line, write, false, full)
+		r := a.sys.access(a, line, write, false, full)
 		total += r.lat
 		p.Sleep(r.lat)
 		if !write {
-			a.sys.proto.commitRead(a, line)
+			a.sys.commitRead(a, line)
 		}
 		if train {
 			a.trainPrefetch(line, write)
@@ -488,27 +496,10 @@ func (a *Agent) stream(p *sim.Proc, addr mem.Addr, size int, write bool) sim.Tim
 		size = 1
 	}
 	total := sim.Time(0)
-	first := true
 	firstLine := mem.LineOf(addr)
 	mem.Lines(addr, size, func(line mem.Addr) {
 		full := write && line >= addr && line+mem.LineSize <= addr+mem.Addr(size)
-		r := a.sys.proto.access(a, line, write, false, full)
-		var cost sim.Time
-		if first {
-			cost = r.lat
-			first = false
-		} else {
-			cost = a.bwCost(r.data)
-			if r.queue > cost {
-				cost = r.queue
-			}
-			cost += r.stall
-		}
-		total += cost
-		p.Sleep(cost)
-		if !write {
-			a.sys.proto.commitRead(a, line)
-		}
+		total += a.overlapLine(p, line, write, full, line == firstLine)
 	})
 	// Train the prefetcher on the stream's start so buffer-to-buffer
 	// strides are observed (the within-stream lines are already pipelined).
@@ -532,24 +523,26 @@ func (a *Agent) gather(p *sim.Proc, lines []mem.Addr, write bool) sim.Time {
 	a.pressure(p)
 	total := sim.Time(0)
 	for i, line := range lines {
-		r := a.sys.proto.access(a, line, write, false, write)
-		var cost sim.Time
-		if i == 0 {
-			cost = r.lat
-		} else {
-			cost = a.bwCost(r.data)
-			if r.queue > cost {
-				cost = r.queue
-			}
-			cost += r.stall
-		}
-		total += cost
-		p.Sleep(cost)
-		if !write {
-			a.sys.proto.commitRead(a, line)
-		}
+		total += a.overlapLine(p, line, write, write, i == 0)
 	}
 	return total
+}
+
+// overlapLine performs one line of an overlapped (memory-level parallel)
+// access and returns its cost: the first line pays its full latency; later
+// lines pay the larger of their bandwidth cost and link queueing, plus any
+// wait behind an in-flight store.
+func (a *Agent) overlapLine(p *sim.Proc, line mem.Addr, write, full, first bool) sim.Time {
+	r := a.sys.access(a, line, write, false, full)
+	cost := r.lat
+	if !first {
+		cost = max(a.bwCost(r.data), r.queue) + r.stall
+	}
+	p.Sleep(cost)
+	if !write {
+		a.sys.commitRead(a, line)
+	}
+	return cost
 }
 
 // bwCost is the amortized per-line cost of an overlapped access: remote
@@ -607,7 +600,7 @@ func (a *Agent) Flush(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 		cost := flushCost
 		if d != nil {
 			if d.hasRemote(a.socket) {
-				cost += s.plat.RemoteInval
+				cost += s.invalCost()
 			}
 			if d.owner != nil && mem.Home(line) != d.owner.socket {
 				s.link.Data(s.k.Now(), interconn.DirFromTo(d.owner.socket, mem.Home(line)), mem.LineSize)
@@ -651,7 +644,7 @@ func (a *Agent) trainPrefetch(line mem.Addr, write bool) {
 				for k := int64(1); k <= prefetchDegree; k++ {
 					target := mem.Addr(int64(line) + k*cur)
 					if mem.Home(target) == mem.Home(line) && a.l2.peek(target) == nil {
-						s.proto.access(a, mem.LineOf(target), write, true, false)
+						s.access(a, mem.LineOf(target), write, true, false)
 					}
 				}
 			}

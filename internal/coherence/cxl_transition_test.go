@@ -29,7 +29,8 @@ func cxlHarness(t *testing.T, plat *platform.Platform, fn func(p *sim.Proc, s *S
 // TestCXLTransitionTable is the CXL analogue of TestTransitionTable: for
 // every reachable initial placement of a line and every host-requester event
 // it asserts the requester's final cache state, the directory composition,
-// the interconnect crossings, writebacks, and the protocol-private state the
+// the interconnect crossings, writebacks, the latency the requester paid
+// (at the CXL latency points), and the protocol-private state the
 // UPI backend does not have — the host snoop filter (host-homed lines) and
 // the bias state (device-homed HDM lines).
 //
@@ -39,6 +40,8 @@ func cxlHarness(t *testing.T, plat *platform.Platform, fn func(p *sim.Proc, s *S
 // lines because the device's setup read reclaims the line to device bias,
 // flushing the host's copy first.
 func TestCXLTransitionTable(t *testing.T) {
+	plat := platform.ICX()
+	cx := plat.CXL
 	type expect struct {
 		state    State // requester's final L2 state
 		owner    rune  // directory owner after the event: R or 0
@@ -50,67 +53,76 @@ func TestCXLTransitionTable(t *testing.T) {
 		wb0, wb1 int         // Writebacks deltas by socket
 		filter   FilterState // home-0 lines: snoop filter after the event
 		bias     BiasState   // home-1 lines: bias after the event
+		lat      sim.Time    // requester latency (a prefetch costs nothing)
 	}
 	type event struct {
 		name string
-		run  func(p *sim.Proc, r *Agent, line mem.Addr)
+		run  func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time
 	}
 	events := []event{
-		{"read", func(p *sim.Proc, r *Agent, line mem.Addr) { r.Read(p, line, 8) }},
-		{"write", func(p *sim.Proc, r *Agent, line mem.Addr) { r.Write(p, line, 8) }},
-		{"fullwrite", func(p *sim.Proc, r *Agent, line mem.Addr) { r.Write(p, line, mem.LineSize) }},
+		{"read", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { return r.Read(p, line, 8) }},
+		{"write", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { return r.Write(p, line, 8) }},
+		{"fullwrite", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { return r.Write(p, line, mem.LineSize) }},
+		{"prefetch", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { r.SoftPrefetch(line); return 0 }},
 	}
 	type placement struct {
 		name  string
 		setup func(p *sim.Proc, r, lp, n *Agent, line mem.Addr)
-		want  [2][3]expect // [home][event]
+		want  [2][4]expect // [home][event]
 	}
 	placements := []placement{
 		{
 			name:  "invalid",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) {},
-			want: [2][3]expect{
+			want: [2][4]expect{
 				{
+					{state: Shared, sharers: 1, lat: plat.LocalDRAM},
+					{state: Modified, owner: 'R', lat: plat.LocalDRAM},
+					{state: Modified, owner: 'R', lat: plat.LLCHit},
 					{state: Shared, sharers: 1},
-					{state: Modified, owner: 'R'},
-					{state: Modified, owner: 'R'},
 				},
 				{
-					{state: Shared, sharers: 1, read: 1, data: true, bias: HostBias},
-					{state: Modified, owner: 'R', rfo: 1, data: true, bias: HostBias},
+					// CXL.mem reads of HDM resolve at the device's DCOH.
+					{state: Shared, sharers: 1, read: 1, data: true, bias: HostBias, lat: cx.MemRead},
+					{state: Modified, owner: 'R', rfo: 1, data: true, bias: HostBias, lat: cx.MemRead},
 					// The CXL ItoM analogue: ownership grant, no data fetch.
-					{state: Modified, owner: 'R', rfo: 1, bias: HostBias},
+					{state: Modified, owner: 'R', rfo: 1, bias: HostBias, lat: cx.Inval},
+					{state: Shared, sharers: 1, read: 1, data: true, bias: HostBias},
 				},
 			},
 		},
 		{
 			name:  "self-shared",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { r.Read(p, line, 8) },
-			want: [2][3]expect{
+			want: [2][4]expect{
 				{
-					{state: Shared, sharers: 1},
-					{state: Modified, owner: 'R'}, // sole sharer: silent upgrade
-					{state: Modified, owner: 'R'},
+					{state: Shared, sharers: 1, lat: plat.L2Hit},
+					{state: Modified, owner: 'R', lat: plat.L2Hit}, // sole sharer: silent upgrade
+					{state: Modified, owner: 'R', lat: plat.L2Hit},
+					{state: Shared, sharers: 1}, // already resident: no-op
 				},
 				{
+					{state: Shared, sharers: 1, bias: HostBias, lat: plat.L2Hit},
+					{state: Modified, owner: 'R', bias: HostBias, lat: plat.L2Hit},
+					{state: Modified, owner: 'R', bias: HostBias, lat: plat.L2Hit},
 					{state: Shared, sharers: 1, bias: HostBias},
-					{state: Modified, owner: 'R', bias: HostBias},
-					{state: Modified, owner: 'R', bias: HostBias},
 				},
 			},
 		},
 		{
 			name:  "self-modified",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { r.Write(p, line, 8) },
-			want: [2][3]expect{
+			want: [2][4]expect{
 				{
-					{state: Modified, owner: 'R'},
-					{state: Modified, owner: 'R'},
+					{state: Modified, owner: 'R', lat: plat.L2Hit},
+					{state: Modified, owner: 'R', lat: plat.L2Hit},
+					{state: Modified, owner: 'R', lat: plat.L2Hit},
 					{state: Modified, owner: 'R'},
 				},
 				{
-					{state: Modified, owner: 'R', bias: HostBias},
-					{state: Modified, owner: 'R', bias: HostBias},
+					{state: Modified, owner: 'R', bias: HostBias, lat: plat.L2Hit},
+					{state: Modified, owner: 'R', bias: HostBias, lat: plat.L2Hit},
+					{state: Modified, owner: 'R', bias: HostBias, lat: plat.L2Hit},
 					{state: Modified, owner: 'R', bias: HostBias},
 				},
 			},
@@ -118,70 +130,80 @@ func TestCXLTransitionTable(t *testing.T) {
 		{
 			name:  "local-peer-modified",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { lp.Write(p, line, 8) },
-			want: [2][3]expect{
+			want: [2][4]expect{
 				{
 					// No migration: the peer is demoted to Shared in place.
+					{state: Shared, sharers: 2, lat: plat.LocalFwd},
+					{state: Modified, owner: 'R', peerGone: true, lat: plat.LocalFwd},
+					{state: Modified, owner: 'R', peerGone: true, lat: plat.LLCHit},
 					{state: Shared, sharers: 2},
-					{state: Modified, owner: 'R', peerGone: true},
-					{state: Modified, owner: 'R', peerGone: true},
 				},
 				{
 					// Dirty HDM data written back across the link on demote.
+					{state: Shared, sharers: 2, wb0: 1, bias: HostBias, lat: plat.LocalFwd},
+					{state: Modified, owner: 'R', peerGone: true, bias: HostBias, lat: plat.LocalFwd},
+					{state: Modified, owner: 'R', peerGone: true, bias: HostBias, lat: plat.LLCHit},
 					{state: Shared, sharers: 2, wb0: 1, bias: HostBias},
-					{state: Modified, owner: 'R', peerGone: true, bias: HostBias},
-					{state: Modified, owner: 'R', peerGone: true, bias: HostBias},
 				},
 			},
 		},
 		{
 			name:  "local-peer-shared",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { lp.Read(p, line, 8) },
-			want: [2][3]expect{
+			want: [2][4]expect{
 				{
+					{state: Shared, sharers: 2, lat: plat.LocalFwd},
+					{state: Modified, owner: 'R', peerGone: true, lat: plat.LocalFwd},
+					// Full-line store: only the local snoop is paid.
+					{state: Modified, owner: 'R', peerGone: true, lat: plat.LLCHit},
 					{state: Shared, sharers: 2},
-					{state: Modified, owner: 'R', peerGone: true},
-					{state: Modified, owner: 'R', peerGone: true},
 				},
 				{
+					{state: Shared, sharers: 2, bias: HostBias, lat: plat.LocalFwd},
+					{state: Modified, owner: 'R', peerGone: true, bias: HostBias, lat: plat.LocalFwd},
+					{state: Modified, owner: 'R', peerGone: true, bias: HostBias, lat: plat.LLCHit},
 					{state: Shared, sharers: 2, bias: HostBias},
-					{state: Modified, owner: 'R', peerGone: true, bias: HostBias},
-					{state: Modified, owner: 'R', peerGone: true, bias: HostBias},
 				},
 			},
 		},
 		{
 			name:  "remote-modified",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { n.Write(p, line, 8) },
-			want: [2][3]expect{
+			want: [2][4]expect{
 				{
 					// Demote, not migrate: the device keeps a Shared copy and
-					// its dirty data is written home; the filter follows.
+					// its dirty data is written home; the filter follows. The
+					// host reaches the device's dirty copy with an H2D snoop.
+					{state: Shared, sharers: 2, read: 1, data: true, wb1: 1, filter: FilterShared, lat: cx.Snoop},
+					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, filter: FilterAbsent, lat: cx.Snoop},
+					{state: Modified, owner: 'R', rfo: 1, peerGone: true, filter: FilterAbsent, lat: cx.Inval},
 					{state: Shared, sharers: 2, read: 1, data: true, wb1: 1, filter: FilterShared},
-					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, filter: FilterAbsent},
-					{state: Modified, owner: 'R', rfo: 1, peerGone: true, filter: FilterAbsent},
 				},
 				{
 					// Device dirty in its own HDM: no writeback crosses on
 					// demote (the data is already home).
+					{state: Shared, sharers: 2, read: 1, data: true, bias: HostBias, lat: cx.MemRead},
+					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, bias: HostBias, lat: cx.MemRead},
+					{state: Modified, owner: 'R', rfo: 1, peerGone: true, bias: HostBias, lat: cx.Inval},
 					{state: Shared, sharers: 2, read: 1, data: true, bias: HostBias},
-					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, bias: HostBias},
-					{state: Modified, owner: 'R', rfo: 1, peerGone: true, bias: HostBias},
 				},
 			},
 		},
 		{
 			name:  "remote-shared",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { n.Read(p, line, 8) },
-			want: [2][3]expect{
+			want: [2][4]expect{
 				{
+					{state: Shared, sharers: 2, read: 1, data: true, filter: FilterShared, lat: cx.Snoop},
+					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, filter: FilterAbsent, lat: cx.Snoop},
+					{state: Modified, owner: 'R', rfo: 1, peerGone: true, filter: FilterAbsent, lat: cx.Inval},
 					{state: Shared, sharers: 2, read: 1, data: true, filter: FilterShared},
-					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, filter: FilterAbsent},
-					{state: Modified, owner: 'R', rfo: 1, peerGone: true, filter: FilterAbsent},
 				},
 				{
+					{state: Shared, sharers: 2, read: 1, data: true, bias: HostBias, lat: cx.MemRead},
+					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, bias: HostBias, lat: cx.MemRead},
+					{state: Modified, owner: 'R', rfo: 1, peerGone: true, bias: HostBias, lat: cx.Inval},
 					{state: Shared, sharers: 2, read: 1, data: true, bias: HostBias},
-					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, bias: HostBias},
-					{state: Modified, owner: 'R', rfo: 1, peerGone: true, bias: HostBias},
 				},
 			},
 		},
@@ -191,19 +213,21 @@ func TestCXLTransitionTable(t *testing.T) {
 				r.Read(p, line, 8)
 				n.Read(p, line, 8)
 			},
-			want: [2][3]expect{
+			want: [2][4]expect{
 				{
-					{state: Shared, sharers: 2, filter: FilterShared}, // L2 hit
-					{state: Modified, owner: 'R', rfo: 1, peerGone: true, filter: FilterAbsent},
-					{state: Modified, owner: 'R', rfo: 1, peerGone: true, filter: FilterAbsent},
+					{state: Shared, sharers: 2, filter: FilterShared, lat: plat.L2Hit}, // L2 hit
+					{state: Modified, owner: 'R', rfo: 1, peerGone: true, filter: FilterAbsent, lat: cx.Inval},
+					{state: Modified, owner: 'R', rfo: 1, peerGone: true, filter: FilterAbsent, lat: cx.Inval},
+					{state: Shared, sharers: 2, filter: FilterShared}, // already resident: no-op
 				},
 				{
 					// The device's setup read reclaimed the HDM line to
 					// device bias and flushed the host copy: the requester
 					// re-misses across the link.
+					{state: Shared, sharers: 2, read: 1, data: true, bias: HostBias, lat: cx.MemRead},
+					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, bias: HostBias, lat: cx.MemRead},
+					{state: Modified, owner: 'R', rfo: 1, peerGone: true, bias: HostBias, lat: cx.Inval},
 					{state: Shared, sharers: 2, read: 1, data: true, bias: HostBias},
-					{state: Modified, owner: 'R', rfo: 1, data: true, peerGone: true, bias: HostBias},
-					{state: Modified, owner: 'R', rfo: 1, peerGone: true, bias: HostBias},
 				},
 			},
 		},
@@ -215,7 +239,7 @@ func TestCXLTransitionTable(t *testing.T) {
 				name := fmt.Sprintf("home%d/%s/%s", home, pl.name, ev.name)
 				t.Run(name, func(t *testing.T) {
 					want := pl.want[home][ei]
-					cxlHarness(t, platform.ICX(), func(p *sim.Proc, s *System) {
+					cxlHarness(t, plat, func(p *sim.Proc, s *System) {
 						r := s.NewAgent(0, "R")
 						lp := s.NewAgent(0, "P")
 						n := s.NewAgent(1, "N")
@@ -229,7 +253,10 @@ func TestCXLTransitionTable(t *testing.T) {
 						lk := s.Link().Stats()
 						data0 := lk.DataBytes[0] + lk.DataBytes[1]
 
-						ev.run(p, r, line)
+						lat := ev.run(p, r, line)
+						if lat != want.lat {
+							t.Errorf("latency %v, want %v", lat, want.lat)
+						}
 
 						st := Invalid
 						if e := r.l2.peek(line); e != nil {
@@ -388,6 +415,25 @@ func TestCXLSnoopFilterTracking(t *testing.T) {
 		step(FilterAbsent, "host write invalidates the device")
 		if n.l2.peek(line) != nil {
 			t.Error("device copy survived the host RFO")
+		}
+	})
+}
+
+// TestCXLFlushPricesCrossing pins Flush's cross-link invalidation at the CXL
+// invalidate cost: a host flush of a host-homed line the device caches pays
+// the flush plus one CXL.Inval crossing, not UPI's RemoteInval.
+func TestCXLFlushPricesCrossing(t *testing.T) {
+	plat := platform.ICX()
+	cxlHarness(t, plat, func(p *sim.Proc, s *System) {
+		h := s.NewAgent(0, "H")
+		n := s.NewAgent(1, "N")
+		line := s.Space().AllocLines(0, 1)
+		n.Read(p, line, 8)
+		if want, got := 25*sim.Nanosecond+plat.CXL.Inval, h.Flush(p, line, 8); got != want {
+			t.Errorf("host Flush of a device-cached line = %v, want %v", got, want)
+		}
+		if n.l2.peek(line) != nil {
+			t.Error("device copy survived the flush")
 		}
 	})
 }

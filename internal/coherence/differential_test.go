@@ -193,3 +193,38 @@ func TestProtocolDivergence(t *testing.T) {
 			cTime, uTime)
 	}
 }
+
+// TestNewSystemProtocol checks protocol selection: each implemented protocol
+// builds a system that reports it and a link that carries its label, and an
+// out-of-range value panics naming the value instead of silently building
+// UPI.
+func TestNewSystemProtocol(t *testing.T) {
+	for _, tc := range []struct {
+		proto Protocol
+		panic string // expected panic message, or "" for a valid protocol
+	}{
+		{ProtoUPI, ""},
+		{ProtoCXL, ""},
+		{Protocol(2), "coherence: unknown protocol Protocol(2)"},
+		{Protocol(255), "coherence: unknown protocol Protocol(255)"},
+	} {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			defer func() {
+				got := recover()
+				if tc.panic == "" && got != nil {
+					t.Fatalf("panicked: %v", got)
+				}
+				if tc.panic != "" && got != tc.panic {
+					t.Fatalf("panic %v, want %q", got, tc.panic)
+				}
+			}()
+			s := NewSystemProto(sim.New(), platform.ICX(), tc.proto)
+			if got := s.Protocol(); got != tc.proto {
+				t.Errorf("Protocol() = %v, want %v", got, tc.proto)
+			}
+			if got := s.Link().Label(); got != tc.proto.String() {
+				t.Errorf("link label %q, want %q", got, tc.proto.String())
+			}
+		})
+	}
+}

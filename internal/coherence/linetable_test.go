@@ -98,7 +98,7 @@ func TestLineTableSlotsStable(t *testing.T) {
 // TestReadOnlyLookupsDoNotMaterialize checks that the read-only paths —
 // directory lookups, CheckLine, DeviceReadLine and cache peeks — leave an
 // untouched, far-away line's span unmaterialized and allocate nothing, on
-// both protocol backends.
+// both protocols.
 func TestReadOnlyLookupsDoNotMaterialize(t *testing.T) {
 	for _, pr := range []Protocol{ProtoUPI, ProtoCXL} {
 		t.Run(pr.String(), func(t *testing.T) {
@@ -121,8 +121,8 @@ func TestReadOnlyLookupsDoNotMaterialize(t *testing.T) {
 					m, l := tableNodes(&c.slots)
 					n += m + l
 				}
-				if b, ok := s.proto.(*cxlBackend); ok {
-					m, l := tableNodes(&b.state)
+				if s.cxl != nil {
+					m, l := tableNodes(&s.cxl.state)
 					n += m + l
 				}
 				return n

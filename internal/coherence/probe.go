@@ -84,18 +84,18 @@ const (
 	// MutateStaleMigration breaks migratory dirty forwarding: a demand
 	// read migrates ownership without invalidating the previous owner,
 	// leaving a stale Modified copy the directory does not know about.
-	// UPI backend only (CXL has no migratory forwarding).
+	// UPI only (CXL has no migratory forwarding).
 	MutateStaleMigration
 	// MutateCXLSnoopDrop breaks the CXL host-managed snoop filter: a
 	// device-side fill or upgrade of a host-homed line is never recorded,
 	// so the host — which consults the filter, not the directory, to
 	// decide whether to snoop across the link — later skips invalidating
-	// the device's copy, leaving stale state behind. CXL backend only.
+	// the device's copy, leaving stale state behind. CXL only.
 	MutateCXLSnoopDrop
 	// MutateCXLBiasLeak breaks CXL bias management: a device reclaim of a
 	// host-bias HDM line flips the bias without flushing host-side copies
 	// — the directory forgets them while the host caches keep stale
-	// lines, which the engine's full scan reports. CXL backend only.
+	// lines, which the engine's full scan reports. CXL only.
 	MutateCXLBiasLeak
 )
 
@@ -116,14 +116,25 @@ func (s *System) CorruptSharerSetForTest(line mem.Addr) bool {
 
 // CheckLine validates the directory entry for one line against the caches it
 // names: owner and sharers are mutually exclusive, the owner really holds
-// the line Modified, and every sharer holds it Shared exactly once. It is
-// O(sharers) and allocation-free, cheap enough to run after every line
-// event; stray copies unknown to the directory require the full
-// CheckInvariants scan.
+// the line Modified, and every sharer holds it Shared exactly once; under
+// CXL the line's snoop filter or bias must agree too. It is O(sharers) and
+// allocation-free, cheap enough to run after every line event; stray copies
+// unknown to the directory require the full CheckInvariants scan.
 func (s *System) CheckLine(line mem.Addr) error {
+	if err := s.checkDirLine(line); err != nil {
+		return err
+	}
+	if s.cxl != nil {
+		return s.cxl.checkLine(line)
+	}
+	return nil
+}
+
+// checkDirLine is CheckLine's protocol-independent half.
+func (s *System) checkDirLine(line mem.Addr) error {
 	d := s.lookup(line)
 	if d == nil {
-		return s.proto.checkLine(line)
+		return nil
 	}
 	if d.owner != nil {
 		if len(d.sharers) > 0 {
@@ -139,7 +150,7 @@ func (s *System) CheckLine(line mem.Addr) error {
 			return fmt.Errorf("line %#x: owner %s holds it %v, want M",
 				line, d.owner.name, e.state)
 		}
-		return s.proto.checkLine(line)
+		return nil
 	}
 	for i, c := range d.sharers {
 		for _, prev := range d.sharers[:i] {
@@ -157,5 +168,5 @@ func (s *System) CheckLine(line mem.Addr) error {
 				line, c.name, e.state)
 		}
 	}
-	return s.proto.checkLine(line)
+	return nil
 }

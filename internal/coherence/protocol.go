@@ -10,10 +10,10 @@ import (
 	"ccnic/internal/sim"
 )
 
-// Protocol identifies a coherent-interconnect protocol backend. The backend
-// decides how an access resolves (who is snooped, where data comes from, what
-// it costs) and what protocol-private state exists beside the directory; the
-// shared System owns the caches, the directory, the link, and the counters.
+// Protocol identifies a coherent-interconnect protocol. Both protocols run
+// the same coherence walk over the shared caches, directory, link, and
+// counters; they differ only at the decision points below and in the
+// protocol-private state beside the directory (cxl.go).
 type Protocol uint8
 
 // The implemented protocols.
@@ -41,7 +41,7 @@ func (p Protocol) String() string {
 }
 
 // ParseProtocol resolves a protocol name ("upi", "cxl", case-insensitive; ""
-// selects the default UPI backend).
+// selects the default UPI protocol).
 func ParseProtocol(name string) (Protocol, error) {
 	switch strings.ToLower(name) {
 	case "", "upi":
@@ -52,71 +52,122 @@ func ParseProtocol(name string) (Protocol, error) {
 	return 0, fmt.Errorf("coherence: unknown protocol %q (want UPI or CXL)", name)
 }
 
-// backend is the protocol engine behind a System. Both implementations live
-// in this package: they share the caches, directory, link, and counters, and
-// differ in transition rules, latency/bandwidth points, and protocol-private
-// state (the CXL backend's snoop filter and bias map).
-type backend interface {
-	// protocol identifies the backend.
-	protocol() Protocol
-	// access performs the protocol for one line at issue time (see
-	// System.accessLine for the contract; demand reads mutate state at
-	// commitRead, writes and prefetches at issue).
-	access(a *Agent, line mem.Addr, write, quiet, fullLine bool) result
-	// commitRead applies a demand read's state transition at completion.
-	commitRead(a *Agent, line mem.Addr)
-	// residencyChanged notifies the backend that a shared residency path
-	// (eviction, flush/NT drop, PCIe DMA side effect) mutated the line's
-	// holders, so protocol-private state can follow.
-	residencyChanged(line mem.Addr)
-	// checkLine extends CheckLine with protocol-private per-line checks.
-	checkLine(line mem.Addr) error
-	// checkSystem extends CheckInvariants with protocol-private scans.
-	checkSystem() error
-}
-
-// upiBackend is the paper's symmetric UPI/MESIF protocol. Its transition and
-// timing logic predates the protocol interface and lives on System
-// (accessLine, commitRead); the backend has no private state, so the shared
-// directory checks are complete for it.
-type upiBackend struct{ s *System }
-
-func (b upiBackend) protocol() Protocol { return ProtoUPI }
-
-func (b upiBackend) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) result {
-	return b.s.accessLine(a, line, write, quiet, fullLine)
-}
-
-func (b upiBackend) commitRead(a *Agent, line mem.Addr) { b.s.commitRead(a, line) }
-
-func (b upiBackend) residencyChanged(mem.Addr) {}
-
-func (b upiBackend) checkLine(mem.Addr) error { return nil }
-
-func (b upiBackend) checkSystem() error { return nil }
-
 // linkProfile builds the interconnect profile for a protocol on a platform.
 // UPI provisions the wire to carry the calibrated data bandwidth plus
 // per-flit protocol bytes; CXL does the same over its single x16 phy and
-// thinner 68-byte flits.
+// thinner 68-byte flits. An unknown protocol panics, naming the value.
 func linkProfile(plat *platform.Platform, pr Protocol) interconn.Profile {
 	switch pr {
+	case ProtoUPI:
+		wire := plat.UPIBandwidth * float64(mem.LineSize+plat.UPIHeader) / float64(mem.LineSize)
+		return interconn.Profile{Name: "UPI", WireBW: wire, Header: plat.UPIHeader, CtrlMsg: plat.UPICtrlMsg}
 	case ProtoCXL:
 		cx := &plat.CXL
 		wire := cx.LinkBandwidth * float64(mem.LineSize+cx.FlitHeader) / float64(mem.LineSize)
 		return interconn.Profile{Name: "CXL", WireBW: wire, Header: cx.FlitHeader, CtrlMsg: cx.CtrlMsg}
-	//ccnic:default-ok UPI is the baseline profile; an unknown protocol must still produce finite link numbers
-	default:
-		wire := plat.UPIBandwidth * float64(mem.LineSize+plat.UPIHeader) / float64(mem.LineSize)
-		return interconn.Profile{Name: "UPI", WireBW: wire, Header: plat.UPIHeader, CtrlMsg: plat.UPICtrlMsg}
 	}
+	panic(fmt.Sprintf("coherence: unknown protocol %v", pr))
 }
 
 // Protocol returns the system's coherence protocol.
-func (s *System) Protocol() Protocol { return s.proto.protocol() }
+func (s *System) Protocol() Protocol {
+	if s.cxl != nil {
+		return ProtoCXL
+	}
+	return ProtoUPI
+}
+
+// The protocol decision points. The coherence walk (access, commitRead,
+// invalidateLat, dropCopies in agent.go) is shared by both protocols and
+// consults the protocol only here; s.cxl is nil under UPI.
+
+// fetchLat (point 1) is the demand latency of a cross-link data fetch toward
+// requester a, served from a cache (fromCache) or from the line's home
+// memory. Under UPI a reader-homed fetch from a remote cache also issues a
+// speculative home memory read, which it counts. Under CXL, device requests
+// resolve at the host (cache forward or host DRAM), host requests to HDM at
+// the device's DCOH, and a host fetch of a host-homed line from the device
+// is an H2D snoop.
+func (s *System) fetchLat(a *Agent, home int, fromCache bool) sim.Time {
+	p := s.plat
+	if s.cxl != nil {
+		switch {
+		case a.socket == deviceSocket && fromCache:
+			return p.CXL.CacheFwd
+		case a.socket == hostSocket && home == hostSocket:
+			return p.CXL.Snoop
+		}
+		return p.CXL.MemRead
+	}
+	switch {
+	case !fromCache:
+		return p.RemoteDRAM
+	case home == a.socket:
+		// Reader-homed: the home controller issues a useless
+		// speculative memory read alongside the snoop.
+		s.counters[a.socket].SpecMemRead++
+		return p.RemoteLH
+	}
+	return p.RemoteRH
+}
+
+// invalCost (point 2) is the latency of an invalidate-only crossing: a
+// snoop-invalidate, or an ownership grant without data.
+func (s *System) invalCost() sim.Time {
+	if s.cxl != nil {
+		return s.plat.CXL.Inval
+	}
+	return s.plat.RemoteInval
+}
+
+// skipsDeviceSnoop (point 3) reports whether a request by keeper's socket
+// may skip snooping the device: under CXL, when the host's snoop filter
+// says the device holds none of a host-homed line. UPI always snoops.
+//
+//ccnic:noalloc
+func (s *System) skipsDeviceSnoop(keeper *Cache, line mem.Addr) bool {
+	return s.cxl != nil && s.cxl.skipsDeviceSnoop(keeper, line)
+}
+
+// reclaimBias (point 4) runs before a device access to its own HDM line in
+// host bias (CXL only). It reports the reclaim roundtrip's latency and
+// whether a reclaim happened.
+func (s *System) reclaimBias(a *Agent, line mem.Addr) (sim.Time, bool) {
+	if s.cxl == nil {
+		return 0, false
+	}
+	return s.cxl.reclaimBias(a, line)
+}
+
+// track (point 5) updates protocol-private state after requester a's
+// transition of line.
+//
+//ccnic:noalloc
+func (s *System) track(a *Agent, line mem.Addr) {
+	if s.cxl != nil {
+		s.cxl.track(a, line)
+	}
+}
+
+// residencyChanged (point 5) lets protocol-private state follow a residency
+// change made by a path outside the walk (evictions, flush/NT drops, PCIe
+// DMA side effects).
+//
+//ccnic:noalloc
+func (s *System) residencyChanged(line mem.Addr) {
+	if s.cxl != nil {
+		s.cxl.residencyChanged(line)
+	}
+}
+
+// migrates (point 6) reports whether a demand read of a Modified line
+// migrates ownership to the reader. UPI migrates unless the ablation turned
+// it off; CXL never does, so its reads demote the holder to Shared — the
+// same rule as the ablation.
+func (s *System) migrates() bool { return s.cxl == nil && !s.noMigrate }
 
 // pendingStall returns how long a requester arriving now must wait behind an
-// in-flight ownership-acquiring store to the line (shared by both backends).
+// in-flight ownership-acquiring store to the line.
 func (d *dirEntry) pendingStall(now sim.Time) sim.Time {
 	if d.pendingUntil > now {
 		return d.pendingUntil - now

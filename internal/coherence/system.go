@@ -51,10 +51,10 @@ type System struct {
 	plat  *platform.Platform
 	space *mem.Space
 	link  *interconn.Link
-	// proto is the protocol engine (UPI/MESIF or CXL.cache/CXL.mem); it
-	// owns transition rules and protocol-private state, while System owns
-	// caches, directory, link, and counters.
-	proto backend
+	// cxl is the CXL protocol's private state (snoop filter, bias map); nil
+	// under UPI. The protocol enters the shared walk only at the decision
+	// points in protocol.go.
+	cxl *cxlState
 
 	llc      [2]*Cache
 	agents   [2][]*Agent
@@ -86,9 +86,9 @@ func NewSystem(k *sim.Kernel, plat *platform.Platform) *System {
 	return NewSystemProto(k, plat, ProtoUPI)
 }
 
-// NewSystemProto builds a coherent memory system running the given protocol
-// backend. The interconnect link is provisioned from the protocol's
-// bandwidth/flit parameters on the platform.
+// NewSystemProto builds a coherent memory system running the given
+// protocol. The interconnect link is provisioned from the protocol's
+// bandwidth/flit parameters on the platform. An unknown protocol panics.
 func NewSystemProto(k *sim.Kernel, plat *platform.Platform, pr Protocol) *System {
 	s := &System{
 		k:     k,
@@ -98,12 +98,8 @@ func NewSystemProto(k *sim.Kernel, plat *platform.Platform, pr Protocol) *System
 
 		ntLineCost: sim.Time(float64(mem.LineSize) / plat.PCIe.NTStoreBW * float64(sim.Nanosecond)),
 	}
-	switch pr {
-	case ProtoCXL:
-		s.proto = newCXLBackend(s)
-	//ccnic:default-ok UPI is the baseline backend; construction must never leave proto nil
-	default:
-		s.proto = upiBackend{s}
+	if pr == ProtoCXL {
+		s.cxl = &cxlState{s: s}
 	}
 	for i := 0; i < 2; i++ {
 		s.llc[i] = newCache(s, fmt.Sprintf("llc%d", i), i, plat.LLCBytes, true)
@@ -249,7 +245,7 @@ func (s *System) evicted(c *Cache, line mem.Addr, st State) {
 			d.removeSharer(c)
 		}
 		s.gc(line, d)
-		s.proto.residencyChanged(line)
+		s.residencyChanged(line)
 		return
 	}
 	// L2 victim: hand to the socket LLC, preserving dirtiness.
@@ -260,13 +256,13 @@ func (s *System) evicted(c *Cache, line mem.Addr, st State) {
 		d.removeSharer(c)
 		if d.holds(llc) || d.owner == llc {
 			llc.touch(line, st) // refresh recency only
-			s.proto.residencyChanged(line)
+			s.residencyChanged(line)
 			return
 		}
 		d.sharers = append(d.sharers, llc)
 	}
 	llc.insertMiss(line, st)
-	s.proto.residencyChanged(line)
+	s.residencyChanged(line)
 }
 
 //ccnic:noalloc
@@ -300,7 +296,7 @@ func (s *System) dropEverywhere(line mem.Addr, sock int) bool {
 	}
 	d.sharers = d.sharers[:0]
 	s.gc(line, d)
-	s.proto.residencyChanged(line)
+	s.residencyChanged(line)
 	s.lineEvent(line)
 	return remote
 }
@@ -316,7 +312,7 @@ func (s *System) DeviceWriteLine(line mem.Addr, socket int) {
 	llc := s.llc[socket]
 	d.owner = llc
 	llc.insertMiss(line, Modified)
-	s.proto.residencyChanged(line)
+	s.residencyChanged(line)
 	s.lineEvent(line)
 }
 
@@ -332,7 +328,7 @@ func (s *System) DeviceReadLine(line mem.Addr) {
 	owner.touch(line, Shared)
 	d.owner = nil
 	d.sharers = append(d.sharers, owner)
-	s.proto.residencyChanged(line)
+	s.residencyChanged(line)
 	s.lineEvent(line)
 }
 
@@ -409,7 +405,10 @@ func (s *System) CheckInvariants() error {
 	if total != len(claimed) {
 		return fmt.Errorf("directory claims %d residencies, caches hold %d", len(claimed), total)
 	}
-	// Protocol-private state (the CXL backend's snoop filter and bias map)
-	// must agree with the directory too.
-	return s.proto.checkSystem()
+	// Protocol-private state (the CXL snoop filter and bias map) must agree
+	// with the directory too.
+	if s.cxl != nil {
+		return s.cxl.checkSystem()
+	}
+	return nil
 }

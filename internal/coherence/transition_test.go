@@ -13,9 +13,10 @@ import (
 // matrix: for every reachable initial placement of a line — invalid, held by
 // the requester, a same-socket peer, a remote peer, or shared combinations,
 // each swept over both home sockets — and every requester event (demand
-// read, partial store, full-line store), it asserts the requester's final
-// cache state, the directory composition, exactly which interconnect
-// crossings were charged, and the latency class the requester paid.
+// read, partial store, full-line store, software prefetch), it asserts the
+// requester's final cache state, the directory composition, exactly which
+// interconnect crossings were charged, and the latency class the requester
+// paid (a prefetch costs the core nothing).
 func TestTransitionTable(t *testing.T) {
 	plat := platform.ICX()
 	type expect struct {
@@ -43,17 +44,18 @@ func TestTransitionTable(t *testing.T) {
 		{"read", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { return r.Read(p, line, 8) }},
 		{"write", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { return r.Write(p, line, 8) }},
 		{"fullwrite", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { return r.Write(p, line, mem.LineSize) }},
+		{"prefetch", func(p *sim.Proc, r *Agent, line mem.Addr) sim.Time { r.SoftPrefetch(line); return 0 }},
 	}
 	type placement struct {
 		name  string
 		setup func(p *sim.Proc, r, lp, n *Agent, line mem.Addr)
-		want  [3]expect // indexed like events
+		want  [4]expect // indexed like events
 	}
 	placements := []placement{
 		{
 			name:  "invalid",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) {},
-			want: [3]expect{
+			want: [4]expect{
 				{state: Shared, sharers: 1, readIfRemote: 1, dataIfRemote: true,
 					lat: plat.LocalDRAM, latIfRemote: plat.RemoteDRAM},
 				// A partial store's RFO fetches the line.
@@ -62,50 +64,57 @@ func TestTransitionTable(t *testing.T) {
 				// ItoM from memory: ownership grant without a data fetch.
 				{state: Modified, owner: 'R', rfoIfRemote: 1,
 					lat: plat.LLCHit, latIfRemote: plat.RemoteInval},
+				// A quiet fill: Shared, no demand latency charged.
+				{state: Shared, sharers: 1, readIfRemote: 1, dataIfRemote: true},
 			},
 		},
 		{
 			name:  "self-shared",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { r.Read(p, line, 8) },
-			want: [3]expect{
+			want: [4]expect{
 				{state: Shared, sharers: 1, lat: plat.L2Hit},
 				// Sole sharer: silent upgrade, no crossing.
 				{state: Modified, owner: 'R', lat: plat.L2Hit},
 				{state: Modified, owner: 'R', lat: plat.L2Hit},
+				{state: Shared, sharers: 1}, // already resident: no-op
 			},
 		},
 		{
 			name:  "self-modified",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { r.Write(p, line, 8) },
-			want: [3]expect{
+			want: [4]expect{
 				{state: Modified, owner: 'R', lat: plat.L2Hit},
 				{state: Modified, owner: 'R', lat: plat.L2Hit},
 				{state: Modified, owner: 'R', lat: plat.L2Hit},
+				{state: Modified, owner: 'R'},
 			},
 		},
 		{
 			name:  "local-peer-modified",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { lp.Write(p, line, 8) },
-			want: [3]expect{
+			want: [4]expect{
 				// Migratory dirty forwarding, local: no link traffic.
 				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LocalFwd},
 				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LocalFwd},
 				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LLCHit},
+				// Prefetches never migrate: the peer is demoted to Shared.
+				{state: Shared, sharers: 2},
 			},
 		},
 		{
 			name:  "local-peer-shared",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { lp.Read(p, line, 8) },
-			want: [3]expect{
+			want: [4]expect{
 				{state: Shared, sharers: 2, lat: plat.LocalFwd},
 				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LocalFwd},
 				{state: Modified, owner: 'R', peerInvalid: true, lat: plat.LLCHit},
+				{state: Shared, sharers: 2},
 			},
 		},
 		{
 			name:  "remote-modified",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { n.Write(p, line, 8) },
-			want: [3]expect{
+			want: [4]expect{
 				// Migratory dirty forwarding across the link: one data
 				// crossing, counted as a remote read. The reader-homed
 				// (home 0) and writer-homed (home 1) paths differ.
@@ -116,17 +125,19 @@ func TestTransitionTable(t *testing.T) {
 					lat: plat.RemoteLH, latIfRemote: plat.RemoteRH},
 				// ItoM: invalidate without moving the stale data.
 				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true, lat: plat.RemoteInval},
+				{state: Shared, sharers: 2, read: 1, data: true},
 			},
 		},
 		{
 			name:  "remote-shared",
 			setup: func(p *sim.Proc, r, lp, n *Agent, line mem.Addr) { n.Read(p, line, 8) },
-			want: [3]expect{
+			want: [4]expect{
 				{state: Shared, sharers: 2, read: 1, data: true,
 					lat: plat.RemoteLH, latIfRemote: plat.RemoteRH},
 				{state: Modified, owner: 'R', rfo: 1, data: true, peerInvalid: true,
 					lat: plat.RemoteLH, latIfRemote: plat.RemoteRH},
 				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true, lat: plat.RemoteInval},
+				{state: Shared, sharers: 2, read: 1, data: true},
 			},
 		},
 		{
@@ -135,11 +146,12 @@ func TestTransitionTable(t *testing.T) {
 				r.Read(p, line, 8)
 				n.Read(p, line, 8)
 			},
-			want: [3]expect{
+			want: [4]expect{
 				{state: Shared, sharers: 2, lat: plat.L2Hit},
 				// Upgrade with a remote sharer pays the invalidation.
 				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true, lat: plat.RemoteInval},
 				{state: Modified, owner: 'R', rfo: 1, peerInvalid: true, lat: plat.RemoteInval},
+				{state: Shared, sharers: 2}, // already resident: no-op
 			},
 		},
 	}
