@@ -82,26 +82,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *shardsFlag < 1 {
-		fatalf("ccbench: -shards needs at least 1 worker")
+	// Check every flag and resolve every ID before running anything: -all
+	// takes minutes, and a typo'd ID should not cost the whole run.
+	c, err := checkFlags(flagValues{
+		ids: ids, quick: *quick, shards: *shardsFlag, ports: *portsFlag,
+		golden: *goldenPath, hashes: *hashesPath, faults: *faultsSpec, protocol: *protoSpec,
+	})
+	if err != nil {
+		fatalf("ccbench: %v", err)
 	}
-
-	// Resolve every ID and read every input file before running anything:
-	// -all takes minutes, and a typo'd ID or missing golden should not cost
-	// the whole run.
-	exps := make([]*experiments.Experiment, 0, len(ids))
-	for _, id := range ids {
-		e := experiments.ByID(id)
-		if e == nil {
-			fatalf("ccbench: unknown experiment %q (try -list)", id)
-		}
-		exps = append(exps, e)
-	}
+	exps := c.exps
 	var golden map[string]string
 	if *goldenPath != "" {
-		if *quick {
-			fatalf("ccbench: -golden compares full-scale output; drop -quick")
-		}
 		buf, err := os.ReadFile(*goldenPath)
 		if err != nil {
 			fatalf("ccbench: %v", err)
@@ -112,39 +104,13 @@ func main() {
 	if *hashesPath != "" {
 		hashes = make(map[string]string)
 	}
-	if *faultsSpec != "" {
-		plan, err := ccnic.ParseFaultPlan(*faultsSpec)
-		if err != nil {
-			fatalf("ccbench: %v", err)
-		}
-		if plan != nil && (*goldenPath != "" || *hashesPath != "") {
-			fatalf("ccbench: -faults perturbs experiment output; golden and hash runs must be fault-free")
-		}
-		ccnic.SetDefaultFaults(plan)
-		if plan != nil {
-			fmt.Fprintf(os.Stderr, "ccbench: fault plan armed: %s\n", plan)
-		}
+	ccnic.SetDefaultFaults(c.plan)
+	if c.plan != nil {
+		fmt.Fprintf(os.Stderr, "ccbench: fault plan armed: %s\n", c.plan)
 	}
-	if *protoSpec != "" {
-		proto, err := ccnic.ParseProtocol(*protoSpec)
-		if err != nil {
-			fatalf("ccbench: %v", err)
-		}
-		if proto != ccnic.ProtoUPI && (*goldenPath != "" || *hashesPath != "") {
-			fatalf("ccbench: goldens are pinned to the default UPI backend; golden and hash runs must not select -protocol %v", proto)
-		}
-		ccnic.SetDefaultProtocol(proto)
-		if proto != ccnic.ProtoUPI {
-			fmt.Fprintf(os.Stderr, "ccbench: protocol backend: %v\n", proto)
-		}
-	}
-	if *portsFlag != 0 {
-		if *portsFlag < 2 {
-			fatalf("ccbench: -ports needs at least 2 switch ports")
-		}
-		if *goldenPath != "" || *hashesPath != "" {
-			fatalf("ccbench: -ports changes the fabric sweep geometry; golden and hash runs pin the defaults")
-		}
+	ccnic.SetDefaultProtocol(c.proto)
+	if c.proto != ccnic.ProtoUPI {
+		fmt.Fprintf(os.Stderr, "ccbench: protocol backend: %v\n", c.proto)
 	}
 	if *checkFlag {
 		check.EnableAuto()
@@ -243,6 +209,63 @@ func main() {
 			fatalf("ccbench: write heap profile: %v", err)
 		}
 	}
+}
+
+// flagValues are the flags checkFlags validates.
+type flagValues struct {
+	ids                              []string
+	quick                            bool
+	shards, ports                    int
+	golden, hashes, faults, protocol string
+}
+
+// checked is what checkFlags resolves from valid flags.
+type checked struct {
+	exps  []*experiments.Experiment
+	plan  *ccnic.FaultPlan
+	proto ccnic.Protocol
+}
+
+// checkFlags rejects a flag combination ccbench cannot honor, with a
+// message naming the flag, and resolves the experiment IDs, fault plan and
+// protocol. Golden and hash runs pin full scale, a fault-free plan, the
+// UPI backend and the default fabric geometry.
+func checkFlags(v flagValues) (checked, error) {
+	var c checked
+	pinned := v.golden != "" || v.hashes != ""
+	if v.shards < 1 {
+		return c, fmt.Errorf("-shards needs at least 1 worker")
+	}
+	for _, id := range v.ids {
+		e := experiments.ByID(id)
+		if e == nil {
+			return c, fmt.Errorf("unknown experiment %q (try -list)", id)
+		}
+		c.exps = append(c.exps, e)
+	}
+	if v.golden != "" && v.quick {
+		return c, fmt.Errorf("-golden compares full-scale output; drop -quick")
+	}
+	var err error
+	if c.plan, err = ccnic.ParseFaultPlan(v.faults); err != nil {
+		return c, err
+	}
+	if c.plan != nil && pinned {
+		return c, fmt.Errorf("-faults perturbs experiment output; golden and hash runs must be fault-free")
+	}
+	if c.proto, err = ccnic.ParseProtocol(v.protocol); err != nil {
+		return c, err
+	}
+	if c.proto != ccnic.ProtoUPI && pinned {
+		return c, fmt.Errorf("goldens are pinned to the default UPI backend; golden and hash runs must not select -protocol %v", c.proto)
+	}
+	if v.ports != 0 && v.ports < 2 {
+		return c, fmt.Errorf("-ports needs at least 2 switch ports")
+	}
+	if v.ports != 0 && pinned {
+		return c, fmt.Errorf("-ports changes the fabric sweep geometry; golden and hash runs pin the defaults")
+	}
+	return c, nil
 }
 
 // expResult is one experiment's rendered section and its wall-clock time.

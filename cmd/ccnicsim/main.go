@@ -24,6 +24,7 @@ import (
 	"ccnic"
 	"ccnic/internal/cluster"
 	"ccnic/internal/fabric"
+	"ccnic/internal/loopback"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
@@ -118,6 +119,14 @@ func main() {
 		OverlayThreads: *overlayN,
 		Faults:         plan,
 	})
+	// kv sizes its own requests; every other workload's -pkt is a host
+	// packet, bounded by the built testbed's buffers, not by checkFlags.
+	if *workload != "kv" {
+		if err := loopback.CheckPktSize(*pkt, tb.Dev); err != nil {
+			fmt.Fprintf(os.Stderr, "ccnicsim: -pkt %d: %v\n", *pkt, err)
+			os.Exit(2)
+		}
+	}
 	meas := sim.Time(*measure * float64(sim.Microsecond))
 	warm := meas / 3
 

@@ -5,11 +5,15 @@ import (
 	"strings"
 	"testing"
 
+	"ccnic"
+	"ccnic/internal/loopback"
 	"ccnic/internal/platform"
 )
 
 // TestCheckFlags checks that each out-of-range flag value is rejected with a
-// message naming the flag, and that the defaults and range edges pass.
+// message naming the flag, and that the defaults and range edges pass. A
+// -pkt that passes checkFlags is then bounded by a built testbed's host
+// buffers, as main does.
 func TestCheckFlags(t *testing.T) {
 	plat := platform.ByName("ICX")
 	defaults := flagValues{queues: 4, pkt: 64, window: 128, txBatch: 32, rxBatch: 32, measure: 150, dist: "ads"}
@@ -30,6 +34,9 @@ func TestCheckFlags(t *testing.T) {
 		{"too many queues", func(v *flagValues) { v.queues = 99 }, "-queues 99"},
 		{"negative pkt", func(v *flagValues) { v.pkt = -64 }, "-pkt -64"},
 		{"zero pkt", func(v *flagValues) { v.pkt = 0 }, "-pkt 0"},
+		{"buffer-size pkt", func(v *flagValues) { v.pkt = 4096 }, ""},
+		{"16 KiB pkt", func(v *flagValues) { v.pkt = 16384 }, "16384-byte packets exceed the 4096-byte host buffers"},
+		{"32 KiB pkt", func(v *flagValues) { v.pkt = 32768 }, "32768-byte packets exceed the 4096-byte host buffers"},
 		{"negative measure", func(v *flagValues) { v.measure = -5 }, "-measure -5"},
 		{"zero measure", func(v *flagValues) { v.measure = 0 }, "-measure 0"},
 		{"NaN measure", func(v *flagValues) { v.measure = math.NaN() }, "-measure NaN"},
@@ -48,6 +55,10 @@ func TestCheckFlags(t *testing.T) {
 			v := defaults
 			tc.edit(&v)
 			err := checkFlags(v, plat)
+			if err == nil {
+				tb := ccnic.NewTestbed(ccnic.Config{Plat: plat, Interface: ccnic.CCNIC, Queues: v.queues})
+				err = loopback.CheckPktSize(v.pkt, tb.Dev)
+			}
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("rejected valid flags: %v", err)

@@ -316,6 +316,10 @@ func (pl *Pool) Attach(a *coherence.Agent) *Port {
 	return pt
 }
 
+// MaxLen returns the largest packet, in bytes, one of the port's buffers
+// holds.
+func (pt *Port) MaxLen() int { return pt.pool.cfg.BigSize }
+
 // claimSeed adopts a slice of the unowned seed buffers into this shard.
 func (pt *Port) claimSeed() {
 	pl := pt.pool

@@ -296,6 +296,14 @@ func (cfg Config) Validate() error {
 	if hosts == 0 {
 		hosts = DefaultHosts
 	}
+	for v := 0; v < switches; v++ {
+		// New derives HopLat from the platform, always positive; any
+		// positive stand-in checks the rest of the switch's geometry.
+		sw := fabric.Config{Ports: hosts, HopLat: sim.Nanosecond, Outages: cfg.outagesOn(v)}
+		if err := sw.Validate(); err != nil {
+			return fmt.Errorf("cluster: switch %d: %w", v, err)
+		}
+	}
 	for _, f := range cfg.Flows {
 		if f.Dst < 0 || f.Dst >= hosts {
 			return fmt.Errorf("cluster: flow %q dst %d out of range", f.Name, f.Dst)
@@ -310,6 +318,17 @@ func (cfg Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// outagesOn returns the scripted outages of switch v.
+func (cfg Config) outagesOn(v int) []fabric.Outage {
+	var outages []fabric.Outage
+	for _, o := range cfg.Outages {
+		if o.Switch == v {
+			outages = append(outages, fabric.Outage{Port: o.Port, From: o.From, To: o.To})
+		}
+	}
+	return outages
 }
 
 // New assembles a cluster. It panics on a configuration Validate rejects,
@@ -402,12 +421,6 @@ func New(cfg Config) *Cluster {
 		if v > 0 {
 			name = fmt.Sprintf("fabric%d", v)
 		}
-		var outages []fabric.Outage
-		for _, o := range cfg.Outages {
-			if o.Switch == v {
-				outages = append(outages, fabric.Outage{Port: o.Port, From: o.From, To: o.To})
-			}
-		}
 		sw := fabric.New(c.Engine, name, fabric.Config{
 			Ports:    cfg.Hosts,
 			BW:       c.fabric.BW,
@@ -417,7 +430,7 @@ func New(cfg Config) *Cluster {
 			FIFO:     cfg.FabricFIFO,
 			Quantum:  quantum,
 			Faults:   fault.NewInjector(cfg.Faults.ForFabric(v)),
-			Outages:  outages,
+			Outages:  cfg.outagesOn(v),
 		})
 		c.Switches = append(c.Switches, sw)
 		for i := range c.Nodes {

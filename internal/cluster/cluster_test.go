@@ -152,7 +152,7 @@ func TestValidate(t *testing.T) {
 	}{
 		{"defaults", Config{}, ""},
 		{"reliable pair", Config{Hosts: 4, Reliable: true, Switches: 2,
-			Outages: []ScriptedOutage{{Switch: 1, Port: 2}}}, ""},
+			Outages: []ScriptedOutage{{Switch: 1, Port: 2, To: 10 * sim.Microsecond}}}, ""},
 		{"one host", Config{Hosts: 1}, "need at least 2 hosts"},
 		{"negative hosts", Config{Hosts: -3}, "need at least 2 hosts"},
 		{"three switches", Config{Reliable: true, Switches: 3}, "switches"},
@@ -161,6 +161,10 @@ func TestValidate(t *testing.T) {
 		{"outage past default switch", Config{Outages: []ScriptedOutage{{Switch: 1}}}, "unknown switch 1"},
 		{"negative outage switch", Config{Reliable: true, Switches: 2,
 			Outages: []ScriptedOutage{{Switch: -1}}}, "unknown switch -1"},
+		{"outage port past hosts", Config{Hosts: 4,
+			Outages: []ScriptedOutage{{Port: 4, To: sim.Microsecond}}}, "switch 0: fabric: invalid scripted outage"},
+		{"empty outage window", Config{Reliable: true, Switches: 2,
+			Outages: []ScriptedOutage{{Switch: 1, Port: 1}}}, "switch 1: fabric: invalid scripted outage"},
 		{"flows", Config{Flows: []FlowSpec{{Srcs: []int{1, 2, 3}, Dst: 0, Dist: "ads"}}}, ""},
 		{"flow dst past default hosts", Config{Flows: []FlowSpec{{Name: "f", Srcs: []int{1}, Dst: 4}}},
 			`flow "f" dst 4 out of range`},

@@ -1,0 +1,53 @@
+package device
+
+import "ccnic/internal/sim"
+
+// pacer is a queue's Injector state: its TX count and its synthetic
+// ingress, where packets arrive from the wire at a fixed rate, each sized
+// by the generator. A size is drawn once and held until the device takes
+// that packet, so a device out of buffers replays the same arrival later
+// and a generator shared with the host (the KV op stream) stays aligned.
+type pacer struct {
+	rate float64
+	gen  func() int // nil: the queue loops TX back instead
+	held int        // size drawn but not yet delivered
+	next sim.Time   // arrival time of the next packet
+	tx   int64      // packets transmitted since Start
+}
+
+// set implements Injector.SetIngress for one queue.
+func (pc *pacer) set(rate float64, gen func() int) { pc.rate, pc.gen = rate, gen }
+
+// arrive offers deliver up to max arrivals due by now and returns how many
+// it took; deliver reports whether the device took the packet, and the
+// first refusal ends the call. The first arrival starts the clock.
+func (pc *pacer) arrive(p *sim.Proc, max int, deliver func(size int) bool) int {
+	if pc.gen == nil || pc.rate <= 0 {
+		return 0
+	}
+	n := 0
+	for n < max && p.Now() >= pc.next {
+		if pc.next == 0 {
+			pc.next = p.Now()
+		}
+		if pc.held == 0 {
+			pc.held = pc.gen()
+		}
+		if !deliver(pc.held) {
+			break
+		}
+		pc.held = 0
+		pc.next += sim.Time(1e12 / pc.rate)
+		n++
+	}
+	return n
+}
+
+// catchUp gives up the arrivals more than lag overdue: a wire that
+// outpaces the device loses them at the MAC, and the backlog stays
+// bounded. The held size is kept.
+func (pc *pacer) catchUp(now, lag sim.Time) {
+	if pc.gen != nil && pc.rate > 0 && now-pc.next > lag {
+		pc.next = now - lag
+	}
+}

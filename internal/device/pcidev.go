@@ -98,11 +98,7 @@ type pcieQueue struct {
 	rxDbLostAt sim.Time
 	dbDup      int
 
-	ingressRate    float64
-	ingressGen     func() int
-	pendingIngress int // size drawn but not yet injected (backpressure)
-	nextIngress    sim.Time
-	txCount        int64
+	in pacer
 
 	stopped bool
 }
@@ -167,12 +163,11 @@ func (d *PCIeNIC) Endpoint() *pcie.Endpoint { return d.ep }
 
 // SetIngress implements Injector.
 func (d *PCIeNIC) SetIngress(i int, rate float64, gen func() int) {
-	d.qs[i].ingressRate = rate
-	d.qs[i].ingressGen = gen
+	d.qs[i].in.set(rate, gen)
 }
 
 // TxCount implements Injector.
-func (d *PCIeNIC) TxCount(i int) int64 { return d.qs[i].txCount }
+func (d *PCIeNIC) TxCount(i int) int64 { return d.qs[i].in.tx }
 
 // Start spawns the device pipeline processes.
 func (d *PCIeNIC) Start() {
@@ -483,8 +478,8 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 				if ready > lastReady {
 					lastReady = ready
 				}
-				q.txCount++
-				if q.ingressGen == nil {
+				q.in.tx++
+				if q.in.gen == nil {
 					q.deliveries = append(q.deliveries, delivery{
 						readyAt: ready, size: size, seq: seq, born: born,
 					})
@@ -509,33 +504,12 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 		// Synthetic ingress. The wire is a finite-rate source: when the
 		// device pipeline is backlogged, arrivals queue at the MAC
 		// rather than reserving unbounded pipeline slots.
-		if q.ingressGen != nil && q.ingressRate > 0 {
-			interval := sim.Time(1e12 / q.ingressRate)
-			injected := 0
-			for p.Now() >= q.nextIngress && injected < 32 && len(q.deliveries) < 256 {
-				if q.nextIngress == 0 {
-					q.nextIngress = p.Now()
-				}
-				if q.pendingIngress == 0 {
-					q.pendingIngress = q.ingressGen()
-				}
-				q.deliveries = append(q.deliveries, delivery{
-					readyAt: p.Now() + d.nic.PipelineLat,
-					size:    q.pendingIngress,
-					born:    p.Now(),
-				})
-				q.pendingIngress = 0
-				q.nextIngress += interval
-				injected++
-				busy = true
-			}
-			// If the wire outpaces the device, arrivals are lost at
-			// the MAC; keep the clock moving so the backlog stays
-			// bounded. The op-stream alignment is preserved because
-			// the drawn size is held, not discarded.
-			if over := p.Now() - q.nextIngress; over > 10*sim.Microsecond && len(q.deliveries) >= 256 {
-				q.nextIngress = p.Now() - 10*sim.Microsecond
-			}
+		busy = q.in.arrive(p, min(32, 256-len(q.deliveries)), func(size int) bool {
+			q.deliveries = append(q.deliveries, delivery{readyAt: p.Now() + d.nic.PipelineLat, size: size, born: p.Now()})
+			return true
+		}) > 0 || busy
+		if len(q.deliveries) >= 256 {
+			q.in.catchUp(p.Now(), 10*sim.Microsecond)
 		}
 
 		if !busy {

@@ -19,13 +19,10 @@ type Stub struct {
 }
 
 type stubQueue struct {
-	idx     int
-	accept  func(p *sim.Proc, queue int) bool
-	port    *bufpool.Port
-	gen     func() int
-	rate    float64
-	next    sim.Time
-	txCount int64
+	idx    int
+	accept func(p *sim.Proc, queue int) bool
+	port   *bufpool.Port
+	in     pacer
 }
 
 // NewStub builds a stub NIC with one queue per host agent over a recycling
@@ -52,42 +49,32 @@ func (d *Stub) Kernel() *sim.Kernel { return d.k }
 
 // SetIngress implements Injector.
 func (d *Stub) SetIngress(i int, rate float64, gen func() int) {
-	d.qs[i].rate, d.qs[i].gen = rate, gen
+	d.qs[i].in.set(rate, gen)
 }
 
 // TxCount implements Injector.
-func (d *Stub) TxCount(i int) int64 { return d.qs[i].txCount }
+func (d *Stub) TxCount(i int) int64 { return d.qs[i].in.tx }
 
 func (q *stubQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {
 	if !q.accept(p, q.idx) {
 		return 0
 	}
-	q.txCount += int64(len(bufs))
+	q.in.tx += int64(len(bufs))
 	q.port.FreeBurst(p, bufs)
 	return len(bufs)
 }
 
 func (q *stubQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
-	if q.rate <= 0 || q.gen == nil {
-		return 0
-	}
-	interval := sim.Time(1e12 / q.rate)
-	if q.next == 0 {
-		q.next = p.Now()
-	}
-	n := 0
-	for n < len(out) && q.next <= p.Now() {
-		size := q.gen()
+	return q.in.arrive(p, len(out), func(size int) bool {
 		b := q.port.Alloc(p, size)
 		if b == nil {
-			break
+			return false
 		}
 		b.Len = size
-		out[n] = b
-		n++
-		q.next += interval
-	}
-	return n
+		out[0] = b
+		out = out[1:]
+		return true
+	})
 }
 
 func (q *stubQueue) Release(p *sim.Proc, bufs []*bufpool.Buf) { q.port.FreeBurst(p, bufs) }

@@ -90,34 +90,17 @@ func (q *upiQueue) nicStep(p *sim.Proc) bool {
 	}
 	if len(metas) > 0 {
 		busy = true
-		q.txCount += int64(len(metas))
-		if q.ingressGen == nil {
+		q.in.tx += int64(len(metas))
+		if q.in.gen == nil {
 			q.loopback(p, metas)
 		} else {
 			q.consumeTx(p, metas)
 		}
 	}
 
-	// --- Synthetic ingress, if configured. ---
-	if q.ingressGen != nil && q.ingressRate > 0 {
-		interval := sim.Time(1e12 / q.ingressRate)
-		injected := 0
-		for p.Now() >= q.nextIngress && injected < cfg.NICBurst {
-			if q.nextIngress == 0 {
-				q.nextIngress = p.Now()
-			}
-			if q.pendingIngress == 0 {
-				q.pendingIngress = q.ingressGen()
-			}
-			if !q.inject(p, q.pendingIngress) {
-				break // out of buffers; retry the same packet later
-			}
-			q.pendingIngress = 0
-			q.nextIngress += interval
-			injected++
-			busy = true
-		}
-	}
+	// --- Synthetic ingress, if configured; out of buffers, the same
+	// packet is retried later. ---
+	busy = q.in.arrive(p, cfg.NICBurst, func(size int) bool { return q.inject(p, size) }) > 0 || busy
 	return busy
 }
 

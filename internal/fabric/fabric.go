@@ -300,17 +300,32 @@ type Switch struct {
 	probe Probe
 }
 
-// New creates a switch as a fresh shard on the engine. The configuration is
-// validated at construction time, matching the repo's style.
-func New(e *shard.Engine, name string, cfg Config) *Switch {
+// Validate reports the first configuration error New would refuse, or
+// nil. Zero values stand for the defaults New fills in.
+func (cfg Config) Validate() error {
 	if cfg.Ports < 2 {
-		panic("fabric: a switch needs at least 2 ports")
+		return fmt.Errorf("fabric: a switch needs at least 2 ports, not %d", cfg.Ports)
+	}
+	if cfg.HopLat <= 0 {
+		return fmt.Errorf("fabric: HopLat must be strictly positive (it is the attach lookahead)")
+	}
+	for _, o := range cfg.Outages {
+		if o.Port < 0 || o.Port >= cfg.Ports || o.From < 0 || o.To <= o.From {
+			return fmt.Errorf("fabric: invalid scripted outage %+v", o)
+		}
+	}
+	return nil
+}
+
+// New creates a switch as a fresh shard on the engine. It panics on a
+// configuration Validate rejects, matching the repo's construction-time
+// validation style.
+func New(e *shard.Engine, name string, cfg Config) *Switch {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.BW <= 0 {
 		cfg.BW = 12.5
-	}
-	if cfg.HopLat <= 0 {
-		panic("fabric: HopLat must be strictly positive (it is the attach lookahead)")
 	}
 	if cfg.RouteLat < 0 {
 		cfg.RouteLat = 0
@@ -323,11 +338,6 @@ func New(e *shard.Engine, name string, cfg Config) *Switch {
 	}
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 4096
-	}
-	for _, o := range cfg.Outages {
-		if o.Port < 0 || o.Port >= cfg.Ports || o.From < 0 || o.To <= o.From {
-			panic(fmt.Sprintf("fabric: invalid scripted outage %+v", o))
-		}
 	}
 	sw := &Switch{
 		name:      name,

@@ -290,3 +290,46 @@ func TestTrunkRouting(t *testing.T) {
 		t.Fatalf("trunk delivered %d, want 5", trunkRecv)
 	}
 }
+
+// TestValidate: every configuration New refuses is rejected by Validate
+// with an error (not a panic), New panics with the same message, and zero
+// values for the defaulted knobs pass.
+func TestValidate(t *testing.T) {
+	ok := Config{Ports: 4, HopLat: 100 * sim.Nanosecond}
+	for _, tc := range []struct {
+		name string
+		edit func(c *Config)
+		want string // "" = valid
+	}{
+		{"minimal", func(c *Config) {}, ""},
+		{"outage", func(c *Config) { c.Outages = []Outage{{Port: 3, From: 1, To: 2}} }, ""},
+		{"one port", func(c *Config) { c.Ports = 1 }, "at least 2 ports, not 1"},
+		{"zero hop", func(c *Config) { c.HopLat = 0 }, "HopLat must be strictly positive"},
+		{"negative hop", func(c *Config) { c.HopLat = -sim.Nanosecond }, "HopLat must be strictly positive"},
+		{"outage port past ports", func(c *Config) { c.Outages = []Outage{{Port: 4, To: 1}} }, "invalid scripted outage"},
+		{"negative outage port", func(c *Config) { c.Outages = []Outage{{Port: -1, To: 1}} }, "invalid scripted outage"},
+		{"outage before zero", func(c *Config) { c.Outages = []Outage{{From: -1, To: 1}} }, "invalid scripted outage"},
+		{"empty outage", func(c *Config) { c.Outages = []Outage{{From: 5, To: 5}} }, "invalid scripted outage"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ok
+			tc.edit(&cfg)
+			err := cfg.Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+			}
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Fatalf("New panicked with %v, want %q", r, err)
+				}
+			}()
+			New(shard.NewEngine(1), "sw", cfg)
+		})
+	}
+}

@@ -17,6 +17,8 @@ import (
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
+	"ccnic/internal/fault"
+	"ccnic/internal/loopback"
 	"ccnic/internal/mem"
 	"ccnic/internal/sim"
 	"ccnic/internal/traffic"
@@ -117,32 +119,6 @@ type Config struct {
 
 	Warmup  sim.Time // default 50us
 	Measure sim.Time // default 200us
-
-	// StallTimeout is the liveness watchdog on the response TX window:
-	// if a server thread makes zero TX progress for this long, Run
-	// panics with a *StallError naming the queue instead of silently
-	// degrading (the in-flight window equivalent of the kernel's
-	// diagnosable deadlock errors). Default 200us; a legitimate
-	// fault-free stall is bounded by the device's drain rate and is
-	// microseconds at worst.
-	StallTimeout sim.Time
-}
-
-// StallError reports a server thread whose response TX window made no
-// progress for StallTimeout: every TxBurst returned zero while responses
-// were pending. It names the queue, how long it was wedged, and what was
-// outstanding, so a hang diagnoses like a kernel deadlock error rather
-// than reading as low throughput.
-type StallError struct {
-	Queue   int      // wedged server thread / NIC queue index
-	Stalled sim.Time // how long the window made no progress
-	Pending int      // responses still awaiting submission
-	At      sim.Time // simulation time the watchdog fired
-}
-
-func (e *StallError) Error() string {
-	return fmt.Sprintf("kvstore: server queue %d TX window stalled for %v with %d responses pending at t=%v",
-		e.Queue, e.Stalled, e.Pending, e.At)
 }
 
 // Result is the benchmark outcome.
@@ -187,217 +163,93 @@ func (g *opGen) next() (get bool, key, reqSize int) {
 
 // Run executes the key-value workload and reports completed operations.
 func Run(cfg Config) Result {
-	inj, ok := cfg.Dev.(device.Injector)
-	if !ok {
-		panic("kvstore: device must support ingress injection")
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 50 * sim.Microsecond
-	}
-	if cfg.Measure == 0 {
-		cfg.Measure = 200 * sim.Microsecond
-	}
-	if cfg.StallTimeout == 0 {
-		cfg.StallTimeout = 200 * sim.Microsecond
-	}
-	k := cfg.Sys.Kernel()
 	nq := cfg.Dev.NumQueues()
-	if len(cfg.Hosts) != nq {
-		panic("kvstore: host agent count must match device queues")
-	}
-
 	// Wire up deterministic request streams: the device's generator and
 	// the server replay identical sequences per queue.
+	devGens := make([]*opGen, nq)
 	serverGens := make([]*opGen, nq)
 	for i := 0; i < nq; i++ {
 		seed := cfg.Seed + int64(i)*7919
-		devGen := newOpGen(seed, cfg.Store)
+		devGens[i] = newOpGen(seed, cfg.Store)
 		serverGens[i] = newOpGen(seed, cfg.Store)
-		inj.SetIngress(i, cfg.RatePerQueue, func() int {
-			_, _, size := devGen.next()
-			return size
-		})
 	}
-	cfg.Dev.Start()
-
-	end := k.Now() + cfg.Warmup + cfg.Measure
-	warmupEnd := k.Now() + cfg.Warmup
+	w := &loopback.Window{Name: "kvstore", Sys: cfg.Sys, Dev: cfg.Dev, Hosts: len(cfg.Hosts),
+		Warmup: cfg.Warmup, Measure: cfg.Measure,
+		Rate: cfg.RatePerQueue, Ingress: func(i int) int {
+			_, _, size := devGens[i].next()
+			return size
+		}}
+	w.Start()
+	w.CountTx()
+	k := cfg.Sys.Kernel()
 	type counters struct{ gets, sets int64 }
 	cs := make([]counters, nq)
 
-	// First watchdog trip wins; procs run serialized under the kernel.
-	var stalled *StallError
-
-	// Throughput is what the NIC transmits, not what servers enqueue:
-	// ring backlog must not count. Snapshot device TX counters at the
-	// warmup boundary and at the end.
-	txAtWarmup := make([]int64, nq)
-	txAtEnd := make([]int64, nq)
-	k.Spawn("kv-accounting", func(p *sim.Proc) {
-		p.Sleep(warmupEnd - p.Now())
-		for i := 0; i < nq; i++ {
-			txAtWarmup[i] = inj.TxCount(i)
-		}
-		p.Sleep(end - p.Now())
-		for i := 0; i < nq; i++ {
-			txAtEnd[i] = inj.TxCount(i)
-		}
-	})
-
 	for i := 0; i < nq; i++ {
-		i := i
 		q := cfg.Dev.Queue(i)
 		a := cfg.Hosts[i]
 		gen := serverGens[i]
 		c := &cs[i]
 		k.Spawn(fmt.Sprintf("kvserver%d", i), func(p *sim.Proc) {
 			rx := make([]*bufpool.Buf, burst)
-			for p.Now() < end {
+			for p.Now() < w.End {
 				got := q.RxBurst(p, rx)
 				if got == 0 {
 					p.Sleep(cfg.Sys.Platform().PollGap * 2)
 					continue
 				}
 				// Touch request headers (overlapped across burst).
-				a.GatherRead(p, headerLines(rx[:got]))
+				a.GatherRead(p, loopback.FirstLines(rx[:got]))
 				resp := make([]*bufpool.Buf, 0, got)
 				for j := 0; j < got; j++ {
 					get, key, _ := gen.next()
 					a.Exec(p, 20*sim.Nanosecond) // RPC parse/dispatch
+					// A get's object is a second, zero-copy TX
+					// segment (DPDK extbuf); a set's payload arrived
+					// in the RX buffer and is applied to the store.
+					var addr mem.Addr
+					size := 0
 					if get {
-						addr, size := cfg.Store.Get(p, a, key)
-						rb := q.Port().Alloc(p, respHeader)
-						if rb == nil {
-							continue
-						}
-						rb.Len = respHeader
-						// Zero-copy: the object is a second
-						// TX segment (DPDK extbuf).
-						rb.ExtAddr, rb.ExtLen = addr, size
-						a.Write(p, rb.Addr, respHeader)
-						resp = append(resp, rb)
-						if p.Now() > warmupEnd {
-							c.gets++
-						}
+						addr, size = cfg.Store.Get(p, a, key)
 					} else {
-						// The set payload was received in the
-						// RX buffer; apply it to the store.
 						cfg.Store.Set(p, a, key)
-						rb := q.Port().Alloc(p, respHeader)
-						if rb == nil {
-							continue
-						}
-						rb.Len = respHeader
-						a.Write(p, rb.Addr, respHeader)
-						resp = append(resp, rb)
-						if p.Now() > warmupEnd {
-							c.sets++
-						}
+					}
+					rb := q.Port().Alloc(p, respHeader)
+					if rb == nil {
+						continue
+					}
+					rb.Len = respHeader
+					rb.ExtAddr, rb.ExtLen = addr, size
+					a.Write(p, rb.Addr, respHeader)
+					resp = append(resp, rb)
+					if p.Now() <= w.WarmupEnd {
+						continue
+					}
+					if get {
+						c.gets++
+					} else {
+						c.sets++
 					}
 				}
 				q.Release(p, rx[:got])
-				sent, err := sendResponses(p, &cfg, q, i, resp, end)
-				if err != nil {
-					if stalled == nil {
-						stalled = err
-					}
-					q.Port().FreeBurst(p, resp[sent:])
-					return
-				}
-				if sent < len(resp) {
+				if sent := w.Push(p, q, i, resp, respPush); sent < len(resp) {
 					q.Port().FreeBurst(p, resp[sent:])
 				}
 			}
 		})
 	}
-
-	deadline := end + 10*cfg.Warmup
-	if err := k.RunUntil(deadline); err != nil {
-		panic(fmt.Sprintf("kvstore: %v", err))
-	}
-	cfg.Dev.Stop()
-	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
-		panic(fmt.Sprintf("kvstore: %v", err))
-	}
-	if stalled != nil {
-		panic(stalled)
-	}
+	w.Finish()
 
 	var res Result
-	var transmitted int64
 	for i := range cs {
 		res.Gets += cs[i].gets
 		res.Sets += cs[i].sets
-		transmitted += txAtEnd[i] - txAtWarmup[i]
 	}
-	res.OpsPerSec = float64(transmitted) / cfg.Measure.Seconds()
+	res.OpsPerSec = float64(w.Transmitted()) / w.Measure.Seconds()
 	return res
 }
 
-// sendResponses pushes a response burst to the NIC, returning how many
-// were accepted. Fault-free, any zero-progress attempt is a short
-// fixed-interval poll (the pre-existing behavior, so golden transcripts
-// are unchanged) under the StallTimeout watchdog. With a fault plan
-// armed, zero-progress attempts use exponential backoff and a bounded
-// retry budget: once the budget is spent — comfortably past the driver's
-// doorbell re-ring — the remainder is dropped as timed out, the client's
-// retry being the recovery path. A non-nil *StallError means the
-// watchdog fired; the caller owns resp[sent:].
-func sendResponses(p *sim.Proc, cfg *Config, q device.Queue, queue int, resp []*bufpool.Buf, end sim.Time) (int, *StallError) {
-	flt := cfg.Sys.Faults()
-	st := flt.Stats()
-	const base = 100 * sim.Nanosecond
-	sent := 0
-	backoff := base
-	misses := 0
-	stallStart := sim.Time(-1)
-	for sent < len(resp) && p.Now() < end {
-		n := q.TxBurst(p, resp[sent:])
-		if n == 0 {
-			now := p.Now()
-			if stallStart < 0 {
-				stallStart = now
-			} else if now-stallStart >= cfg.StallTimeout {
-				return sent, &StallError{
-					Queue:   queue,
-					Stalled: now - stallStart,
-					Pending: len(resp) - sent,
-					At:      now,
-				}
-			}
-			if flt != nil {
-				misses++
-				if misses > 8 {
-					// Request timeout: drop the remainder.
-					for range resp[sent:] {
-						st.NoteDrop()
-					}
-					return sent, nil
-				}
-				st.NoteBackoff()
-				p.Sleep(backoff)
-				backoff *= 2
-			} else {
-				p.Sleep(base)
-			}
-			continue
-		}
-		if flt != nil && stallStart >= 0 {
-			st.NoteRetry()
-		}
-		stallStart = -1
-		backoff = base
-		misses = 0
-		sent += n
-	}
-	return sent, nil
-}
-
-// headerLines returns the first line of each request for header touching.
-func headerLines(bufs []*bufpool.Buf) []mem.Addr {
-	lines := make([]mem.Addr, 0, len(bufs))
-	for _, b := range bufs {
-		lines = append(lines, mem.LineOf(b.Addr))
-	}
-	return lines
-}
+// respPush is the response TX push: a bounded retry (8 backoffs, ~25.5us
+// cumulative) per response burst, then the remainder drops as timed out,
+// the client's retry being the recovery path.
+var respPush = loopback.Backoff{Budget: 8, Credit: (*fault.Stats).NoteRetry}

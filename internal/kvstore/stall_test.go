@@ -7,6 +7,7 @@ import (
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
 	"ccnic/internal/fault"
+	"ccnic/internal/loopback"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 	"ccnic/internal/traffic"
@@ -36,18 +37,18 @@ func TestStallWatchdogNamesWedgedQueue(t *testing.T) {
 	sys := coherence.NewSystem(k, platform.ICX())
 	h := sys.NewAgent(0, "srv")
 	cfg := wedgeConfig(sys, h)
-	cfg.StallTimeout = 2 * sim.Microsecond
+	cfg.Measure = 2 * loopback.StallAfter // long enough for the watchdog
 
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("Run completed silently; want a *StallError panic")
 		}
-		se, ok := r.(*StallError)
+		se, ok := r.(*loopback.StallError)
 		if !ok {
 			t.Fatalf("panic value %T (%v), want *StallError", r, r)
 		}
-		if se.Queue != 0 || se.Pending == 0 || se.Stalled < cfg.StallTimeout {
+		if se.Queue != 0 || se.Pending == 0 || se.Stalled < loopback.StallAfter {
 			t.Errorf("StallError fields: %+v", se)
 		}
 		if msg := se.Error(); !strings.Contains(msg, "queue 0") || !strings.Contains(msg, "stalled") {

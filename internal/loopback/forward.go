@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"ccnic/internal/bufpool"
-	"ccnic/internal/device"
-	"ccnic/internal/mem"
+	"ccnic/internal/fault"
 	"ccnic/internal/sim"
 )
 
@@ -31,86 +30,56 @@ func (r *ForwardResult) Mpps() float64 { return r.PPS / 1e6 }
 // §6's claim: a coherent NIC keeps untouched payloads out of the
 // interconnect entirely.
 func RunForward(cfg Config, ratePerQueue float64) ForwardResult {
-	inj, ok := cfg.Dev.(device.Injector)
-	if !ok {
-		panic("loopback: forwarding requires an ingress-capable device")
+	if err := CheckPktSize(cfg.PktSize, cfg.Dev); err != nil {
+		panic("loopback: " + err.Error())
 	}
 	if cfg.RxBatch == 0 {
 		cfg.RxBatch = 32
 	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 50 * sim.Microsecond
-	}
-	if cfg.Measure == 0 {
-		cfg.Measure = 200 * sim.Microsecond
-	}
+	w := &Window{Name: "loopback", Sys: cfg.Sys, Dev: cfg.Dev, Hosts: len(cfg.Hosts),
+		Warmup: cfg.Warmup, Measure: cfg.Measure,
+		Rate: ratePerQueue, Ingress: func(int) int { return cfg.PktSize }}
+	w.Start()
 	k := cfg.Sys.Kernel()
 	nq := cfg.Dev.NumQueues()
-	if len(cfg.Hosts) != nq {
-		panic("loopback: host agent count must match device queues")
-	}
-	for i := 0; i < nq; i++ {
-		size := cfg.PktSize
-		inj.SetIngress(i, ratePerQueue, func() int { return size })
-	}
-	cfg.Dev.Start()
-
-	end := k.Now() + cfg.Warmup + cfg.Measure
-	warmupEnd := k.Now() + cfg.Warmup
 	counts := make([]int64, nq)
 
 	for i := 0; i < nq; i++ {
-		i := i
 		q := cfg.Dev.Queue(i)
 		a := cfg.Hosts[i]
 		k.Spawn(fmt.Sprintf("fwd%d", i), func(p *sim.Proc) {
 			rx := make([]*bufpool.Buf, cfg.RxBatch)
-			for p.Now() < end {
+			for p.Now() < w.End {
 				got := q.RxBurst(p, rx)
 				if got == 0 {
 					p.Sleep(cfg.Sys.Platform().PollGap * 2)
 					continue
 				}
 				// Header-only: one line per packet.
-				hdrs := make([]mem.Addr, got)
-				for j := 0; j < got; j++ {
-					hdrs[j] = mem.LineOf(rx[j].Addr)
-				}
-				a.GatherRead(p, hdrs)
+				a.GatherRead(p, FirstLines(rx[:got]))
 				// Retransmit the same buffers, unmodified.
-				sent := 0
-				for sent < got && p.Now() < end {
-					n := q.TxBurst(p, rx[sent:got])
-					if n == 0 {
-						p.Sleep(100 * sim.Nanosecond)
-						continue
-					}
-					sent += n
-				}
+				sent := w.Push(p, q, i, rx[:got], forwardPush)
 				if sent < got {
 					q.Release(p, rx[sent:got])
 				}
-				if p.Now() > warmupEnd {
+				if p.Now() > w.WarmupEnd {
 					counts[i] += int64(sent)
 				}
 			}
 		})
 	}
-
-	deadline := end + 10*cfg.Warmup
-	if err := k.RunUntil(deadline); err != nil {
-		panic(fmt.Sprintf("loopback: %v", err))
-	}
-	cfg.Dev.Stop()
-	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
-		panic(fmt.Sprintf("loopback: %v", err))
-	}
+	w.Finish()
 
 	var res ForwardResult
 	for _, c := range counts {
-		res.PPS += float64(c) / cfg.Measure.Seconds()
+		res.PPS += float64(c) / w.Measure.Seconds()
 	}
 	res.Gbps = res.PPS * float64(cfg.PktSize) * 8 / 1e9
 	res.HostPayloadLines = 1
 	return res
 }
+
+// forwardPush is the forwarding loop's TX push: a middlebox that cannot
+// retransmit within the KV store's budget drops the packet, as a NIC
+// tail-drops, and a burst that goes out after backing off is a retry.
+var forwardPush = Backoff{Budget: 8, Credit: (*fault.Stats).NoteRetry}

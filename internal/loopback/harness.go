@@ -1,0 +1,201 @@
+package loopback
+
+import (
+	"fmt"
+
+	"ccnic/internal/bufpool"
+	"ccnic/internal/coherence"
+	"ccnic/internal/device"
+	"ccnic/internal/fault"
+	"ccnic/internal/mem"
+	"ccnic/internal/sim"
+)
+
+// Window is one workload run over a device's queues, measured the §5.1
+// way: a warm-up, a measurement window, and a drain that stops the device.
+// Loopback, forwarding, the KV store and the RPC stack all run through it.
+type Window struct {
+	Name  string // the package driving the run, for its panics
+	Sys   *coherence.System
+	Dev   device.Device
+	Hosts int // host agents given, one per device queue
+
+	Warmup  sim.Time // default 50us
+	Measure sim.Time // default 200us
+
+	// Ingress, when non-nil, switches every queue to synthetic ingress at
+	// Rate packets/s; Ingress(i) sizes queue i's next arriving packet.
+	Rate    float64
+	Ingress func(queue int) int
+
+	WarmupEnd, End sim.Time // set by Start
+
+	inj   device.Injector
+	tx    int64       // packets the device transmitted in the window
+	stall *StallError // the first watchdog trip
+}
+
+// Start checks the run's shape, fills in the defaults, wires up ingress
+// and starts the device.
+func (w *Window) Start() {
+	if w.Hosts != w.Dev.NumQueues() {
+		panic(w.Name + ": host agent count must match device queues")
+	}
+	// Shard affinity: the workload drives device and memory system from
+	// one set of processes, so all three must share one kernel (= shard).
+	k := w.Sys.Kernel()
+	if w.Dev.Kernel() != k {
+		panic(w.Name + ": device and memory system must share one kernel (shard affinity)")
+	}
+	if w.Warmup == 0 {
+		w.Warmup = 50 * sim.Microsecond
+	}
+	if w.Measure == 0 {
+		w.Measure = 200 * sim.Microsecond
+	}
+	w.inj, _ = w.Dev.(device.Injector)
+	if w.Ingress != nil {
+		if w.inj == nil {
+			panic(w.Name + ": device must support ingress injection")
+		}
+		for i := 0; i < w.Dev.NumQueues(); i++ {
+			w.inj.SetIngress(i, w.Rate, func() int { return w.Ingress(i) })
+		}
+	}
+	w.Dev.Start()
+	w.WarmupEnd = k.Now() + w.Warmup
+	w.End = w.WarmupEnd + w.Measure
+}
+
+// CountTx snapshots the device's TX counts at the warm-up boundary and at
+// the end for Transmitted: throughput is what the NIC transmits, not what
+// the host enqueues, so ring backlog does not count.
+func (w *Window) CountTx() {
+	w.Sys.Kernel().Spawn(w.Name+"-accounting", func(p *sim.Proc) {
+		p.Sleep(w.WarmupEnd - p.Now())
+		for i := 0; i < w.Dev.NumQueues(); i++ {
+			w.tx -= w.inj.TxCount(i)
+		}
+		p.Sleep(w.End - p.Now())
+		for i := 0; i < w.Dev.NumQueues(); i++ {
+			w.tx += w.inj.TxCount(i)
+		}
+	})
+}
+
+// Transmitted returns the packets the device transmitted in the
+// measurement window, over every queue; it needs CountTx.
+func (w *Window) Transmitted() int64 { return w.tx }
+
+// Finish runs to the end of the window plus a backstop, so the run ends
+// even if a queue wedges, then stops and drains the device. It panics with
+// the first *StallError a Push recorded.
+func (w *Window) Finish() {
+	k := w.Sys.Kernel()
+	deadline := w.End + 10*w.Warmup
+	if err := k.RunUntil(deadline); err != nil {
+		panic(fmt.Sprintf("%s: %v", w.Name, err))
+	}
+	w.Dev.Stop()
+	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
+		panic(fmt.Sprintf("%s: %v", w.Name, err))
+	}
+	if w.stall != nil {
+		panic(w.stall)
+	}
+}
+
+// StallAfter is Push's liveness watchdog. A legitimate fault-free stall
+// is bounded by the device's drain rate and is microseconds at worst.
+const StallAfter = 200 * sim.Microsecond
+
+// StallError reports a queue whose TX push made no progress for
+// StallAfter, so a hang diagnoses like a kernel deadlock error rather than
+// reading as low throughput.
+type StallError struct {
+	Workload string   // the run's Window.Name
+	Queue    int      // wedged device queue index
+	Stalled  sim.Time // how long the push made no progress
+	Pending  int      // packets still awaiting submission
+	At       sim.Time // simulation time the watchdog fired
+}
+
+func (e *StallError) Error() string {
+	return fmt.Sprintf("%s: queue %d TX stalled for %v with %d packets pending at t=%v",
+		e.Workload, e.Queue, e.Stalled, e.Pending, e.At)
+}
+
+// pushPoll is Push's fault-free poll interval and its first backoff.
+const pushPoll = 100 * sim.Nanosecond
+
+// Backoff is a layer's TX push policy under an armed fault plan (DESIGN
+// §6): zero-progress attempts back off exponentially from pushPoll, and
+// after Budget backoffs the remainder drops as timed out.
+type Backoff struct {
+	Budget int
+	Credit func(*fault.Stats) // the layer's counter for a burst sent after backing off
+}
+
+// Push submits bufs on queue q until the device takes them all or the
+// window ends, and returns how many it took; the caller owns bufs[sent:].
+// Fault-free, a zero-progress attempt polls again after pushPoll; under
+// an armed plan it backs off per b. A push that makes no progress for
+// StallAfter records a *StallError for Finish and gives up.
+func (w *Window) Push(p *sim.Proc, q device.Queue, queue int, bufs []*bufpool.Buf, b Backoff) int {
+	flt := w.Sys.Faults()
+	st := flt.Stats()
+	sent, misses := 0, 0
+	backoff := pushPoll
+	stallStart := sim.Time(-1)
+	for sent < len(bufs) && p.Now() < w.End {
+		if n := q.TxBurst(p, bufs[sent:]); n > 0 {
+			if flt != nil && misses > 0 {
+				b.Credit(st)
+			}
+			sent += n
+			misses, backoff, stallStart = 0, pushPoll, -1
+			continue
+		}
+		now := p.Now()
+		if stallStart < 0 {
+			stallStart = now
+		} else if now-stallStart >= StallAfter {
+			if w.stall == nil {
+				w.stall = &StallError{w.Name, queue, now - stallStart, len(bufs) - sent, now}
+			}
+			return sent
+		}
+		if flt == nil {
+			p.Sleep(pushPoll)
+			continue
+		}
+		if misses++; misses > b.Budget {
+			for range bufs[sent:] {
+				st.NoteDrop()
+			}
+			return sent
+		}
+		st.NoteBackoff()
+		p.Sleep(backoff)
+		backoff *= 2
+	}
+	return sent
+}
+
+// FirstLines returns the first cache line of each buffer: its header.
+func FirstLines(bufs []*bufpool.Buf) []mem.Addr {
+	lines := make([]mem.Addr, 0, len(bufs))
+	for _, b := range bufs {
+		lines = append(lines, mem.LineOf(b.Addr))
+	}
+	return lines
+}
+
+// CheckPktSize reports an error if host packets of size bytes would run
+// past the device's host buffers.
+func CheckPktSize(size int, dev device.Device) error {
+	if capacity := dev.Queue(0).Port().MaxLen(); size > capacity {
+		return fmt.Errorf("%d-byte packets exceed the %d-byte host buffers", size, capacity)
+	}
+	return nil
+}

@@ -1,0 +1,115 @@
+package loopback
+
+import (
+	"strings"
+	"testing"
+
+	"ccnic/internal/bufpool"
+	"ccnic/internal/coherence"
+	"ccnic/internal/device"
+	"ccnic/internal/fault"
+	"ccnic/internal/platform"
+	"ccnic/internal/sim"
+)
+
+// wedgedStub builds a one-queue stub NIC whose TX side never accepts.
+func wedgedStub() (*coherence.System, *device.Stub, []*coherence.Agent) {
+	sys := coherence.NewSystem(sim.New(), platform.ICX())
+	hosts := []*coherence.Agent{sys.NewAgent(0, "h")}
+	return sys, device.NewStub(sys, hosts, func(*sim.Proc, int) bool { return false }), hosts
+}
+
+// TestForwardWedgedQueuePanics: a fault-free forwarding run over a queue
+// that never transmits must fail with a *StallError naming the queue, not
+// run silently to a zero forwarded rate.
+func TestForwardWedgedQueuePanics(t *testing.T) {
+	sys, dev, hosts := wedgedStub()
+	defer func() {
+		se, ok := recover().(*StallError)
+		if !ok {
+			t.Fatal("RunForward completed without a *StallError panic")
+		}
+		if se.Queue != 0 || se.Pending == 0 || se.Stalled < StallAfter {
+			t.Errorf("StallError fields: %+v", se)
+		}
+		if msg := se.Error(); !strings.Contains(msg, "loopback: queue 0") {
+			t.Errorf("error message does not name the run and queue: %q", msg)
+		}
+	}()
+	RunForward(Config{Sys: sys, Dev: dev, Hosts: hosts, PktSize: 64,
+		Warmup: sim.Microsecond, Measure: 2 * StallAfter}, 1e6)
+}
+
+// TestOversizedPacketPanics: a packet larger than the host buffers would
+// write past its buffer, so both host workloads refuse it up front and
+// name both sizes.
+func TestOversizedPacketPanics(t *testing.T) {
+	for name, run := range map[string]func(Config){
+		"Run":        func(c Config) { Run(c) },
+		"RunForward": func(c Config) { RunForward(c, 1e6) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sys, dev, hosts := testbed(t, 1, device.CCNICConfig())
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "16384-byte packets") || !strings.Contains(msg, "4096-byte host buffers") {
+					t.Errorf("panic %q does not name both sizes", msg)
+				}
+			}()
+			run(Config{Sys: sys, Dev: dev, Hosts: hosts, PktSize: 16384})
+		})
+	}
+}
+
+// TestPushBackoffBudget drives Push directly under an armed plan: a queue
+// that accepts only every third attempt costs two backoffs and one credit
+// per burst, and a queue that never accepts drops the burst after exactly
+// Budget backoffs.
+func TestPushBackoffBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		acceptEvery             int
+		backoffs, credits, drop int64
+	}{
+		{"recovers", 3, 2, 1, 0},
+		{"times out", 0, 3, 0, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := coherence.NewSystem(sim.New(), platform.ICX())
+			plan, err := fault.ParsePlan("seed=1,stall=0.001")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SetFaults(fault.NewInjector(plan))
+			hosts := []*coherence.Agent{sys.NewAgent(0, "h")}
+			calls := 0
+			dev := device.NewStub(sys, hosts, func(*sim.Proc, int) bool {
+				calls++
+				return tc.acceptEvery != 0 && calls%tc.acceptEvery == 0
+			})
+			w := &Window{Name: "push", Sys: sys, Dev: dev, Hosts: 1, Measure: 50 * sim.Microsecond}
+			w.Start()
+			var credits int64
+			b := Backoff{Budget: 3, Credit: func(*fault.Stats) { credits++ }}
+			q := dev.Queue(0)
+			sent := -1
+			sys.Kernel().Spawn("push", func(p *sim.Proc) {
+				bufs := make([]*bufpool.Buf, 4)
+				if n := q.Port().AllocBurst(p, 64, bufs); n != len(bufs) {
+					t.Errorf("allocated %d of %d buffers", n, len(bufs))
+				}
+				sent = w.Push(p, q, 0, bufs, b)
+				q.Port().FreeBurst(p, bufs[sent:])
+			})
+			w.Finish()
+			st := sys.Faults().Stats()
+			if want := 4 - int(tc.drop); sent != want {
+				t.Errorf("sent %d, want %d", sent, want)
+			}
+			if st.Backoffs != tc.backoffs || credits != tc.credits || st.Drops != tc.drop {
+				t.Errorf("backoffs %d credits %d drops %d, want %d %d %d",
+					st.Backoffs, credits, st.Drops, tc.backoffs, tc.credits, tc.drop)
+			}
+		})
+	}
+}

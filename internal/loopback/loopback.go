@@ -70,8 +70,8 @@ func (r *Result) Mpps() float64 { return r.PPS / 1e6 }
 
 // Run executes the loopback workload and returns its measurements.
 func Run(cfg Config) Result {
-	if len(cfg.Hosts) != cfg.Dev.NumQueues() {
-		panic("loopback: host agent count must match device queues")
+	if err := CheckPktSize(cfg.PktSize, cfg.Dev); err != nil {
+		panic("loopback: " + err.Error())
 	}
 	if cfg.Window == 0 {
 		cfg.Window = 64
@@ -82,22 +82,11 @@ func Run(cfg Config) Result {
 	if cfg.RxBatch == 0 {
 		cfg.RxBatch = 32
 	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 50 * sim.Microsecond
-	}
-	if cfg.Measure == 0 {
-		cfg.Measure = 200 * sim.Microsecond
-	}
+	w := &Window{Name: "loopback", Sys: cfg.Sys, Dev: cfg.Dev, Hosts: len(cfg.Hosts),
+		Warmup: cfg.Warmup, Measure: cfg.Measure}
+	w.Start()
 	k := cfg.Sys.Kernel()
-	// Shard affinity: the workload drives device and memory system from
-	// one set of processes, so all three must share one kernel (= shard).
-	if cfg.Dev.Kernel() != k {
-		panic("loopback: device and memory system must share one kernel (shard affinity)")
-	}
-	cfg.Dev.Start()
-
-	end := k.Now() + cfg.Warmup + cfg.Measure
-	warmupEnd := k.Now() + cfg.Warmup
+	end, warmupEnd := w.End, w.WarmupEnd
 	type queueStats struct {
 		hist       stats.Histogram
 		rxCount    int64
@@ -212,18 +201,10 @@ func Run(cfg Config) Result {
 		})
 	}
 
-	// Backstop: the run must terminate even if a queue wedges.
-	deadline := end + 10*cfg.Warmup
-	if err := k.RunUntil(deadline); err != nil {
-		panic(fmt.Sprintf("loopback: %v", err))
-	}
-	cfg.Dev.Stop()
-	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
-		panic(fmt.Sprintf("loopback: %v", err))
-	}
+	w.Finish()
 
 	var res Result
-	measured := cfg.Measure.Seconds()
+	measured := w.Measure.Seconds()
 	for i := range qs {
 		res.PPS += float64(qs[i].rxCount) / measured
 		res.Latency.Merge(&qs[i].hist)
@@ -239,7 +220,8 @@ func Run(cfg Config) Result {
 // the remainder immediately would convert a transient fault into packet
 // loss. Returns the total number of buffers accepted; the caller frees
 // the rest. Fault-free runs never take this path, keeping the golden
-// transcript byte-identical.
+// transcript byte-identical. It is an offered-load generator's bounded
+// re-offer, not a push that must deliver, so it is not Window.Push.
 func retryTx(p *sim.Proc, cfg *Config, q device.Queue, queue int, bufs []*bufpool.Buf, n int) int {
 	st := cfg.Sys.Faults().Stats()
 	backoff := 500 * sim.Nanosecond
@@ -264,12 +246,4 @@ func retryTx(p *sim.Proc, cfg *Config, q device.Queue, queue int, bufs []*bufpoo
 // traceSeq derives a tracer key unique across queues.
 func traceSeq(queue int, seq uint64) int64 {
 	return int64(queue)<<48 | int64(seq)
-}
-
-// MaxRate runs a closed-loop probe and returns the sustainable per-queue
-// packet rate, used to place the offered-load points of a latency curve.
-func MaxRate(cfg Config) float64 {
-	cfg.Rate = 0
-	res := Run(cfg)
-	return res.PPS / float64(cfg.Dev.NumQueues())
 }

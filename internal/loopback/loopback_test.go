@@ -84,18 +84,6 @@ func TestLatencyRisesWithLoad(t *testing.T) {
 	}
 }
 
-func TestMaxRate(t *testing.T) {
-	sys, dev, hosts := testbed(t, 2, device.CCNICConfig())
-	perQueue := MaxRate(Config{
-		Sys: sys, Dev: dev, Hosts: hosts,
-		PktSize: 64,
-		Warmup:  20 * sim.Microsecond, Measure: 60 * sim.Microsecond,
-	})
-	if perQueue < 1e6 {
-		t.Errorf("per-queue max rate %.0f looks too low", perQueue)
-	}
-}
-
 func TestForwardHeaderOnly(t *testing.T) {
 	sys, dev, hosts := testbed(t, 2, device.CCNICConfig())
 	res := RunForward(Config{

@@ -15,6 +15,7 @@ import (
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
 	"ccnic/internal/fault"
+	"ccnic/internal/loopback"
 	"ccnic/internal/mem"
 	"ccnic/internal/sim"
 )
@@ -126,23 +127,10 @@ func (r *Result) Mops() float64 { return r.OpsPerSec / 1e6 }
 
 // Run executes the echo RPC workload.
 func Run(cfg Config) Result {
-	inj, ok := cfg.Dev.(device.Injector)
-	if !ok {
-		panic("rpcstack: device must support ingress injection")
-	}
 	if cfg.RPCSize == 0 {
 		cfg.RPCSize = 64
 	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 50 * sim.Microsecond
-	}
-	if cfg.Measure == 0 {
-		cfg.Measure = 200 * sim.Microsecond
-	}
 	nq := cfg.Dev.NumQueues()
-	if len(cfg.FastPath) != nq {
-		panic("rpcstack: fast-path agent count must match device queues")
-	}
 	k := cfg.Sys.Kernel()
 	sys := cfg.Sys
 	hostSocket := cfg.App.Socket()
@@ -151,28 +139,14 @@ func Run(cfg Config) Result {
 	const flows = 96 // the paper's client uses 96 flows
 	flowBase := sys.Space().AllocLines(hostSocket, flows)
 
-	for i := 0; i < nq; i++ {
-		size := cfg.RPCSize
-		inj.SetIngress(i, cfg.RatePerQueue, func() int { return size })
-	}
-	cfg.Dev.Start()
-
-	end := k.Now() + cfg.Warmup + cfg.Measure
-
+	w := &loopback.Window{Name: "rpcstack", Sys: sys, Dev: cfg.Dev, Hosts: len(cfg.FastPath),
+		Warmup: cfg.Warmup, Measure: cfg.Measure,
+		Rate: cfg.RatePerQueue, Ingress: func(int) int { return cfg.RPCSize }}
+	w.Start()
 	// Count echoes at the NIC, not at ring submission (backlog is not
 	// throughput).
-	txAtWarmup := make([]int64, nq)
-	txAtEnd := make([]int64, nq)
-	k.Spawn("rpc-accounting", func(p *sim.Proc) {
-		p.Sleep(cfg.Warmup)
-		for i := 0; i < nq; i++ {
-			txAtWarmup[i] = inj.TxCount(i)
-		}
-		p.Sleep(cfg.Measure)
-		for i := 0; i < nq; i++ {
-			txAtEnd[i] = inj.TxCount(i)
-		}
-	})
+	w.CountTx()
+	end := w.End
 
 	// Shared-memory queues between each fast-path thread and the app.
 	toApp := make([]*msgRing, nq)
@@ -225,20 +199,8 @@ func Run(cfg Config) Result {
 						a.Exec(p, tcpTxCost)
 						resp = append(resp, b)
 					}
-					a.ScatterWrite(p, respLines(resp))
-					sent := 0
-					if flt := sys.Faults(); flt != nil {
-						sent = retransmit(p, q, flt, resp, end)
-					} else {
-						for sent < len(resp) && p.Now() < end {
-							m := q.TxBurst(p, resp[sent:])
-							if m == 0 {
-								p.Sleep(100 * sim.Nanosecond)
-								continue
-							}
-							sent += m
-						}
-					}
+					a.ScatterWrite(p, loopback.FirstLines(resp))
+					sent := w.Push(p, q, i, resp, fastPathPush)
 					if sent < len(resp) {
 						q.Port().FreeBurst(p, resp[sent:])
 					}
@@ -276,64 +238,13 @@ func Run(cfg Config) Result {
 		}
 	})
 
-	deadline := end + 10*cfg.Warmup
-	if err := k.RunUntil(deadline); err != nil {
-		panic(fmt.Sprintf("rpcstack: %v", err))
-	}
-	cfg.Dev.Stop()
-	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
-		panic(fmt.Sprintf("rpcstack: %v", err))
-	}
-	var transmitted int64
-	for i := 0; i < nq; i++ {
-		transmitted += txAtEnd[i] - txAtWarmup[i]
-	}
-	return Result{OpsPerSec: float64(transmitted) / cfg.Measure.Seconds()}
+	w.Finish()
+	return Result{OpsPerSec: float64(w.Transmitted()) / w.Measure.Seconds()}
 }
 
-// retransmit pushes a response burst through a TX path that an armed
-// fault plan may have wedged (lost doorbell awaiting the watchdog,
-// stalled pipeline). Zero-progress attempts back off exponentially —
-// the TAS-style retransmission timer — and once the backoff is
-// exhausted the remainder is dropped in degraded mode: the peer's
-// end-to-end retransmission recovers the RPC, and the fast path must
-// not wedge on one stuck queue. Fault-free runs never reach this
-// function, keeping the golden transcript byte-identical.
-func retransmit(p *sim.Proc, q device.Queue, flt *fault.Injector, resp []*bufpool.Buf, end sim.Time) int {
-	st := flt.Stats()
-	const base = 100 * sim.Nanosecond
-	const maxBackoff = 64 * base
-	sent := 0
-	backoff := base
-	for sent < len(resp) && p.Now() < end {
-		m := q.TxBurst(p, resp[sent:])
-		if m == 0 {
-			if backoff > maxBackoff {
-				// Degraded mode: drop the remainder.
-				for range resp[sent:] {
-					st.NoteDrop()
-				}
-				return sent
-			}
-			st.NoteBackoff()
-			p.Sleep(backoff)
-			backoff *= 2
-			continue
-		}
-		if backoff > base {
-			// Progress after at least one backoff: a retransmission.
-			st.NoteRetransmit()
-		}
-		backoff = base
-		sent += m
-	}
-	return sent
-}
-
-func respLines(bufs []*bufpool.Buf) []mem.Addr {
-	lines := make([]mem.Addr, 0, len(bufs))
-	for _, b := range bufs {
-		lines = append(lines, mem.LineOf(b.Addr))
-	}
-	return lines
-}
+// fastPathPush is the fast path's TX push: the TAS-style retransmission
+// timer backs off up to 6.4us (7 backoffs, ~12.7us cumulative), then
+// drops the remainder in degraded mode. The peer's end-to-end
+// retransmission recovers the RPC, and the fast path must not wedge on
+// one stuck queue.
+var fastPathPush = loopback.Backoff{Budget: 7, Credit: (*fault.Stats).NoteRetransmit}
