@@ -284,6 +284,10 @@ func NewTestbed(cfg Config) *Testbed {
 		if nOv == 0 {
 			nOv = queues
 		}
+		if nOv > plat.CoresPerSocket {
+			panic(fmt.Sprintf("ccnic: %d overlay threads exceed %s's %d cores per socket",
+				nOv, plat.Name, plat.CoresPerSocket))
+		}
 		tb.Dev = device.NewOverlay(sys, upiCfg(base), platform.CX6(), hosts, newNICAgents(nOv))
 	default:
 		panic(fmt.Sprintf("ccnic: unknown interface %v", cfg.Interface))

@@ -1,6 +1,7 @@
 package ccnic
 
 import (
+	"strings"
 	"testing"
 
 	"ccnic/internal/sim"
@@ -19,6 +20,23 @@ func TestNewTestbedValidation(t *testing.T) {
 				}
 			}()
 			NewTestbed(bad)
+		}()
+	}
+}
+
+// TestNewTestbedOverlayThreadsBound checks that overlay forwarding threads,
+// which run on the NIC socket, are bounded by its cores like queues are.
+func TestNewTestbedOverlayThreadsBound(t *testing.T) {
+	for _, iface := range []Interface{OverlayCCNIC, OverlayUnopt} {
+		NewTestbed(Config{Platform: "ICX", Interface: iface, Queues: 2, OverlayThreads: 16})
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "64 overlay threads") || !strings.Contains(msg, "16 cores per socket") {
+					t.Errorf("%v with 64 overlay threads: panic %q, want one naming 64 threads and 16 cores", iface, msg)
+				}
+			}()
+			NewTestbed(Config{Platform: "ICX", Interface: iface, Queues: 2, OverlayThreads: 64})
 		}()
 	}
 }

@@ -17,8 +17,8 @@ set -euo pipefail
 rows='
 -       fault-link      -              link=0.02       fig13 fig17 fig21 faults-rate faults-recovery
 -       fault-replay    -              replay=0.02     fig13 fig17 fig21 faults-rate faults-recovery
--       fault-dbdrop    -              dbdrop=0.02     fig13 fig17 fig21 faults-rate faults-recovery
--       fault-dbdup     -              dbdup=0.02      fig13 fig17 fig21 faults-rate faults-recovery
+-       fault-dbdrop    -              dbdrop=0.02     fig13 fig16 fig17 fig21 faults-rate faults-recovery
+-       fault-dbdup     -              dbdup=0.02      fig13 fig16 fig17 fig21 faults-rate faults-recovery
 -       fault-stall     -              stall=0.02      fig13 fig17 fig21 faults-rate faults-recovery
 -       fault-dma       -              dma=0.02        fig13 fig17 fig21 faults-rate faults-recovery
 -       fault-cache     -              cache=0.02      fig13 fig17 fig21 faults-rate faults-recovery

@@ -215,10 +215,14 @@ type flagValues struct {
 // checkFlags rejects flag values outside their valid ranges with a message
 // that names the flag and the range, so bad input exits before any
 // simulation is built instead of panicking, hanging, or printing nonsense.
-// -queues is bounded by the platform's cores per socket.
+// -queues and -overlay-threads are bounded by the platform's cores per
+// socket.
 func checkFlags(v flagValues, plat *platform.Platform) error {
 	if v.queues < 1 || v.queues > plat.CoresPerSocket {
 		return fmt.Errorf("-queues %d: want 1 to %d (%s cores per socket)", v.queues, plat.CoresPerSocket, plat.Name)
+	}
+	if v.overlayThreads > plat.CoresPerSocket {
+		return fmt.Errorf("-overlay-threads %d: want 0 to %d (%s cores per socket)", v.overlayThreads, plat.CoresPerSocket, plat.Name)
 	}
 	if v.pkt < 1 {
 		return fmt.Errorf("-pkt %d: want at least 1", v.pkt)

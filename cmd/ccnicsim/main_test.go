@@ -46,6 +46,9 @@ func TestCheckFlags(t *testing.T) {
 		{"negative txbatch", func(v *flagValues) { v.txBatch = -1 }, "-txbatch -1"},
 		{"negative rxbatch", func(v *flagValues) { v.rxBatch = -1 }, "-rxbatch -1"},
 		{"negative overlay threads", func(v *flagValues) { v.overlayThreads = -1 }, "-overlay-threads -1"},
+		{"overlay thread per core", func(v *flagValues) { v.overlayThreads = plat.CoresPerSocket }, ""},
+		{"too many overlay threads", func(v *flagValues) { v.overlayThreads = 17 }, "-overlay-threads 17: want 0 to 16 (ICX cores per socket)"},
+		{"64 overlay threads", func(v *flagValues) { v.overlayThreads = 64 }, "-overlay-threads 64: want 0 to 16 (ICX cores per socket)"},
 		{"negative bulk", func(v *flagValues) { v.bulk = -1 }, "-bulk -1"},
 		{"negative shards", func(v *flagValues) { v.shards = -1 }, "-shards -1"},
 		{"unknown dist", func(v *flagValues) { v.dist = "bogus" }, `-dist "bogus"`},

@@ -331,13 +331,6 @@ func (pt *Port) claimSeed() {
 	pl.seedBig = pl.seedBig[:len(pl.seedBig)-n]
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Alloc allocates one buffer large enough for size payload bytes, charging
 // the calling process for the memory operations involved. It returns nil if
 // the pool is exhausted. The caller owns the result: ownlint requires it be

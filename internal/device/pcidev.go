@@ -71,12 +71,8 @@ type pcieQueue struct {
 	mmio     *pcie.CoreMMIO
 
 	txR, rxR *ring.Reg
-
-	// Doorbell visibility: MMIO writes take OneWay to reach the device.
-	txTailVisible sim.Time
-	txTailShadow  int // TailIdx value the device may observe
-	rxTailVisible sim.Time
-	rxTailShadow  int
+	txDb     doorbell
+	rxDb     doorbell
 
 	txSeen      int // device's TX fetch position
 	rxSeenNIC   int // device's blank-consumption position
@@ -90,13 +86,9 @@ type pcieQueue struct {
 
 	deliveries []delivery
 
-	// Fault state (armed plans only): the time a doorbell write was
-	// injected as lost (zero = none pending; the watchdog re-rings after
-	// dbWatchdogTimeout) and the number of duplicate doorbells the
-	// device still owes a spurious descriptor fetch for.
-	txDbLostAt sim.Time
-	rxDbLostAt sim.Time
-	dbDup      int
+	// Duplicate doorbells (armed fault plans only) the device still owes
+	// a spurious descriptor fetch for.
+	dbDup int
 
 	in pacer
 
@@ -204,20 +196,11 @@ func (q *pcieQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {
 	q.primeRx(p)
 	q.watchdog(p)
 	q.reclaimTx(p)
-	r := q.txR
-	n := len(bufs)
-	if sp := r.Space(); n > sp {
-		n = sp
-	}
+	// Descriptor writes hit local write-back memory.
+	n := q.txR.Post(p, q.host, bufs)
 	if n == 0 {
 		return 0
 	}
-	for i := 0; i < n; i++ {
-		r.Put(r.TailIdx+i, bufs[i])
-	}
-	// Descriptor writes hit local write-back memory.
-	q.host.ScatterWrite(p, r.LinesFor(r.TailIdx, n))
-	r.TailIdx += n
 	// Doorbell. The CX6 writes descriptors (and the doorbell record)
 	// over write-combining MMIO; the E810 writes a UC tail register.
 	if q.dev.nic.MMIODesc {
@@ -225,22 +208,44 @@ func (q *pcieQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {
 	} else {
 		q.mmio.UCWrite(p, 4)
 	}
+	q.rung(p, &q.txDb, q.txR.TailIdx)
+	return n
+}
+
+// doorbell is the driver's view of one MMIO tail register: the tail value
+// the device may observe, when that write reaches it (MMIO writes take
+// OneWay), and when an armed fault plan dropped a later write (zero = none
+// pending; the watchdog re-rings after dbWatchdogTimeout).
+type doorbell struct {
+	shadow  int
+	visible sim.Time
+	lostAt  sim.Time
+}
+
+// publish makes tail observable to the device after the MMIO propagation
+// delay; the write conveys every outstanding descriptor, so no loss is
+// pending any more.
+func (q *pcieQueue) publish(p *sim.Proc, db *doorbell, tail int) {
+	db.shadow = tail
+	db.visible = p.Now() + q.dev.ep.MMIOPropagation()
+	db.lostAt = 0
+}
+
+// rung settles the doorbell write just issued for tail under armed fault
+// draws: a dropped write never reaches the register (the watchdog
+// re-rings), a duplicated one owes the device a spurious fetch.
+func (q *pcieQueue) rung(p *sim.Proc, db *doorbell, tail int) {
 	flt := q.dev.sys.Faults()
 	if flt.DoorbellDropped() {
-		// The posted write is lost before the doorbell register: the
-		// device never observes this tail. The watchdog re-rings.
-		if q.txDbLostAt == 0 {
-			q.txDbLostAt = p.Now()
+		if db.lostAt == 0 {
+			db.lostAt = p.Now()
 		}
-		return n
+		return
 	}
 	if flt.DoorbellDuplicated() {
 		q.dbDup++
 	}
-	q.txTailShadow = r.TailIdx
-	q.txTailVisible = p.Now() + q.dev.ep.MMIOPropagation()
-	q.txDbLostAt = 0 // this ring conveys every outstanding descriptor
-	return n
+	q.publish(p, db, tail)
 }
 
 // dbWatchdogTimeout is how long the driver waits for the device to act on
@@ -254,36 +259,32 @@ const dbWatchdogTimeout = 3 * sim.Microsecond
 // in-flight window is full (and therefore stops posting TX work) still
 // recovers via its RX polling.
 func (q *pcieQueue) watchdog(p *sim.Proc) {
-	if q.txDbLostAt == 0 && q.rxDbLostAt == 0 {
+	if q.txDb.lostAt == 0 && q.rxDb.lostAt == 0 {
 		return
 	}
-	flt := q.dev.sys.Faults()
 	now := p.Now()
-	if q.txDbLostAt != 0 && now-q.txDbLostAt >= dbWatchdogTimeout && q.txR.TailIdx > q.txTailShadow {
-		q.mmio.UCWrite(p, 4)
-		if flt.DoorbellDropped() {
-			q.txDbLostAt = p.Now() // lost again; restart the timer
-		} else {
-			q.txDbLostAt = 0
-			q.txTailShadow = q.txR.TailIdx
-			q.txTailVisible = p.Now() + q.dev.ep.MMIOPropagation()
-			flt.Stats().NoteRering()
-		}
+	q.rering(p, &q.txDb, q.txR.TailIdx, now)
+	q.rering(p, &q.rxDb, q.rxR.TailIdx, now)
+}
+
+// rering writes db's tail register again once a dropped write has gone
+// unanswered for dbWatchdogTimeout as of now and descriptors remain unseen.
+func (q *pcieQueue) rering(p *sim.Proc, db *doorbell, tail int, now sim.Time) {
+	if db.lostAt == 0 || now-db.lostAt < dbWatchdogTimeout || tail <= db.shadow {
+		return
 	}
-	if q.rxDbLostAt != 0 && now-q.rxDbLostAt >= dbWatchdogTimeout && q.rxR.TailIdx > q.rxTailShadow {
-		q.mmio.UCWrite(p, 4)
-		if flt.DoorbellDropped() {
-			q.rxDbLostAt = p.Now()
-		} else {
-			q.rxDbLostAt = 0
-			q.rxTailShadow = q.rxR.TailIdx
-			q.rxTailVisible = p.Now() + q.dev.ep.MMIOPropagation()
-			flt.Stats().NoteRering()
-		}
+	q.mmio.UCWrite(p, 4)
+	flt := q.dev.sys.Faults()
+	if flt.DoorbellDropped() {
+		db.lostAt = p.Now() // lost again; restart the timer
+		return
 	}
+	q.publish(p, db, tail)
+	flt.Stats().NoteRering()
 }
 
 // reclaimTx frees TX buffers whose completion (DD) writebacks have arrived.
+// Completion descriptors arrived via DDIO: reading them hits the LLC.
 func (q *pcieQueue) reclaimTx(p *sim.Proc) {
 	r := q.txR
 	now := p.Now()
@@ -291,18 +292,8 @@ func (q *pcieQueue) reclaimTx(p *sim.Proc) {
 	for r.HeadIdx+done < r.TailIdx && r.Done(r.HeadIdx+done) && q.txDoneAt[(r.HeadIdx+done)%r.Size()] <= now {
 		done++
 	}
-	if done == 0 {
-		return
-	}
-	// Completion descriptors arrived via DDIO: LLC hits.
-	q.host.GatherRead(p, r.LinesFor(r.HeadIdx, done))
-	for i := 0; i < done; i++ {
-		b := r.Take(r.HeadIdx)
-		r.ClearDone(r.HeadIdx)
-		r.HeadIdx++
-		if b != nil {
-			q.hostPort.Free(p, b)
-		}
+	if done > 0 {
+		r.Reclaim(p, q.host, done, q.hostPort)
 	}
 }
 
@@ -321,42 +312,19 @@ func (q *pcieQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
 		q.host.Poll(p, r.DescAddr(r.HeadIdx), ring.DescSize)
 		return 0
 	}
-	q.host.GatherRead(p, r.LinesFor(r.HeadIdx, n))
+	r.Consume(p, q.host, out[:n])
 	// Descriptor parse and mbuf initialization per received packet.
 	driverOverhead(p, q.host, n, 0, 6*sim.Nanosecond)
-	for i := 0; i < n; i++ {
-		out[i] = r.Take(r.HeadIdx)
-		r.ClearDone(r.HeadIdx)
-		r.HeadIdx++
-	}
 	// Refill the ring with fresh blanks from the pool (the rx_burst
 	// refill path of real drivers), ringing the doorbell lazily.
 	q.postBlanks(p, n)
 	q.rxFreed += n
 	if q.rxFreed >= rxDoorbellThresh {
 		q.rxFreed = 0
-		q.ringRxDoorbell(p)
+		q.mmio.UCWrite(p, 4)
+		q.rung(p, &q.rxDb, r.TailIdx)
 	}
 	return n
-}
-
-// ringRxDoorbell bumps the RX tail register, honoring armed doorbell
-// fault draws (drop → watchdog recovery; duplicate → spurious fetch).
-func (q *pcieQueue) ringRxDoorbell(p *sim.Proc) {
-	q.mmio.UCWrite(p, 4)
-	flt := q.dev.sys.Faults()
-	if flt.DoorbellDropped() {
-		if q.rxDbLostAt == 0 {
-			q.rxDbLostAt = p.Now()
-		}
-		return
-	}
-	if flt.DoorbellDuplicated() {
-		q.dbDup++
-	}
-	q.rxTailShadow = q.rxR.TailIdx
-	q.rxTailVisible = p.Now() + q.dev.ep.MMIOPropagation()
-	q.rxDbLostAt = 0
 }
 
 // Release implements Queue: return consumed RX buffers to the pool (ring
@@ -371,31 +339,11 @@ func (q *pcieQueue) Release(p *sim.Proc, bufs []*bufpool.Buf) {
 // Port implements Queue.
 func (q *pcieQueue) Port() *bufpool.Port { return q.hostPort }
 
-// postBlanks allocates blanks and writes them into the RX ring.
+// postBlanks allocates up to n blanks (no more than fit) and posts them to
+// the RX ring.
 func (q *pcieQueue) postBlanks(p *sim.Proc, n int) {
-	r := q.rxR
-	if sp := r.Space(); n > sp {
-		n = sp
-	}
-	if n <= 0 {
-		return
-	}
-	blanks := make([]*bufpool.Buf, 0, n)
-	for i := 0; i < n; i++ {
-		b := q.hostPort.Alloc(p, 4096)
-		if b == nil {
-			break
-		}
-		blanks = append(blanks, b)
-	}
-	if len(blanks) == 0 {
-		return
-	}
-	for i, b := range blanks {
-		r.Put(r.TailIdx+i, b)
-	}
-	q.host.ScatterWrite(p, r.LinesFor(r.TailIdx, len(blanks)))
-	r.TailIdx += len(blanks)
+	blanks := make([]*bufpool.Buf, min(n, q.rxR.Space()))
+	q.rxR.Post(p, q.host, blanks[:q.hostPort.AllocBurst(p, 4096, blanks)])
 }
 
 // primeRx posts the initial blank set and rings the first RX doorbell.
@@ -405,7 +353,8 @@ func (q *pcieQueue) primeRx(p *sim.Proc) {
 	}
 	q.primed = true
 	q.postBlanks(p, q.rxR.Size()*3/4)
-	q.ringRxDoorbell(p)
+	q.mmio.UCWrite(p, 4)
+	q.rung(p, &q.rxDb, q.rxR.TailIdx)
 }
 
 // ---------- Device pipeline ----------
@@ -431,7 +380,7 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 		}
 
 		// TX fetch.
-		if now >= q.txTailVisible && q.txSeen < q.txTailShadow {
+		if now >= q.txDb.visible && q.txSeen < q.txDb.shadow {
 			busy = true
 			// Transient pipeline stall (armed fault plans only): the
 			// engine pauses before serving the doorbell.
@@ -439,7 +388,7 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 				p.Sleep(stall)
 				now = p.Now()
 			}
-			n := q.txTailShadow - q.txSeen
+			n := q.txDb.shadow - q.txSeen
 			if n > 32 {
 				n = 32
 			}
@@ -543,7 +492,7 @@ func (q *pcieQueue) deliverMain(p *sim.Proc) {
 			p.Sleep(out - p.Now())
 		}
 		// Wait for a blank (the host may need to catch up on reposts).
-		for q.rxSeenNIC >= q.rxTailShadow || p.Now() < q.rxTailVisible {
+		for q.rxSeenNIC >= q.rxDb.shadow || p.Now() < q.rxDb.visible {
 			if q.stopped {
 				return
 			}

@@ -5,17 +5,20 @@ import (
 
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
+	"ccnic/internal/fault"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
 
-// runPCIe drives n loopback packets through a one-queue PCIe NIC and
-// returns the average unloaded latency when gap > 0 (singleton mode) or the
-// total elapsed time in pipelined mode.
-func runPCIe(t *testing.T, nic *platform.NICParams, n, size int, gap sim.Time) (avgLat, elapsed sim.Time) {
+// runPCIe drives n loopback packets through a one-queue PCIe NIC, checking
+// in-order delivery, invariants and pool conservation, and returns the
+// average unloaded latency when gap > 0 (singleton mode) or the total
+// elapsed time in pipelined mode. A non-nil flt arms its fault plan.
+func runPCIe(t *testing.T, nic *platform.NICParams, n, size int, gap sim.Time, flt *fault.Injector) (avgLat, elapsed sim.Time) {
 	t.Helper()
 	k := sim.New()
 	sys := coherence.NewSystem(k, platform.ICX())
+	sys.SetFaults(flt)
 	hostA := sys.NewAgent(0, "host0")
 	dev := NewPCIeNIC(sys, nic, []*coherence.Agent{hostA})
 	dev.Start()
@@ -90,7 +93,7 @@ func runPCIe(t *testing.T, nic *platform.NICParams, n, size int, gap sim.Time) (
 }
 
 func TestE810MinimumLatency(t *testing.T) {
-	lat, _ := runPCIe(t, platform.E810(), 40, 64, 3*sim.Microsecond)
+	lat, _ := runPCIe(t, platform.E810(), 40, 64, 3*sim.Microsecond, nil)
 	// Paper: 3809ns minimum loopback latency on ICX.
 	if lat < 3200*sim.Nanosecond || lat > 4500*sim.Nanosecond {
 		t.Errorf("E810 unloaded latency = %v, want ~3.8us", lat)
@@ -99,7 +102,7 @@ func TestE810MinimumLatency(t *testing.T) {
 }
 
 func TestCX6MinimumLatency(t *testing.T) {
-	lat, _ := runPCIe(t, platform.CX6(), 40, 64, 3*sim.Microsecond)
+	lat, _ := runPCIe(t, platform.CX6(), 40, 64, 3*sim.Microsecond, nil)
 	// Paper: 2116ns minimum loopback latency on ICX.
 	if lat < 1700*sim.Nanosecond || lat > 2600*sim.Nanosecond {
 		t.Errorf("CX6 unloaded latency = %v, want ~2.1us", lat)
@@ -109,7 +112,7 @@ func TestCX6MinimumLatency(t *testing.T) {
 
 func TestPCIePipelinedDelivery(t *testing.T) {
 	for _, nic := range []*platform.NICParams{platform.E810(), platform.CX6()} {
-		_, elapsed := runPCIe(t, nic, 500, 64, 0)
+		_, elapsed := runPCIe(t, nic, 500, 64, 0, nil)
 		perPkt := elapsed / 500
 		// Pipelined per-packet time must be far below the unloaded
 		// latency (otherwise nothing is overlapping).
@@ -121,13 +124,27 @@ func TestPCIePipelinedDelivery(t *testing.T) {
 }
 
 func TestPCIeLargePackets(t *testing.T) {
-	runPCIe(t, platform.E810(), 100, 1500, 0)
-	runPCIe(t, platform.CX6(), 100, 1500, 0)
+	runPCIe(t, platform.E810(), 100, 1500, 0, nil)
+	runPCIe(t, platform.CX6(), 100, 1500, 0, nil)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// TestPCIeDoorbellRecovery drops and duplicates a quarter of all doorbell
+// writes, TX and RX, on pipelined loopback: the watchdog must re-ring every
+// lost tail so that each packet still arrives, in order, with the pool
+// conserved.
+func TestPCIeDoorbellRecovery(t *testing.T) {
+	plan, err := fault.ParsePlan("seed=1,dbdrop=0.25,dbdup=0.25")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b
+	for _, nic := range []*platform.NICParams{platform.E810(), platform.CX6()} {
+		flt := fault.NewInjector(plan)
+		runPCIe(t, nic, 500, 64, 0, flt)
+		st := flt.Stats()
+		if st.Rerings == 0 || st.Injected[fault.DoorbellDup] == 0 {
+			t.Errorf("%s: %d re-rings, %d duplicate doorbells; want both > 0",
+				nic.Name, st.Rerings, st.Injected[fault.DoorbellDup])
+		}
+		t.Logf("%s: %s", nic.Name, st.Format())
+	}
 }

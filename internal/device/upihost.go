@@ -3,7 +3,6 @@ package device
 import (
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
-	"ccnic/internal/mem"
 	"ccnic/internal/ring"
 	"ccnic/internal/sim"
 )
@@ -39,7 +38,7 @@ func (q *upiQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {
 			q.freeReclaimed(p, q.txI.TakeReclaimed())
 		}
 	} else {
-		n = q.regPost(p, q.host, q.txR, bufs)
+		n = regPost(p, q.host, q.txR, &q.txTailVis, bufs)
 	}
 	if n > 0 {
 		q.dev.notify(q.idx)
@@ -73,25 +72,12 @@ func (q *upiQueue) freeReclaimed(p *sim.Proc, lines int) {
 }
 
 // regPost is the register-signaled producer path: write packed descriptors,
-// then bump the tail register (one line write; the consumer polls it).
-func (q *upiQueue) regPost(p *sim.Proc, a *coherence.Agent, r *ring.Reg, bufs []*bufpool.Buf) int {
-	n := len(bufs)
-	if sp := r.Space(); n > sp {
-		n = sp
-	}
-	if n == 0 {
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		r.Put(r.TailIdx+i, bufs[i])
-	}
-	a.ScatterWrite(p, r.LinesFor(r.TailIdx, n))
-	r.TailIdx += n
-	vis := a.WriteAsync(p, r.TailReg(), 8)
-	if r == q.txR {
-		q.txTailVis = vis
-	} else {
-		q.rxTailVis = vis
+// then bump the tail register (one line write; the consumer polls it once
+// vis has passed).
+func regPost(p *sim.Proc, a *coherence.Agent, r *ring.Reg, vis *sim.Time, bufs []*bufpool.Buf) int {
+	n := r.Post(p, a, bufs)
+	if n > 0 {
+		*vis = a.WriteAsync(p, r.TailReg(), 8)
 	}
 	return n
 }
@@ -99,30 +85,16 @@ func (q *upiQueue) regPost(p *sim.Proc, a *coherence.Agent, r *ring.Reg, bufs []
 // reclaimTx frees TX buffers completed by the NIC in register mode (DD
 // writebacks) — the host bookkeeping pass PCIe-style interfaces require.
 func (q *upiQueue) reclaimTx(p *sim.Proc) {
-	if q.dev.cfg.InlineSignal || q.txR == nil {
+	if q.dev.cfg.InlineSignal || p.Now() < q.txDoneVis {
 		return
 	}
 	r := q.txR
-	if p.Now() < q.txDoneVis {
-		return
-	}
-	var lines []mem.Addr
 	done := 0
 	for r.HeadIdx+done < r.TailIdx && r.Done(r.HeadIdx+done) {
 		done++
 	}
-	if done == 0 {
-		return
-	}
-	lines = r.LinesFor(r.HeadIdx, done)
-	q.host.GatherRead(p, lines)
-	for i := 0; i < done; i++ {
-		b := r.Take(r.HeadIdx)
-		r.ClearDone(r.HeadIdx)
-		r.HeadIdx++
-		if b != nil {
-			q.hostPort.Free(p, b)
-		}
+	if done > 0 {
+		r.Reclaim(p, q.host, done, q.hostPort)
 	}
 }
 
@@ -165,12 +137,7 @@ func (q *upiQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
 		q.host.Poll(p, r.DescAddr(r.HeadIdx), ring.DescSize)
 		return 0
 	}
-	q.host.GatherRead(p, r.LinesFor(r.HeadIdx, n))
-	for i := 0; i < n; i++ {
-		out[i] = r.Take(r.HeadIdx)
-		r.ClearDone(r.HeadIdx)
-		r.HeadIdx++
-	}
+	r.Consume(p, q.host, out[:n])
 	if cfg.NICBufMgmt {
 		// Return credits to the producer via the head register.
 		q.host.WriteAsync(p, r.HeadReg(), 8)
@@ -189,41 +156,45 @@ func (q *upiQueue) Release(p *sim.Proc, bufs []*bufpool.Buf) {
 	q.hostPort.FreeBurst(p, bufs)
 }
 
-// refillBlanks posts n fresh blank buffers for the NIC (host-managed
-// modes): through the fill ring when inline-signaled, through the RX ring
-// plus its tail register otherwise.
-func (q *upiQueue) refillBlanks(p *sim.Proc, n int) {
-	blanks := make([]*bufpool.Buf, 0, n)
-	for i := 0; i < n; i++ {
-		b := q.hostPort.Alloc(p, bigSize)
-		if b == nil {
-			break
-		}
-		blanks = append(blanks, b)
-	}
-	if len(blanks) == 0 {
+// primeRx performs the driver's RX queue initialization: posting the
+// initial set of blank buffers (host-managed modes only).
+func (q *upiQueue) primeRx(p *sim.Proc) {
+	if q.primed || q.dev.cfg.NICBufMgmt {
 		return
 	}
+	q.primed = true
+	if q.dev.cfg.InlineSignal {
+		q.postBlanks(p, q.dev.cfg.RingLines*3/4*q.dev.cfg.Layout.DescsPerLine())
+		return
+	}
+	q.postBlanks(p, q.dev.cfg.RingLines*3/4)
+	q.host.Write(p, q.rxR.TailReg(), 8)
+}
+
+// refillBlanks posts up to n fresh blank buffers for the NIC (host-managed
+// modes), bumping the RX tail register in register mode.
+func (q *upiQueue) refillBlanks(p *sim.Proc, n int) {
+	if q.postBlanks(p, n) > 0 && !q.dev.cfg.InlineSignal {
+		q.rxTailVis = q.host.WriteAsync(p, q.rxR.TailReg(), 8)
+	}
+}
+
+// postBlanks allocates up to n blank buffers and posts them for the NIC:
+// through the fill ring when inline-signaled, through the RX ring otherwise.
+// Blanks that do not fit go back to the pool; the count posted is returned
+// and publishing the RX tail is the caller's.
+func (q *upiQueue) postBlanks(p *sim.Proc, n int) int {
+	blanks := make([]*bufpool.Buf, n)
+	blanks = blanks[:q.hostPort.AllocBurst(p, bigSize, blanks)]
 	if q.dev.cfg.InlineSignal {
 		posted := q.fillI.Post(p, q.host, blanks)
 		q.fillI.TakeReclaimed()
 		q.hostPort.FreeBurst(p, blanks[posted:])
-		return
+		return posted
 	}
-	r := q.rxR
-	if sp := r.Space(); len(blanks) > sp {
-		q.hostPort.FreeBurst(p, blanks[sp:])
-		blanks = blanks[:sp]
-	}
-	if len(blanks) == 0 {
-		return
-	}
-	for i, b := range blanks {
-		r.Put(r.TailIdx+i, b)
-	}
-	q.host.ScatterWrite(p, r.LinesFor(r.TailIdx, len(blanks)))
-	r.TailIdx += len(blanks)
-	q.rxTailVis = q.host.WriteAsync(p, r.TailReg(), 8)
+	fit := min(len(blanks), q.rxR.Space())
+	q.hostPort.FreeBurst(p, blanks[fit:])
+	return q.rxR.Post(p, q.host, blanks[:fit])
 }
 
 // Port implements Queue.

@@ -205,7 +205,7 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 			posted = q.rxI.Post(p, q.nic, rx)
 			q.rxI.TakeReclaimed()
 		} else {
-			posted = q.regPost(p, q.nic, q.rxR, rx)
+			posted = regPost(p, q.nic, q.rxR, &q.rxTailVis, rx)
 		}
 		q.nicPort.FreeBurst(p, rx[posted:])
 		return posted
@@ -308,42 +308,4 @@ func (q *upiQueue) takeBlank(p *sim.Proc) (*bufpool.Buf, int) {
 	idx := q.rxSeenNIC
 	q.rxSeenNIC++
 	return r.Get(idx), idx
-}
-
-// primeRx performs the driver's RX queue initialization: posting the
-// initial set of blank buffers (host-managed modes only).
-func (q *upiQueue) primeRx(p *sim.Proc) {
-	if q.primed || q.dev.cfg.NICBufMgmt {
-		return
-	}
-	q.primed = true
-	n := q.dev.cfg.RingLines * 3 / 4
-	if q.dev.cfg.InlineSignal {
-		n *= q.dev.cfg.Layout.DescsPerLine()
-	}
-	blanks := make([]*bufpool.Buf, 0, n)
-	for i := 0; i < n; i++ {
-		b := q.hostPort.Alloc(p, bigSize)
-		if b == nil {
-			break
-		}
-		blanks = append(blanks, b)
-	}
-	if q.dev.cfg.InlineSignal {
-		posted := q.fillI.Post(p, q.host, blanks)
-		q.fillI.TakeReclaimed()
-		q.hostPort.FreeBurst(p, blanks[posted:])
-		return
-	}
-	r := q.rxR
-	if sp := r.Space(); len(blanks) > sp {
-		q.hostPort.FreeBurst(p, blanks[sp:])
-		blanks = blanks[:sp]
-	}
-	for i, b := range blanks {
-		r.Put(r.TailIdx+i, b)
-	}
-	q.host.ScatterWrite(p, r.LinesFor(r.TailIdx, len(blanks)))
-	r.TailIdx += len(blanks)
-	q.host.Write(p, r.TailReg(), 8)
 }

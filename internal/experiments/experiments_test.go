@@ -178,12 +178,8 @@ func TestFig20Shape(t *testing.T) {
 	}
 }
 
-// sscanf is a tiny helper for parsing the first float in a cell.
+// sscanf parses the first float in a cell.
 func sscanf(s string, v *float64) (int, error) {
-	return fmt_Sscanf(s, v)
-}
-
-func fmt_Sscanf(s string, v *float64) (int, error) {
 	return fmt.Sscanf(strings.TrimSpace(s), "%f", v)
 }
 

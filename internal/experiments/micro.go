@@ -416,10 +416,3 @@ func runTable1(Options) *Report {
 	}
 	return &Report{ID: "table1", Title: "PCIe, CXL, and UPI bandwidth", Tables: []*stats.Table{t}}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

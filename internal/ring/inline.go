@@ -8,9 +8,10 @@
 //
 //   - Reg rings are the conventional E810-style layout: tightly packed 16B
 //     descriptors with external head/tail registers and completion (DD)
-//     writebacks. The ring stores layout math and slot state; drivers and
-//     device models charge the accesses, since PCIe NICs reach the same
-//     ring through DMA rather than loads and stores.
+//     writebacks. The ring owns the host driver (Post, Consume, Reclaim)
+//     shared by the PCIe NICs and the unoptimized-UPI baseline; device
+//     models charge their own side, since PCIe NICs reach the ring through
+//     DMA rather than loads and stores.
 //
 // Descriptor content is carried out-of-band in Go objects; the simulated
 // memory is used only for timing and coherence state.

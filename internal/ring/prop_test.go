@@ -111,10 +111,9 @@ func TestInlineRandomInterleavings(t *testing.T) {
 }
 
 // TestRegRandomInterleavings drives the register ring the way the drivers
-// do — producer publishes via Put and a tail-register doorbell, consumer
-// takes descriptors and writes DD completions — under randomized batching,
-// with the invariant engine validating index ordering and lap protection
-// online.
+// do — the producer Posts and rings a tail-register doorbell, the consumer
+// writes DD completions and Consumes — under randomized batching, with the
+// invariant engine validating index ordering and lap protection online.
 func TestRegRandomInterleavings(t *testing.T) {
 	const packets = 300
 	for seed := int64(1); seed <= 4; seed++ {
@@ -138,28 +137,21 @@ func TestRegRandomInterleavings(t *testing.T) {
 			k.Spawn("producer", func(p *sim.Proc) {
 				seq := uint64(1)
 				for seq <= packets {
-					want := 1 + rng.Intn(4)
-					if s := r.Space(); want > s {
-						want = s
-					}
-					if left := packets - int(seq) + 1; want > left {
-						want = left
-					}
+					want := min(1+rng.Intn(4), r.Space(), packets-int(seq)+1)
 					if want == 0 {
 						p.Sleep(sim.Time(100+rng.Intn(200)) * sim.Nanosecond)
 						continue
 					}
-					for j := 0; j < want; j++ {
-						b := hp.Alloc(p, 64)
-						if b == nil {
-							t.Error("pool exhausted")
-							return
-						}
+					bufs := make([]*bufpool.Buf, want)
+					if hp.AllocBurst(p, 64, bufs) != want {
+						t.Error("pool exhausted")
+						return
+					}
+					for _, b := range bufs {
 						b.Seq = seq
 						seq++
-						r.Put(r.TailIdx, b)
-						r.TailIdx++
 					}
+					r.Post(p, host, bufs)
 					host.Write(p, r.TailReg(), 8)
 					p.Sleep(sim.Time(rng.Intn(300)) * sim.Nanosecond)
 				}
@@ -167,20 +159,20 @@ func TestRegRandomInterleavings(t *testing.T) {
 			k.Spawn("consumer", func(p *sim.Proc) {
 				for len(got) < packets {
 					nic.Read(p, r.TailReg(), 8)
-					n := 0
-					for r.HeadIdx < r.TailIdx && n < 1+rng.Intn(4) {
-						nic.GatherRead(p, r.LinesFor(r.HeadIdx, 1))
-						b := r.Take(r.HeadIdx)
-						got = append(got, b.Seq)
-						r.SetDone(r.HeadIdx)
-						r.ClearDone(r.HeadIdx)
-						r.HeadIdx++
-						np.Free(p, b)
-						n++
-					}
+					n := min(r.TailIdx-r.HeadIdx, 1+rng.Intn(4))
 					if n == 0 {
 						p.Sleep(sim.Time(50+rng.Intn(300)) * sim.Nanosecond)
+						continue
 					}
+					for i := r.HeadIdx; i < r.HeadIdx+n; i++ {
+						r.SetDone(i)
+					}
+					bufs := make([]*bufpool.Buf, n)
+					r.Consume(p, nic, bufs)
+					for _, b := range bufs {
+						got = append(got, b.Seq)
+					}
+					np.FreeBurst(p, bufs)
 				}
 			})
 			if err := k.Run(); err != nil {

@@ -6,17 +6,18 @@ import (
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
 	"ccnic/internal/mem"
+	"ccnic/internal/sim"
 )
 
 // Reg is a conventional register-signaled descriptor ring: a circular array
 // of packed 16B descriptors in host memory, a producer tail register, a
 // consumer position, and per-descriptor completion (DD) writebacks.
 //
-// Reg stores layout math and slot state only. Access costs differ radically
-// between users — a PCIe NIC reaches the array with DMA while the
-// unoptimized-UPI NIC uses coherent loads and stores, and the host always
-// uses loads and stores — so the device and driver models charge time
-// themselves using the address helpers here.
+// Reg owns the driver side (Post, Consume, Reclaim): one E810 driver whether
+// a PCIe NIC or the unoptimized-UPI baseline sits behind the ring. Device
+// sides differ radically — a PCIe NIC reaches the array with DMA, the UPI
+// NIC with coherent loads and stores — so device models charge their own
+// accesses using the address helpers here.
 type Reg struct {
 	sys   *coherence.System
 	nDesc int
@@ -99,14 +100,9 @@ func (r *Reg) HeadReg() mem.Addr { return r.head }
 // [from, from+count).
 func (r *Reg) LinesFor(from, count int) []mem.Addr {
 	var lines []mem.Addr
-	last := mem.Addr(0)
 	for i := from; i < from+count; i++ {
-		l := mem.LineOf(r.DescAddr(i))
-		if l != last || len(lines) == 0 {
-			if len(lines) == 0 || lines[len(lines)-1] != l {
-				lines = append(lines, l)
-			}
-			last = l
+		if l := mem.LineOf(r.DescAddr(i)); len(lines) == 0 || lines[len(lines)-1] != l {
+			lines = append(lines, l)
 		}
 	}
 	return lines
@@ -147,3 +143,45 @@ func (r *Reg) Done(i int) bool { return r.done[i%r.nDesc] }
 
 // ClearDone resets descriptor i's completion flag.
 func (r *Reg) ClearDone(i int) { r.done[i%r.nDesc] = false }
+
+// Post writes up to len(bufs) descriptors at the tail from the producer
+// agent and advances TailIdx, returning how many fit (limited by Space).
+// Publishing the new tail (doorbell or tail-register write) is the caller's.
+func (r *Reg) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int {
+	n := min(len(bufs), r.Space())
+	if n <= 0 {
+		return 0 // no empty ScatterWrite: it still draws a cache-pressure fault
+	}
+	for i, b := range bufs[:n] {
+		r.Put(r.TailIdx+i, b)
+	}
+	a.ScatterWrite(p, r.LinesFor(r.TailIdx, n))
+	r.TailIdx += n
+	return n
+}
+
+// Consume reads the len(out) descriptors at the head from the consumer
+// agent and takes their buffers into out, advancing HeadIdx. The caller has
+// established that they are ready.
+func (r *Reg) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) {
+	a.GatherRead(p, r.LinesFor(r.HeadIdx, len(out)))
+	for i := range out {
+		out[i] = r.Take(r.HeadIdx)
+		r.ClearDone(r.HeadIdx)
+		r.HeadIdx++
+	}
+}
+
+// Reclaim is Consume for n completed descriptors whose buffers go straight
+// back to port (TX completion reclaim).
+func (r *Reg) Reclaim(p *sim.Proc, a *coherence.Agent, n int, port *bufpool.Port) {
+	a.GatherRead(p, r.LinesFor(r.HeadIdx, n))
+	for ; n > 0; n-- {
+		b := r.Take(r.HeadIdx)
+		r.ClearDone(r.HeadIdx)
+		r.HeadIdx++
+		if b != nil {
+			port.Free(p, b)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -261,13 +262,21 @@ func TestRegRingIndexMath(t *testing.T) {
 func TestRegRingLinesFor(t *testing.T) {
 	withEnv(t, func(p *sim.Proc, e *env) {
 		r := NewReg(e.sys, 64, 0, 1)
-		lines := r.LinesFor(2, 6) // descs 2..7 span lines 0 and 1
-		if len(lines) != 2 {
-			t.Fatalf("LinesFor(2,6) = %d lines, want 2", len(lines))
-		}
-		lines = r.LinesFor(62, 4) // wraps: line 15 then line 0
-		if len(lines) != 2 {
-			t.Fatalf("LinesFor(62,4) = %d lines, want 2", len(lines))
+		line := func(i int) mem.Addr { return mem.LineOf(r.DescAddr(4 * i)) }
+		for _, c := range []struct {
+			from, count int
+			want        []mem.Addr
+		}{
+			{2, 6, []mem.Addr{line(0), line(1)}},             // descs 2..7
+			{62, 4, []mem.Addr{line(15), line(0)}},           // wraps
+			{4, 4, []mem.Addr{line(1)}},                      // one whole line
+			{5, 1, []mem.Addr{line(1)}},                      // one descriptor
+			{0, 0, nil},                                      // nothing
+			{60, 12, []mem.Addr{line(15), line(0), line(1)}}, // wraps mid-batch
+		} {
+			if got := r.LinesFor(c.from, c.count); !slices.Equal(got, c.want) {
+				t.Errorf("LinesFor(%d,%d) = %#x, want %#x", c.from, c.count, got, c.want)
+			}
 		}
 	})
 }
