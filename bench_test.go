@@ -83,8 +83,8 @@ func BenchmarkKernel(b *testing.B) {
 }
 
 // BenchmarkKernelPingPong measures the cross-process switch cost: two
-// processes alternating via Sleep so every event is a real goroutine
-// handoff (the slow path's single rendezvous).
+// processes alternating via Sleep so every event is a coroutine switch
+// selected on the parking coroutine (the slow path).
 func BenchmarkKernelPingPong(b *testing.B) {
 	k := sim.New()
 	for pp := 0; pp < 2; pp++ {
@@ -99,6 +99,34 @@ func BenchmarkKernelPingPong(b *testing.B) {
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.Events()), "ns/event")
+}
+
+// BenchmarkKernelSpin measures a spin step's event cost beside
+// BenchmarkKernelPingPong: a spinner and a sleeping peer alternate as they
+// do there, but the spinner's events run as spin steps, with no coroutine
+// switch into it.
+func BenchmarkKernelSpin(b *testing.B) {
+	k := sim.New()
+	k.Spawn("spinner", func(p *sim.Proc) {
+		n := 0
+		step := func() (sim.Time, bool) {
+			n++
+			return sim.Nanosecond, n < b.N
+		}
+		p.Spin(sim.Nanosecond, step)
+	})
+	k.Spawn("peer", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(sim.Nanosecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.Events()), "ns/event")
 }
 
 // BenchmarkKernelWaitSignal measures the event wait/signal path: a waiter

@@ -83,6 +83,17 @@ func (b *Buf) ResetMeta() {
 	b.Len, b.Seq, b.Born, b.ExtAddr, b.ExtLen = 0, 0, 0, 0, 0
 }
 
+// Lines collects the payload cache lines (first segment, Len bytes) of a
+// burst, so accesses can overlap across packets, as an out-of-order core
+// or a NIC engine would.
+func Lines(bufs []*Buf) []mem.Addr {
+	var lines []mem.Addr
+	for _, b := range bufs {
+		mem.Lines(b.Addr, b.Len, func(l mem.Addr) { lines = append(lines, l) })
+	}
+	return lines
+}
+
 // Config selects the pool's feature set.
 type Config struct {
 	Sys *coherence.System

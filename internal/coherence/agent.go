@@ -444,6 +444,25 @@ func (a *Agent) Poll(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 	return a.serialAccess(p, addr, size, false, false)
 }
 
+// SpinPoll is the issue half of a Poll within addr's line, for a spin step
+// (see sim.Proc.Spin) that must not block: it performs the access and
+// returns its latency, and the caller completes the poll with PollCommit
+// once that latency has elapsed. It declines, doing nothing, unless the
+// line is resident in the agent's L2 and no fault plan is armed (Poll
+// would draw cache pressure from the plan's RNG).
+func (a *Agent) SpinPoll(addr mem.Addr) (sim.Time, bool) {
+	line := mem.LineOf(addr)
+	if a.sys.flt != nil || a.l2.peek(line) == nil {
+		return 0, false
+	}
+	return a.sys.access(a, line, false, false, false).lat, true
+}
+
+// PollCommit is the completion half of a SpinPoll: the read's coherence
+// transition at completion time, as Poll applies it after its sleep. A
+// line invalidated while the poll was in flight is fetched again here.
+func (a *Agent) PollCommit(addr mem.Addr) { a.sys.commitRead(a, mem.LineOf(addr)) }
+
 // pressure models transient cache-pressure interference when a fault
 // plan arms it: a co-runner evicting lines costs the access extra
 // latency. Pure timing — it never touches cache or directory state, so

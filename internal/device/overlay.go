@@ -131,7 +131,7 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 			if cfg.InlineSignal {
 				metas = snapshot(fq.txI.Consume(p, a, burst), cfg.NICBufMgmt)
 			} else {
-				metas = fq.regConsumeTx(p)
+				metas = fq.regConsumeTx(p, false)
 			}
 			if len(metas) > 0 {
 				busy = true
@@ -159,7 +159,7 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 						fq.nicPort.Free(p, m.buf)
 					}
 				}
-				a.ScatterWrite(p, bufLines(out))
+				a.ScatterWrite(p, bufpool.Lines(out))
 				if !cfg.InlineSignal && !cfg.NICBufMgmt {
 					fq.completeTx(p, len(metas))
 				}
@@ -177,7 +177,7 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 			got := bq.RxBurst(p, rx)
 			if got > 0 {
 				busy = true
-				a.GatherRead(p, bufLines(rx[:got])) // DDIO: local LLC
+				a.GatherRead(p, bufpool.Lines(rx[:got])) // DDIO: local LLC
 				fwd := make([]rxMeta, 0, got)
 				for i := 0; i < got; i++ {
 					b := rx[i]

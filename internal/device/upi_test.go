@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ccnic/internal/bufpool"
+	"ccnic/internal/check"
 	"ccnic/internal/coherence"
 	"ccnic/internal/platform"
 	"ccnic/internal/ring"
@@ -192,4 +193,123 @@ func TestCCNICSingletonLatency(t *testing.T) {
 		t.Errorf("CC-NIC unloaded loopback latency = %v, want a few hundred ns", avg)
 	}
 	t.Logf("CC-NIC ICX unloaded TX-RX latency: %v", avg)
+}
+
+// An idle single-queue core runs its empty poll iterations as spin steps:
+// over 10 µs the NIC coroutine resumes only a handful of times, while
+// NICSteps still counts every L2Hit+PollGap iteration. A host process
+// waking every 7 ns interleaves with the core, so its iterations cannot
+// hide on the run-next fast path. The spin stays engaged under the
+// invariant engine, which sees every spun poll.
+func TestIdlePollSpins(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  UPIConfig
+	}{{"ccnic", CCNICConfig()}, {"unopt", UnoptConfig()}} {
+		for _, probe := range []bool{false, true} {
+			k := sim.New()
+			plat := platform.ICX()
+			sys := coherence.NewSystem(k, plat)
+			var eng *check.Engine
+			if probe {
+				eng = check.Attach(sys)
+			}
+			dev := NewUPI("upi", sys, tc.cfg, []*coherence.Agent{sys.NewAgent(0, "host0")},
+				[]*coherence.Agent{sys.NewAgent(1, "nic0")})
+			dev.Start()
+			var hostWakes uint64
+			k.Spawn("host", func(p *sim.Proc) {
+				for {
+					hostWakes++
+					p.Sleep(7 * sim.Nanosecond)
+				}
+			})
+			const window = 10 * sim.Microsecond
+			if err := k.RunUntil(window); err != nil {
+				t.Fatal(err)
+			}
+			perIter := plat.L2Hit + plat.PollGap
+			if r := k.Resumes() - min(k.Resumes(), hostWakes); r > 4 {
+				t.Errorf("%s probe=%v: the idle NIC coroutine resumed %d times in %v, want a handful", tc.name, probe, r, window)
+			}
+			n, want := dev.NICSteps(), int64(window/perIter)
+			if n < want-20 || n > want+1 {
+				t.Errorf("%s probe=%v: %d NIC steps in %v, want about %d (one per %v)", tc.name, probe, n, window, want, perIter)
+			}
+			if eng != nil && eng.Checks() < uint64(n) {
+				t.Errorf("%s: the invariant engine ran %d checks over %d NIC steps, want one per spun poll at least", tc.name, eng.Checks(), n)
+			}
+			k.Stop()
+			k.Shutdown()
+		}
+	}
+}
+
+// The host's post lands at every phase of the NIC's poll period, including
+// between a spun poll's issue and its completion: on the register ring the
+// tail index has then advanced before the tail register's visibility gate,
+// and the core must resume right after the poll to take the packets. Every
+// run delivers every packet in order, with the pool conserved.
+func TestPostAcrossPollPeriod(t *testing.T) {
+	plat := platform.ICX()
+	period := plat.L2Hit + plat.PollGap
+	for _, tc := range []struct {
+		name      string
+		cfg       UPIConfig
+		wantFound bool
+	}{{"ccnic", CCNICConfig(), false}, {"unopt", UnoptConfig(), true}} {
+		var found int64
+		for off := sim.Time(0); off < period; off += 250 * sim.Picosecond {
+			k := sim.New()
+			sys := coherence.NewSystem(k, plat)
+			hostA := sys.NewAgent(0, "host0")
+			dev := NewUPI("upi", sys, tc.cfg, []*coherence.Agent{hostA}, []*coherence.Agent{sys.NewAgent(1, "nic0")})
+			dev.Start()
+			q := dev.Queue(0)
+			const n = 8
+			got := 0
+			k.Spawn("host", func(p *sim.Proc) {
+				p.Sleep(2*sim.Microsecond + off)
+				bufs := make([]*bufpool.Buf, n)
+				for i := range bufs {
+					b := q.Port().Alloc(p, 64)
+					b.Len, b.Seq, b.Born = 64, uint64(i+1), p.Now()
+					hostA.StreamWrite(p, b.Addr, 64)
+					bufs[i] = b
+				}
+				if sent := q.TxBurst(p, bufs); sent != n {
+					t.Errorf("%s +%v: posted %d of %d", tc.name, off, sent, n)
+				}
+				rx := make([]*bufpool.Buf, n)
+				for got < n && p.Now() < 20*sim.Microsecond {
+					m := q.RxBurst(p, rx)
+					for _, b := range rx[:m] {
+						if got++; b.Seq != uint64(got) {
+							t.Errorf("%s +%v: packet %d has seq %d", tc.name, off, got, b.Seq)
+						}
+					}
+					q.Release(p, rx[:m])
+					p.Sleep(5 * sim.Nanosecond)
+				}
+				dev.Stop()
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got != n {
+				t.Errorf("%s +%v: received %d of %d", tc.name, off, got, n)
+			}
+			if err := sys.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.Pool().CheckConservation(); err != nil {
+				t.Fatalf("%s +%v: %v", tc.name, off, err)
+			}
+			found += dev.qs[0].idle.found
+		}
+		if tc.wantFound && found == 0 {
+			t.Errorf("%s: no post landed between a spun poll's issue and completion", tc.name)
+		}
+		t.Logf("%s: %d spun polls found work in flight", tc.name, found)
+	}
 }

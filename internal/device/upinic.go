@@ -52,19 +52,11 @@ func payloadLines(metas []pktMeta) []mem.Addr {
 	return lines
 }
 
-// bufLines collects the payload cache lines of already-sized buffers.
-func bufLines(bufs []*bufpool.Buf) []mem.Addr {
-	var lines []mem.Addr
-	for _, b := range bufs {
-		mem.Lines(b.Addr, b.Len, func(l mem.Addr) { lines = append(lines, l) })
-	}
-	return lines
-}
-
 // nicStep performs one service iteration for the queue: consume submitted
 // TX packets, loop them back or exchange them with the synthetic wire.
-// It reports whether any work was found.
-func (q *upiQueue) nicStep(p *sim.Proc) bool {
+// It reports whether any work was found. polled continues an iteration
+// whose TX poll an idlePoll step has already made and found work behind.
+func (q *upiQueue) nicStep(p *sim.Proc, polled bool) bool {
 	cfg := &q.dev.cfg
 	busy := false
 
@@ -72,17 +64,21 @@ func (q *upiQueue) nicStep(p *sim.Proc) bool {
 	// pauses before serving the rings. Coherent-interface queues have no
 	// doorbells to lose; link and cache faults arrive via the coherence
 	// layer underneath.
-	if stall := q.dev.sys.Faults().PipelineStall(); stall > 0 {
-		p.Sleep(stall)
+	if !polled {
+		if stall := q.dev.sys.Faults().PipelineStall(); stall > 0 {
+			p.Sleep(stall)
+		}
 	}
 
 	// --- TX ring: consume submitted packets. ---
 	var metas []pktMeta
-	if cfg.InlineSignal {
-		pkts := q.txI.Consume(p, q.nic, cfg.NICBurst)
-		metas = snapshot(pkts, cfg.NICBufMgmt)
-	} else {
-		metas = q.regConsumeTx(p)
+	switch {
+	case !cfg.InlineSignal:
+		metas = q.regConsumeTx(p, polled)
+	case polled:
+		metas = snapshot(q.txI.ConsumePolled(p, q.nic, cfg.NICBurst), cfg.NICBufMgmt)
+	default:
+		metas = snapshot(q.txI.Consume(p, q.nic, cfg.NICBurst), cfg.NICBufMgmt)
 	}
 	q.nic.GatherRead(p, payloadLines(metas))
 	if !cfg.InlineSignal && !cfg.NICBufMgmt {
@@ -107,14 +103,14 @@ func (q *upiQueue) nicStep(p *sim.Proc) bool {
 // regConsumeTx is the register-signaled NIC TX path: poll the tail register
 // and read new descriptors. Completion signaling happens after the payload
 // has been read (completeTx), never before — otherwise the host could
-// recycle a buffer the device is still reading.
-func (q *upiQueue) regConsumeTx(p *sim.Proc) []pktMeta {
+// recycle a buffer the device is still reading. polled skips the poll, made
+// by an idlePoll step.
+func (q *upiQueue) regConsumeTx(p *sim.Proc, polled bool) []pktMeta {
 	r := q.txR
-	q.nic.Poll(p, r.TailReg(), 8)
-	if p.Now() < q.txTailVis {
-		return nil // the tail bump has not propagated yet
+	if !polled {
+		q.nic.Poll(p, r.TailReg(), 8)
 	}
-	avail := r.TailIdx - q.txSeen
+	avail := q.txTailAvail(p.Now())
 	if avail == 0 {
 		return nil
 	}
@@ -141,6 +137,81 @@ func (q *upiQueue) regConsumeTx(p *sim.Proc) []pktMeta {
 		q.txSeen += avail
 	}
 	return metas
+}
+
+// txTailAvail is the TX descriptor count the NIC sees posted after polling
+// the tail register: none until the tail bump has propagated.
+func (q *upiQueue) txTailAvail(now sim.Time) int {
+	if now < q.txTailVis {
+		return 0
+	}
+	return q.txR.TailIdx - q.txSeen
+}
+
+// idlePoll runs a single-queue NIC core's idle service iterations as a spin
+// step (sim.Proc.Spin), so a core polling an empty TX ring costs no
+// coroutine switch. An idle iteration is two events: at the first the poll
+// of the TX ring issues, an L2 hit; at the second, that hit's latency
+// later, the poll completes and the core sleeps PollGap. The step runs
+// both halves of that poll (coherence.Agent.SpinPoll, PollCommit) and
+// nothing else, so each iteration it absorbs is exactly the iteration the
+// core would have run.
+//
+// At the first event the step declines, and the core runs the iteration
+// itself, whenever that iteration could do anything else: the queue is
+// stopped, a fault plan is armed (the iteration would draw from its RNG),
+// synthetic ingress is set, the poll would miss or train the prefetcher
+// (an inline ring's line already ready). At the second it declines when
+// the completed poll found work, and the core resumes right after the
+// poll (nicStep's polled continuation) to finish the iteration.
+type idlePoll struct {
+	q      *upiQueue
+	addr   mem.Addr // address of the poll in flight
+	issued bool     // a poll is in flight: the next wake completes it
+	polled bool     // the core resumed right after a poll that found work
+	found  int64    // polls that found work in flight (for tests)
+}
+
+// step is the sim.Proc.Spin step; bind it once per core.
+func (s *idlePoll) step() (sim.Time, bool) {
+	q := s.q
+	d := q.dev
+	now := d.sys.Kernel().Now()
+	if s.issued {
+		s.issued = false
+		q.nic.PollCommit(s.addr)
+		var found bool
+		if q.txI != nil {
+			found = q.txI.FinishPoll(now)
+		} else {
+			found = q.txTailAvail(now) > 0
+		}
+		if found {
+			s.polled = true
+			s.found++
+			return 0, false
+		}
+		return d.sys.Platform().PollGap, true
+	}
+	if q.stopped || d.sys.Faults() != nil || q.in.gen != nil {
+		return 0, false
+	}
+	addr, ok := mem.Addr(0), true
+	if q.txI != nil {
+		addr, ok = q.txI.IdlePoll(now)
+	} else {
+		addr = q.txR.TailReg()
+	}
+	if !ok {
+		return 0, false
+	}
+	lat, ok := q.nic.SpinPoll(addr)
+	if !ok {
+		return 0, false
+	}
+	d.nicSteps++
+	s.addr, s.issued = addr, true
+	return lat, true
 }
 
 // completeTx writes TX completion (DD) flags for the oldest n consumed
@@ -199,7 +270,7 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 			nb.Len, nb.Seq, nb.Born = m.size, m.seq, m.born
 			rx = append(rx, nb)
 		}
-		q.nic.ScatterWrite(p, bufLines(rx))
+		q.nic.ScatterWrite(p, bufpool.Lines(rx))
 		var posted int
 		if cfg.InlineSignal {
 			posted = q.rxI.Post(p, q.nic, rx)
@@ -221,7 +292,7 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 			blank.Len, blank.Seq, blank.Born = m.size, m.seq, m.born
 			blanks = append(blanks, blank)
 		}
-		q.nic.ScatterWrite(p, bufLines(blanks))
+		q.nic.ScatterWrite(p, bufpool.Lines(blanks))
 		posted := q.rxI.Post(p, q.nic, blanks)
 		q.rxI.TakeReclaimed()
 		// Blanks that did not fit stay with the NIC for the next
@@ -251,7 +322,7 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 		doneCount++
 	}
 	if doneCount > 0 {
-		q.nic.ScatterWrite(p, bufLines(written))
+		q.nic.ScatterWrite(p, bufpool.Lines(written))
 		for _, l := range q.rxR.LinesFor(doneFrom, doneCount) {
 			q.nic.WriteAsync(p, l, 8)
 		}

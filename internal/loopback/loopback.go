@@ -15,21 +15,10 @@ import (
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
-	"ccnic/internal/mem"
 	"ccnic/internal/sim"
 	"ccnic/internal/stats"
 	"ccnic/internal/trace"
 )
-
-// payloadLines collects the payload cache lines of a burst so accesses can
-// overlap across packets, as an out-of-order core would.
-func payloadLines(bufs []*bufpool.Buf) []mem.Addr {
-	var lines []mem.Addr
-	for _, b := range bufs {
-		mem.Lines(b.Addr, b.Len, func(l mem.Addr) { lines = append(lines, l) })
-	}
-	return lines
-}
 
 // Config describes one loopback run.
 type Config struct {
@@ -141,7 +130,7 @@ func Run(cfg Config) Result {
 						cfg.Trace.Mark(traceSeq(i, b.Seq), trace.Born, p.Now())
 						bufs = append(bufs, b)
 					}
-					a.ScatterWrite(p, payloadLines(bufs))
+					a.ScatterWrite(p, bufpool.Lines(bufs))
 					n := q.TxBurst(p, bufs)
 					for j := 0; j < n; j++ {
 						cfg.Trace.Mark(traceSeq(i, bufs[j].Seq), trace.Submitted, p.Now())
@@ -162,7 +151,7 @@ func Run(cfg Config) Result {
 				// --- Receive ---
 				got := q.RxBurst(p, rx)
 				if got > 0 {
-					a.GatherRead(p, payloadLines(rx[:got]))
+					a.GatherRead(p, bufpool.Lines(rx[:got]))
 					now := p.Now()
 					if pr := cfg.Sys.Probe(); pr != nil {
 						if st.rcvd+int64(got) > st.sent {

@@ -319,6 +319,16 @@ func (r *Inline) TakeReclaimed() int {
 	return n
 }
 
+// readyAt reports whether a Grouped or Padded line's descriptors are ready
+// and observable by the consumer at now.
+func (ln *line) readyAt(now sim.Time) bool { return ln.ready && now >= ln.visibleAt }
+
+// slotReadyAt reports whether Packed slot i holds a ready descriptor
+// observable by the consumer at now.
+func (ln *line) slotReadyAt(i int, now sim.Time) bool {
+	return ln.bufs[i] != nil && ln.slotReady[i] && now >= ln.slotVisible[i]
+}
+
 func (r *Inline) cleared(ln *line) bool {
 	if ln.ready || ln.count != 0 {
 		return false
@@ -335,22 +345,67 @@ func (r *Inline) cleared(ln *line) bool {
 // descriptors, clearing consumed state (the completion/credit signal).
 // It returns the buffers taken; an empty result means nothing was ready.
 func (r *Inline) Consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Buf {
-	out := r.consume(p, a, max)
+	out := r.consume(p, a, max, false)
 	r.notify()
 	return out
 }
 
-func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Buf {
+// IdlePoll reports whether the next Consume would begin with an empty poll
+// — a load that does not train the prefetcher, of the consumer's line
+// (Grouped, Padded) or slot (Packed), with nothing ready there — and
+// returns that poll's address. A spin step issues the poll itself
+// (coherence.Agent.SpinPoll) and, once it completes, ends the Consume with
+// FinishPoll. IdlePoll is false when the consumer's line is already ready:
+// that Consume reads it, training the prefetcher.
+func (r *Inline) IdlePoll(now sim.Time) (mem.Addr, bool) {
+	ln := r.lineAt(r.cons)
+	addr := r.lineAddr(r.cons)
+	if r.layout == Packed {
+		if ln.slotReadyAt(ln.taken, now) {
+			return 0, false
+		}
+		return addr + mem.Addr(ln.taken*DescSize), true
+	}
+	return addr, !ln.ready
+}
+
+// FinishPoll ends a Consume whose empty poll (IdlePoll) has just completed.
+// It reports whether descriptors became visible while the poll was in
+// flight; the Consume then goes on, and the caller must finish it with
+// ConsumePolled. Otherwise the Consume ends empty here, reported to the
+// probe as Consume reports it.
+func (r *Inline) FinishPoll(now sim.Time) bool {
+	if r.layout != Packed && r.lineAt(r.cons).readyAt(now) {
+		return true
+	}
+	r.notify()
+	return false
+}
+
+// ConsumePolled is Consume after its first poll, already issued and
+// completed by a spin step (IdlePoll, FinishPoll).
+func (r *Inline) ConsumePolled(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Buf {
+	out := r.consume(p, a, max, true)
+	r.notify()
+	return out
+}
+
+// consume takes up to max descriptors; polled skips the first poll, which
+// a spin step has made.
+func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int, polled bool) []*bufpool.Buf {
 	var out []*bufpool.Buf
 	for len(out) < max {
 		ln := r.lineAt(r.cons)
 		addr := r.lineAddr(r.cons)
 		switch r.layout {
 		case Packed:
+			if polled {
+				return out // a Packed Consume ends at its empty poll
+			}
 			took := false
 			for ln.taken < SlotsPerLine && len(out) < max {
 				i := ln.taken
-				if ln.bufs[i] == nil || !ln.slotReady[i] || p.Now() < ln.slotVisible[i] {
+				if !ln.slotReadyAt(i, p.Now()) {
 					break
 				}
 				// Poll+take+clear one descriptor slot.
@@ -384,12 +439,15 @@ func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Bu
 			// A successful consume streams sequentially through ring
 			// lines, so it trains the hardware prefetcher (Read); an
 			// empty poll re-checks the same line and does not (Poll).
-			if ln.ready {
+			switch {
+			case polled:
+				polled = false
+			case ln.ready:
 				a.Read(p, addr, DescSize)
-			} else {
+			default:
 				a.Poll(p, addr, DescSize)
 			}
-			if !ln.ready || p.Now() < ln.visibleAt {
+			if !ln.readyAt(p.Now()) {
 				return out
 			}
 			for ln.taken < ln.count && len(out) < max {

@@ -30,11 +30,13 @@ const (
 type abortSignal struct{}
 
 // Probe observes kernel scheduling for online model validation
-// (internal/check). Event fires on slow-path event execution only: the
-// run-next fast path advances the clock by construction (wake = now +
-// non-negative delta), so it needs no monotonicity check and stays free of
-// probe branches. RunEnd fires when Run or RunUntil returns, giving checkers
-// a quiescent point for full validation passes.
+// (internal/check). Event fires when an event is selected from the run
+// queue, whether it resumes a coroutine or runs a spin step inline (see
+// Proc.Spin). The run-next fast path, where the parking process (or a
+// spinner) is itself strictly next, advances the clock by construction
+// (wake = now + non-negative delta), so it needs no monotonicity check and
+// stays free of probe branches. RunEnd fires when Run or RunUntil returns,
+// giving checkers a quiescent point for full validation passes.
 type Probe interface {
 	Event(now Time)
 	RunEnd(now Time)
@@ -57,6 +59,10 @@ type Proc struct {
 	wake Time // scheduled resume time while runnable
 	seq  uint64
 	fn   func(*Proc) // current body; rebound when a pooled proc is respawned
+
+	// spin is the step the scheduler calls at each wake while the process
+	// is parked in Spin; nil otherwise.
+	spin func() (Time, bool)
 
 	// Coroutine control. resume transfers execution into the process and
 	// returns when it parks (true) or its function returns (false); yield
@@ -96,6 +102,26 @@ func (p *Proc) Sleep(d Time) {
 //ccnic:noalloc
 func (p *Proc) Yield() { p.Sleep(0) }
 
+// Spin sleeps d, then hands the process's wakes to step: at each one the
+// scheduler calls step inline, on whichever coroutine or run loop is
+// selecting the next event, without switching to this process. A step
+// that returns (d, true) sleeps the process d more; (_, false) resumes it,
+// and Spin returns in that same event. Each step call is one event, and
+// the clock, the Events count, the probe and the run-queue order all see
+// exactly what a Sleep loop running the same code would have made them
+// see — but no coroutine switch.
+//
+// A step runs outside every process, so it must not block: it may not call
+// Sleep, Wait or anything built on them, and doing so panics. Bind step
+// once, outside the loop that spins: a method value made per call
+// allocates.
+//
+//ccnic:noalloc
+func (p *Proc) Spin(d Time, step func() (Time, bool)) {
+	p.spin = step
+	p.Sleep(d)
+}
+
 // Wait blocks until ev is signaled. Waiters resume in FIFO order at the
 // virtual time of the Signal call.
 //
@@ -126,15 +152,14 @@ func (p *Proc) Wait(ev *Event) {
 //ccnic:noalloc
 func (p *Proc) park(s procState) {
 	k := p.k
+	if k.stepping != nil {
+		panic(fmt.Sprintf("sim: spin step of %q blocked", k.stepping.name))
+	}
 	p.state = s
 	if s == procRunnable {
-		// Run-next fast path: p wakes strictly before every scheduled
-		// process, so it would be popped right back; skip the heap and the
-		// coroutine switches entirely. Strict inequality preserves FIFO
-		// ordering at equal instants (a re-pushed proc would sort behind
-		// its peers).
-		if top := k.heap.peek(); (top == nil || p.wake < top.wake) &&
-			!k.stopped && (k.deadline < 0 || p.wake <= k.deadline) {
+		if p.spin == nil && k.runsNext(p) {
+			// Run-next fast path (see reschedule), kept inline here:
+			// it is most of a lone sleeper's events.
 			if p.wake > k.now {
 				k.now = p.wake
 			}
@@ -142,35 +167,12 @@ func (p *Proc) park(s procState) {
 			p.state = procRunning
 			return
 		}
-		k.seq++
-		p.seq = k.seq
-		if k.stopped {
-			k.heap.push(p) // Shutdown will abort p from the heap
-			k.hand = nil
-		} else {
-			// One sift instead of a push and a pop.
-			q := k.heap.pushpop(p)
-			if k.deadline >= 0 && q.wake > k.deadline {
-				k.push(q) // reschedule for a future Run
-				if k.now < k.deadline {
-					k.now = k.deadline
-				}
-				k.hand = nil
-			} else {
-				if q.wake > k.now {
-					k.now = q.wake
-				}
-				k.events++
-				if k.probe != nil {
-					k.probe.Event(k.now)
-				}
-				if q == p {
-					p.state = procRunning
-					return
-				}
-				k.hand = q
-			}
+		q := k.reschedule(p)
+		if q == p {
+			p.state = procRunning
+			return
 		}
+		k.hand = q
 	} else {
 		k.waiting++
 		k.hand = k.next()
@@ -179,6 +181,82 @@ func (p *Proc) park(s procState) {
 		panic(abortSignal{})
 	}
 	p.state = procRunning
+}
+
+// reschedule queues runnable p at p.wake and selects the next event,
+// running spin steps inline for as long as the selected process keeps
+// spinning. It returns the process to resume (p itself when p is next), or
+// nil when the run ends (stop or deadline).
+//
+//ccnic:noalloc
+func (k *Kernel) reschedule(p *Proc) *Proc {
+	for {
+		if k.runsNext(p) {
+			// Run-next fast path: skip the heap entirely.
+			if p.wake > k.now {
+				k.now = p.wake
+			}
+			k.events++
+		} else {
+			k.seq++
+			p.seq = k.seq
+			if k.stopped {
+				k.heap.push(p) // Shutdown will abort p from the heap
+				return nil
+			}
+			// One sift instead of a push and a pop.
+			q := k.heap.pushpop(p)
+			if k.deadline >= 0 && q.wake > k.deadline {
+				k.push(q) // reschedule for a future Run
+				if k.now < k.deadline {
+					k.now = k.deadline
+				}
+				return nil
+			}
+			if q.wake > k.now {
+				k.now = q.wake
+			}
+			k.events++
+			if k.probe != nil {
+				k.probe.Event(k.now)
+			}
+			p = q
+		}
+		if p.spin == nil || !k.step(p) {
+			return p
+		}
+	}
+}
+
+// runsNext reports whether runnable p wakes strictly before every scheduled
+// process, within the run: it would be popped right back, so the heap can
+// be skipped. Strict inequality preserves FIFO ordering at equal instants
+// (a re-pushed proc would sort behind its peers).
+//
+//ccnic:noalloc
+func (k *Kernel) runsNext(p *Proc) bool {
+	top := k.heap.peek()
+	return (top == nil || p.wake < top.wake) && !k.stopped && (k.deadline < 0 || p.wake <= k.deadline)
+}
+
+// step runs spinning p's step for the event just selected. It reports
+// whether p keeps spinning, with p.wake set to its next wake; otherwise p
+// leaves Spin and must be resumed.
+//
+//ccnic:noalloc
+func (k *Kernel) step(p *Proc) bool {
+	k.stepping = p
+	d, more := p.spin()
+	k.stepping = nil
+	if !more {
+		p.spin = nil
+		return false
+	}
+	if d < 0 {
+		d = 0
+	}
+	p.wake = k.now + d
+	return true
 }
 
 // Kernel is a discrete-event simulation kernel. Create one with New, add
@@ -200,6 +278,11 @@ type Kernel struct {
 	stopped  bool
 	deadline Time // active RunUntil deadline, or -1
 	events   uint64
+	resumes  uint64
+
+	// stepping is the spinner whose step is running, so a step that
+	// blocks can be caught; nil outside steps.
+	stepping *Proc
 
 	// hand is the process a parking coroutine selected for the run loop to
 	// resume next; nil ends the run (stop, deadline, completion, deadlock).
@@ -238,9 +321,13 @@ func (k *Kernel) Now() Time { return k.now }
 // Live returns the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
 
-// Events returns the number of simulation events (process resumptions) the
-// kernel has executed.
+// Events returns the number of simulation events (process resumptions and
+// spin steps) the kernel has executed.
 func (k *Kernel) Events() uint64 { return k.events }
+
+// Resumes returns the number of coroutine switches into a process: the
+// events that neither the run-next fast path nor a spin step absorbed.
+func (k *Kernel) Resumes() uint64 { return k.resumes }
 
 // NextWake returns the virtual time of the earliest scheduled process and
 // true, or (0, false) when no process is runnable (the kernel is idle until
@@ -329,9 +416,10 @@ func (p *Proc) retire() bool {
 // processes are then aborted. Call from a running process or before Run.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// next pops the next process to run and advances the clock, or returns nil
-// when the run is over (stop, deadline reached, completion, or deadlock —
-// the caller classifies from kernel state).
+// next pops the next process to run and advances the clock, running spin
+// steps inline as reschedule does, or returns nil when the run is over
+// (stop, deadline reached, completion, or deadlock — the caller classifies
+// from kernel state).
 //
 //ccnic:noalloc
 func (k *Kernel) next() *Proc {
@@ -360,6 +448,9 @@ func (k *Kernel) next() *Proc {
 	k.events++
 	if k.probe != nil {
 		k.probe.Event(k.now)
+	}
+	if p.spin != nil && k.step(p) {
+		return k.reschedule(p)
 	}
 	return p
 }
@@ -399,6 +490,7 @@ func (k *Kernel) run(deadline Time) error {
 	// loop retires it and pops the heap directly.
 	for p := k.next(); p != nil; {
 		k.hand = nil
+		k.resumes++
 		if _, parked := p.resume(); !parked {
 			p.state = procDone
 			k.live--
@@ -486,6 +578,7 @@ func (k *Kernel) abort(p *Proc) {
 	if p.state == procDone {
 		return
 	}
+	p.spin = nil
 	p.cancel()
 	p.state = procDone
 	k.live--

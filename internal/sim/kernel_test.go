@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -399,6 +401,16 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			ev.Signal()
 		}
 	})
+	k.Spawn("spinner", func(p *Proc) {
+		n := 0
+		step := func() (Time, bool) {
+			n++
+			return 2 * Nanosecond, n%50 != 0
+		}
+		for {
+			p.Spin(2*Nanosecond, step)
+		}
+	})
 	deadline := Time(0)
 	step := func() {
 		deadline += Microsecond
@@ -408,7 +420,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	step() // warm up: grow heap, waiter lists, and event registration
 	if avg := testing.AllocsPerRun(50, step); avg != 0 {
-		t.Errorf("steady-state Sleep/Signal allocates %v allocs/run, want 0", avg)
+		t.Errorf("steady-state Sleep/Signal/Spin allocates %v allocs/run, want 0", avg)
 	}
 	k.Shutdown()
 }
@@ -494,5 +506,273 @@ func TestHeapOrdering(t *testing.T) {
 	}
 	if h.pop() != nil {
 		t.Error("pop on empty heap should return nil")
+	}
+}
+
+// spinScript is one process of the Spin differential. At its event j the
+// process logs (id, j, now) and sleeps delay[j]; a work event also signals
+// the shared event or spawns a short-lived child, and only the process
+// itself runs it, so a spin step declines it.
+type spinScript struct {
+	id    int
+	delay []Time
+	work  []bool
+	spin  bool // run the idle events as spin steps
+}
+
+type spinLogEntry struct {
+	id, j int
+	now   Time
+}
+
+// spinWorld runs scripts (plus a waiter on the shared event) through the
+// given RunUntil deadlines and returns the event log and kernel counters.
+func spinWorld(t *testing.T, scripts []spinScript, deadlines []Time) ([]spinLogEntry, uint64, uint64, Time) {
+	k := New()
+	var log []spinLogEntry
+	ev := k.NewEvent("ev")
+	event := func(s *spinScript, j int) {
+		log = append(log, spinLogEntry{s.id, j, k.Now()})
+		if !s.work[j] {
+			return
+		}
+		switch j % 3 {
+		case 0:
+			ev.Signal()
+		case 1:
+			id := 1000*s.id + j
+			k.Spawn("child", func(c *Proc) {
+				c.Sleep(Time(j%2) * Nanosecond)
+				log = append(log, spinLogEntry{id, -1, c.Now()})
+			})
+		}
+	}
+	for i := range scripts {
+		s := &scripts[i]
+		k.Spawn(fmt.Sprintf("p%d", s.id), func(p *Proc) {
+			if !s.spin {
+				for j := range s.delay {
+					event(s, j)
+					p.Sleep(s.delay[j])
+				}
+				return
+			}
+			j := 0
+			step := func() (Time, bool) {
+				if j == len(s.delay) || s.work[j] {
+					return 0, false
+				}
+				event(s, j)
+				j++
+				return s.delay[j-1], true
+			}
+			for j < len(s.delay) {
+				event(s, j)
+				j++
+				p.Spin(s.delay[j-1], step)
+			}
+		})
+	}
+	k.Spawn("waiter", func(p *Proc) {
+		for {
+			p.Wait(ev)
+			log = append(log, spinLogEntry{-1, 0, p.Now()})
+		}
+	})
+	for _, d := range deadlines {
+		if err := k.RunUntil(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := k.Now()
+	k.Shutdown()
+	return log, k.Events(), k.Resumes(), now
+}
+
+// TestSpinMatchesSleepLoops is a randomized differential: processes whose
+// idle events run as spin steps must produce exactly the event order,
+// clock and event count of the same processes written as Sleep loops,
+// across ties at equal instants, steps that decline at random events, and
+// RunUntil deadlines that cut into spins.
+func TestSpinMatchesSleepLoops(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		scripts := make([]spinScript, 1+rng.Intn(5))
+		for i := range scripts {
+			n := 1 + rng.Intn(60)
+			s := spinScript{id: i, delay: make([]Time, n), work: make([]bool, n), spin: rng.Intn(4) != 0}
+			for j := range s.delay {
+				s.delay[j] = Time(rng.Intn(4)) * Nanosecond
+				s.work[j] = rng.Intn(10) < 3
+			}
+			scripts[i] = s
+		}
+		deadlines := []Time{Time(rng.Intn(40)) * Nanosecond, Time(rng.Intn(80)) * Nanosecond, 1000 * Nanosecond}
+		plain := make([]spinScript, len(scripts))
+		for i, s := range scripts {
+			s.spin = false
+			plain[i] = s
+		}
+		wantLog, wantEvents, wantResumes, wantNow := spinWorld(t, plain, deadlines)
+		gotLog, gotEvents, gotResumes, gotNow := spinWorld(t, scripts, deadlines)
+		if len(gotLog) != len(wantLog) {
+			t.Fatalf("seed %d: %d logged events, want %d", seed, len(gotLog), len(wantLog))
+		}
+		for i := range wantLog {
+			if gotLog[i] != wantLog[i] {
+				t.Fatalf("seed %d: event %d is %+v, want %+v", seed, i, gotLog[i], wantLog[i])
+			}
+		}
+		if gotEvents != wantEvents || gotNow != wantNow {
+			t.Fatalf("seed %d: events %d at %v, want %d at %v", seed, gotEvents, gotNow, wantEvents, wantNow)
+		}
+		if gotResumes > wantResumes {
+			t.Fatalf("seed %d: spin run resumed coroutines %d times, more than the sleep loops' %d", seed, gotResumes, wantResumes)
+		}
+	}
+}
+
+// A RunUntil deadline inside a spin parks the spinner with its step intact:
+// the next run picks the spin up where it stopped.
+func TestSpinAcrossRunUntil(t *testing.T) {
+	k := New()
+	var steps []Time
+	k.Spawn("spinner", func(p *Proc) {
+		step := func() (Time, bool) {
+			steps = append(steps, k.Now())
+			return 10 * Nanosecond, len(steps) < 6
+		}
+		p.Spin(10*Nanosecond, step)
+		if p.Now() != 60*Nanosecond {
+			t.Errorf("spin returned at %v, want 60ns", p.Now())
+		}
+	})
+	if err := k.RunUntil(35 * Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) != 3 || k.Now() != 35*Nanosecond {
+		t.Fatalf("after RunUntil(35ns): %d steps at %v, want 3 at 35ns", len(steps), k.Now())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range steps {
+		if want := Time(i+1) * 10 * Nanosecond; at != want {
+			t.Errorf("step %d ran at %v, want %v", i, at, want)
+		}
+	}
+	if k.Events() != 7 || k.Resumes() != 2 {
+		t.Errorf("events %d, resumes %d; want 7 and 2", k.Events(), k.Resumes())
+	}
+}
+
+// Stop and Shutdown abort a parked spinner: its coroutine unwinds, its step
+// is never called again, and the kernel's coroutine pool still serves
+// later spawns.
+func TestSpinStopAndShutdown(t *testing.T) {
+	for _, how := range []string{"stop", "shutdown"} {
+		k := New()
+		steps := 0
+		unwound := false
+		k.Spawn("spinner", func(p *Proc) {
+			defer func() { unwound = true }()
+			step := func() (Time, bool) {
+				steps++
+				return Nanosecond, true
+			}
+			p.Spin(Nanosecond, step)
+			t.Errorf("%s: spinner resumed", how)
+		})
+		if how == "stop" {
+			k.Spawn("stopper", func(p *Proc) {
+				p.Sleep(50 * Nanosecond)
+				k.Stop()
+				p.Sleep(Nanosecond)
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if err := k.RunUntil(50 * Nanosecond); err != nil {
+				t.Fatal(err)
+			}
+			k.Shutdown()
+		}
+		if !unwound || k.Live() != 0 {
+			t.Fatalf("%s: spinner unwound %v, live %d", how, unwound, k.Live())
+		}
+		before := steps
+		var woke []Time
+		k.Spawn("after", func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				p.Sleep(Nanosecond)
+				woke = append(woke, p.Now())
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if steps != before || len(woke) != 3 {
+			t.Errorf("%s: %d steps after abort, %d wakes of the later process", how, steps-before, len(woke))
+		}
+	}
+}
+
+// A process that leaves Spin and finishes returns its coroutine to the
+// pool; the process respawned on it sleeps normally, with no stale step.
+func TestSpinPooledRespawn(t *testing.T) {
+	k := New()
+	steps := 0
+	k.Spawn("spinner", func(p *Proc) {
+		step := func() (Time, bool) {
+			steps++
+			return Nanosecond, steps < 5
+		}
+		p.Spin(Nanosecond, step)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var woke []Time
+	start := k.Now()
+	k.Spawn("respawned", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(2 * Nanosecond)
+			woke = append(woke, p.Now()-start)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if steps != 5 || len(woke) != 3 || woke[2] != 6*Nanosecond {
+		t.Errorf("steps %d, respawned wakes %v; want 5 steps and wakes every 2ns", steps, woke)
+	}
+	k.Shutdown()
+}
+
+// A step that blocks panics with the spinner's name, whether the scheduler
+// runs it on the spinner's own coroutine or on the run loop.
+func TestSpinBlockingStepPanics(t *testing.T) {
+	for _, peer := range []bool{false, true} {
+		k := New()
+		k.Spawn("spinner", func(p *Proc) {
+			step := func() (Time, bool) {
+				p.Sleep(Nanosecond)
+				return Nanosecond, true
+			}
+			p.Spin(Nanosecond, step)
+		})
+		if peer {
+			k.Spawn("peer", func(*Proc) {})
+		}
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, `spin step of "spinner" blocked`) {
+					t.Errorf("peer %v: panic %q, want the blocked-step guard naming the spinner", peer, msg)
+				}
+			}()
+			_ = k.Run()
+		}()
 	}
 }
