@@ -104,8 +104,8 @@ func (tb *Testbed) RunRPC(opt RPCOptions) RPCResult {
 	})
 }
 
-// Platform returns the named platform's parameters ("ICX", "SPR", "CXL"),
-// or nil — exposed for building custom Config.Plat values (for example
+// Platform returns the named platform's parameters ("ICX" or "SPR"), or
+// nil — exposed for building custom Config.Plat values (for example
 // Derate sweeps).
 func Platform(name string) *platform.Platform { return platform.ByName(name) }
 

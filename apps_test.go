@@ -70,7 +70,7 @@ func TestRunRPCPublicAPI(t *testing.T) {
 }
 
 func TestPlatformAndConfigHelpers(t *testing.T) {
-	if Platform("SPR") == nil || Platform("CXL") == nil || Platform("nope") != nil {
+	if Platform("SPR") == nil || Platform("CXL") != nil || Platform("nope") != nil {
 		t.Error("Platform lookup wrong")
 	}
 	u := NewUPIConfig()

@@ -201,9 +201,9 @@ func NewTestbed(cfg Config) *Testbed {
 		if name == "" {
 			name = "ICX"
 		}
-		plat = platform.ByName(name)
-		if plat == nil {
-			panic(fmt.Sprintf("ccnic: unknown platform %q", cfg.Platform))
+		var err error
+		if plat, err = platform.Lookup(name); err != nil {
+			panic("ccnic: " + err.Error())
 		}
 	}
 	queues := cfg.Queues

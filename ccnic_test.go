@@ -1,6 +1,7 @@
 package ccnic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,18 +9,24 @@ import (
 )
 
 func TestNewTestbedValidation(t *testing.T) {
-	for _, bad := range []Config{
-		{Platform: "nope"},
-		{Platform: "ICX", Queues: 17}, // ICX has 16 cores/socket
-		{Interface: Interface(99)},
+	for _, bad := range []struct {
+		cfg  Config
+		want string // substring of the panic message
+	}{
+		{Config{Platform: "nope"}, `unknown platform "nope"`},
+		// CXL is a protocol backend; the removed platform name says so.
+		{Config{Platform: "CXL"}, "-protocol cxl"},
+		{Config{Platform: "ICX", Queues: 17}, "17 queues exceed ICX's 16 cores"},
+		{Config{Interface: Interface(99)}, ""},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v should panic", bad)
+				msg := recover()
+				if msg == nil || !strings.Contains(fmt.Sprint(msg), bad.want) {
+					t.Errorf("config %+v panicked with %v, want a panic naming %q", bad.cfg, msg, bad.want)
 				}
 			}()
-			NewTestbed(bad)
+			NewTestbed(bad.cfg)
 		}()
 	}
 }

@@ -23,8 +23,8 @@ rows='
 -       fault-dma       -              dma=0.02        fig13 fig17 fig21 faults-rate faults-recovery
 -       fault-cache     -              cache=0.02      fig13 fig17 fig21 faults-rate faults-recovery
 *       fault-all       -              all=0.02        fig13 fig17 fig21 faults-rate faults-recovery table2 ext-event ext-netfn
--       protocol-upi    -protocol=upi  all=0.005       fig13 fig17 fig21 proto-sweep table2 ext-event ext-netfn
-*       protocol-cxl    -protocol=cxl  all=0.005       fig13 fig17 fig21 proto-sweep table2 ext-event ext-netfn
+-       protocol-upi    -protocol=upi  all=0.005       fig13 fig17 fig21 proto-sweep ext-cxl table2 ext-event ext-netfn
+*       protocol-cxl    -protocol=cxl  all=0.005       fig13 fig17 fig21 proto-sweep ext-cxl table2 ext-event ext-netfn
 -       fabric-4        -ports=4       all=0.02        fabric-incast fabric-isolation fabric-crossover
 *       fabric-8        -ports=8       all=0.02        fabric-incast fabric-isolation fabric-crossover
 -       fabric-16       -ports=16      all=0.02        fabric-incast fabric-isolation fabric-crossover

@@ -10,7 +10,7 @@
 //	ccnicsim -iface e810 -queues 4 -pkt 1536 -rate 2e6
 //	ccnicsim -platform SPR -iface unopt -queues 16 -trace
 //	ccnicsim -iface overlay -workload kv -dist geo -queues 4
-//	ccnicsim -platform CXL -iface ccnic -queues 8 -workload forward
+//	ccnicsim -platform SPR -protocol cxl -iface ccnic -queues 8 -workload forward
 //	ccnicsim -workload cluster -hosts 8 -incast -bulk 2 -signal pcie
 package main
 
@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		platName = flag.String("platform", "ICX", "platform: ICX, SPR, or CXL")
+		platName = flag.String("platform", "ICX", "platform: ICX or SPR")
 		ifaceStr = flag.String("iface", "ccnic", "interface: ccnic, unopt, e810, cx6, overlay, overlay-unopt")
 		queues   = flag.Int("queues", 4, "host threads / queue pairs")
 		pkt      = flag.Int("pkt", 64, "packet size in bytes")
@@ -65,9 +65,10 @@ func main() {
 
 	// Every selector is checked before dispatch, so a typo fails loudly
 	// whichever workload would have run.
-	plat := platform.ByName(*platName)
-	if plat == nil {
-		fatalf("ccnicsim: unknown platform %q (ICX, SPR, or CXL)", *platName)
+	plat, err := platform.Lookup(*platName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ccnicsim: -platform: %v\n", err)
+		os.Exit(2)
 	}
 	iface, ok := map[string]ccnic.Interface{
 		"ccnic":         ccnic.CCNIC,

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -9,6 +12,42 @@ import (
 	"ccnic/internal/loopback"
 	"ccnic/internal/platform"
 )
+
+// TestMain runs the command itself when a test re-executes the test binary
+// with CCNICSIM_MAIN set, so tests can check its exit status and stderr.
+func TestMain(m *testing.M) {
+	if os.Getenv("CCNICSIM_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestPlatformRejected checks that a platform name the command does not
+// model exits 2 before anything runs, and that the removed CXL platform
+// points at the protocol backend that replaced it.
+func TestPlatformRejected(t *testing.T) {
+	for _, tc := range []struct{ platform, want string }{
+		{"CXL", "-protocol cxl"},
+		{"cxl", "-protocol cxl"},
+		{"nope", `unknown platform "nope" (ICX or SPR)`},
+	} {
+		t.Run(tc.platform, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-platform", tc.platform)
+			cmd.Env = append(os.Environ(), "CCNICSIM_MAIN=1")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("-platform %s: %v, want exit status 2", tc.platform, err)
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("-platform %s: stderr %q does not name %q", tc.platform, stderr.String(), tc.want)
+			}
+		})
+	}
+}
 
 // TestCheckFlags checks that each out-of-range flag value is rejected with a
 // message naming the flag, and that the defaults and range edges pass. A

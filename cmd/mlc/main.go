@@ -22,9 +22,9 @@ func main() {
 	protoStr := flag.String("protocol", "upi", "coherence protocol backend: upi or cxl")
 	flag.Parse()
 
-	plat := platform.ByName(*platName)
-	if plat == nil {
-		fmt.Fprintf(os.Stderr, "mlc: unknown platform %q\n", *platName)
+	plat, err := platform.Lookup(*platName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mlc: %v\n", err)
 		os.Exit(1)
 	}
 	proto, err := coherence.ParseProtocol(*protoStr)

@@ -2,8 +2,10 @@ package check_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ccnic/internal/check"
 	"ccnic/internal/coherence"
@@ -178,4 +180,29 @@ func TestViolationPanics(t *testing.T) {
 	}()
 	sys.Probe().Fail(root)
 	t.Fatal("Fail did not panic")
+}
+
+// TestFinishedRunReleasesSystem checks that a finished checked run leaves
+// its System collectable. The engine is the kernel's probe and reaches the
+// whole System, so any coroutine the kernel kept parked past the run would
+// pin every line table through it. The System sits in reference cycles, so
+// a finalizer on it would never run; the finalizer goes on its platform
+// parameters instead, a leaf that only the simulation reaches.
+func TestFinishedRunReleasesSystem(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		sys, dev, hosts := testbed(2)
+		check.Attach(sys)
+		shortRun(sys, dev, hosts)
+		runtime.SetFinalizer(sys.Platform(), func(*platform.Platform) { close(collected) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the System is still reachable after its run finished")
 }

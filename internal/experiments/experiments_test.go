@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -175,6 +176,52 @@ func TestFig20Shape(t *testing.T) {
 	// Host prefetching must help CC-NIC 64B (paper: 1.2x).
 	if hostOn < 1.0 {
 		t.Errorf("host prefetching should not hurt CC-NIC 64B: %.2f", hostOn)
+	}
+}
+
+// TestInterconnectSweepShape pins ext-cxl's ordering claim, and that the
+// three interconnect-sensitivity experiments are one measurement: ext-cxl's
+// unloaded points are proto-sweep's 100% column, and fig21's CC-NIC series
+// is proto-sweep's CC-NIC/UPI series.
+func TestInterconnectSweepShape(t *testing.T) {
+	opt := Options{Quick: true}
+	ext := map[string][2]float64{} // interface -> peak Mpps, unloaded median ns
+	for _, row := range ByID("ext-cxl").Run(opt).Tables[0].Rows {
+		var peak, lat float64
+		if _, err := sscanf(row[1], &peak); err != nil {
+			t.Fatalf("bad peak cell %q", row[1])
+		}
+		if _, err := sscanf(row[2], &lat); err != nil {
+			t.Fatalf("bad latency cell %q", row[2])
+		}
+		ext[row[0]] = [2]float64{peak, lat}
+	}
+	cc, unopt, e810 := ext["CC-NIC/CXL"], ext["Unopt/CXL"], ext["E810 PCIe"]
+	if cc[0] <= e810[0] || cc[0] <= unopt[0] {
+		t.Errorf("CC-NIC/CXL peak %.1f Mpps should beat E810 (%.1f) and Unopt/CXL (%.1f)", cc[0], e810[0], unopt[0])
+	}
+	if cc[1] >= e810[1] || cc[1] >= unopt[1] {
+		t.Errorf("CC-NIC/CXL unloaded %.0f ns should undercut E810 (%.0f) and Unopt/CXL (%.0f)", cc[1], e810[1], unopt[1])
+	}
+
+	proto := ByID("proto-sweep").Run(opt)
+	for i, name := range []string{"CC-NIC/CXL", "E810 PCIe"} {
+		got, _ := proto.Groups[0].Series[i+1].YAt(100)
+		if math.Abs(got-ext[name][1]) > 0.5 {
+			t.Errorf("%s: proto-sweep's 100%% point reads %.0f ns, ext-cxl %.0f ns", name, got, ext[name][1])
+		}
+	}
+	fig21 := ByID("fig21").Run(opt)
+	for g, group := range fig21.Groups {
+		got, want := group.Series[0].Points, proto.Groups[g].Series[0].Points
+		if len(got) != len(want) {
+			t.Fatalf("%s: fig21 has %d CC-NIC points, proto-sweep %d", group.Name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Y != want[i].Y {
+				t.Errorf("%s point %d: fig21 CC-NIC %v, proto-sweep CC-NIC/UPI %v", group.Name, i, got[i].Y, want[i].Y)
+			}
+		}
 	}
 }
 

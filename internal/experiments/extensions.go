@@ -177,61 +177,3 @@ func runExtNetfn(opt Options) *Report {
 	}
 	return &Report{ID: "ext-netfn", Title: "Network-function forwarding", Tables: []*stats.Table{t}}
 }
-
-func init() {
-	register(&Experiment{
-		ID:    "ext-cxl",
-		Title: "EXT (§5.9/§6): CC-NIC projected onto a CXL 2.0 x16 attached NIC",
-		Paper: "Fig 21 argues CC-NIC's benefits hold at CXL-like latency (170-250ns) and bandwidth; this runs the full stack there",
-		Run:   runExtCXL,
-	})
-}
-
-// runExtCXL runs the headline loopback comparison on the projected CXL
-// platform: CC-NIC and the unoptimized interface over CXL.cache, with the
-// PCIe E810 (which a CXL slot would replace) as the baseline.
-func runExtCXL(opt Options) *Report {
-	queues := 16
-	if opt.Quick {
-		queues = 4
-	}
-	t := &stats.Table{
-		Name:    fmt.Sprintf("64B loopback over projected CXL 2.0 x16 (%d cores)", queues),
-		Columns: []string{"interface", "peak Mpps", "unloaded median [ns]"},
-	}
-	for _, c := range []struct {
-		name  string
-		iface ccnic.Interface
-		plat  *platform.Platform
-	}{
-		{"CC-NIC over CXL", ccnic.CCNIC, platform.CXL()},
-		{"Unopt over CXL", ccnic.UnoptUPI, platform.CXL()},
-		{"E810 PCIe (host)", ccnic.E810, platform.SPR()},
-	} {
-		c := c
-		mk := func(q int) *ccnic.Testbed {
-			return ccnic.NewTestbed(ccnic.Config{
-				Plat: c.plat, Interface: c.iface, Queues: q, HostPrefetch: true,
-			})
-		}
-		o := ccnic.LoopbackOptions{PktSize: 64, Window: 128,
-			Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond}
-		if opt.Quick {
-			o.Warmup, o.Measure = 20*sim.Microsecond, 60*sim.Microsecond
-		}
-		peak := mk(queues).RunLoopback(o)
-		lo := o
-		lo.Rate = 100_000
-		lat := mk(1).RunLoopback(lo)
-		t.AddRow(c.name, fmt.Sprintf("%.1f", peak.Mpps()),
-			fmt.Sprintf("%.0f", lat.Latency.Median().Nanoseconds()))
-	}
-	return &Report{
-		ID:     "ext-cxl",
-		Title:  "CC-NIC on CXL (projection)",
-		Tables: []*stats.Table{t},
-		Notes: []string{
-			"a prediction, not a reproduction: no CXL-attached NIC exists to compare against",
-		},
-	}
-}

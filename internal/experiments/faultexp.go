@@ -69,11 +69,8 @@ func runFaultsRate(opt Options) *Report {
 				HostPrefetch: true,
 				Faults:       allClassPlan(rates[i]),
 			})
-			o := ccnic.LoopbackOptions{PktSize: 64, Window: 64,
-				Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond}
-			if opt.Quick {
-				o.Warmup, o.Measure = 20*sim.Microsecond, 60*sim.Microsecond
-			}
+			o := peakOpts(64, opt)
+			o.Window = 64
 			res := tb.RunLoopback(o)
 			pts[i] = pt{res.Mpps(), res.Latency.Median().Microseconds()}
 		})

@@ -5,7 +5,6 @@ import (
 
 	"ccnic"
 	"ccnic/internal/device"
-	"ccnic/internal/platform"
 	"ccnic/internal/ring"
 	"ccnic/internal/sim"
 	"ccnic/internal/stats"
@@ -60,12 +59,6 @@ func init() {
 		Paper: "host prefetching gains 1.2x for CC-NIC 64B; any prefetching hurts the unoptimized design by up to 7%",
 		Run:   runFig20,
 	})
-	register(&Experiment{
-		ID:    "fig21",
-		Title: "Sensitivity to interconnect latency and bandwidth (uncore derating)",
-		Paper: "loopback latency tracks interconnect latency ~1:1; 40% bandwidth yields 39% throughput; CC-NIC's margin holds",
-		Run:   runFig21,
-	})
 }
 
 // build constructs a fresh testbed (one per measurement: the kernel is
@@ -83,14 +76,32 @@ func build(platName string, iface ccnic.Interface, queues int, mut func(*ccnic.C
 	return ccnic.NewTestbed(cfg)
 }
 
+// peakOpts is the closed-loop peak-rate measurement: a 128-packet window
+// per queue, 30us of warm-up and 100us measured (20/60us at -quick).
+func peakOpts(pkt int, opt Options) ccnic.LoopbackOptions {
+	o := ccnic.LoopbackOptions{PktSize: pkt, Window: 128,
+		Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond}
+	if opt.Quick {
+		o.Warmup, o.Measure = 20*sim.Microsecond, 60*sim.Microsecond
+	}
+	return o
+}
+
+// unloadedOpts is the unloaded-latency measurement: 64B packets at 100 kpps
+// per queue, 30us of warm-up and 120us measured (20/80us at -quick).
+func unloadedOpts(opt Options) ccnic.LoopbackOptions {
+	o := ccnic.LoopbackOptions{PktSize: 64, Rate: 100_000,
+		Warmup: 30 * sim.Microsecond, Measure: 120 * sim.Microsecond}
+	if opt.Quick {
+		o.Warmup, o.Measure = 20*sim.Microsecond, 80*sim.Microsecond
+	}
+	return o
+}
+
 // curvePoints measures a throughput-latency curve: a closed-loop probe
 // finds the peak, then open-loop runs at fractions of it.
 func curvePoints(mk func() *ccnic.Testbed, pkt int, fractions []float64, opt Options) *stats.Series {
-	probe := ccnic.LoopbackOptions{PktSize: pkt, Window: 128}
-	probe.Warmup, probe.Measure = 30*sim.Microsecond, 100*sim.Microsecond
-	if opt.Quick {
-		probe.Warmup, probe.Measure = 20*sim.Microsecond, 60*sim.Microsecond
-	}
+	probe := peakOpts(pkt, opt)
 	tb := mk()
 	peak := tb.RunLoopback(probe)
 	perQueue := peak.PPS / float64(tb.Dev.NumQueues())
@@ -276,12 +287,7 @@ func runFig15(opt Options) *Report {
 				cc.UPI = &u
 			})
 		}
-		o := ccnic.LoopbackOptions{PktSize: 64, Window: 128,
-			Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond}
-		if opt.Quick {
-			o.Warmup, o.Measure = 20*sim.Microsecond, 60*sim.Microsecond
-		}
-		res := mk().RunLoopback(o)
+		res := mk().RunLoopback(peakOpts(64, opt))
 		if base == 0 {
 			base = res.PPS
 		}
@@ -311,8 +317,8 @@ func runFig16(opt Options) *Report {
 			var peak float64
 			vals := map[int]float64{}
 			for _, b := range batches {
-				o := ccnic.LoopbackOptions{PktSize: 64, Window: 128, TxBatch: 32, RxBatch: 32,
-					Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond}
+				o := peakOpts(64, opt)
+				o.TxBatch, o.RxBatch = 32, 32
 				if dir == "TX" {
 					o.TxBatch = b
 					// An unbatched sender also keeps fewer packets
@@ -322,9 +328,6 @@ func runFig16(opt Options) *Report {
 					}
 				} else {
 					o.RxBatch = b
-				}
-				if opt.Quick {
-					o.Warmup, o.Measure = 20*sim.Microsecond, 60*sim.Microsecond
 				}
 				res := build("ICX", iface, queues, nil).RunLoopback(o)
 				vals[b] = res.PPS
@@ -397,16 +400,11 @@ func runFig20(opt Options) *Report {
 		vals := map[string]float64{}
 		for _, st := range settings {
 			st := st
-			o := ccnic.LoopbackOptions{PktSize: c.pkt, Window: 128,
-				Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond}
-			if opt.Quick {
-				o.Warmup, o.Measure = 20*sim.Microsecond, 60*sim.Microsecond
-			}
 			tb := build("SPR", c.iface, queues, func(cc *ccnic.Config) {
 				cc.HostPrefetch = st.host
 				cc.NICPrefetch = st.nic
 			})
-			vals[st.name] = tb.RunLoopback(o).PPS
+			vals[st.name] = tb.RunLoopback(peakOpts(c.pkt, opt)).PPS
 		}
 		base := vals["off (baseline)"]
 		t.AddRow(c.name,
@@ -415,65 +413,4 @@ func runFig20(opt Options) *Report {
 			fmt.Sprintf("%.2f", vals["NIC on"]/base))
 	}
 	return &Report{ID: "fig20", Title: "Hardware prefetching impact", Tables: []*stats.Table{t}}
-}
-
-func runFig21(opt Options) *Report {
-	queues := 16
-	if opt.Quick {
-		queues = 4
-	}
-	latScales := []float64{1.0, 1.11, 1.25, 1.4, 1.55}
-	bwScales := []float64{1.0, 0.85, 0.7, 0.55, 0.4}
-	if opt.Quick {
-		latScales = []float64{1.0, 1.25}
-		bwScales = []float64{1.0, 0.55}
-	}
-
-	latCC := &stats.Series{Name: "CC-NIC [ns]", XLabel: "interconnect lat [ns]"}
-	latUn := &stats.Series{Name: "UPI unopt [ns]", XLabel: "interconnect lat [ns]"}
-	for _, sc := range latScales {
-		sc := sc
-		for _, c := range []struct {
-			iface ccnic.Interface
-			s     *stats.Series
-		}{{ccnic.CCNIC, latCC}, {ccnic.UnoptUPI, latUn}} {
-			plat := platform.SPR().Derate(sc, 1.0)
-			tb := build("", c.iface, 1, func(cc *ccnic.Config) { cc.Plat = plat })
-			o := ccnic.LoopbackOptions{PktSize: 64, Rate: 100_000,
-				Warmup: 30 * sim.Microsecond, Measure: 120 * sim.Microsecond}
-			if opt.Quick {
-				o.Warmup, o.Measure = 20*sim.Microsecond, 80*sim.Microsecond
-			}
-			res := tb.RunLoopback(o)
-			c.s.Add(plat.RemoteAccess().Nanoseconds(), res.Latency.Median().Nanoseconds())
-		}
-	}
-
-	bwCC := &stats.Series{Name: "CC-NIC [Mpps]", XLabel: "interconnect tput [GB/s]"}
-	bwUn := &stats.Series{Name: "UPI unopt [Mpps]", XLabel: "interconnect tput [GB/s]"}
-	for _, sc := range bwScales {
-		sc := sc
-		for _, c := range []struct {
-			iface ccnic.Interface
-			s     *stats.Series
-		}{{ccnic.CCNIC, bwCC}, {ccnic.UnoptUPI, bwUn}} {
-			plat := platform.SPR().Derate(1.0, sc)
-			tb := build("", c.iface, queues, func(cc *ccnic.Config) { cc.Plat = plat })
-			o := ccnic.LoopbackOptions{PktSize: 1536, Window: 128,
-				Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond}
-			if opt.Quick {
-				o.Warmup, o.Measure = 20*sim.Microsecond, 60*sim.Microsecond
-			}
-			res := tb.RunLoopback(o)
-			c.s.Add(plat.UPIBandwidth, res.Mpps())
-		}
-	}
-	return &Report{
-		ID:    "fig21",
-		Title: "Interconnect performance sensitivity",
-		Groups: []SeriesGroup{
-			{Name: "(a) 64B unloaded latency vs interconnect latency (CXL est. 170-250ns)", Series: []*stats.Series{latCC, latUn}},
-			{Name: "(b) 1.5KB throughput vs interconnect bandwidth", Series: []*stats.Series{bwCC, bwUn}},
-		},
-	}
 }

@@ -9,7 +9,12 @@
 // and loopback packages.
 package platform
 
-import "ccnic/internal/sim"
+import (
+	"fmt"
+	"strings"
+
+	"ccnic/internal/sim"
+)
 
 // CacheLine is the coherence granule for both sockets and all interconnects.
 const CacheLine = 64
@@ -213,8 +218,7 @@ func SPR() *Platform {
 		},
 
 		// CXL 2.0 over the PCIe 5.0 x16 phy: 32 GT/s signaling. MemRead
-		// sits at the midpoint of the consortium's expected access range
-		// (and matches the CXL() projected platform's derate factor).
+		// sits at the midpoint of the consortium's expected access range.
 		CXL: CXLParams{
 			MemRead:       211 * sim.Nanosecond,
 			CacheFwd:      185 * sim.Nanosecond,
@@ -233,34 +237,28 @@ func SPR() *Platform {
 	}
 }
 
-// CXL returns a projected CXL 2.0 x16 platform: a Sapphire Rapids host
-// with the NIC attached through CXL.cache instead of a second socket's UPI.
-// Cross-"socket" latencies follow the CXL Consortium's 170-250ns expected
-// access range (we model the midpoint, ~1.16x SPR's cross-UPI DRAM
-// latency, consistent with CXL.mem prototype measurements the paper cites),
-// and bandwidth is a single x16 CXL 2.0 link (63 GB/s per direction).
-// The paper's Fig 21 argues CC-NIC's design carries over; this platform
-// lets the full stack run at that design point.
-func CXL() *Platform {
-	p := SPR().Derate(211.0/191.0, 63.0/127.5)
-	p.Name = "CXL"
-	p.UPIRawGBs = 63.0
-	p.UPILinks = 1
-	p.UPIGTs = 32
-	return p
-}
-
-// ByName returns the named platform ("ICX", "SPR", or "CXL"), or nil.
+// ByName returns the named platform ("ICX" or "SPR"), or nil.
 func ByName(name string) *Platform {
 	switch name {
 	case "ICX", "icx":
 		return ICX()
 	case "SPR", "spr":
 		return SPR()
-	case "CXL", "cxl":
-		return CXL()
 	}
 	return nil
+}
+
+// Lookup is ByName with an error for an unknown name. CXL is a coherence
+// protocol backend that runs on either platform, not a platform of its own,
+// so that name's error points at the protocol selector.
+func Lookup(name string) (*Platform, error) {
+	if p := ByName(name); p != nil {
+		return p, nil
+	}
+	if strings.EqualFold(name, "cxl") {
+		return nil, fmt.Errorf("platform %q: CXL is a protocol backend, not a platform; use -protocol cxl (Config.Protocol \"CXL\") on ICX or SPR", name)
+	}
+	return nil, fmt.Errorf("unknown platform %q (ICX or SPR)", name)
 }
 
 // Derate returns a copy of p with cross-socket latency scaled by latScale

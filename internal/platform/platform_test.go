@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"strings"
 	"testing"
 
 	"ccnic/internal/sim"
@@ -76,8 +77,18 @@ func TestByName(t *testing.T) {
 	if ByName("ICX") == nil || ByName("spr") == nil {
 		t.Error("known names returned nil")
 	}
-	if ByName("nope") != nil {
-		t.Error("unknown name should return nil")
+	for _, tc := range []struct{ name, want string }{
+		{"nope", "ICX or SPR"},
+		// CXL is a protocol backend, not a platform.
+		{"CXL", "-protocol cxl"},
+		{"cxl", "-protocol cxl"},
+	} {
+		if ByName(tc.name) != nil {
+			t.Errorf("ByName(%q) should return nil", tc.name)
+		}
+		if _, err := Lookup(tc.name); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Lookup(%q) error %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -124,24 +135,13 @@ func TestNICParams(t *testing.T) {
 	}
 }
 
-func TestCXLProjection(t *testing.T) {
-	p := CXL()
-	if p.Name != "CXL" {
-		t.Errorf("name = %q", p.Name)
-	}
-	// The CXL Consortium's expected access range is 170-250ns.
-	if p.RemoteDRAM < 170*sim.Nanosecond || p.RemoteDRAM > 250*sim.Nanosecond {
-		t.Errorf("CXL remote access = %v, want within 170-250ns", p.RemoteDRAM)
-	}
-	// Single x16 link bandwidth.
-	if p.UPIBandwidth != 63.0 {
-		t.Errorf("CXL data bandwidth = %v GB/s, want 63", p.UPIBandwidth)
-	}
-	if ByName("cxl") == nil {
-		t.Error("ByName(cxl) nil")
-	}
-	// SPR must be untouched by the projection.
-	if SPR().RemoteDRAM != 191*sim.Nanosecond {
-		t.Error("CXL() mutated SPR parameters")
+// TestCXLAttachRange checks the CXL backend's calibration: a CXL.mem read
+// sits in the CXL Consortium's expected 170-250ns access range on both
+// platforms.
+func TestCXLAttachRange(t *testing.T) {
+	for _, p := range []*Platform{ICX(), SPR()} {
+		if r := p.CXL.MemRead; r < 170*sim.Nanosecond || r > 250*sim.Nanosecond {
+			t.Errorf("%s CXL.mem read = %v, want within 170-250ns", p.Name, r)
+		}
 	}
 }

@@ -295,7 +295,8 @@ type Kernel struct {
 	compactAt  int
 
 	// pool holds finished processes whose coroutines are parked for reuse
-	// by Spawn (see Spawn). Bounded by the high-water mark of live procs.
+	// by Spawn (see Spawn). Bounded by the high-water mark of live procs,
+	// and released when a run ends with none live.
 	pool []*Proc
 
 	// probe is the optional scheduling observer; nil in normal runs.
@@ -348,9 +349,10 @@ func (k *Kernel) NextWake() (Time, bool) {
 // its stack, and the iter.Pull plumbing) are then paid only for the
 // high-water mark of concurrently live processes, not per spawn. Workloads
 // that spawn a short-lived process per message run almost entirely on warm,
-// recycled coroutines. Reuse is LIFO and single-threaded, so it cannot
-// perturb scheduling order: a spawned process is identified by its fresh
-// heap position (wake, seq), never by which coroutine executes it.
+// recycled coroutines. A run that ends with no process live releases the
+// pool. Reuse is LIFO and single-threaded, so it cannot perturb scheduling
+// order: a spawned process is identified by its fresh heap position
+// (wake, seq), never by which coroutine executes it.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	if n := len(k.pool); n > 0 {
 		p := k.pool[n-1]
@@ -484,6 +486,13 @@ func (k *Kernel) run(deadline Time) error {
 	defer func() {
 		k.running = false
 		k.deadline = -1
+		// A drained kernel has nothing left to respawn into its pooled
+		// coroutines; release them, or each parked goroutine pins the
+		// kernel and everything its probe reaches. Across RunUntil cuts
+		// with live processes the pool stays warm.
+		if k.live == 0 {
+			k.releasePool()
+		}
 	}()
 	// The run loop: resume the next process; when it parks it has already
 	// selected its successor (k.hand), and when its function returns the
@@ -560,9 +569,13 @@ func (k *Kernel) Shutdown() {
 		ev.reg = false
 	}
 	k.waitEvents = k.waitEvents[:0]
-	// Drain the reuse pool: cancelling a pooled coroutine makes its pending
-	// yield return false, so it exits its respawn loop. Pooled procs already
-	// left the live count when they retired.
+	k.releasePool()
+}
+
+// releasePool drains the reuse pool: cancelling a pooled coroutine makes its
+// pending yield return false, so it exits its respawn loop. Pooled procs
+// already left the live count when they retired.
+func (k *Kernel) releasePool() {
 	for i, p := range k.pool {
 		p.cancel()
 		p.state = procDone

@@ -776,3 +776,37 @@ func TestSpinBlockingStepPanics(t *testing.T) {
 		}()
 	}
 }
+
+// A process respawned across RunUntil cuts, while other processes are still
+// live, reuses the coroutine a finished one left in the pool; once a run
+// drains the kernel, the pool is released.
+func TestPoolAcrossRunUntil(t *testing.T) {
+	k := New()
+	done := k.Spawn("short", func(p *Proc) { p.Sleep(Nanosecond) })
+	k.Spawn("long", func(p *Proc) { p.Sleep(100 * Nanosecond) })
+	if err := k.RunUntil(10 * Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	if k.Live() != 1 || len(k.pool) != 1 {
+		t.Fatalf("after the cut: live %d, pooled %d; want 1 and 1", k.Live(), len(k.pool))
+	}
+	woke := Time(0)
+	if p := k.Spawn("respawned", func(p *Proc) {
+		p.Sleep(5 * Nanosecond)
+		woke = p.Now()
+	}); p != done {
+		t.Error("respawn across the cut did not reuse the pooled coroutine")
+	}
+	if err := k.RunUntil(50 * Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	if woke != 15*Nanosecond || len(k.pool) != 1 {
+		t.Errorf("respawned woke at %v with %d pooled; want 15ns and 1", woke, len(k.pool))
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Live() != 0 || len(k.pool) != 0 {
+		t.Errorf("after the drain: live %d, pooled %d; want 0 and 0", k.Live(), len(k.pool))
+	}
+}
