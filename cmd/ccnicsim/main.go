@@ -310,6 +310,7 @@ func runCluster(o clusterOpts) {
 		fatalf("ccnicsim: %v", err)
 	}
 	c := ccnic.NewCluster(cfg)
+	defer c.Close()
 	fmt.Printf("cluster workload on the parallel shard engine (lookahead %v)\n", c.Lookahead())
 	if o.plan != nil {
 		fmt.Printf("fault plan armed: %s\n", o.plan)

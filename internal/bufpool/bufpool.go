@@ -116,8 +116,39 @@ type Config struct {
 
 	// RecycleDepth bounds each port's recycling stack (default 64).
 	RecycleDepth int
-	// RefillBatch is the central-pool transfer batch size (default 32).
-	RefillBatch int
+}
+
+// refillBatch is how many buffers a recycling port moves from its shard per
+// central-pool allocation: one is returned, the rest go onto its stack.
+const refillBatch = 32
+
+// Size classes index a port's free lists.
+const (
+	classBig = iota
+	classSmall
+	numClasses
+)
+
+// classOf returns the size class of a buffer or request.
+//
+//ccnic:noalloc
+func classOf(small bool) int {
+	if small {
+		return classSmall
+	}
+	return classBig
+}
+
+// freeList is one size class's free space on a port.
+type freeList struct {
+	// shard is the port's partition of the pool's free space. With
+	// recycling enabled it is a LIFO stack (hot reuse); without it, it
+	// behaves as a FIFO ring, cycling the full buffer footprint as DPDK's
+	// uncached mempool ring does — the cache-footprint cost the paper's
+	// recycling ablation measures.
+	shard []*Buf
+	// recycle is the port's recycling stack (empty unless Recycle).
+	recycle []*Buf
 }
 
 // Pool is the packet-buffer pool. Its free space is sharded per attached
@@ -130,10 +161,9 @@ type Pool struct {
 	cfg Config
 	sys *coherence.System
 
-	// seed holds buffers not yet adopted by any shard; the first shards
-	// to run dry claim from it (cheap, models initial pool fill).
-	seedBig   []*Buf
-	seedSmall []*Buf
+	// seed holds big buffers not yet adopted by any shard; the first
+	// shards to run dry claim from it (cheap, models initial pool fill).
+	seed []*Buf
 
 	// Accounting for invariant checks.
 	totalBufs     int // bigs not carved + smalls carved
@@ -156,9 +186,6 @@ func New(cfg Config) *Pool {
 	if cfg.RecycleDepth == 0 {
 		cfg.RecycleDepth = 64
 	}
-	if cfg.RefillBatch == 0 {
-		cfg.RefillBatch = 32
-	}
 	pl := &Pool{cfg: cfg, sys: cfg.Sys}
 	sp := cfg.Sys.Space()
 	base := sp.Alloc(cfg.Home, cfg.BigCount*cfg.BigSize, mem.Addr(cfg.BigSize))
@@ -168,12 +195,12 @@ func New(cfg Config) *Pool {
 	// happens per simulation, and per-Buf allocations dominated the
 	// allocator profile.
 	bufs := make([]Buf, n)
-	pl.seedBig = make([]*Buf, n)
+	pl.seed = make([]*Buf, n)
 	for k := range bufs {
 		b := &bufs[k]
 		b.Addr = base + mem.Addr(k*step%n*cfg.BigSize)
 		b.pool = pl
-		pl.seedBig[k] = b
+		pl.seed[k] = b
 	}
 	pl.totalBufs = n
 	return pl
@@ -222,6 +249,25 @@ func (pl *Pool) CheckDesc() string {
 		pl.cfg.Home, pl.cfg.BigCount, pl.cfg.Shared, pl.cfg.Recycle)
 }
 
+// eachFree calls fn on the seed list and on every port's free lists,
+// stopping at the first error.
+func (pl *Pool) eachFree(fn func([]*Buf) error) error {
+	if err := fn(pl.seed); err != nil {
+		return err
+	}
+	for _, pt := range pl.ports {
+		for c := range pt.lists {
+			if err := fn(pt.lists[c].recycle); err != nil {
+				return err
+			}
+			if err := fn(pt.lists[c].shard); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // CheckCounts is the cheap (O(ports)) conservation check: list lengths plus
 // the allocated counter must equal the total, with no negative counters. The
 // full duplicate scan lives in CheckConservation.
@@ -229,11 +275,8 @@ func (pl *Pool) CheckCounts() error {
 	if pl.allocatedBufs < 0 {
 		return fmt.Errorf("bufpool: negative allocated count %d", pl.allocatedBufs)
 	}
-	free := len(pl.seedBig) + len(pl.seedSmall)
-	for _, pt := range pl.ports {
-		free += len(pt.recycleBig) + len(pt.recycleSmall)
-		free += len(pt.shardBig) + len(pt.shardSmall)
-	}
+	free := 0
+	pl.eachFree(func(bufs []*Buf) error { free += len(bufs); return nil })
 	if free+pl.allocatedBufs != pl.totalBufs {
 		return fmt.Errorf("bufpool: %d free + %d allocated != %d total",
 			free, pl.allocatedBufs, pl.totalBufs)
@@ -245,68 +288,38 @@ func (pl *Pool) CheckCounts() error {
 // invariant engine runs CheckConservation on its throttled full passes.
 func (pl *Pool) CheckInvariants() error { return pl.CheckCounts() }
 
-// carveSmall splits one big buffer from the shard into small buffers in the
-// configured fill order.
-func (pt *Port) carveSmall() bool {
-	pl := pt.pool
-	if len(pt.shardBig) == 0 && len(pl.seedBig) > 0 {
-		pt.claimSeed()
+// CheckConservation verifies that no buffer was leaked or duplicated: the
+// counts of CheckCounts, and every listed buffer free and on one list only.
+func (pl *Pool) CheckConservation() error {
+	if err := pl.CheckCounts(); err != nil {
+		return err
 	}
-	if len(pt.shardBig) == 0 {
-		return false
-	}
-	big := pt.shardBig[len(pt.shardBig)-1]
-	pt.shardBig = pt.shardBig[:len(pt.shardBig)-1]
-	n := big.Cap() / SmallSize
-	step := fillStep(n, pl.cfg.Sequential)
-	for k := 0; k < n; k++ {
-		pt.shardSmall = append(pt.shardSmall, &Buf{
-			Addr:  big.Addr + mem.Addr(k*step%n*SmallSize),
-			Small: true,
-			pool:  pl,
-		})
-	}
-	pl.totalBufs += n - 1 // one big became n smalls
-	return true
-}
-
-// entryLines returns the shard entry lines touched by moving count pointers
-// at the given stack depth (8 pointers per line).
-func (pt *Port) entryLines(depth, count int) []mem.Addr {
-	var lines []mem.Addr
-	last := mem.Addr(0)
-	for i := depth; i < depth+count; i++ {
-		l := mem.LineOf(pt.entriesBase + mem.Addr(i*8))
-		if l != last {
-			lines = append(lines, l)
-			last = l
+	seen := make(map[mem.Addr]bool)
+	return pl.eachFree(func(bufs []*Buf) error {
+		for _, b := range bufs {
+			if b.state != stateFree {
+				return fmt.Errorf("bufpool: buffer %#x on a free list but not free", b.Addr)
+			}
+			if seen[b.Addr] {
+				return fmt.Errorf("bufpool: buffer %#x on two free lists", b.Addr)
+			}
+			seen[b.Addr] = true
 		}
-	}
-	return lines
+		return nil
+	})
 }
 
 // Port is a per-core handle on the pool: the core's shard of the free
-// space plus its recycling stacks. Create one per driver/NIC thread with
-// Attach.
+// space plus its recycling stacks, one free list per size class. Create one
+// per driver/NIC thread with Attach.
 type Port struct {
 	pool  *Pool
 	agent *coherence.Agent
 
-	// The shard: this port's partition of the pool's free space. With
-	// recycling enabled the shard is a LIFO stack (hot reuse); without
-	// it, it behaves as a FIFO ring, cycling the full buffer footprint
-	// as DPDK's uncached mempool ring does — the cache-footprint cost
-	// the paper's recycling ablation measures.
-	shardBig    []*Buf
-	shardSmall  []*Buf
-	headBig     int // FIFO cursors (non-recycling mode)
-	headSmall   int
+	lists       [numClasses]freeList
 	lockLine    mem.Addr
 	entriesBase mem.Addr
-
-	recycleBig   []*Buf
-	recycleSmall []*Buf
-	stackLine    mem.Addr // the recycle stack's hot line (local memory)
+	stackLine   mem.Addr // the recycle stack's hot line (local memory)
 }
 
 // Attach creates a Port for the given agent. NIC-socket agents may only
@@ -331,15 +344,53 @@ func (pl *Pool) Attach(a *coherence.Agent) *Port {
 // holds.
 func (pt *Port) MaxLen() int { return pt.pool.cfg.BigSize }
 
+// entryLines returns the shard entry lines touched by moving count pointers
+// at the given stack depth (8 pointers per line).
+func (pt *Port) entryLines(depth, count int) []mem.Addr {
+	var lines []mem.Addr
+	last := mem.Addr(0)
+	for i := depth; i < depth+count; i++ {
+		l := mem.LineOf(pt.entriesBase + mem.Addr(i*8))
+		if l != last {
+			lines = append(lines, l)
+			last = l
+		}
+	}
+	return lines
+}
+
 // claimSeed adopts a slice of the unowned seed buffers into this shard.
 func (pt *Port) claimSeed() {
 	pl := pt.pool
-	n := len(pl.seedBig) / max(1, len(pl.ports))
+	n := len(pl.seed) / max(1, len(pl.ports))
 	if n == 0 {
-		n = len(pl.seedBig)
+		n = len(pl.seed)
 	}
-	pt.shardBig = append(pt.shardBig, pl.seedBig[len(pl.seedBig)-n:]...)
-	pl.seedBig = pl.seedBig[:len(pl.seedBig)-n]
+	big := &pt.lists[classBig]
+	big.shard = append(big.shard, pl.seed[len(pl.seed)-n:]...)
+	pl.seed = pl.seed[:len(pl.seed)-n]
+}
+
+// carveSmall splits one big buffer from the shard into small buffers in the
+// configured fill order.
+func (pt *Port) carveSmall() {
+	pl := pt.pool
+	big, small := &pt.lists[classBig], &pt.lists[classSmall]
+	if len(big.shard) == 0 {
+		return
+	}
+	b := big.shard[len(big.shard)-1]
+	big.shard = big.shard[:len(big.shard)-1]
+	n := b.Cap() / SmallSize
+	step := fillStep(n, pl.cfg.Sequential)
+	for k := 0; k < n; k++ {
+		small.shard = append(small.shard, &Buf{
+			Addr:  b.Addr + mem.Addr(k*step%n*SmallSize),
+			Small: true,
+			pool:  pl,
+		})
+	}
+	pl.totalBufs += n - 1 // one big became n smalls
 }
 
 // Alloc allocates one buffer large enough for size payload bytes, charging
@@ -351,95 +402,68 @@ func (pt *Port) claimSeed() {
 //ccnic:owns
 func (pt *Port) Alloc(p *sim.Proc, size int) *Buf {
 	pl := pt.pool
-	small := pl.cfg.SmallBufs && size <= SmallSize
+	c := classOf(pl.cfg.SmallBufs && size <= SmallSize)
 	// Fast path: the recycling stack.
-	if pl.cfg.Recycle {
-		stack := &pt.recycleBig
-		if small {
-			stack = &pt.recycleSmall
-		}
-		if n := len(*stack); n > 0 {
-			//ccnic:atomic pop-to-take: the popped buffer must be owned before any yield
-			b := (*stack)[n-1]
-			*stack = (*stack)[:n-1]
-			b = pl.take(b)
-			//ccnic:atomic-end the Exec charge below yields; the pool is consistent again
-			pt.agent.Exec(p, stackOpCost) // L1-resident stack pop
-			return b
-		}
+	if fl := &pt.lists[c]; pl.cfg.Recycle && len(fl.recycle) > 0 {
+		//ccnic:atomic pop-to-take: the popped buffer must be owned before any yield
+		b := fl.recycle[len(fl.recycle)-1]
+		fl.recycle = fl.recycle[:len(fl.recycle)-1]
+		b = pl.take(b)
+		//ccnic:atomic-end the Exec charge below yields; the pool is consistent again
+		pt.agent.Exec(p, stackOpCost) // L1-resident stack pop
+		return b
 	}
 	// Central pool refill/alloc.
-	return pt.centralAlloc(p, small) //ccnic:alloc-ok central refill is the audited slow path
+	return pt.centralAlloc(p, c) //ccnic:alloc-ok central refill is the audited slow path
 }
 
-// centralAlloc pops one buffer (plus a refill batch when recycling) from
-// the port's shard, claiming seed buffers or stealing from the richest
-// other shard when dry.
+// centralAlloc pops one buffer of class c (plus a refill batch when
+// recycling) from the port's shard. A dry shard first takes bigs from the
+// seed and carves smalls from its own bigs, then steals from the richest
+// other shard.
 //
 //ccnic:owns
-func (pt *Port) centralAlloc(p *sim.Proc, small bool) *Buf {
+func (pt *Port) centralAlloc(p *sim.Proc, c int) *Buf {
 	pl := pt.pool
-	list := &pt.shardBig
-	if small {
-		if len(pt.shardSmall) == 0 {
-			pt.carveSmall()
-		}
-		if len(pt.shardSmall) == 0 && !pt.steal(p, true) {
-			return nil
-		}
-		list = &pt.shardSmall
-	} else {
-		if len(pt.shardBig) == 0 && len(pl.seedBig) > 0 {
+	fl := &pt.lists[c]
+	if len(fl.shard) == 0 {
+		if len(pt.lists[classBig].shard) == 0 && len(pl.seed) > 0 {
 			pt.claimSeed()
 		}
-		if len(pt.shardBig) == 0 && !pt.steal(p, false) {
-			return nil
+		if c == classSmall {
+			pt.carveSmall()
 		}
 	}
-	if len(*list) == 0 {
+	if len(fl.shard) == 0 {
+		pt.steal(p, c)
+	}
+	// Even a successful steal can leave the shard empty: its charges
+	// yield, and another port may steal from this one meanwhile.
+	if len(fl.shard) == 0 {
 		return nil
-	}
-	batch := 1
-	if pl.cfg.Recycle {
-		batch = pl.cfg.RefillBatch
-	}
-	if batch > len(*list) {
-		batch = len(*list)
 	}
 	// Mutate the shared structure first: agent operations below yield to
 	// other processes, and the pool must appear atomic to them (the real
 	// structure is updated with a CAS; the charges below model its cost).
 	//ccnic:atomic central-pool pop: lists and ownership settle before the charges yield
-	depth := len(*list) - batch
 	var out *Buf
-	head := &pt.headBig
-	if small {
-		head = &pt.headSmall
-	}
-	for i := 0; i < batch; i++ {
-		var b *Buf
-		if pl.cfg.Recycle {
-			b = (*list)[len(*list)-1]
-			*list = (*list)[:len(*list)-1]
-		} else {
-			// FIFO: take from the front, compacting lazily.
-			if *head >= len(*list) {
-				*head = 0
-			}
-			b = (*list)[*head]
-			copy((*list)[*head:], (*list)[*head+1:])
-			*list = (*list)[:len(*list)-1]
+	batch := 1
+	if pl.cfg.Recycle {
+		// LIFO: return the top; the rest of the batch stays free-state
+		// on the recycle stack.
+		batch = min(refillBatch, len(fl.shard))
+		top := len(fl.shard) - 1
+		out = fl.shard[top]
+		for i := top - 1; i >= top+1-batch; i-- {
+			fl.recycle = append(fl.recycle, fl.shard[i])
 		}
-		if i == 0 {
-			out = b
-		} else if small {
-			pt.recycleSmall = append(pt.recycleSmall, b)
-		} else {
-			pt.recycleBig = append(pt.recycleBig, b)
-		}
+		fl.shard = fl.shard[:top+1-batch]
+	} else {
+		// FIFO: take from the front.
+		out = fl.shard[0]
+		fl.shard = fl.shard[1:]
 	}
-	// Extra refill entries beyond the first stay free-state on the
-	// recycle stack; only the returned buffer is marked allocated.
+	depth := len(fl.shard)
 	out = pl.take(out)
 	//ccnic:atomic-end
 	pt.agent.Write(p, pt.lockLine, 8)
@@ -447,46 +471,27 @@ func (pt *Port) centralAlloc(p *sim.Proc, small bool) *Buf {
 	return out
 }
 
-// steal moves half of the richest other shard's buffers (of the requested
-// class) into this shard, charging the victim-shard accesses. It reports
-// whether anything was obtained.
-func (pt *Port) steal(p *sim.Proc, small bool) bool {
+// steal moves half of the richest other shard's buffers of class c into
+// this shard, charging the victim-shard accesses.
+func (pt *Port) steal(p *sim.Proc, c int) {
 	var victim *Port
 	best := 0
 	for _, o := range pt.pool.ports {
-		if o == pt {
-			continue
-		}
-		n := len(o.shardBig)
-		if small {
-			n = len(o.shardSmall)
-		}
-		if n > best {
-			best = n
-			victim = o
+		if n := len(o.lists[c].shard); o != pt && n > best {
+			best, victim = n, o
 		}
 	}
 	if victim == nil {
-		// Last resort for small requests: carve from any big source.
-		if small {
-			return pt.carveSmall()
-		}
-		return false
+		return
 	}
-	src := &victim.shardBig
-	dst := &pt.shardBig
-	if small {
-		src = &victim.shardSmall
-		dst = &pt.shardSmall
-	}
+	src, dst := &victim.lists[c], &pt.lists[c]
 	n := (best + 1) / 2
 	//ccnic:atomic steal: both shards settle before the victim-access charges yield
-	*dst = append(*dst, (*src)[len(*src)-n:]...)
-	*src = (*src)[:len(*src)-n]
+	dst.shard = append(dst.shard, src.shard[len(src.shard)-n:]...)
+	src.shard = src.shard[:len(src.shard)-n]
 	//ccnic:atomic-end
 	pt.agent.Write(p, victim.lockLine, 8)
-	pt.agent.GatherRead(p, victim.entryLines(len(*src), n))
-	return true
+	pt.agent.GatherRead(p, victim.entryLines(len(src.shard), n))
 }
 
 // take transitions a buffer to allocated, enforcing single-allocation: it
@@ -537,22 +542,18 @@ func (pt *Port) Free(p *sim.Proc, b *Buf) {
 	//ccnic:atomic release-to-push: the freed buffer must be listed before any yield
 	b.state = stateFree
 	pl.allocatedBufs--
-
+	fl := &pt.lists[classOf(b.Small)]
 	if pl.cfg.Recycle {
-		stack := &pt.recycleBig
-		if b.Small {
-			stack = &pt.recycleSmall
-		}
-		*stack = append(*stack, b)
+		fl.recycle = append(fl.recycle, b)
 		//ccnic:atomic-end the Exec charge below yields; the pool is consistent again
 		pt.agent.Exec(p, stackOpCost) // L1-resident stack push
-		if len(*stack) > pl.cfg.RecycleDepth {
-			pt.spill(p, stack) //ccnic:alloc-ok bounded spill is the audited slow path
+		if len(fl.recycle) > pl.cfg.RecycleDepth {
+			pt.spill(p, fl) //ccnic:alloc-ok bounded spill is the audited slow path
 		}
 		pl.notify()
 		return
 	}
-	pt.centralFree(p, []*Buf{b}) //ccnic:alloc-ok non-recycling central free is the audited slow path
+	pt.centralFree(p, fl, b) //ccnic:alloc-ok non-recycling central free is the audited slow path
 	pl.notify()
 }
 
@@ -565,84 +566,22 @@ func (pt *Port) FreeBurst(p *sim.Proc, bufs []*Buf) {
 	}
 }
 
-// spill moves the oldest half of the recycle stack back to the central pool.
-func (pt *Port) spill(p *sim.Proc, stack *[]*Buf) {
-	n := len(*stack) / 2
-	moved := append([]*Buf(nil), (*stack)[:n]...)
-	*stack = append((*stack)[:0], (*stack)[n:]...)
-	pt.centralFree(p, moved)
+// spill moves the oldest half of a recycle stack back to the central pool.
+func (pt *Port) spill(p *sim.Proc, fl *freeList) {
+	n := len(fl.recycle) / 2
+	moved := append([]*Buf(nil), fl.recycle[:n]...)
+	fl.recycle = append(fl.recycle[:0], fl.recycle[n:]...)
+	pt.centralFree(p, fl, moved...)
 }
 
-// centralFree pushes buffers onto the port's shard, charging the shard
-// structure accesses.
-func (pt *Port) centralFree(p *sim.Proc, bufs []*Buf) {
+// centralFree pushes buffers of one size class onto the port's shard,
+// charging the shard structure accesses.
+func (pt *Port) centralFree(p *sim.Proc, fl *freeList, bufs ...*Buf) {
 	// Mutate first (see centralAlloc), then charge.
 	//ccnic:atomic central-pool push: lists settle before the charges yield
-	depthBig, depthSmall := len(pt.shardBig), len(pt.shardSmall)
-	nBig, nSmall := 0, 0
-	for _, b := range bufs {
-		if b.Small {
-			pt.shardSmall = append(pt.shardSmall, b)
-			nSmall++
-		} else {
-			pt.shardBig = append(pt.shardBig, b)
-			nBig++
-		}
-	}
+	depth := len(fl.shard)
+	fl.shard = append(fl.shard, bufs...)
 	//ccnic:atomic-end
 	pt.agent.Write(p, pt.lockLine, 8)
-	if nBig > 0 {
-		pt.agent.ScatterWrite(p, pt.entryLines(depthBig, nBig))
-	}
-	if nSmall > 0 {
-		pt.agent.ScatterWrite(p, pt.entryLines(depthSmall, nSmall))
-	}
-}
-
-// CheckConservation verifies that no buffer was leaked or duplicated:
-// free lists + recycle stacks + allocated count must equal the total.
-func (pl *Pool) CheckConservation() error {
-	free := len(pl.seedBig) + len(pl.seedSmall)
-	for _, pt := range pl.ports {
-		free += len(pt.recycleBig) + len(pt.recycleSmall)
-		free += len(pt.shardBig) + len(pt.shardSmall)
-	}
-	if free+pl.allocatedBufs != pl.totalBufs {
-		return fmt.Errorf("bufpool: %d free + %d allocated != %d total",
-			free, pl.allocatedBufs, pl.totalBufs)
-	}
-	seen := make(map[mem.Addr]bool)
-	check := func(bufs []*Buf) error {
-		for _, b := range bufs {
-			if b.state != stateFree {
-				return fmt.Errorf("bufpool: buffer %#x on a free list but not free", b.Addr)
-			}
-			if seen[b.Addr] {
-				return fmt.Errorf("bufpool: buffer %#x on two free lists", b.Addr)
-			}
-			seen[b.Addr] = true
-		}
-		return nil
-	}
-	if err := check(pl.seedBig); err != nil {
-		return err
-	}
-	if err := check(pl.seedSmall); err != nil {
-		return err
-	}
-	for _, pt := range pl.ports {
-		if err := check(pt.recycleBig); err != nil {
-			return err
-		}
-		if err := check(pt.recycleSmall); err != nil {
-			return err
-		}
-		if err := check(pt.shardBig); err != nil {
-			return err
-		}
-		if err := check(pt.shardSmall); err != nil {
-			return err
-		}
-	}
-	return nil
+	pt.agent.ScatterWrite(p, pt.entryLines(depth, len(bufs)))
 }

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"ccnic/internal/check"
+	"ccnic/internal/cluster"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
+	"ccnic/internal/fabric"
 	"ccnic/internal/loopback"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
@@ -77,11 +79,43 @@ func TestRunEndFlushesTotals(t *testing.T) {
 	}
 }
 
+// TestFabricRunEndFlushesTotals: every check a fabric engine makes in a
+// cluster run reaches the package totals, and each engine counts once its
+// switch kernel has ended a run, as Engine does.
+func TestFabricRunEndFlushesTotals(t *testing.T) {
+	c := cluster.New(cluster.Config{Hosts: 3, Workers: 2, Reliable: true, Switches: 2})
+	defer c.Close()
+	engines, checks := check.TotalEngines(), check.TotalChecks()
+	var fes []*check.FabricEngine
+	for _, sw := range c.Switches {
+		fes = append(fes, check.AttachFabric(sw))
+	}
+	if got := check.TotalEngines(); got != engines {
+		t.Errorf("attaching counted %d engines before any run", got-engines)
+	}
+	if err := c.Run(40 * sim.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	for _, e := range fes {
+		want += e.Checks()
+	}
+	if want == 0 {
+		t.Fatal("the run made no fabric checks")
+	}
+	if got := check.TotalChecks() - checks; got != want {
+		t.Errorf("TotalChecks grew by %d, want the engines' %d checks", got, want)
+	}
+	if got := check.TotalEngines() - engines; got != uint64(len(fes)) {
+		t.Errorf("TotalEngines grew by %d, want %d", got, len(fes))
+	}
+}
+
 // TestEnableAuto: systems created after EnableAuto get an engine without
 // explicit plumbing.
 func TestEnableAuto(t *testing.T) {
 	check.EnableAuto()
-	defer func() { coherence.AutoAttach = nil }()
+	defer func() { coherence.AutoAttach, fabric.AutoAttach = nil, nil }()
 	sys := coherence.NewSystem(sim.New(), platform.ICX())
 	if sys.Probe() == nil {
 		t.Fatal("EnableAuto did not install a probe on a new system")

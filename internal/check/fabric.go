@@ -2,6 +2,7 @@ package check
 
 import (
 	"ccnic/internal/fabric"
+	"ccnic/internal/sim"
 )
 
 // FabricEngine validates one fabric Switch online: after every queuing
@@ -9,21 +10,24 @@ import (
 // forwarded + queued + serializing), bounded occupancy, and the DRR deficit bound
 // (deficit <= quantum + largest queued packet). Like the coherence engine
 // it is installed through a nil-guarded probe hook, so unchecked runs pay
-// one branch per event, and violations panic as *Violation.
+// one branch per event, and violations panic as *Violation. It is also the
+// switch kernel's sim.Probe, so it flushes its totals when a run ends.
 type FabricEngine struct {
 	sw      *fabric.Switch
 	checks  uint64
 	flushed uint64
+	ran     bool
 
 	collect    bool
 	violations []error
 }
 
-// AttachFabric builds an engine for sw and installs it as the switch probe.
+// AttachFabric builds an engine for sw and installs it as the probe of both
+// the switch and its kernel.
 func AttachFabric(sw *fabric.Switch) *FabricEngine {
 	e := &FabricEngine{sw: sw}
 	sw.SetProbe(e)
-	totalEngines.Add(1)
+	sw.Kernel().SetProbe(e)
 	return e
 }
 
@@ -47,8 +51,8 @@ func (e *FabricEngine) fail(err error) {
 	panic(&Violation{Err: err})
 }
 
-// port runs the per-event port validation and batches the global counter
-// flush so the hot path stays off the shared atomics.
+// port runs the per-event port validation. The counts reach the shared
+// totals in RunEnd, so the hot path stays off the atomics.
 func (e *FabricEngine) port(port int) {
 	e.checks++
 	if err := e.sw.CheckPort(port); err != nil {
@@ -56,10 +60,6 @@ func (e *FabricEngine) port(port int) {
 	}
 	if err := e.sw.CheckConservation(); err != nil {
 		e.fail(err)
-	}
-	if e.checks-e.flushed >= 1024 {
-		totalChecks.Add(e.checks - e.flushed)
-		e.flushed = e.checks
 	}
 }
 
@@ -82,13 +82,23 @@ func (e *FabricEngine) Dropped(sw *fabric.Switch, port int, pkt fabric.Packet, i
 	e.port(port)
 }
 
-// Flush pushes any unbatched evaluations into the package totals; harnesses
-// call it after a run completes.
-func (e *FabricEngine) Flush() {
-	if e.checks > e.flushed {
-		totalChecks.Add(e.checks - e.flushed)
-		e.flushed = e.checks
+// Event implements sim.Probe. The switch's checks run on its own probe
+// callbacks, not per kernel event.
+func (e *FabricEngine) Event(sim.Time) {}
+
+// RunEnd implements sim.Probe: the switch kernel ended a run (on the shard
+// engine, a round), so flush this engine's checks into the package totals,
+// counting the engine on its first run as Engine does.
+func (e *FabricEngine) RunEnd(sim.Time) {
+	if !e.ran {
+		e.ran = true
+		totalEngines.Add(1)
 	}
+	totalChecks.Add(e.checks - e.flushed)
+	e.flushed = e.checks
 }
 
-var _ fabric.Probe = (*FabricEngine)(nil)
+var (
+	_ fabric.Probe = (*FabricEngine)(nil)
+	_ sim.Probe    = (*FabricEngine)(nil)
+)

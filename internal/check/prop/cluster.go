@@ -117,6 +117,7 @@ func (sc ClusterScenario) RunShards(shards, workers int) string {
 		cfg.Faults = plan
 	}
 	c := cluster.New(cfg)
+	defer c.Close()
 	if err := c.Run(120 * sim.Microsecond); err != nil {
 		panic(fmt.Sprintf("prop: cluster %s: %v", sc, err))
 	}

@@ -39,7 +39,6 @@ import (
 	"ccnic/internal/fabric"
 	"ccnic/internal/fault"
 	"ccnic/internal/interconn"
-	"ccnic/internal/pcie"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 	"ccnic/internal/sim/shard"
@@ -184,19 +183,15 @@ type Message struct {
 // per-message RX/service handling, and any flow generators, all on the
 // node's kernel.
 type Node struct {
-	id  int
-	c   *Cluster
-	k   *sim.Kernel
-	shd *shard.Shard
+	id int
+	c  *Cluster
+	k  *sim.Kernel
 
 	// port is the node-internal host-NIC interconnect (UPI-class): the
 	// TX pipeline charges it for descriptor+payload movement, so egress
 	// is bandwidth-limited per node.
 	port *interconn.Link
-	// ep is the node's fabric attach point; its one-way propagation is
-	// part of every fabric hop and of the declared lookahead.
-	ep  *pcie.Endpoint
-	flt *fault.Injector
+	flt  *fault.Injector
 
 	txq      []Message
 	txHead   int
@@ -392,16 +387,11 @@ func New(cfg Config) *Cluster {
 			id:      i,
 			c:       c,
 			k:       k,
-			shd:     shards[s],
 			port:    interconn.New(plat.UPIBandwidth, plat.UPIHeader, plat.UPICtrlMsg),
-			ep:      pcie.NewEndpoint(k, plat.PCIe),
 			flt:     fault.NewInjector(cfg.Faults.ForShard(i)),
 			txWake:  k.NewEvent(fmt.Sprintf("n%d.tx", i)),
 			winWake: k.NewEvent(fmt.Sprintf("n%d.win", i)),
 		}
-		// Affinity check: everything the node owns issues events on the
-		// node's shard.
-		n.shd.Adopt(fmt.Sprintf("node%d.pcie", i), n.ep)
 		c.Nodes = append(c.Nodes, n)
 	}
 
@@ -424,7 +414,7 @@ func New(cfg Config) *Cluster {
 		sw := fabric.New(c.Engine, name, fabric.Config{
 			Ports:    cfg.Hosts,
 			BW:       c.fabric.BW,
-			HopLat:   c.fabric.HopLat + c.Nodes[0].ep.MinLatency(),
+			HopLat:   c.fabric.HopLat + plat.PCIe.OneWay,
 			RouteLat: c.fabric.RouteLat,
 			SchedLat: c.fabric.SchedLat,
 			FIFO:     cfg.FabricFIFO,
@@ -456,6 +446,16 @@ func (c *Cluster) Lookahead() sim.Time { return c.Switch.HopLatency() }
 
 // Run advances the whole cluster to virtual time until.
 func (c *Cluster) Run(until sim.Time) error { return c.Engine.Run(until) }
+
+// Close shuts down every shard kernel, discarding the daemons (clients,
+// servers, transports) a run leaves parked at its horizon, so a finished
+// cluster pins no goroutines. Read reports before closing; a closed cluster
+// must not be run again.
+func (c *Cluster) Close() {
+	for _, s := range c.Engine.Shards() {
+		s.Kernel().Shutdown()
+	}
+}
 
 // Events returns the total executed event count across all member kernels
 // (including the switch shard).

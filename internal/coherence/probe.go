@@ -70,9 +70,6 @@ func (s *System) lineEvent(line mem.Addr) {
 // ablations measure.
 func (s *System) SetMigration(on bool) { s.noMigrate = !on }
 
-// Migration reports whether migratory dirty forwarding is enabled.
-func (s *System) Migration() bool { return !s.noMigrate }
-
 // Mutation selects a deliberate protocol defect, used by the validation
 // layer's self-tests to prove the invariant engine catches real bugs.
 type Mutation uint8

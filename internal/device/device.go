@@ -58,8 +58,8 @@ type Device interface {
 	// Kernel returns the simulation kernel the device's processes run on.
 	// It is the device's shard affinity: in a partitioned simulation
 	// (internal/sim/shard), a device and everything it touches — memory
-	// system, queues, host agents — must live on the same shard, and the
-	// shard runtime's Adopt check verifies exactly this kernel identity.
+	// system, queues, host agents — must live on the same shard, so the
+	// kernel identifies it.
 	Kernel() *sim.Kernel
 }
 

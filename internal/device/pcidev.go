@@ -106,7 +106,7 @@ func NewPCIeNIC(sys *coherence.System, nic *platform.NICParams, hosts []*coheren
 		name: nic.Name,
 		sys:  sys,
 		nic:  nic,
-		ep:   pcie.NewEndpoint(sys.Kernel(), sys.Platform().PCIe),
+		ep:   pcie.NewEndpoint(sys.Platform().PCIe),
 	}
 	home := hosts[0].Socket()
 	d.pool = bufpool.New(bufpool.Config{
@@ -524,14 +524,4 @@ func (q *pcieQueue) deliverMain(p *sim.Proc) {
 		at += flt.DMADelay()
 		q.rxDoneAt[idx%q.rxR.Size()] = at
 	}
-}
-
-// DebugState summarizes per-queue pipeline state for diagnostics.
-func (d *PCIeNIC) DebugState() string {
-	s := ""
-	for i, q := range d.qs {
-		s += fmt.Sprintf("q%d[post %d fetch %d dlvq %d rxTail %d rxSeen %d head %d] ",
-			i, q.txR.TailIdx, q.txSeen, len(q.deliveries), q.rxR.TailIdx, q.rxSeenNIC, q.rxR.HeadIdx)
-	}
-	return s
 }

@@ -51,6 +51,7 @@ func incastPoint(fanin int, measure sim.Time) cluster.Report {
 			ZipfS: 0.75, TrackEvery: 8, Seed: 17,
 		}},
 	})
+	defer c.Close()
 	if err := c.Run(measure); err != nil {
 		panic(fmt.Sprintf("fabric-incast: %v", err))
 	}
@@ -133,6 +134,7 @@ func isolationPoint(bulk, fifo bool, measure sim.Time) cluster.Report {
 		}}
 	}
 	c := ccnic.NewCluster(cfg)
+	defer c.Close()
 	if err := c.Run(measure); err != nil {
 		panic(fmt.Sprintf("fabric-isolation: %v", err))
 	}
@@ -194,6 +196,7 @@ func crossoverPoint(k int, sig cluster.Signal, measure sim.Time) cluster.Report 
 		})
 	}
 	c := ccnic.NewCluster(cfg)
+	defer c.Close()
 	if err := c.Run(measure); err != nil {
 		panic(fmt.Sprintf("fabric-crossover: %v", err))
 	}

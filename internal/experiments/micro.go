@@ -77,7 +77,7 @@ func runFig2(Options) *Report {
 	wbDRAM := &stats.Series{Name: "WB DRAM [Gbps]", XLabel: "bytes/barrier"}
 
 	runProc(func(p *sim.Proc) {
-		ep := pcie.NewEndpoint(p.Kernel(), plat.PCIe)
+		ep := pcie.NewEndpoint(plat.PCIe)
 		core := ep.NewCore()
 		for _, size := range sizes {
 			// WC MMIO: stream fill then sfence, repeated.
@@ -123,7 +123,7 @@ func runFig3(Options) *Report {
 		pp := plat.PCIe
 		pp.WCFlushMMIO = sim.Time(float64(pp.WCFlushMMIO) * nic.flushScale)
 		runProc(func(p *sim.Proc) {
-			ep := pcie.NewEndpoint(p.Kernel(), pp)
+			ep := pcie.NewEndpoint(pp)
 			for _, n := range []int{1, 2, 4, 8, 16, 24, 32, 40, 48, 56, 64} {
 				core := ep.NewCore()
 				start := p.Now()

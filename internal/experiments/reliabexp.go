@@ -42,6 +42,7 @@ func portflapPoint(rate float64, measure sim.Time) cluster.Report {
 		Hosts: 4, Workers: 2, Window: 8, ReqSize: 512,
 		Reliable: true, Switches: 2, Faults: plan,
 	})
+	defer c.Close()
 	if err := c.Run(measure); err != nil {
 		panic(fmt.Sprintf("fabric-portflap: %v", err))
 	}
@@ -110,6 +111,7 @@ func failoverTimeline(opt Options) ([]stats.Histogram, cluster.Report, []sim.Tim
 		Outages:    []cluster.ScriptedOutage{{Switch: 0, Port: 0, From: outFrom, To: outTo}},
 		PhaseMarks: marks,
 	})
+	defer c.Close()
 	if err := c.Run(until); err != nil {
 		panic(fmt.Sprintf("failover-recovery: %v", err))
 	}
@@ -147,6 +149,7 @@ func degradedContrast(opt Options, withOutage bool) (cluster.Report, [2]int64) {
 		cfg.Outages = []cluster.ScriptedOutage{{Switch: 0, Port: 0, From: outFrom, To: outTo}}
 	}
 	c := ccnic.NewCluster(cfg)
+	defer c.Close()
 	if err := c.Run(until); err != nil {
 		panic(fmt.Sprintf("failover-recovery: %v", err))
 	}

@@ -83,19 +83,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class%d", uint8(c))
 }
 
-// ClassFor derives the default class of a transfer from its wire size:
-// anything beyond classBulkMin bytes is bulk.
-func ClassFor(bytes int) Class {
-	if bytes >= classBulkMin {
-		return ClassBulk
-	}
-	return ClassRPC
-}
-
-// classBulkMin is the smallest wire size classified as bulk by ClassFor:
-// above common MTU-and-below RPC sizes.
-const classBulkMin = 2048
-
 // Packet is one transfer crossing the fabric. Src and Dst are virtual host
 // addresses; the switch resolves Dst to an egress port through its routing
 // table. Bytes is the wire size charged for serialization and DRR deficit.
@@ -356,7 +343,7 @@ func New(e *shard.Engine, name string, cfg Config) *Switch {
 	return sw
 }
 
-// Kernel returns the switch's kernel (its shard affinity, see shard.Affine).
+// Kernel returns the switch's kernel: the kernel of its own shard.
 func (sw *Switch) Kernel() *sim.Kernel { return sw.k }
 
 // Shard returns the switch's shard.

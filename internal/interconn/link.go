@@ -80,15 +80,6 @@ func (l *Link) Profile() Profile { return l.profile }
 // Label returns the protocol label the link reports under ("UPI", "CXL").
 func (l *Link) Label() string { return l.profile.Name }
 
-// Bandwidth returns the per-direction bandwidth in bytes per nanosecond.
-func (l *Link) Bandwidth() float64 { return l.bytesPerNs }
-
-// MinLatency returns the smallest time any message can occupy the link —
-// the serialization of a dataless control message. When a link instance
-// forms a boundary between shards of a partitioned simulation, this is
-// its declared lookahead: no send can affect the far side sooner.
-func (l *Link) MinLatency() sim.Time { return l.serialize(l.ctrlMsg) }
-
 // SetFaults arms (or, with nil, disarms) the fault injector on the link.
 func (l *Link) SetFaults(f *fault.Injector) { l.flt = f }
 

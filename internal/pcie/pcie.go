@@ -27,7 +27,6 @@ const (
 // Endpoint models one PCIe slot with a device attached. Host-side methods
 // (MMIO*) are called by driver processes; DMA* methods by device processes.
 type Endpoint struct {
-	k  *sim.Kernel
 	pp platform.PCIeParams
 
 	link [2]sim.Resource
@@ -76,8 +75,8 @@ const UCWriteWindow = 500 * sim.Nanosecond
 const ucIssueCost = 40 * sim.Nanosecond
 
 // NewEndpoint creates a PCIe endpoint with the platform's slot parameters.
-func NewEndpoint(k *sim.Kernel, pp platform.PCIeParams) *Endpoint {
-	return &Endpoint{k: k, pp: pp}
+func NewEndpoint(pp platform.PCIeParams) *Endpoint {
+	return &Endpoint{pp: pp}
 }
 
 // NewCore creates the per-core MMIO issue state for a host core using this
@@ -86,17 +85,6 @@ func (e *Endpoint) NewCore() *CoreMMIO { return &CoreMMIO{ep: e} }
 
 // Params returns the endpoint's PCIe parameters.
 func (e *Endpoint) Params() platform.PCIeParams { return e.pp }
-
-// Kernel returns the simulation kernel the endpoint issues events on. A
-// component's kernel is its shard affinity: everything reachable from one
-// endpoint must live on the same shard (internal/sim/shard.Shard.Adopt).
-func (e *Endpoint) Kernel() *sim.Kernel { return e.k }
-
-// MinLatency returns the endpoint's one-way posted-write propagation time,
-// the minimum delay for any transaction to become visible on the far side
-// of the slot. When the slot is a shard boundary, this is the PCIe
-// contribution to the boundary link's declared lookahead.
-func (e *Endpoint) MinLatency() sim.Time { return e.pp.OneWay }
 
 // SetFaults arms (or, with nil, disarms) the fault injector on the
 // endpoint. Device models also read it via Faults for doorbell and
@@ -208,32 +196,6 @@ func (c *CoreMMIO) WCStreamWrite(p *sim.Proc, bytes int, streamBW float64) sim.T
 	e.stats.MMIOWrites++
 	p.Sleep(cost)
 	return cost
-}
-
-// DMARead is a device-initiated read of host memory: a request crosses to
-// the host, data returns over the device-bound direction. The device
-// process stalls for the full roundtrip.
-func (e *Endpoint) DMARead(p *sim.Proc, bytes int) sim.Time {
-	e.stats.DMAReads++
-	e.stats.DMABytes[ToDevice] += int64(bytes)
-	q := e.link[ToDevice].Acquire(p.Now(), e.serialize(bytes))
-	lat := e.pp.DMARoundTrip + q + e.serialize(bytes) + e.replay()
-	p.Sleep(lat)
-	return lat
-}
-
-// DMAWrite is a device-initiated posted write to host memory. The device
-// continues after handing data to the link; the returned time is the
-// one-way delivery latency (when the host can observe the data), which the
-// caller should account before signaling completion.
-func (e *Endpoint) DMAWrite(p *sim.Proc, bytes int) (issue, delivered sim.Time) {
-	e.stats.DMAWrites++
-	e.stats.DMABytes[ToHost] += int64(bytes)
-	q := e.link[ToHost].Acquire(p.Now(), e.serialize(bytes))
-	issue = q + e.serialize(bytes)
-	delivered = issue + e.pp.OneWay + e.replay()
-	p.Sleep(issue)
-	return issue, delivered
 }
 
 // DMAReadAsync issues a device-initiated read without blocking the caller,

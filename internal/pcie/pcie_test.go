@@ -11,7 +11,7 @@ import (
 func run(t *testing.T, fn func(p *sim.Proc, e *Endpoint, c *CoreMMIO)) {
 	t.Helper()
 	k := sim.New()
-	e := NewEndpoint(k, platform.ICX().PCIe)
+	e := NewEndpoint(platform.ICX().PCIe)
 	c := e.NewCore()
 	k.Spawn("test", func(p *sim.Proc) { fn(p, e, c) })
 	if err := k.Run(); err != nil {
@@ -132,11 +132,13 @@ func TestWCStreamBarrierAmortization(t *testing.T) {
 
 func TestDMAReadLatencyAndBandwidth(t *testing.T) {
 	run(t, func(p *sim.Proc, e *Endpoint, c *CoreMMIO) {
-		small := e.DMARead(p, 64)
+		small := e.DMAReadAsync(p.Now(), 64) - p.Now()
 		if small < e.Params().DMARoundTrip {
 			t.Errorf("DMA read = %v, want >= roundtrip %v", small, e.Params().DMARoundTrip)
 		}
-		large := e.DMARead(p, 4096)
+		// Issue the large read on an idle link, so only its size differs.
+		p.Sleep(small)
+		large := e.DMAReadAsync(p.Now(), 4096) - p.Now()
 		if large <= small {
 			t.Error("larger DMA read should take longer")
 		}
@@ -149,13 +151,14 @@ func TestDMAReadLatencyAndBandwidth(t *testing.T) {
 
 func TestDMAWritePostedSemantics(t *testing.T) {
 	run(t, func(p *sim.Proc, e *Endpoint, c *CoreMMIO) {
-		issue, delivered := e.DMAWrite(p, 256)
-		if delivered != issue+e.Params().OneWay {
-			t.Errorf("delivered = %v, want issue+%v", delivered, e.Params().OneWay)
+		t0 := p.Now()
+		delivered := e.DMAWriteAsync(t0, 256)
+		if want := t0 + e.serialize(256) + e.Params().OneWay; delivered != want {
+			t.Errorf("delivered = %v, want serialization+one-way = %v", delivered, want)
 		}
-		// The device proc only paid the issue time.
-		if p.Now() != issue {
-			t.Errorf("device time = %v, want %v", p.Now(), issue)
+		// A posted write costs the issuing device process no time.
+		if p.Now() != t0 {
+			t.Errorf("device time = %v, want %v", p.Now(), t0)
 		}
 	})
 }
@@ -163,11 +166,13 @@ func TestDMAWritePostedSemantics(t *testing.T) {
 func TestDMAWritesQueueOnLink(t *testing.T) {
 	run(t, func(p *sim.Proc, e *Endpoint, c *CoreMMIO) {
 		// Saturate ToHost with a huge write, then measure queueing.
-		e.DMAWrite(p, 64<<10)
-		issue, _ := e.DMAWrite(p, 64)
-		if issue <= e.Params().OneWay/100 {
-			t.Skip("link did not back up") // defensive; should not happen
+		now := p.Now()
+		e.DMAWriteAsync(now, 64<<10)
+		drained := e.DMAWriteAsync(now, 64) - e.Params().OneWay
+		if drained <= now+e.serialize(64<<10) {
+			t.Errorf("second write left the link at %v, before the first drained", drained)
 		}
+		p.Sleep(drained - now)
 		u := e.Utilization(ToHost, p.Now())
 		if u <= 0.9 {
 			t.Errorf("utilization = %v, want near 1", u)

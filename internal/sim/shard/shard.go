@@ -116,25 +116,6 @@ func (s *Shard) Name() string { return s.name }
 // between Engine.Run calls.
 func (s *Shard) Kernel() *sim.Kernel { return s.k }
 
-// Affine is implemented by model components that declare their shard
-// affinity by exposing the kernel they issue events on (coherence.System,
-// pcie.Endpoint, device.Device, ...).
-type Affine interface {
-	Kernel() *sim.Kernel
-}
-
-// Adopt asserts that a component belongs to this shard: its declared
-// kernel must be the shard's kernel. Model assembly calls Adopt for every
-// component it places, turning a mis-partitioned model — a component whose
-// events would land on a foreign shard's heap — into an immediate, named
-// panic instead of a silent causality violation.
-func (s *Shard) Adopt(name string, c Affine) {
-	if c.Kernel() != s.k {
-		panic(fmt.Sprintf("shard: component %s adopted by shard %s but issues events on a foreign kernel",
-			name, s.name))
-	}
-}
-
 // Message is one cross-shard event in flight.
 type Message struct {
 	Deliver sim.Time // delivery instant on the destination shard

@@ -164,58 +164,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Summary holds a running scalar summary (for throughput series etc.).
-type Summary struct {
-	n    int64
-	sum  float64
-	min  float64
-	max  float64
-	sumS float64 // sum of squares for variance
-}
-
-// Add records a value.
-func (s *Summary) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	s.sum += v
-	s.sumS += v * v
-}
-
-// N returns the number of values recorded.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the mean of recorded values (0 if empty).
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the minimum recorded value (0 if empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the maximum recorded value (0 if empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// StdDev returns the population standard deviation (0 if fewer than two).
-func (s *Summary) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumS/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
 // Point is one (x, y) sample of a result series.
 type Point struct {
 	X float64

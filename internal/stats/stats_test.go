@@ -137,28 +137,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 {
-		t.Error("empty summary should be zero")
-	}
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if s.N() != 8 {
-		t.Errorf("n = %d", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Errorf("mean = %v, want 5", s.Mean())
-	}
-	if math.Abs(s.StdDev()-2) > 1e-9 {
-		t.Errorf("stddev = %v, want 2", s.StdDev())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
-	}
-}
-
 func TestSeries(t *testing.T) {
 	s := Series{Name: "tput", XLabel: "cores", YLabel: "Gbps"}
 	s.Add(1, 10)

@@ -23,7 +23,7 @@ func settledGoroutines(want int) int {
 // goroutines behind: the kernel releases its pooled coroutines when a run
 // drains, so an abandoned testbed does not pin its kernel. A cluster run
 // stops at its horizon with its daemons still live, so its shard kernels
-// keep their coroutines until Shutdown; after that, nothing else remains,
+// keep their coroutines until Close; after that, nothing else remains,
 // including the shard engine's workers.
 func TestRunsReleaseCoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -43,12 +43,7 @@ func TestRunsReleaseCoroutines(t *testing.T) {
 	if err := c.Run(40 * sim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	parked := 0
-	for _, s := range c.Engine.Shards() {
-		parked += s.Kernel().Live()
-		s.Kernel().Shutdown()
-	}
-	t.Logf("cluster run left %d live processes parked at its horizon", parked)
+	c.Close()
 	if n := settledGoroutines(base); n > base {
 		t.Errorf("%d goroutines after the cluster run, want the baseline %d", n, base)
 	}
