@@ -137,7 +137,8 @@ type Config struct {
 	// PhaseMarks partitions each node's RPC latency histogram into
 	// phases: records at instants <= mark fall in the phase before it.
 	// Phase assignment is a pure function of the record timestamp, so it
-	// is partition-invariant by construction.
+	// is partition-invariant by construction. The marks must strictly
+	// increase.
 	PhaseMarks []sim.Time
 }
 
@@ -205,7 +206,7 @@ type Node struct {
 	// shard, so every counter is partition-invariant.
 	pend          map[int64]*pendRPC // outstanding RPCs by Seq
 	flowPend      map[int64]*flowTrack
-	retxHeap      []retxEntry // deadline min-heap (at, seq)
+	retx          retxHeap // deadline min-heap
 	retxWake      *sim.Event
 	routeVia      []uint8 // per destination: current switch
 	dstStrikes    []int   // per destination: consecutive timeouts
@@ -297,6 +298,12 @@ func (cfg Config) Validate() error {
 		sw := fabric.Config{Ports: hosts, HopLat: sim.Nanosecond, Outages: cfg.outagesOn(v)}
 		if err := sw.Validate(); err != nil {
 			return fmt.Errorf("cluster: switch %d: %w", v, err)
+		}
+	}
+	for i := 1; i < len(cfg.PhaseMarks); i++ {
+		if cfg.PhaseMarks[i] <= cfg.PhaseMarks[i-1] {
+			return fmt.Errorf("cluster: PhaseMarks must strictly increase, but mark %d (%v) follows %v",
+				i, cfg.PhaseMarks[i], cfg.PhaseMarks[i-1])
 		}
 	}
 	for _, f := range cfg.Flows {
@@ -424,11 +431,8 @@ func New(cfg Config) *Cluster {
 		})
 		c.Switches = append(c.Switches, sw)
 		for i := range c.Nodes {
-			if port := sw.Attach(c.Engine, i, shards[c.nodeShard[i]],
-				func(p *sim.Proc, pkt fabric.Packet) { c.receive(p, pkt.Payload.(Message)) },
-			); port != i {
-				panic("cluster: switch port assignment out of order")
-			}
+			sw.Attach(c.Engine, shards[c.nodeShard[i]],
+				func(p *sim.Proc, pkt fabric.Packet) { c.receive(p, pkt.Payload.(Message)) })
 		}
 	}
 	c.Switch = c.Switches[0]

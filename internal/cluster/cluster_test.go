@@ -165,6 +165,11 @@ func TestValidate(t *testing.T) {
 			Outages: []ScriptedOutage{{Port: 4, To: sim.Microsecond}}}, "switch 0: fabric: invalid scripted outage"},
 		{"empty outage window", Config{Reliable: true, Switches: 2,
 			Outages: []ScriptedOutage{{Switch: 1, Port: 1}}}, "switch 1: fabric: invalid scripted outage"},
+		{"phase marks", Config{PhaseMarks: []sim.Time{50 * sim.Microsecond, 100 * sim.Microsecond}}, ""},
+		{"phase marks out of order", Config{PhaseMarks: []sim.Time{100 * sim.Microsecond, 50 * sim.Microsecond}},
+			"PhaseMarks must strictly increase"},
+		{"repeated phase mark", Config{PhaseMarks: []sim.Time{sim.Microsecond, sim.Microsecond}},
+			"PhaseMarks must strictly increase"},
 		{"flows", Config{Flows: []FlowSpec{{Srcs: []int{1, 2, 3}, Dst: 0, Dist: "ads"}}}, ""},
 		{"flow dst past default hosts", Config{Flows: []FlowSpec{{Name: "f", Srcs: []int{1}, Dst: 4}}},
 			`flow "f" dst 4 out of range`},

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"container/heap"
 	"fmt"
 	"math/bits"
 
@@ -76,43 +77,20 @@ func (e retxEntry) less(o retxEntry) bool {
 	return e.attempt < o.attempt
 }
 
-// heapPush inserts an entry into the node's deadline min-heap.
-func (n *Node) heapPush(e retxEntry) {
-	n.retxHeap = append(n.retxHeap, e)
-	i := len(n.retxHeap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !n.retxHeap[i].less(n.retxHeap[parent]) {
-			break
-		}
-		n.retxHeap[i], n.retxHeap[parent] = n.retxHeap[parent], n.retxHeap[i]
-		i = parent
-	}
-}
+// retxHeap is a node's deadline min-heap, ordered by retxEntry.less
+// (container/heap). The order is total and no two entries are equal, so the
+// pop sequence is a function of the entries alone.
+type retxHeap []retxEntry
 
-// heapPop removes and returns the earliest deadline.
-func (n *Node) heapPop() retxEntry {
-	top := n.retxHeap[0]
-	last := len(n.retxHeap) - 1
-	n.retxHeap[0] = n.retxHeap[last]
-	n.retxHeap = n.retxHeap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && n.retxHeap[l].less(n.retxHeap[small]) {
-			small = l
-		}
-		if r < last && n.retxHeap[r].less(n.retxHeap[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		n.retxHeap[i], n.retxHeap[small] = n.retxHeap[small], n.retxHeap[i]
-		i = small
-	}
-	return top
+func (h retxHeap) Len() int           { return len(h) }
+func (h retxHeap) Less(i, j int) bool { return h[i].less(h[j]) }
+func (h retxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *retxHeap) Push(x any)        { *h = append(*h, x.(retxEntry)) }
+func (h *retxHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
 // flowKey composes a node-unique key for a tracked flow packet.
@@ -153,7 +131,7 @@ func (n *Node) startTransport() {
 // registerRPC records a newly issued reliable RPC and arms its timeout.
 func (n *Node) registerRPC(now sim.Time, m Message) {
 	n.pend[m.Seq] = &pendRPC{m: m}
-	n.heapPush(retxEntry{at: now + n.c.cfg.RTO, seq: m.Seq})
+	heap.Push(&n.retx, retxEntry{at: now + n.c.cfg.RTO, seq: m.Seq})
 	n.retxWake.Signal()
 }
 
@@ -179,12 +157,12 @@ func (n *Node) watchdog(p *sim.Proc) {
 	c := n.c
 	base := c.cfg.RTO
 	for {
-		if len(n.retxHeap) == 0 {
+		if len(n.retx) == 0 {
 			p.Wait(n.retxWake)
 			continue
 		}
 		now := p.Now()
-		next := n.retxHeap[0].at
+		next := n.retx[0].at
 		if now < next {
 			d := next - now
 			if d > base {
@@ -193,7 +171,7 @@ func (n *Node) watchdog(p *sim.Proc) {
 			p.Sleep(d)
 			continue
 		}
-		e := n.heapPop()
+		e := heap.Pop(&n.retx).(retxEntry)
 		if e.flow {
 			n.flowTimeout(e)
 			continue
@@ -218,7 +196,7 @@ func (n *Node) watchdog(p *sim.Proc) {
 		n.Retransmits++
 		// Exponential backoff: the next deadline doubles per attempt.
 		rto := base << uint(pr.attempt)
-		n.heapPush(retxEntry{at: now + rto, seq: e.seq, attempt: pr.attempt})
+		heap.Push(&n.retx, retxEntry{at: now + rto, seq: e.seq, attempt: pr.attempt})
 		// Re-enqueue through the NIC TX pipeline, re-reading the routing
 		// table so a retransmission follows any failover that happened
 		// since the original attempt.
@@ -297,7 +275,7 @@ func (n *Node) probeLoop(p *sim.Proc) {
 			n.ProbesSent++
 			m := Message{
 				From: n.id, To: n.id, Seq: n.probeSeq, Probe: true,
-				Via: uint8(v), Bytes: probeBytes, Class: c.probeClass(),
+				Via: uint8(v), Bytes: probeBytes, Class: probeClass,
 			}
 			c.send(p, n.id, 0, m)
 		}
@@ -309,7 +287,7 @@ const probeBytes = 64
 
 // probeClass is the traffic class probes ride on: the latency class, so
 // probe loss tracks the class whose SLO failover protects.
-func (c *Cluster) probeClass() fabric.Class { return fabric.ClassRPC }
+const probeClass = fabric.ClassRPC
 
 // probeReturned scores a probe that made it back through its switch.
 func (n *Node) probeReturned(m Message) {
@@ -354,7 +332,7 @@ func (n *Node) failback() {
 func (n *Node) trackFlow(now sim.Time, flow int, seq int64, g *flowGen, tenant int) {
 	key := flowKey(flow, seq)
 	n.flowPend[key] = &flowTrack{gen: g, tenant: tenant}
-	n.heapPush(retxEntry{at: now + n.c.cfg.RTO, seq: key, flow: true})
+	heap.Push(&n.retx, retxEntry{at: now + n.c.cfg.RTO, seq: key, flow: true})
 	n.retxWake.Signal()
 }
 
@@ -414,15 +392,6 @@ func (c *Cluster) PhaseLatencies(until sim.Time) []stats.Histogram {
 	return out
 }
 
-// Pending sums the outstanding reliable RPCs across nodes.
-func (c *Cluster) Pending() int64 {
-	var t int64
-	for _, n := range c.Nodes {
-		t += int64(len(n.pend))
-	}
-	return t
-}
-
 // CheckDelivery is the no-silent-loss invariant: every packet the cluster
 // admitted is delivered, dropped-and-accounted inside a switch, or retired
 // by retry exhaustion. Concretely: switch-internal conservation holds on
@@ -457,7 +426,7 @@ func (c *Cluster) CheckDelivery() error {
 		// one base-RTO sleep step (plus the instant being mid-step).
 		now := n.k.Now()
 		grace := 2 * c.cfg.RTO
-		for _, e := range n.retxHeap {
+		for _, e := range n.retx {
 			if e.flow {
 				if _, ok := n.flowPend[e.seq]; ok && e.at+grace < now {
 					return fmt.Errorf("cluster node %d: tracked flow deadline stale by %v", n.id, now-e.at)

@@ -31,6 +31,23 @@ func init() {
 	})
 }
 
+// runCluster builds a cluster from cfg, runs it to until, and checks its
+// delivery ledger — switch conservation always, the transport's RPC ledger
+// where it is armed — panicking with the experiment's id on any failure.
+// The caller reads the cluster and closes it.
+func runCluster(id string, cfg ccnic.ClusterConfig, until sim.Time) *cluster.Cluster {
+	c := ccnic.NewCluster(cfg)
+	err := c.Run(until)
+	if err == nil {
+		err = c.CheckDelivery()
+	}
+	if err != nil {
+		c.Close()
+		panic(fmt.Sprintf("%s: %v", id, err))
+	}
+	return c
+}
+
 // incastPoint runs one fan-in degree: `fanin` senders issue closed-loop
 // RPCs at host 0 while each also aggregates an open-loop Ads tenant mix
 // toward the same port.
@@ -39,7 +56,7 @@ func incastPoint(fanin int, measure sim.Time) cluster.Report {
 	for i := range srcs {
 		srcs[i] = i + 1
 	}
-	c := ccnic.NewCluster(ccnic.ClusterConfig{
+	c := runCluster("fabric-incast", ccnic.ClusterConfig{
 		Hosts:   fanin + 1,
 		Workers: 2,
 		Window:  8,
@@ -50,11 +67,8 @@ func incastPoint(fanin int, measure sim.Time) cluster.Report {
 			Dist: "ads", MeanGap: 800 * sim.Nanosecond, Tenants: 128,
 			ZipfS: 0.75, TrackEvery: 8, Seed: 17,
 		}},
-	})
+	}, measure)
 	defer c.Close()
-	if err := c.Run(measure); err != nil {
-		panic(fmt.Sprintf("fabric-incast: %v", err))
-	}
 	return c.Report()
 }
 
@@ -133,11 +147,8 @@ func isolationPoint(bulk, fifo bool, measure sim.Time) cluster.Report {
 			TrackEvery: 32, Seed: 11,
 		}}
 	}
-	c := ccnic.NewCluster(cfg)
+	c := runCluster("fabric-isolation", cfg, measure)
 	defer c.Close()
-	if err := c.Run(measure); err != nil {
-		panic(fmt.Sprintf("fabric-isolation: %v", err))
-	}
 	return c.Report()
 }
 
@@ -195,11 +206,8 @@ func crossoverPoint(k int, sig cluster.Signal, measure sim.Time) cluster.Report 
 			MeanGap: 300 * sim.Nanosecond, Tenants: 8, Seed: int64(23 + i),
 		})
 	}
-	c := ccnic.NewCluster(cfg)
+	c := runCluster("fabric-crossover", cfg, measure)
 	defer c.Close()
-	if err := c.Run(measure); err != nil {
-		panic(fmt.Sprintf("fabric-crossover: %v", err))
-	}
 	return c.Report()
 }
 

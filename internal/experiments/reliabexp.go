@@ -27,9 +27,9 @@ func init() {
 }
 
 // portflapPoint runs the 4-host redundant reliable cluster with the fabric
-// classes armed at `rate` and returns the report. The delivery ledger is
-// asserted before anything is tabulated: silent loss is an experiment
-// failure, not a data point.
+// classes armed at `rate` and returns the report. runCluster asserts the
+// delivery ledger before anything is tabulated: silent loss is an
+// experiment failure, not a data point.
 func portflapPoint(rate float64, measure sim.Time) cluster.Report {
 	var plan *fault.Plan
 	if rate > 0 {
@@ -38,17 +38,11 @@ func portflapPoint(rate float64, measure sim.Time) cluster.Report {
 		plan.Rate[fault.FabricCorrupt] = rate / 2
 		plan.Rate[fault.FabricBlackhole] = rate / 2
 	}
-	c := ccnic.NewCluster(ccnic.ClusterConfig{
+	c := runCluster("fabric-portflap", ccnic.ClusterConfig{
 		Hosts: 4, Workers: 2, Window: 8, ReqSize: 512,
 		Reliable: true, Switches: 2, Faults: plan,
-	})
+	}, measure)
 	defer c.Close()
-	if err := c.Run(measure); err != nil {
-		panic(fmt.Sprintf("fabric-portflap: %v", err))
-	}
-	if err := c.CheckDelivery(); err != nil {
-		panic(fmt.Sprintf("fabric-portflap: silent loss at rate %.3f: %v", rate, err))
-	}
 	return c.Report()
 }
 
@@ -104,20 +98,14 @@ func failoverTimeline(opt Options) ([]stats.Histogram, cluster.Report, []sim.Tim
 	}
 	recoverTo := outTo + 80*sim.Microsecond
 	marks := []sim.Time{outFrom, outTo, recoverTo}
-	c := ccnic.NewCluster(ccnic.ClusterConfig{
+	c := runCluster("failover-recovery", ccnic.ClusterConfig{
 		Hosts: 4, Workers: 2, Window: 8, ReqSize: 512,
 		Reliable: true, Switches: 2,
 		RTO:        10 * sim.Microsecond,
 		Outages:    []cluster.ScriptedOutage{{Switch: 0, Port: 0, From: outFrom, To: outTo}},
 		PhaseMarks: marks,
-	})
+	}, until)
 	defer c.Close()
-	if err := c.Run(until); err != nil {
-		panic(fmt.Sprintf("failover-recovery: %v", err))
-	}
-	if err := c.CheckDelivery(); err != nil {
-		panic(fmt.Sprintf("failover-recovery: silent loss: %v", err))
-	}
 	r := c.Report()
 	return c.PhaseLatencies(until), r, append(marks, until)
 }
@@ -148,14 +136,8 @@ func degradedContrast(opt Options, withOutage bool) (cluster.Report, [2]int64) {
 	if withOutage {
 		cfg.Outages = []cluster.ScriptedOutage{{Switch: 0, Port: 0, From: outFrom, To: outTo}}
 	}
-	c := ccnic.NewCluster(cfg)
+	c := runCluster("failover-recovery", cfg, until)
 	defer c.Close()
-	if err := c.Run(until); err != nil {
-		panic(fmt.Sprintf("failover-recovery: %v", err))
-	}
-	if err := c.CheckDelivery(); err != nil {
-		panic(fmt.Sprintf("failover-recovery: degraded ledger: %v", err))
-	}
 	var del [2]int64
 	del[0], _ = c.FlowStats(0)
 	del[1], _ = c.FlowStats(1)

@@ -5,14 +5,14 @@
 // every packet crosses ingress queuing, routing, egress queuing, fair
 // scheduling, and wire serialization inside the switch model.
 //
-// # Virtual addressing
+// # Addressing
 //
-// Packets name hosts, not ports: the switch resolves Packet.Dst through a
-// routing table (host id -> egress port) populated by Attach and extensible
-// with Route. Because forwarding is table-driven, a port does not have to
-// lead to a host — mapping several host ids onto one port models a trunk to
-// a neighboring switch, so multi-switch topologies compose without changing
-// the send surface.
+// Host i is port i: Attach connects hosts in order and returns the attached
+// host's address, which is its port number. Packet.Src and Packet.Dst index
+// the switch's port records directly, so forwarding needs no table. Each
+// record holds everything the switch keeps about one port — queues,
+// scheduler and pipeline state, fault windows, links, and the PortStats
+// counters, updated in place.
 //
 // # Queuing and fairness
 //
@@ -83,9 +83,9 @@ func (c Class) String() string {
 	return fmt.Sprintf("class%d", uint8(c))
 }
 
-// Packet is one transfer crossing the fabric. Src and Dst are virtual host
-// addresses; the switch resolves Dst to an egress port through its routing
-// table. Bytes is the wire size charged for serialization and DRR deficit.
+// Packet is one transfer crossing the fabric. Src and Dst are host
+// addresses, which are also the ingress and egress ports. Bytes is the wire
+// size charged for serialization and DRR deficit.
 type Packet struct {
 	Src, Dst int
 	Class    Class
@@ -154,15 +154,12 @@ type Outage struct {
 }
 
 // Probe observes switch queuing for online validation (internal/check).
-// Hook calls are nil-guarded; a run without a checker pays one branch per
-// event.
+// Calls go through Switch.event, which nil-guards them; a run without a
+// checker pays one branch per event.
 type Probe interface {
-	// Queued fires after a packet is admitted to an egress queue.
-	Queued(sw *Switch, port int, pkt Packet)
-	// Forwarded fires after a packet finishes egress serialization.
-	Forwarded(sw *Switch, port int, pkt Packet)
-	// Dropped fires when a packet is tail-dropped (ingress or egress).
-	Dropped(sw *Switch, port int, pkt Packet, ingress bool)
+	// PortEvent fires after port's counters change: a packet admitted to
+	// an egress queue, forwarded, or dropped (at ingress or egress).
+	PortEvent(sw *Switch, port int)
 }
 
 // AutoAttach, when non-nil, is invoked on every Switch created by New.
@@ -224,66 +221,43 @@ func (f *vq) pop() entry {
 	return e
 }
 
-// egress is one output port: its virtual queues, scheduler process state,
-// and counters.
-type egress struct {
-	port   int
+// port is one switch port and the host attached to it (host i is port i):
+// its egress queues and scheduler state, its ingress pipeline occupancy,
+// the fault windows keyed by it, the host's shard links and delivery
+// handler, and its counters.
+type port struct {
 	flows  []vq // indexed src*NumClasses + class
 	cursor int  // DRR round-robin position, persistent across decisions
 	queued int  // packets admitted and not yet picked
 	serQ   int  // packets picked and still serializing onto the wire (0 or 1)
 	wake   *sim.Event
 
-	// brown is the port's brownout window: while active, serialization
-	// runs at brownoutFactor times the normal time.
-	brown window
+	inFlight int // packets in the ingress routing pipeline
 
-	// counters (PortStats)
-	admitted  int64
-	forwarded int64
-	sentBytes int64
-	drops     int64
-	downDrops int64 // refused at egress admission: destination port down
-	classPkts [NumClasses]int64
-	highWater int
-}
+	// Fault-domain state (touched only on the switch shard): seq is the
+	// host's arrival sequence, the draw identity; flap is a drawn outage
+	// of the port; blackhole swallows traffic routed toward the host;
+	// brown runs the egress wire at brownoutFactor times the normal time.
+	seq       uint64
+	flap      window
+	blackhole window
+	brown     window
 
-// ingress is one input port's routing-pipeline accounting.
-type ingress struct {
-	inFlight int
-	admitted int64
-	drops    int64
+	hs       *shard.Shard // the host's shard; co-sharded hosts share up and down
+	up, down *shard.Link
+	deliver  DeliverFunc
 
-	// fault-domain drops, each accounted where the packet died.
-	downDrops      int64 // arrival refused: the packet's own port is down
-	blackholeDrops int64 // discarded by the routing stage (blackhole window)
-	corruptDrops   int64 // discarded at the frame check (in-switch corruption)
+	stats PortStats // Queued is filled in by Switch.Stats
 }
 
 // Switch is a modeled output-queued switch on its own shard.
 type Switch struct {
-	name string
-	cfg  Config
-	shd  *shard.Shard
-	k    *sim.Kernel
-
-	route   []int // host id -> egress port (-1 unrouted)
-	ports   []*egress
-	ins     []*ingress
-	deliver []DeliverFunc // per attached host id
-
-	// Fault-domain state (all touched only on the switch shard).
-	flt       *fault.Injector
-	srcSeq    []uint64 // per source host: arrival sequence (the draw identity)
-	portDown  []window // per port: drawn flap outage
-	blackhole []window // per destination host: routing blackhole window
-
-	// links, keyed by the attached host's shard id.
-	up   map[int]*shard.Link // host shard -> switch
-	down map[int]*shard.Link // switch -> host shard
-
-	hostShard map[int]int // host id -> shard id (for down-link resolution)
-
+	name  string
+	cfg   Config
+	shd   *shard.Shard
+	k     *sim.Kernel
+	flt   *fault.Injector
+	ports []*port
 	probe Probe
 }
 
@@ -326,15 +300,7 @@ func New(e *shard.Engine, name string, cfg Config) *Switch {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 4096
 	}
-	sw := &Switch{
-		name:      name,
-		cfg:       cfg,
-		flt:       cfg.Faults,
-		portDown:  make([]window, cfg.Ports),
-		up:        make(map[int]*shard.Link),
-		down:      make(map[int]*shard.Link),
-		hostShard: make(map[int]int),
-	}
+	sw := &Switch{name: name, cfg: cfg, flt: cfg.Faults}
 	sw.shd = e.NewShard(name, sim.New())
 	sw.k = sw.shd.Kernel()
 	if AutoAttach != nil {
@@ -346,65 +312,53 @@ func New(e *shard.Engine, name string, cfg Config) *Switch {
 // Kernel returns the switch's kernel: the kernel of its own shard.
 func (sw *Switch) Kernel() *sim.Kernel { return sw.k }
 
-// Shard returns the switch's shard.
-func (sw *Switch) Shard() *shard.Shard { return sw.shd }
-
-// Config returns the switch's (defaulted) configuration.
-func (sw *Switch) Config() Config { return sw.cfg }
-
 // SetProbe installs (or removes, with nil) the validation probe.
 func (sw *Switch) SetProbe(p Probe) { sw.probe = p }
 
-// Attach connects host (a virtual address) living on shard hs to the next
-// free port, returning the port number. deliver runs on hs's kernel for
-// every packet forwarded to host. e must be the engine the switch was
-// created on. Hosts sharing a shard (coarse partitions) share the underlying
-// shard links; the switch's queues and routing stay per host.
-func (sw *Switch) Attach(e *shard.Engine, host int, hs *shard.Shard, deliver DeliverFunc) int {
+// event reports a counter change on port to the probe, if one is installed.
+func (sw *Switch) event(port int) {
+	if sw.probe != nil {
+		sw.probe.PortEvent(sw, port)
+	}
+}
+
+// Attach connects a host living on shard hs to the next free port and
+// returns the host's address, which is its port number. deliver runs on
+// hs's kernel for every packet forwarded to the host. e must be the engine
+// the switch was created on. Hosts sharing a shard (coarse partitions)
+// share the underlying shard links; the switch's queues stay per host.
+func (sw *Switch) Attach(e *shard.Engine, hs *shard.Shard, deliver DeliverFunc) int {
 	if len(sw.ports) >= sw.cfg.Ports {
 		panic(fmt.Sprintf("fabric: switch %s out of ports (%d)", sw.name, sw.cfg.Ports))
 	}
-	port := len(sw.ports)
-	eg := &egress{
-		port:  port,
-		flows: make([]vq, sw.cfg.Ports*int(NumClasses)),
-		wake:  sw.k.NewEvent(fmt.Sprintf("%s.p%d", sw.name, port)),
+	host := len(sw.ports)
+	pt := &port{
+		flows:   make([]vq, sw.cfg.Ports*int(NumClasses)),
+		wake:    sw.k.NewEvent(fmt.Sprintf("%s.p%d", sw.name, host)),
+		hs:      hs,
+		deliver: deliver,
+		stats:   PortStats{Port: host},
 	}
-	sw.ports = append(sw.ports, eg)
-	sw.ins = append(sw.ins, &ingress{})
-	sw.Route(host, port)
-	for len(sw.deliver) <= host {
-		sw.deliver = append(sw.deliver, nil)
+	for _, q := range sw.ports {
+		if q.hs == hs {
+			pt.up, pt.down = q.up, q.down
+			break
+		}
 	}
-	sw.deliver[host] = deliver
-	sw.hostShard[host] = hs.ID()
-
-	if _, ok := sw.up[hs.ID()]; !ok {
-		sw.up[hs.ID()] = e.Connect(hs, sw.shd, sw.cfg.HopLat, linkCap,
+	if pt.up == nil {
+		pt.up = e.Connect(hs, sw.shd, sw.cfg.HopLat, linkCap,
 			func(p *sim.Proc, payload any) { sw.arrive(p, payload.(Packet)) })
-		sw.down[hs.ID()] = e.Connect(sw.shd, hs, sw.cfg.HopLat, linkCap,
+		pt.down = e.Connect(sw.shd, hs, sw.cfg.HopLat, linkCap,
 			func(p *sim.Proc, payload any) {
 				pkt := payload.(Packet)
-				sw.deliver[pkt.Dst](p, pkt)
+				sw.ports[pkt.Dst].deliver(p, pkt)
 			})
 	}
-
-	sw.k.Spawn(fmt.Sprintf("%s.egress%d", sw.name, port), func(p *sim.Proc) {
-		sw.egressLoop(p, eg)
+	sw.ports = append(sw.ports, pt)
+	sw.k.Spawn(fmt.Sprintf("%s.egress%d", sw.name, host), func(p *sim.Proc) {
+		sw.egressLoop(p, pt)
 	})
-	return port
-}
-
-// Route maps a virtual host address onto an egress port, overriding (or
-// extending, for trunk ports) the mapping Attach installed.
-func (sw *Switch) Route(host, port int) {
-	if port < 0 || port >= sw.cfg.Ports {
-		panic(fmt.Sprintf("fabric: route %d -> invalid port %d", host, port))
-	}
-	for len(sw.route) <= host {
-		sw.route = append(sw.route, -1)
-	}
-	sw.route[host] = port
+	return host
 }
 
 // HopLatency returns the attach-link lookahead (one hop, one way).
@@ -425,11 +379,10 @@ func (sw *Switch) Ingress(p *sim.Proc, extra sim.Time, pkt Packet) {
 	if extra < 0 {
 		extra = 0
 	}
-	l, ok := sw.up[sw.hostShard[pkt.Src]]
-	if !ok {
-		panic(fmt.Sprintf("fabric: ingress from unattached host %d", pkt.Src))
+	if n := len(sw.ports); pkt.Src < 0 || pkt.Src >= n || pkt.Dst < 0 || pkt.Dst >= n {
+		panic(fmt.Sprintf("fabric: packet %d -> %d names an unattached host", pkt.Src, pkt.Dst))
 	}
-	l.Send(p, sw.cfg.HopLat+extra, pkt)
+	sw.ports[pkt.Src].up.Send(p, sw.cfg.HopLat+extra, pkt)
 }
 
 // arrive runs on the switch shard for each packet delivered by an up link:
@@ -438,31 +391,29 @@ func (sw *Switch) Ingress(p *sim.Proc, extra sim.Time, pkt Packet) {
 // the packet's (source, per-source sequence) identity, taken here in the
 // source's own send order — see the fault-domain notes in internal/fault.
 func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
-	inPort := sw.portOf(pkt.Src)
-	in := sw.ins[inPort]
+	in, out := sw.ports[pkt.Src], sw.ports[pkt.Dst]
 	var seq uint64
 	if sw.flt != nil {
-		seq = sw.nextSeq(pkt.Src)
+		// A source's packets reach the switch in its own send order, so
+		// the sequence is invariant under any host partition.
+		in.seq++
+		seq = in.seq
 		if span := sw.flt.PortDown(pkt.Src, seq); span > 0 {
-			sw.portDown[inPort].extend(p.Now(), span)
+			in.flap.extend(p.Now(), span)
 		}
 	}
-	if sw.isDown(inPort, p.Now()) {
-		in.downDrops++
-		if sw.probe != nil {
-			sw.probe.Dropped(sw, inPort, pkt, true)
-		}
+	if sw.isDown(pkt.Src, p.Now()) {
+		in.stats.IngressDownDrops++
+		sw.event(pkt.Src)
 		return
 	}
 	if in.inFlight >= ingressCap {
-		in.drops++
-		if sw.probe != nil {
-			sw.probe.Dropped(sw, inPort, pkt, true)
-		}
+		in.stats.IngressDrops++
+		sw.event(pkt.Src)
 		return
 	}
 	in.inFlight++
-	in.admitted++
+	in.stats.IngressAdmitted++
 	p.Sleep(sw.cfg.RouteLat)
 	in.inFlight--
 
@@ -471,171 +422,117 @@ func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
 		// routed toward this destination; an in-switch corruption fails
 		// the frame check on this packet alone.
 		if span := sw.flt.Blackhole(pkt.Src, seq); span > 0 {
-			sw.extendBlackhole(pkt.Dst, p.Now(), span)
+			out.blackhole.extend(p.Now(), span)
 		}
-		if sw.blackholed(pkt.Dst, p.Now()) {
-			in.blackholeDrops++
-			if sw.probe != nil {
-				sw.probe.Dropped(sw, inPort, pkt, true)
-			}
+		if out.blackhole.active(p.Now()) {
+			in.stats.BlackholeDrops++
+			sw.event(pkt.Src)
 			return
 		}
 		if sw.flt.FabricCorrupt(pkt.Src, seq) {
-			in.corruptDrops++
-			if sw.probe != nil {
-				sw.probe.Dropped(sw, inPort, pkt, true)
-			}
+			in.stats.CorruptDrops++
+			sw.event(pkt.Src)
 			return
 		}
 	}
 
-	outPort := sw.portOf(pkt.Dst)
-	eg := sw.ports[outPort]
-	if sw.isDown(outPort, p.Now()) {
+	if sw.isDown(pkt.Dst, p.Now()) {
 		// Egress admission toward a downed port is refused; packets
 		// already queued on it keep draining (the flap gates admission,
 		// not the store-and-forward pipeline).
-		eg.downDrops++
-		if sw.probe != nil {
-			sw.probe.Dropped(sw, outPort, pkt, false)
-		}
+		out.stats.EgressDownDrops++
+		sw.event(pkt.Dst)
 		return
 	}
 	if sw.flt != nil {
 		if span := sw.flt.Brownout(pkt.Src, seq); span > 0 {
-			eg.brown.extend(p.Now(), span)
+			out.brown.extend(p.Now(), span)
 		}
 	}
-	f := &eg.flows[sw.flowIdx(pkt)]
+	f := &out.flows[pkt.Src*int(NumClasses)+int(pkt.Class)]
 	if f.len() >= sw.cfg.FlowCap {
-		eg.drops++
-		if sw.probe != nil {
-			sw.probe.Dropped(sw, outPort, pkt, false)
-		}
+		out.stats.EgressDrops++
+		sw.event(pkt.Dst)
 		return
 	}
 	f.q = append(f.q, entry{at: p.Now(), pkt: pkt})
-	eg.queued++
-	eg.admitted++
-	if eg.queued > eg.highWater {
-		eg.highWater = eg.queued
+	out.queued++
+	out.stats.Admitted++
+	if out.queued > out.stats.HighWater {
+		out.stats.HighWater = out.queued
 	}
-	if sw.probe != nil {
-		sw.probe.Queued(sw, outPort, pkt)
-	}
-	eg.wake.Signal()
+	sw.event(pkt.Dst)
+	out.wake.Signal()
 }
 
-// nextSeq returns the per-source arrival sequence number, the stable draw
-// identity: a source's packets reach the switch in its own send order, so
-// this counter is invariant under any host partition.
-func (sw *Switch) nextSeq(src int) uint64 {
-	for len(sw.srcSeq) <= src {
-		sw.srcSeq = append(sw.srcSeq, 0)
-	}
-	sw.srcSeq[src]++
-	return sw.srcSeq[src]
-}
-
-// isDown reports whether a port refuses admission at instant now, from a
+// isDown reports whether port i refuses admission at instant now, from a
 // drawn flap window or a scripted outage.
-func (sw *Switch) isDown(port int, now sim.Time) bool {
-	if sw.portDown[port].active(now) {
+func (sw *Switch) isDown(i int, now sim.Time) bool {
+	if sw.ports[i].flap.active(now) {
 		return true
 	}
 	for _, o := range sw.cfg.Outages {
-		if o.Port == port && o.From <= now && now < o.To {
+		if o.Port == i && o.From <= now && now < o.To {
 			return true
 		}
 	}
 	return false
 }
 
-// extendBlackhole opens or prolongs the blackhole window of a destination.
-func (sw *Switch) extendBlackhole(dst int, now, span sim.Time) {
-	for len(sw.blackhole) <= dst {
-		sw.blackhole = append(sw.blackhole, window{})
-	}
-	sw.blackhole[dst].extend(now, span)
-}
-
-// blackholed reports whether dst is inside an active blackhole window.
-func (sw *Switch) blackholed(dst int, now sim.Time) bool {
-	return dst < len(sw.blackhole) && sw.blackhole[dst].active(now)
-}
-
 // Faults returns the switch's injector (nil when unarmed), for stats
 // aggregation.
 func (sw *Switch) Faults() *fault.Injector { return sw.flt }
-
-// portOf resolves a virtual address, panicking on unrouted destinations (a
-// topology bug, not a runtime condition).
-func (sw *Switch) portOf(host int) int {
-	if host < 0 || host >= len(sw.route) || sw.route[host] < 0 {
-		panic(fmt.Sprintf("fabric: no route for host %d", host))
-	}
-	return sw.route[host]
-}
-
-// flowIdx keys the egress virtual queue of a packet: (ingress port, class).
-// Keying by port rather than raw source address keeps the queue array dense
-// and makes trunked sources share the trunk's queue, as a real switch would.
-func (sw *Switch) flowIdx(pkt Packet) int {
-	return sw.portOf(pkt.Src)*int(NumClasses) + int(pkt.Class)
-}
 
 // egressLoop is one port's scheduler: wait for work, defer decisions one
 // arbitration interval past the triggering arrival (strict-timestamp
 // eligibility), pick by DRR or FIFO, serialize, and hand the packet to the
 // destination's down link.
-func (sw *Switch) egressLoop(p *sim.Proc, eg *egress) {
+func (sw *Switch) egressLoop(p *sim.Proc, pt *port) {
 	for {
-		if eg.queued == 0 {
-			p.Wait(eg.wake)
+		if pt.queued == 0 {
+			p.Wait(pt.wake)
 			continue
 		}
-		f, ok := sw.pick(eg, p.Now())
+		f, ok := sw.pick(pt, p.Now())
 		if !ok {
 			// Everything queued arrived at this exact instant and is not
 			// yet eligible: decide one arbitration interval later.
 			p.Sleep(sw.cfg.SchedLat)
 			continue
 		}
-		fl := &eg.flows[f]
+		fl := &pt.flows[f]
 		e := fl.pop()
 		if fl.len() == 0 { // classic DRR: an emptied queue forfeits its deficit
 			fl.deficit = 0
 			fl.serving = false
 		}
-		eg.queued--
-		eg.serQ++
+		pt.queued--
+		pt.serQ++
 		ser := sw.SerTime(e.pkt.Bytes)
-		if eg.brown.active(p.Now()) {
+		if pt.brown.active(p.Now()) {
 			// Browned-out transceiver: the wire runs derated. The window
 			// test uses the service-start instant, itself strictly later
 			// than the draw that opened the window.
 			ser *= brownoutFactor
 		}
 		p.Sleep(ser)
-		eg.serQ--
-		eg.forwarded++
-		eg.sentBytes += int64(e.pkt.Bytes)
-		eg.classPkts[e.pkt.Class]++
-		if sw.probe != nil {
-			sw.probe.Forwarded(sw, eg.port, e.pkt)
-		}
-		sw.down[sw.hostShard[e.pkt.Dst]].Send(p, sw.cfg.HopLat, e.pkt)
+		pt.serQ--
+		pt.stats.Forwarded++
+		pt.stats.Bytes += int64(e.pkt.Bytes)
+		pt.stats.ClassPkts[e.pkt.Class]++
+		sw.event(pt.stats.Port)
+		pt.down.Send(p, sw.cfg.HopLat, e.pkt)
 	}
 }
 
 // pick selects the next virtual queue to serve at instant now, or reports
 // that nothing is eligible yet. Only packets with admission timestamps
 // strictly before now participate (see the package comment).
-func (sw *Switch) pick(eg *egress, now sim.Time) (int, bool) {
+func (sw *Switch) pick(pt *port, now sim.Time) (int, bool) {
 	if sw.cfg.FIFO {
-		return sw.pickFIFO(eg, now)
+		return sw.pickFIFO(pt, now)
 	}
-	return sw.pickDRR(eg, now)
+	return sw.pickDRR(pt, now)
 }
 
 // pickFIFO serves in admission order: the eligible head with the smallest
@@ -643,11 +540,11 @@ func (sw *Switch) pick(eg *egress, now sim.Time) (int, bool) {
 // tie-break deliberately avoids any notion of same-instant admission order —
 // that order is partition-dependent when hosts share shards — while within a
 // flow the queue order is the source's own send order, which is invariant.
-func (sw *Switch) pickFIFO(eg *egress, now sim.Time) (int, bool) {
+func (sw *Switch) pickFIFO(pt *port, now sim.Time) (int, bool) {
 	best, ok := -1, false
 	var bestAt sim.Time
-	for i := range eg.flows {
-		f := &eg.flows[i]
+	for i := range pt.flows {
+		f := &pt.flows[i]
 		if f.len() == 0 {
 			continue
 		}
@@ -666,18 +563,18 @@ func (sw *Switch) pickFIFO(eg *egress, now sim.Time) (int, bool) {
 // in fixed index order from a persistent cursor. A queue entering service
 // earns one quantum; it keeps the cursor while its deficit covers the head
 // packet, and a queue that empties forfeits its residual deficit (classic
-// DRR, so the deficit invariant eg.flows[i].deficit <= Quantum + maxBytes
+// DRR, so the deficit invariant pt.flows[i].deficit <= Quantum + maxBytes
 // holds — internal/check enforces it).
-func (sw *Switch) pickDRR(eg *egress, now sim.Time) (int, bool) {
-	n := len(eg.flows)
+func (sw *Switch) pickDRR(pt *port, now sim.Time) (int, bool) {
+	n := len(pt.flows)
 	for scanned := 0; scanned <= n; scanned++ {
-		f := &eg.flows[eg.cursor]
+		f := &pt.flows[pt.cursor]
 		if f.len() == 0 {
 			if f.serving || f.deficit != 0 {
 				f.serving = false
 				f.deficit = 0
 			}
-			eg.cursor = (eg.cursor + 1) % n
+			pt.cursor = (pt.cursor + 1) % n
 			continue
 		}
 		h := &f.q[f.head]
@@ -685,7 +582,7 @@ func (sw *Switch) pickDRR(eg *egress, now sim.Time) (int, bool) {
 			// Not yet eligible: skip without ending the queue's turn or
 			// charging quantum — the decision replays after SchedLat, and
 			// the serving flag (pure function of timestamps) survives.
-			eg.cursor = (eg.cursor + 1) % n
+			pt.cursor = (pt.cursor + 1) % n
 			continue
 		}
 		if !f.serving {
@@ -694,101 +591,104 @@ func (sw *Switch) pickDRR(eg *egress, now sim.Time) (int, bool) {
 		}
 		if f.deficit >= h.pkt.Bytes {
 			f.deficit -= h.pkt.Bytes
-			return eg.cursor, true
+			return pt.cursor, true
 		}
 		// Deficit exhausted: turn ends, deficit carries to the next round.
 		f.serving = false
-		eg.cursor = (eg.cursor + 1) % n
+		pt.cursor = (pt.cursor + 1) % n
 	}
 	return -1, false
 }
 
-// PortStats is one egress port's counters plus its ingress side's.
+// PortStats is one port's counters, egress and ingress side. Each port's
+// record is updated in place as packets cross it; drops are counted on the
+// port where the packet died.
 type PortStats struct {
 	Port            int
 	Admitted        int64 // packets admitted to egress queues
 	Forwarded       int64 // packets serialized onto the wire
 	Bytes           int64 // wire bytes sent
 	EgressDrops     int64 // tail drops at the (source, class) queues
-	IngressAdmitted int64
-	IngressDrops    int64
+	IngressAdmitted int64 // packets admitted to the routing pipeline
+	IngressDrops    int64 // arrivals refused by a full routing pipeline
 	ClassPkts       [NumClasses]int64
 	HighWater       int // peak queued packets
 	Queued          int // packets still queued (nonzero mid-run)
 
 	// Fault-domain drops (zero on an unarmed switch).
-	PortDownDrops  int64 // refused at a downed port (arrival + egress sides)
-	BlackholeDrops int64 // swallowed by a routing blackhole window
-	CorruptDrops   int64 // discarded at the frame check
+	IngressDownDrops int64 // arrival refused: the packet's own port is down
+	EgressDownDrops  int64 // egress admission refused: the destination port is down
+	BlackholeDrops   int64 // swallowed by a routing blackhole window
+	CorruptDrops     int64 // discarded at the frame check
 }
 
-// Stats aggregates the switch's counters.
+// add sums o's counters into s; HighWater keeps the larger peak.
+func (s *PortStats) add(o *PortStats) {
+	s.Admitted += o.Admitted
+	s.Forwarded += o.Forwarded
+	s.Bytes += o.Bytes
+	s.EgressDrops += o.EgressDrops
+	s.IngressAdmitted += o.IngressAdmitted
+	s.IngressDrops += o.IngressDrops
+	for c := range s.ClassPkts {
+		s.ClassPkts[c] += o.ClassPkts[c]
+	}
+	s.HighWater = max(s.HighWater, o.HighWater)
+	s.Queued += o.Queued
+	s.IngressDownDrops += o.IngressDownDrops
+	s.EgressDownDrops += o.EgressDownDrops
+	s.BlackholeDrops += o.BlackholeDrops
+	s.CorruptDrops += o.CorruptDrops
+}
+
+// FaultDrops sums the fault-domain drops.
+func (s PortStats) FaultDrops() int64 {
+	return s.IngressDownDrops + s.EgressDownDrops + s.BlackholeDrops + s.CorruptDrops
+}
+
+// Drops sums every drop, fault drops included.
+func (s PortStats) Drops() int64 { return s.EgressDrops + s.IngressDrops + s.FaultDrops() }
+
+// Stats is a snapshot of every port's counters.
 type Stats struct {
 	Ports []PortStats
 }
 
-// Forwarded sums forwarded packets across ports.
-func (s Stats) Forwarded() int64 {
-	var t int64
-	for _, p := range s.Ports {
-		t += p.Forwarded
+// Total sums the counters of every port. Its Port is -1 and its HighWater
+// the largest port's.
+func (s Stats) Total() PortStats {
+	t := PortStats{Port: -1}
+	for i := range s.Ports {
+		t.add(&s.Ports[i])
 	}
 	return t
 }
 
-// Drops sums ingress and egress drops across ports (fault drops included).
-func (s Stats) Drops() int64 {
-	var t int64
-	for _, p := range s.Ports {
-		t += p.EgressDrops + p.IngressDrops + p.PortDownDrops + p.BlackholeDrops + p.CorruptDrops
-	}
-	return t
-}
+// Forwarded sums forwarded packets across ports.
+func (s Stats) Forwarded() int64 { return s.Total().Forwarded }
+
+// Drops sums every drop across ports (fault drops included).
+func (s Stats) Drops() int64 { return s.Total().Drops() }
 
 // FaultDrops sums the fault-domain drops across ports.
-func (s Stats) FaultDrops() int64 {
-	var t int64
-	for _, p := range s.Ports {
-		t += p.PortDownDrops + p.BlackholeDrops + p.CorruptDrops
-	}
-	return t
-}
+func (s Stats) FaultDrops() int64 { return s.Total().FaultDrops() }
 
 // Bytes sums wire bytes across ports.
-func (s Stats) Bytes() int64 {
-	var t int64
-	for _, p := range s.Ports {
-		t += p.Bytes
-	}
-	return t
-}
-
-// ClassPkts sums forwarded packets of one class across ports.
-func (s Stats) ClassPkts(c Class) int64 {
-	var t int64
-	for _, p := range s.Ports {
-		t += p.ClassPkts[c]
-	}
-	return t
-}
+func (s Stats) Bytes() int64 { return s.Total().Bytes }
 
 // String renders the aggregate counters (deterministic; used in cluster
 // fingerprints).
 func (s Stats) String() string {
+	t := s.Total()
 	var b strings.Builder
 	fmt.Fprintf(&b, "fabric: %d pkts forwarded (%d rpc, %d bulk), %d drops, %.1f MB",
-		s.Forwarded(), s.ClassPkts(ClassRPC), s.ClassPkts(ClassBulk), s.Drops(),
-		float64(s.Bytes())/1e6)
+		t.Forwarded, t.ClassPkts[ClassRPC], t.ClassPkts[ClassBulk], t.Drops(),
+		float64(t.Bytes)/1e6)
 	// The fault-domain breakdown appears only when something fired, so a
 	// fault-free run's fingerprint is byte-identical to pre-fault builds.
-	if fd := s.FaultDrops(); fd > 0 {
-		var down, black, corrupt int64
-		for _, p := range s.Ports {
-			down += p.PortDownDrops
-			black += p.BlackholeDrops
-			corrupt += p.CorruptDrops
-		}
-		fmt.Fprintf(&b, " [fault drops: %d portdown, %d blackhole, %d corrupt]", down, black, corrupt)
+	if t.FaultDrops() > 0 {
+		fmt.Fprintf(&b, " [fault drops: %d portdown, %d blackhole, %d corrupt]",
+			t.IngressDownDrops+t.EgressDownDrops, t.BlackholeDrops, t.CorruptDrops)
 	}
 	return b.String()
 }
@@ -796,34 +696,21 @@ func (s Stats) String() string {
 // Stats snapshots every port's counters.
 func (sw *Switch) Stats() Stats {
 	st := Stats{Ports: make([]PortStats, len(sw.ports))}
-	for i, eg := range sw.ports {
-		st.Ports[i] = PortStats{
-			Port:            i,
-			Admitted:        eg.admitted,
-			Forwarded:       eg.forwarded,
-			Bytes:           eg.sentBytes,
-			EgressDrops:     eg.drops,
-			IngressAdmitted: sw.ins[i].admitted,
-			IngressDrops:    sw.ins[i].drops,
-			ClassPkts:       eg.classPkts,
-			HighWater:       eg.highWater,
-			Queued:          eg.queued,
-			PortDownDrops:   sw.ins[i].downDrops + eg.downDrops,
-			BlackholeDrops:  sw.ins[i].blackholeDrops,
-			CorruptDrops:    sw.ins[i].corruptDrops,
-		}
+	for i, pt := range sw.ports {
+		st.Ports[i] = pt.stats
+		st.Ports[i].Queued = pt.queued
 	}
 	return st
 }
 
 // CheckPort validates one egress port's conservation and DRR invariants,
 // returning a descriptive error on violation. internal/check calls it from
-// the probe hooks; it is exported so the checker needs no private access.
+// the probe hook; it is exported so the checker needs no private access.
 func (sw *Switch) CheckPort(port int) error {
-	eg := sw.ports[port]
+	pt := sw.ports[port]
 	queued := 0
-	for i := range eg.flows {
-		f := &eg.flows[i]
+	for i := range pt.flows {
+		f := &pt.flows[i]
 		queued += f.len()
 		if f.deficit < 0 {
 			return fmt.Errorf("fabric %s port %d flow %d: negative deficit %d", sw.name, port, i, f.deficit)
@@ -837,16 +724,16 @@ func (sw *Switch) CheckPort(port int) error {
 				sw.name, port, i, f.len(), sw.cfg.FlowCap)
 		}
 	}
-	if queued != eg.queued {
+	if queued != pt.queued {
 		return fmt.Errorf("fabric %s port %d: queued counter %d != queue contents %d",
-			sw.name, port, eg.queued, queued)
+			sw.name, port, pt.queued, queued)
 	}
-	if eg.serQ < 0 || eg.serQ > 1 {
-		return fmt.Errorf("fabric %s port %d: %d packets serializing on one wire", sw.name, port, eg.serQ)
+	if pt.serQ < 0 || pt.serQ > 1 {
+		return fmt.Errorf("fabric %s port %d: %d packets serializing on one wire", sw.name, port, pt.serQ)
 	}
-	if eg.admitted != eg.forwarded+int64(eg.queued)+int64(eg.serQ) {
+	if s := &pt.stats; s.Admitted != s.Forwarded+int64(pt.queued)+int64(pt.serQ) {
 		return fmt.Errorf("fabric %s port %d: conservation broken: admitted %d != forwarded %d + queued %d + serializing %d",
-			sw.name, port, eg.admitted, eg.forwarded, eg.queued, eg.serQ)
+			sw.name, port, s.Admitted, s.Forwarded, pt.queued, pt.serQ)
 	}
 	return nil
 }
@@ -857,20 +744,17 @@ func (sw *Switch) CheckPort(port int) error {
 // silent-loss half that lives inside the fabric (the transport half lives
 // in cluster.CheckDelivery). internal/check runs it alongside CheckPort.
 func (sw *Switch) CheckConservation() error {
-	var inAdm, inFlight, routeDrops int64
-	for _, in := range sw.ins {
-		inAdm += in.admitted
-		inFlight += int64(in.inFlight)
-		routeDrops += in.blackholeDrops + in.corruptDrops
+	var t PortStats
+	var inFlight int64
+	for _, pt := range sw.ports {
+		t.add(&pt.stats)
+		inFlight += int64(pt.inFlight)
 	}
-	var egAdm, egRefused int64
-	for _, eg := range sw.ports {
-		egAdm += eg.admitted
-		egRefused += eg.drops + eg.downDrops
-	}
-	if inAdm != inFlight+routeDrops+egRefused+egAdm {
+	routeDrops := t.BlackholeDrops + t.CorruptDrops
+	egRefused := t.EgressDrops + t.EgressDownDrops
+	if t.IngressAdmitted != inFlight+routeDrops+egRefused+t.Admitted {
 		return fmt.Errorf("fabric %s: switch conservation broken: ingress-admitted %d != in-pipeline %d + route drops %d + egress-refused %d + egress-admitted %d",
-			sw.name, inAdm, inFlight, routeDrops, egRefused, egAdm)
+			sw.name, t.IngressAdmitted, inFlight, routeDrops, egRefused, t.Admitted)
 	}
 	return nil
 }

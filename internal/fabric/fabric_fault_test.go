@@ -97,7 +97,7 @@ func TestScriptedOutage(t *testing.T) {
 	st := h.sw.Stats()
 	var down int64
 	for _, p := range st.Ports {
-		down += p.PortDownDrops
+		down += p.IngressDownDrops + p.EgressDownDrops
 	}
 	if down == 0 {
 		t.Fatal("outage dropped nothing")

@@ -44,9 +44,8 @@ func newHarness(t *testing.T, hosts, hostShards, workers int, cfg Config) *harne
 	for i := 0; i < hosts; i++ {
 		hs := shards[i%hostShards]
 		h.hosts = append(h.hosts, hs)
-		dst := i
-		h.sw.Attach(h.eng, dst, hs, func(p *sim.Proc, pkt Packet) {
-			h.recv[dst] = append(h.recv[dst], delivery{
+		h.sw.Attach(h.eng, hs, func(p *sim.Proc, pkt Packet) {
+			h.recv[pkt.Dst] = append(h.recv[pkt.Dst], delivery{
 				at: p.Now(), src: pkt.Src, seq: pkt.Payload.(int), class: pkt.Class,
 			})
 		})
@@ -271,26 +270,6 @@ func TestRunTwiceDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrunkRouting maps a foreign host id onto an attached port, modeling an
-// uplink toward a neighboring switch: forwarding is purely table-driven.
-func TestTrunkRouting(t *testing.T) {
-	h := newHarness(t, 2, 2, 1, baseCfg())
-	h.sw.Route(99, 1)
-	trunkRecv := 0
-	for len(h.sw.deliver) <= 99 {
-		h.sw.deliver = append(h.sw.deliver, nil)
-	}
-	h.sw.deliver[99] = func(p *sim.Proc, pkt Packet) { trunkRecv++ }
-	h.sw.hostShard[99] = h.hosts[1].ID()
-	h.sender(0, 99, 5, 512, ClassRPC, sim.Microsecond)
-	if err := h.eng.Run(20 * sim.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if trunkRecv != 5 {
-		t.Fatalf("trunk delivered %d, want 5", trunkRecv)
-	}
-}
-
 // TestValidate: every configuration New refuses is rejected by Validate
 // with an error (not a panic), New panics with the same message, and zero
 // values for the defaulted knobs pass.
@@ -330,6 +309,68 @@ func TestValidate(t *testing.T) {
 				}
 			}()
 			New(shard.NewEngine(1), "sw", cfg)
+		})
+	}
+}
+
+// TestChecksCatchSkew: after a clean run, skewing any one counter the
+// fabric's checks read makes the check that reads it fail, naming the
+// switch and, for CheckPort, the port. Every other caller expects nil, so
+// this is what shows the checks can fail at all.
+func TestChecksCatchSkew(t *testing.T) {
+	conservation := func(inAdm, routeDrops, refused, egAdm int) string {
+		return fmt.Sprintf("fabric sw: switch conservation broken: ingress-admitted %d != in-pipeline 0 + route drops %d + egress-refused %d + egress-admitted %d",
+			inAdm, routeDrops, refused, egAdm)
+	}
+	for _, tc := range []struct {
+		name      string
+		skew      func(pt *port)
+		portErr   string // CheckPort(1)'s error, "" = nil
+		switchErr string // CheckConservation's error, "" = nil
+	}{
+		{"egress admission", func(pt *port) { pt.stats.Admitted++ },
+			"fabric sw port 1: conservation broken: admitted 61 != forwarded 60 + queued 0 + serializing 0",
+			conservation(60, 0, 0, 61)},
+		{"queued count", func(pt *port) { pt.queued++ },
+			"fabric sw port 1: queued counter 1 != queue contents 0", ""},
+		{"ingress admission", func(pt *port) { pt.stats.IngressAdmitted++ },
+			"", conservation(61, 0, 0, 60)},
+		{"tail drop", func(pt *port) { pt.stats.EgressDrops++ },
+			"", conservation(60, 0, 1, 60)},
+		{"down drop", func(pt *port) { pt.stats.EgressDownDrops++ },
+			"", conservation(60, 0, 1, 60)},
+		{"route drop", func(pt *port) { pt.stats.CorruptDrops++ },
+			"", conservation(60, 1, 0, 60)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 3, 3, 1, baseCfg())
+			h.sender(0, 1, 30, 512, ClassRPC, 200*sim.Nanosecond)
+			h.sender(2, 1, 30, 512, ClassBulk, 300*sim.Nanosecond)
+			if err := h.eng.Run(50 * sim.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.sw.CheckPort(1); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			if err := h.sw.CheckConservation(); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			tc.skew(h.sw.ports[1])
+			for _, c := range []struct {
+				check string
+				err   error
+				want  string
+			}{
+				{"CheckPort", h.sw.CheckPort(1), tc.portErr},
+				{"CheckConservation", h.sw.CheckConservation(), tc.switchErr},
+			} {
+				switch {
+				case c.want == "" && c.err != nil:
+					t.Errorf("%s = %v, want nil", c.check, c.err)
+				case c.want != "" && (c.err == nil || c.err.Error() != c.want):
+					t.Errorf("%s = %v, want %q", c.check, c.err, c.want)
+				}
+			}
 		})
 	}
 }

@@ -306,11 +306,6 @@ func (p *Platform) RemoteAccess() sim.Time { return p.RemoteDRAM }
 // model (internal/cluster), where HopLat is the conservative lookahead of
 // every host-switch shard boundary.
 type FabricParams struct {
-	// WireLat is the end-to-end one-way propagation plus switching
-	// latency between any two hosts through an uncontended switch:
-	// 2*HopLat + RouteLat. Kept as the single-number summary of the
-	// fabric's unloaded latency.
-	WireLat sim.Time
 	// HopLat is the one-way cable propagation plus PHY/MAC latency of a
 	// single host-to-switch (or switch-to-host) hop. It must be strictly
 	// positive: it bounds how far apart the host and switch shards'
@@ -334,7 +329,6 @@ type FabricParams struct {
 // (300ns per hop of cable+PHY, 150ns of switch forwarding).
 func (p *Platform) Fabric() FabricParams {
 	return FabricParams{
-		WireLat:  750 * sim.Nanosecond,
 		HopLat:   300 * sim.Nanosecond,
 		RouteLat: 150 * sim.Nanosecond,
 		SchedLat: 25 * sim.Nanosecond,

@@ -80,9 +80,6 @@ func NewEngine(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Workers returns the configured worker-goroutine budget.
-func (e *Engine) Workers() int { return e.workers }
-
 // Shards returns the shards in creation (id) order.
 func (e *Engine) Shards() []*Shard { return e.shards }
 
@@ -168,9 +165,6 @@ func (e *Engine) Connect(src, dst *Shard, minLat sim.Time, capacity int, deliver
 	dst.in = append(dst.in, l)
 	return l
 }
-
-// MinLatency returns the link's declared minimum latency (the lookahead).
-func (l *Link) MinLatency() sim.Time { return l.minLat }
 
 // Send queues a message across the link, to be delivered delay after the
 // source shard's current instant. It must be called from a process of the
