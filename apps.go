@@ -1,11 +1,8 @@
 package ccnic
 
 import (
-	"ccnic/internal/coherence"
-	"ccnic/internal/device"
 	"ccnic/internal/kvstore"
 	"ccnic/internal/loopback"
-	"ccnic/internal/platform"
 	"ccnic/internal/rpcstack"
 	"ccnic/internal/sim"
 	"ccnic/internal/traffic"
@@ -102,27 +99,4 @@ func (tb *Testbed) RunRPC(opt RPCOptions) RPCResult {
 		Warmup:       opt.Warmup,
 		Measure:      opt.Measure,
 	})
-}
-
-// Platform returns the named platform's parameters ("ICX" or "SPR"), or
-// nil — exposed for building custom Config.Plat values (for example
-// Derate sweeps).
-func Platform(name string) *platform.Platform { return platform.ByName(name) }
-
-// NewUPIConfig returns the optimized CC-NIC design point for use as
-// Config.UPI, ready for ablation toggles.
-func NewUPIConfig() device.UPIConfig { return device.CCNICConfig() }
-
-// NewUnoptUPIConfig returns the unoptimized (E810-layout-over-UPI) design
-// point for use as Config.UPI.
-func NewUnoptUPIConfig() device.UPIConfig { return device.UnoptConfig() }
-
-// Agents creates n additional simulated cores on the given socket of the
-// testbed — for custom workloads beyond the built-in harnesses.
-func (tb *Testbed) Agents(socket, n int, name string) []*coherence.Agent {
-	out := make([]*coherence.Agent, n)
-	for i := range out {
-		out[i] = tb.Sys.NewAgent(socket, name)
-	}
-	return out
 }

@@ -68,22 +68,3 @@ func TestRunRPCPublicAPI(t *testing.T) {
 		t.Fatalf("echo throughput %.2f Mops", res.Mops())
 	}
 }
-
-func TestPlatformAndConfigHelpers(t *testing.T) {
-	if Platform("SPR") == nil || Platform("CXL") != nil || Platform("nope") != nil {
-		t.Error("Platform lookup wrong")
-	}
-	u := NewUPIConfig()
-	if !u.InlineSignal || !u.NICBufMgmt {
-		t.Error("NewUPIConfig should be the optimized point")
-	}
-	un := NewUnoptUPIConfig()
-	if un.InlineSignal || un.NICBufMgmt {
-		t.Error("NewUnoptUPIConfig should be the baseline point")
-	}
-	tb := NewTestbed(Config{Platform: "ICX", Interface: CCNIC, Queues: 1})
-	extra := tb.Agents(1, 3, "worker")
-	if len(extra) != 3 || extra[0].Socket() != 1 {
-		t.Error("Agents helper wrong")
-	}
-}

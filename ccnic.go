@@ -30,7 +30,6 @@ import (
 	"fmt"
 
 	"ccnic/internal/bufpool"
-	"ccnic/internal/cluster"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
 	"ccnic/internal/fault"
@@ -123,29 +122,17 @@ type Config struct {
 	UPI *device.UPIConfig
 
 	// Protocol selects the coherent-interconnect protocol backend: "UPI"
-	// (the default) or "CXL". Empty falls back to the package default set
-	// by SetDefaultProtocol. PCIe interfaces (E810, CX6) still build the
-	// coherent memory system for the host side, so the selection applies
-	// to every interface; only the UPI/CXL design points move their data
-	// plane across the protocol's link.
+	// (the default, also chosen by "") or "CXL". PCIe interfaces (E810,
+	// CX6) still build the coherent memory system for the host side, so
+	// the selection applies to every interface; only the UPI/CXL design
+	// points move their data plane across the protocol's link.
 	Protocol string
 
 	// Faults optionally arms a deterministic fault-injection plan (see
-	// internal/fault). Nil falls back to the package default set by
-	// SetDefaultFaults; an unarmed plan injects nothing and leaves every
-	// transcript byte-identical to a fault-free run.
+	// internal/fault). Nil or an unarmed plan injects nothing and leaves
+	// every transcript byte-identical to a fault-free run.
 	Faults *fault.Plan
 }
-
-// defaultFaults is applied to testbeds whose Config.Faults is nil; set
-// by SetDefaultFaults (the -faults command-line path).
-var defaultFaults *fault.Plan
-
-// SetDefaultFaults arms plan on every subsequently built testbed whose
-// Config leaves Faults nil. Pass nil to disarm. Commands use this to
-// honor a -faults flag without threading the plan through every
-// experiment; ccbench refuses to combine it with golden comparisons.
-func SetDefaultFaults(plan *fault.Plan) { defaultFaults = plan }
 
 // FaultPlan re-exports the fault plan type.
 type FaultPlan = fault.Plan
@@ -165,23 +152,12 @@ const (
 // ParseProtocol re-exports the protocol-name parser ("upi", "cxl", "").
 func ParseProtocol(name string) (Protocol, error) { return coherence.ParseProtocol(name) }
 
-// defaultProtocol is applied to testbeds whose Config.Protocol is empty;
-// set by SetDefaultProtocol (the -protocol command-line path).
-var defaultProtocol Protocol
-
-// SetDefaultProtocol selects the protocol backend for every subsequently
-// built testbed whose Config leaves Protocol empty. Commands use this to
-// honor a -protocol flag without threading it through every experiment;
-// ccbench refuses to combine a non-default protocol with golden
-// comparisons (goldens are UPI-pinned).
-func SetDefaultProtocol(p Protocol) { defaultProtocol = p }
-
 // Testbed is an assembled simulation: kernel, memory system, device, and
 // one host agent per queue. A testbed is one coherence domain, run on one
 // kernel: descriptor rings, doorbells, and payload lines interleave at
 // cacheline granularity with no latency seam to cut, so it is never
-// partitioned across shards. NewCluster builds multi-host topologies on the
-// parallel shard engine, partitioned at their fabric boundaries.
+// partitioned across shards. internal/cluster builds multi-host topologies on
+// the parallel shard engine, partitioned at their fabric boundaries.
 type Testbed struct {
 	Kernel *sim.Kernel
 	Sys    *coherence.System
@@ -215,13 +191,9 @@ func NewTestbed(cfg Config) *Testbed {
 			queues, plat.Name, plat.CoresPerSocket))
 	}
 
-	proto := defaultProtocol
-	if cfg.Protocol != "" {
-		var err error
-		proto, err = coherence.ParseProtocol(cfg.Protocol)
-		if err != nil {
-			panic("ccnic: " + err.Error())
-		}
+	proto, err := coherence.ParseProtocol(cfg.Protocol)
+	if err != nil {
+		panic("ccnic: " + err.Error())
 	}
 
 	k := sim.New()
@@ -232,12 +204,8 @@ func NewTestbed(cfg Config) *Testbed {
 	// Arm the fault injector before any device is built so every layer
 	// observes it from its first event; the schedule is then a pure
 	// function of (plan seed, kernel event order).
-	plan := cfg.Faults
-	if plan == nil {
-		plan = defaultFaults
-	}
-	if plan.Armed() {
-		sys.SetFaults(fault.NewInjector(plan))
+	if cfg.Faults.Armed() {
+		sys.SetFaults(fault.NewInjector(cfg.Faults))
 	}
 
 	hosts := make([]*Agent, queues)
@@ -333,30 +301,6 @@ func (tb *Testbed) RunLoopbackTraced(opt LoopbackOptions, tr *trace.Tracer) Loop
 		Measure: opt.Measure,
 		Trace:   tr,
 	})
-}
-
-// ClusterConfig re-exports the multi-host cluster configuration: member
-// count, shard partition, worker budget, and workload knobs. See
-// internal/cluster for the partition-invariance contract.
-type ClusterConfig = cluster.Config
-
-// Cluster is a multi-host CC-NIC deployment running on the parallel shard
-// engine (internal/sim/shard): one shard per node group, synchronized
-// conservatively at the fabric's declared minimum latency.
-type Cluster = cluster.Cluster
-
-// ClusterReport re-exports the cluster run summary.
-type ClusterReport = cluster.Report
-
-// NewCluster assembles a multi-host deployment. Results are bit-identical
-// for every Shards and Workers value; only wall-clock time varies. Like
-// NewTestbed, a nil Faults picks up the process default (-faults), so
-// cluster-based experiments run armed under the fault CI matrix.
-func NewCluster(cfg ClusterConfig) *Cluster {
-	if cfg.Faults == nil {
-		cfg.Faults = defaultFaults
-	}
-	return cluster.New(cfg)
 }
 
 // Histogram re-exports the latency histogram type.

@@ -29,6 +29,7 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"time"
 
 	"ccnic"
@@ -104,16 +105,11 @@ func main() {
 	if *hashesPath != "" {
 		hashes = make(map[string]string)
 	}
-	ccnic.SetDefaultFaults(c.plan)
 	if c.plan != nil {
 		fmt.Fprintf(os.Stderr, "ccbench: fault plan armed: %s\n", c.plan)
 	}
-	ccnic.SetDefaultProtocol(c.proto)
 	if c.proto != ccnic.ProtoUPI {
 		fmt.Fprintf(os.Stderr, "ccbench: protocol backend: %v\n", c.proto)
-	}
-	if *checkFlag {
-		check.EnableAuto()
 	}
 
 	if *cpuProfile != "" {
@@ -128,8 +124,10 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	opt := experiments.Options{Quick: *quick, FabricPorts: *portsFlag}
+	opt := experiments.Options{Quick: *quick, FabricPorts: *portsFlag,
+		Faults: c.plan, Protocol: c.proto.String(), Check: *checkFlag}
 	goldenBad := 0
+	var reportedChecks uint64
 
 	// With -shards > 1, experiments run on N concurrent workers. Results
 	// are consumed strictly in registration order, so output, golden
@@ -176,6 +174,16 @@ func main() {
 		}
 		if hashes != nil {
 			hashes[e.ID] = fmt.Sprintf("%x", sha256.Sum256([]byte(norm)))
+		}
+		if *checkFlag {
+			// The memory budget: one line per experiment, and a named
+			// failure once the process outgrows rssBudgetMiB.
+			checks, rss := check.TotalChecks(), peakRSSMiB()
+			fmt.Fprintf(os.Stderr, "ccbench: %s: %d checks, peak RSS %d MiB\n", e.ID, checks-reportedChecks, rss)
+			reportedChecks = checks
+			if rss > rssBudgetMiB {
+				fatalf("ccbench: %s: peak RSS %d MiB exceeds the %d MiB budget", e.ID, rss, rssBudgetMiB)
+			}
 		}
 	}
 	if *checkFlag {
@@ -266,6 +274,20 @@ func checkFlags(v flagValues) (checked, error) {
 		return c, fmt.Errorf("-ports changes the fabric sweep geometry; golden and hash runs pin the defaults")
 	}
 	return c, nil
+}
+
+// rssBudgetMiB caps the peak RSS of a -check run: the full suite peaks
+// near 2 GiB at -shards 4 on 2 vCPUs.
+const rssBudgetMiB = 3 << 10
+
+// peakRSSMiB is the process's peak resident set size, read from getrusage
+// as cmd/ccperf reads its peak_rss_mib.
+func peakRSSMiB() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		fatalf("ccbench: getrusage: %v", err)
+	}
+	return int64(ru.Maxrss) / 1024 // Linux reports KiB
 }
 
 // expResult is one experiment's rendered section and its wall-clock time.

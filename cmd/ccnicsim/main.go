@@ -270,7 +270,7 @@ func runCluster(o clusterOpts) {
 	if o.switches == 0 && o.reliable {
 		o.switches = 2 // give the transport's failover somewhere to go
 	}
-	cfg := ccnic.ClusterConfig{
+	cfg := cluster.Config{
 		Plat:       o.plat,
 		Hosts:      o.hosts,
 		Shards:     o.shards,
@@ -309,7 +309,7 @@ func runCluster(o clusterOpts) {
 	if err := cfg.Validate(); err != nil {
 		fatalf("ccnicsim: %v", err)
 	}
-	c := ccnic.NewCluster(cfg)
+	c := cluster.New(cfg)
 	defer c.Close()
 	fmt.Printf("cluster workload on the parallel shard engine (lookahead %v)\n", c.Lookahead())
 	if o.plan != nil {

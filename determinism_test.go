@@ -125,7 +125,7 @@ func sectionHash(e *experiments.Experiment, r *experiments.Report) string {
 // ext-netfn under the CXL backend and then under an armed fault plan, set
 // the way ccbench's -protocol and -faults flags set them. Each output must
 // differ from its committed UPI, fault-free hash: an experiment that builds
-// its testbed without ccnic.NewTestbed silently ignores both settings.
+// its testbed past experiments.Options silently ignores both settings.
 func TestDefaultsReachTestbedExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three quick experiments twice")
@@ -136,23 +136,16 @@ func TestDefaultsReachTestbedExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ccnic.SetDefaultProtocol(ccnic.ProtoUPI)
-		ccnic.SetDefaultFaults(nil)
-	})
 	for _, c := range []struct {
-		name  string
-		proto ccnic.Protocol
-		plan  *ccnic.FaultPlan
+		name string
+		opt  experiments.Options
 	}{
-		{"-protocol cxl", ccnic.ProtoCXL, nil},
-		{"-faults " + spec, ccnic.ProtoUPI, plan},
+		{"-protocol cxl", experiments.Options{Quick: true, Protocol: "cxl"}},
+		{"-faults " + spec, experiments.Options{Quick: true, Faults: plan}},
 	} {
-		ccnic.SetDefaultProtocol(c.proto)
-		ccnic.SetDefaultFaults(c.plan)
 		for _, id := range []string{"table2", "ext-event", "ext-netfn"} {
 			e := experiments.ByID(id)
-			if sectionHash(e, e.Run(experiments.Options{Quick: true})) == golden[id] {
+			if sectionHash(e, e.Run(c.opt)) == golden[id] {
 				t.Errorf("%s under %s printed its committed UPI, fault-free output", id, c.name)
 			}
 		}

@@ -20,7 +20,6 @@ import (
 
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
-	"ccnic/internal/fabric"
 	"ccnic/internal/interconn"
 	"ccnic/internal/mem"
 	"ccnic/internal/ring"
@@ -95,15 +94,6 @@ func Attach(sys *coherence.System) *Engine {
 	sys.SetProbe(e)
 	e.k.SetProbe(e)
 	return e
-}
-
-// EnableAuto arranges for every System and every fabric Switch created from
-// now on to get its own engine. Call once, before any experiment or kernel
-// starts: the hooks are read concurrently by parallel experiment workers and
-// must not change while they run.
-func EnableAuto() {
-	coherence.AutoAttach = func(s *coherence.System) { Attach(s) }
-	fabric.AutoAttach = func(sw *fabric.Switch) { AttachFabric(sw) }
 }
 
 // SetCollect switches the engine to accumulate violations (up to a cap)

@@ -11,7 +11,6 @@ import (
 	"ccnic/internal/cluster"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
-	"ccnic/internal/fabric"
 	"ccnic/internal/loopback"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
@@ -108,17 +107,6 @@ func TestFabricRunEndFlushesTotals(t *testing.T) {
 	}
 	if got := check.TotalEngines() - engines; got != uint64(len(fes)) {
 		t.Errorf("TotalEngines grew by %d, want %d", got, len(fes))
-	}
-}
-
-// TestEnableAuto: systems created after EnableAuto get an engine without
-// explicit plumbing.
-func TestEnableAuto(t *testing.T) {
-	check.EnableAuto()
-	defer func() { coherence.AutoAttach, fabric.AutoAttach = nil, nil }()
-	sys := coherence.NewSystem(sim.New(), platform.ICX())
-	if sys.Probe() == nil {
-		t.Fatal("EnableAuto did not install a probe on a new system")
 	}
 }
 

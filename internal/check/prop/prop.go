@@ -132,13 +132,7 @@ func (sc Scenario) Run(mut coherence.Mutation, fullEvery uint64) Outcome {
 		Interface:    ccnic.CCNIC,
 		Queues:       sc.Queues,
 		HostPrefetch: true,
-		// An explicit protocol and plan keep the process-wide defaults
-		// out of the scenario: the empty spec means UPI and fault-free.
-		Protocol: "UPI",
-		Faults:   &fault.Plan{},
-	}
-	if sc.Protocol != "" {
-		cfg.Protocol = sc.Protocol
+		Protocol:     sc.Protocol,
 	}
 	if sc.Faults != "" {
 		plan, err := fault.ParsePlan(sc.Faults)

@@ -678,7 +678,7 @@ type Report struct {
 	TenantsSeen                        int
 	TopTenantShare                     float64
 
-	// Switch-level results.
+	// Switch-level results, summed over every switch.
 	Forwarded, Dropped int64
 	FabricSummary      string
 
@@ -729,17 +729,18 @@ func (c *Cluster) Report() Report {
 		r.TopTenantShare = float64(topTenant) / float64(r.FlowDelivered)
 	}
 
-	st := c.Switch.Stats()
-	r.Forwarded = st.Forwarded()
-	r.Dropped = st.Drops()
-	r.FabricSummary = st.String()
+	var fab fabric.Stats
+	for _, sw := range c.Switches {
+		fab.Ports = append(fab.Ports, sw.Stats().Ports...)
+	}
+	r.Forwarded = fab.Forwarded()
+	r.Dropped = fab.Drops()
+	r.FaultDrops = fab.FaultDrops()
+	r.FabricSummary = fab.String()
 
 	for _, n := range c.Nodes {
 		r.Recovery.add(&n.Recovery)
 		r.Pending += int64(len(n.pend))
-	}
-	for _, sw := range c.Switches {
-		r.FaultDrops += sw.Stats().FaultDrops()
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -311,5 +312,31 @@ func TestTenantBreaker(t *testing.T) {
 	}
 	if r.Shed == 0 {
 		t.Fatal("open breakers shed nothing")
+	}
+}
+
+// TestReportSumsEverySwitch: on the redundant fabric the report's switch
+// counters and its fabric line cover both switches, not switch 0 alone.
+func TestReportSumsEverySwitch(t *testing.T) {
+	c := New(Config{Hosts: 4, Reliable: true, Switches: 2})
+	defer c.Close()
+	if err := c.Run(60 * sim.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	var fwd, drops int64
+	for _, sw := range c.Switches {
+		st := sw.Stats()
+		fwd += st.Forwarded()
+		drops += st.Drops()
+	}
+	if c.Switches[1].Stats().Forwarded() == 0 {
+		t.Fatal("switch 1 forwarded nothing: the test needs traffic on both switches")
+	}
+	r := c.Report()
+	if r.Forwarded != fwd || r.Dropped != drops {
+		t.Errorf("Forwarded = %d, Dropped = %d, want %d, %d", r.Forwarded, r.Dropped, fwd, drops)
+	}
+	if want := fmt.Sprintf("fabric: %d pkts forwarded", fwd); !strings.HasPrefix(r.FabricSummary, want) {
+		t.Errorf("fabric line %q, want prefix %q", r.FabricSummary, want)
 	}
 }

@@ -604,35 +604,6 @@ func (a *Agent) WriteNT(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 	return total
 }
 
-// Flush invalidates [addr, addr+size) from every cache (CLFLUSHOPT),
-// writing dirty data back to home memory. As the paper notes (§3.3), it is
-// expensive: per-line cost is charged serially.
-func (a *Agent) Flush(p *sim.Proc, addr mem.Addr, size int) sim.Time {
-	if size <= 0 {
-		size = 1
-	}
-	s := a.sys
-	const flushCost = 25 * sim.Nanosecond
-	total := sim.Time(0)
-	mem.Lines(addr, size, func(line mem.Addr) {
-		d := s.lookup(line)
-		cost := flushCost
-		if d != nil {
-			if d.hasRemote(a.socket) {
-				cost += s.invalCost()
-			}
-			if d.owner != nil && mem.Home(line) != d.owner.socket {
-				s.link.Data(s.k.Now(), interconn.DirFromTo(d.owner.socket, mem.Home(line)), mem.LineSize)
-				s.counters[d.owner.socket].Writebacks++
-			}
-		}
-		s.dropEverywhere(line, a.socket)
-		total += cost
-		p.Sleep(cost)
-	})
-	return total
-}
-
 // Exec charges plain CPU execution time (instructions that do not miss).
 //
 //ccnic:noalloc

@@ -418,22 +418,3 @@ func TestCXLSnoopFilterTracking(t *testing.T) {
 		}
 	})
 }
-
-// TestCXLFlushPricesCrossing pins Flush's cross-link invalidation at the CXL
-// invalidate cost: a host flush of a host-homed line the device caches pays
-// the flush plus one CXL.Inval crossing, not UPI's RemoteInval.
-func TestCXLFlushPricesCrossing(t *testing.T) {
-	plat := platform.ICX()
-	cxlHarness(t, plat, func(p *sim.Proc, s *System) {
-		h := s.NewAgent(0, "H")
-		n := s.NewAgent(1, "N")
-		line := s.Space().AllocLines(0, 1)
-		n.Read(p, line, 8)
-		if want, got := 25*sim.Nanosecond+plat.CXL.Inval, h.Flush(p, line, 8); got != want {
-			t.Errorf("host Flush of a device-cached line = %v, want %v", got, want)
-		}
-		if n.l2.peek(line) != nil {
-			t.Error("device copy survived the flush")
-		}
-	})
-}

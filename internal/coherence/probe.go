@@ -39,13 +39,6 @@ type Checkable interface {
 	CheckInvariants() error
 }
 
-// AutoAttach, when non-nil, is invoked on every System created by NewSystem.
-// ccbench -check sets it (via internal/check.EnableAuto) before any
-// experiment runs, so simulations built deep inside experiment code get an
-// invariant engine without plumbing. It must be set before kernels start and
-// never changed afterwards: experiment points run on parallel goroutines.
-var AutoAttach func(*System)
-
 // SetProbe installs (or removes, with nil) the system's validation probe.
 func (s *System) SetProbe(p Probe) { s.probe = p }
 

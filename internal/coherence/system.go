@@ -104,9 +104,6 @@ func NewSystemProto(k *sim.Kernel, plat *platform.Platform, pr Protocol) *System
 	for i := 0; i < 2; i++ {
 		s.llc[i] = newCache(s, fmt.Sprintf("llc%d", i), i, plat.LLCBytes, true)
 	}
-	if AutoAttach != nil {
-		AutoAttach(s)
-	}
 	return s
 }
 

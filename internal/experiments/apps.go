@@ -43,14 +43,13 @@ var (
 	appUnopt = appIface{"UPI unopt", ccnic.OverlayUnopt, true}
 )
 
-// appTestbed builds the testbed for one application point with n host
-// threads.
-func appTestbed(a appIface, n int) *ccnic.Testbed {
+// config is the testbed of one application point with n host threads.
+func (a appIface) config(n int) ccnic.Config {
 	cfg := ccnic.Config{Platform: "ICX", Interface: a.iface, Queues: n, HostPrefetch: true}
 	if a.ample {
 		cfg.OverlayThreads = min(2*n, 16)
 	}
-	return ccnic.NewTestbed(cfg)
+	return cfg
 }
 
 // appWindows returns the warmup and measurement windows of an application
@@ -64,7 +63,7 @@ func appWindows(opt Options) (warm, meas sim.Time) {
 
 // kvPoint measures saturated KV throughput for a series point.
 func kvPoint(iface appIface, threads int, dist *traffic.SizeDist, opt Options) float64 {
-	tb := appTestbed(iface, threads)
+	tb := opt.testbed(iface.config(threads))
 	warm, meas := appWindows(opt)
 	res := kvstore.Run(kvstore.Config{
 		Sys:          tb.Sys,
@@ -111,7 +110,7 @@ func runFig19(opt Options) *Report {
 
 // rpcPoint measures saturated echo-RPC throughput with fp fast-path threads.
 func rpcPoint(iface appIface, fp int, opt Options) float64 {
-	tb := appTestbed(iface, fp)
+	tb := opt.testbed(iface.config(fp))
 	warm, meas := appWindows(opt)
 	res := rpcstack.Run(rpcstack.Config{
 		Sys:          tb.Sys,

@@ -19,43 +19,43 @@ func init() {
 
 // countRun runs a single-queue loopback and returns NIC-socket remote READ
 // and RFO counts per received packet.
-func countRun(iface ccnic.Interface, batched bool) (rd, rfo float64) {
-	tb := ccnic.NewTestbed(ccnic.Config{
+func countRun(opt Options, iface ccnic.Interface, batched bool) (rd, rfo float64) {
+	tb := opt.testbed(ccnic.Config{
 		Platform:  "ICX",
 		Interface: iface,
 		Queues:    1,
 		// Prefetching off: the paper's counter study isolates demand
 		// protocol traffic.
 	})
-	opt := ccnic.LoopbackOptions{
+	lo := ccnic.LoopbackOptions{
 		PktSize: 64,
 		Warmup:  40 * sim.Microsecond,
 		Measure: 120 * sim.Microsecond,
 	}
 	if batched {
-		opt.Window = 64
-		opt.TxBatch = 8
-		opt.RxBatch = 8
+		lo.Window = 64
+		lo.TxBatch = 8
+		lo.RxBatch = 8
 	} else {
 		// Singleton: one packet in flight, transmitted and immediately
 		// polled for completion.
-		opt.Window = 1
-		opt.TxBatch = 1
-		opt.RxBatch = 1
+		lo.Window = 1
+		lo.TxBatch = 1
+		lo.RxBatch = 1
 	}
 	// Counters accumulate over the whole run (warmup included); the
 	// warmup traffic is the same steady workload, so normalize by the
 	// packet count over the full span.
-	res := tb.RunLoopback(opt)
+	res := tb.RunLoopback(lo)
 	c := tb.Sys.Counters(1)
-	pkts := res.PPS * (opt.Warmup + opt.Measure).Seconds()
+	pkts := res.PPS * (lo.Warmup + lo.Measure).Seconds()
 	if pkts <= 0 {
 		return 0, 0
 	}
 	return float64(c.RemoteRead) / pkts, float64(c.RemoteRFO) / pkts
 }
 
-func runFig17(Options) *Report {
+func runFig17(opt Options) *Report {
 	t := &stats.Table{
 		Name:    "NIC-socket remote accesses per TX-RX loopback (64B)",
 		Columns: []string{"case", "READ", "RFO"},
@@ -71,7 +71,7 @@ func runFig17(Options) *Report {
 		{"CC-NIC Single", ccnic.CCNIC, false},
 		{"Unopt Single", ccnic.UnoptUPI, false},
 	} {
-		rd, rfo := countRun(cs.iface, cs.batched)
+		rd, rfo := countRun(opt, cs.iface, cs.batched)
 		t.AddRow(cs.name, fmt.Sprintf("%.2f", rd), fmt.Sprintf("%.2f", rfo))
 	}
 	return &Report{

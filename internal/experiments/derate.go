@@ -37,7 +37,7 @@ func init() {
 }
 
 // design is one series of the table: an interface over a coherence protocol
-// backend. An empty proto follows the process default (-protocol).
+// backend. An empty proto follows Options.Protocol (-protocol).
 type design struct {
 	name  string
 	iface ccnic.Interface
@@ -86,7 +86,7 @@ func (s derateSweep) run(opt Options) (lat, bw [][]float64) {
 	parallel(len(vals), func(i int) {
 		d, j := s.designs[i/per], i%per
 		mk := func(plat *platform.Platform, q int) *ccnic.Testbed {
-			return ccnic.NewTestbed(ccnic.Config{
+			return opt.testbed(ccnic.Config{
 				Plat: plat, Interface: d.iface, Protocol: d.proto,
 				Queues: q, HostPrefetch: true,
 			})

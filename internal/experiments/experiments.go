@@ -13,18 +13,90 @@ import (
 	"strings"
 	"sync"
 
+	"ccnic"
+	"ccnic/internal/check"
+	"ccnic/internal/cluster"
+	"ccnic/internal/coherence"
+	"ccnic/internal/platform"
+	"ccnic/internal/sim"
 	"ccnic/internal/stats"
 )
 
-// Options tunes experiment scale. Quick mode shrinks core counts, sweep
-// points, and measurement windows so the full suite runs in seconds (used
-// by tests and benchmarks); full mode reproduces the paper's axes.
+// Options is one run's settings, carried to every simulation an experiment
+// builds. Quick mode shrinks core counts, sweep points, and measurement
+// windows so the full suite runs in seconds (used by tests and benchmarks);
+// full mode reproduces the paper's axes. Faults, Protocol and Check reach
+// the model only through the three builders below (testbed, cluster,
+// system), the only places this package constructs a simulation.
 type Options struct {
 	Quick bool
 	// FabricPorts caps the fabric experiments' switch fan-in sweep (0 =
 	// the experiments' own defaults). Set by ccbench -ports; refused on
 	// golden/hash runs, which pin the default geometry.
 	FabricPorts int
+	// Faults arms a fault plan on every testbed and cluster whose point
+	// leaves its own plan nil (ccbench -faults). Bare systems ignore it.
+	Faults *ccnic.FaultPlan
+	// Protocol selects the coherence backend, "UPI" or "CXL", of every
+	// testbed whose point leaves it empty (ccbench -protocol; "" is UPI).
+	// Bare systems and clusters ignore it.
+	Protocol string
+	// Check attaches the online invariant engine (internal/check) to every
+	// simulation (ccbench -check).
+	Check bool
+}
+
+// testbed builds a fresh testbed from cfg (one per measurement: a run
+// consumes the kernel), filling in the run's fault plan and protocol where
+// cfg leaves them unset.
+func (o Options) testbed(cfg ccnic.Config) *ccnic.Testbed {
+	if cfg.Faults == nil {
+		cfg.Faults = o.Faults
+	}
+	if cfg.Protocol == "" {
+		cfg.Protocol = o.Protocol
+	}
+	tb := ccnic.NewTestbed(cfg)
+	if o.Check {
+		check.Attach(tb.Sys)
+	}
+	return tb
+}
+
+// cluster builds a cluster from cfg, filling in the run's fault plan where
+// cfg leaves it nil, runs it to until, and checks its delivery ledger —
+// switch conservation always, the transport's RPC ledger where it is armed
+// — panicking with the experiment's id on any failure. The caller reads
+// the cluster and closes it.
+func (o Options) cluster(id string, cfg cluster.Config, until sim.Time) *cluster.Cluster {
+	if cfg.Faults == nil {
+		cfg.Faults = o.Faults
+	}
+	c := cluster.New(cfg)
+	if o.Check {
+		for _, sw := range c.Switches {
+			check.AttachFabric(sw)
+		}
+	}
+	err := c.Run(until)
+	if err == nil {
+		err = c.CheckDelivery()
+	}
+	if err != nil {
+		c.Close()
+		panic(fmt.Sprintf("%s: %v", id, err))
+	}
+	return c
+}
+
+// system builds a bare UPI coherent system on k, for the simulations with
+// no NIC testbed: the microbenchmarks, ext-dsa and the wedged-TX rows.
+func (o Options) system(k *sim.Kernel, plat *platform.Platform) *coherence.System {
+	s := coherence.NewSystem(k, plat)
+	if o.Check {
+		check.Attach(s)
+	}
+	return s
 }
 
 // SeriesGroup is one panel of a figure.

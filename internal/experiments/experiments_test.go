@@ -2,9 +2,21 @@ package experiments
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ccnic"
+	"ccnic/internal/check"
+	"ccnic/internal/cluster"
+	"ccnic/internal/coherence"
+	"ccnic/internal/fault"
+	"ccnic/internal/platform"
+	"ccnic/internal/sim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -271,4 +283,121 @@ func TestExperimentDeterminism(t *testing.T) {
 			t.Errorf("%s reports differ between runs:\n--- first ---\n%s\n--- second ---\n%s", id, a, b)
 		}
 	}
+}
+
+// TestBuildsGoThroughOptions holds the package to its three builders: no
+// file but experiments.go constructs a simulation, so the run's fault plan,
+// protocol and invariant engine reach every one.
+func TestBuildsGoThroughOptions(t *testing.T) {
+	constructors := map[string]bool{
+		"ccnic.NewTestbed": true, "cluster.New": true,
+		"coherence.NewSystem": true, "coherence.NewSystemProto": true,
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if name == "experiments.go" || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && constructors[x.Name+"."+sel.Sel.Name] {
+				t.Errorf("%s: %s.%s builds a simulation past Options; use its testbed, cluster or system builder",
+					fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
+// TestCheckReachesEverySimulationKind runs a bare-system experiment (fig8),
+// a testbed experiment (ext-event) and a cluster experiment
+// (fabric-isolation) with and without Options.Check: each must run the
+// invariant engine exactly when Check is set.
+func TestCheckReachesEverySimulationKind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three quick experiments twice")
+	}
+	for _, id := range []string{"fig8", "ext-event", "fabric-isolation"} {
+		t.Run(id, func(t *testing.T) {
+			for _, on := range []bool{false, true} {
+				before := check.TotalEngines()
+				ByID(id).Run(Options{Quick: true, Check: on})
+				if ran := check.TotalEngines() > before; ran != on {
+					t.Errorf("%s with Check=%v: engines ran = %v", id, on, ran)
+				}
+			}
+		})
+	}
+}
+
+// TestOptionsBuilders pins what each builder takes from the run: the
+// testbed fills the protocol and fault plan a point leaves unset and keeps
+// the ones it sets, the cluster fills its fault plan the same way, and the
+// bare system takes neither.
+func TestOptionsBuilders(t *testing.T) {
+	runPlan, err := ccnic.ParseFaultPlan("seed=7,all=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pointPlan, err := ccnic.ParseFaultPlan("seed=9,all=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Quick: true, Protocol: "cxl", Faults: runPlan}
+
+	t.Run("testbed fills unset fields", func(t *testing.T) {
+		tb := opt.testbed(ccnic.Config{})
+		if got := tb.Sys.Protocol(); got != coherence.ProtoCXL {
+			t.Errorf("protocol = %v, want the run's CXL", got)
+		}
+		if got := tb.Sys.Faults().Plan().Seed; got != runPlan.Seed {
+			t.Errorf("fault seed = %d, want the run's %d", got, runPlan.Seed)
+		}
+	})
+	t.Run("testbed keeps the point's fields", func(t *testing.T) {
+		tb := opt.testbed(ccnic.Config{Protocol: "UPI", Faults: pointPlan})
+		if got := tb.Sys.Protocol(); got != coherence.ProtoUPI {
+			t.Errorf("protocol = %v, want the point's UPI", got)
+		}
+		if got := tb.Sys.Faults().Plan().Seed; got != pointPlan.Seed {
+			t.Errorf("fault seed = %d, want the point's %d", got, pointPlan.Seed)
+		}
+	})
+	t.Run("cluster fills its fault plan", func(t *testing.T) {
+		for _, c := range []struct {
+			name string
+			cfg  *fault.Plan
+			want *fault.Plan
+		}{
+			{"unset", nil, runPlan},
+			{"set", pointPlan, pointPlan},
+		} {
+			cl := opt.cluster("builder-test", cluster.Config{Hosts: 2, Faults: c.cfg}, 20*sim.Microsecond)
+			got := cl.Switch.Faults().Plan().Seed
+			cl.Close()
+			if want := c.want.ForFabric(0).Seed; got != want {
+				t.Errorf("%s: switch fault seed = %d, want %d", c.name, got, want)
+			}
+		}
+	})
+	t.Run("system takes neither", func(t *testing.T) {
+		s := opt.system(sim.New(), platform.ICX())
+		if got := s.Protocol(); got != coherence.ProtoUPI {
+			t.Errorf("protocol = %v, want UPI", got)
+		}
+		if s.Faults() != nil {
+			t.Errorf("bare system armed the run's fault plan")
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ccnic"
-	"ccnic/internal/coherence"
 	"ccnic/internal/device"
 	"ccnic/internal/dsa"
 	"ccnic/internal/platform"
@@ -48,7 +47,7 @@ func runExtDSA(opt Options) *Report {
 
 	measure := func(useDSA bool) (opsPerSec float64) {
 		k := sim.New()
-		sys := coherence.NewSystem(k, platform.SPR())
+		sys := opt.system(k, platform.SPR())
 		core := sys.NewAgent(0, "core")
 		var eng *dsa.Engine
 		if useDSA {
@@ -118,7 +117,7 @@ func runExtEvent(opt Options) *Report {
 			cfg := device.CCNICConfig()
 			cfg.NICCores = 1 // one core, one cache
 			cfg.EventDriven = ev
-			tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Queues: n, UPI: &cfg, HostPrefetch: true})
+			tb := opt.testbed(ccnic.Config{Platform: "ICX", Queues: n, UPI: &cfg, HostPrefetch: true})
 			res := tb.RunLoopback(ccnic.LoopbackOptions{
 				PktSize: 64, Rate: 40_000,
 				Warmup: 20 * sim.Microsecond, Measure: 100 * sim.Microsecond,
@@ -157,7 +156,7 @@ func runExtNetfn(opt Options) *Report {
 	// forward runs the workload on a fresh testbed and returns it with the
 	// number of packets forwarded over the whole span.
 	forward := func(iface ccnic.Interface, size int) (*ccnic.Testbed, float64) {
-		tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Interface: iface, HostPrefetch: true})
+		tb := opt.testbed(ccnic.Config{Platform: "ICX", Interface: iface, HostPrefetch: true})
 		res := tb.RunForward(ccnic.LoopbackOptions{
 			PktSize: size, Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond,
 		}, 3e6)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ccnic"
 	"ccnic/internal/cluster"
 	"ccnic/internal/fabric"
 	"ccnic/internal/sim"
@@ -31,32 +30,15 @@ func init() {
 	})
 }
 
-// runCluster builds a cluster from cfg, runs it to until, and checks its
-// delivery ledger — switch conservation always, the transport's RPC ledger
-// where it is armed — panicking with the experiment's id on any failure.
-// The caller reads the cluster and closes it.
-func runCluster(id string, cfg ccnic.ClusterConfig, until sim.Time) *cluster.Cluster {
-	c := ccnic.NewCluster(cfg)
-	err := c.Run(until)
-	if err == nil {
-		err = c.CheckDelivery()
-	}
-	if err != nil {
-		c.Close()
-		panic(fmt.Sprintf("%s: %v", id, err))
-	}
-	return c
-}
-
 // incastPoint runs one fan-in degree: `fanin` senders issue closed-loop
 // RPCs at host 0 while each also aggregates an open-loop Ads tenant mix
 // toward the same port.
-func incastPoint(fanin int, measure sim.Time) cluster.Report {
+func incastPoint(opt Options, fanin int, measure sim.Time) cluster.Report {
 	srcs := make([]int, fanin)
 	for i := range srcs {
 		srcs[i] = i + 1
 	}
-	c := runCluster("fabric-incast", ccnic.ClusterConfig{
+	c := opt.cluster("fabric-incast", cluster.Config{
 		Hosts:   fanin + 1,
 		Workers: 2,
 		Window:  8,
@@ -100,7 +82,7 @@ func runFabricIncast(opt Options) *Report {
 	}
 	reps := make([]cluster.Report, len(fanins))
 	parallel(len(fanins), func(i int) {
-		reps[i] = incastPoint(fanins[i], measure)
+		reps[i] = incastPoint(opt, fanins[i], measure)
 	})
 	for i, f := range fanins {
 		r := reps[i]
@@ -131,8 +113,8 @@ func runFabricIncast(opt Options) *Report {
 // isolationPoint runs the 3-host isolation shape: two RPC clients of host 0,
 // with an optional saturating 8KiB bulk tenant from host 2 onto the same
 // egress port.
-func isolationPoint(bulk, fifo bool, measure sim.Time) cluster.Report {
-	cfg := ccnic.ClusterConfig{
+func isolationPoint(opt Options, bulk, fifo bool, measure sim.Time) cluster.Report {
+	cfg := cluster.Config{
 		Hosts:      3,
 		Workers:    2,
 		Window:     8,
@@ -147,7 +129,7 @@ func isolationPoint(bulk, fifo bool, measure sim.Time) cluster.Report {
 			TrackEvery: 32, Seed: 11,
 		}}
 	}
-	c := runCluster("fabric-isolation", cfg, measure)
+	c := opt.cluster("fabric-isolation", cfg, measure)
 	defer c.Close()
 	return c.Report()
 }
@@ -161,7 +143,7 @@ func runFabricIsolation(opt Options) *Report {
 	cells := []cell{{false, false}, {true, false}, {false, true}, {true, true}}
 	reps := make([]cluster.Report, len(cells))
 	parallel(len(cells), func(i int) {
-		reps[i] = isolationPoint(cells[i].bulk, cells[i].fifo, measure)
+		reps[i] = isolationPoint(opt, cells[i].bulk, cells[i].fifo, measure)
 	})
 	tbl := &stats.Table{
 		Name:    "RPC tail under a bulk tenant",
@@ -190,8 +172,8 @@ func runFabricIsolation(opt Options) *Report {
 
 // crossoverPoint measures the aggregate RPC median with k bulk tenants
 // contending for the sink's egress port, under the given signaling model.
-func crossoverPoint(k int, sig cluster.Signal, measure sim.Time) cluster.Report {
-	cfg := ccnic.ClusterConfig{
+func crossoverPoint(opt Options, k int, sig cluster.Signal, measure sim.Time) cluster.Report {
+	cfg := cluster.Config{
 		Hosts:     6,
 		Workers:   2,
 		Window:    4,
@@ -206,7 +188,7 @@ func crossoverPoint(k int, sig cluster.Signal, measure sim.Time) cluster.Report 
 			MeanGap: 300 * sim.Nanosecond, Tenants: 8, Seed: int64(23 + i),
 		})
 	}
-	c := runCluster("fabric-crossover", cfg, measure)
+	c := opt.cluster("fabric-crossover", cfg, measure)
 	defer c.Close()
 	return c.Report()
 }
@@ -228,7 +210,7 @@ func runFabricCrossover(opt Options) *Report {
 	}
 	parallel(len(sigs)*len(ks), func(i int) {
 		si, ki := i/len(ks), i%len(ks)
-		reps[si][ki] = crossoverPoint(ks[ki], sigs[si], measure)
+		reps[si][ki] = crossoverPoint(opt, ks[ki], sigs[si], measure)
 	})
 	for si := range sigs {
 		for ki, k := range ks {

@@ -62,7 +62,7 @@ func runFaultsRate(opt Options) *Report {
 		type pt struct{ mpps, us float64 }
 		pts := make([]pt, len(rates))
 		parallel(len(rates), func(i int) {
-			tb := ccnic.NewTestbed(ccnic.Config{
+			tb := opt.testbed(ccnic.Config{
 				Platform:     "ICX",
 				Interface:    iface,
 				Queues:       queues,
@@ -107,7 +107,7 @@ func faultLoopStats(class fault.Class, opt Options) (*fault.Stats, string) {
 	if class == fault.DoorbellDrop || class == fault.DoorbellDup {
 		plan.Rate[class] = 0.25
 	}
-	tb := ccnic.NewTestbed(ccnic.Config{
+	tb := opt.testbed(ccnic.Config{
 		Platform: "ICX", Interface: iface, Queues: 2, HostPrefetch: true, Faults: plan,
 	})
 	o := ccnic.LoopbackOptions{PktSize: 64, Window: 64,
@@ -127,7 +127,7 @@ func faultRPCStats(opt Options) *fault.Stats {
 	plan := &fault.Plan{Seed: 33}
 	plan.Rate[fault.DoorbellDrop] = 0.3
 	plan.Rate[fault.PipelineStall] = 0.05
-	tb := ccnic.NewTestbed(ccnic.Config{
+	tb := opt.testbed(ccnic.Config{
 		Platform: "ICX", Interface: ccnic.CX6, Queues: 2, HostPrefetch: true, Faults: plan,
 	})
 	warm, meas := 25*sim.Microsecond, 80*sim.Microsecond
@@ -145,9 +145,8 @@ func faultRPCStats(opt Options) *fault.Stats {
 // NIC whose TX side refuses work for a multi-microsecond window drawn from
 // that class: a wedge deep enough to exhaust the software layers' backoff
 // budgets.
-func wedgeSys(agents int) (*coherence.System, *device.Stub, []*coherence.Agent) {
-	k := sim.New()
-	sys := coherence.NewSystem(k, platform.ICX())
+func wedgeSys(opt Options, agents int) (*coherence.System, *device.Stub, []*coherence.Agent) {
+	sys := opt.system(sim.New(), platform.ICX())
 	sys.SetPrefetch(0, true)
 	plan := &fault.Plan{Seed: 33}
 	plan.Rate[fault.PipelineStall] = 0.2
@@ -175,7 +174,7 @@ func wedgeSys(agents int) (*coherence.System, *device.Stub, []*coherence.Agent) 
 // wedgeRPCStats drives the echo RPC fast path into a wedged TX queue,
 // exercising the retransmission timer and its degraded-mode drop.
 func wedgeRPCStats(opt Options) *fault.Stats {
-	sys, dev, fps := wedgeSys(2)
+	sys, dev, fps := wedgeSys(opt, 2)
 	app := sys.NewAgent(0, "app")
 	meas := 80 * sim.Microsecond
 	if opt.Quick {
@@ -191,7 +190,7 @@ func wedgeRPCStats(opt Options) *fault.Stats {
 // wedgeKVStats drives the key-value store into a wedged TX queue,
 // exercising the response timeout / bounded-retry budget.
 func wedgeKVStats(opt Options) *fault.Stats {
-	sys, dev, hosts := wedgeSys(2)
+	sys, dev, hosts := wedgeSys(opt, 2)
 	meas := 80 * sim.Microsecond
 	if opt.Quick {
 		meas = 50 * sim.Microsecond

@@ -61,19 +61,22 @@ func init() {
 	})
 }
 
-// build constructs a fresh testbed (one per measurement: the kernel is
-// consumed by a run).
-func build(platName string, iface ccnic.Interface, queues int, mut func(*ccnic.Config)) *ccnic.Testbed {
-	cfg := ccnic.Config{
-		Platform:     platName,
-		Interface:    iface,
-		Queues:       queues,
-		HostPrefetch: true, // the paper's default operating point
-	}
+// loopCfg is a loopback point at the paper's default operating point
+// (host prefetching on).
+func loopCfg(platName string, iface ccnic.Interface, queues int) ccnic.Config {
+	return ccnic.Config{Platform: platName, Interface: iface, Queues: queues, HostPrefetch: true}
+}
+
+// ccnicWith is a CC-NIC point on SPR whose design point is the optimized
+// one edited by mut (nil keeps it): the UPI ablations of Figs 14 and 15.
+func ccnicWith(queues int, mut func(*device.UPIConfig)) ccnic.Config {
+	u := device.CCNICConfig()
 	if mut != nil {
-		mut(&cfg)
+		mut(&u)
 	}
-	return ccnic.NewTestbed(cfg)
+	cfg := loopCfg("SPR", ccnic.CCNIC, queues)
+	cfg.UPI = &u
+	return cfg
 }
 
 // peakOpts is the closed-loop peak-rate measurement: a 128-packet window
@@ -98,11 +101,11 @@ func unloadedOpts(opt Options) ccnic.LoopbackOptions {
 	return o
 }
 
-// curvePoints measures a throughput-latency curve: a closed-loop probe
-// finds the peak, then open-loop runs at fractions of it.
-func curvePoints(mk func() *ccnic.Testbed, pkt int, fractions []float64, opt Options) *stats.Series {
+// curvePoints measures a throughput-latency curve of cfg: a closed-loop
+// probe finds the peak, then open-loop runs at fractions of it.
+func curvePoints(cfg ccnic.Config, pkt int, fractions []float64, opt Options) *stats.Series {
 	probe := peakOpts(pkt, opt)
-	tb := mk()
+	tb := opt.testbed(cfg)
 	peak := tb.RunLoopback(probe)
 	perQueue := peak.PPS / float64(tb.Dev.NumQueues())
 
@@ -112,7 +115,7 @@ func curvePoints(mk func() *ccnic.Testbed, pkt int, fractions []float64, opt Opt
 	parallel(len(fractions), func(i int) {
 		o := probe
 		o.Rate = perQueue * fractions[i]
-		res := mk().RunLoopback(o)
+		res := opt.testbed(cfg).RunLoopback(o)
 		pts[i] = pt{res.Mpps(), res.Latency.Median().Microseconds()}
 	})
 	for _, p := range pts {
@@ -140,10 +143,7 @@ func runFig11(opt Options) *Report {
 	for _, pkt := range []int{64, 1536} {
 		var series []*stats.Series
 		for _, iface := range ifaces {
-			iface := iface
-			s := curvePoints(func() *ccnic.Testbed {
-				return build("ICX", iface, queues, nil)
-			}, pkt, fractions(opt), opt)
+			s := curvePoints(loopCfg("ICX", iface, queues), pkt, fractions(opt), opt)
 			s.Name = iface.String() + " [us]"
 			series = append(series, s)
 		}
@@ -158,11 +158,8 @@ func runFig11(opt Options) *Report {
 func coreCountCurves(platName string, iface ccnic.Interface, counts []int, pkt int, opt Options) []*stats.Series {
 	out := make([]*stats.Series, len(counts))
 	parallel(len(counts), func(i int) {
-		n := counts[i]
-		s := curvePoints(func() *ccnic.Testbed {
-			return build(platName, iface, n, nil)
-		}, pkt, fractions(opt), opt)
-		s.Name = fmt.Sprintf("%d cores [us]", n)
+		s := curvePoints(loopCfg(platName, iface, counts[i]), pkt, fractions(opt), opt)
+		s.Name = fmt.Sprintf("%d cores [us]", counts[i])
 		out[i] = s
 	})
 	return out
@@ -205,23 +202,12 @@ func runFig14(opt Options) *Report {
 	if opt.Quick {
 		queues = 6
 	}
-	mkCfg := func(mut func(*device.UPIConfig)) func() *ccnic.Testbed {
-		return func() *ccnic.Testbed {
-			return build("SPR", ccnic.CCNIC, queues, func(c *ccnic.Config) {
-				u := device.CCNICConfig()
-				if mut != nil {
-					mut(&u)
-				}
-				c.UPI = &u
-			})
-		}
-	}
 	fr := fractions(opt)
 	var a, b []*stats.Series
 
-	inline := curvePoints(mkCfg(nil), 64, fr, opt)
+	inline := curvePoints(ccnicWith(queues, nil), 64, fr, opt)
 	inline.Name = "Inline [us]"
-	reg := curvePoints(mkCfg(func(u *device.UPIConfig) { u.InlineSignal = false }), 64, fr, opt)
+	reg := curvePoints(ccnicWith(queues, func(u *device.UPIConfig) { u.InlineSignal = false }), 64, fr, opt)
 	reg.Name = "Reg [us]"
 	a = append(a, inline, reg)
 
@@ -229,8 +215,7 @@ func runFig14(opt Options) *Report {
 		name string
 		l    ring.Layout
 	}{{"Opt", ring.Grouped}, {"Pack", ring.Packed}, {"Pad", ring.Padded}} {
-		lay := lay
-		s := curvePoints(mkCfg(func(u *device.UPIConfig) { u.Layout = lay.l }), 64, fr, opt)
+		s := curvePoints(ccnicWith(queues, func(u *device.UPIConfig) { u.Layout = lay.l }), 64, fr, opt)
 		s.Name = lay.name + " [us]"
 		b = append(b, s)
 	}
@@ -277,17 +262,7 @@ func runFig15(opt Options) *Report {
 	}
 	var base float64
 	for _, c := range cases {
-		c := c
-		mk := func() *ccnic.Testbed {
-			return build("SPR", ccnic.CCNIC, queues, func(cc *ccnic.Config) {
-				u := device.CCNICConfig()
-				if c.mut != nil {
-					c.mut(&u)
-				}
-				cc.UPI = &u
-			})
-		}
-		res := mk().RunLoopback(peakOpts(64, opt))
+		res := opt.testbed(ccnicWith(queues, c.mut)).RunLoopback(peakOpts(64, opt))
 		if base == 0 {
 			base = res.PPS
 		}
@@ -312,7 +287,6 @@ func runFig16(opt Options) *Report {
 	for _, dir := range []string{"TX", "RX"} {
 		var series []*stats.Series
 		for _, iface := range []ccnic.Interface{ccnic.CCNIC, ccnic.E810} {
-			iface := iface
 			s := &stats.Series{Name: iface.String(), XLabel: dir + " batch"}
 			var peak float64
 			vals := map[int]float64{}
@@ -329,7 +303,7 @@ func runFig16(opt Options) *Report {
 				} else {
 					o.RxBatch = b
 				}
-				res := build("ICX", iface, queues, nil).RunLoopback(o)
+				res := opt.testbed(loopCfg("ICX", iface, queues)).RunLoopback(o)
 				vals[b] = res.PPS
 				if res.PPS > peak {
 					peak = res.PPS
@@ -350,13 +324,11 @@ func runFig16(opt Options) *Report {
 
 func runFig18(opt Options) *Report {
 	fr := fractions(opt)
-	remote := curvePoints(func() *ccnic.Testbed {
-		return build("SPR", ccnic.CCNIC, 1, nil)
-	}, 64, fr, opt)
+	cfg := loopCfg("SPR", ccnic.CCNIC, 1)
+	remote := curvePoints(cfg, 64, fr, opt)
 	remote.Name = "Remote-socket NIC [us]"
-	same := curvePoints(func() *ccnic.Testbed {
-		return build("SPR", ccnic.CCNIC, 1, func(c *ccnic.Config) { c.SameSocket = true })
-	}, 64, fr, opt)
+	cfg.SameSocket = true
+	same := curvePoints(cfg, 64, fr, opt)
 	same.Name = "Same-socket NIC [us]"
 	return &Report{
 		ID:    "fig18",
@@ -396,15 +368,11 @@ func runFig20(opt Options) *Report {
 		{"Unopt 64B", ccnic.UnoptUPI, 64},
 		{"Unopt 1.5KB", ccnic.UnoptUPI, 1536},
 	} {
-		c := c
 		vals := map[string]float64{}
 		for _, st := range settings {
-			st := st
-			tb := build("SPR", c.iface, queues, func(cc *ccnic.Config) {
-				cc.HostPrefetch = st.host
-				cc.NICPrefetch = st.nic
-			})
-			vals[st.name] = tb.RunLoopback(peakOpts(c.pkt, opt)).PPS
+			cfg := loopCfg("SPR", c.iface, queues)
+			cfg.HostPrefetch, cfg.NICPrefetch = st.host, st.nic
+			vals[st.name] = opt.testbed(cfg).RunLoopback(peakOpts(c.pkt, opt)).PPS
 		}
 		base := vals["off (baseline)"]
 		t.AddRow(c.name,

@@ -21,9 +21,9 @@ func runProc(fn func(p *sim.Proc)) {
 }
 
 // runSystem executes fn with a fresh coherent system for plat.
-func runSystem(plat *platform.Platform, fn func(p *sim.Proc, s *coherence.System)) {
+func runSystem(opt Options, plat *platform.Platform, fn func(p *sim.Proc, s *coherence.System)) {
 	k := sim.New()
-	s := coherence.NewSystem(k, plat)
+	s := opt.system(k, plat)
 	k.Spawn("exp", func(p *sim.Proc) { fn(p, s) })
 	if err := k.Run(); err != nil {
 		panic(err)
@@ -140,7 +140,7 @@ func runFig3(Options) *Report {
 	return &Report{ID: "fig3", Title: "MMIO store latency vs iteration count", Groups: groups}
 }
 
-func runFig7(Options) *Report {
+func runFig7(opt Options) *Report {
 	t := &stats.Table{
 		Name:    "median 64B access latency [ns]",
 		Columns: []string{"target", "SPR", "ICX"},
@@ -157,8 +157,7 @@ func runFig7(Options) *Report {
 		{"R L2 (lh)", map[string]float64{}},
 	}
 	for _, plat := range []*platform.Platform{platform.SPR(), platform.ICX()} {
-		plat := plat
-		runSystem(plat, func(p *sim.Proc, s *coherence.System) {
+		runSystem(opt, plat, func(p *sim.Proc, s *coherence.System) {
 			host := s.NewAgent(0, "host")
 			peer := s.NewAgent(0, "peer")
 			nic := s.NewAgent(1, "nic")
@@ -202,9 +201,9 @@ func runFig7(Options) *Report {
 // pingpong measures the paper's Fig 8 roundtrip for a given line layout.
 // homes[0] is the A->B line's home socket, homes[1] the B->A line's;
 // colocated uses a single line homed on homes[0].
-func pingpong(plat *platform.Platform, colocated bool, homeAB, homeBA int) sim.Time {
+func pingpong(opt Options, plat *platform.Platform, colocated bool, homeAB, homeBA int) sim.Time {
 	k := sim.New()
-	s := coherence.NewSystem(k, plat)
+	s := opt.system(k, plat)
 	a := s.NewAgent(0, "a")
 	b := s.NewAgent(1, "b")
 	lineAB := s.Space().AllocLines(homeAB, 1)
@@ -261,7 +260,7 @@ func pingpong(plat *platform.Platform, colocated bool, homeAB, homeBA int) sim.T
 	return total / rounds
 }
 
-func runFig8(Options) *Report {
+func runFig8(opt Options) *Report {
 	t := &stats.Table{
 		Name:    "pingpong roundtrip latency [ns]",
 		Columns: []string{"layout", "SPR", "ICX"},
@@ -282,7 +281,7 @@ func runFig8(Options) *Report {
 	vals := map[string][2]float64{}
 	for pi, plat := range []*platform.Platform{platform.SPR(), platform.ICX()} {
 		for _, c := range cases {
-			rt := pingpong(plat, c.colocated, c.homeAB, c.homeBA)
+			rt := pingpong(opt, plat, c.colocated, c.homeAB, c.homeBA)
 			v := vals[c.name]
 			v[pi] = rt.Nanoseconds()
 			vals[c.name] = v
@@ -305,9 +304,9 @@ func runFig8(Options) *Report {
 
 // streamPair runs writer/reader pairs streaming chunks across the UPI and
 // returns aggregate reader throughput in Gbps.
-func streamPair(plat *platform.Platform, cores int, nontemporal bool) float64 {
+func streamPair(opt Options, plat *platform.Platform, cores int, nontemporal bool) float64 {
 	k := sim.New()
-	s := coherence.NewSystem(k, plat)
+	s := opt.system(k, plat)
 	const chunk = 64 << 10 // 64KB chunks (scaled-down 1MB; same regime)
 	const chunksPerPair = 12
 	var totalBytes int64
@@ -384,8 +383,8 @@ func runFig9(opt Options) *Report {
 		cy := make([]float64, len(counts))
 		ny := make([]float64, len(counts))
 		parallel(len(counts), func(i int) {
-			cy[i] = streamPair(plat, counts[i], false)
-			ny[i] = streamPair(plat, counts[i], true)
+			cy[i] = streamPair(opt, plat, counts[i], false)
+			ny[i] = streamPair(opt, plat, counts[i], true)
 		})
 		for i, n := range counts {
 			caching.Add(float64(n), cy[i])

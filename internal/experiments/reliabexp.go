@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ccnic"
 	"ccnic/internal/cluster"
 	"ccnic/internal/fabric"
 	"ccnic/internal/fault"
@@ -27,10 +26,10 @@ func init() {
 }
 
 // portflapPoint runs the 4-host redundant reliable cluster with the fabric
-// classes armed at `rate` and returns the report. runCluster asserts the
+// classes armed at `rate` and returns the report. Options.cluster asserts the
 // delivery ledger before anything is tabulated: silent loss is an
 // experiment failure, not a data point.
-func portflapPoint(rate float64, measure sim.Time) cluster.Report {
+func portflapPoint(opt Options, rate float64, measure sim.Time) cluster.Report {
 	var plan *fault.Plan
 	if rate > 0 {
 		plan = &fault.Plan{Seed: 29}
@@ -38,7 +37,7 @@ func portflapPoint(rate float64, measure sim.Time) cluster.Report {
 		plan.Rate[fault.FabricCorrupt] = rate / 2
 		plan.Rate[fault.FabricBlackhole] = rate / 2
 	}
-	c := runCluster("fabric-portflap", ccnic.ClusterConfig{
+	c := opt.cluster("fabric-portflap", cluster.Config{
 		Hosts: 4, Workers: 2, Window: 8, ReqSize: 512,
 		Reliable: true, Switches: 2, Faults: plan,
 	}, measure)
@@ -55,7 +54,7 @@ func runFabricPortflap(opt Options) *Report {
 	}
 	reps := make([]cluster.Report, len(rates))
 	parallel(len(rates), func(i int) {
-		reps[i] = portflapPoint(rates[i], measure)
+		reps[i] = portflapPoint(opt, rates[i], measure)
 	})
 	p99 := &stats.Series{Name: "rpc p99 [us]", XLabel: "flap rate [%]"}
 	retx := &stats.Series{Name: "retransmits", XLabel: "flap rate [%]"}
@@ -98,7 +97,7 @@ func failoverTimeline(opt Options) ([]stats.Histogram, cluster.Report, []sim.Tim
 	}
 	recoverTo := outTo + 80*sim.Microsecond
 	marks := []sim.Time{outFrom, outTo, recoverTo}
-	c := runCluster("failover-recovery", ccnic.ClusterConfig{
+	c := opt.cluster("failover-recovery", cluster.Config{
 		Hosts: 4, Workers: 2, Window: 8, ReqSize: 512,
 		Reliable: true, Switches: 2,
 		RTO:        10 * sim.Microsecond,
@@ -121,7 +120,7 @@ func degradedContrast(opt Options, withOutage bool) (cluster.Report, [2]int64) {
 		until = 200 * sim.Microsecond
 		outFrom, outTo = 40*sim.Microsecond, 130*sim.Microsecond
 	}
-	cfg := ccnic.ClusterConfig{
+	cfg := cluster.Config{
 		Hosts: 3, Workers: 2, Window: 8, ReqSize: 512,
 		Pattern:  cluster.PatternIncast,
 		Reliable: true, RTO: 8 * sim.Microsecond, RetryBudget: 2,
@@ -136,7 +135,7 @@ func degradedContrast(opt Options, withOutage bool) (cluster.Report, [2]int64) {
 	if withOutage {
 		cfg.Outages = []cluster.ScriptedOutage{{Switch: 0, Port: 0, From: outFrom, To: outTo}}
 	}
-	c := runCluster("failover-recovery", cfg, until)
+	c := opt.cluster("failover-recovery", cfg, until)
 	defer c.Close()
 	var del [2]int64
 	del[0], _ = c.FlowStats(0)

@@ -162,11 +162,6 @@ type Probe interface {
 	PortEvent(sw *Switch, port int)
 }
 
-// AutoAttach, when non-nil, is invoked on every Switch created by New.
-// check.EnableAuto sets it so ccbench -check validates fabric invariants
-// without the model importing the checker.
-var AutoAttach func(*Switch)
-
 // entry is one queued packet with its admission timestamp (the eligibility
 // key: visible only to decisions at strictly later instants).
 type entry struct {
@@ -303,9 +298,6 @@ func New(e *shard.Engine, name string, cfg Config) *Switch {
 	sw := &Switch{name: name, cfg: cfg, flt: cfg.Faults}
 	sw.shd = e.NewShard(name, sim.New())
 	sw.k = sw.shd.Kernel()
-	if AutoAttach != nil {
-		AutoAttach(sw)
-	}
 	return sw
 }
 

@@ -57,7 +57,6 @@ type CoreMMIO struct {
 
 // Stats counts PCIe transactions.
 type Stats struct {
-	MMIOReads  int64
 	MMIOWrites int64
 	DMAReads   int64
 	DMAWrites  int64
@@ -109,16 +108,6 @@ func (e *Endpoint) serialize(bytes int) sim.Time {
 	return sim.Time(float64(bytes) / e.pp.LinkBandwidth * float64(sim.Nanosecond))
 }
 
-// MMIORead performs an uncacheable load from device BAR space. The core
-// stalls for a full PCIe roundtrip (the paper measures 982ns median on ICX).
-func (e *Endpoint) MMIORead(p *sim.Proc, bytes int) sim.Time {
-	e.stats.MMIOReads++
-	q := e.link[ToHost].Acquire(p.Now(), e.serialize(bytes))
-	lat := e.pp.MMIOReadLat + q + e.replay()
-	p.Sleep(lat)
-	return lat
-}
-
 // UCWrite performs an uncacheable posted store (a doorbell). The store
 // itself is cheap, but only one UC access may be in flight per core, so
 // closely spaced doorbells stall (the driver-visible cost the paper's
@@ -159,26 +148,6 @@ func (c *CoreMMIO) WCStore32(p *sim.Proc, tag uint64, wcBuffers int) sim.Time {
 	c.wcOpen = append(c.wcOpen, tag)
 	p.Sleep(cost)
 	return cost
-}
-
-// WCFence drains all open WC buffers (sfence); the core stalls until the
-// last flush completes.
-func (c *CoreMMIO) WCFence(p *sim.Proc) sim.Time {
-	e := c.ep
-	if len(c.wcOpen) == 0 {
-		p.Sleep(sim.Nanosecond)
-		return sim.Nanosecond
-	}
-	now := p.Now()
-	var last sim.Time
-	for range c.wcOpen {
-		d := c.wcDrain.Acquire(now, e.pp.WCFlushMMIO)
-		last = d + e.pp.WCFlushMMIO
-		e.stats.WCFlushes++
-	}
-	c.wcOpen = c.wcOpen[:0]
-	p.Sleep(last)
-	return last
 }
 
 // WCOpenBuffers returns the number of occupied WC buffers (for tests).

@@ -19,18 +19,6 @@ func run(t *testing.T, fn func(p *sim.Proc, e *Endpoint, c *CoreMMIO)) {
 	}
 }
 
-func TestMMIOReadRoundtrip(t *testing.T) {
-	run(t, func(p *sim.Proc, e *Endpoint, c *CoreMMIO) {
-		lat := e.MMIORead(p, 8)
-		if lat != e.Params().MMIOReadLat {
-			t.Errorf("MMIO read = %v, want %v", lat, e.Params().MMIOReadLat)
-		}
-		if e.Stats().MMIOReads != 1 {
-			t.Error("read not counted")
-		}
-	})
-}
-
 func TestUCWriteSerialization(t *testing.T) {
 	run(t, func(p *sim.Proc, e *Endpoint, c *CoreMMIO) {
 		first := c.UCWrite(p, 8)
@@ -87,27 +75,6 @@ func TestWCStoreMergesWithinRegion(t *testing.T) {
 		}
 		if c.WCOpenBuffers() != 1 {
 			t.Errorf("open buffers = %d, want 1", c.WCOpenBuffers())
-		}
-	})
-}
-
-func TestWCFenceDrainsAll(t *testing.T) {
-	run(t, func(p *sim.Proc, e *Endpoint, c *CoreMMIO) {
-		for i := 0; i < 4; i++ {
-			c.WCStore32(p, uint64(i), 24)
-		}
-		lat := c.WCFence(p)
-		if c.WCOpenBuffers() != 0 {
-			t.Error("fence left buffers open")
-		}
-		// Four serialized flushes.
-		want := 4 * e.Params().WCFlushMMIO
-		if lat != want {
-			t.Errorf("fence = %v, want %v", lat, want)
-		}
-		// Fence with nothing open is (almost) free.
-		if lat := c.WCFence(p); lat != sim.Nanosecond {
-			t.Errorf("empty fence = %v, want 1ns", lat)
 		}
 	})
 }
@@ -182,7 +149,7 @@ func TestDMAWritesQueueOnLink(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	run(t, func(p *sim.Proc, e *Endpoint, c *CoreMMIO) {
-		e.MMIORead(p, 8)
+		c.UCWrite(p, 8)
 		e.ResetStats()
 		if e.Stats() != (Stats{}) {
 			t.Error("ResetStats left residue")

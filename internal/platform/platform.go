@@ -99,7 +99,6 @@ type CXLParams struct {
 // PCIeParams describes the host PCIe 4.0 x16 slot shared by both NICs.
 type PCIeParams struct {
 	LinkBandwidth float64  // usable bytes/ns per direction (252 Gbps => 31.5)
-	MMIOReadLat   sim.Time // UC MMIO load roundtrip (paper: 982ns on ICX)
 	OneWay        sim.Time // posted-write / TLP propagation, one way
 	DMARoundTrip  sim.Time // device-initiated read roundtrip, zero-length
 	WCFlushMMIO   sim.Time // WC buffer drain time to device BAR
@@ -144,7 +143,6 @@ func ICX() *Platform {
 
 		PCIe: PCIeParams{
 			LinkBandwidth: 31.5, // 252 Gbps usable
-			MMIOReadLat:   982 * sim.Nanosecond,
 			OneWay:        400 * sim.Nanosecond,
 			DMARoundTrip:  850 * sim.Nanosecond,
 			WCFlushMMIO:   214 * sim.Nanosecond,
@@ -208,7 +206,6 @@ func SPR() *Platform {
 
 		PCIe: PCIeParams{
 			LinkBandwidth: 63.0, // PCIe 5.0 x16 usable
-			MMIOReadLat:   1030 * sim.Nanosecond,
 			OneWay:        400 * sim.Nanosecond,
 			DMARoundTrip:  850 * sim.Nanosecond,
 			WCFlushMMIO:   214 * sim.Nanosecond,

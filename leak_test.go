@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ccnic/internal/cluster"
 	"ccnic/internal/sim"
 )
 
@@ -39,7 +40,7 @@ func TestRunsReleaseCoroutines(t *testing.T) {
 		t.Errorf("%d goroutines after the testbed runs, want the baseline %d", n, base)
 	}
 
-	c := NewCluster(ClusterConfig{Hosts: 3, Workers: 2})
+	c := cluster.New(cluster.Config{Hosts: 3, Workers: 2})
 	if err := c.Run(40 * sim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
