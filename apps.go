@@ -12,19 +12,21 @@ import (
 type ForwardResult = loopback.ForwardResult
 
 // RunForward runs the §6 network-function workload on the testbed: ingress
-// packets of PktSize arrive at ratePerQueue per queue, host threads read
-// one header line per packet and retransmit the buffer. The testbed's
-// device must support ingress injection (all built-in interfaces do).
-func (tb *Testbed) RunForward(opt LoopbackOptions, ratePerQueue float64) ForwardResult {
+// packets of PktSize arrive at Rate per queue (which must be positive),
+// host threads read one header line per packet and retransmit the buffer.
+// The testbed's device must support ingress injection (all built-in
+// interfaces do).
+func (tb *Testbed) RunForward(opt LoopbackOptions) ForwardResult {
 	return loopback.RunForward(loopback.Config{
 		Sys:     tb.Sys,
 		Dev:     tb.Dev,
 		Hosts:   tb.Hosts,
 		PktSize: opt.PktSize,
+		Rate:    opt.Rate,
 		RxBatch: opt.RxBatch,
 		Warmup:  opt.Warmup,
 		Measure: opt.Measure,
-	}, ratePerQueue)
+	})
 }
 
 // KVOptions configures a key-value store run on a testbed.

@@ -10,9 +10,10 @@ func TestRunForwardPublicAPI(t *testing.T) {
 	tb := NewTestbed(Config{Platform: "ICX", Interface: CCNIC, Queues: 2, HostPrefetch: true})
 	res := tb.RunForward(LoopbackOptions{
 		PktSize: 1536,
+		Rate:    2e6,
 		Warmup:  20 * sim.Microsecond,
 		Measure: 60 * sim.Microsecond,
-	}, 2e6)
+	})
 	if res.PPS < 1e6 {
 		t.Fatalf("forwarded %.0f pps", res.PPS)
 	}

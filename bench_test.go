@@ -1,10 +1,5 @@
 package ccnic_test
 
-// One benchmark per paper table and figure. Each regenerates its experiment
-// (in quick mode, so the full bench suite completes in minutes) and reports
-// the headline quantity as a custom metric alongside wall-clock time. Run
-// `go run ./cmd/ccbench -all` for the full-scale regeneration.
-
 import (
 	"testing"
 
@@ -13,39 +8,21 @@ import (
 	"ccnic/internal/sim"
 )
 
-// runExperiment executes the registered experiment b.N times.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e := experiments.ByID(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		r := e.Run(experiments.Options{Quick: true})
-		if len(r.Groups) == 0 && len(r.Tables) == 0 {
-			b.Fatalf("%s produced no output", id)
-		}
+// BenchmarkExperiments regenerates every registered experiment, one
+// sub-benchmark per ID (in quick mode, so the full bench suite completes in
+// minutes). Run `go run ./cmd/ccbench -all` for the full-scale regeneration.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := e.Run(experiments.Options{Quick: true})
+				if len(r.Groups) == 0 && len(r.Tables) == 0 {
+					b.Fatalf("%s produced no output", e.ID)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig2(b *testing.B)   { runExperiment(b, "fig2") }
-func BenchmarkFig3(b *testing.B)   { runExperiment(b, "fig3") }
-func BenchmarkFig7(b *testing.B)   { runExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)   { runExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { runExperiment(b, "fig9") }
-func BenchmarkTable1(b *testing.B) { runExperiment(b, "table1") }
-func BenchmarkFig11(b *testing.B)  { runExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)  { runExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)  { runExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B)  { runExperiment(b, "fig14") }
-func BenchmarkFig15(b *testing.B)  { runExperiment(b, "fig15") }
-func BenchmarkFig16(b *testing.B)  { runExperiment(b, "fig16") }
-func BenchmarkFig17(b *testing.B)  { runExperiment(b, "fig17") }
-func BenchmarkFig18(b *testing.B)  { runExperiment(b, "fig18") }
-func BenchmarkFig19(b *testing.B)  { runExperiment(b, "fig19") }
-func BenchmarkFig20(b *testing.B)  { runExperiment(b, "fig20") }
-func BenchmarkFig21(b *testing.B)  { runExperiment(b, "fig21") }
-func BenchmarkTable2(b *testing.B) { runExperiment(b, "table2") }
 
 // BenchmarkLoopbackCCNIC reports the simulated peak 64B packet rate of the
 // CC-NIC interface on ICX (8 cores) as a custom metric — the quickest check
@@ -151,9 +128,3 @@ func BenchmarkKernelWaitSignal(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// Extension experiments (paper §3.2 / §6 directions).
-func BenchmarkExtDSA(b *testing.B)   { runExperiment(b, "ext-dsa") }
-func BenchmarkExtEvent(b *testing.B) { runExperiment(b, "ext-event") }
-func BenchmarkExtNetfn(b *testing.B) { runExperiment(b, "ext-netfn") }
-func BenchmarkExtCXL(b *testing.B)   { runExperiment(b, "ext-cxl") }

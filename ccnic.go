@@ -267,12 +267,13 @@ func NewTestbed(cfg Config) *Testbed {
 // loopback package for field semantics.
 type LoopbackOptions struct {
 	PktSize int
-	Rate    float64 // per-queue offered packets/s; 0 = closed loop
+	Rate    float64 // per-queue offered packets/s; 0 = closed loop (RunForward: ingress, > 0)
 	Window  int
 	TxBatch int
 	RxBatch int
 	Warmup  sim.Time
 	Measure sim.Time
+	Trace   *trace.Tracer // packet-lifecycle sampling; nil disables it
 }
 
 // LoopbackResult re-exports the loopback measurement result.
@@ -282,12 +283,6 @@ type LoopbackResult = loopback.Result
 // throughput and latency measurements. The testbed's kernel is consumed;
 // build a fresh testbed per measurement.
 func (tb *Testbed) RunLoopback(opt LoopbackOptions) LoopbackResult {
-	return tb.RunLoopbackTraced(opt, nil)
-}
-
-// RunLoopbackTraced is RunLoopback with optional packet-lifecycle sampling
-// (a nil tracer disables it).
-func (tb *Testbed) RunLoopbackTraced(opt LoopbackOptions, tr *trace.Tracer) LoopbackResult {
 	return loopback.Run(loopback.Config{
 		Sys:     tb.Sys,
 		Dev:     tb.Dev,
@@ -299,7 +294,7 @@ func (tb *Testbed) RunLoopbackTraced(opt LoopbackOptions, tr *trace.Tracer) Loop
 		RxBatch: opt.RxBatch,
 		Warmup:  opt.Warmup,
 		Measure: opt.Measure,
-		Trace:   tr,
+		Trace:   opt.Trace,
 	})
 }
 

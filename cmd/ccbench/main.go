@@ -8,7 +8,7 @@
 //	ccbench -all              run everything (minutes)
 //	ccbench -quick fig12      run with reduced core counts and sweep points
 //	ccbench -ports 16 fabric-incast
-//	                          sweep the fabric experiments' switch fan-in
+//	                          sweep fabric-incast's switch fan-in
 //	ccbench -faults "seed=7,portflap=0.02" fabric-portflap failover-recovery
 //	                          chaos-run the reliable-transport experiments
 //	                          under injected in-fabric faults
@@ -56,7 +56,7 @@ func main() {
 	faultsSpec := flag.String("faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
 	protoSpec := flag.String("protocol", "", "coherence `protocol` backend for testbed experiments: upi (default) or cxl; the micro-benchmarks (fig2 fig3 fig7 fig8 fig9 table1) and ext-dsa have no NIC testbed and ignore it")
 	shardsFlag := flag.Int("shards", 1, "worker budget: `N` > 1 runs experiments on N concurrent workers (output and checks are order-preserving and bit-identical to serial runs)")
-	portsFlag := flag.Int("ports", 0, "cap the fabric experiments' switch fan-in at `N` ports (0 = experiment defaults; refused with -golden/-hashes)")
+	portsFlag := flag.Int("ports", 0, "cap fabric-incast's switch fan-in sweep at `N` ports (0 = its default; no other experiment reads it; refused with -golden/-hashes)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ccbench [-quick] [-check] [-shards N] [-all | -list | <id>...]\n\n")
 		fmt.Fprintf(os.Stderr, "Regenerates the CC-NIC paper's evaluation tables and figures.\n\n")

@@ -9,6 +9,8 @@
 #   bash cmd/ccbench/matrix.sh slice              seed 1 of every row marked *
 #
 # CI runs one cell per row over seeds 1-3; `make matrix` runs the slice.
+# -ports reaches only fabric-incast, so fabric-isolation and fabric-crossover
+# run once, in the fabric-8 row.
 # TestMatrixTable (matrix_test.go) checks in tier-1 that every family has a
 # slice row and every fault class a row that arms it alone.
 set -euo pipefail
@@ -25,9 +27,9 @@ rows='
 *       fault-all       -              all=0.02        fig13 fig17 fig21 faults-rate faults-recovery table2 ext-event ext-netfn
 -       protocol-upi    -protocol=upi  all=0.005       fig13 fig17 fig21 proto-sweep ext-cxl table2 ext-event ext-netfn
 *       protocol-cxl    -protocol=cxl  all=0.005       fig13 fig17 fig21 proto-sweep ext-cxl table2 ext-event ext-netfn
--       fabric-4        -ports=4       all=0.02        fabric-incast fabric-isolation fabric-crossover
+-       fabric-4        -ports=4       all=0.02        fabric-incast
 *       fabric-8        -ports=8       all=0.02        fabric-incast fabric-isolation fabric-crossover
--       fabric-16       -ports=16      all=0.02        fabric-incast fabric-isolation fabric-crossover
+-       fabric-16       -ports=16      all=0.02        fabric-incast
 *       chaos-portflap  -              portflap=0.02   fabric-portflap failover-recovery
 -       chaos-corrupt   -              corrupt=0.02    fabric-portflap failover-recovery
 -       chaos-blackhole -              blackhole=0.02  fabric-portflap failover-recovery

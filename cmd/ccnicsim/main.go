@@ -17,8 +17,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"ccnic"
@@ -29,43 +31,60 @@ import (
 	"ccnic/internal/sim"
 )
 
-func main() {
-	var (
-		platName = flag.String("platform", "ICX", "platform: ICX or SPR")
-		ifaceStr = flag.String("iface", "ccnic", "interface: ccnic, unopt, e810, cx6, overlay, overlay-unopt")
-		queues   = flag.Int("queues", 4, "host threads / queue pairs")
-		pkt      = flag.Int("pkt", 64, "packet size in bytes")
-		rate     = flag.Float64("rate", 0, "offered packets/s per queue (0 = closed-loop max)")
-		window   = flag.Int("window", 128, "closed-loop in-flight window per queue")
-		txBatch  = flag.Int("txbatch", 32, "TX burst size")
-		rxBatch  = flag.Int("rxbatch", 32, "RX burst size")
-		workload = flag.String("workload", "loopback", "workload: loopback, forward, kv, rpc, or cluster")
-		dist     = flag.String("dist", "ads", "kv object distribution: ads or geo")
-		measure  = flag.Float64("measure", 150, "measurement window in microseconds")
-		prefetch = flag.Bool("prefetch", true, "host hardware prefetching")
-		doTrace  = flag.Bool("trace", false, "sample packet lifecycles and print a stage breakdown (loopback only)")
-		overlayN = flag.Int("overlay-threads", 0, "overlay forwarding threads (0 = one per queue)")
-		protoStr = flag.String("protocol", "upi", "coherence protocol backend: upi or cxl")
-		faults   = flag.String("faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
-		shards   = flag.Int("shards", 0, "cluster workload: partition the hosts into `N` shards on the parallel engine (0 = one per host; results are identical for every value)")
-		hosts    = flag.Int("hosts", 0, fmt.Sprintf("cluster workload: member node count (default %d)", cluster.DefaultHosts))
-		incast   = flag.Bool("incast", false, "cluster workload: converge all RPC clients on host 0 (default spread)")
-		fifo     = flag.Bool("fifo", false, "cluster workload: FIFO fabric scheduling instead of DRR fair queuing")
-		bulk     = flag.Int("bulk", 0, "cluster workload: saturating 8KiB bulk tenants aimed at host 0 (`N` generators)")
-		signal   = flag.String("signal", "ccnic", "cluster workload: host-NIC signaling model, ccnic or pcie")
-		reliable = flag.Bool("reliable", false, "cluster workload: arm the end-to-end reliable transport (timeouts, retransmission, degraded mode; prints recovery counters)")
-		switches = flag.Int("switches", 0, "cluster workload: fabric switches, 1 or 2 (redundant pair with health-probe failover; default 1, or 2 with -reliable)")
-	)
-	flag.Parse()
+// flagValues is ccnicsim's command line: every flag's value, and which
+// flags were set explicitly.
+type flagValues struct {
+	platform, iface, workload, dist, protocol, faults, signal           string
+	queues, pkt, window, txBatch, rxBatch, overlayThreads, bulk, shards int
+	hosts, switches                                                     int
+	rate, measure                                                       float64
+	prefetch, trace, incast, fifo, reliable                             bool
+	set                                                                 map[string]bool
+}
 
-	plan, err := ccnic.ParseFaultPlan(*faults)
+// parseFlags defines ccnicsim's flags on fs and parses args into them.
+func parseFlags(fs *flag.FlagSet, args []string) (flagValues, error) {
+	var v flagValues
+	fs.StringVar(&v.platform, "platform", "ICX", "platform: ICX or SPR")
+	fs.StringVar(&v.iface, "iface", "ccnic", "interface: ccnic, unopt, e810, cx6, overlay, overlay-unopt")
+	fs.IntVar(&v.queues, "queues", 4, "host threads / queue pairs")
+	fs.IntVar(&v.pkt, "pkt", 64, "packet size in bytes")
+	fs.Float64Var(&v.rate, "rate", 0, "offered packets/s per queue (0 = closed-loop max)")
+	fs.IntVar(&v.window, "window", 128, "closed-loop in-flight window per queue")
+	fs.IntVar(&v.txBatch, "txbatch", 32, "TX burst size")
+	fs.IntVar(&v.rxBatch, "rxbatch", 32, "RX burst size")
+	fs.StringVar(&v.workload, "workload", "loopback", "workload: loopback, forward, kv, rpc, or cluster")
+	fs.StringVar(&v.dist, "dist", "ads", "kv object distribution: ads or geo")
+	fs.Float64Var(&v.measure, "measure", 150, "measurement window in microseconds")
+	fs.BoolVar(&v.prefetch, "prefetch", true, "host hardware prefetching")
+	fs.BoolVar(&v.trace, "trace", false, "sample packet lifecycles and print a stage breakdown (loopback only)")
+	fs.IntVar(&v.overlayThreads, "overlay-threads", 0, "overlay forwarding threads (0 = one per queue)")
+	fs.StringVar(&v.protocol, "protocol", "upi", "coherence protocol backend: upi or cxl")
+	fs.StringVar(&v.faults, "faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
+	fs.IntVar(&v.shards, "shards", 0, "cluster workload: partition the hosts into `N` shards on the parallel engine (0 = one per host; results are identical for every value)")
+	fs.IntVar(&v.hosts, "hosts", 0, fmt.Sprintf("cluster workload: member node count (default %d)", cluster.DefaultHosts))
+	fs.BoolVar(&v.incast, "incast", false, "cluster workload: converge all RPC clients on host 0 (default spread)")
+	fs.BoolVar(&v.fifo, "fifo", false, "cluster workload: FIFO fabric scheduling instead of DRR fair queuing")
+	fs.IntVar(&v.bulk, "bulk", 0, "cluster workload: saturating 8KiB bulk tenants aimed at host 0 (`N` generators)")
+	fs.StringVar(&v.signal, "signal", "ccnic", "cluster workload: host-NIC signaling model, ccnic or pcie")
+	fs.BoolVar(&v.reliable, "reliable", false, "cluster workload: arm the end-to-end reliable transport (timeouts, retransmission, degraded mode; prints recovery counters)")
+	fs.IntVar(&v.switches, "switches", 0, "cluster workload: fabric switches, 1 or 2 (redundant pair with health-probe failover; default 1, or 2 with -reliable)")
+	err := fs.Parse(args)
+	v.set = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { v.set[f.Name] = true })
+	return v, err
+}
+
+func main() {
+	v, _ := parseFlags(flag.CommandLine, os.Args[1:]) // flag.CommandLine exits on a parse error
+	plan, err := ccnic.ParseFaultPlan(v.faults)
 	if err != nil {
 		fatalf("ccnicsim: %v", err)
 	}
 
 	// Every selector is checked before dispatch, so a typo fails loudly
 	// whichever workload would have run.
-	plat, err := platform.Lookup(*platName)
+	plat, err := platform.Lookup(v.platform)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ccnicsim: -platform: %v\n", err)
 		os.Exit(2)
@@ -77,78 +96,77 @@ func main() {
 		"cx6":           ccnic.CX6,
 		"overlay":       ccnic.OverlayCCNIC,
 		"overlay-unopt": ccnic.OverlayUnopt,
-	}[strings.ToLower(*ifaceStr)]
+	}[strings.ToLower(v.iface)]
 	if !ok {
-		fatalf("ccnicsim: unknown interface %q", *ifaceStr)
+		fatalf("ccnicsim: unknown interface %q", v.iface)
 	}
-	proto, err := ccnic.ParseProtocol(*protoStr)
+	proto, err := ccnic.ParseProtocol(v.protocol)
 	if err != nil {
 		fatalf("ccnicsim: %v", err)
 	}
-	if err := checkFlags(flagValues{
-		queues: *queues, pkt: *pkt, window: *window, txBatch: *txBatch, rxBatch: *rxBatch,
-		overlayThreads: *overlayN, bulk: *bulk, shards: *shards,
-		rate: *rate, measure: *measure, dist: *dist,
-	}, plat); err != nil {
+	if err := checkFlags(v, plat); err != nil {
 		fatalf("ccnicsim: %v", err)
 	}
-	switch *workload {
-	case "loopback", "forward", "kv", "rpc":
-	case "cluster":
+	if v.workload == "cluster" {
 		// A multi-host topology on the parallel shard engine, not a single
 		// testbed: it has no coherence protocol backend to select.
 		if proto != ccnic.ProtoUPI {
 			fatalf("ccnicsim: -workload cluster does not model the coherence protocol (-protocol %v)", proto)
 		}
 		runCluster(clusterOpts{
-			plat: plat, hosts: *hosts, shards: *shards, window: *window, reqSize: *pkt,
-			measureUS: *measure, plan: plan,
-			incast: *incast, fifo: *fifo, bulk: *bulk, signal: *signal,
-			reliable: *reliable, switches: *switches,
+			plat: plat, hosts: v.hosts, shards: v.shards, window: v.window, reqSize: v.pkt,
+			measureUS: v.measure, plan: plan,
+			incast: v.incast, fifo: v.fifo, bulk: v.bulk, signal: v.signal,
+			reliable: v.reliable, switches: v.switches,
 		})
 		return
-	default:
-		fatalf("ccnicsim: unknown workload %q (loopback, forward, kv, rpc, or cluster)", *workload)
 	}
 
 	tb := ccnic.NewTestbed(ccnic.Config{
 		Plat:           plat,
 		Interface:      iface,
-		Protocol:       *protoStr,
-		Queues:         *queues,
-		HostPrefetch:   *prefetch,
-		OverlayThreads: *overlayN,
+		Protocol:       v.protocol,
+		Queues:         v.queues,
+		HostPrefetch:   v.prefetch,
+		OverlayThreads: v.overlayThreads,
 		Faults:         plan,
 	})
 	// kv sizes its own requests; every other workload's -pkt is a host
 	// packet, bounded by the built testbed's buffers, not by checkFlags.
-	if *workload != "kv" {
-		if err := loopback.CheckPktSize(*pkt, tb.Dev); err != nil {
-			fmt.Fprintf(os.Stderr, "ccnicsim: -pkt %d: %v\n", *pkt, err)
+	if v.workload != "kv" {
+		if err := loopback.CheckPktSize(v.pkt, tb.Dev); err != nil {
+			fmt.Fprintf(os.Stderr, "ccnicsim: -pkt %d: %v\n", v.pkt, err)
 			os.Exit(2)
 		}
 	}
-	meas := sim.Time(*measure * float64(sim.Microsecond))
+	meas := sim.Time(v.measure * float64(sim.Microsecond))
 	warm := meas / 3
 
 	fmt.Printf("platform %s, interface %v over %s, %d queues, %dB packets\n",
-		tb.Plat.Name, iface, tb.Sys.Link().Label(), *queues, *pkt)
+		tb.Plat.Name, iface, tb.Sys.Link().Label(), v.queues, v.pkt)
 	if plan != nil {
 		fmt.Printf("fault plan armed: %s\n", plan)
 	}
 	fmt.Println()
 
-	switch *workload {
+	// rate is -rate, or the workload's default offered load when it is 0.
+	rate := func(def float64) float64 {
+		if v.rate == 0 {
+			return def
+		}
+		return v.rate
+	}
+	switch v.workload {
 	case "loopback":
 		var tr *ccnic.Tracer
-		if *doTrace {
+		if v.trace {
 			tr = ccnic.NewTracer(4, 8192)
 		}
-		res := tb.RunLoopbackTraced(ccnic.LoopbackOptions{
-			PktSize: *pkt, Rate: *rate, Window: *window,
-			TxBatch: *txBatch, RxBatch: *rxBatch,
-			Warmup: warm, Measure: meas,
-		}, tr)
+		res := tb.RunLoopback(ccnic.LoopbackOptions{
+			PktSize: v.pkt, Rate: v.rate, Window: v.window,
+			TxBatch: v.txBatch, RxBatch: v.rxBatch,
+			Warmup: warm, Measure: meas, Trace: tr,
+		})
 		fmt.Printf("throughput: %8.2f Mpps (%.1f Gbps payload)\n", res.Mpps(), res.Gbps)
 		fmt.Printf("latency:    median %v   p99 %v   min %v   max %v\n",
 			res.Latency.Median(), res.Latency.Percentile(0.99),
@@ -158,32 +176,20 @@ func main() {
 			fmt.Print(tr.Report())
 		}
 	case "forward":
-		r := *rate
-		if r == 0 {
-			r = 5e6
-		}
 		res := tb.RunForward(ccnic.LoopbackOptions{
-			PktSize: *pkt, Warmup: warm, Measure: meas,
-		}, r)
+			PktSize: v.pkt, Rate: rate(5e6), Warmup: warm, Measure: meas,
+		})
 		fmt.Printf("forwarded: %8.2f Mpps (%.1f Gbps)\n", res.Mpps(), res.Gbps)
 	case "kv":
-		r := *rate
-		if r == 0 {
-			r = 10e6
-		}
 		res := tb.RunKVStore(ccnic.KVOptions{
-			Dist: *dist, RatePerQueue: r, Seed: 7,
+			Dist: v.dist, RatePerQueue: rate(10e6), Seed: 7,
 			Warmup: warm, Measure: meas,
 		})
 		fmt.Printf("kv store:  %8.2f Mops (%d gets, %d sets processed)\n",
 			res.Mops(), res.Gets, res.Sets)
 	case "rpc":
-		r := *rate
-		if r == 0 {
-			r = 30e6
-		}
 		res := tb.RunRPC(ccnic.RPCOptions{
-			RPCSize: *pkt, RatePerQueue: r,
+			RPCSize: v.pkt, RatePerQueue: rate(30e6),
 			Warmup: warm, Measure: meas,
 		})
 		fmt.Printf("echo rpc:  %8.2f Mops\n", res.Mops())
@@ -206,19 +212,39 @@ func main() {
 	}
 }
 
-// flagValues are the numeric and selector flags checkFlags bounds.
-type flagValues struct {
-	queues, pkt, window, txBatch, rxBatch, overlayThreads, bulk, shards int
-	rate, measure                                                       float64
-	dist                                                                string
+// testbed lists the workloads that run on one testbed; cluster runs a
+// multi-host fabric instead.
+var testbed = []string{"loopback", "forward", "kv", "rpc"}
+
+// takers names, for each flag that not every workload reads, the workloads
+// that read it. checkFlags rejects such a flag, set explicitly, for any
+// other workload rather than silently ignoring it.
+var takers = map[string][]string{
+	"iface": testbed, "queues": testbed, "rate": testbed, "prefetch": testbed, "overlay-threads": testbed,
+	"pkt": {"loopback", "forward", "rpc", "cluster"}, "window": {"loopback", "cluster"},
+	"txbatch": {"loopback"}, "rxbatch": {"loopback"}, "trace": {"loopback"}, "dist": {"kv"},
+	"hosts": {"cluster"}, "shards": {"cluster"}, "incast": {"cluster"}, "fifo": {"cluster"},
+	"bulk": {"cluster"}, "signal": {"cluster"}, "reliable": {"cluster"}, "switches": {"cluster"},
 }
 
-// checkFlags rejects flag values outside their valid ranges with a message
-// that names the flag and the range, so bad input exits before any
-// simulation is built instead of panicking, hanging, or printing nonsense.
+// checkFlags rejects an unknown workload, a flag the workload ignores, and
+// flag values outside their valid ranges, with a message that names the
+// flag, so bad input exits before any simulation is built instead of
+// panicking, hanging, printing nonsense or being silently dropped.
 // -queues and -overlay-threads are bounded by the platform's cores per
 // socket.
 func checkFlags(v flagValues, plat *platform.Platform) error {
+	if v.workload != "cluster" && !slices.Contains(testbed, v.workload) {
+		return fmt.Errorf("unknown workload %q (loopback, forward, kv, rpc, or cluster)", v.workload)
+	}
+	for _, name := range slices.Sorted(maps.Keys(v.set)) {
+		if ws, ok := takers[name]; ok && !slices.Contains(ws, v.workload) {
+			return fmt.Errorf("-%s: -workload %s ignores it (workloads that read it: %s)", name, v.workload, strings.Join(ws, ", "))
+		}
+	}
+	if v.set["overlay-threads"] && !strings.HasPrefix(strings.ToLower(v.iface), "overlay") {
+		return fmt.Errorf("-overlay-threads: -iface %s has no overlay threads (interfaces that do: overlay, overlay-unopt)", v.iface)
+	}
 	if v.queues < 1 || v.queues > plat.CoresPerSocket {
 		return fmt.Errorf("-queues %d: want 1 to %d (%s cores per socket)", v.queues, plat.CoresPerSocket, plat.Name)
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"ccnic/internal/coherence"
+	"ccnic/internal/experiments"
 	"ccnic/internal/mem"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
@@ -55,32 +56,14 @@ func checkFlags(cores int, plat *platform.Platform) error {
 	return nil
 }
 
-// latencies prints the idle access-latency matrix.
+// latencies prints the idle access-latency matrix: Fig 7's five cells,
+// measured as the fig7 experiment measures them.
 func latencies(plat *platform.Platform, proto coherence.Protocol) {
 	k := sim.New()
-	sys := coherence.NewSystemProto(k, plat, proto)
+	lat := experiments.IdleLatencies(k, coherence.NewSystemProto(k, plat, proto))
 	fmt.Println("Idle latencies (ns):")
-	k.Spawn("lat", func(p *sim.Proc) {
-		local := sys.NewAgent(0, "l")
-		remoteWriter := sys.NewAgent(1, "w")
-		peer := sys.NewAgent(0, "p")
-
-		a := sys.Space().AllocLines(0, 1)
-		fmt.Printf("  local DRAM:            %6.0f\n", local.Read(p, a, 64).Nanoseconds())
-		b := sys.Space().AllocLines(1, 1)
-		fmt.Printf("  remote DRAM:           %6.0f\n", local.Read(p, b, 64).Nanoseconds())
-		c := sys.Space().AllocLines(0, 1)
-		peer.Write(p, c, 64)
-		fmt.Printf("  local L2 (dirty fwd):  %6.0f\n", local.Read(p, c, 64).Nanoseconds())
-		d := sys.Space().AllocLines(1, 1)
-		remoteWriter.Write(p, d, 64)
-		fmt.Printf("  remote L2 (wr-homed):  %6.0f\n", local.Read(p, d, 64).Nanoseconds())
-		e := sys.Space().AllocLines(0, 1)
-		remoteWriter.Write(p, e, 64)
-		fmt.Printf("  remote L2 (rd-homed):  %6.0f\n", local.Read(p, e, 64).Nanoseconds())
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
+	for i, label := range [5]string{"local DRAM", "remote DRAM", "local L2 (dirty fwd)", "remote L2 (wr-homed)", "remote L2 (rd-homed)"} {
+		fmt.Printf("  %-22s %6.0f\n", label+":", lat[i].Nanoseconds())
 	}
 }
 

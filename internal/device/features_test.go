@@ -189,3 +189,67 @@ func TestEventDrivenRejectsIngress(t *testing.T) {
 	dev.SetIngress(0, 1e6, func() int { return 64 })
 	_ = k
 }
+
+// TestEventDrivenPerQueueCores runs event-driven mode on the default
+// one-core-per-queue layout (NICCores 0), which no experiment builds: every
+// one of 4 queues delivers its burst whole and in order, with the pool
+// conserved.
+func TestEventDrivenPerQueueCores(t *testing.T) {
+	const queues, n = 4, 8
+	cfg := CCNICConfig()
+	cfg.EventDriven = true
+	k := sim.New()
+	sys := coherence.NewSystem(k, platform.ICX())
+	var hosts, nics []*coherence.Agent
+	for i := 0; i < queues; i++ {
+		hosts = append(hosts, sys.NewAgent(0, "h"))
+		nics = append(nics, sys.NewAgent(1, "n"))
+	}
+	dev := NewUPI("upi", sys, cfg, hosts, nics)
+	dev.Start()
+	got := make([]int, queues)
+	done := 0
+	for i := 0; i < queues; i++ {
+		q, h := dev.Queue(i), hosts[i]
+		k.Spawn("host", func(p *sim.Proc) {
+			bufs := make([]*bufpool.Buf, n)
+			for j := range bufs {
+				b := q.Port().Alloc(p, 64)
+				b.Len, b.Seq = 64, uint64(j+1)
+				h.StreamWrite(p, b.Addr, 64)
+				bufs[j] = b
+			}
+			if sent := q.TxBurst(p, bufs); sent != n {
+				t.Errorf("queue %d: posted %d of %d", i, sent, n)
+			}
+			rx := make([]*bufpool.Buf, n)
+			for got[i] < n && p.Now() < 50*sim.Microsecond {
+				m := q.RxBurst(p, rx)
+				for _, b := range rx[:m] {
+					if got[i]++; b.Seq != uint64(got[i]) {
+						t.Errorf("queue %d: packet %d has seq %d", i, got[i], b.Seq)
+					}
+				}
+				q.Release(p, rx[:m])
+				p.Sleep(20 * sim.Nanosecond)
+			}
+			if done++; done == queues {
+				dev.Stop()
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range got {
+		if g != n {
+			t.Errorf("queue %d: received %d of %d", i, g, n)
+		}
+	}
+	if err := sys.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Pool().CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}

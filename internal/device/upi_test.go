@@ -248,8 +248,10 @@ func TestIdlePollSpins(t *testing.T) {
 // The host's post lands at every phase of the NIC's poll period, including
 // between a spun poll's issue and its completion: on the register ring the
 // tail index has then advanced before the tail register's visibility gate,
-// and the core must resume right after the poll to take the packets. Every
-// run delivers every packet in order, with the pool conserved.
+// and the core must resume right after the poll to take the packets. On
+// the inline ring no post can land inside the poll (Inline.FinishPoll
+// panics if one does). Every run delivers every packet in order, with the
+// pool conserved.
 func TestPostAcrossPollPeriod(t *testing.T) {
 	plat := platform.ICX()
 	period := plat.L2Hit + plat.PollGap

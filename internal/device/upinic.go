@@ -54,8 +54,9 @@ func payloadLines(metas []pktMeta) []mem.Addr {
 
 // nicStep performs one service iteration for the queue: consume submitted
 // TX packets, loop them back or exchange them with the synthetic wire.
-// It reports whether any work was found. polled continues an iteration
-// whose TX poll an idlePoll step has already made and found work behind.
+// It reports whether any work was found. polled continues a register-ring
+// iteration whose tail poll an idlePoll step has already made and found
+// work behind.
 func (q *upiQueue) nicStep(p *sim.Proc, polled bool) bool {
 	cfg := &q.dev.cfg
 	busy := false
@@ -72,13 +73,10 @@ func (q *upiQueue) nicStep(p *sim.Proc, polled bool) bool {
 
 	// --- TX ring: consume submitted packets. ---
 	var metas []pktMeta
-	switch {
-	case !cfg.InlineSignal:
-		metas = q.regConsumeTx(p, polled)
-	case polled:
-		metas = snapshot(q.txI.ConsumePolled(p, q.nic, cfg.NICBurst), cfg.NICBufMgmt)
-	default:
+	if cfg.InlineSignal {
 		metas = snapshot(q.txI.Consume(p, q.nic, cfg.NICBurst), cfg.NICBufMgmt)
+	} else {
+		metas = q.regConsumeTx(p, polled)
 	}
 	q.nic.GatherRead(p, payloadLines(metas))
 	if !cfg.InlineSignal && !cfg.NICBufMgmt {
@@ -162,8 +160,9 @@ func (q *upiQueue) txTailAvail(now sim.Time) int {
 // stopped, a fault plan is armed (the iteration would draw from its RNG),
 // synthetic ingress is set, the poll would miss or train the prefetcher
 // (an inline ring's line already ready). At the second it declines when
-// the completed poll found work, and the core resumes right after the
-// poll (nicStep's polled continuation) to finish the iteration.
+// the completed poll of a register ring's tail found work, and the core
+// resumes right after the poll (nicStep's polled continuation) to finish
+// the iteration. An inline ring's poll never finds work (Inline.FinishPoll).
 type idlePoll struct {
 	q      *upiQueue
 	addr   mem.Addr // address of the poll in flight
@@ -180,13 +179,9 @@ func (s *idlePoll) step() (sim.Time, bool) {
 	if s.issued {
 		s.issued = false
 		q.nic.PollCommit(s.addr)
-		var found bool
 		if q.txI != nil {
-			found = q.txI.FinishPoll(now)
-		} else {
-			found = q.txTailAvail(now) > 0
-		}
-		if found {
+			q.txI.FinishPoll(now)
+		} else if q.txTailAvail(now) > 0 {
 			s.polled = true
 			s.found++
 			return 0, false

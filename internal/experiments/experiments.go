@@ -30,9 +30,9 @@ import (
 // system), the only places this package constructs a simulation.
 type Options struct {
 	Quick bool
-	// FabricPorts caps the fabric experiments' switch fan-in sweep (0 =
-	// the experiments' own defaults). Set by ccbench -ports; refused on
-	// golden/hash runs, which pin the default geometry.
+	// FabricPorts caps fabric-incast's switch fan-in sweep (0 = its own
+	// default); no other experiment reads it. Set by ccbench -ports;
+	// refused on golden/hash runs, which pin the default geometry.
 	FabricPorts int
 	// Faults arms a fault plan on every testbed and cluster whose point
 	// leaves its own plan nil (ccbench -faults). Bare systems ignore it.

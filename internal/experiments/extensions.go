@@ -158,8 +158,8 @@ func runExtNetfn(opt Options) *Report {
 	forward := func(iface ccnic.Interface, size int) (*ccnic.Testbed, float64) {
 		tb := opt.testbed(ccnic.Config{Platform: "ICX", Interface: iface, HostPrefetch: true})
 		res := tb.RunForward(ccnic.LoopbackOptions{
-			PktSize: size, Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond,
-		}, 3e6)
+			PktSize: size, Rate: 3e6, Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond,
+		})
 		return tb, res.PPS * span.Seconds()
 	}
 	for _, size := range sizes {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ccnic/internal/coherence"
-	"ccnic/internal/mem"
 	"ccnic/internal/pcie"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
@@ -15,16 +14,6 @@ import (
 func runProc(fn func(p *sim.Proc)) {
 	k := sim.New()
 	k.Spawn("exp", fn)
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
-}
-
-// runSystem executes fn with a fresh coherent system for plat.
-func runSystem(opt Options, plat *platform.Platform, fn func(p *sim.Proc, s *coherence.System)) {
-	k := sim.New()
-	s := opt.system(k, plat)
-	k.Spawn("exp", func(p *sim.Proc) { fn(p, s) })
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
@@ -140,60 +129,55 @@ func runFig3(Options) *Report {
 	return &Report{ID: "fig3", Title: "MMIO store latency vs iteration count", Groups: groups}
 }
 
+// idleTargets names Fig 7's five access targets, in IdleLatencies' order.
+var idleTargets = [5]string{"L DRAM", "R DRAM", "L L2", "R L2 (rh)", "R L2 (lh)"}
+
+// IdleLatencies measures Fig 7's idle 64B read latency from a socket-0 core
+// on a fresh system s over kernel k, for five targets in order: local DRAM,
+// remote DRAM, a line dirty in a local peer's L2, and a line dirty in a
+// remote L2 homed on the remote (writer's) or the local (reader's) socket.
+// Each is the median over 32 fresh lines put into that state first. It runs
+// k to completion.
+func IdleLatencies(k *sim.Kernel, s *coherence.System) [5]sim.Time {
+	var lat [5]sim.Time
+	k.Spawn("idle", func(p *sim.Proc) {
+		host := s.NewAgent(0, "host")
+		peer := s.NewAgent(0, "peer")
+		nic := s.NewAgent(1, "nic")
+		cells := [5]struct {
+			home   int
+			writer *coherence.Agent
+		}{{0, nil}, {1, nil}, {0, peer}, {1, nic}, {0, nic}}
+		for i, c := range cells {
+			var h stats.Histogram
+			for n := 0; n < 32; n++ {
+				addr := s.Space().AllocLines(c.home, 1)
+				if c.writer != nil {
+					c.writer.Write(p, addr, 64)
+				}
+				h.Record(host.Read(p, addr, 64))
+			}
+			lat[i] = h.Median()
+		}
+	})
+	if err := k.Run(); err != nil {
+		panic(err)
+	}
+	return lat
+}
+
 func runFig7(opt Options) *Report {
 	t := &stats.Table{
 		Name:    "median 64B access latency [ns]",
 		Columns: []string{"target", "SPR", "ICX"},
 	}
-	type row struct {
-		name string
-		vals map[string]float64
+	var lat [2][5]sim.Time
+	for i, plat := range []*platform.Platform{platform.SPR(), platform.ICX()} {
+		k := sim.New()
+		lat[i] = IdleLatencies(k, opt.system(k, plat))
 	}
-	rows := []row{
-		{"L DRAM", map[string]float64{}},
-		{"R DRAM", map[string]float64{}},
-		{"L L2", map[string]float64{}},
-		{"R L2 (rh)", map[string]float64{}},
-		{"R L2 (lh)", map[string]float64{}},
-	}
-	for _, plat := range []*platform.Platform{platform.SPR(), platform.ICX()} {
-		runSystem(opt, plat, func(p *sim.Proc, s *coherence.System) {
-			host := s.NewAgent(0, "host")
-			peer := s.NewAgent(0, "peer")
-			nic := s.NewAgent(1, "nic")
-			measure := func(setup func(addr mem.Addr)) float64 {
-				var h stats.Histogram
-				for i := 0; i < 32; i++ {
-					addr := s.Space().AllocLines(0, 1)
-					setup(addr)
-					h.Record(host.Read(p, addr, 64))
-				}
-				return h.Median().Nanoseconds()
-			}
-			rows[0].vals[plat.Name] = measure(func(mem.Addr) {})
-			rows[1].vals[plat.Name] = func() float64 {
-				var h stats.Histogram
-				for i := 0; i < 32; i++ {
-					addr := s.Space().AllocLines(1, 1)
-					h.Record(host.Read(p, addr, 64))
-				}
-				return h.Median().Nanoseconds()
-			}()
-			rows[2].vals[plat.Name] = measure(func(a mem.Addr) { peer.Write(p, a, 64) })
-			rows[3].vals[plat.Name] = func() float64 {
-				var h stats.Histogram
-				for i := 0; i < 32; i++ {
-					addr := s.Space().AllocLines(1, 1)
-					nic.Write(p, addr, 64)
-					h.Record(host.Read(p, addr, 64))
-				}
-				return h.Median().Nanoseconds()
-			}()
-			rows[4].vals[plat.Name] = measure(func(a mem.Addr) { nic.Write(p, a, 64) })
-		})
-	}
-	for _, r := range rows {
-		t.AddRow(r.name, fmt.Sprintf("%.0f", r.vals["SPR"]), fmt.Sprintf("%.0f", r.vals["ICX"]))
+	for i, name := range idleTargets {
+		t.AddRow(name, fmt.Sprintf("%.0f", lat[0][i].Nanoseconds()), fmt.Sprintf("%.0f", lat[1][i].Nanoseconds()))
 	}
 	return &Report{ID: "fig7", Title: "Access latency by cache state", Tables: []*stats.Table{t}}
 }

@@ -349,11 +349,13 @@ func (s *Stats) Format() string {
 	return b.String()
 }
 
-// Injector draws faults deterministically from a seeded PRNG. A nil
+// Injector draws faults deterministically: the seven endpoint classes
+// from one seeded PRNG stream, the fabric classes from stateless hashes
+// (hashDraw). A nil
 // *Injector is valid and never injects, so hardware layers hold a plain
-// field and call without guarding. All draws happen on simulator procs,
-// which the kernel serializes, so a single rng needs no locking and the
-// draw order — hence the fault schedule — is a pure function of
+// field and call without guarding. All stream draws happen on simulator
+// procs, which the kernel serializes, so the single rng needs no locking
+// and the draw order — hence the fault schedule — is a pure function of
 // (kernel seed, plan).
 type Injector struct {
 	rng   *rand.Rand
@@ -388,8 +390,9 @@ func (f *Injector) Stats() *Stats {
 }
 
 // draw decides whether a fault of class c fires at this opportunity.
-// The PRNG is consumed only for armed classes, so arming class A does
-// not perturb the schedule of class B.
+// An unarmed class consumes no draw, so its opportunity points leave the
+// stream untouched. The armed endpoint classes share the one stream:
+// arming class B moves class A's draws, and so changes A's schedule.
 func (f *Injector) draw(c Class) bool {
 	if f == nil {
 		return false

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -295,5 +296,36 @@ func TestFabricDrawsPartitionInvariant(t *testing.T) {
 	}
 	if a, b := plan.ForFabric(0), plan.ForFabric(0); a.Seed != b.Seed {
 		t.Error("ForFabric not reproducible")
+	}
+}
+
+// TestUnarmedClassDrawsNothing pins what the injector promises about one
+// class's schedule under another's opportunity points: on a link-only plan,
+// ReplayDelay calls interleaved with LinkFault calls consume no draw, so
+// LinkFault's outcomes are unchanged; arming replay puts its draws on the
+// shared endpoint stream, which changes them.
+func TestUnarmedClassDrawsNothing(t *testing.T) {
+	spikes := func(p Plan, interleave bool) []sim.Time {
+		f := NewInjector(&p)
+		var out []sim.Time
+		for i := 0; i < 40; i++ {
+			if interleave {
+				f.ReplayDelay()
+			}
+			spike, _ := f.LinkFault()
+			out = append(out, spike)
+		}
+		return out
+	}
+	link := Plan{Seed: 3}
+	link.Rate[LinkCorrupt] = 0.5
+	base := spikes(link, false)
+	if got := spikes(link, true); !slices.Equal(got, base) {
+		t.Errorf("unarmed replay opportunities moved the link schedule:\n got %v\nwant %v", got, base)
+	}
+	both := link
+	both.Rate[PCIeReplay] = 0.5
+	if slices.Equal(spikes(both, true), base) {
+		t.Error("arming replay left the link schedule unchanged, but the endpoint classes share one stream")
 	}
 }

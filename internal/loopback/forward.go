@@ -14,31 +14,32 @@ import (
 type ForwardResult struct {
 	PPS  float64
 	Gbps float64
-	// HostPayloadLines is the number of payload cache lines the host
-	// actually accessed per packet (1 for a header-only middlebox).
-	HostPayloadLines float64
 }
 
 // Mpps returns forwarded packets per second in millions.
 func (r *ForwardResult) Mpps() float64 { return r.PPS / 1e6 }
 
 // RunForward drives the header-only forwarding workload: the device injects
-// ingress packets of pktSize at ratePerQueue per queue; host threads read
+// ingress packets of PktSize at Rate per queue; host threads read
 // each packet's header line and retransmit the buffer unmodified. Returns
 // the forwarded throughput. The caller can compare interconnect traffic
 // (UPI link stats or PCIe DMA byte counters) across interfaces to observe
 // §6's claim: a coherent NIC keeps untouched payloads out of the
-// interconnect entirely.
-func RunForward(cfg Config, ratePerQueue float64) ForwardResult {
+// interconnect entirely. Forwarding needs ingress: it panics on a Rate of
+// zero or less.
+func RunForward(cfg Config) ForwardResult {
 	if err := CheckPktSize(cfg.PktSize, cfg.Dev); err != nil {
 		panic("loopback: " + err.Error())
+	}
+	if !(cfg.Rate > 0) {
+		panic(fmt.Sprintf("loopback: forwarding needs ingress: Rate %v, want more than 0 packets/s per queue", cfg.Rate))
 	}
 	if cfg.RxBatch == 0 {
 		cfg.RxBatch = 32
 	}
 	w := &Window{Name: "loopback", Sys: cfg.Sys, Dev: cfg.Dev, Hosts: len(cfg.Hosts),
 		Warmup: cfg.Warmup, Measure: cfg.Measure,
-		Rate: ratePerQueue, Ingress: func(int) int { return cfg.PktSize }}
+		Rate: cfg.Rate, Ingress: func(int) int { return cfg.PktSize }}
 	w.Start()
 	k := cfg.Sys.Kernel()
 	nq := cfg.Dev.NumQueues()
@@ -75,7 +76,6 @@ func RunForward(cfg Config, ratePerQueue float64) ForwardResult {
 		res.PPS += float64(c) / w.Measure.Seconds()
 	}
 	res.Gbps = res.PPS * float64(cfg.PktSize) * 8 / 1e9
-	res.HostPayloadLines = 1
 	return res
 }
 

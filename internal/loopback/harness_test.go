@@ -36,8 +36,8 @@ func TestForwardWedgedQueuePanics(t *testing.T) {
 			t.Errorf("error message does not name the run and queue: %q", msg)
 		}
 	}()
-	RunForward(Config{Sys: sys, Dev: dev, Hosts: hosts, PktSize: 64,
-		Warmup: sim.Microsecond, Measure: 2 * StallAfter}, 1e6)
+	RunForward(Config{Sys: sys, Dev: dev, Hosts: hosts, PktSize: 64, Rate: 1e6,
+		Warmup: sim.Microsecond, Measure: 2 * StallAfter})
 }
 
 // TestOversizedPacketPanics: a packet larger than the host buffers would
@@ -46,7 +46,7 @@ func TestForwardWedgedQueuePanics(t *testing.T) {
 func TestOversizedPacketPanics(t *testing.T) {
 	for name, run := range map[string]func(Config){
 		"Run":        func(c Config) { Run(c) },
-		"RunForward": func(c Config) { RunForward(c, 1e6) },
+		"RunForward": func(c Config) { c.Rate = 1e6; RunForward(c) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			sys, dev, hosts := testbed(t, 1, device.CCNICConfig())
@@ -111,5 +111,68 @@ func TestPushBackoffBudget(t *testing.T) {
 					st.Backoffs, credits, st.Drops, tc.backoffs, tc.credits, tc.drop)
 			}
 		})
+	}
+}
+
+// TestRetryTxBacksOff drives retryTx, which no built-in device reaches: a
+// stub under an armed plan refuses the first burst on its first offer and
+// all four re-offers, then takes the second burst at once and the third on
+// its first re-offer. The refused burst's buffers go back to the pool, the
+// backoff and retry counters advance, and no StallError is raised.
+func TestRetryTxBacksOff(t *testing.T) {
+	sys := coherence.NewSystem(sim.New(), platform.ICX())
+	plan := fault.Plan{Seed: 1}
+	plan.Rate[fault.DoorbellDrop] = 0.5 // armed; nothing here consults it
+	sys.SetFaults(fault.NewInjector(&plan))
+	hosts := []*coherence.Agent{sys.NewAgent(0, "h")}
+	calls := 0
+	dev := device.NewStub(sys, hosts, func(*sim.Proc, int) bool {
+		calls++
+		return calls == 6 || calls == 8
+	})
+	res := Run(Config{Sys: sys, Dev: dev, Hosts: hosts, PktSize: 64, Window: 64,
+		Warmup: sim.Microsecond, Measure: 20 * sim.Microsecond})
+	st := sys.Faults().Stats()
+	if st.Backoffs != 5 || st.Retries != 1 {
+		t.Errorf("backoffs %d, retries %d; want 5 and 1", st.Backoffs, st.Retries)
+	}
+	if calls != 8 {
+		t.Errorf("the stub saw %d TX offers, want 8", calls)
+	}
+	if sent := dev.TxCount(0); sent != 64 {
+		t.Errorf("the stub took %d packets, want 64 (two bursts)", sent)
+	}
+	if res.Dropped != 64 {
+		t.Errorf("dropped %d, want the 64 taken and never looped back", res.Dropped)
+	}
+	// The stub frees what it takes, so every buffer is free again only if
+	// the run freed the refused burst.
+	free := 0
+	sys.Kernel().Spawn("drain", func(p *sim.Proc) {
+		for dev.Queue(0).Port().Alloc(p, 64) != nil {
+			free++
+		}
+	})
+	if err := sys.Kernel().Run(); err != nil {
+		t.Fatal(err)
+	}
+	if free != 1024 {
+		t.Errorf("%d of the stub's 1024 buffers are free after the run", free)
+	}
+}
+
+// TestForwardNeedsIngress: forwarding with no ingress rate would measure
+// nothing, so RunForward refuses a Rate of zero or less up front.
+func TestForwardNeedsIngress(t *testing.T) {
+	for _, rate := range []float64{0, -1} {
+		sys, dev, hosts := testbed(t, 1, device.CCNICConfig())
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "forwarding needs ingress") {
+					t.Errorf("Rate %v: panic %q, want one naming the missing ingress", rate, msg)
+				}
+			}()
+			RunForward(Config{Sys: sys, Dev: dev, Hosts: hosts, PktSize: 64, Rate: rate})
+		}()
 	}
 }

@@ -28,7 +28,7 @@ type Config struct {
 
 	PktSize int
 	// Rate is the offered load per queue in packets/second; 0 selects
-	// closed-loop mode.
+	// closed-loop mode. RunForward's ingress rate, which must be positive.
 	Rate float64
 	// Window is the closed-loop in-flight limit per queue (default 64).
 	Window int

@@ -88,9 +88,9 @@ func TestForwardHeaderOnly(t *testing.T) {
 	sys, dev, hosts := testbed(t, 2, device.CCNICConfig())
 	res := RunForward(Config{
 		Sys: sys, Dev: dev, Hosts: hosts,
-		PktSize: 1536,
-		Warmup:  20 * sim.Microsecond, Measure: 80 * sim.Microsecond,
-	}, 2e6)
+		PktSize: 1536, Rate: 2e6,
+		Warmup: 20 * sim.Microsecond, Measure: 80 * sim.Microsecond,
+	})
 	if res.PPS < 1e6 {
 		t.Fatalf("forwarded only %.0f pps", res.PPS)
 	}
@@ -110,9 +110,9 @@ func TestForwardPayloadStaysOnNIC(t *testing.T) {
 		sys, dev, hosts := testbed(t, 1, device.CCNICConfig())
 		res := RunForward(Config{
 			Sys: sys, Dev: dev, Hosts: hosts,
-			PktSize: pktSize,
-			Warmup:  20 * sim.Microsecond, Measure: 80 * sim.Microsecond,
-		}, 2e6)
+			PktSize: pktSize, Rate: 2e6,
+			Warmup: 20 * sim.Microsecond, Measure: 80 * sim.Microsecond,
+		})
 		st := sys.Link().Stats()
 		total := float64(st.WireBytes[0] + st.WireBytes[1])
 		pkts := res.PPS * (100 * sim.Microsecond).Seconds()

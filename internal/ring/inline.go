@@ -345,7 +345,7 @@ func (r *Inline) cleared(ln *line) bool {
 // descriptors, clearing consumed state (the completion/credit signal).
 // It returns the buffers taken; an empty result means nothing was ready.
 func (r *Inline) Consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Buf {
-	out := r.consume(p, a, max, false)
+	out := r.consume(p, a, max)
 	r.notify()
 	return out
 }
@@ -369,39 +369,26 @@ func (r *Inline) IdlePoll(now sim.Time) (mem.Addr, bool) {
 	return addr, !ln.ready
 }
 
-// FinishPoll ends a Consume whose empty poll (IdlePoll) has just completed.
-// It reports whether descriptors became visible while the poll was in
-// flight; the Consume then goes on, and the caller must finish it with
-// ConsumePolled. Otherwise the Consume ends empty here, reported to the
-// probe as Consume reports it.
-func (r *Inline) FinishPoll(now sim.Time) bool {
+// FinishPoll ends a Consume whose empty poll (IdlePoll) has just completed,
+// reported to the probe as Consume reports an empty one. That poll cannot
+// have found work: a line turns ready only when the producer's RFO
+// completes, and that RFO must first invalidate the consumer's resident
+// copy, so it cannot complete inside the consumer's L2-hit poll.
+func (r *Inline) FinishPoll(now sim.Time) {
 	if r.layout != Packed && r.lineAt(r.cons).readyAt(now) {
-		return true
+		panic(fmt.Sprintf("%s: line %d became ready inside an L2-hit poll, which the producer's RFO must invalidate first", r.CheckDesc(), r.cons))
 	}
 	r.notify()
-	return false
 }
 
-// ConsumePolled is Consume after its first poll, already issued and
-// completed by a spin step (IdlePoll, FinishPoll).
-func (r *Inline) ConsumePolled(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Buf {
-	out := r.consume(p, a, max, true)
-	r.notify()
-	return out
-}
-
-// consume takes up to max descriptors; polled skips the first poll, which
-// a spin step has made.
-func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int, polled bool) []*bufpool.Buf {
+// consume takes up to max descriptors.
+func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Buf {
 	var out []*bufpool.Buf
 	for len(out) < max {
 		ln := r.lineAt(r.cons)
 		addr := r.lineAddr(r.cons)
 		switch r.layout {
 		case Packed:
-			if polled {
-				return out // a Packed Consume ends at its empty poll
-			}
 			took := false
 			for ln.taken < SlotsPerLine && len(out) < max {
 				i := ln.taken
@@ -439,12 +426,9 @@ func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int, polled bool) 
 			// A successful consume streams sequentially through ring
 			// lines, so it trains the hardware prefetcher (Read); an
 			// empty poll re-checks the same line and does not (Poll).
-			switch {
-			case polled:
-				polled = false
-			case ln.ready:
+			if ln.ready {
 				a.Read(p, addr, DescSize)
-			default:
+			} else {
 				a.Poll(p, addr, DescSize)
 			}
 			if !ln.readyAt(p.Now()) {

@@ -530,7 +530,6 @@ func (k *Kernel) deadlockError() error {
 	for _, ev := range k.waitEvents {
 		for _, p := range ev.waiters {
 			if n == maxListed {
-				fmt.Fprintf(&b, ", ... (%d blocked total)", k.waiting)
 				break
 			}
 			if n > 0 {
@@ -539,12 +538,12 @@ func (k *Kernel) deadlockError() error {
 			fmt.Fprintf(&b, "%q on event %q", p.name, ev.name)
 			n++
 		}
-		if n == maxListed {
-			break
-		}
 	}
 	if b.Len() == 0 {
 		return ErrDeadlock
+	}
+	if k.waiting > n {
+		fmt.Fprintf(&b, ", ... (%d blocked total)", k.waiting)
 	}
 	return fmt.Errorf("%w: %s", ErrDeadlock, b.String())
 }

@@ -810,3 +810,46 @@ func TestPoolAcrossRunUntil(t *testing.T) {
 		t.Errorf("after the drain: live %d, pooled %d; want 0 and 0", k.Live(), len(k.pool))
 	}
 }
+
+// TestWaitEventsCompaction waits on far more than 64 distinct events, the
+// first compaction threshold: 100 processes block for good, each on its own
+// event, while a churner waits on 600 fresh events in turn. The tracked set
+// must stay within twice the live waited-on set (the 100 plus the
+// churner's), and the deadlock error must still name the blocked processes.
+func TestWaitEventsCompaction(t *testing.T) {
+	const blocked, churn = 100, 600
+	k := New()
+	for i := 0; i < blocked; i++ {
+		ev := k.NewEvent(fmt.Sprintf("stuck%d", i))
+		k.Spawn(fmt.Sprintf("blocked%d", i), func(p *Proc) { p.Wait(ev) })
+	}
+	peak := 0
+	k.Spawn("churner", func(p *Proc) {
+		p.Sleep(Nanosecond) // after every blocked process waits
+		for i := 0; i < churn; i++ {
+			ev := k.NewEvent(fmt.Sprintf("churn%d", i))
+			k.Spawn("signaler", func(p *Proc) {
+				p.Sleep(Nanosecond)
+				ev.Signal()
+			})
+			p.Wait(ev)
+			peak = max(peak, len(k.waitEvents))
+		}
+	})
+	err := k.Run()
+	if limit := 2 * (blocked + 1); peak > limit {
+		t.Errorf("tracked %d waited-on events, want at most %d (twice the live set)", peak, limit)
+	}
+	if peak <= 64 {
+		t.Errorf("tracked at most %d events: the set never passed the first compaction threshold", peak)
+	}
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("Run = %v, want ErrDeadlock", err)
+	}
+	for _, want := range []string{`"blocked0" on event "stuck0"`, "(100 blocked total)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock error %q does not contain %q", err, want)
+		}
+	}
+	k.Shutdown()
+}
