@@ -83,15 +83,16 @@ func (b *Buf) ResetMeta() {
 	b.Len, b.Seq, b.Born, b.ExtAddr, b.ExtLen = 0, 0, 0, 0, 0
 }
 
-// Lines collects the payload cache lines (first segment, Len bytes) of a
-// burst, so accesses can overlap across packets, as an out-of-order core
-// or a NIC engine would.
-func Lines(bufs []*Buf) []mem.Addr {
-	var lines []mem.Addr
+// Lines appends to dst the payload cache lines (first segment, Len bytes)
+// of a burst, so accesses can overlap across packets, as an out-of-order
+// core or a NIC engine would. Callers pass a scratch slice they own.
+//
+//ccnic:noalloc
+func Lines(dst []mem.Addr, bufs []*Buf) []mem.Addr {
 	for _, b := range bufs {
-		mem.Lines(b.Addr, b.Len, func(l mem.Addr) { lines = append(lines, l) })
+		dst = mem.AppendLines(dst, b.Addr, b.Len)
 	}
-	return lines
+	return dst
 }
 
 // Config selects the pool's feature set.
@@ -320,6 +321,9 @@ type Port struct {
 	lockLine    mem.Addr
 	entriesBase mem.Addr
 	stackLine   mem.Addr // the recycle stack's hot line (local memory)
+	// lines is the scratch for entryLines. A port may serve two processes
+	// (an overlay queue's TX and RX tasks), hence a Scratch.
+	lines sim.Scratch[mem.Addr]
 }
 
 // Attach creates a Port for the given agent. NIC-socket agents may only
@@ -344,19 +348,33 @@ func (pl *Pool) Attach(a *coherence.Agent) *Port {
 // holds.
 func (pt *Port) MaxLen() int { return pt.pool.cfg.BigSize }
 
-// entryLines returns the shard entry lines touched by moving count pointers
-// at the given stack depth (8 pointers per line).
-func (pt *Port) entryLines(depth, count int) []mem.Addr {
-	var lines []mem.Addr
+// entryLines appends to dst the shard entry lines touched by moving count
+// pointers at the given stack depth (8 pointers per line).
+//
+//ccnic:noalloc
+func (pt *Port) entryLines(dst []mem.Addr, depth, count int) []mem.Addr {
 	last := mem.Addr(0)
 	for i := depth; i < depth+count; i++ {
 		l := mem.LineOf(pt.entriesBase + mem.Addr(i*8))
 		if l != last {
-			lines = append(lines, l)
+			dst = append(dst, l)
 			last = l
 		}
 	}
-	return lines
+	return dst
+}
+
+// touchEntries charges the port's agent for moving count pointers at the
+// given depth of port o's shard (o is pt, or a steal's victim): a gather
+// read, or a scatter write when write is set.
+func (pt *Port) touchEntries(p *sim.Proc, o *Port, depth, count int, write bool) {
+	lines := o.entryLines(pt.lines.Take(), depth, count)
+	if write {
+		pt.agent.ScatterWrite(p, lines)
+	} else {
+		pt.agent.GatherRead(p, lines)
+	}
+	pt.lines.Put(lines)
 }
 
 // claimSeed adopts a slice of the unowned seed buffers into this shard.
@@ -467,7 +485,7 @@ func (pt *Port) centralAlloc(p *sim.Proc, c int) *Buf {
 	out = pl.take(out)
 	//ccnic:atomic-end
 	pt.agent.Write(p, pt.lockLine, 8)
-	pt.agent.GatherRead(p, pt.entryLines(depth, batch))
+	pt.touchEntries(p, pt, depth, batch, false)
 	return out
 }
 
@@ -491,7 +509,7 @@ func (pt *Port) steal(p *sim.Proc, c int) {
 	src.shard = src.shard[:len(src.shard)-n]
 	//ccnic:atomic-end
 	pt.agent.Write(p, victim.lockLine, 8)
-	pt.agent.GatherRead(p, victim.entryLines(len(src.shard), n))
+	pt.touchEntries(p, victim, len(src.shard), n, false)
 }
 
 // take transitions a buffer to allocated, enforcing single-allocation: it
@@ -583,5 +601,5 @@ func (pt *Port) centralFree(p *sim.Proc, fl *freeList, bufs ...*Buf) {
 	fl.shard = append(fl.shard, bufs...)
 	//ccnic:atomic-end
 	pt.agent.Write(p, pt.lockLine, 8)
-	pt.agent.ScatterWrite(p, pt.entryLines(depth, len(bufs)))
+	pt.touchEntries(p, pt, depth, len(bufs), true)
 }

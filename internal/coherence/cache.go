@@ -76,6 +76,10 @@ type Cache struct {
 	// free recycles evicted entries (singly linked via next), so a cache
 	// that has reached steady state allocates nothing per insert/evict.
 	free *entry
+	// slab holds entries carved but not yet handed out: a cache in a short
+	// run rarely fills, so most inserts take a fresh entry, and the slab
+	// makes that one allocation per entrySlab of them.
+	slab []entry
 	sys  *System
 }
 
@@ -156,16 +160,24 @@ func (c *Cache) touch(line mem.Addr, st State) bool {
 	return true
 }
 
-// alloc takes an entry from the freelist or allocates a fresh one.
+// entrySlab is how many entries a cache carves per slab allocation.
+const entrySlab = 64
+
+// alloc takes an entry from the freelist, or else carves a fresh one from
+// the slab.
 //
 //ccnic:noalloc
 func (c *Cache) alloc() *entry {
-	e := c.free
-	if e == nil {
-		return &entry{} //ccnic:alloc-ok freelist warm-up; steady state recycles
+	if e := c.free; e != nil {
+		c.free = e.next
+		e.next = nil
+		return e
 	}
-	c.free = e.next
-	e.next = nil
+	if len(c.slab) == 0 {
+		c.slab = make([]entry, entrySlab) //ccnic:alloc-ok first fills, once per entrySlab of them
+	}
+	e := &c.slab[0]
+	c.slab = c.slab[1:]
 	return e
 }
 

@@ -85,25 +85,30 @@ func (b BiasState) String() string {
 	return "host"
 }
 
-// cxlState is the CXL protocol's private state and bookkeeping. A System
-// running CXL holds one; under UPI the pointer is nil.
+// cxlState is the CXL protocol's private bookkeeping. A System running CXL
+// holds one; under UPI the pointer is nil. Its per-line state is one byte
+// in each directory slot (dirEntry.cxl): the host-managed snoop filter (a
+// FilterState) for host-homed lines, the bias (a BiasState) for
+// device-homed (HDM) lines.
 type cxlState struct {
 	s *System
-	// state is the protocol-private byte of each touched line: the
-	// host-managed snoop filter (a FilterState) for host-homed lines, the
-	// bias (a BiasState) for device-homed (HDM) lines.
-	state lineTable[uint8]
 }
 
 // peekState reads the protocol-state byte without materializing it.
 //
 //ccnic:noalloc
 func (x *cxlState) peekState(line mem.Addr) uint8 {
-	if v := x.state.peek(line); v != nil {
-		return *v
+	if d := x.s.dir.peek(line); d != nil {
+		return d.cxl
 	}
 	return 0
 }
+
+// setState writes the protocol-state byte, materializing the line's
+// directory slot if needed (its liveness is unchanged).
+//
+//ccnic:noalloc
+func (x *cxlState) setState(line mem.Addr, v uint8) { x.s.dir.at(line).cxl = v }
 
 // filterAt reads the snoop filter for a host-homed line.
 //
@@ -161,7 +166,7 @@ func (x *cxlState) hostHolder(line mem.Addr) *Cache {
 //
 //ccnic:noalloc
 func (x *cxlState) syncFilter(line mem.Addr) {
-	*x.state.at(line) = uint8(x.deviceResidency(line))
+	x.setState(line, uint8(x.deviceResidency(line)))
 }
 
 // track updates protocol-private state after a transition by requester a.
@@ -178,7 +183,7 @@ func (x *cxlState) track(a *Agent, line mem.Addr) {
 		return
 	}
 	if a.socket == hostSocket {
-		*x.state.at(line) = uint8(HostBias)
+		x.setState(line, uint8(HostBias))
 	}
 }
 
@@ -194,7 +199,7 @@ func (x *cxlState) residencyChanged(line mem.Addr) {
 	// A host-side fill of an HDM line (e.g. PCIe DDIO allocating into the
 	// host LLC) makes the line host-visible; bias follows.
 	if x.biasAt(line) == DeviceBias && x.hostHolder(line) != nil {
-		*x.state.at(line) = uint8(HostBias)
+		x.setState(line, uint8(HostBias))
 	}
 }
 
@@ -221,7 +226,7 @@ func (x *cxlState) reclaimBias(a *Agent, line mem.Addr) (sim.Time, bool) {
 	s := x.s
 	s.ctrlPair(s.k.Now(), interconn.DirFromTo(deviceSocket, hostSocket))
 	s.counters[deviceSocket].BiasFlips++
-	*x.state.at(line) = uint8(DeviceBias)
+	x.setState(line, uint8(DeviceBias))
 	d := s.lookup(line)
 	if d == nil {
 		return s.plat.CXL.BiasFlip, true
@@ -283,8 +288,9 @@ func (x *cxlState) checkLine(line mem.Addr) error {
 	return nil
 }
 
-// checkSystem scans every directory entry and every materialized snoop
-// filter entry (stale filter bits can outlive their directory entries).
+// checkSystem scans every live directory entry, then every materialized
+// snoop filter entry (stale filter bits can outlive their directory
+// entries).
 func (x *cxlState) checkSystem() error {
 	var err error
 	x.s.forEachDir(func(line mem.Addr, _ *dirEntry) {
@@ -295,8 +301,8 @@ func (x *cxlState) checkSystem() error {
 	if err != nil {
 		return err
 	}
-	x.state.forEach(func(line mem.Addr, v *uint8) {
-		if err == nil && mem.Home(line) == hostSocket && *v != uint8(FilterAbsent) {
+	x.s.dir.forEach(func(line mem.Addr, d *dirEntry) {
+		if err == nil && mem.Home(line) == hostSocket && d.cxl != uint8(FilterAbsent) {
 			err = x.checkLine(line)
 		}
 	})

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ccnic/internal/mem"
@@ -417,4 +418,62 @@ func TestCXLSnoopFilterTracking(t *testing.T) {
 			t.Error("device copy survived the host RFO")
 		}
 	})
+}
+
+// TestCXLStateOutlivesDirectoryEntry pins the lifetime of the protocol
+// byte kept in each directory slot: an HDM line's bias and a host line's
+// snoop-filter state must survive the line's directory entry being
+// retired (gc) and materialized again (ent), as the real bias table and
+// filter outlive the line's cached copies.
+func TestCXLStateOutlivesDirectoryEntry(t *testing.T) {
+	k := sim.New()
+	s := NewSystemProto(k, platform.ICX(), ProtoCXL)
+	host := s.NewAgent(hostSocket, "host")
+	dev := s.NewAgent(deviceSocket, "dev")
+	hdm := s.Space().AllocLines(deviceSocket, 1)
+	hl := s.Space().AllocLines(hostSocket, 1)
+	k.Spawn("test", func(p *sim.Proc) {
+		host.Read(p, hdm, 8)    // a host fill flips the HDM line to host bias
+		host.WriteNT(p, hdm, 8) // drops every copy: the entry is retired
+		dev.Read(p, hl, 8)      // the filter records the device's copy
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.lookup(hdm) != nil {
+		t.Fatal("HDM line still has a live directory entry after its last copy left")
+	}
+	if b, _ := s.Bias(hdm); b != HostBias {
+		t.Fatalf("HDM bias after gc = %v, want host", b)
+	}
+	// Retire the host line's entry behind the filter's back: its caches
+	// and directory forget the device's copy, but the filter byte stays.
+	d := s.lookup(hl)
+	if d == nil {
+		t.Fatal("host line has no directory entry after the device's read")
+	}
+	for _, c := range d.sharers {
+		c.drop(hl)
+	}
+	d.sharers = d.sharers[:0]
+	s.gc(hl, d)
+	if s.lookup(hl) != nil {
+		t.Fatal("host line's entry still live after gc")
+	}
+	if f, _ := s.SnoopFilter(hl); f != FilterShared {
+		t.Fatalf("snoop filter after gc = %v, want shared", f)
+	}
+	// The invariant scan still reaches the stale filter through the
+	// retired slot.
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "snoop filter") {
+		t.Fatalf("CheckInvariants = %v, want the stale snoop filter reported", err)
+	}
+	for _, c := range []struct {
+		line mem.Addr
+		want uint8
+	}{{hdm, uint8(HostBias)}, {hl, uint8(FilterShared)}} {
+		if d := s.ent(c.line); d.cxl != c.want {
+			t.Errorf("line %#x: protocol byte after ent = %d, want %d", c.line, d.cxl, c.want)
+		}
+	}
 }

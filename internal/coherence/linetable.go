@@ -3,16 +3,19 @@ package coherence
 import "ccnic/internal/mem"
 
 // Line-table geometry. A leaf holds the slots of leafLines consecutive lines
-// (one 4KB span of simulated memory); a mid node holds midLeaves leaf
-// pointers (a 2MB span); each home's top level is a slice of mid nodes.
-// Leaves are carved slabLeaves at a time from a slab, so first touches cost
-// one allocation per slab, not per leaf.
+// (one 512B span of simulated memory); a mid node holds midLeaves leaf
+// pointers (a 32KB span); each home's top level is a slice of mid nodes.
+// Leaves are small because touched lines are sparse: a ring of 2KB buffers
+// each holding one 64B packet touches one or two lines per buffer, and a
+// 64-line leaf would materialize 64 slots for them. Leaves are carved
+// slabLeaves at a time from a slab, so first touches cost one allocation
+// per slab, not per leaf, and a slab is as large as eight 64-line leaves.
 const (
-	leafShift  = 6
+	leafShift  = 3
 	leafLines  = 1 << leafShift
-	midShift   = 9
+	midShift   = 6
 	midLeaves  = 1 << midShift
-	slabLeaves = 8
+	slabLeaves = 64
 )
 
 type (
@@ -39,19 +42,19 @@ func (t *lineTable[T]) at(line mem.Addr) *T {
 	mids := t.top[home]
 	mi := idx >> (leafShift + midShift)
 	if mi >= len(mids) {
-		mids = append(mids, make([]*lineMid[T], mi+1-len(mids))...) //ccnic:alloc-ok top-level growth, once per 2MB span
+		mids = append(mids, make([]*lineMid[T], mi+1-len(mids))...) //ccnic:alloc-ok top-level growth, once per 32KB span
 		t.top[home] = mids
 	}
 	m := mids[mi]
 	if m == nil {
-		m = new(lineMid[T]) //ccnic:alloc-ok first touch of a 2MB span
+		m = new(lineMid[T]) //ccnic:alloc-ok first touch of a 32KB span
 		mids[mi] = m
 	}
 	li := (idx >> leafShift) & (midLeaves - 1)
 	lf := m[li]
 	if lf == nil {
 		if len(t.slab) == 0 {
-			t.slab = make([]lineLeaf[T], slabLeaves) //ccnic:alloc-ok first touch of a 4KB span, once per slabLeaves of them
+			t.slab = make([]lineLeaf[T], slabLeaves) //ccnic:alloc-ok first touch of a 512B span, once per slabLeaves of them
 		}
 		lf = &t.slab[0]
 		t.slab = t.slab[1:]

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -121,10 +122,6 @@ func TestReadOnlyLookupsDoNotMaterialize(t *testing.T) {
 					m, l := tableNodes(&c.slots)
 					n += m + l
 				}
-				if s.cxl != nil {
-					m, l := tableNodes(&s.cxl.state)
-					n += m + l
-				}
 				return n
 			}
 			before := nodes()
@@ -150,34 +147,81 @@ func TestReadOnlyLookupsDoNotMaterialize(t *testing.T) {
 }
 
 // TestLineTableMemoryPerTouchedLine guards the point of the sparse layout:
-// touching lines 64KB apart on a fresh system must cost memory per line
-// touched, not per span of address space. Flat 256KB pages cost about 57KB
-// per line here.
+// touching lines a stride apart on a fresh system must cost memory per line
+// touched, not per span of address space. The 2KB row is the unoptimized
+// interface's layout, one 64B packet per 2KB buffer; 64-line leaves cost
+// about 2.3KB per line there, flat 256KB pages about 57KB per line at the
+// 64KB stride.
 func TestLineTableMemoryPerTouchedLine(t *testing.T) {
-	const n, stride = 256, 64 << 10
-	k := sim.New()
-	s := NewSystem(k, platform.ICX())
-	host := s.NewAgent(0, "host")
-	nic := s.NewAgent(1, "nic")
-	base := s.Space().Alloc(0, n*stride, stride)
-	var bytes uint64
-	k.Spawn("touch", func(p *sim.Proc) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < n; i++ {
-			line := base + mem.Addr(i*stride)
-			host.Write(p, line, 8)
-			nic.Read(p, line, 8)
+	const n = 256
+	for _, c := range []struct {
+		stride int
+		max    uint64 // bytes allocated per touched line
+	}{
+		{128, 256},
+		{2 << 10, 1 << 10},
+		{64 << 10, 3 << 10},
+	} {
+		t.Run(fmt.Sprintf("stride%d", c.stride), func(t *testing.T) {
+			k := sim.New()
+			s := NewSystem(k, platform.ICX())
+			host := s.NewAgent(0, "host")
+			nic := s.NewAgent(1, "nic")
+			base := s.Space().Alloc(0, n*c.stride, mem.Addr(c.stride))
+			var bytes uint64
+			k.Spawn("touch", func(p *sim.Proc) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < n; i++ {
+					line := base + mem.Addr(i*c.stride)
+					host.Write(p, line, 8)
+					nic.Read(p, line, 8)
+				}
+				runtime.ReadMemStats(&after)
+				bytes = after.TotalAlloc - before.TotalAlloc
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			per := bytes / n
+			t.Logf("%d B allocated per touched line", per)
+			if per > c.max {
+				t.Errorf("touching a line %d B from the last allocates %d B, want at most %d B", c.stride, per, c.max)
+			}
+		})
+	}
+}
+
+// TestFirstFillsAllocatePerSlab requires first touches to allocate per
+// slab, not per line: n fresh slots of a line table cost one leaf slab per
+// slabLeaves leaves plus one mid node per midLeaves leaves, and n first
+// fills of a cache add one entry slab per entrySlab entries.
+func TestFirstFillsAllocatePerSlab(t *testing.T) {
+	const n = 4096
+	leaves := n / leafLines
+	tableMax := float64(leaves/slabLeaves + leaves/midLeaves + 8)
+	t.Run("table", func(t *testing.T) {
+		allocs := testing.AllocsPerRun(5, func() {
+			var tab lineTable[dirEntry]
+			for i := 0; i < n; i++ {
+				tab.at(mem.LineAt(0, i)).present = true
+			}
+		})
+		if allocs > tableMax {
+			t.Errorf("%d first touches allocate %v objects, want at most %v", n, allocs, tableMax)
 		}
-		runtime.ReadMemStats(&after)
-		bytes = after.TotalAlloc - before.TotalAlloc
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	per := bytes / n
-	t.Logf("%d B allocated per touched line", per)
-	if per > 8<<10 {
-		t.Errorf("touching a line allocates %d B, want at most 8 KB", per)
-	}
+	t.Run("cache", func(t *testing.T) {
+		s := NewSystem(sim.New(), platform.ICX())
+		max := tableMax + n/entrySlab
+		allocs := testing.AllocsPerRun(5, func() {
+			c := newCache(s, "l2", 0, n*mem.LineSize, false)
+			for i := 0; i < n; i++ {
+				c.insertMiss(mem.LineAt(0, i), Shared)
+			}
+		})
+		if allocs > max {
+			t.Errorf("%d first fills allocate %v objects, want at most %v", n, allocs, max)
+		}
+	})
 }

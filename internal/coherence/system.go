@@ -43,6 +43,12 @@ type dirEntry struct {
 	// present=false, preserving its sharers capacity for the next use of
 	// the same line — line churn allocates nothing in steady state.
 	present bool
+	// cxl is the CXL protocol's private byte for the line (cxl.go): the
+	// host snoop filter's FilterState for a host-homed line, the BiasState
+	// of a device-homed one; zero under UPI. It is not part of the entry's
+	// liveness: neither gc nor ent touches it, so a filter entry or a bias
+	// outlives the line's last cached copy. It sits in the struct's padding.
+	cxl uint8
 }
 
 // System is the two-socket coherent memory system.
@@ -51,8 +57,8 @@ type System struct {
 	plat  *platform.Platform
 	space *mem.Space
 	link  *interconn.Link
-	// cxl is the CXL protocol's private state (snoop filter, bias map); nil
-	// under UPI. The protocol enters the shared walk only at the decision
+	// cxl is the CXL protocol's private state (snoop filter, bias map,
+	// whose per-line byte is dirEntry.cxl); nil under UPI. The protocol enters the shared walk only at the decision
 	// points in protocol.go.
 	cxl *cxlState
 

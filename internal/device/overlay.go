@@ -5,6 +5,7 @@ import (
 
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
+	"ccnic/internal/mem"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
@@ -120,6 +121,17 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 	pollGap := o.front.sys.Platform().PollGap
 	burst := cfg.NICBurst
 	rx := make([]*bufpool.Buf, burst)
+	// The thread's own per-burst scratch. A queue's TX and RX tasks may
+	// run on different threads, so the thread builds its lists here; of
+	// the queue's scratch it touches only the TX path's (regConsumeTx,
+	// completeTx), which the queue's TX task alone runs.
+	txBufs := make([]*bufpool.Buf, burst)
+	var (
+		metaBuf []pktMeta
+		lines   []mem.Addr
+		out     []*bufpool.Buf
+		fwd     []rxMeta
+	)
 	for !o.stopped {
 		busy := false
 		for _, qi := range txQueues {
@@ -129,7 +141,9 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 			// --- UPI TX -> PCIe TX ---
 			var metas []pktMeta
 			if cfg.InlineSignal {
-				metas = snapshot(fq.txI.Consume(p, a, burst), cfg.NICBufMgmt)
+				n := fq.txI.Consume(p, a, txBufs)
+				metaBuf = snapshot(metaBuf[:0], txBufs[:n], cfg.NICBufMgmt)
+				metas = metaBuf
 			} else {
 				metas = fq.regConsumeTx(p, false)
 			}
@@ -139,14 +153,12 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 				// segments (the KV store's object payloads) pass
 				// through as DMA references — the PCIe device can
 				// fetch any host address.
-				var copyMetas []pktMeta
+				lines = lines[:0]
 				for _, m := range metas {
-					cm := m
-					cm.extLen = 0
-					copyMetas = append(copyMetas, cm)
+					lines = mem.AppendLines(lines, m.addr, m.len)
 				}
-				a.GatherRead(p, payloadLines(copyMetas))
-				out := make([]*bufpool.Buf, 0, len(metas))
+				a.GatherRead(p, lines)
+				out = out[:0]
 				for _, m := range metas {
 					nb := bq.Port().Alloc(p, m.len)
 					if nb == nil {
@@ -159,7 +171,8 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 						fq.nicPort.Free(p, m.buf)
 					}
 				}
-				a.ScatterWrite(p, bufpool.Lines(out))
+				lines = bufpool.Lines(lines[:0], out)
+				a.ScatterWrite(p, lines)
 				if !cfg.InlineSignal && !cfg.NICBufMgmt {
 					fq.completeTx(p, len(metas))
 				}
@@ -177,17 +190,18 @@ func (o *Overlay) forwardMain(p *sim.Proc, a *coherence.Agent, txQueues, rxQueue
 			got := bq.RxBurst(p, rx)
 			if got > 0 {
 				busy = true
-				a.GatherRead(p, bufpool.Lines(rx[:got])) // DDIO: local LLC
-				fwd := make([]rxMeta, 0, got)
+				lines = bufpool.Lines(lines[:0], rx[:got])
+				a.GatherRead(p, lines) // DDIO: local LLC
+				fwd = fwd[:0]
 				for i := 0; i < got; i++ {
 					b := rx[i]
 					fwd = append(fwd, rxMeta{size: b.Len, seq: b.Seq, born: b.Born})
 				}
 				// Forward losslessly: applications depend on every
 				// accepted packet arriving (backpressure, not drops).
-				for len(fwd) > 0 && !o.stopped {
-					n := fq.rxEmit(p, fwd)
-					fwd = fwd[n:]
+				for pending := fwd; len(pending) > 0 && !o.stopped; {
+					n := fq.rxEmit(p, pending)
+					pending = pending[n:]
 					if n == 0 {
 						p.Sleep(pollGap * 8)
 					}

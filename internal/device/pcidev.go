@@ -91,6 +91,8 @@ type pcieQueue struct {
 	dbDup int
 
 	in pacer
+	// descLines is the TX engine's descriptor-line scratch (fetchMain).
+	descLines []mem.Addr
 
 	stopped bool
 }
@@ -402,7 +404,8 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 				continue
 			}
 			q.lastFetchAt = now
-			lines := q.txR.LinesFor(q.txSeen, n)
+			q.descLines = q.txR.LinesFor(q.descLines[:0], q.txSeen, n)
+			lines := q.descLines
 			descDone := now
 			if !d.nic.MMIODesc {
 				descDone = d.ep.DMAReadAsync(now, len(lines)*mem.LineSize)

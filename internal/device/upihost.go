@@ -106,12 +106,11 @@ func (q *upiQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
 		q.primeRx(p)
 	}
 	if cfg.InlineSignal {
-		got := q.rxI.Consume(p, q.host, len(out))
-		copy(out, got)
-		if !cfg.NICBufMgmt && len(got) > 0 {
-			q.refillBlanks(p, len(got))
+		got := q.rxI.Consume(p, q.host, out)
+		if !cfg.NICBufMgmt && got > 0 {
+			q.refillBlanks(p, got)
 		}
-		return len(got)
+		return got
 	}
 	r := q.rxR
 	n := 0
@@ -184,8 +183,10 @@ func (q *upiQueue) refillBlanks(p *sim.Proc, n int) {
 // Blanks that do not fit go back to the pool; the count posted is returned
 // and publishing the RX tail is the caller's.
 func (q *upiQueue) postBlanks(p *sim.Proc, n int) int {
-	blanks := make([]*bufpool.Buf, n)
-	blanks = blanks[:q.hostPort.AllocBurst(p, bigSize, blanks)]
+	if cap(q.blanks) < n {
+		q.blanks = make([]*bufpool.Buf, n)
+	}
+	blanks := q.blanks[:q.hostPort.AllocBurst(p, bigSize, q.blanks[:n])]
 	if q.dev.cfg.InlineSignal {
 		posted := q.fillI.Post(p, q.host, blanks)
 		q.fillI.TakeReclaimed()

@@ -23,33 +23,42 @@ type pktMeta struct {
 	born   sim.Time
 }
 
-func snapshot(pkts []*bufpool.Buf, keepBufs bool) []pktMeta {
-	metas := make([]pktMeta, len(pkts))
-	for i, b := range pkts {
-		metas[i] = pktMeta{
-			addr: b.Addr, ext: b.ExtAddr,
-			len: b.Len, extLen: b.ExtLen,
-			seq: b.Seq, born: b.Born,
-		}
-		if keepBufs {
-			metas[i].buf = b
-		}
+// snapshot appends the metadata of a burst of consumed TX packets to dst.
+//
+//ccnic:noalloc
+func snapshot(dst []pktMeta, pkts []*bufpool.Buf, keepBufs bool) []pktMeta {
+	for _, b := range pkts {
+		dst = append(dst, metaOf(b, keepBufs))
 	}
-	return metas
+	return dst
 }
 
-// payloadLines collects every cache line of every packet segment in a burst
-// so payload accesses can overlap (memory-level parallelism across packets,
-// as on real hardware).
-func payloadLines(metas []pktMeta) []mem.Addr {
-	var lines []mem.Addr
-	for _, m := range metas {
-		mem.Lines(m.addr, m.len, func(l mem.Addr) { lines = append(lines, l) })
-		if m.extLen > 0 {
-			mem.Lines(m.ext, m.extLen, func(l mem.Addr) { lines = append(lines, l) })
-		}
+// metaOf snapshots one TX packet, keeping the Buf only if the NIC owns it.
+//
+//ccnic:noalloc
+func metaOf(b *bufpool.Buf, keepBuf bool) pktMeta {
+	m := pktMeta{
+		addr: b.Addr, ext: b.ExtAddr,
+		len: b.Len, extLen: b.ExtLen,
+		seq: b.Seq, born: b.Born,
 	}
-	return lines
+	if keepBuf {
+		m.buf = b
+	}
+	return m
+}
+
+// payloadLines appends to dst every cache line of every packet segment in
+// a burst so payload accesses can overlap (memory-level parallelism across
+// packets, as on real hardware).
+//
+//ccnic:noalloc
+func payloadLines(dst []mem.Addr, metas []pktMeta) []mem.Addr {
+	for _, m := range metas {
+		dst = mem.AppendLines(dst, m.addr, m.len)
+		dst = mem.AppendLines(dst, m.ext, m.extLen)
+	}
+	return dst
 }
 
 // nicStep performs one service iteration for the queue: consume submitted
@@ -74,11 +83,14 @@ func (q *upiQueue) nicStep(p *sim.Proc, polled bool) bool {
 	// --- TX ring: consume submitted packets. ---
 	var metas []pktMeta
 	if cfg.InlineSignal {
-		metas = snapshot(q.txI.Consume(p, q.nic, cfg.NICBurst), cfg.NICBufMgmt)
+		n := q.txI.Consume(p, q.nic, q.txBufs)
+		q.txMetas = snapshot(q.txMetas[:0], q.txBufs[:n], cfg.NICBufMgmt)
+		metas = q.txMetas
 	} else {
 		metas = q.regConsumeTx(p, polled)
 	}
-	q.nic.GatherRead(p, payloadLines(metas))
+	q.txLines = payloadLines(q.txLines[:0], metas)
+	q.nic.GatherRead(p, q.txLines)
 	if !cfg.InlineSignal && !cfg.NICBufMgmt {
 		q.completeTx(p, len(metas))
 	}
@@ -115,18 +127,19 @@ func (q *upiQueue) regConsumeTx(p *sim.Proc, polled bool) []pktMeta {
 	if avail > q.dev.cfg.NICBurst {
 		avail = q.dev.cfg.NICBurst
 	}
-	q.nic.GatherRead(p, r.LinesFor(q.txSeen, avail))
-	pkts := make([]*bufpool.Buf, 0, avail)
+	q.txLines = r.LinesFor(q.txLines[:0], q.txSeen, avail)
+	q.nic.GatherRead(p, q.txLines)
+	metas := q.txMetas[:0]
 	for i := 0; i < avail; i++ {
-		pkts = append(pkts, r.Get(q.txSeen+i))
+		metas = append(metas, metaOf(r.Get(q.txSeen+i), q.dev.cfg.NICBufMgmt))
 	}
-	metas := snapshot(pkts, q.dev.cfg.NICBufMgmt)
+	q.txMetas = metas
 	if q.dev.cfg.NICBufMgmt {
 		// Symmetric reg mode: the NIC owns the buffers now; slots
 		// free immediately and consumption is signaled via the head
 		// register.
 		for i := 0; i < avail; i++ {
-			r.Take(q.txSeen + i) //ccnic:own-ok slot clear only: the buffer was captured via Get into pkts above
+			r.Take(q.txSeen + i) //ccnic:own-ok slot clear only: the buffer was captured via Get into metas above
 			r.HeadIdx++
 		}
 		q.txSeen += avail
@@ -220,7 +233,8 @@ func (q *upiQueue) completeTx(p *sim.Proc, n int) {
 	for i := 0; i < n; i++ {
 		r.SetDone(start + i)
 	}
-	for _, l := range r.LinesFor(start, n) {
+	q.txLines = r.LinesFor(q.txLines[:0], start, n)
+	for _, l := range q.txLines {
 		if vis := q.nic.WriteAsync(p, l, 8); vis > q.txDoneVis {
 			q.txDoneVis = vis
 		}
@@ -236,9 +250,9 @@ type rxMeta struct {
 
 // loopback retransmits consumed TX packets into the RX path.
 func (q *upiQueue) loopback(p *sim.Proc, metas []pktMeta) {
-	pkts := make([]rxMeta, len(metas))
-	for i, m := range metas {
-		pkts[i] = rxMeta{size: m.len + m.extLen, seq: m.seq, born: m.born}
+	pkts := q.rxMetas[:0]
+	for _, m := range metas {
+		pkts = append(pkts, rxMeta{size: m.len + m.extLen, seq: m.seq, born: m.born})
 		if q.dev.cfg.NICBufMgmt {
 			// CC-NIC §3.4: the NIC frees the TX buffer itself; the
 			// RX allocation below recycles the same bytes, still
@@ -246,6 +260,7 @@ func (q *upiQueue) loopback(p *sim.Proc, metas []pktMeta) {
 			q.nicPort.Free(p, m.buf)
 		}
 	}
+	q.rxMetas = pkts
 	q.rxEmit(p, pkts)
 }
 
@@ -256,7 +271,7 @@ func (q *upiQueue) loopback(p *sim.Proc, metas []pktMeta) {
 func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 	cfg := &q.dev.cfg
 	if cfg.NICBufMgmt {
-		rx := make([]*bufpool.Buf, 0, len(pkts))
+		rx := q.rxBufs[:0]
 		for _, m := range pkts {
 			nb := q.nicPort.Alloc(p, m.size)
 			if nb == nil {
@@ -265,7 +280,9 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 			nb.Len, nb.Seq, nb.Born = m.size, m.seq, m.born
 			rx = append(rx, nb)
 		}
-		q.nic.ScatterWrite(p, bufpool.Lines(rx))
+		q.rxBufs = rx
+		q.rxLines = bufpool.Lines(q.rxLines[:0], rx)
+		q.nic.ScatterWrite(p, q.rxLines)
 		var posted int
 		if cfg.InlineSignal {
 			posted = q.rxI.Post(p, q.nic, rx)
@@ -278,7 +295,7 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 	}
 	// Host-managed buffers: copy into host-supplied blanks.
 	if cfg.InlineSignal {
-		blanks := make([]*bufpool.Buf, 0, len(pkts))
+		blanks := q.rxBufs[:0]
 		for _, m := range pkts {
 			blank, _ := q.takeBlank(p)
 			if blank == nil {
@@ -287,7 +304,9 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 			blank.Len, blank.Seq, blank.Born = m.size, m.seq, m.born
 			blanks = append(blanks, blank)
 		}
-		q.nic.ScatterWrite(p, bufpool.Lines(blanks))
+		q.rxBufs = blanks
+		q.rxLines = bufpool.Lines(q.rxLines[:0], blanks)
+		q.nic.ScatterWrite(p, q.rxLines)
 		posted := q.rxI.Post(p, q.nic, blanks)
 		q.rxI.TakeReclaimed()
 		// Blanks that did not fit stay with the NIC for the next
@@ -302,7 +321,7 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 	// E810 RX semantics: write packets into the blanks' own descriptor
 	// slots and flag completion (DD).
 	doneFrom, doneCount := -1, 0
-	var written []*bufpool.Buf
+	written := q.rxBufs[:0]
 	for _, m := range pkts {
 		blank, idx := q.takeBlank(p)
 		if blank == nil {
@@ -316,9 +335,12 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 		}
 		doneCount++
 	}
+	q.rxBufs = written
 	if doneCount > 0 {
-		q.nic.ScatterWrite(p, bufpool.Lines(written))
-		for _, l := range q.rxR.LinesFor(doneFrom, doneCount) {
+		q.rxLines = bufpool.Lines(q.rxLines[:0], written)
+		q.nic.ScatterWrite(p, q.rxLines)
+		q.rxLines = q.rxR.LinesFor(q.rxLines[:0], doneFrom, doneCount)
+		for _, l := range q.rxLines {
 			q.nic.WriteAsync(p, l, 8)
 		}
 		// Register-based signaling: completions are announced through
@@ -357,8 +379,8 @@ func (q *upiQueue) takeBlank(p *sim.Proc) (*bufpool.Buf, int) {
 			q.spareBlanks = q.spareBlanks[:n-1]
 			return b, -1
 		}
-		got := q.fillI.Consume(p, q.nic, 1)
-		if len(got) == 0 {
+		var got [1]*bufpool.Buf
+		if q.fillI.Consume(p, q.nic, got[:]) == 0 {
 			return nil, -1
 		}
 		return got[0], -1
@@ -370,7 +392,8 @@ func (q *upiQueue) takeBlank(p *sim.Proc) (*bufpool.Buf, int) {
 			return nil, -1
 		}
 	}
-	q.nic.GatherRead(p, r.LinesFor(q.rxSeenNIC, 1))
+	q.rxLines = r.LinesFor(q.rxLines[:0], q.rxSeenNIC, 1)
+	q.nic.GatherRead(p, q.rxLines)
 	idx := q.rxSeenNIC
 	q.rxSeenNIC++
 	return r.Get(idx), idx

@@ -15,6 +15,7 @@ import (
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
+	"ccnic/internal/mem"
 	"ccnic/internal/sim"
 	"ccnic/internal/stats"
 	"ccnic/internal/trace"
@@ -90,6 +91,11 @@ func Run(cfg Config) Result {
 		st := &qs[i]
 		k.Spawn(fmt.Sprintf("loopgen%d", i), func(p *sim.Proc) {
 			rx := make([]*bufpool.Buf, cfg.RxBatch)
+			// The generator's TX burst and line-list scratch.
+			var (
+				bufs  []*bufpool.Buf
+				lines []mem.Addr
+			)
 			var nextSend sim.Time
 			interval := sim.Time(0)
 			if cfg.Rate > 0 {
@@ -118,7 +124,7 @@ func Run(cfg Config) Result {
 					want = cfg.TxBatch
 				}
 				if want > 0 {
-					bufs := make([]*bufpool.Buf, 0, want)
+					bufs = bufs[:0]
 					for j := 0; j < want; j++ {
 						b := q.Port().Alloc(p, cfg.PktSize)
 						if b == nil {
@@ -130,7 +136,8 @@ func Run(cfg Config) Result {
 						cfg.Trace.Mark(traceSeq(i, b.Seq), trace.Born, p.Now())
 						bufs = append(bufs, b)
 					}
-					a.ScatterWrite(p, bufpool.Lines(bufs))
+					lines = bufpool.Lines(lines[:0], bufs)
+					a.ScatterWrite(p, lines)
 					n := q.TxBurst(p, bufs)
 					for j := 0; j < n; j++ {
 						cfg.Trace.Mark(traceSeq(i, bufs[j].Seq), trace.Submitted, p.Now())
@@ -151,7 +158,8 @@ func Run(cfg Config) Result {
 				// --- Receive ---
 				got := q.RxBurst(p, rx)
 				if got > 0 {
-					a.GatherRead(p, bufpool.Lines(rx[:got]))
+					lines = bufpool.Lines(lines[:0], rx[:got])
+					a.GatherRead(p, lines)
 					now := p.Now()
 					if pr := cfg.Sys.Probe(); pr != nil {
 						if st.rcvd+int64(got) > st.sent {

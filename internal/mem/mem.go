@@ -43,6 +43,21 @@ func LineCount(a Addr, size int) int {
 	return int((last-first)/LineSize) + 1
 }
 
+// AppendLines appends each cache line the region [a, a+size) touches to
+// dst and returns the extended slice.
+//
+//ccnic:noalloc
+func AppendLines(dst []Addr, a Addr, size int) []Addr {
+	if size <= 0 {
+		return dst
+	}
+	last := LineOf(a + Addr(size) - 1)
+	for line := LineOf(a); line <= last; line += LineSize {
+		dst = append(dst, line)
+	}
+	return dst
+}
+
 // Lines calls fn for each cache line the region [a, a+size) touches.
 func Lines(a Addr, size int, fn func(line Addr)) {
 	if size <= 0 {

@@ -103,6 +103,8 @@ type Inline struct {
 	reclaim  int // next line to scan for cleared state
 
 	reclaimedSinceTake int
+
+	scan sim.Scratch[mem.Addr] // the producer's replenish scan
 }
 
 // NewInline allocates an inline ring of nLines cache lines, homed on the
@@ -291,7 +293,7 @@ func (r *Inline) replenish(p *sim.Proc, a *coherence.Agent, want int) {
 	if r.credits >= needLines && r.credits >= r.nLines/4 {
 		return
 	}
-	var scan []mem.Addr
+	scan := r.scan.Take()
 	limit := r.cons // cannot reclaim past the consumer
 	now := p.Now()
 	for r.reclaim < limit && len(scan) < r.nLines {
@@ -308,6 +310,7 @@ func (r *Inline) replenish(p *sim.Proc, a *coherence.Agent, want int) {
 		r.reclaimedSinceTake += len(scan)
 		r.notify()
 	}
+	r.scan.Put(scan)
 }
 
 // TakeReclaimed returns the number of ring lines reclaimed (observed cleared
@@ -341,13 +344,13 @@ func (r *Inline) cleared(ln *line) bool {
 	return true
 }
 
-// Consume polls the consumer's current position and takes up to max
-// descriptors, clearing consumed state (the completion/credit signal).
-// It returns the buffers taken; an empty result means nothing was ready.
-func (r *Inline) Consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Buf {
-	out := r.consume(p, a, max)
+// Consume polls the consumer's current position and takes up to len(out)
+// descriptors into out, clearing consumed state (the completion/credit
+// signal). It returns how many it took; zero means nothing was ready.
+func (r *Inline) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) int {
+	n := r.consume(p, a, out)
 	r.notify()
-	return out
+	return n
 }
 
 // IdlePoll reports whether the next Consume would begin with an empty poll
@@ -381,16 +384,16 @@ func (r *Inline) FinishPoll(now sim.Time) {
 	r.notify()
 }
 
-// consume takes up to max descriptors.
-func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Buf {
-	var out []*bufpool.Buf
-	for len(out) < max {
+// consume takes up to len(out) descriptors into out.
+func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) int {
+	n := 0
+	for n < len(out) {
 		ln := r.lineAt(r.cons)
 		addr := r.lineAddr(r.cons)
 		switch r.layout {
 		case Packed:
 			took := false
-			for ln.taken < SlotsPerLine && len(out) < max {
+			for ln.taken < SlotsPerLine && n < len(out) {
 				i := ln.taken
 				if !ln.slotReadyAt(i, p.Now()) {
 					break
@@ -403,7 +406,8 @@ func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Bu
 				if pr := r.sys.Probe(); pr != nil && (!ln.slotReady[i] || p.Now() < ln.slotVisible[i]) {
 					pr.Fail(fmt.Errorf("%s: consuming slot %d of line %d with a clear or not-yet-visible ready flag", r.CheckDesc(), i, r.cons))
 				}
-				out = append(out, ln.bufs[i])
+				out[n] = ln.bufs[i]
+				n++
 				vis := a.WriteAsync(p, addr+mem.Addr(i*DescSize), DescSize)
 				ln.clearVisibleAt = vis
 				ln.bufs[i] = nil
@@ -418,9 +422,9 @@ func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Bu
 			}
 			if !took {
 				a.Poll(p, addr+mem.Addr(ln.taken*DescSize), DescSize) // empty poll
-				return out
+				return n
 			}
-			return out
+			return n
 		//ccnic:default-ok Grouped and Padded share the line-granularity path; only Packed differs
 		default:
 			// A successful consume streams sequentially through ring
@@ -432,15 +436,16 @@ func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Bu
 				a.Poll(p, addr, DescSize)
 			}
 			if !ln.readyAt(p.Now()) {
-				return out
+				return n
 			}
-			for ln.taken < ln.count && len(out) < max {
-				out = append(out, ln.bufs[ln.taken])
+			for ln.taken < ln.count && n < len(out) {
+				out[n] = ln.bufs[ln.taken]
+				n++
 				ln.bufs[ln.taken] = nil
 				ln.taken++
 			}
 			if ln.taken < ln.count {
-				return out // caller's batch filled mid-line
+				return n // caller's batch filled mid-line
 			}
 			// Clearing the line is one coalesced store (the
 			// consumer already owns it after the poll). Charge it
@@ -456,7 +461,7 @@ func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, max int) []*bufpool.Bu
 			a.SoftPrefetch(r.lineAddr(r.cons))
 		}
 	}
-	return out
+	return n
 }
 
 // Pending returns the number of published-but-unconsumed descriptors (for

@@ -70,7 +70,8 @@ func TestInlineRandomInterleavings(t *testing.T) {
 				})
 				k.Spawn("consumer", func(p *sim.Proc) {
 					for len(got) < packets {
-						bufs := r.Consume(p, nic, 1+rng.Intn(8))
+						bufs := make([]*bufpool.Buf, 1+rng.Intn(8))
+						bufs = bufs[:r.Consume(p, nic, bufs)]
 						for _, b := range bufs {
 							got = append(got, b.Seq)
 						}

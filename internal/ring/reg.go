@@ -28,6 +28,10 @@ type Reg struct {
 	slots []*bufpool.Buf
 	done  []bool
 
+	// Descriptor-line scratch of the driver's producer (Post) and consumer
+	// (Consume, Reclaim) sides.
+	postLines, consLines sim.Scratch[mem.Addr]
+
 	// Software indexes (monotone; callers take mod Size).
 	TailIdx int // producer publish position
 	HeadIdx int // consumer completion position
@@ -86,6 +90,8 @@ func (r *Reg) CheckInvariants() error {
 func (r *Reg) Space() int { return r.nDesc - (r.TailIdx - r.HeadIdx) - 1 }
 
 // DescAddr returns the address of descriptor i (absolute index).
+//
+//ccnic:noalloc
 func (r *Reg) DescAddr(i int) mem.Addr {
 	return r.base + mem.Addr((i%r.nDesc)*DescSize)
 }
@@ -96,16 +102,31 @@ func (r *Reg) TailReg() mem.Addr { return r.tail }
 // HeadReg returns the head register line address.
 func (r *Reg) HeadReg() mem.Addr { return r.head }
 
-// LinesFor returns the distinct descriptor cache lines covering descriptors
-// [from, from+count).
-func (r *Reg) LinesFor(from, count int) []mem.Addr {
-	var lines []mem.Addr
+// LinesFor appends to dst the distinct descriptor cache lines covering
+// descriptors [from, from+count). Callers pass a scratch slice they own.
+//
+//ccnic:noalloc
+func (r *Reg) LinesFor(dst []mem.Addr, from, count int) []mem.Addr {
+	n := len(dst)
 	for i := from; i < from+count; i++ {
-		if l := mem.LineOf(r.DescAddr(i)); len(lines) == 0 || lines[len(lines)-1] != l {
-			lines = append(lines, l)
+		if l := mem.LineOf(r.DescAddr(i)); len(dst) == n || dst[len(dst)-1] != l {
+			dst = append(dst, l)
 		}
 	}
-	return lines
+	return dst
+}
+
+// access charges agent a for a gather read (or, with write, a scatter
+// write) of the descriptor lines covering [from, from+count), building the
+// list in the given side's scratch.
+func (r *Reg) access(p *sim.Proc, a *coherence.Agent, side *sim.Scratch[mem.Addr], from, count int, write bool) {
+	lines := r.LinesFor(side.Take(), from, count)
+	if write {
+		a.ScatterWrite(p, lines)
+	} else {
+		a.GatherRead(p, lines)
+	}
+	side.Put(lines)
 }
 
 // Put stores a buffer in slot i and clears its done flag, taking ownership:
@@ -155,7 +176,7 @@ func (r *Reg) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int {
 	for i, b := range bufs[:n] {
 		r.Put(r.TailIdx+i, b)
 	}
-	a.ScatterWrite(p, r.LinesFor(r.TailIdx, n))
+	r.access(p, a, &r.postLines, r.TailIdx, n, true)
 	r.TailIdx += n
 	return n
 }
@@ -164,7 +185,7 @@ func (r *Reg) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int {
 // agent and takes their buffers into out, advancing HeadIdx. The caller has
 // established that they are ready.
 func (r *Reg) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) {
-	a.GatherRead(p, r.LinesFor(r.HeadIdx, len(out)))
+	r.access(p, a, &r.consLines, r.HeadIdx, len(out), false)
 	for i := range out {
 		out[i] = r.Take(r.HeadIdx)
 		r.ClearDone(r.HeadIdx)
@@ -175,7 +196,7 @@ func (r *Reg) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) {
 // Reclaim is Consume for n completed descriptors whose buffers go straight
 // back to port (TX completion reclaim).
 func (r *Reg) Reclaim(p *sim.Proc, a *coherence.Agent, n int, port *bufpool.Port) {
-	a.GatherRead(p, r.LinesFor(r.HeadIdx, n))
+	r.access(p, a, &r.consLines, r.HeadIdx, n, false)
 	for ; n > 0; n-- {
 		b := r.Take(r.HeadIdx)
 		r.ClearDone(r.HeadIdx)

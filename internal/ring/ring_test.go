@@ -21,6 +21,12 @@ type env struct {
 	hp   *bufpool.Port
 }
 
+// consumeUpTo takes up to max descriptors from r and returns them.
+func consumeUpTo(p *sim.Proc, r *Inline, a *coherence.Agent, max int) []*bufpool.Buf {
+	out := make([]*bufpool.Buf, max)
+	return out[:r.Consume(p, a, out)]
+}
+
 func withEnv(t *testing.T, fn func(p *sim.Proc, e *env)) {
 	t.Helper()
 	k := sim.New()
@@ -66,7 +72,7 @@ func TestGroupedPostConsumeRoundtrip(t *testing.T) {
 			t.Errorf("pending = %d, want 10", r.Pending())
 		}
 		p.Sleep(200 * sim.Nanosecond) // let store-buffered publishes become visible
-		got := r.Consume(p, e.nic, 32)
+		got := consumeUpTo(p, r, e.nic, 32)
 		if len(got) != 10 {
 			t.Fatalf("consumed %d, want 10", len(got))
 		}
@@ -96,12 +102,12 @@ func TestAllLayoutsPreserveFIFO(t *testing.T) {
 						seq++
 					}
 					r.Post(p, e.host, bufs)
-					got := r.Consume(p, e.nic, 16)
+					got := consumeUpTo(p, r, e.nic, 16)
 					all = append(all, got...)
 				}
 				// Drain any remainder.
 				for {
-					got := r.Consume(p, e.nic, 16)
+					got := consumeUpTo(p, r, e.nic, 16)
 					if len(got) == 0 {
 						break
 					}
@@ -125,13 +131,13 @@ func TestConsumeRespectsMax(t *testing.T) {
 		r := NewInline(e.sys, Grouped, 16, 0)
 		r.Post(p, e.host, e.bufs(p, 8))
 		p.Sleep(200 * sim.Nanosecond)
-		if got := r.Consume(p, e.nic, 1); len(got) != 1 {
+		if got := consumeUpTo(p, r, e.nic, 1); len(got) != 1 {
 			t.Fatalf("max=1 returned %d", len(got))
 		}
-		if got := r.Consume(p, e.nic, 3); len(got) != 3 {
+		if got := consumeUpTo(p, r, e.nic, 3); len(got) != 3 {
 			t.Fatalf("max=3 returned %d", len(got))
 		}
-		if got := r.Consume(p, e.nic, 100); len(got) != 4 {
+		if got := consumeUpTo(p, r, e.nic, 100); len(got) != 4 {
 			t.Fatalf("drain returned %d, want 4", len(got))
 		}
 	})
@@ -147,7 +153,7 @@ func TestRingFullBackpressure(t *testing.T) {
 		}
 		// Consumer drains; producer can then reclaim and post the rest.
 		p.Sleep(200 * sim.Nanosecond)
-		r.Consume(p, e.nic, 16)
+		consumeUpTo(p, r, e.nic, 16)
 		p.Sleep(200 * sim.Nanosecond)
 		n2 := r.Post(p, e.host, bufs[n:])
 		if n+n2 != 14 {
@@ -160,7 +166,7 @@ func TestEmptyConsumeReturnsNothing(t *testing.T) {
 	withEnv(t, func(p *sim.Proc, e *env) {
 		for _, layout := range []Layout{Grouped, Packed, Padded} {
 			r := NewInline(e.sys, layout, 16, 0)
-			if got := r.Consume(p, e.nic, 8); len(got) != 0 {
+			if got := consumeUpTo(p, r, e.nic, 8); len(got) != 0 {
 				t.Errorf("%v: empty ring returned %d descriptors", layout, len(got))
 			}
 		}
@@ -179,7 +185,7 @@ func TestGroupedBatchedCheaperPerDescriptorThanPadded(t *testing.T) {
 				r.Post(p, e.host, bufs)
 				var got []*bufpool.Buf
 				for len(got) < 16 {
-					g := r.Consume(p, e.nic, 16-len(got))
+					g := consumeUpTo(p, r, e.nic, 16-len(got))
 					if len(g) == 0 {
 						p.Sleep(10 * sim.Nanosecond)
 						continue
@@ -210,7 +216,7 @@ func TestPackedThrashesUnderSingletonContention(t *testing.T) {
 				r.Post(p, e.host, bufs)
 				var got []*bufpool.Buf
 				for tries := 0; len(got) == 0 && tries < 100; tries++ {
-					got = r.Consume(p, e.nic, 1)
+					got = consumeUpTo(p, r, e.nic, 1)
 					if len(got) == 0 {
 						p.Sleep(10 * sim.Nanosecond)
 					}
@@ -274,7 +280,7 @@ func TestRegRingLinesFor(t *testing.T) {
 			{0, 0, nil},                                      // nothing
 			{60, 12, []mem.Addr{line(15), line(0), line(1)}}, // wraps mid-batch
 		} {
-			if got := r.LinesFor(c.from, c.count); !slices.Equal(got, c.want) {
+			if got := r.LinesFor(nil, c.from, c.count); !slices.Equal(got, c.want) {
 				t.Errorf("LinesFor(%d,%d) = %#x, want %#x", c.from, c.count, got, c.want)
 			}
 		}
@@ -338,7 +344,7 @@ func TestInlineAccessors(t *testing.T) {
 		bufs := e.bufs(p, 8)
 		r.Post(p, e.host, bufs)
 		p.Sleep(300 * sim.Nanosecond)
-		got := r.Consume(p, e.nic, 8)
+		got := consumeUpTo(p, r, e.nic, 8)
 		if len(got) != 8 {
 			t.Fatalf("consumed %d", len(got))
 		}
