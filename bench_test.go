@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccnic"
+	"ccnic/internal/device"
 	"ccnic/internal/experiments"
 	"ccnic/internal/sim"
 )
@@ -29,26 +30,40 @@ func BenchmarkExperiments(b *testing.B) {
 // not shifted the headline result — with the host's bytes and allocations
 // per testbed. It runs CC-NIC and the unoptimized UPI interface, whose one
 // 64B packet per 2KB buffer is the sparse layout per-line state must stay
-// cheap on.
+// cheap on. The e810-1500 and cx6-1500 runs put 1500B packets through the
+// PCIe NICs on 4 queues. Each run also reports resumes/pkt: coroutine
+// switches per packet transmitted, over the whole run, which spin steps keep
+// near the host generators' own share.
 func BenchmarkLoopbackCCNIC(b *testing.B) {
 	for _, c := range []struct {
-		name  string
-		iface ccnic.Interface
-	}{{"ccnic", ccnic.CCNIC}, {"unopt", ccnic.UnoptUPI}} {
+		name    string
+		iface   ccnic.Interface
+		queues  int
+		pktSize int
+	}{
+		{"ccnic", ccnic.CCNIC, 8, 64}, {"unopt", ccnic.UnoptUPI, 8, 64},
+		{"e810-1500", ccnic.E810, 4, 1500}, {"cx6-1500", ccnic.CX6, 4, 1500},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var mpps float64
+			var mpps, resumesPerPkt float64
 			for i := 0; i < b.N; i++ {
 				tb := ccnic.NewTestbed(ccnic.Config{
-					Platform: "ICX", Interface: c.iface, Queues: 8, HostPrefetch: true,
+					Platform: "ICX", Interface: c.iface, Queues: c.queues, HostPrefetch: true,
 				})
 				res := tb.RunLoopback(ccnic.LoopbackOptions{
-					PktSize: 64, Window: 128,
+					PktSize: c.pktSize, Window: 128,
 					Warmup: 20 * sim.Microsecond, Measure: 60 * sim.Microsecond,
 				})
 				mpps = res.Mpps()
+				var pkts int64
+				for q := 0; q < c.queues; q++ {
+					pkts += tb.Dev.(device.Injector).TxCount(q)
+				}
+				resumesPerPkt = float64(tb.Kernel.Resumes()) / float64(pkts)
 			}
 			b.ReportMetric(mpps, "sim-Mpps")
+			b.ReportMetric(resumesPerPkt, "resumes/pkt")
 		})
 	}
 }

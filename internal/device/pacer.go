@@ -22,11 +22,8 @@ func (pc *pacer) set(rate float64, gen func() int) { pc.rate, pc.gen = rate, gen
 // it took; deliver reports whether the device took the packet, and the
 // first refusal ends the call. The first arrival starts the clock.
 func (pc *pacer) arrive(p *sim.Proc, max int, deliver func(size int) bool) int {
-	if pc.gen == nil || pc.rate <= 0 {
-		return 0
-	}
 	n := 0
-	for n < max && p.Now() >= pc.next {
+	for n < max && pc.due(p.Now()) {
 		if pc.next == 0 {
 			pc.next = p.Now()
 		}
@@ -41,6 +38,12 @@ func (pc *pacer) arrive(p *sim.Proc, max int, deliver func(size int) bool) int {
 		n++
 	}
 	return n
+}
+
+// due reports whether an arrival is due by now: arrive would offer one, and
+// an idle engine must run to take it.
+func (pc *pacer) due(now sim.Time) bool {
+	return pc.gen != nil && pc.rate > 0 && now >= pc.next
 }
 
 // catchUp gives up the arrivals more than lag overdue: a wire that

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 
 	"ccnic/internal/bufpool"
 	"ccnic/internal/coherence"
@@ -84,7 +85,10 @@ type pcieQueue struct {
 	txDoneAt []sim.Time
 	rxDoneAt []sim.Time
 
+	// deliveries[dvHead:] is the RX engine's backlog, oldest first; the
+	// array is reused once drained (pushDelivery, popDelivery).
 	deliveries []delivery
+	dvHead     int
 
 	// Duplicate doorbells (armed fault plans only) the device still owes
 	// a spurious descriptor fetch for.
@@ -93,6 +97,9 @@ type pcieQueue struct {
 	in pacer
 	// descLines is the TX engine's descriptor-line scratch (fetchMain).
 	descLines []mem.Addr
+	// blanks is the RX refill's buffer list (postBlanks), lent to
+	// whichever driver call posts.
+	blanks sim.Scratch[*bufpool.Buf]
 
 	stopped bool
 }
@@ -344,8 +351,10 @@ func (q *pcieQueue) Port() *bufpool.Port { return q.hostPort }
 // postBlanks allocates up to n blanks (no more than fit) and posts them to
 // the RX ring.
 func (q *pcieQueue) postBlanks(p *sim.Proc, n int) {
-	blanks := make([]*bufpool.Buf, min(n, q.rxR.Space()))
+	want := min(n, q.rxR.Space())
+	blanks := slices.Grow(q.blanks.Take(), want)[:want]
 	q.rxR.Post(p, q.host, blanks[:q.hostPort.AllocBurst(p, 4096, blanks)])
+	q.blanks.Put(blanks)
 }
 
 // primeRx posts the initial blank set and rings the first RX doorbell.
@@ -361,6 +370,112 @@ func (q *pcieQueue) primeRx(p *sim.Proc) {
 
 // ---------- Device pipeline ----------
 
+const (
+	// maxBacklog bounds the RX engine's backlog of synthetic arrivals:
+	// past it, arrivals wait at the MAC (fetchMain).
+	maxBacklog = 256
+	// fetchBurst is the most TX descriptors one fetch takes.
+	fetchBurst = 32
+	// coalesceWindow is how long after a fetch the TX engine still treats
+	// postings as one burst, and coalesceWait how long it then waits for
+	// more of them (coalescing).
+	coalesceWindow = 600 * sim.Nanosecond
+	coalesceWait   = 120 * sim.Nanosecond
+)
+
+// txVisible reports whether the TX doorbell shows descriptors the engine
+// has not fetched yet.
+func (q *pcieQueue) txVisible(now sim.Time) bool {
+	return now >= q.txDb.visible && q.txSeen < q.txDb.shadow
+}
+
+// txPending is how many visible descriptors the next fetch takes.
+func (q *pcieQueue) txPending() int { return min(q.txDb.shadow-q.txSeen, fetchBurst) }
+
+// coalescing reports whether the TX engine waits coalesceWait for more
+// postings before fetching the visible descriptors: while a burst is in
+// progress (a fetch completed within coalesceWindow), each DMA amortizes
+// the roundtrip over more of them. Idle arrivals are fetched immediately,
+// keeping the unloaded latency intact.
+func (q *pcieQueue) coalescing(now sim.Time) bool {
+	return q.txPending() < q.dev.nic.DescBatch && now-q.lastFetchAt < coalesceWindow
+}
+
+// backlog is how many packets wait for the RX engine.
+func (q *pcieQueue) backlog() int { return len(q.deliveries) - q.dvHead }
+
+// pushDelivery queues dv for the RX engine, sliding the backlog to the
+// front of its array rather than growing a full one.
+func (q *pcieQueue) pushDelivery(dv delivery) {
+	if q.dvHead > 0 && len(q.deliveries) == cap(q.deliveries) {
+		q.deliveries = q.deliveries[:copy(q.deliveries, q.deliveries[q.dvHead:])]
+		q.dvHead = 0
+	}
+	q.deliveries = append(q.deliveries, dv)
+}
+
+// popDelivery takes the oldest queued packet; the backlog must be nonempty.
+func (q *pcieQueue) popDelivery() delivery {
+	dv := q.deliveries[q.dvHead]
+	if q.dvHead++; q.dvHead == len(q.deliveries) {
+		q.deliveries, q.dvHead = q.deliveries[:0], 0
+	}
+	return dv
+}
+
+// blankVisible reports whether the host has posted a blank the RX engine
+// can see.
+func (q *pcieQueue) blankVisible(now sim.Time) bool {
+	return q.rxSeenNIC < q.rxDb.shadow && now >= q.rxDb.visible
+}
+
+// The engines' idle waits are spin steps (sim.Proc.Spin, DESIGN §7): at
+// each wake the scheduler runs the step instead of resuming the engine. A
+// step only reads state. It returns the wait the engine's next iteration
+// would sleep, and declines, so the engine resumes and runs that iteration
+// itself, whenever the iteration could do anything else.
+
+// fetchStep is fetchMain's step. Its iteration sleeps coalesceWait when TX
+// work is visible but coalescing, and the poll gap when nothing is due. It
+// declines on a stopped queue, a duplicate doorbell owed, visible TX work
+// when a fault plan is armed (PipelineStall would draw) or the coalescing
+// window has closed, an ingress arrival due, or a backlog catchUp may trim.
+func (q *pcieQueue) fetchStep() (sim.Time, bool) {
+	d := q.dev
+	now := d.sys.Kernel().Now()
+	if q.stopped || q.dbDup > 0 {
+		return 0, false
+	}
+	if q.txVisible(now) {
+		if d.sys.Faults() != nil || !q.coalescing(now) {
+			return 0, false
+		}
+		return coalesceWait, true
+	}
+	if q.in.due(now) || q.backlog() >= maxBacklog {
+		return 0, false
+	}
+	return d.sys.Platform().PollGap, true
+}
+
+// deliverStep is deliverMain's step while its backlog is empty: it
+// declines on a stopped queue or a queued delivery.
+func (q *pcieQueue) deliverStep() (sim.Time, bool) {
+	if q.stopped || q.backlog() > 0 {
+		return 0, false
+	}
+	return q.dev.sys.Platform().PollGap, true
+}
+
+// blankStep is deliverMain's step while it waits for a blank: it declines
+// on a stopped queue or a visible blank.
+func (q *pcieQueue) blankStep() (sim.Time, bool) {
+	if q.stopped || q.blankVisible(q.dev.sys.Kernel().Now()) {
+		return 0, false
+	}
+	return 4 * q.dev.sys.Platform().PollGap, true
+}
+
 // fetchMain is the device's TX engine: it observes doorbells, DMA-reads
 // descriptors and payloads, applies the pipeline service time, writes TX
 // completions, and hands packets to the delivery engine. It also
@@ -369,6 +484,7 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 	d := q.dev
 	pollGap := d.sys.Platform().PollGap
 	flt := d.sys.Faults()
+	step := q.fetchStep
 	for !q.stopped {
 		busy := false
 		now := p.Now()
@@ -382,7 +498,7 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 		}
 
 		// TX fetch.
-		if now >= q.txDb.visible && q.txSeen < q.txDb.shadow {
+		if q.txVisible(now) {
 			busy = true
 			// Transient pipeline stall (armed fault plans only): the
 			// engine pauses before serving the doorbell.
@@ -390,19 +506,11 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 				p.Sleep(stall)
 				now = p.Now()
 			}
-			n := q.txDb.shadow - q.txSeen
-			if n > 32 {
-				n = 32
-			}
-			// Descriptor fetch coalescing: while a burst is in
-			// progress (a fetch just completed), briefly wait for
-			// more postings so each DMA amortizes the roundtrip.
-			// Idle arrivals are fetched immediately, keeping the
-			// unloaded latency intact.
-			if n < d.nic.DescBatch && now-q.lastFetchAt < 600*sim.Nanosecond {
-				p.Sleep(120 * sim.Nanosecond)
+			if q.coalescing(now) {
+				p.Spin(coalesceWait, step)
 				continue
 			}
+			n := q.txPending()
 			q.lastFetchAt = now
 			q.descLines = q.txR.LinesFor(q.descLines[:0], q.txSeen, n)
 			lines := q.descLines
@@ -432,9 +540,7 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 				}
 				q.in.tx++
 				if q.in.gen == nil {
-					q.deliveries = append(q.deliveries, delivery{
-						readyAt: ready, size: size, seq: seq, born: born,
-					})
+					q.pushDelivery(delivery{readyAt: ready, size: size, seq: seq, born: born})
 				}
 			}
 			// TX completion writeback for the batch (DDIO). An armed
@@ -456,16 +562,16 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 		// Synthetic ingress. The wire is a finite-rate source: when the
 		// device pipeline is backlogged, arrivals queue at the MAC
 		// rather than reserving unbounded pipeline slots.
-		busy = q.in.arrive(p, min(32, 256-len(q.deliveries)), func(size int) bool {
-			q.deliveries = append(q.deliveries, delivery{readyAt: p.Now() + d.nic.PipelineLat, size: size, born: p.Now()})
+		busy = q.in.arrive(p, min(fetchBurst, maxBacklog-q.backlog()), func(size int) bool {
+			q.pushDelivery(delivery{readyAt: p.Now() + d.nic.PipelineLat, size: size, born: p.Now()})
 			return true
 		}) > 0 || busy
-		if len(q.deliveries) >= 256 {
+		if q.backlog() >= maxBacklog {
 			q.in.catchUp(p.Now(), 10*sim.Microsecond)
 		}
 
 		if !busy {
-			p.Sleep(pollGap)
+			p.Spin(pollGap, step)
 		}
 	}
 }
@@ -477,13 +583,13 @@ func (q *pcieQueue) deliverMain(p *sim.Proc) {
 	d := q.dev
 	pollGap := d.sys.Platform().PollGap
 	flt := d.sys.Faults()
+	idle, blank := q.deliverStep, q.blankStep
 	for !q.stopped {
-		if len(q.deliveries) == 0 {
-			p.Sleep(pollGap)
+		if q.backlog() == 0 {
+			p.Spin(pollGap, idle)
 			continue
 		}
-		dv := q.deliveries[0]
-		q.deliveries = q.deliveries[1:]
+		dv := q.popDelivery()
 		if dv.readyAt > p.Now() {
 			p.Sleep(dv.readyAt - p.Now())
 		}
@@ -495,11 +601,11 @@ func (q *pcieQueue) deliverMain(p *sim.Proc) {
 			p.Sleep(out - p.Now())
 		}
 		// Wait for a blank (the host may need to catch up on reposts).
-		for q.rxSeenNIC >= q.rxDb.shadow || p.Now() < q.rxDb.visible {
+		for !q.blankVisible(p.Now()) {
 			if q.stopped {
 				return
 			}
-			p.Sleep(pollGap * 4)
+			p.Spin(pollGap*4, blank)
 		}
 		idx := q.rxSeenNIC
 		q.rxSeenNIC++

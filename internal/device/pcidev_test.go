@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccnic/internal/bufpool"
+	"ccnic/internal/check"
 	"ccnic/internal/coherence"
 	"ccnic/internal/fault"
 	"ccnic/internal/platform"
@@ -146,5 +147,97 @@ func TestPCIeDoorbellRecovery(t *testing.T) {
 				nic.Name, st.Rerings, st.Injected[fault.DoorbellDup])
 		}
 		t.Logf("%s: %s", nic.Name, st.Format())
+	}
+}
+
+// The PCIe engines' idle waits are spin steps. Next to a host process that
+// wakes every 7 ns, so no engine iteration can hide on the run-next fast
+// path, an idle E810 or CX6 resumes its fetch and deliver coroutines only a
+// handful of times in 10 µs, where Sleep loops would resume them at every
+// PollGap. With synthetic ingress they resume about once per arrival, and
+// the RX engine, given no blanks, waits for one as a spin step. With the
+// host posting bursts of fetchBurst+4 descriptors, the fetch engine finds
+// the last 4 inside the coalescing window right after fetching the rest,
+// and waits the window out as a spin step too. The spins stay engaged under
+// the invariant engine.
+func TestPCIeIdleEnginesSpin(t *testing.T) {
+	const (
+		window = 10 * sim.Microsecond
+		settle = 5 * sim.Microsecond // untimed setup before the window
+		every  = 2 * sim.Microsecond // TX burst period
+		burst  = fetchBurst + 4
+	)
+	for _, nic := range []*platform.NICParams{platform.E810(), platform.CX6()} {
+		for _, tc := range []struct {
+			name   string
+			rate   float64 // synthetic ingress, packets/s
+			posts  bool    // the host posts a TX burst every period
+			maxPer int     // engine resumes allowed per arrival or burst
+		}{{"idle", 0, false, 0}, {"ingress", 1e6, false, 2}, {"tx", 0, true, 4}} {
+			for _, probe := range []bool{false, true} {
+				k := sim.New()
+				sys := coherence.NewSystem(k, platform.ICX())
+				if probe {
+					check.Attach(sys)
+				}
+				hostA := sys.NewAgent(0, "host0")
+				dev := NewPCIeNIC(sys, nic, []*coherence.Agent{hostA})
+				q := dev.qs[0]
+				arrivals := 0
+				if tc.rate > 0 {
+					dev.SetIngress(0, tc.rate, func() int { arrivals++; return 64 })
+				}
+				dev.Start()
+				var hostResumes, before uint64
+				arrived, bursts := 0, 0
+				k.Spawn("host", func(p *sim.Proc) {
+					var bufs []*bufpool.Buf
+					if tc.posts {
+						bufs = make([]*bufpool.Buf, int(window/every)*burst)
+						q.hostPort.AllocBurst(p, 64, bufs)
+					}
+					if p.Now() > settle {
+						t.Errorf("setup ran until %v, past %v", p.Now(), settle)
+					}
+					p.Sleep(settle - p.Now())
+					before, arrived = k.Resumes(), arrivals
+					for next := p.Now(); ; {
+						// A post is slot writes, a tail bump and a
+						// doorbell, none of which yields.
+						if tc.posts && p.Now() >= next && len(bufs) > 0 {
+							for _, b := range bufs[:burst] {
+								b.Len, b.Born = 64, p.Now()
+								q.txR.Put(q.txR.TailIdx, b)
+								q.txR.TailIdx++
+							}
+							bufs = bufs[burst:]
+							q.publish(p, &q.txDb, q.txR.TailIdx)
+							bursts++
+							next += every
+						}
+						// The host was resumed iff some process was
+						// while it slept: the run-next fast path runs
+						// nothing else.
+						r := k.Resumes()
+						p.Sleep(7 * sim.Nanosecond)
+						if k.Resumes() != r {
+							hostResumes++
+						}
+					}
+				})
+				if err := k.RunUntil(settle + window); err != nil {
+					t.Fatal(err)
+				}
+				r := k.Resumes() - before - hostResumes
+				arrived = arrivals - arrived
+				t.Logf("%s %s probe=%v: %d engine resumes, %d arrivals, %d bursts", nic.Name, tc.name, probe, r, arrived, bursts)
+				if limit := uint64(tc.maxPer*(arrived+bursts) + 4); r > limit {
+					t.Errorf("%s %s probe=%v: the engines resumed %d times in %v over %d arrivals and %d TX bursts, want at most %d",
+						nic.Name, tc.name, probe, r, window, arrived, bursts, limit)
+				}
+				k.Stop()
+				k.Shutdown()
+			}
+		}
 	}
 }

@@ -1,0 +1,64 @@
+// Package yieldspin passes Proc.Spin steps that yield, in each form a step
+// takes, beside steps that only read state. yieldlint must flag the first
+// kind and accept the second.
+package yieldspin
+
+// Time is simulated time (the fixture's sim.Time).
+type Time int64
+
+// Proc stands in for sim.Proc.
+type Proc struct{ now Time }
+
+// Sleep stands in for sim.Proc.Sleep, the kernel's blocking primitive.
+//
+//ccnic:yields
+func (p *Proc) Sleep(d Time) { p.now += d }
+
+// Spin stands in for sim.Proc.Spin: the scheduler calls step at each wake.
+func (p *Proc) Spin(d Time, step func() (Time, bool)) {
+	p.Sleep(d)
+	step()
+}
+
+type engine struct {
+	p     *Proc
+	ready bool
+}
+
+// charge yields transitively, which the call-graph walk must discover.
+func (e *engine) charge() { e.p.Sleep(1) }
+
+// idle only reads state: a valid step.
+func (e *engine) idle() (Time, bool) { return 5, !e.ready }
+
+// busy charges time from inside the scheduler.
+func (e *engine) busy() (Time, bool) {
+	e.charge()
+	return 5, true
+}
+
+// poll blocks, as a plain function.
+func poll() (Time, bool) {
+	var p Proc
+	p.Sleep(1)
+	return 5, true
+}
+
+func (e *engine) run() {
+	e.p.Spin(5, e.idle)
+	e.p.Spin(5, e.busy) // want "spin step busy yields \(busy -> charge -> Sleep\)"
+	e.p.Spin(5, poll)   // want "spin step poll yields"
+
+	// Bound once, as the engines do.
+	step, bad := e.idle, e.busy
+	e.p.Spin(5, step)
+	e.p.Spin(5, bad) // want "spin step busy yields"
+	var declared = poll
+	e.p.Spin(5, declared) // want "spin step poll yields"
+
+	e.p.Spin(5, func() (Time, bool) { return 5, !e.ready })
+	e.p.Spin(5, func() (Time, bool) { // want "spin step calls yielding function charge"
+		e.charge()
+		return 5, true
+	})
+}

@@ -2,24 +2,28 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
-// Yieldlint flags calls to (transitively) yielding functions inside
-// //ccnic:atomic regions. The simulation kernel interleaves processes only
-// at yield points (Proc.Sleep/Wait/Yield and everything built on them, like
+// Yieldlint flags calls to (transitively) yielding functions where no
+// process may yield. The simulation kernel interleaves processes only at
+// yield points (Proc.Sleep/Wait/Yield and everything built on them, like
 // coherence.Agent's charge methods), so shared model structures must be
-// consistent whenever a yielding call executes. A region annotated
-// //ccnic:atomic asserts "no interleaving happens here": typically the span
-// between popping a resource off a free structure and marking it owned.
+// consistent whenever a yielding call executes. Two places forbid one:
 //
-// This is the static form of the conservation bug PR 2's runtime engine
-// caught in bufpool: the recycle fast path yielded (via Agent.Exec) between
-// the stack pop and the take() transition, leaving a buffer unowned and
-// unlisted mid-yield. With the pop-to-take span annotated, that defect is a
-// compile-time diagnostic instead of a throttled runtime scan's finding.
+//   - a region annotated //ccnic:atomic asserts "no interleaving happens
+//     here": typically the span between popping a resource off a free
+//     structure and marking it owned. This is the static form of the
+//     conservation bug PR 2's runtime engine caught in bufpool: the recycle
+//     fast path yielded (via Agent.Exec) between the stack pop and the
+//     take() transition, leaving a buffer unowned and unlisted mid-yield.
+//   - the step passed to Proc.Spin runs inside the scheduler, outside every
+//     process, so it may not block; the kernel panics if one does. A step
+//     given as a function or method value, a function literal, or a local
+//     variable bound to either is resolved and checked.
 var Yieldlint = &Analyzer{
 	Name: "yieldlint",
-	Doc:  "flag yielding calls inside //ccnic:atomic critical regions",
+	Doc:  "flag yielding calls inside //ccnic:atomic critical regions and spin steps that yield",
 	Run:  runYieldlint,
 }
 
@@ -32,16 +36,19 @@ func runYieldlint(pass *Pass) error {
 				continue
 			}
 			regions := pass.Prog.AtomicRegions(pass.Pkg, fd)
-			if len(regions) == 0 {
-				continue
-			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
 				callee := calleeOf(pass.TypesInfo, call)
-				if callee == nil || !yields[callee] {
+				if callee == nil {
+					return true
+				}
+				if isSpin(callee) && len(call.Args) > 0 {
+					checkSpinStep(pass, yields, fd, call.Args[len(call.Args)-1])
+				}
+				if !yields[callee] {
 					return true
 				}
 				for _, r := range regions {
@@ -55,4 +62,96 @@ func runYieldlint(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// isSpin reports whether fn is the kernel's Proc.Spin, or a fixture's
+// local equivalent: a method named Spin on a type named Proc.
+func isSpin(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || fn.Name() != "Spin" || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "Proc"
+}
+
+// checkSpinStep reports step if it resolves to a yielding function, or to a
+// function literal whose body calls one. A local variable resolves to every
+// value assigned to it in fd.
+func checkSpinStep(pass *Pass, yields map[*types.Func]bool, fd *ast.FuncDecl, step ast.Expr) {
+	info := pass.TypesInfo
+	seen := map[*types.Var]bool{}
+	var resolve func(e ast.Expr)
+	resolve = func(e ast.Expr) {
+		e = ast.Unparen(e)
+		var obj types.Object
+		switch e := e.(type) {
+		case *ast.FuncLit:
+			ast.Inspect(e.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if callee := calleeOf(info, call); callee != nil && yields[callee] {
+					pass.Report(step.Pos(), "spin step calls yielding function %s (%s): a step runs outside every process and must not block", callee.Name(), pass.Prog.YieldChain(callee))
+					return false
+				}
+				return true
+			})
+			return
+		case *ast.Ident:
+			obj = info.Uses[e]
+		case *ast.SelectorExpr:
+			obj = info.Uses[e.Sel]
+		}
+		switch obj := obj.(type) {
+		case *types.Func:
+			if fn := obj.Origin(); yields[fn] {
+				pass.Report(step.Pos(), "spin step %s yields (%s): a step runs outside every process and must not block", fn.Name(), pass.Prog.YieldChain(fn))
+			}
+		case *types.Var:
+			if seen[obj] {
+				return
+			}
+			seen[obj] = true
+			for _, v := range assignedTo(info, fd, obj) {
+				resolve(v)
+			}
+		}
+	}
+	resolve(step)
+}
+
+// assignedTo returns the expressions fd's body assigns or declares v with.
+func assignedTo(info *types.Info, fd *ast.FuncDecl, v *types.Var) []ast.Expr {
+	var out []ast.Expr
+	match := func(lhs []ast.Expr, rhs []ast.Expr) {
+		if len(lhs) != len(rhs) {
+			return
+		}
+		for i, l := range lhs {
+			id, ok := ast.Unparen(l).(*ast.Ident)
+			if ok && (info.Defs[id] == v || info.Uses[id] == v) {
+				out = append(out, rhs[i])
+			}
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			match(n.Lhs, n.Rhs)
+		case *ast.ValueSpec:
+			lhs := make([]ast.Expr, len(n.Names))
+			for i, id := range n.Names {
+				lhs[i] = id
+			}
+			match(lhs, n.Values)
+		}
+		return true
+	})
+	return out
 }

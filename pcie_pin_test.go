@@ -1,0 +1,78 @@
+package ccnic_test
+
+import (
+	"testing"
+
+	"ccnic"
+	"ccnic/internal/device"
+	"ccnic/internal/sim"
+)
+
+// pcieRun is what TestPCIeEventPin pins of one PCIe NIC run: the kernel's
+// event count, the endpoint's DMA and write-combining counters, and the
+// host-observed latency (zero for forwarding, which records none).
+type pcieRun struct {
+	events              uint64
+	dmaReads, dmaWrites int64
+	wcStalls            int64
+	p50, p99            sim.Time
+}
+
+// TestPCIeEventPin pins PCIe NIC runs event for event: closed-loop and
+// open-loop loopback, forwarding of synthetic ingress, and open loop under
+// an armed fault plan, on the E810 and the CX6. At 2 Mpps per queue the
+// CX6's fetch engine waits out its coalescing window while idle. The engines' idle
+// waits run as spin steps, which the kernel must count, order and time
+// exactly as the Sleep loops they replace; any divergence moves these
+// counts. The expected values were recorded with Sleep-loop waits.
+func TestPCIeEventPin(t *testing.T) {
+	plan, err := ccnic.ParseFaultPlan("seed=1,all=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := ccnic.LoopbackOptions{PktSize: 1500, Window: 64,
+		Warmup: 10 * sim.Microsecond, Measure: 30 * sim.Microsecond}
+	for _, tc := range []struct {
+		name  string
+		iface ccnic.Interface
+		mode  string // "closed", "open", "ingress" or "faults"
+		want  pcieRun
+	}{
+		{"E810/closed", ccnic.E810, "closed", pcieRun{114660, 457, 717, 0, 15728640, 25690112}},
+		{"E810/open", ccnic.E810, "open", pcieRun{94672, 269, 389, 0, 7471104, 10747904}},
+		{"E810/ingress", ccnic.E810, "ingress", pcieRun{55856, 207, 623, 0, 0, 0}},
+		{"E810/faults", ccnic.E810, "faults", pcieRun{94673, 271, 385, 0, 7602176, 12320768}},
+		{"CX6/closed", ccnic.CX6, "closed", pcieRun{123496, 474, 774, 0, 14942208, 18874368}},
+		{"CX6/open", ccnic.CX6, "open", pcieRun{108233, 200, 398, 0, 3932160, 6160384}},
+		{"CX6/ingress", ccnic.CX6, "ingress", pcieRun{108630, 148, 619, 0, 0, 0}},
+		{"CX6/faults", ccnic.CX6, "faults", pcieRun{108431, 206, 398, 0, 3997696, 6160384}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ccnic.Config{Platform: "ICX", Interface: tc.iface, Queues: 2, HostPrefetch: true}
+			o := opt
+			switch tc.mode {
+			case "ingress":
+				o.Rate = 1e6
+			case "faults":
+				cfg.Faults = plan
+				o.Rate = 2e6
+			case "open":
+				o.Rate = 2e6
+			}
+			tb := ccnic.NewTestbed(cfg)
+			var got pcieRun
+			if tc.mode == "ingress" {
+				tb.RunForward(o)
+			} else {
+				res := tb.RunLoopback(o)
+				got.p50, got.p99 = res.Latency.Median(), res.Latency.Percentile(0.99)
+			}
+			st := tb.Dev.(*device.PCIeNIC).Endpoint().Stats()
+			got.events = tb.Kernel.Events()
+			got.dmaReads, got.dmaWrites, got.wcStalls = st.DMAReads, st.DMAWrites, st.WCStalls
+			if got != tc.want {
+				t.Errorf("got  %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}
