@@ -8,7 +8,7 @@
 #   make vet          go vet, and fail on any file gofmt -l lists
 #   make race         race detector over the packages with real goroutines
 #                     (kernel, parallel shard engine, cluster model)
-#   make bench-smoke  one-iteration pass over the kernel + headline benches,
+#   make bench-smoke  one-iteration pass over the kernel, headline and KV benches,
 #                     then the tests of cmd/ccperf, the repository benchmark
 #                     (its own module, so `go test ./...` never builds it)
 #   make matrix       seed 1 of one armed row per family (faults, protocols,
@@ -49,7 +49,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/check/prop/
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Kernel|LoopbackCCNIC' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Kernel|LoopbackCCNIC|KV' -benchtime 1x .
 	cd cmd/ccperf && $(GO) test ./...
 
 # The make-check slice of the checked quick-run matrix, whose rows live in

@@ -68,6 +68,35 @@ func BenchmarkLoopbackCCNIC(b *testing.B) {
 	}
 }
 
+// BenchmarkKV runs the key-value store beyond saturation on 4 queues, on
+// the direct CX6 and on the CC-NIC Overlay (8 forwarding threads), with the
+// host's allocations per run. Each run also reports resumes/op: coroutine
+// switches per completed get or set, over the whole run, which the CX6's
+// fetch engines at a full RX backlog and the overlay's TX threads keep low
+// by running their idle waits as spin steps.
+func BenchmarkKV(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		iface ccnic.Interface
+	}{{"cx6", ccnic.CX6}, {"overlay", ccnic.OverlayCCNIC}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var mops, resumesPerOp float64
+			for i := 0; i < b.N; i++ {
+				tb := ccnic.NewTestbed(ccnic.Config{
+					Platform: "ICX", Interface: c.iface, Queues: 4, OverlayThreads: 8, HostPrefetch: true,
+				})
+				res := tb.RunKVStore(ccnic.KVOptions{RatePerQueue: 10e6, Seed: 1,
+					Warmup: 40 * sim.Microsecond, Measure: 40 * sim.Microsecond})
+				mops = res.Mops()
+				resumesPerOp = float64(tb.Kernel.Resumes()) / float64(res.Gets+res.Sets)
+			}
+			b.ReportMetric(mops, "sim-Mops")
+			b.ReportMetric(resumesPerOp, "resumes/op")
+		})
+	}
+}
+
 // BenchmarkKernel measures the raw event throughput of the simulation
 // kernel itself (host-side cost of the whole suite). A single sleeping
 // process exercises the run-next fast path: no heap or channel operations.

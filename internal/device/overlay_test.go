@@ -1,9 +1,11 @@
 package device
 
 import (
+	"fmt"
 	"testing"
 
 	"ccnic/internal/bufpool"
+	"ccnic/internal/check"
 	"ccnic/internal/coherence"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
@@ -133,5 +135,111 @@ func TestOverlayIngressMode(t *testing.T) {
 	}
 	if o.TxCount(0) == 0 {
 		t.Error("app transmissions were not counted at the NIC")
+	}
+}
+
+// An overlay thread whose only task is one queue's TX polls the front ring
+// as a single-queue NIC core does, its idle polls run as spin steps. The
+// app posts a TX burst on each queue every 2 µs, next to a host process
+// that wakes every 7 ns, so no iteration can hide on the run-next fast
+// path. Only the TX threads run (the RX threads, with Sleep loops, would
+// drown the count), and after a warm-up burst that primes the PCIe queues,
+// they resume a bounded number of times per burst,
+// where Sleep loops would resume them at every PollGap. The spin stays
+// engaged under the invariant engine, and the front device counts no NIC
+// steps.
+func TestOverlayIdleThreadsSpin(t *testing.T) {
+	const (
+		nq     = 2
+		window = 10 * sim.Microsecond
+		settle = 15 * sim.Microsecond // untimed warm-up before the window
+		every  = 2 * sim.Microsecond  // TX burst period
+		burst  = 8
+		maxPer = 100 // resumes allowed per queue's burst
+	)
+	for _, tc := range []struct {
+		name string
+		cfg  UPIConfig
+	}{{"ccnic", CCNICConfig()}, {"unopt", UnoptConfig()}} {
+		for _, probe := range []bool{false, true} {
+			k := sim.New()
+			sys := coherence.NewSystem(k, platform.ICX())
+			if probe {
+				check.Attach(sys)
+			}
+			var hosts, threads []*coherence.Agent
+			for i := 0; i < nq; i++ {
+				hosts = append(hosts, sys.NewAgent(0, fmt.Sprintf("app%d", i)))
+			}
+			for i := 0; i < 2*nq; i++ {
+				threads = append(threads, sys.NewAgent(1, fmt.Sprintf("ov%d", i)))
+			}
+			o := NewOverlay(sys, tc.cfg, platform.CX6(), hosts, threads)
+			o.back.Start()
+			for th := 0; th < nq; th++ {
+				o.startThread(th)
+			}
+			var hostResumes, before uint64
+			bursts, sent := 0, 0
+			k.Spawn("app", func(p *sim.Proc) {
+				bufs := make([]*bufpool.Buf, burst)
+				post := func() {
+					for i := 0; i < nq; i++ {
+						q := o.Queue(i)
+						n := q.Port().AllocBurst(p, 64, bufs)
+						for _, b := range bufs[:n] {
+							b.Len, b.Born = 64, p.Now()
+						}
+						m := q.TxBurst(p, bufs[:n])
+						q.Port().FreeBurst(p, bufs[m:n])
+						sent += m
+					}
+				}
+				// Warm-up: the first post primes the front queues and
+				// the first forward the PCIe ones.
+				post()
+				if p.Now() > settle/2 {
+					t.Errorf("warm-up posts ran until %v, past %v", p.Now(), settle/2)
+				}
+				p.Sleep(settle - p.Now())
+				before = k.Resumes()
+				for next := p.Now(); ; {
+					if p.Now() >= next {
+						post()
+						bursts++
+						next += every
+					}
+					// The app was resumed iff some process was
+					// while it slept: the run-next fast path runs
+					// nothing else.
+					r := k.Resumes()
+					p.Sleep(7 * sim.Nanosecond)
+					if k.Resumes() != r {
+						hostResumes++
+					}
+				}
+			})
+			if err := k.RunUntil(settle + window); err != nil {
+				t.Fatal(err)
+			}
+			r := k.Resumes() - before - hostResumes
+			var fwd int64
+			for i := 0; i < nq; i++ {
+				fwd += o.TxCount(i)
+			}
+			t.Logf("%s probe=%v: %d resumes over %d bursts of %d packets on %d queues, %d sent, %d forwarded", tc.name, probe, r, bursts, burst, nq, sent, fwd)
+			if sent == 0 || fwd < int64(sent-nq*burst) {
+				t.Errorf("%s probe=%v: %d packets sent, %d forwarded", tc.name, probe, sent, fwd)
+			}
+			if limit := uint64(maxPer*nq*bursts + 4); r > limit {
+				t.Errorf("%s probe=%v: %d resumes in %v over %d bursts on %d queues, want at most %d",
+					tc.name, probe, r, window, bursts, nq, limit)
+			}
+			if n := o.front.NICSteps(); n != 0 {
+				t.Errorf("%s probe=%v: the front device counted %d NIC steps, want none", tc.name, probe, n)
+			}
+			k.Stop()
+			k.Shutdown()
+		}
 	}
 }

@@ -374,6 +374,9 @@ const (
 	// maxBacklog bounds the RX engine's backlog of synthetic arrivals:
 	// past it, arrivals wait at the MAC (fetchMain).
 	maxBacklog = 256
+	// ingressLag is how far the wire may run ahead of a full backlog:
+	// arrivals more overdue are lost at the MAC (pacer.catchUp).
+	ingressLag = 10 * sim.Microsecond
 	// fetchBurst is the most TX descriptors one fetch takes.
 	fetchBurst = 32
 	// coalesceWindow is how long after a fetch the TX engine still treats
@@ -431,15 +434,18 @@ func (q *pcieQueue) blankVisible(now sim.Time) bool {
 
 // The engines' idle waits are spin steps (sim.Proc.Spin, DESIGN §7): at
 // each wake the scheduler runs the step instead of resuming the engine. A
-// step only reads state. It returns the wait the engine's next iteration
-// would sleep, and declines, so the engine resumes and runs that iteration
-// itself, whenever the iteration could do anything else.
+// step returns the wait the engine's next iteration would sleep, and
+// declines, so the engine resumes and runs that iteration itself, whenever
+// the iteration could do anything else. Only fetchStep writes state, and
+// only the field its iteration would write.
 
 // fetchStep is fetchMain's step. Its iteration sleeps coalesceWait when TX
-// work is visible but coalescing, and the poll gap when nothing is due. It
-// declines on a stopped queue, a duplicate doorbell owed, visible TX work
-// when a fault plan is armed (PipelineStall would draw) or the coalescing
-// window has closed, an ingress arrival due, or a backlog catchUp may trim.
+// work is visible but coalescing, and the poll gap otherwise. It declines
+// on a stopped queue, a duplicate doorbell owed, visible TX work when a
+// fault plan is armed (PipelineStall would draw) or the coalescing window
+// has closed, or, while the backlog has room, an ingress arrival due. At a
+// full backlog the iteration takes no arrival and only trims the wire's
+// lag, so the step trims it (catchUp) and sleeps the poll gap.
 func (q *pcieQueue) fetchStep() (sim.Time, bool) {
 	d := q.dev
 	now := d.sys.Kernel().Now()
@@ -452,7 +458,9 @@ func (q *pcieQueue) fetchStep() (sim.Time, bool) {
 		}
 		return coalesceWait, true
 	}
-	if q.in.due(now) || q.backlog() >= maxBacklog {
+	if q.backlog() >= maxBacklog {
+		q.in.catchUp(now, ingressLag)
+	} else if q.in.due(now) {
 		return 0, false
 	}
 	return d.sys.Platform().PollGap, true
@@ -567,7 +575,7 @@ func (q *pcieQueue) fetchMain(p *sim.Proc) {
 			return true
 		}) > 0 || busy
 		if q.backlog() >= maxBacklog {
-			q.in.catchUp(p.Now(), 10*sim.Microsecond)
+			q.in.catchUp(p.Now(), ingressLag)
 		}
 
 		if !busy {

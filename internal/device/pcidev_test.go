@@ -158,8 +158,11 @@ func TestPCIeDoorbellRecovery(t *testing.T) {
 // the RX engine, given no blanks, waits for one as a spin step. With the
 // host posting bursts of fetchBurst+4 descriptors, the fetch engine finds
 // the last 4 inside the coalescing window right after fetching the rest,
-// and waits the window out as a spin step too. The spins stay engaged under
-// the invariant engine.
+// and waits the window out as a spin step too. Saturated, ingress far
+// beyond what the RX engine drains (none: the host posts no blank) fills
+// the backlog to maxBacklog before the window, and from then on the fetch
+// engine trims the wire's lag (catchUp) as a spin step instead of resuming
+// at every PollGap. The spins stay engaged under the invariant engine.
 func TestPCIeIdleEnginesSpin(t *testing.T) {
 	const (
 		window = 10 * sim.Microsecond
@@ -173,7 +176,7 @@ func TestPCIeIdleEnginesSpin(t *testing.T) {
 			rate   float64 // synthetic ingress, packets/s
 			posts  bool    // the host posts a TX burst every period
 			maxPer int     // engine resumes allowed per arrival or burst
-		}{{"idle", 0, false, 0}, {"ingress", 1e6, false, 2}, {"tx", 0, true, 4}} {
+		}{{"idle", 0, false, 0}, {"ingress", 1e6, false, 2}, {"tx", 0, true, 4}, {"saturated", 200e6, false, 2}} {
 			for _, probe := range []bool{false, true} {
 				k := sim.New()
 				sys := coherence.NewSystem(k, platform.ICX())
@@ -231,6 +234,16 @@ func TestPCIeIdleEnginesSpin(t *testing.T) {
 				r := k.Resumes() - before - hostResumes
 				arrived = arrivals - arrived
 				t.Logf("%s %s probe=%v: %d engine resumes, %d arrivals, %d bursts", nic.Name, tc.name, probe, r, arrived, bursts)
+				if tc.name == "saturated" {
+					if q.backlog() < maxBacklog {
+						t.Errorf("%s saturated probe=%v: backlog %d, want it full at %d", nic.Name, probe, q.backlog(), maxBacklog)
+					}
+					// The step trims the wire's lag at every tick,
+					// as the iteration would.
+					if lag := k.Now() - q.in.next; lag > ingressLag+sys.Platform().PollGap {
+						t.Errorf("%s saturated probe=%v: the wire lags %v behind, want at most %v", nic.Name, probe, lag, ingressLag)
+					}
+				}
 				if limit := uint64(tc.maxPer*(arrived+bursts) + 4); r > limit {
 					t.Errorf("%s %s probe=%v: the engines resumed %d times in %v over %d arrivals and %d TX bursts, want at most %d",
 						nic.Name, tc.name, probe, r, window, arrived, bursts, limit)

@@ -166,7 +166,9 @@ func (q *upiQueue) txTailAvail(now sim.Time) int {
 // later, the poll completes and the core sleeps PollGap. The step runs
 // both halves of that poll (coherence.Agent.SpinPoll, PollCommit) and
 // nothing else, so each iteration it absorbs is exactly the iteration the
-// core would have run.
+// core would have run. An overlay TX thread that alone serves the queue
+// polls its front ring the same way (pollLoop), and its idle iteration is
+// the same poll.
 //
 // At the first event the step declines, and the core runs the iteration
 // itself, whenever that iteration could do anything else: the queue is
@@ -174,14 +176,15 @@ func (q *upiQueue) txTailAvail(now sim.Time) int {
 // synthetic ingress is set, the poll would miss or train the prefetcher
 // (an inline ring's line already ready). At the second it declines when
 // the completed poll of a register ring's tail found work, and the core
-// resumes right after the poll (nicStep's polled continuation) to finish
-// the iteration. An inline ring's poll never finds work (Inline.FinishPoll).
+// resumes right after the poll (regConsumeTx's polled continuation) to
+// finish the iteration. An inline ring's poll never finds work (Inline.FinishPoll).
 type idlePoll struct {
 	q      *upiQueue
 	addr   mem.Addr // address of the poll in flight
 	issued bool     // a poll is in flight: the next wake completes it
 	polled bool     // the core resumed right after a poll that found work
 	found  int64    // polls that found work in flight (for tests)
+	steps  *int64   // the NIC step count an issued poll adds to; nil for none
 }
 
 // step is the sim.Proc.Spin step; bind it once per core.
@@ -217,7 +220,9 @@ func (s *idlePoll) step() (sim.Time, bool) {
 	if !ok {
 		return 0, false
 	}
-	d.nicSteps++
+	if s.steps != nil {
+		*s.steps++
+	}
 	s.addr, s.issued = addr, true
 	return lat, true
 }

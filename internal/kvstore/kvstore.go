@@ -12,6 +12,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ccnic/internal/bufpool"
@@ -37,10 +38,11 @@ const (
 	burst       = 32   // server RX/TX burst
 )
 
-// object is one stored value.
+// object is one stored value: its offset from the store's base, in cache
+// lines, and its size. NewStore lays the objects out back to back, so 8 B
+// per key locate them (a million keys take 7.6 MiB of host heap, not 15.3).
 type object struct {
-	addr mem.Addr
-	size int
+	line, size uint32
 }
 
 // Store is the hash-indexed object store, shared by all server threads.
@@ -49,6 +51,7 @@ type Store struct {
 	nKeys   int
 	buckets mem.Addr // index bucket array, one 64B bucket line per 4 keys
 	nBucket int
+	base    mem.Addr // the first object's address
 	objects []object
 }
 
@@ -74,9 +77,23 @@ func NewStore(sys *coherence.System, home, nKeys int, dist *traffic.SizeDist) *S
 		u := float64(i+1) * phi
 		u -= float64(int(u)) // fractional part: low-discrepancy in [0,1)
 		size := dist.Quantile(u)
-		s.objects[i] = object{addr: sp.Alloc(home, size, 0), size: size}
+		addr := sp.Alloc(home, size, 0)
+		if i == 0 {
+			s.base = addr
+		}
+		line := (addr - s.base) / mem.LineSize
+		if uint64(line) > math.MaxUint32 || uint64(size) > math.MaxUint32 {
+			panic(fmt.Sprintf("kvstore: object %d (line %d, %d B) overflows the object table", i, line, size))
+		}
+		s.objects[i] = object{line: uint32(line), size: uint32(size)}
 	}
 	return s
+}
+
+// object returns key's address and size.
+func (s *Store) object(key int) (mem.Addr, int) {
+	o := s.objects[key%s.nKeys]
+	return s.base + mem.Addr(o.line)*mem.LineSize, int(o.size)
 }
 
 // NumKeys returns the key count.
@@ -91,17 +108,16 @@ func (s *Store) bucketLine(key int) mem.Addr {
 // object's location for zero-copy transmission.
 func (s *Store) Get(p *sim.Proc, a *coherence.Agent, key int) (mem.Addr, int) {
 	a.Read(p, s.bucketLine(key), 16) // bucket probe
-	o := s.objects[key%s.nKeys]
-	return o.addr, o.size
+	return s.object(key)
 }
 
 // Set performs an index lookup and writes the object's new contents.
 func (s *Store) Set(p *sim.Proc, a *coherence.Agent, key int) int {
 	a.Read(p, s.bucketLine(key), 16)
-	o := s.objects[key%s.nKeys]
-	a.StreamWrite(p, o.addr, o.size)
+	addr, size := s.object(key)
+	a.StreamWrite(p, addr, size)
 	a.Write(p, s.bucketLine(key), 16) // version/metadata update
-	return o.size
+	return size
 }
 
 // Config describes one key-value benchmark run.
@@ -156,7 +172,8 @@ func (g *opGen) next() (get bool, key, reqSize int) {
 	key = g.zipf.Next()
 	reqSize = reqHeader
 	if !get {
-		reqSize += g.st.objects[key%g.st.nKeys].size
+		_, size := g.st.object(key)
+		reqSize += size
 	}
 	return get, key, reqSize
 }

@@ -5,6 +5,7 @@ import (
 
 	"ccnic/internal/coherence"
 	"ccnic/internal/device"
+	"ccnic/internal/mem"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 	"ccnic/internal/traffic"
@@ -141,5 +142,52 @@ func TestOpGenDeterministicAndMixed(t *testing.T) {
 	}
 	if gets < 1800 || gets > 1980 {
 		t.Errorf("gets = %d of 2000, want ~95%%", gets)
+	}
+}
+
+// NewStore lays the objects out with one sp.Alloc per key, in key order,
+// after the bucket array. Replaying that sequence on a fresh mem.Space
+// gives every key the address and size Get returns and the size Set
+// writes (keys wrap modulo the key count), for both distributions.
+func TestStoreLayout(t *testing.T) {
+	const nKeys = 2000
+	for _, tc := range []struct {
+		name string
+		dist *traffic.SizeDist
+	}{{"ads", traffic.Ads(1)}, {"geo", traffic.Geo(1)}} {
+		k := sim.New()
+		sys := coherence.NewSystem(k, platform.ICX())
+		st := NewStore(sys, 0, nKeys, tc.dist)
+
+		type object struct {
+			addr mem.Addr
+			size int
+		}
+		sp := mem.NewSpace()
+		sp.AllocLines(0, nKeys/4)
+		want := make([]object, nKeys)
+		const phi = 0.6180339887498949
+		for i := range want {
+			u := float64(i+1) * phi
+			u -= float64(int(u))
+			size := tc.dist.Quantile(u)
+			want[i] = object{sp.Alloc(0, size, 0), size}
+		}
+
+		a := sys.NewAgent(0, "server")
+		k.Spawn("server", func(p *sim.Proc) {
+			for key := 0; key < 2*nKeys; key++ {
+				w := want[key%nKeys]
+				if addr, size := st.Get(p, a, key); addr != w.addr || size != w.size {
+					t.Errorf("%s: Get(%d) = %#x, %d B, want %#x, %d B", tc.name, key, addr, size, w.addr, w.size)
+				}
+				if size := st.Set(p, a, key); size != w.size {
+					t.Errorf("%s: Set(%d) wrote %d B, want %d B", tc.name, key, size, w.size)
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

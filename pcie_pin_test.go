@@ -76,3 +76,63 @@ func TestPCIeEventPin(t *testing.T) {
 		})
 	}
 }
+
+// kvRun is what TestKVEventPin pins of one key-value run.
+type kvRun struct {
+	events              uint64
+	gets, sets          int64
+	dmaReads, dmaWrites int64
+	tx                  int64 // packets transmitted, summed over queues
+}
+
+// TestKVEventPin pins key-value store runs event for event on the CX6 and
+// on both overlays (two queues, four forwarding threads), clean and under an
+// armed fault plan. At 40 Mops per queue, four times what a server thread
+// drains, the CX6's fetch engines wait at a full RX backlog, and each
+// overlay TX thread polls its front ring alone; both
+// waits run as spin steps, which must count, order and time every event
+// exactly as the Sleep loops they replace. The expected values were
+// recorded with Sleep-loop waits.
+func TestKVEventPin(t *testing.T) {
+	plan, err := ccnic.ParseFaultPlan("seed=1,all=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		iface  ccnic.Interface
+		faults bool
+		want   kvRun
+	}{
+		{"CX6/clean", ccnic.CX6, false, kvRun{71282, 266, 11, 725, 3728, 259}},
+		{"CX6/faults", ccnic.CX6, true, kvRun{68623, 246, 10, 687, 3668, 228}},
+		{"OverlayCCNIC/clean", ccnic.OverlayCCNIC, false, kvRun{178853, 390, 22, 1398, 8086, 388}},
+		{"OverlayCCNIC/faults", ccnic.OverlayCCNIC, true, kvRun{185764, 350, 19, 1328, 7920, 336}},
+		{"OverlayUnopt/clean", ccnic.OverlayUnopt, false, kvRun{140746, 245, 10, 758, 4388, 212}},
+		{"OverlayUnopt/faults", ccnic.OverlayUnopt, true, kvRun{131785, 185, 7, 677, 4250, 146}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ccnic.Config{Platform: "ICX", Interface: tc.iface, Queues: 2,
+				OverlayThreads: 4, HostPrefetch: true}
+			if tc.faults {
+				cfg.Faults = plan
+			}
+			tb := ccnic.NewTestbed(cfg)
+			res := tb.RunKVStore(ccnic.KVOptions{Keys: 2000, RatePerQueue: 40e6, Seed: 1,
+				Warmup: 10 * sim.Microsecond, Measure: 20 * sim.Microsecond})
+			nic, ok := tb.Dev.(*device.PCIeNIC)
+			if !ok {
+				nic = tb.Dev.(*device.Overlay).Back()
+			}
+			st := nic.Endpoint().Stats()
+			got := kvRun{events: tb.Kernel.Events(), gets: res.Gets, sets: res.Sets,
+				dmaReads: st.DMAReads, dmaWrites: st.DMAWrites}
+			for q := 0; q < cfg.Queues; q++ {
+				got.tx += tb.Dev.(device.Injector).TxCount(q)
+			}
+			if got != tc.want {
+				t.Errorf("got  %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}
