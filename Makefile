@@ -7,7 +7,8 @@
 #                     exhaustlint) over every module package
 #   make vet          go vet, and fail on any file gofmt -l lists
 #   make race         race detector over the packages with real goroutines
-#                     (kernel, parallel shard engine, cluster model)
+#                     (kernel, parallel shard engine, cluster model, the
+#                     experiments' slot pool)
 #   make bench-smoke  one-iteration pass over the kernel, headline and KV benches,
 #                     then the tests of cmd/ccperf, the repository benchmark
 #                     (its own module, so `go test ./...` never builds it)
@@ -16,8 +17,8 @@
 #                     cmd/ccbench/matrix.sh; CI runs every row over seeds 1-3
 #   make golden-check full suite with online invariant checks, diffed against
 #                     the committed golden transcript (minutes)
-#   make golden-shards golden-check again on 4 concurrent workers (-shards 4):
-#                     the harness-parallel path must stay bit-identical
+#   make golden-shards golden-check again at GOMAXPROCS=4 (four slots in the
+#                     experiments' pool): scheduling must not change a byte
 #   make golden       regenerate the committed golden transcript and the
 #                     quick-suite output hashes after an intentional model
 #                     change (minutes)
@@ -46,6 +47,7 @@ vet:
 
 race:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/sim/shard/ ./internal/fabric/ ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestPool' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/check/prop/
 
 bench-smoke:
@@ -63,10 +65,10 @@ matrix:
 golden-check:
 	$(GO) run ./cmd/ccbench -all -check -golden experiments_full.txt > /dev/null
 
-# The same golden diff with the experiment harness fanned out over four
-# workers: parallel scheduling must not perturb a single byte of output.
+# The same golden diff with four slots in the experiments' pool, whatever
+# the host's CPU count: scheduling must not perturb a single byte of output.
 golden-shards:
-	$(GO) run ./cmd/ccbench -shards 4 -all -check -golden experiments_full.txt > /dev/null
+	GOMAXPROCS=4 $(GO) run ./cmd/ccbench -all -check -golden experiments_full.txt > /dev/null
 
 # Regenerate the goldens. Run only after an intentional model change, and
 # review the transcript diff like source.

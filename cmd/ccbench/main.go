@@ -15,8 +15,12 @@
 //	ccbench -cpuprofile cpu.pprof -memprofile mem.pprof fig13
 //	                          capture pprof profiles of the host hot path
 //
-// Host cost (CPU, setup time, memory, per-layer attribution) is measured by
-// cmd/ccperf; the per-experiment trailer here reports wall time only.
+// Every selected experiment starts at once, and GOMAXPROCS bounds the
+// simulations running at a time (internal/experiments' slot pool); sections
+// print in registry order. Host cost (CPU, setup time, memory, per-layer
+// attribution) is measured by cmd/ccperf; the per-experiment trailer here
+// reports wall time only, from the start of the run, so it includes time
+// the experiment spent waiting for slots.
 package main
 
 import (
@@ -26,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"syscall"
@@ -38,13 +41,6 @@ import (
 )
 
 func main() {
-	// The simulations retain little memory between GC cycles relative to
-	// how fast they allocate warm-up objects; the default GOGC=100 spends
-	// >10% of wall time re-scanning the stable page tables. Honors an
-	// explicit GOGC from the environment.
-	if os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(400)
-	}
 	list := flag.Bool("list", false, "list experiments and exit")
 	all := flag.Bool("all", false, "run every experiment")
 	quick := flag.Bool("quick", false, "reduced scale: fewer cores, points, and shorter windows")
@@ -55,10 +51,9 @@ func main() {
 	hashesPath := flag.String("hashes", "", "write a JSON map of experiment id -> sha256 of normalized output to `file`")
 	faultsSpec := flag.String("faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
 	protoSpec := flag.String("protocol", "", "coherence `protocol` backend for testbed experiments: upi (default) or cxl; the micro-benchmarks (fig2 fig3 fig7 fig8 fig9 table1) and ext-dsa have no NIC testbed and ignore it")
-	shardsFlag := flag.Int("shards", 1, "worker budget: `N` > 1 runs experiments on N concurrent workers (output and checks are order-preserving and bit-identical to serial runs)")
 	portsFlag := flag.Int("ports", 0, "cap fabric-incast's switch fan-in sweep at `N` ports (0 = its default; no other experiment reads it; refused with -golden/-hashes)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ccbench [-quick] [-check] [-shards N] [-all | -list | <id>...]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: ccbench [-quick] [-check] [-all | -list | <id>...]\n\n")
 		fmt.Fprintf(os.Stderr, "Regenerates the CC-NIC paper's evaluation tables and figures.\n\n")
 		flag.PrintDefaults()
 	}
@@ -86,7 +81,7 @@ func main() {
 	// Check every flag and resolve every ID before running anything: -all
 	// takes minutes, and a typo'd ID should not cost the whole run.
 	c, err := checkFlags(flagValues{
-		ids: ids, quick: *quick, shards: *shardsFlag, ports: *portsFlag,
+		ids: ids, quick: *quick, ports: *portsFlag,
 		golden: *goldenPath, hashes: *hashesPath, faults: *faultsSpec, protocol: *protoSpec,
 	})
 	if err != nil {
@@ -127,39 +122,17 @@ func main() {
 	opt := experiments.Options{Quick: *quick, FabricPorts: *portsFlag,
 		Faults: c.plan, Protocol: c.proto.String(), Check: *checkFlag}
 	goldenBad := 0
-	var reportedChecks uint64
 
-	// With -shards > 1, experiments run on N concurrent workers. Results
-	// are consumed strictly in registration order, so output, golden
-	// diffs, and hashes are bit-identical to a serial run (every
-	// experiment owns its kernels; the per-experiment timing trailer is
-	// normalized away).
+	// Sections print in registration order, so output, golden diffs and
+	// hashes do not depend on scheduling: every experiment owns its
+	// kernels, and the timing trailer is normalized away.
 	results := make([]chan expResult, len(exps))
-	for i := range results {
+	for i, e := range exps {
 		results[i] = make(chan expResult, 1)
-	}
-	workers := min(*shardsFlag, len(exps))
-	if workers > 1 {
-		next := make(chan int, len(exps))
-		for i := range exps {
-			next <- i
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for i := range next {
-					results[i] <- run(exps[i], opt)
-				}
-			}()
-		}
+		go func() { results[i] <- run(e, opt) }()
 	}
 	for i, e := range exps {
-		var r expResult
-		if workers > 1 {
-			r = <-results[i]
-		} else {
-			r = run(e, opt)
-		}
+		r := <-results[i]
 		fmt.Print(r.section)
 		fmt.Printf("[%s completed in %s]\n\n", e.ID, r.wall.Round(time.Millisecond))
 		norm := experiments.Normalize(r.section)
@@ -177,10 +150,10 @@ func main() {
 		}
 		if *checkFlag {
 			// The memory budget: one line per experiment, and a named
-			// failure once the process outgrows rssBudgetMiB.
-			checks, rss := check.TotalChecks(), peakRSSMiB()
-			fmt.Fprintf(os.Stderr, "ccbench: %s: %d checks, peak RSS %d MiB\n", e.ID, checks-reportedChecks, rss)
-			reportedChecks = checks
+			// failure once the process outgrows rssBudgetMiB. Experiments
+			// run concurrently, so the checks are counted once, at the end.
+			rss := peakRSSMiB()
+			fmt.Fprintf(os.Stderr, "ccbench: %s: peak RSS %d MiB\n", e.ID, rss)
 			if rss > rssBudgetMiB {
 				fatalf("ccbench: %s: peak RSS %d MiB exceeds the %d MiB budget", e.ID, rss, rssBudgetMiB)
 			}
@@ -223,7 +196,7 @@ func main() {
 type flagValues struct {
 	ids                              []string
 	quick                            bool
-	shards, ports                    int
+	ports                            int
 	golden, hashes, faults, protocol string
 }
 
@@ -241,9 +214,6 @@ type checked struct {
 func checkFlags(v flagValues) (checked, error) {
 	var c checked
 	pinned := v.golden != "" || v.hashes != ""
-	if v.shards < 1 {
-		return c, fmt.Errorf("-shards needs at least 1 worker")
-	}
 	for _, id := range v.ids {
 		e := experiments.ByID(id)
 		if e == nil {
@@ -277,7 +247,7 @@ func checkFlags(v flagValues) (checked, error) {
 }
 
 // rssBudgetMiB caps the peak RSS of a -check run: the full suite peaks
-// near 2 GiB at -shards 4 on 2 vCPUs.
+// near 0.35 GiB on 2 vCPUs, and near 0.8 GiB at GOMAXPROCS=4.
 const rssBudgetMiB = 3 << 10
 
 // peakRSSMiB is the process's peak resident set size, read from getrusage

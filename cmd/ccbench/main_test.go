@@ -10,22 +10,20 @@ import (
 // TestCheckFlags checks each rejection path with a message naming the
 // flag, and that valid combinations resolve their IDs, plan and protocol.
 func TestCheckFlags(t *testing.T) {
-	defaults := flagValues{ids: []string{"fig13", "table2"}, shards: 1}
+	defaults := flagValues{ids: []string{"fig13", "table2"}}
 	cases := []struct {
 		name string
 		edit func(v *flagValues)
 		want string // substring of the error; "" means accepted
 	}{
 		{"defaults", func(v *flagValues) {}, ""},
-		{"quick sharded", func(v *flagValues) { v.quick, v.shards = true, 4 }, ""},
+		{"quick", func(v *flagValues) { v.quick = true }, ""},
 		{"golden", func(v *flagValues) { v.golden = "experiments_full.txt" }, ""},
 		{"hashes", func(v *flagValues) { v.hashes = "h.json" }, ""},
 		{"faults", func(v *flagValues) { v.faults = "seed=7,all=0.005" }, ""},
 		{"explicit upi with golden", func(v *flagValues) { v.protocol, v.golden = "upi", "g" }, ""},
 		{"cxl", func(v *flagValues) { v.protocol = "cxl" }, ""},
 		{"two ports", func(v *flagValues) { v.ports = 2 }, ""},
-		{"zero shards", func(v *flagValues) { v.shards = 0 }, "-shards"},
-		{"negative shards", func(v *flagValues) { v.shards = -1 }, "-shards"},
 		{"unknown id", func(v *flagValues) { v.ids = append(v.ids, "fig99") }, `unknown experiment "fig99"`},
 		{"golden with quick", func(v *flagValues) { v.golden, v.quick = "g", true }, "-golden compares full-scale output"},
 		{"bad fault spec", func(v *flagValues) { v.faults = "bogus=0.1" }, `unknown class "bogus"`},

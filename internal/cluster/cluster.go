@@ -84,8 +84,8 @@ type Config struct {
 	// bit-identical for every value.
 	Shards int
 	// Workers is the shard engine's worker-goroutine budget (0 defaults
-	// to Shards+1, one per shard including the switch; 1 is fully
-	// serial). Never affects results.
+	// to 1, fully serial: a cluster runs on the one CPU its caller holds).
+	// Never affects results.
 	Workers int
 	// Plat selects the member platform (nil = ICX).
 	Plat *platform.Platform
@@ -344,9 +344,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Shards <= 0 || cfg.Shards > cfg.Hosts {
 		cfg.Shards = cfg.Hosts
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = cfg.Shards + 1 // host shards plus the switch shard
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 32

@@ -53,11 +53,12 @@ func TestRunTwiceDeterminism(t *testing.T) {
 
 // TestShardCountInvariance: the same 4-host cluster cut into 1, 2, and 4
 // shards must produce bit-identical results (the tentpole's core guarantee:
-// multi-shard matches single-shard exactly).
+// multi-shard matches single-shard exactly), at the default worker budget
+// (0) and at explicit ones.
 func TestShardCountInvariance(t *testing.T) {
 	ref := fingerprint(t, Config{Hosts: 4, Shards: 1, Workers: 1})
 	for _, shards := range []int{2, 4} {
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range []int{0, 1, 2, 4} {
 			got := fingerprint(t, Config{Hosts: 4, Shards: shards, Workers: workers})
 			if got != ref {
 				t.Fatalf("shards=%d workers=%d diverges from single-shard run:\n--- single\n%s--- got\n%s",

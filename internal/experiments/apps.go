@@ -16,13 +16,13 @@ func init() {
 		ID:    "fig19",
 		Title: "Key-value store throughput vs thread count (Ads and Geo distributions)",
 		Paper: "CC-NIC Overlay saturates with half the application threads of the direct CX6 interface (16->8 Ads, 8->4 Geo)",
-		Run:   runFig19,
+		run:   runFig19,
 	})
 	register(&Experiment{
 		ID:    "table2",
 		Title: "Application peak throughput and thread counts: KV store and TCP echo RPC",
 		Paper: "KV ads 37.0->42.3 Mops (16->8 threads); KV geo 17.8->17.9 (8->4); TCP RPC 58.3->64.6 (5->3 fast-path threads)",
-		Run:   runTable2,
+		run:   runTable2,
 	})
 }
 

@@ -13,7 +13,7 @@ func init() {
 		ID:    "fig17",
 		Title: "NIC-socket remote accesses (READ/RFO) per TX-RX loopback, batched and singleton",
 		Paper: "CC-NIC batched: 1.3 READ + 0.3 RFO per packet; unopt batched: 2.9/0.8; singleton cases: 2.9/2.8 and 5.4/4.9",
-		Run:   runFig17,
+		run:   runFig17,
 	})
 }
 

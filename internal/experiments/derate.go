@@ -20,19 +20,19 @@ func init() {
 		ID:    "fig21",
 		Title: "Sensitivity to interconnect latency and bandwidth (uncore derating)",
 		Paper: "loopback latency tracks interconnect latency ~1:1; 40% bandwidth yields 39% throughput; CC-NIC's margin holds",
-		Run:   runFig21,
+		run:   runFig21,
 	})
 	register(&Experiment{
 		ID:    "proto-sweep",
 		Title: "EXT (Fig 21 design space): UPI vs CXL vs PCIe across latency and signaling-rate sensitivity points",
 		Paper: "Fig 21 sweeps interconnect derating for UPI alone; this reruns the sweep with the CXL.cache/CXL.mem backend as a real protocol, not a projected parameter set, against the PCIe E810 reference",
-		Run:   runProtoSweep,
+		run:   runProtoSweep,
 	})
 	register(&Experiment{
 		ID:    "ext-cxl",
 		Title: "EXT (§5.9/§6): CC-NIC on a CXL 2.0 x16 attached NIC, over the CXL.cache/CXL.mem backend",
 		Paper: "Fig 21 argues CC-NIC's benefits hold at CXL-like latency (170-250ns) and bandwidth; this runs the full stack there",
-		Run:   runExtCXL,
+		run:   runExtCXL,
 	})
 }
 

@@ -141,7 +141,24 @@ type Experiment struct {
 	Title string
 	// Paper summarizes the published result this experiment targets.
 	Paper string
-	Run   func(Options) *Report
+	run   func(Options) *Report
+}
+
+// slots bounds the simulations running at once across the process: an
+// experiment's own work and every point parallel starts each hold one, so
+// the experiments a caller starts together and the points they fan out
+// share GOMAXPROCS CPUs between them.
+var slots = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+func acquire() { slots <- struct{}{} }
+func release() { <-slots }
+
+// Run regenerates the experiment's report. Its own work holds one slot;
+// callers may run any number of experiments concurrently.
+func (e *Experiment) Run(opt Options) *Report {
+	acquire()
+	defer release()
+	return e.run(opt)
 }
 
 var registry = map[string]*Experiment{}
@@ -207,35 +224,24 @@ func Normalize(s string) string {
 	return strings.Join(keep, "\n") + "\n"
 }
 
-// parallel runs fn(0..n-1) concurrently, bounded by the host CPU count.
-// Each index builds its own simulation kernel, so points are independent;
-// results remain deterministic because every point is self-contained.
+// parallel runs fn(0..n-1) concurrently, each index in a slot of its own.
+// The caller lends its slot to the points while it waits, so a parallel
+// nested inside a point neither oversubscribes the pool nor deadlocks on
+// it. Each index builds its own simulation kernel, so points are
+// independent and results deterministic.
 func parallel(n int, fn func(i int)) {
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+	release()
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(n)
+	for i := range n {
 		//ccnic:nondet-ok deterministic fan-out: each point builds its own kernel
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
+			acquire()
+			defer release()
+			fn(i)
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
+	acquire()
 }

@@ -8,7 +8,9 @@ import (
 	"math"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ccnic"
 	"ccnic/internal/check"
@@ -42,7 +44,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %s missing", id)
 			continue
 		}
-		if e.Title == "" || e.Paper == "" || e.Run == nil {
+		if e.Title == "" || e.Paper == "" || e.run == nil {
 			t.Errorf("experiment %s incomplete", id)
 		}
 	}
@@ -400,4 +402,56 @@ func TestOptionsBuilders(t *testing.T) {
 			t.Errorf("bare system armed the run's fault plan")
 		}
 	})
+}
+
+// TestPoolBoundsNestedParallel nests parallel the way coreCountCurves does
+// (outer points that each fan out inner points, with work of their own
+// before and after) under one held slot, as Experiment.Run holds it. At
+// every pool size, no more fns may run at once than there are slots, the
+// nesting must complete even on one slot, and every slot must be free
+// afterwards.
+func TestPoolBoundsNestedParallel(t *testing.T) {
+	for _, size := range []int{1, 2, 4} {
+		t.Run(fmt.Sprint("slots=", size), func(t *testing.T) {
+			defer func(s chan struct{}) { slots = s }(slots)
+			slots = make(chan struct{}, size)
+
+			var mu sync.Mutex
+			running, peak := 0, 0
+			work := func() {
+				mu.Lock()
+				running++
+				peak = max(peak, running)
+				mu.Unlock()
+				time.Sleep(time.Millisecond)
+				mu.Lock()
+				running--
+				mu.Unlock()
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				acquire()
+				defer release()
+				work()
+				parallel(3, func(int) {
+					work()
+					parallel(4, func(int) { work() })
+					work()
+				})
+				work()
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("nested parallel did not complete on %d slots", size)
+			}
+			if peak > size {
+				t.Errorf("%d fns ran at once on %d slots", peak, size)
+			}
+			if n := len(slots); n != 0 {
+				t.Errorf("%d of %d slots still held", n, size)
+			}
+		})
+	}
 }

@@ -20,19 +20,19 @@ func init() {
 		ID:    "ext-dsa",
 		Title: "EXT (§6 Hardware DMA): CPU payload copies vs DSA-offloaded bulk transfers",
 		Paper: "§6 suggests on-chip DMA engines (Intel DSA) for CPU-initiated bulk transfers of large packets",
-		Run:   runExtDSA,
+		run:   runExtDSA,
 	})
 	register(&Experiment{
 		ID:    "ext-event",
 		Title: "EXT (§3.2 Event-driven NIC): polled vs coherence-event NIC cores at high queue counts",
 		Paper: "§3.2 proposes handling coherence messages as signals to avoid software-polling scalability limits",
-		Run:   runExtEvent,
+		run:   runExtEvent,
 	})
 	register(&Experiment{
 		ID:    "ext-netfn",
 		Title: "EXT (§6 Network functions): header-only forwarding interconnect traffic",
 		Paper: "§6 argues a coherent NIC can retain payloads in NIC cache while the host reads only headers",
-		Run:   runExtNetfn,
+		run:   runExtNetfn,
 	})
 }
 

@@ -14,19 +14,19 @@ func init() {
 		ID:    "fabric-incast",
 		Title: "Incast fan-in through the switched fabric: RPC tail and delivered load vs converging hosts",
 		Paper: "beyond the paper: CC-NIC hosts behind a modeled switch — fan-in congestion queues at the egress port, DRR keeps the RPC tail bounded while tail-drop sheds the excess",
-		Run:   runFabricIncast,
+		run:   runFabricIncast,
 	})
 	register(&Experiment{
 		ID:    "fabric-isolation",
 		Title: "Tenant isolation: small-RPC tail under a saturating bulk tenant, DRR fair queuing vs FIFO",
 		Paper: "beyond the paper: per-(source, class) deficit round robin bounds the RPC p99 a bulk tenant can inflict; the FIFO ablation lets the backlog capture the port",
-		Run:   runFabricIsolation,
+		run:   runFabricIsolation,
 	})
 	register(&Experiment{
 		ID:    "fabric-crossover",
 		Title: "CC-NIC vs PCIe doorbell signaling under fabric contention (Fig 21 method)",
 		Paper: "extends Fig 21: the coherent interface's fixed signaling advantage is largest on an idle fabric and shrinks relatively as switch queuing dominates the RPC path",
-		Run:   runFabricCrossover,
+		run:   runFabricCrossover,
 	})
 }
 
@@ -40,7 +40,6 @@ func incastPoint(opt Options, fanin int, measure sim.Time) cluster.Report {
 	}
 	c := opt.cluster("fabric-incast", cluster.Config{
 		Hosts:   fanin + 1,
-		Workers: 2,
 		Window:  8,
 		ReqSize: 512,
 		Pattern: cluster.PatternIncast,
@@ -116,7 +115,6 @@ func runFabricIncast(opt Options) *Report {
 func isolationPoint(opt Options, bulk, fifo bool, measure sim.Time) cluster.Report {
 	cfg := cluster.Config{
 		Hosts:      3,
-		Workers:    2,
 		Window:     8,
 		ReqSize:    512,
 		Pattern:    cluster.PatternIncast,
@@ -175,7 +173,6 @@ func runFabricIsolation(opt Options) *Report {
 func crossoverPoint(opt Options, k int, sig cluster.Signal, measure sim.Time) cluster.Report {
 	cfg := cluster.Config{
 		Hosts:     6,
-		Workers:   2,
 		Window:    4,
 		ReqSize:   512,
 		Pattern:   cluster.PatternIncast,

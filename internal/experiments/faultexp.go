@@ -20,13 +20,13 @@ func init() {
 		ID:    "faults-rate",
 		Title: "Loopback throughput and latency vs injected fault rate: CC-NIC vs E810",
 		Paper: "extends Fig 21: the coherent interface's margin over PCIe must survive transient interconnect, replay, and pipeline faults",
-		Run:   runFaultsRate,
+		run:   runFaultsRate,
 	})
 	register(&Experiment{
 		ID:    "faults-recovery",
 		Title: "Recovery-path counters by armed fault class (re-rings, retries, backoffs, drops)",
 		Paper: "beyond the paper: every armed fault class is absorbed by a software recovery path and surfaced as counters, not silent loss",
-		Run:   runFaultsRecovery,
+		run:   runFaultsRecovery,
 	})
 }
 

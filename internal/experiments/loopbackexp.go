@@ -15,49 +15,49 @@ func init() {
 		ID:    "fig11",
 		Title: "Throughput-latency: CC-NIC vs unoptimized UPI vs PCIe NICs (ICX, 64B and 1.5KB)",
 		Paper: "CC-NIC: 1.7x/4.3x higher peak packet rate than E810/CX6; 77-86% lower minimum latency; unopt UPI 79% below CC-NIC",
-		Run:   runFig11,
+		run:   runFig11,
 	})
 	register(&Experiment{
 		ID:    "fig12",
 		Title: "Loopback throughput-latency by core count: CC-NIC and CX6 on ICX",
 		Paper: "CC-NIC reaches 330 Mpps (64B) and 403 Gbps (1.5KB); CX6 caps at 76 Mpps / 200 Gbps",
-		Run:   runFig12,
+		run:   runFig12,
 	})
 	register(&Experiment{
 		ID:    "fig13",
 		Title: "Loopback throughput-latency by core count: CC-NIC on SPR (terabit UPI)",
 		Paper: "peaks at 1520 Mpps (64B) and 986 Gbps (1.5KB), ~96% of measured UPI throughput",
-		Run:   runFig13,
+		run:   runFig13,
 	})
 	register(&Experiment{
 		ID:    "fig14",
 		Title: "Design features: (a) inline vs register signaling, (b) descriptor layouts",
 		Paper: "inline signals: -37% min latency, +1.3x rate; grouped layout: 3.0x padded throughput at padded's latency",
-		Run:   runFig14,
+		run:   runFig14,
 	})
 	register(&Experiment{
 		ID:    "fig15",
 		Title: "Buffer management ablation: recycling, small buffers, NIC-side management",
 		Paper: "removing recycling -20%, small buffers -37% more, shared management -46% more; latency rises 1.3x",
-		Run:   runFig15,
+		run:   runFig15,
 	})
 	register(&Experiment{
 		ID:    "fig16",
 		Title: "Packet rate vs TX and RX batch size: CC-NIC vs E810",
 		Paper: "unbatched TX: CC-NIC keeps 27% of peak vs E810's 12%; RX batching matters little for both",
-		Run:   runFig16,
+		run:   runFig16,
 	})
 	register(&Experiment{
 		ID:    "fig18",
 		Title: "Same-socket vs cross-UPI single-thread loopback",
 		Paper: "the interconnect accounts for 40-50% of loopback latency; same-socket gives 1.5x per-thread throughput",
-		Run:   runFig18,
+		run:   runFig18,
 	})
 	register(&Experiment{
 		ID:    "fig20",
 		Title: "Hardware prefetching sensitivity (host/NIC/both) on SPR",
 		Paper: "host prefetching gains 1.2x for CC-NIC 64B; any prefetching hurts the unoptimized design by up to 7%",
-		Run:   runFig20,
+		run:   runFig20,
 	})
 }
 

@@ -24,37 +24,37 @@ func init() {
 		ID:    "fig2",
 		Title: "Single-threaded write throughput vs bytes per barrier (WC MMIO, WC DRAM, WB DRAM)",
 		Paper: "WC paths need >=4KB per barrier to approach peak; WB DRAM is flat regardless of barrier frequency",
-		Run:   runFig2,
+		run:   runFig2,
 	})
 	register(&Experiment{
 		ID:    "fig3",
 		Title: "Cumulative MMIO store latency vs store count (WC buffer exhaustion)",
 		Paper: "flat and cheap until all 24 WC buffers are open at N=24, then >=15x per-store cost",
-		Run:   runFig3,
+		run:   runFig3,
 	})
 	register(&Experiment{
 		ID:    "fig7",
 		Title: "Local and cross-UPI access latency by cache state",
 		Paper: "ICX: 72/144/48/114/119ns, SPR: 108/191/82/171/174ns for L DRAM/R DRAM/L L2/R L2 rh/R L2 lh",
-		Run:   runFig7,
+		run:   runFig7,
 	})
 	register(&Experiment{
 		ID:    "fig8",
 		Title: "UPI pingpong latency by memory layout (S0,S1,Rd,Wr,S0C,S1C)",
 		Paper: "separate-line layouts are 1.7-2.4x slower than co-locating both registers in one line",
-		Run:   runFig8,
+		run:   runFig8,
 	})
 	register(&Experiment{
 		ID:    "fig9",
 		Title: "Cross-UPI streaming throughput vs core count, caching vs nontemporal stores",
 		Paper: "caching (cache-to-cache) stores reach 1.8x (ICX) / 1.6x (SPR) higher saturation than nontemporal",
-		Run:   runFig9,
+		run:   runFig9,
 	})
 	register(&Experiment{
 		ID:    "table1",
 		Title: "Interconnect bandwidth comparison (PCIe, CXL, UPI)",
 		Paper: "UPI provides higher bandwidth than contemporary PCIe: 67.2 GB/s (ICX), 192 GB/s (SPR)",
-		Run:   runTable1,
+		run:   runTable1,
 	})
 }
 

@@ -15,13 +15,13 @@ func init() {
 		ID:    "fabric-portflap",
 		Title: "Chaos: port-flap rate sweep on the redundant fabric — retransmission, failover, and the no-silent-loss ledger",
 		Paper: "beyond the paper: CC-NIC hosts behind a redundant switched fabric under injected port flaps, corruption, and blackholes — every lost packet is retransmitted to completion or retired as exhausted, never silent",
-		Run:   runFabricPortflap,
+		run:   runFabricPortflap,
 	})
 	register(&Experiment{
 		ID:    "failover-recovery",
 		Title: "Chaos: failover and fail-back timeline around a scripted switch outage, and SLO-aware degraded mode without redundancy",
 		Paper: "beyond the paper: health-probe-driven failover bounds the post-heal RPC tail to the pre-fault phase; on a single switch, degraded mode sheds the bulk class while the latency class keeps its delivery rate",
-		Run:   runFailoverRecovery,
+		run:   runFailoverRecovery,
 	})
 }
 
@@ -38,7 +38,7 @@ func portflapPoint(opt Options, rate float64, measure sim.Time) cluster.Report {
 		plan.Rate[fault.FabricBlackhole] = rate / 2
 	}
 	c := opt.cluster("fabric-portflap", cluster.Config{
-		Hosts: 4, Workers: 2, Window: 8, ReqSize: 512,
+		Hosts: 4, Window: 8, ReqSize: 512,
 		Reliable: true, Switches: 2, Faults: plan,
 	}, measure)
 	defer c.Close()
@@ -98,7 +98,7 @@ func failoverTimeline(opt Options) ([]stats.Histogram, cluster.Report, []sim.Tim
 	recoverTo := outTo + 80*sim.Microsecond
 	marks := []sim.Time{outFrom, outTo, recoverTo}
 	c := opt.cluster("failover-recovery", cluster.Config{
-		Hosts: 4, Workers: 2, Window: 8, ReqSize: 512,
+		Hosts: 4, Window: 8, ReqSize: 512,
 		Reliable: true, Switches: 2,
 		RTO:        10 * sim.Microsecond,
 		Outages:    []cluster.ScriptedOutage{{Switch: 0, Port: 0, From: outFrom, To: outTo}},
@@ -121,7 +121,7 @@ func degradedContrast(opt Options, withOutage bool) (cluster.Report, [2]int64) {
 		outFrom, outTo = 40*sim.Microsecond, 130*sim.Microsecond
 	}
 	cfg := cluster.Config{
-		Hosts: 3, Workers: 2, Window: 8, ReqSize: 512,
+		Hosts: 3, Window: 8, ReqSize: 512,
 		Pattern:  cluster.PatternIncast,
 		Reliable: true, RTO: 8 * sim.Microsecond, RetryBudget: 2,
 		DegradedWindow: 30 * sim.Microsecond,
