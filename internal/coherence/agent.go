@@ -24,6 +24,9 @@ type Agent struct {
 	lastRead, lastWrite         mem.Addr
 	readStride, writeStride     int64
 	havePrevRead, havePrevWrite bool
+
+	// walks is the free list of multi-line access walkers (lineWalk).
+	walks *lineWalk
 }
 
 // Name returns the agent name.
@@ -55,6 +58,8 @@ type result struct {
 // interconnect once per producer-consumer cycle, not twice); quiet marks
 // hardware prefetches, which follow different migration rules and charge no
 // demand latency.
+//
+//ccnic:noalloc
 func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) result {
 	now := s.k.Now()
 	p := s.plat
@@ -104,12 +109,6 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 		d = s.ent(line) // the flush may have emptied (gc'd) the entry
 	}
 
-	transfer := func(srcSocket int, fromCache bool) {
-		queue = s.link.Data(now, interconn.DirFromTo(srcSocket, a.socket), mem.LineSize)
-		lat = s.fetchLat(a, home, fromCache) + queue
-		crossed, dataMoved = true, true
-	}
-
 	// Demand reads mutate coherence state at *completion*, not at issue:
 	// the caller sleeps for the latency and then calls commitRead. This
 	// matters for polling loops: a poll must not steal a line from its
@@ -137,7 +136,8 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 			// when it is stale): the host reads its own memory directly.
 			lat = p.LocalDRAM
 		default:
-			transfer(owner.socket, true)
+			lat, queue = s.transfer(a, owner.socket, home, true, now)
+			crossed, dataMoved = true, true
 		}
 		switch {
 		case write:
@@ -159,7 +159,8 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 		case s.skipsDeviceSnoop(a.l2, line):
 			lat = p.LocalDRAM // stale-filter path: read memory, skip the snoop
 		default:
-			transfer(src.socket, true)
+			lat, queue = s.transfer(a, src.socket, home, true, now)
+			crossed, dataMoved = true, true
 		}
 		if write {
 			ilat, icrossed := s.invalidateLat(d, a.l2, line, now)
@@ -189,7 +190,8 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 		case home == a.socket:
 			lat = p.LocalDRAM
 		default:
-			transfer(home, false)
+			lat, queue = s.transfer(a, home, home, false, now)
+			crossed, dataMoved = true, true
 		}
 		if write {
 			s.fill(d, a, line, Modified)
@@ -222,9 +224,21 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 	return result{lat: lat, crossed: crossed, data: dataMoved, queue: queue, stall: stall}
 }
 
+// transfer charges a line of data crossing the link from srcSocket to
+// requester a, served from a cache (fromCache) or from its home memory, and
+// returns the fetch's latency and the link queueing it includes.
+//
+//ccnic:noalloc
+func (s *System) transfer(a *Agent, srcSocket, home int, fromCache bool, now sim.Time) (lat, queue sim.Time) {
+	queue = s.link.Data(now, interconn.DirFromTo(srcSocket, a.socket), mem.LineSize)
+	return s.fetchLat(a, home, fromCache) + queue, queue
+}
+
 // commitRead applies a demand read's state transition at completion time,
 // based on the directory's state at that moment (the line may have moved
 // while the fetch was in flight; the resolution is defensive).
+//
+//ccnic:noalloc
 func (s *System) commitRead(a *Agent, line mem.Addr) {
 	if a.l2.peek(line) != nil {
 		return // already resident (raced with another fill)
@@ -263,6 +277,8 @@ func (s *System) commitRead(a *Agent, line mem.Addr) {
 
 // fill inserts line into a's L2 in state st (Modified or Shared) and
 // records a as its owner or as a sharer.
+//
+//ccnic:noalloc
 func (s *System) fill(d *dirEntry, a *Agent, line mem.Addr, st State) {
 	if st == Modified {
 		d.owner = a.l2
@@ -275,6 +291,8 @@ func (s *System) fill(d *dirEntry, a *Agent, line mem.Addr, st State) {
 // demoteOwner demotes the line's Modified owner to Shared, writing the dirty
 // data back to home (counted when home is across the link); an LLC owner
 // gives the line up instead.
+//
+//ccnic:noalloc
 func (s *System) demoteOwner(d *dirEntry, line mem.Addr) {
 	owner := d.owner
 	d.owner = nil
@@ -291,6 +309,8 @@ func (s *System) demoteOwner(d *dirEntry, line mem.Addr) {
 
 // localLat is the latency of a same-socket source: the LLC, or a forward
 // from a peer L2.
+//
+//ccnic:noalloc
 func (s *System) localLat(src *Cache) sim.Time {
 	if src.isLLC {
 		return s.plat.LLCHit
@@ -299,6 +319,8 @@ func (s *System) localLat(src *Cache) sim.Time {
 }
 
 // ctrlPair charges a control-message roundtrip: dir, then the reply.
+//
+//ccnic:noalloc
 func (s *System) ctrlPair(now sim.Time, dir interconn.Direction) {
 	s.link.Ctrl(now, dir)
 	s.link.Ctrl(now, dir.Opposite())
@@ -307,30 +329,39 @@ func (s *System) ctrlPair(now sim.Time, dir interconn.Direction) {
 // invalidateLat returns the snoop latency of invalidating every copy except
 // keeper's and whether the snoop crossed the interconnect, charging its
 // control messages. It does not mutate the directory; dropCopies does.
+//
+//ccnic:noalloc
 func (s *System) invalidateLat(d *dirEntry, keeper *Cache, line mem.Addr, now sim.Time) (sim.Time, bool) {
 	skip := s.skipsDeviceSnoop(keeper, line)
 	lat := sim.Time(0)
 	crossed := false
-	consider := func(c *Cache) {
-		switch {
-		case c == keeper:
-		case c.socket == keeper.socket:
-			lat = max(lat, s.plat.LLCHit) // local snoop via the caching agent
-		case skip && c.socket == deviceSocket:
-			// Trusted-absent per the snoop filter: no crossing.
-		default:
-			if !crossed {
-				s.ctrlPair(now, interconn.DirFromTo(keeper.socket, c.socket))
-				crossed = true
-			}
-			lat = max(lat, s.invalCost())
-		}
-	}
 	if d.owner != nil {
-		consider(d.owner)
+		lat, crossed = s.snoopInval(d.owner, keeper, skip, now, lat, crossed)
 	}
 	for _, c := range d.sharers {
-		consider(c)
+		lat, crossed = s.snoopInval(c, keeper, skip, now, lat, crossed)
+	}
+	return lat, crossed
+}
+
+// snoopInval folds the invalidation of c's copy into invalidateLat's
+// running latency and crossing flag. skip trusts the snoop filter's claim
+// that the device holds no copy.
+//
+//ccnic:noalloc
+func (s *System) snoopInval(c, keeper *Cache, skip bool, now, lat sim.Time, crossed bool) (sim.Time, bool) {
+	switch {
+	case c == keeper:
+	case c.socket == keeper.socket:
+		lat = max(lat, s.plat.LLCHit) // local snoop via the caching agent
+	case skip && c.socket == deviceSocket:
+		// Trusted-absent per the snoop filter: no crossing.
+	default:
+		if !crossed {
+			s.ctrlPair(now, interconn.DirFromTo(keeper.socket, c.socket))
+			crossed = true
+		}
+		lat = max(lat, s.invalCost())
 	}
 	return lat, crossed
 }
@@ -339,6 +370,8 @@ func (s *System) invalidateLat(d *dirEntry, keeper *Cache, line mem.Addr, now si
 // directory's owner and sharers. A device copy the snoop filter trusts to be
 // absent is not dropped (see skipsDeviceSnoop): under a stale filter it
 // survives.
+//
+//ccnic:noalloc
 func (s *System) dropCopies(d *dirEntry, keeper *Cache, line mem.Addr) {
 	skip := s.skipsDeviceSnoop(keeper, line)
 	if d.owner != nil {
@@ -358,6 +391,8 @@ func (s *System) dropCopies(d *dirEntry, keeper *Cache, line mem.Addr) {
 // nearestSharer picks the lowest-cost source among clean sharers: an L2 on
 // the requester's socket, then the requester-socket LLC, then any remote
 // cache.
+//
+//ccnic:noalloc
 func (s *System) nearestSharer(d *dirEntry, socket int) *Cache {
 	var llcLocal, remote *Cache
 	for _, c := range d.sharers {
@@ -398,31 +433,8 @@ const StoreIssueCost = 15 * sim.Nanosecond
 // observes the old contents. Ring implementations gate readiness on it.
 func (a *Agent) WriteAsync(p *sim.Proc, addr mem.Addr, size int) (visibleAt sim.Time) {
 	a.pressure(p)
-	if size <= 0 {
-		size = 1
-	}
-	visibleAt = p.Now()
-	mem.Lines(addr, size, func(line mem.Addr) {
-		full := line >= addr && line+mem.LineSize <= addr+mem.Addr(size)
-		r := a.sys.access(a, line, true, false, full)
-		// The store buffer hides the transfer latency but not the wait
-		// behind earlier in-flight stores to the same line: a backed-up
-		// line fills the buffer and throttles the core.
-		issue := r.lat - r.stall
-		if issue > StoreIssueCost {
-			issue = StoreIssueCost
-		}
-		issue += r.stall
-		if v := p.Now() + r.lat; v > visibleAt {
-			visibleAt = v
-		}
-		p.Sleep(issue)
-		a.trainPrefetch(line, true)
-	})
-	if v := p.Now(); v > visibleAt {
-		visibleAt = v
-	}
-	return visibleAt
+	_, visibleAt = a.walker(walkAsync, true, true).span(addr, size).run(p)
+	return max(visibleAt, p.Now())
 }
 
 // SoftPrefetch issues an explicit software prefetch of one line (the
@@ -477,22 +489,7 @@ func (a *Agent) pressure(p *sim.Proc) {
 
 func (a *Agent) serialAccess(p *sim.Proc, addr mem.Addr, size int, write, train bool) sim.Time {
 	a.pressure(p)
-	if size <= 0 {
-		size = 1
-	}
-	total := sim.Time(0)
-	mem.Lines(addr, size, func(line mem.Addr) {
-		full := write && line >= addr && line+mem.LineSize <= addr+mem.Addr(size)
-		r := a.sys.access(a, line, write, false, full)
-		total += r.lat
-		p.Sleep(r.lat)
-		if !write {
-			a.sys.commitRead(a, line)
-		}
-		if train {
-			a.trainPrefetch(line, write)
-		}
-	})
+	total, _ := a.walker(walkSerial, write, train).span(addr, size).run(p)
 	return total
 }
 
@@ -511,18 +508,10 @@ func (a *Agent) StreamWrite(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 
 func (a *Agent) stream(p *sim.Proc, addr mem.Addr, size int, write bool) sim.Time {
 	a.pressure(p)
-	if size <= 0 {
-		size = 1
-	}
-	total := sim.Time(0)
-	firstLine := mem.LineOf(addr)
-	mem.Lines(addr, size, func(line mem.Addr) {
-		full := write && line >= addr && line+mem.LineSize <= addr+mem.Addr(size)
-		total += a.overlapLine(p, line, write, full, line == firstLine)
-	})
+	total, _ := a.walker(walkOverlap, write, false).span(addr, size).run(p)
 	// Train the prefetcher on the stream's start so buffer-to-buffer
 	// strides are observed (the within-stream lines are already pipelined).
-	a.trainPrefetch(firstLine, write)
+	a.trainPrefetch(mem.LineOf(addr), write)
 	return total
 }
 
@@ -540,28 +529,8 @@ func (a *Agent) ScatterWrite(p *sim.Proc, lines []mem.Addr) sim.Time {
 
 func (a *Agent) gather(p *sim.Proc, lines []mem.Addr, write bool) sim.Time {
 	a.pressure(p)
-	total := sim.Time(0)
-	for i, line := range lines {
-		total += a.overlapLine(p, line, write, write, i == 0)
-	}
+	total, _ := a.walker(walkOverlap, write, false).list(lines).run(p)
 	return total
-}
-
-// overlapLine performs one line of an overlapped (memory-level parallel)
-// access and returns its cost: the first line pays its full latency; later
-// lines pay the larger of their bandwidth cost and link queueing, plus any
-// wait behind an in-flight store.
-func (a *Agent) overlapLine(p *sim.Proc, line mem.Addr, write, full, first bool) sim.Time {
-	r := a.sys.access(a, line, write, false, full)
-	cost := r.lat
-	if !first {
-		cost = max(a.bwCost(r.data), r.queue) + r.stall
-	}
-	p.Sleep(cost)
-	if !write {
-		a.sys.commitRead(a, line)
-	}
-	return cost
 }
 
 // bwCost is the amortized per-line cost of an overlapped access: remote
@@ -569,6 +538,8 @@ func (a *Agent) overlapLine(p *sim.Proc, line mem.Addr, write, full, first bool)
 // store/copy bandwidth otherwise. The costs are precomputed at agent
 // creation — bwCost runs once per streamed line, and the cached integer
 // result is bit-identical to recomputing the division.
+//
+//ccnic:noalloc
 func (a *Agent) bwCost(dataCrossed bool) sim.Time {
 	if dataCrossed {
 		return a.remoteLineCost
@@ -580,28 +551,172 @@ func (a *Agent) bwCost(dataCrossed bool) sim.Time {
 // [addr, addr+size), invalidating any cached copies and writing directly to
 // the home memory. This is the UPI analog of the PCIe MMIO/WC data path.
 func (a *Agent) WriteNT(p *sim.Proc, addr mem.Addr, size int) sim.Time {
-	if size <= 0 {
-		size = 1
+	total, _ := a.walker(walkNT, true, false).span(addr, size).run(p)
+	return total
+}
+
+// walkKind is a line walk's per-line cost rule (see lineWalk.issue).
+type walkKind uint8
+
+const (
+	walkSerial  walkKind = iota // Read, Write, Poll
+	walkOverlap                 // StreamRead/Write, GatherRead/ScatterWrite
+	walkAsync                   // WriteAsync
+	walkNT                      // WriteNT
+)
+
+// lineWalk is one multi-line access in flight. Its lines run one after
+// another, each issued (the coherence walk at issue time), slept for its
+// cost, then finished (the read's transition at completion, prefetcher
+// training). run issues line 0 on the process; every later line runs as a
+// sim.Proc.Spin step, advance, which finishes the line before it and
+// issues it in that same event. The clock, the event count, the probe and
+// the run-queue order therefore see exactly what a Sleep per line would
+// have made them see, without a coroutine switch into the process per line.
+//
+// advance runs outside every process, so nothing it calls may block:
+// access, commitRead, trainPrefetch, dropEverywhere and the link's charges
+// only compute and record.
+type lineWalk struct {
+	a            *Agent
+	kind         walkKind
+	write, train bool // train feeds each finished line to the prefetcher
+
+	// The walk covers lines when non-nil, borrowed as the caller's loop
+	// would borrow it; otherwise the lines of [addr, end).
+	lines     []mem.Addr
+	addr, end mem.Addr
+
+	i, n             int      // the line in flight, and the line count
+	line             mem.Addr // lines[i]
+	total, visibleAt sim.Time // summed cost; WriteAsync's visibility
+
+	// step is advance, bound once when the walker is made: a method value
+	// made per walk would allocate.
+	step func() (sim.Time, bool)
+	next *lineWalk // the agent's free list
+}
+
+// walker takes a walker off the agent's free list. One agent may have
+// several walks in flight, from different processes.
+func (a *Agent) walker(kind walkKind, write, train bool) *lineWalk {
+	w := a.walks
+	if w == nil {
+		w = &lineWalk{a: a}
+		w.step = w.advance
+	} else {
+		a.walks = w.next
 	}
-	s := a.sys
-	total := sim.Time(0)
-	mem.Lines(addr, size, func(line mem.Addr) {
-		now := s.k.Now()
+	w.kind, w.write, w.train, w.i = kind, write, train, 0
+	return w
+}
+
+// span walks the lines of [addr, addr+size); a size below one byte walks
+// addr's line.
+func (w *lineWalk) span(addr mem.Addr, size int) *lineWalk {
+	w.addr, w.end = addr, addr+mem.Addr(max(size, 1))
+	w.n = int((mem.LineOf(w.end-1)-mem.LineOf(addr))/mem.LineSize) + 1
+	return w
+}
+
+// list walks lines in order.
+func (w *lineWalk) list(lines []mem.Addr) *lineWalk {
+	w.lines, w.n = lines, len(lines)
+	return w
+}
+
+// run performs the walk on p and returns the walker to the agent's free
+// list. A one-line walk sleeps and finishes on p, with no spin step.
+func (w *lineWalk) run(p *sim.Proc) (total, visibleAt sim.Time) {
+	switch {
+	case w.n == 1:
+		p.Sleep(w.issue())
+		w.finish()
+	case w.n > 1:
+		p.Spin(w.issue(), w.step)
+	}
+	total, visibleAt = w.total, w.visibleAt
+	a := w.a
+	w.lines, w.total, w.visibleAt = nil, 0, 0
+	w.next, a.walks = a.walks, w
+	return total, visibleAt
+}
+
+// advance is the walk's spin step: it finishes the line in flight, then
+// issues the next, or ends the walk after the last.
+//
+//ccnic:noalloc
+func (w *lineWalk) advance() (sim.Time, bool) {
+	w.finish()
+	if w.i++; w.i == w.n {
+		return 0, false
+	}
+	return w.issue(), true
+}
+
+// issue starts line i at the current instant and returns its cost:
+//
+//   - serial: its access latency;
+//   - overlap: the first line's latency; later lines pay the larger of
+//     their bandwidth cost and link queueing, plus any wait behind an
+//     in-flight store;
+//   - async store: the store buffer's issue cost, with the data visible
+//     once the access latency has passed;
+//   - NT: the nontemporal store's serialization, or its weighted link time
+//     when the line is homed remotely and that is longer.
+//
+//ccnic:noalloc
+func (w *lineWalk) issue() sim.Time {
+	a, s := w.a, w.a.sys
+	if w.lines != nil {
+		w.line = w.lines[w.i]
+	} else {
+		w.line = mem.LineOf(w.addr) + mem.Addr(w.i)*mem.LineSize
+	}
+	line := w.line
+	var cost sim.Time
+	if w.kind == walkNT {
 		s.dropEverywhere(line, a.socket)
-		home := mem.Home(line)
-		perLine := s.ntLineCost
-		if home != a.socket {
-			q := s.link.Weighted(now, interconn.DirFromTo(a.socket, home),
+		cost = s.ntLineCost
+		if home := mem.Home(line); home != a.socket {
+			q := s.link.Weighted(s.k.Now(), interconn.DirFromTo(a.socket, home),
 				mem.LineSize, s.plat.NTWritePenalty)
-			if q > perLine {
-				perLine = q
-			}
+			cost = max(cost, q)
 			s.counters[a.socket].RemoteNT++
 		}
-		total += perLine
-		p.Sleep(perLine)
-	})
-	return total
+		w.total += cost
+		return cost
+	}
+	// A store covering the whole line takes ownership without the data.
+	full := w.write && (w.lines != nil || line >= w.addr && line+mem.LineSize <= w.end)
+	r := s.access(a, line, w.write, false, full)
+	cost = r.lat
+	switch {
+	case w.kind == walkOverlap && w.i > 0:
+		cost = max(a.bwCost(r.data), r.queue) + r.stall
+	case w.kind == walkAsync:
+		// The store buffer hides the transfer latency but not the wait
+		// behind earlier in-flight stores to the same line: a backed-up
+		// line fills the buffer and throttles the core.
+		cost = min(r.lat-r.stall, StoreIssueCost) + r.stall
+		w.visibleAt = max(w.visibleAt, s.k.Now()+r.lat)
+	}
+	w.total += cost
+	return cost
+}
+
+// finish completes the line in flight once its cost has elapsed: a demand
+// read's coherence transition, and the prefetcher's training.
+//
+//ccnic:noalloc
+func (w *lineWalk) finish() {
+	a := w.a
+	if !w.write {
+		a.sys.commitRead(a, w.line)
+	}
+	if w.train {
+		a.trainPrefetch(w.line, w.write)
+	}
 }
 
 // Exec charges plain CPU execution time (instructions that do not miss).
@@ -613,6 +728,8 @@ func (a *Agent) Exec(p *sim.Proc, d sim.Time) { p.Sleep(d) }
 // the predicted next line when a stride is confirmed twice in a row.
 // Prefetch loads demote a remote dirty owner (non-migratory); prefetch
 // stores perform a full RFO, acquiring ownership early.
+//
+//ccnic:noalloc
 func (a *Agent) trainPrefetch(line mem.Addr, write bool) {
 	s := a.sys
 	if !s.prefetch[a.socket] {

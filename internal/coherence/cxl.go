@@ -219,6 +219,8 @@ func (x *cxlState) skipsDeviceSnoop(keeper *Cache, line mem.Addr) bool {
 // (dirty data written back into the device's memory) so the device can
 // access its memory without further host interaction. It reports the
 // roundtrip's latency and whether a reclaim was due.
+//
+//ccnic:noalloc
 func (x *cxlState) reclaimBias(a *Agent, line mem.Addr) (sim.Time, bool) {
 	if a.socket != deviceSocket || mem.Home(line) != deviceSocket || x.biasAt(line) != HostBias {
 		return 0, false

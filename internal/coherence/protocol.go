@@ -88,6 +88,8 @@ func (s *System) Protocol() Protocol {
 // resolve at the host (cache forward or host DRAM), host requests to HDM at
 // the device's DCOH, and a host fetch of a host-homed line from the device
 // is an H2D snoop.
+//
+//ccnic:noalloc
 func (s *System) fetchLat(a *Agent, home int, fromCache bool) sim.Time {
 	p := s.plat
 	if s.cxl != nil {
@@ -113,6 +115,8 @@ func (s *System) fetchLat(a *Agent, home int, fromCache bool) sim.Time {
 
 // invalCost (point 2) is the latency of an invalidate-only crossing: a
 // snoop-invalidate, or an ownership grant without data.
+//
+//ccnic:noalloc
 func (s *System) invalCost() sim.Time {
 	if s.cxl != nil {
 		return s.plat.CXL.Inval
@@ -132,6 +136,8 @@ func (s *System) skipsDeviceSnoop(keeper *Cache, line mem.Addr) bool {
 // reclaimBias (point 4) runs before a device access to its own HDM line in
 // host bias (CXL only). It reports the reclaim roundtrip's latency and
 // whether a reclaim happened.
+//
+//ccnic:noalloc
 func (s *System) reclaimBias(a *Agent, line mem.Addr) (sim.Time, bool) {
 	if s.cxl == nil {
 		return 0, false
@@ -164,10 +170,14 @@ func (s *System) residencyChanged(line mem.Addr) {
 // migrates ownership to the reader. UPI migrates unless the ablation turned
 // it off; CXL never does, so its reads demote the holder to Shared — the
 // same rule as the ablation.
+//
+//ccnic:noalloc
 func (s *System) migrates() bool { return s.cxl == nil && !s.noMigrate }
 
 // pendingStall returns how long a requester arriving now must wait behind an
 // in-flight ownership-acquiring store to the line.
+//
+//ccnic:noalloc
 func (d *dirEntry) pendingStall(now sim.Time) sim.Time {
 	if d.pendingUntil > now {
 		return d.pendingUntil - now

@@ -218,6 +218,8 @@ func (d *dirEntry) removeSharer(c *Cache) {
 }
 
 // hasRemote reports whether any copy lives on a socket other than sock.
+//
+//ccnic:noalloc
 func (d *dirEntry) hasRemote(sock int) bool {
 	if d.owner != nil && d.owner.socket != sock {
 		return true
@@ -284,6 +286,8 @@ func (d *dirEntry) holds(c *Cache) bool {
 // dropEverywhere invalidates every cached copy of line (used by NT stores
 // and flushes). Returns true if any remote (cross-socket from sock) copy
 // existed.
+//
+//ccnic:noalloc
 func (s *System) dropEverywhere(line mem.Addr, sock int) bool {
 	d := s.lookup(line)
 	if d == nil {

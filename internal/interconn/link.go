@@ -128,6 +128,8 @@ func (l *Link) Data(now sim.Time, dir Direction, payloadBytes int) sim.Time {
 
 // Ctrl reserves link time for a dataless protocol message (snoop,
 // invalidation, ack) in the given direction and returns the queueing delay.
+//
+//ccnic:noalloc
 func (l *Link) Ctrl(now sim.Time, dir Direction) sim.Time {
 	l.stats.WireBytes[dir] += int64(l.ctrlMsg)
 	l.stats.Messages[dir]++
@@ -138,6 +140,8 @@ func (l *Link) Ctrl(now sim.Time, dir Direction) sim.Time {
 // efficiency penalty (>1 consumes more link time per byte). Used for
 // nontemporal write streams, which the paper measures at 1.6-1.8x lower
 // efficiency than the caching path (Fig 9).
+//
+//ccnic:noalloc
 func (l *Link) Weighted(now sim.Time, dir Direction, payloadBytes int, penalty float64) sim.Time {
 	wire := int(float64(payloadBytes)*penalty) + l.header
 	l.stats.DataBytes[dir] += int64(payloadBytes)
@@ -172,6 +176,8 @@ func (l *Link) BusyUntil(dir Direction) sim.Time {
 }
 
 // Opposite returns the reverse direction.
+//
+//ccnic:noalloc
 func (d Direction) Opposite() Direction { return 1 - d }
 
 // DirFromTo returns the link direction for a transfer from socket src to

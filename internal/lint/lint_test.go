@@ -25,8 +25,9 @@ func TestYieldlintPR2Bug(t *testing.T) { linttest.Run(t, "testdata/yield_pr2bug"
 func TestYieldlintClean(t *testing.T)  { linttest.Run(t, "testdata/yield_clean", lint.Yieldlint) }
 
 // TestYieldlintSpinStep checks that yieldlint flags a Proc.Spin step that
-// yields, whether passed as a method or function value, a local bound to
-// one, or a function literal, and accepts steps that only read state.
+// yields, whether passed as a method or function value, a local or a struct
+// field bound to one, or a function literal, and accepts steps that only
+// read state.
 func TestYieldlintSpinStep(t *testing.T) { linttest.Run(t, "testdata/yield_spin", lint.Yieldlint) }
 
 func TestProbelintBad(t *testing.T)   { linttest.Run(t, "testdata/probe_bad", lint.Probelint) }

@@ -62,3 +62,22 @@ func (e *engine) run() {
 		return 5, true
 	})
 }
+
+// walker binds its steps once, to fields, as a step reused across many
+// spins must be: assigned, or keyed in a composite literal.
+type walker struct {
+	e                *engine
+	step, bad, worse func() (Time, bool)
+}
+
+func newWalker(e *engine) *walker {
+	w := &walker{e: e, step: e.idle, bad: e.busy}
+	w.worse = poll
+	return w
+}
+
+func (w *walker) run() {
+	w.e.p.Spin(5, w.step)
+	w.e.p.Spin(5, w.bad)   // want "spin step busy yields"
+	w.e.p.Spin(5, w.worse) // want "spin step poll yields"
+}

@@ -19,8 +19,9 @@ import (
 //     take() transition, leaving a buffer unowned and unlisted mid-yield.
 //   - the step passed to Proc.Spin runs inside the scheduler, outside every
 //     process, so it may not block; the kernel panics if one does. A step
-//     given as a function or method value, a function literal, or a local
-//     variable bound to either is resolved and checked.
+//     given as a function or method value, a function literal, a local
+//     variable bound to either, or a struct field bound to either anywhere
+//     in the package is resolved and checked.
 var Yieldlint = &Analyzer{
 	Name: "yieldlint",
 	Doc:  "flag yielding calls inside //ccnic:atomic critical regions and spin steps that yield",
@@ -81,7 +82,8 @@ func isSpin(fn *types.Func) bool {
 
 // checkSpinStep reports step if it resolves to a yielding function, or to a
 // function literal whose body calls one. A local variable resolves to every
-// value assigned to it in fd.
+// value assigned to it in fd, a struct field to every value assigned to it
+// (or keyed to it in a composite literal) in the package.
 func checkSpinStep(pass *Pass, yields map[*types.Func]bool, fd *ast.FuncDecl, step ast.Expr) {
 	info := pass.TypesInfo
 	seen := map[*types.Var]bool{}
@@ -118,32 +120,48 @@ func checkSpinStep(pass *Pass, yields map[*types.Func]bool, fd *ast.FuncDecl, st
 				return
 			}
 			seen[obj] = true
-			for _, v := range assignedTo(info, fd, obj) {
-				resolve(v)
+			scope := []ast.Node{fd.Body}
+			if obj.IsField() {
+				scope = scope[:0]
+				for _, f := range pass.Files {
+					scope = append(scope, f)
+				}
+			}
+			for _, n := range scope {
+				for _, v := range assignedTo(info, n, obj) {
+					resolve(v)
+				}
 			}
 		}
 	}
 	resolve(step)
 }
 
-// assignedTo returns the expressions fd's body assigns or declares v with.
-func assignedTo(info *types.Info, fd *ast.FuncDecl, v *types.Var) []ast.Expr {
+// assignedTo returns the expressions within root that assign or declare v,
+// or key v in a composite literal.
+func assignedTo(info *types.Info, root ast.Node, v *types.Var) []ast.Expr {
 	var out []ast.Expr
 	match := func(lhs []ast.Expr, rhs []ast.Expr) {
 		if len(lhs) != len(rhs) {
 			return
 		}
 		for i, l := range lhs {
-			id, ok := ast.Unparen(l).(*ast.Ident)
+			l = ast.Unparen(l)
+			if sel, ok := l.(*ast.SelectorExpr); ok {
+				l = sel.Sel // a field assigned through its struct
+			}
+			id, ok := l.(*ast.Ident)
 			if ok && (info.Defs[id] == v || info.Uses[id] == v) {
 				out = append(out, rhs[i])
 			}
 		}
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			match(n.Lhs, n.Rhs)
+		case *ast.KeyValueExpr:
+			match([]ast.Expr{n.Key}, []ast.Expr{n.Value})
 		case *ast.ValueSpec:
 			lhs := make([]ast.Expr, len(n.Names))
 			for i, id := range n.Names {

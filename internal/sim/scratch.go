@@ -4,10 +4,11 @@ package sim
 // rebuilt on every burst allocates only while it grows. The holder is the
 // object whose methods build the list (a ring, a buffer-pool port).
 //
-// Take empties the holder. A process that yields while it walks its list
-// (a GatherRead sleeps once per line) may be overtaken by another process
-// calling the same method; that one takes nothing and appends into fresh
-// memory instead of overwriting a list still in use. Put hands a slice back
+// Take empties the holder. A process that yields while its list is walked
+// (a GatherRead parks its process while spin steps issue the lines one
+// event at a time) may be overtaken by another process calling the same
+// method; that one takes nothing and appends into fresh memory instead of
+// overwriting a list still in use. Put hands a slice back
 // with its capacity; of two overlapping users, the last to put wins.
 type Scratch[T any] struct{ s []T }
 

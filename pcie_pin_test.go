@@ -136,3 +136,59 @@ func TestKVEventPin(t *testing.T) {
 		})
 	}
 }
+
+// coherentRun is what TestCoherentEventPin pins of one coherent NIC run: the
+// kernel's event count, the demand reads and RFOs that crossed the link
+// (summed over both sockets), the link's wire bytes in both directions, and
+// the host-observed latency.
+type coherentRun struct {
+	events                  uint64
+	remoteReads, remoteRFOs int64
+	wireBytes               int64
+	p50, p99                sim.Time
+}
+
+// TestCoherentEventPin pins coherent NIC runs event for event: CC-NIC under
+// UPI and under CXL, and the unoptimized UPI interface, closed and open loop,
+// all at 1500B, where a packet's payload is a multi-line access on both the
+// host and the NIC. Those accesses complete each line as a spin step, which
+// must count, order and time every event exactly as the per-line Sleep
+// loops they replace. The expected values were recorded with Sleep loops.
+func TestCoherentEventPin(t *testing.T) {
+	opt := ccnic.LoopbackOptions{PktSize: 1500, Window: 64,
+		Warmup: 10 * sim.Microsecond, Measure: 30 * sim.Microsecond}
+	for _, tc := range []struct {
+		name     string
+		iface    ccnic.Interface
+		protocol string
+		rate     float64 // per-queue offered load; 0 is closed loop
+		want     coherentRun
+	}{
+		{"CCNIC-UPI/closed", ccnic.CCNIC, "UPI", 0, coherentRun{74498, 14000, 162, 1125472, 18350080, 24641536}},
+		{"CCNIC-UPI/open", ccnic.CCNIC, "UPI", 2e6, coherentRun{65323, 7976, 227, 645344, 1638400, 1933312}},
+		{"CCNIC-CXL/closed", ccnic.CCNIC, "CXL", 0, coherentRun{73691, 14001, 12468, 1351152, 18971431, 25690112}},
+		{"CCNIC-CXL/open", ccnic.CCNIC, "CXL", 2e6, coherentRun{62685, 7636, 7410, 756368, 3604480, 4456448}},
+		{"Unopt/closed", ccnic.UnoptUPI, "UPI", 0, coherentRun{67824, 11416, 6962, 1138592, 20447232, 25690112}},
+		{"Unopt/open", ccnic.UnoptUPI, "UPI", 2e6, coherentRun{64754, 7676, 3898, 743888, 3473408, 6422528}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Interface: tc.iface,
+				Protocol: tc.protocol, Queues: 2, HostPrefetch: true})
+			o := opt
+			o.Rate = tc.rate
+			res := tb.RunLoopback(o)
+			got := coherentRun{events: tb.Kernel.Events(),
+				p50: res.Latency.Median(), p99: res.Latency.Percentile(0.99)}
+			for s := 0; s < 2; s++ {
+				c := tb.Sys.Counters(s)
+				got.remoteReads += c.RemoteRead
+				got.remoteRFOs += c.RemoteRFO
+			}
+			st := tb.Sys.Link().Stats()
+			got.wireBytes = st.WireBytes[0] + st.WireBytes[1]
+			if got != tc.want {
+				t.Errorf("got  %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}
