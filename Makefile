@@ -9,7 +9,7 @@
 #   make race         race detector over the packages with real goroutines
 #                     (kernel, parallel shard engine, cluster model, the
 #                     experiments' slot pool)
-#   make bench-smoke  one-iteration pass over the kernel, headline and KV benches,
+#   make bench-smoke  one-iteration pass over the kernel, headline, KV and cluster benches,
 #                     then the tests of cmd/ccperf, the repository benchmark
 #                     (its own module, so `go test ./...` never builds it)
 #   make matrix       seed 1 of one armed row per family (faults, protocols,
@@ -51,7 +51,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/check/prop/
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Kernel|LoopbackCCNIC|KV' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Kernel|LoopbackCCNIC|KV|Cluster' -benchtime 1x .
 	cd cmd/ccperf && $(GO) test ./...
 
 # The make-check slice of the checked quick-run matrix, whose rows live in

@@ -27,7 +27,8 @@
 //     order, from that sender's own stream (fault.Plan.ForShard keyed by the
 //     stable node id; per-generator seeded rngs) — never in arrival order,
 //     which differs between partitions;
-//   - arrival-side handling is per-message (one process per delivery) with
+//   - arrival-side handling is per-message (each delivery runs as its own
+//     bodiless process, whose steps charge the receive path's costs) with
 //     no order-sensitive shared resources: window accounting, flow counters,
 //     and histogram records all commute across same-instant arrivals.
 package cluster
@@ -428,8 +429,7 @@ func New(cfg Config) *Cluster {
 		})
 		c.Switches = append(c.Switches, sw)
 		for i := range c.Nodes {
-			sw.Attach(c.Engine, shards[c.nodeShard[i]],
-				func(p *sim.Proc, pkt fabric.Packet) { c.receive(p, pkt.Payload.(Message)) })
+			sw.Attach(c.Engine, shards[c.nodeShard[i]], c.receive)
 		}
 	}
 	c.Switch = c.Switches[0]
@@ -607,56 +607,66 @@ func (n *Node) start() {
 	})
 }
 
-// receive handles one fabric delivery on the destination node. It runs in
-// its own process at the arrival instant, so same-time arrivals commute.
-func (c *Cluster) receive(p *sim.Proc, m Message) {
-	n := c.Nodes[m.To]
+// receive handles one fabric delivery on the destination node, in steps of
+// its own bodiless process from the arrival instant, so same-time arrivals
+// commute. Step 0 charges the DDIO deposit and descriptor write. A request
+// then touches its payload one cacheline per step, charges the application
+// think time with the sender-drawn variation, counts itself served and
+// writes the response header, and finally sends the response.
+func (c *Cluster) receive(d *shard.Delivery, pkt fabric.Packet) (sim.Time, bool) {
 	plat := c.plat
-	p.Sleep(plat.LLCHit) // DDIO deposit + descriptor write
-	if m.Probe {
+	if d.Step == 0 {
+		return plat.LLCHit, true // DDIO deposit + descriptor write
+	}
+	m := pkt.Payload.(Message)
+	n := c.Nodes[m.To]
+	if d.Step == 1 && m.Probe {
 		n.probeReturned(m)
-		return
+		return 0, false
 	}
 	if m.Flow > 0 {
-		c.receiveFlow(p, n, m)
-		return
+		return c.receiveFlow(d, n, m)
 	}
-	if m.Resp {
-		if c.cfg.Reliable && !n.completeRPC(m) {
-			// Late response to an RPC already completed (an earlier
-			// attempt won) or retired: suppress the duplicate. The
-			// window was already released.
-			n.DupResps++
-			return
+	if d.Step == 1 {
+		if m.Resp {
+			if c.cfg.Reliable && !n.completeRPC(m) {
+				// Late response to an RPC already completed (an earlier
+				// attempt won) or retired: suppress the duplicate. The
+				// window was already released.
+				n.DupResps++
+				return 0, false
+			}
+			now := d.Proc.Now()
+			n.phaseRoll(now)
+			n.Lat.Record(now - m.Sent)
+			n.Done++
+			n.inFlight--
+			n.winWake.Signal()
+			return 0, false
 		}
-		n.phaseRoll(p.Now())
-		n.Lat.Record(p.Now() - m.Sent)
-		n.Done++
-		n.inFlight--
-		n.winWake.Signal()
-		return
 	}
-	// Service: touch the payload per cacheline, then the application think
-	// time with the sender-drawn variation.
 	lines := (c.cfg.ReqSize + platform.CacheLine - 1) / platform.CacheLine
-	lt := c.lineTime()
-	for i := 0; i < lines; i++ {
-		p.Sleep(lt)
+	switch s := d.Step - 1; {
+	case s < lines:
+		return c.lineTime(), true
+	case s == lines:
+		return plat.LLCHit + m.svcDelay, true
+	case s == lines+1:
+		n.Served++
+		if c.cfg.Reliable {
+			// The responder routes by its own table: an outage between the
+			// requester and switch 0 usually bites both directions of that
+			// port, and the responder's probes notice it independently.
+			d.State = uint64(n.routeVia[m.From])
+		}
+		return plat.L2Hit, true // response header
 	}
-	p.Sleep(plat.LLCHit + m.svcDelay)
-	n.Served++
 	resp := Message{
 		From: m.To, To: m.From, Seq: m.Seq, Resp: true, Sent: m.Sent,
-		Bytes: c.cfg.ReqSize, Class: fabric.ClassRPC,
+		Bytes: c.cfg.ReqSize, Class: fabric.ClassRPC, Via: uint8(d.State),
 	}
-	if c.cfg.Reliable {
-		// The responder routes by its own table: an outage between the
-		// requester and switch 0 usually bites both directions of that
-		// port, and the responder's probes notice it independently.
-		resp.Via = n.routeVia[m.From]
-	}
-	p.Sleep(plat.L2Hit) // response header
-	c.send(p, m.To, c.nicSer(c.cfg.ReqSize)+m.respSpike, resp)
+	c.send(d.Proc, m.To, c.nicSer(c.cfg.ReqSize)+m.respSpike, resp)
+	return 0, false
 }
 
 // Report summarizes a run. All fields are deterministic functions of the

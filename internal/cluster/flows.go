@@ -6,6 +6,7 @@ import (
 
 	"ccnic/internal/fabric"
 	"ccnic/internal/sim"
+	"ccnic/internal/sim/shard"
 	"ccnic/internal/traffic"
 )
 
@@ -174,15 +175,28 @@ func (c *Cluster) startGenerator(si int, spec FlowSpec, src int) {
 	})
 }
 
-// receiveFlow handles a flow packet — or, on the Resp path, a tracked
-// response completing its round trip back at the generator's host.
-func (c *Cluster) receiveFlow(p *sim.Proc, n *Node, m Message) {
+// receiveFlow runs receive's steps from step 1 for a flow packet — or, on
+// the Resp path, a tracked response completing its round trip back at the
+// generator's host. A tracked packet gets per-packet service, one step,
+// before its response is sent.
+func (c *Cluster) receiveFlow(d *shard.Delivery, n *Node, m Message) (sim.Time, bool) {
+	if d.Step == 2 {
+		resp := Message{
+			From: m.To, To: m.From, Seq: m.Seq, Resp: true, Flow: m.Flow,
+			Tracked: true, Sent: m.Sent, Bytes: trackRespBytes, Class: fabric.ClassRPC,
+		}
+		if c.cfg.Reliable {
+			resp.Via = n.routeVia[m.From]
+		}
+		c.send(d.Proc, m.To, c.nicSer(trackRespBytes), resp)
+		return 0, false
+	}
 	if m.Resp {
 		if c.cfg.Reliable {
 			n.flowResponded(m.Flow, m.Seq)
 		}
-		n.FlowLat.Record(p.Now() - m.Sent)
-		return
+		n.FlowLat.Record(d.Proc.Now() - m.Sent)
+		return 0, false
 	}
 	f := &c.flows[m.Flow-1]
 	f.delivered++
@@ -192,14 +206,7 @@ func (c *Cluster) receiveFlow(p *sim.Proc, n *Node, m Message) {
 	}
 	if m.Tracked {
 		// Only the sampled tail gets per-packet service and a response.
-		p.Sleep(c.plat.LLCHit)
-		resp := Message{
-			From: m.To, To: m.From, Seq: m.Seq, Resp: true, Flow: m.Flow,
-			Tracked: true, Sent: m.Sent, Bytes: trackRespBytes, Class: fabric.ClassRPC,
-		}
-		if c.cfg.Reliable {
-			resp.Via = n.routeVia[m.From]
-		}
-		c.send(p, m.To, c.nicSer(trackRespBytes), resp)
+		return c.plat.LLCHit, true
 	}
+	return 0, false
 }

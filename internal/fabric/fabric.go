@@ -93,9 +93,11 @@ type Packet struct {
 	Payload  any
 }
 
-// DeliverFunc handles a packet arriving at its destination host. It runs as
-// a simulation process on the destination host's kernel.
-type DeliverFunc func(p *sim.Proc, pkt Packet)
+// DeliverFunc handles a packet arriving at its destination host, in steps:
+// it is the down link's shard.DeliverFunc with the packet unpacked from
+// d.Payload, so it runs on the destination host's kernel, must not block,
+// and charges time by returning it.
+type DeliverFunc func(d *shard.Delivery, pkt Packet) (sim.Time, bool)
 
 // Config tunes a Switch. Zero values select the documented defaults.
 type Config struct {
@@ -316,9 +318,10 @@ func (sw *Switch) event(port int) {
 
 // Attach connects a host living on shard hs to the next free port and
 // returns the host's address, which is its port number. deliver runs on
-// hs's kernel for every packet forwarded to the host. e must be the engine
-// the switch was created on. Hosts sharing a shard (coarse partitions)
-// share the underlying shard links; the switch's queues stay per host.
+// hs's kernel, in steps, for every packet forwarded to the host. e must be
+// the engine the switch was created on. Hosts sharing a shard (coarse
+// partitions) share the underlying shard links; the switch's queues stay
+// per host.
 func (sw *Switch) Attach(e *shard.Engine, hs *shard.Shard, deliver DeliverFunc) int {
 	if len(sw.ports) >= sw.cfg.Ports {
 		panic(fmt.Sprintf("fabric: switch %s out of ports (%d)", sw.name, sw.cfg.Ports))
@@ -338,12 +341,11 @@ func (sw *Switch) Attach(e *shard.Engine, hs *shard.Shard, deliver DeliverFunc) 
 		}
 	}
 	if pt.up == nil {
-		pt.up = e.Connect(hs, sw.shd, sw.cfg.HopLat, linkCap,
-			func(p *sim.Proc, payload any) { sw.arrive(p, payload.(Packet)) })
+		pt.up = e.Connect(hs, sw.shd, sw.cfg.HopLat, linkCap, sw.arrive)
 		pt.down = e.Connect(sw.shd, hs, sw.cfg.HopLat, linkCap,
-			func(p *sim.Proc, payload any) {
-				pkt := payload.(Packet)
-				sw.ports[pkt.Dst].deliver(p, pkt)
+			func(d *shard.Delivery) (sim.Time, bool) {
+				pkt := d.Payload.(Packet)
+				return sw.ports[pkt.Dst].deliver(d, pkt)
 			})
 	}
 	sw.ports = append(sw.ports, pt)
@@ -377,77 +379,83 @@ func (sw *Switch) Ingress(p *sim.Proc, extra sim.Time, pkt Packet) {
 	sw.ports[pkt.Src].up.Send(p, sw.cfg.HopLat+extra, pkt)
 }
 
-// arrive runs on the switch shard for each packet delivered by an up link:
-// port-down admission, ingress admission, the routing pipeline (blackhole
-// and frame checks), then egress admission. Every fault draw is keyed by
-// the packet's (source, per-source sequence) identity, taken here in the
-// source's own send order — see the fault-domain notes in internal/fault.
-func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
+// arrive runs on the switch shard for each packet delivered by an up link,
+// in two steps. Step 0 is port-down and ingress admission; a packet
+// admitted to the routing pipeline occupies it for RouteLat. Step 1 is the
+// routing stage (blackhole and frame checks), then egress admission. Every
+// fault draw is keyed by the packet's (source, per-source sequence)
+// identity, taken at step 0 in the source's own send order and carried to
+// step 1 in d.State — see the fault-domain notes in internal/fault.
+func (sw *Switch) arrive(d *shard.Delivery) (sim.Time, bool) {
+	pkt := d.Payload.(Packet)
 	in, out := sw.ports[pkt.Src], sw.ports[pkt.Dst]
-	var seq uint64
-	if sw.flt != nil {
-		// A source's packets reach the switch in its own send order, so
-		// the sequence is invariant under any host partition.
-		in.seq++
-		seq = in.seq
-		if span := sw.flt.PortDown(pkt.Src, seq); span > 0 {
-			in.flap.extend(p.Now(), span)
+	now := d.Proc.Now()
+	if d.Step == 0 {
+		if sw.flt != nil {
+			// A source's packets reach the switch in its own send order, so
+			// the sequence is invariant under any host partition.
+			in.seq++
+			d.State = in.seq
+			if span := sw.flt.PortDown(pkt.Src, in.seq); span > 0 {
+				in.flap.extend(now, span)
+			}
 		}
+		if sw.isDown(pkt.Src, now) {
+			in.stats.IngressDownDrops++
+			sw.event(pkt.Src)
+			return 0, false
+		}
+		if in.inFlight >= ingressCap {
+			in.stats.IngressDrops++
+			sw.event(pkt.Src)
+			return 0, false
+		}
+		in.inFlight++
+		in.stats.IngressAdmitted++
+		return sw.cfg.RouteLat, true
 	}
-	if sw.isDown(pkt.Src, p.Now()) {
-		in.stats.IngressDownDrops++
-		sw.event(pkt.Src)
-		return
-	}
-	if in.inFlight >= ingressCap {
-		in.stats.IngressDrops++
-		sw.event(pkt.Src)
-		return
-	}
-	in.inFlight++
-	in.stats.IngressAdmitted++
-	p.Sleep(sw.cfg.RouteLat)
 	in.inFlight--
 
+	seq := d.State
 	if sw.flt != nil {
 		// Routing stage: a drawn blackhole window swallows everything
 		// routed toward this destination; an in-switch corruption fails
 		// the frame check on this packet alone.
 		if span := sw.flt.Blackhole(pkt.Src, seq); span > 0 {
-			out.blackhole.extend(p.Now(), span)
+			out.blackhole.extend(now, span)
 		}
-		if out.blackhole.active(p.Now()) {
+		if out.blackhole.active(now) {
 			in.stats.BlackholeDrops++
 			sw.event(pkt.Src)
-			return
+			return 0, false
 		}
 		if sw.flt.FabricCorrupt(pkt.Src, seq) {
 			in.stats.CorruptDrops++
 			sw.event(pkt.Src)
-			return
+			return 0, false
 		}
 	}
 
-	if sw.isDown(pkt.Dst, p.Now()) {
+	if sw.isDown(pkt.Dst, now) {
 		// Egress admission toward a downed port is refused; packets
 		// already queued on it keep draining (the flap gates admission,
 		// not the store-and-forward pipeline).
 		out.stats.EgressDownDrops++
 		sw.event(pkt.Dst)
-		return
+		return 0, false
 	}
 	if sw.flt != nil {
 		if span := sw.flt.Brownout(pkt.Src, seq); span > 0 {
-			out.brown.extend(p.Now(), span)
+			out.brown.extend(now, span)
 		}
 	}
 	f := &out.flows[pkt.Src*int(NumClasses)+int(pkt.Class)]
 	if f.len() >= sw.cfg.FlowCap {
 		out.stats.EgressDrops++
 		sw.event(pkt.Dst)
-		return
+		return 0, false
 	}
-	f.q = append(f.q, entry{at: p.Now(), pkt: pkt})
+	f.q = append(f.q, entry{at: now, pkt: pkt})
 	out.queued++
 	out.stats.Admitted++
 	if out.queued > out.stats.HighWater {
@@ -455,6 +463,7 @@ func (sw *Switch) arrive(p *sim.Proc, pkt Packet) {
 	}
 	sw.event(pkt.Dst)
 	out.wake.Signal()
+	return 0, false
 }
 
 // isDown reports whether port i refuses admission at instant now, from a

@@ -44,10 +44,11 @@ func newHarness(t *testing.T, hosts, hostShards, workers int, cfg Config) *harne
 	for i := 0; i < hosts; i++ {
 		hs := shards[i%hostShards]
 		h.hosts = append(h.hosts, hs)
-		h.sw.Attach(h.eng, hs, func(p *sim.Proc, pkt Packet) {
+		h.sw.Attach(h.eng, hs, func(d *shard.Delivery, pkt Packet) (sim.Time, bool) {
 			h.recv[pkt.Dst] = append(h.recv[pkt.Dst], delivery{
-				at: p.Now(), src: pkt.Src, seq: pkt.Payload.(int), class: pkt.Class,
+				at: d.Proc.Now(), src: pkt.Src, seq: pkt.Payload.(int), class: pkt.Class,
 			})
+			return 0, false
 		})
 	}
 	return h

@@ -1,6 +1,8 @@
 // Package yieldspin passes Proc.Spin steps that yield, in each form a step
-// takes, beside steps that only read state. yieldlint must flag the first
-// kind and accept the second.
+// takes, beside steps that only read state, and does the same with the
+// steps of bodiless processes: Kernel.SpawnSpin's, and the delivery handlers
+// Engine.Connect and Switch.Attach take. yieldlint must flag the first kind
+// and accept the second.
 package yieldspin
 
 // Time is simulated time (the fixture's sim.Time).
@@ -80,4 +82,57 @@ func (w *walker) run() {
 	w.e.p.Spin(5, w.step)
 	w.e.p.Spin(5, w.bad)   // want "spin step busy yields"
 	w.e.p.Spin(5, w.worse) // want "spin step poll yields"
+}
+
+// Kernel stands in for sim.Kernel.
+type Kernel struct{}
+
+// SpawnSpin stands in for sim.Kernel.SpawnSpin: a process made of steps.
+func (k *Kernel) SpawnSpin(name string, step func() (Time, bool)) { step() }
+
+// Delivery stands in for shard.Delivery.
+type Delivery struct{ Step int }
+
+// Engine stands in for shard.Engine.
+type Engine struct{}
+
+// Connect stands in for shard.Engine.Connect: deliver runs in steps.
+func (e *Engine) Connect(minLat Time, deliver func(d *Delivery) (Time, bool)) {
+	deliver(&Delivery{})
+}
+
+// Switch stands in for fabric.Switch.
+type Switch struct{}
+
+// Attach stands in for fabric.Switch.Attach: deliver runs in steps.
+func (sw *Switch) Attach(e *Engine, deliver func(d *Delivery, bytes int) (Time, bool)) {
+	deliver(&Delivery{}, 64)
+}
+
+// receive charges its cost by returning it: a valid handler.
+func (e *engine) receive(d *Delivery) (Time, bool) { return 5, d.Step == 0 }
+
+// receiveSleeping charges its cost by sleeping.
+func (e *engine) receiveSleeping(d *Delivery) (Time, bool) {
+	e.charge()
+	return 0, false
+}
+
+func (e *engine) bodiless(k *Kernel, eng *Engine, sw *Switch) {
+	k.SpawnSpin("idle", e.idle)
+	k.SpawnSpin("busy", e.busy)              // want "spin step busy yields"
+	k.SpawnSpin("lit", func() (Time, bool) { // want "spin step calls yielding function charge"
+		e.charge()
+		return 5, true
+	})
+
+	eng.Connect(5, e.receive)
+	eng.Connect(5, e.receiveSleeping) // want "spin step receiveSleeping yields"
+	handler := e.receiveSleeping
+	eng.Connect(5, handler) // want "spin step receiveSleeping yields"
+
+	sw.Attach(eng, func(d *Delivery, bytes int) (Time, bool) { return Time(bytes), d.Step == 0 })
+	sw.Attach(eng, func(d *Delivery, bytes int) (Time, bool) { // want "spin step calls yielding function receiveSleeping"
+		return e.receiveSleeping(d)
+	})
 }

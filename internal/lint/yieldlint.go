@@ -17,11 +17,14 @@ import (
 //     conservation bug PR 2's runtime engine caught in bufpool: the recycle
 //     fast path yielded (via Agent.Exec) between the stack pop and the
 //     take() transition, leaving a buffer unowned and unlisted mid-yield.
-//   - the step passed to Proc.Spin runs inside the scheduler, outside every
-//     process, so it may not block; the kernel panics if one does. A step
-//     given as a function or method value, a function literal, a local
-//     variable bound to either, or a struct field bound to either anywhere
-//     in the package is resolved and checked.
+//   - a spin step runs inside the scheduler, outside every process, so it
+//     may not block; the kernel panics if one does. The steps are the last
+//     argument of Proc.Spin and of Kernel.SpawnSpin, and the delivery
+//     handlers given to shard.Engine.Connect and fabric.Switch.Attach,
+//     which run as the steps of bodiless processes. A step given as a
+//     function or method value, a function literal, a local variable bound
+//     to either, or a struct field bound to either anywhere in the package
+//     is resolved and checked.
 var Yieldlint = &Analyzer{
 	Name: "yieldlint",
 	Doc:  "flag yielding calls inside //ccnic:atomic critical regions and spin steps that yield",
@@ -46,7 +49,7 @@ func runYieldlint(pass *Pass) error {
 				if callee == nil {
 					return true
 				}
-				if isSpin(callee) && len(call.Args) > 0 {
+				if takesStep(callee) && len(call.Args) > 0 {
 					checkSpinStep(pass, yields, fd, call.Args[len(call.Args)-1])
 				}
 				if !yields[callee] {
@@ -65,11 +68,21 @@ func runYieldlint(pass *Pass) error {
 	return nil
 }
 
-// isSpin reports whether fn is the kernel's Proc.Spin, or a fixture's
-// local equivalent: a method named Spin on a type named Proc.
-func isSpin(fn *types.Func) bool {
+// stepTakers maps each method whose last argument runs as a spin step to
+// the name of its receiver type. Fixtures declare local equivalents.
+var stepTakers = map[string]string{
+	"Spin":      "Proc",
+	"SpawnSpin": "Kernel",
+	"Connect":   "Engine",
+	"Attach":    "Switch",
+}
+
+// takesStep reports whether fn is a method whose last argument runs as a
+// spin step (see stepTakers).
+func takesStep(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || fn.Name() != "Spin" || sig.Recv() == nil {
+	recv, known := stepTakers[fn.Name()]
+	if !ok || !known || sig.Recv() == nil {
 		return false
 	}
 	t := sig.Recv().Type()
@@ -77,7 +90,7 @@ func isSpin(fn *types.Func) bool {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == "Proc"
+	return ok && n.Obj().Name() == recv
 }
 
 // checkSpinStep reports step if it resolves to a yielding function, or to a

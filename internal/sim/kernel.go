@@ -49,7 +49,8 @@ type Probe interface {
 // without synchronization.
 //
 // All Proc methods must be called from the process's own coroutine while it
-// is running.
+// is running. A bodiless process (see SpawnSpin) has no coroutine: its steps
+// may call Now and Kernel, and pass the Proc to calls that only read them.
 type Proc struct {
 	k     *Kernel
 	name  string
@@ -64,10 +65,11 @@ type Proc struct {
 	// is parked in Spin; nil otherwise.
 	spin func() (Time, bool)
 
-	// Coroutine control. resume transfers execution into the process and
-	// returns when it parks (true) or its function returns (false); yield
-	// transfers execution back to the kernel's run loop and returns false
-	// when the process is being aborted; cancel unwinds a parked process.
+	// Coroutine control, all nil for a bodiless process. resume transfers
+	// execution into the process and returns when it parks (true) or its
+	// function returns (false); yield transfers execution back to the
+	// kernel's run loop and returns false when the process is being aborted;
+	// cancel unwinds a parked process.
 	// Each pair of transfers is a runtime coroutine switch — roughly half
 	// the cost of a blocking channel handoff, and free of scheduler state.
 	resume func() (struct{}, bool)
@@ -175,7 +177,7 @@ func (p *Proc) park(s procState) {
 		k.hand = q
 	} else {
 		k.waiting++
-		k.hand = k.next()
+		k.hand = k.reschedule(nil)
 	}
 	if !p.yield(struct{}{}) {
 		panic(abortSignal{})
@@ -183,29 +185,46 @@ func (p *Proc) park(s procState) {
 	p.state = procRunning
 }
 
-// reschedule queues runnable p at p.wake and selects the next event,
-// running spin steps inline for as long as the selected process keeps
-// spinning. It returns the process to resume (p itself when p is next), or
-// nil when the run ends (stop or deadline).
+// reschedule queues runnable p at p.wake, or nothing when p is nil, and
+// selects the next event, running spin steps inline for as long as the
+// selected process keeps spinning and ending bodiless processes whose last
+// step ran. It returns the process to resume (p itself when p is next), or
+// nil when the run ends (stop, deadline reached, completion, or deadlock —
+// the caller classifies from kernel state).
 //
 //ccnic:noalloc
 func (k *Kernel) reschedule(p *Proc) *Proc {
 	for {
-		if k.runsNext(p) {
+		if p != nil && k.runsNext(p) {
 			// Run-next fast path: skip the heap entirely.
 			if p.wake > k.now {
 				k.now = p.wake
 			}
 			k.events++
 		} else {
-			k.seq++
-			p.seq = k.seq
-			if k.stopped {
-				k.heap.push(p) // Shutdown will abort p from the heap
-				return nil
+			var q *Proc
+			if p == nil {
+				if k.stopped {
+					return nil
+				}
+				if q = k.heap.pop(); q == nil {
+					if k.waiting > 0 && k.deadline >= 0 && k.now < k.deadline {
+						// Event waiters are legitimately idle under a
+						// deadline: a later Run may still signal them.
+						k.now = k.deadline
+					}
+					return nil
+				}
+			} else {
+				k.seq++
+				p.seq = k.seq
+				if k.stopped {
+					k.heap.push(p) // Shutdown will abort p from the heap
+					return nil
+				}
+				// One sift instead of a push and a pop.
+				q = k.heap.pushpop(p)
 			}
-			// One sift instead of a push and a pop.
-			q := k.heap.pushpop(p)
 			if k.deadline >= 0 && q.wake > k.deadline {
 				k.push(q) // reschedule for a future Run
 				if k.now < k.deadline {
@@ -222,9 +241,20 @@ func (k *Kernel) reschedule(p *Proc) *Proc {
 			}
 			p = q
 		}
-		if p.spin == nil || !k.step(p) {
+		if p.spin == nil {
 			return p
 		}
+		if k.step(p) {
+			continue
+		}
+		if p.resume != nil {
+			return p // p leaves Spin: resume its coroutine
+		}
+		// A bodiless process ends in the event of its last step.
+		k.live--
+		p.state = procDone
+		k.spare = append(k.spare, p)
+		p = nil
 	}
 }
 
@@ -260,7 +290,7 @@ func (k *Kernel) step(p *Proc) bool {
 }
 
 // Kernel is a discrete-event simulation kernel. Create one with New, add
-// processes with Spawn, then call Run or RunUntil.
+// processes with Spawn or SpawnSpin, then call Run or RunUntil.
 //
 // A Kernel and all its processes run on whichever goroutine calls Run: the
 // processes are coroutines, resumed by direct switches. That makes a kernel
@@ -298,6 +328,10 @@ type Kernel struct {
 	// by Spawn (see Spawn). Bounded by the high-water mark of live procs,
 	// and released when a run ends with none live.
 	pool []*Proc
+
+	// spare holds ended bodiless processes for reuse by SpawnSpin: plain
+	// structs, bounded by the high-water mark of live bodiless processes.
+	spare []*Proc
 
 	// probe is the optional scheduling observer; nil in normal runs.
 	probe Probe
@@ -396,6 +430,37 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
+// SpawnSpin creates a bodiless process: one whose whole life is spin steps
+// (see Spin), so it never gets a coroutine. It is scheduled exactly as Spawn
+// schedules a process, at the current virtual time, and at each of its wakes
+// the scheduler calls step inline, where Spawn's process would be resumed.
+// A step that returns (d, true) sleeps the process d more; (_, false) ends
+// it in that same event. So the clock, the Events count, the probe and the
+// run-queue order see exactly what a process sleeping the same delays
+// between the same code would have made them see, with no coroutine switch.
+//
+// The returned Proc is the process's handle for its steps. It is recycled
+// once the last step returns, so it must not be kept past it. A step must
+// not block, and should be bound once, as Spin's is.
+func (k *Kernel) SpawnSpin(name string, step func() (Time, bool)) *Proc {
+	var p *Proc
+	if n := len(k.spare); n > 0 {
+		p = k.spare[n-1]
+		k.spare[n-1] = nil
+		k.spare = k.spare[:n-1]
+	} else {
+		p = &Proc{k: k, id: k.nextID}
+		k.nextID++
+	}
+	p.name = name
+	p.state = procNew
+	p.wake = k.now
+	p.spin = step
+	k.live++
+	k.push(p)
+	return p
+}
+
 // retire parks a finished process's coroutine in the kernel pool and hands
 // the run loop its successor. It returns true when the coroutine has been
 // respawned with a new body, false when the kernel cancelled it (Shutdown
@@ -406,7 +471,7 @@ func (p *Proc) retire() bool {
 	p.state = procPooled
 	p.fn = nil
 	k.pool = append(k.pool, p)
-	k.hand = k.next()
+	k.hand = k.reschedule(nil)
 	if !p.yield(struct{}{}) {
 		return false
 	}
@@ -417,45 +482,6 @@ func (p *Proc) retire() bool {
 // Stop requests that Run return after the current process parks; remaining
 // processes are then aborted. Call from a running process or before Run.
 func (k *Kernel) Stop() { k.stopped = true }
-
-// next pops the next process to run and advances the clock, running spin
-// steps inline as reschedule does, or returns nil when the run is over
-// (stop, deadline reached, completion, or deadlock — the caller classifies
-// from kernel state).
-//
-//ccnic:noalloc
-func (k *Kernel) next() *Proc {
-	if k.stopped {
-		return nil
-	}
-	p := k.heap.pop()
-	if p == nil {
-		if k.waiting > 0 && k.deadline >= 0 && k.now < k.deadline {
-			// Event waiters are legitimately idle under a deadline: a
-			// later Run may still signal them.
-			k.now = k.deadline
-		}
-		return nil
-	}
-	if k.deadline >= 0 && p.wake > k.deadline {
-		k.push(p) // reschedule for a future Run
-		if k.now < k.deadline {
-			k.now = k.deadline
-		}
-		return nil
-	}
-	if p.wake > k.now {
-		k.now = p.wake
-	}
-	k.events++
-	if k.probe != nil {
-		k.probe.Event(k.now)
-	}
-	if p.spin != nil && k.step(p) {
-		return k.reschedule(p)
-	}
-	return p
-}
 
 // push schedules p on the run queue at p.wake.
 //
@@ -497,13 +523,13 @@ func (k *Kernel) run(deadline Time) error {
 	// The run loop: resume the next process; when it parks it has already
 	// selected its successor (k.hand), and when its function returns the
 	// loop retires it and pops the heap directly.
-	for p := k.next(); p != nil; {
+	for p := k.reschedule(nil); p != nil; {
 		k.hand = nil
 		k.resumes++
 		if _, parked := p.resume(); !parked {
 			p.state = procDone
 			k.live--
-			p = k.next()
+			p = k.reschedule(nil)
 			continue
 		}
 		p = k.hand
@@ -585,13 +611,16 @@ func (k *Kernel) releasePool() {
 
 // abort unwinds a parked (or never-started) process synchronously: cancel
 // makes the process's pending yield return false, which panics abortSignal
-// through its function; a process that never ran simply never starts.
+// through its function; a process that never ran simply never starts, and
+// a bodiless one has nothing to unwind.
 func (k *Kernel) abort(p *Proc) {
 	if p.state == procDone {
 		return
 	}
 	p.spin = nil
-	p.cancel()
+	if p.cancel != nil {
+		p.cancel()
+	}
 	p.state = procDone
 	k.live--
 }

@@ -512,12 +512,14 @@ func TestHeapOrdering(t *testing.T) {
 // spinScript is one process of the Spin differential. At its event j the
 // process logs (id, j, now) and sleeps delay[j]; a work event also signals
 // the shared event or spawns a short-lived child, and only the process
-// itself runs it, so a spin step declines it.
+// itself runs it, so a spin step declines it. A bodiless script runs every
+// event, work included, as a step of a SpawnSpin process.
 type spinScript struct {
-	id    int
-	delay []Time
-	work  []bool
-	spin  bool // run the idle events as spin steps
+	id       int
+	delay    []Time
+	work     []bool
+	spin     bool // run the idle events as spin steps
+	bodiless bool // run as a bodiless process
 }
 
 type spinLogEntry struct {
@@ -525,12 +527,68 @@ type spinLogEntry struct {
 	now   Time
 }
 
-// spinWorld runs scripts (plus a waiter on the shared event) through the
-// given RunUntil deadlines and returns the event log and kernel counters.
-func spinWorld(t *testing.T, scripts []spinScript, deadlines []Time) ([]spinLogEntry, uint64, uint64, Time) {
+// spinOpts varies how a spinWorld is run, or how its processes are written.
+type spinOpts struct {
+	deadlines []Time // RunUntil cuts, in order
+	stopAt    Time   // a stopper calls Stop at this instant; 0 for none
+	bodiless  bool   // children and the stopper are SpawnSpin processes
+	alone     bool   // no waiter on the shared event
+}
+
+// spinRun is what a spinWorld leaves: the event log, the kernel's counters
+// and clock, and its live processes at the last cut.
+type spinRun struct {
+	log             []spinLogEntry
+	events, resumes uint64
+	now             Time
+	live            int
+}
+
+// spinWorld runs scripts (plus a waiter on the shared event, unless alone)
+// through the given RunUntil deadlines, then shuts the kernel down.
+//
+// Child id, spawned at its parent's event j, logs (id, i, now) at each of
+// its 2+id%3 events and sleeps between them; some also signal the shared
+// event, and every fifth ends with a long sleep, so a cut or Stop can find
+// it still in the heap.
+func spinWorld(t *testing.T, scripts []spinScript, o spinOpts) spinRun {
 	k := New()
 	var log []spinLogEntry
 	ev := k.NewEvent("ev")
+	childEvent := func(id, i int) {
+		log = append(log, spinLogEntry{id, i, k.Now()})
+		if (id+i)%4 == 0 {
+			ev.Signal()
+		}
+	}
+	child := func(id int) {
+		delays := make([]Time, 1+id%3)
+		for i := range delays {
+			delays[i] = Time((id+i)%3) * Nanosecond
+		}
+		if id%5 == 0 {
+			delays[len(delays)-1] = 200 * Nanosecond
+		}
+		if !o.bodiless {
+			k.Spawn("child", func(c *Proc) {
+				for i, d := range delays {
+					childEvent(id, i)
+					c.Sleep(d)
+				}
+				childEvent(id, len(delays))
+			})
+			return
+		}
+		i := 0
+		k.SpawnSpin("child", func() (Time, bool) {
+			childEvent(id, i)
+			if i == len(delays) {
+				return 0, false
+			}
+			i++
+			return delays[i-1], true
+		})
+	}
 	event := func(s *spinScript, j int) {
 		log = append(log, spinLogEntry{s.id, j, k.Now()})
 		if !s.work[j] {
@@ -540,16 +598,25 @@ func spinWorld(t *testing.T, scripts []spinScript, deadlines []Time) ([]spinLogE
 		case 0:
 			ev.Signal()
 		case 1:
-			id := 1000*s.id + j
-			k.Spawn("child", func(c *Proc) {
-				c.Sleep(Time(j%2) * Nanosecond)
-				log = append(log, spinLogEntry{id, -1, c.Now()})
-			})
+			child(1000*s.id + j)
 		}
 	}
 	for i := range scripts {
 		s := &scripts[i]
-		k.Spawn(fmt.Sprintf("p%d", s.id), func(p *Proc) {
+		name := fmt.Sprintf("p%d", s.id)
+		if s.bodiless {
+			j := 0
+			k.SpawnSpin(name, func() (Time, bool) {
+				if j == len(s.delay) {
+					return 0, false
+				}
+				event(s, j)
+				j++
+				return s.delay[j-1], true
+			})
+			continue
+		}
+		k.Spawn(name, func(p *Proc) {
 			if !s.spin {
 				for j := range s.delay {
 					event(s, j)
@@ -573,20 +640,76 @@ func spinWorld(t *testing.T, scripts []spinScript, deadlines []Time) ([]spinLogE
 			}
 		})
 	}
-	k.Spawn("waiter", func(p *Proc) {
-		for {
-			p.Wait(ev)
-			log = append(log, spinLogEntry{-1, 0, p.Now()})
+	if !o.alone {
+		k.Spawn("waiter", func(p *Proc) {
+			for {
+				p.Wait(ev)
+				log = append(log, spinLogEntry{-1, 0, p.Now()})
+			}
+		})
+	}
+	if o.stopAt > 0 {
+		if o.bodiless {
+			stopped := false
+			k.SpawnSpin("stopper", func() (Time, bool) {
+				if stopped {
+					k.Stop()
+					return 0, false
+				}
+				stopped = true
+				return o.stopAt, true
+			})
+		} else {
+			k.Spawn("stopper", func(p *Proc) {
+				p.Sleep(o.stopAt)
+				k.Stop()
+			})
 		}
-	})
-	for _, d := range deadlines {
+	}
+	for _, d := range o.deadlines {
 		if err := k.RunUntil(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	now := k.Now()
+	r := spinRun{log: log, events: k.Events(), resumes: k.Resumes(), now: k.Now(), live: k.Live()}
 	k.Shutdown()
-	return log, k.Events(), k.Resumes(), now
+	if k.Live() != 0 {
+		t.Fatalf("%d processes live after Shutdown", k.Live())
+	}
+	return r
+}
+
+// sameRun reports the first difference between two runs' logs, event
+// counts, clocks and live counts, or "".
+func sameRun(got, want spinRun) string {
+	if len(got.log) != len(want.log) {
+		return fmt.Sprintf("%d logged events, want %d", len(got.log), len(want.log))
+	}
+	for i := range want.log {
+		if got.log[i] != want.log[i] {
+			return fmt.Sprintf("event %d is %+v, want %+v", i, got.log[i], want.log[i])
+		}
+	}
+	if got.events != want.events || got.now != want.now || got.live != want.live {
+		return fmt.Sprintf("events %d at %v with %d live, want %d at %v with %d live",
+			got.events, got.now, got.live, want.events, want.now, want.live)
+	}
+	return ""
+}
+
+// randomScripts draws one differential's processes.
+func randomScripts(rng *rand.Rand) []spinScript {
+	scripts := make([]spinScript, 1+rng.Intn(5))
+	for i := range scripts {
+		n := 1 + rng.Intn(60)
+		s := spinScript{id: i, delay: make([]Time, n), work: make([]bool, n), spin: rng.Intn(4) != 0}
+		for j := range s.delay {
+			s.delay[j] = Time(rng.Intn(4)) * Nanosecond
+			s.work[j] = rng.Intn(10) < 3
+		}
+		scripts[i] = s
+	}
+	return scripts
 }
 
 // TestSpinMatchesSleepLoops is a randomized differential: processes whose
@@ -597,37 +720,74 @@ func spinWorld(t *testing.T, scripts []spinScript, deadlines []Time) ([]spinLogE
 func TestSpinMatchesSleepLoops(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		scripts := make([]spinScript, 1+rng.Intn(5))
-		for i := range scripts {
-			n := 1 + rng.Intn(60)
-			s := spinScript{id: i, delay: make([]Time, n), work: make([]bool, n), spin: rng.Intn(4) != 0}
-			for j := range s.delay {
-				s.delay[j] = Time(rng.Intn(4)) * Nanosecond
-				s.work[j] = rng.Intn(10) < 3
-			}
-			scripts[i] = s
-		}
-		deadlines := []Time{Time(rng.Intn(40)) * Nanosecond, Time(rng.Intn(80)) * Nanosecond, 1000 * Nanosecond}
+		scripts := randomScripts(rng)
+		o := spinOpts{deadlines: []Time{Time(rng.Intn(40)) * Nanosecond, Time(rng.Intn(80)) * Nanosecond, 1000 * Nanosecond}}
 		plain := make([]spinScript, len(scripts))
 		for i, s := range scripts {
 			s.spin = false
 			plain[i] = s
 		}
-		wantLog, wantEvents, wantResumes, wantNow := spinWorld(t, plain, deadlines)
-		gotLog, gotEvents, gotResumes, gotNow := spinWorld(t, scripts, deadlines)
-		if len(gotLog) != len(wantLog) {
-			t.Fatalf("seed %d: %d logged events, want %d", seed, len(gotLog), len(wantLog))
+		want := spinWorld(t, plain, o)
+		got := spinWorld(t, scripts, o)
+		if diff := sameRun(got, want); diff != "" {
+			t.Fatalf("seed %d: %s", seed, diff)
 		}
-		for i := range wantLog {
-			if gotLog[i] != wantLog[i] {
-				t.Fatalf("seed %d: event %d is %+v, want %+v", seed, i, gotLog[i], wantLog[i])
+		if got.resumes > want.resumes {
+			t.Fatalf("seed %d: spin run resumed coroutines %d times, more than the sleep loops' %d", seed, got.resumes, want.resumes)
+		}
+	}
+}
+
+// TestSpawnSpinMatchesSpawn is a randomized differential for bodiless
+// processes: short-lived children (and a stopper) written as SpawnSpin
+// steps must produce exactly the event order, clock, event count and live
+// count of the same children written as Spawn bodies that sleep, beside
+// competing sleepers and spinners, across ties at equal instants, signals
+// from steps, RunUntil cuts, and Stop and Shutdown with bodiless processes
+// still in the heap. They must cost no coroutine switch: with the waiter
+// as the one body, each child the Spawn run started saves at least its
+// first resume; in a world with every process bodiless, nothing resumes.
+func TestSpawnSpinMatchesSpawn(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		scripts := randomScripts(rng)
+		o := spinOpts{deadlines: []Time{Time(rng.Intn(40)) * Nanosecond,
+			Time(rng.Intn(120)) * Nanosecond, Time(rng.Intn(300)) * Nanosecond}}
+		if rng.Intn(3) == 0 {
+			o.stopAt = Time(1+rng.Intn(150)) * Nanosecond
+		}
+		want := spinWorld(t, scripts, o)
+		o.bodiless = true
+		got := spinWorld(t, scripts, o)
+		if diff := sameRun(got, want); diff != "" {
+			t.Fatalf("seed %d: %s", seed, diff)
+		}
+		started := uint64(0)
+		for _, e := range want.log {
+			if e.id >= 1000 && e.j == 0 {
+				started++
 			}
 		}
-		if gotEvents != wantEvents || gotNow != wantNow {
-			t.Fatalf("seed %d: events %d at %v, want %d at %v", seed, gotEvents, gotNow, wantEvents, wantNow)
+		if got.resumes+started > want.resumes {
+			t.Fatalf("seed %d: bodiless run resumed %d times, the Spawn run %d with %d children started",
+				seed, got.resumes, want.resumes, started)
 		}
-		if gotResumes > wantResumes {
-			t.Fatalf("seed %d: spin run resumed coroutines %d times, more than the sleep loops' %d", seed, gotResumes, wantResumes)
+
+		// The same world with every process bodiless and no waiter.
+		o.alone, o.bodiless = true, false
+		want = spinWorld(t, scripts, o)
+		all := make([]spinScript, len(scripts))
+		for i, s := range scripts {
+			s.bodiless = true
+			all[i] = s
+		}
+		o.bodiless = true
+		got = spinWorld(t, all, o)
+		if diff := sameRun(got, want); diff != "" {
+			t.Fatalf("seed %d, every process bodiless: %s", seed, diff)
+		}
+		if got.resumes != 0 {
+			t.Fatalf("seed %d: a world of bodiless processes resumed %d coroutines", seed, got.resumes)
 		}
 	}
 }

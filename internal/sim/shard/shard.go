@@ -20,7 +20,9 @@
 //  1. compute every shard's floor, then every shard's horizon;
 //  2. deterministically merge each shard's pending inbound messages with
 //     delivery times within its horizon, ordered by (deliver time, source
-//     shard, link sequence), and inject them as kernel processes;
+//     shard, link sequence), and inject them as bodiless kernel processes
+//     (sim.Kernel.SpawnSpin): each delivery runs as a sequence of steps,
+//     with no coroutine of its own;
 //  3. run every shard's kernel to its horizon — in parallel on up to
 //     `workers` OS goroutines, or inline when workers <= 1;
 //  4. barrier: collect the messages each shard sent during the round into
@@ -40,9 +42,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"ccnic/internal/sim"
@@ -51,11 +54,55 @@ import (
 // never is a floor/horizon value meaning "no event can ever arrive".
 const never = sim.Time(math.MaxInt64)
 
-// DeliverFunc handles one cross-shard message on the destination shard. It
-// runs as (part of) a simulation process on the destination kernel at the
-// message's delivery time and may use the full kernel API (signal events,
-// spawn processes, sleep).
-type DeliverFunc func(p *sim.Proc, payload any)
+// DeliverFunc handles one cross-shard message on the destination shard, as
+// a sequence of steps. The first call, with d.Step 0, runs at the message's
+// delivery time. A call that returns (dt, true) is called again dt later,
+// with d.Step one higher; (_, false) ends the delivery. Each call runs as a
+// spin step of a bodiless process on the destination kernel (see
+// sim.Kernel.SpawnSpin): it may signal events, spawn processes and send on
+// the destination shard's links, but it must not block, so a handler
+// charges time by returning it, never by sleeping.
+type DeliverFunc func(d *Delivery) (sim.Time, bool)
+
+// Delivery is one cross-shard message being delivered. The engine recycles
+// it once the handler's last step returns, so a handler must not keep it.
+type Delivery struct {
+	// Proc is the delivery's bodiless process on the destination kernel:
+	// the handle for Now and for Link.Send on the destination's links.
+	Proc    *sim.Proc
+	Payload any
+	// Step counts the handler's calls for this message: 0 at the delivery
+	// instant.
+	Step int
+	// State is one word the handler carries between its steps; 0 at the
+	// first.
+	State uint64
+
+	s       *Shard
+	deliver DeliverFunc
+	wait    sim.Time                // from injection to the delivery instant
+	step    func() (sim.Time, bool) // d.run, bound once
+}
+
+// run is the delivery process's step. Its first call is the event a
+// spawned process's first resume would be, and it sleeps to the delivery
+// instant; every later call runs one handler step.
+//
+//ccnic:noalloc
+func (d *Delivery) run() (sim.Time, bool) {
+	if d.Step < 0 {
+		d.Step = 0
+		return d.wait, true
+	}
+	dt, more := d.deliver(d)
+	if more {
+		d.Step++
+		return dt, true
+	}
+	d.Proc, d.Payload, d.deliver = nil, nil, nil
+	d.s.free = append(d.s.free, d)
+	return 0, false
+}
 
 // Engine coordinates a set of shards through conservative-lookahead rounds.
 type Engine struct {
@@ -68,6 +115,7 @@ type Engine struct {
 	floors   []sim.Time
 	horizons []sim.Time
 	merge    []Message
+	runnable []*Shard
 }
 
 // NewEngine creates an engine that runs shard rounds on up to workers
@@ -91,6 +139,11 @@ type Shard struct {
 
 	in  []*Link // links delivering to this shard
 	out []*Link // links this shard sends on
+
+	// free holds the shard's finished deliveries for reuse. Deliveries end
+	// on the shard's own worker and are injected between rounds, so a list
+	// per shard needs no lock at any worker count.
+	free []*Delivery
 
 	err error // first kernel error of the current round
 }
@@ -140,8 +193,8 @@ type Link struct {
 
 // Connect declares a link from src to dst with the given minimum latency
 // (the lookahead, strictly positive) and FIFO capacity (messages in flight;
-// <= 0 selects a generous default). deliver runs on dst's kernel for each
-// message.
+// <= 0 selects a generous default). deliver runs on dst's kernel, in steps,
+// for each message.
 func (e *Engine) Connect(src, dst *Shard, minLat sim.Time, capacity int, deliver DeliverFunc) *Link {
 	if minLat <= 0 {
 		panic("shard: link minimum latency must be strictly positive (it is the lookahead)")
@@ -338,8 +391,9 @@ func firstWake(k *sim.Kernel) sim.Time {
 
 // inject merges the shard's pending inbound messages with delivery times
 // within horizon — ordered by (deliver, source shard, link, sequence) — and
-// schedules each as a process on the shard's kernel. Injection happens
-// before the round runs, so the merge order is independent of worker count.
+// schedules each as a bodiless process on the shard's kernel. Injection
+// happens before the round runs, so the merge order is independent of
+// worker count.
 func (e *Engine) inject(s *Shard, horizon sim.Time) {
 	e.merge = e.merge[:0]
 	for _, l := range s.in {
@@ -359,27 +413,28 @@ func (e *Engine) inject(s *Shard, horizon sim.Time) {
 	if len(e.merge) == 0 {
 		return
 	}
-	sort.SliceStable(e.merge, func(a, b int) bool {
-		ma, mb := &e.merge[a], &e.merge[b]
-		if ma.Deliver != mb.Deliver {
-			return ma.Deliver < mb.Deliver
-		}
-		if ma.src != mb.src {
-			return ma.src < mb.src
-		}
-		if ma.link != mb.link {
-			return ma.link < mb.link
-		}
-		return ma.seq < mb.seq
+	// The key is unique (a link's sequence numbers are), so an unstable
+	// sort gives the one order a stable sort would.
+	slices.SortFunc(e.merge, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.Deliver, b.Deliver), cmp.Compare(a.src, b.src),
+			cmp.Compare(a.link, b.link), cmp.Compare(a.seq, b.seq))
 	})
-	for _, m := range e.merge {
-		m := m
-		deliver := e.links[m.link].deliver
-		wait := m.Deliver - s.k.Now()
-		s.k.Spawn("shard.deliver", func(p *sim.Proc) {
-			p.Sleep(wait)
-			deliver(p, m.Payload)
-		})
+	for i := range e.merge {
+		m := &e.merge[i]
+		var d *Delivery
+		if n := len(s.free); n > 0 {
+			d = s.free[n-1]
+			s.free[n-1] = nil
+			s.free = s.free[:n-1]
+		} else {
+			d = &Delivery{s: s}
+			d.step = d.run
+		}
+		d.Payload = m.Payload
+		d.Step, d.State = -1, 0 // run's first call waits to the delivery instant
+		d.deliver = e.links[m.link].deliver
+		d.wait = m.Deliver - s.k.Now()
+		d.Proc = s.k.SpawnSpin("shard.deliver", d.step)
 	}
 }
 
@@ -387,12 +442,13 @@ func (e *Engine) inject(s *Shard, horizon sim.Time) {
 // worker budget. Worker count never affects results: shards share no state
 // during a round, and all cross-shard traffic is reconciled at the barrier.
 func (e *Engine) runRound() {
-	runnable := make([]*Shard, 0, len(e.shards))
+	runnable := e.runnable[:0]
 	for i, s := range e.shards {
 		if e.horizons[i] >= 0 {
 			runnable = append(runnable, s)
 		}
 	}
+	e.runnable = runnable
 	w := e.workers
 	if w > len(runnable) {
 		w = len(runnable)

@@ -27,15 +27,16 @@ func ringModel(n, workers int, lat sim.Time) (*Engine, []*[]string) {
 		tr := traces[dst]
 		out := links // captured; filled below
 		i := i
-		links[i] = e.Connect(shards[i], shards[dst], lat, 0, func(p *sim.Proc, payload any) {
-			hop := payload.(int)
-			*tr = append(*tr, fmt.Sprintf("%d@%v hop=%d", dst, p.Now(), hop))
-			if hop < 40 {
-				// Local work before relaying, then forward on this shard's
-				// own out-link.
-				p.Sleep(3 * sim.Nanosecond)
-				out[(i+1)%n].Send(p, lat, hop+1)
+		links[i] = e.Connect(shards[i], shards[dst], lat, 0, func(d *Delivery) (sim.Time, bool) {
+			hop := d.Payload.(int)
+			if d.Step == 0 {
+				*tr = append(*tr, fmt.Sprintf("%d@%v hop=%d", dst, d.Proc.Now(), hop))
+				// Local work before relaying, then forward on this
+				// shard's own out-link.
+				return 3 * sim.Nanosecond, hop < 40
 			}
+			out[(i+1)%n].Send(d.Proc, lat, hop+1)
+			return 0, false
 		})
 	}
 	// Local tickers: intra-shard load at incommensurate periods.
@@ -78,6 +79,9 @@ func runRing(t *testing.T, n, workers int) string {
 	}
 	return flatten(traces)
 }
+
+// none is a handler that does nothing with its message.
+func none(*Delivery) (sim.Time, bool) { return 0, false }
 
 // TestWorkerCountInvariance is the engine's core guarantee: the merged event
 // history is bit-identical for every worker budget, twice each.
@@ -129,8 +133,9 @@ func TestQuiescence(t *testing.T) {
 	a := e.NewShard("a", sim.New())
 	b := e.NewShard("b", sim.New())
 	var got []sim.Time
-	l := e.Connect(a, b, sim.Microsecond, 0, func(p *sim.Proc, payload any) {
-		got = append(got, p.Now())
+	l := e.Connect(a, b, sim.Microsecond, 0, func(d *Delivery) (sim.Time, bool) {
+		got = append(got, d.Proc.Now())
+		return 0, false
 	})
 	if err := e.Run(sim.Second); err != nil {
 		t.Fatal(err)
@@ -154,8 +159,9 @@ func TestRepeatedRunContinues(t *testing.T) {
 	a := e.NewShard("a", sim.New())
 	b := e.NewShard("b", sim.New())
 	var got []sim.Time
-	l := e.Connect(a, b, sim.Microsecond, 0, func(p *sim.Proc, payload any) {
-		got = append(got, p.Now())
+	l := e.Connect(a, b, sim.Microsecond, 0, func(d *Delivery) (sim.Time, bool) {
+		got = append(got, d.Proc.Now())
+		return 0, false
 	})
 	a.Kernel().Spawn("late", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Microsecond)
@@ -184,7 +190,7 @@ func TestLookaheadViolation(t *testing.T) {
 		e := NewEngine(1)
 		a := e.NewShard("a", sim.New())
 		b := e.NewShard("b", sim.New())
-		l := e.Connect(a, b, sim.Microsecond, 0, func(p *sim.Proc, payload any) {})
+		l := e.Connect(a, b, sim.Microsecond, 0, none)
 		k := a.Kernel()
 		if !spawnOnSrc {
 			k = b.Kernel()
@@ -206,7 +212,7 @@ func TestFIFOOverflow(t *testing.T) {
 	e := NewEngine(1)
 	a := e.NewShard("a", sim.New())
 	b := e.NewShard("b", sim.New())
-	l := e.Connect(a, b, sim.Microsecond, 4, func(p *sim.Proc, payload any) {})
+	l := e.Connect(a, b, sim.Microsecond, 4, none)
 	a.Kernel().Spawn("flood", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			l.Send(p, sim.Microsecond, i)
@@ -228,7 +234,7 @@ func TestZeroLookaheadRejected(t *testing.T) {
 			t.Fatal("expected panic for zero lookahead")
 		}
 	}()
-	e.Connect(a, b, 0, 0, func(p *sim.Proc, payload any) {})
+	e.Connect(a, b, 0, 0, none)
 }
 
 // TestTransitiveWakeup reproduces the case one-hop floors get wrong: a quiet
@@ -241,12 +247,14 @@ func TestTransitiveWakeup(t *testing.T) {
 	c := e.NewShard("c", sim.New())
 
 	var order []string
-	lMC := e.Connect(mid, c, sim.Nanosecond, 0, func(p *sim.Proc, payload any) {
-		order = append(order, fmt.Sprintf("relay@%v", p.Now()))
+	lMC := e.Connect(mid, c, sim.Nanosecond, 0, func(d *Delivery) (sim.Time, bool) {
+		order = append(order, fmt.Sprintf("relay@%v", d.Proc.Now()))
+		return 0, false
 	})
-	e.Connect(a, mid, sim.Nanosecond, 0, func(p *sim.Proc, payload any) {
+	e.Connect(a, mid, sim.Nanosecond, 0, func(d *Delivery) (sim.Time, bool) {
 		// mid is otherwise idle: its only emission is this relay.
-		lMC.Send(p, sim.Nanosecond, payload)
+		lMC.Send(d.Proc, sim.Nanosecond, d.Payload)
+		return 0, false
 	})
 	// c has dense local activity far in the future relative to the relay.
 	c.Kernel().Spawn("local", func(p *sim.Proc) {
@@ -268,4 +276,105 @@ func TestTransitiveWakeup(t *testing.T) {
 	if len(order) == 0 || order[0] != want {
 		t.Fatalf("order[0] = %v, want %s (one-hop floors would misorder)", order, want)
 	}
+}
+
+// TestShardDeliveriesSpin: deliveries run as bodiless processes, so a shard
+// whose only work is multi-step deliveries never resumes a coroutine, while
+// each delivery still costs its kernel one event for its injection and one
+// per handler step, and sees every step at its charged instant. The
+// handler's State carries across its steps, and its last step sends on the
+// destination's own link.
+func TestShardDeliveriesSpin(t *testing.T) {
+	e := NewEngine(2)
+	a := e.NewShard("a", sim.New())
+	b := e.NewShard("b", sim.New())
+	var back []int
+	ret := e.Connect(b, a, sim.Microsecond, 0, func(d *Delivery) (sim.Time, bool) {
+		back = append(back, d.Payload.(int))
+		return 0, false
+	})
+	const msgs = 50
+	steps := make([][]string, msgs) // per message
+	l := e.Connect(a, b, sim.Microsecond, 0, func(d *Delivery) (sim.Time, bool) {
+		i := d.Payload.(int)
+		steps[i] = append(steps[i], fmt.Sprintf("%d@%d", d.Step, d.Proc.Now()))
+		switch d.Step {
+		case 0:
+			d.State = uint64(i) * 10
+			return 5 * sim.Nanosecond, true
+		case 1:
+			return 0, true
+		}
+		ret.Send(d.Proc, sim.Microsecond, int(d.State))
+		return 0, false
+	})
+	a.Kernel().Spawn("sender", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			p.Sleep(sim.Time(i%3) * 100 * sim.Nanosecond)
+			l.Send(p, sim.Microsecond, i)
+		}
+	})
+	if err := e.Run(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != msgs {
+		t.Fatalf("%d replies, want %d", len(back), msgs)
+	}
+	sent := sim.Time(0)
+	for i := 0; i < msgs; i++ {
+		sent += sim.Time(i%3) * 100 * sim.Nanosecond
+		at := sent + sim.Microsecond
+		want := fmt.Sprintf("0@%d 1@%d 2@%d", at, at+5*sim.Nanosecond, at+5*sim.Nanosecond)
+		if got := strings.Join(steps[i], " "); got != want {
+			t.Fatalf("message %d steps %q, want %q", i, got, want)
+		}
+		if back[i] != 10*i {
+			t.Fatalf("reply %d carries %d, want %d", i, back[i], 10*i)
+		}
+	}
+	k := b.Kernel()
+	if k.Resumes() != 0 || k.Events() != 4*msgs || k.Live() != 0 {
+		t.Errorf("destination kernel: %d resumes, %d events, %d live; want 0, %d and 0",
+			k.Resumes(), k.Events(), k.Live(), 4*msgs)
+	}
+}
+
+// TestDeliverySteadyStateZeroAllocs: once the engine's round scratch, the
+// link queues and the destination's delivery and process free lists have
+// grown, sending a message across a link, injecting it and delivering it in
+// steps allocate nothing.
+func TestDeliverySteadyStateZeroAllocs(t *testing.T) {
+	e := NewEngine(1)
+	a := e.NewShard("a", sim.New())
+	b := e.NewShard("b", sim.New())
+	delivered := 0
+	l := e.Connect(a, b, sim.Microsecond, 0, func(d *Delivery) (sim.Time, bool) {
+		if d.Step == 0 {
+			return 10 * sim.Nanosecond, true
+		}
+		delivered++
+		return 0, false
+	})
+	payload := &delivered
+	a.Kernel().Spawn("sender", func(p *sim.Proc) {
+		for {
+			p.Sleep(300 * sim.Nanosecond)
+			l.Send(p, sim.Microsecond, payload)
+		}
+	})
+	until := sim.Time(0)
+	run := func() {
+		until += 10 * sim.Microsecond
+		if err := e.Run(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm up
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("steady-state delivery allocates %v allocs/run, want 0", avg)
+	}
+	if delivered < 600 {
+		t.Errorf("%d messages delivered, want at least 600", delivered)
+	}
+	a.Kernel().Shutdown()
 }

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"ccnic"
+	"ccnic/internal/cluster"
 	"ccnic/internal/device"
+	"ccnic/internal/fabric"
+	"ccnic/internal/fault"
 	"ccnic/internal/sim"
 )
 
@@ -188,6 +191,93 @@ func TestCoherentEventPin(t *testing.T) {
 			got.wireBytes = st.WireBytes[0] + st.WireBytes[1]
 			if got != tc.want {
 				t.Errorf("got  %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// fabricMix is the benchmark's fabric-mix cluster (cmd/ccperf): 8 hosts on
+// one shard each, closed-loop spread RPCs plus an open-loop Ads tenant flow
+// from hosts 1-7 into host 0.
+func fabricMix(workers int, seed int64) cluster.Config {
+	return cluster.Config{
+		Hosts: 8, Workers: workers, Window: 8, ReqSize: 512, Pattern: cluster.PatternSpread,
+		Flows: []cluster.FlowSpec{{
+			Name: "ads", Srcs: []int{1, 2, 3, 4, 5, 6, 7}, Dst: 0, Dist: "ads",
+			MeanGap: 800 * sim.Nanosecond, Tenants: 128, ZipfS: 0.75, TrackEvery: 8, Seed: seed,
+		}},
+	}
+}
+
+// clusterRun is what TestClusterEventPin pins of one cluster run: the event
+// count over every shard kernel, the RPC and flow results, the switches'
+// forwarded and dropped packets, the reliable transport's counters, and the
+// RPC and tracked-flow tails.
+type clusterRun struct {
+	events             uint64
+	done, served       int64
+	flowDelivered      int64
+	forwarded, dropped int64
+	recovery           cluster.Recovery
+	p99, flowP99       sim.Time
+}
+
+// TestClusterEventPin pins cluster runs event for event: the fabric-mix
+// configuration, and a reliable run over the redundant switch pair with
+// every in-switch fault class armed, on two shards of two hosts each with
+// two workers. Every cross-shard message is delivered by a process the
+// shard engine injects, and the switch's admission, the fault draws keyed
+// by the packet's sequence and the hosts' receive paths all run in it; any
+// change to how deliveries are scheduled moves these counts. The expected
+// values were recorded with deliveries running as coroutine processes.
+func TestClusterEventPin(t *testing.T) {
+	plan, err := fault.ParsePlan("seed=5,portflap=0.01,corrupt=0.02,blackhole=0.01,brownout=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reliable := cluster.Config{Hosts: 4, Shards: 2, Workers: 2, Window: 8, ReqSize: 1024,
+		Reliable: true, Switches: 2, Faults: plan,
+		Flows: []cluster.FlowSpec{{
+			Name: "bulk", Srcs: []int{1, 2}, Dst: 3, Class: fabric.ClassBulk, Bytes: 4096,
+			MeanGap: 2 * sim.Microsecond, TrackEvery: 4, Seed: 3,
+		}},
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   cluster.Config
+		until sim.Time
+		want  clusterRun
+	}{
+		{"fabric-mix", fabricMix(1, 1), 300 * sim.Microsecond, clusterRun{
+			242043, 5325, 5352, 2647, 13680, 0, cluster.Recovery{}, 4325376, 5898240}},
+		{"reliable-faults", reliable, 300 * sim.Microsecond, clusterRun{
+			57427, 710, 847, 172, 2188, 382, cluster.Recovery{
+				Retransmits: 256, Timeouts: 256, Degraded: 21, Shed: 78, BreakerTrips: 2,
+				FlowTimeouts: 19, Failovers: 55, Failbacks: 12, ProbesSent: 480, ProbesMissed: 51},
+			63963136, 5505024}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.New(tc.cfg)
+			defer c.Close()
+			if err := c.Run(tc.until); err != nil {
+				t.Fatal(err)
+			}
+			r := c.Report()
+			got := clusterRun{events: r.Events, done: r.Done, served: r.Served,
+				flowDelivered: r.FlowDelivered, forwarded: r.Forwarded, dropped: r.Dropped,
+				recovery: r.Recovery, p99: r.P99, flowP99: r.FlowP99}
+			if got != tc.want {
+				t.Errorf("got  %+v\nwant %+v", got, tc.want)
+			}
+			if tc.cfg.Faults == nil {
+				return
+			}
+			fs := c.FaultStats()
+			for _, cl := range []fault.Class{fault.FabricPortDown, fault.FabricCorrupt,
+				fault.FabricBlackhole, fault.FabricBrownout} {
+				if fs.Injected[cl] == 0 {
+					t.Errorf("fault class %v never fired", cl)
+				}
 			}
 		})
 	}
