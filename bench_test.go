@@ -34,10 +34,13 @@ func BenchmarkExperiments(b *testing.B) {
 // cheap on. The ccnic-1500, e810-1500 and cx6-1500 runs put 1500B packets
 // through CC-NIC and the PCIe NICs on 4 queues, where each payload is a
 // multi-line access. Each run also reports resumes/pkt: coroutine switches
-// per packet transmitted, over the whole run. Idle polls and every line
-// after the first of a multi-line access run as spin steps, not resumes,
-// which keeps the 1500B runs to 5-9 per packet, led by per-buffer bufpool
-// charges.
+// per packet transmitted, over the whole run. Idle polls, every line after
+// the first of a multi-line access and every buffer-pool charge after the
+// first of a burst run as spin steps, not resumes. That keeps every run
+// but the E810's under 3 per packet, led on the coherent NICs by the first
+// line of each ring access; the E810's 5.5 are led by the host driver's
+// per-RxBurst overhead charge, the generator's idle sleeps and the RX
+// deliver engine.
 func BenchmarkLoopbackCCNIC(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -78,9 +81,10 @@ func BenchmarkLoopbackCCNIC(b *testing.B) {
 // host's allocations per run. Each run also reports resumes/op: coroutine
 // switches per completed get or set, over the whole run. The CX6's fetch
 // engines at a full RX backlog and the overlay's TX threads run their idle
-// waits as spin steps, and every multi-line access its lines after the
-// first; on the overlay, the RX threads' per-buffer bufpool charges lead
-// what remains.
+// waits as spin steps, every multi-line access its lines after the first,
+// and every buffer-pool burst its charges after the first; on the overlay,
+// the forwarding threads' own loops and the back NIC's engines lead what
+// remains.
 func BenchmarkKV(b *testing.B) {
 	for _, c := range []struct {
 		name  string

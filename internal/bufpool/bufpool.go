@@ -66,6 +66,8 @@ type Buf struct {
 }
 
 // Cap returns the buffer's capacity in bytes.
+//
+//ccnic:noalloc
 func (b *Buf) Cap() int {
 	if b.Small {
 		return SmallSize
@@ -211,6 +213,8 @@ func New(cfg Config) *Pool {
 // buffer handed out is buffer k*step mod n. The step is 1 when sequential,
 // otherwise a co-prime step that scatters neighbors, so consecutive
 // allocations are far apart.
+//
+//ccnic:noalloc
 func fillStep(n int, sequential bool) int {
 	if sequential {
 		return 1
@@ -222,6 +226,9 @@ func fillStep(n int, sequential bool) int {
 	return step
 }
 
+// gcd returns the greatest common divisor of a and b.
+//
+//ccnic:noalloc
 func gcd(a, b int) int {
 	for b != 0 {
 		a, b = b, a%b
@@ -322,8 +329,10 @@ type Port struct {
 	entriesBase mem.Addr
 	stackLine   mem.Addr // the recycle stack's hot line (local memory)
 	// lines is the scratch for entryLines. A port may serve two processes
-	// (an overlay queue's TX and RX tasks), hence a Scratch.
+	// (an overlay queue's TX and RX tasks), hence a Scratch, and a free
+	// list of burst walkers.
 	lines sim.Scratch[mem.Addr]
+	walks *burstWalk
 }
 
 // Attach creates a Port for the given agent. NIC-socket agents may only
@@ -364,20 +373,9 @@ func (pt *Port) entryLines(dst []mem.Addr, depth, count int) []mem.Addr {
 	return dst
 }
 
-// touchEntries charges the port's agent for moving count pointers at the
-// given depth of port o's shard (o is pt, or a steal's victim): a gather
-// read, or a scatter write when write is set.
-func (pt *Port) touchEntries(p *sim.Proc, o *Port, depth, count int, write bool) {
-	lines := o.entryLines(pt.lines.Take(), depth, count)
-	if write {
-		pt.agent.ScatterWrite(p, lines)
-	} else {
-		pt.agent.GatherRead(p, lines)
-	}
-	pt.lines.Put(lines)
-}
-
 // claimSeed adopts a slice of the unowned seed buffers into this shard.
+//
+//ccnic:noalloc
 func (pt *Port) claimSeed() {
 	pl := pt.pool
 	n := len(pl.seed) / max(1, len(pl.ports))
@@ -391,6 +389,8 @@ func (pt *Port) claimSeed() {
 
 // carveSmall splits one big buffer from the shard into small buffers in the
 // configured fill order.
+//
+//ccnic:noalloc
 func (pt *Port) carveSmall() {
 	pl := pt.pool
 	big, small := &pt.lists[classBig], &pt.lists[classSmall]
@@ -401,75 +401,46 @@ func (pt *Port) carveSmall() {
 	big.shard = big.shard[:len(big.shard)-1]
 	n := b.Cap() / SmallSize
 	step := fillStep(n, pl.cfg.Sequential)
-	for k := 0; k < n; k++ {
-		small.shard = append(small.shard, &Buf{
-			Addr:  b.Addr + mem.Addr(k*step%n*SmallSize),
-			Small: true,
-			pool:  pl,
-		})
+	// One backing array per carve: small buffers never merge back, so a
+	// pool carves each big buffer once.
+	smalls := make([]Buf, n) //ccnic:alloc-ok carving is first-use warm-up, once per big buffer
+	for k := range smalls {
+		s := &smalls[k]
+		s.Addr = b.Addr + mem.Addr(k*step%n*SmallSize)
+		s.Small = true
+		s.pool = pl
+		small.shard = append(small.shard, s)
 	}
 	pl.totalBufs += n - 1 // one big became n smalls
 }
 
-// Alloc allocates one buffer large enough for size payload bytes, charging
-// the calling process for the memory operations involved. It returns nil if
-// the pool is exhausted. The caller owns the result: ownlint requires it be
-// released or transferred exactly once on every path.
+// The pool's mutations. Each runs in the event its operation starts, before
+// the charges that model its cost (the real structure is updated with a
+// CAS), so the pool appears atomic to every other process: none of them
+// yields.
+
+// popRecycle pops the top of fl's recycling stack and takes it.
 //
 //ccnic:noalloc
 //ccnic:owns
-func (pt *Port) Alloc(p *sim.Proc, size int) *Buf {
-	pl := pt.pool
-	c := classOf(pl.cfg.SmallBufs && size <= SmallSize)
-	// Fast path: the recycling stack.
-	if fl := &pt.lists[c]; pl.cfg.Recycle && len(fl.recycle) > 0 {
-		//ccnic:atomic pop-to-take: the popped buffer must be owned before any yield
-		b := fl.recycle[len(fl.recycle)-1]
-		fl.recycle = fl.recycle[:len(fl.recycle)-1]
-		b = pl.take(b)
-		//ccnic:atomic-end the Exec charge below yields; the pool is consistent again
-		pt.agent.Exec(p, stackOpCost) // L1-resident stack pop
-		return b
-	}
-	// Central pool refill/alloc.
-	return pt.centralAlloc(p, c) //ccnic:alloc-ok central refill is the audited slow path
+//ccnic:atomic pop-to-take: the popped buffer must be owned before any yield
+func (pl *Pool) popRecycle(fl *freeList) *Buf {
+	b := fl.recycle[len(fl.recycle)-1]
+	fl.recycle = fl.recycle[:len(fl.recycle)-1]
+	return pl.take(b)
 }
 
-// centralAlloc pops one buffer of class c (plus a refill batch when
-// recycling) from the port's shard. A dry shard first takes bigs from the
-// seed and carves smalls from its own bigs, then steals from the richest
-// other shard.
+// popShard pops one buffer off fl's non-empty shard and takes it: with
+// recycling, the top, with a refill batch behind it that stays free on the
+// recycling stack (LIFO); without, the front (FIFO).
 //
+//ccnic:noalloc
 //ccnic:owns
-func (pt *Port) centralAlloc(p *sim.Proc, c int) *Buf {
-	pl := pt.pool
-	fl := &pt.lists[c]
-	if len(fl.shard) == 0 {
-		if len(pt.lists[classBig].shard) == 0 && len(pl.seed) > 0 {
-			pt.claimSeed()
-		}
-		if c == classSmall {
-			pt.carveSmall()
-		}
-	}
-	if len(fl.shard) == 0 {
-		pt.steal(p, c)
-	}
-	// Even a successful steal can leave the shard empty: its charges
-	// yield, and another port may steal from this one meanwhile.
-	if len(fl.shard) == 0 {
-		return nil
-	}
-	// Mutate the shared structure first: agent operations below yield to
-	// other processes, and the pool must appear atomic to them (the real
-	// structure is updated with a CAS; the charges below model its cost).
-	//ccnic:atomic central-pool pop: lists and ownership settle before the charges yield
+//ccnic:atomic central-pool pop: lists and ownership settle before the charges yield
+func (pl *Pool) popShard(fl *freeList) *Buf {
 	var out *Buf
-	batch := 1
 	if pl.cfg.Recycle {
-		// LIFO: return the top; the rest of the batch stays free-state
-		// on the recycle stack.
-		batch = min(refillBatch, len(fl.shard))
+		batch := min(refillBatch, len(fl.shard))
 		top := len(fl.shard) - 1
 		out = fl.shard[top]
 		for i := top - 1; i >= top+1-batch; i-- {
@@ -477,21 +448,19 @@ func (pt *Port) centralAlloc(p *sim.Proc, c int) *Buf {
 		}
 		fl.shard = fl.shard[:top+1-batch]
 	} else {
-		// FIFO: take from the front.
 		out = fl.shard[0]
 		fl.shard = fl.shard[1:]
 	}
-	depth := len(fl.shard)
-	out = pl.take(out)
-	//ccnic:atomic-end
-	pt.agent.Write(p, pt.lockLine, 8)
-	pt.touchEntries(p, pt, depth, batch, false)
-	return out
+	return pl.take(out)
 }
 
 // steal moves half of the richest other shard's buffers of class c into
-// this shard, charging the victim-shard accesses.
-func (pt *Port) steal(p *sim.Proc, c int) {
+// this shard and returns the victim and how many moved, or nil when every
+// other shard of the class is empty.
+//
+//ccnic:noalloc
+//ccnic:atomic steal: both shards settle before the victim-access charges yield
+func (pt *Port) steal(c int) (*Port, int) {
 	var victim *Port
 	best := 0
 	for _, o := range pt.pool.ports {
@@ -500,16 +469,13 @@ func (pt *Port) steal(p *sim.Proc, c int) {
 		}
 	}
 	if victim == nil {
-		return
+		return nil, 0
 	}
 	src, dst := &victim.lists[c], &pt.lists[c]
 	n := (best + 1) / 2
-	//ccnic:atomic steal: both shards settle before the victim-access charges yield
 	dst.shard = append(dst.shard, src.shard[len(src.shard)-n:]...)
 	src.shard = src.shard[:len(src.shard)-n]
-	//ccnic:atomic-end
-	pt.agent.Write(p, victim.lockLine, 8)
-	pt.touchEntries(p, victim, len(src.shard), n, false)
+	return victim, n
 }
 
 // take transitions a buffer to allocated, enforcing single-allocation: it
@@ -530,26 +496,14 @@ func (pl *Pool) take(b *Buf) *Buf {
 	return b
 }
 
-// AllocBurst allocates up to len(out) buffers for the given payload size,
-// returning how many were obtained.
-func (pt *Port) AllocBurst(p *sim.Proc, size int, out []*Buf) int {
-	for i := range out {
-		b := pt.Alloc(p, size)
-		if b == nil {
-			return i
-		}
-		out[i] = b
-	}
-	return len(out)
-}
-
-// Free returns a buffer to the port's recycling stack (spilling half the
-// stack to the central pool when full) or directly to the central pool. It
-// consumes the buffer: the caller's ownership ends here.
+// push releases b onto its size class's free list at this port: the
+// recycling stack, or else the shard's tail. It returns the list and the
+// shard depth a central push starts at.
 //
 //ccnic:noalloc
 //ccnic:transfer
-func (pt *Port) Free(p *sim.Proc, b *Buf) {
+//ccnic:atomic release-to-push: the freed buffer must be listed before any yield
+func (pt *Port) push(b *Buf) (*freeList, int) {
 	pl := pt.pool
 	if b.pool != pl {
 		panic("bufpool: buffer freed to wrong pool")
@@ -557,49 +511,138 @@ func (pt *Port) Free(p *sim.Proc, b *Buf) {
 	if b.state != stateAllocated {
 		panic(fmt.Sprintf("bufpool: double free of buffer %#x", b.Addr))
 	}
-	//ccnic:atomic release-to-push: the freed buffer must be listed before any yield
 	b.state = stateFree
 	pl.allocatedBufs--
 	fl := &pt.lists[classOf(b.Small)]
 	if pl.cfg.Recycle {
 		fl.recycle = append(fl.recycle, b)
-		//ccnic:atomic-end the Exec charge below yields; the pool is consistent again
-		pt.agent.Exec(p, stackOpCost) // L1-resident stack push
-		if len(fl.recycle) > pl.cfg.RecycleDepth {
-			pt.spill(p, fl) //ccnic:alloc-ok bounded spill is the audited slow path
-		}
-		pl.notify()
-		return
+		return fl, 0
 	}
-	pt.centralFree(p, fl, b) //ccnic:alloc-ok non-recycling central free is the audited slow path
-	pl.notify()
+	depth := len(fl.shard)
+	fl.shard = append(fl.shard, b)
+	return fl, depth
 }
 
-// FreeBurst frees a batch of buffers, consuming them.
+// spill moves the oldest half of fl's recycling stack onto the shard's
+// tail, and returns the shard depth the moved entries start at and their
+// count.
 //
+//ccnic:noalloc
+//ccnic:atomic spill: both lists settle before the charges yield
+func (pt *Port) spill(fl *freeList) (depth, n int) {
+	n = len(fl.recycle) / 2
+	depth = len(fl.shard)
+	fl.shard = append(fl.shard, fl.recycle[:n]...)
+	fl.recycle = fl.recycle[:copy(fl.recycle, fl.recycle[n:])]
+	return depth, n
+}
+
+// Alloc allocates one buffer large enough for size payload bytes, charging
+// the calling process for the memory operations involved: a burst of one
+// (see AllocBurst). It returns nil if the pool is exhausted. The caller
+// owns the result: ownlint requires it be released or transferred exactly
+// once on every path.
+//
+//ccnic:noalloc
+//ccnic:owns
+func (pt *Port) Alloc(p *sim.Proc, size int) *Buf {
+	w := pt.walker()
+	w.size, w.out = size, w.one[:]
+	w.run(p)
+	b := w.one[0]
+	w.put()
+	return b
+}
+
+// AllocBurst allocates up to len(out) buffers for size payload bytes each,
+// in order, and returns how many it obtained: it stops at the first the
+// pool cannot supply. The burst is one walk (see burstWalk), so the calling
+// process resumes once however many buffers it is charged for. The caller
+// owns out[:n].
+//
+//ccnic:noalloc
+func (pt *Port) AllocBurst(p *sim.Proc, size int, out []*Buf) int {
+	w := pt.walker()
+	w.size, w.out = size, out
+	n := w.run(p)
+	w.put()
+	return n
+}
+
+// AllocFeed sizes the buffers of a fed allocation burst (Port.AllocFed) and
+// receives each in the event its allocation completes. Caller work that
+// reads the clock, or that another process may see, belongs here: once the
+// burst has ended, the clock has moved past every buffer but the last.
+// Both methods run in the burst's spin steps, outside every process, so
+// they must not block. Bind a feed once per caller, as a pointer.
+type AllocFeed interface {
+	// Size returns buffer i's payload size, or false to end the burst
+	// before it. It runs in the event buffer i's allocation starts: on the
+	// calling process for buffer 0, else in the event buffer i-1's
+	// completed, right after Took(i-1).
+	Size(i int) (int, bool)
+	// Took receives buffer i, also stored in out[i], in the event its
+	// allocation's charges complete.
+	Took(i int, b *Buf)
+}
+
+// AllocFed is AllocBurst with a feed: buffer i is sized by feed.Size(i) and
+// handed to feed.Took once allocated. It returns how many buffers it
+// obtained, which the caller owns in out.
+//
+//ccnic:noalloc
+func (pt *Port) AllocFed(p *sim.Proc, out []*Buf, feed AllocFeed) int {
+	w := pt.walker()
+	w.out, w.afeed = out, feed
+	n := w.run(p)
+	w.put()
+	return n
+}
+
+// Free returns a buffer to the port's recycling stack (spilling half the
+// stack to the central pool when full) or directly to the central pool: a
+// burst of one (see FreeBurst). It consumes the buffer: the caller's
+// ownership ends here.
+//
+//ccnic:noalloc
+//ccnic:transfer
+func (pt *Port) Free(p *sim.Proc, b *Buf) {
+	w := pt.walker()
+	w.one[0] = b
+	w.free, w.bufs = true, w.one[:]
+	w.run(p)
+	w.put()
+}
+
+// FreeBurst frees a batch of buffers in order, consuming them, as one walk
+// (see burstWalk).
+//
+//ccnic:noalloc
 //ccnic:transfer
 func (pt *Port) FreeBurst(p *sim.Proc, bufs []*Buf) {
-	for _, b := range bufs {
-		pt.Free(p, b)
-	}
+	w := pt.walker()
+	w.free, w.bufs = true, bufs
+	w.run(p)
+	w.put()
 }
 
-// spill moves the oldest half of a recycle stack back to the central pool.
-func (pt *Port) spill(p *sim.Proc, fl *freeList) {
-	n := len(fl.recycle) / 2
-	moved := append([]*Buf(nil), fl.recycle[:n]...)
-	fl.recycle = append(fl.recycle[:0], fl.recycle[n:]...)
-	pt.centralFree(p, fl, moved...)
+// FreeFeed hands a fed free burst (Port.FreeFed) its buffers one at a time,
+// for callers whose work between frees another process may see. Next runs
+// in the burst's spin steps, outside every process, so it must not block.
+// Bind a feed once per caller, as a pointer.
+type FreeFeed interface {
+	// Next returns the buffer free i releases, which the burst consumes,
+	// or nil to end the burst. It runs in the event free i starts: on the
+	// calling process for free 0, else in the event free i-1 completed.
+	Next(i int) *Buf
 }
 
-// centralFree pushes buffers of one size class onto the port's shard,
-// charging the shard structure accesses.
-func (pt *Port) centralFree(p *sim.Proc, fl *freeList, bufs ...*Buf) {
-	// Mutate first (see centralAlloc), then charge.
-	//ccnic:atomic central-pool push: lists settle before the charges yield
-	depth := len(fl.shard)
-	fl.shard = append(fl.shard, bufs...)
-	//ccnic:atomic-end
-	pt.agent.Write(p, pt.lockLine, 8)
-	pt.touchEntries(p, pt, depth, len(bufs), true)
+// FreeFed frees the buffers feed hands out, as one walk.
+//
+//ccnic:noalloc
+func (pt *Port) FreeFed(p *sim.Proc, feed FreeFeed) {
+	w := pt.walker()
+	w.free, w.ffeed = true, feed
+	w.run(p)
+	w.put()
 }

@@ -480,11 +480,23 @@ func (a *Agent) PollCommit(addr mem.Addr) { a.sys.commitRead(a, mem.LineOf(addr)
 // latency. Pure timing — it never touches cache or directory state, so
 // every coherence invariant holds with the fault armed.
 func (a *Agent) pressure(p *sim.Proc) {
-	if f := a.sys.flt; f != nil {
-		if d := f.CachePressure(); d > 0 {
-			p.Sleep(d)
-		}
+	if d := a.Pressure(); d > 0 {
+		p.Sleep(d)
 	}
+}
+
+// Pressure draws the cache-pressure delay an access pays before its first
+// line (see pressure): the fault plan's draw when one is armed, else 0. A
+// spin step that issues an access in step form (StartWrite, StartGather)
+// draws it first and sleeps it as its own event only when it is positive,
+// as the process-side accesses do.
+//
+//ccnic:noalloc
+func (a *Agent) Pressure() sim.Time {
+	if f := a.sys.flt; f != nil {
+		return f.CachePressure() //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+	}
+	return 0
 }
 
 func (a *Agent) serialAccess(p *sim.Proc, addr mem.Addr, size int, write, train bool) sim.Time {
@@ -599,11 +611,13 @@ type lineWalk struct {
 
 // walker takes a walker off the agent's free list. One agent may have
 // several walks in flight, from different processes.
+//
+//ccnic:noalloc
 func (a *Agent) walker(kind walkKind, write, train bool) *lineWalk {
 	w := a.walks
 	if w == nil {
-		w = &lineWalk{a: a}
-		w.step = w.advance
+		w = &lineWalk{a: a} //ccnic:alloc-ok free-list warm-up: one walker per concurrent walk
+		w.step = w.advance  //ccnic:alloc-ok bound once, when the walker is made
 	} else {
 		a.walks = w.next
 	}
@@ -613,6 +627,8 @@ func (a *Agent) walker(kind walkKind, write, train bool) *lineWalk {
 
 // span walks the lines of [addr, addr+size); a size below one byte walks
 // addr's line.
+//
+//ccnic:noalloc
 func (w *lineWalk) span(addr mem.Addr, size int) *lineWalk {
 	w.addr, w.end = addr, addr+mem.Addr(max(size, 1))
 	w.n = int((mem.LineOf(w.end-1)-mem.LineOf(addr))/mem.LineSize) + 1
@@ -620,6 +636,8 @@ func (w *lineWalk) span(addr mem.Addr, size int) *lineWalk {
 }
 
 // list walks lines in order.
+//
+//ccnic:noalloc
 func (w *lineWalk) list(lines []mem.Addr) *lineWalk {
 	w.lines, w.n = lines, len(lines)
 	return w
@@ -636,10 +654,64 @@ func (w *lineWalk) run(p *sim.Proc) (total, visibleAt sim.Time) {
 		p.Spin(w.issue(), w.step)
 	}
 	total, visibleAt = w.total, w.visibleAt
+	w.release()
+	return total, visibleAt
+}
+
+// release returns the walker to the agent's free list.
+//
+//ccnic:noalloc
+func (w *lineWalk) release() {
 	a := w.a
 	w.lines, w.total, w.visibleAt = nil, 0, 0
 	w.next, a.walks = a.walks, w
-	return total, visibleAt
+}
+
+// Access is a coherent access in step form, for a spin step (see
+// sim.Proc.Spin) that issues an access on a process it does not run on,
+// as a buffer-pool burst walk does: the line walk of a Write or a
+// GatherRead, with the process's sleeps taken out. StartWrite or
+// StartGather issues line 0 and returns its cost; at each later wake,
+// Advance finishes the line in flight and issues the next, in that same
+// event. The clock, the event count, the probe and the run-queue order see
+// exactly what the process-side access would have made them see, provided
+// the caller sleeps each returned cost as one event and draws the access's
+// Pressure before starting it. The zero Access is no access.
+type Access struct{ w *lineWalk }
+
+// StartWrite starts a Write of [addr, addr+size) in step form and returns
+// its first line's cost.
+//
+//ccnic:noalloc
+func (a *Agent) StartWrite(addr mem.Addr, size int) (Access, sim.Time) {
+	w := a.walker(walkSerial, true, true).span(addr, size)
+	return Access{w}, w.issue()
+}
+
+// StartGather starts a GatherRead of lines, or with write a ScatterWrite,
+// in step form and returns its first line's cost. The access borrows lines
+// until it ends. An empty list issues nothing and reports false.
+//
+//ccnic:noalloc
+func (a *Agent) StartGather(lines []mem.Addr, write bool) (acc Access, cost sim.Time, ok bool) {
+	if len(lines) == 0 {
+		return Access{}, 0, false
+	}
+	w := a.walker(walkOverlap, write, false).list(lines)
+	return Access{w}, w.issue(), true
+}
+
+// Advance finishes the line in flight, then issues the next and returns
+// its cost, or, after the last line, ends the access and reports false.
+// An ended access is spent: its walker is back on the agent's free list.
+//
+//ccnic:noalloc
+func (acc Access) Advance() (sim.Time, bool) {
+	if d, more := acc.w.advance(); more {
+		return d, true
+	}
+	acc.w.release()
+	return 0, false
 }
 
 // advance is the walk's spin step: it finishes the line in flight, then

@@ -23,21 +23,35 @@ func (pc *pacer) set(rate float64, gen func() int) { pc.rate, pc.gen = rate, gen
 // first refusal ends the call. The first arrival starts the clock.
 func (pc *pacer) arrive(p *sim.Proc, max int, deliver func(size int) bool) int {
 	n := 0
-	for n < max && pc.due(p.Now()) {
-		if pc.next == 0 {
-			pc.next = p.Now()
-		}
-		if pc.held == 0 {
-			pc.held = pc.gen()
-		}
-		if !deliver(pc.held) {
+	for ; n < max; n++ {
+		size, ok := pc.offer(p.Now())
+		if !ok || !deliver(size) {
 			break
 		}
-		pc.held = 0
-		pc.next += sim.Time(1e12 / pc.rate)
-		n++
+		pc.took()
 	}
 	return n
+}
+
+// offer returns the size of the arrival due by now, drawn once and held
+// until the device takes it, or false when none is due.
+func (pc *pacer) offer(now sim.Time) (int, bool) {
+	if !pc.due(now) {
+		return 0, false
+	}
+	if pc.next == 0 {
+		pc.next = now
+	}
+	if pc.held == 0 {
+		pc.held = pc.gen()
+	}
+	return pc.held, true
+}
+
+// took records that the device took the arrival offer returned.
+func (pc *pacer) took() {
+	pc.held = 0
+	pc.next += sim.Time(1e12 / pc.rate)
 }
 
 // due reports whether an arrival is due by now: arrive would offer one, and

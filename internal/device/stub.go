@@ -23,6 +23,24 @@ type stubQueue struct {
 	accept func(p *sim.Proc, queue int) bool
 	port   *bufpool.Port
 	in     pacer
+	rx     stubRx
+}
+
+// stubRx feeds RxBurst's allocation burst (bufpool.AllocFeed): buffer i
+// takes the arrival due when its allocation starts, in the event buffer
+// i-1's completes, as the pacer's loop takes arrivals between allocations.
+type stubRx struct {
+	q *stubQueue
+	p *sim.Proc
+}
+
+// Size offers the arrival due now.
+func (f *stubRx) Size(int) (int, bool) { return f.q.in.offer(f.p.Now()) }
+
+// Took hands the arrival to its buffer.
+func (f *stubRx) Took(_ int, b *bufpool.Buf) {
+	b.Len = f.q.in.held
+	f.q.in.took()
 }
 
 // NewStub builds a stub NIC with one queue per host agent over a recycling
@@ -65,16 +83,8 @@ func (q *stubQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {
 }
 
 func (q *stubQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
-	return q.in.arrive(p, len(out), func(size int) bool {
-		b := q.port.Alloc(p, size)
-		if b == nil {
-			return false
-		}
-		b.Len = size
-		out[0] = b
-		out = out[1:]
-		return true
-	})
+	q.rx = stubRx{q: q, p: p}
+	return q.port.AllocFed(p, out, &q.rx)
 }
 
 func (q *stubQueue) Release(p *sim.Proc, bufs []*bufpool.Buf) { q.port.FreeBurst(p, bufs) }

@@ -1,6 +1,8 @@
 package device
 
 import (
+	"slices"
+
 	"ccnic/internal/bufpool"
 	"ccnic/internal/mem"
 	"ccnic/internal/sim"
@@ -258,15 +260,39 @@ func (q *upiQueue) loopback(p *sim.Proc, metas []pktMeta) {
 	pkts := q.rxMetas[:0]
 	for _, m := range metas {
 		pkts = append(pkts, rxMeta{size: m.len + m.extLen, seq: m.seq, born: m.born})
-		if q.dev.cfg.NICBufMgmt {
-			// CC-NIC §3.4: the NIC frees the TX buffer itself; the
-			// RX allocation below recycles the same bytes, still
-			// resident in the NIC cache.
-			q.nicPort.Free(p, m.buf)
-		}
 	}
 	q.rxMetas = pkts
+	if q.dev.cfg.NICBufMgmt {
+		// CC-NIC §3.4: the NIC frees the TX buffers itself; the RX
+		// allocations below recycle the same bytes, still resident in
+		// the NIC cache.
+		q.freeTx(p, metas)
+	}
 	q.rxEmit(p, pkts)
+}
+
+// freeTx frees the buffers of consumed TX packets to the NIC's port, as one
+// burst.
+func (q *upiQueue) freeTx(p *sim.Proc, metas []pktMeta) {
+	bufs := q.txFree[:0]
+	for _, m := range metas {
+		bufs = append(bufs, m.buf)
+	}
+	q.txFree = bufs
+	q.nicPort.FreeBurst(p, bufs)
+}
+
+// rxSized sizes a delivery's NIC-managed RX buffers by their packets
+// (bufpool.AllocFeed) and stamps each with its packet's metadata.
+type rxSized struct{ pkts []rxMeta }
+
+// Size returns packet i's size.
+func (f *rxSized) Size(i int) (int, bool) { return f.pkts[i].size, true }
+
+// Took stamps buffer i with packet i's metadata.
+func (f *rxSized) Took(i int, b *bufpool.Buf) {
+	m := &f.pkts[i]
+	b.Len, b.Seq, b.Born = m.size, m.seq, m.born
 }
 
 // rxEmit delivers received packets to the host: it allocates RX buffers per
@@ -276,15 +302,10 @@ func (q *upiQueue) loopback(p *sim.Proc, metas []pktMeta) {
 func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 	cfg := &q.dev.cfg
 	if cfg.NICBufMgmt {
-		rx := q.rxBufs[:0]
-		for _, m := range pkts {
-			nb := q.nicPort.Alloc(p, m.size)
-			if nb == nil {
-				break
-			}
-			nb.Len, nb.Seq, nb.Born = m.size, m.seq, m.born
-			rx = append(rx, nb)
-		}
+		rx := slices.Grow(q.rxBufs[:0], len(pkts))[:len(pkts)]
+		q.rxSized.pkts = pkts
+		rx = rx[:q.nicPort.AllocFed(p, rx, &q.rxSized)]
+		q.rxSized.pkts = nil
 		q.rxBufs = rx
 		q.rxLines = bufpool.Lines(q.rxLines[:0], rx)
 		q.nic.ScatterWrite(p, q.rxLines)
@@ -363,9 +384,7 @@ func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
 // consumeTx handles TX packets in ingress mode: they leave on the wire.
 func (q *upiQueue) consumeTx(p *sim.Proc, metas []pktMeta) {
 	if q.dev.cfg.NICBufMgmt {
-		for _, m := range metas {
-			q.nicPort.Free(p, m.buf)
-		}
+		q.freeTx(p, metas)
 	}
 	// Host-managed modes reclaim via completion flags; nothing here.
 }

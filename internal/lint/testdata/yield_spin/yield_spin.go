@@ -1,5 +1,6 @@
 // Package yieldspin passes Proc.Spin steps that yield, in each form a step
-// takes, beside steps that only read state, and does the same with the
+// takes (a buffer-pool walker's step bound off a free list among them),
+// beside steps that only read state, and does the same with the
 // steps of bodiless processes: Kernel.SpawnSpin's, and the delivery handlers
 // Engine.Connect and Switch.Attach take. yieldlint must flag the first kind
 // and accept the second.
@@ -82,6 +83,55 @@ func (w *walker) run() {
 	w.e.p.Spin(5, w.step)
 	w.e.p.Spin(5, w.bad)   // want "spin step busy yields"
 	w.e.p.Spin(5, w.worse) // want "spin step poll yields"
+}
+
+// Agent stands in for coherence.Agent, whose Exec charges CPU time by
+// sleeping the calling process.
+type Agent struct{ p *Proc }
+
+// Exec stands in for coherence.Agent.Exec.
+func (a *Agent) Exec(d Time) { a.p.Sleep(d) }
+
+// bufWalk stands in for a buffer-pool burst walker: it comes off its port's
+// free list with its steps bound once, and each step completes one charge
+// of the burst and starts the next operation.
+type bufWalk struct {
+	a           *Agent
+	step, fused func() (Time, bool)
+	next        *bufWalk
+}
+
+// bufPort stands in for a buffer-pool port.
+type bufPort struct {
+	a     *Agent
+	walks *bufWalk
+}
+
+func (pt *bufPort) walker() *bufWalk {
+	w := pt.walks
+	if w == nil {
+		w = &bufWalk{a: pt.a}
+		w.step = w.advance
+		w.fused = w.charged
+	} else {
+		pt.walks = w.next
+	}
+	return w
+}
+
+// advance returns the next operation's charge: a valid step.
+func (w *bufWalk) advance() (Time, bool) { return 2, w.next != nil }
+
+// charged charges the next operation itself, as the per-buffer Free did.
+func (w *bufWalk) charged() (Time, bool) {
+	w.a.Exec(2)
+	return 0, w.next != nil
+}
+
+func (pt *bufPort) burst(p *Proc) {
+	w := pt.walker()
+	p.Spin(2, w.step)
+	p.Spin(2, w.fused) // want "spin step charged yields \(charged -> Exec -> Sleep\)"
 }
 
 // Kernel stands in for sim.Kernel.

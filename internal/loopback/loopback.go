@@ -93,9 +93,11 @@ func Run(cfg Config) Result {
 			rx := make([]*bufpool.Buf, cfg.RxBatch)
 			// The generator's TX burst and line-list scratch.
 			var (
-				bufs  []*bufpool.Buf
-				lines []mem.Addr
+				txBufs = make([]*bufpool.Buf, cfg.TxBatch)
+				bufs   []*bufpool.Buf
+				lines  []mem.Addr
 			)
+			born := &txBorn{p: p, cfg: &cfg, queue: i}
 			var nextSend sim.Time
 			interval := sim.Time(0)
 			if cfg.Rate > 0 {
@@ -124,18 +126,8 @@ func Run(cfg Config) Result {
 					want = cfg.TxBatch
 				}
 				if want > 0 {
-					bufs = bufs[:0]
-					for j := 0; j < want; j++ {
-						b := q.Port().Alloc(p, cfg.PktSize)
-						if b == nil {
-							break
-						}
-						b.Len = cfg.PktSize
-						b.Born = p.Now()
-						b.Seq = uint64(st.sent) + uint64(j) + 1
-						cfg.Trace.Mark(traceSeq(i, b.Seq), trace.Born, p.Now())
-						bufs = append(bufs, b)
-					}
+					born.sent = st.sent
+					bufs = txBufs[:q.Port().AllocFed(p, txBufs[:want], born)]
 					lines = bufpool.Lines(lines[:0], bufs)
 					a.ScatterWrite(p, lines)
 					n := q.TxBurst(p, bufs)
@@ -209,6 +201,28 @@ func Run(cfg Config) Result {
 	}
 	res.Gbps = res.PPS * float64(cfg.PktSize) * 8 / 1e9
 	return res
+}
+
+// txBorn stamps the buffers of a generator's TX burst (bufpool.AllocFeed)
+// in the event each one's allocation completes: its length, sequence
+// number and birth instant, and the tracer's Born mark, whose order across
+// queues decides which records a full tracer evicts.
+type txBorn struct {
+	p     *sim.Proc
+	cfg   *Config
+	queue int
+	sent  int64 // packets the queue sent before this burst
+}
+
+// Size gives every buffer of the burst the run's packet size.
+func (g *txBorn) Size(int) (int, bool) { return g.cfg.PktSize, true }
+
+// Took stamps buffer j of the burst.
+func (g *txBorn) Took(j int, b *bufpool.Buf) {
+	b.Len = g.cfg.PktSize
+	b.Born = g.p.Now()
+	b.Seq = uint64(g.sent) + uint64(j) + 1
+	g.cfg.Trace.Mark(traceSeq(g.queue, b.Seq), trace.Born, b.Born)
 }
 
 // retryTx re-offers a partially accepted TX burst with exponential

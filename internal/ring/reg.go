@@ -31,6 +31,8 @@ type Reg struct {
 	// Descriptor-line scratch of the driver's producer (Post) and consumer
 	// (Consume, Reclaim) sides.
 	postLines, consLines sim.Scratch[mem.Addr]
+	// reclaim feeds Reclaim's free burst.
+	reclaim reclaimFeed
 
 	// Software indexes (monotone; callers take mod Size).
 	TailIdx int // producer publish position
@@ -194,15 +196,36 @@ func (r *Reg) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) {
 }
 
 // Reclaim is Consume for n completed descriptors whose buffers go straight
-// back to port (TX completion reclaim).
+// back to port (TX completion reclaim), freed as one burst.
 func (r *Reg) Reclaim(p *sim.Proc, a *coherence.Agent, n int, port *bufpool.Port) {
 	r.access(p, a, &r.consLines, r.HeadIdx, n, false)
-	for ; n > 0; n-- {
+	r.reclaim = reclaimFeed{r: r, left: n}
+	port.FreeFed(p, &r.reclaim)
+}
+
+// reclaimFeed hands Reclaim's free burst (bufpool.FreeFeed) the buffers of
+// the completed descriptors at the head. It consumes each descriptor (Take,
+// ClearDone, HeadIdx++) in the event the free of the buffer before it
+// completes, where the producer's Space may observe it between frees.
+type reclaimFeed struct {
+	r    *Reg
+	left int // descriptors still to consume
+}
+
+// Next consumes descriptors up to the next one holding a buffer and returns
+// that buffer, or nil once all are consumed.
+//
+//ccnic:owns
+func (f *reclaimFeed) Next(int) *bufpool.Buf {
+	r := f.r
+	for f.left > 0 {
+		f.left--
 		b := r.Take(r.HeadIdx)
 		r.ClearDone(r.HeadIdx)
 		r.HeadIdx++
 		if b != nil {
-			port.Free(p, b)
+			return b
 		}
 	}
+	return nil
 }

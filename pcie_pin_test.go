@@ -9,6 +9,7 @@ import (
 	"ccnic/internal/fabric"
 	"ccnic/internal/fault"
 	"ccnic/internal/sim"
+	"ccnic/internal/trace"
 )
 
 // pcieRun is what TestPCIeEventPin pins of one PCIe NIC run: the kernel's
@@ -151,12 +152,27 @@ type coherentRun struct {
 	p50, p99                sim.Time
 }
 
+// coherentRunOf reads a coherent NIC run's pinned values.
+func coherentRunOf(tb *ccnic.Testbed, res *ccnic.LoopbackResult) coherentRun {
+	got := coherentRun{events: tb.Kernel.Events(),
+		p50: res.Latency.Median(), p99: res.Latency.Percentile(0.99)}
+	for s := 0; s < 2; s++ {
+		c := tb.Sys.Counters(s)
+		got.remoteReads += c.RemoteRead
+		got.remoteRFOs += c.RemoteRFO
+	}
+	st := tb.Sys.Link().Stats()
+	got.wireBytes = st.WireBytes[0] + st.WireBytes[1]
+	return got
+}
+
 // TestCoherentEventPin pins coherent NIC runs event for event: CC-NIC under
 // UPI and under CXL, and the unoptimized UPI interface, closed and open loop,
 // all at 1500B, where a packet's payload is a multi-line access on both the
 // host and the NIC. Those accesses complete each line as a spin step, which
 // must count, order and time every event exactly as the per-line Sleep
 // loops they replace. The expected values were recorded with Sleep loops.
+// Two 64B rows pin the buffer pool's burst walks the same way.
 func TestCoherentEventPin(t *testing.T) {
 	opt := ccnic.LoopbackOptions{PktSize: 1500, Window: 64,
 		Warmup: 10 * sim.Microsecond, Measure: 30 * sim.Microsecond}
@@ -180,20 +196,64 @@ func TestCoherentEventPin(t *testing.T) {
 			o := opt
 			o.Rate = tc.rate
 			res := tb.RunLoopback(o)
-			got := coherentRun{events: tb.Kernel.Events(),
-				p50: res.Latency.Median(), p99: res.Latency.Percentile(0.99)}
-			for s := 0; s < 2; s++ {
-				c := tb.Sys.Counters(s)
-				got.remoteReads += c.RemoteRead
-				got.remoteRFOs += c.RemoteRFO
-			}
-			st := tb.Sys.Link().Stats()
-			got.wireBytes = st.WireBytes[0] + st.WireBytes[1]
+			got := coherentRunOf(tb, &res)
 			if got != tc.want {
 				t.Errorf("got  %+v\nwant %+v", got, tc.want)
 			}
 		})
 	}
+	// Two 64B rows where every buffer-pool charge counts. The unoptimized
+	// interface's pool neither recycles nor shares, so each Alloc and Free
+	// takes the central path: a lock-line write and an entry gather or
+	// scatter. The traced CC-NIC run keeps so few records that the tracer
+	// evicts in the order packets were born, an order set by the instant
+	// each allocation of a TX burst completes. The expected values were
+	// recorded with a Sleep per buffer charge.
+	for _, tc := range []struct {
+		name      string
+		iface     ccnic.Interface
+		queues    int
+		traceKeep int // 0 runs untraced
+		want      coherentRun
+		wantTrace tracedRun
+	}{
+		{"Unopt64/8q", ccnic.UnoptUPI, 8, 0, coherentRun{227522, 9612, 3835, 918688, 6291456, 7208960}, tracedRun{}},
+		{"CCNIC64/traced", ccnic.CCNIC, 2, 400, coherentRun{69826, 7046, 1346, 607328, 1867776, 4980736},
+			tracedRun{400, 336, 1850765, 1903710, 250245, 282200}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Interface: tc.iface,
+				Queues: tc.queues, HostPrefetch: true})
+			o := opt
+			o.PktSize = 64
+			if tc.traceKeep > 0 {
+				o.Trace = ccnic.NewTracer(1, tc.traceKeep)
+			}
+			res := tb.RunLoopback(o)
+			got := coherentRunOf(tb, &res)
+			var gotTrace tracedRun
+			if tr := o.Trace; tr != nil {
+				born := tr.StageGap(trace.Born, trace.Received)
+				sub := tr.StageGap(trace.Born, trace.Submitted)
+				gotTrace = tracedRun{tr.Sampled(), born.Count(), born.Mean(), born.Max(),
+					sub.Mean(), sub.Max()}
+			}
+			if got != tc.want || gotTrace != tc.wantTrace {
+				t.Errorf("got  %+v %+v\nwant %+v %+v", got, gotTrace, tc.want, tc.wantTrace)
+			}
+		})
+	}
+}
+
+// tracedRun is what TestCoherentEventPin pins of a traced run's tracer: the
+// records kept, how many of them saw their packet received, and the exact
+// mean and largest born-to-received and born-to-submitted gaps over the
+// kept records.
+type tracedRun struct {
+	sampled               int
+	received              int64
+	bornMean, bornMax     sim.Time
+	submitMean, submitMax sim.Time
 }
 
 // fabricMix is the benchmark's fabric-mix cluster (cmd/ccperf): 8 hosts on
