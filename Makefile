@@ -17,6 +17,9 @@
 #                     cmd/ccbench/matrix.sh; CI runs every row over seeds 1-3
 #   make golden-check full suite with online invariant checks, diffed against
 #                     the committed golden transcript (minutes)
+#   make golden-plain the same diff without -check: the invariant engine's
+#                     probes keep idle NIC cores from dozing, so only this
+#                     run diffs the code path users run (minutes)
 #   make golden-shards golden-check again at GOMAXPROCS=4 (four slots in the
 #                     experiments' pool): scheduling must not change a byte
 #   make golden       regenerate the committed golden transcript and the
@@ -25,9 +28,9 @@
 
 GO ?= go
 
-.PHONY: check verify lint vet race bench-smoke matrix golden-check golden-shards golden
+.PHONY: check verify lint vet race bench-smoke matrix golden-check golden-plain golden-shards golden
 
-check: verify lint vet race bench-smoke matrix golden-check
+check: verify lint vet race bench-smoke matrix golden-check golden-plain
 
 verify:
 	$(GO) build ./...
@@ -64,6 +67,12 @@ matrix:
 # invariant violation or golden divergence.
 golden-check:
 	$(GO) run ./cmd/ccbench -all -check -golden experiments_full.txt > /dev/null
+
+# The same golden diff with no probe attached. Idle NIC cores doze only
+# when no probe is installed (DESIGN.md §7), so this is the run that checks
+# the dozing path against the transcript.
+golden-plain:
+	$(GO) run ./cmd/ccbench -all -golden experiments_full.txt > /dev/null
 
 # The same golden diff with four slots in the experiments' pool, whatever
 # the host's CPU count: scheduling must not perturb a single byte of output.

@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"ccnic/internal/mem"
+	"ccnic/internal/sim"
 )
 
 // State is a per-cache MESIF-style line state. Exclusive-clean is folded
@@ -81,6 +82,9 @@ type Cache struct {
 	// makes that one allocation per entrySlab of them.
 	slab []entry
 	sys  *System
+	// watch is fired by every change to the recency list: a promotion, a
+	// fill, an invalidation or an eviction (see Agent.WatchPoll).
+	watch sim.Watch
 }
 
 func newCache(sys *System, name string, socket int, capBytes int64, isLLC bool) *Cache {
@@ -111,6 +115,7 @@ func (c *Cache) Len() int { return c.n }
 func (c *Cache) get(line mem.Addr) *entry {
 	e := c.peek(line)
 	if e != nil {
+		c.watch.Fire()
 		c.unlink(e)
 		c.pushFront(e)
 	}
@@ -136,6 +141,7 @@ func (c *Cache) peek(line mem.Addr) *entry {
 //
 //ccnic:noalloc
 func (c *Cache) insertMiss(line mem.Addr, st State) {
+	c.watch.Fire()
 	for c.n >= c.capAct {
 		c.evictLRU()
 	}
@@ -199,6 +205,7 @@ func (c *Cache) drop(line mem.Addr) {
 		return
 	}
 	if e := *s; e != nil {
+		c.watch.Fire()
 		c.unlink(e)
 		*s = nil
 		c.n--

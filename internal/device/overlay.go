@@ -121,7 +121,7 @@ func (o *Overlay) startThread(t int) {
 func (o *Overlay) Stop() {
 	o.stopped = true
 	for _, q := range o.front.qs {
-		q.stopped = true
+		q.stop()
 	}
 	o.back.Stop()
 }

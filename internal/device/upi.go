@@ -286,9 +286,16 @@ func (d *UPI) Start() {
 // Stop makes the NIC processes exit at their next iteration.
 func (d *UPI) Stop() {
 	for _, q := range d.qs {
-		q.stopped = true
+		q.stop()
 	}
 	d.wake.Signal()
+}
+
+// stop marks the queue stopped and wakes its idle poller's doze, so the
+// poller's next iteration sees the flag.
+func (q *upiQueue) stop() {
+	q.stopped = true
+	q.idle.doze.Wake()
 }
 
 // notify records a descriptor-write signal for event-driven NIC cores.
@@ -373,9 +380,11 @@ func (d *UPI) nicServe(p *sim.Proc, group []*upiQueue) {
 // iteration whose poll the step made and found work behind; the stop flag
 // is checked only before a fresh iteration, so that work is still served.
 func (q *upiQueue) pollLoop(p *sim.Proc, steps *int64, serve func(p *sim.Proc, polled bool) bool) {
-	gap := q.dev.sys.Platform().PollGap
+	plat := q.dev.sys.Platform()
+	gap := plat.PollGap
 	idle := &q.idle
-	idle.q, idle.steps = q, steps
+	idle.q, idle.p = q, p
+	idle.doze = sim.Doze{Issue: plat.L2Hit, Gap: gap, Count: steps}
 	step := idle.step
 	for {
 		polled := idle.polled

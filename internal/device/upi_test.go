@@ -7,6 +7,7 @@ import (
 	"ccnic/internal/bufpool"
 	"ccnic/internal/check"
 	"ccnic/internal/coherence"
+	"ccnic/internal/mem"
 	"ccnic/internal/platform"
 	"ccnic/internal/ring"
 	"ccnic/internal/sim"
@@ -17,8 +18,26 @@ import (
 // ordering and conservation.
 func runUPI(t *testing.T, cfg UPIConfig, n, size int) sim.Time {
 	t.Helper()
+	return loopUPI(t, cfg, coherence.ProtoUPI, false, n, size).elapsed
+}
+
+// loopRun is what a loopUPI run leaves: the loopback's duration, the
+// kernel's events and the device's NIC steps.
+type loopRun struct {
+	elapsed sim.Time
+	events  uint64
+	steps   int64
+}
+
+// loopUPI is runUPI under the given protocol, with a no-op validation
+// probe installed when probe is set.
+func loopUPI(t *testing.T, cfg UPIConfig, proto coherence.Protocol, probe bool, n, size int) loopRun {
+	t.Helper()
 	k := sim.New()
-	sys := coherence.NewSystem(k, platform.ICX())
+	sys := coherence.NewSystemProto(k, platform.ICX(), proto)
+	if probe {
+		sys.SetProbe(nopProbe{})
+	}
 	hostA := sys.NewAgent(0, "host0")
 	nicA := sys.NewAgent(1, "nic0")
 	dev := NewUPI("upi", sys, cfg, []*coherence.Agent{hostA}, []*coherence.Agent{nicA})
@@ -101,7 +120,7 @@ func runUPI(t *testing.T, cfg UPIConfig, n, size int) sim.Time {
 	if err := dev.Pool().CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	return elapsed
+	return loopRun{elapsed, k.Events(), dev.NICSteps()}
 }
 
 func TestCCNICLoopbackDeliversInOrder(t *testing.T) {
@@ -129,6 +148,29 @@ func TestAllDesignPointsWork(t *testing.T) {
 					cfg.SharedPool = nicMgmt
 					runUPI(t, cfg, 100, 64)
 				})
+			}
+		}
+	}
+}
+
+// Under load a dozing NIC core is woken by every kind of publish, on
+// every design point and under both protocols: each loopback makes exactly
+// the events and NIC steps, in exactly the time, of the same run under a
+// no-op validation probe, which keeps the core from dozing.
+func TestDozingLoopbackMatchesProbed(t *testing.T) {
+	packed, padded := CCNICConfig(), CCNICConfig()
+	packed.Layout, padded.Layout = ring.Packed, ring.Padded
+	hostMgmt := CCNICConfig()
+	hostMgmt.NICBufMgmt, hostMgmt.SharedPool = false, false
+	for _, tc := range []struct {
+		name string
+		cfg  UPIConfig
+	}{{"ccnic", CCNICConfig()}, {"packed", packed}, {"padded", padded}, {"hostmgmt", hostMgmt}, {"unopt", UnoptConfig()}} {
+		for _, proto := range []coherence.Protocol{coherence.ProtoUPI, coherence.ProtoCXL} {
+			got := loopUPI(t, tc.cfg, proto, false, 200, 64)
+			want := loopUPI(t, tc.cfg, proto, true, 200, 64)
+			if got != want {
+				t.Errorf("%s/%v: dozing run made %+v, the probed run %+v", tc.name, proto, got, want)
 			}
 		}
 	}
@@ -246,72 +288,110 @@ func TestIdlePollSpins(t *testing.T) {
 }
 
 // The host's post lands at every phase of the NIC's poll period, including
-// between a spun poll's issue and its completion: on the register ring the
-// tail index has then advanced before the tail register's visibility gate,
-// and the core must resume right after the poll to take the packets. On
-// the inline ring no post can land inside the poll (Inline.FinishPoll
-// panics if one does). Every run delivers every packet in order, with the
-// pool conserved.
+// between a spun poll's issue and its completion, and always while the
+// core dozes: on the register ring the tail index has then advanced before
+// the tail register's visibility gate, and the core must resume right
+// after the poll to take the packets; on the Packed ring the post's first
+// slot turns ready at its visibility, with no further publish. On the
+// inline rings no post can land inside the poll (Inline.FinishPoll panics
+// if one does). Every run delivers every packet in order, with the pool
+// conserved, and makes exactly the events and NIC steps of the same run
+// under a no-op validation probe, which keeps the core from dozing. Each
+// row runs under UPI and under CXL, where the producer's store need not
+// invalidate the NIC's polled copy, so only the ring's watch ends the
+// doze.
 func TestPostAcrossPollPeriod(t *testing.T) {
 	plat := platform.ICX()
 	period := plat.L2Hit + plat.PollGap
+	packed := CCNICConfig()
+	packed.Layout = ring.Packed
+	type result struct {
+		events uint64
+		steps  int64
+		found  int64
+	}
+	run := func(t *testing.T, name string, cfg UPIConfig, proto coherence.Protocol, off sim.Time, probe bool) result {
+		k := sim.New()
+		sys := coherence.NewSystemProto(k, plat, proto)
+		if probe {
+			sys.SetProbe(nopProbe{})
+		}
+		hostA := sys.NewAgent(0, "host0")
+		dev := NewUPI("upi", sys, cfg, []*coherence.Agent{hostA}, []*coherence.Agent{sys.NewAgent(1, "nic0")})
+		dev.Start()
+		q := dev.Queue(0)
+		const n = 8
+		got := 0
+		k.Spawn("host", func(p *sim.Proc) {
+			p.Sleep(2*sim.Microsecond + off)
+			bufs := make([]*bufpool.Buf, n)
+			for i := range bufs {
+				b := q.Port().Alloc(p, 64)
+				b.Len, b.Seq, b.Born = 64, uint64(i+1), p.Now()
+				hostA.StreamWrite(p, b.Addr, 64)
+				bufs[i] = b
+			}
+			if dozing := dev.qs[0].idle.doze.Dozing(); dozing == probe {
+				t.Errorf("%s +%v probe=%v: the core was dozing=%v when the post landed", name, off, probe, dozing)
+			}
+			if sent := q.TxBurst(p, bufs); sent != n {
+				t.Errorf("%s +%v: posted %d of %d", name, off, sent, n)
+			}
+			rx := make([]*bufpool.Buf, n)
+			for got < n && p.Now() < 20*sim.Microsecond {
+				m := q.RxBurst(p, rx)
+				for _, b := range rx[:m] {
+					if got++; b.Seq != uint64(got) {
+						t.Errorf("%s +%v: packet %d has seq %d", name, off, got, b.Seq)
+					}
+				}
+				q.Release(p, rx[:m])
+				p.Sleep(5 * sim.Nanosecond)
+			}
+			dev.Stop()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != n {
+			t.Errorf("%s +%v: received %d of %d", name, off, got, n)
+		}
+		if err := sys.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Pool().CheckConservation(); err != nil {
+			t.Fatalf("%s +%v: %v", name, off, err)
+		}
+		return result{k.Events(), dev.NICSteps(), dev.qs[0].idle.found}
+	}
 	for _, tc := range []struct {
 		name      string
 		cfg       UPIConfig
 		wantFound bool
-	}{{"ccnic", CCNICConfig(), false}, {"unopt", UnoptConfig(), true}} {
-		var found int64
-		for off := sim.Time(0); off < period; off += 250 * sim.Picosecond {
-			k := sim.New()
-			sys := coherence.NewSystem(k, plat)
-			hostA := sys.NewAgent(0, "host0")
-			dev := NewUPI("upi", sys, tc.cfg, []*coherence.Agent{hostA}, []*coherence.Agent{sys.NewAgent(1, "nic0")})
-			dev.Start()
-			q := dev.Queue(0)
-			const n = 8
-			got := 0
-			k.Spawn("host", func(p *sim.Proc) {
-				p.Sleep(2*sim.Microsecond + off)
-				bufs := make([]*bufpool.Buf, n)
-				for i := range bufs {
-					b := q.Port().Alloc(p, 64)
-					b.Len, b.Seq, b.Born = 64, uint64(i+1), p.Now()
-					hostA.StreamWrite(p, b.Addr, 64)
-					bufs[i] = b
+	}{{"ccnic", CCNICConfig(), false}, {"packed", packed, false}, {"unopt", UnoptConfig(), true}} {
+		for _, proto := range []coherence.Protocol{coherence.ProtoUPI, coherence.ProtoCXL} {
+			name := tc.name + "/" + proto.String()
+			var found int64
+			for off := sim.Time(0); off < period; off += 250 * sim.Picosecond {
+				got := run(t, name, tc.cfg, proto, off, false)
+				want := run(t, name, tc.cfg, proto, off, true)
+				if got != want {
+					t.Errorf("%s +%v: dozing run made %+v, the probed run %+v", name, off, got, want)
 				}
-				if sent := q.TxBurst(p, bufs); sent != n {
-					t.Errorf("%s +%v: posted %d of %d", tc.name, off, sent, n)
-				}
-				rx := make([]*bufpool.Buf, n)
-				for got < n && p.Now() < 20*sim.Microsecond {
-					m := q.RxBurst(p, rx)
-					for _, b := range rx[:m] {
-						if got++; b.Seq != uint64(got) {
-							t.Errorf("%s +%v: packet %d has seq %d", tc.name, off, got, b.Seq)
-						}
-					}
-					q.Release(p, rx[:m])
-					p.Sleep(5 * sim.Nanosecond)
-				}
-				dev.Stop()
-			})
-			if err := k.Run(); err != nil {
-				t.Fatal(err)
+				found += got.found
 			}
-			if got != n {
-				t.Errorf("%s +%v: received %d of %d", tc.name, off, got, n)
+			if tc.wantFound && found == 0 {
+				t.Errorf("%s: no post landed between a spun poll's issue and completion", name)
 			}
-			if err := sys.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if err := dev.Pool().CheckConservation(); err != nil {
-				t.Fatalf("%s +%v: %v", tc.name, off, err)
-			}
-			found += dev.qs[0].idle.found
+			t.Logf("%s: %d spun polls found work in flight", name, found)
 		}
-		if tc.wantFound && found == 0 {
-			t.Errorf("%s: no post landed between a spun poll's issue and completion", tc.name)
-		}
-		t.Logf("%s: %d spun polls found work in flight", tc.name, found)
 	}
 }
+
+// nopProbe is a validation probe that checks nothing: installing it only
+// keeps NIC cores from dozing.
+type nopProbe struct{}
+
+func (nopProbe) LineEvent(mem.Addr)              {}
+func (nopProbe) ObjectEvent(coherence.Checkable) {}
+func (nopProbe) Fail(error)                      {}

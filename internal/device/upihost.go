@@ -73,11 +73,12 @@ func (q *upiQueue) freeReclaimed(p *sim.Proc, lines int) {
 
 // regPost is the register-signaled producer path: write packed descriptors,
 // then bump the tail register (one line write; the consumer polls it once
-// vis has passed).
+// vis has passed). Setting the gate fires the ring's watch.
 func regPost(p *sim.Proc, a *coherence.Agent, r *ring.Reg, vis *sim.Time, bufs []*bufpool.Buf) int {
 	n := r.Post(p, a, bufs)
 	if n > 0 {
 		*vis = a.WriteAsync(p, r.TailReg(), 8)
+		r.Watch().Fire()
 	}
 	return n
 }

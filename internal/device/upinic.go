@@ -180,13 +180,21 @@ func (q *upiQueue) txTailAvail(now sim.Time) int {
 // the completed poll of a register ring's tail found work, and the core
 // resumes right after the poll (regConsumeTx's polled continuation) to
 // finish the iteration. An inline ring's poll never finds work (Inline.FinishPoll).
+//
+// Once a poll has completed empty, the core dozes (sim.Doze): every later
+// iteration would repeat it on the same state, so the kernel runs them as
+// arithmetic, each still two events, until that state changes (see
+// dozeOff).
 type idlePoll struct {
 	q      *upiQueue
-	addr   mem.Addr // address of the poll in flight
-	issued bool     // a poll is in flight: the next wake completes it
-	polled bool     // the core resumed right after a poll that found work
-	found  int64    // polls that found work in flight (for tests)
-	steps  *int64   // the NIC step count an issued poll adds to; nil for none
+	p      *sim.Proc // the polling process
+	addr   mem.Addr  // address of the poll in flight
+	polled bool      // the core resumed right after a poll that found work
+	found  int64     // polls that found work in flight (for tests)
+	// doze is the idle cycle: an L2 hit, then PollGap. Issued is set while
+	// a poll is in flight (the next wake completes it); Count is the NIC
+	// step count an issued poll adds to, nil for none.
+	doze sim.Doze
 }
 
 // step is the sim.Proc.Spin step; bind it once per core.
@@ -194,8 +202,8 @@ func (s *idlePoll) step() (sim.Time, bool) {
 	q := s.q
 	d := q.dev
 	now := d.sys.Kernel().Now()
-	if s.issued {
-		s.issued = false
+	if s.doze.Issued {
+		s.doze.Issued = false
 		q.nic.PollCommit(s.addr)
 		if q.txI != nil {
 			q.txI.FinishPoll(now)
@@ -204,14 +212,15 @@ func (s *idlePoll) step() (sim.Time, bool) {
 			s.found++
 			return 0, false
 		}
-		return d.sys.Platform().PollGap, true
+		s.dozeOff(now)
+		return s.doze.Gap, true
 	}
 	if q.stopped || d.sys.Faults() != nil || q.in.gen != nil {
 		return 0, false
 	}
 	addr, ok := mem.Addr(0), true
 	if q.txI != nil {
-		addr, ok = q.txI.IdlePoll(now)
+		addr, _, ok = q.txI.IdlePoll(now)
 	} else {
 		addr = q.txR.TailReg()
 	}
@@ -222,11 +231,52 @@ func (s *idlePoll) step() (sim.Time, bool) {
 	if !ok {
 		return 0, false
 	}
-	if s.steps != nil {
-		*s.steps++
+	if s.doze.Count != nil {
+		*s.doze.Count++
 	}
-	s.addr, s.issued = addr, true
+	s.addr, s.doze.Issued = addr, true
 	return lat, true
+}
+
+// dozeOff hands the idle cycle to the kernel after a poll of addr has
+// completed empty at now, when every later iteration would repeat it: the
+// same checks pass, SpinPoll hits the L2's most recent line (the doze's
+// Issue), PollCommit returns early, and the ring shows no work. That holds
+// until
+//
+//   - the NIC agent's L2 recency list changes (Agent.WatchPoll);
+//   - the producer publishes on the TX ring (the ring's Watch: each inline
+//     line or Packed slot, each tail advance and tail-register gate);
+//   - the queue stops (Stop wakes the doze);
+//   - the clock reaches a publish already made but not yet visible: a
+//     Packed slot's visibility, or the tail register's gate.
+//
+// The core does not doze under a fault plan, synthetic ingress (set
+// before Start) or a validation probe, once stopped, or while another
+// process's doze holds the agent's L2 watch.
+func (s *idlePoll) dozeOff(now sim.Time) {
+	q := s.q
+	if q.stopped || q.in.gen != nil {
+		return
+	}
+	var until sim.Time
+	var w *sim.Watch
+	if q.txI != nil {
+		var ok bool
+		if _, until, ok = q.txI.IdlePoll(now); !ok {
+			return
+		}
+		w = q.txI.Watch()
+	} else {
+		until = sim.Never
+		if q.txR.TailIdx != q.txSeen {
+			until = q.txTailVis
+		}
+		w = q.txR.Watch()
+	}
+	if q.nic.WatchPoll(s.addr, &s.doze) && w.Arm(&s.doze) {
+		s.p.Doze(&s.doze, until)
+	}
 }
 
 // completeTx writes TX completion (DD) flags for the oldest n consumed

@@ -105,6 +105,9 @@ type Inline struct {
 	reclaimedSinceTake int
 
 	scan sim.Scratch[mem.Addr] // the producer's replenish scan
+
+	// watch is fired by every publish: each line, and each Packed slot.
+	watch sim.Watch
 }
 
 // NewInline allocates an inline ring of nLines cache lines, homed on the
@@ -251,6 +254,7 @@ func (r *Inline) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int 
 			ln.count = i + 1
 			ln.slotVisible[i] = vis
 			ln.slotReady[i] = true
+			r.watch.Fire()
 			posted++
 			r.prodSlot++
 			if r.prodSlot == SlotsPerLine {
@@ -277,6 +281,7 @@ func (r *Inline) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int 
 		ln.count = n
 		ln.visibleAt = vis
 		ln.ready = true
+		r.watch.Fire()
 		r.prod++
 		r.credits--
 		posted += n
@@ -360,17 +365,29 @@ func (r *Inline) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) in
 // (coherence.Agent.SpinPoll) and, once it completes, ends the Consume with
 // FinishPoll. IdlePoll is false when the consumer's line is already ready:
 // that Consume reads it, training the prefetcher.
-func (r *Inline) IdlePoll(now sim.Time) (mem.Addr, bool) {
+//
+// until is the instant the answer changes by itself, with no further
+// publish: a Packed slot posted but not yet visible turns ready at its
+// visibility; otherwise sim.Never. Every publish fires the ring's Watch.
+func (r *Inline) IdlePoll(now sim.Time) (addr mem.Addr, until sim.Time, ok bool) {
 	ln := r.lineAt(r.cons)
-	addr := r.lineAddr(r.cons)
+	addr = r.lineAddr(r.cons)
 	if r.layout == Packed {
-		if ln.slotReadyAt(ln.taken, now) {
-			return 0, false
+		i := ln.taken
+		if ln.slotReadyAt(i, now) {
+			return 0, 0, false
 		}
-		return addr + mem.Addr(ln.taken*DescSize), true
+		until = sim.Never
+		if ln.bufs[i] != nil && ln.slotReady[i] {
+			until = ln.slotVisible[i]
+		}
+		return addr + mem.Addr(i*DescSize), until, true
 	}
-	return addr, !ln.ready
+	return addr, sim.Never, !ln.ready
 }
+
+// Watch returns the ring's publish watch, for the consumer's doze.
+func (r *Inline) Watch() *sim.Watch { return &r.watch }
 
 // FinishPoll ends a Consume whose empty poll (IdlePoll) has just completed,
 // reported to the probe as Consume reports an empty one. That poll cannot

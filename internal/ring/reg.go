@@ -37,6 +37,10 @@ type Reg struct {
 	// Software indexes (monotone; callers take mod Size).
 	TailIdx int // producer publish position
 	HeadIdx int // consumer completion position
+
+	// watch is fired by every advance of TailIdx, and by the producer's
+	// publish of the tail register (Watch).
+	watch sim.Watch
 }
 
 // NewReg allocates a register ring with nDesc descriptors. The descriptor
@@ -58,6 +62,11 @@ func NewReg(sys *coherence.System, nDesc, descSocket, regSocket int) *Reg {
 		done:  make([]bool, nDesc),
 	}
 }
+
+// Watch returns the ring's publish watch, for the consumer's doze. Post
+// fires it; a producer that gates the consumer's view of the tail on its
+// register write's visibility fires it once it has set that gate.
+func (r *Reg) Watch() *sim.Watch { return &r.watch }
 
 // Size returns the descriptor count.
 func (r *Reg) Size() int { return r.nDesc }
@@ -180,6 +189,7 @@ func (r *Reg) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int {
 	}
 	r.access(p, a, &r.postLines, r.TailIdx, n, true)
 	r.TailIdx += n
+	r.watch.Fire()
 	return n
 }
 

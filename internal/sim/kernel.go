@@ -64,6 +64,9 @@ type Proc struct {
 	// spin is the step the scheduler calls at each wake while the process
 	// is parked in Spin; nil otherwise.
 	spin func() (Time, bool)
+	// doze is the spinner's idle cycle once its step has handed it to the
+	// kernel (Doze); nil otherwise.
+	doze *Doze
 
 	// Coroutine control, all nil for a bodiless process. resume transfers
 	// execution into the process and returns when it parks (true) or its
@@ -187,8 +190,9 @@ func (p *Proc) park(s procState) {
 
 // reschedule queues runnable p at p.wake, or nothing when p is nil, and
 // selects the next event, running spin steps inline for as long as the
-// selected process keeps spinning and ending bodiless processes whose last
-// step ran. It returns the process to resume (p itself when p is next), or
+// selected process keeps spinning (a dozing spinner's wakes as its cycle's
+// arithmetic, see Doze) and ending bodiless processes whose last step
+// ran. It returns the process to resume (p itself when p is next), or
 // nil when the run ends (stop, deadline reached, completion, or deadlock —
 // the caller classifies from kernel state).
 //
@@ -244,6 +248,13 @@ func (k *Kernel) reschedule(p *Proc) *Proc {
 		if p.spin == nil {
 			return p
 		}
+		if d := p.doze; d != nil && d.on {
+			if p.wake < d.horizon {
+				k.dozeRun(p, d)
+				continue
+			}
+			d.on = false
+		}
 		if k.step(p) {
 			continue
 		}
@@ -279,7 +290,7 @@ func (k *Kernel) step(p *Proc) bool {
 	d, more := p.spin()
 	k.stepping = nil
 	if !more {
-		p.spin = nil
+		p.spin, p.doze = nil, nil
 		return false
 	}
 	if d < 0 {
@@ -356,8 +367,8 @@ func (k *Kernel) Now() Time { return k.now }
 // Live returns the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
 
-// Events returns the number of simulation events (process resumptions and
-// spin steps) the kernel has executed.
+// Events returns the number of simulation events (process resumptions,
+// spin steps and dozed wakes) the kernel has executed.
 func (k *Kernel) Events() uint64 { return k.events }
 
 // Resumes returns the number of coroutine switches into a process: the
@@ -617,7 +628,7 @@ func (k *Kernel) abort(p *Proc) {
 	if p.state == procDone {
 		return
 	}
-	p.spin = nil
+	p.spin, p.doze = nil, nil
 	if p.cancel != nil {
 		p.cancel()
 	}

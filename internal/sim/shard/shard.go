@@ -44,15 +44,11 @@ package shard
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
 	"ccnic/internal/sim"
 )
-
-// never is a floor/horizon value meaning "no event can ever arrive".
-const never = sim.Time(math.MaxInt64)
 
 // DeliverFunc handles one cross-shard message on the destination shard, as
 // a sequence of steps. The first call, with d.Step 0, runs at the message's
@@ -249,9 +245,9 @@ func (l *Link) Send(p *sim.Proc, delay sim.Time, payload any) {
 
 // localFloor returns the earliest instant the shard could wake from its own
 // state: its kernel's next scheduled wakeup or the earliest pending inbound
-// delivery, whichever comes first; never if both are absent.
+// delivery, whichever comes first; sim.Never if both are absent.
 func (e *Engine) localFloor(s *Shard) sim.Time {
-	f := never
+	f := sim.Never
 	if wake, ok := s.k.NextWake(); ok {
 		f = wake
 	}
@@ -279,7 +275,7 @@ func (e *Engine) relaxFloors() {
 		changed = false
 		for _, l := range e.links {
 			f := e.floors[l.src.id]
-			if f == never {
+			if f == sim.Never {
 				continue
 			}
 			if v := f + l.minLat; v < e.floors[l.dst.id] {
@@ -317,7 +313,7 @@ func (e *Engine) Run(until sim.Time) error {
 		quiescent := true
 		for i, s := range e.shards {
 			e.floors[i] = e.localFloor(s)
-			if e.floors[i] != never {
+			if e.floors[i] != sim.Never {
 				quiescent = false
 			}
 		}
@@ -328,7 +324,7 @@ func (e *Engine) Run(until sim.Time) error {
 		for i, s := range e.shards {
 			h := until
 			for _, l := range s.in {
-				if f := e.floors[l.src.id]; f != never && f+l.minLat < h {
+				if f := e.floors[l.src.id]; f != sim.Never && f+l.minLat < h {
 					h = f + l.minLat
 				}
 			}
@@ -386,7 +382,7 @@ func firstWake(k *sim.Kernel) sim.Time {
 	if wake, ok := k.NextWake(); ok {
 		return wake
 	}
-	return never
+	return sim.Never
 }
 
 // inject merges the shard's pending inbound messages with delivery times
