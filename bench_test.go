@@ -108,30 +108,35 @@ func BenchmarkKV(b *testing.B) {
 	}
 }
 
-// BenchmarkCluster runs the benchmark's fabric-mix cluster (8 hosts, one
-// worker, 1ms) with the host's allocations per run. It reports events/item
-// and resumes/item per completed RPC or delivered flow packet, over every
-// shard kernel.
+// BenchmarkCluster runs two clusters to 1ms with the host's allocations per
+// run: fabric-mix is the benchmark's fabric-mix cluster (8 hosts, one
+// worker); reliable is TestClusterEventPin's reliable-faults configuration,
+// whose watchdogs, health probes and armed switch faults fabric-mix never
+// runs. Each reports events/item and resumes/item per completed RPC or
+// delivered flow packet, over every shard kernel.
 func BenchmarkCluster(b *testing.B) {
-	b.ReportAllocs()
-	var eventsPerItem, resumesPerItem float64
-	for i := 0; i < b.N; i++ {
-		c := cluster.New(fabricMix(1, 1))
-		if err := c.Run(sim.Millisecond); err != nil {
-			b.Fatal(err)
-		}
-		r := c.Report()
-		var resumes uint64
-		for _, s := range c.Engine.Shards() {
-			resumes += s.Kernel().Resumes()
-		}
-		items := float64(r.Done + r.FlowDelivered)
-		eventsPerItem = float64(r.Events) / items
-		resumesPerItem = float64(resumes) / items
-		c.Close()
+	for _, bc := range []struct {
+		name string
+		cfg  cluster.Config
+	}{{"fabric-mix", fabricMix(1, 1)}, {"reliable", reliableFaults()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var eventsPerItem, resumesPerItem float64
+			for i := 0; i < b.N; i++ {
+				c := cluster.New(bc.cfg)
+				if err := c.Run(sim.Millisecond); err != nil {
+					b.Fatal(err)
+				}
+				r := c.Report()
+				items := float64(r.Done + r.FlowDelivered)
+				eventsPerItem = float64(r.Events) / items
+				resumesPerItem = float64(clusterResumes(c)) / items
+				c.Close()
+			}
+			b.ReportMetric(eventsPerItem, "events/item")
+			b.ReportMetric(resumesPerItem, "resumes/item")
+		})
 	}
-	b.ReportMetric(eventsPerItem, "events/item")
-	b.ReportMetric(resumesPerItem, "resumes/item")
 }
 
 // BenchmarkKernel measures the raw event throughput of the simulation

@@ -15,6 +15,13 @@
 // closed-loop RPC application, aggregated open-loop tenant flows (flows.go)
 // model large client populations without per-client processes.
 //
+// Every process of a node is bodiless (sim.Kernel.SpawnSpin), so a cluster
+// run makes no coroutine switch: the application issue loop (issuer), the
+// NIC TX pipeline (txPipe), each flow generator, the reliable transport's
+// watchdog and health prober, and each delivery run as steps that sleep by
+// returning the time and block on an event by returning sim.Proc.Await's
+// result.
+//
 // # Partition invariance
 //
 // A cluster's results are bit-identical for every shard count and every
@@ -209,9 +216,11 @@ type Node struct {
 	flowPend      map[int64]*flowTrack
 	retx          retxHeap // deadline min-heap
 	retxWake      *sim.Event
-	routeVia      []uint8 // per destination: current switch
-	dstStrikes    []int   // per destination: consecutive timeouts
-	swHealthy     []bool  // per switch: probe-derived health
+	wdog, prober  *sim.Proc // the watchdog and health prober (bodiless)
+	probing       bool      // the prober has had its first wake
+	routeVia      []uint8   // per destination: current switch
+	dstStrikes    []int     // per destination: consecutive timeouts
+	swHealthy     []bool    // per switch: probe-derived health
 	probeRing     []uint64
 	probeAwait    []int64
 	probeGot      []bool
@@ -514,97 +523,131 @@ func svcJitter(from int, seq int64) sim.Time {
 	return sim.Time(z%32) * sim.Nanosecond
 }
 
-// start spawns the node's standing processes: the application issue loop
-// and the NIC TX pipeline.
+// start spawns the node's standing processes, both bodiless: the
+// application issue loop and the NIC TX pipeline.
 func (n *Node) start() {
-	plat := n.c.plat
-	hosts := n.c.cfg.Hosts
-	window := n.c.cfg.Window
-	reqSize := n.c.cfg.ReqSize
-	incast := n.c.cfg.Pattern == PatternIncast
-	doorbell, descFetch := n.c.signalCosts()
-
-	if incast && n.id == 0 {
+	if n.c.cfg.Pattern == PatternIncast && n.id == 0 {
 		// The incast sink only serves; it issues no requests of its own.
 		return
 	}
+	doorbell, descFetch := n.c.signalCosts()
+	a := &issuer{n: n, doorbell: doorbell}
+	a.p = n.k.SpawnSpin(fmt.Sprintf("n%d.app", n.id), a.advance)
+	x := &txPipe{n: n, descFetch: descFetch, lt: n.c.lineTime(),
+		lines: (n.c.cfg.ReqSize + platform.CacheLine - 1) / platform.CacheLine}
+	x.p = n.k.SpawnSpin(fmt.Sprintf("n%d.nictx", n.id), x.advance)
+}
 
-	n.k.Spawn(fmt.Sprintf("n%d.app", n.id), func(p *sim.Proc) {
-		for {
-			for n.inFlight >= window {
-				p.Wait(n.winWake)
-			}
-			seq := n.seq
-			n.seq++
-			// Destination is a pure function of the sequence number, so
-			// the request stream never depends on completion order.
-			dst := 0
-			if !incast {
-				dst = int(seq) % (hosts - 1)
-				if dst >= n.id {
-					dst++
-				}
-			}
-			m := Message{
-				From: n.id, To: dst, Seq: seq,
-				Bytes: reqSize, Class: fabric.ClassRPC,
-				svcDelay: svcJitter(n.id, seq),
-			}
-			// All fault draws for this RPC's lifetime happen here, on
-			// the sender, in sequence order (partition invariance).
-			if st := n.flt.PipelineStall(); st > 0 {
-				m.txStall = st
-			}
-			if d := n.flt.DMADelay(); d > 0 {
-				m.svcDelay += d
-			}
-			if spike, _ := n.flt.LinkFault(); spike > 0 {
-				m.txSpike = spike
-			}
-			if spike, _ := n.flt.LinkFault(); spike > 0 {
-				m.respSpike = spike
-			}
-			p.Sleep(plat.L2Hit) // buffer alloc from the node pool
-			p.Sleep(plat.L2Hit) // header fill
-			p.Sleep(doorbell)   // host→NIC signal (CC-NIC or PCIe model)
-			m.Sent = p.Now()
-			if n.c.cfg.Reliable {
-				m.Via = n.routeVia[dst]
-				n.registerRPC(p.Now(), m)
-			}
-			n.txq = append(n.txq, m)
-			n.Sent++
-			n.inFlight++
-			n.txWake.Signal()
-		}
-	})
+// issuer is a node's closed-loop application, one step per wake: await a
+// window slot, draw the next RPC's perturbations and allocate its buffer,
+// then fill its header, then ring the doorbell, then hand it to the NIC.
+type issuer struct {
+	n        *Node
+	p        *sim.Proc
+	doorbell sim.Time
+	m        Message // the RPC being issued
+	stage    int     // wakes of m's issue done; 0 between RPCs
+}
 
-	n.k.Spawn(fmt.Sprintf("n%d.nictx", n.id), func(p *sim.Proc) {
-		lines := (reqSize + platform.CacheLine - 1) / platform.CacheLine
-		lt := n.c.lineTime()
-		for {
-			for n.txHead == len(n.txq) {
-				p.Wait(n.txWake)
-			}
-			m := n.txq[n.txHead]
-			n.txHead++
-			if n.txHead == len(n.txq) { // drained: reset the staging ring
-				n.txq = n.txq[:0]
-				n.txHead = 0
-			}
-			p.Sleep(descFetch) // descriptor fetch (LLC hit or DMA round trip)
-			// Pull the payload across the node's host-NIC interconnect,
-			// one cacheline at a time (bandwidth-limited via the link's
-			// occupancy tracking).
-			for i := 0; i < lines; i++ {
-				p.Sleep(n.port.Data(p.Now(), interconn.Direction(0), platform.CacheLine) + lt)
-			}
-			if m.txStall > 0 {
-				p.Sleep(m.txStall) // drawn TX pipeline stall
-			}
-			n.c.send(p, n.id, n.c.nicSer(reqSize)+m.txSpike, m)
+func (a *issuer) advance() (sim.Time, bool) {
+	n := a.n
+	c := n.c
+	switch a.stage {
+	case 1:
+		a.stage = 2
+		return c.plat.L2Hit, true // header fill
+	case 2:
+		a.stage = 3
+		return a.doorbell, true // host→NIC signal (CC-NIC or PCIe model)
+	case 3:
+		a.stage = 0
+		m := a.m
+		m.Sent = a.p.Now()
+		if c.cfg.Reliable {
+			m.Via = n.routeVia[m.To]
+			n.registerRPC(m.Sent, m)
 		}
-	})
+		n.txq = append(n.txq, m)
+		n.Sent++
+		n.inFlight++
+		n.txWake.Signal()
+	}
+	if n.inFlight >= c.cfg.Window {
+		return a.p.Await(n.winWake)
+	}
+	seq := n.seq
+	n.seq++
+	// Destination is a pure function of the sequence number, so the
+	// request stream never depends on completion order.
+	dst := 0
+	if c.cfg.Pattern != PatternIncast {
+		dst = int(seq) % (c.cfg.Hosts - 1)
+		if dst >= n.id {
+			dst++
+		}
+	}
+	m := Message{
+		From: n.id, To: dst, Seq: seq,
+		Bytes: c.cfg.ReqSize, Class: fabric.ClassRPC,
+		svcDelay: svcJitter(n.id, seq),
+	}
+	// All fault draws for this RPC's lifetime happen here, on the sender,
+	// in sequence order (partition invariance).
+	if st := n.flt.PipelineStall(); st > 0 {
+		m.txStall = st
+	}
+	if d := n.flt.DMADelay(); d > 0 {
+		m.svcDelay += d
+	}
+	if spike, _ := n.flt.LinkFault(); spike > 0 {
+		m.txSpike = spike
+	}
+	if spike, _ := n.flt.LinkFault(); spike > 0 {
+		m.respSpike = spike
+	}
+	a.m, a.stage = m, 1
+	return c.plat.L2Hit, true // buffer alloc from the node pool
+}
+
+// txPipe is a node's NIC TX pipeline, one step per wake: await a staged
+// message and fetch its descriptor, then pull its payload across the
+// node's host-NIC interconnect one cacheline per step (bandwidth-limited
+// via the link's occupancy tracking), then sit out any drawn stall, then
+// send it into the fabric.
+type txPipe struct {
+	n             *Node
+	p             *sim.Proc
+	descFetch, lt sim.Time
+	lines         int
+	m             Message // the message in the pipeline
+	stage         int     // 0 idle; 1..lines: the wake pulls line stage-1
+}
+
+func (x *txPipe) advance() (sim.Time, bool) {
+	n := x.n
+	if x.stage > 0 {
+		if x.stage <= x.lines {
+			x.stage++
+			return n.port.Data(x.p.Now(), interconn.Direction(0), platform.CacheLine) + x.lt, true
+		}
+		if x.stage == x.lines+1 && x.m.txStall > 0 {
+			x.stage++
+			return x.m.txStall, true // drawn TX pipeline stall
+		}
+		n.c.send(x.p, n.id, n.c.nicSer(n.c.cfg.ReqSize)+x.m.txSpike, x.m)
+		x.stage = 0
+	}
+	if n.txHead == len(n.txq) {
+		return x.p.Await(n.txWake)
+	}
+	x.m = n.txq[n.txHead]
+	n.txHead++
+	if n.txHead == len(n.txq) { // drained: reset the staging ring
+		n.txq = n.txq[:0]
+		n.txHead = 0
+	}
+	x.stage = 1
+	return x.descFetch, true // descriptor fetch (LLC hit or DMA round trip)
 }
 
 // receive handles one fabric delivery on the destination node, in steps of

@@ -93,86 +93,102 @@ func (c *Cluster) startFlows() {
 	}
 }
 
-// startGenerator spawns one source's generator process. Every draw —
+// startGenerator spawns one source's generator. Every draw —
 // interarrival, size, tenant — comes from the generator's own seeded
 // streams in emission order, so the packet schedule is a pure function of
 // (spec, src) and survives any re-partitioning (see the package comment).
 func (c *Cluster) startGenerator(si int, spec FlowSpec, src int) {
 	n := c.Nodes[src]
 	seed := spec.Seed ^ int64(si+1)*0x5851F42D4C957F2D ^ int64(src+1)*0x2545F4914F6CDD1D
-	rng := rand.New(rand.NewSource(seed))
-	var dist *traffic.SizeDist
+	gen := &generator{n: n, si: si, spec: spec, seq: -1, rng: rand.New(rand.NewSource(seed))}
 	switch spec.Dist {
 	case "ads":
-		dist = traffic.Ads(seed + 1)
+		gen.dist = traffic.Ads(seed + 1)
 	case "geo":
-		dist = traffic.Geo(seed + 1)
+		gen.dist = traffic.Geo(seed + 1)
 	}
-	var zipf *traffic.Zipf
 	if spec.Tenants > 1 {
-		zipf = traffic.NewZipf(seed+2, spec.Tenants, spec.ZipfS)
+		gen.zipf = traffic.NewZipf(seed+2, spec.Tenants, spec.ZipfS)
 	}
-
-	var g *flowGen
 	if c.cfg.Reliable {
-		g = &flowGen{
+		gen.g = &flowGen{
 			strikes:   make([]int, spec.Tenants),
 			openUntil: make([]sim.Time, spec.Tenants),
 		}
 	}
+	gen.p = n.k.SpawnSpin(fmt.Sprintf("n%d.flow.%s", src, spec.Name), gen.advance)
+}
 
-	n.k.Spawn(fmt.Sprintf("n%d.flow.%s", src, spec.Name), func(p *sim.Proc) {
-		// The generator's NIC egress line: a busy-until accumulator, so
-		// back-to-back packets queue behind each other's serialization
-		// without a blocking process or any shared state.
-		var egressFree sim.Time
-		for seq := int64(0); ; seq++ {
-			p.Sleep(sim.Time(rng.ExpFloat64() * float64(spec.MeanGap)))
-			// Every draw is consumed before any shed decision, so the
-			// stream's state — and thus every later packet — is identical
-			// whether or not this packet is shed (determinism under faults).
-			bytes := spec.Bytes
-			if dist != nil {
-				bytes = dist.Next()
-			}
-			tenant := 0
-			if zipf != nil {
-				tenant = zipf.Next()
-			}
-			if g != nil {
-				// SLO-aware shedding: in degraded mode only the bulk class
-				// is shed — the latency class keeps the full path. An open
-				// tenant breaker sheds that tenant regardless of class. A
-				// shed packet never touches the NIC egress line.
-				if (spec.Class == fabric.ClassBulk && p.Now() < n.degradedUntil) ||
-					p.Now() < g.openUntil[tenant] {
-					n.Shed++
-					continue
-				}
-			}
-			m := Message{
-				From: src, To: spec.Dst, Seq: seq, Flow: si + 1,
-				Tenant: tenant, Bytes: bytes, Class: spec.Class,
-			}
-			if g != nil {
-				m.Via = n.routeVia[spec.Dst]
-			}
-			if spec.TrackEvery > 0 && seq%int64(spec.TrackEvery) == 0 {
-				m.Tracked = true
-				m.Sent = p.Now()
-				if g != nil {
-					n.trackFlow(p.Now(), si+1, seq, g, tenant)
-				}
-			}
-			start := p.Now()
-			if egressFree > start {
-				start = egressFree
-			}
-			egressFree = start + c.nicSer(bytes)
-			c.send(p, src, egressFree-p.Now(), m)
-			n.FlowSent++
+// generator is one source's flow generator, a bodiless process whose every
+// wake after its first emits packet seq and draws the next interarrival.
+type generator struct {
+	n    *Node // the source
+	p    *sim.Proc
+	si   int
+	spec FlowSpec
+	rng  *rand.Rand
+	dist *traffic.SizeDist
+	zipf *traffic.Zipf
+	g    *flowGen // nil unless Reliable
+
+	seq int64 // the packet the next wake emits; -1 before the first
+	// egressFree is the generator's NIC egress line: a busy-until
+	// accumulator, so back-to-back packets queue behind each other's
+	// serialization without a blocking process or any shared state.
+	egressFree sim.Time
+}
+
+func (gen *generator) advance() (sim.Time, bool) {
+	if gen.seq >= 0 {
+		gen.emit()
+	}
+	gen.seq++
+	return sim.Time(gen.rng.ExpFloat64() * float64(gen.spec.MeanGap)), true
+}
+
+// emit sends packet seq, unless it is shed.
+func (gen *generator) emit() {
+	n, spec, g, seq := gen.n, &gen.spec, gen.g, gen.seq
+	now := gen.p.Now()
+	// Every draw is consumed before any shed decision, so the stream's
+	// state — and thus every later packet — is identical whether or not
+	// this packet is shed (determinism under faults).
+	bytes := spec.Bytes
+	if gen.dist != nil {
+		bytes = gen.dist.Next()
+	}
+	tenant := 0
+	if gen.zipf != nil {
+		tenant = gen.zipf.Next()
+	}
+	if g != nil {
+		// SLO-aware shedding: in degraded mode only the bulk class is
+		// shed — the latency class keeps the full path. An open tenant
+		// breaker sheds that tenant regardless of class. A shed packet
+		// never touches the NIC egress line.
+		if (spec.Class == fabric.ClassBulk && now < n.degradedUntil) || now < g.openUntil[tenant] {
+			n.Shed++
+			return
 		}
-	})
+	}
+	m := Message{
+		From: n.id, To: spec.Dst, Seq: seq, Flow: gen.si + 1,
+		Tenant: tenant, Bytes: bytes, Class: spec.Class,
+	}
+	if g != nil {
+		m.Via = n.routeVia[spec.Dst]
+	}
+	if spec.TrackEvery > 0 && seq%int64(spec.TrackEvery) == 0 {
+		m.Tracked = true
+		m.Sent = now
+		if g != nil {
+			n.trackFlow(now, gen.si+1, seq, g, tenant)
+		}
+	}
+	start := max(now, gen.egressFree)
+	gen.egressFree = start + n.c.nicSer(bytes)
+	n.c.send(gen.p, n.id, gen.egressFree-now, m)
+	n.FlowSent++
 }
 
 // receiveFlow runs receive's steps from step 1 for a flow packet — or, on

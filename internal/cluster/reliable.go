@@ -122,9 +122,9 @@ func (n *Node) startTransport() {
 		n.probeAwait[v] = -1
 	}
 
-	n.k.Spawn(fmt.Sprintf("n%d.watchdog", n.id), n.watchdog)
+	n.wdog = n.k.SpawnSpin(fmt.Sprintf("n%d.watchdog", n.id), n.watchdog)
 	if c.cfg.Switches > 1 {
-		n.k.Spawn(fmt.Sprintf("n%d.probe", n.id), n.probeLoop)
+		n.prober = n.k.SpawnSpin(fmt.Sprintf("n%d.probe", n.id), n.probe)
 	}
 }
 
@@ -148,28 +148,24 @@ func (n *Node) completeRPC(m Message) bool {
 	return true
 }
 
-// watchdog is the node's deadline process: it fires RPC timeouts
-// (retransmit with exponential backoff until the retry budget, then retire
-// as Exhausted) and tracked-flow timeouts (circuit-breaker strikes). It
-// sleeps in bounded steps of at most one base RTO, so a freshly armed
-// deadline — which is always at least one base RTO away — is never missed.
-func (n *Node) watchdog(p *sim.Proc) {
+// watchdog is the step of the node's deadline process, a bodiless
+// process: at each wake it fires every due RPC timeout (retransmit with
+// exponential backoff until the retry budget, then retire as Exhausted)
+// and tracked-flow timeout (circuit-breaker strikes), then awaits a
+// deadline or sleeps toward the earliest. It sleeps at most one base RTO
+// at a time, so a freshly armed deadline — which is always at least one
+// base RTO away — is never missed.
+func (n *Node) watchdog() (sim.Time, bool) {
 	c := n.c
 	base := c.cfg.RTO
 	for {
 		if len(n.retx) == 0 {
-			p.Wait(n.retxWake)
-			continue
+			return n.wdog.Await(n.retxWake)
 		}
-		now := p.Now()
+		now := n.k.Now()
 		next := n.retx[0].at
 		if now < next {
-			d := next - now
-			if d > base {
-				d = base
-			}
-			p.Sleep(d)
-			continue
+			return min(next-now, base), true
 		}
 		e := heap.Pop(&n.retx).(retxEntry)
 		if e.flow {
@@ -242,15 +238,15 @@ func (n *Node) strike(dst int) {
 	}
 }
 
-// probeLoop is the node's health prober: every probeEvery it scores the
-// previous round's probe on each switch (returned in time, or a miss),
-// updates the K-of-N rings, applies health transitions, and launches the
-// next round of self-addressed probes.
-func (n *Node) probeLoop(p *sim.Proc) {
+// probe is the step of the node's health prober, a bodiless process that
+// wakes every probeEvery: it scores the previous round's probe on each
+// switch (returned in time, or a miss), updates the K-of-N rings, applies
+// health transitions, and launches the next round of self-addressed
+// probes. Its first wake, at spawn, only sleeps.
+func (n *Node) probe() (sim.Time, bool) {
 	c := n.c
 	const mask = uint64(1)<<probeWindow - 1
-	for {
-		p.Sleep(probeEvery)
+	if n.probing {
 		for v := range c.Switches {
 			if n.probeAwait[v] >= 0 {
 				miss := uint64(0)
@@ -277,9 +273,11 @@ func (n *Node) probeLoop(p *sim.Proc) {
 				From: n.id, To: n.id, Seq: n.probeSeq, Probe: true,
 				Via: uint8(v), Bytes: probeBytes, Class: probeClass,
 			}
-			c.send(p, n.id, 0, m)
+			c.send(n.prober, n.id, 0, m)
 		}
 	}
+	n.probing = true
+	return probeEvery, true
 }
 
 // probeBytes is a health probe's wire size: a minimal control frame.

@@ -14,6 +14,14 @@
 // scheduler and pipeline state, fault windows, links, and the PortStats
 // counters, updated in place.
 //
+// # Processes
+//
+// The switch kernel runs no coroutine. Each packet an up link delivers is
+// a bodiless process (sim.Kernel.SpawnSpin) stepping through arrive, and
+// each port's egress scheduler is a standing bodiless process whose step
+// (Switch.egress) sleeps by returning the time and waits for work by
+// returning sim.Proc.Await's result.
+//
 // # Queuing and fairness
 //
 // Each egress port keeps per-(source, class) virtual queues with bounded
@@ -223,11 +231,13 @@ func (f *vq) pop() entry {
 // the fault windows keyed by it, the host's shard links and delivery
 // handler, and its counters.
 type port struct {
-	flows  []vq // indexed src*NumClasses + class
-	cursor int  // DRR round-robin position, persistent across decisions
-	queued int  // packets admitted and not yet picked
-	serQ   int  // packets picked and still serializing onto the wire (0 or 1)
+	flows  []vq   // indexed src*NumClasses + class
+	cursor int    // DRR round-robin position, persistent across decisions
+	queued int    // packets admitted and not yet picked
+	serQ   int    // packets picked and still serializing onto the wire (0 or 1)
+	wire   Packet // the packet serializing, while serQ is 1
 	wake   *sim.Event
+	sched  *sim.Proc // the egress scheduler (see Switch.egress)
 
 	inFlight int // packets in the ingress routing pipeline
 
@@ -349,8 +359,8 @@ func (sw *Switch) Attach(e *shard.Engine, hs *shard.Shard, deliver DeliverFunc) 
 			})
 	}
 	sw.ports = append(sw.ports, pt)
-	sw.k.Spawn(fmt.Sprintf("%s.egress%d", sw.name, host), func(p *sim.Proc) {
-		sw.egressLoop(p, pt)
+	pt.sched = sw.k.SpawnSpin(fmt.Sprintf("%s.egress%d", sw.name, host), func() (sim.Time, bool) {
+		return sw.egress(pt)
 	})
 	return host
 }
@@ -484,46 +494,49 @@ func (sw *Switch) isDown(i int, now sim.Time) bool {
 // aggregation.
 func (sw *Switch) Faults() *fault.Injector { return sw.flt }
 
-// egressLoop is one port's scheduler: wait for work, defer decisions one
+// egress is one port's scheduler, a bodiless process that runs one step
+// per wake: hand the packet that finished serializing, if any, to the
+// destination's down link; then await work, defer decisions one
 // arbitration interval past the triggering arrival (strict-timestamp
-// eligibility), pick by DRR or FIFO, serialize, and hand the packet to the
-// destination's down link.
-func (sw *Switch) egressLoop(p *sim.Proc, pt *port) {
-	for {
-		if pt.queued == 0 {
-			p.Wait(pt.wake)
-			continue
-		}
-		f, ok := sw.pick(pt, p.Now())
-		if !ok {
-			// Everything queued arrived at this exact instant and is not
-			// yet eligible: decide one arbitration interval later.
-			p.Sleep(sw.cfg.SchedLat)
-			continue
-		}
-		fl := &pt.flows[f]
-		e := fl.pop()
-		if fl.len() == 0 { // classic DRR: an emptied queue forfeits its deficit
-			fl.deficit = 0
-			fl.serving = false
-		}
-		pt.queued--
-		pt.serQ++
-		ser := sw.SerTime(e.pkt.Bytes)
-		if pt.brown.active(p.Now()) {
-			// Browned-out transceiver: the wire runs derated. The window
-			// test uses the service-start instant, itself strictly later
-			// than the draw that opened the window.
-			ser *= brownoutFactor
-		}
-		p.Sleep(ser)
+// eligibility), pick by DRR or FIFO, and serialize the next packet.
+func (sw *Switch) egress(pt *port) (sim.Time, bool) {
+	if pt.serQ > 0 {
+		pkt := pt.wire
+		pt.wire = Packet{}
 		pt.serQ--
 		pt.stats.Forwarded++
-		pt.stats.Bytes += int64(e.pkt.Bytes)
-		pt.stats.ClassPkts[e.pkt.Class]++
+		pt.stats.Bytes += int64(pkt.Bytes)
+		pt.stats.ClassPkts[pkt.Class]++
 		sw.event(pt.stats.Port)
-		pt.down.Send(p, sw.cfg.HopLat, e.pkt)
+		pt.down.Send(pt.sched, sw.cfg.HopLat, pkt)
 	}
+	if pt.queued == 0 {
+		return pt.sched.Await(pt.wake)
+	}
+	now := sw.k.Now()
+	f, ok := sw.pick(pt, now)
+	if !ok {
+		// Everything queued arrived at this exact instant and is not
+		// yet eligible: decide one arbitration interval later.
+		return sw.cfg.SchedLat, true
+	}
+	fl := &pt.flows[f]
+	e := fl.pop()
+	if fl.len() == 0 { // classic DRR: an emptied queue forfeits its deficit
+		fl.deficit = 0
+		fl.serving = false
+	}
+	pt.queued--
+	pt.serQ++
+	pt.wire = e.pkt
+	ser := sw.SerTime(e.pkt.Bytes)
+	if pt.brown.active(now) {
+		// Browned-out transceiver: the wire runs derated. The window
+		// test uses the service-start instant, itself strictly later
+		// than the draw that opened the window.
+		ser *= brownoutFactor
+	}
+	return ser, true
 }
 
 // pick selects the next virtual queue to serve at instant now, or reports

@@ -1,9 +1,10 @@
 // Package yieldspin passes Proc.Spin steps that yield, in each form a step
 // takes (a buffer-pool walker's step bound off a free list among them),
 // beside steps that only read state, and does the same with the
-// steps of bodiless processes: Kernel.SpawnSpin's, and the delivery handlers
-// Engine.Connect and Switch.Attach take. yieldlint must flag the first kind
-// and accept the second.
+// steps of bodiless processes: Kernel.SpawnSpin's (one that waits on an
+// event by returning Await's result, one that calls Wait), and the delivery
+// handlers Engine.Connect and Switch.Attach take. yieldlint must flag the
+// first kind and accept the second.
 package yieldspin
 
 // Time is simulated time (the fixture's sim.Time).
@@ -16,6 +17,21 @@ type Proc struct{ now Time }
 //
 //ccnic:yields
 func (p *Proc) Sleep(d Time) { p.now += d }
+
+// Event stands in for sim.Event.
+type Event struct{ waiters []*Proc }
+
+// Wait stands in for sim.Proc.Wait, which blocks the process.
+//
+//ccnic:yields
+func (p *Proc) Wait(ev *Event) { ev.waiters = append(ev.waiters, p) }
+
+// Await stands in for sim.Proc.Await: a step returns its result to block
+// its process on ev, and nothing yields.
+func (p *Proc) Await(ev *Event) (Time, bool) {
+	ev.waiters = append(ev.waiters, p)
+	return 0, true
+}
 
 // Spin stands in for sim.Proc.Spin: the scheduler calls step at each wake.
 func (p *Proc) Spin(d Time, step func() (Time, bool)) {
@@ -174,6 +190,16 @@ func (e *engine) bodiless(k *Kernel, eng *Engine, sw *Switch) {
 	k.SpawnSpin("lit", func() (Time, bool) { // want "spin step calls yielding function charge"
 		e.charge()
 		return 5, true
+	})
+
+	// A step blocks on an event by returning Await's result, never by
+	// calling Wait.
+	ev := &Event{}
+	var waiter *Proc
+	k.SpawnSpin("await", func() (Time, bool) { return waiter.Await(ev) })
+	k.SpawnSpin("wait", func() (Time, bool) { // want "spin step calls yielding function Wait"
+		waiter.Wait(ev)
+		return 0, true
 	})
 
 	eng.Connect(5, e.receive)

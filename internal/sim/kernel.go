@@ -50,7 +50,8 @@ type Probe interface {
 //
 // All Proc methods must be called from the process's own coroutine while it
 // is running. A bodiless process (see SpawnSpin) has no coroutine: its steps
-// may call Now and Kernel, and pass the Proc to calls that only read them.
+// may call Now and Kernel, pass the Proc to calls that only read them, and
+// block on an event by returning Await's result.
 type Proc struct {
 	k     *Kernel
 	name  string
@@ -117,9 +118,9 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // see — but no coroutine switch.
 //
 // A step runs outside every process, so it must not block: it may not call
-// Sleep, Wait or anything built on them, and doing so panics. Bind step
-// once, outside the loop that spins: a method value made per call
-// allocates.
+// Sleep, Wait or anything built on them, and doing so panics; it waits for
+// an event by returning p.Await(ev) instead. Bind step once, outside the
+// loop that spins: a method value made per call allocates.
 //
 //ccnic:noalloc
 func (p *Proc) Spin(d Time, step func() (Time, bool)) {
@@ -132,20 +133,30 @@ func (p *Proc) Spin(d Time, step func() (Time, bool)) {
 //
 //ccnic:noalloc
 func (p *Proc) Wait(ev *Event) {
-	k := ev.k
-	ev.waiters = append(ev.waiters, p)
-	if !ev.reg {
-		// Registration-on-wait: the kernel tracks only events that have
-		// waiters (plus recently-drained ones until the next compaction),
-		// so long-lived kernels do not accumulate every event ever made.
-		ev.reg = true
-		k.waitEvents = append(k.waitEvents, ev)
-		if len(k.waitEvents) >= k.compactAt {
-			k.compactWaitEvents()
-		}
-	}
-	p.wake = k.now
+	ev.enlist(p)
 	p.park(procWaiting)
+}
+
+// Await is Wait for a spin step: a step of p, bodiless (SpawnSpin) or
+// spinning (Spin), returns p.Await(ev) to block p until ev is signaled.
+// It does Wait's bookkeeping — p joins ev's waiters in FIFO order and the
+// kernel counts it blocked — and the scheduler then selects the next event
+// without re-pushing p, as Wait's park does. Signal pushes p with a fresh
+// seq exactly as it pushes a waiting body, and p's step runs in the event
+// where Wait would have returned; so the clock, the Events count, the probe
+// and the run-queue order see what Wait would have made them see, with no
+// coroutine switch. Call it only from p's own step, as its return value.
+//
+//ccnic:noalloc
+func (p *Proc) Await(ev *Event) (Time, bool) {
+	k := p.k
+	if k.stepping != p {
+		panic("sim: Await outside the process's own spin step")
+	}
+	ev.enlist(p)
+	p.state = procWaiting
+	k.waiting++
+	return 0, true
 }
 
 // park picks the next runnable process and hands the execution baton back to
@@ -191,10 +202,11 @@ func (p *Proc) park(s procState) {
 // reschedule queues runnable p at p.wake, or nothing when p is nil, and
 // selects the next event, running spin steps inline for as long as the
 // selected process keeps spinning (a dozing spinner's wakes as its cycle's
-// arithmetic, see Doze) and ending bodiless processes whose last step
-// ran. It returns the process to resume (p itself when p is next), or
-// nil when the run ends (stop, deadline reached, completion, or deadlock —
-// the caller classifies from kernel state).
+// arithmetic, see Doze), leaving a step that awaited an event to its
+// Signal, and ending bodiless processes whose last step ran. It returns
+// the process to resume (p itself when p is next), or nil when the run
+// ends (stop, deadline reached, completion, or deadlock — the caller
+// classifies from kernel state).
 //
 //ccnic:noalloc
 func (k *Kernel) reschedule(p *Proc) *Proc {
@@ -256,6 +268,9 @@ func (k *Kernel) reschedule(p *Proc) *Proc {
 			d.on = false
 		}
 		if k.step(p) {
+			if p.state == procWaiting {
+				p = nil // the step awaited an event, whose Signal pushes p
+			}
 			continue
 		}
 		if p.resume != nil {
@@ -281,8 +296,8 @@ func (k *Kernel) runsNext(p *Proc) bool {
 }
 
 // step runs spinning p's step for the event just selected. It reports
-// whether p keeps spinning, with p.wake set to its next wake; otherwise p
-// leaves Spin and must be resumed.
+// whether p keeps spinning, with p.wake set to its next wake or p blocked
+// by Await; otherwise p leaves Spin and must be resumed.
 //
 //ccnic:noalloc
 func (k *Kernel) step(p *Proc) bool {
@@ -452,7 +467,8 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 //
 // The returned Proc is the process's handle for its steps. It is recycled
 // once the last step returns, so it must not be kept past it. A step must
-// not block, and should be bound once, as Spin's is.
+// not block — it waits for an event by returning Await's result — and
+// should be bound once, as Spin's is.
 func (k *Kernel) SpawnSpin(name string, step func() (Time, bool)) *Proc {
 	var p *Proc
 	if n := len(k.spare); n > 0 {
@@ -687,6 +703,25 @@ func (ev *Event) Signal() {
 		ev.k.push(p)
 	}
 	ev.waiters = ev.waiters[:0]
+}
+
+// enlist appends p to the event's waiters at the current instant.
+//
+//ccnic:noalloc
+func (ev *Event) enlist(p *Proc) {
+	k := ev.k
+	ev.waiters = append(ev.waiters, p)
+	if !ev.reg {
+		// Registration-on-wait: the kernel tracks only events that have
+		// waiters (plus recently-drained ones until the next compaction),
+		// so long-lived kernels do not accumulate every event ever made.
+		ev.reg = true
+		k.waitEvents = append(k.waitEvents, ev)
+		if len(k.waitEvents) >= k.compactAt {
+			k.compactWaitEvents()
+		}
+	}
+	p.wake = k.now
 }
 
 // Waiters returns the number of processes blocked on the event.

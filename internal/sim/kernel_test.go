@@ -510,17 +510,23 @@ func TestHeapOrdering(t *testing.T) {
 }
 
 // spinScript is one process of the Spin differential. At its event j the
-// process logs (id, j, now) and sleeps delay[j]; a work event also signals
-// the shared event or spawns a short-lived child, and only the process
-// itself runs it, so a spin step declines it. A bodiless script runs every
-// event, work included, as a step of a SpawnSpin process.
+// process logs (id, j, now) and sleeps delay[j], or, at a wait event, blocks
+// on one of the shared events until it is signaled; a work event also
+// signals a shared event or spawns a short-lived child, and only the
+// process itself runs it, so a spin step declines it. A spin step waits by
+// returning Await's result. A bodiless script runs every event, work
+// included, as a step of a SpawnSpin process.
 type spinScript struct {
 	id       int
 	delay    []Time
 	work     []bool
-	spin     bool // run the idle events as spin steps
-	bodiless bool // run as a bodiless process
+	wait     []bool // nil for a script that never waits
+	spin     bool   // run the idle events as spin steps
+	bodiless bool   // run as a bodiless process
 }
+
+// waits reports whether event j blocks on a shared event.
+func (s *spinScript) waits(j int) bool { return j < len(s.wait) && s.wait[j] }
 
 type spinLogEntry struct {
 	id, j int
@@ -530,22 +536,27 @@ type spinLogEntry struct {
 // spinOpts varies how a spinWorld is run, or how its processes are written.
 type spinOpts struct {
 	deadlines []Time // RunUntil cuts, in order
+	drain     bool   // then Run to completion, which may deadlock
 	stopAt    Time   // a stopper calls Stop at this instant; 0 for none
-	bodiless  bool   // children and the stopper are SpawnSpin processes
+	bodiless  bool   // children, the waiter and the stopper are SpawnSpin processes
 	alone     bool   // no waiter on the shared event
 }
 
 // spinRun is what a spinWorld leaves: the event log, the kernel's counters
-// and clock, and its live processes at the last cut.
+// and clock, its live processes at the last cut, and the error text of
+// the draining Run.
 type spinRun struct {
 	log             []spinLogEntry
 	events, resumes uint64
 	now             Time
 	live            int
+	err             string
 }
 
 // spinWorld runs scripts (plus a waiter on the shared event, unless alone)
-// through the given RunUntil deadlines, then shuts the kernel down.
+// through the given RunUntil deadlines and, with drain, a final Run, then
+// shuts the kernel down. Scripts wait on ev at even events and on ev2 at
+// odd ones; work events signal ev at j%3 == 0 and ev2 at j%3 == 2.
 //
 // Child id, spawned at its parent's event j, logs (id, i, now) at each of
 // its 2+id%3 events and sleeps between them; some also signal the shared
@@ -554,7 +565,13 @@ type spinRun struct {
 func spinWorld(t *testing.T, scripts []spinScript, o spinOpts) spinRun {
 	k := New()
 	var log []spinLogEntry
-	ev := k.NewEvent("ev")
+	ev, ev2 := k.NewEvent("ev"), k.NewEvent("ev2")
+	waitOn := func(j int) *Event {
+		if j%2 == 0 {
+			return ev
+		}
+		return ev2
+	}
 	childEvent := func(id, i int) {
 		log = append(log, spinLogEntry{id, i, k.Now()})
 		if (id+i)%4 == 0 {
@@ -599,6 +616,8 @@ func spinWorld(t *testing.T, scripts []spinScript, o spinOpts) spinRun {
 			ev.Signal()
 		case 1:
 			child(1000*s.id + j)
+		case 2:
+			ev2.Signal()
 		}
 	}
 	for i := range scripts {
@@ -606,12 +625,16 @@ func spinWorld(t *testing.T, scripts []spinScript, o spinOpts) spinRun {
 		name := fmt.Sprintf("p%d", s.id)
 		if s.bodiless {
 			j := 0
-			k.SpawnSpin(name, func() (Time, bool) {
+			var p *Proc
+			p = k.SpawnSpin(name, func() (Time, bool) {
 				if j == len(s.delay) {
 					return 0, false
 				}
 				event(s, j)
 				j++
+				if s.waits(j - 1) {
+					return p.Await(waitOn(j - 1))
+				}
 				return s.delay[j-1], true
 			})
 			continue
@@ -620,7 +643,11 @@ func spinWorld(t *testing.T, scripts []spinScript, o spinOpts) spinRun {
 			if !s.spin {
 				for j := range s.delay {
 					event(s, j)
-					p.Sleep(s.delay[j])
+					if s.waits(j) {
+						p.Wait(waitOn(j))
+					} else {
+						p.Sleep(s.delay[j])
+					}
 				}
 				return
 			}
@@ -631,16 +658,35 @@ func spinWorld(t *testing.T, scripts []spinScript, o spinOpts) spinRun {
 				}
 				event(s, j)
 				j++
+				if s.waits(j - 1) {
+					return p.Await(waitOn(j - 1))
+				}
 				return s.delay[j-1], true
 			}
 			for j < len(s.delay) {
 				event(s, j)
 				j++
+				if s.waits(j - 1) {
+					p.Wait(waitOn(j - 1))
+					continue
+				}
 				p.Spin(s.delay[j-1], step)
 			}
 		})
 	}
-	if !o.alone {
+	switch {
+	case o.alone:
+	case o.bodiless:
+		started := false
+		var p *Proc
+		p = k.SpawnSpin("waiter", func() (Time, bool) {
+			if started {
+				log = append(log, spinLogEntry{-1, 0, k.Now()})
+			}
+			started = true
+			return p.Await(ev)
+		})
+	default:
 		k.Spawn("waiter", func(p *Proc) {
 			for {
 				p.Wait(ev)
@@ -671,7 +717,17 @@ func spinWorld(t *testing.T, scripts []spinScript, o spinOpts) spinRun {
 			t.Fatal(err)
 		}
 	}
+	var err error
+	if o.drain {
+		err = k.Run()
+	}
 	r := spinRun{log: log, events: k.Events(), resumes: k.Resumes(), now: k.Now(), live: k.Live()}
+	if err != nil {
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatal(err)
+		}
+		r.err = err.Error()
+	}
 	k.Shutdown()
 	if k.Live() != 0 {
 		t.Fatalf("%d processes live after Shutdown", k.Live())
@@ -680,7 +736,7 @@ func spinWorld(t *testing.T, scripts []spinScript, o spinOpts) spinRun {
 }
 
 // sameRun reports the first difference between two runs' logs, event
-// counts, clocks and live counts, or "".
+// counts, clocks, live counts and run errors, or "".
 func sameRun(got, want spinRun) string {
 	if len(got.log) != len(want.log) {
 		return fmt.Sprintf("%d logged events, want %d", len(got.log), len(want.log))
@@ -693,6 +749,9 @@ func sameRun(got, want spinRun) string {
 	if got.events != want.events || got.now != want.now || got.live != want.live {
 		return fmt.Sprintf("events %d at %v with %d live, want %d at %v with %d live",
 			got.events, got.now, got.live, want.events, want.now, want.live)
+	}
+	if got.err != want.err {
+		return fmt.Sprintf("run error %q, want %q", got.err, want.err)
 	}
 	return ""
 }
@@ -744,9 +803,9 @@ func TestSpinMatchesSleepLoops(t *testing.T) {
 // count of the same children written as Spawn bodies that sleep, beside
 // competing sleepers and spinners, across ties at equal instants, signals
 // from steps, RunUntil cuts, and Stop and Shutdown with bodiless processes
-// still in the heap. They must cost no coroutine switch: with the waiter
-// as the one body, each child the Spawn run started saves at least its
-// first resume; in a world with every process bodiless, nothing resumes.
+// still in the heap. They must cost no coroutine switch: each child the
+// Spawn run started saves at least its first resume; in a world with every
+// process bodiless, nothing resumes.
 func TestSpawnSpinMatchesSpawn(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -789,6 +848,92 @@ func TestSpawnSpinMatchesSpawn(t *testing.T) {
 		if got.resumes != 0 {
 			t.Fatalf("seed %d: a world of bodiless processes resumed %d coroutines", seed, got.resumes)
 		}
+	}
+}
+
+// TestAwaitMatchesWait is a randomized differential for Await: scripts
+// that block on the shared events by returning Await's result, from the
+// Spin steps of bodies and from bodiless processes, must produce exactly
+// the event order, clock, event count, live count and run error of the
+// same scripts blocking with Wait in Spawn bodies. Each event gathers
+// several waiters (the scripts and the waiter on ev), signals come from
+// steps and from bodies, RunUntil cuts and Stop find processes waiting,
+// Shutdown aborts the waiters left, and a draining Run deadlocks on the
+// ones nothing will signal. A world with every process bodiless resumes
+// no coroutine, and its deadlocks name bodiless waiters.
+func TestAwaitMatchesWait(t *testing.T) {
+	deadlocks := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		scripts := randomScripts(rng)
+		for i := range scripts {
+			s := &scripts[i]
+			s.wait = make([]bool, len(s.delay))
+			for j := range s.wait {
+				s.wait[j] = rng.Intn(10) < 2
+			}
+		}
+		o := spinOpts{deadlines: []Time{Time(rng.Intn(40)) * Nanosecond,
+			Time(rng.Intn(120)) * Nanosecond, Time(rng.Intn(300)) * Nanosecond}}
+		switch rng.Intn(3) {
+		case 0:
+			o.stopAt = Time(1+rng.Intn(150)) * Nanosecond
+		case 1:
+			o.drain = true
+		}
+		bodies := make([]spinScript, len(scripts))
+		all := make([]spinScript, len(scripts))
+		for i, s := range scripts {
+			s.spin, s.bodiless = false, false
+			bodies[i] = s
+			s.bodiless = true
+			all[i] = s
+		}
+		want := spinWorld(t, bodies, o)
+		if got := spinWorld(t, scripts, o); sameRun(got, want) != "" {
+			t.Fatalf("seed %d, Await in Spin steps: %s", seed, sameRun(got, want))
+		}
+		o.bodiless = true
+		got := spinWorld(t, all, o)
+		if diff := sameRun(got, want); diff != "" {
+			t.Fatalf("seed %d, every process bodiless: %s", seed, diff)
+		}
+		if got.resumes != 0 {
+			t.Fatalf("seed %d: a world of bodiless processes resumed %d coroutines", seed, got.resumes)
+		}
+		if got.err != "" {
+			deadlocks++
+			if !strings.Contains(got.err, `"waiter" on event "ev"`) {
+				t.Fatalf("seed %d: deadlock %q does not name the bodiless waiter", seed, got.err)
+			}
+		}
+	}
+	if deadlocks == 0 {
+		t.Error("no seed deadlocked: the draining runs never left a bodiless waiter")
+	}
+}
+
+// Await blocks only the process whose step is running: called from a
+// body, or from another process's step, it panics.
+func TestAwaitOutsideOwnStepPanics(t *testing.T) {
+	for _, from := range []string{"body", "other step"} {
+		k := New()
+		ev := k.NewEvent("ev")
+		target := k.SpawnSpin("target", func() (Time, bool) { return Nanosecond, true })
+		if from == "body" {
+			k.Spawn("caller", func(*Proc) { target.Await(ev) })
+		} else {
+			k.SpawnSpin("caller", func() (Time, bool) { return target.Await(ev) })
+		}
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "Await outside the process's own spin step") {
+					t.Errorf("from a %s: panic %q, want the own-step guard", from, msg)
+				}
+			}()
+			_ = k.Run()
+		}()
 	}
 }
 

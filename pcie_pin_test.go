@@ -269,6 +269,32 @@ func fabricMix(workers int, seed int64) cluster.Config {
 	}
 }
 
+// reliableFaults is TestClusterEventPin's reliable-faults configuration: the
+// reliable transport over the redundant switch pair, with every in-switch
+// fault class armed, on two shards of two hosts each with two workers.
+func reliableFaults() cluster.Config {
+	plan, err := fault.ParsePlan("seed=5,portflap=0.01,corrupt=0.02,blackhole=0.01,brownout=0.02")
+	if err != nil {
+		panic(err)
+	}
+	return cluster.Config{Hosts: 4, Shards: 2, Workers: 2, Window: 8, ReqSize: 1024,
+		Reliable: true, Switches: 2, Faults: plan,
+		Flows: []cluster.FlowSpec{{
+			Name: "bulk", Srcs: []int{1, 2}, Dst: 3, Class: fabric.ClassBulk, Bytes: 4096,
+			MeanGap: 2 * sim.Microsecond, TrackEvery: 4, Seed: 3,
+		}},
+	}
+}
+
+// clusterResumes sums the coroutine switches of every shard kernel of c.
+func clusterResumes(c *cluster.Cluster) uint64 {
+	var resumes uint64
+	for _, s := range c.Engine.Shards() {
+		resumes += s.Kernel().Resumes()
+	}
+	return resumes
+}
+
 // clusterRun is what TestClusterEventPin pins of one cluster run: the event
 // count over every shard kernel, the RPC and flow results, the switches'
 // forwarded and dropped packets, the reliable transport's counters, and the
@@ -291,17 +317,7 @@ type clusterRun struct {
 // change to how deliveries are scheduled moves these counts. The expected
 // values were recorded with deliveries running as coroutine processes.
 func TestClusterEventPin(t *testing.T) {
-	plan, err := fault.ParsePlan("seed=5,portflap=0.01,corrupt=0.02,blackhole=0.01,brownout=0.02")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reliable := cluster.Config{Hosts: 4, Shards: 2, Workers: 2, Window: 8, ReqSize: 1024,
-		Reliable: true, Switches: 2, Faults: plan,
-		Flows: []cluster.FlowSpec{{
-			Name: "bulk", Srcs: []int{1, 2}, Dst: 3, Class: fabric.ClassBulk, Bytes: 4096,
-			MeanGap: 2 * sim.Microsecond, TrackEvery: 4, Seed: 3,
-		}},
-	}
+	reliable := reliableFaults()
 	for _, tc := range []struct {
 		name  string
 		cfg   cluster.Config
@@ -338,6 +354,29 @@ func TestClusterEventPin(t *testing.T) {
 				if fs.Injected[cl] == 0 {
 					t.Errorf("fault class %v never fired", cl)
 				}
+			}
+		})
+	}
+}
+
+// TestClusterRunsNoCoroutine guards the cluster path's bodiless processes:
+// the runs TestClusterEventPin pins make no coroutine switch on any shard
+// kernel. The switches' egress schedulers, the hosts' application loops and
+// TX pipelines, the flow generators, the reliable transport's watchdogs and
+// probers, and every delivery run as steps; a Spawn on the path fails here.
+func TestClusterRunsNoCoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  cluster.Config
+	}{{"fabric-mix", fabricMix(1, 1)}, {"reliable-faults", reliableFaults()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.New(tc.cfg)
+			defer c.Close()
+			if err := c.Run(300 * sim.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			if n := clusterResumes(c); n != 0 {
+				t.Errorf("%d coroutine switches over %d events, want 0", n, c.Events())
 			}
 		})
 	}
