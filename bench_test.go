@@ -34,11 +34,12 @@ func BenchmarkExperiments(b *testing.B) {
 // cheap on. The ccnic-1500, e810-1500 and cx6-1500 runs put 1500B packets
 // through CC-NIC and the PCIe NICs on 4 queues, where each payload is a
 // multi-line access. Each run also reports resumes/pkt: coroutine switches
-// per packet transmitted, over the whole run. Idle polls, every line after
-// the first of a multi-line access and every buffer-pool charge after the
-// first of a burst run as spin steps, not resumes. That keeps every run
-// but the E810's under 3 per packet, led on the coherent NICs by the first
-// line of each ring access; the E810's 5.5 are led by the host driver's
+// per packet transmitted, over the whole run, which ends with its window.
+// Idle polls, every line after the first of a multi-line access and every
+// buffer-pool charge after the first of a burst run as spin steps, not
+// resumes. That keeps every run but the E810's under 3 per packet, led on
+// the coherent NICs by the first
+// line of each ring access; the E810's 5.3 are led by the host driver's
 // per-RxBurst overhead charge, the generator's idle sleeps and the RX
 // deliver engine.
 func BenchmarkLoopbackCCNIC(b *testing.B) {

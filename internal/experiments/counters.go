@@ -43,9 +43,11 @@ func countRun(opt Options, iface ccnic.Interface, batched bool) (rd, rfo float64
 		lo.TxBatch = 1
 		lo.RxBatch = 1
 	}
-	// Counters accumulate over the whole run (warmup included); the
-	// warmup traffic is the same steady workload, so normalize by the
-	// packet count over the full span.
+	// Counters accumulate over the whole run: the warm-up, the window, and
+	// nothing after it, since the run ends with its window (loopback.Window
+	// stops the device with its last workload process). The warm-up
+	// traffic is the same steady workload, so normalize by the packet
+	// count over the full span.
 	res := tb.RunLoopback(lo)
 	c := tb.Sys.Counters(1)
 	pkts := res.PPS * (lo.Warmup + lo.Measure).Seconds()

@@ -122,6 +122,8 @@ func runExtEvent(opt Options) *Report {
 				PktSize: 64, Rate: 40_000,
 				Warmup: 20 * sim.Microsecond, Measure: 100 * sim.Microsecond,
 			})
+			// NICSteps counts the whole run, which ends with its
+			// window, so divide by the packets of warm-up and window.
 			pkts := res.PPS * (120 * sim.Microsecond).Seconds()
 			scans[i] = float64(tb.Dev.(*device.UPI).NICSteps()) / pkts
 			lats[i] = res.Latency.Median().Nanoseconds()
@@ -154,7 +156,9 @@ func runExtNetfn(opt Options) *Report {
 	}
 	span := 130 * sim.Microsecond
 	// forward runs the workload on a fresh testbed and returns it with the
-	// number of packets forwarded over the whole span.
+	// number of packets forwarded over the whole span. The wire and DMA
+	// counters cover the same span: the run ends with its window, so no
+	// idle polling or ingress after it adds bytes.
 	forward := func(iface ccnic.Interface, size int) (*ccnic.Testbed, float64) {
 		tb := opt.testbed(ccnic.Config{Platform: "ICX", Interface: iface, HostPrefetch: true})
 		res := tb.RunForward(ccnic.LoopbackOptions{

@@ -198,7 +198,6 @@ func Run(cfg Config) Result {
 		}}
 	w.Start()
 	w.CountTx()
-	k := cfg.Sys.Kernel()
 	type counters struct{ gets, sets int64 }
 	cs := make([]counters, nq)
 
@@ -207,7 +206,7 @@ func Run(cfg Config) Result {
 		a := cfg.Hosts[i]
 		gen := serverGens[i]
 		c := &cs[i]
-		k.Spawn(fmt.Sprintf("kvserver%d", i), func(p *sim.Proc) {
+		w.Go(fmt.Sprintf("kvserver%d", i), func(p *sim.Proc) {
 			rx := make([]*bufpool.Buf, burst)
 			for p.Now() < w.End {
 				got := q.RxBurst(p, rx)

@@ -41,14 +41,13 @@ func RunForward(cfg Config) ForwardResult {
 		Warmup: cfg.Warmup, Measure: cfg.Measure,
 		Rate: cfg.Rate, Ingress: func(int) int { return cfg.PktSize }}
 	w.Start()
-	k := cfg.Sys.Kernel()
 	nq := cfg.Dev.NumQueues()
 	counts := make([]int64, nq)
 
 	for i := 0; i < nq; i++ {
 		q := cfg.Dev.Queue(i)
 		a := cfg.Hosts[i]
-		k.Spawn(fmt.Sprintf("fwd%d", i), func(p *sim.Proc) {
+		w.Go(fmt.Sprintf("fwd%d", i), func(p *sim.Proc) {
 			rx := make([]*bufpool.Buf, cfg.RxBatch)
 			for p.Now() < w.End {
 				got := q.RxBurst(p, rx)

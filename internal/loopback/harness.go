@@ -14,6 +14,10 @@ import (
 // Window is one workload run over a device's queues, measured the §5.1
 // way: a warm-up, a measurement window, and a drain that stops the device.
 // Loopback, forwarding, the KV store and the RPC stack all run through it.
+//
+// The workload runs in the processes started with Go. The last of them to
+// return stops the device in that same event, so the run ends with its
+// window: nothing simulates the idle polling that follows it.
 type Window struct {
 	Name  string // the package driving the run, for its panics
 	Sys   *coherence.System
@@ -33,6 +37,8 @@ type Window struct {
 	inj   device.Injector
 	tx    int64       // packets the device transmitted in the window
 	stall *StallError // the first watchdog trip
+	procs []string    // every Go process's name, "" once it returned
+	live  int         // Go processes not yet returned
 }
 
 // Start checks the run's shape, fills in the defaults, wires up ingress
@@ -70,8 +76,10 @@ func (w *Window) Start() {
 // CountTx snapshots the device's TX counts at the warm-up boundary and at
 // the end for Transmitted: throughput is what the NIC transmits, not what
 // the host enqueues, so ring backlog does not count.
+// The accounting is one of the run's Go processes, so the device cannot
+// stop before the End snapshot.
 func (w *Window) CountTx() {
-	w.Sys.Kernel().Spawn(w.Name+"-accounting", func(p *sim.Proc) {
+	w.Go(w.Name+"-accounting", func(p *sim.Proc) {
 		p.Sleep(w.WarmupEnd - p.Now())
 		for i := 0; i < w.Dev.NumQueues(); i++ {
 			w.tx -= w.inj.TxCount(i)
@@ -87,22 +95,61 @@ func (w *Window) CountTx() {
 // measurement window, over every queue; it needs CountTx.
 func (w *Window) Transmitted() int64 { return w.tx }
 
-// Finish runs to the end of the window plus a backstop, so the run ends
-// even if a queue wedges, then stops and drains the device. It panics with
-// the first *StallError a Push recorded.
+// Go spawns one of the run's workload processes. When the last of them
+// returns, it stops the device in that same event; the device's engines
+// exit at their next iteration and the kernel drains.
+func (w *Window) Go(name string, fn func(*sim.Proc)) {
+	i := len(w.procs)
+	w.procs = append(w.procs, name)
+	w.live++
+	w.Sys.Kernel().Spawn(name, func(p *sim.Proc) {
+		fn(p)
+		w.procs[i] = ""
+		if w.live--; w.live == 0 {
+			w.Dev.Stop()
+		}
+	})
+}
+
+// backstop is how far past End Finish runs, in warm-ups, before it
+// declares a Go process wedged.
+const backstop = 10
+
+// Finish runs the kernel until it drains, which it does once every Go
+// process has returned and the device they stopped has exited. The run is
+// cut at End plus backstop warm-ups: a Go process still live there panics
+// with a *WedgeError. Otherwise Finish panics with the first *StallError a
+// Push recorded.
 func (w *Window) Finish() {
 	k := w.Sys.Kernel()
-	deadline := w.End + 10*w.Warmup
-	if err := k.RunUntil(deadline); err != nil {
+	if err := k.RunUntil(w.End + backstop*w.Warmup); err != nil {
 		panic(fmt.Sprintf("%s: %v", w.Name, err))
 	}
-	w.Dev.Stop()
-	if err := k.RunUntil(deadline + sim.Millisecond); err != nil {
-		panic(fmt.Sprintf("%s: %v", w.Name, err))
+	if w.live > 0 {
+		we := &WedgeError{Workload: w.Name, At: k.Now()}
+		for _, name := range w.procs {
+			if name != "" {
+				we.Procs = append(we.Procs, name)
+			}
+		}
+		panic(we)
 	}
 	if w.stall != nil {
 		panic(w.stall)
 	}
+}
+
+// WedgeError reports Go processes still live at Finish's backstop: a
+// workload loop that never saw the window end. Each process name carries
+// its device queue's index (loopgen3 serves queue 3).
+type WedgeError struct {
+	Workload string   // the run's Window.Name
+	Procs    []string // the live Go processes, in spawn order
+	At       sim.Time // the backstop's simulation time
+}
+
+func (e *WedgeError) Error() string {
+	return fmt.Sprintf("%s: window processes %q still live at the t=%v backstop", e.Workload, e.Procs, e.At)
 }
 
 // StallAfter is Push's liveness watchdog. A legitimate fault-free stall

@@ -40,6 +40,34 @@ func TestForwardWedgedQueuePanics(t *testing.T) {
 		Warmup: sim.Microsecond, Measure: 2 * StallAfter})
 }
 
+// TestWedgedProcessPanics: a window process that never returns keeps the
+// device running to Finish's backstop, where Finish must fail with a
+// *WedgeError naming that process, not return a run that never ended.
+func TestWedgedProcessPanics(t *testing.T) {
+	sys, dev, hosts := wedgedStub()
+	w := &Window{Name: "wedge", Sys: sys, Dev: dev, Hosts: len(hosts), Measure: 20 * sim.Microsecond}
+	w.Start()
+	w.Go("done0", func(p *sim.Proc) { p.Sleep(w.End - p.Now()) })
+	w.Go("spin0", func(p *sim.Proc) {
+		for {
+			p.Sleep(pushPoll)
+		}
+	})
+	defer func() {
+		we, ok := recover().(*WedgeError)
+		if !ok {
+			t.Fatal("Finish returned with a window process still live")
+		}
+		if want := w.End + backstop*w.Warmup; we.At != want || len(we.Procs) != 1 {
+			t.Errorf("WedgeError fields: %+v, want spin0 alone at t=%v", we, want)
+		}
+		if msg := we.Error(); !strings.Contains(msg, `wedge: window processes ["spin0"]`) {
+			t.Errorf("error message does not name the run and process: %q", msg)
+		}
+	}()
+	w.Finish()
+}
+
 // TestOversizedPacketPanics: a packet larger than the host buffers would
 // write past its buffer, so both host workloads refuse it up front and
 // name both sizes.
@@ -93,7 +121,7 @@ func TestPushBackoffBudget(t *testing.T) {
 			b := Backoff{Budget: 3, Credit: func(*fault.Stats) { credits++ }}
 			q := dev.Queue(0)
 			sent := -1
-			sys.Kernel().Spawn("push", func(p *sim.Proc) {
+			w.Go("push", func(p *sim.Proc) {
 				bufs := make([]*bufpool.Buf, 4)
 				if n := q.Port().AllocBurst(p, 64, bufs); n != len(bufs) {
 					t.Errorf("allocated %d of %d buffers", n, len(bufs))

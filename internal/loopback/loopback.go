@@ -75,7 +75,6 @@ func Run(cfg Config) Result {
 	w := &Window{Name: "loopback", Sys: cfg.Sys, Dev: cfg.Dev, Hosts: len(cfg.Hosts),
 		Warmup: cfg.Warmup, Measure: cfg.Measure}
 	w.Start()
-	k := cfg.Sys.Kernel()
 	end, warmupEnd := w.End, w.WarmupEnd
 	type queueStats struct {
 		hist       stats.Histogram
@@ -89,7 +88,7 @@ func Run(cfg Config) Result {
 		q := cfg.Dev.Queue(i)
 		a := cfg.Hosts[i]
 		st := &qs[i]
-		k.Spawn(fmt.Sprintf("loopgen%d", i), func(p *sim.Proc) {
+		w.Go(fmt.Sprintf("loopgen%d", i), func(p *sim.Proc) {
 			rx := make([]*bufpool.Buf, cfg.RxBatch)
 			// The generator's TX burst and line-list scratch.
 			var (

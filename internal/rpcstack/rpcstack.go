@@ -131,7 +131,6 @@ func Run(cfg Config) Result {
 		cfg.RPCSize = 64
 	}
 	nq := cfg.Dev.NumQueues()
-	k := cfg.Sys.Kernel()
 	sys := cfg.Sys
 	hostSocket := cfg.App.Socket()
 
@@ -162,7 +161,7 @@ func Run(cfg Config) Result {
 		q := cfg.Dev.Queue(i)
 		a := cfg.FastPath[i]
 		flowOff := 0
-		k.Spawn(fmt.Sprintf("fastpath%d", i), func(p *sim.Proc) {
+		w.Go(fmt.Sprintf("fastpath%d", i), func(p *sim.Proc) {
 			rx := make([]*bufpool.Buf, burst)
 			pendingToApp := 0
 			for p.Now() < end {
@@ -213,7 +212,7 @@ func Run(cfg Config) Result {
 	}
 
 	// Application (echo) thread: drains every fast-path queue.
-	k.Spawn("app", func(p *sim.Proc) {
+	w.Go("app", func(p *sim.Proc) {
 		for p.Now() < end {
 			busy := false
 			for i := 0; i < nq; i++ {
