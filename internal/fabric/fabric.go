@@ -58,6 +58,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"ccnic/internal/fault"
@@ -231,11 +232,12 @@ func (f *vq) pop() entry {
 // the fault windows keyed by it, the host's shard links and delivery
 // handler, and its counters.
 type port struct {
-	flows  []vq   // indexed src*NumClasses + class
-	cursor int    // DRR round-robin position, persistent across decisions
-	queued int    // packets admitted and not yet picked
-	serQ   int    // packets picked and still serializing onto the wire (0 or 1)
-	wire   Packet // the packet serializing, while serQ is 1
+	flows  []vq     // indexed src*NumClasses + class
+	busy   []uint64 // bit i set iff flows[i] is nonempty
+	cursor int      // DRR round-robin position, persistent across decisions
+	queued int      // packets admitted and not yet picked
+	serQ   int      // packets picked and still serializing onto the wire (0 or 1)
+	wire   Packet   // the packet serializing, while serQ is 1
 	wake   *sim.Event
 	sched  *sim.Proc // the egress scheduler (see Switch.egress)
 
@@ -337,8 +339,10 @@ func (sw *Switch) Attach(e *shard.Engine, hs *shard.Shard, deliver DeliverFunc) 
 		panic(fmt.Sprintf("fabric: switch %s out of ports (%d)", sw.name, sw.cfg.Ports))
 	}
 	host := len(sw.ports)
+	nflows := sw.cfg.Ports * int(NumClasses)
 	pt := &port{
-		flows:   make([]vq, sw.cfg.Ports*int(NumClasses)),
+		flows:   make([]vq, nflows),
+		busy:    make([]uint64, (nflows+63)/64),
 		wake:    sw.k.NewEvent(fmt.Sprintf("%s.p%d", sw.name, host)),
 		hs:      hs,
 		deliver: deliver,
@@ -459,13 +463,15 @@ func (sw *Switch) arrive(d *shard.Delivery) (sim.Time, bool) {
 			out.brown.extend(now, span)
 		}
 	}
-	f := &out.flows[pkt.Src*int(NumClasses)+int(pkt.Class)]
+	fi := pkt.Src*int(NumClasses) + int(pkt.Class)
+	f := &out.flows[fi]
 	if f.len() >= sw.cfg.FlowCap {
 		out.stats.EgressDrops++
 		sw.event(pkt.Dst)
 		return 0, false
 	}
 	f.q = append(f.q, entry{at: now, pkt: pkt})
+	out.busy[fi/64] |= 1 << (fi % 64)
 	out.queued++
 	out.stats.Admitted++
 	if out.queued > out.stats.HighWater {
@@ -525,6 +531,7 @@ func (sw *Switch) egress(pt *port) (sim.Time, bool) {
 	if fl.len() == 0 { // classic DRR: an emptied queue forfeits its deficit
 		fl.deficit = 0
 		fl.serving = false
+		pt.busy[f/64] &^= 1 << (f % 64)
 	}
 	pt.queued--
 	pt.serQ++
@@ -554,43 +561,72 @@ func (sw *Switch) pick(pt *port, now sim.Time) (int, bool) {
 // tie-break deliberately avoids any notion of same-instant admission order —
 // that order is partition-dependent when hosts share shards — while within a
 // flow the queue order is the source's own send order, which is invariant.
+// Only the nonempty queues the busy mask names are visited, in index order.
 func (sw *Switch) pickFIFO(pt *port, now sim.Time) (int, bool) {
 	best, ok := -1, false
 	var bestAt sim.Time
-	for i := range pt.flows {
-		f := &pt.flows[i]
-		if f.len() == 0 {
-			continue
-		}
-		h := &f.q[f.head]
-		if h.at >= now {
-			continue
-		}
-		if !ok || h.at < bestAt {
-			best, ok, bestAt = i, true, h.at
+	for w, word := range pt.busy {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			f := &pt.flows[i]
+			h := &f.q[f.head]
+			if h.at >= now {
+				continue
+			}
+			if !ok || h.at < bestAt {
+				best, ok, bestAt = i, true, h.at
+			}
 		}
 	}
 	return best, ok
 }
 
+// gap returns how many empty queues lie cyclically from index i up to the
+// next nonempty one, by the busy mask: 0 when flows[i] is nonempty, and
+// len(flows)+1, beyond any scan's budget, when every queue is empty.
+func (pt *port) gap(i int) int {
+	n, w := len(pt.flows), i/64
+	if word := pt.busy[w] >> (i % 64); word != 0 {
+		return bits.TrailingZeros64(word)
+	}
+	for k := 1; k <= len(pt.busy); k++ {
+		wk := (w + k) % len(pt.busy)
+		if word := pt.busy[wk]; word != 0 {
+			j := wk*64 + bits.TrailingZeros64(word)
+			if j < i {
+				j += n
+			}
+			return j - i
+		}
+	}
+	return n + 1
+}
+
 // pickDRR is deficit round robin over the eligible virtual queues, visited
-// in fixed index order from a persistent cursor. A queue entering service
-// earns one quantum; it keeps the cursor while its deficit covers the head
-// packet, and a queue that empties forfeits its residual deficit (classic
-// DRR, so the deficit invariant pt.flows[i].deficit <= Quantum + maxBytes
-// holds — internal/check enforces it).
+// in fixed index order from a persistent cursor, at most len(flows)+1
+// visits per decision. A queue entering service earns one quantum; it keeps
+// the cursor while its deficit covers the head packet, and a queue that
+// empties forfeits its residual deficit (classic DRR, so the deficit
+// invariant pt.flows[i].deficit <= Quantum + maxBytes holds —
+// internal/check enforces it).
+//
+// An empty queue holds no deficit and is not serving (egress clears both as
+// it drains the queue, and CheckPort enforces it), so a visit to one only
+// moves the cursor on. The scan jumps each run of empty queues the busy
+// mask shows, charging the run to its visit budget and its cursor as the
+// visits one by one would.
 func (sw *Switch) pickDRR(pt *port, now sim.Time) (int, bool) {
 	n := len(pt.flows)
 	for scanned := 0; scanned <= n; scanned++ {
-		f := &pt.flows[pt.cursor]
-		if f.len() == 0 {
-			if f.serving || f.deficit != 0 {
-				f.serving = false
-				f.deficit = 0
+		if skip := pt.gap(pt.cursor); skip > 0 {
+			if scanned += skip; scanned > n {
+				// The budget runs out inside the run.
+				pt.cursor = (pt.cursor + skip - (scanned - n - 1)) % n
+				break
 			}
-			pt.cursor = (pt.cursor + 1) % n
-			continue
+			pt.cursor = (pt.cursor + skip) % n
 		}
+		f := &pt.flows[pt.cursor]
 		h := &f.q[f.head]
 		if h.at >= now {
 			// Not yet eligible: skip without ending the queue's turn or
@@ -736,6 +772,15 @@ func (sw *Switch) CheckPort(port int) error {
 		if f.len() > sw.cfg.FlowCap {
 			return fmt.Errorf("fabric %s port %d flow %d: occupancy %d exceeds cap %d",
 				sw.name, port, i, f.len(), sw.cfg.FlowCap)
+		}
+		// pickDRR's skip over empty queues rests on these.
+		if busy := pt.busy[i/64]&(1<<(i%64)) != 0; busy != (f.len() > 0) {
+			return fmt.Errorf("fabric %s port %d flow %d: busy bit %v with %d packets queued",
+				sw.name, port, i, busy, f.len())
+		}
+		if f.len() == 0 && (f.deficit != 0 || f.serving) {
+			return fmt.Errorf("fabric %s port %d flow %d: empty queue holds deficit %d, serving %v",
+				sw.name, port, i, f.deficit, f.serving)
 		}
 	}
 	if queued != pt.queued {

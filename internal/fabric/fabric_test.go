@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -342,6 +344,12 @@ func TestChecksCatchSkew(t *testing.T) {
 			"", conservation(60, 0, 1, 60)},
 		{"route drop", func(pt *port) { pt.stats.CorruptDrops++ },
 			"", conservation(60, 1, 0, 60)},
+		{"empty queue's deficit", func(pt *port) { pt.flows[4].deficit = 100 },
+			"fabric sw port 1 flow 4: empty queue holds deficit 100, serving false", ""},
+		{"empty queue's turn", func(pt *port) { pt.flows[4].serving = true },
+			"fabric sw port 1 flow 4: empty queue holds deficit 0, serving true", ""},
+		{"empty queue's busy bit", func(pt *port) { pt.busy[0] |= 1 << 5 },
+			"fabric sw port 1 flow 5: busy bit true with 0 packets queued", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t, 3, 3, 1, baseCfg())
@@ -373,5 +381,117 @@ func TestChecksCatchSkew(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scanDRR is pickDRR as a visit to every index: the loop the busy mask's
+// skip replaces, kept as the reference for TestPickDRRMatchesScan.
+func scanDRR(pt *port, quantum int, now sim.Time) (int, bool) {
+	n := len(pt.flows)
+	for scanned := 0; scanned <= n; scanned++ {
+		f := &pt.flows[pt.cursor]
+		if f.len() == 0 {
+			if f.serving || f.deficit != 0 {
+				f.serving = false
+				f.deficit = 0
+			}
+			pt.cursor = (pt.cursor + 1) % n
+			continue
+		}
+		h := &f.q[f.head]
+		if h.at >= now {
+			pt.cursor = (pt.cursor + 1) % n
+			continue
+		}
+		if !f.serving {
+			f.deficit += quantum
+			f.serving = true
+		}
+		if f.deficit >= h.pkt.Bytes {
+			f.deficit -= h.pkt.Bytes
+			return pt.cursor, true
+		}
+		f.serving = false
+		pt.cursor = (pt.cursor + 1) % n
+	}
+	return -1, false
+}
+
+// TestPickDRRMatchesScan is a randomized differential for pickDRR's skip
+// over empty queues: on port states that keep the invariant CheckPort
+// enforces (an empty queue holds no deficit, is not serving and has no busy
+// bit), with heads not yet eligible, packets larger than a quantum and scan
+// budgets that run out before a pick, pickDRR must return the queue the
+// per-index scan returns and leave the same cursor, deficits and serving
+// flags. Ports span one to three mask words.
+func TestPickDRRMatchesScan(t *testing.T) {
+	const quantum = 4096
+	const now = 100 * sim.Nanosecond
+	sw := &Switch{name: "sw", cfg: Config{Quantum: quantum, FlowCap: 8}}
+	rng := rand.New(rand.NewSource(1))
+	picked, exhausted := 0, 0
+	for iter := 0; iter < 5000; iter++ {
+		nflows := 2 + rng.Intn(140)
+		a := &port{flows: make([]vq, nflows), busy: make([]uint64, (nflows+63)/64)}
+		b := &port{flows: make([]vq, nflows)}
+		density := rng.Float64()
+		late := rng.Intn(4) == 0 // every head arrived at now: nothing eligible
+		huge := rng.Intn(4) == 0 // packets up to three quanta
+		for i := range a.flows {
+			if rng.Float64() >= density {
+				continue
+			}
+			f := &a.flows[i]
+			for j := 1 + rng.Intn(3); j > 0; j-- {
+				at := now - sim.Time(1+rng.Intn(50))
+				if late || rng.Intn(5) == 0 {
+					at = now
+				}
+				bytes := 64 + rng.Intn(1500)
+				if huge {
+					bytes = 64 + rng.Intn(3*quantum)
+				}
+				f.q = append(f.q, entry{at: at, pkt: Packet{Bytes: bytes}})
+			}
+			f.deficit = rng.Intn(quantum)
+			f.serving = rng.Intn(2) == 0
+			a.busy[i/64] |= 1 << (i % 64)
+			a.queued += f.len()
+		}
+		if a.queued == 0 {
+			continue
+		}
+		a.stats.Admitted = int64(a.queued)
+		a.cursor = rng.Intn(nflows)
+		for i, f := range a.flows {
+			b.flows[i] = vq{q: slices.Clone(f.q), deficit: f.deficit, serving: f.serving}
+		}
+		b.cursor = a.cursor
+		sw.ports = []*port{a}
+		if err := sw.CheckPort(0); err != nil {
+			t.Fatalf("iteration %d: generated state: %v", iter, err)
+		}
+		got, gotOK := sw.pickDRR(a, now)
+		want, wantOK := scanDRR(b, quantum, now)
+		if got != want || gotOK != wantOK || a.cursor != b.cursor {
+			t.Fatalf("iteration %d (%d flows): pickDRR = %d, %v, cursor %d; scan = %d, %v, cursor %d",
+				iter, nflows, got, gotOK, a.cursor, want, wantOK, b.cursor)
+		}
+		for i := range a.flows {
+			fa, fb := &a.flows[i], &b.flows[i]
+			if fa.deficit != fb.deficit || fa.serving != fb.serving {
+				t.Fatalf("iteration %d flow %d: pickDRR left deficit %d, serving %v; scan %d, %v",
+					iter, i, fa.deficit, fa.serving, fb.deficit, fb.serving)
+			}
+		}
+		if gotOK {
+			picked++
+		} else {
+			exhausted++
+		}
+	}
+	t.Logf("%d picks, %d exhausted scans", picked, exhausted)
+	if picked < 1000 || exhausted < 1000 {
+		t.Errorf("%d picks and %d exhausted scans; want at least 1000 of each", picked, exhausted)
 	}
 }

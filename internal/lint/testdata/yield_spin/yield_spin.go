@@ -2,9 +2,10 @@
 // takes (a buffer-pool walker's step bound off a free list among them),
 // beside steps that only read state, and does the same with the
 // steps of bodiless processes: Kernel.SpawnSpin's (one that waits on an
-// event by returning Await's result, one that calls Wait), and the delivery
-// handlers Engine.Connect and Switch.Attach take. yieldlint must flag the
-// first kind and accept the second.
+// event by returning Await's result, one that calls Wait),
+// Kernel.SpawnSpinAt's, and the delivery handlers Engine.Connect and
+// Switch.Attach take. yieldlint must flag the first kind and accept the
+// second.
 package yieldspin
 
 // Time is simulated time (the fixture's sim.Time).
@@ -156,6 +157,10 @@ type Kernel struct{}
 // SpawnSpin stands in for sim.Kernel.SpawnSpin: a process made of steps.
 func (k *Kernel) SpawnSpin(name string, step func() (Time, bool)) { step() }
 
+// SpawnSpinAt stands in for sim.Kernel.SpawnSpinAt: a process made of
+// steps, the first d from now.
+func (k *Kernel) SpawnSpinAt(name string, d Time, step func() (Time, bool)) { step() }
+
 // Delivery stands in for shard.Delivery.
 type Delivery struct{ Step int }
 
@@ -201,6 +206,8 @@ func (e *engine) bodiless(k *Kernel, eng *Engine, sw *Switch) {
 		waiter.Wait(ev)
 		return 0, true
 	})
+	k.SpawnSpinAt("idle-at", 5, e.idle)
+	k.SpawnSpinAt("busy-at", 5, e.busy) // want "spin step busy yields"
 
 	eng.Connect(5, e.receive)
 	eng.Connect(5, e.receiveSleeping) // want "spin step receiveSleeping yields"

@@ -19,12 +19,12 @@ import (
 //     take() transition, leaving a buffer unowned and unlisted mid-yield.
 //   - a spin step runs inside the scheduler, outside every process, so it
 //     may not block; the kernel panics if one does. The steps are the last
-//     argument of Proc.Spin and of Kernel.SpawnSpin, and the delivery
-//     handlers given to shard.Engine.Connect and fabric.Switch.Attach,
-//     which run as the steps of bodiless processes. A step given as a
-//     function or method value, a function literal, a local variable bound
-//     to either, or a struct field bound to either anywhere in the package
-//     is resolved and checked.
+//     argument of Proc.Spin, Kernel.SpawnSpin and Kernel.SpawnSpinAt, and
+//     the delivery handlers given to shard.Engine.Connect and
+//     fabric.Switch.Attach, which run as the steps of bodiless processes.
+//     A step given as a function or method value, a function literal, a
+//     local variable bound to either, or a struct field bound to either
+//     anywhere in the package is resolved and checked.
 var Yieldlint = &Analyzer{
 	Name: "yieldlint",
 	Doc:  "flag yielding calls inside //ccnic:atomic critical regions and spin steps that yield",
@@ -71,10 +71,11 @@ func runYieldlint(pass *Pass) error {
 // stepTakers maps each method whose last argument runs as a spin step to
 // the name of its receiver type. Fixtures declare local equivalents.
 var stepTakers = map[string]string{
-	"Spin":      "Proc",
-	"SpawnSpin": "Kernel",
-	"Connect":   "Engine",
-	"Attach":    "Switch",
+	"Spin":        "Proc",
+	"SpawnSpin":   "Kernel",
+	"SpawnSpinAt": "Kernel",
+	"Connect":     "Engine",
+	"Attach":      "Switch",
 }
 
 // takesStep reports whether fn is a method whose last argument runs as a

@@ -470,6 +470,20 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 // not block — it waits for an event by returning Await's result — and
 // should be bound once, as Spin's is.
 func (k *Kernel) SpawnSpin(name string, step func() (Time, bool)) *Proc {
+	return k.SpawnSpinAt(name, 0, step)
+}
+
+// SpawnSpinAt is SpawnSpin with the first step d after the current virtual
+// time: the process is pushed at now + d, taking its seq from this call, so
+// at equal wakes it runs behind every entry pushed before it and ahead of
+// every later push. A negative d counts as zero. Spawned while no heap
+// entry wakes at now, a batch of them takes the (wake, seq) places that
+// SpawnSpin processes sleeping d in their first steps would take, without
+// those events.
+func (k *Kernel) SpawnSpinAt(name string, d Time, step func() (Time, bool)) *Proc {
+	if d < 0 {
+		d = 0
+	}
 	var p *Proc
 	if n := len(k.spare); n > 0 {
 		p = k.spare[n-1]
@@ -481,7 +495,7 @@ func (k *Kernel) SpawnSpin(name string, step func() (Time, bool)) *Proc {
 	}
 	p.name = name
 	p.state = procNew
-	p.wake = k.now
+	p.wake = k.now + d
 	p.spin = step
 	k.live++
 	k.push(p)

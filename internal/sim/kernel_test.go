@@ -971,6 +971,80 @@ func TestSpinAcrossRunUntil(t *testing.T) {
 	}
 }
 
+// TestSpawnSpinAt: a batch of bodiless processes spawned by SpawnSpinAt at
+// a RunUntil cut first runs at now + d; at equal wakes the batch runs in
+// spawn order, behind the entries pushed before it and ahead of the pushes
+// its own steps make. The same batch spawned by SpawnSpin, each process
+// sleeping d in its first step, makes the same trace at one more event per
+// process.
+func TestSpawnSpinAt(t *testing.T) {
+	batch := []struct {
+		name string
+		d    Time
+	}{{"b0", 6 * Nanosecond}, {"b1", 6 * Nanosecond}, {"b2", 3 * Nanosecond}, {"b3", 0}}
+	run := func(at bool) ([]string, uint64) {
+		k := New()
+		var trace []string
+		log := func(name string, j int) {
+			trace = append(trace, fmt.Sprintf("%s#%d@%d", name, j, k.Now()/Nanosecond))
+		}
+		early := 0
+		k.SpawnSpin("early", func() (Time, bool) {
+			early++
+			if early == 1 {
+				return 10 * Nanosecond, true
+			}
+			log("early", 0)
+			return 0, false
+		})
+		k.Spawn("tick", func(p *Proc) {
+			p.Sleep(7 * Nanosecond)
+			log("tick", 0)
+			p.Sleep(3 * Nanosecond)
+			log("tick", 1)
+		})
+		if err := k.RunUntil(4 * Nanosecond); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batch {
+			j := 0
+			step := func() (Time, bool) {
+				log(b.name, j)
+				j++
+				return 0, j < 2
+			}
+			if at {
+				k.SpawnSpinAt(b.name, b.d, step)
+				continue
+			}
+			waited := false
+			k.SpawnSpin(b.name, func() (Time, bool) {
+				if !waited {
+					waited = true
+					return b.d, true
+				}
+				return step()
+			})
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return trace, k.Events()
+	}
+	got, events := run(true)
+	want := "b3#0@4 b3#1@4 tick#0@7 b2#0@7 b2#1@7 early#0@10 b0#0@10 b1#0@10 tick#1@10 b0#1@10 b1#1@10"
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("SpawnSpinAt trace\n got %s\nwant %s", s, want)
+	}
+	slept, sleptEvents := run(false)
+	if s := strings.Join(slept, " "); s != want {
+		t.Errorf("SpawnSpin trace with a first step sleeping d\n got %s\nwant %s", s, want)
+	}
+	if sleptEvents != events+uint64(len(batch)) {
+		t.Errorf("events: %d with SpawnSpinAt, %d sleeping d; want %d fewer", events, sleptEvents, len(batch))
+	}
+}
+
 // Stop and Shutdown abort a parked spinner: its coroutine unwinds, its step
 // is never called again, and the kernel's coroutine pool still serves
 // later spawns.

@@ -18,11 +18,14 @@
 // Execution is organized in barrier-synchronous rounds driven by Engine.Run:
 //
 //  1. compute every shard's floor, then every shard's horizon;
-//  2. deterministically merge each shard's pending inbound messages with
-//     delivery times within its horizon, ordered by (deliver time, source
-//     shard, link sequence), and inject them as bodiless kernel processes
-//     (sim.Kernel.SpawnSpin): each delivery runs as a sequence of steps,
-//     with no coroutine of its own;
+//  2. inject each shard's pending inbound messages with delivery times
+//     within its horizon as bodiless kernel processes whose first step is
+//     pushed at the delivery instant (sim.Kernel.SpawnSpinAt): each
+//     delivery runs as a sequence of steps, with no coroutine of its own.
+//     Injection walks the in-links in (source shard, link) order and each
+//     link's queue in send order, so the kernel heap's (wake, seq) order
+//     runs same-instant deliveries in (deliver time, source shard, link,
+//     sequence) order — the deterministic merge, with no sort;
 //  3. run every shard's kernel to its horizon — in parallel on up to
 //     `workers` OS goroutines, or inline when workers <= 1;
 //  4. barrier: collect the messages each shard sent during the round into
@@ -32,8 +35,8 @@
 // each link outbox is written only by its source shard, and the engine alone
 // touches link queues between rounds, so the runtime needs no locks beyond
 // the barrier itself. Results are bit-identical for every worker count,
-// including fully serial execution: the merge order and the round structure
-// are pure functions of the model, never of goroutine scheduling.
+// including fully serial execution: the injection order and the round
+// structure are pure functions of the model, never of goroutine scheduling.
 //
 // This package is the only place outside package sim itself where goroutines
 // are legal (enforced by cclint's detlint); model code stays deterministic
@@ -42,7 +45,6 @@
 package shard
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -76,20 +78,14 @@ type Delivery struct {
 
 	s       *Shard
 	deliver DeliverFunc
-	wait    sim.Time                // from injection to the delivery instant
 	step    func() (sim.Time, bool) // d.run, bound once
 }
 
-// run is the delivery process's step. Its first call is the event a
-// spawned process's first resume would be, and it sleeps to the delivery
-// instant; every later call runs one handler step.
+// run is the delivery process's step: each call, the first at the delivery
+// instant, runs one handler step.
 //
 //ccnic:noalloc
 func (d *Delivery) run() (sim.Time, bool) {
-	if d.Step < 0 {
-		d.Step = 0
-		return d.wait, true
-	}
 	dt, more := d.deliver(d)
 	if more {
 		d.Step++
@@ -110,7 +106,6 @@ type Engine struct {
 	// round scratch, reused across rounds to keep steady state light.
 	floors   []sim.Time
 	horizons []sim.Time
-	merge    []Message
 	runnable []*Shard
 }
 
@@ -133,7 +128,7 @@ type Shard struct {
 	name string
 	k    *sim.Kernel
 
-	in  []*Link // links delivering to this shard
+	in  []*Link // links delivering to this shard, by (source id, link id)
 	out []*Link // links this shard sends on
 
 	// free holds the shard's finished deliveries for reuse. Deliveries end
@@ -166,10 +161,6 @@ func (s *Shard) Kernel() *sim.Kernel { return s.k }
 type Message struct {
 	Deliver sim.Time // delivery instant on the destination shard
 	Payload any
-
-	src  int    // source shard id: first merge tiebreak
-	link int    // destination-link id: second merge tiebreak
-	seq  uint64 // per-link send sequence: final merge tiebreak
 }
 
 // Link is a declared shard boundary: a unidirectional, bounded, SPSC channel
@@ -182,9 +173,8 @@ type Link struct {
 	capacity int
 	deliver  DeliverFunc
 
-	seq    uint64
 	outbox []Message // written by src's shard during a round
-	queue  []Message // pending at dst, engine-owned between rounds
+	queue  []Message // pending at dst in send order, engine-owned between rounds
 }
 
 // Connect declares a link from src to dst with the given minimum latency
@@ -211,7 +201,13 @@ func (e *Engine) Connect(src, dst *Shard, minLat sim.Time, capacity int, deliver
 	}
 	e.links = append(e.links, l)
 	src.out = append(src.out, l)
-	dst.in = append(dst.in, l)
+	// l has the highest link id so far: it goes after every in-link from
+	// a source with an id no higher than src's.
+	at := slices.IndexFunc(dst.in, func(o *Link) bool { return o.src.id > src.id })
+	if at < 0 {
+		at = len(dst.in)
+	}
+	dst.in = slices.Insert(dst.in, at, l)
 	return l
 }
 
@@ -233,14 +229,7 @@ func (l *Link) Send(p *sim.Proc, delay sim.Time, payload any) {
 		panic(fmt.Sprintf("shard: link %s->%s FIFO overflow (capacity %d)",
 			l.src.name, l.dst.name, l.capacity))
 	}
-	l.seq++
-	l.outbox = append(l.outbox, Message{
-		Deliver: p.Now() + delay,
-		Payload: payload,
-		src:     l.src.id,
-		link:    l.id,
-		seq:     l.seq,
-	})
+	l.outbox = append(l.outbox, Message{Deliver: p.Now() + delay, Payload: payload})
 }
 
 // localFloor returns the earliest instant the shard could wake from its own
@@ -331,7 +320,7 @@ func (e *Engine) Run(until sim.Time) error {
 			e.horizons[i] = h
 		}
 
-		// Phase 2: deterministic merge-and-inject, then run each shard
+		// Phase 2: deterministic injection, then run each shard
 		// that has an event inside its horizon. (A shard whose clock lags
 		// its horizon but has no event to execute is skipped: an empty
 		// kernel cannot advance its own clock, and running it would spin.)
@@ -385,52 +374,45 @@ func firstWake(k *sim.Kernel) sim.Time {
 	return sim.Never
 }
 
-// inject merges the shard's pending inbound messages with delivery times
-// within horizon — ordered by (deliver, source shard, link, sequence) — and
-// schedules each as a bodiless process on the shard's kernel. Injection
-// happens before the round runs, so the merge order is independent of
-// worker count.
+// inject schedules each of the shard's pending inbound messages with a
+// delivery time within horizon as a bodiless process whose first step is
+// pushed at its delivery instant, walking the in-links in (source shard,
+// link) order and each link's queue in send order. The pushes are
+// consecutive, so among themselves the kernel heap orders them by
+// (deliver, source shard, link, sequence). The kernel has run to its
+// horizon, so every entry already in its heap wakes after now, and a
+// delivery's (wake, seq) place among every other entry, earlier or later,
+// is the one a delivery spawned at now and sleeping to its instant would
+// have taken — without that sleep's event. (Processes spawned at the
+// current instant between Run calls are the exception: deliveries
+// injected in the next Run's first round run ahead of what those
+// processes push.) Injection happens before the round runs, so the order
+// is independent of worker count.
 func (e *Engine) inject(s *Shard, horizon sim.Time) {
-	e.merge = e.merge[:0]
+	now := s.k.Now()
 	for _, l := range s.in {
 		kept := l.queue[:0]
 		for _, m := range l.queue {
-			if m.Deliver <= horizon {
-				e.merge = append(e.merge, m)
-			} else {
+			if m.Deliver > horizon {
 				kept = append(kept, m)
+				continue
 			}
+			var d *Delivery
+			if n := len(s.free); n > 0 {
+				d = s.free[n-1]
+				s.free[n-1] = nil
+				s.free = s.free[:n-1]
+			} else {
+				d = &Delivery{s: s}
+				d.step = d.run
+			}
+			d.Payload = m.Payload
+			d.Step, d.State = 0, 0
+			d.deliver = l.deliver
+			d.Proc = s.k.SpawnSpinAt("shard.deliver", m.Deliver-now, d.step)
 		}
-		for i := len(kept); i < len(l.queue); i++ {
-			l.queue[i] = Message{}
-		}
+		clear(l.queue[len(kept):])
 		l.queue = kept
-	}
-	if len(e.merge) == 0 {
-		return
-	}
-	// The key is unique (a link's sequence numbers are), so an unstable
-	// sort gives the one order a stable sort would.
-	slices.SortFunc(e.merge, func(a, b Message) int {
-		return cmp.Or(cmp.Compare(a.Deliver, b.Deliver), cmp.Compare(a.src, b.src),
-			cmp.Compare(a.link, b.link), cmp.Compare(a.seq, b.seq))
-	})
-	for i := range e.merge {
-		m := &e.merge[i]
-		var d *Delivery
-		if n := len(s.free); n > 0 {
-			d = s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
-		} else {
-			d = &Delivery{s: s}
-			d.step = d.run
-		}
-		d.Payload = m.Payload
-		d.Step, d.State = -1, 0 // run's first call waits to the delivery instant
-		d.deliver = e.links[m.link].deliver
-		d.wait = m.Deliver - s.k.Now()
-		d.Proc = s.k.SpawnSpin("shard.deliver", d.step)
 	}
 }
 

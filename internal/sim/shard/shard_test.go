@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -279,9 +281,9 @@ func TestTransitiveWakeup(t *testing.T) {
 }
 
 // TestShardDeliveriesSpin: deliveries run as bodiless processes, so a shard
-// whose only work is multi-step deliveries never resumes a coroutine, while
-// each delivery still costs its kernel one event for its injection and one
-// per handler step, and sees every step at its charged instant. The
+// whose only work is multi-step deliveries never resumes a coroutine, each
+// delivery costs its kernel one event per handler step and none for its
+// injection, and sees every step at its charged instant. The
 // handler's State carries across its steps, and its last step sends on the
 // destination's own link.
 func TestShardDeliveriesSpin(t *testing.T) {
@@ -333,9 +335,94 @@ func TestShardDeliveriesSpin(t *testing.T) {
 		}
 	}
 	k := b.Kernel()
-	if k.Resumes() != 0 || k.Events() != 4*msgs || k.Live() != 0 {
+	if k.Resumes() != 0 || k.Events() != 3*msgs || k.Live() != 0 {
 		t.Errorf("destination kernel: %d resumes, %d events, %d live; want 0, %d and 0",
-			k.Resumes(), k.Events(), k.Live(), 4*msgs)
+			k.Resumes(), k.Events(), k.Live(), 3*msgs)
+	}
+}
+
+// sent identifies one message by the old merge key: its delivery instant,
+// source shard, link and per-link send sequence.
+type sent struct {
+	deliver   sim.Time
+	src, link int
+	seq       int
+}
+
+// TestInjectionOrder: links connected out of (source, link) order carry
+// messages with equal delivery instants from three source shards, and the
+// handlers run in (deliver, source shard, link, sequence) order — the order
+// a sort of the pending messages by that key gave when the engine merged
+// them — with a local process on the destination interleaving at the same
+// instants.
+func TestInjectionOrder(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		e := NewEngine(workers)
+		dst := e.NewShard("dst", sim.New())
+		srcs := []*Shard{e.NewShard("a", sim.New()), e.NewShard("b", sim.New()), e.NewShard("c", sim.New())}
+		var got []sent
+		handler := func(d *Delivery) (sim.Time, bool) {
+			if d.Step == 0 {
+				return sim.Nanosecond, true
+			}
+			got = append(got, d.Payload.(sent))
+			return 0, false
+		}
+		out := make([][]*Link, len(srcs))
+		for _, i := range []int{2, 0, 1, 0, 2, 1, 2} {
+			out[i] = append(out[i], e.Connect(srcs[i], dst, sim.Microsecond, 0, handler))
+		}
+		if !slices.IsSortedFunc(dst.in, func(a, b *Link) int {
+			return cmp.Or(cmp.Compare(a.src.id, b.src.id), cmp.Compare(a.id, b.id))
+		}) {
+			t.Fatal("in-links not kept in (source, link) order")
+		}
+		sends := make([][]sent, len(srcs))
+		for i, s := range srcs {
+			s.Kernel().Spawn("sender", func(p *sim.Proc) {
+				seq := map[int]int{}
+				for r := 0; r < 12; r++ {
+					p.Sleep(100 * sim.Nanosecond)
+					for j, l := range out[i] {
+						for m := 0; m <= (r+j)%2; m++ {
+							delay := sim.Microsecond + sim.Time((r+i+m)%3)*100*sim.Nanosecond
+							seq[l.id]++
+							msg := sent{p.Now() + delay, s.id, l.id, seq[l.id]}
+							sends[i] = append(sends[i], msg)
+							l.Send(p, delay, msg)
+						}
+					}
+				}
+			})
+		}
+		dst.Kernel().Spawn("local", func(p *sim.Proc) {
+			for r := 0; r < 40; r++ {
+				p.Sleep(100 * sim.Nanosecond)
+			}
+		})
+		if err := e.Run(sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		var want []sent
+		for _, s := range sends {
+			want = append(want, s...)
+		}
+		slices.SortFunc(want, func(a, b sent) int {
+			return cmp.Or(cmp.Compare(a.deliver, b.deliver), cmp.Compare(a.src, b.src),
+				cmp.Compare(a.link, b.link), cmp.Compare(a.seq, b.seq))
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: handlers ran in order\n%v\nwant\n%v", workers, got, want)
+		}
+		ties := 0
+		for i := 1; i < len(want); i++ {
+			if want[i].deliver == want[i-1].deliver && want[i].src != want[i-1].src {
+				ties++
+			}
+		}
+		if ties == 0 {
+			t.Fatal("no two sources delivered at the same instant")
+		}
 	}
 }
 
