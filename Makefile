@@ -1,6 +1,7 @@
 # Developer/CI entry points for the CC-NIC reproduction.
 #
 #   make check        tier-1 verify + lint + vet + race (sim) + benchmark smoke
+#                     + matrix + golden-check + golden-plain + golden-shards
 #   make verify       tier-1: go build ./... && go test ./...
 #   make lint         cclint static-analysis suite (detlint, yieldlint,
 #                     probelint, alloclint, shardlint, ownlint, timelint,
@@ -30,7 +31,7 @@ GO ?= go
 
 .PHONY: check verify lint vet race bench-smoke matrix golden-check golden-plain golden-shards golden
 
-check: verify lint vet race bench-smoke matrix golden-check golden-plain
+check: verify lint vet race bench-smoke matrix golden-check golden-plain golden-shards
 
 verify:
 	$(GO) build ./...

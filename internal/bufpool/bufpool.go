@@ -546,8 +546,8 @@ func (pt *Port) spill(fl *freeList) (depth, n int) {
 //ccnic:noalloc
 //ccnic:owns
 func (pt *Port) Alloc(p *sim.Proc, size int) *Buf {
-	w := pt.walker()
-	w.size, w.out = size, w.one[:]
+	w := pt.allocs(size, nil, nil)
+	w.out = w.one[:]
 	w.run(p)
 	b := w.one[0]
 	w.put()
@@ -562,11 +562,7 @@ func (pt *Port) Alloc(p *sim.Proc, size int) *Buf {
 //
 //ccnic:noalloc
 func (pt *Port) AllocBurst(p *sim.Proc, size int, out []*Buf) int {
-	w := pt.walker()
-	w.size, w.out = size, out
-	n := w.run(p)
-	w.put()
-	return n
+	return pt.allocs(size, out, nil).run(p).End()
 }
 
 // AllocFeed sizes the buffers of a fed allocation burst (Port.AllocFed) and
@@ -592,11 +588,7 @@ type AllocFeed interface {
 //
 //ccnic:noalloc
 func (pt *Port) AllocFed(p *sim.Proc, out []*Buf, feed AllocFeed) int {
-	w := pt.walker()
-	w.out, w.afeed = out, feed
-	n := w.run(p)
-	w.put()
-	return n
+	return pt.allocs(0, out, feed).run(p).End()
 }
 
 // Free returns a buffer to the port's recycling stack (spilling half the
@@ -607,11 +599,10 @@ func (pt *Port) AllocFed(p *sim.Proc, out []*Buf, feed AllocFeed) int {
 //ccnic:noalloc
 //ccnic:transfer
 func (pt *Port) Free(p *sim.Proc, b *Buf) {
-	w := pt.walker()
+	w := pt.frees(nil, nil)
 	w.one[0] = b
-	w.free, w.bufs = true, w.one[:]
-	w.run(p)
-	w.put()
+	w.bufs = w.one[:]
+	w.run(p).End()
 }
 
 // FreeBurst frees a batch of buffers in order, consuming them, as one walk
@@ -620,10 +611,7 @@ func (pt *Port) Free(p *sim.Proc, b *Buf) {
 //ccnic:noalloc
 //ccnic:transfer
 func (pt *Port) FreeBurst(p *sim.Proc, bufs []*Buf) {
-	w := pt.walker()
-	w.free, w.bufs = true, bufs
-	w.run(p)
-	w.put()
+	pt.frees(bufs, nil).run(p).End()
 }
 
 // FreeFeed hands a fed free burst (Port.FreeFed) its buffers one at a time,
@@ -641,8 +629,5 @@ type FreeFeed interface {
 //
 //ccnic:noalloc
 func (pt *Port) FreeFed(p *sim.Proc, feed FreeFeed) {
-	w := pt.walker()
-	w.free, w.ffeed = true, feed
-	w.run(p)
-	w.put()
+	pt.frees(nil, feed).run(p).End()
 }

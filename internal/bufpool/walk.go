@@ -84,12 +84,10 @@ const (
 type chargeStage uint8
 
 const (
-	chargeNone            chargeStage = iota
-	chargeStack                       // a recycling-stack pop or push
-	chargeLockPressure                // the cache pressure before the lock-line write
-	chargeLock                        // the lock-line write
-	chargeEntriesPressure             // the cache pressure before the entry access
-	chargeEntries                     // the entry gather or scatter
+	chargeNone    chargeStage = iota
+	chargeStack               // a recycling-stack pop or push
+	chargeLock                // the lock-line write, its cache pressure first
+	chargeEntries             // the entry gather or scatter, its cache pressure first
 )
 
 // walker takes a walker off the port's free list. A port may serve two
@@ -107,16 +105,101 @@ func (pt *Port) walker() *burstWalk {
 	return w
 }
 
-// run performs the burst on p and returns how many operations completed.
-// Operation 0 starts on p; when it charges anything, p spins the charge
-// and the steps run the rest of the burst.
+// run performs the burst on p and returns it ended. Operation 0 starts on
+// p; when it charges anything, p spins the charge and the steps run the
+// rest of the burst.
 //
 //ccnic:noalloc
-func (w *burstWalk) run(p *sim.Proc) int {
+func (w *burstWalk) run(p *sim.Proc) Burst {
 	if d, ok := w.proceed(); ok {
 		p.Spin(d, w.step)
 	}
-	return w.i
+	return Burst{w}
+}
+
+// Burst is a buffer-pool burst in step form, for a spin step that starts
+// one on a process it does not run on, as a ring or device walk does (see
+// coherence.Access): a StartAlloc, StartAllocFed, StartFree or StartFreeFed
+// runs operation 0 from the current instant up to its first charge and
+// returns that charge's cost; at each later wake, Advance completes the
+// charge in flight and runs the burst on to its next. Either reports false
+// once the burst has ended, in that event; End then returns how many
+// operations completed and gives the walker back. The clock, the event
+// count, the probe and the run-queue order see exactly what the
+// process-side burst would have made them see, provided the caller sleeps
+// each returned cost as one event.
+type Burst struct{ w *burstWalk }
+
+// StartAlloc starts AllocBurst(size, out) in step form.
+//
+//ccnic:noalloc
+func (pt *Port) StartAlloc(size int, out []*Buf) (Burst, sim.Time, bool) {
+	return pt.allocs(size, out, nil).start()
+}
+
+// StartAllocFed starts AllocFed(out, feed) in step form.
+//
+//ccnic:noalloc
+func (pt *Port) StartAllocFed(out []*Buf, feed AllocFeed) (Burst, sim.Time, bool) {
+	return pt.allocs(0, out, feed).start()
+}
+
+// StartFree starts FreeBurst(bufs) in step form.
+//
+//ccnic:noalloc
+func (pt *Port) StartFree(bufs []*Buf) (Burst, sim.Time, bool) {
+	return pt.frees(bufs, nil).start()
+}
+
+// StartFreeFed starts FreeFed(feed) in step form.
+//
+//ccnic:noalloc
+func (pt *Port) StartFreeFed(feed FreeFeed) (Burst, sim.Time, bool) {
+	return pt.frees(nil, feed).start()
+}
+
+// start runs the burst up to its first charge.
+//
+//ccnic:noalloc
+func (w *burstWalk) start() (Burst, sim.Time, bool) {
+	d, ok := w.proceed()
+	return Burst{w}, d, ok
+}
+
+// Advance completes the charge in flight and runs the burst on to its next
+// charge, returning its cost, or to its end.
+//
+//ccnic:noalloc
+func (b Burst) Advance() (sim.Time, bool) { return b.w.advance() }
+
+// End returns how many operations the ended burst completed and returns
+// its walker to the port's free list: the Burst is spent.
+//
+//ccnic:noalloc
+func (b Burst) End() int {
+	n := b.w.i
+	b.w.put()
+	return n
+}
+
+// allocs takes a walker for an allocation burst into out, sized by size or
+// by feed when set.
+//
+//ccnic:noalloc
+func (pt *Port) allocs(size int, out []*Buf, feed AllocFeed) *burstWalk {
+	w := pt.walker()
+	w.size, w.out, w.afeed = size, out, feed
+	return w
+}
+
+// frees takes a walker for a free burst of bufs, or of what feed hands out
+// when set.
+//
+//ccnic:noalloc
+func (pt *Port) frees(bufs []*Buf, feed FreeFeed) *burstWalk {
+	w := pt.walker()
+	w.free, w.bufs, w.ffeed = true, bufs, feed
+	return w
 }
 
 // put clears the walker and returns it to the port's free list.
@@ -266,40 +349,11 @@ func (w *burstWalk) startFree() (sim.Time, bool) {
 //ccnic:noalloc
 func (w *burstWalk) central(o *Port, depth, count int, write bool) (sim.Time, bool) {
 	w.o, w.depth, w.count, w.write = o, depth, count, write
-	w.charge = chargeLockPressure
-	return w.pressure()
-}
-
-// pressure draws the cache pressure of the access w.charge names and
-// charges it when positive, else starts the access.
-//
-//ccnic:noalloc
-func (w *burstWalk) pressure() (sim.Time, bool) {
-	if d := w.pt.agent.Pressure(); d > 0 {
+	w.charge = chargeLock
+	if d, ok := w.acc.Write(w.pt.agent, o.lockLine, 8); ok {
 		return d, true
 	}
-	return w.startAccess()
-}
-
-// startAccess issues the first line of the access w.charge names once its
-// cache pressure has elapsed.
-//
-//ccnic:noalloc
-func (w *burstWalk) startAccess() (sim.Time, bool) {
-	a := w.pt.agent
-	if w.charge == chargeLockPressure {
-		w.charge = chargeLock
-		var d sim.Time
-		w.acc, d = a.StartWrite(w.o.lockLine, 8)
-		return d, true
-	}
-	w.charge = chargeEntries
-	acc, d, ok := a.StartGather(w.lines, w.write)
-	if !ok {
-		return w.endEntries()
-	}
-	w.acc = acc
-	return d, true
+	return w.entries()
 }
 
 // continueCharge completes the charge in flight, or its line in flight, and
@@ -309,13 +363,10 @@ func (w *burstWalk) startAccess() (sim.Time, bool) {
 //ccnic:noalloc
 func (w *burstWalk) continueCharge() (sim.Time, bool) {
 	switch w.charge {
-	case chargeLockPressure, chargeEntriesPressure:
-		return w.startAccess()
 	case chargeLock, chargeEntries:
 		if d, more := w.acc.Advance(); more {
 			return d, true
 		}
-		w.acc = coherence.Access{}
 		if w.charge == chargeEntries {
 			return w.endEntries()
 		}
@@ -328,7 +379,7 @@ func (w *burstWalk) continueCharge() (sim.Time, bool) {
 
 // entries lists the entry lines in the event the lock-line write
 // completes, before the entry access's cache-pressure draw and whatever
-// other processes do while it elapses, then draws it.
+// other processes do while it elapses, then starts the access.
 //
 //ccnic:noalloc
 func (w *burstWalk) entries() (sim.Time, bool) {
@@ -337,8 +388,11 @@ func (w *burstWalk) entries() (sim.Time, bool) {
 		depth = len(w.stolen.shard)
 	}
 	w.lines = w.o.entryLines(w.pt.lines.Take(), depth, w.count)
-	w.charge = chargeEntriesPressure
-	return w.pressure()
+	w.charge = chargeEntries
+	if d, ok := w.acc.Gather(w.pt.agent, w.lines, w.write); ok {
+		return d, true
+	}
+	return w.endEntries()
 }
 
 // endEntries ends the entry access, the operation's last charge.

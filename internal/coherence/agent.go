@@ -432,7 +432,6 @@ const StoreIssueCost = 15 * sim.Nanosecond
 // becomes globally visible — a remote consumer polling before then still
 // observes the old contents. Ring implementations gate readiness on it.
 func (a *Agent) WriteAsync(p *sim.Proc, addr mem.Addr, size int) (visibleAt sim.Time) {
-	a.pressure(p)
 	_, visibleAt = a.walker(walkAsync, true, true).span(addr, size).run(p)
 	return max(visibleAt, p.Now())
 }
@@ -441,6 +440,8 @@ func (a *Agent) WriteAsync(p *sim.Proc, addr mem.Addr, size int) (visibleAt sim.
 // driver-inserted rte_prefetch0 of a poll loop's next descriptor line). It
 // costs the core nothing and fills the line Shared; it works regardless of
 // the hardware prefetcher setting.
+//
+//ccnic:noalloc
 func (a *Agent) SoftPrefetch(addr mem.Addr) {
 	line := mem.LineOf(addr)
 	if a.l2.peek(line) != nil {
@@ -462,6 +463,8 @@ func (a *Agent) Poll(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 // once that latency has elapsed. It declines, doing nothing, unless the
 // line is resident in the agent's L2 and no fault plan is armed (Poll
 // would draw cache pressure from the plan's RNG).
+//
+//ccnic:noalloc
 func (a *Agent) SpinPoll(addr mem.Addr) (sim.Time, bool) {
 	line := mem.LineOf(addr)
 	if a.sys.flt != nil || a.l2.peek(line) == nil {
@@ -493,23 +496,17 @@ func (a *Agent) WatchPoll(addr mem.Addr, d *sim.Doze) bool {
 // PollCommit is the completion half of a SpinPoll: the read's coherence
 // transition at completion time, as Poll applies it after its sleep. A
 // line invalidated while the poll was in flight is fetched again here.
+//
+//ccnic:noalloc
 func (a *Agent) PollCommit(addr mem.Addr) { a.sys.commitRead(a, mem.LineOf(addr)) }
 
-// pressure models transient cache-pressure interference when a fault
-// plan arms it: a co-runner evicting lines costs the access extra
-// latency. Pure timing — it never touches cache or directory state, so
-// every coherence invariant holds with the fault armed.
-func (a *Agent) pressure(p *sim.Proc) {
-	if d := a.Pressure(); d > 0 {
-		p.Sleep(d)
-	}
-}
-
 // Pressure draws the cache-pressure delay an access pays before its first
-// line (see pressure): the fault plan's draw when one is armed, else 0. A
-// spin step that issues an access in step form (StartWrite, StartGather)
-// draws it first and sleeps it as its own event only when it is positive,
-// as the process-side accesses do.
+// line: the fault plan's draw when one is armed, else 0. It models
+// transient cache-pressure interference, a co-runner evicting lines. Pure
+// timing — it never touches cache or directory state, so every coherence
+// invariant holds with the fault armed. Every access but WriteNT draws it
+// first and pays it as its own event only when it is positive (see
+// lineWalk.begin).
 //
 //ccnic:noalloc
 func (a *Agent) Pressure() sim.Time {
@@ -520,7 +517,6 @@ func (a *Agent) Pressure() sim.Time {
 }
 
 func (a *Agent) serialAccess(p *sim.Proc, addr mem.Addr, size int, write, train bool) sim.Time {
-	a.pressure(p)
 	total, _ := a.walker(walkSerial, write, train).span(addr, size).run(p)
 	return total
 }
@@ -539,7 +535,6 @@ func (a *Agent) StreamWrite(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 }
 
 func (a *Agent) stream(p *sim.Proc, addr mem.Addr, size int, write bool) sim.Time {
-	a.pressure(p)
 	total, _ := a.walker(walkOverlap, write, false).span(addr, size).run(p)
 	// Train the prefetcher on the stream's start so buffer-to-buffer
 	// strides are observed (the within-stream lines are already pipelined).
@@ -560,7 +555,6 @@ func (a *Agent) ScatterWrite(p *sim.Proc, lines []mem.Addr) sim.Time {
 }
 
 func (a *Agent) gather(p *sim.Proc, lines []mem.Addr, write bool) sim.Time {
-	a.pressure(p)
 	total, _ := a.walker(walkOverlap, write, false).list(lines).run(p)
 	return total
 }
@@ -597,14 +591,16 @@ const (
 	walkNT                      // WriteNT
 )
 
-// lineWalk is one multi-line access in flight. Its lines run one after
-// another, each issued (the coherence walk at issue time), slept for its
-// cost, then finished (the read's transition at completion, prefetcher
-// training). run issues line 0 on the process; every later line runs as a
-// sim.Proc.Spin step, advance, which finishes the line before it and
-// issues it in that same event. The clock, the event count, the probe and
-// the run-queue order therefore see exactly what a Sleep per line would
-// have made them see, without a coroutine switch into the process per line.
+// lineWalk is one access in flight. It starts with the access's
+// cache-pressure draw, paid as its own charge when positive (every kind
+// but NT draws one); then its lines run one after another, each issued
+// (the coherence walk at issue time), charged its cost, then finished (the
+// read's transition at completion, prefetcher training). run starts the
+// walk on the process; every later charge runs as a sim.Proc.Spin step,
+// advance, which finishes the line before it and issues the next in that
+// same event. The clock, the event count, the probe and the run-queue
+// order therefore see exactly what a Sleep per charge would have made them
+// see, without a coroutine switch into the process per line.
 //
 // advance runs outside every process, so nothing it calls may block:
 // access, commitRead, trainPrefetch, dropEverywhere and the link's charges
@@ -613,6 +609,9 @@ type lineWalk struct {
 	a            *Agent
 	kind         walkKind
 	write, train bool // train feeds each finished line to the prefetcher
+	// drawing is set while the cache-pressure charge is in flight: line 0
+	// issues once it elapses.
+	drawing bool
 
 	// The walk covers lines when non-nil, borrowed as the caller's loop
 	// would borrow it; otherwise the lines of [addr, end).
@@ -621,7 +620,7 @@ type lineWalk struct {
 
 	i, n             int      // the line in flight, and the line count
 	line             mem.Addr // lines[i]
-	total, visibleAt sim.Time // summed cost; WriteAsync's visibility
+	total, visibleAt sim.Time // summed line costs; WriteAsync's visibility
 
 	// step is advance, bound once when the walker is made: a method value
 	// made per walk would allocate.
@@ -664,14 +663,17 @@ func (w *lineWalk) list(lines []mem.Addr) *lineWalk {
 }
 
 // run performs the walk on p and returns the walker to the agent's free
-// list. A one-line walk sleeps and finishes on p, with no spin step.
+// list. A one-line walk with no pressure charge sleeps and finishes on p,
+// with no spin step.
 func (w *lineWalk) run(p *sim.Proc) (total, visibleAt sim.Time) {
+	d, ok := w.begin()
 	switch {
-	case w.n == 1:
-		p.Sleep(w.issue())
+	case !ok:
+	case w.n == 1 && !w.drawing:
+		p.Sleep(d)
 		w.finish()
-	case w.n > 1:
-		p.Spin(w.issue(), w.step)
+	default:
+		p.Spin(d, w.step)
 	}
 	total, visibleAt = w.total, w.visibleAt
 	w.release()
@@ -683,62 +685,149 @@ func (w *lineWalk) run(p *sim.Proc) (total, visibleAt sim.Time) {
 //ccnic:noalloc
 func (w *lineWalk) release() {
 	a := w.a
-	w.lines, w.total, w.visibleAt = nil, 0, 0
+	w.lines, w.total, w.visibleAt, w.drawing = nil, 0, 0, false
 	w.next, a.walks = a.walks, w
 }
 
-// Access is a coherent access in step form, for a spin step (see
-// sim.Proc.Spin) that issues an access on a process it does not run on,
-// as a buffer-pool burst walk does: the line walk of a Write or a
-// GatherRead, with the process's sleeps taken out. StartWrite or
-// StartGather issues line 0 and returns its cost; at each later wake,
-// Advance finishes the line in flight and issues the next, in that same
-// event. The clock, the event count, the probe and the run-queue order see
-// exactly what the process-side access would have made them see, provided
-// the caller sleeps each returned cost as one event and draws the access's
-// Pressure before starting it. The zero Access is no access.
-type Access struct{ w *lineWalk }
-
-// StartWrite starts a Write of [addr, addr+size) in step form and returns
-// its first line's cost.
+// begin starts the walk at the current instant: it draws the cache
+// pressure, returning it as the first charge when positive, or else issues
+// line 0 and returns its cost. A walk of no lines with nothing to pay ends
+// here, reporting false.
 //
 //ccnic:noalloc
-func (a *Agent) StartWrite(addr mem.Addr, size int) (Access, sim.Time) {
-	w := a.walker(walkSerial, true, true).span(addr, size)
-	return Access{w}, w.issue()
-}
-
-// StartGather starts a GatherRead of lines, or with write a ScatterWrite,
-// in step form and returns its first line's cost. The access borrows lines
-// until it ends. An empty list issues nothing and reports false.
-//
-//ccnic:noalloc
-func (a *Agent) StartGather(lines []mem.Addr, write bool) (acc Access, cost sim.Time, ok bool) {
-	if len(lines) == 0 {
-		return Access{}, 0, false
+func (w *lineWalk) begin() (sim.Time, bool) {
+	if w.kind != walkNT {
+		if d := w.a.Pressure(); d > 0 {
+			w.drawing = true
+			return d, true
+		}
 	}
-	w := a.walker(walkOverlap, write, false).list(lines)
-	return Access{w}, w.issue(), true
+	return w.first()
 }
 
-// Advance finishes the line in flight, then issues the next and returns
-// its cost, or, after the last line, ends the access and reports false.
-// An ended access is spent: its walker is back on the agent's free list.
+// first issues line 0 and returns its cost, or reports false for a walk of
+// no lines.
 //
 //ccnic:noalloc
-func (acc Access) Advance() (sim.Time, bool) {
-	if d, more := acc.w.advance(); more {
+func (w *lineWalk) first() (sim.Time, bool) {
+	if w.n == 0 {
+		return 0, false
+	}
+	return w.issue(), true
+}
+
+// Access is a coherent access in step form, for a spin step (see
+// sim.Proc.Spin) that issues an access on a process it does not run on:
+// the walk of a Read, Poll, Write, WriteAsync, GatherRead or ScatterWrite,
+// with the process's sleeps taken out. A start method (Read, Poll, Write,
+// WriteAsync, Gather) begins the access at the current instant and returns
+// its first charge: the cache-pressure draw when positive, else line 0's
+// cost. At each later wake, Advance completes the charge in flight and
+// issues the next, in that same event. The clock, the event count, the
+// probe and the run-queue order see exactly what the process-side access
+// would have made them see, provided the caller sleeps each returned cost
+// as one event. A start or Advance that reports false has ended the
+// access, in that event. The zero Access is no access; one Access runs
+// one access at a time.
+type Access struct {
+	w       *lineWalk
+	visible sim.Time
+}
+
+// Read starts a Read of [addr, addr+size).
+//
+//ccnic:noalloc
+func (acc *Access) Read(a *Agent, addr mem.Addr, size int) (sim.Time, bool) {
+	return acc.start(a.walker(walkSerial, false, true).span(addr, size))
+}
+
+// Poll starts a Poll of [addr, addr+size).
+//
+//ccnic:noalloc
+func (acc *Access) Poll(a *Agent, addr mem.Addr, size int) (sim.Time, bool) {
+	return acc.start(a.walker(walkSerial, false, false).span(addr, size))
+}
+
+// Write starts a Write of [addr, addr+size).
+//
+//ccnic:noalloc
+func (acc *Access) Write(a *Agent, addr mem.Addr, size int) (sim.Time, bool) {
+	return acc.start(a.walker(walkSerial, true, true).span(addr, size))
+}
+
+// WriteAsync starts a WriteAsync of [addr, addr+size); Visible returns its
+// visibility once it has ended.
+//
+//ccnic:noalloc
+func (acc *Access) WriteAsync(a *Agent, addr mem.Addr, size int) (sim.Time, bool) {
+	return acc.start(a.walker(walkAsync, true, true).span(addr, size))
+}
+
+// Gather starts a GatherRead of lines, or with write a ScatterWrite. The
+// access borrows lines until it ends; an empty list still draws the
+// cache pressure, as GatherRead does.
+//
+//ccnic:noalloc
+func (acc *Access) Gather(a *Agent, lines []mem.Addr, write bool) (sim.Time, bool) {
+	return acc.start(a.walker(walkOverlap, write, false).list(lines))
+}
+
+// start begins walk w.
+//
+//ccnic:noalloc
+func (acc *Access) start(w *lineWalk) (sim.Time, bool) {
+	acc.w = w
+	if d, ok := w.begin(); ok {
 		return d, true
 	}
-	acc.w.release()
+	acc.end()
 	return 0, false
 }
 
-// advance is the walk's spin step: it finishes the line in flight, then
-// issues the next, or ends the walk after the last.
+// Advance completes the charge in flight, then issues the next and returns
+// its cost, or, after the last, ends the access and reports false. An
+// ended access's walker is back on the agent's free list.
+//
+//ccnic:noalloc
+func (acc *Access) Advance() (sim.Time, bool) {
+	if d, more := acc.w.advance(); more {
+		return d, true
+	}
+	acc.end()
+	return 0, false
+}
+
+// end records the ended access's visibility and releases its walker.
+//
+//ccnic:noalloc
+func (acc *Access) end() {
+	w := acc.w
+	acc.visible = max(w.visibleAt, w.a.sys.k.Now())
+	acc.w = nil
+	w.release()
+}
+
+// Live reports whether an access is in flight: started, and not yet ended.
+//
+//ccnic:noalloc
+func (acc *Access) Live() bool { return acc.w != nil }
+
+// Visible returns when an ended WriteAsync's data became globally visible,
+// as Agent.WriteAsync returns it.
+//
+//ccnic:noalloc
+func (acc *Access) Visible() sim.Time { return acc.visible }
+
+// advance is the walk's spin step: it issues line 0 once the pressure
+// charge has elapsed, or else finishes the line in flight and issues the
+// next, or ends the walk after the last.
 //
 //ccnic:noalloc
 func (w *lineWalk) advance() (sim.Time, bool) {
+	if w.drawing {
+		w.drawing = false
+		return w.first()
+	}
 	w.finish()
 	if w.i++; w.i == w.n {
 		return 0, false

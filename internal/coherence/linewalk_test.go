@@ -32,6 +32,14 @@ type multiLine interface {
 // wakes in between.
 type sleepLoops struct{ a *Agent }
 
+// sleepPressure sleeps the cache pressure a's next access draws, when it
+// is positive, as its own event.
+func sleepPressure(p *sim.Proc, a *Agent) {
+	if d := a.Pressure(); d > 0 {
+		p.Sleep(d)
+	}
+}
+
 func (l sleepLoops) Read(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 	return l.serial(p, addr, size, false, true)
 }
@@ -46,7 +54,7 @@ func (l sleepLoops) Poll(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 
 func (l sleepLoops) serial(p *sim.Proc, addr mem.Addr, size int, write, train bool) sim.Time {
 	a := l.a
-	a.pressure(p)
+	sleepPressure(p, a)
 	if size <= 0 {
 		size = 1
 	}
@@ -76,7 +84,7 @@ func (l sleepLoops) StreamWrite(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 
 func (l sleepLoops) stream(p *sim.Proc, addr mem.Addr, size int, write bool) sim.Time {
 	a := l.a
-	a.pressure(p)
+	sleepPressure(p, a)
 	if size <= 0 {
 		size = 1
 	}
@@ -99,7 +107,7 @@ func (l sleepLoops) ScatterWrite(p *sim.Proc, lines []mem.Addr) sim.Time {
 }
 
 func (l sleepLoops) gather(p *sim.Proc, lines []mem.Addr, write bool) sim.Time {
-	l.a.pressure(p)
+	sleepPressure(p, l.a)
 	total := sim.Time(0)
 	for i, line := range lines {
 		total += l.overlapLine(p, line, write, write, i == 0)
@@ -123,7 +131,7 @@ func (l sleepLoops) overlapLine(p *sim.Proc, line mem.Addr, write, full, first b
 
 func (l sleepLoops) WriteAsync(p *sim.Proc, addr mem.Addr, size int) (visibleAt sim.Time) {
 	a := l.a
-	a.pressure(p)
+	sleepPressure(p, a)
 	if size <= 0 {
 		size = 1
 	}

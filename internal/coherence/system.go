@@ -114,6 +114,8 @@ func NewSystemProto(k *sim.Kernel, plat *platform.Platform, pr Protocol) *System
 }
 
 // Kernel returns the simulation kernel.
+//
+//ccnic:noalloc
 func (s *System) Kernel() *sim.Kernel { return s.k }
 
 // Platform returns the platform parameters.
@@ -136,6 +138,8 @@ func (s *System) SetFaults(f *fault.Injector) {
 
 // Faults returns the armed fault injector, or nil. Device models and
 // drivers built on this system consult it at their opportunity points.
+//
+//ccnic:noalloc
 func (s *System) Faults() *fault.Injector { return s.flt }
 
 // SetPrefetch enables or disables hardware prefetching on a socket.

@@ -111,7 +111,7 @@ func (o *Overlay) startThread(t int) {
 	if len(tx) == 1 && len(rx) == 0 && o.front.qs[tx[0]].nic == a {
 		fq := o.front.qs[tx[0]]
 		serve := func(p *sim.Proc, polled bool) bool { return f.forwardTx(p, tx[0], polled) }
-		body = func(p *sim.Proc) { fq.pollLoop(p, nil, serve) }
+		body = func(p *sim.Proc) { fq.pollLoop(p, serve) }
 	}
 	o.front.sys.Kernel().Spawn(fmt.Sprintf("overlay%d", t), body)
 }

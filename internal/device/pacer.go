@@ -35,6 +35,8 @@ func (pc *pacer) arrive(p *sim.Proc, max int, deliver func(size int) bool) int {
 
 // offer returns the size of the arrival due by now, drawn once and held
 // until the device takes it, or false when none is due.
+//
+//ccnic:noalloc
 func (pc *pacer) offer(now sim.Time) (int, bool) {
 	if !pc.due(now) {
 		return 0, false
@@ -49,6 +51,8 @@ func (pc *pacer) offer(now sim.Time) (int, bool) {
 }
 
 // took records that the device took the arrival offer returned.
+//
+//ccnic:noalloc
 func (pc *pacer) took() {
 	pc.held = 0
 	pc.next += sim.Time(1e12 / pc.rate)
@@ -56,6 +60,8 @@ func (pc *pacer) took() {
 
 // due reports whether an arrival is due by now: arrive would offer one, and
 // an idle engine must run to take it.
+//
+//ccnic:noalloc
 func (pc *pacer) due(now sim.Time) bool {
 	return pc.gen != nil && pc.rate > 0 && now >= pc.next
 }

@@ -191,6 +191,11 @@ func (d *PCIeNIC) Stop() {
 
 // ---------- Host driver ----------
 
+// driverOverhead charges fixed per-burst and per-packet instruction costs.
+func driverOverhead(p *sim.Proc, a *coherence.Agent, pkts int, perBurst, perPkt sim.Time) {
+	a.Exec(p, perBurst+sim.Time(pkts)*perPkt)
+}
+
 // TxBurst implements Queue: reclaim completions, write descriptors to host
 // memory, ring the doorbell.
 func (q *pcieQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {

@@ -2,7 +2,6 @@ package device
 
 import (
 	"ccnic/internal/bufpool"
-	"ccnic/internal/coherence"
 	"ccnic/internal/ring"
 	"ccnic/internal/sim"
 )
@@ -11,141 +10,29 @@ import (
 // the Queue methods (TxBurst, RxBurst, Release) and the register-mode and
 // host-managed buffer bookkeeping they need.
 
-// driverOverhead charges fixed per-burst and per-packet instruction costs.
-func driverOverhead(p *sim.Proc, a *coherence.Agent, pkts int, perBurst, perPkt sim.Time) {
-	a.Exec(p, perBurst+sim.Time(pkts)*perPkt)
-}
+// Driver costs: the fixed per-burst and per-packet instruction cost of a
+// TxBurst or RxBurst call, and a TX packet's second segment, one more
+// descriptor word on the coherent path.
+const (
+	txBurstCost = 10 * sim.Nanosecond
+	txPktCost   = 2 * sim.Nanosecond
+	rxBurstCost = 5 * sim.Nanosecond
+	extSegCost  = 3 * sim.Nanosecond
+)
 
-// TxBurst implements Queue.
+// TxBurst implements Queue. The call's driver overhead is its one park;
+// the rest runs as a walk (driverWalk) in its spin steps.
 func (q *upiQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {
-	cfg := &q.dev.cfg
-	driverOverhead(p, q.host, len(bufs), 10*sim.Nanosecond, 2*sim.Nanosecond)
-	// A second segment is one more descriptor word on the coherent path.
-	for _, b := range bufs {
-		if b.ExtLen > 0 {
-			q.host.Exec(p, 3*sim.Nanosecond)
-		}
-	}
-	if !cfg.NICBufMgmt {
-		q.primeRx(p)
-		q.reclaimTx(p)
-	}
-	var n int
-	if cfg.InlineSignal {
-		n = q.txI.Post(p, q.host, bufs)
-		if !cfg.NICBufMgmt {
-			q.trackInflight(bufs[:n])
-			q.freeReclaimed(p, q.txI.TakeReclaimed())
-		}
-	} else {
-		n = regPost(p, q.host, q.txR, &q.txTailVis, bufs)
-	}
-	if n > 0 {
-		q.dev.notify(q.idx)
-	}
-	return n
+	w := q.driver()
+	w.bufs, w.stage = bufs, txStart
+	return w.park(p, txBurstCost+sim.Time(len(bufs))*txPktCost)
 }
 
-// trackInflight records posted TX buffers per line group for later reclaim.
-func (q *upiQueue) trackInflight(bufs []*bufpool.Buf) {
-	per := 1
-	if q.dev.cfg.Layout != ring.Padded {
-		per = ring.SlotsPerLine
-	}
-	for len(bufs) > 0 {
-		n := len(bufs)
-		if n > per {
-			n = per
-		}
-		q.txInflight = append(q.txInflight, txGroup{bufs: append([]*bufpool.Buf(nil), bufs[:n]...)})
-		bufs = bufs[n:]
-	}
-}
-
-// freeReclaimed frees TX buffers whose ring lines the consumer has cleared.
-func (q *upiQueue) freeReclaimed(p *sim.Proc, lines int) {
-	for i := 0; i < lines && len(q.txInflight) > 0; i++ {
-		g := q.txInflight[0]
-		q.txInflight = q.txInflight[1:]
-		q.hostPort.FreeBurst(p, g.bufs)
-	}
-}
-
-// regPost is the register-signaled producer path: write packed descriptors,
-// then bump the tail register (one line write; the consumer polls it once
-// vis has passed). Setting the gate fires the ring's watch.
-func regPost(p *sim.Proc, a *coherence.Agent, r *ring.Reg, vis *sim.Time, bufs []*bufpool.Buf) int {
-	n := r.Post(p, a, bufs)
-	if n > 0 {
-		*vis = a.WriteAsync(p, r.TailReg(), 8)
-		r.Watch().Fire()
-	}
-	return n
-}
-
-// reclaimTx frees TX buffers completed by the NIC in register mode (DD
-// writebacks) — the host bookkeeping pass PCIe-style interfaces require.
-func (q *upiQueue) reclaimTx(p *sim.Proc) {
-	if q.dev.cfg.InlineSignal || p.Now() < q.txDoneVis {
-		return
-	}
-	r := q.txR
-	done := 0
-	for r.HeadIdx+done < r.TailIdx && r.Done(r.HeadIdx+done) {
-		done++
-	}
-	if done > 0 {
-		r.Reclaim(p, q.host, done, q.hostPort)
-	}
-}
-
-// RxBurst implements Queue.
+// RxBurst implements Queue, as TxBurst does.
 func (q *upiQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
-	cfg := &q.dev.cfg
-	driverOverhead(p, q.host, 0, 5*sim.Nanosecond, 0)
-	if !cfg.NICBufMgmt {
-		q.primeRx(p)
-	}
-	if cfg.InlineSignal {
-		got := q.rxI.Consume(p, q.host, out)
-		if !cfg.NICBufMgmt && got > 0 {
-			q.refillBlanks(p, got)
-		}
-		return got
-	}
-	r := q.rxR
-	n := 0
-	if cfg.NICBufMgmt {
-		// Symmetric register mode: the NIC bumped the RX tail
-		// register after writing descriptors.
-		q.host.Poll(p, r.TailReg(), 8)
-		if p.Now() >= q.rxTailVis {
-			n = r.TailIdx - r.HeadIdx
-		}
-	} else {
-		// E810 register signaling: poll the RX completion register,
-		// then read the completed descriptors up to its index.
-		q.host.Poll(p, r.HeadReg(), 8)
-		if p.Now() >= q.rxDoneVis {
-			n = q.rxCompIdx - r.HeadIdx
-		}
-	}
-	if n > len(out) {
-		n = len(out)
-	}
-	if n == 0 {
-		q.host.Poll(p, r.DescAddr(r.HeadIdx), ring.DescSize)
-		return 0
-	}
-	r.Consume(p, q.host, out[:n])
-	if cfg.NICBufMgmt {
-		// Return credits to the producer via the head register.
-		q.host.WriteAsync(p, r.HeadReg(), 8)
-	} else {
-		// Host-managed: refill the blank ring as descriptors drain.
-		q.refillBlanks(p, n)
-	}
-	return n
+	w := q.driver()
+	w.bufs, w.stage = out, rxStart
+	return w.park(p, rxBurstCost)
 }
 
 // Release implements Queue: buffers return to the pool; ring refill happens
@@ -156,48 +43,358 @@ func (q *upiQueue) Release(p *sim.Proc, bufs []*bufpool.Buf) {
 	q.hostPort.FreeBurst(p, bufs)
 }
 
-// primeRx performs the driver's RX queue initialization: posting the
-// initial set of blank buffers (host-managed modes only).
-func (q *upiQueue) primeRx(p *sim.Proc) {
-	if q.primed || q.dev.cfg.NICBufMgmt {
-		return
-	}
-	q.primed = true
-	if q.dev.cfg.InlineSignal {
-		q.postBlanks(p, q.dev.cfg.RingLines*3/4*q.dev.cfg.Layout.DescsPerLine())
-		return
-	}
-	q.postBlanks(p, q.dev.cfg.RingLines*3/4)
-	q.host.Write(p, q.rxR.TailReg(), 8)
-}
-
-// refillBlanks posts up to n fresh blank buffers for the NIC (host-managed
-// modes), bumping the RX tail register in register mode.
-func (q *upiQueue) refillBlanks(p *sim.Proc, n int) {
-	if q.postBlanks(p, n) > 0 && !q.dev.cfg.InlineSignal {
-		q.rxTailVis = q.host.WriteAsync(p, q.rxR.TailReg(), 8)
-	}
-}
-
-// postBlanks allocates up to n blank buffers and posts them for the NIC:
-// through the fill ring when inline-signaled, through the RX ring otherwise.
-// Blanks that do not fit go back to the pool; the count posted is returned
-// and publishing the RX tail is the caller's.
-func (q *upiQueue) postBlanks(p *sim.Proc, n int) int {
-	if cap(q.blanks) < n {
-		q.blanks = make([]*bufpool.Buf, n)
-	}
-	blanks := q.blanks[:q.hostPort.AllocBurst(p, bigSize, q.blanks[:n])]
-	if q.dev.cfg.InlineSignal {
-		posted := q.fillI.Post(p, q.host, blanks)
-		q.fillI.TakeReclaimed()
-		q.hostPort.FreeBurst(p, blanks[posted:])
-		return posted
-	}
-	fit := min(len(blanks), q.rxR.Space())
-	q.hostPort.FreeBurst(p, blanks[fit:])
-	return q.rxR.Post(p, q.host, blanks[:fit])
-}
-
 // Port implements Queue.
 func (q *upiQueue) Port() *bufpool.Port { return q.hostPort }
+
+// trackInflight records posted TX buffers per line group for later reclaim.
+//
+//ccnic:noalloc
+func (q *upiQueue) trackInflight(bufs []*bufpool.Buf) {
+	per := 1
+	if q.dev.cfg.Layout != ring.Padded {
+		per = ring.SlotsPerLine
+	}
+	for len(bufs) > 0 {
+		n := len(bufs)
+		if n > per {
+			n = per
+		}
+		q.txInflight = append(q.txInflight, txGroup{bufs: append([]*bufpool.Buf(nil), bufs[:n]...)}) //ccnic:alloc-ok host-managed inline mode keeps a copy per in-flight line group
+		bufs = bufs[n:]
+	}
+}
+
+// driverWalk is one TxBurst or RxBurst call as a walk (see charge), run in
+// the spin steps of the calling process once the call's driver overhead
+// has elapsed. Its subroutines are the driver's bookkeeping passes: the RX
+// queue's initial fill (prime), a blank-buffer post (postBlanks) and the
+// refill that follows a receive (refill), TX completion reclaim (reclaim)
+// and the inline TX path's frees of reclaimed lines. A queue keeps a free
+// list of them: its TxBurst and RxBurst may run on two processes at once.
+type driverWalk struct {
+	q     *upiQueue
+	stage drvStage
+	c     charge
+
+	// bufs is TxBurst's packets or RxBurst's out; n the call's count.
+	bufs []*bufpool.Buf
+	n    int
+	// j counts the packets the second-segment pass has seen, or the
+	// reclaimed lines freed.
+	j, lines int
+
+	// The subroutines' return stages, postBlanks' and refill's blank count
+	// and how many postBlanks posted, and the blanks it allocated and how
+	// many fit the register ring.
+	primeRet, postRet, refillRet, reclaimRet drvStage
+	want, posted, fit                        int
+	blanks                                   []*bufpool.Buf
+
+	// step is Advance, bound once.
+	step func() (sim.Time, bool)
+	next *driverWalk
+}
+
+// drvStage is where a driverWalk resumes.
+type drvStage uint8
+
+const (
+	drvDone drvStage = iota // the call ends
+
+	// TxBurst.
+	txStart         // charge second segments
+	txPrime         // host-managed: prime, then reclaim
+	txReclaim       // reclaim completed TX descriptors
+	txPost          // post the packets
+	txPosted        // the inline Post has ended
+	txRegPosted     // the register Post has ended
+	txFreeReclaimed // free the next reclaimed line's buffers
+	txFreed         // that free burst has ended
+	txNotify        // signal event-driven NIC cores
+
+	// RxBurst.
+	rxStart       // host-managed: prime
+	rxConsume     // consume, or poll the register
+	rxConsumed    // the inline Consume has ended
+	rxTailPolled  // the tail-register poll has completed
+	rxHeadPolled  // the completion-register poll has completed
+	rxAvail       // consume the ready descriptors
+	rxRegConsumed // the register Consume has ended
+
+	// prime.
+	prime     // post the initial blanks
+	primeTail // publish the RX tail
+
+	// postBlanks.
+	pbStart     // allocate blanks
+	pbAllocated // the allocation burst has ended
+	pbPosted    // inline: the fill ring's Post has ended
+	pbFreed     // inline: the unposted blanks are freed
+	pbRegFreed  // register: the blanks that do not fit are freed
+	pbRegPosted // register: the RX ring's Post has ended
+
+	// refill.
+	refill     // post blanks
+	refillTail // register: publish the RX tail
+	refillVis  // the tail write has issued
+
+	// reclaim.
+	reclaim // reclaim completed descriptors
+)
+
+// driver takes a walker off the queue's free list.
+//
+//ccnic:noalloc
+func (q *upiQueue) driver() *driverWalk {
+	w := q.drivers
+	if w == nil {
+		w = &driverWalk{q: q} //ccnic:alloc-ok free-list warm-up: one walker per concurrent driver call
+		w.step = w.Advance    //ccnic:alloc-ok bound once, when the walker is made
+	} else {
+		q.drivers = w.next
+	}
+	w.n, w.j = 0, 0
+	return w
+}
+
+// park sleeps the call's driver overhead on p, running the walk in its
+// spin steps, then returns the walker to the queue's free list and returns
+// the call's count.
+//
+//ccnic:noalloc
+func (w *driverWalk) park(p *sim.Proc, overhead sim.Time) int {
+	p.Spin(overhead, w.step)
+	n := w.n
+	w.bufs, w.blanks = nil, nil
+	w.next, w.q.drivers = w.q.drivers, w
+	return n
+}
+
+// Advance completes the charge in flight and runs the call on to its next
+// charge, returning its cost, or to its end.
+//
+//ccnic:noalloc
+func (w *driverWalk) Advance() (sim.Time, bool) {
+	if d, more := w.c.advance(); more {
+		return d, true
+	}
+	return w.run()
+}
+
+// run runs the call on from w.stage, once the charge before it has
+// completed, up to its next charge or its end.
+//
+//ccnic:noalloc
+func (w *driverWalk) run() (sim.Time, bool) {
+	q := w.q
+	cfg := &q.dev.cfg
+	for {
+		var d sim.Time
+		var ok bool
+		now := q.dev.sys.Kernel().Now()
+		switch w.stage {
+		case drvDone:
+			return 0, false
+
+		case txStart:
+			// A second segment is one more descriptor word on the
+			// coherent path.
+			w.stage = txPrime
+			for w.j < len(w.bufs) {
+				w.j++
+				if w.bufs[w.j-1].ExtLen > 0 {
+					w.stage = txStart
+					d, ok = extSegCost, true
+					break
+				}
+			}
+		case txPrime:
+			w.stage = txPost
+			if !cfg.NICBufMgmt {
+				w.primeRet, w.reclaimRet, w.stage = txReclaim, txPost, prime
+			}
+		case txReclaim:
+			w.stage = reclaim
+		case txPost:
+			if cfg.InlineSignal {
+				w.stage = txPosted
+				d, ok = w.c.ring.Post(q.txI, q.host, w.bufs)
+			} else {
+				w.stage = txRegPosted
+				d, ok = w.c.ring.RegPost(q.txR, q.host, w.bufs, &q.txTailVis)
+			}
+		case txPosted:
+			w.n, w.stage = w.c.ring.N(), txNotify
+			if !cfg.NICBufMgmt {
+				q.trackInflight(w.bufs[:w.n])
+				w.j, w.lines, w.stage = 0, q.txI.TakeReclaimed(), txFreeReclaimed
+			}
+		case txRegPosted:
+			w.n, w.stage = w.c.ring.N(), txNotify
+		case txFreeReclaimed:
+			// Free the TX buffers whose ring lines the consumer has
+			// cleared.
+			w.stage = txNotify
+			if w.j < w.lines && len(q.txInflight) > 0 {
+				g := q.txInflight[0]
+				q.txInflight = q.txInflight[1:]
+				w.stage = txFreed
+				d, ok = w.c.startBurst(q.hostPort.StartFree(g.bufs))
+			}
+		case txFreed:
+			w.c.burstEnd()
+			w.j++
+			w.stage = txFreeReclaimed
+		case txNotify:
+			if w.n > 0 {
+				q.dev.notify(q.idx)
+			}
+			w.stage = drvDone
+
+		case rxStart:
+			w.stage = rxConsume
+			if !cfg.NICBufMgmt {
+				w.primeRet, w.stage = rxConsume, prime
+			}
+		case rxConsume:
+			switch {
+			case cfg.InlineSignal:
+				w.stage = rxConsumed
+				d, ok = w.c.ring.Consume(q.rxI, q.host, w.bufs)
+			case cfg.NICBufMgmt:
+				// Symmetric register mode: the NIC bumped the RX tail
+				// register after writing descriptors.
+				w.stage = rxTailPolled
+				d, ok = w.c.acc.Poll(q.host, q.rxR.TailReg(), 8)
+			default:
+				// E810 register signaling: poll the RX completion
+				// register, then read the completed descriptors up to
+				// its index.
+				w.stage = rxHeadPolled
+				d, ok = w.c.acc.Poll(q.host, q.rxR.HeadReg(), 8)
+			}
+		case rxConsumed:
+			w.n, w.stage = w.c.ring.N(), drvDone
+			if !cfg.NICBufMgmt && w.n > 0 {
+				w.want, w.refillRet, w.stage = w.n, drvDone, refill
+			}
+		case rxTailPolled:
+			if now >= q.rxTailVis {
+				w.n = q.rxR.TailIdx - q.rxR.HeadIdx
+			}
+			w.stage = rxAvail
+		case rxHeadPolled:
+			if now >= q.rxDoneVis {
+				w.n = q.rxCompIdx - q.rxR.HeadIdx
+			}
+			w.stage = rxAvail
+		case rxAvail:
+			r := q.rxR
+			w.n = min(w.n, len(w.bufs))
+			if w.n == 0 {
+				w.stage = drvDone
+				d, ok = w.c.acc.Poll(q.host, r.DescAddr(r.HeadIdx), ring.DescSize)
+				break
+			}
+			w.stage = rxRegConsumed
+			d, ok = w.c.ring.RegConsume(r, q.host, w.bufs[:w.n])
+		case rxRegConsumed:
+			w.stage = drvDone
+			if cfg.NICBufMgmt {
+				// Return credits to the producer via the head register.
+				d, ok = w.c.acc.WriteAsync(q.host, q.rxR.HeadReg(), 8)
+				break
+			}
+			// Host-managed: refill the blank ring as descriptors drain.
+			w.want, w.refillRet, w.stage = w.n, drvDone, refill
+
+		case prime:
+			// The driver's RX queue initialization: posting the initial
+			// set of blank buffers (host-managed modes only).
+			w.stage = w.primeRet
+			if q.primed || cfg.NICBufMgmt {
+				continue
+			}
+			q.primed = true
+			w.want = cfg.RingLines * 3 / 4
+			if cfg.InlineSignal {
+				w.want *= cfg.Layout.DescsPerLine()
+			}
+			w.postRet, w.stage = primeTail, pbStart
+		case primeTail:
+			w.stage = w.primeRet
+			if !cfg.InlineSignal {
+				d, ok = w.c.acc.Write(q.host, q.rxR.TailReg(), 8)
+			}
+
+		case pbStart:
+			// Allocate up to want blank buffers and post them for the
+			// NIC: through the fill ring when inline-signaled, through the
+			// RX ring otherwise. Blanks that do not fit go back to the
+			// pool; publishing the RX tail is the caller's.
+			if cap(q.blanks) < w.want {
+				q.blanks = make([]*bufpool.Buf, w.want) //ccnic:alloc-ok grows to the ring's blank count once
+			}
+			w.posted, w.stage = 0, pbAllocated
+			d, ok = w.c.startBurst(q.hostPort.StartAlloc(bigSize, q.blanks[:w.want]))
+		case pbAllocated:
+			w.blanks = q.blanks[:w.c.burstEnd()]
+			if cfg.InlineSignal {
+				w.stage = pbPosted
+				d, ok = w.c.ring.Post(q.fillI, q.host, w.blanks)
+				break
+			}
+			w.fit, w.stage = min(len(w.blanks), q.rxR.Space()), pbRegFreed
+			d, ok = w.c.startBurst(q.hostPort.StartFree(w.blanks[w.fit:]))
+		case pbPosted:
+			w.posted = w.c.ring.N()
+			q.fillI.TakeReclaimed()
+			w.stage = pbFreed
+			d, ok = w.c.startBurst(q.hostPort.StartFree(w.blanks[w.posted:]))
+		case pbFreed:
+			w.c.burstEnd()
+			w.blanks, w.stage = nil, w.postRet
+		case pbRegFreed:
+			w.c.burstEnd()
+			w.stage = pbRegPosted
+			d, ok = w.c.ring.RegPost(q.rxR, q.host, w.blanks[:w.fit], nil)
+		case pbRegPosted:
+			w.posted = w.c.ring.N()
+			w.blanks, w.stage = nil, w.postRet
+
+		case refill:
+			// Post up to want fresh blanks for the NIC, bumping the RX
+			// tail register in register mode.
+			w.postRet, w.stage = refillTail, pbStart
+		case refillTail:
+			w.stage = w.refillRet
+			if w.posted > 0 && !cfg.InlineSignal {
+				w.stage = refillVis
+				d, ok = w.c.acc.WriteAsync(q.host, q.rxR.TailReg(), 8)
+			}
+		case refillVis:
+			q.rxTailVis = w.c.acc.Visible()
+			w.stage = w.refillRet
+
+		case reclaim:
+			// Free TX buffers completed by the NIC in register mode (DD
+			// writebacks) — the host bookkeeping pass PCIe-style
+			// interfaces require.
+			w.stage = w.reclaimRet
+			if cfg.InlineSignal || now < q.txDoneVis {
+				continue
+			}
+			r := q.txR
+			done := 0
+			for r.HeadIdx+done < r.TailIdx && r.Done(r.HeadIdx+done) {
+				done++
+			}
+			if done > 0 {
+				d, ok = w.c.ring.Reclaim(r, q.host, done, q.hostPort)
+			}
+		}
+		if ok {
+			return d, true
+		}
+	}
+}

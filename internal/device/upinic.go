@@ -63,97 +63,562 @@ func payloadLines(dst []mem.Addr, metas []pktMeta) []mem.Addr {
 	return dst
 }
 
-// nicStep performs one service iteration for the queue: consume submitted
-// TX packets, loop them back or exchange them with the synthetic wire.
-// It reports whether any work was found. polled continues a register-ring
-// iteration whose tail poll an idlePoll step has already made and found
-// work behind.
-func (q *upiQueue) nicStep(p *sim.Proc, polled bool) bool {
-	cfg := &q.dev.cfg
-	busy := false
+// nicWalk is a coherent queue's NIC-side work as a walk (see charge): one
+// service iteration (iterate) — consume submitted TX packets, read their
+// payloads, loop them back or exchange them with the synthetic wire — and
+// the pieces of it the overlay's threads run on their own processes:
+// regConsumeTx, completeTx and rxEmit. Each piece is a subroutine of the
+// iteration, entered at its first stage and left through its return stage.
+// A queue has two: walk, run by its NIC core (or the overlay's TX task for
+// the queue) and rxWalk, run by the overlay's RX task.
+type nicWalk struct {
+	q     *upiQueue
+	stage nicStage
+	c     charge
 
-	// Transient pipeline stall (armed fault plans only): the NIC engine
-	// pauses before serving the rings. Coherent-interface queues have no
-	// doorbells to lose; link and cache faults arrive via the coherence
-	// layer underneath.
-	if !polled {
-		if stall := q.dev.sys.Faults().PipelineStall(); stall > 0 {
-			p.Sleep(stall)
-		}
-	}
+	// The iteration continues a register-ring poll an idlePoll step has
+	// made (polled), and reports whether it found work (busy).
+	polled, busy bool
+	// metas are the iteration's consumed TX packets.
+	metas []pktMeta
+	// arrived counts the synthetic arrivals the iteration took; one holds
+	// the arrival it delivers.
+	arrived int
+	one     [1]rxMeta
 
-	// --- TX ring: consume submitted packets. ---
-	var metas []pktMeta
-	if cfg.InlineSignal {
-		n := q.txI.Consume(p, q.nic, q.txBufs)
-		q.txMetas = snapshot(q.txMetas[:0], q.txBufs[:n], cfg.NICBufMgmt)
-		metas = q.txMetas
-	} else {
-		metas = q.regConsumeTx(p, polled)
-	}
-	q.txLines = payloadLines(q.txLines[:0], metas)
-	q.nic.GatherRead(p, q.txLines)
-	if !cfg.InlineSignal && !cfg.NICBufMgmt {
-		q.completeTx(p, len(metas))
-	}
-	if len(metas) > 0 {
-		busy = true
-		q.in.tx += int64(len(metas))
-		if q.in.gen == nil {
-			q.loopback(p, metas)
-		} else {
-			q.consumeTx(p, metas)
-		}
-	}
+	// The subroutines' return stages.
+	consRet, doneRet, emitRet nicStage
+	// avail is regConsumeTx's descriptor count, doneN completeTx's; j is
+	// the next completion line completeTx or rxEmit writes.
+	avail, doneN, j int
+	// rxEmit's packets, the next it places and how many it delivered; the
+	// register path's first completed slot and completion count; got is a
+	// fill-ring Consume's blank.
+	pkts                []rxMeta
+	i, posted           int
+	doneFrom, doneCount int
+	got                 [1]*bufpool.Buf
 
-	// --- Synthetic ingress, if configured; out of buffers, the same
-	// packet is retried later. ---
-	busy = q.in.arrive(p, cfg.NICBurst, func(size int) bool { return q.inject(p, size) }) > 0 || busy
-	return busy
+	// idling is set while the bodiless core's idle polls run (idlePoll).
+	idling bool
+	// step is Advance, bound once.
+	step func() (sim.Time, bool)
 }
 
-// regConsumeTx is the register-signaled NIC TX path: poll the tail register
-// and read new descriptors. Completion signaling happens after the payload
-// has been read (completeTx), never before — otherwise the host could
-// recycle a buffer the device is still reading. polled skips the poll, made
-// by an idlePoll step.
+// nicStage is where a nicWalk resumes.
+type nicStage uint8
+
+const (
+	nicDone nicStage = iota // nothing in flight
+
+	// The service iteration.
+	nicStart       // pipeline stall
+	nicConsume     // consume the TX ring
+	nicConsumed    // the inline Consume has ended
+	nicPayload     // read the payloads
+	nicPayloadRead // the payload gather has completed
+	nicTxDone      // account, then loop back or free
+	nicLoopFreed   // loopback: the TX buffers are freed
+	nicTxFreed     // ingress: the TX buffers are freed
+	nicOffer       // offer the next synthetic arrival
+	nicInjected    // the arrival's delivery has ended
+	nicEnd         // the iteration ends
+
+	// regConsumeTx.
+	txPoll   // poll the tail register
+	txPolled // the tail poll has completed
+	txRead   // the descriptor gather has completed
+
+	// completeTx.
+	txComplete      // flag the descriptors done
+	txCompleteLine  // write the next completion line
+	txCompleteWrote // its write has issued
+
+	// rxEmit.
+	emitStart       // allocate, or take blanks
+	emitAllocated   // NIC-managed: the allocation burst has ended
+	emitBlank       // host inline: take the next blank
+	emitFilled      // host inline: the fill ring's Consume has ended
+	emitWrite       // write the payloads
+	emitWritten     // the payload scatter has completed: post
+	emitPosted      // the Post has ended
+	emitFreed       // NIC-managed: the unposted buffers are freed
+	emitRegBlank    // E810: take the next blank
+	emitRegPolled   // E810: the tail poll has completed
+	emitRegRead     // E810: read the blank's descriptor
+	emitRegGot      // E810: the descriptor read has completed
+	emitRegDone     // E810: write the payloads
+	emitRegWritten  // E810: the payload scatter has completed
+	emitRegDoneLine // E810: write the next completion line
+	emitRegHead     // E810: the completion register's write has issued
+)
+
+// init binds the walk to q.
+func (w *nicWalk) init(q *upiQueue) {
+	w.q = q
+	w.step = w.Advance
+}
+
+// park runs the walk a start began on p, parking it once.
+//
+//ccnic:noalloc
+func (w *nicWalk) park(p *sim.Proc, d sim.Time, ok bool) {
+	if ok {
+		p.Spin(d, w.step)
+	}
+}
+
+// nicStep performs one service iteration for the queue on p and reports
+// whether it found work. polled continues a register-ring iteration whose
+// tail poll an idlePoll step has already made and found work behind.
+func (q *upiQueue) nicStep(p *sim.Proc, polled bool) bool {
+	w := &q.walk
+	d, ok := w.iterate(polled)
+	w.park(p, d, ok)
+	return w.busy
+}
+
+// regConsumeTx is the register-signaled NIC TX path, on p: poll the tail
+// register and read new descriptors. Completion signaling happens after
+// the payload has been read (completeTx), never before — otherwise the
+// host could recycle a buffer the device is still reading. polled skips
+// the poll, made by an idlePoll step.
 func (q *upiQueue) regConsumeTx(p *sim.Proc, polled bool) []pktMeta {
-	r := q.txR
-	if !polled {
-		q.nic.Poll(p, r.TailReg(), 8)
-	}
-	avail := q.txTailAvail(p.Now())
-	if avail == 0 {
-		return nil
-	}
-	if avail > q.dev.cfg.NICBurst {
-		avail = q.dev.cfg.NICBurst
-	}
-	q.txLines = r.LinesFor(q.txLines[:0], q.txSeen, avail)
-	q.nic.GatherRead(p, q.txLines)
-	metas := q.txMetas[:0]
-	for i := 0; i < avail; i++ {
-		metas = append(metas, metaOf(r.Get(q.txSeen+i), q.dev.cfg.NICBufMgmt))
-	}
-	q.txMetas = metas
-	if q.dev.cfg.NICBufMgmt {
-		// Symmetric reg mode: the NIC owns the buffers now; slots
-		// free immediately and consumption is signaled via the head
-		// register.
-		for i := 0; i < avail; i++ {
-			r.Take(q.txSeen + i) //ccnic:own-ok slot clear only: the buffer was captured via Get into metas above
-			r.HeadIdx++
+	w := &q.walk
+	w.polled, w.consRet, w.stage = polled, nicDone, txPoll
+	d, ok := w.run()
+	w.park(p, d, ok)
+	return w.metas
+}
+
+// completeTx writes TX completion (DD) flags for the oldest n consumed
+// descriptors after their payloads have been read (E810 semantics), on p.
+func (q *upiQueue) completeTx(p *sim.Proc, n int) {
+	w := &q.walk
+	w.doneN, w.doneRet, w.stage = n, nicDone, txComplete
+	d, ok := w.run()
+	w.park(p, d, ok)
+}
+
+// rxEmit delivers received packets to the host, on p: it allocates RX
+// buffers per the configured management mode, writes payloads, and
+// publishes RX descriptors. Packets that find no buffer or ring space are
+// dropped (the host will catch up), and the count delivered is returned.
+func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
+	w := &q.rxWalk
+	w.emit(pkts, nicDone)
+	d, ok := w.run()
+	w.park(p, d, ok)
+	return w.posted
+}
+
+// core is the step of a queue's bodiless NIC core, the queue's polling
+// loop (pollLoop) as a walk: it runs service iterations until the queue
+// stops, with its idle iterations run by idlePoll. An iteration that finds
+// work is followed at once by the next; one that finds none sleeps PollGap
+// into the idle polls. When the idle step finds work behind a register
+// ring's tail poll, the step continues straight into the iteration it
+// resumes. The stop flag is checked only before a fresh iteration, so
+// that work is still served.
+//
+//ccnic:noalloc
+func (w *nicWalk) core() (sim.Time, bool) {
+	q := w.q
+	if w.idling {
+		if d, more := q.idle.step(); more {
+			return d, true
 		}
-		q.txSeen += avail
-		q.nic.WriteAsync(p, r.HeadReg(), 8)
-	} else {
-		q.txSeen += avail
+		w.idling = false
+	} else if w.stage != nicDone {
+		if d, more := w.Advance(); more {
+			return d, true
+		}
+		if !w.busy {
+			w.idling = true
+			return q.idle.doze.Gap, true
+		}
 	}
-	return metas
+	for {
+		polled := q.idle.polled
+		q.idle.polled = false
+		if !polled {
+			if q.stopped {
+				return 0, false
+			}
+			q.dev.nicSteps++
+		}
+		if d, ok := w.iterate(polled); ok {
+			return d, true
+		}
+		if !w.busy {
+			w.idling = true
+			return q.idle.doze.Gap, true
+		}
+	}
+}
+
+// iterate starts a service iteration and runs it to its first charge.
+//
+//ccnic:noalloc
+func (w *nicWalk) iterate(polled bool) (sim.Time, bool) {
+	w.polled, w.busy, w.stage = polled, false, nicStart
+	return w.run()
+}
+
+// emit enters rxEmit for pkts, to return to ret.
+//
+//ccnic:noalloc
+func (w *nicWalk) emit(pkts []rxMeta, ret nicStage) {
+	w.pkts, w.emitRet, w.stage = pkts, ret, emitStart
+}
+
+// Advance completes the charge in flight and runs the walk on to its next
+// charge, returning its cost, or to its end.
+//
+//ccnic:noalloc
+func (w *nicWalk) Advance() (sim.Time, bool) {
+	if d, more := w.c.advance(); more {
+		return d, true
+	}
+	return w.run()
+}
+
+// run runs the walk on from w.stage, once the charge before it has
+// completed, up to its next charge or its end.
+//
+//ccnic:noalloc
+func (w *nicWalk) run() (sim.Time, bool) {
+	q := w.q
+	cfg := &q.dev.cfg
+	for {
+		var d sim.Time
+		var ok bool
+		now := q.dev.sys.Kernel().Now()
+		switch w.stage {
+		case nicDone:
+			return 0, false
+
+		case nicStart:
+			// Transient pipeline stall (armed fault plans only): the NIC
+			// engine pauses before serving the rings. Coherent-interface
+			// queues have no doorbells to lose; link and cache faults
+			// arrive via the coherence layer underneath.
+			w.stage = nicConsume
+			if !w.polled {
+				if stall := q.dev.sys.Faults().PipelineStall(); stall > 0 { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+					d, ok = stall, true
+				}
+			}
+		case nicConsume:
+			if !cfg.InlineSignal {
+				w.consRet, w.stage = nicPayload, txPoll
+				continue
+			}
+			w.stage = nicConsumed
+			d, ok = w.c.ring.Consume(q.txI, q.nic, q.txBufs)
+		case nicConsumed:
+			q.txMetas = snapshot(q.txMetas[:0], q.txBufs[:w.c.ring.N()], cfg.NICBufMgmt)
+			w.metas, w.stage = q.txMetas, nicPayload
+		case nicPayload:
+			q.txLines = payloadLines(q.txLines[:0], w.metas)
+			w.stage = nicPayloadRead
+			d, ok = w.c.acc.Gather(q.nic, q.txLines, false)
+		case nicPayloadRead:
+			w.stage = nicTxDone
+			if !cfg.InlineSignal && !cfg.NICBufMgmt {
+				w.doneN, w.doneRet, w.stage = len(w.metas), nicTxDone, txComplete
+			}
+		case nicTxDone:
+			w.arrived, w.stage = 0, nicOffer
+			if len(w.metas) == 0 {
+				continue
+			}
+			w.busy = true
+			q.in.tx += int64(len(w.metas))
+			switch {
+			case q.in.gen == nil:
+				// Loopback: retransmit the consumed packets into the RX
+				// path.
+				pkts := q.rxMetas[:0]
+				for _, m := range w.metas {
+					pkts = append(pkts, rxMeta{size: m.len + m.extLen, seq: m.seq, born: m.born})
+				}
+				q.rxMetas = pkts
+				if !cfg.NICBufMgmt {
+					w.emit(pkts, nicOffer)
+					continue
+				}
+				// CC-NIC §3.4: the NIC frees the TX buffers itself; the
+				// RX allocations recycle the same bytes, still resident
+				// in the NIC cache.
+				w.stage = nicLoopFreed
+				d, ok = w.freeTx()
+			case cfg.NICBufMgmt:
+				// Ingress mode: TX packets leave on the wire.
+				// Host-managed modes reclaim via completion flags.
+				w.stage = nicTxFreed
+				d, ok = w.freeTx()
+			}
+		case nicLoopFreed:
+			w.c.burstEnd()
+			w.emit(q.rxMetas, nicOffer)
+		case nicTxFreed:
+			w.c.burstEnd()
+			w.stage = nicOffer
+		case nicOffer:
+			// Synthetic ingress, if configured; out of buffers, the same
+			// packet is retried later.
+			w.stage = nicEnd
+			if w.arrived < cfg.NICBurst {
+				if size, due := q.in.offer(now); due {
+					w.one[0] = rxMeta{size: size, born: now}
+					w.emit(w.one[:], nicInjected)
+				}
+			}
+		case nicInjected:
+			w.stage = nicEnd
+			if w.posted == 1 {
+				q.in.took()
+				w.arrived++
+				w.stage = nicOffer
+			}
+		case nicEnd:
+			w.busy = w.arrived > 0 || w.busy
+			w.stage = nicDone
+
+		case txPoll:
+			w.stage = txPolled
+			if !w.polled {
+				d, ok = w.c.acc.Poll(q.nic, q.txR.TailReg(), 8)
+			}
+		case txPolled:
+			w.metas, w.stage = nil, w.consRet
+			avail := min(q.txTailAvail(now), cfg.NICBurst)
+			if avail == 0 {
+				continue
+			}
+			w.avail, w.stage = avail, txRead
+			q.txLines = q.txR.LinesFor(q.txLines[:0], q.txSeen, avail)
+			d, ok = w.c.acc.Gather(q.nic, q.txLines, false)
+		case txRead:
+			r, avail := q.txR, w.avail
+			metas := q.txMetas[:0]
+			for i := 0; i < avail; i++ {
+				metas = append(metas, metaOf(r.Get(q.txSeen+i), cfg.NICBufMgmt))
+			}
+			q.txMetas, w.metas, w.stage = metas, metas, w.consRet
+			if !cfg.NICBufMgmt {
+				q.txSeen += avail
+				continue
+			}
+			// Symmetric reg mode: the NIC owns the buffers now; slots
+			// free immediately and consumption is signaled via the head
+			// register.
+			for i := 0; i < avail; i++ {
+				r.Take(q.txSeen + i) //ccnic:own-ok slot clear only: the buffer was captured via Get into metas above
+				r.HeadIdx++
+			}
+			q.txSeen += avail
+			d, ok = w.c.acc.WriteAsync(q.nic, r.HeadReg(), 8)
+
+		case txComplete:
+			w.stage = w.doneRet
+			if w.doneN == 0 {
+				continue
+			}
+			r := q.txR
+			start := q.txSeen - w.doneN
+			for i := 0; i < w.doneN; i++ {
+				r.SetDone(start + i)
+			}
+			q.txLines = r.LinesFor(q.txLines[:0], start, w.doneN)
+			w.j, w.stage = 0, txCompleteLine
+		case txCompleteLine:
+			if w.j == len(q.txLines) {
+				w.stage = w.doneRet
+				continue
+			}
+			w.stage = txCompleteWrote
+			d, ok = w.c.acc.WriteAsync(q.nic, q.txLines[w.j], 8)
+		case txCompleteWrote:
+			if vis := w.c.acc.Visible(); vis > q.txDoneVis {
+				q.txDoneVis = vis
+			}
+			w.j++
+			w.stage = txCompleteLine
+
+		case emitStart:
+			w.posted, w.i = 0, 0
+			q.rxBufs = q.rxBufs[:0]
+			switch {
+			case cfg.NICBufMgmt:
+				q.rxBufs = slices.Grow(q.rxBufs, len(w.pkts))[:len(w.pkts)] //ccnic:alloc-ok grows to the largest delivery once
+				q.rxSized.pkts = w.pkts
+				w.stage = emitAllocated
+				d, ok = w.c.startBurst(q.nicPort.StartAllocFed(q.rxBufs, &q.rxSized))
+			case cfg.InlineSignal:
+				// Host-managed buffers: copy into host-supplied blanks.
+				w.stage = emitBlank
+			default:
+				// E810 RX semantics: write packets into the blanks' own
+				// descriptor slots and flag completion (DD).
+				w.doneFrom, w.doneCount, w.stage = -1, 0, emitRegBlank
+			}
+		case emitAllocated:
+			q.rxBufs = q.rxBufs[:w.c.burstEnd()]
+			q.rxSized.pkts = nil
+			w.stage = emitWrite
+		case emitBlank:
+			if w.i == len(w.pkts) {
+				w.stage = emitWrite
+				continue
+			}
+			if n := len(q.spareBlanks); n > 0 {
+				b := q.spareBlanks[n-1]
+				q.spareBlanks = q.spareBlanks[:n-1]
+				w.place(b)
+				continue
+			}
+			w.stage = emitFilled
+			d, ok = w.c.ring.Consume(q.fillI, q.nic, w.got[:])
+		case emitFilled:
+			b := w.got[0]
+			w.got[0] = nil
+			w.stage = emitWrite
+			if w.c.ring.N() > 0 && b != nil {
+				w.place(b)
+				w.stage = emitBlank
+			}
+		case emitWrite:
+			q.rxLines = bufpool.Lines(q.rxLines[:0], q.rxBufs)
+			w.stage = emitWritten
+			d, ok = w.c.acc.Gather(q.nic, q.rxLines, true)
+		case emitWritten:
+			w.stage = emitPosted
+			if cfg.InlineSignal {
+				d, ok = w.c.ring.Post(q.rxI, q.nic, q.rxBufs)
+			} else {
+				d, ok = w.c.ring.RegPost(q.rxR, q.nic, q.rxBufs, &q.rxTailVis)
+			}
+		case emitPosted:
+			w.posted = w.c.ring.N()
+			if cfg.InlineSignal {
+				q.rxI.TakeReclaimed()
+			}
+			if cfg.NICBufMgmt {
+				w.stage = emitFreed
+				d, ok = w.c.startBurst(q.nicPort.StartFree(q.rxBufs[w.posted:]))
+				break
+			}
+			// Blanks that did not fit stay with the NIC for the next
+			// delivery; in practice the ring has space because blanks
+			// were sized to it. Drop any excess packets silently.
+			for _, b := range q.rxBufs[w.posted:] {
+				b.ResetMeta()
+				q.spareBlanks = append(q.spareBlanks, b)
+			}
+			w.stage = w.emitRet
+		case emitFreed:
+			w.c.burstEnd()
+			w.stage = w.emitRet
+		case emitRegBlank:
+			r := q.rxR
+			switch {
+			case w.i == len(w.pkts):
+				w.stage = emitRegDone
+			case q.rxSeenNIC >= r.TailIdx || now < q.rxTailVis:
+				w.stage = emitRegPolled
+				d, ok = w.c.acc.Poll(q.nic, r.TailReg(), 8)
+			default:
+				w.stage = emitRegRead
+			}
+		case emitRegPolled:
+			w.stage = emitRegRead
+			if q.rxSeenNIC >= q.rxR.TailIdx || now < q.rxTailVis {
+				w.stage = emitRegDone
+			}
+		case emitRegRead:
+			q.rxLines = q.rxR.LinesFor(q.rxLines[:0], q.rxSeenNIC, 1)
+			w.stage = emitRegGot
+			d, ok = w.c.acc.Gather(q.nic, q.rxLines, false)
+		case emitRegGot:
+			idx := q.rxSeenNIC
+			q.rxSeenNIC++
+			w.stage = emitRegDone
+			if b := q.rxR.Get(idx); b != nil {
+				w.place(b)
+				q.rxR.SetDone(idx)
+				if w.doneFrom < 0 {
+					w.doneFrom = idx
+				}
+				w.doneCount++
+				w.stage = emitRegBlank
+			}
+		case emitRegDone:
+			w.stage = w.emitRet
+			if w.doneCount == 0 {
+				continue
+			}
+			q.rxLines = bufpool.Lines(q.rxLines[:0], q.rxBufs)
+			w.stage = emitRegWritten
+			d, ok = w.c.acc.Gather(q.nic, q.rxLines, true)
+		case emitRegWritten:
+			q.rxLines = q.rxR.LinesFor(q.rxLines[:0], w.doneFrom, w.doneCount)
+			w.j, w.stage = 0, emitRegDoneLine
+		case emitRegDoneLine:
+			if w.j < len(q.rxLines) {
+				w.j++
+				d, ok = w.c.acc.WriteAsync(q.nic, q.rxLines[w.j-1], 8)
+				break
+			}
+			// Register-based signaling: completions are announced through
+			// the RX tail register, costing the host an extra register
+			// transfer per burst (the E810 layout the paper's unoptimized
+			// baseline keeps).
+			q.rxCompIdx += w.doneCount
+			w.stage = emitRegHead
+			d, ok = w.c.acc.WriteAsync(q.nic, q.rxR.HeadReg(), 8)
+		case emitRegHead:
+			if vis := w.c.acc.Visible(); vis > q.rxDoneVis {
+				q.rxDoneVis = vis
+			}
+			w.posted, w.stage = w.doneCount, w.emitRet
+		}
+		if ok {
+			return d, true
+		}
+	}
+}
+
+// place stamps blank with the next packet's metadata and adds it to the
+// delivery.
+//
+//ccnic:noalloc
+func (w *nicWalk) place(b *bufpool.Buf) {
+	m := &w.pkts[w.i]
+	b.Len, b.Seq, b.Born = m.size, m.seq, m.born
+	w.q.rxBufs = append(w.q.rxBufs, b)
+	w.i++
+}
+
+// freeTx starts freeing the buffers of the iteration's consumed TX packets
+// to the NIC's port, as one burst.
+//
+//ccnic:noalloc
+func (w *nicWalk) freeTx() (sim.Time, bool) {
+	q := w.q
+	bufs := q.txFree[:0]
+	for _, m := range w.metas {
+		bufs = append(bufs, m.buf)
+	}
+	q.txFree = bufs
+	return w.c.startBurst(q.nicPort.StartFree(bufs))
 }
 
 // txTailAvail is the TX descriptor count the NIC sees posted after polling
 // the tail register: none until the tail bump has propagated.
+//
+//ccnic:noalloc
 func (q *upiQueue) txTailAvail(now sim.Time) int {
 	if now < q.txTailVis {
 		return 0
@@ -197,7 +662,17 @@ type idlePoll struct {
 	doze sim.Doze
 }
 
+// init readies the idle poll of queue q; steps counts its iterations as
+// NIC steps, nil none.
+func (s *idlePoll) init(q *upiQueue, steps *int64) {
+	plat := q.dev.sys.Platform()
+	s.q = q
+	s.doze = sim.Doze{Issue: plat.L2Hit, Gap: plat.PollGap, Count: steps}
+}
+
 // step is the sim.Proc.Spin step; bind it once per core.
+//
+//ccnic:noalloc
 func (s *idlePoll) step() (sim.Time, bool) {
 	q := s.q
 	d := q.dev
@@ -254,6 +729,8 @@ func (s *idlePoll) step() (sim.Time, bool) {
 // The core does not doze under a fault plan, synthetic ingress (set
 // before Start) or a validation probe, once stopped, or while another
 // process's doze holds the agent's L2 watch.
+//
+//ccnic:noalloc
 func (s *idlePoll) dozeOff(now sim.Time) {
 	q := s.q
 	if q.stopped || q.in.gen != nil {
@@ -279,57 +756,11 @@ func (s *idlePoll) dozeOff(now sim.Time) {
 	}
 }
 
-// completeTx writes TX completion (DD) flags for the oldest n consumed
-// descriptors after their payloads have been read (E810 semantics).
-func (q *upiQueue) completeTx(p *sim.Proc, n int) {
-	if n == 0 {
-		return
-	}
-	r := q.txR
-	start := q.txSeen - n
-	for i := 0; i < n; i++ {
-		r.SetDone(start + i)
-	}
-	q.txLines = r.LinesFor(q.txLines[:0], start, n)
-	for _, l := range q.txLines {
-		if vis := q.nic.WriteAsync(p, l, 8); vis > q.txDoneVis {
-			q.txDoneVis = vis
-		}
-	}
-}
-
 // rxMeta describes one packet arriving on the RX path.
 type rxMeta struct {
 	size int
 	seq  uint64
 	born sim.Time
-}
-
-// loopback retransmits consumed TX packets into the RX path.
-func (q *upiQueue) loopback(p *sim.Proc, metas []pktMeta) {
-	pkts := q.rxMetas[:0]
-	for _, m := range metas {
-		pkts = append(pkts, rxMeta{size: m.len + m.extLen, seq: m.seq, born: m.born})
-	}
-	q.rxMetas = pkts
-	if q.dev.cfg.NICBufMgmt {
-		// CC-NIC §3.4: the NIC frees the TX buffers itself; the RX
-		// allocations below recycle the same bytes, still resident in
-		// the NIC cache.
-		q.freeTx(p, metas)
-	}
-	q.rxEmit(p, pkts)
-}
-
-// freeTx frees the buffers of consumed TX packets to the NIC's port, as one
-// burst.
-func (q *upiQueue) freeTx(p *sim.Proc, metas []pktMeta) {
-	bufs := q.txFree[:0]
-	for _, m := range metas {
-		bufs = append(bufs, m.buf)
-	}
-	q.txFree = bufs
-	q.nicPort.FreeBurst(p, bufs)
 }
 
 // rxSized sizes a delivery's NIC-managed RX buffers by their packets
@@ -343,132 +774,4 @@ func (f *rxSized) Size(i int) (int, bool) { return f.pkts[i].size, true }
 func (f *rxSized) Took(i int, b *bufpool.Buf) {
 	m := &f.pkts[i]
 	b.Len, b.Seq, b.Born = m.size, m.seq, m.born
-}
-
-// rxEmit delivers received packets to the host: it allocates RX buffers per
-// the configured management mode, writes payloads, and publishes RX
-// descriptors. Packets that find no buffer or ring space are dropped (the
-// host will catch up), and the count delivered is returned.
-func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
-	cfg := &q.dev.cfg
-	if cfg.NICBufMgmt {
-		rx := slices.Grow(q.rxBufs[:0], len(pkts))[:len(pkts)]
-		q.rxSized.pkts = pkts
-		rx = rx[:q.nicPort.AllocFed(p, rx, &q.rxSized)]
-		q.rxSized.pkts = nil
-		q.rxBufs = rx
-		q.rxLines = bufpool.Lines(q.rxLines[:0], rx)
-		q.nic.ScatterWrite(p, q.rxLines)
-		var posted int
-		if cfg.InlineSignal {
-			posted = q.rxI.Post(p, q.nic, rx)
-			q.rxI.TakeReclaimed()
-		} else {
-			posted = regPost(p, q.nic, q.rxR, &q.rxTailVis, rx)
-		}
-		q.nicPort.FreeBurst(p, rx[posted:])
-		return posted
-	}
-	// Host-managed buffers: copy into host-supplied blanks.
-	if cfg.InlineSignal {
-		blanks := q.rxBufs[:0]
-		for _, m := range pkts {
-			blank, _ := q.takeBlank(p)
-			if blank == nil {
-				break
-			}
-			blank.Len, blank.Seq, blank.Born = m.size, m.seq, m.born
-			blanks = append(blanks, blank)
-		}
-		q.rxBufs = blanks
-		q.rxLines = bufpool.Lines(q.rxLines[:0], blanks)
-		q.nic.ScatterWrite(p, q.rxLines)
-		posted := q.rxI.Post(p, q.nic, blanks)
-		q.rxI.TakeReclaimed()
-		// Blanks that did not fit stay with the NIC for the next
-		// delivery; in practice the ring has space because blanks
-		// were sized to it. Drop any excess packets silently.
-		for _, b := range blanks[posted:] {
-			b.ResetMeta()
-			q.spareBlanks = append(q.spareBlanks, b)
-		}
-		return posted
-	}
-	// E810 RX semantics: write packets into the blanks' own descriptor
-	// slots and flag completion (DD).
-	doneFrom, doneCount := -1, 0
-	written := q.rxBufs[:0]
-	for _, m := range pkts {
-		blank, idx := q.takeBlank(p)
-		if blank == nil {
-			break
-		}
-		blank.Len, blank.Seq, blank.Born = m.size, m.seq, m.born
-		written = append(written, blank)
-		q.rxR.SetDone(idx)
-		if doneFrom < 0 {
-			doneFrom = idx
-		}
-		doneCount++
-	}
-	q.rxBufs = written
-	if doneCount > 0 {
-		q.rxLines = bufpool.Lines(q.rxLines[:0], written)
-		q.nic.ScatterWrite(p, q.rxLines)
-		q.rxLines = q.rxR.LinesFor(q.rxLines[:0], doneFrom, doneCount)
-		for _, l := range q.rxLines {
-			q.nic.WriteAsync(p, l, 8)
-		}
-		// Register-based signaling: completions are announced through
-		// the RX tail register, costing the host an extra register
-		// transfer per burst (the E810 layout the paper's unoptimized
-		// baseline keeps).
-		q.rxCompIdx += doneCount
-		if vis := q.nic.WriteAsync(p, q.rxR.HeadReg(), 8); vis > q.rxDoneVis {
-			q.rxDoneVis = vis
-		}
-	}
-	return doneCount
-}
-
-// consumeTx handles TX packets in ingress mode: they leave on the wire.
-func (q *upiQueue) consumeTx(p *sim.Proc, metas []pktMeta) {
-	if q.dev.cfg.NICBufMgmt {
-		q.freeTx(p, metas)
-	}
-	// Host-managed modes reclaim via completion flags; nothing here.
-}
-
-// inject delivers one synthetic ingress packet of the given size.
-func (q *upiQueue) inject(p *sim.Proc, size int) bool {
-	return q.rxEmit(p, []rxMeta{{size: size, born: p.Now()}}) == 1
-}
-
-// takeBlank obtains a host-posted blank RX buffer (host-managed modes),
-// returning the buffer and, in register mode, its ring slot.
-func (q *upiQueue) takeBlank(p *sim.Proc) (*bufpool.Buf, int) {
-	if q.dev.cfg.InlineSignal {
-		if n := len(q.spareBlanks); n > 0 {
-			b := q.spareBlanks[n-1]
-			q.spareBlanks = q.spareBlanks[:n-1]
-			return b, -1
-		}
-		var got [1]*bufpool.Buf
-		if q.fillI.Consume(p, q.nic, got[:]) == 0 {
-			return nil, -1
-		}
-		return got[0], -1
-	}
-	r := q.rxR
-	if q.rxSeenNIC >= r.TailIdx || p.Now() < q.rxTailVis {
-		q.nic.Poll(p, r.TailReg(), 8)
-		if q.rxSeenNIC >= r.TailIdx || p.Now() < q.rxTailVis {
-			return nil, -1
-		}
-	}
-	q.rxLines = r.LinesFor(q.rxLines[:0], q.rxSeenNIC, 1)
-	q.nic.GatherRead(p, q.rxLines)
-	idx := q.rxSeenNIC
-	q.rxSeenNIC++
-	return r.Get(idx), idx
 }

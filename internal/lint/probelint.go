@@ -4,11 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Probelint requires every call through a Probe-typed validation hook to be
 // nil-guarded. The model packages emit validation events through optional
-// Probe interfaces (coherence.Probe, sim.Probe); the contract (DESIGN.md §5)
+// Probe interfaces (coherence.Probe, sim.Probe, sim.ParkProbe); the contract (DESIGN.md §5)
 // is that a run without a checker attached pays exactly one predictable
 // branch per hook. An unguarded call makes the nil case a panic instead of a
 // no-op — and the hooks are nil in every production run.
@@ -70,7 +71,7 @@ func selIsMethodExpr(pass *Pass, sel *ast.SelectorExpr) bool {
 }
 
 // isProbeType reports whether t is (a pointer to) a named interface type
-// called Probe.
+// whose name ends in Probe (Probe, sim.ParkProbe).
 func isProbeType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -79,7 +80,7 @@ func isProbeType(t types.Type) bool {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Probe" {
+	if !ok || !strings.HasSuffix(named.Obj().Name(), "Probe") {
 		return false
 	}
 	_, isIface := named.Underlying().(*types.Interface)

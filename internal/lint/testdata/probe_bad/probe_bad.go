@@ -60,3 +60,15 @@ func (s *sys) deferredClosure() {
 func (s *sys) methodValue() func(int) {
 	return s.probe.Event // want "method value taken from Probe hook"
 }
+
+// ParkProbe is a hook too: its name ends in Probe.
+type ParkProbe interface {
+	Park(id int)
+}
+
+type kernel struct{ parkProbe ParkProbe }
+
+// park reports without a guard.
+func (k *kernel) park(id int) {
+	k.parkProbe.Park(id) // want "not nil-guarded"
+}

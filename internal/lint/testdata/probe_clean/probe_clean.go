@@ -44,3 +44,18 @@ func (s *sys) methodValue() func(int) {
 func methodExpr() func(Probe, int) {
 	return Probe.Event
 }
+
+// ParkProbe is a second optional hook, named like the kernel's park
+// observer: every interface whose name ends in Probe is a hook.
+type ParkProbe interface {
+	Park(id int)
+}
+
+type kernel struct{ parkProbe ParkProbe }
+
+// park takes the guarded-local form the kernel's park uses.
+func (k *kernel) park(id int) {
+	if pp := k.parkProbe; pp != nil {
+		pp.Park(id)
+	}
+}

@@ -3,9 +3,10 @@
 // beside steps that only read state, and does the same with the
 // steps of bodiless processes: Kernel.SpawnSpin's (one that waits on an
 // event by returning Await's result, one that calls Wait),
-// Kernel.SpawnSpinAt's, and the delivery handlers Engine.Connect and
-// Switch.Attach take. yieldlint must flag the first kind and accept the
-// second.
+// Kernel.SpawnSpinAt's, the delivery handlers Engine.Connect and
+// Switch.Attach take, and a bodiless NIC core's: one that runs a ring
+// operation in step form, one that calls its body form. yieldlint must
+// flag the first kind and accept the second.
 package yieldspin
 
 // Time is simulated time (the fixture's sim.Time).
@@ -218,4 +219,56 @@ func (e *engine) bodiless(k *Kernel, eng *Engine, sw *Switch) {
 	sw.Attach(eng, func(d *Delivery, bytes int) (Time, bool) { // want "spin step calls yielding function receiveSleeping"
 		return e.receiveSleeping(d)
 	})
+}
+
+// Ring stands in for ring.Inline: Consume is the process-side operation,
+// which charges the process it runs on.
+type Ring struct{ a *Agent }
+
+// Consume stands in for ring.Inline.Consume, a body-form call.
+func (r *Ring) Consume(p *Proc, out []int) int {
+	r.a.Exec(3)
+	return len(out)
+}
+
+// RingWalk stands in for ring.Walk: the same operation in step form, each
+// charge returned to the step that runs it.
+type RingWalk struct{ n int }
+
+// Consume starts the step form and returns its first charge.
+func (w *RingWalk) Consume(r *Ring, out []int) (Time, bool) {
+	w.n = len(out)
+	return 3, w.n > 0
+}
+
+// Advance completes the charge in flight.
+func (w *RingWalk) Advance() (Time, bool) { return 0, false }
+
+// nicCore stands in for a bodiless NIC core, whose step runs its service
+// iteration's ring operations.
+type nicCore struct {
+	p    *Proc
+	r    *Ring
+	walk RingWalk
+	out  []int
+	busy bool
+}
+
+// serve runs the ring operation in step form: a valid step.
+func (c *nicCore) serve() (Time, bool) {
+	if c.busy {
+		return c.walk.Advance()
+	}
+	c.busy = true
+	return c.walk.Consume(c.r, c.out)
+}
+
+// serveBody calls the body-form operation from the step.
+func (c *nicCore) serveBody() (Time, bool) {
+	return Time(c.r.Consume(c.p, c.out)), true
+}
+
+func (c *nicCore) start(k *Kernel) {
+	k.SpawnSpin("nic", c.serve)
+	k.SpawnSpin("nic-body", c.serveBody) // want "spin step serveBody yields \(serveBody -> Consume -> Exec -> Sleep\)"
 }

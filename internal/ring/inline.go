@@ -60,6 +60,8 @@ func (l Layout) String() string {
 }
 
 // DescsPerLine returns how many descriptors the layout places per line.
+//
+//ccnic:noalloc
 func (l Layout) DescsPerLine() int {
 	if l == Padded {
 		return 1
@@ -104,7 +106,8 @@ type Inline struct {
 
 	reclaimedSinceTake int
 
-	scan sim.Scratch[mem.Addr] // the producer's replenish scan
+	scan  sim.Scratch[mem.Addr] // the producer's replenish scan
+	walks *Walk                 // free list of the process-side operations
 
 	// watch is fired by every publish: each line, and each Packed slot.
 	watch sim.Watch
@@ -130,6 +133,8 @@ func NewInline(sys *coherence.System, layout Layout, nLines, producerSocket int)
 func (r *Inline) Layout() Layout { return r.layout }
 
 // notify reports a completed ring mutation to the system's validation probe.
+//
+//ccnic:noalloc
 func (r *Inline) notify() {
 	if pr := r.sys.Probe(); pr != nil {
 		pr.ObjectEvent(r)
@@ -216,111 +221,33 @@ func (r *Inline) CheckInvariants() error {
 func (r *Inline) Cap() int { return r.nLines * r.layout.DescsPerLine() }
 
 // lineAddr returns the address of ring line i (absolute index).
+//
+//ccnic:noalloc
 func (r *Inline) lineAddr(i int) mem.Addr {
 	return r.base + mem.Addr((i%r.nLines)*mem.LineSize)
 }
 
+//ccnic:noalloc
 func (r *Inline) lineAt(i int) *line { return &r.lines[i%r.nLines] }
 
 // Post publishes up to len(bufs) descriptors from the producer agent,
 // returning how many were accepted (limited by ring space). Each burst is
 // packed into whole lines; a line is finalized when published, so the
-// consumer's skip-to-next-line rule (§3.2) is implicit.
+// consumer's skip-to-next-line rule (§3.2) is implicit. When credits run
+// low, Post first replenishes them: it scans forward from the reclaim
+// pointer for consumer-cleared lines with one overlapped read (a burst
+// reclaim pass). It runs as a Walk, parking p once.
 func (r *Inline) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int {
-	if len(bufs) == 0 {
-		return 0
-	}
-	r.replenish(p, a, len(bufs))
-	posted := 0
-	if r.layout == Packed {
-		// Packed: successive posts keep filling the current line, one
-		// store per descriptor+signal. The store coalesces in the
-		// producer's cache unless the consumer steals the line between
-		// stores — the thrashing the paper measures.
-		for posted < len(bufs) {
-			ln := r.lineAt(r.prod)
-			if r.prodSlot == 0 {
-				if r.credits == 0 {
-					break
-				}
-				r.credits--
-			}
-			i := r.prodSlot
-			// Charge the store first: its sleep can yield to the
-			// consumer, which must not observe the flag with a stale
-			// visibility gate.
-			vis := a.WriteAsync(p, r.lineAddr(r.prod)+mem.Addr(i*DescSize), DescSize)
-			ln.bufs[i] = bufs[posted]
-			ln.count = i + 1
-			ln.slotVisible[i] = vis
-			ln.slotReady[i] = true
-			r.watch.Fire()
-			posted++
-			r.prodSlot++
-			if r.prodSlot == SlotsPerLine {
-				r.prodSlot = 0
-				r.prod++
-			}
-		}
-		r.notify()
-		return posted
-	}
-	per := r.layout.DescsPerLine()
-	for posted < len(bufs) && r.credits > 0 {
-		ln := r.lineAt(r.prod)
-		n := len(bufs) - posted
-		if n > per {
-			n = per
-		}
-		// Charge the store first (see the packed path): the consumer
-		// must never observe ready with a stale visibility gate.
-		vis := a.WriteAsync(p, r.lineAddr(r.prod), mem.LineSize)
-		for i := 0; i < n; i++ {
-			ln.bufs[i] = bufs[posted+i]
-		}
-		ln.count = n
-		ln.visibleAt = vis
-		ln.ready = true
-		r.watch.Fire()
-		r.prod++
-		r.credits--
-		posted += n
-	}
-	r.notify()
-	return posted
-}
-
-// replenish scans forward from the reclaim pointer for consumer-cleared
-// lines when credits run low, converting them into producer credits. The
-// scan overlaps its reads (GatherRead), modeling a burst reclaim pass.
-func (r *Inline) replenish(p *sim.Proc, a *coherence.Agent, want int) {
-	needLines := (want + r.layout.DescsPerLine() - 1) / r.layout.DescsPerLine()
-	if r.credits >= needLines && r.credits >= r.nLines/4 {
-		return
-	}
-	scan := r.scan.Take()
-	limit := r.cons // cannot reclaim past the consumer
-	now := p.Now()
-	for r.reclaim < limit && len(scan) < r.nLines {
-		ln := r.lineAt(r.reclaim)
-		if !r.cleared(ln) || now < ln.clearVisibleAt {
-			break
-		}
-		scan = append(scan, r.lineAddr(r.reclaim))
-		r.reclaim++
-		r.credits++
-	}
-	if len(scan) > 0 {
-		a.GatherRead(p, scan)
-		r.reclaimedSinceTake += len(scan)
-		r.notify()
-	}
-	r.scan.Put(scan)
+	w := walker(&r.walks)
+	d, ok := w.Post(r, a, bufs)
+	return w.park(p, d, ok)
 }
 
 // TakeReclaimed returns the number of ring lines reclaimed (observed cleared
 // by the consumer) since the last call. Producers that manage buffers
 // host-side use this to free the corresponding in-flight TX buffers.
+//
+//ccnic:noalloc
 func (r *Inline) TakeReclaimed() int {
 	n := r.reclaimedSinceTake
 	r.reclaimedSinceTake = 0
@@ -329,14 +256,19 @@ func (r *Inline) TakeReclaimed() int {
 
 // readyAt reports whether a Grouped or Padded line's descriptors are ready
 // and observable by the consumer at now.
+//
+//ccnic:noalloc
 func (ln *line) readyAt(now sim.Time) bool { return ln.ready && now >= ln.visibleAt }
 
 // slotReadyAt reports whether Packed slot i holds a ready descriptor
 // observable by the consumer at now.
+//
+//ccnic:noalloc
 func (ln *line) slotReadyAt(i int, now sim.Time) bool {
 	return ln.bufs[i] != nil && ln.slotReady[i] && now >= ln.slotVisible[i]
 }
 
+//ccnic:noalloc
 func (r *Inline) cleared(ln *line) bool {
 	if ln.ready || ln.count != 0 {
 		return false
@@ -351,11 +283,12 @@ func (r *Inline) cleared(ln *line) bool {
 
 // Consume polls the consumer's current position and takes up to len(out)
 // descriptors into out, clearing consumed state (the completion/credit
-// signal). It returns how many it took; zero means nothing was ready.
+// signal). It returns how many it took; zero means nothing was ready. It
+// runs as a Walk, parking p once.
 func (r *Inline) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) int {
-	n := r.consume(p, a, out)
-	r.notify()
-	return n
+	w := walker(&r.walks)
+	d, ok := w.Consume(r, a, out)
+	return w.park(p, d, ok)
 }
 
 // IdlePoll reports whether the next Consume would begin with an empty poll
@@ -369,6 +302,8 @@ func (r *Inline) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) in
 // until is the instant the answer changes by itself, with no further
 // publish: a Packed slot posted but not yet visible turns ready at its
 // visibility; otherwise sim.Never. Every publish fires the ring's Watch.
+//
+//ccnic:noalloc
 func (r *Inline) IdlePoll(now sim.Time) (addr mem.Addr, until sim.Time, ok bool) {
 	ln := r.lineAt(r.cons)
 	addr = r.lineAddr(r.cons)
@@ -387,6 +322,8 @@ func (r *Inline) IdlePoll(now sim.Time) (addr mem.Addr, until sim.Time, ok bool)
 }
 
 // Watch returns the ring's publish watch, for the consumer's doze.
+//
+//ccnic:noalloc
 func (r *Inline) Watch() *sim.Watch { return &r.watch }
 
 // FinishPoll ends a Consume whose empty poll (IdlePoll) has just completed,
@@ -394,91 +331,13 @@ func (r *Inline) Watch() *sim.Watch { return &r.watch }
 // have found work: a line turns ready only when the producer's RFO
 // completes, and that RFO must first invalidate the consumer's resident
 // copy, so it cannot complete inside the consumer's L2-hit poll.
+//
+//ccnic:noalloc
 func (r *Inline) FinishPoll(now sim.Time) {
 	if r.layout != Packed && r.lineAt(r.cons).readyAt(now) {
 		panic(fmt.Sprintf("%s: line %d became ready inside an L2-hit poll, which the producer's RFO must invalidate first", r.CheckDesc(), r.cons))
 	}
 	r.notify()
-}
-
-// consume takes up to len(out) descriptors into out.
-func (r *Inline) consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) int {
-	n := 0
-	for n < len(out) {
-		ln := r.lineAt(r.cons)
-		addr := r.lineAddr(r.cons)
-		switch r.layout {
-		case Packed:
-			took := false
-			for ln.taken < SlotsPerLine && n < len(out) {
-				i := ln.taken
-				if !ln.slotReadyAt(i, p.Now()) {
-					break
-				}
-				// Poll+take+clear one descriptor slot.
-				a.Poll(p, addr+mem.Addr(i*DescSize), DescSize)
-				// Online descriptor-group safety assertion: the poll
-				// yielded, so re-check that the slot still carries a
-				// set, visible ready flag before taking it.
-				if pr := r.sys.Probe(); pr != nil && (!ln.slotReady[i] || p.Now() < ln.slotVisible[i]) {
-					pr.Fail(fmt.Errorf("%s: consuming slot %d of line %d with a clear or not-yet-visible ready flag", r.CheckDesc(), i, r.cons))
-				}
-				out[n] = ln.bufs[i]
-				n++
-				vis := a.WriteAsync(p, addr+mem.Addr(i*DescSize), DescSize)
-				ln.clearVisibleAt = vis
-				ln.bufs[i] = nil
-				ln.slotReady[i] = false
-				ln.taken++
-				took = true
-			}
-			if ln.taken == SlotsPerLine {
-				ln.count, ln.taken = 0, 0
-				r.cons++
-				continue
-			}
-			if !took {
-				a.Poll(p, addr+mem.Addr(ln.taken*DescSize), DescSize) // empty poll
-				return n
-			}
-			return n
-		//ccnic:default-ok Grouped and Padded share the line-granularity path; only Packed differs
-		default:
-			// A successful consume streams sequentially through ring
-			// lines, so it trains the hardware prefetcher (Read); an
-			// empty poll re-checks the same line and does not (Poll).
-			if ln.ready {
-				a.Read(p, addr, DescSize)
-			} else {
-				a.Poll(p, addr, DescSize)
-			}
-			if !ln.readyAt(p.Now()) {
-				return n
-			}
-			for ln.taken < ln.count && n < len(out) {
-				out[n] = ln.bufs[ln.taken]
-				n++
-				ln.bufs[ln.taken] = nil
-				ln.taken++
-			}
-			if ln.taken < ln.count {
-				return n // caller's batch filled mid-line
-			}
-			// Clearing the line is one coalesced store (the
-			// consumer already owns it after the poll). Charge it
-			// before exposing the cleared state.
-			vis := a.WriteAsync(p, addr, mem.LineSize)
-			ln.clearVisibleAt = vis
-			ln.count, ln.taken = 0, 0
-			ln.ready = false
-			r.cons++
-			// Driver-style software prefetch of the next ring line
-			// (rte_prefetch0): under backlog the following group's
-			// fetch overlaps with processing this one.
-			a.SoftPrefetch(r.lineAddr(r.cons))
-		}
-	}
-	return n
 }
 
 // Pending returns the number of published-but-unconsumed descriptors (for

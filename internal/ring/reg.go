@@ -33,6 +33,8 @@ type Reg struct {
 	postLines, consLines sim.Scratch[mem.Addr]
 	// reclaim feeds Reclaim's free burst.
 	reclaim reclaimFeed
+	// walks is the free list of the process-side operations.
+	walks *Walk
 
 	// Software indexes (monotone; callers take mod Size).
 	TailIdx int // producer publish position
@@ -66,12 +68,16 @@ func NewReg(sys *coherence.System, nDesc, descSocket, regSocket int) *Reg {
 // Watch returns the ring's publish watch, for the consumer's doze. Post
 // fires it; a producer that gates the consumer's view of the tail on its
 // register write's visibility fires it once it has set that gate.
+//
+//ccnic:noalloc
 func (r *Reg) Watch() *sim.Watch { return &r.watch }
 
 // Size returns the descriptor count.
 func (r *Reg) Size() int { return r.nDesc }
 
 // notify reports a completed ring mutation to the system's validation probe.
+//
+//ccnic:noalloc
 func (r *Reg) notify() {
 	if pr := r.sys.Probe(); pr != nil {
 		pr.ObjectEvent(r)
@@ -98,6 +104,8 @@ func (r *Reg) CheckInvariants() error {
 }
 
 // Space returns the number of free descriptor slots for the producer.
+//
+//ccnic:noalloc
 func (r *Reg) Space() int { return r.nDesc - (r.TailIdx - r.HeadIdx) - 1 }
 
 // DescAddr returns the address of descriptor i (absolute index).
@@ -108,9 +116,13 @@ func (r *Reg) DescAddr(i int) mem.Addr {
 }
 
 // TailReg returns the tail register line address.
+//
+//ccnic:noalloc
 func (r *Reg) TailReg() mem.Addr { return r.tail }
 
 // HeadReg returns the head register line address.
+//
+//ccnic:noalloc
 func (r *Reg) HeadReg() mem.Addr { return r.head }
 
 // LinesFor appends to dst the distinct descriptor cache lines covering
@@ -127,23 +139,11 @@ func (r *Reg) LinesFor(dst []mem.Addr, from, count int) []mem.Addr {
 	return dst
 }
 
-// access charges agent a for a gather read (or, with write, a scatter
-// write) of the descriptor lines covering [from, from+count), building the
-// list in the given side's scratch.
-func (r *Reg) access(p *sim.Proc, a *coherence.Agent, side *sim.Scratch[mem.Addr], from, count int, write bool) {
-	lines := r.LinesFor(side.Take(), from, count)
-	if write {
-		a.ScatterWrite(p, lines)
-	} else {
-		a.GatherRead(p, lines)
-	}
-	side.Put(lines)
-}
-
 // Put stores a buffer in slot i and clears its done flag, taking ownership:
 // the buffer now belongs to the ring until the peer Takes it.
 //
 //ccnic:transfer
+//ccnic:noalloc
 func (r *Reg) Put(i int, b *bufpool.Buf) {
 	r.slots[i%r.nDesc] = b
 	r.done[i%r.nDesc] = false
@@ -151,12 +151,15 @@ func (r *Reg) Put(i int, b *bufpool.Buf) {
 }
 
 // Get returns the buffer in slot i.
+//
+//ccnic:noalloc
 func (r *Reg) Get(i int) *bufpool.Buf { return r.slots[i%r.nDesc] }
 
 // Take removes and returns the buffer in slot i; the caller now owns it
 // (nil if the slot is empty).
 //
 //ccnic:owns
+//ccnic:noalloc
 func (r *Reg) Take(i int) *bufpool.Buf {
 	b := r.slots[i%r.nDesc]
 	r.slots[i%r.nDesc] = nil
@@ -165,52 +168,49 @@ func (r *Reg) Take(i int) *bufpool.Buf {
 }
 
 // SetDone marks descriptor i completed (the DD writeback).
+//
+//ccnic:noalloc
 func (r *Reg) SetDone(i int) {
 	r.done[i%r.nDesc] = true
 	r.notify()
 }
 
 // Done reports descriptor i's completion flag.
+//
+//ccnic:noalloc
 func (r *Reg) Done(i int) bool { return r.done[i%r.nDesc] }
 
 // ClearDone resets descriptor i's completion flag.
+//
+//ccnic:noalloc
 func (r *Reg) ClearDone(i int) { r.done[i%r.nDesc] = false }
 
 // Post writes up to len(bufs) descriptors at the tail from the producer
 // agent and advances TailIdx, returning how many fit (limited by Space).
-// Publishing the new tail (doorbell or tail-register write) is the caller's.
+// Publishing the new tail (doorbell or tail-register write) is the
+// caller's. It runs as a Walk, parking p once.
 func (r *Reg) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int {
-	n := min(len(bufs), r.Space())
-	if n <= 0 {
-		return 0 // no empty ScatterWrite: it still draws a cache-pressure fault
-	}
-	for i, b := range bufs[:n] {
-		r.Put(r.TailIdx+i, b)
-	}
-	r.access(p, a, &r.postLines, r.TailIdx, n, true)
-	r.TailIdx += n
-	r.watch.Fire()
-	return n
+	w := walker(&r.walks)
+	d, ok := w.RegPost(r, a, bufs, nil)
+	return w.park(p, d, ok)
 }
 
 // Consume reads the len(out) descriptors at the head from the consumer
 // agent and takes their buffers into out, advancing HeadIdx. The caller has
-// established that they are ready.
+// established that they are ready. It runs as a Walk, parking p once.
 func (r *Reg) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) {
-	r.access(p, a, &r.consLines, r.HeadIdx, len(out), false)
-	for i := range out {
-		out[i] = r.Take(r.HeadIdx)
-		r.ClearDone(r.HeadIdx)
-		r.HeadIdx++
-	}
+	w := walker(&r.walks)
+	d, ok := w.RegConsume(r, a, out)
+	w.park(p, d, ok)
 }
 
 // Reclaim is Consume for n completed descriptors whose buffers go straight
-// back to port (TX completion reclaim), freed as one burst.
+// back to port (TX completion reclaim), freed as one burst. It runs as a
+// Walk, parking p once.
 func (r *Reg) Reclaim(p *sim.Proc, a *coherence.Agent, n int, port *bufpool.Port) {
-	r.access(p, a, &r.consLines, r.HeadIdx, n, false)
-	r.reclaim = reclaimFeed{r: r, left: n}
-	port.FreeFed(p, &r.reclaim)
+	w := walker(&r.walks)
+	d, ok := w.Reclaim(r, a, n, port)
+	w.park(p, d, ok)
 }
 
 // reclaimFeed hands Reclaim's free burst (bufpool.FreeFeed) the buffers of

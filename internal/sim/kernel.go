@@ -42,6 +42,16 @@ type Probe interface {
 	RunEnd(now Time)
 }
 
+// ParkProbe observes the parks that switch a process out: Park runs on the
+// parking process's own coroutine just before it hands execution back to
+// the run loop, so the probe can read the park site off its stack (a park
+// ledger, for tests and profiling). Each such park is followed by a
+// coroutine switch into another process, or the run's end; a park the
+// run-next fast path absorbs switches nothing and is not reported.
+type ParkProbe interface {
+	Park(p *Proc)
+}
+
 // Proc is a simulated process. A Proc's function runs on its own coroutine
 // (an iter.Pull-backed goroutine resumed by direct coroutine switches, never
 // through the Go scheduler), and the kernel guarantees that at most one
@@ -192,6 +202,9 @@ func (p *Proc) park(s procState) {
 	} else {
 		k.waiting++
 		k.hand = k.reschedule(nil)
+	}
+	if pp := k.parkProbe; pp != nil {
+		pp.Park(p)
 	}
 	if !p.yield(struct{}{}) {
 		panic(abortSignal{})
@@ -359,12 +372,19 @@ type Kernel struct {
 	// structs, bounded by the high-water mark of live bodiless processes.
 	spare []*Proc
 
-	// probe is the optional scheduling observer; nil in normal runs.
-	probe Probe
+	// probe is the optional scheduling observer, and parkProbe the
+	// optional park observer; nil in normal runs.
+	probe     Probe
+	parkProbe ParkProbe
 }
 
 // SetProbe installs (or removes, with nil) the kernel's scheduling probe.
 func (k *Kernel) SetProbe(p Probe) { k.probe = p }
+
+// SetParkProbe installs (or removes, with nil) the kernel's park probe.
+// Unlike a scheduling probe it changes nothing about the run: idle cores
+// still doze.
+func (k *Kernel) SetParkProbe(pp ParkProbe) { k.parkProbe = pp }
 
 // New creates an empty kernel at time zero.
 func New() *Kernel {

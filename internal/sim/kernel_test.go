@@ -1232,3 +1232,60 @@ func TestWaitEventsCompaction(t *testing.T) {
 	}
 	k.Shutdown()
 }
+
+// parkCounter is a ParkProbe that counts parks per process and checks
+// that each runs on the parking process's own stack.
+type parkCounter struct {
+	t     *testing.T
+	parks map[string]int
+	k     *Kernel
+}
+
+func (c *parkCounter) Park(p *Proc) {
+	if c.k.Resumes() == 0 {
+		c.t.Errorf("%s parked before any process was resumed", p.Name())
+	}
+	c.parks[p.Name()]++
+}
+
+// TestParkProbe checks that the park probe sees exactly the parks that
+// switch a process out: every resume but a process's first follows one,
+// so parks equal resumes minus starts; a bodiless process reports none;
+// and the probe changes nothing about the run.
+func TestParkProbe(t *testing.T) {
+	run := func(probe bool) (uint64, uint64, Time, map[string]int) {
+		k := New()
+		c := &parkCounter{t: t, parks: map[string]int{}, k: k}
+		if probe {
+			k.SetParkProbe(c)
+		}
+		for i := 0; i < 2; i++ {
+			k.Spawn(fmt.Sprintf("ping%d", i), func(p *Proc) {
+				for j := 0; j < 10; j++ {
+					p.Sleep(Time(3 + i))
+				}
+			})
+		}
+		n := 0
+		k.SpawnSpin("spinner", func() (Time, bool) { n++; return 7, n < 6 })
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return k.Events(), k.Resumes(), k.Now(), c.parks
+	}
+	events, resumes, now, parks := run(true)
+	e0, r0, n0, _ := run(false)
+	if events != e0 || resumes != r0 || now != n0 {
+		t.Fatalf("probed run: %d events, %d resumes, clock %d; unprobed %d, %d, %d", events, resumes, now, e0, r0, n0)
+	}
+	total := 0
+	for _, n := range parks {
+		total += n
+	}
+	if starts := uint64(2); uint64(total) != resumes-starts {
+		t.Errorf("%d parks reported over %d resumes of %d started processes, want resumes - starts", total, resumes, starts)
+	}
+	if parks["spinner"] != 0 || parks["ping0"] == 0 || parks["ping1"] == 0 {
+		t.Errorf("parks by process %v: want both pingers and not the spinner", parks)
+	}
+}
