@@ -261,14 +261,14 @@ func checkFlags(v flagValues, plat *platform.Platform) error {
 		return fmt.Errorf("-rate %v: want a finite number of at least 0", v.rate)
 	}
 	for _, f := range []struct {
-		name string
-		val  int
+		name     string
+		val, min int
 	}{
-		{"window", v.window}, {"txbatch", v.txBatch}, {"rxbatch", v.rxBatch},
-		{"overlay-threads", v.overlayThreads}, {"bulk", v.bulk}, {"shards", v.shards},
+		{"window", v.window, 1}, {"txbatch", v.txBatch, 1}, {"rxbatch", v.rxBatch, 1},
+		{"overlay-threads", v.overlayThreads, 0}, {"bulk", v.bulk, 0}, {"shards", v.shards, 0},
 	} {
-		if f.val < 0 {
-			return fmt.Errorf("-%s %d: want at least 0", f.name, f.val)
+		if f.val < f.min {
+			return fmt.Errorf("-%s %d: want at least %d", f.name, f.val, f.min)
 		}
 	}
 	if v.dist != "ads" && v.dist != "geo" {

@@ -62,9 +62,17 @@ func TestCheckFlags(t *testing.T) {
 		{"defaults", "", ""},
 		{"one queue", "-queues 1", ""},
 		{"every core", "-queues 16", ""},
-		{"zero loopback knobs", "-rate 0 -window 0 -txbatch 0 -rxbatch 0", ""},
+		{"zero loopback knobs", "-rate 0 -window 0 -txbatch 0 -rxbatch 0", "-window 0: want at least 1"},
 		{"zero overlay threads", "-iface overlay -overlay-threads 0", ""},
-		{"zero cluster knobs", "-workload cluster -window 0 -bulk 0 -shards 0", ""},
+		{"zero cluster knobs", "-workload cluster -window 0 -bulk 0 -shards 0", "-window 0: want at least 1"},
+		{"zero rate", "-rate 0", ""},
+		{"zero window", "-window 0", "-window 0: want at least 1"},
+		{"zero cluster window", "-workload cluster -window 0", "-window 0: want at least 1"},
+		{"zero txbatch", "-txbatch 0", "-txbatch 0: want at least 1"},
+		{"zero rxbatch", "-rxbatch 0", "-rxbatch 0: want at least 1"},
+		{"zero bulk", "-workload cluster -bulk 0", ""},
+		{"zero shards", "-workload cluster -shards 0", ""},
+		{"unit loopback knobs", "-window 1 -txbatch 1 -rxbatch 1", ""},
 		{"geo", "-workload kv -dist geo", ""},
 		{"negative queues", "-queues -2", "-queues -2"},
 		{"zero queues", "-queues 0", "-queues 0"},

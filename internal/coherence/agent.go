@@ -473,26 +473,6 @@ func (a *Agent) SpinPoll(addr mem.Addr) (sim.Time, bool) {
 	return a.sys.access(a, line, false, false, false).lat, true
 }
 
-// WatchPoll arms the agent's L2 watch for d, the doze of the one process
-// that polls addr through this agent (see sim.Doze): while nothing changes
-// the L2's recency list, every later SpinPoll of addr is an L2 hit on the
-// most recent line, which changes nothing, and every PollCommit returns
-// early. Any promotion, fill, invalidation or eviction in the L2 — another
-// process's access through the agent included — fires the watch. It
-// declines unless addr's line is the L2's most recent, no fault plan is
-// armed (SpinPoll would decline) and no validation probe is installed
-// (the probe sees every access, and every ring operation on the system);
-// and while another process's doze holds the watch.
-//
-//ccnic:noalloc
-func (a *Agent) WatchPoll(addr mem.Addr, d *sim.Doze) bool {
-	s, c := a.sys, a.l2
-	if s.flt != nil || s.probe != nil || c.head.next == &c.head || c.head.next.line != mem.LineOf(addr) {
-		return false
-	}
-	return c.watch.Arm(d)
-}
-
 // PollCommit is the completion half of a SpinPoll: the read's coherence
 // transition at completion time, as Poll applies it after its sleep. A
 // line invalidated while the poll was in flight is fetched again here.

@@ -42,7 +42,20 @@ func (t *lineTable[T]) at(line mem.Addr) *T {
 	mids := t.top[home]
 	mi := idx >> (leafShift + midShift)
 	if mi >= len(mids) {
-		mids = append(mids, make([]*lineMid[T], mi+1-len(mids))...) //ccnic:alloc-ok top-level growth, once per 32KB span
+		// One make and a copy, with append's growth policy: under -race
+		// the compiler leaves append(mids, make(...)...) unfused, which
+		// allocates twice.
+		if c := cap(mids); mi >= c {
+			if c < 256 {
+				c *= 2
+			} else {
+				c += (c + 768) / 4
+			}
+			grown := make([]*lineMid[T], mi+1, max(mi+1, c)) //ccnic:alloc-ok top-level growth, once per 32KB span
+			copy(grown, mids)
+			mids = grown
+		}
+		mids = mids[:mi+1]
 		t.top[home] = mids
 	}
 	m := mids[mi]

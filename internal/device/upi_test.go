@@ -18,26 +18,8 @@ import (
 // ordering and conservation.
 func runUPI(t *testing.T, cfg UPIConfig, n, size int) sim.Time {
 	t.Helper()
-	return loopUPI(t, cfg, coherence.ProtoUPI, false, n, size).elapsed
-}
-
-// loopRun is what a loopUPI run leaves: the loopback's duration, the
-// kernel's events and the device's NIC steps.
-type loopRun struct {
-	elapsed sim.Time
-	events  uint64
-	steps   int64
-}
-
-// loopUPI is runUPI under the given protocol, with a no-op validation
-// probe installed when probe is set.
-func loopUPI(t *testing.T, cfg UPIConfig, proto coherence.Protocol, probe bool, n, size int) loopRun {
-	t.Helper()
 	k := sim.New()
-	sys := coherence.NewSystemProto(k, platform.ICX(), proto)
-	if probe {
-		sys.SetProbe(nopProbe{})
-	}
+	sys := coherence.NewSystem(k, platform.ICX())
 	hostA := sys.NewAgent(0, "host0")
 	nicA := sys.NewAgent(1, "nic0")
 	dev := NewUPI("upi", sys, cfg, []*coherence.Agent{hostA}, []*coherence.Agent{nicA})
@@ -120,7 +102,7 @@ func loopUPI(t *testing.T, cfg UPIConfig, proto coherence.Protocol, probe bool, 
 	if err := dev.Pool().CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	return loopRun{elapsed, k.Events(), dev.NICSteps()}
+	return elapsed
 }
 
 func TestCCNICLoopbackDeliversInOrder(t *testing.T) {
@@ -148,29 +130,6 @@ func TestAllDesignPointsWork(t *testing.T) {
 					cfg.SharedPool = nicMgmt
 					runUPI(t, cfg, 100, 64)
 				})
-			}
-		}
-	}
-}
-
-// Under load a dozing NIC core is woken by every kind of publish, on
-// every design point and under both protocols: each loopback makes exactly
-// the events and NIC steps, in exactly the time, of the same run under a
-// no-op validation probe, which keeps the core from dozing.
-func TestDozingLoopbackMatchesProbed(t *testing.T) {
-	packed, padded := CCNICConfig(), CCNICConfig()
-	packed.Layout, padded.Layout = ring.Packed, ring.Padded
-	hostMgmt := CCNICConfig()
-	hostMgmt.NICBufMgmt, hostMgmt.SharedPool = false, false
-	for _, tc := range []struct {
-		name string
-		cfg  UPIConfig
-	}{{"ccnic", CCNICConfig()}, {"packed", packed}, {"padded", padded}, {"hostmgmt", hostMgmt}, {"unopt", UnoptConfig()}} {
-		for _, proto := range []coherence.Protocol{coherence.ProtoUPI, coherence.ProtoCXL} {
-			got := loopUPI(t, tc.cfg, proto, false, 200, 64)
-			want := loopUPI(t, tc.cfg, proto, true, 200, 64)
-			if got != want {
-				t.Errorf("%s/%v: dozing run made %+v, the probed run %+v", tc.name, proto, got, want)
 			}
 		}
 	}
@@ -289,17 +248,15 @@ func TestIdlePollSpins(t *testing.T) {
 
 // The host's post lands at every phase of the NIC's poll period, including
 // between a spun poll's issue and its completion, and always while the
-// core dozes: on the register ring the tail index has then advanced before
-// the tail register's visibility gate, and the core must resume right
-// after the poll to take the packets; on the Packed ring the post's first
+// core polls idle: on the register ring the tail index has then advanced
+// before the tail register's visibility gate, and the core must resume
+// right after the poll to take the packets; on the Packed ring the post's first
 // slot turns ready at its visibility, with no further publish. On the
 // inline rings no post can land inside the poll (Inline.FinishPoll panics
 // if one does). Every run delivers every packet in order, with the pool
 // conserved, and makes exactly the events and NIC steps of the same run
-// under a no-op validation probe, which keeps the core from dozing. Each
-// row runs under UPI and under CXL, where the producer's store need not
-// invalidate the NIC's polled copy, so only the ring's watch ends the
-// doze.
+// under a no-op validation probe. Each row runs under UPI and under CXL,
+// where the producer's store need not invalidate the NIC's polled copy.
 func TestPostAcrossPollPeriod(t *testing.T) {
 	plat := platform.ICX()
 	period := plat.L2Hit + plat.PollGap
@@ -324,6 +281,7 @@ func TestPostAcrossPollPeriod(t *testing.T) {
 		got := 0
 		k.Spawn("host", func(p *sim.Proc) {
 			p.Sleep(2*sim.Microsecond + off)
+			t0, n0 := p.Now(), dev.NICSteps()
 			bufs := make([]*bufpool.Buf, n)
 			for i := range bufs {
 				b := q.Port().Alloc(p, 64)
@@ -331,8 +289,8 @@ func TestPostAcrossPollPeriod(t *testing.T) {
 				hostA.StreamWrite(p, b.Addr, 64)
 				bufs[i] = b
 			}
-			if dozing := dev.qs[0].idle.doze.Dozing(); dozing == probe {
-				t.Errorf("%s +%v probe=%v: the core was dozing=%v when the post landed", name, off, probe, dozing)
+			if n, want := dev.NICSteps()-n0, int64((p.Now()-t0)/period); n0 == 0 || n < want || n > want+1 || dev.qs[0].idle.found != 0 {
+				t.Errorf("%s +%v probe=%v: the core made %d polls (%d finding work) in the %v before the post landed, want %d empty ones", name, off, probe, n, dev.qs[0].idle.found, p.Now()-t0, want)
 			}
 			if sent := q.TxBurst(p, bufs); sent != n {
 				t.Errorf("%s +%v: posted %d of %d", name, off, sent, n)
@@ -376,7 +334,7 @@ func TestPostAcrossPollPeriod(t *testing.T) {
 				got := run(t, name, tc.cfg, proto, off, false)
 				want := run(t, name, tc.cfg, proto, off, true)
 				if got != want {
-					t.Errorf("%s +%v: dozing run made %+v, the probed run %+v", name, off, got, want)
+					t.Errorf("%s +%v: plain run made %+v, the probed run %+v", name, off, got, want)
 				}
 				found += got.found
 			}
@@ -388,8 +346,8 @@ func TestPostAcrossPollPeriod(t *testing.T) {
 	}
 }
 
-// nopProbe is a validation probe that checks nothing: installing it only
-// keeps NIC cores from dozing.
+// nopProbe is a validation probe that checks nothing: a run under it must
+// make exactly the events of the same run without it.
 type nopProbe struct{}
 
 func (nopProbe) LineEvent(mem.Addr)              {}

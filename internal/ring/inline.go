@@ -108,9 +108,6 @@ type Inline struct {
 
 	scan  sim.Scratch[mem.Addr] // the producer's replenish scan
 	walks *Walk                 // free list of the process-side operations
-
-	// watch is fired by every publish: each line, and each Packed slot.
-	watch sim.Watch
 }
 
 // NewInline allocates an inline ring of nLines cache lines, homed on the
@@ -299,32 +296,19 @@ func (r *Inline) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) in
 // FinishPoll. IdlePoll is false when the consumer's line is already ready:
 // that Consume reads it, training the prefetcher.
 //
-// until is the instant the answer changes by itself, with no further
-// publish: a Packed slot posted but not yet visible turns ready at its
-// visibility; otherwise sim.Never. Every publish fires the ring's Watch.
-//
 //ccnic:noalloc
-func (r *Inline) IdlePoll(now sim.Time) (addr mem.Addr, until sim.Time, ok bool) {
+func (r *Inline) IdlePoll(now sim.Time) (addr mem.Addr, ok bool) {
 	ln := r.lineAt(r.cons)
 	addr = r.lineAddr(r.cons)
 	if r.layout == Packed {
 		i := ln.taken
 		if ln.slotReadyAt(i, now) {
-			return 0, 0, false
+			return 0, false
 		}
-		until = sim.Never
-		if ln.bufs[i] != nil && ln.slotReady[i] {
-			until = ln.slotVisible[i]
-		}
-		return addr + mem.Addr(i*DescSize), until, true
+		return addr + mem.Addr(i*DescSize), true
 	}
-	return addr, sim.Never, !ln.ready
+	return addr, !ln.ready
 }
-
-// Watch returns the ring's publish watch, for the consumer's doze.
-//
-//ccnic:noalloc
-func (r *Inline) Watch() *sim.Watch { return &r.watch }
 
 // FinishPoll ends a Consume whose empty poll (IdlePoll) has just completed,
 // reported to the probe as Consume reports an empty one. That poll cannot

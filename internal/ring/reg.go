@@ -39,10 +39,6 @@ type Reg struct {
 	// Software indexes (monotone; callers take mod Size).
 	TailIdx int // producer publish position
 	HeadIdx int // consumer completion position
-
-	// watch is fired by every advance of TailIdx, and by the producer's
-	// publish of the tail register (Watch).
-	watch sim.Watch
 }
 
 // NewReg allocates a register ring with nDesc descriptors. The descriptor
@@ -64,13 +60,6 @@ func NewReg(sys *coherence.System, nDesc, descSocket, regSocket int) *Reg {
 		done:  make([]bool, nDesc),
 	}
 }
-
-// Watch returns the ring's publish watch, for the consumer's doze. Post
-// fires it; a producer that gates the consumer's view of the tail on its
-// register write's visibility fires it once it has set that gate.
-//
-//ccnic:noalloc
-func (r *Reg) Watch() *sim.Watch { return &r.watch }
 
 // Size returns the descriptor count.
 func (r *Reg) Size() int { return r.nDesc }

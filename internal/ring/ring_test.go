@@ -385,80 +385,23 @@ func TestNewRegValidation(t *testing.T) {
 	})
 }
 
-// dozeOn runs a process that dozes on w from now on: each time a fire
-// wakes it, its step dozes again. It returns the count of step calls, one
-// more than the fires that woke it.
-func dozeOn(k *sim.Kernel, w *sim.Watch) *int {
-	calls := 0
-	d := sim.Doze{Issue: sim.Picosecond, Gap: sim.Picosecond}
-	k.Spawn("dozer", func(p *sim.Proc) {
-		p.Spin(0, func() (sim.Time, bool) {
-			calls++
-			if w.Arm(&d) {
-				p.Doze(&d, sim.Never)
-			}
-			return d.Gap, true
-		})
-	})
-	return &calls
-}
-
-// Every publish fires the ring's watch: each line of an inline post, each
-// slot of a Packed one, and each register-ring post; nothing else does.
-func TestPublishFiresWatch(t *testing.T) {
-	for _, layout := range []Layout{Grouped, Packed, Padded} {
-		var calls *int
-		withEnv(t, func(p *sim.Proc, e *env) {
-			r := NewInline(e.sys, layout, 8, 0)
-			calls = dozeOn(p.Kernel(), r.Watch())
-			p.Sleep(sim.Nanosecond)
-			if *calls != 1 {
-				t.Fatalf("%v: the dozer stepped %d times before any publish", layout, *calls)
-			}
-			r.Post(p, e.host, e.bufs(p, 6))
-			consumeUpTo(p, r, e.nic, 6)
-			p.Sleep(sim.Nanosecond)
-			p.Kernel().Stop()
-		})
-		want := map[Layout]int{Grouped: 2, Packed: 6, Padded: 6}[layout]
-		if *calls-1 != want {
-			t.Errorf("%v: a 6-descriptor post woke the dozer %d times, want %d", layout, *calls-1, want)
-		}
-	}
-	var calls *int
-	withEnv(t, func(p *sim.Proc, e *env) {
-		r := NewReg(e.sys, 64, 0, 1)
-		calls = dozeOn(p.Kernel(), r.Watch())
-		p.Sleep(sim.Nanosecond)
-		r.Post(p, e.host, e.bufs(p, 6))
-		r.Post(p, e.host, e.bufs(p, 2))
-		out := make([]*bufpool.Buf, 8)
-		r.Consume(p, e.nic, out)
-		p.Sleep(sim.Nanosecond)
-		p.Kernel().Stop()
-	})
-	if *calls-1 != 2 {
-		t.Errorf("reg: two posts woke the dozer %d times, want 2", *calls-1)
-	}
-}
-
-// A Packed slot posted but not yet visible turns the consumer's idle poll
-// into a ready one at its visibility, with no further publish: IdlePoll
-// reports that instant as the answer's horizon.
+// A Packed slot posted but not yet visible leaves the consumer's poll idle
+// until its visibility, with no further publish: from that instant IdlePoll
+// reports the slot ready.
 func TestIdlePollHorizon(t *testing.T) {
 	withEnv(t, func(p *sim.Proc, e *env) {
 		r := NewInline(e.sys, Packed, 8, 0)
-		if _, until, ok := r.IdlePoll(p.Now()); !ok || until != sim.Never {
-			t.Fatalf("empty ring: IdlePoll = (%v, %v), want an idle poll with no horizon", until, ok)
+		if _, ok := r.IdlePoll(p.Now()); !ok {
+			t.Fatal("empty ring: IdlePoll reports no idle poll")
 		}
 		r.Post(p, e.host, e.bufs(p, 1))
-		_, until, ok := r.IdlePoll(p.Now())
-		if !ok || until <= p.Now() {
-			t.Fatalf("posted slot: IdlePoll = (%v, %v) at %v, want an idle poll until the slot is visible", until, ok, p.Now())
+		vis := r.lineAt(r.cons).slotVisible[0]
+		if _, ok := r.IdlePoll(p.Now()); !ok || vis <= p.Now() {
+			t.Fatalf("posted slot: IdlePoll = %v at %v, want an idle poll until the slot is visible at %v", ok, p.Now(), vis)
 		}
-		p.Sleep(until - p.Now())
-		if _, _, ok := r.IdlePoll(p.Now()); ok {
-			t.Fatalf("IdlePoll still idle at the slot's visibility %v", until)
+		p.Sleep(vis - p.Now())
+		if _, ok := r.IdlePoll(p.Now()); ok {
+			t.Fatalf("IdlePoll still idle at the slot's visibility %v", vis)
 		}
 		consumeUpTo(p, r, e.nic, 1)
 		p.Kernel().Stop()

@@ -247,7 +247,6 @@ func (w *Walk) run() (sim.Time, bool) {
 			r := w.rg
 			w.endAccess()
 			r.TailIdx += w.n
-			r.watch.Fire()
 			if w.tail == nil {
 				w.stage = walkEnded
 				continue
@@ -258,7 +257,6 @@ func (w *Walk) run() (sim.Time, bool) {
 			}
 		case regTail:
 			*w.tail = w.acc.Visible()
-			w.rg.watch.Fire()
 			w.stage = walkEnded
 		case regConsumed:
 			r := w.rg
@@ -490,7 +488,6 @@ func (w *Walk) post() (d sim.Time, ok, more bool) {
 			ln.count = i + 1
 			ln.slotVisible[i] = vis
 			ln.slotReady[i] = true
-			r.watch.Fire()
 			w.n++
 			r.prodSlot++
 			if r.prodSlot == SlotsPerLine {
@@ -506,7 +503,6 @@ func (w *Walk) post() (d sim.Time, ok, more bool) {
 		ln.count = n
 		ln.visibleAt = vis
 		ln.ready = true
-		r.watch.Fire()
 		r.prod++
 		r.credits--
 		w.n += n

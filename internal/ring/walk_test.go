@@ -39,7 +39,6 @@ func bodyPost(p *sim.Proc, r *Inline, a *coherence.Agent, bufs []*bufpool.Buf) i
 			ln.count = i + 1
 			ln.slotVisible[i] = vis
 			ln.slotReady[i] = true
-			r.watch.Fire()
 			posted++
 			r.prodSlot++
 			if r.prodSlot == SlotsPerLine {
@@ -61,7 +60,6 @@ func bodyPost(p *sim.Proc, r *Inline, a *coherence.Agent, bufs []*bufpool.Buf) i
 		ln.count = n
 		ln.visibleAt = vis
 		ln.ready = true
-		r.watch.Fire()
 		r.prod++
 		r.credits--
 		posted += n
@@ -185,10 +183,8 @@ func bodyRegPost(p *sim.Proc, r *Reg, a *coherence.Agent, bufs []*bufpool.Buf, t
 	}
 	bodyRegAccess(p, r, a, &r.postLines, r.TailIdx, n, true)
 	r.TailIdx += n
-	r.watch.Fire()
 	if tail != nil {
 		*tail = a.WriteAsync(p, r.TailReg(), 8)
-		r.watch.Fire()
 	}
 	return n
 }

@@ -4,8 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"strings"
 )
+
+// Never is an instant that no clock reaches.
+const Never = Time(math.MaxInt64)
 
 // ErrDeadlock is returned by Run when processes remain blocked on events but
 // no process is runnable, so virtual time can no longer advance. Run wraps it
@@ -75,9 +79,6 @@ type Proc struct {
 	// spin is the step the scheduler calls at each wake while the process
 	// is parked in Spin; nil otherwise.
 	spin func() (Time, bool)
-	// doze is the spinner's idle cycle once its step has handed it to the
-	// kernel (Doze); nil otherwise.
-	doze *Doze
 
 	// Coroutine control, all nil for a bodiless process. resume transfers
 	// execution into the process and returns when it parks (true) or its
@@ -214,9 +215,8 @@ func (p *Proc) park(s procState) {
 
 // reschedule queues runnable p at p.wake, or nothing when p is nil, and
 // selects the next event, running spin steps inline for as long as the
-// selected process keeps spinning (a dozing spinner's wakes as its cycle's
-// arithmetic, see Doze), leaving a step that awaited an event to its
-// Signal, and ending bodiless processes whose last step ran. It returns
+// selected process keeps spinning, leaving a step that awaited an event to
+// its Signal, and ending bodiless processes whose last step ran. It returns
 // the process to resume (p itself when p is next), or nil when the run
 // ends (stop, deadline reached, completion, or deadlock — the caller
 // classifies from kernel state).
@@ -273,13 +273,6 @@ func (k *Kernel) reschedule(p *Proc) *Proc {
 		if p.spin == nil {
 			return p
 		}
-		if d := p.doze; d != nil && d.on {
-			if p.wake < d.horizon {
-				k.dozeRun(p, d)
-				continue
-			}
-			d.on = false
-		}
 		if k.step(p) {
 			if p.state == procWaiting {
 				p = nil // the step awaited an event, whose Signal pushes p
@@ -318,7 +311,7 @@ func (k *Kernel) step(p *Proc) bool {
 	d, more := p.spin()
 	k.stepping = nil
 	if !more {
-		p.spin, p.doze = nil, nil
+		p.spin = nil
 		return false
 	}
 	if d < 0 {
@@ -382,8 +375,8 @@ type Kernel struct {
 func (k *Kernel) SetProbe(p Probe) { k.probe = p }
 
 // SetParkProbe installs (or removes, with nil) the kernel's park probe.
-// Unlike a scheduling probe it changes nothing about the run: idle cores
-// still doze.
+// Like a scheduling probe, it only observes: the run is the same with or
+// without it.
 func (k *Kernel) SetParkProbe(pp ParkProbe) { k.parkProbe = pp }
 
 // New creates an empty kernel at time zero.
@@ -402,8 +395,8 @@ func (k *Kernel) Now() Time { return k.now }
 // Live returns the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
 
-// Events returns the number of simulation events (process resumptions,
-// spin steps and dozed wakes) the kernel has executed.
+// Events returns the number of simulation events (process resumptions and
+// spin steps) the kernel has executed.
 func (k *Kernel) Events() uint64 { return k.events }
 
 // Resumes returns the number of coroutine switches into a process: the
@@ -678,7 +671,7 @@ func (k *Kernel) abort(p *Proc) {
 	if p.state == procDone {
 		return
 	}
-	p.spin, p.doze = nil, nil
+	p.spin = nil
 	if p.cancel != nil {
 		p.cancel()
 	}
