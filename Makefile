@@ -10,6 +10,9 @@
 #   make race         race detector over the packages with real goroutines
 #                     (kernel, parallel shard engine, cluster model, the
 #                     experiments' slot pool)
+#   make ledger       the park-site ledger: each testbed workload of the
+#                     repository benchmark (seed 1) with its events, coroutine
+#                     switches, leading park sites and parking processes
 #   make bench-smoke  one-iteration pass over the kernel, headline, KV and cluster benches,
 #                     then the tests of cmd/ccperf, the repository benchmark
 #                     (its own module, so `go test ./...` never builds it)
@@ -26,7 +29,7 @@
 
 GO ?= go
 
-.PHONY: check verify lint vet race bench-smoke matrix golden-check golden-shards golden
+.PHONY: check verify lint vet race ledger bench-smoke matrix golden-check golden-shards golden
 
 check: verify lint vet race bench-smoke matrix golden-check golden-shards
 
@@ -50,6 +53,10 @@ race:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/sim/shard/ ./internal/fabric/ ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestPool' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'TestCluster' ./internal/check/prop/
+
+# TestParkLedger with its log: the ledger DESIGN §7 quotes.
+ledger:
+	$(GO) test -count=1 -run TestParkLedger -v .
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Kernel|LoopbackCCNIC|KV|Cluster' -benchtime 1x .

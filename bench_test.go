@@ -37,12 +37,12 @@ func BenchmarkExperiments(b *testing.B) {
 // per packet transmitted, over the whole run, which ends with its window.
 // Idle polls, every line after the first of a multi-line access and every
 // buffer-pool charge after the first of a burst run as spin steps, not
-// resumes; a coherent NIC's cores are bodiless, and its TxBurst and
-// RxBurst park once each. That leaves the coherent runs at 0.19 (CC-NIC),
-// 0.48 (Unopt) and 0.48 (CC-NIC 1500 B) per packet, all of them the
-// generators' own parks, and the CX6 at 1.4; the E810's 5.3 are led by
-// the host driver's per-RxBurst overhead charge, the generator's idle
-// sleeps and the RX deliver engine.
+// resumes; a coherent NIC's cores and a PCIe NIC's fetch and deliver
+// engines are bodiless, and every driver call parks once. That leaves
+// 0.19 (CC-NIC), 0.48 (Unopt), 0.48 (CC-NIC 1500 B), 0.16 (CX6) and 2.6
+// (E810) per packet, all of them the generators' own parks; the E810's
+// are led by its RxBurst calls, which poll an empty ring far more often,
+// and the generator's idle sleeps.
 func BenchmarkLoopbackCCNIC(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -81,13 +81,13 @@ func BenchmarkLoopbackCCNIC(b *testing.B) {
 // BenchmarkKV runs the key-value store beyond saturation on 4 queues, on
 // the direct CX6 and on the CC-NIC Overlay (8 forwarding threads), with the
 // host's allocations per run. Each run also reports resumes/op: coroutine
-// switches per completed get or set, over the whole run. The CX6's fetch
-// engines at a full RX backlog and the overlay's TX threads run their idle
-// waits as spin steps, every multi-line access its lines after the first,
-// and every buffer-pool burst its charges after the first, and the
-// overlay front's driver calls park once each: 16.4 resumes per op on the
-// CX6 and 42.1 on the overlay, where the forwarding threads' own loops and
-// accesses and the back NIC's engines lead what remains.
+// switches per completed get or set, over the whole run. The CX6's engines
+// and the overlay's forwarding threads are bodiless processes, every
+// multi-line access runs its lines after the first as spin steps, every
+// buffer-pool burst its charges after the first, and every driver call
+// parks once: 4.2 resumes per op on the CX6 and 5.9 on the overlay, all of
+// them the KV servers' own parks (their store accesses and CPU charges
+// lead).
 func BenchmarkKV(b *testing.B) {
 	for _, c := range []struct {
 		name  string

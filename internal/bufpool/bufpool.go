@@ -76,6 +76,8 @@ func (b *Buf) Cap() int {
 }
 
 // TotalLen returns the full packet length across segments.
+//
+//ccnic:noalloc
 func (b *Buf) TotalLen() int { return b.Len + b.ExtLen }
 
 // ResetMeta clears per-packet metadata before reuse.

@@ -33,6 +33,8 @@ type Agent struct {
 func (a *Agent) Name() string { return a.name }
 
 // Socket returns the agent's socket.
+//
+//ccnic:noalloc
 func (a *Agent) Socket() int { return a.socket }
 
 // System returns the memory system the agent belongs to.

@@ -119,6 +119,8 @@ func NewSystemProto(k *sim.Kernel, plat *platform.Platform, pr Protocol) *System
 func (s *System) Kernel() *sim.Kernel { return s.k }
 
 // Platform returns the platform parameters.
+//
+//ccnic:noalloc
 func (s *System) Platform() *platform.Platform { return s.plat }
 
 // Space returns the machine's address space allocator.
@@ -317,6 +319,8 @@ func (s *System) dropEverywhere(line mem.Addr, sock int) bool {
 // fresh data is allocated into the LLC of the given socket (so the host's
 // subsequent poll is an LLC hit rather than a DRAM access). Timing is
 // charged by the pcie package.
+//
+//ccnic:noalloc
 func (s *System) DeviceWriteLine(line mem.Addr, socket int) {
 	s.dropEverywhere(line, socket)
 	d := s.ent(line)
@@ -330,6 +334,8 @@ func (s *System) DeviceWriteLine(line mem.Addr, socket int) {
 // DeviceReadLine applies the coherence side effects of a PCIe DMA read of
 // host memory: dirty data is snooped out of CPU caches (demoted to Shared,
 // written back); clean copies are untouched.
+//
+//ccnic:noalloc
 func (s *System) DeviceReadLine(line mem.Addr) {
 	d := s.lookup(line)
 	if d == nil || d.owner == nil {

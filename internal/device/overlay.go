@@ -87,33 +87,30 @@ func (o *Overlay) Start() {
 }
 
 // startThread spawns forwarding thread t over its share of the tasks, if it
-// has any. Queue i's TX task is task i and its RX task task nq+i, dealt
-// round-robin, so extra threads (up to two per queue) add forwarding
-// capacity. A thread whose only task is one queue's TX, and which is that
-// queue's NIC agent, polls the front ring as a single-queue NIC core does
-// (upiQueue.pollLoop): its idle polls run as spin steps.
+// has any, as a bodiless process (forwarder.step). Queue i's TX task is
+// task i and its RX task task nq+i, dealt round-robin, so extra threads (up
+// to two per queue) add forwarding capacity. A thread whose only task is
+// one queue's TX, and which is that queue's NIC agent, polls the front ring
+// as a single-queue NIC core does: its idle polls run as idlePoll steps.
 func (o *Overlay) startThread(t int) {
 	nq, nt := o.front.NumQueues(), len(o.threads)
 	a := o.threads[t]
-	var tx, rx []int
+	f := &forwarder{o: o, a: a, rx: make([]*bufpool.Buf, o.front.cfg.NICBurst)}
 	for task := t; task < 2*nq; task += nt {
 		if task < nq {
-			tx = append(tx, task)
+			f.txTasks = append(f.txTasks, task)
 		} else {
-			rx = append(rx, task-nq)
+			f.rxTasks = append(f.rxTasks, task-nq)
 		}
 	}
-	if len(tx) == 0 && len(rx) == 0 {
+	if len(f.txTasks) == 0 && len(f.rxTasks) == 0 {
 		return
 	}
-	f := o.newForwarder(a)
-	body := func(p *sim.Proc) { f.forwardMain(p, tx, rx) }
-	if len(tx) == 1 && len(rx) == 0 && o.front.qs[tx[0]].nic == a {
-		fq := o.front.qs[tx[0]]
-		serve := func(p *sim.Proc, polled bool) bool { return f.forwardTx(p, tx[0], polled) }
-		body = func(p *sim.Proc) { fq.pollLoop(p, serve) }
+	if len(f.txTasks) == 1 && len(f.rxTasks) == 0 && o.front.qs[f.txTasks[0]].nic == a {
+		f.solo = o.front.qs[f.txTasks[0]]
+		f.solo.idle.init(f.solo, nil)
 	}
-	o.front.sys.Kernel().Spawn(fmt.Sprintf("overlay%d", t), body)
+	o.front.sys.Kernel().SpawnSpin(fmt.Sprintf("overlay%d", t), f.step)
 }
 
 // Stop halts overlay threads and the PCIe device. Marking the front queues
@@ -126,123 +123,284 @@ func (o *Overlay) Stop() {
 	o.back.Stop()
 }
 
-// forwarder is one overlay thread: its agent and its own per-burst
-// scratch. A queue's TX and RX tasks may run on different threads, so the
-// thread builds its lists here; of the queue's scratch it touches the TX
-// path's (regConsumeTx, completeTx) only from the queue's TX task, and the
-// RX path's (rxEmit) only from its RX task.
+// forwarder is one overlay thread as a walk (see charge): a bodiless
+// process whose step runs its polling loop, cut at its charges. Its own
+// charges are coherent accesses and buffer-pool bursts; the front queue's
+// NIC-side pieces (nicWalk's regConsumeTx, completeTx and rxEmit) and the
+// back queue's driver calls (driverWalk) run as nested walks, entered at
+// their first charge and advanced until they end, in the events a process
+// calling them would have run them in.
+//
+// A queue's TX and RX tasks may run on different threads, so the thread
+// builds its lists in its own scratch; of the queue's state it touches the
+// TX path's (walk, txBufs, txMetas) only from the queue's TX task, and the
+// RX path's (rxWalk) only from its RX task.
 type forwarder struct {
-	o      *Overlay
-	a      *coherence.Agent
-	rx     []*bufpool.Buf
-	txBufs []*bufpool.Buf
-	metas  []pktMeta
-	lines  []mem.Addr
-	out    []*bufpool.Buf
-	fwd    []rxMeta
+	o     *Overlay
+	a     *coherence.Agent
+	stage fwdStage
+	c     charge
+
+	// The thread's TX and RX tasks (front queue indexes), and the front
+	// queue a thread with one TX task alone polls (idlePoll), or nil.
+	txTasks, rxTasks []int
+	solo             *upiQueue
+
+	// sub is the nested walk in flight, drv the driver call among them;
+	// idling is set while solo's idle polls run.
+	sub    func() (sim.Time, bool)
+	drv    *driverWalk
+	idling bool
+
+	// The round's next task and whether any found work; the task in
+	// flight: its queue, whether it continues a poll idlePoll made,
+	// whether it found work and the stage it returns to.
+	task          int
+	busy          bool
+	qi            int
+	polled, found bool
+	ret           fwdStage
+
+	// A TX task's consumed packets, the next it copies and the buffer a
+	// burst of one allocates or frees; an RX task's received count and the
+	// packets it has still to deliver. The rest is per-burst scratch.
+	metas   []pktMeta
+	i       int
+	one     [1]*bufpool.Buf
+	got     int
+	pending []rxMeta
+	rx, out []*bufpool.Buf
+	lines   []mem.Addr
+	fwd     []rxMeta
 }
 
-func (o *Overlay) newForwarder(a *coherence.Agent) *forwarder {
-	burst := o.front.cfg.NICBurst
-	return &forwarder{o: o, a: a,
-		rx: make([]*bufpool.Buf, burst), txBufs: make([]*bufpool.Buf, burst)}
+// fwdStage is where a forwarder resumes.
+type fwdStage uint8
+
+const (
+	// The thread's polling loop.
+	fwRound    fwdStage = iota // start a round over the tasks
+	fwTask                     // forward the next task's burst, or idle
+	fwTaskDone                 // that task has been served
+
+	// A TX task: front TX ring to PCIe TX queue.
+	fwTx          // consume the front TX ring
+	fwTxConsumed  // the inline Consume has ended
+	fwTxRead      // read the payloads
+	fwTxAlloc     // allocate the next back buffer, or write the copies
+	fwTxAllocated // the allocation has ended
+	fwTxFreed     // NIC-managed: the front buffer's free has ended
+	fwTxWritten   // the copies are written: complete the descriptors
+	fwTxSend      // the back queue's TxBurst
+	fwTxSent      // free what it did not take
+	fwTxFreedOut  // that free burst has ended
+
+	// An RX task: PCIe RX queue to front RX ring.
+	fwRx         // the back queue's RxBurst
+	fwRxGot      // read what it received
+	fwRxRead     // the gather has completed
+	fwRxEmit     // deliver the rest to the front RX ring
+	fwRxEmitted  // that delivery has ended
+	fwRxReleased // the back queue's Release has ended
+)
+
+// step is the forwarder's spin step: it completes what is in flight, an
+// idle poll, a nested walk's charge or its own, and runs the thread on to
+// its next charge.
+//
+//ccnic:noalloc
+func (f *forwarder) step() (sim.Time, bool) {
+	switch {
+	case f.idling:
+		if d, more := f.solo.idle.step(); more {
+			return d, true
+		}
+		f.idling = false
+	case f.sub != nil:
+		if d, more := f.sub(); more {
+			return d, true
+		}
+		f.sub = nil
+	default:
+		if d, more := f.c.advance(); more {
+			return d, true
+		}
+	}
+	return f.run()
 }
 
-// forwardMain polls the UPI TX rings of the thread's TX tasks and the PCIe
-// RX queues of its RX tasks, forwarding packets.
-func (f *forwarder) forwardMain(p *sim.Proc, txQueues, rxQueues []int) {
-	pollGap := f.o.front.sys.Platform().PollGap
-	for !f.o.stopped {
-		busy := false
-		for _, qi := range txQueues {
-			busy = f.forwardTx(p, qi, false) || busy
-		}
-		for _, qi := range rxQueues {
-			busy = f.forwardRx(p, qi) || busy
-		}
-		if !busy {
-			p.Sleep(pollGap)
-		}
-	}
+// call enters driver call w as the nested walk in flight: its overhead is
+// its first charge.
+//
+//ccnic:noalloc
+func (f *forwarder) call(w *driverWalk) (sim.Time, bool) {
+	f.drv, f.sub = w, w.step
+	return w.overhead, true
 }
 
-// forwardTx forwards one burst from front queue qi's UPI TX ring to its
-// PCIe TX queue and reports whether it found any. polled continues a
-// register-ring poll an idlePoll step has made and found work behind.
-func (f *forwarder) forwardTx(p *sim.Proc, qi int, polled bool) bool {
-	cfg := &f.o.front.cfg
-	a := f.a
-	fq := f.o.front.qs[qi]
-	bq := f.o.back.qs[qi]
-	var metas []pktMeta
-	if cfg.InlineSignal {
-		n := fq.txI.Consume(p, a, f.txBufs)
-		f.metas = snapshot(f.metas[:0], f.txBufs[:n], cfg.NICBufMgmt)
-		metas = f.metas
-	} else {
-		metas = fq.regConsumeTx(p, polled)
-	}
-	if len(metas) == 0 {
-		return false
-	}
-	// Copy only the inline segments; zero-copy external segments (the KV
-	// store's object payloads) pass through as DMA references — the PCIe
-	// device can fetch any host address.
-	f.lines = f.lines[:0]
-	for _, m := range metas {
-		f.lines = mem.AppendLines(f.lines, m.addr, m.len)
-	}
-	a.GatherRead(p, f.lines)
-	f.out = f.out[:0]
-	for _, m := range metas {
-		nb := bq.Port().Alloc(p, m.len)
-		if nb == nil {
-			continue
-		}
-		nb.Len, nb.Seq, nb.Born = m.len, m.seq, m.born
-		nb.ExtAddr, nb.ExtLen = m.ext, m.extLen
-		f.out = append(f.out, nb)
-		if cfg.NICBufMgmt {
-			fq.nicPort.Free(p, m.buf)
-		}
-	}
-	f.lines = bufpool.Lines(f.lines[:0], f.out)
-	a.ScatterWrite(p, f.lines)
-	if !cfg.InlineSignal && !cfg.NICBufMgmt {
-		fq.completeTx(p, len(metas))
-	}
-	sent := bq.TxBurst(p, f.out)
-	if sent < len(f.out) {
-		bq.Port().FreeBurst(p, f.out[sent:])
-	}
-	return true
-}
+// run runs the thread on from f.stage, once the charge before it has
+// completed, up to its next charge, or to its end once the overlay stops.
+//
+//ccnic:noalloc
+func (f *forwarder) run() (sim.Time, bool) {
+	front := f.o.front
+	cfg := &front.cfg
+	pollGap := front.sys.Platform().PollGap
+	for {
+		var d sim.Time
+		var ok bool
+		fq, bq := front.qs[f.qi], f.o.back.qs[f.qi]
+		switch f.stage {
+		case fwRound:
+			// A thread polling alone continues a poll its idle step made
+			// and found work behind; the stop flag is checked only before
+			// a fresh round, so that work is still served.
+			if f.solo != nil {
+				f.polled, f.solo.idle.polled = f.solo.idle.polled, false
+			}
+			if !f.polled && f.o.stopped {
+				return 0, false
+			}
+			f.task, f.busy, f.stage = 0, false, fwTask
+		case fwTask:
+			f.ret = fwTaskDone
+			switch t, ntx := f.task, len(f.txTasks); {
+			case t < ntx:
+				f.qi, f.stage = f.txTasks[t], fwTx
+			case t < ntx+len(f.rxTasks):
+				f.qi, f.stage = f.rxTasks[t-ntx], fwRx
+			default:
+				f.stage = fwRound
+				switch {
+				case f.busy:
+				case f.solo != nil:
+					f.idling = true
+					d, ok = f.solo.idle.gap, true
+				default:
+					d, ok = pollGap, true
+				}
+			}
+		case fwTaskDone:
+			f.busy = f.found || f.busy
+			f.task++
+			f.stage = fwTask
 
-// forwardRx forwards one burst from PCIe RX queue qi to its front UPI RX
-// ring and reports whether it found any.
-func (f *forwarder) forwardRx(p *sim.Proc, qi int) bool {
-	fq := f.o.front.qs[qi]
-	bq := f.o.back.qs[qi]
-	got := bq.RxBurst(p, f.rx)
-	if got == 0 {
-		return false
-	}
-	f.lines = bufpool.Lines(f.lines[:0], f.rx[:got])
-	f.a.GatherRead(p, f.lines) // DDIO: local LLC
-	f.fwd = f.fwd[:0]
-	for _, b := range f.rx[:got] {
-		f.fwd = append(f.fwd, rxMeta{size: b.Len, seq: b.Seq, born: b.Born})
-	}
-	// Forward losslessly: applications depend on every accepted packet
-	// arriving (backpressure, not drops).
-	pollGap := f.o.front.sys.Platform().PollGap
-	for pending := f.fwd; len(pending) > 0 && !f.o.stopped; {
-		n := fq.rxEmit(p, pending)
-		pending = pending[n:]
-		if n == 0 {
-			p.Sleep(pollGap * 8)
+		case fwTx:
+			if cfg.InlineSignal {
+				f.stage = fwTxConsumed
+				d, ok = f.c.ring.Consume(fq.txI, f.a, fq.txBufs)
+				break
+			}
+			f.stage, f.sub = fwTxRead, fq.walk.step
+			d, ok = fq.walk.regConsumeTx(f.polled)
+		case fwTxConsumed:
+			fq.txMetas = snapshot(fq.txMetas[:0], fq.txBufs[:f.c.ring.N()], cfg.NICBufMgmt)
+			f.metas, f.stage = fq.txMetas, fwTxRead
+		case fwTxRead:
+			if !cfg.InlineSignal {
+				f.metas = fq.walk.metas
+			}
+			f.found, f.stage = len(f.metas) > 0, f.ret
+			if !f.found {
+				continue
+			}
+			// Copy only the inline segments; zero-copy external segments
+			// (the KV store's object payloads) pass through as DMA
+			// references — the PCIe device can fetch any host address.
+			f.lines = f.lines[:0]
+			for _, m := range f.metas {
+				f.lines = mem.AppendLines(f.lines, m.addr, m.len)
+			}
+			f.i, f.out, f.stage = 0, f.out[:0], fwTxAlloc
+			d, ok = f.c.acc.Gather(f.a, f.lines, false)
+		case fwTxAlloc:
+			if f.i == len(f.metas) {
+				f.lines = bufpool.Lines(f.lines[:0], f.out)
+				f.stage = fwTxWritten
+				d, ok = f.c.acc.Gather(f.a, f.lines, true)
+				break
+			}
+			f.stage = fwTxAllocated
+			d, ok = f.c.startBurst(bq.Port().StartAlloc(f.metas[f.i].len, f.one[:]))
+		case fwTxAllocated:
+			m := &f.metas[f.i]
+			if f.c.burstEnd() == 1 {
+				nb := f.one[0]
+				nb.Len, nb.Seq, nb.Born = m.len, m.seq, m.born
+				nb.ExtAddr, nb.ExtLen = m.ext, m.extLen
+				f.out = append(f.out, nb)
+			}
+			f.i++
+			f.one[0], f.stage = nil, fwTxAlloc
+			if cfg.NICBufMgmt {
+				// The front buffer returns to the pool whether or not the
+				// back pool had a buffer for its copy.
+				f.one[0], f.stage = m.buf, fwTxFreed
+				d, ok = f.c.startBurst(fq.nicPort.StartFree(f.one[:]))
+			}
+		case fwTxFreed:
+			f.c.burstEnd()
+			f.one[0], f.stage = nil, fwTxAlloc
+		case fwTxWritten:
+			f.stage = fwTxSend
+			if !cfg.InlineSignal && !cfg.NICBufMgmt {
+				f.sub = fq.walk.step
+				d, ok = fq.walk.completeTx(len(f.metas))
+			}
+		case fwTxSend:
+			f.stage = fwTxSent
+			d, ok = f.call(bq.call(pTxStart, f.out))
+		case fwTxSent:
+			f.stage = f.ret
+			if sent := f.drv.end(); sent < len(f.out) {
+				f.stage = fwTxFreedOut
+				d, ok = f.c.startBurst(bq.Port().StartFree(f.out[sent:]))
+			}
+		case fwTxFreedOut:
+			f.c.burstEnd()
+			f.stage = f.ret
+
+		case fwRx:
+			f.stage = fwRxGot
+			d, ok = f.call(bq.call(pRxStart, f.rx))
+		case fwRxGot:
+			f.got = f.drv.end()
+			f.found, f.stage = f.got > 0, f.ret
+			if !f.found {
+				continue
+			}
+			f.lines = bufpool.Lines(f.lines[:0], f.rx[:f.got])
+			f.stage = fwRxRead
+			d, ok = f.c.acc.Gather(f.a, f.lines, false) // DDIO: local LLC
+		case fwRxRead:
+			f.fwd = f.fwd[:0]
+			for _, b := range f.rx[:f.got] {
+				f.fwd = append(f.fwd, rxMeta{size: b.Len, seq: b.Seq, born: b.Born})
+			}
+			f.pending, f.stage = f.fwd, fwRxEmit
+		case fwRxEmit:
+			// Forward losslessly: applications depend on every accepted
+			// packet arriving (backpressure, not drops).
+			if len(f.pending) > 0 && !f.o.stopped {
+				f.stage, f.sub = fwRxEmitted, fq.rxWalk.step
+				d, ok = fq.rxWalk.rxEmit(f.pending)
+				break
+			}
+			f.stage = fwRxReleased
+			d, ok = f.call(bq.call(pFree, f.rx[:f.got]))
+		case fwRxEmitted:
+			n := fq.rxWalk.posted
+			f.pending, f.stage = f.pending[n:], fwRxEmit
+			if n == 0 {
+				d, ok = pollGap*8, true
+			}
+		case fwRxReleased:
+			f.drv.end()
+			f.stage = f.ret
 		}
+		if ok {
+			return d, true
+		}
+		f.sub = nil // a nested walk started here ended at once
 	}
-	bq.Release(p, f.rx[:got])
-	return true
 }

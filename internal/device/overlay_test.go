@@ -142,10 +142,9 @@ func TestOverlayIngressMode(t *testing.T) {
 // as a single-queue NIC core does, its idle polls run as spin steps. The
 // app posts a TX burst on each queue every 2 µs, next to a host process
 // that wakes every 7 ns, so no iteration can hide on the run-next fast
-// path. Only the TX threads run (the RX threads, with Sleep loops, would
-// drown the count), and after a warm-up burst that primes the PCIe queues,
-// they resume a bounded number of times per burst,
-// where Sleep loops would resume them at every PollGap. The spin stays
+// path. Only the TX threads run, and after a warm-up burst that primes
+// the PCIe queues, they resume a bounded number of times per burst, where
+// Sleep loops would resume them at every PollGap. The spin stays
 // engaged under the invariant engine, and the front device counts no NIC
 // steps.
 func TestOverlayIdleThreadsSpin(t *testing.T) {
@@ -240,6 +239,58 @@ func TestOverlayIdleThreadsSpin(t *testing.T) {
 			}
 			k.Stop()
 			k.Shutdown()
+		}
+	}
+}
+
+// With the back PCIe pool exhausted, every packet an overlay thread takes
+// off a CC-NIC front ring finds no back buffer for its copy and is dropped.
+// The front buffer, which the NIC side owns under NIC buffer management,
+// must still return to the front pool: once the threads have drained the
+// ring, no front buffer is outstanding and the pool is conserved. Both the
+// thread that serves a queue's TX alone and one that serves TX and RX are
+// covered.
+func TestOverlayDropFreesFrontBuffer(t *testing.T) {
+	const n = 40
+	for _, threads := range []int{1, 2} {
+		k := sim.New()
+		sys := coherence.NewSystem(k, platform.ICX())
+		hostA := sys.NewAgent(0, "app0")
+		var ovs []*coherence.Agent
+		for i := 0; i < threads; i++ {
+			ovs = append(ovs, sys.NewAgent(1, fmt.Sprintf("ov%d", i)))
+		}
+		o := NewOverlay(sys, CCNICConfig(), platform.CX6(), []*coherence.Agent{hostA}, ovs)
+		o.Start()
+		q := o.Queue(0)
+		sent := 0
+		k.Spawn("app", func(p *sim.Proc) {
+			held := make([]*bufpool.Buf, 4096)
+			if got := o.back.qs[0].Port().AllocBurst(p, 64, held); got == len(held) {
+				t.Errorf("threads=%d: drew %d back buffers, want the pool exhausted", threads, got)
+			}
+			for i := 0; i < n; i++ {
+				b := q.Port().Alloc(p, 64)
+				b.Len, b.Seq, b.Born = 64, uint64(i+1), p.Now()
+				sent += q.TxBurst(p, []*bufpool.Buf{b})
+			}
+			p.Sleep(20 * sim.Microsecond)
+			o.Stop()
+		})
+		if err := k.RunUntil(sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		k.Stop()
+		k.Shutdown()
+		if sent != n || o.TxCount(0) != 0 {
+			t.Fatalf("threads=%d: %d of %d packets sent, %d transmitted; want all sent, none transmitted", threads, sent, n, o.TxCount(0))
+		}
+		pool := o.front.Pool()
+		if out := pool.Outstanding(); out != 0 {
+			t.Errorf("threads=%d: %d front buffers outstanding after %d dropped packets, want 0", threads, out, n)
+		}
+		if err := pool.CheckConservation(); err != nil {
+			t.Errorf("threads=%d: %v", threads, err)
 		}
 	}
 }

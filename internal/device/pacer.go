@@ -18,27 +18,13 @@ type pacer struct {
 // set implements Injector.SetIngress for one queue.
 func (pc *pacer) set(rate float64, gen func() int) { pc.rate, pc.gen = rate, gen }
 
-// arrive offers deliver up to max arrivals due by now and returns how many
-// it took; deliver reports whether the device took the packet, and the
-// first refusal ends the call. The first arrival starts the clock.
-func (pc *pacer) arrive(p *sim.Proc, max int, deliver func(size int) bool) int {
-	n := 0
-	for ; n < max; n++ {
-		size, ok := pc.offer(p.Now())
-		if !ok || !deliver(size) {
-			break
-		}
-		pc.took()
-	}
-	return n
-}
-
 // offer returns the size of the arrival due by now, drawn once and held
-// until the device takes it, or false when none is due.
+// until the device takes it, or false when none is due. The first arrival
+// starts the clock.
 //
 //ccnic:noalloc
 func (pc *pacer) offer(now sim.Time) (int, bool) {
-	if !pc.due(now) {
+	if pc.gen == nil || pc.rate <= 0 || now < pc.next {
 		return 0, false
 	}
 	if pc.next == 0 {
@@ -58,17 +44,11 @@ func (pc *pacer) took() {
 	pc.next += sim.Time(1e12 / pc.rate)
 }
 
-// due reports whether an arrival is due by now: arrive would offer one, and
-// an idle engine must run to take it.
-//
-//ccnic:noalloc
-func (pc *pacer) due(now sim.Time) bool {
-	return pc.gen != nil && pc.rate > 0 && now >= pc.next
-}
-
 // catchUp gives up the arrivals more than lag overdue: a wire that
 // outpaces the device loses them at the MAC, and the backlog stays
 // bounded. The held size is kept.
+//
+//ccnic:noalloc
 func (pc *pacer) catchUp(now, lag sim.Time) {
 	if pc.gen != nil && pc.rate > 0 && now-pc.next > lag {
 		pc.next = now - lag

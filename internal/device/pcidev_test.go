@@ -150,19 +150,18 @@ func TestPCIeDoorbellRecovery(t *testing.T) {
 	}
 }
 
-// The PCIe engines' idle waits are spin steps. Next to a host process that
-// wakes every 7 ns, so no engine iteration can hide on the run-next fast
-// path, an idle E810 or CX6 resumes its fetch and deliver coroutines only a
-// handful of times in 10 µs, where Sleep loops would resume them at every
-// PollGap. With synthetic ingress they resume about once per arrival, and
-// the RX engine, given no blanks, waits for one as a spin step. With the
-// host posting bursts of fetchBurst+4 descriptors, the fetch engine finds
-// the last 4 inside the coalescing window right after fetching the rest,
-// and waits the window out as a spin step too. Saturated, ingress far
-// beyond what the RX engine drains (none: the host posts no blank) fills
-// the backlog to maxBacklog before the window, and from then on the fetch
-// engine trims the wire's lag (catchUp) as a spin step instead of resuming
-// at every PollGap. The spins stay engaged under the invariant engine.
+// The PCIe engines wait as spin events. Next to a host process that wakes
+// every 7 ns, so no engine iteration can hide on the run-next fast path,
+// an idle E810 or CX6 engine resumes no coroutine in 10 µs, where Sleep
+// loops would resume it at every PollGap. With synthetic ingress, and with
+// the RX engine, given no blanks, waiting for one, the bound is about one
+// resume per arrival. With the host posting bursts of fetchBurst+4
+// descriptors, the fetch engine finds the last 4 inside the coalescing
+// window right after fetching the rest, and waits the window out.
+// Saturated, ingress far beyond what the RX engine drains (none: the host
+// posts no blank) fills the backlog to maxBacklog before the window, and
+// from then on the fetch engine trims the wire's lag (catchUp) at every
+// PollGap. The waits stay spin events under the invariant engine.
 func TestPCIeIdleEnginesSpin(t *testing.T) {
 	const (
 		window = 10 * sim.Microsecond
@@ -214,7 +213,7 @@ func TestPCIeIdleEnginesSpin(t *testing.T) {
 								q.txR.TailIdx++
 							}
 							bufs = bufs[burst:]
-							q.publish(p, &q.txDb, q.txR.TailIdx)
+							q.publish(&q.txDb, q.txR.TailIdx)
 							bursts++
 							next += every
 						}

@@ -23,16 +23,12 @@ const (
 // TxBurst implements Queue. The call's driver overhead is its one park;
 // the rest runs as a walk (driverWalk) in its spin steps.
 func (q *upiQueue) TxBurst(p *sim.Proc, bufs []*bufpool.Buf) int {
-	w := q.driver()
-	w.bufs, w.stage = bufs, txStart
-	return w.park(p, txBurstCost+sim.Time(len(bufs))*txPktCost)
+	return q.call(txStart, bufs, txBurstCost+sim.Time(len(bufs))*txPktCost).park(p)
 }
 
 // RxBurst implements Queue, as TxBurst does.
 func (q *upiQueue) RxBurst(p *sim.Proc, out []*bufpool.Buf) int {
-	w := q.driver()
-	w.bufs, w.stage = out, rxStart
-	return w.park(p, rxBurstCost)
+	return q.call(rxStart, out, rxBurstCost).park(p)
 }
 
 // Release implements Queue: buffers return to the pool; ring refill happens
@@ -64,19 +60,24 @@ func (q *upiQueue) trackInflight(bufs []*bufpool.Buf) {
 	}
 }
 
-// driverWalk is one TxBurst or RxBurst call as a walk (see charge), run in
-// the spin steps of the calling process once the call's driver overhead
-// has elapsed. Its subroutines are the driver's bookkeeping passes: the RX
-// queue's initial fill (prime), a blank-buffer post (postBlanks) and the
-// refill that follows a receive (refill), TX completion reclaim (reclaim)
-// and the inline TX path's frees of reclaimed lines. A queue keeps a free
-// list of them: its TxBurst and RxBurst may run on two processes at once.
+// driverWalk is one driver call as a walk (see charge), run in the spin
+// steps of the calling process once the call's driver overhead has
+// elapsed: a coherent queue's TxBurst or RxBurst (run), or a PCIe queue's
+// TxBurst, RxBurst or Release (runPCIe). The coherent driver's subroutines
+// are its bookkeeping passes: the RX queue's initial fill (prime), a
+// blank-buffer post (postBlanks) and the refill that follows a receive
+// (refill), TX completion reclaim (reclaim) and the inline TX path's frees
+// of reclaimed lines. A queue keeps a free list of them: its TxBurst and
+// RxBurst may run on two processes at once.
 type driverWalk struct {
-	q     *upiQueue
-	stage drvStage
-	c     charge
+	q        *upiQueue  // the coherent queue called, or nil
+	pq       *pcieQueue // the PCIe queue called, or nil
+	stage    drvStage
+	c        charge
+	overhead sim.Time
 
-	// bufs is TxBurst's packets or RxBurst's out; n the call's count.
+	// bufs is TxBurst's packets, RxBurst's out or Release's buffers; n the
+	// call's count.
 	bufs []*bufpool.Buf
 	n    int
 	// j counts the packets the second-segment pass has seen, or the
@@ -90,8 +91,19 @@ type driverWalk struct {
 	want, posted, fit                        int
 	blanks                                   []*bufpool.Buf
 
-	// step is Advance, bound once.
+	// The PCIe watchdog's instant and return stage, and the doorbell whose
+	// write is in flight: its ring, or the tail a re-ring conveys, and the
+	// stage that follows it.
+	now           sim.Time
+	watchRet, ret drvStage
+	db            *doorbell
+	dbRing        *ring.Reg
+	tail          int
+
+	// step is Advance, bound once; home is the free list the walker
+	// returns to.
 	step func() (sim.Time, bool)
+	home **driverWalk
 	next *driverWalk
 }
 
@@ -142,31 +154,48 @@ const (
 	reclaim // reclaim completed descriptors
 )
 
-// driver takes a walker off the queue's free list.
+// call takes a driver walker for a call on q that starts at stage with
+// bufs, once overhead has elapsed.
 //
 //ccnic:noalloc
-func (q *upiQueue) driver() *driverWalk {
-	w := q.drivers
+func (q *upiQueue) call(stage drvStage, bufs []*bufpool.Buf, overhead sim.Time) *driverWalk {
+	w := driver(&q.drivers)
+	w.q, w.bufs, w.stage, w.overhead = q, bufs, stage, overhead
+	return w
+}
+
+// driver takes a walker off the free list at home, or makes one.
+//
+//ccnic:noalloc
+func driver(home **driverWalk) *driverWalk {
+	w := *home
 	if w == nil {
-		w = &driverWalk{q: q} //ccnic:alloc-ok free-list warm-up: one walker per concurrent driver call
-		w.step = w.Advance    //ccnic:alloc-ok bound once, when the walker is made
+		w = &driverWalk{home: home} //ccnic:alloc-ok free-list warm-up: one walker per concurrent driver call
+		w.step = w.Advance          //ccnic:alloc-ok bound once, when the walker is made
 	} else {
-		q.drivers = w.next
+		*home = w.next
 	}
 	w.n, w.j = 0, 0
 	return w
 }
 
 // park sleeps the call's driver overhead on p, running the walk in its
-// spin steps, then returns the walker to the queue's free list and returns
-// the call's count.
+// spin steps, and returns the call's count.
 //
 //ccnic:noalloc
-func (w *driverWalk) park(p *sim.Proc, overhead sim.Time) int {
-	p.Spin(overhead, w.step)
+func (w *driverWalk) park(p *sim.Proc) int {
+	p.Spin(w.overhead, w.step)
+	return w.end()
+}
+
+// end returns the ended call's walker to its free list and returns the
+// call's count.
+//
+//ccnic:noalloc
+func (w *driverWalk) end() int {
 	n := w.n
 	w.bufs, w.blanks = nil, nil
-	w.next, w.q.drivers = w.q.drivers, w
+	w.next, *w.home = *w.home, w
 	return n
 }
 
@@ -177,6 +206,9 @@ func (w *driverWalk) park(p *sim.Proc, overhead sim.Time) int {
 func (w *driverWalk) Advance() (sim.Time, bool) {
 	if d, more := w.c.advance(); more {
 		return d, true
+	}
+	if w.pq != nil {
+		return w.runPCIe()
 	}
 	return w.run()
 }
@@ -392,6 +424,8 @@ func (w *driverWalk) run() (sim.Time, bool) {
 			if done > 0 {
 				d, ok = w.c.ring.Reclaim(r, q.host, done, q.hostPort)
 			}
+		//ccnic:default-ok run is sent only the coherent driver's stages
+		default:
 		}
 		if ok {
 			return d, true

@@ -66,7 +66,7 @@ func payloadLines(dst []mem.Addr, metas []pktMeta) []mem.Addr {
 // nicWalk is a coherent queue's NIC-side work as a walk (see charge): one
 // service iteration (iterate) — consume submitted TX packets, read their
 // payloads, loop them back or exchange them with the synthetic wire — and
-// the pieces of it the overlay's threads run on their own processes:
+// the pieces of it the overlay's threads run as part of their own walks:
 // regConsumeTx, completeTx and rxEmit. Each piece is a subroutine of the
 // iteration, entered at its first stage and left through its return stage.
 // A queue has two: walk, run by its NIC core (or the overlay's TX task for
@@ -159,64 +159,56 @@ func (w *nicWalk) init(q *upiQueue) {
 	w.step = w.Advance
 }
 
-// park runs the walk a start began on p, parking it once.
-//
-//ccnic:noalloc
-func (w *nicWalk) park(p *sim.Proc, d sim.Time, ok bool) {
-	if ok {
+// nicStep performs one service iteration for the queue on p, parking it
+// once, and reports whether it found work.
+func (q *upiQueue) nicStep(p *sim.Proc) bool {
+	w := &q.walk
+	if d, ok := w.iterate(false); ok {
 		p.Spin(d, w.step)
 	}
-}
-
-// nicStep performs one service iteration for the queue on p and reports
-// whether it found work. polled continues a register-ring iteration whose
-// tail poll an idlePoll step has already made and found work behind.
-func (q *upiQueue) nicStep(p *sim.Proc, polled bool) bool {
-	w := &q.walk
-	d, ok := w.iterate(polled)
-	w.park(p, d, ok)
 	return w.busy
 }
 
-// regConsumeTx is the register-signaled NIC TX path, on p: poll the tail
-// register and read new descriptors. Completion signaling happens after
-// the payload has been read (completeTx), never before — otherwise the
-// host could recycle a buffer the device is still reading. polled skips
-// the poll, made by an idlePoll step.
-func (q *upiQueue) regConsumeTx(p *sim.Proc, polled bool) []pktMeta {
-	w := &q.walk
+// regConsumeTx starts the register-signaled NIC TX path: poll the tail
+// register and read new descriptors, into w.metas once the walk has ended.
+// Completion signaling happens after the payload has been read
+// (completeTx), never before — otherwise the host could recycle a buffer
+// the device is still reading. polled skips the poll, made by an idlePoll
+// step.
+//
+//ccnic:noalloc
+func (w *nicWalk) regConsumeTx(polled bool) (sim.Time, bool) {
 	w.polled, w.consRet, w.stage = polled, nicDone, txPoll
-	d, ok := w.run()
-	w.park(p, d, ok)
-	return w.metas
+	return w.run()
 }
 
-// completeTx writes TX completion (DD) flags for the oldest n consumed
-// descriptors after their payloads have been read (E810 semantics), on p.
-func (q *upiQueue) completeTx(p *sim.Proc, n int) {
-	w := &q.walk
+// completeTx starts writing TX completion (DD) flags for the oldest n
+// consumed descriptors after their payloads have been read (E810
+// semantics).
+//
+//ccnic:noalloc
+func (w *nicWalk) completeTx(n int) (sim.Time, bool) {
 	w.doneN, w.doneRet, w.stage = n, nicDone, txComplete
-	d, ok := w.run()
-	w.park(p, d, ok)
+	return w.run()
 }
 
-// rxEmit delivers received packets to the host, on p: it allocates RX
+// rxEmit starts delivering received packets to the host: it allocates RX
 // buffers per the configured management mode, writes payloads, and
 // publishes RX descriptors. Packets that find no buffer or ring space are
-// dropped (the host will catch up), and the count delivered is returned.
-func (q *upiQueue) rxEmit(p *sim.Proc, pkts []rxMeta) int {
-	w := &q.rxWalk
+// dropped (the host will catch up); w.posted counts those delivered once
+// the walk has ended.
+//
+//ccnic:noalloc
+func (w *nicWalk) rxEmit(pkts []rxMeta) (sim.Time, bool) {
 	w.emit(pkts, nicDone)
-	d, ok := w.run()
-	w.park(p, d, ok)
-	return w.posted
+	return w.run()
 }
 
 // core is the step of a queue's bodiless NIC core, the queue's polling
-// loop (pollLoop) as a walk: it runs service iterations until the queue
-// stops, with its idle iterations run by idlePoll. An iteration that finds
-// work is followed at once by the next; one that finds none sleeps PollGap
-// into the idle polls. When the idle step finds work behind a register
+// loop as a walk: it runs service iterations until the queue stops, with
+// its idle iterations run by idlePoll. An iteration that finds work is
+// followed at once by the next; one that finds none sleeps PollGap into
+// the idle polls. When the idle step finds work behind a register
 // ring's tail poll, the step continues straight into the iteration it
 // resumes. The stop flag is checked only before a fresh iteration, so
 // that work is still served.
@@ -634,8 +626,8 @@ func (q *upiQueue) txTailAvail(now sim.Time) int {
 // both halves of that poll (coherence.Agent.SpinPoll, PollCommit) and
 // nothing else, so each iteration it absorbs is exactly the iteration the
 // core would have run. An overlay TX thread that alone serves the queue
-// polls its front ring the same way (pollLoop), and its idle iteration is
-// the same poll.
+// polls its front ring the same way (forwarder), and its idle iteration
+// is the same poll.
 //
 // At the first event the step declines, and the core runs the iteration
 // itself, whenever that iteration could do anything else: the queue is

@@ -59,6 +59,8 @@ func AppendLines(dst []Addr, a Addr, size int) []Addr {
 }
 
 // Lines calls fn for each cache line the region [a, a+size) touches.
+//
+//ccnic:noalloc
 func Lines(a Addr, size int, fn func(line Addr)) {
 	if size <= 0 {
 		return

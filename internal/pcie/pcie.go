@@ -95,7 +95,11 @@ func (e *Endpoint) Faults() *fault.Injector { return e.flt }
 
 // replay returns the transaction-layer replay penalty for one TLP, 0
 // when unarmed or when no fault fires.
-func (e *Endpoint) replay() sim.Time { return e.flt.ReplayDelay() }
+//
+//ccnic:noalloc
+func (e *Endpoint) replay() sim.Time {
+	return e.flt.ReplayDelay() //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+}
 
 // Stats returns a copy of the transaction counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
@@ -104,22 +108,25 @@ func (e *Endpoint) Stats() Stats { return e.stats }
 func (e *Endpoint) ResetStats() { e.stats = Stats{} }
 
 // serialize converts bytes to link occupancy in one direction.
+//
+//ccnic:noalloc
 func (e *Endpoint) serialize(bytes int) sim.Time {
 	return sim.Time(float64(bytes) / e.pp.LinkBandwidth * float64(sim.Nanosecond))
 }
 
-// UCWrite performs an uncacheable posted store (a doorbell). The store
+// UCWrite performs an uncacheable posted store (a doorbell) at now and
+// returns its core-visible cost, which the caller charges. The store
 // itself is cheap, but only one UC access may be in flight per core, so
 // closely spaced doorbells stall (the driver-visible cost the paper's
 // batched designs amortize).
-func (c *CoreMMIO) UCWrite(p *sim.Proc, bytes int) sim.Time {
+//
+//ccnic:noalloc
+func (c *CoreMMIO) UCWrite(now sim.Time, bytes int) sim.Time {
 	e := c.ep
 	e.stats.MMIOWrites++
-	stall := c.ucInflight.Acquire(p.Now(), UCWriteWindow)
-	e.link[ToDevice].Acquire(p.Now()+stall, e.serialize(bytes))
-	cost := stall + ucIssueCost
-	p.Sleep(cost)
-	return cost
+	stall := c.ucInflight.Acquire(now, UCWriteWindow)
+	e.link[ToDevice].Acquire(now+stall, e.serialize(bytes))
+	return stall + ucIssueCost
 }
 
 // WCStore32 issues one 32-bit store to WC-mapped BAR space in a fresh
@@ -153,16 +160,25 @@ func (c *CoreMMIO) WCStore32(p *sim.Proc, tag uint64, wcBuffers int) sim.Time {
 // WCOpenBuffers returns the number of occupied WC buffers (for tests).
 func (c *CoreMMIO) WCOpenBuffers() int { return len(c.wcOpen) }
 
-// WCStreamWrite models a sequential WC store stream of the given size
-// followed by a barrier: full 64B buffers drain pipelined at the WC
-// streaming rate, and the trailing sfence stalls for a partial-flush time
-// (the Fig 2 'WC MMIO' curve). streamBW is the CPU-side WC fill rate.
-func (c *CoreMMIO) WCStreamWrite(p *sim.Proc, bytes int, streamBW float64) sim.Time {
+// WCStream issues a sequential WC store stream of the given size at now,
+// followed by a barrier, and returns its cost, which the caller charges:
+// full 64B buffers drain pipelined at the WC streaming rate, and the
+// trailing sfence stalls for a partial-flush time (the Fig 2 'WC MMIO'
+// curve). streamBW is the CPU-side WC fill rate.
+//
+//ccnic:noalloc
+func (c *CoreMMIO) WCStream(now sim.Time, bytes int, streamBW float64) sim.Time {
 	e := c.ep
 	fill := sim.Time(float64(bytes) / streamBW * float64(sim.Nanosecond))
-	q := e.link[ToDevice].Acquire(p.Now(), e.serialize(bytes))
-	cost := fill + q + e.pp.WCFlushMMIO // trailing barrier
+	q := e.link[ToDevice].Acquire(now, e.serialize(bytes))
 	e.stats.MMIOWrites++
+	return fill + q + e.pp.WCFlushMMIO // trailing barrier
+}
+
+// WCStreamWrite issues WCStream's stream on p and sleeps its cost, which
+// it returns.
+func (c *CoreMMIO) WCStreamWrite(p *sim.Proc, bytes int, streamBW float64) sim.Time {
+	cost := c.WCStream(p.Now(), bytes, streamBW)
 	p.Sleep(cost)
 	return cost
 }
@@ -170,6 +186,8 @@ func (c *CoreMMIO) WCStreamWrite(p *sim.Proc, bytes int, streamBW float64) sim.T
 // DMAReadAsync issues a device-initiated read without blocking the caller,
 // returning when the data will be available on the device. Used by device
 // pipelines that keep multiple DMAs in flight.
+//
+//ccnic:noalloc
 func (e *Endpoint) DMAReadAsync(now sim.Time, bytes int) (completeAt sim.Time) {
 	e.stats.DMAReads++
 	e.stats.DMABytes[ToDevice] += int64(bytes)
@@ -179,6 +197,8 @@ func (e *Endpoint) DMAReadAsync(now sim.Time, bytes int) (completeAt sim.Time) {
 
 // DMAWriteAsync issues a posted device write without blocking, returning
 // when the data becomes visible to the host.
+//
+//ccnic:noalloc
 func (e *Endpoint) DMAWriteAsync(now sim.Time, bytes int) (deliveredAt sim.Time) {
 	e.stats.DMAWrites++
 	e.stats.DMABytes[ToHost] += int64(bytes)
@@ -188,6 +208,8 @@ func (e *Endpoint) DMAWriteAsync(now sim.Time, bytes int) (deliveredAt sim.Time)
 
 // MMIOPropagation is the one-way delay for a posted MMIO write to reach the
 // device (doorbell visibility latency).
+//
+//ccnic:noalloc
 func (e *Endpoint) MMIOPropagation() sim.Time { return e.pp.OneWay }
 
 // Utilization returns link utilization in a direction over [0, now].

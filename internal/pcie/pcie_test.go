@@ -21,19 +21,24 @@ func run(t *testing.T, fn func(p *sim.Proc, e *Endpoint, c *CoreMMIO)) {
 
 func TestUCWriteSerialization(t *testing.T) {
 	run(t, func(p *sim.Proc, e *Endpoint, c *CoreMMIO) {
-		first := c.UCWrite(p, 8)
+		uc := func() sim.Time {
+			cost := c.UCWrite(p.Now(), 8)
+			p.Sleep(cost)
+			return cost
+		}
+		first := uc()
 		if first != ucIssueCost {
 			t.Errorf("first UC write = %v, want issue cost %v", first, ucIssueCost)
 		}
 		// An immediately-following UC write must wait out the window.
-		second := c.UCWrite(p, 8)
+		second := uc()
 		want := UCWriteWindow - ucIssueCost + ucIssueCost
 		if second != want {
 			t.Errorf("second UC write = %v, want %v", second, want)
 		}
 		// After a long gap the window is clear again.
 		p.Sleep(2 * sim.Microsecond)
-		third := c.UCWrite(p, 8)
+		third := uc()
 		if third != ucIssueCost {
 			t.Errorf("spaced UC write = %v, want %v", third, ucIssueCost)
 		}
@@ -149,7 +154,7 @@ func TestDMAWritesQueueOnLink(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	run(t, func(p *sim.Proc, e *Endpoint, c *CoreMMIO) {
-		c.UCWrite(p, 8)
+		p.Sleep(c.UCWrite(p.Now(), 8))
 		e.ResetStats()
 		if e.Stats() != (Stats{}) {
 			t.Error("ResetStats left residue")

@@ -8,10 +8,10 @@
 //
 //   - Reg rings are the conventional E810-style layout: tightly packed 16B
 //     descriptors with external head/tail registers and completion (DD)
-//     writebacks. The ring owns the host driver (Post, Consume, Reclaim)
-//     shared by the PCIe NICs and the unoptimized-UPI baseline; device
-//     models charge their own side, since PCIe NICs reach the ring through
-//     DMA rather than loads and stores.
+//     writebacks. The ring owns the host driver (Walk's RegPost, RegConsume
+//     and Reclaim) shared by the PCIe NICs and the unoptimized-UPI
+//     baseline; device models charge their own side, since PCIe NICs reach
+//     the ring through DMA rather than loads and stores.
 //
 // Descriptor content is carried out-of-band in Go objects; the simulated
 // memory is used only for timing and coherence state.
@@ -106,8 +106,7 @@ type Inline struct {
 
 	reclaimedSinceTake int
 
-	scan  sim.Scratch[mem.Addr] // the producer's replenish scan
-	walks *Walk                 // free list of the process-side operations
+	scan sim.Scratch[mem.Addr] // the producer's replenish scan
 }
 
 // NewInline allocates an inline ring of nLines cache lines, homed on the
@@ -227,19 +226,6 @@ func (r *Inline) lineAddr(i int) mem.Addr {
 //ccnic:noalloc
 func (r *Inline) lineAt(i int) *line { return &r.lines[i%r.nLines] }
 
-// Post publishes up to len(bufs) descriptors from the producer agent,
-// returning how many were accepted (limited by ring space). Each burst is
-// packed into whole lines; a line is finalized when published, so the
-// consumer's skip-to-next-line rule (§3.2) is implicit. When credits run
-// low, Post first replenishes them: it scans forward from the reclaim
-// pointer for consumer-cleared lines with one overlapped read (a burst
-// reclaim pass). It runs as a Walk, parking p once.
-func (r *Inline) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int {
-	w := walker(&r.walks)
-	d, ok := w.Post(r, a, bufs)
-	return w.park(p, d, ok)
-}
-
 // TakeReclaimed returns the number of ring lines reclaimed (observed cleared
 // by the consumer) since the last call. Producers that manage buffers
 // host-side use this to free the corresponding in-flight TX buffers.
@@ -276,16 +262,6 @@ func (r *Inline) cleared(ln *line) bool {
 		}
 	}
 	return true
-}
-
-// Consume polls the consumer's current position and takes up to len(out)
-// descriptors into out, clearing consumed state (the completion/credit
-// signal). It returns how many it took; zero means nothing was ready. It
-// runs as a Walk, parking p once.
-func (r *Inline) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) int {
-	w := walker(&r.walks)
-	d, ok := w.Consume(r, a, out)
-	return w.park(p, d, ok)
 }
 
 // IdlePoll reports whether the next Consume would begin with an empty poll

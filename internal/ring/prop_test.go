@@ -13,6 +13,17 @@ import (
 	"ccnic/internal/sim"
 )
 
+// onProc runs a ring operation, begun on a fresh ring.Walk by start, on p,
+// one event per charge, as a process calling it would, and returns its
+// count.
+func onProc(p *sim.Proc, start func(w *ring.Walk) (sim.Time, bool)) int {
+	w := &ring.Walk{}
+	if d, ok := start(w); ok {
+		p.Spin(d, w.Advance)
+	}
+	return w.N()
+}
+
 // TestInlineRandomInterleavings drives every inline layout with a randomized
 // producer/consumer schedule — random batch sizes, random think times, ring
 // sized small enough to wrap and backpressure — with the invariant engine
@@ -59,7 +70,7 @@ func TestInlineRandomInterleavings(t *testing.T) {
 							b.Seq = seq
 							seq++
 						}
-						n := r.Post(p, host, bufs)
+						n := onProc(p, func(w *ring.Walk) (sim.Time, bool) { return w.Post(r, host, bufs) })
 						if n < want {
 							// Ring full: return the overflow and rewind.
 							hp.FreeBurst(p, bufs[n:])
@@ -71,7 +82,7 @@ func TestInlineRandomInterleavings(t *testing.T) {
 				k.Spawn("consumer", func(p *sim.Proc) {
 					for len(got) < packets {
 						bufs := make([]*bufpool.Buf, 1+rng.Intn(8))
-						bufs = bufs[:r.Consume(p, nic, bufs)]
+						bufs = bufs[:onProc(p, func(w *ring.Walk) (sim.Time, bool) { return w.Consume(r, nic, bufs) })]
 						for _, b := range bufs {
 							got = append(got, b.Seq)
 						}
@@ -152,7 +163,7 @@ func TestRegRandomInterleavings(t *testing.T) {
 						b.Seq = seq
 						seq++
 					}
-					r.Post(p, host, bufs)
+					onProc(p, func(w *ring.Walk) (sim.Time, bool) { return w.RegPost(r, host, bufs, nil) })
 					host.Write(p, r.TailReg(), 8)
 					p.Sleep(sim.Time(rng.Intn(300)) * sim.Nanosecond)
 				}
@@ -169,7 +180,7 @@ func TestRegRandomInterleavings(t *testing.T) {
 						r.SetDone(i)
 					}
 					bufs := make([]*bufpool.Buf, n)
-					r.Consume(p, nic, bufs)
+					onProc(p, func(w *ring.Walk) (sim.Time, bool) { return w.RegConsume(r, nic, bufs) })
 					for _, b := range bufs {
 						got = append(got, b.Seq)
 					}

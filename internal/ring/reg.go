@@ -13,9 +13,9 @@ import (
 // of packed 16B descriptors in host memory, a producer tail register, a
 // consumer position, and per-descriptor completion (DD) writebacks.
 //
-// Reg owns the driver side (Post, Consume, Reclaim): one E810 driver whether
-// a PCIe NIC or the unoptimized-UPI baseline sits behind the ring. Device
-// sides differ radically — a PCIe NIC reaches the array with DMA, the UPI
+// Reg owns the driver side (Walk's RegPost, RegConsume and Reclaim): one
+// E810 driver whether a PCIe NIC or the unoptimized-UPI baseline sits
+// behind the ring. Device sides differ radically — a PCIe NIC reaches the array with DMA, the UPI
 // NIC with coherent loads and stores — so device models charge their own
 // accesses using the address helpers here.
 type Reg struct {
@@ -33,8 +33,6 @@ type Reg struct {
 	postLines, consLines sim.Scratch[mem.Addr]
 	// reclaim feeds Reclaim's free burst.
 	reclaim reclaimFeed
-	// walks is the free list of the process-side operations.
-	walks *Walk
 
 	// Software indexes (monotone; callers take mod Size).
 	TailIdx int // producer publish position
@@ -62,6 +60,8 @@ func NewReg(sys *coherence.System, nDesc, descSocket, regSocket int) *Reg {
 }
 
 // Size returns the descriptor count.
+//
+//ccnic:noalloc
 func (r *Reg) Size() int { return r.nDesc }
 
 // notify reports a completed ring mutation to the system's validation probe.
@@ -173,34 +173,6 @@ func (r *Reg) Done(i int) bool { return r.done[i%r.nDesc] }
 //
 //ccnic:noalloc
 func (r *Reg) ClearDone(i int) { r.done[i%r.nDesc] = false }
-
-// Post writes up to len(bufs) descriptors at the tail from the producer
-// agent and advances TailIdx, returning how many fit (limited by Space).
-// Publishing the new tail (doorbell or tail-register write) is the
-// caller's. It runs as a Walk, parking p once.
-func (r *Reg) Post(p *sim.Proc, a *coherence.Agent, bufs []*bufpool.Buf) int {
-	w := walker(&r.walks)
-	d, ok := w.RegPost(r, a, bufs, nil)
-	return w.park(p, d, ok)
-}
-
-// Consume reads the len(out) descriptors at the head from the consumer
-// agent and takes their buffers into out, advancing HeadIdx. The caller has
-// established that they are ready. It runs as a Walk, parking p once.
-func (r *Reg) Consume(p *sim.Proc, a *coherence.Agent, out []*bufpool.Buf) {
-	w := walker(&r.walks)
-	d, ok := w.RegConsume(r, a, out)
-	w.park(p, d, ok)
-}
-
-// Reclaim is Consume for n completed descriptors whose buffers go straight
-// back to port (TX completion reclaim), freed as one burst. It runs as a
-// Walk, parking p once.
-func (r *Reg) Reclaim(p *sim.Proc, a *coherence.Agent, n int, port *bufpool.Port) {
-	w := walker(&r.walks)
-	d, ok := w.Reclaim(r, a, n, port)
-	w.park(p, d, ok)
-}
 
 // reclaimFeed hands Reclaim's free burst (bufpool.FreeFeed) the buffers of
 // the completed descriptors at the head. It consumes each descriptor (Take,

@@ -24,7 +24,48 @@ type env struct {
 // consumeUpTo takes up to max descriptors from r and returns them.
 func consumeUpTo(p *sim.Proc, r *Inline, a *coherence.Agent, max int) []*bufpool.Buf {
 	out := make([]*bufpool.Buf, max)
-	return out[:r.Consume(p, a, out)]
+	return out[:consume(p, r, a, out)]
+}
+
+// onProc runs the operation a start method of w began on p, one event per
+// charge, as a process calling it would, and returns its count.
+func onProc(p *sim.Proc, w *Walk, d sim.Time, ok bool) int {
+	if ok {
+		p.Spin(d, w.Advance)
+	}
+	return w.N()
+}
+
+// post, consume, regPost, regConsume and reclaim run one ring operation on
+// p, each on a fresh Walk.
+func post(p *sim.Proc, r *Inline, a *coherence.Agent, bufs []*bufpool.Buf) int {
+	w := &Walk{}
+	d, ok := w.Post(r, a, bufs)
+	return onProc(p, w, d, ok)
+}
+
+func consume(p *sim.Proc, r *Inline, a *coherence.Agent, out []*bufpool.Buf) int {
+	w := &Walk{}
+	d, ok := w.Consume(r, a, out)
+	return onProc(p, w, d, ok)
+}
+
+func regPost(p *sim.Proc, r *Reg, a *coherence.Agent, bufs []*bufpool.Buf, tail *sim.Time) int {
+	w := &Walk{}
+	d, ok := w.RegPost(r, a, bufs, tail)
+	return onProc(p, w, d, ok)
+}
+
+func regConsume(p *sim.Proc, r *Reg, a *coherence.Agent, out []*bufpool.Buf) {
+	w := &Walk{}
+	d, ok := w.RegConsume(r, a, out)
+	onProc(p, w, d, ok)
+}
+
+func reclaim(p *sim.Proc, r *Reg, a *coherence.Agent, n int, port *bufpool.Port) {
+	w := &Walk{}
+	d, ok := w.Reclaim(r, a, n, port)
+	onProc(p, w, d, ok)
 }
 
 func withEnv(t *testing.T, fn func(p *sim.Proc, e *env)) {
@@ -65,7 +106,7 @@ func TestGroupedPostConsumeRoundtrip(t *testing.T) {
 	withEnv(t, func(p *sim.Proc, e *env) {
 		r := NewInline(e.sys, Grouped, 16, 0)
 		bufs := e.bufs(p, 10)
-		if n := r.Post(p, e.host, bufs); n != 10 {
+		if n := post(p, r, e.host, bufs); n != 10 {
 			t.Fatalf("posted %d, want 10", n)
 		}
 		if r.Pending() != 10 {
@@ -101,7 +142,7 @@ func TestAllLayoutsPreserveFIFO(t *testing.T) {
 						b.Seq = seq
 						seq++
 					}
-					r.Post(p, e.host, bufs)
+					post(p, r, e.host, bufs)
 					got := consumeUpTo(p, r, e.nic, 16)
 					all = append(all, got...)
 				}
@@ -129,7 +170,7 @@ func TestAllLayoutsPreserveFIFO(t *testing.T) {
 func TestConsumeRespectsMax(t *testing.T) {
 	withEnv(t, func(p *sim.Proc, e *env) {
 		r := NewInline(e.sys, Grouped, 16, 0)
-		r.Post(p, e.host, e.bufs(p, 8))
+		post(p, r, e.host, e.bufs(p, 8))
 		p.Sleep(200 * sim.Nanosecond)
 		if got := consumeUpTo(p, r, e.nic, 1); len(got) != 1 {
 			t.Fatalf("max=1 returned %d", len(got))
@@ -147,7 +188,7 @@ func TestRingFullBackpressure(t *testing.T) {
 	withEnv(t, func(p *sim.Proc, e *env) {
 		r := NewInline(e.sys, Padded, 8, 0) // 8 lines => 7 usable
 		bufs := e.bufs(p, 16)
-		n := r.Post(p, e.host, bufs)
+		n := post(p, r, e.host, bufs)
 		if n != 7 {
 			t.Fatalf("posted %d into a 7-usable ring", n)
 		}
@@ -155,7 +196,7 @@ func TestRingFullBackpressure(t *testing.T) {
 		p.Sleep(200 * sim.Nanosecond)
 		consumeUpTo(p, r, e.nic, 16)
 		p.Sleep(200 * sim.Nanosecond)
-		n2 := r.Post(p, e.host, bufs[n:])
+		n2 := post(p, r, e.host, bufs[n:])
 		if n+n2 != 14 {
 			t.Fatalf("after drain posted %d total, want 14", n+n2)
 		}
@@ -182,7 +223,7 @@ func TestGroupedBatchedCheaperPerDescriptorThanPadded(t *testing.T) {
 			start := p.Now()
 			for round := 0; round < 8; round++ {
 				bufs := e.bufs(p, 16)
-				r.Post(p, e.host, bufs)
+				post(p, r, e.host, bufs)
 				var got []*bufpool.Buf
 				for len(got) < 16 {
 					g := consumeUpTo(p, r, e.nic, 16-len(got))
@@ -213,7 +254,7 @@ func TestPackedThrashesUnderSingletonContention(t *testing.T) {
 			start := p.Now()
 			for i := 0; i < 32; i++ {
 				bufs := e.bufs(p, 1)
-				r.Post(p, e.host, bufs)
+				post(p, r, e.host, bufs)
 				var got []*bufpool.Buf
 				for tries := 0; len(got) == 0 && tries < 100; tries++ {
 					got = consumeUpTo(p, r, e.nic, 1)
@@ -342,7 +383,7 @@ func TestInlineAccessors(t *testing.T) {
 		}
 		// Reclaim accounting after a full produce/consume cycle.
 		bufs := e.bufs(p, 8)
-		r.Post(p, e.host, bufs)
+		post(p, r, e.host, bufs)
 		p.Sleep(300 * sim.Nanosecond)
 		got := consumeUpTo(p, r, e.nic, 8)
 		if len(got) != 8 {
@@ -351,7 +392,7 @@ func TestInlineAccessors(t *testing.T) {
 		p.Sleep(300 * sim.Nanosecond)
 		// Exhaust credits so replenish scans the cleared lines.
 		for r.SpaceLines() > 0 {
-			n := r.Post(p, e.host, e.bufs(p, 4))
+			n := post(p, r, e.host, e.bufs(p, 4))
 			if n == 0 {
 				break
 			}
@@ -394,7 +435,7 @@ func TestIdlePollHorizon(t *testing.T) {
 		if _, ok := r.IdlePoll(p.Now()); !ok {
 			t.Fatal("empty ring: IdlePoll reports no idle poll")
 		}
-		r.Post(p, e.host, e.bufs(p, 1))
+		post(p, r, e.host, e.bufs(p, 1))
 		vis := r.lineAt(r.cons).slotVisible[0]
 		if _, ok := r.IdlePoll(p.Now()); !ok || vis <= p.Now() {
 			t.Fatalf("posted slot: IdlePoll = %v at %v, want an idle poll until the slot is visible at %v", ok, p.Now(), vis)

@@ -9,23 +9,19 @@ import (
 	"ccnic/internal/sim"
 )
 
-// Walk is one ring operation in step form, for a spin step that runs it on
-// a process it does not run on, as a device walk does (see
-// coherence.Access): an Inline ring's Consume or Post, or a Reg ring's
-// Post, Consume or Reclaim. A start method runs the operation from the
-// current instant up to its first charge and returns that charge's cost;
-// at each later wake, Advance completes the charge in flight and runs the
-// operation on to its next, in that same event. Either reports false once
-// the operation has ended, in that event, and N then returns its count.
-// Every charge is a coherent access (coherence.Access) or, for Reclaim,
-// the free burst (bufpool.Burst), each drawing its cache pressure first,
-// so the clock, the event count, the probe and the run-queue order see
-// exactly what the process-side operation would have made them see,
-// provided the caller sleeps each returned cost as one event.
-//
-// The process-side operations (Inline.Consume and Post, Reg.Post, Consume
-// and Reclaim) run a Walk taken off the ring's free list on their process,
-// which parks once. A caller's Walk runs one operation at a time.
+// Walk is one ring operation in step form, for a spin step that runs it,
+// as a device walk does (see coherence.Access): an Inline ring's Consume
+// or Post, or a Reg ring's Post (RegPost), Consume (RegConsume) or
+// Reclaim. A start method runs the operation from the current instant up
+// to its first charge and returns that charge's cost; at each later wake,
+// Advance completes the charge in flight and runs the operation on to its
+// next, in that same event. Either reports false once the operation has
+// ended, in that event, and N then returns its count. Every charge is a
+// coherent access (coherence.Access) or, for Reclaim, the free burst
+// (bufpool.Burst), each drawing its cache pressure first, so the clock,
+// the event count, the probe and the run-queue order see exactly what a
+// process sleeping each returned cost as one event would have made them
+// see. A caller's Walk runs one operation at a time.
 //
 // Advance runs outside every process, so nothing it calls may block: the
 // ring's mutations, the step-form accesses and bursts only compute and
@@ -58,12 +54,6 @@ type Walk struct {
 
 	acc   coherence.Access
 	burst bufpool.Burst
-
-	// step is Advance, bound once when a free-list walker is made; home is
-	// the free list it returns to.
-	step func() (sim.Time, bool)
-	home **Walk
-	next *Walk
 }
 
 // walkStage is where a Walk resumes.
@@ -94,35 +84,6 @@ const (
 	regFreed     // Reg Reclaim: the free burst is in flight, or has ended
 )
 
-// walker takes a walker off the free list at home, or makes one.
-//
-//ccnic:noalloc
-func walker(home **Walk) *Walk {
-	w := *home
-	if w == nil {
-		w = &Walk{home: home} //ccnic:alloc-ok free-list warm-up: one walker per concurrent operation
-		w.step = w.Advance    //ccnic:alloc-ok bound once, when the walker is made
-	} else {
-		*home = w.next
-	}
-	return w
-}
-
-// park runs the operation a start method began on p, returns the walker
-// to its free list and returns the operation's count.
-//
-//ccnic:noalloc
-func (w *Walk) park(p *sim.Proc, d sim.Time, ok bool) int {
-	if ok {
-		p.Spin(d, w.step)
-	}
-	n := w.n
-	home, step := w.home, w.step
-	*w = Walk{step: step, home: home, next: *home}
-	*home = w
-	return n
-}
-
 // Live reports whether an operation is in flight: started, and not yet
 // ended.
 //
@@ -142,14 +103,23 @@ func (w *Walk) begin(in *Inline, rg *Reg, a *coherence.Agent, bufs []*bufpool.Bu
 	return w.run()
 }
 
-// Consume starts r.Consume(a, out) in step form.
+// Consume starts polling the consumer's current position of r and taking
+// up to len(out) descriptors into out, clearing consumed state (the
+// completion/credit signal). N is how many it took; zero means nothing was
+// ready.
 //
 //ccnic:noalloc
 func (w *Walk) Consume(r *Inline, a *coherence.Agent, out []*bufpool.Buf) (sim.Time, bool) {
 	return w.begin(r, nil, a, out, consTop)
 }
 
-// Post starts r.Post(a, bufs) in step form.
+// Post starts publishing up to len(bufs) descriptors to r from the
+// producer agent a; N is how many it accepted (limited by ring space).
+// Each burst is packed into whole lines; a line is finalized when
+// published, so the consumer's skip-to-next-line rule (§3.2) is implicit.
+// When credits run low, Post first replenishes them: it scans forward from
+// the reclaim pointer for consumer-cleared lines with one overlapped read
+// (a burst reclaim pass).
 //
 //ccnic:noalloc
 func (w *Walk) Post(r *Inline, a *coherence.Agent, bufs []*bufpool.Buf) (sim.Time, bool) {
@@ -160,10 +130,12 @@ func (w *Walk) Post(r *Inline, a *coherence.Agent, bufs []*bufpool.Buf) (sim.Tim
 	return w.begin(r, nil, a, bufs, postReplenish)
 }
 
-// RegPost starts r.Post(a, bufs) in step form. With tail set, a Post that
-// published descriptors then writes the tail register (a store-buffered
-// write), sets *tail to when it becomes visible and fires the ring's
-// watch: the register-signaled producer's publish.
+// RegPost starts writing up to len(bufs) descriptors at r's tail from the
+// producer agent a and advancing TailIdx; N is how many fit (limited by
+// Space). Publishing the new tail is the caller's, unless tail is set: a
+// Post that published descriptors then writes the tail register (a
+// store-buffered write) and sets *tail to when it becomes visible, the
+// register-signaled producer's publish.
 //
 //ccnic:noalloc
 func (w *Walk) RegPost(r *Reg, a *coherence.Agent, bufs []*bufpool.Buf, tail *sim.Time) (sim.Time, bool) {
@@ -180,7 +152,9 @@ func (w *Walk) RegPost(r *Reg, a *coherence.Agent, bufs []*bufpool.Buf, tail *si
 	return w.regAccess(r, a, &r.postLines, r.TailIdx, n, true, regPosted)
 }
 
-// RegConsume starts r.Consume(a, out) in step form.
+// RegConsume starts reading the len(out) descriptors at r's head from the
+// consumer agent a and taking their buffers into out, advancing HeadIdx.
+// The caller has established that they are ready.
 //
 //ccnic:noalloc
 func (w *Walk) RegConsume(r *Reg, a *coherence.Agent, out []*bufpool.Buf) (sim.Time, bool) {
@@ -188,7 +162,8 @@ func (w *Walk) RegConsume(r *Reg, a *coherence.Agent, out []*bufpool.Buf) (sim.T
 	return w.regAccess(r, a, &r.consLines, r.HeadIdx, len(out), false, regConsumed)
 }
 
-// Reclaim starts r.Reclaim(a, n, port) in step form.
+// Reclaim is RegConsume for n completed descriptors whose buffers go
+// straight back to port (TX completion reclaim), freed as one burst.
 //
 //ccnic:noalloc
 func (w *Walk) Reclaim(r *Reg, a *coherence.Agent, n int, port *bufpool.Port) (sim.Time, bool) {

@@ -171,7 +171,7 @@ func bodyRegAccess(p *sim.Proc, r *Reg, a *coherence.Agent, side *sim.Scratch[me
 	side.Put(lines)
 }
 
-// bodyRegPost is Reg.Post, and with tail set the register-signaled
+// bodyRegPost is the register ring's Post, and with tail set the register-signaled
 // producer's tail publish after it.
 func bodyRegPost(p *sim.Proc, r *Reg, a *coherence.Agent, bufs []*bufpool.Buf, tail *sim.Time) int {
 	n := min(len(bufs), r.Space())
@@ -332,7 +332,7 @@ func inlineRun(t *testing.T, layout Layout, seed int64, faults, walks bool) stri
 					free = free[:len(free)-n]
 					var posted int
 					if walks {
-						posted = r.Post(p, host, bufs)
+						posted = post(p, r, host, bufs)
 					} else {
 						posted = bodyPost(p, r, host, bufs)
 					}
@@ -387,7 +387,7 @@ func regRun(t *testing.T, nicMgmt bool, seed int64, faults, walks bool) string {
 				}
 				if done > 0 {
 					if walks {
-						r.Reclaim(p, host, done, hp)
+						reclaim(p, r, host, done, hp)
 					} else {
 						bodyReclaim(p, r, host, done, hp)
 					}
@@ -403,12 +403,8 @@ func regRun(t *testing.T, nicMgmt bool, seed int64, faults, walks bool) string {
 			switch {
 			case !walks:
 				n = bodyRegPost(p, r, host, bufs[:got], gate)
-			case gate == nil:
-				n = r.Post(p, host, bufs[:got])
 			default:
-				wk := walker(&r.walks)
-				d, ok := wk.RegPost(r, host, bufs[:got], gate)
-				n = wk.park(p, d, ok)
+				n = regPost(p, r, host, bufs[:got], gate)
 			}
 			hp.FreeBurst(p, bufs[n:got])
 			w.note(p, "post %d of %d tail %d", n, got, tail)
@@ -426,7 +422,7 @@ func regRun(t *testing.T, nicMgmt bool, seed int64, faults, walks bool) string {
 					continue
 				}
 				if walks {
-					r.Consume(p, nic, out[:n])
+					regConsume(p, r, nic, out[:n])
 				} else {
 					bodyRegConsume(p, r, nic, out[:n])
 				}

@@ -21,7 +21,7 @@ import (
 // process out, by park site, and by process name with its index
 // stripped. A site is a callee and its caller on the parking stack, above
 // the kernel: the model code's call into the coherence, buffer-pool or
-// ring layer (Agent.Poll <- forwardRx), or else the first two frames
+// ring layer (Agent.Read <- Store.Get), or else the first two frames
 // (driverWalk.park <- RxBurst). Every coroutine switch into a process but
 // its first follows one such park.
 type parkLedger struct {
@@ -167,7 +167,8 @@ func kvZipfPoints(seed int64) []ledgerPoint {
 // TestParkLedger runs one pass of each testbed workload of the repository
 // benchmark (cmd/ccperf, seed 1), rebuilt here point for point, with a park
 // ledger attached. It pins each pass's event count, which the spin steps
-// must keep, and bounds its coroutine switches, and logs the leading park
+// must keep, bounds its coroutine switches, checks that no coherent NIC
+// core, PCIe engine or overlay thread parks, and logs the leading park
 // sites and parking processes: the measured ledger of DESIGN §7.
 // fabric-mix has no coroutine at all (TestClusterRunsNoCoroutine).
 func TestParkLedger(t *testing.T) {
@@ -186,8 +187,8 @@ func TestParkLedger(t *testing.T) {
 		{"derate-sweep", derateSweepPoints(1), 1_206_941, 40_000},
 		{"loopback-1500", loopbackPoints(1, 1500, []ccnic.Interface{ccnic.CCNIC, ccnic.E810, ccnic.CX6}, []int{1, 4},
 			map[string]float64{"CC-NIC/1": 4.27, "CC-NIC/4": 4.27, "E810/1": 6.40, "E810/4": 3.66,
-				"CX6/1": 6.40, "CX6/4": 3.88}), 774_595, 50_000},
-		{"kv-zipf", kvZipfPoints(1), 565_001, 143_000},
+				"CX6/1": 6.40, "CX6/4": 3.88}), 774_595, 40_000},
+		{"kv-zipf", kvZipfPoints(1), 565_001, 40_000},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			l := newParkLedger()
@@ -211,8 +212,8 @@ func TestParkLedger(t *testing.T) {
 				t.Errorf("%d coroutine switches per pass, want at most %d", resumes, w.maxResumes)
 			}
 			for name, n := range l.procs {
-				if upiCore.MatchString(name + "0") {
-					t.Errorf("UPI NIC core %s parked %d times, want 0", name, n)
+				if upiCore.MatchString(name+"0") || pcieOrOverlay.MatchString(name+"0") {
+					t.Errorf("bodiless process %s parked %d times, want 0", name, n)
 				}
 			}
 		})
@@ -246,6 +247,80 @@ func TestUPICoreRunsNoCoroutine(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// pcieOrOverlay matches the process name of a PCIe NIC's fetch or deliver
+// engine or of an overlay forwarding thread.
+var pcieOrOverlay = regexp.MustCompile(`^((E810|CX6)\.(fetch|deliver)|overlay)\d+$`)
+
+// TestPCIeRunsNoCoroutine checks that the PCIe NICs' engines and the
+// overlay's forwarding threads are bodiless processes: E810 and CX6 runs in
+// closed and open loop, forwarding synthetic ingress and under an armed
+// fault plan, and overlay KV runs on 4 queues with one task per thread (8
+// threads), two (4) and four (2), make no coroutine switch out of (so none
+// into) an engine or a thread, while the engines do move packets.
+func TestPCIeRunsNoCoroutine(t *testing.T) {
+	plan, err := ccnic.ParseFaultPlan("seed=1,all=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noSwitch := func(t *testing.T, tb *ccnic.Testbed, l *parkLedger) {
+		t.Helper()
+		nic, ok := tb.Dev.(*device.PCIeNIC)
+		if !ok {
+			nic = tb.Dev.(*device.Overlay).Back()
+		}
+		if st := nic.Endpoint().Stats(); st.DMAReads == 0 || st.DMAWrites == 0 {
+			t.Fatalf("the engines moved no packet: %+v", st)
+		}
+		for name, n := range l.procs {
+			if pcieOrOverlay.MatchString(name + "0") {
+				t.Errorf("%s switched out %d times, want 0", name, n)
+			}
+		}
+	}
+	for _, iface := range []ccnic.Interface{ccnic.E810, ccnic.CX6} {
+		for _, mode := range []string{"closed", "open", "ingress", "faults"} {
+			t.Run(fmt.Sprintf("%v/%s", iface, mode), func(t *testing.T) {
+				cfg := ccnic.Config{Platform: "ICX", Interface: iface, Queues: 2, HostPrefetch: true}
+				opt := ccnic.LoopbackOptions{PktSize: 1500, Window: 64,
+					Warmup: 5 * sim.Microsecond, Measure: 15 * sim.Microsecond}
+				switch mode {
+				case "open":
+					opt.Rate = 2e6
+				case "ingress":
+					opt.Rate = 1e6
+				case "faults":
+					cfg.Faults, opt.Rate = plan, 2e6
+				}
+				tb := ccnic.NewTestbed(cfg)
+				l := newParkLedger()
+				tb.Kernel.SetParkProbe(l)
+				if mode == "ingress" {
+					tb.RunForward(opt)
+				} else {
+					tb.RunLoopback(opt)
+				}
+				noSwitch(t, tb, l)
+			})
+		}
+	}
+	for _, iface := range []ccnic.Interface{ccnic.OverlayCCNIC, ccnic.OverlayUnopt} {
+		for _, threads := range []int{8, 4, 2} {
+			t.Run(fmt.Sprintf("%v/threads%d", iface, threads), func(t *testing.T) {
+				tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Interface: iface, Queues: 4,
+					OverlayThreads: threads, HostPrefetch: true})
+				l := newParkLedger()
+				tb.Kernel.SetParkProbe(l)
+				res := tb.RunKVStore(ccnic.KVOptions{Keys: 2000, RatePerQueue: 20e6, Seed: 1,
+					Warmup: 5 * sim.Microsecond, Measure: 15 * sim.Microsecond})
+				if res.Gets+res.Sets == 0 {
+					t.Fatal("the KV servers served no request")
+				}
+				noSwitch(t, tb, l)
+			})
 		}
 	}
 }
