@@ -13,6 +13,9 @@
 #   make ledger       the park-site ledger: each testbed workload of the
 #                     repository benchmark (seed 1) with its events, coroutine
 #                     switches, leading park sites and parking processes
+#   make loc          the non-test Go line count the ROADMAP's code budget
+#                     is kept in (the benchmark module and lint fixtures
+#                     excluded)
 #   make bench-smoke  one-iteration pass over the kernel, headline, KV and cluster benches,
 #                     then the tests of cmd/ccperf, the repository benchmark
 #                     (its own module, so `go test ./...` never builds it)
@@ -29,7 +32,7 @@
 
 GO ?= go
 
-.PHONY: check verify lint vet race ledger bench-smoke matrix golden-check golden-shards golden
+.PHONY: check verify lint vet race ledger loc bench-smoke matrix golden-check golden-shards golden
 
 check: verify lint vet race bench-smoke matrix golden-check golden-shards
 
@@ -57,6 +60,11 @@ race:
 # TestParkLedger with its log: the ledger DESIGN §7 quotes.
 ledger:
 	$(GO) test -count=1 -run TestParkLedger -v .
+
+# Non-test Go lines, by the count the ROADMAP's code budget is kept in.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './cmd/ccperf/*' \
+		-not -path './internal/lint/testdata/*' | xargs cat | wc -l
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Kernel|LoopbackCCNIC|KV|Cluster' -benchtime 1x .

@@ -238,9 +238,6 @@ func gcd(a, b int) int {
 	return a
 }
 
-// Shared reports whether NIC-side ports may manage buffers.
-func (pl *Pool) Shared() bool { return pl.cfg.Shared }
-
 // Outstanding returns the number of currently allocated buffers.
 func (pl *Pool) Outstanding() int { return pl.allocatedBufs }
 

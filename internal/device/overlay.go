@@ -89,9 +89,7 @@ func (o *Overlay) Start() {
 // startThread spawns forwarding thread t over its share of the tasks, if it
 // has any, as a bodiless process (forwarder.step). Queue i's TX task is
 // task i and its RX task task nq+i, dealt round-robin, so extra threads (up
-// to two per queue) add forwarding capacity. A thread whose only task is
-// one queue's TX, and which is that queue's NIC agent, polls the front ring
-// as a single-queue NIC core does: its idle polls run as idlePoll steps.
+// to two per queue) add forwarding capacity.
 func (o *Overlay) startThread(t int) {
 	nq, nt := o.front.NumQueues(), len(o.threads)
 	a := o.threads[t]
@@ -106,20 +104,12 @@ func (o *Overlay) startThread(t int) {
 	if len(f.txTasks) == 0 && len(f.rxTasks) == 0 {
 		return
 	}
-	if len(f.txTasks) == 1 && len(f.rxTasks) == 0 && o.front.qs[f.txTasks[0]].nic == a {
-		f.solo = o.front.qs[f.txTasks[0]]
-		f.solo.idle.init(f.solo, nil)
-	}
 	o.front.sys.Kernel().SpawnSpin(fmt.Sprintf("overlay%d", t), f.step)
 }
 
-// Stop halts overlay threads and the PCIe device. Marking the front queues
-// stopped ends their TX threads' idle spins.
+// Stop halts overlay threads and the PCIe device.
 func (o *Overlay) Stop() {
 	o.stopped = true
-	for _, q := range o.front.qs {
-		q.stop()
-	}
 	o.back.Stop()
 }
 
@@ -141,25 +131,21 @@ type forwarder struct {
 	stage fwdStage
 	c     charge
 
-	// The thread's TX and RX tasks (front queue indexes), and the front
-	// queue a thread with one TX task alone polls (idlePoll), or nil.
+	// The thread's TX and RX tasks (front queue indexes).
 	txTasks, rxTasks []int
-	solo             *upiQueue
 
-	// sub is the nested walk in flight, drv the driver call among them;
-	// idling is set while solo's idle polls run.
-	sub    func() (sim.Time, bool)
-	drv    *driverWalk
-	idling bool
+	// sub is the nested walk in flight, drv the driver call among them.
+	sub func() (sim.Time, bool)
+	drv *driverWalk
 
 	// The round's next task and whether any found work; the task in
-	// flight: its queue, whether it continues a poll idlePoll made,
-	// whether it found work and the stage it returns to.
-	task          int
-	busy          bool
-	qi            int
-	polled, found bool
-	ret           fwdStage
+	// flight: its queue, whether it found work and the stage it returns
+	// to.
+	task  int
+	busy  bool
+	qi    int
+	found bool
+	ret   fwdStage
 
 	// A TX task's consumed packets, the next it copies and the buffer a
 	// burst of one allocates or frees; an RX task's received count and the
@@ -204,27 +190,19 @@ const (
 	fwRxReleased // the back queue's Release has ended
 )
 
-// step is the forwarder's spin step: it completes what is in flight, an
-// idle poll, a nested walk's charge or its own, and runs the thread on to
-// its next charge.
+// step is the forwarder's spin step: it completes what is in flight, a
+// nested walk's charge or its own, and runs the thread on to its next
+// charge.
 //
 //ccnic:noalloc
 func (f *forwarder) step() (sim.Time, bool) {
-	switch {
-	case f.idling:
-		if d, more := f.solo.idle.step(); more {
-			return d, true
-		}
-		f.idling = false
-	case f.sub != nil:
+	if f.sub != nil {
 		if d, more := f.sub(); more {
 			return d, true
 		}
 		f.sub = nil
-	default:
-		if d, more := f.c.advance(); more {
-			return d, true
-		}
+	} else if d, more := f.c.advance(); more {
+		return d, true
 	}
 	return f.run()
 }
@@ -252,13 +230,7 @@ func (f *forwarder) run() (sim.Time, bool) {
 		fq, bq := front.qs[f.qi], f.o.back.qs[f.qi]
 		switch f.stage {
 		case fwRound:
-			// A thread polling alone continues a poll its idle step made
-			// and found work behind; the stop flag is checked only before
-			// a fresh round, so that work is still served.
-			if f.solo != nil {
-				f.polled, f.solo.idle.polled = f.solo.idle.polled, false
-			}
-			if !f.polled && f.o.stopped {
+			if f.o.stopped {
 				return 0, false
 			}
 			f.task, f.busy, f.stage = 0, false, fwTask
@@ -271,12 +243,7 @@ func (f *forwarder) run() (sim.Time, bool) {
 				f.qi, f.stage = f.rxTasks[t-ntx], fwRx
 			default:
 				f.stage = fwRound
-				switch {
-				case f.busy:
-				case f.solo != nil:
-					f.idling = true
-					d, ok = f.solo.idle.gap, true
-				default:
+				if !f.busy {
 					d, ok = pollGap, true
 				}
 			}
@@ -292,7 +259,7 @@ func (f *forwarder) run() (sim.Time, bool) {
 				break
 			}
 			f.stage, f.sub = fwTxRead, fq.walk.step
-			d, ok = fq.walk.regConsumeTx(f.polled)
+			d, ok = fq.walk.regConsumeTx()
 		case fwTxConsumed:
 			fq.txMetas = snapshot(fq.txMetas[:0], fq.txBufs[:f.c.ring.N()], cfg.NICBufMgmt)
 			f.metas, f.stage = fq.txMetas, fwTxRead

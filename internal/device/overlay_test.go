@@ -138,15 +138,15 @@ func TestOverlayIngressMode(t *testing.T) {
 	}
 }
 
-// An overlay thread whose only task is one queue's TX polls the front ring
-// as a single-queue NIC core does, its idle polls run as spin steps. The
-// app posts a TX burst on each queue every 2 µs, next to a host process
-// that wakes every 7 ns, so no iteration can hide on the run-next fast
-// path. Only the TX threads run, and after a warm-up burst that primes
-// the PCIe queues, they resume a bounded number of times per burst, where
-// Sleep loops would resume them at every PollGap. The spin stays
-// engaged under the invariant engine, and the front device counts no NIC
-// steps.
+// An overlay thread whose only task is one queue's TX is a bodiless
+// process: its idle rounds, a poll of the front ring and a PollGap sleep,
+// run as spin steps, as a single-queue NIC core's do. The app posts a TX
+// burst on each queue every 2 µs, next to a host process that wakes every
+// 7 ns, so no iteration can hide on the run-next fast path. Only the TX
+// threads run, and after a warm-up burst that primes the PCIe queues, they
+// resume a bounded number of times per burst, where Sleep loops would
+// resume them at every PollGap. The spin stays engaged under the
+// invariant engine, and the front device counts no NIC steps.
 func TestOverlayIdleThreadsSpin(t *testing.T) {
 	const (
 		nq     = 2

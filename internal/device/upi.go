@@ -169,14 +169,12 @@ type upiQueue struct {
 	blanks  []*bufpool.Buf
 
 	in pacer
-	// idle is the spin step state of the process polling this queue
-	// alone: its NIC core, or under the overlay its TX thread.
-	idle idlePoll
 	// walk is the NIC side's walk, run by the queue's NIC core or, under
 	// the overlay, by its TX task; rxWalk is the overlay RX task's.
 	// drivers is the free list of host driver calls' walks.
 	walk, rxWalk nicWalk
 	drivers      *driverWalk
+	core         *nicCore // the NIC core serving the queue (Start)
 
 	stopped bool
 }
@@ -262,48 +260,31 @@ func (d *UPI) SetIngress(i int, rate float64, gen func() int) {
 // TxCount implements Injector.
 func (d *UPI) TxCount(i int) int64 { return d.qs[i].in.tx }
 
-// Start spawns the NIC processing units: one per queue by default, or
-// NICCores shared units serving queues round-robin. A polling core that
-// serves its queue alone is a bodiless process (nicWalk.core).
+// Start spawns the NIC processing units, each a bodiless process (nicCore)
+// over its queue group: one per queue by default, or NICCores shared units
+// serving queues round-robin.
 func (d *UPI) Start() {
-	cores := d.cfg.NICCores
-	k := d.sys.Kernel()
+	cores, name := d.cfg.NICCores, "%s.niccore%d"
 	if cores <= 0 || cores >= len(d.qs) {
-		for _, q := range d.qs {
-			name := fmt.Sprintf("%s.nic%d", d.name, q.idx)
-			if d.cfg.EventDriven {
-				q := q
-				k.Spawn(name, func(p *sim.Proc) { d.nicServe(p, []*upiQueue{q}) })
-				continue
-			}
-			q.idle.init(q, &d.nicSteps)
-			k.SpawnSpin(name, q.walk.core)
-		}
-		return
+		cores, name = len(d.qs), "%s.nic%d"
 	}
-	for c := 0; c < cores; c++ {
-		var group []*upiQueue
-		for i, q := range d.qs {
-			if i%cores == c {
-				group = append(group, q)
-			}
+	for i := 0; i < cores; i++ {
+		c := &nicCore{d: d}
+		for j := i; j < len(d.qs); j += cores {
+			c.group = append(c.group, d.qs[j])
+			d.qs[j].core = c
 		}
-		d.sys.Kernel().Spawn(fmt.Sprintf("%s.niccore%d", d.name, c), func(p *sim.Proc) {
-			d.nicServe(p, group)
-		})
+		c.p = d.sys.Kernel().SpawnSpin(fmt.Sprintf(name, d.name, i), c.step)
 	}
 }
 
 // Stop makes the NIC processes exit at their next iteration.
 func (d *UPI) Stop() {
 	for _, q := range d.qs {
-		q.stop()
+		q.stopped = true
 	}
 	d.wake.Signal()
 }
-
-// stop marks the queue stopped: its poller's next iteration sees the flag.
-func (q *upiQueue) stop() { q.stopped = true }
 
 // notify records a descriptor-write signal for event-driven NIC cores.
 //
@@ -314,69 +295,4 @@ func (d *UPI) notify(idx int) {
 	}
 	d.pending = append(d.pending, idx)
 	d.wake.Signal()
-}
-
-// nicServe runs one NIC processing unit over its queue group. In polling
-// mode it scans every queue each cycle; in event-driven mode the unit
-// blocks until a host descriptor write signals it, then serves exactly the
-// queue the coherence message identified — no scan, so discovery cost does
-// not grow with the queue count (§3.2).
-func (d *UPI) nicServe(p *sim.Proc, group []*upiQueue) {
-	plat := d.sys.Platform()
-	if d.cfg.EventDriven {
-		mine := make(map[int]*upiQueue, len(group))
-		for _, q := range group {
-			mine[q.idx] = q
-		}
-		for {
-			allStopped := true
-			for _, q := range group {
-				if !q.stopped {
-					allStopped = false
-				}
-			}
-			if allStopped {
-				return
-			}
-			var q *upiQueue
-			for i := 0; i < len(d.pending); i++ {
-				if cand, ok := mine[d.pending[i]]; ok {
-					d.pending = append(d.pending[:i], d.pending[i+1:]...)
-					q = cand
-					break
-				}
-			}
-			if q == nil {
-				p.Wait(d.wake)
-				continue
-			}
-			if q.stopped {
-				continue
-			}
-			d.nicSteps++
-			for q.nicStep(p) {
-				d.nicSteps++
-			}
-		}
-	}
-	for {
-		busy := false
-		stopped := true
-		for _, q := range group {
-			if q.stopped {
-				continue
-			}
-			stopped = false
-			d.nicSteps++
-			if q.nicStep(p) {
-				busy = true
-			}
-		}
-		if stopped {
-			return
-		}
-		if !busy {
-			p.Sleep(plat.PollGap)
-		}
-	}
 }

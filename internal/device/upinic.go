@@ -76,9 +76,8 @@ type nicWalk struct {
 	stage nicStage
 	c     charge
 
-	// The iteration continues a register-ring poll an idlePoll step has
-	// made (polled), and reports whether it found work (busy).
-	polled, busy bool
+	// busy reports whether the iteration found work.
+	busy bool
 	// metas are the iteration's consumed TX packets.
 	metas []pktMeta
 	// arrived counts the synthetic arrivals the iteration took; one holds
@@ -99,8 +98,6 @@ type nicWalk struct {
 	doneFrom, doneCount int
 	got                 [1]*bufpool.Buf
 
-	// idling is set while the bodiless core's idle polls run (idlePoll).
-	idling bool
 	// step is Advance, bound once.
 	step func() (sim.Time, bool)
 }
@@ -159,26 +156,15 @@ func (w *nicWalk) init(q *upiQueue) {
 	w.step = w.Advance
 }
 
-// nicStep performs one service iteration for the queue on p, parking it
-// once, and reports whether it found work.
-func (q *upiQueue) nicStep(p *sim.Proc) bool {
-	w := &q.walk
-	if d, ok := w.iterate(false); ok {
-		p.Spin(d, w.step)
-	}
-	return w.busy
-}
-
 // regConsumeTx starts the register-signaled NIC TX path: poll the tail
 // register and read new descriptors, into w.metas once the walk has ended.
 // Completion signaling happens after the payload has been read
 // (completeTx), never before — otherwise the host could recycle a buffer
-// the device is still reading. polled skips the poll, made by an idlePoll
-// step.
+// the device is still reading.
 //
 //ccnic:noalloc
-func (w *nicWalk) regConsumeTx(polled bool) (sim.Time, bool) {
-	w.polled, w.consRet, w.stage = polled, nicDone, txPoll
+func (w *nicWalk) regConsumeTx() (sim.Time, bool) {
+	w.consRet, w.stage = nicDone, txPoll
 	return w.run()
 }
 
@@ -204,47 +190,106 @@ func (w *nicWalk) rxEmit(pkts []rxMeta) (sim.Time, bool) {
 	return w.run()
 }
 
-// core is the step of a queue's bodiless NIC core, the queue's polling
-// loop as a walk: it runs service iterations until the queue stops, with
-// its idle iterations run by idlePoll. An iteration that finds work is
-// followed at once by the next; one that finds none sleeps PollGap into
-// the idle polls. When the idle step finds work behind a register
-// ring's tail poll, the step continues straight into the iteration it
-// resumes. The stop flag is checked only before a fresh iteration, so
-// that work is still served.
+// nicCore is one NIC processing unit as a walk (see charge): a bodiless
+// process serving its queue group, each queue's service iteration
+// (nicWalk.iterate) run as a nested walk. A polling core visits every
+// unstopped queue each round and sleeps PollGap after a round that found
+// no work, so an idle iteration is two events: its poll issues, then
+// completes. An event-driven core blocks until a host descriptor write
+// signals one of its queues (UPI.notify), then serves exactly that queue
+// until an iteration finds nothing: no scan, so discovery cost does not
+// grow with the queue count (§3.2). A core ends once every queue of its
+// group is stopped. It reads a queue's stop flag only when it picks the
+// queue (an event-driven core serves a busy queue on without reading it),
+// never inside an iteration, so work an iteration found is still served.
+type nicCore struct {
+	d     *UPI
+	p     *sim.Proc
+	group []*upiQueue
+	// q is the queue whose iteration is in flight, or that just ended;
+	// next is a polling round's next queue, busy and live whether the
+	// round found work and visited an unstopped queue.
+	q          *upiQueue
+	next       int
+	busy, live bool
+}
+
+// step is the core's spin step: it completes the charge of the iteration
+// in flight and runs the core on to its next charge or wait.
 //
 //ccnic:noalloc
-func (w *nicWalk) core() (sim.Time, bool) {
-	q := w.q
-	if w.idling {
-		if d, more := q.idle.step(); more {
+func (c *nicCore) step() (sim.Time, bool) {
+	if q := c.q; q != nil {
+		if d, more := q.walk.Advance(); more {
 			return d, true
-		}
-		w.idling = false
-	} else if w.stage != nicDone {
-		if d, more := w.Advance(); more {
-			return d, true
-		}
-		if !w.busy {
-			w.idling = true
-			return q.idle.gap, true
 		}
 	}
 	for {
-		polled := q.idle.polled
-		q.idle.polled = false
-		if !polled {
-			if q.stopped {
-				return 0, false
-			}
-			q.dev.nicSteps++
+		q, d, ok := c.pick()
+		if q == nil {
+			return d, ok
 		}
-		if d, ok := w.iterate(polled); ok {
+		c.q = q
+		c.d.nicSteps++
+		if d, ok := q.walk.iterate(); ok {
 			return d, true
 		}
-		if !w.busy {
-			w.idling = true
-			return q.idle.gap, true
+	}
+}
+
+// pick returns the queue the core iterates next, once the iteration of c.q
+// (if any) has ended; with none, it returns the core's wait, or false to
+// end the core.
+//
+//ccnic:noalloc
+func (c *nicCore) pick() (*upiQueue, sim.Time, bool) {
+	d, last := c.d, c.q
+	c.q = nil
+	if d.cfg.EventDriven {
+		if last != nil && last.walk.busy {
+			return last, 0, false
+		}
+		live := false
+		for _, q := range c.group {
+			live = live || !q.stopped
+		}
+		if !live {
+			return nil, 0, false
+		}
+		for i := 0; i < len(d.pending); i++ {
+			q := d.qs[d.pending[i]]
+			if q.core != c {
+				continue
+			}
+			copy(d.pending[i:], d.pending[i+1:])
+			d.pending = d.pending[:len(d.pending)-1]
+			i--
+			if !q.stopped {
+				return q, 0, false
+			}
+		}
+		wait, ok := c.p.Await(d.wake)
+		return nil, wait, ok
+	}
+	if last != nil {
+		c.busy = c.busy || last.walk.busy
+	}
+	for {
+		for c.next < len(c.group) {
+			q := c.group[c.next]
+			c.next++
+			if !q.stopped {
+				c.live = true
+				return q, 0, false
+			}
+		}
+		live, busy := c.live, c.busy
+		c.next, c.live, c.busy = 0, false, false
+		switch {
+		case !live:
+			return nil, 0, false
+		case !busy:
+			return nil, d.sys.Platform().PollGap, true
 		}
 	}
 }
@@ -252,8 +297,8 @@ func (w *nicWalk) core() (sim.Time, bool) {
 // iterate starts a service iteration and runs it to its first charge.
 //
 //ccnic:noalloc
-func (w *nicWalk) iterate(polled bool) (sim.Time, bool) {
-	w.polled, w.busy, w.stage = polled, false, nicStart
+func (w *nicWalk) iterate() (sim.Time, bool) {
+	w.busy, w.stage = false, nicStart
 	return w.run()
 }
 
@@ -296,10 +341,8 @@ func (w *nicWalk) run() (sim.Time, bool) {
 			// queues have no doorbells to lose; link and cache faults
 			// arrive via the coherence layer underneath.
 			w.stage = nicConsume
-			if !w.polled {
-				if stall := q.dev.sys.Faults().PipelineStall(); stall > 0 { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
-					d, ok = stall, true
-				}
+			if stall := q.dev.sys.Faults().PipelineStall(); stall > 0 { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+				d, ok = stall, true
 			}
 		case nicConsume:
 			if !cfg.InlineSignal {
@@ -380,9 +423,7 @@ func (w *nicWalk) run() (sim.Time, bool) {
 
 		case txPoll:
 			w.stage = txPolled
-			if !w.polled {
-				d, ok = w.c.acc.Poll(q.nic, q.txR.TailReg(), 8)
-			}
+			d, ok = w.c.acc.Poll(q.nic, q.txR.TailReg(), 8)
 		case txPolled:
 			w.metas, w.stage = nil, w.consRet
 			avail := min(q.txTailAvail(now), cfg.NICBurst)
@@ -616,83 +657,6 @@ func (q *upiQueue) txTailAvail(now sim.Time) int {
 		return 0
 	}
 	return q.txR.TailIdx - q.txSeen
-}
-
-// idlePoll runs a single-queue NIC core's idle service iterations as a spin
-// step (sim.Proc.Spin), so a core polling an empty TX ring costs no
-// coroutine switch. An idle iteration is two events: at the first the poll
-// of the TX ring issues, an L2 hit; at the second, that hit's latency
-// later, the poll completes and the core sleeps PollGap. The step runs
-// both halves of that poll (coherence.Agent.SpinPoll, PollCommit) and
-// nothing else, so each iteration it absorbs is exactly the iteration the
-// core would have run. An overlay TX thread that alone serves the queue
-// polls its front ring the same way (forwarder), and its idle iteration
-// is the same poll.
-//
-// At the first event the step declines, and the core runs the iteration
-// itself, whenever that iteration could do anything else: the queue is
-// stopped, a fault plan is armed (the iteration would draw from its RNG),
-// synthetic ingress is set, the poll would miss or train the prefetcher
-// (an inline ring's line already ready). At the second it declines when
-// the completed poll of a register ring's tail found work, and the core
-// resumes right after the poll (regConsumeTx's polled continuation) to
-// finish the iteration. An inline ring's poll never finds work (Inline.FinishPoll).
-type idlePoll struct {
-	q      *upiQueue
-	addr   mem.Addr // address of the poll in flight
-	issued bool     // a poll is in flight: the next wake completes it
-	polled bool     // the core resumed right after a poll that found work
-	gap    sim.Time // the sleep after a completed poll (PollGap)
-	steps  *int64   // the NIC step count each issued poll adds to; nil for none
-	found  int64    // polls that found work in flight (for tests)
-}
-
-// init readies the idle poll of queue q; steps counts its iterations as
-// NIC steps, nil none.
-func (s *idlePoll) init(q *upiQueue, steps *int64) {
-	s.q, s.gap, s.steps = q, q.dev.sys.Platform().PollGap, steps
-}
-
-// step is the sim.Proc.Spin step; bind it once per core.
-//
-//ccnic:noalloc
-func (s *idlePoll) step() (sim.Time, bool) {
-	q := s.q
-	d := q.dev
-	now := d.sys.Kernel().Now()
-	if s.issued {
-		s.issued = false
-		q.nic.PollCommit(s.addr)
-		if q.txI != nil {
-			q.txI.FinishPoll(now)
-		} else if q.txTailAvail(now) > 0 {
-			s.polled = true
-			s.found++
-			return 0, false
-		}
-		return s.gap, true
-	}
-	if q.stopped || d.sys.Faults() != nil || q.in.gen != nil {
-		return 0, false
-	}
-	addr, ok := mem.Addr(0), true
-	if q.txI != nil {
-		addr, ok = q.txI.IdlePoll(now)
-	} else {
-		addr = q.txR.TailReg()
-	}
-	if !ok {
-		return 0, false
-	}
-	lat, ok := q.nic.SpinPoll(addr)
-	if !ok {
-		return 0, false
-	}
-	if s.steps != nil {
-		*s.steps++
-	}
-	s.addr, s.issued = addr, true
-	return lat, true
 }
 
 // rxMeta describes one packet arriving on the RX path.

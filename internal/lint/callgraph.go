@@ -14,7 +14,6 @@ import (
 var yieldRoots = map[string]bool{
 	"(*ccnic/internal/sim.Proc).Sleep":       true,
 	"(*ccnic/internal/sim.Proc).Wait":        true,
-	"(*ccnic/internal/sim.Proc).Yield":       true,
 	"(*ccnic/internal/coherence.Agent).Exec": true,
 	// The shard engine's Run executes arbitrary processes across every
 	// member kernel: from a caller's perspective it yields by definition.

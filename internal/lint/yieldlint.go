@@ -7,7 +7,7 @@ import (
 
 // Yieldlint flags calls to (transitively) yielding functions where no
 // process may yield. The simulation kernel interleaves processes only at
-// yield points (Proc.Sleep/Wait/Yield and everything built on them, like
+// yield points (Proc.Sleep/Wait and everything built on them, like
 // coherence.Agent's charge methods), so shared model structures must be
 // consistent whenever a yielding call executes. Two places forbid one:
 //

@@ -264,42 +264,6 @@ func (r *Inline) cleared(ln *line) bool {
 	return true
 }
 
-// IdlePoll reports whether the next Consume would begin with an empty poll
-// — a load that does not train the prefetcher, of the consumer's line
-// (Grouped, Padded) or slot (Packed), with nothing ready there — and
-// returns that poll's address. A spin step issues the poll itself
-// (coherence.Agent.SpinPoll) and, once it completes, ends the Consume with
-// FinishPoll. IdlePoll is false when the consumer's line is already ready:
-// that Consume reads it, training the prefetcher.
-//
-//ccnic:noalloc
-func (r *Inline) IdlePoll(now sim.Time) (addr mem.Addr, ok bool) {
-	ln := r.lineAt(r.cons)
-	addr = r.lineAddr(r.cons)
-	if r.layout == Packed {
-		i := ln.taken
-		if ln.slotReadyAt(i, now) {
-			return 0, false
-		}
-		return addr + mem.Addr(i*DescSize), true
-	}
-	return addr, !ln.ready
-}
-
-// FinishPoll ends a Consume whose empty poll (IdlePoll) has just completed,
-// reported to the probe as Consume reports an empty one. That poll cannot
-// have found work: a line turns ready only when the producer's RFO
-// completes, and that RFO must first invalidate the consumer's resident
-// copy, so it cannot complete inside the consumer's L2-hit poll.
-//
-//ccnic:noalloc
-func (r *Inline) FinishPoll(now sim.Time) {
-	if r.layout != Packed && r.lineAt(r.cons).readyAt(now) {
-		panic(fmt.Sprintf("%s: line %d became ready inside an L2-hit poll, which the producer's RFO must invalidate first", r.CheckDesc(), r.cons))
-	}
-	r.notify()
-}
-
 // Pending returns the number of published-but-unconsumed descriptors (for
 // tests and flow control).
 func (r *Inline) Pending() int {

@@ -426,25 +426,28 @@ func TestNewRegValidation(t *testing.T) {
 	})
 }
 
-// A Packed slot posted but not yet visible leaves the consumer's poll idle
-// until its visibility, with no further publish: from that instant IdlePoll
-// reports the slot ready.
-func TestIdlePollHorizon(t *testing.T) {
+// A Packed slot posted but not yet visible leaves the consumer's Consume
+// empty until its visibility: from that instant, with no further publish,
+// a Consume takes it.
+func TestPackedConsumeHorizon(t *testing.T) {
 	withEnv(t, func(p *sim.Proc, e *env) {
 		r := NewInline(e.sys, Packed, 8, 0)
-		if _, ok := r.IdlePoll(p.Now()); !ok {
-			t.Fatal("empty ring: IdlePoll reports no idle poll")
+		out := make([]*bufpool.Buf, 1)
+		if n := consume(p, r, e.nic, out); n != 0 {
+			t.Fatalf("empty ring: Consume took %d", n)
 		}
 		post(p, r, e.host, e.bufs(p, 1))
 		vis := r.lineAt(r.cons).slotVisible[0]
-		if _, ok := r.IdlePoll(p.Now()); !ok || vis <= p.Now() {
-			t.Fatalf("posted slot: IdlePoll = %v at %v, want an idle poll until the slot is visible at %v", ok, p.Now(), vis)
+		if vis <= p.Now() {
+			t.Fatalf("posted slot visible at %v, not after its post ended at %v", vis, p.Now())
+		}
+		if n := consume(p, r, e.nic, out); n != 0 {
+			t.Fatalf("Consume took %d at %v, before the slot is visible at %v", n, p.Now(), vis)
 		}
 		p.Sleep(vis - p.Now())
-		if _, ok := r.IdlePoll(p.Now()); ok {
-			t.Fatalf("IdlePoll still idle at the slot's visibility %v", vis)
+		if n := consume(p, r, e.nic, out); n != 1 || out[0].Seq != 1 {
+			t.Fatalf("Consume took %d at the slot's visibility %v, want its one descriptor", n, vis)
 		}
-		consumeUpTo(p, r, e.nic, 1)
 		p.Kernel().Stop()
 	})
 }

@@ -113,12 +113,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park(procRunnable)
 }
 
-// Yield reschedules the process at the current time, behind every other
-// process already scheduled at this time.
-//
-//ccnic:noalloc
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Spin sleeps d, then hands the process's wakes to step: at each one the
 // scheduler calls step inline, on whichever coroutine or run loop is
 // selecting the next event, without switching to this process. A step

@@ -220,33 +220,56 @@ func TestParkLedger(t *testing.T) {
 	}
 }
 
-// upiCore matches the process name of a coherent NIC's per-queue core.
-var upiCore = regexp.MustCompile(`^(CC-NIC|UPI-unopt)\.nic\d+$`)
+// upiCore matches the process name of a coherent NIC's core: per-queue
+// (nic) or shared by a queue group (niccore).
+var upiCore = regexp.MustCompile(`^(CC-NIC|UPI-unopt)\.nic(core)?\d+$`)
 
-// TestUPICoreRunsNoCoroutine checks that a coherent NIC's per-queue cores
-// are bodiless processes: CC-NIC and unoptimized-UPI loopback runs at 1 and
-// 8 queues, closed and open loop, make no coroutine switch out of (so none
+// TestUPICoreRunsNoCoroutine checks that a coherent NIC's cores are
+// bodiless processes: CC-NIC and unoptimized-UPI loopback runs at 1 and 8
+// queues, CC-NIC runs on 4 queues with 2 shared polling cores and with
+// event-driven cores, one shared (NICCores 1) and one per queue (NICCores
+// 0), each closed and open loop, make no coroutine switch out of (so none
 // into) a NIC core, while the cores do serve every iteration.
 func TestUPICoreRunsNoCoroutine(t *testing.T) {
+	type point struct {
+		name   string
+		iface  ccnic.Interface
+		queues int
+		cfg    *device.UPIConfig
+	}
+	var pts []point
 	for _, iface := range []ccnic.Interface{ccnic.CCNIC, ccnic.UnoptUPI} {
 		for _, q := range []int{1, 8} {
-			for _, rate := range []float64{0, 4e6} {
-				t.Run(fmt.Sprintf("%v/q%d/rate%g", iface, q, rate), func(t *testing.T) {
-					tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Interface: iface, Queues: q, HostPrefetch: true})
-					l := newParkLedger()
-					tb.Kernel.SetParkProbe(l)
-					tb.RunLoopback(ccnic.LoopbackOptions{PktSize: 64, Rate: rate * float64(q), Window: 128,
-						Warmup: 5 * sim.Microsecond, Measure: 10 * sim.Microsecond})
-					if steps := tb.Dev.(*device.UPI).NICSteps(); steps == 0 {
-						t.Fatal("the NIC cores ran no service iteration")
+			pts = append(pts, point{fmt.Sprintf("%v/q%d", iface, q), iface, q, nil})
+		}
+	}
+	for _, g := range []struct {
+		name  string
+		cores int
+		event bool
+	}{{"shared2", 2, false}, {"event/cores1", 1, true}, {"event/cores0", 0, true}} {
+		cfg := device.CCNICConfig()
+		cfg.NICCores, cfg.EventDriven = g.cores, g.event
+		pts = append(pts, point{"CC-NIC/q4/" + g.name, ccnic.CCNIC, 4, &cfg})
+	}
+	for _, pt := range pts {
+		for _, rate := range []float64{0, 4e6} {
+			t.Run(fmt.Sprintf("%s/rate%g", pt.name, rate), func(t *testing.T) {
+				tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Interface: pt.iface, Queues: pt.queues,
+					UPI: pt.cfg, HostPrefetch: true})
+				l := newParkLedger()
+				tb.Kernel.SetParkProbe(l)
+				tb.RunLoopback(ccnic.LoopbackOptions{PktSize: 64, Rate: rate * float64(pt.queues), Window: 128,
+					Warmup: 5 * sim.Microsecond, Measure: 10 * sim.Microsecond})
+				if steps := tb.Dev.(*device.UPI).NICSteps(); steps == 0 {
+					t.Fatal("the NIC cores ran no service iteration")
+				}
+				for name, n := range l.procs {
+					if upiCore.MatchString(name + "0") {
+						t.Errorf("NIC core %s switched out %d times, want 0", name, n)
 					}
-					for name, n := range l.procs {
-						if upiCore.MatchString(name + "0") {
-							t.Errorf("NIC core %s switched out %d times, want 0", name, n)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
