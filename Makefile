@@ -26,13 +26,18 @@
 #                     the committed golden transcript (minutes)
 #   make golden-shards golden-check again at GOMAXPROCS=4 (four slots in the
 #                     experiments' pool): scheduling must not change a byte
+#   make parity BASE=<rev>
+#                     the artifacts in cmd/ccbench/parity.txt (full and quick
+#                     transcripts, ccperf fingerprints) at BASE and at the
+#                     working tree, one table marking each identical or not
+#                     (many minutes; builds both in a temporary directory)
 #   make golden       regenerate the committed golden transcript and the
 #                     quick-suite output hashes after an intentional model
 #                     change (minutes)
 
 GO ?= go
 
-.PHONY: check verify lint vet race ledger loc bench-smoke matrix golden-check golden-shards golden
+.PHONY: check verify lint vet race ledger loc bench-smoke matrix golden-check golden-shards parity golden
 
 check: verify lint vet race bench-smoke matrix golden-check golden-shards
 
@@ -85,6 +90,12 @@ golden-check:
 # the host's CPU count: scheduling must not perturb a single byte of output.
 golden-shards:
 	GOMAXPROCS=4 $(GO) run ./cmd/ccbench -all -check -golden experiments_full.txt > /dev/null
+
+# Behaviour parity of the working tree against BASE; exits 1 on any
+# differing artifact.
+parity:
+	@test -n "$(BASE)" || { echo "usage: make parity BASE=<rev>"; exit 2; }
+	bash cmd/ccbench/parity.sh $(BASE)
 
 # Regenerate the goldens. Run only after an intentional model change, and
 # review the transcript diff like source.

@@ -114,7 +114,6 @@ func TestMidFlightInterruption(t *testing.T) {
 	if received < 200 {
 		t.Fatalf("only %d packets after resume", received)
 	}
-	tb.Kernel.Stop()
 	tb.Kernel.Shutdown()
 	if err := tb.Sys.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -148,7 +147,6 @@ func TestStopMidTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Packets are mid-pipeline now; tear everything down.
-	tb.Kernel.Stop()
 	tb.Kernel.Shutdown()
 	if tb.Kernel.Live() != 0 {
 		t.Errorf("%d processes survived shutdown", tb.Kernel.Live())

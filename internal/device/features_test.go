@@ -56,7 +56,6 @@ func TestMultiSegmentTX(t *testing.T) {
 	if err := k.RunUntil(5 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	k.Stop()
 	k.Shutdown()
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -106,7 +105,6 @@ func TestUPIIngressMode(t *testing.T) {
 	if err := k.RunUntil(10 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	k.Stop()
 	k.Shutdown()
 	if received < 60 {
 		t.Fatalf("received %d ingress packets", received)
@@ -161,7 +159,6 @@ func TestSharedNICCoresDeliver(t *testing.T) {
 		if err := k.RunUntil(5 * sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		k.Stop()
 		k.Shutdown()
 		if done != 6 {
 			t.Fatalf("eventDriven=%v: only %d/6 queues completed", ev, done)

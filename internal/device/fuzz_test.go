@@ -89,7 +89,6 @@ func TestRandomizedMultiQueueWorkload(t *testing.T) {
 			if err := k.RunUntil(6 * sim.Millisecond); err != nil {
 				t.Fatal(err)
 			}
-			k.Stop()
 			k.Shutdown()
 			if err := sys.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)

@@ -68,7 +68,6 @@ func runOverlay(t *testing.T, frontCfg UPIConfig, n int) sim.Time {
 		t.Fatal(err)
 	}
 	if k.Live() > 0 {
-		k.Stop()
 		k.Shutdown()
 		t.Fatal("overlay loopback did not complete")
 	}
@@ -128,7 +127,6 @@ func TestOverlayIngressMode(t *testing.T) {
 	if err := k.RunUntil(100 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	k.Stop()
 	k.Shutdown()
 	if received < 50 {
 		t.Fatalf("received only %d ingress packets", received)
@@ -237,7 +235,6 @@ func TestOverlayIdleThreadsSpin(t *testing.T) {
 			if n := o.front.NICSteps(); n != 0 {
 				t.Errorf("%s probe=%v: the front device counted %d NIC steps, want none", tc.name, probe, n)
 			}
-			k.Stop()
 			k.Shutdown()
 		}
 	}
@@ -280,7 +277,6 @@ func TestOverlayDropFreesFrontBuffer(t *testing.T) {
 		if err := k.RunUntil(sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		k.Stop()
 		k.Shutdown()
 		if sent != n || o.TxCount(0) != 0 {
 			t.Fatalf("threads=%d: %d of %d packets sent, %d transmitted; want all sent, none transmitted", threads, sent, n, o.TxCount(0))

@@ -80,7 +80,6 @@ func runPCIe(t *testing.T, nic *platform.NICParams, n, size int, gap sim.Time, f
 		t.Fatal(err)
 	}
 	if k.Live() > 0 {
-		k.Stop()
 		k.Shutdown()
 		t.Fatalf("%s: loopback did not complete", nic.Name)
 	}
@@ -247,7 +246,6 @@ func TestPCIeIdleEnginesSpin(t *testing.T) {
 					t.Errorf("%s %s probe=%v: the engines resumed %d times in %v over %d arrivals and %d TX bursts, want at most %d",
 						nic.Name, tc.name, probe, r, window, arrived, bursts, limit)
 				}
-				k.Stop()
 				k.Shutdown()
 			}
 		}

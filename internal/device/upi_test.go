@@ -92,7 +92,6 @@ func runUPI(t *testing.T, cfg UPIConfig, n, size int) sim.Time {
 		t.Fatal(err)
 	}
 	if k.Live() > 0 {
-		k.Stop()
 		k.Shutdown()
 		t.Fatalf("cfg %+v: loopback did not complete in time", cfg)
 	}
@@ -240,7 +239,6 @@ func TestIdlePollSpins(t *testing.T) {
 			if eng != nil && eng.Checks() < uint64(n) {
 				t.Errorf("%s: the invariant engine ran %d checks over %d NIC steps, want one per spun poll at least", tc.name, eng.Checks(), n)
 			}
-			k.Stop()
 			k.Shutdown()
 		}
 	}

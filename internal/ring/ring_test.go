@@ -448,6 +448,5 @@ func TestPackedConsumeHorizon(t *testing.T) {
 		if n := consume(p, r, e.nic, out); n != 1 || out[0].Seq != 1 {
 			t.Fatalf("Consume took %d at the slot's visibility %v, want its one descriptor", n, vis)
 		}
-		p.Kernel().Stop()
 	})
 }

@@ -25,7 +25,6 @@ const (
 	procRunnable
 	procRunning
 	procWaiting // blocked on an Event
-	procPooled  // function returned; coroutine parked for reuse by Spawn
 	procDone
 )
 
@@ -69,12 +68,10 @@ type ParkProbe interface {
 type Proc struct {
 	k     *Kernel
 	name  string
-	id    int
 	state procState
 
 	wake Time // scheduled resume time while runnable
 	seq  uint64
-	fn   func(*Proc) // current body; rebound when a pooled proc is respawned
 
 	// spin is the step the scheduler calls at each wake while the process
 	// is parked in Spin; nil otherwise.
@@ -212,8 +209,8 @@ func (p *Proc) park(s procState) {
 // selected process keeps spinning, leaving a step that awaited an event to
 // its Signal, and ending bodiless processes whose last step ran. It returns
 // the process to resume (p itself when p is next), or nil when the run
-// ends (stop, deadline reached, completion, or deadlock — the caller
-// classifies from kernel state).
+// ends (deadline reached, completion, or deadlock — the caller classifies
+// from kernel state).
 //
 //ccnic:noalloc
 func (k *Kernel) reschedule(p *Proc) *Proc {
@@ -227,9 +224,6 @@ func (k *Kernel) reschedule(p *Proc) *Proc {
 		} else {
 			var q *Proc
 			if p == nil {
-				if k.stopped {
-					return nil
-				}
 				if q = k.heap.pop(); q == nil {
 					if k.waiting > 0 && k.deadline >= 0 && k.now < k.deadline {
 						// Event waiters are legitimately idle under a
@@ -241,10 +235,6 @@ func (k *Kernel) reschedule(p *Proc) *Proc {
 			} else {
 				k.seq++
 				p.seq = k.seq
-				if k.stopped {
-					k.heap.push(p) // Shutdown will abort p from the heap
-					return nil
-				}
 				// One sift instead of a push and a pop.
 				q = k.heap.pushpop(p)
 			}
@@ -292,7 +282,7 @@ func (k *Kernel) reschedule(p *Proc) *Proc {
 //ccnic:noalloc
 func (k *Kernel) runsNext(p *Proc) bool {
 	top := k.heap.peek()
-	return (top == nil || p.wake < top.wake) && !k.stopped && (k.deadline < 0 || p.wake <= k.deadline)
+	return (top == nil || p.wake < top.wake) && (k.deadline < 0 || p.wake <= k.deadline)
 }
 
 // step runs spinning p's step for the event just selected. It reports
@@ -327,11 +317,9 @@ type Kernel struct {
 	now      Time
 	heap     procHeap
 	seq      uint64
-	nextID   int
 	live     int // spawned and not yet done
 	waiting  int // procs blocked on events
 	running  bool
-	stopped  bool
 	deadline Time // active RunUntil deadline, or -1
 	events   uint64
 	resumes  uint64
@@ -341,19 +329,12 @@ type Kernel struct {
 	stepping *Proc
 
 	// hand is the process a parking coroutine selected for the run loop to
-	// resume next; nil ends the run (stop, deadline, completion, deadlock).
+	// resume next; nil ends the run (deadline, completion, deadlock).
 	hand *Proc
 
-	// waitEvents holds events that currently have waiters (conservatively:
-	// drained events linger until compaction), for Shutdown and deadlock
-	// reporting. Compaction keeps it within 2x the live waited-on set.
-	waitEvents []*Event
-	compactAt  int
-
-	// pool holds finished processes whose coroutines are parked for reuse
-	// by Spawn (see Spawn). Bounded by the high-water mark of live procs,
-	// and released when a run ends with none live.
-	pool []*Proc
+	// evs holds every event made by NewEvent, for Shutdown and deadlock
+	// reporting.
+	evs []*Event
 
 	// spare holds ended bodiless processes for reuse by SpawnSpin: plain
 	// structs, bounded by the high-water mark of live bodiless processes.
@@ -375,10 +356,7 @@ func (k *Kernel) SetParkProbe(pp ParkProbe) { k.parkProbe = pp }
 
 // New creates an empty kernel at time zero.
 func New() *Kernel {
-	return &Kernel{
-		deadline:  -1,
-		compactAt: 64,
-	}
+	return &Kernel{deadline: -1}
 }
 
 // Now returns the current virtual time.
@@ -409,39 +387,10 @@ func (k *Kernel) NextWake() (Time, bool) {
 }
 
 // Spawn creates a process that will first run at the current virtual time.
-// It may be called before Run or from a running process.
-//
-// Finished processes park their coroutine in a per-kernel pool, and Spawn
-// reuses one when available: the dominant spawn costs (a fresh goroutine,
-// its stack, and the iter.Pull plumbing) are then paid only for the
-// high-water mark of concurrently live processes, not per spawn. Workloads
-// that spawn a short-lived process per message run almost entirely on warm,
-// recycled coroutines. A run that ends with no process live releases the
-// pool. Reuse is LIFO and single-threaded, so it cannot perturb scheduling
-// order: a spawned process is identified by its fresh heap position
-// (wake, seq), never by which coroutine executes it.
+// It may be called before Run or from a running process. fn runs on a fresh
+// coroutine, which ends when fn returns or Shutdown aborts it.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
-	if n := len(k.pool); n > 0 {
-		p := k.pool[n-1]
-		k.pool[n-1] = nil
-		k.pool = k.pool[:n-1]
-		p.name = name
-		p.fn = fn
-		p.state = procNew
-		p.wake = k.now
-		k.live++
-		k.push(p)
-		return p
-	}
-	p := &Proc{
-		k:     k,
-		name:  name,
-		id:    k.nextID,
-		state: procNew,
-		wake:  k.now,
-		fn:    fn,
-	}
-	k.nextID++
+	p := &Proc{k: k, name: name, state: procNew, wake: k.now}
 	k.live++
 	p.resume, p.cancel = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -452,12 +401,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 				}
 			}
 		}()
-		for {
-			p.fn(p)
-			if !p.retire() {
-				return
-			}
-		}
+		fn(p)
 	})
 	k.push(p)
 	return p
@@ -497,8 +441,7 @@ func (k *Kernel) SpawnSpinAt(name string, d Time, step func() (Time, bool)) *Pro
 		k.spare[n-1] = nil
 		k.spare = k.spare[:n-1]
 	} else {
-		p = &Proc{k: k, id: k.nextID}
-		k.nextID++
+		p = &Proc{k: k}
 	}
 	p.name = name
 	p.state = procNew
@@ -509,28 +452,6 @@ func (k *Kernel) SpawnSpinAt(name string, d Time, step func() (Time, bool)) *Pro
 	return p
 }
 
-// retire parks a finished process's coroutine in the kernel pool and hands
-// the run loop its successor. It returns true when the coroutine has been
-// respawned with a new body, false when the kernel cancelled it (Shutdown
-// draining the pool) and the coroutine must exit.
-func (p *Proc) retire() bool {
-	k := p.k
-	k.live--
-	p.state = procPooled
-	p.fn = nil
-	k.pool = append(k.pool, p)
-	k.hand = k.reschedule(nil)
-	if !p.yield(struct{}{}) {
-		return false
-	}
-	p.state = procRunning
-	return true
-}
-
-// Stop requests that Run return after the current process parks; remaining
-// processes are then aborted. Call from a running process or before Run.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // push schedules p on the run queue at p.wake.
 //
 //ccnic:noalloc
@@ -540,9 +461,9 @@ func (k *Kernel) push(p *Proc) {
 	k.heap.push(p)
 }
 
-// Run executes processes in virtual-time order until all have finished, Stop
-// is called, or deadlock is detected. It returns an error wrapping
-// ErrDeadlock if processes remain blocked on events that nothing can signal.
+// Run executes processes in virtual-time order until all have finished or
+// deadlock is detected. It returns an error wrapping ErrDeadlock if processes
+// remain blocked on events that nothing can signal.
 func (k *Kernel) Run() error { return k.run(-1) }
 
 // RunUntil executes like Run but also returns (with nil error) once the next
@@ -560,17 +481,10 @@ func (k *Kernel) run(deadline Time) error {
 	defer func() {
 		k.running = false
 		k.deadline = -1
-		// A drained kernel has nothing left to respawn into its pooled
-		// coroutines; release them, or each parked goroutine pins the
-		// kernel and everything its probe reaches. Across RunUntil cuts
-		// with live processes the pool stays warm.
-		if k.live == 0 {
-			k.releasePool()
-		}
 	}()
 	// The run loop: resume the next process; when it parks it has already
-	// selected its successor (k.hand), and when its function returns the
-	// loop retires it and pops the heap directly.
+	// selected its successor (k.hand), and when its function returns, ending
+	// its coroutine, the loop selects the next event itself.
 	for p := k.reschedule(nil); p != nil; {
 		k.hand = nil
 		k.resumes++
@@ -585,11 +499,6 @@ func (k *Kernel) run(deadline Time) error {
 	if k.probe != nil {
 		k.probe.RunEnd(k.now)
 	}
-	if k.stopped {
-		k.stopped = false
-		k.Shutdown()
-		return nil
-	}
 	if deadline < 0 && k.waiting > 0 {
 		return k.deadlockError()
 	}
@@ -601,7 +510,7 @@ func (k *Kernel) deadlockError() error {
 	const maxListed = 16
 	var b strings.Builder
 	n := 0
-	for _, ev := range k.waitEvents {
+	for _, ev := range k.evs {
 		for _, p := range ev.waiters {
 			if n == maxListed {
 				break
@@ -633,28 +542,13 @@ func (k *Kernel) Shutdown() {
 		}
 		k.abort(p)
 	}
-	for _, ev := range k.waitEvents {
+	for _, ev := range k.evs {
 		for _, p := range ev.waiters {
 			k.waiting--
 			k.abort(p)
 		}
 		ev.waiters = nil
-		ev.reg = false
 	}
-	k.waitEvents = k.waitEvents[:0]
-	k.releasePool()
-}
-
-// releasePool drains the reuse pool: cancelling a pooled coroutine makes its
-// pending yield return false, so it exits its respawn loop. Pooled procs
-// already left the live count when they retired.
-func (k *Kernel) releasePool() {
-	for i, p := range k.pool {
-		p.cancel()
-		p.state = procDone
-		k.pool[i] = nil
-	}
-	k.pool = k.pool[:0]
 }
 
 // abort unwinds a parked (or never-started) process synchronously: cancel
@@ -673,42 +567,21 @@ func (k *Kernel) abort(p *Proc) {
 	k.live--
 }
 
-// compactWaitEvents drops events that no longer have waiters and doubles the
-// next compaction threshold, bounding the tracked set to 2x the live one.
-//
-//ccnic:noalloc
-func (k *Kernel) compactWaitEvents() {
-	kept := k.waitEvents[:0]
-	for _, ev := range k.waitEvents {
-		if len(ev.waiters) > 0 {
-			kept = append(kept, ev)
-		} else {
-			ev.reg = false
-		}
-	}
-	for i := len(kept); i < len(k.waitEvents); i++ {
-		k.waitEvents[i] = nil
-	}
-	k.waitEvents = kept
-	k.compactAt = 2 * len(kept)
-	if k.compactAt < 64 {
-		k.compactAt = 64
-	}
-}
-
 // Event is a broadcast wakeup primitive. Processes block on it with
 // Proc.Wait; Signal wakes every current waiter at the current virtual time.
 type Event struct {
 	k       *Kernel
 	name    string
 	waiters []*Proc
-	reg     bool // tracked in k.waitEvents
 }
 
-// NewEvent creates an event attached to the kernel. Events cost the kernel
-// nothing until a process waits on them.
+// NewEvent creates an event attached to the kernel, which keeps it for
+// Shutdown and deadlock reporting for the kernel's lifetime: make events
+// when a model is built, not per message.
 func (k *Kernel) NewEvent(name string) *Event {
-	return &Event{k: k, name: name}
+	ev := &Event{k: k, name: name}
+	k.evs = append(k.evs, ev)
+	return ev
 }
 
 // Signal wakes all processes currently waiting on the event. They resume at
@@ -730,19 +603,8 @@ func (ev *Event) Signal() {
 //
 //ccnic:noalloc
 func (ev *Event) enlist(p *Proc) {
-	k := ev.k
 	ev.waiters = append(ev.waiters, p)
-	if !ev.reg {
-		// Registration-on-wait: the kernel tracks only events that have
-		// waiters (plus recently-drained ones until the next compaction),
-		// so long-lived kernels do not accumulate every event ever made.
-		ev.reg = true
-		k.waitEvents = append(k.waitEvents, ev)
-		if len(k.waitEvents) >= k.compactAt {
-			k.compactWaitEvents()
-		}
-	}
-	p.wake = k.now
+	p.wake = ev.k.now
 }
 
 // Waiters returns the number of processes blocked on the event.

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel schedules cooperative processes (coroutines, pooled and reused
-// across Spawn calls) so that exactly one process runs at a time, in strict
+// The kernel schedules cooperative processes (coroutines, or bodiless step
+// functions) so that exactly one process runs at a time, in strict
 // virtual-time order. Model code therefore needs no locks, and every run with
 // the same inputs produces identical results: there is no wall-clock or
 // scheduler nondeterminism. Partitioned models with several kernels advancing

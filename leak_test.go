@@ -21,8 +21,8 @@ func settledGoroutines(want int) int {
 }
 
 // TestRunsReleaseCoroutines checks that a finished testbed run leaves no
-// goroutines behind: the kernel releases its pooled coroutines when a run
-// drains, so an abandoned testbed does not pin its kernel. A cluster run
+// goroutines behind: each process's coroutine ends when its body returns,
+// so an abandoned testbed does not pin its kernel. A cluster run
 // stops at its horizon with its daemons still live, so its shard kernels
 // keep their coroutines until Close; after that, nothing else remains,
 // including the shard engine's workers.
