@@ -247,8 +247,9 @@ func checkFlags(v flagValues) (checked, error) {
 }
 
 // rssBudgetMiB caps the peak RSS of a -check run: the full suite peaks
-// near 0.35 GiB on 2 vCPUs, and near 0.8 GiB at GOMAXPROCS=4.
-const rssBudgetMiB = 3 << 10
+// near 120 MiB on 2 vCPUs, and near 200 MiB at GOMAXPROCS=4, so a 4x
+// regression at the wider pool fails.
+const rssBudgetMiB = 1 << 10
 
 // peakRSSMiB is the process's peak resident set size, read from getrusage
 // as cmd/ccperf reads its peak_rss_mib.

@@ -66,26 +66,27 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 	now := s.k.Now()
 	p := s.plat
 	ctr := &s.counters[a.socket]
+	d := s.ent(line)
 
 	// L2 hit paths.
-	if e := a.l2.get(line); e != nil {
+	if e := d.find(a.l2); e != nil {
+		a.l2.promote(e)
 		if !write || e.state == Modified {
 			s.lineEvent(line)
 			return result{lat: p.L2Hit}
 		}
 		// Shared -> Modified upgrade.
-		d := s.ent(line)
 		lat := p.L2Hit
 		crossed := false
-		if len(d.sharers) > 1 || d.owner != nil || !d.holds(a.l2) {
+		if len(d.sharers) > 1 || d.owner != nil {
 			lat, crossed = s.invalidateLat(d, a.l2, line, now)
 			if crossed {
 				ctr.RemoteRFO++
 			}
 		}
-		d.removeSharer(a.l2)
+		d.removeSharer(e)
 		s.dropCopies(d, a.l2, line)
-		d.owner = a.l2
+		d.owner = e
 		e.state = Modified
 		if commit := now + lat; commit > d.pendingUntil {
 			d.pendingUntil = commit
@@ -96,7 +97,6 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 	}
 
 	// L2 miss: find the data.
-	d := s.ent(line)
 	var lat, queue sim.Time
 	crossed, dataMoved := false, false
 	home := mem.Home(line)
@@ -124,21 +124,21 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 		case fullLine && write:
 			// ItoM: invalidate the stale copy without moving data (a
 			// trusted-absent snoop filter issues no crossing).
-			if owner.socket == a.socket || s.skipsDeviceSnoop(a.l2, line) {
+			if owner.c.socket == a.socket || s.skipsDeviceSnoop(a.l2, line) {
 				lat = p.LLCHit
 			} else {
-				s.ctrlPair(now, interconn.DirFromTo(a.socket, owner.socket))
+				s.ctrlPair(now, interconn.DirFromTo(a.socket, owner.c.socket))
 				lat = s.invalCost()
 				crossed = true
 			}
-		case owner.socket == a.socket:
-			lat = s.localLat(owner)
+		case owner.c.socket == a.socket:
+			lat = s.localLat(owner.c)
 		case s.skipsDeviceSnoop(a.l2, line):
 			// The filter claims the device holds nothing (reachable only
 			// when it is stale): the host reads its own memory directly.
 			lat = p.LocalDRAM
 		default:
-			lat, queue = s.transfer(a, owner.socket, home, true, now)
+			lat, queue = s.transfer(a, owner.c.socket, home, true, now)
 			crossed, dataMoved = true, true
 		}
 		switch {
@@ -156,12 +156,12 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 		switch {
 		case fullLine && write:
 			lat = 0 // invalidation cost charged below
-		case src.socket == a.socket:
-			lat = s.localLat(src)
+		case src.c.socket == a.socket:
+			lat = s.localLat(src.c)
 		case s.skipsDeviceSnoop(a.l2, line):
 			lat = p.LocalDRAM // stale-filter path: read memory, skip the snoop
 		default:
-			lat, queue = s.transfer(a, src.socket, home, true, now)
+			lat, queue = s.transfer(a, src.c.socket, home, true, now)
 			crossed, dataMoved = true, true
 		}
 		if write {
@@ -171,9 +171,9 @@ func (s *System) access(a *Agent, line mem.Addr, write, quiet, fullLine bool) re
 			s.dropCopies(d, a.l2, line)
 			s.fill(d, a, line, Modified)
 		} else if quiet {
-			if src == s.llc[a.socket] {
-				src.drop(line)
+			if src.c == s.llc[a.socket] {
 				d.removeSharer(src)
+				src.c.drop(src)
 			}
 			s.fill(d, a, line, Shared)
 		}
@@ -242,10 +242,10 @@ func (s *System) transfer(a *Agent, srcSocket, home int, fromCache bool, now sim
 //
 //ccnic:noalloc
 func (s *System) commitRead(a *Agent, line mem.Addr) {
-	if a.l2.peek(line) != nil {
+	d := s.ent(line)
+	if d.find(a.l2) != nil {
 		return // already resident (raced with another fill)
 	}
-	d := s.ent(line)
 	switch {
 	case d.owner != nil:
 		switch {
@@ -255,7 +255,7 @@ func (s *System) commitRead(a *Agent, line mem.Addr) {
 			s.fill(d, a, line, Modified)
 		case s.migrates():
 			// Migratory dirty forwarding: ownership moves to the reader.
-			d.owner.drop(line)
+			d.owner.c.drop(d.owner)
 			s.fill(d, a, line, Modified)
 		default:
 			// No migration (CXL, or the UPI ablation): the reader fills
@@ -266,10 +266,10 @@ func (s *System) commitRead(a *Agent, line mem.Addr) {
 			s.fill(d, a, line, Shared)
 		}
 	default:
-		if llc := s.llc[a.socket]; d.holds(llc) {
+		if e := d.find(s.llc[a.socket]); e != nil {
 			// Victim-cache semantics: the line moves up.
-			llc.drop(line)
-			d.removeSharer(llc)
+			d.removeSharer(e)
+			e.c.drop(e)
 		}
 		s.fill(d, a, line, Shared)
 	}
@@ -282,12 +282,7 @@ func (s *System) commitRead(a *Agent, line mem.Addr) {
 //
 //ccnic:noalloc
 func (s *System) fill(d *dirEntry, a *Agent, line mem.Addr, st State) {
-	if st == Modified {
-		d.owner = a.l2
-	} else {
-		d.sharers = append(d.sharers, a.l2)
-	}
-	a.l2.insertMiss(line, st)
+	s.enter(d, a.l2, line, st, st == Modified)
 }
 
 // demoteOwner demotes the line's Modified owner to Shared, writing the dirty
@@ -297,15 +292,17 @@ func (s *System) fill(d *dirEntry, a *Agent, line mem.Addr, st State) {
 //ccnic:noalloc
 func (s *System) demoteOwner(d *dirEntry, line mem.Addr) {
 	owner := d.owner
+	c := owner.c
 	d.owner = nil
-	if owner.isLLC {
-		owner.drop(line)
+	if c.isLLC {
+		c.drop(owner)
 	} else {
-		owner.touch(line, Shared)
-		d.sharers = append(d.sharers, owner)
+		c.promote(owner)
+		owner.state = Shared
+		s.addSharer(d, owner)
 	}
-	if mem.Home(line) != owner.socket {
-		s.counters[owner.socket].Writebacks++
+	if mem.Home(line) != c.socket {
+		s.counters[c.socket].Writebacks++
 	}
 }
 
@@ -338,10 +335,10 @@ func (s *System) invalidateLat(d *dirEntry, keeper *Cache, line mem.Addr, now si
 	lat := sim.Time(0)
 	crossed := false
 	if d.owner != nil {
-		lat, crossed = s.snoopInval(d.owner, keeper, skip, now, lat, crossed)
+		lat, crossed = s.snoopInval(d.owner.c, keeper, skip, now, lat, crossed)
 	}
-	for _, c := range d.sharers {
-		lat, crossed = s.snoopInval(c, keeper, skip, now, lat, crossed)
+	for _, e := range d.sharers {
+		lat, crossed = s.snoopInval(e.c, keeper, skip, now, lat, crossed)
 	}
 	return lat, crossed
 }
@@ -376,15 +373,15 @@ func (s *System) snoopInval(c, keeper *Cache, skip bool, now, lat sim.Time, cros
 //ccnic:noalloc
 func (s *System) dropCopies(d *dirEntry, keeper *Cache, line mem.Addr) {
 	skip := s.skipsDeviceSnoop(keeper, line)
-	if d.owner != nil {
-		if d.owner != keeper && !(skip && d.owner.socket == deviceSocket) {
-			d.owner.drop(line)
+	if o := d.owner; o != nil {
+		if o.c != keeper && !(skip && o.c.socket == deviceSocket) {
+			o.c.drop(o)
 		}
 		d.owner = nil
 	}
-	for _, c := range d.sharers {
-		if c != keeper && !(skip && c.socket == deviceSocket) {
-			c.drop(line)
+	for _, e := range d.sharers {
+		if e.c != keeper && !(skip && e.c.socket == deviceSocket) {
+			e.c.drop(e)
 		}
 	}
 	d.sharers = d.sharers[:0]
@@ -395,16 +392,16 @@ func (s *System) dropCopies(d *dirEntry, keeper *Cache, line mem.Addr) {
 // cache.
 //
 //ccnic:noalloc
-func (s *System) nearestSharer(d *dirEntry, socket int) *Cache {
-	var llcLocal, remote *Cache
-	for _, c := range d.sharers {
-		if c.socket == socket {
-			if !c.isLLC {
-				return c
+func (s *System) nearestSharer(d *dirEntry, socket int) *entry {
+	var llcLocal, remote *entry
+	for _, e := range d.sharers {
+		if e.c.socket == socket {
+			if !e.c.isLLC {
+				return e
 			}
-			llcLocal = c
+			llcLocal = e
 		} else if remote == nil {
-			remote = c
+			remote = e
 		}
 	}
 	if llcLocal != nil {

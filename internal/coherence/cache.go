@@ -53,24 +53,32 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// entry is one resident cache line; entries form an intrusive LRU list.
+// entry is one resident cache line, held by cache c. It is linked on c's
+// LRU list and named by the line's directory slot, as its owner or as a
+// sharer: the slot is the only residency index, so the cache and the
+// directory share the entry. Entries are recycled through c's free list.
 type entry struct {
 	line       mem.Addr
 	state      State
+	c          *Cache
 	prev, next *entry
 }
 
+// resident reports whether the entry is linked on its cache's LRU list
+// holding line.
+//
+//ccnic:noalloc
+func (e *entry) resident(line mem.Addr) bool { return e.prev != nil && e.line == line }
+
 // Cache is a capacity-limited, fully-associative LRU cache of 64B lines.
-// It models either a core's private L2 or a socket's shared LLC.
+// It models either a core's private L2 or a socket's shared LLC. It keeps
+// no index of its own: a line's directory slot names each holder's entry.
 type Cache struct {
 	name   string
 	socket int
 	isLLC  bool
 	capAct int // capacity in lines
 	n      int // resident lines
-	// slots is the residency index: the resident entry of each touched
-	// line, or nil.
-	slots lineTable[*entry]
 	// LRU list: head.next is most-recent, head.prev is least-recent.
 	head entry
 	// free recycles evicted entries (singly linked via next), so a cache
@@ -105,80 +113,71 @@ func (c *Cache) Socket() int { return c.socket }
 // Len returns the number of resident lines.
 func (c *Cache) Len() int { return c.n }
 
-// get returns the entry for line and promotes it to most-recent, or nil.
-//
-//ccnic:noalloc
-func (c *Cache) get(line mem.Addr) *entry {
-	e := c.peek(line)
-	if e != nil {
-		c.unlink(e)
-		c.pushFront(e)
-	}
-	return e
-}
-
-// peek returns the entry without touching recency, or nil. It never
-// materializes index memory for a line the cache has not held.
+// peek returns the cache's entry for line without touching recency, or nil:
+// a directory peek, then a scan of the holders it names. It never
+// materializes directory memory for a line nothing has touched.
 //
 //ccnic:noalloc
 func (c *Cache) peek(line mem.Addr) *entry {
-	if s := c.slots.peek(line); s != nil {
-		return *s
+	if d := c.sys.dir.peek(line); d != nil {
+		return d.find(c)
 	}
 	return nil
-}
-
-// insertMiss adds a line in the given state, evicting the LRU line if full.
-// The caller must have just observed the line to be absent (via get or peek
-// returning nil) and must have updated the directory for the inserted line;
-// insertMiss handles directory maintenance for the victim only. Residency
-// changes to an already-present line go through touch instead.
-//
-//ccnic:noalloc
-func (c *Cache) insertMiss(line mem.Addr, st State) {
-	for c.n >= c.capAct {
-		c.evictLRU()
-	}
-	e := c.alloc()
-	e.line, e.state = line, st
-	*c.slots.at(line) = e
-	c.n++
-	c.pushFront(e)
-}
-
-// touch updates a resident line's state in place and refreshes its recency,
-// reporting whether the line was resident. It replaces drop+insert pairs,
-// which cost three map operations and an entry recycle.
-//
-//ccnic:noalloc
-func (c *Cache) touch(line mem.Addr, st State) bool {
-	e := c.get(line)
-	if e == nil {
-		return false
-	}
-	e.state = st
-	return true
 }
 
 // entrySlab is how many entries a cache carves per slab allocation.
 const entrySlab = 64
 
-// alloc takes an entry from the freelist, or else carves a fresh one from
-// the slab.
+// newEntry returns an unlinked entry for line in state st: from the
+// freelist, or else carved from the slab. The caller names it in the line's
+// directory slot, then links it.
 //
 //ccnic:noalloc
-func (c *Cache) alloc() *entry {
-	if e := c.free; e != nil {
+func (c *Cache) newEntry(line mem.Addr, st State) *entry {
+	e := c.free
+	if e != nil {
 		c.free = e.next
 		e.next = nil
-		return e
+	} else {
+		if len(c.slab) == 0 {
+			c.slab = make([]entry, entrySlab) //ccnic:alloc-ok first fills, once per entrySlab of them
+		}
+		e = &c.slab[0]
+		c.slab = c.slab[1:]
 	}
-	if len(c.slab) == 0 {
-		c.slab = make([]entry, entrySlab) //ccnic:alloc-ok first fills, once per entrySlab of them
-	}
-	e := &c.slab[0]
-	c.slab = c.slab[1:]
+	e.line, e.state, e.c = line, st, c
 	return e
+}
+
+// link makes e resident as the most-recent line, evicting LRU lines while
+// the cache is full. The line's directory slot must already name e: an
+// eviction chain can reach that slot.
+//
+//ccnic:noalloc
+func (c *Cache) link(e *entry) {
+	for c.n >= c.capAct {
+		c.evictLRU()
+	}
+	c.n++
+	c.pushFront(e)
+}
+
+// promote makes a resident entry the most-recent line.
+//
+//ccnic:noalloc
+func (c *Cache) promote(e *entry) {
+	c.unlink(e)
+	c.pushFront(e)
+}
+
+// drop removes a resident entry without writeback bookkeeping
+// (invalidation) and recycles it; the caller updates the directory.
+//
+//ccnic:noalloc
+func (c *Cache) drop(e *entry) {
+	c.unlink(e)
+	c.n--
+	c.recycle(e)
 }
 
 // recycle pushes an unlinked entry onto the freelist.
@@ -190,24 +189,8 @@ func (c *Cache) recycle(e *entry) {
 	c.free = e
 }
 
-// drop removes a line without writeback bookkeeping (invalidation).
-//
-//ccnic:noalloc
-func (c *Cache) drop(line mem.Addr) {
-	s := c.slots.peek(line)
-	if s == nil {
-		return
-	}
-	if e := *s; e != nil {
-		c.unlink(e)
-		*s = nil
-		c.n--
-		c.recycle(e)
-	}
-}
-
-// evictLRU removes the least-recently-used line, handing dirty victims to
-// the system's writeback path.
+// evictLRU removes the least-recently-used line, handing the victim to the
+// system's eviction path, which takes it out of the directory.
 //
 //ccnic:noalloc
 func (c *Cache) evictLRU() {
@@ -216,11 +199,9 @@ func (c *Cache) evictLRU() {
 		panic("coherence: evict on empty cache")
 	}
 	c.unlink(e)
-	*c.slots.at(e.line) = nil
 	c.n--
-	line, st := e.line, e.state
+	c.sys.evicted(e)
 	c.recycle(e)
-	c.sys.evicted(c, line, st)
 }
 
 //ccnic:noalloc
@@ -236,12 +217,4 @@ func (c *Cache) unlink(e *entry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
-}
-
-// forEach visits all resident lines in recency order (for invariant checks
-// in tests), walking the LRU list — every resident entry is on it.
-func (c *Cache) forEach(fn func(line mem.Addr, st State)) {
-	for e := c.head.next; e != &c.head; e = e.next {
-		fn(e.line, e.state)
-	}
 }

@@ -129,11 +129,11 @@ func (x *cxlState) deviceResidency(line mem.Addr) FilterState {
 	if d == nil {
 		return FilterAbsent
 	}
-	if d.owner != nil && d.owner.socket == deviceSocket {
+	if d.owner != nil && d.owner.c.socket == deviceSocket {
 		return FilterExclusive
 	}
-	for _, c := range d.sharers {
-		if c.socket == deviceSocket {
+	for _, e := range d.sharers {
+		if e.c.socket == deviceSocket {
 			return FilterShared
 		}
 	}
@@ -148,12 +148,12 @@ func (x *cxlState) hostHolder(line mem.Addr) *Cache {
 	if d == nil {
 		return nil
 	}
-	if d.owner != nil && d.owner.socket == hostSocket {
-		return d.owner
+	if d.owner != nil && d.owner.c.socket == hostSocket {
+		return d.owner.c
 	}
-	for _, c := range d.sharers {
-		if c.socket == hostSocket {
-			return c
+	for _, e := range d.sharers {
+		if e.c.socket == hostSocket {
+			return e.c
 		}
 	}
 	return nil
@@ -237,31 +237,31 @@ func (x *cxlState) reclaimBias(a *Agent, line mem.Addr) (sim.Time, bool) {
 		// Deliberate defect (engine self-tests): the reclaim forgets the
 		// host's copies instead of flushing them — the directory drops
 		// them while the host caches keep stale lines.
-		if d.owner != nil && d.owner.socket == hostSocket {
+		if d.owner != nil && d.owner.c.socket == hostSocket {
 			d.owner = nil
 		}
 		kept := d.sharers[:0]
-		for _, c := range d.sharers {
-			if c.socket != hostSocket {
-				kept = append(kept, c)
+		for _, e := range d.sharers {
+			if e.c.socket != hostSocket {
+				kept = append(kept, e)
 			}
 		}
 		d.sharers = kept
 		s.gc(line, d)
 		return s.plat.CXL.BiasFlip, true
 	}
-	if d.owner != nil && d.owner.socket == hostSocket {
+	if d.owner != nil && d.owner.c.socket == hostSocket {
 		s.link.Data(s.k.Now(), interconn.DirFromTo(hostSocket, deviceSocket), mem.LineSize)
 		s.counters[hostSocket].Writebacks++
-		d.owner.drop(line)
+		d.owner.c.drop(d.owner)
 		d.owner = nil
 	}
 	kept := d.sharers[:0]
-	for _, c := range d.sharers {
-		if c.socket == hostSocket {
-			c.drop(line)
+	for _, e := range d.sharers {
+		if e.c.socket == hostSocket {
+			e.c.drop(e)
 		} else {
-			kept = append(kept, c)
+			kept = append(kept, e)
 		}
 	}
 	d.sharers = kept

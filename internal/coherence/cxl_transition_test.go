@@ -269,7 +269,7 @@ func TestCXLTransitionTable(t *testing.T) {
 						d := s.lookup(line)
 						var owner rune
 						if d != nil && d.owner != nil {
-							if d.owner == r.l2 {
+							if d.owner.c == r.l2 {
 								owner = 'R'
 							} else {
 								owner = '?'
@@ -452,8 +452,8 @@ func TestCXLStateOutlivesDirectoryEntry(t *testing.T) {
 	if d == nil {
 		t.Fatal("host line has no directory entry after the device's read")
 	}
-	for _, c := range d.sharers {
-		c.drop(hl)
+	for _, e := range d.sharers {
+		e.c.drop(e)
 	}
 	d.sharers = d.sharers[:0]
 	s.gc(hl, d)

@@ -82,7 +82,7 @@ func replay(t *testing.T, proto Protocol, tr []traceOp, nAgents, nLines int) ([]
 			if op.write {
 				d := s.lookup(line)
 				out[i].soleOwner = e != nil && e.state == Modified &&
-					d != nil && d.owner == a.l2 && len(d.sharers) == 0
+					d != nil && d.owner != nil && d.owner.c == a.l2 && len(d.sharers) == 0
 				if !out[i].soleOwner {
 					t.Errorf("%v op %d (%+v): writer did not obtain sole Modified ownership",
 						proto, i, op)
@@ -126,6 +126,44 @@ func TestProtocolDifferential(t *testing.T) {
 				t.Errorf("UPI and CXL sent identical message counts (%d); timing divergence lost", um)
 			}
 		})
+	}
+}
+
+// TestDirectoryIsTheResidencyIndex replays the differential traces on both
+// protocols and requires the directory and the caches to share one set of
+// entries: every entry linked on a cache's LRU list is the one its line's
+// slot names for that cache, and every holder a slot names is linked.
+func TestDirectoryIsTheResidencyIndex(t *testing.T) {
+	const nAgents, nLines, ops = 4, 6, 400
+	for _, proto := range []Protocol{ProtoUPI, ProtoCXL} {
+		for seed := int64(1); seed <= 8; seed++ {
+			t.Run(fmt.Sprintf("%v/seed%d", proto, seed), func(t *testing.T) {
+				_, s := replay(t, proto, genTrace(seed, nAgents, nLines, ops), nAgents, nLines)
+				linked := map[*entry]bool{}
+				for _, c := range s.caches() {
+					for e := c.head.next; e != &c.head; e = e.next {
+						if d := s.lookup(e.line); d == nil || d.find(c) != e {
+							t.Errorf("%s's entry for %#x is not its directory slot's", c.name, e.line)
+						}
+						linked[e] = true
+					}
+				}
+				if len(linked) == 0 {
+					t.Fatal("the trace left no line resident")
+				}
+				s.forEachDir(func(line mem.Addr, d *dirEntry) {
+					holders := d.sharers
+					if d.owner != nil {
+						holders = append([]*entry{d.owner}, holders...)
+					}
+					for _, e := range holders {
+						if !linked[e] || e.line != line {
+							t.Errorf("line %#x: the directory names an entry of %s not resident there", line, e.c.name)
+						}
+					}
+				})
+			})
+		}
 	}
 }
 

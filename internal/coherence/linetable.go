@@ -19,25 +19,27 @@ const (
 )
 
 type (
-	lineLeaf[T any] [leafLines]T
-	lineMid[T any]  [midLeaves]*lineLeaf[T]
+	lineLeaf [leafLines]dirEntry
+	lineMid  [midLeaves]*lineLeaf
 )
 
-// lineTable is sparse per-line state indexed by mem.LineIndex: a two-level
-// radix (mid nodes, then leaves) per home socket. Memory grows with the lines
-// actually touched rather than with the span of address space they lie in,
-// and a slot's address never changes once materialized. The zero T is the
-// state of a line nothing has touched; the zero lineTable is empty and ready.
-type lineTable[T any] struct {
-	top  [2][]*lineMid[T]
-	slab []lineLeaf[T] // carved but not yet handed out
+// lineTable is the directory's store of slots, indexed by mem.LineIndex: a
+// two-level radix (mid nodes, then leaves) per home socket. It is the
+// model's only per-line table: a slot names every cache holding its line.
+// Memory grows with the lines actually touched rather than with the span of
+// address space they lie in, and a slot's address never changes once
+// materialized. The zero dirEntry is the slot of a line nothing has
+// touched; the zero lineTable is empty and ready.
+type lineTable struct {
+	top  [2][]*lineMid
+	slab []lineLeaf // carved but not yet handed out
 }
 
 // at returns the slot for a line, materializing its leaf (and mid node) on
 // first touch.
 //
 //ccnic:noalloc
-func (t *lineTable[T]) at(line mem.Addr) *T {
+func (t *lineTable) at(line mem.Addr) *dirEntry {
 	home, idx := mem.LineIndex(line)
 	mids := t.top[home]
 	mi := idx >> (leafShift + midShift)
@@ -51,7 +53,7 @@ func (t *lineTable[T]) at(line mem.Addr) *T {
 			} else {
 				c += (c + 768) / 4
 			}
-			grown := make([]*lineMid[T], mi+1, max(mi+1, c)) //ccnic:alloc-ok top-level growth, once per 32KB span
+			grown := make([]*lineMid, mi+1, max(mi+1, c)) //ccnic:alloc-ok top-level growth, once per 32KB span
 			copy(grown, mids)
 			mids = grown
 		}
@@ -60,14 +62,14 @@ func (t *lineTable[T]) at(line mem.Addr) *T {
 	}
 	m := mids[mi]
 	if m == nil {
-		m = new(lineMid[T]) //ccnic:alloc-ok first touch of a 32KB span
+		m = new(lineMid) //ccnic:alloc-ok first touch of a 32KB span
 		mids[mi] = m
 	}
 	li := (idx >> leafShift) & (midLeaves - 1)
 	lf := m[li]
 	if lf == nil {
 		if len(t.slab) == 0 {
-			t.slab = make([]lineLeaf[T], slabLeaves) //ccnic:alloc-ok first touch of a 512B span, once per slabLeaves of them
+			t.slab = make([]lineLeaf, slabLeaves) //ccnic:alloc-ok first touch of a 512B span, once per slabLeaves of them
 		}
 		lf = &t.slab[0]
 		t.slab = t.slab[1:]
@@ -80,7 +82,7 @@ func (t *lineTable[T]) at(line mem.Addr) *T {
 // materialized (every line in it is in the zero state). It never allocates.
 //
 //ccnic:noalloc
-func (t *lineTable[T]) peek(line mem.Addr) *T {
+func (t *lineTable) peek(line mem.Addr) *dirEntry {
 	home, idx := mem.LineIndex(line)
 	mids := t.top[home]
 	if mi := idx >> (leafShift + midShift); mi < len(mids) && mids[mi] != nil {
@@ -93,7 +95,7 @@ func (t *lineTable[T]) peek(line mem.Addr) *T {
 
 // forEach visits every materialized slot in address order, home 0 first
 // (validation paths only; the hot path never iterates a table).
-func (t *lineTable[T]) forEach(fn func(line mem.Addr, v *T)) {
+func (t *lineTable) forEach(fn func(line mem.Addr, d *dirEntry)) {
 	for home, mids := range t.top {
 		for mi, m := range mids {
 			if m == nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // tableNodes counts a table's materialized mid nodes and leaves.
-func tableNodes[T any](t *lineTable[T]) (mids, leaves int) {
+func tableNodes(t *lineTable) (mids, leaves int) {
 	for _, top := range t.top {
 		for _, m := range top {
 			if m == nil {
@@ -42,27 +42,27 @@ func TestLineTableForEachAddressOrder(t *testing.T) {
 		mem.LineAt(0, 1),
 		mem.LineAt(0, 3*mid),
 	}
-	var tab lineTable[int]
+	var tab lineTable
 	for i, line := range touched {
-		*tab.at(line) = i + 1
+		tab.at(line).pendingUntil = sim.Time(i + 1)
 	}
-	var marks []int
+	var marks []sim.Time
 	var prev mem.Addr
 	visited := 0
-	tab.forEach(func(line mem.Addr, v *int) {
+	tab.forEach(func(line mem.Addr, d *dirEntry) {
 		if visited > 0 && line <= prev {
 			t.Fatalf("forEach visited %#x after %#x", line, prev)
 		}
 		prev = line
 		visited++
-		if *v != 0 {
-			if got := tab.peek(line); got != v {
+		if d.pendingUntil != 0 {
+			if got := tab.peek(line); got != d {
 				t.Fatalf("forEach slot for %#x is not the table's slot", line)
 			}
-			marks = append(marks, *v)
+			marks = append(marks, d.pendingUntil)
 		}
 	})
-	want := []int{5, 3, 6, 2, 1, 4} // touched, sorted by (home, index)
+	want := []sim.Time{5, 3, 6, 2, 1, 4} // touched, sorted by (home, index)
 	if len(marks) != len(want) {
 		t.Fatalf("forEach saw marks %v, want %v", marks, want)
 	}
@@ -79,7 +79,7 @@ func TestLineTableForEachAddressOrder(t *testing.T) {
 // TestLineTableSlotsStable requires a slot's address to survive growth of
 // every level: the top-level slice, new mid nodes and fresh slabs.
 func TestLineTableSlotsStable(t *testing.T) {
-	var tab lineTable[dirEntry]
+	var tab lineTable
 	first := mem.LineAt(0, 0)
 	p := tab.at(first)
 	p.present = true
@@ -99,7 +99,7 @@ func TestLineTableSlotsStable(t *testing.T) {
 // TestReadOnlyLookupsDoNotMaterialize checks that the read-only paths —
 // directory lookups, CheckLine, DeviceReadLine and cache peeks — leave an
 // untouched, far-away line's span unmaterialized and allocate nothing, on
-// both protocols.
+// both protocols. The directory is the only table: caches own no nodes.
 func TestReadOnlyLookupsDoNotMaterialize(t *testing.T) {
 	for _, pr := range []Protocol{ProtoUPI, ProtoCXL} {
 		t.Run(pr.String(), func(t *testing.T) {
@@ -115,14 +115,9 @@ func TestReadOnlyLookupsDoNotMaterialize(t *testing.T) {
 			if err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
-			nodes := func() (n int) {
+			nodes := func() int {
 				m, l := tableNodes(&s.dir)
-				n += m + l
-				for _, c := range []*Cache{s.llc[0], s.llc[1], host.l2, nic.l2} {
-					m, l := tableNodes(&c.slots)
-					n += m + l
-				}
-				return n
+				return m + l
 			}
 			before := nodes()
 			for _, far := range []mem.Addr{mem.LineAt(0, 1<<30), mem.LineAt(1, 1<<28), near + 64*mem.LineSize} {
@@ -158,9 +153,9 @@ func TestLineTableMemoryPerTouchedLine(t *testing.T) {
 		stride int
 		max    uint64 // bytes allocated per touched line
 	}{
-		{128, 256},
-		{2 << 10, 1 << 10},
-		{64 << 10, 3 << 10},
+		{128, 192},
+		{2 << 10, 640},
+		{64 << 10, 1280},
 	} {
 		t.Run(fmt.Sprintf("stride%d", c.stride), func(t *testing.T) {
 			k := sim.New()
@@ -195,14 +190,15 @@ func TestLineTableMemoryPerTouchedLine(t *testing.T) {
 // TestFirstFillsAllocatePerSlab requires first touches to allocate per
 // slab, not per line: n fresh slots of a line table cost one leaf slab per
 // slabLeaves leaves plus one mid node per midLeaves leaves, and n first
-// fills of a cache add one entry slab per entrySlab entries.
+// fills of a fresh cache, through System.fill into a fresh directory, add
+// one entry slab per entrySlab entries.
 func TestFirstFillsAllocatePerSlab(t *testing.T) {
 	const n = 4096
 	leaves := n / leafLines
 	tableMax := float64(leaves/slabLeaves + leaves/midLeaves + 8)
 	t.Run("table", func(t *testing.T) {
 		allocs := testing.AllocsPerRun(5, func() {
-			var tab lineTable[dirEntry]
+			var tab lineTable
 			for i := 0; i < n; i++ {
 				tab.at(mem.LineAt(0, i)).present = true
 			}
@@ -215,9 +211,11 @@ func TestFirstFillsAllocatePerSlab(t *testing.T) {
 		s := NewSystem(sim.New(), platform.ICX())
 		max := tableMax + n/entrySlab
 		allocs := testing.AllocsPerRun(5, func() {
-			c := newCache(s, "l2", 0, n*mem.LineSize, false)
+			s.dir = lineTable{}
+			a := &Agent{sys: s, l2: newCache(s, "l2", 0, n*mem.LineSize, false)}
 			for i := 0; i < n; i++ {
-				c.insertMiss(mem.LineAt(0, i), Shared)
+				line := mem.LineAt(0, i)
+				s.fill(s.ent(line), a, line, Modified)
 			}
 		})
 		if allocs > max {

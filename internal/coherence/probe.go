@@ -104,12 +104,13 @@ func (s *System) CorruptSharerSetForTest(line mem.Addr) bool {
 	return true
 }
 
-// CheckLine validates the directory entry for one line against the caches it
-// names: owner and sharers are mutually exclusive, the owner really holds
-// the line Modified, and every sharer holds it Shared exactly once; under
-// CXL the line's snoop filter or bias must agree too. It is O(sharers) and
-// allocation-free, cheap enough to run after every line event; stray copies
-// unknown to the directory require the full CheckInvariants scan.
+// CheckLine validates the directory entry for one line against the cache
+// entries it names: owner and sharers are mutually exclusive, the owner's
+// entry is resident holding the line Modified, and each sharer's is
+// resident holding it Shared, one per cache; under CXL the line's snoop
+// filter or bias must agree too. It is O(sharers) and allocation-free,
+// cheap enough to run after every line event; stray copies unknown to the
+// directory require the full CheckInvariants scan.
 func (s *System) CheckLine(line mem.Addr) error {
 	if err := s.checkDirLine(line); err != nil {
 		return err
@@ -126,36 +127,34 @@ func (s *System) checkDirLine(line mem.Addr) error {
 	if d == nil {
 		return nil
 	}
-	if d.owner != nil {
+	if o := d.owner; o != nil {
 		if len(d.sharers) > 0 {
 			return fmt.Errorf("line %#x: owner %s coexists with %d sharers",
-				line, d.owner.name, len(d.sharers))
+				line, o.c.name, len(d.sharers))
 		}
-		e := d.owner.peek(line)
-		if e == nil {
+		if !o.resident(line) {
 			return fmt.Errorf("line %#x: directory owner %s does not hold the line",
-				line, d.owner.name)
+				line, o.c.name)
 		}
-		if e.state != Modified {
+		if o.state != Modified {
 			return fmt.Errorf("line %#x: owner %s holds it %v, want M",
-				line, d.owner.name, e.state)
+				line, o.c.name, o.state)
 		}
 		return nil
 	}
-	for i, c := range d.sharers {
+	for i, e := range d.sharers {
 		for _, prev := range d.sharers[:i] {
-			if prev == c {
-				return fmt.Errorf("line %#x: duplicate sharer %s", line, c.name)
+			if prev.c == e.c {
+				return fmt.Errorf("line %#x: duplicate sharer %s", line, e.c.name)
 			}
 		}
-		e := c.peek(line)
-		if e == nil {
+		if !e.resident(line) {
 			return fmt.Errorf("line %#x: directory sharer %s does not hold the line",
-				line, c.name)
+				line, e.c.name)
 		}
 		if e.state != Shared {
 			return fmt.Errorf("line %#x: sharer %s holds it %v, want S",
-				line, c.name, e.state)
+				line, e.c.name, e.state)
 		}
 	}
 	return nil

@@ -25,12 +25,14 @@ type Counters struct {
 	StallTime sim.Time
 }
 
-// dirEntry is the global directory state for one line. Invariant: owner is
-// non-nil only when exactly one cache holds the line Modified, in which case
-// sharers is empty.
+// dirEntry is the global directory state for one line: its slot names each
+// holder's cache entry, so it is also the caches' residency index.
+// Invariant: owner is non-nil only when exactly one cache holds the line
+// Modified, in which case sharers is empty. Sharer order is significant:
+// nearestSharer takes the first match, and removal swaps the last sharer in.
 type dirEntry struct {
-	owner   *Cache
-	sharers []*Cache
+	owner   *entry
+	sharers []*entry
 	// pendingUntil is when the most recent ownership-acquiring store
 	// commits globally. A read by another agent before then stalls: the
 	// line cannot be forwarded while the RFO is in flight. This is what
@@ -62,11 +64,13 @@ type System struct {
 	// points in protocol.go.
 	cxl *cxlState
 
-	llc      [2]*Cache
-	agents   [2][]*Agent
-	dir      lineTable[dirEntry] // the directory, one slot per touched line
-	counters [2]Counters
-	prefetch [2]bool
+	llc    [2]*Cache
+	agents [2][]*Agent
+	dir    lineTable // the directory, one slot per touched line
+	// sharerSlab holds sharer arrays carved but not yet handed out.
+	sharerSlab []*entry
+	counters   [2]Counters
+	prefetch   [2]bool
 
 	// ntLineCost is the serialization time of one nontemporal-store line,
 	// precomputed from the platform's NT bandwidth.
@@ -213,9 +217,9 @@ func (s *System) gc(line mem.Addr, d *dirEntry) {
 }
 
 //ccnic:noalloc
-func (d *dirEntry) removeSharer(c *Cache) {
-	for i, sc := range d.sharers {
-		if sc == c {
+func (d *dirEntry) removeSharer(e *entry) {
+	for i, se := range d.sharers {
+		if se == e {
 			d.sharers[i] = d.sharers[len(d.sharers)-1]
 			d.sharers = d.sharers[:len(d.sharers)-1]
 			return
@@ -227,33 +231,51 @@ func (d *dirEntry) removeSharer(c *Cache) {
 //
 //ccnic:noalloc
 func (d *dirEntry) hasRemote(sock int) bool {
-	if d.owner != nil && d.owner.socket != sock {
+	if d.owner != nil && d.owner.c.socket != sock {
 		return true
 	}
-	for _, c := range d.sharers {
-		if c.socket != sock {
+	for _, e := range d.sharers {
+		if e.c.socket != sock {
 			return true
 		}
 	}
 	return false
 }
 
-// evicted handles a victim leaving cache c. L2 victims (clean or dirty)
-// move into the socket's LLC; LLC dirty victims write back to the home
-// memory, crossing the link if homed remotely.
+// find returns c's entry for the line, or nil: the owner's, else c's among
+// the sharers.
 //
 //ccnic:noalloc
-func (s *System) evicted(c *Cache, line mem.Addr, st State) {
+func (d *dirEntry) find(c *Cache) *entry {
+	if d.owner != nil && d.owner.c == c {
+		return d.owner
+	}
+	for _, e := range d.sharers {
+		if e.c == c {
+			return e
+		}
+	}
+	return nil
+}
+
+// evicted takes victim v, just unlinked from its cache, out of the
+// directory. L2 victims (clean or dirty) move into the socket's LLC; LLC
+// dirty victims write back to the home memory, crossing the link if homed
+// remotely.
+//
+//ccnic:noalloc
+func (s *System) evicted(v *entry) {
+	c, line, st := v.c, v.line, v.state
 	d := s.ent(line)
 	if c.isLLC {
-		if d.owner == c {
+		if d.owner == v {
 			d.owner = nil
 			if home := mem.Home(line); home != c.socket {
 				s.link.Data(s.k.Now(), interconn.DirFromTo(c.socket, home), mem.LineSize)
 				s.counters[c.socket].Writebacks++
 			}
 		} else {
-			d.removeSharer(c)
+			d.removeSharer(v)
 		}
 		s.gc(line, d)
 		s.residencyChanged(line)
@@ -261,32 +283,59 @@ func (s *System) evicted(c *Cache, line mem.Addr, st State) {
 	}
 	// L2 victim: hand to the socket LLC, preserving dirtiness.
 	llc := s.llc[c.socket]
-	if d.owner == c {
-		d.owner = llc
+	if d.owner == v {
+		s.enter(d, llc, line, st, true)
 	} else {
-		d.removeSharer(c)
-		if d.holds(llc) || d.owner == llc {
-			llc.touch(line, st) // refresh recency only
-			s.residencyChanged(line)
-			return
+		d.removeSharer(v)
+		if e := d.find(llc); e != nil {
+			// Already resident: refresh its recency and state.
+			llc.promote(e)
+			e.state = st
+		} else {
+			s.enter(d, llc, line, st, false)
 		}
-		d.sharers = append(d.sharers, llc)
 	}
-	llc.insertMiss(line, st)
 	s.residencyChanged(line)
 }
 
+// enter makes line resident in c in state st: a new entry, named in the
+// line's slot d as its owner or as the last sharer, then linked. The slot
+// names it before c makes room, because an eviction chain (an L2 victim
+// into the LLC, then the LLC's victim) can reach the same slot, and a slot
+// naming no holder there would be retired by gc.
+//
 //ccnic:noalloc
-func (d *dirEntry) holds(c *Cache) bool {
-	if d.owner == c {
-		return true
+func (s *System) enter(d *dirEntry, c *Cache, line mem.Addr, st State, owner bool) {
+	e := c.newEntry(line, st)
+	if owner {
+		d.owner = e
+	} else {
+		s.addSharer(d, e)
 	}
-	for _, sc := range d.sharers {
-		if sc == c {
-			return true
+	c.link(e)
+}
+
+// Sharer arrays: a slot's first sharer takes a sharerCap-long array carved
+// from the System's slab, so first sharers cost one allocation per
+// sharerSlots slots, not one per line; a set outgrowing it reallocates as
+// append does.
+const (
+	sharerCap   = 2
+	sharerSlots = 128
+)
+
+// addSharer appends e to the line's sharers.
+//
+//ccnic:noalloc
+func (s *System) addSharer(d *dirEntry, e *entry) {
+	if cap(d.sharers) == 0 {
+		if len(s.sharerSlab) == 0 {
+			s.sharerSlab = make([]*entry, sharerCap*sharerSlots) //ccnic:alloc-ok first sharers, once per sharerSlots slots
 		}
+		d.sharers = s.sharerSlab[:0:sharerCap]
+		s.sharerSlab = s.sharerSlab[sharerCap:]
 	}
-	return false
+	d.sharers = append(d.sharers, e) //ccnic:alloc-ok a sharer set outgrowing its carved array
 }
 
 // dropEverywhere invalidates every cached copy of line (used by NT stores
@@ -301,11 +350,11 @@ func (s *System) dropEverywhere(line mem.Addr, sock int) bool {
 	}
 	remote := d.hasRemote(sock)
 	if d.owner != nil {
-		d.owner.drop(line)
+		d.owner.c.drop(d.owner)
 		d.owner = nil
 	}
-	for _, c := range d.sharers {
-		c.drop(line)
+	for _, e := range d.sharers {
+		e.c.drop(e)
 	}
 	d.sharers = d.sharers[:0]
 	s.gc(line, d)
@@ -323,10 +372,7 @@ func (s *System) dropEverywhere(line mem.Addr, sock int) bool {
 //ccnic:noalloc
 func (s *System) DeviceWriteLine(line mem.Addr, socket int) {
 	s.dropEverywhere(line, socket)
-	d := s.ent(line)
-	llc := s.llc[socket]
-	d.owner = llc
-	llc.insertMiss(line, Modified)
+	s.enter(s.ent(line), s.llc[socket], line, Modified, true)
 	s.residencyChanged(line)
 	s.lineEvent(line)
 }
@@ -342,9 +388,10 @@ func (s *System) DeviceReadLine(line mem.Addr) {
 		return
 	}
 	owner := d.owner
-	owner.touch(line, Shared)
+	owner.c.promote(owner)
+	owner.state = Shared
 	d.owner = nil
-	d.sharers = append(d.sharers, owner)
+	s.addSharer(d, owner)
 	s.residencyChanged(line)
 	s.lineEvent(line)
 }
@@ -359,68 +406,51 @@ func (s *System) forEachDir(fn func(line mem.Addr, d *dirEntry)) {
 	})
 }
 
-// CheckInvariants validates global coherence invariants; tests call it after
-// workloads. It returns an error describing the first violation found.
-func (s *System) CheckInvariants() error {
-	// Directory contents must exactly match cache contents.
-	type key struct {
-		c    *Cache
-		line mem.Addr
-	}
-	claimed := make(map[key]State)
-	var dirErr error
-	s.forEachDir(func(line mem.Addr, d *dirEntry) {
-		if dirErr != nil {
-			return
-		}
-		if d.owner != nil && len(d.sharers) > 0 {
-			dirErr = fmt.Errorf("line %#x: owner %s coexists with %d sharers",
-				line, d.owner.name, len(d.sharers))
-			return
-		}
-		if d.owner != nil {
-			claimed[key{d.owner, line}] = Modified
-		}
-		seen := map[*Cache]bool{}
-		for _, c := range d.sharers {
-			if seen[c] {
-				dirErr = fmt.Errorf("line %#x: duplicate sharer %s", line, c.name)
-				return
-			}
-			seen[c] = true
-			claimed[key{c, line}] = Shared
-		}
-	})
-	if dirErr != nil {
-		return dirErr
-	}
+// caches returns every cache: the LLCs, then each socket's L2s (validation
+// paths only).
+func (s *System) caches() []*Cache {
 	caches := []*Cache{s.llc[0], s.llc[1]}
 	for i := 0; i < 2; i++ {
 		for _, a := range s.agents[i] {
 			caches = append(caches, a.l2)
 		}
 	}
+	return caches
+}
+
+// CheckInvariants validates global coherence invariants; tests call it after
+// workloads. It returns an error describing the first violation found.
+func (s *System) CheckInvariants() error {
+	// Every live slot must pass the per-line check: each entry it names is
+	// resident in its cache, in the state its role implies.
+	claimed := 0
 	var err error
+	s.forEachDir(func(line mem.Addr, d *dirEntry) {
+		if err == nil {
+			err = s.checkDirLine(line)
+		}
+		claimed += len(d.sharers)
+		if d.owner != nil {
+			claimed++
+		}
+	})
+	if err != nil {
+		return err
+	}
+	// Every resident entry must be the one its line's slot names for its
+	// cache. A copy a defect leaves behind stays on its cache's LRU list,
+	// which is how this walk finds it.
 	total := 0
-	for _, c := range caches {
-		c.forEach(func(line mem.Addr, st State) {
-			if err != nil {
-				return
-			}
+	for _, c := range s.caches() {
+		for e := c.head.next; e != &c.head; e = e.next {
 			total++
-			want, ok := claimed[key{c, line}]
-			if !ok {
-				err = fmt.Errorf("cache %s holds %#x (%v) unknown to directory", c.name, line, st)
-			} else if want != st {
-				err = fmt.Errorf("cache %s holds %#x as %v, directory says %v", c.name, line, st, want)
+			if d := s.lookup(e.line); d == nil || d.find(c) != e {
+				return fmt.Errorf("cache %s holds %#x (%v) unknown to directory", c.name, e.line, e.state)
 			}
-		})
-		if err != nil {
-			return err
 		}
 	}
-	if total != len(claimed) {
-		return fmt.Errorf("directory claims %d residencies, caches hold %d", len(claimed), total)
+	if total != claimed {
+		return fmt.Errorf("directory claims %d residencies, caches hold %d", claimed, total)
 	}
 	// Protocol-private state (the CXL snoop filter and bias map) must agree
 	// with the directory too.

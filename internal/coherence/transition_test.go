@@ -188,7 +188,7 @@ func TestTransitionTable(t *testing.T) {
 						d := s.lookup(line)
 						var owner rune
 						if d != nil && d.owner != nil {
-							switch d.owner {
+							switch d.owner.c {
 							case r.l2:
 								owner = 'R'
 							case lp.l2:

@@ -23,7 +23,6 @@ const CacheLine = 64
 type Platform struct {
 	Name           string
 	CoresPerSocket int
-	CPUGHz         float64
 
 	// Cache capacities per the paper's §5.1.
 	L2Bytes  int64 // per-core private L2
@@ -68,10 +67,6 @@ type Platform struct {
 	// with the UPI ones: a platform describes the machine, the protocol
 	// selection decides which set the interconnect is built from.
 	CXL CXLParams
-
-	// Derating knobs for the Fig 21 sensitivity study; 1.0 = nominal.
-	UncoreLatScale float64
-	UncoreBWScale  float64
 }
 
 // CXLParams describes a CXL x16 attach point between the host socket and the
@@ -113,7 +108,6 @@ func ICX() *Platform {
 	return &Platform{
 		Name:           "ICX",
 		CoresPerSocket: 16,
-		CPUGHz:         3.1,
 		L2Bytes:        1280 << 10, // 1.25 MB
 		LLCBytes:       36 << 20,
 
@@ -164,9 +158,6 @@ func ICX() *Platform {
 			RawGBs:        31.5,
 			GTs:           16,
 		},
-
-		UncoreLatScale: 1.0,
-		UncoreBWScale:  1.0,
 	}
 }
 
@@ -176,7 +167,6 @@ func SPR() *Platform {
 	return &Platform{
 		Name:           "SPR",
 		CoresPerSocket: 56,
-		CPUGHz:         2.0,
 		L2Bytes:        2 << 20,
 		LLCBytes:       105 << 20,
 
@@ -228,9 +218,6 @@ func SPR() *Platform {
 			RawGBs:        63.0,
 			GTs:           32,
 		},
-
-		UncoreLatScale: 1.0,
-		UncoreBWScale:  1.0,
 	}
 }
 
@@ -286,8 +273,6 @@ func (p *Platform) Derate(latScale, bwScale float64) *Platform {
 	q.CXL.Inval = scale(p.CXL.Inval, latScale)
 	q.CXL.BiasFlip = scale(p.CXL.BiasFlip, latScale)
 	q.CXL.LinkBandwidth = p.CXL.LinkBandwidth * bwScale
-	q.UncoreLatScale = latScale
-	q.UncoreBWScale = bwScale
 	return &q
 }
 

@@ -107,7 +107,7 @@ func TestDerate(t *testing.T) {
 		t.Errorf("LLC hit = %v, want %v", q.LLCHit, wantLLC)
 	}
 	// Original must be untouched.
-	if p.UPIBandwidth != 127.5 || p.UncoreBWScale != 1.0 {
+	if p.UPIBandwidth != 127.5 {
 		t.Error("Derate mutated the original")
 	}
 	if q.RemoteAccess() != q.RemoteDRAM {

@@ -49,3 +49,27 @@ func TestRunsReleaseCoroutines(t *testing.T) {
 		t.Errorf("%d goroutines after the cluster run, want the baseline %d", n, base)
 	}
 }
+
+// TestLoopbackAllocsPerPacket pins the host's allocations on the headline
+// point, ICX CC-NIC on 8 queues with 64 B packets and a window of 128:
+// RunLoopback, bracketed by the runtime's malloc count, must allocate fewer
+// than one object per packet received in its measured window. What it
+// allocates is first-touch state (directory slots, cache entries, sharer
+// arrays, buffer carving) and the run's scaffolding, not per-packet work.
+func TestLoopbackAllocsPerPacket(t *testing.T) {
+	tb := NewTestbed(Config{Platform: "ICX", Interface: CCNIC, Queues: 8, HostPrefetch: true})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := tb.RunLoopback(LoopbackOptions{PktSize: 64, Window: 128,
+		Warmup: 20 * sim.Microsecond, Measure: 30 * sim.Microsecond})
+	runtime.ReadMemStats(&after)
+	pkts := res.Latency.Count()
+	if pkts == 0 {
+		t.Fatal("the run received no packets")
+	}
+	per := float64(after.Mallocs-before.Mallocs) / float64(pkts)
+	t.Logf("%d allocations over %d received packets: %.3f per packet", after.Mallocs-before.Mallocs, pkts, per)
+	if per >= 1 {
+		t.Errorf("RunLoopback allocates %.3f objects per received packet, want fewer than 1", per)
+	}
+}
