@@ -27,6 +27,7 @@
 package ccnic
 
 import (
+	"cmp"
 	"fmt"
 
 	"ccnic/internal/bufpool"
@@ -167,34 +168,57 @@ type Testbed struct {
 	Iface  Interface
 }
 
-// NewTestbed builds a testbed from the configuration. It panics on invalid
-// configurations (programmer error), matching the package's
-// construction-time validation style.
-func NewTestbed(cfg Config) *Testbed {
-	plat := cfg.Plat
-	if plat == nil {
-		name := cfg.Platform
-		if name == "" {
-			name = "ICX"
-		}
-		var err error
-		if plat, err = platform.Lookup(name); err != nil {
+// Resolved returns cfg with every default NewTestbed applies filled in:
+// the platform looked up by name (default ICX) into Plat, one queue, the
+// protocol's canonical name (default UPI), the interface's own design
+// point in UPI for a coherent or overlay interface, one overlay thread per
+// queue, and nil for an unarmed fault plan. NewTestbed builds the resolved
+// form, so configs that resolve alike build alike. It panics on an unknown
+// platform or protocol, as NewTestbed does.
+func (cfg Config) Resolved() Config {
+	if cfg.Plat == nil {
+		plat, err := platform.Lookup(cmp.Or(cfg.Platform, "ICX"))
+		if err != nil {
 			panic("ccnic: " + err.Error())
 		}
+		cfg.Plat = plat
 	}
-	queues := cfg.Queues
-	if queues == 0 {
-		queues = 1
+	cfg.Platform = ""
+	if cfg.Queues == 0 {
+		cfg.Queues = 1
 	}
-	if queues > plat.CoresPerSocket {
-		panic(fmt.Sprintf("ccnic: %d queues exceed %s's %d cores per socket",
-			queues, plat.Name, plat.CoresPerSocket))
-	}
-
 	proto, err := coherence.ParseProtocol(cfg.Protocol)
 	if err != nil {
 		panic("ccnic: " + err.Error())
 	}
+	cfg.Protocol = proto.String()
+	if cfg.UPI == nil && cfg.Interface != E810 && cfg.Interface != CX6 {
+		u := device.CCNICConfig()
+		if cfg.Interface == UnoptUPI || cfg.Interface == OverlayUnopt {
+			u = device.UnoptConfig()
+		}
+		cfg.UPI = &u
+	}
+	if cfg.OverlayThreads == 0 && (cfg.Interface == OverlayCCNIC || cfg.Interface == OverlayUnopt) {
+		cfg.OverlayThreads = cfg.Queues
+	}
+	if !cfg.Faults.Armed() {
+		cfg.Faults = nil
+	}
+	return cfg
+}
+
+// NewTestbed builds a testbed from the configuration's resolved form. It
+// panics on invalid configurations (programmer error), matching the
+// package's construction-time validation style.
+func NewTestbed(cfg Config) *Testbed {
+	cfg = cfg.Resolved()
+	plat, queues := cfg.Plat, cfg.Queues
+	if queues > plat.CoresPerSocket {
+		panic(fmt.Sprintf("ccnic: %d queues exceed %s's %d cores per socket",
+			queues, plat.Name, plat.CoresPerSocket))
+	}
+	proto, _ := coherence.ParseProtocol(cfg.Protocol) // Resolved validated it
 
 	k := sim.New()
 	sys := coherence.NewSystemProto(k, plat, proto)
@@ -204,7 +228,7 @@ func NewTestbed(cfg Config) *Testbed {
 	// Arm the fault injector before any device is built so every layer
 	// observes it from its first event; the schedule is then a pure
 	// function of (plan seed, kernel event order).
-	if cfg.Faults.Armed() {
+	if cfg.Faults != nil {
 		sys.SetFaults(fault.NewInjector(cfg.Faults))
 	}
 
@@ -227,36 +251,21 @@ func NewTestbed(cfg Config) *Testbed {
 		return out
 	}
 
-	upiCfg := func(base device.UPIConfig) device.UPIConfig {
-		if cfg.UPI != nil {
-			return *cfg.UPI
-		}
-		return base
-	}
-
 	switch cfg.Interface {
 	case CCNIC:
-		tb.Dev = device.NewUPI("CC-NIC", sys, upiCfg(device.CCNICConfig()), hosts, newNICAgents(queues))
+		tb.Dev = device.NewUPI("CC-NIC", sys, *cfg.UPI, hosts, newNICAgents(queues))
 	case UnoptUPI:
-		tb.Dev = device.NewUPI("UPI-unopt", sys, upiCfg(device.UnoptConfig()), hosts, newNICAgents(queues))
+		tb.Dev = device.NewUPI("UPI-unopt", sys, *cfg.UPI, hosts, newNICAgents(queues))
 	case E810:
 		tb.Dev = device.NewPCIeNIC(sys, platform.E810(), hosts)
 	case CX6:
 		tb.Dev = device.NewPCIeNIC(sys, platform.CX6(), hosts)
 	case OverlayCCNIC, OverlayUnopt:
-		base := device.CCNICConfig()
-		if cfg.Interface == OverlayUnopt {
-			base = device.UnoptConfig()
-		}
-		nOv := cfg.OverlayThreads
-		if nOv == 0 {
-			nOv = queues
-		}
-		if nOv > plat.CoresPerSocket {
+		if cfg.OverlayThreads > plat.CoresPerSocket {
 			panic(fmt.Sprintf("ccnic: %d overlay threads exceed %s's %d cores per socket",
-				nOv, plat.Name, plat.CoresPerSocket))
+				cfg.OverlayThreads, plat.Name, plat.CoresPerSocket))
 		}
-		tb.Dev = device.NewOverlay(sys, upiCfg(base), platform.CX6(), hosts, newNICAgents(nOv))
+		tb.Dev = device.NewOverlay(sys, *cfg.UPI, platform.CX6(), hosts, newNICAgents(cfg.OverlayThreads))
 	default:
 		panic(fmt.Sprintf("ccnic: unknown interface %v", cfg.Interface))
 	}
@@ -274,6 +283,14 @@ type LoopbackOptions struct {
 	Warmup  sim.Time
 	Measure sim.Time
 	Trace   *trace.Tracer // packet-lifecycle sampling; nil disables it
+}
+
+// Resolved returns o with the loopback harness's defaults filled in, as
+// RunLoopback and RunForward apply them (loopback.Config.Resolved).
+func (o LoopbackOptions) Resolved() LoopbackOptions {
+	c := loopback.Config{Window: o.Window, TxBatch: o.TxBatch, RxBatch: o.RxBatch}.Resolved()
+	o.Window, o.TxBatch, o.RxBatch = c.Window, c.TxBatch, c.RxBatch
+	return o
 }
 
 // LoopbackResult re-exports the loopback measurement result.

@@ -13,14 +13,17 @@
 //	                          chaos-run the reliable-transport experiments
 //	                          under injected in-fabric faults
 //	ccbench -cpuprofile cpu.pprof -memprofile mem.pprof fig13
-//	                          capture pprof profiles of the host hot path
+//	                          capture pprof profiles of the host hot path;
+//	                          go tool pprof -tags cpu.pprof splits the CPU
+//	                          by experiment (exp) and testbed point (point)
 //
-// Every selected experiment starts at once, and GOMAXPROCS bounds the
-// simulations running at a time (internal/experiments' slot pool); sections
-// print in registry order. Host cost (CPU, setup time, memory, per-layer
-// attribution) is measured by cmd/ccperf; the per-experiment trailer here
-// reports wall time only, from the start of the run, so it includes time
-// the experiment spent waiting for slots.
+// Every selected experiment starts at once in one session, which measures
+// each testbed point once however many experiments request it; GOMAXPROCS
+// bounds the simulations running at a time (internal/experiments' slot
+// pool), and sections print in registry order. Host cost (CPU, setup time,
+// memory, per-layer attribution) is measured by cmd/ccperf; the trailer
+// here reports each experiment's wall time from the start of the run, so
+// it includes time spent waiting for slots and for shared points.
 package main
 
 import (
@@ -124,12 +127,16 @@ func main() {
 	goldenBad := 0
 
 	// Sections print in registration order, so output, golden diffs and
-	// hashes do not depend on scheduling: every experiment owns its
-	// kernels, and the timing trailer is normalized away.
+	// hashes do not depend on scheduling: every point builds its own
+	// kernel, and the timing trailer is normalized away.
+	sess := experiments.NewSession()
 	results := make([]chan expResult, len(exps))
 	for i, e := range exps {
 		results[i] = make(chan expResult, 1)
-		go func() { results[i] <- run(e, opt) }()
+		go func() {
+			start := time.Now()
+			results[i] <- expResult{experiments.Section(e, sess.Run(e, opt)), time.Since(start)}
+		}()
 	}
 	for i, e := range exps {
 		r := <-results[i]
@@ -265,12 +272,6 @@ func peakRSSMiB() int64 {
 type expResult struct {
 	section string
 	wall    time.Duration
-}
-
-func run(e *experiments.Experiment, opt experiments.Options) expResult {
-	start := time.Now()
-	section := experiments.Section(e, e.Run(opt))
-	return expResult{section, time.Since(start)}
 }
 
 func fatalf(format string, args ...any) {

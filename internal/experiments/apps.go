@@ -4,26 +4,19 @@ import (
 	"fmt"
 
 	"ccnic"
-	"ccnic/internal/kvstore"
-	"ccnic/internal/rpcstack"
 	"ccnic/internal/sim"
 	"ccnic/internal/stats"
-	"ccnic/internal/traffic"
 )
 
 func init() {
-	register(&Experiment{
-		ID:    "fig19",
-		Title: "Key-value store throughput vs thread count (Ads and Geo distributions)",
-		Paper: "CC-NIC Overlay saturates with half the application threads of the direct CX6 interface (16->8 Ads, 8->4 Geo)",
-		run:   runFig19,
-	})
-	register(&Experiment{
-		ID:    "table2",
-		Title: "Application peak throughput and thread counts: KV store and TCP echo RPC",
-		Paper: "KV ads 37.0->42.3 Mops (16->8 threads); KV geo 17.8->17.9 (8->4); TCP RPC 58.3->64.6 (5->3 fast-path threads)",
-		run:   runTable2,
-	})
+	register(
+		&Experiment{ID: "fig19", run: runFig19,
+			Title: "Key-value store throughput vs thread count (Ads and Geo distributions)",
+			Paper: "CC-NIC Overlay saturates with half the application threads of the direct CX6 interface (16->8 Ads, 8->4 Geo)"},
+		&Experiment{ID: "table2", run: runTable2,
+			Title: "Application peak throughput and thread counts: KV store and TCP echo RPC",
+			Paper: "KV ads 37.0->42.3 Mops (16->8 threads); KV geo 17.8->17.9 (8->4); TCP RPC 58.3->64.6 (5->3 fast-path threads)"},
+	)
 }
 
 // appIface is one Fig 19 / Table 2 interface variant.
@@ -52,92 +45,55 @@ func (a appIface) config(n int) ccnic.Config {
 	return cfg
 }
 
-// appWindows returns the warmup and measurement windows of an application
-// point.
-func appWindows(opt Options) (warm, meas sim.Time) {
-	if opt.Quick {
-		return 25 * sim.Microsecond, 60 * sim.Microsecond
-	}
-	return 40 * sim.Microsecond, 120 * sim.Microsecond
-}
-
-// kvPoint measures saturated KV throughput for a series point.
-func kvPoint(iface appIface, threads int, dist *traffic.SizeDist, opt Options) float64 {
-	tb := opt.testbed(iface.config(threads))
-	warm, meas := appWindows(opt)
-	res := kvstore.Run(kvstore.Config{
-		Sys:          tb.Sys,
-		Dev:          tb.Dev,
-		Hosts:        tb.Hosts,
-		Store:        kvstore.NewStore(tb.Sys, 0, 100_000, dist),
-		Seed:         7,
-		RatePerQueue: 10e6, // beyond saturation
-		Warmup:       warm,
-		Measure:      meas,
-	})
-	return res.OpsPerSec
+// appRun is an application run offered rate requests per queue, beyond
+// saturation, with 40us of warm-up and 120us measured (25/60us at -quick);
+// a KV run's value sizes follow dist ("ads" or "geo").
+func appRun(opt Options, kind string, rate float64, dist string) run {
+	return run{kind: kind, dist: dist, lo: ccnic.LoopbackOptions{Rate: rate,
+		Warmup:  scaled(opt, 40*sim.Microsecond, 25*sim.Microsecond),
+		Measure: scaled(opt, 120*sim.Microsecond, 60*sim.Microsecond)}}
 }
 
 func runFig19(opt Options) *Report {
-	threadCounts := []int{1, 2, 4, 8, 12, 16}
-	ifaces := []appIface{appCCNIC, appUPI11, appUnopt, appPCIe}
-	if opt.Quick {
-		threadCounts = []int{1, 4}
-		ifaces = []appIface{appCCNIC, appPCIe}
+	threadCounts := scaled(opt, []int{1, 2, 4, 8, 12, 16}, []int{1, 4})
+	ifaces := scaled(opt, []appIface{appCCNIC, appUPI11, appUnopt, appPCIe}, []appIface{appCCNIC, appPCIe})
+	dists := []string{"ads", "geo"}
+	var pts []point
+	for _, d := range dists {
+		for _, iface := range ifaces {
+			for _, n := range threadCounts {
+				pts = append(pts, point{iface.config(n), appRun(opt, kvRun, 10e6, d)})
+			}
+		}
 	}
+	rds := opt.read(pts...)
 	var groups []SeriesGroup
-	for _, d := range []*traffic.SizeDist{traffic.Ads(3), traffic.Geo(3)} {
+	for _, d := range dists {
 		var series []*stats.Series
 		for _, iface := range ifaces {
-			iface := iface
 			s := &stats.Series{Name: iface.name + " [Mops]", XLabel: "threads"}
-			ys := make([]float64, len(threadCounts))
-			parallel(len(threadCounts), func(i int) {
-				ys[i] = kvPoint(iface, threadCounts[i], d, opt) / 1e6
-			})
-			for i, n := range threadCounts {
-				s.Add(float64(n), ys[i])
+			for _, n := range threadCounts {
+				s.Add(float64(n), rds[0].ops/1e6)
+				rds = rds[1:]
 			}
 			series = append(series, s)
 		}
 		groups = append(groups, SeriesGroup{
-			Name:   fmt.Sprintf("(%s distribution) KV throughput vs thread count", d.Name()),
+			Name:   fmt.Sprintf("(%s distribution) KV throughput vs thread count", d),
 			Series: series,
 		})
 	}
-	return &Report{ID: "fig19", Title: "Key-value store scaling", Groups: groups}
+	return &Report{Title: "Key-value store scaling", Groups: groups}
 }
 
-// rpcPoint measures saturated echo-RPC throughput with fp fast-path threads.
-func rpcPoint(iface appIface, fp int, opt Options) float64 {
-	tb := opt.testbed(iface.config(fp))
-	warm, meas := appWindows(opt)
-	res := rpcstack.Run(rpcstack.Config{
-		Sys:          tb.Sys,
-		Dev:          tb.Dev,
-		FastPath:     tb.Hosts,
-		App:          tb.Sys.NewAgent(0, "app"),
-		RatePerQueue: 60e6, // beyond saturation
-		Warmup:       warm,
-		Measure:      meas,
-	})
-	return res.OpsPerSec
-}
-
-// threadsFor95 sweeps thread counts and returns (peak ops/s, threads needed
-// to reach 95% of it).
-func threadsFor95(counts []int, measure func(int) float64) (peak float64, need int) {
-	vals := make(map[int]float64, len(counts))
-	ys := make([]float64, len(counts))
-	parallel(len(counts), func(i int) { ys[i] = measure(counts[i]) })
-	for i, n := range counts {
-		vals[n] = ys[i]
-		if vals[n] > peak {
-			peak = vals[n]
-		}
+// threadsFor95 returns the peak of a thread-count sweep's ops/s and the
+// fewest threads reaching 95% of it.
+func threadsFor95(counts []int, rds []reading) (peak float64, need int) {
+	for _, rd := range rds {
+		peak = max(peak, rd.ops)
 	}
-	for _, n := range counts {
-		if vals[n] >= 0.95*peak {
+	for i, n := range counts {
+		if rds[i].ops >= 0.95*peak {
 			return peak, n
 		}
 	}
@@ -145,31 +101,38 @@ func threadsFor95(counts []int, measure func(int) float64) (peak float64, need i
 }
 
 func runTable2(opt Options) *Report {
-	kvCounts := []int{2, 4, 8, 12, 16}
-	rpcCounts := []int{1, 2, 3, 4, 5, 6}
-	if opt.Quick {
-		kvCounts = []int{2, 4}
-		rpcCounts = []int{1, 2}
-	}
+	kvCounts := scaled(opt, []int{2, 4, 8, 12, 16}, []int{2, 4})
+	rpcCounts := scaled(opt, []int{1, 2, 3, 4, 5, 6}, []int{1, 2})
 	t := &stats.Table{
 		Name:    "peak throughput and threads to reach 95% of peak (CX6 vs CC-NIC Overlay)",
 		Columns: []string{"workload", "PCIe Mops", "CC-NIC Mops", "threads PCIe->CC-NIC"},
 	}
-	for _, w := range []struct {
-		name string
-		dist *traffic.SizeDist
-	}{{"KV store (ads)", traffic.Ads(3)}, {"KV store (geo)", traffic.Geo(3)}} {
-		w := w
-		pPeak, pN := threadsFor95(kvCounts, func(n int) float64 { return kvPoint(appPCIe, n, w.dist, opt) })
-		cPeak, cN := threadsFor95(kvCounts, func(n int) float64 { return kvPoint(appCCNIC, n, w.dist, opt) })
-		t.AddRow(w.name,
-			fmt.Sprintf("%.1f", pPeak/1e6), fmt.Sprintf("%.1f", cPeak/1e6),
-			fmt.Sprintf("%d -> %d", pN, cN))
+	// Each row sweeps PCIe and then CC-NIC over its thread counts.
+	rows := []struct {
+		name   string
+		counts []int
+		run    run
+	}{
+		{"KV store (ads)", kvCounts, appRun(opt, kvRun, 10e6, "ads")},
+		{"KV store (geo)", kvCounts, appRun(opt, kvRun, 10e6, "geo")},
+		{"TCP echo RPC", rpcCounts, appRun(opt, rpcRun, 60e6, "")},
 	}
-	pPeak, pN := threadsFor95(rpcCounts, func(n int) float64 { return rpcPoint(appPCIe, n, opt) })
-	cPeak, cN := threadsFor95(rpcCounts, func(n int) float64 { return rpcPoint(appCCNIC, n, opt) })
-	t.AddRow("TCP echo RPC",
-		fmt.Sprintf("%.1f", pPeak/1e6), fmt.Sprintf("%.1f", cPeak/1e6),
-		fmt.Sprintf("%d -> %d", pN, cN))
-	return &Report{ID: "table2", Title: "Application-level core savings", Tables: []*stats.Table{t}}
+	var pts []point
+	for _, r := range rows {
+		for _, iface := range []appIface{appPCIe, appCCNIC} {
+			for _, n := range r.counts {
+				pts = append(pts, point{iface.config(n), r.run})
+			}
+		}
+	}
+	rds := opt.read(pts...)
+	for _, r := range rows {
+		n := len(r.counts)
+		pPeak, pN := threadsFor95(r.counts, rds[:n])
+		cPeak, cN := threadsFor95(r.counts, rds[n:2*n])
+		rds = rds[2*n:]
+		t.AddRow(stats.Text(r.name), stats.Val("%.1f", pPeak/1e6), stats.Val("%.1f", cPeak/1e6),
+			stats.Val("%d -> %d", pN, cN))
+	}
+	return &Report{Title: "Application-level core savings", Tables: []*stats.Table{t}}
 }

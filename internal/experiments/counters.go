@@ -1,60 +1,17 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ccnic"
 	"ccnic/internal/sim"
 	"ccnic/internal/stats"
 )
 
 func init() {
-	register(&Experiment{
-		ID:    "fig17",
-		Title: "NIC-socket remote accesses (READ/RFO) per TX-RX loopback, batched and singleton",
-		Paper: "CC-NIC batched: 1.3 READ + 0.3 RFO per packet; unopt batched: 2.9/0.8; singleton cases: 2.9/2.8 and 5.4/4.9",
-		run:   runFig17,
-	})
-}
-
-// countRun runs a single-queue loopback and returns NIC-socket remote READ
-// and RFO counts per received packet.
-func countRun(opt Options, iface ccnic.Interface, batched bool) (rd, rfo float64) {
-	tb := opt.testbed(ccnic.Config{
-		Platform:  "ICX",
-		Interface: iface,
-		Queues:    1,
-		// Prefetching off: the paper's counter study isolates demand
-		// protocol traffic.
-	})
-	lo := ccnic.LoopbackOptions{
-		PktSize: 64,
-		Warmup:  40 * sim.Microsecond,
-		Measure: 120 * sim.Microsecond,
-	}
-	if batched {
-		lo.Window = 64
-		lo.TxBatch = 8
-		lo.RxBatch = 8
-	} else {
-		// Singleton: one packet in flight, transmitted and immediately
-		// polled for completion.
-		lo.Window = 1
-		lo.TxBatch = 1
-		lo.RxBatch = 1
-	}
-	// Counters accumulate over the whole run: the warm-up, the window, and
-	// nothing after it, since the run ends with its window (loopback.Window
-	// stops the device with its last workload process). The warm-up
-	// traffic is the same steady workload, so normalize by the packet
-	// count over the full span.
-	res := tb.RunLoopback(lo)
-	c := tb.Sys.Counters(1)
-	pkts := res.PPS * (lo.Warmup + lo.Measure).Seconds()
-	if pkts <= 0 {
-		return 0, 0
-	}
-	return float64(c.RemoteRead) / pkts, float64(c.RemoteRFO) / pkts
+	register(
+		&Experiment{ID: "fig17", run: runFig17,
+			Title: "NIC-socket remote accesses (READ/RFO) per TX-RX loopback, batched and singleton",
+			Paper: "CC-NIC batched: 1.3 READ + 0.3 RFO per packet; unopt batched: 2.9/0.8; singleton cases: 2.9/2.8 and 5.4/4.9"},
+	)
 }
 
 func runFig17(opt Options) *Report {
@@ -62,22 +19,38 @@ func runFig17(opt Options) *Report {
 		Name:    "NIC-socket remote accesses per TX-RX loopback (64B)",
 		Columns: []string{"case", "READ", "RFO"},
 	}
-	type c struct {
-		name    string
-		iface   ccnic.Interface
-		batched bool
+	// Batched runs keep a 64-packet window in bursts of 8; singleton runs
+	// keep one packet in flight, transmitted and immediately polled for
+	// completion.
+	cases := []struct {
+		name          string
+		iface         ccnic.Interface
+		window, burst int
+	}{
+		{"CC-NIC Batch", ccnic.CCNIC, 64, 8},
+		{"Unopt Batch", ccnic.UnoptUPI, 64, 8},
+		{"CC-NIC Single", ccnic.CCNIC, 1, 1},
+		{"Unopt Single", ccnic.UnoptUPI, 1, 1},
 	}
-	for _, cs := range []c{
-		{"CC-NIC Batch", ccnic.CCNIC, true},
-		{"Unopt Batch", ccnic.UnoptUPI, true},
-		{"CC-NIC Single", ccnic.CCNIC, false},
-		{"Unopt Single", ccnic.UnoptUPI, false},
-	} {
-		rd, rfo := countRun(opt, cs.iface, cs.batched)
-		t.AddRow(cs.name, fmt.Sprintf("%.2f", rd), fmt.Sprintf("%.2f", rfo))
+	pts := make([]point, len(cases))
+	for i, c := range cases {
+		// A single queue with prefetching off: the paper's counter study
+		// isolates demand protocol traffic.
+		pts[i] = point{ccnic.Config{Platform: "ICX", Interface: c.iface, Queues: 1},
+			loopRun(ccnic.LoopbackOptions{PktSize: 64, Window: c.window, TxBatch: c.burst, RxBatch: c.burst,
+				Warmup: 40 * sim.Microsecond, Measure: 120 * sim.Microsecond})}
+	}
+	for i, rd := range opt.read(pts...) {
+		// The counters cover the whole run, which ends with its window:
+		// the warm-up is the same steady workload, so normalize by the
+		// packet count over the full span.
+		var rdPer, rfoPer float64
+		if pkts := rd.pps * pts[i].run.span().Seconds(); pkts > 0 {
+			rdPer, rfoPer = float64(rd.remoteRead)/pkts, float64(rd.remoteRFO)/pkts
+		}
+		t.AddRow(stats.Text(cases[i].name), stats.Val("%.2f", rdPer), stats.Val("%.2f", rfoPer))
 	}
 	return &Report{
-		ID:     "fig17",
 		Title:  "Interconnect communication per packet",
 		Tables: []*stats.Table{t},
 		Notes: []string{

@@ -16,24 +16,17 @@ import (
 // protocols, and ext-cxl is the scale-1.0 column over CXL.
 
 func init() {
-	register(&Experiment{
-		ID:    "fig21",
-		Title: "Sensitivity to interconnect latency and bandwidth (uncore derating)",
-		Paper: "loopback latency tracks interconnect latency ~1:1; 40% bandwidth yields 39% throughput; CC-NIC's margin holds",
-		run:   runFig21,
-	})
-	register(&Experiment{
-		ID:    "proto-sweep",
-		Title: "EXT (Fig 21 design space): UPI vs CXL vs PCIe across latency and signaling-rate sensitivity points",
-		Paper: "Fig 21 sweeps interconnect derating for UPI alone; this reruns the sweep with the CXL.cache/CXL.mem backend as a real protocol, not a projected parameter set, against the PCIe E810 reference",
-		run:   runProtoSweep,
-	})
-	register(&Experiment{
-		ID:    "ext-cxl",
-		Title: "EXT (§5.9/§6): CC-NIC on a CXL 2.0 x16 attached NIC, over the CXL.cache/CXL.mem backend",
-		Paper: "Fig 21 argues CC-NIC's benefits hold at CXL-like latency (170-250ns) and bandwidth; this runs the full stack there",
-		run:   runExtCXL,
-	})
+	register(
+		&Experiment{ID: "fig21", run: runFig21,
+			Title: "Sensitivity to interconnect latency and bandwidth (uncore derating)",
+			Paper: "loopback latency tracks interconnect latency ~1:1; 40% bandwidth yields 39% throughput; CC-NIC's margin holds"},
+		&Experiment{ID: "proto-sweep", run: runProtoSweep,
+			Title: "EXT (Fig 21 design space): UPI vs CXL vs PCIe across latency and signaling-rate sensitivity points",
+			Paper: "Fig 21 sweeps interconnect derating for UPI alone; this reruns the sweep with the CXL.cache/CXL.mem backend as a real protocol, not a projected parameter set, against the PCIe E810 reference"},
+		&Experiment{ID: "ext-cxl", run: runExtCXL,
+			Title: "EXT (§5.9/§6): CC-NIC on a CXL 2.0 x16 attached NIC, over the CXL.cache/CXL.mem backend",
+			Paper: "Fig 21 argues CC-NIC's benefits hold at CXL-like latency (170-250ns) and bandwidth; this runs the full stack there"},
+	)
 }
 
 // design is one series of the table: an interface over a coherence protocol
@@ -63,45 +56,41 @@ type derateSweep struct {
 
 // derateScales returns Fig 21's latency and bandwidth derate axes.
 func derateScales(opt Options) (lat, bw []float64) {
-	if opt.Quick {
-		return []float64{1.0, 1.25}, []float64{1.0, 0.55}
-	}
-	return []float64{1.0, 1.11, 1.25, 1.4, 1.55}, []float64{1.0, 0.85, 0.7, 0.55, 0.4}
+	return scaled(opt, []float64{1.0, 1.11, 1.25, 1.4, 1.55}, []float64{1.0, 1.25}),
+		scaled(opt, []float64{1.0, 0.85, 0.7, 0.55, 0.4}, []float64{1.0, 0.55})
 }
 
 // sweepQueues is the queue count of the table's peak-rate points.
-func sweepQueues(opt Options) int {
-	if opt.Quick {
-		return 4
-	}
-	return 16
-}
+func sweepQueues(opt Options) int { return scaled(opt, 16, 4) }
 
-// run measures every point in parallel and returns, per design, the
+// run measures every point as one round and returns, per design, the
 // unloaded 64B median [ns] on one queue at each latency scale and the peak
 // [Mpps] on sweepQueues at each bandwidth scale.
 func (s derateSweep) run(opt Options) (lat, bw [][]float64) {
-	nl, per := len(s.latScales), len(s.latScales)+len(s.bwScales)
-	vals := make([]float64, len(s.designs)*per)
-	parallel(len(vals), func(i int) {
-		d, j := s.designs[i/per], i%per
-		mk := func(plat *platform.Platform, q int) *ccnic.Testbed {
-			return opt.testbed(ccnic.Config{
-				Plat: plat, Interface: d.iface, Protocol: d.proto,
-				Queues: q, HostPrefetch: true,
-			})
+	var pts []point
+	for _, d := range s.designs {
+		cfg := func(plat *platform.Platform, q int) ccnic.Config {
+			return ccnic.Config{Plat: plat, Interface: d.iface, Protocol: d.proto, Queues: q, HostPrefetch: true}
 		}
-		if j < nl {
-			res := mk(platform.SPR().Derate(s.latScales[j], 1.0), 1).RunLoopback(unloadedOpts(opt))
-			vals[i] = float64(res.Latency.Median().Nanoseconds())
-		} else {
-			res := mk(platform.SPR().Derate(1.0, s.bwScales[j-nl]), sweepQueues(opt)).RunLoopback(peakOpts(s.peakPkt, opt))
-			vals[i] = res.Mpps()
+		for _, sc := range s.latScales {
+			pts = append(pts, point{cfg(platform.SPR().Derate(sc, 1.0), 1), loopRun(unloadedOpts(opt))})
 		}
-	})
-	for k := range s.designs {
-		lat = append(lat, vals[k*per:k*per+nl])
-		bw = append(bw, vals[k*per+nl:(k+1)*per])
+		for _, sc := range s.bwScales {
+			pts = append(pts, point{cfg(platform.SPR().Derate(1.0, sc), sweepQueues(opt)), loopRun(peakOpts(s.peakPkt, opt))})
+		}
+	}
+	rds := opt.read(pts...)
+	for range s.designs {
+		l, b := make([]float64, len(s.latScales)), make([]float64, len(s.bwScales))
+		for j := range l {
+			l[j] = rds[j].median.Nanoseconds()
+		}
+		rds = rds[len(l):]
+		for j := range b {
+			b[j] = rds[j].mpps()
+		}
+		rds = rds[len(b):]
+		lat, bw = append(lat, l), append(bw, b)
 	}
 	return lat, bw
 }
@@ -127,7 +116,6 @@ func runFig21(opt Options) *Report {
 	s.latScales, s.bwScales = derateScales(opt)
 	lat, bw := s.run(opt)
 	return &Report{
-		ID:    "fig21",
 		Title: "Interconnect performance sensitivity",
 		Groups: []SeriesGroup{
 			{Name: "(a) 64B unloaded latency vs interconnect latency (CXL est. 170-250ns)",
@@ -155,7 +143,6 @@ func runProtoSweep(opt Options) *Report {
 	lat, bw := s.run(opt)
 	percent := func(sc float64) float64 { return sc * 100 }
 	return &Report{
-		ID:    "proto-sweep",
 		Title: "Cross-protocol interconnect sensitivity",
 		Groups: []SeriesGroup{
 			{Name: fmt.Sprintf("(a) 64B unloaded latency vs latency derate (SPR base; CXL backend at %.0f-%.0fns)",
@@ -187,10 +174,9 @@ func runExtCXL(opt Options) *Report {
 		Columns: []string{"interface", "peak Mpps", "unloaded median [ns]"},
 	}
 	for i, d := range s.designs {
-		t.AddRow(d.name, fmt.Sprintf("%.1f", bw[i][0]), fmt.Sprintf("%.0f", lat[i][0]))
+		t.AddRow(stats.Text(d.name), stats.Val("%.1f", bw[i][0]), stats.Val("%.0f", lat[i][0]))
 	}
 	return &Report{
-		ID:     "ext-cxl",
 		Title:  "CC-NIC on CXL",
 		Tables: []*stats.Table{t},
 		Notes: []string{

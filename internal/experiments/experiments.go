@@ -1,17 +1,16 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§2.2 microbenchmarks and §5). Each experiment builds fresh
-// testbeds, runs the workload the paper describes, and returns printable
-// series/tables shaped like the paper's plots. EXPERIMENTS.md records the
+// evaluation (§2.2 microbenchmarks and §5). Each experiment declares the
+// points it measures, the runner (points.go) measures each once per
+// session, and the experiment shapes the readings into series and tables
+// of typed cells like the paper's plots. EXPERIMENTS.md records the
 // expected shapes and the measured outputs side by side.
 package experiments
 
 import (
 	"fmt"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"ccnic"
 	"ccnic/internal/check"
@@ -44,18 +43,29 @@ type Options struct {
 	// Check attaches the online invariant engine (internal/check) to every
 	// simulation (ccbench -check).
 	Check bool
+
+	// sess is the session the experiment runs in, and exp its ID (set by
+	// Session.Run).
+	sess *Session
+	exp  string
 }
 
-// testbed builds a fresh testbed from cfg (one per measurement: a run
-// consumes the kernel), filling in the run's fault plan and protocol where
-// cfg leaves them unset.
-func (o Options) testbed(cfg ccnic.Config) *ccnic.Testbed {
+// resolve fills in the run's fault plan and protocol where cfg leaves them
+// unset, then every default ccnic.NewTestbed applies (Config.Resolved):
+// the config a point is keyed and built by.
+func (o Options) resolve(cfg ccnic.Config) ccnic.Config {
 	if cfg.Faults == nil {
 		cfg.Faults = o.Faults
 	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = o.Protocol
 	}
+	return cfg.Resolved()
+}
+
+// testbed builds a fresh testbed from cfg, a config resolve returned (one
+// per measurement: a run consumes the kernel).
+func (o Options) testbed(cfg ccnic.Config) *ccnic.Testbed {
 	tb := ccnic.NewTestbed(cfg)
 	if o.Check {
 		check.Attach(tb.Sys)
@@ -66,9 +76,9 @@ func (o Options) testbed(cfg ccnic.Config) *ccnic.Testbed {
 // cluster builds a cluster from cfg, filling in the run's fault plan where
 // cfg leaves it nil, runs it to until, and checks its delivery ledger —
 // switch conservation always, the transport's RPC ledger where it is armed
-// — panicking with the experiment's id on any failure. The caller reads
+// — panicking with the experiment's ID on any failure. The caller reads
 // the cluster and closes it.
-func (o Options) cluster(id string, cfg cluster.Config, until sim.Time) *cluster.Cluster {
+func (o Options) cluster(cfg cluster.Config, until sim.Time) *cluster.Cluster {
 	if cfg.Faults == nil {
 		cfg.Faults = o.Faults
 	}
@@ -84,7 +94,7 @@ func (o Options) cluster(id string, cfg cluster.Config, until sim.Time) *cluster
 	}
 	if err != nil {
 		c.Close()
-		panic(fmt.Sprintf("%s: %v", id, err))
+		panic(fmt.Sprintf("%s: %v", o.exp, err))
 	}
 	return c
 }
@@ -144,30 +154,26 @@ type Experiment struct {
 	run   func(Options) *Report
 }
 
-// slots bounds the simulations running at once across the process: an
-// experiment's own work and every point parallel starts each hold one, so
-// the experiments a caller starts together and the points they fan out
-// share GOMAXPROCS CPUs between them.
-var slots = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-func acquire() { slots <- struct{}{} }
-func release() { <-slots }
-
-// Run regenerates the experiment's report. Its own work holds one slot;
-// callers may run any number of experiments concurrently.
-func (e *Experiment) Run(opt Options) *Report {
-	acquire()
-	defer release()
-	return e.run(opt)
+// scaled returns quick at -quick scale and full otherwise.
+func scaled[T any](opt Options, full, quick T) T {
+	if opt.Quick {
+		return quick
+	}
+	return full
 }
+
+// Run regenerates the experiment's report in a session of its own.
+func (e *Experiment) Run(opt Options) *Report { return NewSession().Run(e, opt) }
 
 var registry = map[string]*Experiment{}
 
-func register(e *Experiment) {
-	if _, dup := registry[e.ID]; dup {
-		panic("experiments: duplicate id " + e.ID)
+func register(es ...*Experiment) {
+	for _, e := range es {
+		if _, dup := registry[e.ID]; dup {
+			panic("experiments: duplicate id " + e.ID)
+		}
+		registry[e.ID] = e
 	}
-	registry[e.ID] = e
 }
 
 // All returns every experiment sorted by ID.
@@ -222,26 +228,4 @@ func Normalize(s string) string {
 		keep = keep[:len(keep)-1]
 	}
 	return strings.Join(keep, "\n") + "\n"
-}
-
-// parallel runs fn(0..n-1) concurrently, each index in a slot of its own.
-// The caller lends its slot to the points while it waits, so a parallel
-// nested inside a point neither oversubscribes the pool nor deadlocks on
-// it. Each index builds its own simulation kernel, so points are
-// independent and results deterministic.
-func parallel(n int, fn func(i int)) {
-	release()
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
-		//ccnic:nondet-ok deterministic fan-out: each point builds its own kernel
-		go func() {
-			defer wg.Done()
-			acquire()
-			defer release()
-			fn(i)
-		}()
-	}
-	wg.Wait()
-	acquire()
 }

@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"math"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"ccnic"
 	"ccnic/internal/check"
@@ -19,6 +16,7 @@ import (
 	"ccnic/internal/fault"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
+	"ccnic/internal/stats"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -109,11 +107,17 @@ func TestFig3Shape(t *testing.T) {
 
 func TestFig8Shape(t *testing.T) {
 	r := ByID("fig8").Run(Options{Quick: true})
-	// The note records the separate/co-located ratio; it must be >1.4x
-	// on both platforms (paper: 1.7-2.4x).
-	note := r.Notes[0]
-	if strings.Contains(note, "ratio: SPR 0") || strings.Contains(note, "ICX 0") {
-		t.Errorf("co-located layout lost to separate lines: %s", note)
+	// The separate/co-located ratio (the Wr layout against S0C) must be
+	// at least 1.4x on both platforms (paper: 1.7-2.4x).
+	rows := map[string][]stats.Cell{}
+	for _, row := range r.Tables[0].Rows {
+		rows[row[0].String()] = row
+	}
+	for col, plat := range []string{"SPR", "ICX"} {
+		sep, co := rows["Wr"][col+1].Float(), rows["S0C"][col+1].Float()
+		if ratio := sep / co; ratio < 1.4 {
+			t.Errorf("%s: separate lines %.0f ns vs co-located %.0f ns, ratio %.2f below 1.4", plat, sep, co, ratio)
+		}
 	}
 }
 
@@ -143,15 +147,8 @@ func TestFig15Shape(t *testing.T) {
 	}
 	// Each removal must not improve on the optimized design, and the
 	// final (PCIe-style) configuration must be well below optimized.
-	parse := func(row []string) float64 {
-		var v float64
-		if _, err := sscanf(row[1], &v); err != nil {
-			t.Fatalf("bad Mpps cell %q", row[1])
-		}
-		return v
-	}
-	opt := parse(rows[0])
-	final := parse(rows[3])
+	opt := rows[0][1].Float()
+	final := rows[3][1].Float()
 	if final >= 0.8*opt {
 		t.Errorf("full ablation (%.1f) should be well below optimized (%.1f)", final, opt)
 	}
@@ -160,13 +157,7 @@ func TestFig15Shape(t *testing.T) {
 func TestFig17Shape(t *testing.T) {
 	r := ByID("fig17").Run(Options{Quick: true})
 	rows := r.Tables[0].Rows
-	get := func(i, col int) float64 {
-		var v float64
-		if _, err := sscanf(rows[i][col], &v); err != nil {
-			t.Fatalf("bad cell %q", rows[i][col])
-		}
-		return v
-	}
+	get := func(i, col int) float64 { return rows[i][col].Float() }
 	ccB, unB := get(0, 1)+get(0, 2), get(1, 1)+get(1, 2)
 	ccS, unS := get(2, 1)+get(2, 2), get(3, 1)+get(3, 2)
 	if ccB >= unB {
@@ -183,10 +174,7 @@ func TestFig17Shape(t *testing.T) {
 func TestFig20Shape(t *testing.T) {
 	r := ByID("fig20").Run(Options{Quick: true})
 	rows := r.Tables[0].Rows
-	var hostOn float64
-	if _, err := sscanf(rows[0][2], &hostOn); err != nil {
-		t.Fatal(err)
-	}
+	hostOn := rows[0][2].Float()
 	// Host prefetching must help CC-NIC 64B (paper: 1.2x).
 	if hostOn < 1.0 {
 		t.Errorf("host prefetching should not hurt CC-NIC 64B: %.2f", hostOn)
@@ -201,14 +189,7 @@ func TestInterconnectSweepShape(t *testing.T) {
 	opt := Options{Quick: true}
 	ext := map[string][2]float64{} // interface -> peak Mpps, unloaded median ns
 	for _, row := range ByID("ext-cxl").Run(opt).Tables[0].Rows {
-		var peak, lat float64
-		if _, err := sscanf(row[1], &peak); err != nil {
-			t.Fatalf("bad peak cell %q", row[1])
-		}
-		if _, err := sscanf(row[2], &lat); err != nil {
-			t.Fatalf("bad latency cell %q", row[2])
-		}
-		ext[row[0]] = [2]float64{peak, lat}
+		ext[row[0].String()] = [2]float64{row[1].Float(), row[2].Float()}
 	}
 	cc, unopt, e810 := ext["CC-NIC/CXL"], ext["Unopt/CXL"], ext["E810 PCIe"]
 	if cc[0] <= e810[0] || cc[0] <= unopt[0] {
@@ -239,11 +220,6 @@ func TestInterconnectSweepShape(t *testing.T) {
 	}
 }
 
-// sscanf parses the first float in a cell.
-func sscanf(s string, v *float64) (int, error) {
-	return fmt.Sscanf(strings.TrimSpace(s), "%f", v)
-}
-
 // TestFaultsRecoveryShape: each armed class must actually inject, and
 // the doorbell-drop row must show the driver's re-ring watchdog firing.
 func TestFaultsRecoveryShape(t *testing.T) {
@@ -253,21 +229,11 @@ func TestFaultsRecoveryShape(t *testing.T) {
 	r := ByID("faults-recovery").Run(Options{Quick: true})
 	rows := r.Tables[0].Rows
 	for _, row := range rows {
-		var injected float64
-		if _, err := sscanf(row[2], &injected); err != nil {
-			t.Fatalf("bad injected cell %q", row[2])
-		}
-		if injected == 0 {
+		if row[2].Float() == 0 {
 			t.Errorf("class %s (%s) injected nothing", row[0], row[1])
 		}
-		if row[0] == "dbdrop" {
-			var rerings float64
-			if _, err := sscanf(row[3], &rerings); err != nil {
-				t.Fatal(err)
-			}
-			if rerings == 0 {
-				t.Errorf("dbdrop row shows no doorbell re-rings: %v", row)
-			}
+		if row[0].String() == "dbdrop" && row[3].Float() == 0 {
+			t.Errorf("dbdrop row shows no doorbell re-rings: %v", row)
 		}
 	}
 }
@@ -359,7 +325,7 @@ func TestOptionsBuilders(t *testing.T) {
 	opt := Options{Quick: true, Protocol: "cxl", Faults: runPlan}
 
 	t.Run("testbed fills unset fields", func(t *testing.T) {
-		tb := opt.testbed(ccnic.Config{})
+		tb := opt.testbed(opt.resolve(ccnic.Config{}))
 		if got := tb.Sys.Protocol(); got != coherence.ProtoCXL {
 			t.Errorf("protocol = %v, want the run's CXL", got)
 		}
@@ -368,7 +334,7 @@ func TestOptionsBuilders(t *testing.T) {
 		}
 	})
 	t.Run("testbed keeps the point's fields", func(t *testing.T) {
-		tb := opt.testbed(ccnic.Config{Protocol: "UPI", Faults: pointPlan})
+		tb := opt.testbed(opt.resolve(ccnic.Config{Protocol: "UPI", Faults: pointPlan}))
 		if got := tb.Sys.Protocol(); got != coherence.ProtoUPI {
 			t.Errorf("protocol = %v, want the point's UPI", got)
 		}
@@ -385,7 +351,7 @@ func TestOptionsBuilders(t *testing.T) {
 			{"unset", nil, runPlan},
 			{"set", pointPlan, pointPlan},
 		} {
-			cl := opt.cluster("builder-test", cluster.Config{Hosts: 2, Faults: c.cfg}, 20*sim.Microsecond)
+			cl := opt.cluster(cluster.Config{Hosts: 2, Faults: c.cfg}, 20*sim.Microsecond)
 			got := cl.Switch.Faults().Plan().Seed
 			cl.Close()
 			if want := c.want.ForFabric(0).Seed; got != want {
@@ -402,56 +368,4 @@ func TestOptionsBuilders(t *testing.T) {
 			t.Errorf("bare system armed the run's fault plan")
 		}
 	})
-}
-
-// TestPoolBoundsNestedParallel nests parallel the way coreCountCurves does
-// (outer points that each fan out inner points, with work of their own
-// before and after) under one held slot, as Experiment.Run holds it. At
-// every pool size, no more fns may run at once than there are slots, the
-// nesting must complete even on one slot, and every slot must be free
-// afterwards.
-func TestPoolBoundsNestedParallel(t *testing.T) {
-	for _, size := range []int{1, 2, 4} {
-		t.Run(fmt.Sprint("slots=", size), func(t *testing.T) {
-			defer func(s chan struct{}) { slots = s }(slots)
-			slots = make(chan struct{}, size)
-
-			var mu sync.Mutex
-			running, peak := 0, 0
-			work := func() {
-				mu.Lock()
-				running++
-				peak = max(peak, running)
-				mu.Unlock()
-				time.Sleep(time.Millisecond)
-				mu.Lock()
-				running--
-				mu.Unlock()
-			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				acquire()
-				defer release()
-				work()
-				parallel(3, func(int) {
-					work()
-					parallel(4, func(int) { work() })
-					work()
-				})
-				work()
-			}()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("nested parallel did not complete on %d slots", size)
-			}
-			if peak > size {
-				t.Errorf("%d fns ran at once on %d slots", peak, size)
-			}
-			if n := len(slots); n != 0 {
-				t.Errorf("%d of %d slots still held", n, size)
-			}
-		})
-	}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ccnic"
 	"ccnic/internal/device"
 	"ccnic/internal/dsa"
@@ -16,34 +14,24 @@ import (
 // evaluate. They are regenerated alongside the figures by ccbench.
 
 func init() {
-	register(&Experiment{
-		ID:    "ext-dsa",
-		Title: "EXT (§6 Hardware DMA): CPU payload copies vs DSA-offloaded bulk transfers",
-		Paper: "§6 suggests on-chip DMA engines (Intel DSA) for CPU-initiated bulk transfers of large packets",
-		run:   runExtDSA,
-	})
-	register(&Experiment{
-		ID:    "ext-event",
-		Title: "EXT (§3.2 Event-driven NIC): polled vs coherence-event NIC cores at high queue counts",
-		Paper: "§3.2 proposes handling coherence messages as signals to avoid software-polling scalability limits",
-		run:   runExtEvent,
-	})
-	register(&Experiment{
-		ID:    "ext-netfn",
-		Title: "EXT (§6 Network functions): header-only forwarding interconnect traffic",
-		Paper: "§6 argues a coherent NIC can retain payloads in NIC cache while the host reads only headers",
-		run:   runExtNetfn,
-	})
+	register(
+		&Experiment{ID: "ext-dsa", run: runExtDSA,
+			Title: "EXT (§6 Hardware DMA): CPU payload copies vs DSA-offloaded bulk transfers",
+			Paper: "§6 suggests on-chip DMA engines (Intel DSA) for CPU-initiated bulk transfers of large packets"},
+		&Experiment{ID: "ext-event", run: runExtEvent,
+			Title: "EXT (§3.2 Event-driven NIC): polled vs coherence-event NIC cores at high queue counts",
+			Paper: "§3.2 proposes handling coherence messages as signals to avoid software-polling scalability limits"},
+		&Experiment{ID: "ext-netfn", run: runExtNetfn,
+			Title: "EXT (§6 Network functions): header-only forwarding interconnect traffic",
+			Paper: "§6 argues a coherent NIC can retain payloads in NIC cache while the host reads only headers"},
+	)
 }
 
 // runExtDSA measures single-core large-payload TX preparation throughput
 // with CPU copies versus DSA offload.
 func runExtDSA(opt Options) *Report {
 	const size = 4096
-	pkts := 400
-	if opt.Quick {
-		pkts = 120
-	}
+	pkts := scaled(opt, 400, 120)
 
 	measure := func(useDSA bool) (opsPerSec float64) {
 		k := sim.New()
@@ -55,7 +43,6 @@ func runExtDSA(opt Options) *Report {
 		}
 		// Source object; per-packet destination TX buffers.
 		src := sys.Space().Alloc(0, size, 0)
-		var done int
 		k.Spawn("app", func(p *sim.Proc) {
 			var pending []*dsa.Completion
 			for i := 0; i < pkts; i++ {
@@ -76,7 +63,6 @@ func runExtDSA(opt Options) *Report {
 			for _, c := range pending {
 				c.Wait(p, core)
 			}
-			done = pkts
 			if eng != nil {
 				eng.Stop()
 			}
@@ -84,57 +70,53 @@ func runExtDSA(opt Options) *Report {
 		if err := k.Run(); err != nil {
 			panic(err)
 		}
-		return float64(done) / k.Now().Seconds()
+		return float64(pkts) / k.Now().Seconds()
 	}
 
-	cpu := measure(false)
-	off := measure(true)
+	rates := each(opt, []string{"cpu", "dsa"}, func(path string) float64 { return measure(path == "dsa") })
+	cpu, off := rates[0], rates[1]
 	t := &stats.Table{
 		Name:    "single-core 4KB TX preparation (SPR)",
 		Columns: []string{"transfer path", "Kops/s", "speedup"},
 	}
-	t.AddRow("CPU copy", fmt.Sprintf("%.0f", cpu/1e3), "1.00x")
-	t.AddRow("DSA offload", fmt.Sprintf("%.0f", off/1e3), fmt.Sprintf("%.2fx", off/cpu))
-	return &Report{ID: "ext-dsa", Title: "Hardware bulk transfers", Tables: []*stats.Table{t}}
+	t.AddRow(stats.Text("CPU copy"), stats.Val("%.0f", cpu/1e3), stats.Text("1.00x"))
+	t.AddRow(stats.Text("DSA offload"), stats.Val("%.0f", off/1e3), stats.Val("%.2fx", off/cpu))
+	return &Report{Title: "Hardware bulk transfers", Tables: []*stats.Table{t}}
 }
 
 // runExtEvent compares descriptor-discovery behavior when one NIC core
 // serves many queues, polled versus event-driven.
 func runExtEvent(opt Options) *Report {
-	counts := []int{2, 8, 16}
-	if opt.Quick {
-		counts = []int{2, 8}
-	}
+	counts := scaled(opt, []int{2, 8, 16}, []int{2, 8})
 	t := &stats.Table{
 		Name:    "one NIC core serving N trickle queues (ICX, 64B): ring scans per delivered packet",
 		Columns: []string{"queues", "polled scans/pkt", "event scans/pkt", "polled lat [ns]", "event lat [ns]"},
 	}
+	var pts []point
 	for _, n := range counts {
-		row := []string{fmt.Sprintf("%d", n)}
-		var scans [2]float64
-		var lats [2]float64
-		for i, ev := range []bool{false, true} {
+		for _, ev := range []bool{false, true} {
 			cfg := device.CCNICConfig()
 			cfg.NICCores = 1 // one core, one cache
 			cfg.EventDriven = ev
-			tb := opt.testbed(ccnic.Config{Platform: "ICX", Queues: n, UPI: &cfg, HostPrefetch: true})
-			res := tb.RunLoopback(ccnic.LoopbackOptions{
-				PktSize: 64, Rate: 40_000,
-				Warmup: 20 * sim.Microsecond, Measure: 100 * sim.Microsecond,
-			})
-			// NICSteps counts the whole run, which ends with its
-			// window, so divide by the packets of warm-up and window.
-			pkts := res.PPS * (120 * sim.Microsecond).Seconds()
-			scans[i] = float64(tb.Dev.(*device.UPI).NICSteps()) / pkts
-			lats[i] = res.Latency.Median().Nanoseconds()
+			pts = append(pts, point{ccnic.Config{Platform: "ICX", Queues: n, UPI: &cfg, HostPrefetch: true},
+				loopRun(ccnic.LoopbackOptions{PktSize: 64, Rate: 40_000,
+					Warmup: 20 * sim.Microsecond, Measure: 100 * sim.Microsecond})})
 		}
-		row = append(row,
-			fmt.Sprintf("%.0f", scans[0]), fmt.Sprintf("%.1f", scans[1]),
-			fmt.Sprintf("%.0f", lats[0]), fmt.Sprintf("%.0f", lats[1]))
-		t.AddRow(row...)
+	}
+	rds := opt.read(pts...)
+	for i, n := range counts {
+		var scans, lats [2]float64
+		for j, rd := range rds[2*i : 2*i+2] {
+			// NICSteps counts the whole run, which ends with its window,
+			// so divide by the packets of warm-up and window.
+			pkts := rd.pps * pts[2*i+j].run.span().Seconds()
+			scans[j] = float64(rd.nicSteps) / pkts
+			lats[j] = rd.median.Nanoseconds()
+		}
+		t.AddRow(stats.Val("%d", n), stats.Val("%.0f", scans[0]), stats.Val("%.1f", scans[1]),
+			stats.Val("%.0f", lats[0]), stats.Val("%.0f", lats[1]))
 	}
 	return &Report{
-		ID:     "ext-event",
 		Title:  "Event-driven NIC signaling",
 		Tables: []*stats.Table{t},
 		Notes: []string{
@@ -146,37 +128,30 @@ func runExtEvent(opt Options) *Report {
 // runExtNetfn measures interconnect bytes per forwarded packet for a
 // header-only middlebox, coherent versus PCIe.
 func runExtNetfn(opt Options) *Report {
-	sizes := []int{256, 1536, 4096}
-	if opt.Quick {
-		sizes = []int{256, 4096}
-	}
+	sizes := scaled(opt, []int{256, 1536, 4096}, []int{256, 4096})
 	t := &stats.Table{
 		Name:    "header-only forwarding: interconnect bytes per packet (ICX)",
 		Columns: []string{"pkt size", "CC-NIC wire B/pkt", "E810 DMA B/pkt", "reduction"},
 	}
-	span := 130 * sim.Microsecond
-	// forward runs the workload on a fresh testbed and returns it with the
-	// number of packets forwarded over the whole span. The wire and DMA
-	// counters cover the same span: the run ends with its window, so no
-	// idle polling or ingress after it adds bytes.
-	forward := func(iface ccnic.Interface, size int) (*ccnic.Testbed, float64) {
-		tb := opt.testbed(ccnic.Config{Platform: "ICX", Interface: iface, HostPrefetch: true})
-		res := tb.RunForward(ccnic.LoopbackOptions{
-			PktSize: size, Rate: 3e6, Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond,
-		})
-		return tb, res.PPS * span.Seconds()
-	}
+	// Each size forwards on CC-NIC and on the E810. The wire and DMA
+	// counters cover the whole run, which ends with its window, so no idle
+	// polling or ingress after it adds bytes: divide by the packets
+	// forwarded over warm-up and window.
+	var pts []point
 	for _, size := range sizes {
-		tb, pkts := forward(ccnic.CCNIC, size)
-		st := tb.Sys.Link().Stats()
-		cc := float64(st.WireBytes[0]+st.WireBytes[1]) / pkts
-
-		tb, pkts = forward(ccnic.E810, size)
-		pst := tb.Dev.(*device.PCIeNIC).Endpoint().Stats()
-		pe := float64(pst.DMABytes[0]+pst.DMABytes[1]) / pkts
-
-		t.AddRow(fmt.Sprintf("%d", size), fmt.Sprintf("%.0f", cc),
-			fmt.Sprintf("%.0f", pe), fmt.Sprintf("%.1fx", pe/cc))
+		for _, iface := range []ccnic.Interface{ccnic.CCNIC, ccnic.E810} {
+			pts = append(pts, point{ccnic.Config{Platform: "ICX", Interface: iface, HostPrefetch: true},
+				run{kind: forwardRun, lo: ccnic.LoopbackOptions{
+					PktSize: size, Rate: 3e6, Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond}}})
+		}
 	}
-	return &Report{ID: "ext-netfn", Title: "Network-function forwarding", Tables: []*stats.Table{t}}
+	rds := opt.read(pts...)
+	for i, size := range sizes {
+		span := pts[2*i].run.span().Seconds()
+		cc := float64(rds[2*i].wireBytes) / (rds[2*i].pps * span)
+		pe := float64(rds[2*i+1].dmaBytes) / (rds[2*i+1].pps * span)
+		t.AddRow(stats.Val("%d", size), stats.Val("%.0f", cc),
+			stats.Val("%.0f", pe), stats.Val("%.1fx", pe/cc))
+	}
+	return &Report{Title: "Network-function forwarding", Tables: []*stats.Table{t}}
 }

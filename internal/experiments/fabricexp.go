@@ -10,35 +10,38 @@ import (
 )
 
 func init() {
-	register(&Experiment{
-		ID:    "fabric-incast",
-		Title: "Incast fan-in through the switched fabric: RPC tail and delivered load vs converging hosts",
-		Paper: "beyond the paper: CC-NIC hosts behind a modeled switch — fan-in congestion queues at the egress port, DRR keeps the RPC tail bounded while tail-drop sheds the excess",
-		run:   runFabricIncast,
-	})
-	register(&Experiment{
-		ID:    "fabric-isolation",
-		Title: "Tenant isolation: small-RPC tail under a saturating bulk tenant, DRR fair queuing vs FIFO",
-		Paper: "beyond the paper: per-(source, class) deficit round robin bounds the RPC p99 a bulk tenant can inflict; the FIFO ablation lets the backlog capture the port",
-		run:   runFabricIsolation,
-	})
-	register(&Experiment{
-		ID:    "fabric-crossover",
-		Title: "CC-NIC vs PCIe doorbell signaling under fabric contention (Fig 21 method)",
-		Paper: "extends Fig 21: the coherent interface's fixed signaling advantage is largest on an idle fabric and shrinks relatively as switch queuing dominates the RPC path",
-		run:   runFabricCrossover,
+	register(
+		&Experiment{ID: "fabric-incast", run: runFabricIncast,
+			Title: "Incast fan-in through the switched fabric: RPC tail and delivered load vs converging hosts",
+			Paper: "beyond the paper: CC-NIC hosts behind a modeled switch — fan-in congestion queues at the egress port, DRR keeps the RPC tail bounded while tail-drop sheds the excess"},
+		&Experiment{ID: "fabric-isolation", run: runFabricIsolation,
+			Title: "Tenant isolation: small-RPC tail under a saturating bulk tenant, DRR fair queuing vs FIFO",
+			Paper: "beyond the paper: per-(source, class) deficit round robin bounds the RPC p99 a bulk tenant can inflict; the FIFO ablation lets the backlog capture the port"},
+		&Experiment{ID: "fabric-crossover", run: runFabricCrossover,
+			Title: "CC-NIC vs PCIe doorbell signaling under fabric contention (Fig 21 method)",
+			Paper: "extends Fig 21: the coherent interface's fixed signaling advantage is largest on an idle fabric and shrinks relatively as switch queuing dominates the RPC path"},
+	)
+}
+
+// clusterReports runs cfg(p) to until for every p in params, as one round
+// of jobs only the experiment runs (each), and returns their reports.
+func clusterReports[P any](o Options, until sim.Time, params []P, cfg func(P) cluster.Config) []cluster.Report {
+	return each(o, params, func(p P) cluster.Report {
+		c := o.cluster(cfg(p), until)
+		defer c.Close()
+		return c.Report()
 	})
 }
 
-// incastPoint runs one fan-in degree: `fanin` senders issue closed-loop
+// incastConfig is one fan-in degree: `fanin` senders issue closed-loop
 // RPCs at host 0 while each also aggregates an open-loop Ads tenant mix
 // toward the same port.
-func incastPoint(opt Options, fanin int, measure sim.Time) cluster.Report {
+func incastConfig(fanin int) cluster.Config {
 	srcs := make([]int, fanin)
 	for i := range srcs {
 		srcs[i] = i + 1
 	}
-	c := opt.cluster("fabric-incast", cluster.Config{
+	return cluster.Config{
 		Hosts:   fanin + 1,
 		Window:  8,
 		ReqSize: 512,
@@ -48,18 +51,12 @@ func incastPoint(opt Options, fanin int, measure sim.Time) cluster.Report {
 			Dist: "ads", MeanGap: 800 * sim.Nanosecond, Tenants: 128,
 			ZipfS: 0.75, TrackEvery: 8, Seed: 17,
 		}},
-	}, measure)
-	defer c.Close()
-	return c.Report()
+	}
 }
 
 func runFabricIncast(opt Options) *Report {
-	maxPorts := 16
-	measure := 400 * sim.Microsecond
-	if opt.Quick {
-		maxPorts = 8
-		measure = 120 * sim.Microsecond
-	}
+	maxPorts := scaled(opt, 16, 8)
+	measure := scaled(opt, 400*sim.Microsecond, 120*sim.Microsecond)
 	if opt.FabricPorts > 1 {
 		maxPorts = opt.FabricPorts
 	}
@@ -79,10 +76,7 @@ func runFabricIncast(opt Options) *Report {
 		Name:    "incast fan-in",
 		Columns: []string{"fan-in", "rpcs done", "flow pkts", "forwarded", "drops", "rpc p99"},
 	}
-	reps := make([]cluster.Report, len(fanins))
-	parallel(len(fanins), func(i int) {
-		reps[i] = incastPoint(opt, fanins[i], measure)
-	})
+	reps := clusterReports(opt, measure, fanins, incastConfig)
 	for i, f := range fanins {
 		r := reps[i]
 		x := float64(f)
@@ -91,12 +85,11 @@ func runFabricIncast(opt Options) *Report {
 		secs := float64(r.Now) / float64(sim.Second)
 		delivered.Add(x, float64(r.FlowBytes+int64(r.Done)*512)*8/1e9/secs)
 		tail.Add(x, r.FlowP99.Microseconds())
-		tbl.AddRow(fmt.Sprintf("%d", f), fmt.Sprintf("%d", r.Done),
-			fmt.Sprintf("%d", r.FlowDelivered), fmt.Sprintf("%d", r.Forwarded),
-			fmt.Sprintf("%d", r.Dropped), fmt.Sprintf("%v", r.P99))
+		tbl.AddRow(stats.Val("%d", f), stats.Val("%d", r.Done),
+			stats.Val("%d", r.FlowDelivered), stats.Val("%d", r.Forwarded),
+			stats.Val("%d", r.Dropped), stats.Val("%v", r.P99))
 	}
 	return &Report{
-		ID:    "fabric-incast",
 		Title: "Incast fan-in through the switched fabric",
 		Groups: []SeriesGroup{
 			{Name: "RPC completion latency vs fan-in", Series: []*stats.Series{p50, p99}},
@@ -109,10 +102,10 @@ func runFabricIncast(opt Options) *Report {
 	}
 }
 
-// isolationPoint runs the 3-host isolation shape: two RPC clients of host 0,
-// with an optional saturating 8KiB bulk tenant from host 2 onto the same
-// egress port.
-func isolationPoint(opt Options, bulk, fifo bool, measure sim.Time) cluster.Report {
+// isolationConfig is the 3-host isolation shape: two RPC clients of host
+// 0, with an optional saturating 8KiB bulk tenant from host 2 onto the
+// same egress port.
+func isolationConfig(bulk, fifo bool) cluster.Config {
 	cfg := cluster.Config{
 		Hosts:      3,
 		Window:     8,
@@ -127,39 +120,30 @@ func isolationPoint(opt Options, bulk, fifo bool, measure sim.Time) cluster.Repo
 			TrackEvery: 32, Seed: 11,
 		}}
 	}
-	c := opt.cluster("fabric-isolation", cfg, measure)
-	defer c.Close()
-	return c.Report()
+	return cfg
 }
 
 func runFabricIsolation(opt Options) *Report {
-	measure := 400 * sim.Microsecond
-	if opt.Quick {
-		measure = 150 * sim.Microsecond
-	}
+	measure := scaled(opt, 400*sim.Microsecond, 150*sim.Microsecond)
 	type cell struct{ bulk, fifo bool }
 	cells := []cell{{false, false}, {true, false}, {false, true}, {true, true}}
-	reps := make([]cluster.Report, len(cells))
-	parallel(len(cells), func(i int) {
-		reps[i] = isolationPoint(opt, cells[i].bulk, cells[i].fifo, measure)
-	})
+	name := map[bool]string{false: "DRR", true: "FIFO"}
+	load := map[bool]string{false: "idle", true: "saturating"}
+	reps := clusterReports(opt, measure, cells, func(c cell) cluster.Config { return isolationConfig(c.bulk, c.fifo) })
 	tbl := &stats.Table{
 		Name:    "RPC tail under a bulk tenant",
 		Columns: []string{"scheduler", "bulk tenant", "rpc p50", "rpc p99", "rpcs done", "bulk MB", "drops"},
 	}
-	name := map[bool]string{false: "DRR", true: "FIFO"}
-	load := map[bool]string{false: "idle", true: "saturating"}
 	for i, cl := range cells {
 		r := reps[i]
-		tbl.AddRow(name[cl.fifo], load[cl.bulk],
-			fmt.Sprintf("%v", r.P50), fmt.Sprintf("%v", r.P99),
-			fmt.Sprintf("%d", r.Done), fmt.Sprintf("%.1f", float64(r.FlowBytes)/1e6),
-			fmt.Sprintf("%d", r.Dropped))
+		tbl.AddRow(stats.Text(name[cl.fifo]), stats.Text(load[cl.bulk]),
+			stats.Val("%v", r.P50), stats.Val("%v", r.P99),
+			stats.Val("%d", r.Done), stats.Val("%.1f", float64(r.FlowBytes)/1e6),
+			stats.Val("%d", r.Dropped))
 	}
 	drrRatio := reps[1].P99.Microseconds() / reps[0].P99.Microseconds()
 	fifoRatio := reps[3].P99.Microseconds() / reps[2].P99.Microseconds()
 	return &Report{
-		ID:     "fabric-isolation",
 		Title:  "Tenant isolation under fair queuing",
 		Tables: []*stats.Table{tbl},
 		Notes: []string{
@@ -168,9 +152,9 @@ func runFabricIsolation(opt Options) *Report {
 	}
 }
 
-// crossoverPoint measures the aggregate RPC median with k bulk tenants
-// contending for the sink's egress port, under the given signaling model.
-func crossoverPoint(opt Options, k int, sig cluster.Signal, measure sim.Time) cluster.Report {
+// crossoverConfig has k bulk tenants contending for the sink's egress
+// port with the RPCs, under the given signaling model.
+func crossoverConfig(k int, sig cluster.Signal) cluster.Config {
 	cfg := cluster.Config{
 		Hosts:     6,
 		Window:    4,
@@ -185,31 +169,19 @@ func crossoverPoint(opt Options, k int, sig cluster.Signal, measure sim.Time) cl
 			MeanGap: 300 * sim.Nanosecond, Tenants: 8, Seed: int64(23 + i),
 		})
 	}
-	c := opt.cluster("fabric-crossover", cfg, measure)
-	defer c.Close()
-	return c.Report()
+	return cfg
 }
 
 func runFabricCrossover(opt Options) *Report {
-	measure := 400 * sim.Microsecond
-	ks := []int{0, 1, 2, 3, 4}
-	if opt.Quick {
-		measure = 150 * sim.Microsecond
-		ks = []int{0, 2}
-	}
+	measure := scaled(opt, 400*sim.Microsecond, 150*sim.Microsecond)
+	ks := scaled(opt, []int{0, 1, 2, 3, 4}, []int{0, 2})
 	sigs := []cluster.Signal{cluster.SignalCCNIC, cluster.SignalPCIe}
 	names := []string{"CC-NIC doorbell [us]", "PCIe doorbell [us]"}
 	series := make([]*stats.Series, len(sigs))
 	reps := make([][]cluster.Report, len(sigs))
-	for si := range sigs {
+	for si, sig := range sigs {
 		series[si] = &stats.Series{Name: names[si], XLabel: "bulk tenants"}
-		reps[si] = make([]cluster.Report, len(ks))
-	}
-	parallel(len(sigs)*len(ks), func(i int) {
-		si, ki := i/len(ks), i%len(ks)
-		reps[si][ki] = crossoverPoint(opt, ks[ki], sigs[si], measure)
-	})
-	for si := range sigs {
+		reps[si] = clusterReports(opt, measure, ks, func(k int) cluster.Config { return crossoverConfig(k, sig) })
 		for ki, k := range ks {
 			series[si].Add(float64(k), reps[si][ki].P50.Microseconds())
 		}
@@ -218,7 +190,6 @@ func runFabricCrossover(opt Options) *Report {
 	idleGap := reps[1][0].P50.Microseconds() / reps[0][0].P50.Microseconds()
 	loadedGap := reps[1][last].P50.Microseconds() / reps[0][last].P50.Microseconds()
 	return &Report{
-		ID:    "fabric-crossover",
 		Title: "Signaling model vs fabric contention",
 		Groups: []SeriesGroup{
 			{Name: "RPC median vs contending bulk tenants", Series: series},

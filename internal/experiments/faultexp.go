@@ -16,18 +16,14 @@ import (
 )
 
 func init() {
-	register(&Experiment{
-		ID:    "faults-rate",
-		Title: "Loopback throughput and latency vs injected fault rate: CC-NIC vs E810",
-		Paper: "extends Fig 21: the coherent interface's margin over PCIe must survive transient interconnect, replay, and pipeline faults",
-		run:   runFaultsRate,
-	})
-	register(&Experiment{
-		ID:    "faults-recovery",
-		Title: "Recovery-path counters by armed fault class (re-rings, retries, backoffs, drops)",
-		Paper: "beyond the paper: every armed fault class is absorbed by a software recovery path and surfaced as counters, not silent loss",
-		run:   runFaultsRecovery,
-	})
+	register(
+		&Experiment{ID: "faults-rate", run: runFaultsRate,
+			Title: "Loopback throughput and latency vs injected fault rate: CC-NIC vs E810",
+			Paper: "extends Fig 21: the coherent interface's margin over PCIe must survive transient interconnect, replay, and pipeline faults"},
+		&Experiment{ID: "faults-recovery", run: runFaultsRecovery,
+			Title: "Recovery-path counters by armed fault class (re-rings, retries, backoffs, drops)",
+			Paper: "beyond the paper: every armed fault class is absorbed by a software recovery path and surfaced as counters, not silent loss"},
+	)
 }
 
 // allClassPlan arms every fault class at the same rate (nil at rate 0,
@@ -48,41 +44,37 @@ func allClassPlan(rate float64) *fault.Plan {
 // for the coherent and PCIe designs — the fault-rate analogue of Fig 21's
 // interconnect derating sweep.
 func runFaultsRate(opt Options) *Report {
-	queues := 4
-	rates := []float64{0, 0.002, 0.005, 0.01, 0.02}
-	if opt.Quick {
-		queues = 2
-		rates = []float64{0, 0.01}
-	}
-	var tputSeries, latSeries []*stats.Series
-	for _, iface := range []ccnic.Interface{ccnic.CCNIC, ccnic.E810} {
-		iface := iface
-		tput := &stats.Series{Name: iface.String() + " [Mpps]", XLabel: "fault rate [%]"}
-		lat := &stats.Series{Name: iface.String() + " [us]", XLabel: "fault rate [%]"}
-		type pt struct{ mpps, us float64 }
-		pts := make([]pt, len(rates))
-		parallel(len(rates), func(i int) {
-			tb := opt.testbed(ccnic.Config{
+	queues := scaled(opt, 4, 2)
+	rates := scaled(opt, []float64{0, 0.002, 0.005, 0.01, 0.02}, []float64{0, 0.01})
+	ifaces := []ccnic.Interface{ccnic.CCNIC, ccnic.E810}
+	var pts []point
+	for _, iface := range ifaces {
+		for _, r := range rates {
+			o := peakOpts(64, opt)
+			o.Window = 64
+			pts = append(pts, point{ccnic.Config{
 				Platform:     "ICX",
 				Interface:    iface,
 				Queues:       queues,
 				HostPrefetch: true,
-				Faults:       allClassPlan(rates[i]),
-			})
-			o := peakOpts(64, opt)
-			o.Window = 64
-			res := tb.RunLoopback(o)
-			pts[i] = pt{res.Mpps(), res.Latency.Median().Microseconds()}
-		})
-		for i, r := range rates {
-			tput.Add(r*100, pts[i].mpps)
-			lat.Add(r*100, pts[i].us)
+				Faults:       allClassPlan(r),
+			}, loopRun(o)})
+		}
+	}
+	rds := opt.read(pts...)
+	var tputSeries, latSeries []*stats.Series
+	for _, iface := range ifaces {
+		tput := &stats.Series{Name: iface.String() + " [Mpps]", XLabel: "fault rate [%]"}
+		lat := &stats.Series{Name: iface.String() + " [us]", XLabel: "fault rate [%]"}
+		for _, r := range rates {
+			tput.Add(r*100, rds[0].mpps())
+			lat.Add(r*100, rds[0].median.Microseconds())
+			rds = rds[1:]
 		}
 		tputSeries = append(tputSeries, tput)
 		latSeries = append(latSeries, lat)
 	}
 	return &Report{
-		ID:    "faults-rate",
 		Title: "Fault-rate sensitivity",
 		Groups: []SeriesGroup{
 			{Name: fmt.Sprintf("(a) 64B closed-loop throughput vs fault rate, %d cores (ICX)", queues), Series: tputSeries},
@@ -91,54 +83,42 @@ func runFaultsRate(opt Options) *Report {
 	}
 }
 
-// faultLoopStats runs a short loopback with one class armed and returns
-// the injector's counters. Coherent-fabric classes run on CC-NIC; the
-// PCIe-endpoint classes run on E810, where they actually bite. Doorbell
-// classes are armed at a much higher rate: drivers coalesce doorbells,
-// so a run offers only ~100 doorbell opportunities against thousands of
-// link transfers or DMA completions.
-func faultLoopStats(class fault.Class, opt Options) (*fault.Stats, string) {
-	iface, name := ccnic.E810, "E810 loopback"
+// faultLoopPoint is a short loopback with one class armed, read for the
+// injector's counters. Coherent-fabric classes
+// run on CC-NIC; the PCIe-endpoint classes run on E810, where they
+// actually bite. Doorbell classes are armed at a much higher rate: drivers
+// coalesce doorbells, so a run offers only ~100 doorbell opportunities
+// against thousands of link transfers or DMA completions.
+func faultLoopPoint(class fault.Class, opt Options) point {
+	iface := ccnic.E810
 	if class == fault.LinkCorrupt || class == fault.CachePressure {
-		iface, name = ccnic.CCNIC, "CC-NIC loopback"
+		iface = ccnic.CCNIC
 	}
 	plan := &fault.Plan{Seed: 33}
 	plan.Rate[class] = 0.02
 	if class == fault.DoorbellDrop || class == fault.DoorbellDup {
 		plan.Rate[class] = 0.25
 	}
-	tb := opt.testbed(ccnic.Config{
-		Platform: "ICX", Interface: iface, Queues: 2, HostPrefetch: true, Faults: plan,
-	})
 	o := ccnic.LoopbackOptions{PktSize: 64, Window: 64,
-		Warmup: 20 * sim.Microsecond, Measure: 80 * sim.Microsecond}
-	if opt.Quick {
-		o.Measure = 40 * sim.Microsecond
-	}
-	tb.RunLoopback(o)
-	return tb.Sys.Faults().Stats(), name
+		Warmup: 20 * sim.Microsecond, Measure: scaled(opt, 80*sim.Microsecond, 40*sim.Microsecond)}
+	return point{ccnic.Config{
+		Platform: "ICX", Interface: iface, Queues: 2, HostPrefetch: true, Faults: plan,
+	}, loopRun(o)}
 }
 
-// faultRPCStats drops doorbells and stalls the pipeline of a PCIe NIC
+// faultRPCPoint drops doorbells and stalls the pipeline of a PCIe NIC
 // under the TCP echo workload: the driver's re-ring watchdog is the
 // recovery path (a 1024-deep TX ring drains long before the
 // retransmission budget matters against real device models).
-func faultRPCStats(opt Options) *fault.Stats {
+func faultRPCPoint(opt Options) point {
 	plan := &fault.Plan{Seed: 33}
 	plan.Rate[fault.DoorbellDrop] = 0.3
 	plan.Rate[fault.PipelineStall] = 0.05
-	tb := opt.testbed(ccnic.Config{
+	o := ccnic.LoopbackOptions{Rate: 20e6,
+		Warmup: 25 * sim.Microsecond, Measure: scaled(opt, 80*sim.Microsecond, 50*sim.Microsecond)}
+	return point{ccnic.Config{
 		Platform: "ICX", Interface: ccnic.CX6, Queues: 2, HostPrefetch: true, Faults: plan,
-	})
-	warm, meas := 25*sim.Microsecond, 80*sim.Microsecond
-	if opt.Quick {
-		meas = 50 * sim.Microsecond
-	}
-	rpcstack.Run(rpcstack.Config{
-		Sys: tb.Sys, Dev: tb.Dev, FastPath: tb.Hosts, App: tb.Sys.NewAgent(0, "app"),
-		RatePerQueue: 20e6, Warmup: warm, Measure: meas,
-	})
-	return tb.Sys.Faults().Stats()
+	}, run{kind: rpcRun, lo: o}}
 }
 
 // wedgeSys builds a system with the pipeline-stall class armed and a stub
@@ -171,38 +151,22 @@ func wedgeSys(opt Options, agents int) (*coherence.System, *device.Stub, []*cohe
 	return sys, dev, hosts
 }
 
-// wedgeRPCStats drives the echo RPC fast path into a wedged TX queue,
-// exercising the retransmission timer and its degraded-mode drop.
-func wedgeRPCStats(opt Options) *fault.Stats {
-	sys, dev, fps := wedgeSys(opt, 2)
-	app := sys.NewAgent(0, "app")
-	meas := 80 * sim.Microsecond
-	if opt.Quick {
-		meas = 50 * sim.Microsecond
-	}
-	rpcstack.Run(rpcstack.Config{
-		Sys: sys, Dev: dev, FastPath: fps, App: app,
-		RatePerQueue: 20e6, Warmup: 25 * sim.Microsecond, Measure: meas,
-	})
-	return sys.Faults().Stats()
-}
-
-// wedgeKVStats drives the key-value store into a wedged TX queue,
-// exercising the response timeout / bounded-retry budget.
-func wedgeKVStats(opt Options) *fault.Stats {
+// wedgeStats drives a workload into a wedged TX queue: the echo RPC fast
+// path, exercising the retransmission timer and its degraded-mode drop, or
+// with kv the key-value store, exercising the response timeout and
+// bounded-retry budget.
+func wedgeStats(opt Options, kv bool) fault.Stats {
 	sys, dev, hosts := wedgeSys(opt, 2)
-	meas := 80 * sim.Microsecond
-	if opt.Quick {
-		meas = 50 * sim.Microsecond
+	warm, meas := 25*sim.Microsecond, scaled(opt, 80*sim.Microsecond, 50*sim.Microsecond)
+	if kv {
+		kvstore.Run(kvstore.Config{Sys: sys, Dev: dev, Hosts: hosts,
+			Store: kvstore.NewStore(sys, 0, 10_000, traffic.FixedSize(256)), Seed: 7,
+			RatePerQueue: 10e6, Warmup: warm, Measure: meas})
+	} else {
+		rpcstack.Run(rpcstack.Config{Sys: sys, Dev: dev, FastPath: hosts, App: sys.NewAgent(0, "app"),
+			RatePerQueue: 20e6, Warmup: warm, Measure: meas})
 	}
-	kvstore.Run(kvstore.Config{
-		Sys: sys, Dev: dev, Hosts: hosts,
-		Store:        kvstore.NewStore(sys, 0, 10_000, traffic.FixedSize(256)),
-		Seed:         7,
-		RatePerQueue: 10e6,
-		Warmup:       25 * sim.Microsecond, Measure: meas,
-	})
-	return sys.Faults().Stats()
+	return *sys.Faults().Stats()
 }
 
 // runFaultsRecovery arms each fault class in isolation and tabulates the
@@ -214,29 +178,34 @@ func runFaultsRecovery(opt Options) *Report {
 		Name:    "fault injections and the recovery paths that absorbed them",
 		Columns: []string{"class", "workload", "injected", "rerings", "retries", "retransmits", "backoffs", "drops"},
 	}
-	row := func(label, workload string, st *fault.Stats) {
-		t.AddRow(label, workload,
-			fmt.Sprintf("%d", st.Total()),
-			fmt.Sprintf("%d", st.Rerings),
-			fmt.Sprintf("%d", st.Retries),
-			fmt.Sprintf("%d", st.Retransmits),
-			fmt.Sprintf("%d", st.Backoffs),
-			fmt.Sprintf("%d", st.Drops))
+	row := func(label, workload string, st fault.Stats) {
+		t.AddRow(stats.Text(label), stats.Text(workload),
+			stats.Val("%d", st.Total()),
+			stats.Val("%d", st.Rerings),
+			stats.Val("%d", st.Retries),
+			stats.Val("%d", st.Retransmits),
+			stats.Val("%d", st.Backoffs),
+			stats.Val("%d", st.Drops))
 	}
 	// Endpoint classes only: the fabric classes (portflap, corrupt,
 	// blackhole, brownout) have no opportunity points on a single-machine
 	// testbed — their recovery paths live in the cluster transport and are
 	// exercised by the chaos experiments (fabric-portflap,
-	// failover-recovery) instead.
-	for _, c := range fault.EndpointClasses() {
-		st, workload := faultLoopStats(c, opt)
-		row(c.String(), workload, st)
+	// failover-recovery) instead. The testbed rows are one round; the
+	// wedged-TX rows run on bare systems.
+	classes := fault.EndpointClasses()
+	var pts []point
+	for _, c := range classes {
+		pts = append(pts, faultLoopPoint(c, opt))
 	}
-	row("dbdrop+stall", "CX6 TCP echo RPC", faultRPCStats(opt))
-	row("stall", "wedged-TX echo RPC", wedgeRPCStats(opt))
-	row("stall", "wedged-TX KV store", wedgeKVStats(opt))
+	rds := opt.read(append(pts, faultRPCPoint(opt))...)
+	for i, c := range classes {
+		row(c.String(), pts[i].cfg.Interface.String()+" loopback", rds[i].faults)
+	}
+	row("dbdrop+stall", "CX6 TCP echo RPC", rds[len(classes)].faults)
+	row("stall", "wedged-TX echo RPC", wedgeStats(opt, false))
+	row("stall", "wedged-TX KV store", wedgeStats(opt, true))
 	return &Report{
-		ID:     "faults-recovery",
 		Title:  "Fault recovery paths",
 		Tables: []*stats.Table{t},
 		Notes: []string{

@@ -20,42 +20,26 @@ func runProc(fn func(p *sim.Proc)) {
 }
 
 func init() {
-	register(&Experiment{
-		ID:    "fig2",
-		Title: "Single-threaded write throughput vs bytes per barrier (WC MMIO, WC DRAM, WB DRAM)",
-		Paper: "WC paths need >=4KB per barrier to approach peak; WB DRAM is flat regardless of barrier frequency",
-		run:   runFig2,
-	})
-	register(&Experiment{
-		ID:    "fig3",
-		Title: "Cumulative MMIO store latency vs store count (WC buffer exhaustion)",
-		Paper: "flat and cheap until all 24 WC buffers are open at N=24, then >=15x per-store cost",
-		run:   runFig3,
-	})
-	register(&Experiment{
-		ID:    "fig7",
-		Title: "Local and cross-UPI access latency by cache state",
-		Paper: "ICX: 72/144/48/114/119ns, SPR: 108/191/82/171/174ns for L DRAM/R DRAM/L L2/R L2 rh/R L2 lh",
-		run:   runFig7,
-	})
-	register(&Experiment{
-		ID:    "fig8",
-		Title: "UPI pingpong latency by memory layout (S0,S1,Rd,Wr,S0C,S1C)",
-		Paper: "separate-line layouts are 1.7-2.4x slower than co-locating both registers in one line",
-		run:   runFig8,
-	})
-	register(&Experiment{
-		ID:    "fig9",
-		Title: "Cross-UPI streaming throughput vs core count, caching vs nontemporal stores",
-		Paper: "caching (cache-to-cache) stores reach 1.8x (ICX) / 1.6x (SPR) higher saturation than nontemporal",
-		run:   runFig9,
-	})
-	register(&Experiment{
-		ID:    "table1",
-		Title: "Interconnect bandwidth comparison (PCIe, CXL, UPI)",
-		Paper: "UPI provides higher bandwidth than contemporary PCIe: 67.2 GB/s (ICX), 192 GB/s (SPR)",
-		run:   runTable1,
-	})
+	register(
+		&Experiment{ID: "fig2", run: runFig2,
+			Title: "Single-threaded write throughput vs bytes per barrier (WC MMIO, WC DRAM, WB DRAM)",
+			Paper: "WC paths need >=4KB per barrier to approach peak; WB DRAM is flat regardless of barrier frequency"},
+		&Experiment{ID: "fig3", run: runFig3,
+			Title: "Cumulative MMIO store latency vs store count (WC buffer exhaustion)",
+			Paper: "flat and cheap until all 24 WC buffers are open at N=24, then >=15x per-store cost"},
+		&Experiment{ID: "fig7", run: runFig7,
+			Title: "Local and cross-UPI access latency by cache state",
+			Paper: "ICX: 72/144/48/114/119ns, SPR: 108/191/82/171/174ns for L DRAM/R DRAM/L L2/R L2 rh/R L2 lh"},
+		&Experiment{ID: "fig8", run: runFig8,
+			Title: "UPI pingpong latency by memory layout (S0,S1,Rd,Wr,S0C,S1C)",
+			Paper: "separate-line layouts are 1.7-2.4x slower than co-locating both registers in one line"},
+		&Experiment{ID: "fig9", run: runFig9,
+			Title: "Cross-UPI streaming throughput vs core count, caching vs nontemporal stores",
+			Paper: "caching (cache-to-cache) stores reach 1.8x (ICX) / 1.6x (SPR) higher saturation than nontemporal"},
+		&Experiment{ID: "table1", run: runTable1,
+			Title: "Interconnect bandwidth comparison (PCIe, CXL, UPI)",
+			Paper: "UPI provides higher bandwidth than contemporary PCIe: 67.2 GB/s (ICX), 192 GB/s (SPR)"},
+	)
 }
 
 func runFig2(Options) *Report {
@@ -91,7 +75,6 @@ func runFig2(Options) *Report {
 		}
 	})
 	return &Report{
-		ID:    "fig2",
 		Title: "Write throughput vs bytes per barrier",
 		Groups: []SeriesGroup{{
 			Name:   "single-thread write throughput (ICX)",
@@ -102,8 +85,7 @@ func runFig2(Options) *Report {
 
 func runFig3(Options) *Report {
 	plat := platform.ICX()
-	var groups []SeriesGroup
-	series := make([]*stats.Series, 0, 2)
+	var series []*stats.Series
 	for _, nic := range []struct {
 		name       string
 		flushScale float64
@@ -125,8 +107,8 @@ func runFig3(Options) *Report {
 		})
 		series = append(series, s)
 	}
-	groups = append(groups, SeriesGroup{Name: "cumulative MMIO store latency (ICX, PCIe 4.0 x16)", Series: series})
-	return &Report{ID: "fig3", Title: "MMIO store latency vs iteration count", Groups: groups}
+	return &Report{Title: "MMIO store latency vs iteration count",
+		Groups: []SeriesGroup{{Name: "cumulative MMIO store latency (ICX, PCIe 4.0 x16)", Series: series}}}
 }
 
 // idleTargets names Fig 7's five access targets, in IdleLatencies' order.
@@ -177,9 +159,9 @@ func runFig7(opt Options) *Report {
 		lat[i] = IdleLatencies(k, opt.system(k, plat))
 	}
 	for i, name := range idleTargets {
-		t.AddRow(name, fmt.Sprintf("%.0f", lat[0][i].Nanoseconds()), fmt.Sprintf("%.0f", lat[1][i].Nanoseconds()))
+		t.AddRow(stats.Text(name), stats.Val("%.0f", lat[0][i].Nanoseconds()), stats.Val("%.0f", lat[1][i].Nanoseconds()))
 	}
-	return &Report{ID: "fig7", Title: "Access latency by cache state", Tables: []*stats.Table{t}}
+	return &Report{Title: "Access latency by cache state", Tables: []*stats.Table{t}}
 }
 
 // pingpong measures the paper's Fig 8 roundtrip for a given line layout.
@@ -263,22 +245,17 @@ func runFig8(opt Options) *Report {
 		{"S1C", true, 1, 1},
 	}
 	vals := map[string][2]float64{}
-	for pi, plat := range []*platform.Platform{platform.SPR(), platform.ICX()} {
-		for _, c := range cases {
-			rt := pingpong(opt, plat, c.colocated, c.homeAB, c.homeBA)
-			v := vals[c.name]
-			v[pi] = rt.Nanoseconds()
-			vals[c.name] = v
-		}
-	}
 	for _, c := range cases {
-		v := vals[c.name]
-		t.AddRow(c.name, fmt.Sprintf("%.0f", v[0]), fmt.Sprintf("%.0f", v[1]))
+		var v [2]float64
+		for pi, plat := range []*platform.Platform{platform.SPR(), platform.ICX()} {
+			v[pi] = pingpong(opt, plat, c.colocated, c.homeAB, c.homeBA).Nanoseconds()
+		}
+		vals[c.name] = v
+		t.AddRow(stats.Text(c.name), stats.Val("%.0f", v[0]), stats.Val("%.0f", v[1]))
 	}
 	sep := vals["Wr"]
 	co := vals["S0C"]
 	return &Report{
-		ID:     "fig8",
 		Title:  "Pingpong latency by memory layout",
 		Tables: []*stats.Table{t},
 		Notes: []string{fmt.Sprintf("separate/co-located ratio: SPR %.2fx, ICX %.2fx (paper: 1.7-2.4x)",
@@ -294,7 +271,6 @@ func streamPair(opt Options, plat *platform.Platform, cores int, nontemporal boo
 	const chunk = 64 << 10 // 64KB chunks (scaled-down 1MB; same regime)
 	const chunksPerPair = 12
 	var totalBytes int64
-	var elapsed sim.Time
 
 	for c := 0; c < cores; c++ {
 		writer := s.NewAgent(0, "w")
@@ -348,8 +324,7 @@ func streamPair(opt Options, plat *platform.Platform, cores int, nontemporal boo
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
-	elapsed = k.Now()
-	return float64(totalBytes) * 8 / elapsed.Nanoseconds()
+	return float64(totalBytes) * 8 / k.Now().Nanoseconds()
 }
 
 func runFig9(opt Options) *Report {
@@ -359,27 +334,23 @@ func runFig9(opt Options) *Report {
 		if plat.Name == "SPR" {
 			counts = []int{1, 2, 4, 8, 16, 24, 32, 40, 48, 56}
 		}
-		if opt.Quick {
-			counts = counts[:min(len(counts), 4)]
-		}
+		counts = scaled(opt, counts, counts[:4])
 		caching := &stats.Series{Name: plat.Name + " caching [Gbps]", XLabel: "cores"}
 		nontmp := &stats.Series{Name: plat.Name + " nontmp [Gbps]", XLabel: "cores"}
-		cy := make([]float64, len(counts))
-		ny := make([]float64, len(counts))
-		parallel(len(counts), func(i int) {
-			cy[i] = streamPair(opt, plat, counts[i], false)
-			ny[i] = streamPair(opt, plat, counts[i], true)
+		// Each job streams n pairs caching, then nontemporal.
+		gbps := each(opt, counts, func(n int) [2]float64 {
+			return [2]float64{streamPair(opt, plat, n, false), streamPair(opt, plat, n, true)}
 		})
 		for i, n := range counts {
-			caching.Add(float64(n), cy[i])
-			nontmp.Add(float64(n), ny[i])
+			caching.Add(float64(n), gbps[i][0])
+			nontmp.Add(float64(n), gbps[i][1])
 		}
 		groups = append(groups, SeriesGroup{
 			Name:   plat.Name + " stream transfer throughput",
 			Series: []*stats.Series{caching, nontmp},
 		})
 	}
-	return &Report{ID: "fig9", Title: "Streaming throughput: caching vs nontemporal", Groups: groups}
+	return &Report{Title: "Streaming throughput: caching vs nontemporal", Groups: groups}
 }
 
 func runTable1(Options) *Report {
@@ -387,15 +358,26 @@ func runTable1(Options) *Report {
 		Name:    "interconnect bandwidth comparison",
 		Columns: []string{"protocol", "GT/s", "1 link GB/s", "max total GB/s"},
 	}
-	t.AddRow("PCIe 4.0", "16", "2.0", "31.5 (x16)")
-	t.AddRow("PCIe 5.0, CXL 1.0-2.0", "32", "3.9", "63.0 (x16)")
-	t.AddRow("PCIe 6.0, CXL 3.0", "64", "7.6", "121 (x16)")
+	for _, pcie := range []struct {
+		name     string
+		gts      int
+		link     float64
+		totalFmt string
+		total    float64
+	}{
+		{"PCIe 4.0", 16, 2.0, "%.1f (x16)", 31.5},
+		{"PCIe 5.0, CXL 1.0-2.0", 32, 3.9, "%.1f (x16)", 63.0},
+		{"PCIe 6.0, CXL 3.0", 64, 7.6, "%.0f (x16)", 121},
+	} {
+		t.AddRow(stats.Text(pcie.name), stats.Val("%d", pcie.gts), stats.Val("%.1f", pcie.link),
+			stats.Val(pcie.totalFmt, pcie.total))
+	}
 	for _, plat := range []*platform.Platform{platform.ICX(), platform.SPR()} {
 		perLink := plat.UPIRawGBs / float64(plat.UPILinks)
-		t.AddRow(plat.Name+" UPI",
-			fmt.Sprintf("%.1f", plat.UPIGTs),
-			fmt.Sprintf("%.1f", perLink),
-			fmt.Sprintf("%.1f (x%d)", plat.UPIRawGBs, plat.UPILinks))
+		t.AddRow(stats.Text(plat.Name+" UPI"),
+			stats.Val("%.1f", plat.UPIGTs),
+			stats.Val("%.1f", perLink),
+			stats.Val("%.1f (x%d)", plat.UPIRawGBs, plat.UPILinks))
 	}
-	return &Report{ID: "table1", Title: "PCIe, CXL, and UPI bandwidth", Tables: []*stats.Table{t}}
+	return &Report{Title: "PCIe, CXL, and UPI bandwidth", Tables: []*stats.Table{t}}
 }

@@ -11,25 +11,21 @@ import (
 )
 
 func init() {
-	register(&Experiment{
-		ID:    "fabric-portflap",
-		Title: "Chaos: port-flap rate sweep on the redundant fabric — retransmission, failover, and the no-silent-loss ledger",
-		Paper: "beyond the paper: CC-NIC hosts behind a redundant switched fabric under injected port flaps, corruption, and blackholes — every lost packet is retransmitted to completion or retired as exhausted, never silent",
-		run:   runFabricPortflap,
-	})
-	register(&Experiment{
-		ID:    "failover-recovery",
-		Title: "Chaos: failover and fail-back timeline around a scripted switch outage, and SLO-aware degraded mode without redundancy",
-		Paper: "beyond the paper: health-probe-driven failover bounds the post-heal RPC tail to the pre-fault phase; on a single switch, degraded mode sheds the bulk class while the latency class keeps its delivery rate",
-		run:   runFailoverRecovery,
-	})
+	register(
+		&Experiment{ID: "fabric-portflap", run: runFabricPortflap,
+			Title: "Chaos: port-flap rate sweep on the redundant fabric — retransmission, failover, and the no-silent-loss ledger",
+			Paper: "beyond the paper: CC-NIC hosts behind a redundant switched fabric under injected port flaps, corruption, and blackholes — every lost packet is retransmitted to completion or retired as exhausted, never silent"},
+		&Experiment{ID: "failover-recovery", run: runFailoverRecovery,
+			Title: "Chaos: failover and fail-back timeline around a scripted switch outage, and SLO-aware degraded mode without redundancy",
+			Paper: "beyond the paper: health-probe-driven failover bounds the post-heal RPC tail to the pre-fault phase; on a single switch, degraded mode sheds the bulk class while the latency class keeps its delivery rate"},
+	)
 }
 
-// portflapPoint runs the 4-host redundant reliable cluster with the fabric
-// classes armed at `rate` and returns the report. Options.cluster asserts the
-// delivery ledger before anything is tabulated: silent loss is an
-// experiment failure, not a data point.
-func portflapPoint(opt Options, rate float64, measure sim.Time) cluster.Report {
+// portflapConfig is the 4-host redundant reliable cluster with the fabric
+// classes armed at `rate`. Options.cluster asserts the delivery ledger
+// before anything is tabulated: silent loss is an experiment failure, not
+// a data point.
+func portflapConfig(rate float64) cluster.Config {
 	var plan *fault.Plan
 	if rate > 0 {
 		plan = &fault.Plan{Seed: 29}
@@ -37,25 +33,13 @@ func portflapPoint(opt Options, rate float64, measure sim.Time) cluster.Report {
 		plan.Rate[fault.FabricCorrupt] = rate / 2
 		plan.Rate[fault.FabricBlackhole] = rate / 2
 	}
-	c := opt.cluster("fabric-portflap", cluster.Config{
-		Hosts: 4, Window: 8, ReqSize: 512,
-		Reliable: true, Switches: 2, Faults: plan,
-	}, measure)
-	defer c.Close()
-	return c.Report()
+	return cluster.Config{Hosts: 4, Window: 8, ReqSize: 512, Reliable: true, Switches: 2, Faults: plan}
 }
 
 func runFabricPortflap(opt Options) *Report {
-	rates := []float64{0, 0.005, 0.01, 0.02, 0.05}
-	measure := 400 * sim.Microsecond
-	if opt.Quick {
-		rates = []float64{0, 0.02}
-		measure = 150 * sim.Microsecond
-	}
-	reps := make([]cluster.Report, len(rates))
-	parallel(len(rates), func(i int) {
-		reps[i] = portflapPoint(opt, rates[i], measure)
-	})
+	rates := scaled(opt, []float64{0, 0.005, 0.01, 0.02, 0.05}, []float64{0, 0.02})
+	measure := scaled(opt, 400*sim.Microsecond, 150*sim.Microsecond)
+	reps := clusterReports(opt, measure, rates, portflapConfig)
 	p99 := &stats.Series{Name: "rpc p99 [us]", XLabel: "flap rate [%]"}
 	retx := &stats.Series{Name: "retransmits", XLabel: "flap rate [%]"}
 	tbl := &stats.Table{
@@ -67,14 +51,13 @@ func runFabricPortflap(opt Options) *Report {
 		r := reps[i]
 		p99.Add(rate*100, r.P99.Microseconds())
 		retx.Add(rate*100, float64(r.Retransmits))
-		tbl.AddRow(fmt.Sprintf("%.1f%%", rate*100), fmt.Sprintf("%d", r.Done),
-			fmt.Sprintf("%d", r.FaultDrops), fmt.Sprintf("%d", r.Retransmits),
-			fmt.Sprintf("%d", r.Timeouts), fmt.Sprintf("%d", r.Exhausted),
-			fmt.Sprintf("%d", r.Failovers), fmt.Sprintf("%d", r.Failbacks),
-			fmt.Sprintf("%v", r.P99))
+		tbl.AddRow(stats.Val("%.1f%%", rate*100), stats.Val("%d", r.Done),
+			stats.Val("%d", r.FaultDrops), stats.Val("%d", r.Retransmits),
+			stats.Val("%d", r.Timeouts), stats.Val("%d", r.Exhausted),
+			stats.Val("%d", r.Failovers), stats.Val("%d", r.Failbacks),
+			stats.Val("%v", r.P99))
 	}
 	return &Report{
-		ID:    "fabric-portflap",
 		Title: "Port-flap chaos sweep on the redundant fabric",
 		Groups: []SeriesGroup{
 			{Name: "RPC tail and retransmission load vs fault rate", Series: []*stats.Series{p99, retx}},
@@ -89,15 +72,12 @@ func runFabricPortflap(opt Options) *Report {
 // failoverTimeline runs the redundant topology through a scripted outage of
 // switch 0's port 0 and returns the phase latency histograms plus the report.
 func failoverTimeline(opt Options) ([]stats.Histogram, cluster.Report, []sim.Time) {
-	outFrom, outTo := 100*sim.Microsecond, 180*sim.Microsecond
-	until := 400 * sim.Microsecond
-	if opt.Quick {
-		outFrom, outTo = 50*sim.Microsecond, 100*sim.Microsecond
-		until = 220 * sim.Microsecond
-	}
+	outFrom := scaled(opt, 100*sim.Microsecond, 50*sim.Microsecond)
+	outTo := scaled(opt, 180*sim.Microsecond, 100*sim.Microsecond)
+	until := scaled(opt, 400*sim.Microsecond, 220*sim.Microsecond)
 	recoverTo := outTo + 80*sim.Microsecond
 	marks := []sim.Time{outFrom, outTo, recoverTo}
-	c := opt.cluster("failover-recovery", cluster.Config{
+	c := opt.cluster(cluster.Config{
 		Hosts: 4, Window: 8, ReqSize: 512,
 		Reliable: true, Switches: 2,
 		RTO:        10 * sim.Microsecond,
@@ -114,12 +94,9 @@ func failoverTimeline(opt Options) ([]stats.Histogram, cluster.Report, []sim.Tim
 // bulk-class and a latency-class flow toward a healthy host — with and
 // without the outage, and returns per-class delivered counts.
 func degradedContrast(opt Options, withOutage bool) (cluster.Report, [2]int64) {
-	until := 300 * sim.Microsecond
-	outFrom, outTo := 60*sim.Microsecond, 200*sim.Microsecond
-	if opt.Quick {
-		until = 200 * sim.Microsecond
-		outFrom, outTo = 40*sim.Microsecond, 130*sim.Microsecond
-	}
+	until := scaled(opt, 300*sim.Microsecond, 200*sim.Microsecond)
+	outFrom := scaled(opt, 60*sim.Microsecond, 40*sim.Microsecond)
+	outTo := scaled(opt, 200*sim.Microsecond, 130*sim.Microsecond)
 	cfg := cluster.Config{
 		Hosts: 3, Window: 8, ReqSize: 512,
 		Pattern:  cluster.PatternIncast,
@@ -135,7 +112,7 @@ func degradedContrast(opt Options, withOutage bool) (cluster.Report, [2]int64) {
 	if withOutage {
 		cfg.Outages = []cluster.ScriptedOutage{{Switch: 0, Port: 0, From: outFrom, To: outTo}}
 	}
-	c := opt.cluster("failover-recovery", cfg, until)
+	c := opt.cluster(cfg, until)
 	defer c.Close()
 	var del [2]int64
 	del[0], _ = c.FlowStats(0)
@@ -152,9 +129,9 @@ func runFailoverRecovery(opt Options) *Report {
 	}
 	var from sim.Time
 	for i, h := range phases {
-		tbl.AddRow(phaseNames[i], fmt.Sprintf("%v..%v", from, bounds[i]),
-			fmt.Sprintf("%d", h.Count()),
-			fmt.Sprintf("%v", h.Median()), fmt.Sprintf("%v", h.Percentile(0.99)))
+		tbl.AddRow(stats.Text(phaseNames[i]), stats.Val("%v..%v", from, bounds[i]),
+			stats.Val("%d", h.Count()),
+			stats.Val("%v", h.Median()), stats.Val("%v", h.Percentile(0.99)))
 		from = bounds[i]
 	}
 
@@ -164,17 +141,16 @@ func runFailoverRecovery(opt Options) *Report {
 		Name:    "single-switch contrast: degraded mode sheds the bulk class, the latency class keeps its rate",
 		Columns: []string{"run", "bulk delivered", "latency delivered", "shed", "degraded entries", "breaker trips", "exhausted"},
 	}
-	deg.AddRow("healthy", fmt.Sprintf("%d", hDel[0]), fmt.Sprintf("%d", hDel[1]),
-		fmt.Sprintf("%d", healthy.Shed), fmt.Sprintf("%d", healthy.Degraded),
-		fmt.Sprintf("%d", healthy.BreakerTrips), fmt.Sprintf("%d", healthy.Exhausted))
-	deg.AddRow("sink-port outage", fmt.Sprintf("%d", fDel[0]), fmt.Sprintf("%d", fDel[1]),
-		fmt.Sprintf("%d", faulted.Shed), fmt.Sprintf("%d", faulted.Degraded),
-		fmt.Sprintf("%d", faulted.BreakerTrips), fmt.Sprintf("%d", faulted.Exhausted))
+	deg.AddRow(stats.Text("healthy"), stats.Val("%d", hDel[0]), stats.Val("%d", hDel[1]),
+		stats.Val("%d", healthy.Shed), stats.Val("%d", healthy.Degraded),
+		stats.Val("%d", healthy.BreakerTrips), stats.Val("%d", healthy.Exhausted))
+	deg.AddRow(stats.Text("sink-port outage"), stats.Val("%d", fDel[0]), stats.Val("%d", fDel[1]),
+		stats.Val("%d", faulted.Shed), stats.Val("%d", faulted.Degraded),
+		stats.Val("%d", faulted.BreakerTrips), stats.Val("%d", faulted.Exhausted))
 
 	pre, post := phases[0].Percentile(0.99), phases[3].Percentile(0.99)
 	ratio := float64(post) / float64(pre)
 	return &Report{
-		ID:     "failover-recovery",
 		Title:  "Failover, fail-back, and degraded mode",
 		Tables: []*stats.Table{tbl, deg},
 		Notes: []string{

@@ -34,9 +34,7 @@ func RunForward(cfg Config) ForwardResult {
 	if !(cfg.Rate > 0) {
 		panic(fmt.Sprintf("loopback: forwarding needs ingress: Rate %v, want more than 0 packets/s per queue", cfg.Rate))
 	}
-	if cfg.RxBatch == 0 {
-		cfg.RxBatch = 32
-	}
+	cfg = cfg.Resolved()
 	w := &Window{Name: "loopback", Sys: cfg.Sys, Dev: cfg.Dev, Hosts: len(cfg.Hosts),
 		Warmup: cfg.Warmup, Measure: cfg.Measure,
 		Rate: cfg.Rate, Ingress: func(int) int { return cfg.PktSize }}

@@ -58,11 +58,10 @@ type Result struct {
 // Mpps returns throughput in millions of packets per second.
 func (r *Result) Mpps() float64 { return r.PPS / 1e6 }
 
-// Run executes the loopback workload and returns its measurements.
-func Run(cfg Config) Result {
-	if err := CheckPktSize(cfg.PktSize, cfg.Dev); err != nil {
-		panic("loopback: " + err.Error())
-	}
+// Resolved returns cfg with the workload defaults filled in: a closed-loop
+// window of 64 and bursts of 32. Run and RunForward run the resolved form,
+// so two configs that resolve alike run alike.
+func (cfg Config) Resolved() Config {
 	if cfg.Window == 0 {
 		cfg.Window = 64
 	}
@@ -72,6 +71,15 @@ func Run(cfg Config) Result {
 	if cfg.RxBatch == 0 {
 		cfg.RxBatch = 32
 	}
+	return cfg
+}
+
+// Run executes the loopback workload and returns its measurements.
+func Run(cfg Config) Result {
+	if err := CheckPktSize(cfg.PktSize, cfg.Dev); err != nil {
+		panic("loopback: " + err.Error())
+	}
+	cfg = cfg.Resolved()
 	w := &Window{Name: "loopback", Sys: cfg.Sys, Dev: cfg.Dev, Hosts: len(cfg.Hosts),
 		Warmup: cfg.Warmup, Measure: cfg.Measure}
 	w.Start()

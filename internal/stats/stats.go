@@ -6,7 +6,10 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"reflect"
 	"sort"
+	"strings"
 
 	"ccnic/internal/sim"
 )
@@ -38,7 +41,7 @@ func bucketOf(v sim.Time) int {
 	if u < nSub {
 		return int(u)
 	}
-	exp := 63 - leadingZeros(u)
+	exp := 63 - bits.LeadingZeros64(u)
 	shift := exp - subBits
 	sub := int((u >> uint(shift)) & (nSub - 1))
 	return (exp-subBits+1)*nSub + sub
@@ -52,18 +55,6 @@ func bucketLow(i int) sim.Time {
 	block := i/nSub - 1
 	sub := i % nSub
 	return sim.Time((uint64(nSub) + uint64(sub)) << uint(block+1) >> 1)
-}
-
-func leadingZeros(u uint64) int {
-	n := 0
-	if u == 0 {
-		return 64
-	}
-	for u&(1<<63) == 0 {
-		u <<= 1
-		n++
-	}
-	return n
 }
 
 // Record adds one sample.
@@ -202,48 +193,68 @@ func (s *Series) YAt(x float64) (float64, bool) {
 	return 0, false
 }
 
+// Cell is one table entry: the values it shows and the fmt format that
+// prints them, so a reader takes the number and the transcript the text.
+type Cell struct {
+	Format string
+	Values []any
+}
+
+// Val is a cell printing values with format.
+func Val(format string, values ...any) Cell { return Cell{format, values} }
+
+// Text is a cell printing s as it is.
+func Text(s string) Cell { return Cell{"%s", []any{s}} }
+
+// String renders the cell.
+func (c Cell) String() string { return fmt.Sprintf(c.Format, c.Values...) }
+
+// Float returns the cell's first value, a number (a sim.Time in
+// picoseconds), as a float64.
+func (c Cell) Float() float64 {
+	return reflect.ValueOf(c.Values[0]).Convert(reflect.TypeOf(0.0)).Float()
+}
+
 // Table is a simple named-rows result table — one paper table or bar chart.
 type Table struct {
 	Name    string
 	Columns []string
-	Rows    [][]string
+	Rows    [][]Cell
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// AddRow appends a row.
+func (t *Table) AddRow(cells ...Cell) { t.Rows = append(t.Rows, cells) }
 
 // Format renders the table with aligned columns.
 func (t *Table) Format() string {
+	lines := [][]string{t.Columns}
 	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
 	for _, r := range t.Rows {
+		line := make([]string, len(r))
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			line[i] = c.String()
+		}
+		lines = append(lines, line)
+	}
+	for _, line := range lines {
+		for i, c := range line {
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	out := ""
+	var b strings.Builder
 	if t.Name != "" {
-		out += "# " + t.Name + "\n"
+		b.WriteString("# " + t.Name + "\n")
 	}
-	line := func(cells []string) string {
-		s := ""
-		for i, c := range cells {
+	for _, line := range lines {
+		for i, c := range line {
 			if i > 0 {
-				s += "  "
+				b.WriteString("  ")
 			}
-			s += pad(c, widths[i])
+			b.WriteString(pad(c, widths[i]))
 		}
-		return s + "\n"
+		b.WriteString("\n")
 	}
-	out += line(t.Columns)
-	for _, r := range t.Rows {
-		out += line(r)
-	}
-	return out
+	return b.String()
 }
 
 func pad(s string, w int) string {
@@ -275,12 +286,12 @@ func FormatSeries(name string, series ...*Series) string {
 		t.Columns = append(t.Columns, s.Name)
 	}
 	for _, x := range xs {
-		row := []string{trimFloat(x)}
+		row := []Cell{Text(trimFloat(x))}
 		for _, s := range series {
 			if y, ok := s.YAt(x); ok {
-				row = append(row, trimFloat(y))
+				row = append(row, Text(trimFloat(y)))
 			} else {
-				row = append(row, "-")
+				row = append(row, Text("-"))
 			}
 		}
 		t.AddRow(row...)

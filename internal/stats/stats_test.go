@@ -155,8 +155,8 @@ func TestSeries(t *testing.T) {
 
 func TestTableFormat(t *testing.T) {
 	tab := Table{Name: "demo", Columns: []string{"name", "value"}}
-	tab.AddRow("short", "1")
-	tab.AddRow("a-much-longer-name", "23456")
+	tab.AddRow(Text("short"), Val("%d", 1))
+	tab.AddRow(Text("a-much-longer-name"), Val("%d", 23456))
 	out := tab.Format()
 	if !strings.Contains(out, "# demo") {
 		t.Error("missing title")
