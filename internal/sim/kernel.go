@@ -239,7 +239,10 @@ func (k *Kernel) reschedule(p *Proc) *Proc {
 				q = k.heap.pushpop(p)
 			}
 			if k.deadline >= 0 && q.wake > k.deadline {
-				k.push(q) // reschedule for a future Run
+				// Back in its (wake, seq) place for a future Run: a fresh
+				// seq would sort it behind its same-instant peers, so the
+				// order of ties would depend on where runs are cut.
+				k.heap.push(q)
 				if k.now < k.deadline {
 					k.now = k.deadline
 				}

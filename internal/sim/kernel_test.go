@@ -318,6 +318,46 @@ func TestRunUntilDeadlineEqualsWake(t *testing.T) {
 	}
 }
 
+// A run cut by RunUntil before a same-instant tie breaks the tie as one Run
+// does: the first process past the deadline keeps its (wake, seq) place.
+func TestSplitRunKeepsTieOrder(t *testing.T) {
+	order := func(cut Time) string {
+		k := New()
+		var got []byte
+		for _, name := range []byte("abc") {
+			k.Spawn(string(name), func(p *Proc) {
+				p.Sleep(10 * Nanosecond)
+				got = append(got, name)
+			})
+		}
+		k.SpawnSpin("d", func() (Time, bool) {
+			if k.Now() == 0 {
+				return 10 * Nanosecond, true
+			}
+			got = append(got, 'd')
+			return 0, false
+		})
+		if cut >= 0 {
+			if err := k.RunUntil(cut); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return string(got)
+	}
+	want := order(-1)
+	if want != "abcd" {
+		t.Fatalf("one Run ran %q, want abcd", want)
+	}
+	for _, cut := range []Time{0, 5 * Nanosecond, 9 * Nanosecond} {
+		if got := order(cut); got != want {
+			t.Errorf("RunUntil(%v) then Run ran %q, want %q", cut, got, want)
+		}
+	}
+}
+
 // Shutdown must unwind waiters spread across several events, including
 // events that also have already-drained peers.
 func TestShutdownWithWaitersOnMultipleEvents(t *testing.T) {
