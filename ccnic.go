@@ -229,7 +229,7 @@ func NewTestbed(cfg Config) *Testbed {
 	// observes it from its first event; the schedule is then a pure
 	// function of (plan seed, kernel event order).
 	if cfg.Faults != nil {
-		sys.SetFaults(fault.NewInjector(cfg.Faults))
+		sys.SetFaults(fault.NewInjector(cfg.Faults, 0))
 	}
 
 	hosts := make([]*Agent, queues)

@@ -370,7 +370,7 @@ func burstWorld(t *testing.T, sc burstScript, seed int64, loops bool, cov *burst
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetFaults(fault.NewInjector(plan))
+		s.SetFaults(fault.NewInjector(plan, 0))
 	}
 	cfg := sc.cfg
 	cfg.Sys = s

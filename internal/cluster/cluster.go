@@ -31,9 +31,9 @@
 //
 //   - every timing perturbation (fault draws, service jitter, flow
 //     interarrivals and sizes) is drawn on the *sending* node, in sequence
-//     order, from that sender's own stream (fault.Plan.ForShard keyed by the
-//     stable node id; per-generator seeded rngs) — never in arrival order,
-//     which differs between partitions;
+//     order, keyed by that sender's own identity (a fault injector at the
+//     stable node id's site; per-generator seeded rngs) — never in arrival
+//     order, which differs between partitions;
 //   - arrival-side handling is per-message (each delivery runs as its own
 //     bodiless process, whose steps charge the receive path's costs) with
 //     no order-sensitive shared resources: window accounting, flow counters,
@@ -113,10 +113,9 @@ type Config struct {
 	FabricFIFO bool
 	// Flows arms aggregated open-loop tenant flow generators (flows.go).
 	Flows []FlowSpec
-	// Faults optionally arms fault injection; each node derives its own
-	// stream with Faults.ForShard(node id) and each switch its own with
-	// Faults.ForFabric(switch index), so schedules are reproducible
-	// regardless of Shards and Workers.
+	// Faults optionally arms fault injection; each node draws at its node
+	// id's site and switch v at site -(v+1) (fault.NewInjector), so
+	// schedules are reproducible regardless of Shards and Workers.
 	Faults *fault.Plan
 
 	// Reliable arms the end-to-end transport (reliable.go): per-RPC
@@ -402,7 +401,7 @@ func New(cfg Config) *Cluster {
 			c:       c,
 			k:       k,
 			port:    interconn.New(plat.UPIBandwidth, plat.UPIHeader, plat.UPICtrlMsg),
-			flt:     fault.NewInjector(cfg.Faults.ForShard(i)),
+			flt:     fault.NewInjector(cfg.Faults, i),
 			txWake:  k.NewEvent(fmt.Sprintf("n%d.tx", i)),
 			winWake: k.NewEvent(fmt.Sprintf("n%d.win", i)),
 		}
@@ -433,7 +432,7 @@ func New(cfg Config) *Cluster {
 			SchedLat: c.fabric.SchedLat,
 			FIFO:     cfg.FabricFIFO,
 			Quantum:  quantum,
-			Faults:   fault.NewInjector(cfg.Faults.ForFabric(v)),
+			Faults:   fault.NewInjector(cfg.Faults, -(v + 1)),
 			Outages:  cfg.outagesOn(v),
 		})
 		c.Switches = append(c.Switches, sw)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,9 +69,9 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardCountInvarianceWithFaults: per-node injector streams are keyed
-// by the stable node id (fault.Plan.ForShard), so fault schedules — and
-// therefore results — survive re-partitioning.
+// TestShardCountInvarianceWithFaults: each node's fault draws are keyed by
+// its stable node id (its injector's site), so fault schedules, and
+// therefore results, survive re-partitioning.
 func TestShardCountInvarianceWithFaults(t *testing.T) {
 	plan, err := fault.ParsePlan("seed=7,stall=0.02,dma=0.02,link=0.02")
 	if err != nil {
@@ -102,22 +103,42 @@ func TestShardCountInvarianceWithFaults(t *testing.T) {
 	}
 }
 
-// TestPerShardStreamsIndependent: two nodes' derived plans draw different
-// schedules, and derivation is insensitive to cluster shape.
-func TestPerShardStreamsIndependent(t *testing.T) {
+// TestNodeSitesIndependent: each node's injector is the plan at the
+// node's own site, so two nodes draw different schedules, a node draws the
+// same schedule however the cluster is partitioned, and an unarmed plan
+// arms no node.
+func TestNodeSitesIndependent(t *testing.T) {
 	plan, err := fault.ParsePlan("seed=7,stall=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0, p1 := plan.ForShard(0), plan.ForShard(1)
-	if p0.Seed == p1.Seed {
-		t.Fatalf("shard 0 and 1 derived the same seed %d", p0.Seed)
+	stalls := func(cfg Config) [][]sim.Time {
+		c := New(cfg)
+		defer c.Close()
+		out := make([][]sim.Time, len(c.Nodes))
+		for i, n := range c.Nodes {
+			for range 64 {
+				out[i] = append(out[i], n.flt.PipelineStall())
+			}
+		}
+		return out
 	}
-	if again := plan.ForShard(0); *again != *p0 {
-		t.Fatalf("ForShard not deterministic: %+v vs %+v", again, p0)
+	one := stalls(Config{Hosts: 4, Shards: 1, Faults: plan})
+	if slices.Equal(one[0], one[1]) {
+		t.Fatalf("nodes 0 and 1 drew the same schedule %v", one[0])
 	}
-	if unarmed := (&fault.Plan{Seed: 3}).ForShard(2); unarmed != nil {
-		t.Fatalf("unarmed plan derived non-nil: %+v", unarmed)
+	four := stalls(Config{Hosts: 4, Shards: 4, Workers: 4, Faults: plan})
+	for i := range one {
+		if !slices.Equal(one[i], four[i]) {
+			t.Errorf("node %d's schedule depends on the partition:\n 1 shard  %v\n 4 shards %v", i, one[i], four[i])
+		}
+	}
+	c := New(Config{Hosts: 2, Faults: &fault.Plan{Seed: 3}})
+	defer c.Close()
+	for _, n := range c.Nodes {
+		if n.flt != nil {
+			t.Fatalf("unarmed plan armed node %d", n.id)
+		}
 	}
 }
 

@@ -467,7 +467,7 @@ func (a *Agent) Poll(p *sim.Proc, addr mem.Addr, size int) sim.Time {
 //ccnic:noalloc
 func (a *Agent) Pressure() sim.Time {
 	if f := a.sys.flt; f != nil {
-		return f.CachePressure() //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+		return f.CachePressure()
 	}
 	return 0
 }

@@ -305,7 +305,7 @@ func walkWorld(t *testing.T, sc walkScript, seed int64, proto Protocol, loops bo
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetFaults(fault.NewInjector(plan))
+		s.SetFaults(fault.NewInjector(plan, 0))
 	}
 	var region [2]mem.Addr
 	for h := range region {

@@ -276,13 +276,13 @@ func (q *pcieQueue) publish(db *doorbell, tail int) {
 //ccnic:noalloc
 func (q *pcieQueue) rung(db *doorbell, tail int) {
 	flt := q.dev.sys.Faults()
-	if flt.DoorbellDropped() { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+	if flt.DoorbellDropped() {
 		if db.lostAt == 0 {
 			db.lostAt = q.dev.sys.Kernel().Now()
 		}
 		return
 	}
-	if flt.DoorbellDuplicated() { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+	if flt.DoorbellDuplicated() {
 		q.dbDup++
 	}
 	q.publish(db, tail)
@@ -457,11 +457,11 @@ func (w *driverWalk) runPCIe() (sim.Time, bool) {
 		case pRerung:
 			// Lost again, the re-ring restarts the timer.
 			w.stage = w.ret
-			if flt := q.dev.sys.Faults(); flt.DoorbellDropped() { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+			if flt := q.dev.sys.Faults(); flt.DoorbellDropped() {
 				w.db.lostAt = now
 			} else {
 				q.publish(w.db, w.tail)
-				flt.Stats().NoteRering() //ccnic:alloc-ok counter increment
+				flt.Stats().NoteRering()
 			}
 
 		case pPost:
@@ -627,7 +627,7 @@ func (q *pcieQueue) fetch() (sim.Time, bool) {
 				// Transient pipeline stall (armed fault plans only): the
 				// engine pauses before serving the doorbell.
 				q.busy, q.fetchAt = true, fetchStalled
-				if stall := flt.PipelineStall(); stall > 0 { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+				if stall := flt.PipelineStall(); stall > 0 {
 					return stall, true
 				}
 			}
@@ -670,7 +670,7 @@ func (q *pcieQueue) fetch() (sim.Time, bool) {
 			// DMA-delay fault pushes the completion later in time; the
 			// data is intact and ordering is preserved because the whole
 			// batch shares one doneAt.
-			doneAt := d.ep.DMAWriteAsync(lastReady, len(q.descLines)*mem.LineSize) + flt.DMADelay() //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+			doneAt := d.ep.DMAWriteAsync(lastReady, len(q.descLines)*mem.LineSize) + flt.DMADelay()
 			for i := 0; i < q.fetchN; i++ {
 				idx := q.txSeen + i
 				q.txR.SetDone(idx)
@@ -732,7 +732,7 @@ func (q *pcieQueue) deliver() (sim.Time, bool) {
 			}
 		case dvReady:
 			q.deliverAt = dvStalled
-			if stall := d.sys.Faults().PipelineStall(); stall > 0 { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+			if stall := d.sys.Faults().PipelineStall(); stall > 0 {
 				return stall, true
 			}
 		case dvStalled:
@@ -770,7 +770,7 @@ func (q *pcieQueue) deliver() (sim.Time, bool) {
 			// Delayed RX completion under an armed DMA-delay fault. The
 			// rxDoneAt prefix the driver consumes stays in-order because
 			// RxBurst stops at the first not-yet-visible completion.
-			q.rxDoneAt[idx%q.rxR.Size()] = max(payloadAt, descAt) + d.sys.Faults().DMADelay() //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+			q.rxDoneAt[idx%q.rxR.Size()] = max(payloadAt, descAt) + d.sys.Faults().DMADelay()
 		//ccnic:default-ok deliver is sent only the RX engine's stages
 		default:
 		}

@@ -138,7 +138,7 @@ func TestPCIeDoorbellRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nic := range []*platform.NICParams{platform.E810(), platform.CX6()} {
-		flt := fault.NewInjector(plan)
+		flt := fault.NewInjector(plan, 0)
 		runPCIe(t, nic, 500, 64, 0, flt)
 		st := flt.Stats()
 		if st.Rerings == 0 || st.Injected[fault.DoorbellDup] == 0 {

@@ -341,7 +341,7 @@ func (w *nicWalk) run() (sim.Time, bool) {
 			// queues have no doorbells to lose; link and cache faults
 			// arrive via the coherence layer underneath.
 			w.stage = nicConsume
-			if stall := q.dev.sys.Faults().PipelineStall(); stall > 0 { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+			if stall := q.dev.sys.Faults().PipelineStall(); stall > 0 {
 				d, ok = stall, true
 			}
 		case nicConsume:

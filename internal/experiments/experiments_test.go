@@ -220,21 +220,65 @@ func TestInterconnectSweepShape(t *testing.T) {
 	}
 }
 
-// TestFaultsRecoveryShape: each armed class must actually inject, and
-// the doorbell-drop row must show the driver's re-ring watchdog firing.
+// TestFaultsRateShape: the coherent interface keeps its margin over PCIe
+// under every fault rate, and each step up in rate costs CC-NIC
+// throughput. E810's throughput is not claimed monotone: its slack absorbs
+// low rates, so it can read higher at one step than at the one before.
+func TestFaultsRateShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fault workloads")
+	}
+	r := ByID("faults-rate").Run(Options{Quick: true})
+	tput, lat := r.Groups[0].Series, r.Groups[1].Series
+	cc, e810 := tput[0].Points, tput[1].Points
+	if len(cc) < 2 {
+		t.Fatalf("faults-rate swept %d rates, want at least 2", len(cc))
+	}
+	for i, p := range cc {
+		if i > 0 && p.Y >= cc[i-1].Y {
+			t.Errorf("CC-NIC %.3g Mpps at %g%% does not fall from %.3g Mpps at %g%%", p.Y, p.X, cc[i-1].Y, cc[i-1].X)
+		}
+		if p.Y <= e810[i].Y {
+			t.Errorf("at %g%%: CC-NIC %.3g Mpps is not above E810's %.3g", p.X, p.Y, e810[i].Y)
+		}
+		if ccLat, pcieLat := lat[0].Points[i].Y, lat[1].Points[i].Y; ccLat >= pcieLat {
+			t.Errorf("at %g%%: CC-NIC median %.3g us is not below E810's %.3g", p.X, ccLat, pcieLat)
+		}
+	}
+}
+
+// TestFaultsRecoveryShape: each armed class must actually inject, the
+// doorbell-drop row must show the driver's re-ring watchdog firing, and the
+// wedged rows must exhaust their recovery paths: the echo RPC retransmits,
+// backs off and drops, the KV store retries and backs off.
 func TestFaultsRecoveryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fault workloads")
 	}
 	r := ByID("faults-recovery").Run(Options{Quick: true})
-	rows := r.Tables[0].Rows
-	for _, row := range rows {
+	// The counter columns after class, workload and injected.
+	const rerings, retries, retransmits, backoffs, drops = 3, 4, 5, 6, 7
+	wedged := map[string][]int{
+		"wedged-TX echo RPC": {retransmits, backoffs, drops},
+		"wedged-TX KV store": {retries, backoffs},
+	}
+	columns := r.Tables[0].Columns
+	for _, row := range r.Tables[0].Rows {
 		if row[2].Float() == 0 {
 			t.Errorf("class %s (%s) injected nothing", row[0], row[1])
 		}
-		if row[0].String() == "dbdrop" && row[3].Float() == 0 {
+		if row[0].String() == "dbdrop" && row[rerings].Float() == 0 {
 			t.Errorf("dbdrop row shows no doorbell re-rings: %v", row)
 		}
+		for _, col := range wedged[row[1].String()] {
+			if row[col].Float() == 0 {
+				t.Errorf("%s row shows no %s: %v", row[1], columns[col], row)
+			}
+		}
+		delete(wedged, row[1].String())
+	}
+	for name := range wedged {
+		t.Errorf("no %s row", name)
 	}
 }
 
@@ -352,10 +396,10 @@ func TestOptionsBuilders(t *testing.T) {
 			{"set", pointPlan, pointPlan},
 		} {
 			cl := opt.cluster(cluster.Config{Hosts: 2, Faults: c.cfg}, 20*sim.Microsecond)
-			got := cl.Switch.Faults().Plan().Seed
+			got := cl.Switch.Faults().Plan()
 			cl.Close()
-			if want := c.want.ForFabric(0).Seed; got != want {
-				t.Errorf("%s: switch fault seed = %d, want %d", c.name, got, want)
+			if got != *c.want {
+				t.Errorf("%s: switch fault plan = %v, want %v", c.name, &got, c.want)
 			}
 		}
 	})

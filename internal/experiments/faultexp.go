@@ -130,7 +130,7 @@ func wedgeSys(opt Options, agents int) (*coherence.System, *device.Stub, []*cohe
 	sys.SetPrefetch(0, true)
 	plan := &fault.Plan{Seed: 33}
 	plan.Rate[fault.PipelineStall] = 0.2
-	sys.SetFaults(fault.NewInjector(plan))
+	sys.SetFaults(fault.NewInjector(plan, 0))
 	hosts := make([]*coherence.Agent, agents)
 	for i := range hosts {
 		hosts[i] = sys.NewAgent(0, "srv")

@@ -1,14 +1,16 @@
 // Package fault is the simulator's deterministic fault-injection engine.
 //
 // A Plan names which fault classes are armed and at what per-opportunity
-// rate; an Injector draws faults from its own seeded PRNG (never wall
-// clock — detlint-clean) so the same seed + the same plan reproduces the
-// exact same fault schedule run after run. Hardware layers (interconn,
-// pcie, device, coherence) consult the injector at well-defined
-// opportunity points; software layers (ring drivers, rpcstack, kvstore)
-// are expected to survive every armed class with watchdogs, re-rings,
-// retransmission, and bounded retry, and report what they did through
-// Stats.
+// rate. An Injector serves one site (a testbed, a cluster node or a switch)
+// and decides each opportunity with a splitmix64 hash of (plan seed, site,
+// class, sequence), never the wall clock (detlint-clean), so the same plan
+// reproduces the exact same fault schedule run after run, and one class's
+// schedule never depends on which other classes are armed. Hardware
+// layers (interconn, pcie, device, coherence) consult the injector at
+// well-defined opportunity points; software layers (ring drivers,
+// rpcstack, kvstore) are expected to survive every armed class with
+// watchdogs, re-rings, retransmission, and bounded retry, and report what
+// they did through Stats.
 //
 // The cardinal rule, enforced by internal/check under the fault matrix:
 // faults perturb *timing and delivery* only. They never mutate coherence
@@ -18,7 +20,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,13 +56,12 @@ const (
 	// host: a co-runner evicting lines adds latency to coherent accesses.
 	CachePressure
 
-	// --- Fabric fault domain (PR 10). These classes perturb the switched
-	// fabric (internal/fabric), not the host/NIC edge. They are drawn with
-	// stateless splitmix64 hashes keyed by (plan seed, class, source host,
-	// per-source packet sequence) rather than a shared PRNG stream: switch
-	// arrivals from different sources interleave in a partition-dependent
-	// order, and a hash draw per (source, seq) identity is invariant under
-	// any interleaving while still being a pure function of the plan.
+	// --- Fabric fault domain. These classes perturb the switched fabric
+	// (internal/fabric), not the host/NIC edge. Their draws are keyed by
+	// the packet's source host and per-source sequence, not by a count of
+	// opportunities: switch arrivals from different sources interleave in
+	// a partition-dependent order, and a (source, seq) identity is
+	// invariant under any interleaving.
 
 	// FabricPortDown models a port going administratively down (flap): the
 	// port stops admitting packets — ingress from the attached host and
@@ -130,19 +130,9 @@ func EndpointClasses() []Class {
 	return out
 }
 
-// FabricClasses returns the switch-side classes consulted by
-// internal/fabric's decision points.
-func FabricClasses() []Class {
-	out := make([]Class, 0, NumClasses-NumEndpointClasses)
-	for c := NumEndpointClasses; c < NumClasses; c++ {
-		out = append(out, c)
-	}
-	return out
-}
-
-// Plan is a fault schedule specification: a PRNG seed plus a
-// per-opportunity injection probability for each class. The zero Plan is
-// unarmed and injects nothing.
+// Plan is a fault schedule specification: a seed plus a per-opportunity
+// injection probability for each class. The zero Plan is unarmed and
+// injects nothing.
 type Plan struct {
 	Seed int64
 	Rate [NumClasses]float64
@@ -177,34 +167,6 @@ func (p *Plan) String() string {
 	}
 	return b.String()
 }
-
-// ForShard derives the plan for one shard of a partitioned simulation:
-// identical rates, with the seed mixed with the shard id through a
-// splitmix64 finalizer so each shard's injector draws an independent
-// PRNG stream. Keying by the model's *stable* shard identity (the member
-// node id of a cluster, not the runtime worker count) keeps every
-// shard's fault schedule byte-reproducible no matter how the model is
-// re-partitioned or how many workers execute it. Nil and unarmed plans
-// derive to nil.
-func (p *Plan) ForShard(shard int) *Plan {
-	if !p.Armed() {
-		return nil
-	}
-	q := *p
-	z := uint64(p.Seed) + 0x9E3779B97F4A7C15*uint64(shard+1)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	q.Seed = int64(z >> 1) // rand.NewSource wants a non-negative-friendly seed
-	return &q
-}
-
-// ForFabric derives the plan for one switch of the fabric: same rates, seed
-// mixed with a negative identity disjoint from every node id, so a switch's
-// hash draws are independent of all node streams and of sibling switches.
-func (p *Plan) ForFabric(sw int) *Plan { return p.ForShard(-(sw + 1)) }
 
 // ParsePlan parses a plan spec of the form
 //
@@ -287,6 +249,8 @@ type Stats struct {
 }
 
 // NoteRering records one driver doorbell re-ring.
+//
+//ccnic:noalloc
 func (s *Stats) NoteRering() {
 	if s != nil {
 		s.Rerings++
@@ -349,30 +313,32 @@ func (s *Stats) Format() string {
 	return b.String()
 }
 
-// Injector draws faults deterministically: the seven endpoint classes
-// from one seeded PRNG stream, the fabric classes from stateless hashes
-// (hashDraw). A nil
-// *Injector is valid and never injects, so hardware layers hold a plain
-// field and call without guarding. All stream draws happen on simulator
-// procs, which the kernel serializes, so the single rng needs no locking
-// and the draw order — hence the fault schedule — is a pure function of
-// (kernel seed, plan).
+// Injector draws the faults of one site: a testbed, a cluster node or a
+// switch. Every draw is a splitmix64 hash of (plan seed, site, class,
+// sequence) and keeps no stream, so the schedule is a pure function of the
+// plan, the site and the opportunities the model offers, never of which
+// other classes are armed. A nil *Injector is valid and never injects, so
+// hardware layers hold a plain field and call without guarding.
 type Injector struct {
-	rng   *rand.Rand
 	plan  Plan
+	key   uint64                     // the plan seed mixed with the site
+	seq   [NumEndpointClasses]uint64 // per-class opportunity counters
 	stats Stats
 }
 
-// NewInjector builds an injector for the plan. Returns nil for an
-// unarmed (or nil) plan, which disables injection everywhere.
-func NewInjector(p *Plan) *Injector {
+// NewInjector builds the injector for the plan at one site: 0 for a
+// testbed, the node id for a cluster node, and -(v+1) for switch v, so no
+// two sites of a model share a schedule and a site's schedule does not
+// depend on how the model is partitioned. Returns nil for an unarmed (or
+// nil) plan, which disables injection everywhere.
+func NewInjector(p *Plan, site int) *Injector {
 	if !p.Armed() {
 		return nil
 	}
-	return &Injector{rng: rand.New(rand.NewSource(p.Seed)), plan: *p}
+	return &Injector{plan: *p, key: mix64(uint64(p.Seed)+0x9E3779B97F4A7C15*uint64(site+1)) >> 1}
 }
 
-// Plan returns the armed plan (zero Plan for nil).
+// Plan returns the plan the injector was built from (zero Plan for nil).
 func (f *Injector) Plan() Plan {
 	if f == nil {
 		return Plan{}
@@ -382,6 +348,8 @@ func (f *Injector) Plan() Plan {
 
 // Stats exposes the accumulated fault + recovery counters. Returns nil
 // for a nil injector; Stats methods tolerate that.
+//
+//ccnic:noalloc
 func (f *Injector) Stats() *Stats {
 	if f == nil {
 		return nil
@@ -389,102 +357,29 @@ func (f *Injector) Stats() *Stats {
 	return &f.stats
 }
 
-// draw decides whether a fault of class c fires at this opportunity.
-// An unarmed class consumes no draw, so its opportunity points leave the
-// stream untouched. The armed endpoint classes share the one stream:
-// arming class B moves class A's draws, and so changes A's schedule.
-func (f *Injector) draw(c Class) bool {
-	if f == nil {
-		return false
-	}
-	r := f.plan.Rate[c]
-	if r <= 0 {
-		return false
-	}
-	if f.rng.Float64() >= r {
-		return false
-	}
-	f.stats.Injected[c]++
-	return true
-}
+// endpointSlot is the source slot of every endpoint-class draw, one no
+// host id takes: an endpoint opportunity has no packet identity, so its
+// sequence is the class's own opportunity count.
+const endpointSlot = -1
 
-// span returns a duration uniformly drawn from [lo, hi). Integer
-// arithmetic on sim.Time; only called after a successful draw.
-func (f *Injector) span(lo, hi sim.Time) sim.Time {
-	return lo + sim.Time(f.rng.Int63n(int64(hi-lo)))
-}
-
-// LinkFault is the interconnect opportunity point, consulted once per
-// link transfer. On injection it returns a link-level retry latency
-// spike and the length of the transient bandwidth-derating window that
-// follows while the retry queue drains; (0, 0) otherwise.
-func (f *Injector) LinkFault() (spike, derate sim.Time) {
-	if !f.draw(LinkCorrupt) {
-		return 0, 0
-	}
-	return f.span(100*sim.Nanosecond, 300*sim.Nanosecond),
-		f.span(200*sim.Nanosecond, 600*sim.Nanosecond)
-}
-
-// ReplayDelay is the PCIe opportunity point, consulted once per TLP
-// (DMA read/write, MMIO read). On injection it returns the replay
-// latency added to the transaction; 0 otherwise.
-func (f *Injector) ReplayDelay() sim.Time {
-	if !f.draw(PCIeReplay) {
-		return 0
-	}
-	return f.span(300*sim.Nanosecond, 1*sim.Microsecond)
-}
-
-// DoorbellDropped reports whether this doorbell write is lost before
-// reaching the device. The driver's ring watchdog must re-ring.
-func (f *Injector) DoorbellDropped() bool { return f.draw(DoorbellDrop) }
-
-// DoorbellDuplicated reports whether this doorbell is delivered twice.
-// The duplicate costs the device a spurious (bounded) descriptor fetch.
-func (f *Injector) DoorbellDuplicated() bool { return f.draw(DoorbellDup) }
-
-// PipelineStall is the device opportunity point, consulted once per
-// service iteration. On injection it returns how long the NIC pipeline
-// stalls; 0 otherwise.
-func (f *Injector) PipelineStall() sim.Time {
-	if !f.draw(PipelineStall) {
-		return 0
-	}
-	return f.span(500*sim.Nanosecond, 2*sim.Microsecond)
-}
-
-// DMADelay is consulted once per DMA completion. On injection it
-// returns extra delay applied to the completion time (data intact, just
-// late); 0 otherwise.
-func (f *Injector) DMADelay() sim.Time {
-	if !f.draw(DMADelay) {
-		return 0
-	}
-	return f.span(200*sim.Nanosecond, 800*sim.Nanosecond)
-}
-
-// CachePressure is the coherence opportunity point, consulted on
-// coherent access paths. On injection it returns extra latency modeling
-// interference misses; 0 otherwise.
-func (f *Injector) CachePressure() sim.Time {
-	if !f.draw(CachePressure) {
-		return 0
-	}
-	return f.span(20*sim.Nanosecond, 100*sim.Nanosecond)
-}
-
-// --- Fabric opportunity points (stateless hash draws).
+// draw decides whether a fault of endpoint class c fires at this
+// opportunity, and returns a second hash value for sizing the effect. The
+// k-th opportunity of c is the hash draw (c, endpointSlot, k); an unarmed
+// class counts no opportunity, so its points leave every schedule as it is.
 //
-// Switch-side draws cannot share a PRNG stream: same-instant arrivals from
-// different sources execute in a partition-dependent order, so stream
-// consumption order would differ between shard counts. Instead each draw is
-// a pure splitmix64 hash of (plan seed, class, source host, per-source
-// arrival sequence). A source's packets arrive at the switch in the source's
-// own send order, so the (src, seq) identity — and hence the schedule — is
-// invariant under any partition, and unarmed classes compute nothing.
+//ccnic:noalloc
+func (f *Injector) draw(c Class) (bool, uint64) {
+	if f == nil || f.plan.Rate[c] <= 0 {
+		return false, 0
+	}
+	k := f.seq[c]
+	f.seq[c]++
+	return f.hashDraw(c, endpointSlot, k)
+}
 
 // mix64 is the splitmix64 finalizer.
+//
+//ccnic:noalloc
 func mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
@@ -494,8 +389,11 @@ func mix64(z uint64) uint64 {
 	return z
 }
 
-// hashDraw decides whether class c fires for packet (src, seq) and returns
-// a second independent hash value for sizing the effect.
+// hashDraw decides whether class c fires for opportunity (src, seq) at
+// this injector's site and returns a second independent hash value for
+// sizing the effect.
+//
+//ccnic:noalloc
 func (f *Injector) hashDraw(c Class, src int, seq uint64) (bool, uint64) {
 	if f == nil {
 		return false, 0
@@ -504,7 +402,7 @@ func (f *Injector) hashDraw(c Class, src int, seq uint64) (bool, uint64) {
 	if r <= 0 {
 		return false, 0
 	}
-	z := uint64(f.plan.Seed) + 0x9E3779B97F4A7C15*uint64(c+1)
+	z := f.key + 0x9E3779B97F4A7C15*uint64(c+1)
 	z = mix64(z + 0xD1B54A32D192ED03*uint64(src+1))
 	z = mix64(z + seq)
 	if float64(z>>11)*(1.0/(1<<53)) >= r {
@@ -514,24 +412,110 @@ func (f *Injector) hashDraw(c Class, src int, seq uint64) (bool, uint64) {
 	return true, mix64(z + 0x8CB92BA72F3D8DD7)
 }
 
-// hashSpan maps a hash value onto [lo, hi).
-func hashSpan(v uint64, lo, hi sim.Time) sim.Time {
+// hashSpan sizes a draw's effect: a fired draw's hash value v maps onto
+// [lo, hi), and a draw that did not fire to 0.
+//
+//ccnic:noalloc
+func hashSpan(fire bool, v uint64, lo, hi sim.Time) sim.Time {
+	if !fire {
+		return 0
+	}
 	return lo + sim.Time(v%uint64(hi-lo))
 }
+
+// LinkFault is the interconnect opportunity point, consulted once per
+// link transfer. On injection it returns a link-level retry latency
+// spike and the length of the transient bandwidth-derating window that
+// follows while the retry queue drains; (0, 0) otherwise.
+//
+//ccnic:noalloc
+func (f *Injector) LinkFault() (spike, derate sim.Time) {
+	fire, v := f.draw(LinkCorrupt)
+	return hashSpan(fire, v, 100*sim.Nanosecond, 300*sim.Nanosecond),
+		hashSpan(fire, mix64(v), 200*sim.Nanosecond, 600*sim.Nanosecond)
+}
+
+// ReplayDelay is the PCIe opportunity point, consulted once per TLP
+// (DMA read/write, MMIO read). On injection it returns the replay
+// latency added to the transaction; 0 otherwise.
+//
+//ccnic:noalloc
+func (f *Injector) ReplayDelay() sim.Time {
+	fire, v := f.draw(PCIeReplay)
+	return hashSpan(fire, v, 300*sim.Nanosecond, 1*sim.Microsecond)
+}
+
+// DoorbellDropped reports whether this doorbell write is lost before
+// reaching the device. The driver's ring watchdog must re-ring.
+//
+//ccnic:noalloc
+func (f *Injector) DoorbellDropped() bool {
+	fire, _ := f.draw(DoorbellDrop)
+	return fire
+}
+
+// DoorbellDuplicated reports whether this doorbell is delivered twice.
+// The duplicate costs the device a spurious (bounded) descriptor fetch.
+//
+//ccnic:noalloc
+func (f *Injector) DoorbellDuplicated() bool {
+	fire, _ := f.draw(DoorbellDup)
+	return fire
+}
+
+// PipelineStall is the device opportunity point, consulted once per
+// service iteration. On injection it returns how long the NIC pipeline
+// stalls; 0 otherwise.
+//
+//ccnic:noalloc
+func (f *Injector) PipelineStall() sim.Time {
+	fire, v := f.draw(PipelineStall)
+	return hashSpan(fire, v, 500*sim.Nanosecond, 2*sim.Microsecond)
+}
+
+// DMADelay is consulted once per DMA completion. On injection it
+// returns extra delay applied to the completion time (data intact, just
+// late); 0 otherwise.
+//
+//ccnic:noalloc
+func (f *Injector) DMADelay() sim.Time {
+	fire, v := f.draw(DMADelay)
+	return hashSpan(fire, v, 200*sim.Nanosecond, 800*sim.Nanosecond)
+}
+
+// CachePressure is the coherence opportunity point, consulted on
+// coherent access paths. On injection it returns extra latency modeling
+// interference misses; 0 otherwise.
+//
+//ccnic:noalloc
+func (f *Injector) CachePressure() sim.Time {
+	fire, v := f.draw(CachePressure)
+	return hashSpan(fire, v, 20*sim.Nanosecond, 100*sim.Nanosecond)
+}
+
+// --- Fabric opportunity points.
+//
+// Same-instant switch arrivals from different sources execute in a
+// partition-dependent order, so a fabric draw cannot be keyed by an
+// opportunity count. It is keyed by the packet's (source host, per-source
+// arrival sequence) instead: a source's packets arrive at the switch in the
+// source's own send order, so the identity, and hence the schedule, is
+// invariant under any partition.
 
 // PortDown is the switch ingress opportunity point, consulted once per
 // packet arriving from src. On injection it returns the repair time of a
 // port flap — the port admits nothing for that long; 0 otherwise.
+//
+//ccnic:noalloc
 func (f *Injector) PortDown(src int, seq uint64) sim.Time {
 	fire, v := f.hashDraw(FabricPortDown, src, seq)
-	if !fire {
-		return 0
-	}
-	return hashSpan(v, 2*sim.Microsecond, 8*sim.Microsecond)
+	return hashSpan(fire, v, 2*sim.Microsecond, 8*sim.Microsecond)
 }
 
 // FabricCorrupt is the switch pipeline opportunity point: whether this
 // packet is corrupted in-switch and discarded at the frame check.
+//
+//ccnic:noalloc
 func (f *Injector) FabricCorrupt(src int, seq uint64) bool {
 	fire, _ := f.hashDraw(FabricCorrupt, src, seq)
 	return fire
@@ -540,21 +524,19 @@ func (f *Injector) FabricCorrupt(src int, seq uint64) bool {
 // Blackhole is the switch routing opportunity point, consulted once per
 // routed packet. On injection it returns the length of a window during
 // which the packet's destination is blackholed; 0 otherwise.
+//
+//ccnic:noalloc
 func (f *Injector) Blackhole(src int, seq uint64) sim.Time {
 	fire, v := f.hashDraw(FabricBlackhole, src, seq)
-	if !fire {
-		return 0
-	}
-	return hashSpan(v, 1*sim.Microsecond, 4*sim.Microsecond)
+	return hashSpan(fire, v, 1*sim.Microsecond, 4*sim.Microsecond)
 }
 
 // Brownout is the switch egress opportunity point. On injection it returns
 // the length of a window during which the packet's egress port serializes
 // at a derated rate; 0 otherwise.
+//
+//ccnic:noalloc
 func (f *Injector) Brownout(src int, seq uint64) sim.Time {
 	fire, v := f.hashDraw(FabricBrownout, src, seq)
-	if !fire {
-		return 0
-	}
-	return hashSpan(v, 1500*sim.Nanosecond, 4*sim.Microsecond)
+	return hashSpan(fire, v, 1500*sim.Nanosecond, 4*sim.Microsecond)
 }

@@ -77,32 +77,31 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if f.Stats().Total() != 0 {
 		t.Error("nil stats counted")
 	}
-	if NewInjector(nil) != nil {
+	if NewInjector(nil, 0) != nil {
 		t.Error("NewInjector(nil) should be nil")
 	}
 	var unarmed Plan
-	if NewInjector(&unarmed) != nil {
+	if NewInjector(&unarmed, 0) != nil {
 		t.Error("NewInjector(unarmed) should be nil")
 	}
 }
 
-// TestDeterministicSchedule: same plan, same draw sequence ⇒ identical
-// fault schedule; and arming one class does not consume PRNG draws for
-// another (so a link-only plan's schedule is independent of, say, the
-// doorbell classes being probed).
+// TestDeterministicSchedule: same plan, same opportunities ⇒ identical
+// fault schedule; and probing unarmed classes draws nothing (so a plan's
+// schedule is independent of, say, the doorbell classes being probed).
 func TestDeterministicSchedule(t *testing.T) {
 	plan, _ := ParsePlan("seed=11,link=0.5,dma=0.5")
 	type event struct {
 		spike, derate, dma sim.Time
 	}
 	run := func(probeOthers bool) []event {
-		f := NewInjector(plan)
+		f := NewInjector(plan, 0)
 		var out []event
 		for i := 0; i < 200; i++ {
 			var e event
 			e.spike, e.derate = f.LinkFault()
 			if probeOthers {
-				// Unarmed classes must not consume the PRNG.
+				// Unarmed classes must draw nothing.
 				f.DoorbellDropped()
 				f.PipelineStall()
 				f.CachePressure()
@@ -125,7 +124,7 @@ func TestDeterministicSchedule(t *testing.T) {
 
 func TestInjectionRateAndStats(t *testing.T) {
 	plan, _ := ParsePlan("seed=5,dbdrop=0.25")
-	f := NewInjector(plan)
+	f := NewInjector(plan, 0)
 	drops := 0
 	for i := 0; i < 4000; i++ {
 		if f.DoorbellDropped() {
@@ -153,7 +152,7 @@ func TestInjectionRateAndStats(t *testing.T) {
 
 func TestSpansWithinBounds(t *testing.T) {
 	plan, _ := ParsePlan("seed=2,all=1")
-	f := NewInjector(plan)
+	f := NewInjector(plan, 0)
 	for i := 0; i < 500; i++ {
 		if s, d := f.LinkFault(); s < 100*sim.Nanosecond || s >= 300*sim.Nanosecond ||
 			d < 200*sim.Nanosecond || d >= 600*sim.Nanosecond {
@@ -191,13 +190,11 @@ func TestClassStrings(t *testing.T) {
 	if got := Classes(); len(got) != int(NumClasses) || got[0] != LinkCorrupt {
 		t.Errorf("Classes() = %v", got)
 	}
-	// The endpoint/fabric split partitions the class list in order.
-	ep, fb := EndpointClasses(), FabricClasses()
-	if len(ep)+len(fb) != int(NumClasses) {
-		t.Fatalf("EndpointClasses (%d) + FabricClasses (%d) != NumClasses (%d)", len(ep), len(fb), NumClasses)
-	}
-	if ep[len(ep)-1] != CachePressure || fb[0] != FabricPortDown || fb[len(fb)-1] != FabricBrownout {
-		t.Errorf("class split wrong: endpoint %v fabric %v", ep, fb)
+	// The endpoint classes are the prefix of the class list up to the
+	// first fabric class.
+	ep := EndpointClasses()
+	if len(ep) != int(NumEndpointClasses) || ep[len(ep)-1] != CachePressure || ep[len(ep)-1]+1 != FabricPortDown {
+		t.Errorf("endpoint classes %v", ep)
 	}
 }
 
@@ -243,8 +240,8 @@ func TestParsePlanEdgeCases(t *testing.T) {
 // sources and unarmed probes, yields the same schedule.
 func TestFabricDrawsPartitionInvariant(t *testing.T) {
 	plan, _ := ParsePlan("seed=9,portflap=0.2,blackhole=0.2")
-	f := NewInjector(plan)
-	g := NewInjector(plan)
+	f := NewInjector(plan, 0)
+	g := NewInjector(plan, 0)
 	type draw struct{ flap, black sim.Time }
 	want := make(map[[2]uint64]draw)
 	for src := 0; src < 3; src++ {
@@ -267,7 +264,7 @@ func TestFabricDrawsPartitionInvariant(t *testing.T) {
 	}
 	// Spans stay within the documented windows.
 	hot, _ := ParsePlan("seed=3,all=1")
-	h := NewInjector(hot)
+	h := NewInjector(hot, 0)
 	for seq := uint64(0); seq < 300; seq++ {
 		if d := h.PortDown(1, seq); d < 2*sim.Microsecond || d >= 8*sim.Microsecond {
 			t.Fatalf("portflap span out of range: %v", d)
@@ -290,42 +287,85 @@ func TestFabricDrawsPartitionInvariant(t *testing.T) {
 	if nilf.PortDown(0, 0) != 0 || nilf.FabricCorrupt(0, 0) || nilf.Blackhole(0, 0) != 0 || nilf.Brownout(0, 0) != 0 {
 		t.Error("nil injector fired a fabric draw")
 	}
-	// ForFabric derives distinct, reproducible switch streams.
-	if a, b := plan.ForFabric(0), plan.ForFabric(1); a.Seed == b.Seed || a.Seed == plan.Seed {
-		t.Errorf("ForFabric seeds not distinct: %d %d %d", plan.Seed, a.Seed, b.Seed)
-	}
-	if a, b := plan.ForFabric(0), plan.ForFabric(0); a.Seed != b.Seed {
-		t.Error("ForFabric not reproducible")
-	}
-}
-
-// TestUnarmedClassDrawsNothing pins what the injector promises about one
-// class's schedule under another's opportunity points: on a link-only plan,
-// ReplayDelay calls interleaved with LinkFault calls consume no draw, so
-// LinkFault's outcomes are unchanged; arming replay puts its draws on the
-// shared endpoint stream, which changes them.
-func TestUnarmedClassDrawsNothing(t *testing.T) {
-	spikes := func(p Plan, interleave bool) []sim.Time {
-		f := NewInjector(&p)
+	// Each switch's site draws its own schedule, reproducibly, and the
+	// injector keeps the plan it was given.
+	flaps := func(site int) []sim.Time {
+		f := NewInjector(plan, site)
 		var out []sim.Time
-		for i := 0; i < 40; i++ {
-			if interleave {
-				f.ReplayDelay()
-			}
-			spike, _ := f.LinkFault()
-			out = append(out, spike)
+		for seq := uint64(0); seq < 200; seq++ {
+			out = append(out, f.PortDown(1, seq))
 		}
 		return out
 	}
-	link := Plan{Seed: 3}
-	link.Rate[LinkCorrupt] = 0.5
-	base := spikes(link, false)
-	if got := spikes(link, true); !slices.Equal(got, base) {
-		t.Errorf("unarmed replay opportunities moved the link schedule:\n got %v\nwant %v", got, base)
+	if sw0, sw1 := flaps(-1), flaps(-2); slices.Equal(sw0, sw1) || slices.Equal(sw0, flaps(0)) {
+		t.Error("switch sites -1, -2 and site 0 do not draw distinct schedules")
 	}
-	both := link
-	both.Rate[PCIeReplay] = 0.5
-	if slices.Equal(spikes(both, true), base) {
-		t.Error("arming replay left the link schedule unchanged, but the endpoint classes share one stream")
+	if !slices.Equal(flaps(-1), flaps(-1)) {
+		t.Error("a switch site's schedule is not reproducible")
+	}
+	if got := NewInjector(plan, -1).Plan(); got != *plan {
+		t.Errorf("switch injector's plan = %v, want %v", &got, plan)
+	}
+}
+
+// endpointPoints calls each endpoint class's opportunity point once and
+// returns its outcome.
+var endpointPoints = [NumEndpointClasses]func(*Injector) [2]sim.Time{
+	LinkCorrupt: func(f *Injector) [2]sim.Time {
+		spike, derate := f.LinkFault()
+		return [2]sim.Time{spike, derate}
+	},
+	PCIeReplay: func(f *Injector) [2]sim.Time { return [2]sim.Time{f.ReplayDelay()} },
+	DoorbellDrop: func(f *Injector) [2]sim.Time {
+		if f.DoorbellDropped() {
+			return [2]sim.Time{1}
+		}
+		return [2]sim.Time{}
+	},
+	DoorbellDup: func(f *Injector) [2]sim.Time {
+		if f.DoorbellDuplicated() {
+			return [2]sim.Time{1}
+		}
+		return [2]sim.Time{}
+	},
+	PipelineStall: func(f *Injector) [2]sim.Time { return [2]sim.Time{f.PipelineStall()} },
+	DMADelay:      func(f *Injector) [2]sim.Time { return [2]sim.Time{f.DMADelay()} },
+	CachePressure: func(f *Injector) [2]sim.Time { return [2]sim.Time{f.CachePressure()} },
+}
+
+// TestUnarmedClassDrawsNothing pins what the injector promises about one
+// class's schedule under another's opportunity points: for every ordered
+// pair (A, B) of endpoint classes, B's opportunities interleaved with A's
+// leave A's outcomes unchanged, whether B is unarmed or armed. Each class
+// counts only its own opportunities, so arming B never moves A.
+func TestUnarmedClassDrawsNothing(t *testing.T) {
+	outcomes := func(p Plan, a, b Class, interleave bool) [][2]sim.Time {
+		f := NewInjector(&p, 0)
+		var out [][2]sim.Time
+		for i := 0; i < 40; i++ {
+			if interleave {
+				endpointPoints[b](f)
+			}
+			out = append(out, endpointPoints[a](f))
+		}
+		return out
+	}
+	for _, a := range EndpointClasses() {
+		for _, b := range EndpointClasses() {
+			if a == b {
+				continue
+			}
+			only := Plan{Seed: 3}
+			only.Rate[a] = 0.5
+			base := outcomes(only, a, b, false)
+			if got := outcomes(only, a, b, true); !slices.Equal(got, base) {
+				t.Errorf("unarmed %v opportunities moved the %v schedule:\n got %v\nwant %v", b, a, got, base)
+			}
+			both := only
+			both.Rate[b] = 0.5
+			if got := outcomes(both, a, b, true); !slices.Equal(got, base) {
+				t.Errorf("arming %v moved the %v schedule:\n got %v\nwant %v", b, a, got, base)
+			}
+		}
 	}
 }

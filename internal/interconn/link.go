@@ -104,7 +104,7 @@ func (l *Link) holdFor(now sim.Time, wireBytes int) sim.Time {
 	if now < l.deratedUntil {
 		hold += hold / 2
 	}
-	if spike, derate := l.flt.LinkFault(); spike > 0 { //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+	if spike, derate := l.flt.LinkFault(); spike > 0 {
 		hold += spike
 		if until := now + derate; until > l.deratedUntil {
 			l.deratedUntil = until

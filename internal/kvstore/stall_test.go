@@ -69,7 +69,7 @@ func TestStallDegradedModeUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.NewInjector(plan)
+	inj := fault.NewInjector(plan, 0)
 	sys.SetFaults(inj)
 	cfg := wedgeConfig(sys, h)
 

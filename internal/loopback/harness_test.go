@@ -108,7 +108,7 @@ func TestPushBackoffBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.SetFaults(fault.NewInjector(plan))
+			sys.SetFaults(fault.NewInjector(plan, 0))
 			hosts := []*coherence.Agent{sys.NewAgent(0, "h")}
 			calls := 0
 			dev := device.NewStub(sys, hosts, func(*sim.Proc, int) bool {
@@ -151,7 +151,7 @@ func TestRetryTxBacksOff(t *testing.T) {
 	sys := coherence.NewSystem(sim.New(), platform.ICX())
 	plan := fault.Plan{Seed: 1}
 	plan.Rate[fault.DoorbellDrop] = 0.5 // armed; nothing here consults it
-	sys.SetFaults(fault.NewInjector(&plan))
+	sys.SetFaults(fault.NewInjector(&plan, 0))
 	hosts := []*coherence.Agent{sys.NewAgent(0, "h")}
 	calls := 0
 	dev := device.NewStub(sys, hosts, func(*sim.Proc, int) bool {

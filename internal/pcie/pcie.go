@@ -98,7 +98,7 @@ func (e *Endpoint) Faults() *fault.Injector { return e.flt }
 //
 //ccnic:noalloc
 func (e *Endpoint) replay() sim.Time {
-	return e.flt.ReplayDelay() //ccnic:alloc-ok seeded PRNG draw; audited allocation-free
+	return e.flt.ReplayDelay()
 }
 
 // Stats returns a copy of the transaction counters.

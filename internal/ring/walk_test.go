@@ -237,7 +237,7 @@ func newRingWorld(t *testing.T, seed int64, faults bool) *ringWorld {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.sys.SetFaults(fault.NewInjector(plan))
+		w.sys.SetFaults(fault.NewInjector(plan, 0))
 	}
 	w.pool = bufpool.New(bufpool.Config{Sys: w.sys, BigCount: 512, BigSize: 2048, Shared: true})
 	return w

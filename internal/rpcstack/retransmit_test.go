@@ -18,7 +18,7 @@ func flakyRun(t *testing.T, acceptEvery int) (Result, *fault.Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.NewInjector(plan)
+	inj := fault.NewInjector(plan, 0)
 	sys.SetFaults(inj)
 	fps := []*coherence.Agent{sys.NewAgent(0, "fp")}
 	app := sys.NewAgent(0, "app")

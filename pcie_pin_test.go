@@ -31,7 +31,9 @@ type pcieRun struct {
 // counts. The latencies were recorded with Sleep-loop
 // waits; the event and DMA counts were re-recorded when runs began ending
 // with their window (the last workload process stops the device), which
-// moved only those whole-run counters.
+// moved only those whole-run counters. The faults row was re-recorded when
+// every fault class became a hashed draw keyed by (seed, site, class,
+// sequence), which moved only the fault schedule.
 func TestPCIeEventPin(t *testing.T) {
 	plan, err := ccnic.ParseFaultPlan("seed=1,all=0.02")
 	if err != nil {
@@ -48,11 +50,11 @@ func TestPCIeEventPin(t *testing.T) {
 		{"E810/closed", ccnic.E810, "closed", pcieRun{36009, 449, 655, 0, 15728640, 25690112}},
 		{"E810/open", ccnic.E810, "open", pcieRun{16775, 260, 359, 0, 7471104, 10747904}},
 		{"E810/ingress", ccnic.E810, "ingress", pcieRun{16059, 152, 221, 0, 0, 0}},
-		{"E810/faults", ccnic.E810, "faults", pcieRun{16831, 264, 357, 0, 7602176, 12320768}},
+		{"E810/faults", ccnic.E810, "faults", pcieRun{17649, 258, 341, 0, 7733248, 10747904}},
 		{"CX6/closed", ccnic.CX6, "closed", pcieRun{47896, 474, 774, 0, 14942208, 18874368}},
 		{"CX6/open", ccnic.CX6, "open", pcieRun{28889, 198, 388, 0, 3932160, 6160384}},
 		{"CX6/ingress", ccnic.CX6, "ingress", pcieRun{36442, 99, 222, 0, 0, 0}},
-		{"CX6/faults", ccnic.CX6, "faults", pcieRun{29101, 203, 382, 0, 3997696, 6160384}},
+		{"CX6/faults", ccnic.CX6, "faults", pcieRun{28962, 200, 386, 0, 4063232, 6029312}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ccnic.Config{Platform: "ICX", Interface: tc.iface, Queues: 2, HostPrefetch: true}
@@ -101,7 +103,9 @@ type kvRun struct {
 // exactly as the Sleep loops they replace. The gets and sets were recorded
 // with Sleep-loop waits; the event, DMA and TX counts were re-recorded when
 // runs began ending with their window (the last workload process stops the
-// device), which moved only those whole-run counters.
+// device), which moved only those whole-run counters. The faults rows were
+// re-recorded when every fault class became a hashed draw keyed by (seed,
+// site, class, sequence), which moved only the fault schedule.
 func TestKVEventPin(t *testing.T) {
 	plan, err := ccnic.ParseFaultPlan("seed=1,all=0.02")
 	if err != nil {
@@ -114,11 +118,11 @@ func TestKVEventPin(t *testing.T) {
 		want   kvRun
 	}{
 		{"CX6/clean", ccnic.CX6, false, kvRun{22519, 266, 11, 725, 3728, 259}},
-		{"CX6/faults", ccnic.CX6, true, kvRun{20120, 246, 10, 631, 3222, 228}},
+		{"CX6/faults", ccnic.CX6, true, kvRun{20190, 246, 10, 659, 3458, 227}},
 		{"OverlayCCNIC/clean", ccnic.OverlayCCNIC, false, kvRun{45961, 390, 22, 1019, 5052, 388}},
-		{"OverlayCCNIC/faults", ccnic.OverlayCCNIC, true, kvRun{41625, 350, 19, 742, 3493, 304}},
+		{"OverlayCCNIC/faults", ccnic.OverlayCCNIC, true, kvRun{39176, 278, 11, 632, 3528, 190}},
 		{"OverlayUnopt/clean", ccnic.OverlayUnopt, false, kvRun{43440, 245, 10, 758, 4388, 212}},
-		{"OverlayUnopt/faults", ccnic.OverlayUnopt, true, kvRun{35974, 185, 7, 574, 3434, 146}},
+		{"OverlayUnopt/faults", ccnic.OverlayUnopt, true, kvRun{34722, 176, 7, 571, 3472, 138}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ccnic.Config{Platform: "ICX", Interface: tc.iface, Queues: 2,
