@@ -23,7 +23,10 @@
 #                     fabric, chaos) of the checked quick-run matrix in
 #                     cmd/ccbench/matrix.sh; CI runs every row over seeds 1-3
 #   make golden-check full suite with online invariant checks, diffed against
-#                     the committed golden transcript (minutes)
+#                     the committed full transcript, experiments_full.txt
+#                     (minutes); a quick section checks against
+#                     experiments_quick.txt with `ccbench -quick -golden
+#                     experiments_quick.txt <id>`
 #   make golden-shards golden-check again at GOMAXPROCS=4 (four slots in the
 #                     experiments' pool): scheduling must not change a byte
 #   make parity BASE=<rev>
@@ -31,9 +34,10 @@
 #                     transcripts, ccperf fingerprints) at BASE and at the
 #                     working tree, one table marking each identical or not
 #                     (many minutes; builds both in a temporary directory)
-#   make golden       regenerate the committed golden transcript and the
-#                     quick-suite output hashes after an intentional model
-#                     change (minutes)
+#   make golden       regenerate both committed transcripts, full and quick,
+#                     after an intentional model change (minutes): ccbench's
+#                     stdout is the transcript, its wall-clock trailers go to
+#                     stderr
 
 GO ?= go
 
@@ -101,4 +105,4 @@ parity:
 # review the transcript diff like source.
 golden:
 	$(GO) run ./cmd/ccbench -all -check > experiments_full.txt
-	$(GO) run ./cmd/ccbench -quick -all -hashes experiments_quick_hashes.json > /dev/null
+	$(GO) run ./cmd/ccbench -quick -all > experiments_quick.txt

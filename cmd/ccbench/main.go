@@ -7,6 +7,8 @@
 //	ccbench fig11 fig17       run specific experiments
 //	ccbench -all              run everything (minutes)
 //	ccbench -quick fig12      run with reduced core counts and sweep points
+//	ccbench -quick -golden experiments_quick.txt fig7
+//	                          diff fig7's quick section against the quick golden
 //	ccbench -ports 16 fabric-incast
 //	                          sweep fabric-incast's switch fan-in
 //	ccbench -faults "seed=7,portflap=0.02" fabric-portflap failover-recovery
@@ -21,20 +23,23 @@
 // each testbed point once however many experiments request it; GOMAXPROCS
 // bounds the simulations running at a time (internal/experiments' slot
 // pool), and sections print in registry order. Host cost (CPU, setup time,
-// memory, per-layer attribution) is measured by cmd/ccperf; the trailer
-// here reports each experiment's wall time from the start of the run, so
-// it includes time spent waiting for slots and for shared points.
+// memory, per-layer attribution) is measured by cmd/ccperf.
+//
+// Stdout is the transcript: each experiment's section and a blank line,
+// nothing that varies from run to run, so `ccbench -all -check` and
+// `ccbench -quick -all` print the committed goldens experiments_full.txt
+// and experiments_quick.txt. Stderr carries everything else, among it each
+// experiment's `[id completed in ...]` trailer: its wall time from the
+// start of the run, including time spent waiting for slots and for shared
+// points.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
@@ -50,11 +55,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to `file`")
 	checkFlag := flag.Bool("check", false, "validate model invariants online in every simulation (internal/check)")
-	goldenPath := flag.String("golden", "", "diff each experiment's output against golden `file`; exit 1 on any mismatch")
-	hashesPath := flag.String("hashes", "", "write a JSON map of experiment id -> sha256 of normalized output to `file`")
+	goldenPath := flag.String("golden", "", "diff each experiment's section against golden transcript `file` (experiments_full.txt, or experiments_quick.txt with -quick); exit 1 on any mismatch")
 	faultsSpec := flag.String("faults", "", "arm a deterministic fault `plan`, e.g. \"seed=7,dbdrop=0.01\" or \"all=0.005\" (see internal/fault)")
 	protoSpec := flag.String("protocol", "", "coherence `protocol` backend for testbed experiments: upi (default) or cxl; the micro-benchmarks (fig2 fig3 fig7 fig8 fig9 table1) and ext-dsa have no NIC testbed and ignore it")
-	portsFlag := flag.Int("ports", 0, "cap fabric-incast's switch fan-in sweep at `N` ports (0 = its default; no other experiment reads it; refused with -golden/-hashes)")
+	portsFlag := flag.Int("ports", 0, "cap fabric-incast's switch fan-in sweep at `N` ports (0 = its default; no other experiment reads it; refused with -golden)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ccbench [-quick] [-check] [-all | -list | <id>...]\n\n")
 		fmt.Fprintf(os.Stderr, "Regenerates the CC-NIC paper's evaluation tables and figures.\n\n")
@@ -84,24 +88,17 @@ func main() {
 	// Check every flag and resolve every ID before running anything: -all
 	// takes minutes, and a typo'd ID should not cost the whole run.
 	c, err := checkFlags(flagValues{
-		ids: ids, quick: *quick, ports: *portsFlag,
-		golden: *goldenPath, hashes: *hashesPath, faults: *faultsSpec, protocol: *protoSpec,
+		ids: ids, ports: *portsFlag, golden: *goldenPath, faults: *faultsSpec, protocol: *protoSpec,
 	})
 	if err != nil {
 		fatalf("ccbench: %v", err)
 	}
 	exps := c.exps
-	var golden map[string]string
+	var golden experiments.Golden
 	if *goldenPath != "" {
-		buf, err := os.ReadFile(*goldenPath)
-		if err != nil {
+		if golden, err = experiments.ReadGolden(*goldenPath); err != nil {
 			fatalf("ccbench: %v", err)
 		}
-		golden = splitGolden(string(buf))
-	}
-	var hashes map[string]string
-	if *hashesPath != "" {
-		hashes = make(map[string]string)
 	}
 	if c.plan != nil {
 		fmt.Fprintf(os.Stderr, "ccbench: fault plan armed: %s\n", c.plan)
@@ -126,9 +123,9 @@ func main() {
 		Faults: c.plan, Protocol: c.proto.String(), Check: *checkFlag}
 	goldenBad := 0
 
-	// Sections print in registration order, so output, golden diffs and
-	// hashes do not depend on scheduling: every point builds its own
-	// kernel, and the timing trailer is normalized away.
+	// Sections print in registration order, so stdout and golden diffs do
+	// not depend on scheduling: every point builds its own kernel, and the
+	// timing trailer goes to stderr.
 	sess := experiments.NewSession()
 	results := make([]chan expResult, len(exps))
 	for i, e := range exps {
@@ -140,20 +137,13 @@ func main() {
 	}
 	for i, e := range exps {
 		r := <-results[i]
-		fmt.Print(r.section)
-		fmt.Printf("[%s completed in %s]\n\n", e.ID, r.wall.Round(time.Millisecond))
-		norm := experiments.Normalize(r.section)
+		fmt.Printf("%s\n", r.section)
+		fmt.Fprintf(os.Stderr, "[%s completed in %s]\n", e.ID, r.wall.Round(time.Millisecond))
 		if golden != nil {
-			if want, ok := golden[e.ID]; !ok {
-				fmt.Fprintf(os.Stderr, "ccbench: golden: no section for %s in %s\n", e.ID, *goldenPath)
-				goldenBad++
-			} else if norm != want {
-				reportGoldenDiff(e.ID, want, norm)
+			if err := golden.Diff(e.ID, r.section); err != nil {
+				fmt.Fprintf(os.Stderr, "ccbench: golden %s: %v\n", *goldenPath, err)
 				goldenBad++
 			}
-		}
-		if hashes != nil {
-			hashes[e.ID] = fmt.Sprintf("%x", sha256.Sum256([]byte(norm)))
 		}
 		if *checkFlag {
 			// The memory budget: one line per experiment, and a named
@@ -169,15 +159,6 @@ func main() {
 	if *checkFlag {
 		fmt.Fprintf(os.Stderr, "ccbench: invariants held: %d checks across %d simulations\n",
 			check.TotalChecks(), check.TotalEngines())
-	}
-	if hashes != nil {
-		buf, err := json.MarshalIndent(hashes, "", "  ")
-		if err != nil {
-			fatalf("ccbench: marshal hashes: %v", err)
-		}
-		if err := os.WriteFile(*hashesPath, append(buf, '\n'), 0o644); err != nil {
-			fatalf("ccbench: %v", err)
-		}
 	}
 	if golden != nil {
 		if goldenBad > 0 {
@@ -201,10 +182,9 @@ func main() {
 
 // flagValues are the flags checkFlags validates.
 type flagValues struct {
-	ids                              []string
-	quick                            bool
-	ports                            int
-	golden, hashes, faults, protocol string
+	ids                      []string
+	ports                    int
+	golden, faults, protocol string
 }
 
 // checked is what checkFlags resolves from valid flags.
@@ -216,11 +196,11 @@ type checked struct {
 
 // checkFlags rejects a flag combination ccbench cannot honor, with a
 // message naming the flag, and resolves the experiment IDs, fault plan and
-// protocol. Golden and hash runs pin full scale, a fault-free plan, the
-// UPI backend and the default fabric geometry.
+// protocol. A golden run pins a fault-free plan, the UPI backend and the
+// default fabric geometry; the golden file sets the scale.
 func checkFlags(v flagValues) (checked, error) {
 	var c checked
-	pinned := v.golden != "" || v.hashes != ""
+	pinned := v.golden != ""
 	for _, id := range v.ids {
 		e := experiments.ByID(id)
 		if e == nil {
@@ -228,27 +208,24 @@ func checkFlags(v flagValues) (checked, error) {
 		}
 		c.exps = append(c.exps, e)
 	}
-	if v.golden != "" && v.quick {
-		return c, fmt.Errorf("-golden compares full-scale output; drop -quick")
-	}
 	var err error
 	if c.plan, err = ccnic.ParseFaultPlan(v.faults); err != nil {
 		return c, err
 	}
 	if c.plan != nil && pinned {
-		return c, fmt.Errorf("-faults perturbs experiment output; golden and hash runs must be fault-free")
+		return c, fmt.Errorf("-faults perturbs experiment output; golden runs must be fault-free")
 	}
 	if c.proto, err = ccnic.ParseProtocol(v.protocol); err != nil {
 		return c, err
 	}
 	if c.proto != ccnic.ProtoUPI && pinned {
-		return c, fmt.Errorf("goldens are pinned to the default UPI backend; golden and hash runs must not select -protocol %v", c.proto)
+		return c, fmt.Errorf("goldens are pinned to the default UPI backend; golden runs must not select -protocol %v", c.proto)
 	}
 	if v.ports != 0 && v.ports < 2 {
 		return c, fmt.Errorf("-ports needs at least 2 switch ports")
 	}
 	if v.ports != 0 && pinned {
-		return c, fmt.Errorf("-ports changes the fabric sweep geometry; golden and hash runs pin the defaults")
+		return c, fmt.Errorf("-ports changes the fabric sweep geometry; golden runs pin the defaults")
 	}
 	return c, nil
 }
@@ -277,46 +254,4 @@ type expResult struct {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(1)
-}
-
-// splitGolden parses a full ccbench transcript into normalized per-experiment
-// sections keyed by experiment ID.
-func splitGolden(text string) map[string]string {
-	sections := make(map[string]string)
-	var id string
-	var cur []string
-	flush := func() {
-		if id != "" {
-			sections[id] = experiments.Normalize(strings.Join(cur, "\n"))
-		}
-		cur = cur[:0]
-	}
-	for _, line := range strings.Split(text, "\n") {
-		if rest, ok := strings.CutPrefix(line, "== "); ok {
-			flush()
-			id, _, _ = strings.Cut(rest, ":")
-		}
-		cur = append(cur, line)
-	}
-	flush()
-	return sections
-}
-
-// reportGoldenDiff prints the first differing line of a mismatched section.
-func reportGoldenDiff(id, want, got string) {
-	wantLines := strings.Split(want, "\n")
-	gotLines := strings.Split(got, "\n")
-	n := len(wantLines)
-	if len(gotLines) < n {
-		n = len(gotLines)
-	}
-	for i := 0; i < n; i++ {
-		if wantLines[i] != gotLines[i] {
-			fmt.Fprintf(os.Stderr, "ccbench: golden: %s diverges at line %d:\n  golden: %q\n  got:    %q\n",
-				id, i+1, wantLines[i], gotLines[i])
-			return
-		}
-	}
-	fmt.Fprintf(os.Stderr, "ccbench: golden: %s diverges in length: golden %d lines, got %d\n",
-		id, len(wantLines), len(gotLines))
 }

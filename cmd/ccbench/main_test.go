@@ -17,24 +17,18 @@ func TestCheckFlags(t *testing.T) {
 		want string // substring of the error; "" means accepted
 	}{
 		{"defaults", func(v *flagValues) {}, ""},
-		{"quick", func(v *flagValues) { v.quick = true }, ""},
 		{"golden", func(v *flagValues) { v.golden = "experiments_full.txt" }, ""},
-		{"hashes", func(v *flagValues) { v.hashes = "h.json" }, ""},
 		{"faults", func(v *flagValues) { v.faults = "seed=7,all=0.005" }, ""},
 		{"explicit upi with golden", func(v *flagValues) { v.protocol, v.golden = "upi", "g" }, ""},
 		{"cxl", func(v *flagValues) { v.protocol = "cxl" }, ""},
 		{"two ports", func(v *flagValues) { v.ports = 2 }, ""},
 		{"unknown id", func(v *flagValues) { v.ids = append(v.ids, "fig99") }, `unknown experiment "fig99"`},
-		{"golden with quick", func(v *flagValues) { v.golden, v.quick = "g", true }, "-golden compares full-scale output"},
 		{"bad fault spec", func(v *flagValues) { v.faults = "bogus=0.1" }, `unknown class "bogus"`},
 		{"bad fault rate", func(v *flagValues) { v.faults = "link=2" }, "must be in [0,1]"},
 		{"bad protocol", func(v *flagValues) { v.protocol = "nvlink" }, `unknown protocol "nvlink"`},
 		{"faults with golden", func(v *flagValues) { v.faults, v.golden = "all=0.01", "g" }, "-faults"},
-		{"faults with hashes", func(v *flagValues) { v.faults, v.hashes = "all=0.01", "h" }, "-faults"},
 		{"cxl with golden", func(v *flagValues) { v.protocol, v.golden = "cxl", "g" }, "-protocol CXL"},
-		{"cxl with hashes", func(v *flagValues) { v.protocol, v.hashes = "cxl", "h" }, "-protocol CXL"},
 		{"ports with golden", func(v *flagValues) { v.ports, v.golden = 8, "g" }, "-ports"},
-		{"ports with hashes", func(v *flagValues) { v.ports, v.hashes = 8, "h" }, "-ports"},
 		{"one port", func(v *flagValues) { v.ports = 1 }, "-ports needs at least 2"},
 		{"negative ports", func(v *flagValues) { v.ports = -4 }, "-ports needs at least 2"},
 	}

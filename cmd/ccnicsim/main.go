@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"math"
 	"os"
@@ -25,8 +26,10 @@ import (
 
 	"ccnic"
 	"ccnic/internal/cluster"
+	"ccnic/internal/device"
 	"ccnic/internal/fabric"
 	"ccnic/internal/loopback"
+	"ccnic/internal/pcie"
 	"ccnic/internal/platform"
 	"ccnic/internal/sim"
 )
@@ -195,20 +198,41 @@ func main() {
 		fmt.Printf("echo rpc:  %8.2f Mops\n", res.Mops())
 	}
 
-	st := tb.Sys.Link().Stats()
-	now := tb.Kernel.Now()
-	fmt.Printf("\n%s interconnect: %.1f/%.1f GB wire to-NIC/to-host, utilization %.0f%%/%.0f%%\n",
-		tb.Sys.Link().Label(),
-		float64(st.WireBytes[0])/1e9, float64(st.WireBytes[1])/1e9,
-		tb.Sys.Link().Utilization(0, now)*100, tb.Sys.Link().Utilization(1, now)*100)
-	c0, c1 := tb.Sys.Counters(0), tb.Sys.Counters(1)
-	fmt.Printf("remote accesses: host %d rd / %d rfo, NIC-side %d rd / %d rfo\n",
-		c0.RemoteRead, c0.RemoteRFO, c1.RemoteRead, c1.RemoteRFO)
-	if tb.Sys.Protocol() == ccnic.ProtoCXL {
-		fmt.Printf("cxl: %d bias flips host-side, %d NIC-side\n", c0.BiasFlips, c1.BiasFlips)
-	}
+	fmt.Println()
+	summary(os.Stdout, tb)
 	if flt := tb.Sys.Faults(); flt != nil {
 		fmt.Printf("\n%s", flt.Stats().Format())
+	}
+}
+
+// summary prints a finished testbed's traffic: the socket interconnect's
+// wire megabytes and utilization per direction, the PCIe endpoint's DMA
+// megabytes per direction where the interface has one, and the remote
+// coherent accesses.
+func summary(w io.Writer, tb *ccnic.Testbed) {
+	link := tb.Sys.Link()
+	st := link.Stats()
+	now := tb.Kernel.Now()
+	fmt.Fprintf(w, "%s interconnect: %.2f/%.2f MB wire to-NIC/to-host, utilization %.0f%%/%.0f%%\n",
+		link.Label(), float64(st.WireBytes[0])/1e6, float64(st.WireBytes[1])/1e6,
+		link.Utilization(0, now)*100, link.Utilization(1, now)*100)
+	var ep *pcie.Endpoint // a PCIe NIC's own, or an overlay's CX6 back end's
+	switch d := tb.Dev.(type) {
+	case *device.PCIeNIC:
+		ep = d.Endpoint()
+	case *device.Overlay:
+		ep = d.Back().Endpoint()
+	}
+	if ep != nil {
+		dma := ep.Stats().DMABytes
+		fmt.Fprintf(w, "PCIe endpoint: %.2f/%.2f MB DMA to-NIC/to-host\n",
+			float64(dma[pcie.ToDevice])/1e6, float64(dma[pcie.ToHost])/1e6)
+	}
+	c0, c1 := tb.Sys.Counters(0), tb.Sys.Counters(1)
+	fmt.Fprintf(w, "remote accesses: host %d rd / %d rfo, NIC-side %d rd / %d rfo\n",
+		c0.RemoteRead, c0.RemoteRFO, c1.RemoteRead, c1.RemoteRFO)
+	if tb.Sys.Protocol() == ccnic.ProtoCXL {
+		fmt.Fprintf(w, "cxl: %d bias flips host-side, %d NIC-side\n", c0.BiasFlips, c1.BiasFlips)
 	}
 }
 

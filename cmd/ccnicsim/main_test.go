@@ -5,12 +5,15 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"ccnic"
 	"ccnic/internal/loopback"
 	"ccnic/internal/platform"
+	"ccnic/internal/sim"
 )
 
 // TestMain runs the command itself when a test re-executes the test binary
@@ -154,6 +157,54 @@ func TestCheckFlags(t *testing.T) {
 				t.Fatalf("accepted invalid flags, want an error naming %q", tc.want)
 			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSummary checks the traffic summary after a short loopback run: a
+// coherent NIC moves a visible number of megabytes over the socket
+// interconnect and has no PCIe endpoint, a PCIe NIC moves its packets as
+// DMA megabytes in both directions over an idle interconnect, and an
+// overlay does both.
+func TestSummary(t *testing.T) {
+	wire := regexp.MustCompile(`(?m)^UPI interconnect: ([0-9.]+)/([0-9.]+) MB wire to-NIC/to-host`)
+	dma := regexp.MustCompile(`(?m)^PCIe endpoint: ([0-9.]+)/([0-9.]+) MB DMA to-NIC/to-host$`)
+	// moved reports whether re matches out with both directions nonzero.
+	moved := func(t *testing.T, re *regexp.Regexp, out string) bool {
+		m := re.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no line matching %q in:\n%s", re, out)
+		}
+		to, _ := strconv.ParseFloat(m[1], 64)
+		from, _ := strconv.ParseFloat(m[2], 64)
+		return to > 0 && from > 0
+	}
+	for _, tc := range []struct {
+		iface          ccnic.Interface
+		wire, endpoint bool
+	}{
+		{ccnic.CCNIC, true, false},
+		{ccnic.E810, false, true},
+		{ccnic.OverlayCCNIC, true, true},
+	} {
+		t.Run(tc.iface.String(), func(t *testing.T) {
+			tb := ccnic.NewTestbed(ccnic.Config{Platform: "ICX", Interface: tc.iface, Queues: 2})
+			tb.RunLoopback(ccnic.LoopbackOptions{
+				PktSize: 64, Window: 32, Warmup: 10 * sim.Microsecond, Measure: 30 * sim.Microsecond,
+			})
+			var b strings.Builder
+			summary(&b, tb)
+			out := b.String()
+			if got := moved(t, wire, out); got != tc.wire {
+				t.Errorf("interconnect traffic %v, want %v:\n%s", got, tc.wire, out)
+			}
+			if !tc.endpoint {
+				if dma.MatchString(out) {
+					t.Errorf("a coherent NIC printed a PCIe endpoint:\n%s", out)
+				}
+			} else if !moved(t, dma, out) {
+				t.Errorf("no DMA traffic in both directions:\n%s", out)
 			}
 		})
 	}

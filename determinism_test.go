@@ -1,10 +1,6 @@
 package ccnic_test
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 
 	"ccnic"
@@ -37,20 +33,19 @@ func TestEndToEndDeterminism(t *testing.T) {
 // quick mode — the quick suite's only full pass in tier-1. The first run's
 // report must be well-formed (the <id>/report subtest): its own ID, some
 // output, and every series and table non-empty with no negative point. Then
-// it hashes the normalized
-// printed output of both runs (exactly what ccbench -hashes computes). The
-// two must match each other — bit-identical text, not just headline
-// numbers — and match the hashes committed in experiments_quick_hashes.json.
-// After an intentional model change, regenerate the committed hashes with
-// `make golden`.
+// it renders both runs' sections exactly as ccbench prints them. The two must
+// match each other — bit-identical text, not just headline numbers — and
+// match the committed quick transcript, experiments_quick.txt, through the
+// section differ ccbench -golden uses. After an intentional model change,
+// regenerate the goldens with `make golden`.
 func TestExperimentOutputDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
 	}
-	golden := committedHashes(t)
+	golden := quickGolden(t)
 	exps := experiments.All()
 	if len(golden) != len(exps) {
-		t.Errorf("committed hash file has %d entries, registry has %d experiments; run make golden",
+		t.Errorf("experiments_quick.txt has %d sections, registry has %d experiments; run make golden",
 			len(golden), len(exps))
 	}
 	for _, e := range exps {
@@ -85,52 +80,39 @@ func TestExperimentOutputDeterminism(t *testing.T) {
 					}
 				}
 			})
-			h1, h2 := sectionHash(e, r), sectionHash(e, e.Run(experiments.Options{Quick: true}))
-			if h1 != h2 {
-				t.Fatalf("two quick runs produced different output: %s vs %s", h1, h2)
+			s1 := experiments.Section(e, r)
+			first := experiments.Golden{e.ID: s1}
+			if err := first.Diff(e.ID, experiments.Section(e, e.Run(experiments.Options{Quick: true}))); err != nil {
+				t.Fatalf("two quick runs produced different output: %v", err)
 			}
-			want, ok := golden[e.ID]
-			if !ok {
-				t.Fatalf("no committed hash for %s; run make golden", e.ID)
-			}
-			if h1 != want {
-				t.Errorf("output hash %s differs from committed %s; if the model change is intentional, run make golden", h1, want)
+			if err := golden.Diff(e.ID, s1); err != nil {
+				t.Errorf("experiments_quick.txt: %v\nif the model change is intentional, run make golden", err)
 			}
 		})
 	}
 }
 
-// committedHashes reads the quick-suite hashes committed in
-// experiments_quick_hashes.json: UPI, fault-free runs.
-func committedHashes(t *testing.T) map[string]string {
-	buf, err := os.ReadFile("experiments_quick_hashes.json")
+// quickGolden reads the committed quick transcript, experiments_quick.txt:
+// UPI, fault-free runs.
+func quickGolden(t *testing.T) experiments.Golden {
+	golden, err := experiments.ReadGolden("experiments_quick.txt")
 	if err != nil {
-		t.Fatalf("read committed hashes: %v", err)
-	}
-	golden := make(map[string]string)
-	if err := json.Unmarshal(buf, &golden); err != nil {
-		t.Fatalf("parse committed hashes: %v", err)
+		t.Fatalf("read the quick golden: %v", err)
 	}
 	return golden
-}
-
-// sectionHash hashes an experiment's normalized printed output, exactly as
-// ccbench -hashes computes it.
-func sectionHash(e *experiments.Experiment, r *experiments.Report) string {
-	norm := experiments.Normalize(experiments.Section(e, r))
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(norm)))
 }
 
 // TestDefaultsReachTestbedExperiments runs quick table2, ext-event and
 // ext-netfn under the CXL backend and then under an armed fault plan, set
 // the way ccbench's -protocol and -faults flags set them. Each output must
-// differ from its committed UPI, fault-free hash: an experiment that builds
-// its testbed past experiments.Options silently ignores both settings.
+// differ from its committed UPI, fault-free section in experiments_quick.txt:
+// an experiment that builds its testbed past experiments.Options silently
+// ignores both settings.
 func TestDefaultsReachTestbedExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three quick experiments twice")
 	}
-	golden := committedHashes(t)
+	golden := quickGolden(t)
 	const spec = "seed=1,all=0.02"
 	plan, err := ccnic.ParseFaultPlan(spec)
 	if err != nil {
@@ -145,7 +127,7 @@ func TestDefaultsReachTestbedExperiments(t *testing.T) {
 	} {
 		for _, id := range []string{"table2", "ext-event", "ext-netfn"} {
 			e := experiments.ByID(id)
-			if sectionHash(e, e.Run(c.opt)) == golden[id] {
+			if golden.Diff(id, experiments.Section(e, e.Run(c.opt))) == nil {
 				t.Errorf("%s under %s printed its committed UPI, fault-free output", id, c.name)
 			}
 		}

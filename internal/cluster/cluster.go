@@ -392,6 +392,8 @@ func New(cfg Config) *Cluster {
 	}
 	c.nodeShard = make([]int, cfg.Hosts)
 
+	nodeLink := interconn.Profile{Name: "UPI", WireBW: plat.UPIBandwidth,
+		Header: plat.UPIHeader, CtrlMsg: plat.UPICtrlMsg}
 	for i := 0; i < cfg.Hosts; i++ {
 		s := i / group
 		c.nodeShard[i] = s
@@ -400,7 +402,7 @@ func New(cfg Config) *Cluster {
 			id:      i,
 			c:       c,
 			k:       k,
-			port:    interconn.New(plat.UPIBandwidth, plat.UPIHeader, plat.UPICtrlMsg),
+			port:    interconn.NewWithProfile(nodeLink),
 			flt:     fault.NewInjector(cfg.Faults, i),
 			txWake:  k.NewEvent(fmt.Sprintf("n%d.tx", i)),
 			winWake: k.NewEvent(fmt.Sprintf("n%d.win", i)),

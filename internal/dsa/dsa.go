@@ -53,11 +53,6 @@ type Completion struct {
 	vis   sim.Time
 }
 
-// New creates an engine with one lane on the given socket.
-func New(sys *coherence.System, socket int, name string) *Engine {
-	return NewLanes(sys, socket, name, 1)
-}
-
 // NewLanes creates an engine with the given number of parallel work lanes
 // (DSA exposes multiple work queues and internal engines).
 func NewLanes(sys *coherence.System, socket int, name string, lanes int) *Engine {

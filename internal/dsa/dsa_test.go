@@ -11,7 +11,7 @@ import (
 func TestCopyCompletes(t *testing.T) {
 	k := sim.New()
 	sys := coherence.NewSystem(k, platform.SPR())
-	eng := New(sys, 0, "dsa0")
+	eng := NewLanes(sys, 0, "dsa0", 1)
 	core := sys.NewAgent(0, "core")
 	src := sys.Space().Alloc(0, 8192, 0)
 	dst := sys.Space().Alloc(1, 8192, 0)
@@ -48,7 +48,7 @@ func TestOffloadFreesTheCore(t *testing.T) {
 	// the same data would have occupied it for the full transfer.
 	k := sim.New()
 	sys := coherence.NewSystem(k, platform.SPR())
-	eng := New(sys, 0, "dsa0")
+	eng := NewLanes(sys, 0, "dsa0", 1)
 	core := sys.NewAgent(0, "core")
 	src := sys.Space().Alloc(0, 64<<10, 0)
 	dst := sys.Space().Alloc(1, 64<<10, 0)
@@ -80,7 +80,7 @@ func TestOffloadFreesTheCore(t *testing.T) {
 func TestQueueing(t *testing.T) {
 	k := sim.New()
 	sys := coherence.NewSystem(k, platform.ICX())
-	eng := New(sys, 1, "dsa1")
+	eng := NewLanes(sys, 1, "dsa1", 1)
 	core := sys.NewAgent(0, "core")
 	k.Spawn("app", func(p *sim.Proc) {
 		var cs []*Completion
@@ -105,7 +105,7 @@ func TestQueueing(t *testing.T) {
 func TestInvalidSizePanics(t *testing.T) {
 	k := sim.New()
 	sys := coherence.NewSystem(k, platform.ICX())
-	eng := New(sys, 0, "dsa0")
+	eng := NewLanes(sys, 0, "dsa0", 1)
 	core := sys.NewAgent(0, "core")
 	k.Spawn("app", func(p *sim.Proc) {
 		defer func() {

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -31,7 +30,7 @@ type Options struct {
 	Quick bool
 	// FabricPorts caps fabric-incast's switch fan-in sweep (0 = its own
 	// default); no other experiment reads it. Set by ccbench -ports;
-	// refused on golden/hash runs, which pin the default geometry.
+	// refused on golden runs, which pin the default geometry.
 	FabricPorts int
 	// Faults arms a fault plan on every testbed and cluster whose point
 	// leaves its own plan nil (ccbench -faults). Bare systems ignore it.
@@ -199,33 +198,9 @@ func idKey(id string) string {
 func ByID(id string) *Experiment { return registry[id] }
 
 // Section renders an experiment's complete output section exactly as ccbench
-// prints it (minus the timing trailer, which varies run to run). The golden
-// regression and the determinism test hash this rendering, so it must stay
-// byte-stable for a given model.
+// prints it to stdout, before the blank separator line. The goldens
+// (Golden) pin this rendering, so it must stay byte-stable for a given
+// model.
 func Section(e *Experiment, r *Report) string {
 	return r.Format() + "\npaper: " + e.Paper + "\n"
-}
-
-// timingLine matches ccbench's per-experiment trailer, which carries
-// wall-clock numbers and must not participate in golden comparisons. Only
-// the prefix matches: older transcripts append an event-rate suffix.
-var timingLine = regexp.MustCompile(`^\[\S+ completed in `)
-
-// Normalize strips run-varying lines (timing trailers, driver EXIT markers)
-// and trailing blank lines so sections compare bit-for-bit on model output
-// alone. ccbench's -golden / -hashes modes and the repository's determinism
-// test share this definition; a hash of Normalize(Section(e, r)) is the
-// canonical fingerprint of an experiment's output.
-func Normalize(s string) string {
-	var keep []string
-	for _, line := range strings.Split(s, "\n") {
-		if timingLine.MatchString(line) || strings.HasPrefix(line, "EXIT=") {
-			continue
-		}
-		keep = append(keep, line)
-	}
-	for len(keep) > 0 && strings.TrimSpace(keep[len(keep)-1]) == "" {
-		keep = keep[:len(keep)-1]
-	}
-	return strings.Join(keep, "\n") + "\n"
 }

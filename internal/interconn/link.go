@@ -59,13 +59,6 @@ type Stats struct {
 	Messages  [2]int64 // total messages per direction
 }
 
-// New creates a UPI-labeled link with the given per-direction bandwidth
-// (bytes/ns), per-flit header overhead, and control-message size. It is the
-// historical constructor; NewWithProfile is the general one.
-func New(bytesPerNs float64, header, ctrlMsg int) *Link {
-	return NewWithProfile(Profile{Name: "UPI", WireBW: bytesPerNs, Header: header, CtrlMsg: ctrlMsg})
-}
-
 // NewWithProfile creates a link from a protocol profile.
 func NewWithProfile(pr Profile) *Link {
 	if pr.WireBW <= 0 {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSerializationTime(t *testing.T) {
-	l := New(64, 16, 16) // 64 B/ns
+	l := newUPI(64, 16, 16) // 64 B/ns
 	// 64B payload + 16B header = 80B => 1.25ns occupancy.
 	d1 := l.Data(0, ToNIC, 64)
 	if d1 != 0 {
@@ -23,7 +23,7 @@ func TestSerializationTime(t *testing.T) {
 }
 
 func TestDirectionsAreIndependent(t *testing.T) {
-	l := New(10, 0, 16)
+	l := newUPI(10, 0, 16)
 	l.Data(0, ToNIC, 1000) // occupies ToNIC for 100ns
 	if d := l.Data(0, ToHost, 10); d != 0 {
 		t.Errorf("reverse direction queued %v, want 0", d)
@@ -34,7 +34,7 @@ func TestDirectionsAreIndependent(t *testing.T) {
 }
 
 func TestCtrlMessagesConsumeLink(t *testing.T) {
-	l := New(16, 16, 16)
+	l := newUPI(16, 16, 16)
 	l.Ctrl(0, ToNIC) // 16B @ 16 B/ns = 1ns
 	if d := l.Ctrl(0, ToNIC); d != sim.Nanosecond {
 		t.Errorf("ctrl delay = %v, want 1ns", d)
@@ -46,7 +46,7 @@ func TestCtrlMessagesConsumeLink(t *testing.T) {
 }
 
 func TestWeightedPenalty(t *testing.T) {
-	l := New(100, 0, 16)
+	l := newUPI(100, 0, 16)
 	l.Weighted(0, ToNIC, 100, 1.8)
 	st := l.Stats()
 	if st.DataBytes[ToNIC] != 100 {
@@ -58,7 +58,7 @@ func TestWeightedPenalty(t *testing.T) {
 }
 
 func TestUtilizationAndBacklog(t *testing.T) {
-	l := New(64, 0, 16)
+	l := newUPI(64, 0, 16)
 	l.Data(0, ToNIC, 640) // 10ns
 	if u := l.Utilization(ToNIC, 20*sim.Nanosecond); u != 0.5 {
 		t.Errorf("utilization = %v, want 0.5", u)
@@ -99,7 +99,7 @@ func TestNewValidatesBandwidth(t *testing.T) {
 			t.Error("zero bandwidth should panic")
 		}
 	}()
-	New(0, 16, 16)
+	newUPI(0, 16, 16)
 }
 
 // Property: total delay experienced by a back-to-back burst equals the sum
@@ -107,7 +107,7 @@ func TestNewValidatesBandwidth(t *testing.T) {
 // time (no transfer is lost or overlapped within one direction).
 func TestLinkConservation(t *testing.T) {
 	f := func(sizes []uint8) bool {
-		l := New(1, 0, 16) // 1 B/ns: occupancy == bytes in ns
+		l := newUPI(1, 0, 16) // 1 B/ns: occupancy == bytes in ns
 		var expectBusy sim.Time
 		for _, s := range sizes {
 			b := int(s)
@@ -122,4 +122,10 @@ func TestLinkConservation(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// newUPI builds a UPI-labeled link with the given per-direction bandwidth
+// (bytes/ns), per-flit header overhead and control-message size.
+func newUPI(bytesPerNs float64, header, ctrlMsg int) *Link {
+	return NewWithProfile(Profile{Name: "UPI", WireBW: bytesPerNs, Header: header, CtrlMsg: ctrlMsg})
 }
